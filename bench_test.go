@@ -388,6 +388,109 @@ func BenchmarkCGStep(b *testing.B) {
 	}
 }
 
+// ---- Preconditioned-CG kernels at the bench/ harness size --------------------
+//
+// 48³ Poisson is the cg-lossy-sync / cg-trad-sync-shard system. Bytes
+// are computed from the matrix, not measured: a CSR entry is 16 B,
+// a vector 8 B per element per pass.
+
+const pcgGrid = 48
+
+// factorBytes is the compact IC(0)/ILU(0) factor of a: the sub- and
+// superdiagonal and the reciprocal diagonal as dense vectors, every
+// other off-diagonal entry at 12 B, two int32 row-pointer arrays.
+func factorBytes(a *sparse.CSR) int {
+	n := a.Rows
+	entries := 0
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if d := a.ColIdx[k] - i; d < -1 || d > 1 {
+				entries++
+			}
+		}
+	}
+	return 12*entries + 3*8*n + 8*(n+1)
+}
+
+// applyBytes is one M⁻¹·r: the factor once, r read, dst written by the
+// forward sweep, read and rewritten by the backward sweep.
+func applyBytes(a *sparse.CSR) int { return factorBytes(a) + 4*8*a.Rows }
+
+func csrBytes(a *sparse.CSR) int { return 16*a.NNZ() + 8*(a.Rows+1) }
+
+func reportPerRow(b *testing.B, rows, bytesPerOp int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+	b.ReportMetric(float64(bytesPerOp), "computed-B/op")
+}
+
+func benchApply(b *testing.B, a *sparse.CSR, m precond.Interface) {
+	r := solverState(a.Rows)
+	dst := make([]float64, a.Rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Apply(dst, r)
+	}
+	reportPerRow(b, a.Rows, applyBytes(a))
+}
+
+func BenchmarkIC0Apply(b *testing.B) {
+	a := sparse.Poisson3D(pcgGrid)
+	m, err := precond.NewIC0(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchApply(b, a, m)
+}
+
+func BenchmarkILU0Apply(b *testing.B) {
+	a := sparse.Poisson3D(pcgGrid)
+	m, err := precond.NewBlockILU0(a, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchApply(b, a, m)
+}
+
+func BenchmarkIC0Setup(b *testing.B) {
+	a := sparse.Poisson3D(pcgGrid)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := precond.NewIC0(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerRow(b, a.Rows, csrBytes(a)+factorBytes(a))
+}
+
+// BenchmarkPCGStep is one IC(0)-preconditioned CG iteration on the
+// SeqSpace path. The solver restarts from zero every 40 steps, off the
+// clock, so every timed step is a pre-convergence step (the solve
+// takes 44 to rtol 1e-7).
+func BenchmarkPCGStep(b *testing.B) {
+	a := sparse.Poisson3D(pcgGrid)
+	m, err := precond.NewIC0(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := a.Rows
+	s := solver.NewCG(a, m, sparse.OnesRHS(n), nil, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
+	x0 := make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%40 == 0 && i > 0 {
+			b.StopTimer()
+			s.Restart(x0)
+			b.StartTimer()
+		}
+		s.Step()
+	}
+	// SpMV (matrix, p read, q written), Apply, and the BLAS-1 passes:
+	// p·q, the x/r update (4 reads, 2 writes), r·z with ‖r‖, p ← z+βp.
+	reportPerRow(b, n, csrBytes(a)+2*8*n+applyBytes(a)+(2+6+2+3)*8*n)
+}
+
 func BenchmarkGMRESStep(b *testing.B) {
 	a := sparse.Poisson3D(24)
 	rhs := sparse.OnesRHS(a.Rows)

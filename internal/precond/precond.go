@@ -2,6 +2,15 @@
 // configuration uses: Jacobi (diagonal) and block Jacobi with ILU(0)
 // or IC(0) inside each block. A preconditioner approximates M⁻¹ and is
 // applied once per iteration of PCG or left-preconditioned GMRES.
+//
+// Both incomplete factorizations are held in one layout and applied by
+// one triangular-solve kernel (factor.go): M = L̃·D·Ũ with L̃ unit
+// lower, Ũ unit upper and D⁻¹ stored, so that neither sweep divides —
+// IC(0) as L̃·D·L̃ᵀ, ILU(0) as L·D·(D⁻¹U). The sub- and superdiagonal
+// are dense vectors and the rest of each triangle is CSR with int32
+// indices, which limits a factor to 2³¹−1 rows and 2³¹−1 entries per
+// triangle; the constructors return an error beyond that. Apply reads
+// r while it writes dst: the two must not alias.
 package precond
 
 import (
@@ -61,90 +70,114 @@ func (j *Jacobi) Apply(dst, r []float64) {
 	}
 }
 
-// factorLU holds an incomplete LU factorization in CSR layout with a
-// pointer to the diagonal position of each row. L has unit diagonal
-// (not stored); U includes the diagonal.
-type factorLU struct {
-	n       int
-	rowPtr  []int
-	colIdx  []int
-	val     []float64
-	diagPos []int
-}
-
-// ilu0 computes the ILU(0) factorization of a (zero fill-in, pattern
-// of A preserved) using the standard IKJ algorithm. Missing or zero
-// pivots are replaced by a small multiple of the largest row entry to
-// keep the factorization usable, mirroring PETSc's shift strategies.
-func ilu0(a *sparse.CSR) (*factorLU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("precond: ILU(0) needs square matrix, got %dx%d", a.Rows, a.Cols)
+// ilu0 computes the ILU(0) factorization (zero fill-in, pattern of A
+// preserved, IKJ order) of the diagonal block A[lo:hi, lo:hi] straight
+// into the compact layout: L̃ = L, Ũ = D⁻¹·U, dinv = 1/u_ii. A missing
+// or zero pivot is replaced by a small multiple of the largest row
+// entry to keep the factorization usable, mirroring PETSc's shift
+// strategies; that is what lets saddle-point blocks through.
+func ilu0(a *sparse.CSR, lo, hi int) (*factor, error) {
+	n := hi - lo
+	f, err := newFactor(n)
+	if err != nil {
+		return nil, err
 	}
-	n := a.Rows
-	f := &factorLU{
-		n:       n,
-		rowPtr:  append([]int(nil), a.RowPtr...),
-		colIdx:  append([]int(nil), a.ColIdx...),
-		val:     append([]float64(nil), a.Val...),
-		diagPos: make([]int, n),
-	}
-	// Locate (or report missing) diagonal entries.
+	var nl, nu int
 	for i := 0; i < n; i++ {
-		f.diagPos[i] = -1
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			if f.colIdx[k] == i {
-				f.diagPos[i] = k
-				break
+		for k := a.RowPtr[lo+i]; k < a.RowPtr[lo+i+1]; k++ {
+			switch j := a.ColIdx[k] - lo; {
+			case j >= 0 && j < i-1:
+				f.lptr[i+1]++
+				nl++
+			case j > i+1 && j < n:
+				f.uptr[i+1]++
+				nu++
 			}
 		}
-		if f.diagPos[i] < 0 {
-			return nil, fmt.Errorf("precond: ILU(0) requires a stored diagonal entry in row %d", i)
-		}
 	}
-	// colPos[j] = position of column j in the current row (or -1).
-	colPos := make([]int, n)
-	for j := range colPos {
-		colPos[j] = -1
+	if err := f.alloc(nl, nu); err != nil {
+		return nil, err
+	}
+	// Row i is eliminated in w, a dense copy of the row; in marks the
+	// columns of its pattern (the diagonal always). Until the last
+	// pass dinv holds the pivots u_ii, and usup and uval the unscaled U.
+	w := make([]float64, n)
+	in := make([]bool, n)
+	piv := f.dinv
+	// eliminate returns l_ik for column k of the current row and
+	// subtracts l_ik times the strict upper part of row k from it, on
+	// the intersection of the two patterns.
+	eliminate := func(k int) float64 {
+		lik := w[k] / piv[k]
+		if in[k+1] {
+			w[k+1] -= lik * f.usup[k]
+		}
+		for kk := f.uptr[k]; kk < f.uptr[k+1]; kk++ {
+			if j := f.ucol[kk]; in[j] {
+				w[j] -= lik * f.uval[kk]
+			}
+		}
+		w[k], in[k] = 0, false
+		return lik
 	}
 	for i := 0; i < n; i++ {
-		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			colPos[f.colIdx[k]] = k
-		}
-		for k := lo; k < hi && f.colIdx[k] < i; k++ {
-			kc := f.colIdx[k]
-			piv := f.val[f.diagPos[kc]]
-			if piv == 0 {
-				piv = shiftPivot(f, kc)
+		kl, ku := f.lptr[i], f.uptr[i]
+		for k := a.RowPtr[lo+i]; k < a.RowPtr[lo+i+1]; k++ {
+			j := a.ColIdx[k] - lo
+			if j < 0 || j >= n {
+				continue
 			}
-			lik := f.val[k] / piv
-			f.val[k] = lik
-			// Update the intersection of row i's pattern with the
-			// strict upper part of row kc.
-			for kk := f.diagPos[kc] + 1; kk < f.rowPtr[kc+1]; kk++ {
-				if p := colPos[f.colIdx[kk]]; p >= 0 {
-					f.val[p] -= lik * f.val[kk]
-				}
+			w[j], in[j] = a.Val[k], true
+			switch {
+			case j < i-1:
+				f.lcol[kl] = int32(j)
+				kl++
+			case j > i+1:
+				f.ucol[ku] = int32(j)
+				ku++
 			}
 		}
-		if f.val[f.diagPos[i]] == 0 {
-			f.val[f.diagPos[i]] = shiftPivot(f, i)
+		in[i] = true
+		for k := f.lptr[i]; k < f.lptr[i+1]; k++ {
+			f.lval[k] = eliminate(int(f.lcol[k]))
 		}
-		for k := lo; k < hi; k++ {
-			colPos[f.colIdx[k]] = -1
+		if i > 0 && in[i-1] {
+			f.lsub[i] = eliminate(i - 1)
 		}
+		if i+1 < n && in[i+1] {
+			f.usup[i] = w[i+1]
+			w[i+1], in[i+1] = 0, false
+		}
+		for k := f.uptr[i]; k < f.uptr[i+1]; k++ {
+			j := f.ucol[k]
+			f.uval[k] = w[j]
+			w[j], in[j] = 0, false
+		}
+		piv[i] = w[i]
+		if piv[i] == 0 {
+			piv[i] = f.shiftPivot(i)
+		}
+		w[i], in[i] = 0, false
+	}
+	for i := 0; i < n; i++ {
+		f.usup[i] /= piv[i]
+		for k := f.uptr[i]; k < f.uptr[i+1]; k++ {
+			f.uval[k] /= piv[i]
+		}
+		f.dinv[i] = 1 / piv[i]
 	}
 	return f, nil
 }
 
-// shiftPivot returns a replacement pivot for a zero diagonal: a small
+// shiftPivot returns a replacement for a zero pivot in row i: a small
 // multiple of the row's largest magnitude (or 1 for an empty row).
-func shiftPivot(f *factorLU, row int) float64 {
-	var m float64
-	for k := f.rowPtr[row]; k < f.rowPtr[row+1]; k++ {
-		if a := math.Abs(f.val[k]); a > m {
-			m = a
-		}
+func (f *factor) shiftPivot(i int) float64 {
+	m := math.Max(math.Abs(f.lsub[i]), math.Abs(f.usup[i]))
+	for _, v := range f.lval[f.lptr[i]:f.lptr[i+1]] {
+		m = math.Max(m, math.Abs(v))
+	}
+	for _, v := range f.uval[f.uptr[i]:f.uptr[i+1]] {
+		m = math.Max(m, math.Abs(v))
 	}
 	if m == 0 {
 		return 1
@@ -152,33 +185,17 @@ func shiftPivot(f *factorLU, row int) float64 {
 	return 1e-8 * m
 }
 
-// solve performs dst ← U⁻¹ L⁻¹ r over the factored rows [0, n).
-func (f *factorLU) solve(dst, r []float64) {
-	// Forward: L y = r with unit diagonal.
-	for i := 0; i < f.n; i++ {
-		s := r[i]
-		for k := f.rowPtr[i]; k < f.diagPos[i]; k++ {
-			s -= f.val[k] * dst[f.colIdx[k]]
-		}
-		dst[i] = s
-	}
-	// Backward: U x = y.
-	for i := f.n - 1; i >= 0; i-- {
-		s := dst[i]
-		for k := f.diagPos[i] + 1; k < f.rowPtr[i+1]; k++ {
-			s -= f.val[k] * dst[f.colIdx[k]]
-		}
-		dst[i] = s / f.val[f.diagPos[i]]
-	}
-}
-
 // BlockILU0 is PETSc's default preconditioner shape: block Jacobi with
 // an ILU(0) factorization inside each block. Couplings between blocks
 // are dropped, which is what makes the preconditioner embarrassingly
 // parallel (each MPI rank factors its own diagonal block).
+//
+// Each block is held as M = L̃·D·Ũ in the package's compact layout
+// (L̃ = L, Ũ = D⁻¹·U, D = diag(u_ii)), which limits a block to 2³¹−1
+// rows and as many entries in each triangle.
 type BlockILU0 struct {
 	starts  []int // block boundaries, len nb+1
-	factors []*factorLU
+	factors []*factor
 }
 
 // NewBlockILU0 partitions the rows of a into nb contiguous blocks and
@@ -188,7 +205,7 @@ func NewBlockILU0(a *sparse.CSR, nb int) (*BlockILU0, error) {
 		return nil, fmt.Errorf("precond: block count must be positive, got %d", nb)
 	}
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("precond: BlockILU0 needs square matrix")
+		return nil, fmt.Errorf("precond: BlockILU0 needs square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	if nb > a.Rows {
 		nb = a.Rows
@@ -200,8 +217,7 @@ func NewBlockILU0(a *sparse.CSR, nb int) (*BlockILU0, error) {
 			p.factors = append(p.factors, nil)
 			continue
 		}
-		blk := extractDiagonalBlock(a, lo, hi)
-		f, err := ilu0(blk)
+		f, err := ilu0(a, lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("precond: block %d: %w", bk, err)
 		}
@@ -210,40 +226,7 @@ func NewBlockILU0(a *sparse.CSR, nb int) (*BlockILU0, error) {
 	return p, nil
 }
 
-// extractDiagonalBlock returns A[lo:hi, lo:hi] with local indexing,
-// inserting an explicit zero diagonal entry where A has none so that
-// ILU(0) (with pivot shifting) can proceed on saddle-point blocks.
-func extractDiagonalBlock(a *sparse.CSR, lo, hi int) *sparse.CSR {
-	n := hi - lo
-	blk := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := lo; i < hi; i++ {
-		sawDiag := false
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j < lo || j >= hi {
-				continue
-			}
-			if j-lo == i-lo {
-				sawDiag = true
-			}
-			if j-lo > i-lo && !sawDiag {
-				blk.ColIdx = append(blk.ColIdx, i-lo)
-				blk.Val = append(blk.Val, 0)
-				sawDiag = true
-			}
-			blk.ColIdx = append(blk.ColIdx, j-lo)
-			blk.Val = append(blk.Val, a.Val[k])
-		}
-		if !sawDiag {
-			blk.ColIdx = append(blk.ColIdx, i-lo)
-			blk.Val = append(blk.Val, 0)
-		}
-		blk.RowPtr[i-lo+1] = len(blk.Val)
-	}
-	return blk
-}
-
-// Apply computes dst ← M⁻¹·r block by block.
+// Apply computes dst ← M⁻¹·r block by block. dst and r must not alias.
 func (p *BlockILU0) Apply(dst, r []float64) {
 	n := p.starts[len(p.starts)-1]
 	if len(dst) != n || len(r) != n {
@@ -261,96 +244,133 @@ func (p *BlockILU0) Apply(dst, r []float64) {
 // IC0 is the incomplete Cholesky factorization with zero fill-in for
 // symmetric positive definite matrices: A ≈ L·Lᵀ on the pattern of the
 // lower triangle of A.
+//
+// It is held root-free as M = L̃·D·L̃ᵀ in the package's compact layout
+// (L̃ = L·diag(l_kk)⁻¹, D = diag(l_kk²), and Ũ = L̃ᵀ stored row-wise so
+// that the backward sweep gathers like the forward one): the same
+// preconditioner, applied without a division. The layout limits the
+// matrix to 2³¹−1 rows and as many strictly-lower entries.
 type IC0 struct {
-	n      int
-	rowPtr []int // lower-triangular pattern including diagonal
-	colIdx []int
-	val    []float64
+	f *factor
 }
 
 // NewIC0 factors the SPD matrix a. It returns an error if a pivot
 // becomes non-positive (a is not SPD enough for IC(0)); callers should
-// fall back to BlockILU0 in that case.
+// fall back to BlockILU0 in that case. Only the lower triangle of a is
+// read.
 func NewIC0(a *sparse.CSR) (*IC0, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("precond: IC(0) needs square matrix")
+		return nil, fmt.Errorf("precond: IC(0) needs square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	f := &IC0{n: n, rowPtr: make([]int, n+1)}
+	f, err := newFactor(n)
+	if err != nil {
+		return nil, err
+	}
+	// Ũ = L̃ᵀ: an entry (i, j) below the subdiagonal is one CSR entry of
+	// row i of L̃ and one of row j of Ũ.
+	var nl int
 	for i := 0; i < n; i++ {
+		hasDiag := false
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.ColIdx[k] <= i {
-				f.colIdx = append(f.colIdx, a.ColIdx[k])
-				f.val = append(f.val, a.Val[k])
+			switch j := a.ColIdx[k]; {
+			case j < i-1:
+				f.lptr[i+1]++
+				f.uptr[j+1]++
+				nl++
+			case j == i:
+				hasDiag = true
 			}
 		}
-		f.rowPtr[i+1] = len(f.val)
-		if f.rowPtr[i+1] == f.rowPtr[i] || f.colIdx[f.rowPtr[i+1]-1] != i {
+		if !hasDiag {
 			return nil, fmt.Errorf("precond: IC(0) requires stored diagonal in row %d", i)
 		}
 	}
-	// Row-oriented incomplete Cholesky.
-	pos := make([]int, n)
+	if err := f.alloc(nl, nl); err != nil {
+		return nil, err
+	}
+	// Row-oriented incomplete Cholesky. pos[j] is the position in lval
+	// of column j of the current row (or -1). Until the last pass lsub
+	// and lval hold L and dinv its diagonal l_kk.
+	pos := make([]int32, n)
 	for j := range pos {
 		pos[j] = -1
 	}
+	diag := f.dinv
+	// reduce returns l_ik = (s − Σ_{j<k} l_ij·l_kj) / l_kk for s = a_ik,
+	// the sum taken over the columns the current row shares with row k.
+	reduce := func(s float64, k int) float64 {
+		for kk := f.lptr[k]; kk < f.lptr[k+1]; kk++ {
+			if p := pos[f.lcol[kk]]; p >= 0 {
+				s -= f.lval[p] * f.lval[kk]
+			}
+		}
+		if k > 0 && pos[k-1] >= 0 {
+			s -= f.lval[pos[k-1]] * f.lsub[k]
+		}
+		return s / diag[k]
+	}
 	for i := 0; i < n; i++ {
-		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
+		lo, hi := f.lptr[i], f.lptr[i+1]
+		var d, sub float64
+		hasSub := false
+		for k, ka := lo, a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
+			switch j := a.ColIdx[ka]; {
+			case j < i-1:
+				f.lcol[k], f.lval[k] = int32(j), a.Val[ka]
+				pos[j] = k
+				k++
+			case j == i-1:
+				sub, hasSub = a.Val[ka], true
+			case j == i:
+				d = a.Val[ka]
+			}
+		}
+		// Diagonal: l_ii² = a_ii − Σ l_ik².
 		for k := lo; k < hi; k++ {
-			pos[f.colIdx[k]] = k
+			l := reduce(f.lval[k], int(f.lcol[k]))
+			f.lval[k] = l
+			d -= l * l
 		}
-		for k := lo; k < hi-1; k++ {
-			kc := f.colIdx[k]
-			// l_ik = (a_ik − Σ_{j<kc} l_ij·l_kj) / l_kk
-			s := f.val[k]
-			for kk := f.rowPtr[kc]; kk < f.rowPtr[kc+1]-1; kk++ {
-				if p := pos[f.colIdx[kk]]; p >= 0 && p < k {
-					s -= f.val[p] * f.val[kk]
-				}
-			}
-			f.val[k] = s / f.val[f.rowPtr[kc+1]-1]
+		if hasSub {
+			l := reduce(sub, i-1)
+			f.lsub[i] = l
+			d -= l * l
 		}
-		// Diagonal: l_ii = sqrt(a_ii − Σ l_ij²)
-		d := f.val[hi-1]
-		for k := lo; k < hi-1; k++ {
-			d -= f.val[k] * f.val[k]
+		for k := lo; k < hi; k++ {
+			pos[f.lcol[k]] = -1
 		}
-		if d <= 0 {
-			for k := lo; k < hi; k++ {
-				pos[f.colIdx[k]] = -1
-			}
+		if !(d > 0) {
 			return nil, fmt.Errorf("precond: IC(0) pivot %d non-positive (%g); matrix not SPD enough", i, d)
 		}
-		f.val[hi-1] = math.Sqrt(d)
-		for k := lo; k < hi; k++ {
-			pos[f.colIdx[k]] = -1
+		diag[i] = math.Sqrt(d)
+	}
+	// Scale the columns of L to unit diagonal and transpose into Ũ.
+	// Rows are visited in order, so Ũ's columns ascend; pos is now the
+	// fill position of each row of Ũ.
+	copy(pos, f.uptr[:n])
+	for i := 0; i < n; i++ {
+		for k := f.lptr[i]; k < f.lptr[i+1]; k++ {
+			j := f.lcol[k]
+			f.lval[k] /= diag[j]
+			f.ucol[pos[j]], f.uval[pos[j]] = int32(i), f.lval[k]
+			pos[j]++
+		}
+		if i > 0 {
+			f.lsub[i] /= diag[i-1]
+			f.usup[i-1] = f.lsub[i]
 		}
 	}
-	return f, nil
+	for i, l := range diag {
+		f.dinv[i] = 1 / (l * l)
+	}
+	return &IC0{f: f}, nil
 }
 
-// Apply computes dst ← (L·Lᵀ)⁻¹·r.
-func (f *IC0) Apply(dst, r []float64) {
-	if len(dst) != f.n || len(r) != f.n {
+// Apply computes dst ← (L·Lᵀ)⁻¹·r. dst and r must not alias.
+func (p *IC0) Apply(dst, r []float64) {
+	if len(dst) != p.f.n || len(r) != p.f.n {
 		panic("precond: IC0.Apply length mismatch")
 	}
-	// Forward: L y = r.
-	for i := 0; i < f.n; i++ {
-		s := r[i]
-		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
-		for k := lo; k < hi-1; k++ {
-			s -= f.val[k] * dst[f.colIdx[k]]
-		}
-		dst[i] = s / f.val[hi-1]
-	}
-	// Backward: Lᵀ x = y, traversing L's rows in reverse and
-	// scattering updates column-wise.
-	for i := f.n - 1; i >= 0; i-- {
-		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
-		dst[i] /= f.val[hi-1]
-		xi := dst[i]
-		for k := lo; k < hi-1; k++ {
-			dst[f.colIdx[k]] -= f.val[k] * xi
-		}
-	}
+	p.f.solve(dst, r)
 }

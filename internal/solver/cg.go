@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/precond"
+	"repro/internal/vec"
 )
 
 // CG is the preconditioned conjugate gradient method (paper
@@ -15,6 +16,7 @@ type CG struct {
 	m     precond.Interface
 	b     []float64
 	space Space
+	fused fusedReducer // space's one-pass reductions, nil if it has none
 	opts  Options
 
 	x, r, z, p, q []float64
@@ -44,6 +46,7 @@ func NewCG(a Operator, m precond.Interface, b []float64, x0 []float64, space Spa
 		p:     make([]float64, n),
 		q:     make([]float64, n),
 	}
+	s.fused, _ = space.(fusedReducer)
 	normb := space.Norm2(b)
 	s.threshold = s.opts.RTol*normb + s.opts.ATol
 	if x0 == nil {
@@ -82,18 +85,23 @@ func (s *CG) Step() float64 {
 		return s.rnorm
 	}
 	alpha := s.rho / pq
-	for i := range s.x {
-		s.x[i] += alpha * s.p[i]
-		s.r[i] -= alpha * s.q[i]
-	}
+	// The update tracks max|r_i| as it goes, which is what lets a
+	// local Space take ρ = r·z and ‖r‖ from one pass over r, with the
+	// bits the two reductions would return.
+	rmax := vec.AxpyPairNormInf(alpha, s.x, s.p, s.r, s.q)
 	s.m.Apply(s.z, s.r)
-	rhoNew := s.space.Dot(s.r, s.z)
+	var rhoNew float64
+	if s.fused != nil {
+		rhoNew, s.rnorm = s.fused.dotNorm2(s.r, s.z, rmax)
+	} else {
+		rhoNew = s.space.Dot(s.r, s.z)
+		s.rnorm = s.space.Norm2(s.r)
+	}
 	beta := rhoNew / s.rho
 	s.rho = rhoNew
 	for i := range s.p {
 		s.p[i] = s.z[i] + beta*s.p[i]
 	}
-	s.rnorm = s.space.Norm2(s.r)
 	return s.rnorm
 }
 

@@ -302,16 +302,27 @@ func Deserialize(buf []byte) (*CSR, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("sparse: invalid dims %dx%d", rows, cols)
 	}
-	need := 16 + 8*(rows+1)
-	if len(buf) < need {
-		return nil, fmt.Errorf("sparse: truncated row pointers")
+	// Every size below is bounded by len(buf) before it is multiplied
+	// or allocated: a header cannot make the decoder overflow or
+	// allocate more than a constant factor of the bytes it was given.
+	words := (len(buf) - 16) / 8
+	if rows >= words {
+		return nil, fmt.Errorf("sparse: truncated row pointers (%d rows in %d bytes)", rows, len(buf))
 	}
 	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	for i := range m.RowPtr {
 		m.RowPtr[i] = getInt()
 	}
+	if m.RowPtr[0] != 0 {
+		return nil, fmt.Errorf("sparse: row pointers start at %d, not 0", m.RowPtr[0])
+	}
+	for i := 0; i < rows; i++ {
+		if m.RowPtr[i+1] < m.RowPtr[i] {
+			return nil, fmt.Errorf("sparse: row pointers decrease at row %d", i)
+		}
+	}
 	nnz := m.RowPtr[rows]
-	if nnz < 0 || len(buf) != 16+8*(rows+1)+16*nnz {
+	if nnz > words || len(buf) != 16+8*(rows+1)+16*nnz {
 		return nil, fmt.Errorf("sparse: payload size %d does not match nnz %d", len(buf), nnz)
 	}
 	m.ColIdx = make([]int, nnz)

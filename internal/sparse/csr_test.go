@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -284,6 +285,45 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 	buf := m.Serialize()
 	if _, err := Deserialize(buf[:len(buf)-5]); err == nil {
 		t.Fatal("expected error on truncated payload")
+	}
+}
+
+// TestDeserializeRejectsCraftedHeaders feeds the decoder blobs whose
+// length fields lie. Deserialize runs on the restart path
+// (core.RecoverStatics), so each must come back as an error: not a
+// panic in make, and not a matrix whose row pointers index out of
+// range later.
+func TestDeserializeRejectsCraftedHeaders(t *testing.T) {
+	words := func(ws ...uint64) []byte {
+		buf := make([]byte, 8*len(ws))
+		for i, w := range ws {
+			binary.LittleEndian.PutUint64(buf[8*i:], w)
+		}
+		return buf
+	}
+	neg := func(v int64) uint64 { return uint64(v) }
+	one := math.Float64bits(1)
+	for _, c := range []struct {
+		name string
+		buf  []byte
+	}{
+		// 16 + 8·(rows+1) wraps negative and used to pass the length check.
+		{"rows overflow the size computation", words(1<<60, 1, 0, 0)},
+		{"rows exceed the buffer", words(3, 1, 0, 0)},
+		// 2×2, RowPtr[rows] = 2, payload sized for 2 entries.
+		{"row pointers decrease", words(2, 2, 0, 5, 2, 0, 1, one, one)},
+		{"row pointer negative", words(2, 2, 0, neg(-1), 2, 0, 1, one, one)},
+		{"row pointers start past zero", words(2, 2, 1, 1, 2, 0, 1, one, one)},
+		{"nnz overflows the size computation", words(1, 1, 0, 1<<59)},
+	} {
+		m, err := Deserialize(c.buf)
+		if err == nil {
+			t.Errorf("%s: accepted as %dx%d with RowPtr %v", c.name, m.Rows, m.Cols, m.RowPtr)
+		}
+	}
+	// The same 2×2 shape with honest row pointers is a valid matrix.
+	if _, err := Deserialize(words(2, 2, 0, 1, 2, 0, 1, one, one)); err != nil {
+		t.Fatalf("well-formed blob rejected: %v", err)
 	}
 }
 

@@ -76,6 +76,59 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt((s0+s1)+(s2+s3))
 }
 
+// DotNorm2 returns x·y and ‖x‖₂ from one pass over x, given scale =
+// NormInf(x) from a pass the caller has already made over x. Each
+// result is accumulated exactly as Dot(x, y) and Norm2(x) accumulate
+// it, so both are bitwise equal to the two separate calls.
+func DotNorm2(x, y []float64, scale float64) (dot, norm float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("vec: DotNorm2 length mismatch %d != %d", len(x), len(y)))
+	}
+	if scale == 0 || math.IsInf(scale, 0) || scale < tinyNormal {
+		// Norm2's special cases: no second pass to save.
+		return Dot(x, y), Norm2(x)
+	}
+	var s0, s1, s2, s3 float64
+	var n0, n1, n2, n3 float64
+	inv := 1 / scale
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+		r0, r1, r2, r3 := x[i]*inv, x[i+1]*inv, x[i+2]*inv, x[i+3]*inv
+		n0 += r0 * r0
+		n1 += r1 * r1
+		n2 += r2 * r2
+		n3 += r3 * r3
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] * y[i]
+		r := x[i] * inv
+		n0 += r * r
+	}
+	return (s0 + s1) + (s2 + s3), scale * math.Sqrt((n0+n1)+(n2+n3))
+}
+
+// AxpyPairNormInf computes x ← x + a·p and r ← r − a·q in one pass
+// (the CG solution and residual update) and returns NormInf(r) of the
+// updated r.
+func AxpyPairNormInf(a float64, x, p, r, q []float64) float64 {
+	if len(p) != len(x) || len(r) != len(x) || len(q) != len(x) {
+		panic("vec: AxpyPairNormInf length mismatch")
+	}
+	var m float64
+	for i := range x {
+		x[i] += a * p[i]
+		r[i] -= a * q[i]
+		if v := math.Abs(r[i]); v > m {
+			m = v
+		}
+	}
+	return m
+}
+
 // tinyNormal is the smallest positive normal float64; below it the
 // reciprocal 1/scale overflows to +Inf.
 const tinyNormal = 2.2250738585072014e-308

@@ -196,6 +196,58 @@ func TestUnrolledKernelsMatchNaive(t *testing.T) {
 	}
 }
 
+// TestFusedKernelsBitEqual: DotNorm2 and AxpyPairNormInf must return
+// the very bits of the Dot, Norm2, NormInf and update loops they
+// replace in CG.Step, at every length around the unroll boundary and
+// through each of Norm2's special cases (zero, infinite, subnormal
+// scale, a NaN component).
+func TestFusedKernelsBitEqual(t *testing.T) {
+	bitEq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := rand.New(rand.NewSource(62))
+	check := func(name string, x, y []float64) {
+		t.Helper()
+		dot, norm := DotNorm2(x, y, NormInf(x))
+		if want := Dot(x, y); !bitEq(dot, want) {
+			t.Errorf("%s n=%d: dot %v, Dot %v", name, len(x), dot, want)
+		}
+		if want := Norm2(x); !bitEq(norm, want) {
+			t.Errorf("%s n=%d: norm %v, Norm2 %v", name, len(x), norm, want)
+		}
+	}
+	for n := 0; n <= 33; n++ {
+		x, p, r, q := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i], p[i] = rng.NormFloat64(), rng.NormFloat64()
+			r[i], q[i] = rng.NormFloat64()*1e-3, rng.NormFloat64()
+		}
+		check("random", r, q)
+
+		const a = 0.37
+		xRef, rRef := Clone(x), Clone(r)
+		for i := range xRef {
+			xRef[i] += a * p[i]
+			rRef[i] -= a * q[i]
+		}
+		rmax := AxpyPairNormInf(a, x, p, r, q)
+		if !bitEq(rmax, NormInf(rRef)) {
+			t.Errorf("n=%d: AxpyPairNormInf returned %v, NormInf %v", n, rmax, NormInf(rRef))
+		}
+		for i := range x {
+			if !bitEq(x[i], xRef[i]) || !bitEq(r[i], rRef[i]) {
+				t.Fatalf("n=%d: update differs at %d", n, i)
+			}
+		}
+	}
+	y := []float64{1, -2, 3, -4, 5}
+	check("zero", make([]float64, 5), y)
+	check("inf", []float64{1, math.Inf(-1), 2, 3, 4}, y)
+	check("subnormal", []float64{5e-324, 0, -1e-323, 5e-324, 0}, y)
+	check("huge", []float64{1e300, -1e300, 3e299, 1e-300, 0}, y)
+	// NaN ≠ NaN bitwise only if the payloads differ; both paths
+	// produce theirs from the same operations.
+	check("nan", []float64{1, math.NaN(), 2, 3, 4}, y)
+}
+
 // TestNorm2Infinite: an infinite component must yield +Inf, not NaN
 // (diverging solver residuals should record the direction of blow-up).
 func TestNorm2Infinite(t *testing.T) {
