@@ -491,27 +491,69 @@ func BenchmarkPCGStep(b *testing.B) {
 	reportPerRow(b, n, csrBytes(a)+2*8*n+applyBytes(a)+(2+6+2+3)*8*n)
 }
 
-func BenchmarkGMRESStep(b *testing.B) {
-	a := sparse.Poisson3D(24)
-	rhs := sparse.OnesRHS(a.Rows)
-	s := solver.NewGMRES(a, nil, rhs, nil, 30, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
+// ---- Jacobi and GMRES kernels at the bench/ harness sizes --------------------
+//
+// 32³ is the jacobi-lossless-failstorm system, 36³ the
+// gmres-lossy-async one, 48³ the CG workloads' (whose Restart and
+// RestoreDynamic go through the same row kernel). Bytes are computed as
+// above; x is counted once per multiply although it is gathered.
+
+// BenchmarkCSRMulVecSub is the residual kernel b − A·x, serial, so the
+// number is the row kernel's and not the worker pool's.
+func BenchmarkCSRMulVecSub(b *testing.B) {
+	for _, grid := range []int{32, pcgGrid} {
+		a := sparse.Poisson3D(grid)
+		n := a.Rows
+		x, rhs, dst := solverState(n), sparse.OnesRHS(n), make([]float64, n)
+		b.Run(fmt.Sprintf("%d", grid), func(b *testing.B) {
+			prev := parallel.SetWorkers(1)
+			defer parallel.SetWorkers(prev)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.MulVecSub(dst, rhs, x)
+			}
+			reportPerRow(b, n, csrBytes(a)+3*8*n)
+		})
 	}
 }
 
-func BenchmarkJacobiSweep(b *testing.B) {
-	a := sparse.Poisson3D(24)
-	rhs := sparse.OnesRHS(a.Rows)
-	s, err := solver.NewStationary(solver.KindJacobi, a, rhs, nil, 0, solver.Options{RTol: 1e-300})
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkGMRESStep is one unpreconditioned GMRES(30) step on the
+// SeqSpace path. A step's cost grows with its index j in the cycle
+// (j+1 projections), so b.N should be a multiple of 30 for ns/op to be
+// the cycle mean that the computed bytes describe: SpMV (matrix, v_j
+// read, t written), the identity preconditioner's copy, one Dot, j
+// fused projections (w, v_i, v_i+1 read, w written), the last
+// projection, ‖w‖ in two passes, the normalisation, and a thirtieth of
+// the cycle's 30 correction axpys.
+func BenchmarkGMRESStep(b *testing.B) {
+	a := sparse.Poisson3D(36)
+	n := a.Rows
+	s := solver.NewGMRES(a, nil, sparse.OnesRHS(n), nil, 30, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
 	}
+	const meanJ = 14.5
+	reportPerRow(b, n, csrBytes(a)+int((2+2+2+4*meanJ+3+2+2+3)*8*float64(n)))
+}
+
+// BenchmarkJacobiSweep is one Jacobi step: the update x += D⁻¹·r (x
+// read and written, r and D⁻¹ read), the residual kernel and ‖r‖ in
+// two passes.
+func BenchmarkJacobiSweep(b *testing.B) {
+	a := sparse.Poisson3D(32)
+	n := a.Rows
+	s, err := solver.NewStationary(solver.KindJacobi, a, sparse.OnesRHS(n), nil, 0, solver.Options{RTol: 1e-300})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	reportPerRow(b, n, csrBytes(a)+(4+3+2)*8*n)
 }
 
 func BenchmarkCheckpointLossy(b *testing.B) {

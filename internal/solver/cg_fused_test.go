@@ -16,6 +16,16 @@ type wrappedSpace struct{ inner Space }
 func (w wrappedSpace) Dot(x, y []float64) float64 { return w.inner.Dot(x, y) }
 func (w wrappedSpace) Norm2(x []float64) float64  { return w.inner.Norm2(x) }
 
+// requireSameBits fails the test unless x and y hold the same bits.
+func requireSameBits(t *testing.T, step int, what string, x, y []float64) {
+	t.Helper()
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			t.Fatalf("step %d: %s[%d] = %v, %v", step, what, i, x[i], y[i])
+		}
+	}
+}
+
 func ic0System(t testing.TB, grid int) (*sparse.CSR, *precond.IC0, []float64) {
 	t.Helper()
 	a := sparse.Poisson3D(grid)
@@ -43,11 +53,7 @@ func TestCGFusedPathIsBitIdentical(t *testing.T) {
 	}
 	same := func(what string, step int, x, y []float64) {
 		t.Helper()
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				t.Fatalf("step %d: %s[%d] = %v fused, %v generic", step, what, i, x[i], y[i])
-			}
-		}
+		requireSameBits(t, step, what+" (fused, generic)", x, y)
 	}
 	compare := func(step int) {
 		t.Helper()

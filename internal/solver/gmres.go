@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/precond"
+	"repro/internal/vec"
 )
 
 // GMRES is the restarted generalized minimal residual method
@@ -21,6 +22,7 @@ type GMRES struct {
 	m     precond.Interface
 	b     []float64
 	space Space
+	fused fusedReducer // space's one-pass kernels, nil if it has none
 	opts  Options
 	k     int
 
@@ -34,6 +36,7 @@ type GMRES struct {
 
 	w         []float64 // scratch
 	t         []float64 // scratch
+	y         []float64 // least-squares solution scratch, length k
 	it        int
 	rnorm     float64
 	threshold float64
@@ -64,7 +67,9 @@ func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int,
 		s:     make([]float64, k),
 		w:     make([]float64, n),
 		t:     make([]float64, n),
+		y:     make([]float64, k),
 	}
+	s.fused, _ = space.(fusedReducer)
 	s.v = make([][]float64, k+1)
 	for i := range s.v {
 		s.v[i] = make([]float64, n)
@@ -128,14 +133,22 @@ func (s *GMRES) Step() float64 {
 	// w ← M⁻¹·A·v_j
 	s.a.MulVec(s.t, s.v[j])
 	s.m.Apply(s.w, s.t)
-	// Modified Gram–Schmidt.
-	for i := 0; i <= j; i++ {
-		hij := s.space.Dot(s.w, s.v[i])
+	// Modified Gram–Schmidt: h_ij = w·v_i, w ← w − h_ij·v_i for i = 0…j.
+	// A local Space runs each projection and the next inner product as
+	// one pass over w, with the bits the two separate kernels produce.
+	w, v := s.w, s.v
+	hij := s.space.Dot(w, v[0])
+	for i := 0; i < j; i++ {
 		s.h[i][j] = hij
-		for l := range s.w {
-			s.w[l] -= hij * s.v[i][l]
+		if s.fused != nil {
+			hij = s.fused.axpyDot(-hij, v[i], w, v[i+1])
+		} else {
+			vec.Axpy(-hij, v[i], w)
+			hij = s.space.Dot(w, v[i+1])
 		}
 	}
+	s.h[j][j] = hij
+	vec.Axpy(-hij, v[j], w)
 	hj1 := s.space.Norm2(s.w)
 	s.h[j+1][j] = hj1
 	if hj1 > 0 {
@@ -183,62 +196,40 @@ func (s *GMRES) Step() float64 {
 	return s.rnorm
 }
 
-// materialize solves the j×j triangular system and folds the Krylov
-// correction into x.
-func (s *GMRES) materialize() {
-	m := s.j
-	if m == 0 {
-		return
-	}
-	y := make([]float64, m)
-	for i := m - 1; i >= 0; i-- {
+// addCorrection solves the j×j triangular system of the cycle so far
+// and adds the Krylov correction Σ y_i·v_i into dst.
+func (s *GMRES) addCorrection(dst []float64) {
+	y := s.y[:s.j]
+	for i := len(y) - 1; i >= 0; i-- {
 		sum := s.g[i]
-		for l := i + 1; l < m; l++ {
+		for l := i + 1; l < len(y); l++ {
 			sum -= s.h[i][l] * y[l]
 		}
+		y[i] = 0
 		if s.h[i][i] != 0 {
 			y[i] = sum / s.h[i][i]
 		}
 	}
-	for i := 0; i < m; i++ {
-		if y[i] == 0 {
-			continue
-		}
-		for l := range s.x {
-			s.x[l] += y[i] * s.v[i][l]
+	for i, yi := range y {
+		if yi != 0 {
+			vec.Axpy(yi, s.v[i], dst)
 		}
 	}
+}
+
+// materialize folds the cycle's correction into x and ends the cycle.
+func (s *GMRES) materialize() {
+	s.addCorrection(s.x)
 	s.j = 0
 	s.g[0] = 0 // mark the cycle consumed; beginCycle recomputes
 }
 
-// CurrentX materializes the current approximate solution without
-// disturbing the in-progress cycle. It is what a mid-cycle checkpoint
-// saves.
+// CurrentX materializes the current approximate solution into a fresh
+// slice without disturbing the in-progress cycle. It is what a
+// mid-cycle checkpoint saves.
 func (s *GMRES) CurrentX() []float64 {
 	out := append([]float64(nil), s.x...)
-	m := s.j
-	if m == 0 {
-		return out
-	}
-	y := make([]float64, m)
-	for i := m - 1; i >= 0; i-- {
-		sum := s.g[i]
-		for l := i + 1; l < m; l++ {
-			sum -= s.h[i][l] * y[l]
-		}
-		if s.h[i][i] != 0 {
-			y[i] = sum / s.h[i][i]
-		}
-	}
-	for i := 0; i < m; i++ {
-		if y[i] == 0 {
-			continue
-		}
-		for l := range out {
-			out[l] += y[i] * s.v[i][l]
-		}
-	}
+	s.addCorrection(out)
 	return out
 }
 

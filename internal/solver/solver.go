@@ -42,17 +42,23 @@ func (SeqSpace) Dot(x, y []float64) float64 { return vec.Dot(x, y) }
 func (SeqSpace) Norm2(x []float64) float64 { return vec.Norm2(x) }
 
 // fusedReducer is the optional fast path of a Space whose reductions
-// are local: x·y and ‖x‖₂ from one pass over x, given max|x_i|, each
-// bitwise equal to what Dot and Norm2 return. CG takes it when its
-// Space has it. A Space that wraps another (to time or count calls)
-// must hold it in a field, not embed it, or the promoted method
-// bypasses the wrapper.
+// are local, each result bitwise equal to what the separate kernels
+// return: x·y and ‖x‖₂ from one pass over x, given max|x_i| (CG), and
+// y ← a·x + y with the updated y·z from one pass over y (GMRES's
+// Gram–Schmidt). A solver takes it when its Space has it. A Space that
+// wraps another (to time or count calls) must hold it in a field, not
+// embed it, or the promoted methods bypass the wrapper.
 type fusedReducer interface {
 	dotNorm2(x, y []float64, xmax float64) (dot, norm float64)
+	axpyDot(a float64, x, y, z []float64) float64
 }
 
 func (SeqSpace) dotNorm2(x, y []float64, xmax float64) (float64, float64) {
 	return vec.DotNorm2(x, y, xmax)
+}
+
+func (SeqSpace) axpyDot(a float64, x, y, z []float64) float64 {
+	return vec.AxpyDot(a, x, y, z)
 }
 
 // MPISpace reduces partial dot products across all ranks of a

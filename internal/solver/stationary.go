@@ -3,8 +3,8 @@ package solver
 import (
 	"errors"
 	"fmt"
+	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/precond"
 	"repro/internal/sparse"
 )
@@ -39,6 +39,14 @@ func (k StationaryKind) String() string {
 // only dynamic variable is x itself, which makes these methods the
 // cleanest fit for lossy checkpointing (paper Theorem 2 bounds the
 // extra iterations).
+//
+// The true residual r = b − A·x is derived state: every Step, Restart
+// and RestoreDynamic ends by recomputing it from x, and a checkpoint
+// never stores it. Jacobi uses it as its update, in the fixed-point
+// form x ← x + D⁻¹·r that Fox et al. analyse under lossy state, so a
+// Jacobi step is one pass over the matrix (the residual refresh), not
+// two. Gauss-Seidel, SOR and SSOR sweep the matrix in place and then
+// refresh r.
 type Stationary struct {
 	a     *sparse.CSR
 	b     []float64
@@ -46,11 +54,12 @@ type Stationary struct {
 	omega float64
 	opts  Options
 
-	x, xNew, r []float64
-	diag       []float64
-	it         int
-	rnorm      float64
-	threshold  float64
+	x, r      []float64
+	diag      []float64 // a_ii, divided by in the SOR sweeps; nil for Jacobi
+	dinv      []float64 // 1/a_ii, multiplied by in the Jacobi step; nil otherwise
+	it        int
+	rnorm     float64
+	threshold float64
 }
 
 // NewStationary constructs a stationary solver of the given kind for
@@ -75,15 +84,22 @@ func NewStationary(kind StationaryKind, a *sparse.CSR, b []float64, x0 []float64
 		omega: omega,
 		opts:  opts.withDefaults(),
 		x:     make([]float64, n),
-		xNew:  make([]float64, n),
 		r:     make([]float64, n),
-		diag:  make([]float64, n),
 	}
-	a.Diag(s.diag)
-	for i, d := range s.diag {
-		if d == 0 {
-			return nil, fmt.Errorf("solver: stationary method needs nonzero diagonal (row %d)", i)
+	diag := make([]float64, n)
+	a.Diag(diag)
+	for i, d := range diag {
+		if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+			return nil, fmt.Errorf("solver: stationary method needs a nonzero finite diagonal (row %d has %g)", i, d)
 		}
+	}
+	if kind == KindJacobi {
+		for i, d := range diag {
+			diag[i] = 1 / d
+		}
+		s.dinv = diag
+	} else {
+		s.diag = diag
 	}
 	s.threshold = s.opts.RTol*SeqSpace{}.Norm2(b) + s.opts.ATol
 	if x0 == nil {
@@ -111,7 +127,7 @@ func (s *Stationary) refreshResidual() {
 func (s *Stationary) Step() float64 {
 	switch s.kind {
 	case KindJacobi:
-		s.jacobiSweep()
+		s.jacobi()
 	case KindGaussSeidel:
 		s.sorSweep(1, false)
 	case KindSOR:
@@ -125,52 +141,47 @@ func (s *Stationary) Step() float64 {
 	return s.rnorm
 }
 
-// jacobiSweep computes xNew_i = (b_i − Σ_{j≠i} a_ij·x_j)/a_ii.
+// jacobi updates x_i ← x_i + r_i/a_ii with r = b − A·x from the
+// previous refresh, which in exact arithmetic is the textbook
+// x_i ← (b_i − Σ_{j≠i} a_ij·x_j)/a_ii. It reads no matrix entry and is
+// one short vector pass, so it stays on the caller's goroutine; the
+// matrix work of a Jacobi step is the MulVecSub in refreshResidual,
+// which is row-partitioned and bitwise identical at any worker count.
 //
-// Unlike Gauss-Seidel/SOR, the Jacobi update reads only the previous
-// iterate, so rows are independent and the sweep partitions freely
-// across the worker pool. Each row's dot product accumulates in the
-// same serial order on every schedule, so the parallel sweep is
-// bitwise identical to the serial one and convergence traces do not
-// change. The 32k-row grain keeps sweeps below that size on the
-// caller's goroutine (serial fallback), matching the SpMV cutoff.
-func (s *Stationary) jacobiSweep() {
-	a := s.a
-	parallel.For(a.Rows, parallel.Grain(a.Rows, 32768, 4), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum := s.b[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.ColIdx[k]
-				if j != i {
-					sum -= a.Val[k] * s.x[j]
-				}
-			}
-			s.xNew[i] = sum / s.diag[i]
-		}
-	})
-	s.x, s.xNew = s.xNew, s.x
+// Bit for bit this is Richardson with precond.Jacobi and ω = 1: the
+// same reciprocal diagonal, the same product rounded before the sum
+// (the conversion keeps a fused multiply-add from skipping that
+// rounding on platforms that have one), the same residual kernel.
+func (s *Stationary) jacobi() {
+	x, r, dinv := s.x, s.r[:len(s.x)], s.dinv[:len(s.x)]
+	for i := range x {
+		x[i] += float64(dinv[i] * r[i])
+	}
 }
 
 // sorSweep performs one in-place successive-overrelaxation sweep; a
 // backward sweep (reverse row order) combined with a forward one
 // yields the symmetric method SSOR.
 func (s *Stationary) sorSweep(omega float64, backward bool) {
-	a := s.a
-	n := a.Rows
+	rowPtr, colIdx, val := s.a.RowPtr, s.a.ColIdx, s.a.Val
+	x, b, diag := s.x, s.b, s.diag
+	n := len(x)
 	for ii := 0; ii < n; ii++ {
 		i := ii
 		if backward {
 			i = n - 1 - ii
 		}
-		sum := s.b[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
+		start, end := rowPtr[i], rowPtr[i+1]
+		cols := colIdx[start:end]
+		vals := val[start:end][:len(cols)]
+		sum := b[i]
+		for k, j := range cols {
 			if j != i {
-				sum -= a.Val[k] * s.x[j]
+				sum -= vals[k] * x[j]
 			}
 		}
-		gs := sum / s.diag[i]
-		s.x[i] = (1-omega)*s.x[i] + omega*gs
+		gs := sum / diag[i]
+		x[i] = (1-omega)*x[i] + omega*gs
 	}
 }
 
@@ -183,7 +194,8 @@ func (s *Stationary) Converged(rnorm float64) bool { return rnorm <= s.threshold
 // ResidualNorm returns ‖b − A·x‖ after the latest sweep.
 func (s *Stationary) ResidualNorm() float64 { return s.rnorm }
 
-// X returns the live iterate.
+// X returns the live iterate. Every kind updates it in place, so it is
+// the same slice for the lifetime of the solver.
 func (s *Stationary) X() []float64 { return s.x }
 
 // Kind returns the sweep type.
@@ -217,9 +229,11 @@ var (
 
 // Richardson is the operator-form stationary iteration
 // x ← x + ω·M⁻¹·(b − A·x). With M = diag(A) and ω = 1 it is exactly
-// the Jacobi method, but expressed through Operator/Space it also runs
-// distributed (sparse.Dist + MPISpace), which is how the examples run
-// the paper's Jacobi experiments across ranks.
+// the Jacobi method (on a SeqSpace, bit for bit what
+// Stationary{KindJacobi} computes), but expressed through
+// Operator/Space it also runs distributed (sparse.Dist + MPISpace),
+// which is how the examples run the paper's Jacobi experiments across
+// ranks.
 type Richardson struct {
 	a     Operator
 	m     precond.Interface

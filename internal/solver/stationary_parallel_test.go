@@ -25,11 +25,12 @@ func jacobiTrace(t *testing.T, a *sparse.CSR, b []float64, workers, sweeps int) 
 	return x, res
 }
 
-// TestJacobiParallelBitwiseIdentical: the row-partitioned Jacobi sweep
-// must be bitwise identical to the serial sweep at any worker count —
-// each row's dot product accumulates in the same order regardless of
-// which worker owns it. The 33³ grid (35,937 rows) is above the 32k
-// serial-fallback cutoff, so the parallel path actually engages.
+// TestJacobiParallelBitwiseIdentical: a Jacobi step must be bitwise
+// identical at any worker count. Its only parallel part is the
+// row-partitioned residual kernel (sparse.MulVecSub), where each row's
+// dot product accumulates in the same order regardless of which worker
+// owns it; the 33³ grid is far above that kernel's serial cutoff, so
+// the parallel path actually engages.
 func TestJacobiParallelBitwiseIdentical(t *testing.T) {
 	a := sparse.Poisson3D(33)
 	if a.Rows <= 32768 {
@@ -53,8 +54,8 @@ func TestJacobiParallelBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestJacobiSmallSystemStaysCorrect: below the cutoff the sweep runs
-// inline; the numerics are the same either way.
+// TestJacobiSmallSystemStaysCorrect: below the cutoff the residual
+// kernel runs inline; the numerics are the same either way.
 func TestJacobiSmallSystemStaysCorrect(t *testing.T) {
 	a := sparse.Poisson3D(8)
 	b := sparse.OnesRHS(a.Rows)

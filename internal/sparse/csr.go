@@ -46,18 +46,47 @@ func (m *CSR) At(i, j int) float64 {
 // solves keep their exact serial cost profile.
 const parallelMinNNZ = 1 << 15
 
-// mulVecRange computes dst[i] ← Σ_k A[i,k]·x[k] for rows in [lo, hi).
-// Each row's sum is accumulated left to right exactly as in the serial
-// kernel, so a row-partitioned parallel multiply is bitwise identical
+// mulRows is the one CSR row kernel: for rows in [lo, hi) it computes
+// dst[i] ← Σ_k A[i,k]·x[k], or dst[i] ← b[i] − Σ_k A[i,k]·x[k] when b is
+// not nil. The three arrays are hoisted into locals, the row end is
+// carried from one row to the next, and the inner loop ranges over the
+// row's own sub-slices, so it reloads no slice header and checks no
+// bound but the gather x[j]. Each row's sum is accumulated left to
+// right, so a row-partitioned parallel multiply is bitwise identical
 // to the serial one.
-func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func (m *CSR) mulRows(dst, b, x []float64, lo, hi int) {
+	colIdx, val := m.ColIdx, m.Val
+	ends := m.RowPtr[lo+1 : hi+1]
+	dst = dst[lo:hi][:len(ends)]
+	if b != nil {
+		b = b[lo:hi][:len(ends)]
+	}
+	start := m.RowPtr[lo]
+	for i, end := range ends {
+		cols := colIdx[start:end]
+		vals := val[start:end][:len(cols)]
 		var s float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+		for k, j := range cols {
+			s += vals[k] * x[j]
+		}
+		if b != nil {
+			s = b[i] - s
 		}
 		dst[i] = s
+		start = end
 	}
+}
+
+// mulVec runs mulRows over all rows: serially below parallelMinNNZ,
+// by row ranges across the worker pool above it.
+func (m *CSR) mulVec(dst, b, x []float64) {
+	if m.NNZ() < parallelMinNNZ {
+		m.mulRows(dst, b, x, 0, m.Rows)
+		return
+	}
+	parallel.For(m.Rows, parallel.Grain(m.Rows, 512, 4), func(lo, hi int) {
+		m.mulRows(dst, b, x, lo, hi)
+	})
 }
 
 // MulVec computes dst ← A·x. dst must not alias x. Large matrices are
@@ -69,18 +98,12 @@ func (m *CSR) MulVec(dst, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVec dims: A is %dx%d, x has %d, dst has %d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
-	if m.NNZ() < parallelMinNNZ {
-		m.mulVecRange(dst, x, 0, m.Rows)
-		return
-	}
-	parallel.For(m.Rows, parallel.Grain(m.Rows, 512, 4), func(lo, hi int) {
-		m.mulVecRange(dst, x, lo, hi)
-	})
+	m.mulVec(dst, nil, x)
 }
 
 // MulVecSub computes dst ← b − A·x (the residual kernel). The
-// subtraction is fused into the row loop so the parallel path touches
-// dst once per row instead of twice.
+// subtraction is fused into the row loop so dst is touched once per
+// row instead of twice.
 func (m *CSR) MulVecSub(dst, b, x []float64) {
 	if len(b) != m.Rows {
 		panic("sparse: MulVecSub b length mismatch")
@@ -89,20 +112,7 @@ func (m *CSR) MulVecSub(dst, b, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVecSub dims: A is %dx%d, x has %d, dst has %d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
-	sub := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				s += m.Val[k] * x[m.ColIdx[k]]
-			}
-			dst[i] = b[i] - s
-		}
-	}
-	if m.NNZ() < parallelMinNNZ {
-		sub(0, m.Rows)
-		return
-	}
-	parallel.For(m.Rows, parallel.Grain(m.Rows, 512, 4), sub)
+	m.mulVec(dst, b, x)
 }
 
 // Diag extracts the main diagonal into dst (length Rows). Missing

@@ -129,6 +129,36 @@ func AxpyPairNormInf(a float64, x, p, r, q []float64) float64 {
 	return m
 }
 
+// AxpyDot computes y ← a·x + y and returns y·z for the updated y, from
+// one pass over y. The update is Axpy's and the sum is accumulated
+// exactly as Dot accumulates it, so y and the result are bitwise equal
+// to Axpy(a, x, y) followed by Dot(y, z). It is one projection of
+// GMRES's modified Gram–Schmidt fused with the next one's inner
+// product.
+func AxpyDot(a float64, x, y, z []float64) float64 {
+	if len(x) != len(y) || len(z) != len(y) {
+		panic(fmt.Sprintf("vec: AxpyDot length mismatch %d, %d, %d", len(x), len(y), len(z)))
+	}
+	var s0, s1, s2, s3 float64
+	for ; len(x) >= 4 && len(y) >= 4 && len(z) >= 4; x, y, z = x[4:], y[4:], z[4:] {
+		y0 := y[0] + a*x[0]
+		y1 := y[1] + a*x[1]
+		y2 := y[2] + a*x[2]
+		y3 := y[3] + a*x[3]
+		y[0], y[1], y[2], y[3] = y0, y1, y2, y3
+		s0 += y0 * z[0]
+		s1 += y1 * z[1]
+		s2 += y2 * z[2]
+		s3 += y3 * z[3]
+	}
+	x, z = x[:len(y)], z[:len(y)]
+	for i := range y {
+		y[i] += a * x[i]
+		s0 += y[i] * z[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 // tinyNormal is the smallest positive normal float64; below it the
 // reciprocal 1/scale overflows to +Inf.
 const tinyNormal = 2.2250738585072014e-308

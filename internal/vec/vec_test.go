@@ -248,6 +248,65 @@ func TestFusedKernelsBitEqual(t *testing.T) {
 	check("nan", []float64{1, math.NaN(), 2, 3, 4}, y)
 }
 
+// TestAxpyDotBitEqual: AxpyDot must leave in y, and return, the very
+// bits of Axpy followed by Dot — GMRES's fused Gram–Schmidt pass is
+// only allowed because of it — at every length around the unroll
+// boundary and with zero, subnormal, infinite and NaN inputs.
+func TestAxpyDotBitEqual(t *testing.T) {
+	bitEq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(name string, a float64, x, y, z []float64) {
+		t.Helper()
+		yRef := Clone(y)
+		Axpy(a, x, yRef)
+		want := Dot(yRef, z)
+		got := AxpyDot(a, x, y, z)
+		if !bitEq(got, want) {
+			t.Errorf("%s n=%d: AxpyDot returned %v, Axpy+Dot %v", name, len(x), got, want)
+		}
+		for i := range y {
+			if !bitEq(y[i], yRef[i]) {
+				t.Fatalf("%s n=%d: y[%d] = %v, Axpy %v", name, len(x), i, y[i], yRef[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(63))
+	random := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000} {
+		check("random", -0.37, random(n), random(n), random(n))
+		check("zero a", 0, random(n), random(n), random(n))
+	}
+	special := map[string][]float64{
+		"zero":      make([]float64, 7),
+		"subnormal": {5e-324, 0, -1e-323, 5e-324, 0, 1e-310, -5e-324},
+		"inf":       {1, math.Inf(-1), 2, 3, math.Inf(1), 4, 5},
+		"nan":       {1, 2, math.NaN(), 3, 4, 5, math.NaN()},
+	}
+	for name, v := range special {
+		check(name+" x", 1.5, v, random(7), random(7))
+		check(name+" y", 1.5, random(7), Clone(v), random(7))
+		check(name+" z", 1.5, random(7), random(7), v)
+	}
+	check("inf a", math.Inf(1), random(7), random(7), random(7))
+	check("nan a", math.NaN(), random(7), random(7), random(7))
+
+	for _, lens := range [][3]int{{3, 4, 4}, {4, 4, 3}, {4, 3, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AxpyDot with lengths %v did not panic", lens)
+				}
+			}()
+			AxpyDot(1, make([]float64, lens[0]), make([]float64, lens[1]), make([]float64, lens[2]))
+		}()
+	}
+}
+
 // TestNorm2Infinite: an infinite component must yield +Inf, not NaN
 // (diverging solver residuals should record the direction of blow-up).
 func TestNorm2Infinite(t *testing.T) {
