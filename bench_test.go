@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/failure"
 	"repro/internal/fti"
+	"repro/internal/huffman"
 	"repro/internal/lossless"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -107,6 +108,121 @@ func BenchmarkSZDecompress(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// ---- The save path on real solver state --------------------------------------
+//
+// solverState above is smooth: its quantization codes fall in a few
+// dozen bins and a block's Huffman table is tiny. A checkpoint
+// compresses a Krylov iterate, whose blocks carry 600–1,200 distinct
+// codes each, so table construction and long codes weigh several
+// times more. These four run on what cg-lossy-sync saves: the 48³
+// IC(0)-PCG iterate at iteration 25, PWRel 1e-4.
+
+func pcgIterate(b *testing.B) []float64 {
+	a := sparse.Poisson3D(pcgGrid)
+	m, err := precond.NewIC0(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := solver.NewCG(a, m, sparse.OnesRHS(a.Rows), nil, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
+	for i := 0; i < 25; i++ {
+		s.Step()
+	}
+	return append([]float64(nil), s.X()...)
+}
+
+// entropyBlock is the symbol stream the Huffman stage sees for the
+// iterate's first SZ block: quantization of ln x under ln(1+eb) against
+// the order-2 linear extrapolation of the reconstruction, the
+// predictor SZ picks on every block of this vector.
+func entropyBlock(x []float64) (symbols []int, alphabet int) {
+	const half = 1 << 15
+	twoEB := 2 * math.Log1p(1e-4)
+	symbols = make([]int, 1<<15)
+	var prev, prev2 float64
+	for i := range symbols {
+		v, p := math.Log(x[i]), 2*prev-prev2
+		if i < 2 {
+			p = prev
+		}
+		r := v // unpredictable values keep symbol 0 and reconstruct exactly
+		if bin := math.RoundToEven((v - p) / twoEB); math.Abs(bin) < half-1 {
+			symbols[i], r = half+int(bin), p+twoEB*bin
+		}
+		prev2, prev = prev, r
+	}
+	return symbols, 2 * half
+}
+
+func reportPerElem(b *testing.B, elems int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+}
+
+func BenchmarkHuffmanEncode(b *testing.B) {
+	symbols, alphabet := entropyBlock(pcgIterate(b))
+	dst, err := huffman.AppendEncode(nil, symbols, alphabet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(8 * len(symbols)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = huffman.AppendEncode(dst[:0], symbols, alphabet); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerElem(b, len(symbols))
+}
+
+func BenchmarkHuffmanDecode(b *testing.B) {
+	symbols, alphabet := entropyBlock(pcgIterate(b))
+	enc, err := huffman.AppendEncode(nil, symbols, alphabet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]int, 0, len(symbols))
+	b.SetBytes(int64(8 * len(symbols)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = huffman.DecodeInto(enc, buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerElem(b, len(symbols))
+}
+
+func BenchmarkSZCompressSolverState(b *testing.B) {
+	x := pcgIterate(b)
+	b.SetBytes(int64(8 * len(x)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerElem(b, len(x))
+}
+
+func BenchmarkSZDecompressSolverState(b *testing.B) {
+	x := pcgIterate(b)
+	comp, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, len(x))
+	b.SetBytes(int64(8 * len(x)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sz.DecompressInto(dst, comp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerElem(b, len(x))
 }
 
 func BenchmarkZFPCompress(b *testing.B) {

@@ -156,7 +156,8 @@ type Manager struct {
 	async        *fti.AsyncCheckpointer // non-nil in async mode
 	slv          solver.Checkpointable
 	rst          solver.Restartable
-	gmres        *solver.GMRES // non-nil when the solver is GMRES (CurrentX)
+	gmres        *solver.GMRES // non-nil when the solver is GMRES: X() lags mid-cycle
+	xbuf         []float64     // GMRES's materialized iterate, reused by every capture
 	lastCkptIter int
 	lastInfo     fti.Info
 	haveCkpt     bool
@@ -401,7 +402,7 @@ func (m *Manager) checkpointAsync() (fti.Info, error) {
 		return fti.Info{}, err
 	}
 	m.ckpt.SetEncoder(m.encoder())
-	snap := m.captureAsync()
+	snap := m.capture()
 	t, err := m.async.SaveAsync(snap)
 	if err != nil {
 		return fti.Info{}, err
@@ -541,44 +542,29 @@ func (m *Manager) AbortLastCheckpoint() error {
 // capture builds the scheme's snapshot: full dynamic state for
 // traditional/lossless (Algorithm 1 line 4: i, ρ, p, x), solution-only
 // for lossy (Algorithm 2 lines 4–5: i, compressed x).
+//
+// The lossy snapshot aliases state that changes with the next solver
+// step — the solver's live x, or for GMRES the mid-cycle iterate
+// materialized into the Manager's one buffer — and copies nothing:
+// a synchronous save has encoded it before Checkpoint returns (encoders
+// and the save auditor read their input and must not retain it), and
+// SaveAsync deep-copies it into the pipeline's double buffer before
+// returning. Traditional and lossless snapshots are CaptureDynamic's
+// deep copy.
 func (m *Manager) capture() *fti.Snapshot {
 	if m.cfg.Scheme != Lossy {
 		st := m.slv.CaptureDynamic()
 		return &fti.Snapshot{Iteration: st.Iteration, Scalars: st.Scalars, Vectors: st.Vectors}
 	}
-	return &fti.Snapshot{
-		Iteration: m.slv.Iteration(),
-		Vectors:   map[string][]float64{"x": m.currentX()},
-	}
-}
-
-// captureAsync builds the async snapshot. The deep copy happens inside
-// SaveAsync (the pipeline's capture stage, into the double buffer), so
-// the lossy scheme can hand over the live solution vector without the
-// extra copy that the synchronous capture() pays.
-func (m *Manager) captureAsync() *fti.Snapshot {
-	if m.cfg.Scheme != Lossy {
-		// CaptureDynamic deep-copies by contract; SaveAsync copies once
-		// more into its reusable buffer — correct, just not zero-copy.
-		return m.capture()
-	}
 	x := m.slv.X()
 	if m.gmres != nil {
-		x = m.gmres.CurrentX()
+		m.xbuf = m.gmres.CurrentXInto(m.xbuf)
+		x = m.xbuf
 	}
 	return &fti.Snapshot{
 		Iteration: m.slv.Iteration(),
 		Vectors:   map[string][]float64{"x": x},
 	}
-}
-
-// currentX returns the best available approximate solution: GMRES
-// materializes the mid-cycle iterate; other solvers expose x directly.
-func (m *Manager) currentX() []float64 {
-	if m.gmres != nil {
-		return m.gmres.CurrentX()
-	}
-	return append([]float64(nil), m.slv.X()...)
 }
 
 // HasCheckpoint reports whether at least one committed checkpoint

@@ -227,10 +227,15 @@ func (s *GMRES) materialize() {
 // CurrentX materializes the current approximate solution into a fresh
 // slice without disturbing the in-progress cycle. It is what a
 // mid-cycle checkpoint saves.
-func (s *GMRES) CurrentX() []float64 {
-	out := append([]float64(nil), s.x...)
-	s.addCorrection(out)
-	return out
+func (s *GMRES) CurrentX() []float64 { return s.CurrentXInto(nil) }
+
+// CurrentXInto is CurrentX writing into dst's backing array when its
+// capacity suffices, so a caller that checkpoints repeatedly
+// materializes into one buffer it owns and allocates nothing.
+func (s *GMRES) CurrentXInto(dst []float64) []float64 {
+	dst = append(dst[:0], s.x...)
+	s.addCorrection(dst)
+	return dst
 }
 
 // Iteration returns the number of inner iterations since construction.

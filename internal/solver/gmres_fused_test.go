@@ -123,3 +123,52 @@ func TestGMRESStepDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestGMRESCurrentXIntoMatchesCurrentX: the into-variant a checkpoint
+// capture uses is CurrentX bit for bit at every step of two 30-step
+// cycles, a lossy Restart and a mid-cycle RestoreDynamic, always in the
+// caller's one backing array, and without allocating.
+func TestGMRESCurrentXIntoMatchesCurrentX(t *testing.T) {
+	a := sparse.Poisson3D(12)
+	s, _ := gmresPair(t, a, sparse.SmoothField(a.Rows, 2), 30)
+	buf := make([]float64, 0, a.Rows)
+	base := &buf[:1][0]
+	check := func(step int) {
+		t.Helper()
+		before := s.CurrentX()
+		buf = s.CurrentXInto(buf)
+		if &buf[0] != base {
+			t.Fatalf("step %d: CurrentXInto left the caller's backing array", step)
+		}
+		requireSameBits(t, step, "CurrentXInto vs CurrentX", buf, before)
+		requireSameBits(t, step, "CurrentX after CurrentXInto", s.CurrentX(), before)
+	}
+	check(0)
+	var saved DynamicState
+	for step := 1; step <= 100; step++ {
+		s.Step()
+		check(step)
+		switch step {
+		case 41:
+			saved = s.CaptureDynamic() // mid-cycle: j = 11
+		case 67:
+			x := s.CurrentX()
+			for i := range x {
+				x[i] *= 1 + 1e-4*float64(i%3-1)
+			}
+			s.Restart(x)
+			check(step)
+		case 80: // mid-cycle again
+			if err := s.RestoreDynamic(saved); err != nil {
+				t.Fatal(err)
+			}
+			check(step)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { buf = s.CurrentXInto(buf) }); n != 0 {
+		t.Fatalf("CurrentXInto allocates %v times per call into a large-enough buffer", n)
+	}
+	if grown := s.CurrentXInto(make([]float64, 3)); len(grown) != a.Rows {
+		t.Fatalf("CurrentXInto into a short buffer returned %d values", len(grown))
+	}
+}

@@ -161,7 +161,8 @@ func parseBlockedLayout(data []byte, streamLen int) (blockedLayout, error) {
 	}
 	// Allocation guards against crafted headers: every block needs at
 	// least one length byte, and both block kinds spend at least one
-	// bit (core) or one bitmap bit (log transform) per element, so a
+	// bit per element (a Huffman code in core blocks; a zeros- or
+	// tiny-bitmap bit or a Huffman code in log-transform blocks), so a
 	// genuine stream can never claim more blocks than remaining bytes
 	// or more elements than 8× the remaining bytes.
 	if nBlocks > streamLen-off {

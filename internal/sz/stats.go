@@ -380,17 +380,5 @@ func appendLogTransformStats(dst []byte, x []float64, p Params, st *Stats) ([]by
 		}
 		mags = append(mags, math.Float64frombits(abs))
 	}
-	out := dst
-	var scratch [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(scratch[:], uint64(n))
-	out = append(out, scratch[:k]...)
-	out = append(out, bitmaps...)
-	k = binary.PutUvarint(scratch[:], uint64(len(exact)))
-	out = append(out, scratch[:k]...)
-	var b8 [8]byte
-	for _, v := range exact {
-		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(v))
-		out = append(out, b8[:]...)
-	}
-	return appendCoreStats(out, logs, lnbEnc, p.Predictor, p.Intervals, mags, fcorr, st)
+	return appendCoreStats(emitLogHeader(dst, n, bitmaps, exact), logs, lnbEnc, p.Predictor, p.Intervals, mags, fcorr, st)
 }

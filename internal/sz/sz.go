@@ -104,7 +104,9 @@ const (
 	defaultBlockElems = 32768
 	kindCore          = 0 // Abs/RelRange payload
 	kindConstant      = 1 // degenerate constant vector
-	kindLogTransform  = 2 // PWRel payload
+	// 2 is retired, not free: it framed PWRel payloads with three
+	// always-stored bitmaps, and reusing it would misread such a stream.
+	kindLogTransform = 3 // PWRel payload, bitmaps stored when non-empty
 )
 
 // Compress encodes x under the given parameters. The input is not
@@ -561,7 +563,9 @@ func decodeCoreInto(p []byte, dst []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off+int(hlen)+8*int(nUnpred) > len(p) {
+	// Compare in uint64 against what is left: a crafted length converted
+	// to int first can wrap negative and slip past the check.
+	if rem := uint64(len(p) - off); hlen > rem || nUnpred > (rem-hlen)/8 {
 		return nil, fmt.Errorf("sz: truncated core payload")
 	}
 	// Every value costs at least one bit in the Huffman stream, so a
@@ -669,7 +673,7 @@ func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
 	n := len(x)
 	nb := (n + 7) / 8
 	// One pooled buffer holds all three bitmaps back to back in stream
-	// order (zeros | signs | tiny), so emitting them is a single append.
+	// order (zeros | signs | tiny), as emitLogHeader takes them.
 	bitmaps := parallel.GetBytes(3 * nb)[:3*nb]
 	defer func() { parallel.PutBytes(bitmaps) }()
 	for i := range bitmaps {
@@ -720,52 +724,95 @@ func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
 			logs = append(logs, math.Log(math.Float64frombits(abs)))
 		}
 	}
-	out := dst
-	var scratch [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(scratch[:], uint64(n))
-	out = append(out, scratch[:k]...)
-	out = append(out, bitmaps...)
-	k = binary.PutUvarint(scratch[:], uint64(len(exact)))
-	out = append(out, scratch[:k]...)
-	var b8 [8]byte
-	for _, v := range exact {
-		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(v))
-		out = append(out, b8[:]...)
-	}
-	return appendCore(out, logs, lnbEnc, p.Predictor, p.Intervals)
+	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, lnbEnc, p.Predictor, p.Intervals)
 }
 
-// decodeLogTransformInto decodes a log-transform payload, writing into
-// dst when non-nil (its length must match the stored count).
+// emitLogHeader appends the log-transform framing that precedes the
+// core sub-stream of the logarithms:
+//
+//	uvarint n | presence byte | stored bitmaps | uvarint nExact | nExact × float64
+//
+// bitmaps holds the zeros, signs and tiny bitmaps back to back, each
+// ⌈n/8⌉ bytes. Bit j of the presence byte says that bitmap j has a bit
+// set and is stored; an absent bitmap decodes as all-clear. A strictly
+// positive vector of normal values — a converging solver's iterate —
+// stores none, where three always-present bitmaps cost 3 bits per
+// element. appendLogTransform and the stats-accumulating encode path
+// both emit through it, so their output bytes cannot diverge.
+func emitLogHeader(dst []byte, n int, bitmaps []byte, exact []float64) []byte {
+	out := binary.AppendUvarint(dst, uint64(n))
+	presenceAt := len(out)
+	out = append(out, 0)
+	nb := len(bitmaps) / 3
+	for j := 0; j < 3; j++ {
+		bm := bitmaps[j*nb : (j+1)*nb]
+		var set byte
+		for _, b := range bm {
+			set |= b
+		}
+		if set != 0 {
+			out[presenceAt] |= 1 << j
+			out = append(out, bm...)
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(len(exact)))
+	for _, v := range exact {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// bitSet reports bit i of a bitmap; an absent (nil) bitmap is all-clear.
+func bitSet(bm []byte, i int) bool {
+	return bm != nil && bm[i>>3]&(1<<(uint(i)&7)) != 0
+}
+
+// decodeLogTransformInto decodes a log-transform payload (the layout
+// emitLogHeader documents, then the core sub-stream), writing into dst
+// when non-nil (its length must match the stored count).
 func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 	n64, k := binary.Uvarint(p)
-	if k <= 0 {
+	if k <= 0 || k >= len(p) {
 		return nil, fmt.Errorf("sz: truncated log header")
 	}
-	n := int(n64)
-	off := k
-	nb := (n + 7) / 8
-	if off+3*nb > len(p) {
-		return nil, fmt.Errorf("sz: truncated bitmaps")
+	// Every element costs at least one bit — in the zeros or tiny
+	// bitmap, or in the core sub-stream's Huffman codes — so a count
+	// beyond 8× the payload bytes is corrupt. All header arithmetic
+	// stays in uint64 against the bytes that remain until it has passed
+	// such a check: a crafted count converted or multiplied first wraps.
+	if n64 > 8*uint64(len(p)) {
+		return nil, fmt.Errorf("sz: %d values exceed %d payload bytes", n64, len(p))
 	}
-	zeros := p[off : off+nb]
-	signs := p[off+nb : off+2*nb]
-	tiny := p[off+2*nb : off+3*nb]
-	off += 3 * nb
+	n := int(n64)
+	nb := (n + 7) / 8
+	presence := p[k]
+	off := k + 1
+	if presence > 7 {
+		return nil, fmt.Errorf("sz: invalid bitmap presence byte %#x", presence)
+	}
+	var maps [3][]byte // nil when absent: all-clear
+	for j := range maps {
+		if presence&(1<<j) == 0 {
+			continue
+		}
+		if nb > len(p)-off {
+			return nil, fmt.Errorf("sz: truncated bitmaps")
+		}
+		maps[j] = p[off : off+nb]
+		off += nb
+	}
+	zeros, signs, tiny := maps[0], maps[1], maps[2]
 	nExact64, k := binary.Uvarint(p[off:])
 	if k <= 0 {
 		return nil, fmt.Errorf("sz: truncated exact-list header")
 	}
 	off += k
-	nExact := int(nExact64)
-	if off+8*nExact > len(p) {
+	if nExact64 > uint64(len(p)-off)/8 {
 		return nil, fmt.Errorf("sz: truncated exact list")
 	}
-	exact := make([]float64, nExact)
-	for i := range exact {
-		exact[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
-		off += 8
-	}
+	nExact := int(nExact64)
+	exact := p[off : off+8*nExact]
+	off += 8 * nExact
 	// The core sub-stream leads with its element count; peeking it lets
 	// the log buffer come from the scratch pool instead of a fresh
 	// allocation per block.
@@ -791,16 +838,16 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 	}
 	li, ei := 0, 0
 	for i := 0; i < n; i++ {
-		if zeros[i/8]&(1<<(i%8)) != 0 {
+		if bitSet(zeros, i) {
 			out[i] = 0
 			continue
 		}
 		var v float64
-		if tiny[i/8]&(1<<(i%8)) != 0 {
+		if bitSet(tiny, i) {
 			if ei >= nExact {
 				return nil, fmt.Errorf("sz: exact list underflow at %d", i)
 			}
-			v = exact[ei]
+			v = math.Float64frombits(binary.LittleEndian.Uint64(exact[8*ei:]))
 			ei++
 		} else {
 			if li >= len(logs) {
@@ -809,7 +856,7 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 			v = math.Exp(logs[li])
 			li++
 		}
-		if signs[i/8]&(1<<(i%8)) != 0 {
+		if bitSet(signs, i) {
 			v = -v
 		}
 		out[i] = v
