@@ -1030,6 +1030,46 @@ func BenchmarkCheckpointTraditional(b *testing.B) {
 	}
 }
 
+// BenchmarkExactSaveRestore is the exact checkpoint path of
+// cg-trad-sync-shard in isolation: CG on the 48³ system, x and p (1.77
+// MB) stored raw in 8 shards by 2 workers on a real directory, through
+// Manager.Checkpoint and Manager.Recover (which ends in CG's r = b − A·x).
+// ns/op, B/op and allocs/op of each are the README's "Checkpoint path"
+// rows; the fsyncs are in ns/op and vary with the disk, the bytes and
+// objects allocated do not.
+func BenchmarkExactSaveRestore(b *testing.B) {
+	a := sparse.Poisson3D(pcgGrid)
+	s := solver.NewCG(a, nil, sparse.OnesRHS(a.Rows), nil, solver.SeqSpace{}, solver.Options{})
+	m, err := core.NewManager(core.Config{Scheme: core.Traditional, Shards: 8, StorageWorkers: 2}, mustDirStorage(b), s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		s.Step()
+	}
+	if _, err := m.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(2 * 8 * a.Rows))
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(2 * 8 * a.Rows))
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Recover(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // ---- Ablation benchmarks (DESIGN.md §5) --------------------------------------
 
 // BenchmarkAblationCGRestart compares the paper's restarted lossy
@@ -1076,7 +1116,7 @@ func BenchmarkAblationCGRestart(b *testing.B) {
 		for j := 0; j < t; j++ {
 			s2.Step()
 		}
-		st := s2.CaptureDynamic()
+		st := s2.DynamicView().Clone()
 		st.Vectors["x"] = lossyVec(st.Vectors["x"])
 		st.Vectors["p"] = lossyVec(st.Vectors["p"])
 		if err := s2.RestoreDynamic(st); err != nil {

@@ -172,14 +172,6 @@ type Manager struct {
 	inflightLive bool
 	asyncErr     error // failed background save, surfaced on next Checkpoint
 
-	// recoverBuf holds the decode targets Recover reuses across
-	// recoveries: the restore path decodes vector payloads straight
-	// into these slices (fti.Checkpointer.RestoreInto), and the
-	// solvers copy on Restart/RestoreDynamic, so the buffers stay
-	// owned here — repeated recoveries (thousands per simulated run)
-	// stop allocating fresh payload-sized vectors.
-	recoverBuf map[string][]float64
-
 	// Adaptive-interval state: the controller (nil when disabled), the
 	// clock it is consulted on, and the clock time of the last
 	// checkpoint capture (the start of the current interval window).
@@ -543,28 +535,22 @@ func (m *Manager) AbortLastCheckpoint() error {
 // traditional/lossless (Algorithm 1 line 4: i, ρ, p, x), solution-only
 // for lossy (Algorithm 2 lines 4–5: i, compressed x).
 //
-// The lossy snapshot aliases state that changes with the next solver
-// step — the solver's live x, or for GMRES the mid-cycle iterate
-// materialized into the Manager's one buffer — and copies nothing:
-// a synchronous save has encoded it before Checkpoint returns (encoders
-// and the save auditor read their input and must not retain it), and
-// SaveAsync deep-copies it into the pipeline's double buffer before
-// returning. Traditional and lossless snapshots are CaptureDynamic's
-// deep copy.
+// Under every scheme the snapshot aliases state that changes with the
+// next solver step — the solver's live vectors, or for GMRES the
+// mid-cycle iterate materialized into the Manager's one buffer — and
+// copies nothing: a synchronous save has encoded it before Checkpoint
+// returns (encoders, storage and the save auditor never retain their
+// input), and SaveAsync copies it into its double buffer first.
 func (m *Manager) capture() *fti.Snapshot {
-	if m.cfg.Scheme != Lossy {
-		st := m.slv.CaptureDynamic()
-		return &fti.Snapshot{Iteration: st.Iteration, Scalars: st.Scalars, Vectors: st.Vectors}
-	}
-	x := m.slv.X()
+	st := m.slv.DynamicView()
 	if m.gmres != nil {
 		m.xbuf = m.gmres.CurrentXInto(m.xbuf)
-		x = m.xbuf
+		st.Vectors["x"] = m.xbuf
 	}
-	return &fti.Snapshot{
-		Iteration: m.slv.Iteration(),
-		Vectors:   map[string][]float64{"x": x},
+	if m.cfg.Scheme == Lossy {
+		st.Scalars, st.Vectors = nil, map[string][]float64{"x": st.Vectors["x"]}
 	}
+	return &fti.Snapshot{Iteration: st.Iteration, Scalars: st.Scalars, Vectors: st.Vectors}
 }
 
 // HasCheckpoint reports whether at least one committed checkpoint
@@ -614,6 +600,13 @@ func (m *Manager) InFlight() bool {
 // write completion), nothing was committed and recovery falls back to
 // the previous committed checkpoint — exactly the paper's failure-
 // during-checkpoint path.
+//
+// The checkpoint is decoded into the solver's own vectors. A newer one
+// rejected part-way leaves them half-written, and the one accepted
+// overwrites every element: when Recover returns nil the solver's
+// dynamic state is, bit for bit, that of the checkpoint it reports. It
+// is unspecified only when Recover returns an error; RecoverFresh
+// (where RecoverTiered ends) then makes it whole again.
 func (m *Manager) Recover() (int, error) {
 	m.qa.ObserveFailure()
 	if m.async != nil {
@@ -624,11 +617,8 @@ func (m *Manager) Recover() (int, error) {
 		// the previous committed checkpoint.
 		m.asyncErr = nil
 	}
-	if m.recoverBuf == nil {
-		m.recoverBuf = map[string][]float64{}
-	}
 	restoreStart := time.Now()
-	snap, attempts, err := m.ckpt.RestoreIntoTrace(m.recoverBuf)
+	snap, attempts, err := m.ckpt.RestoreIntoTrace(m.slv.DynamicView().Vectors)
 	if err != nil {
 		return 0, err
 	}
@@ -652,15 +642,10 @@ func (m *Manager) Recover() (int, error) {
 }
 
 // adoptSnapshot reinstates the solver from a restored snapshot
-// according to the scheme and adopts the snapshot's vectors as the
-// next recovery's in-place decode targets. It returns the iteration
-// the solver rolled back to.
+// according to the scheme: the scalars, the iteration number and the
+// recomputed variables, the vectors being in place already. It returns
+// the iteration the solver rolled back to.
 func (m *Manager) adoptSnapshot(snap *fti.Snapshot) (int, error) {
-	// Adopt the restored vectors as next recovery's decode targets:
-	// same lengths next time means the decode lands in place again.
-	for k, v := range snap.Vectors {
-		m.recoverBuf[k] = v
-	}
 	if m.cfg.Scheme != Lossy {
 		err := m.slv.RestoreDynamic(solver.DynamicState{
 			Iteration: snap.Iteration,
@@ -682,19 +667,16 @@ func (m *Manager) adoptSnapshot(snap *fti.Snapshot) (int, error) {
 
 // RecoverFresh is the no-checkpoint recovery path: the execution
 // restarts from the initial guess (iteration 0). Used when a failure
-// strikes before the first checkpoint.
+// strikes before the first checkpoint or every checkpoint is rejected:
+// the restart rebuilds all of the solver's dynamic state from x0.
 func (m *Manager) RecoverFresh(x0 []float64) int {
 	if m.rst != nil {
 		m.rst.Restart(x0)
-		m.qa.ObserveRecovery(0, TierRestartZero.String(), 0, m.slv.ResidualNorm())
-		return 0
+	} else {
+		// Every solver here is Restartable; one that is not gets x0 as
+		// its whole dynamic state.
+		_ = m.slv.RestoreDynamic(solver.DynamicState{Vectors: map[string][]float64{"x": x0}})
 	}
-	// Traditional solvers are all Restartable in this codebase, but
-	// keep a defensive fallback via RestoreDynamic.
-	_ = m.slv.RestoreDynamic(solver.DynamicState{
-		Iteration: 0,
-		Vectors:   map[string][]float64{"x": x0},
-	})
 	m.qa.ObserveRecovery(0, TierRestartZero.String(), 0, m.slv.ResidualNorm())
 	return 0
 }

@@ -433,10 +433,10 @@ func TestLossyStationaryRecovery(t *testing.T) {
 }
 
 // TestRepeatedRecoverReusesBuffersAndStaysDeterministic: Recover
-// decodes into Manager-owned reusable buffers (the solvers copy on
-// Restart/RestoreDynamic), so back-to-back recoveries must keep
-// returning the same restored state — a fresh Manager over the same
-// storage agrees — and the solver must converge after each.
+// decodes into the solver's own vectors, whatever they hold by then, so
+// back-to-back recoveries must keep returning the same restored state
+// — a fresh Manager over the same storage agrees — and the solver must
+// converge after each.
 func TestRepeatedRecoverReusesBuffersAndStaysDeterministic(t *testing.T) {
 	for _, scheme := range []Scheme{Traditional, Lossy} {
 		a, b, xe := cgSystem(t)

@@ -18,7 +18,7 @@ func RegisterStatics(ck *fti.Checkpointer, a *sparse.CSR, b []float64) error {
 		}
 	}
 	if b != nil {
-		raw, err := (fti.Raw{}).Encode(b)
+		raw, err := (fti.Raw{}).Encode(nil, b)
 		if err != nil {
 			return err
 		}

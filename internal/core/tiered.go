@@ -161,11 +161,8 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 		m.asyncErr = nil
 	}
 	if m.HasCheckpoint() {
-		if m.recoverBuf == nil {
-			m.recoverBuf = map[string][]float64{}
-		}
 		start := time.Now()
-		snap, attempts, err := m.ckpt.RestoreIntoTrace(m.recoverBuf)
+		snap, attempts, err := m.ckpt.RestoreIntoTrace(m.slv.DynamicView().Vectors)
 		if err != nil && len(attempts) == 0 {
 			// The walk failed before any per-checkpoint read began
 			// (e.g. the storage listing errored): the elapsed time was

@@ -156,7 +156,11 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	for i := 0; i < half; i++ {
 		s2.Step()
 	}
-	state := s2.CaptureDynamic()
+	// Compressed on the spot, so the live view needs no copy.
+	state := s2.DynamicView()
+	if g, ok := s2.(*solver.GMRES); ok {
+		state.Vectors["x"] = g.CurrentX() // mid-cycle, X() lags the iterate
+	}
 
 	out := ratios{Traditional: 1}
 	var rawTotal, flateTotal, szTotal int

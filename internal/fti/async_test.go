@@ -34,9 +34,9 @@ type gateEncoder struct {
 	gate chan struct{}
 }
 
-func (g gateEncoder) Encode(x []float64) ([]byte, error) {
+func (g gateEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
 	<-g.gate
-	return g.Encoder.Encode(x)
+	return g.Encoder.Encode(dst, x)
 }
 
 func testSnapshot(iter int, x []float64) *Snapshot {

@@ -132,7 +132,7 @@ func TestCodecIdentityMatrix(t *testing.T) {
 
 			// The layout knob must actually select the container: blocked
 			// layouts emit a block container, legacy stays single-stream.
-			blob, err := enc.Encode(big)
+			blob, err := enc.Encode(nil, big)
 			if err != nil {
 				t.Fatalf("%s/%s: encode: %v", mc.codec, layout, err)
 			}

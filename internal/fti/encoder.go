@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/lossless"
@@ -110,14 +111,22 @@ func (s EncodeStats) PSNR() float64 {
 }
 
 // StatsEncoder is the optional audit extension of Encoder: EncodeStats
-// returns the same bytes Encode would — bitwise — plus the distortion
-// the encoding introduced, accumulated on the encode path itself (the
-// sz quantizer already knows every reconstruction; the ZFP container
-// decodes each block while cache-hot; lossless encoders report exact
-// zeros without any extra pass over the payload).
+// appends the same bytes Encode would — bitwise — and returns the
+// distortion the encoding introduced, accumulated on the encode path
+// itself (the sz quantizer already knows every reconstruction; the ZFP
+// container decodes each block while cache-hot; lossless encoders
+// report exact zeros without any extra pass over the payload).
 type StatsEncoder interface {
 	Encoder
-	EncodeStats(x []float64) ([]byte, EncodeStats, error)
+	EncodeStats(dst []byte, x []float64) ([]byte, EncodeStats, error)
+}
+
+// appendBlob ends every compressing Encode: the codec's buffer joins dst.
+func appendBlob(dst, blob []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, blob...), nil
 }
 
 // exactStats builds the EncodeStats of a lossless encoding of x.
@@ -141,13 +150,17 @@ type Raw struct{}
 // Name returns "raw".
 func (Raw) Name() string { return "raw" }
 
-// Encode stores the exact bytes of x.
-func (Raw) Encode(x []float64) ([]byte, error) {
-	out := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+// Encode appends the exact bytes of x: the one pass a traditional
+// checkpoint makes over the state, stored straight into the payload.
+func (Raw) Encode(dst []byte, x []float64) ([]byte, error) {
+	off := len(dst)
+	dst = slices.Grow(dst, 8*len(x))[:off+8*len(x)]
+	out := dst[off:]
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(v))
+		out = out[8:]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Decode reverses Encode.
@@ -156,10 +169,7 @@ func (Raw) Decode(data []byte) ([]float64, error) {
 		return nil, fmt.Errorf("fti: raw payload length %d not a multiple of 8", len(data))
 	}
 	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return out, nil
+	return out, Raw{}.DecodeInto(out, data)
 }
 
 // DecodeInto reverses Encode into dst (DecoderInto).
@@ -182,7 +192,10 @@ type Lossless struct {
 func (e Lossless) Name() string { return "lossless/" + e.Codec.Name() }
 
 // Encode compresses exactly.
-func (e Lossless) Encode(x []float64) ([]byte, error) { return e.Codec.Compress(x) }
+func (e Lossless) Encode(dst []byte, x []float64) ([]byte, error) {
+	blob, err := e.Codec.Compress(x)
+	return appendBlob(dst, blob, err)
+}
 
 // Decode decompresses exactly.
 func (e Lossless) Decode(data []byte) ([]float64, error) { return e.Codec.Decompress(data) }
@@ -202,7 +215,10 @@ type SZ struct {
 func (SZ) Name() string { return "sz" }
 
 // Encode compresses within the configured error bound.
-func (e SZ) Encode(x []float64) ([]byte, error) { return sz.Compress(x, e.Params) }
+func (e SZ) Encode(dst []byte, x []float64) ([]byte, error) {
+	blob, err := sz.Compress(x, e.Params)
+	return appendBlob(dst, blob, err)
+}
 
 // Decode reconstructs within the error bound.
 func (SZ) Decode(data []byte) ([]float64, error) { return sz.Decompress(data) }
@@ -228,8 +244,9 @@ type ZFP struct {
 func (ZFP) Name() string { return "zfp" }
 
 // Encode compresses within the absolute error bound.
-func (e ZFP) Encode(x []float64) ([]byte, error) {
-	return codec.Compress(x, codec.Params{Codec: codec.ZFP, Bound: e.Bound, BlockElems: e.BlockElems})
+func (e ZFP) Encode(dst []byte, x []float64) ([]byte, error) {
+	blob, err := codec.Compress(x, codec.Params{Codec: codec.ZFP, Bound: e.Bound, BlockElems: e.BlockElems})
+	return appendBlob(dst, blob, err)
 }
 
 // Decode reconstructs within the bound.
@@ -249,41 +266,31 @@ func (ZFP) DecodeInto(dst []float64, data []byte) error {
 }
 
 // EncodeStats implements StatsEncoder: exact bytes, zero error.
-func (e Raw) EncodeStats(x []float64) ([]byte, EncodeStats, error) {
-	blob, err := e.Encode(x)
-	if err != nil {
-		return nil, EncodeStats{}, err
-	}
-	return blob, exactStats(x), nil
+func (e Raw) EncodeStats(dst []byte, x []float64) ([]byte, EncodeStats, error) {
+	dst, err := e.Encode(dst, x)
+	return dst, exactStats(x), err
 }
 
 // EncodeStats implements StatsEncoder: exact bytes, zero error.
-func (e Lossless) EncodeStats(x []float64) ([]byte, EncodeStats, error) {
-	blob, err := e.Encode(x)
-	if err != nil {
-		return nil, EncodeStats{}, err
-	}
-	return blob, exactStats(x), nil
+func (e Lossless) EncodeStats(dst []byte, x []float64) ([]byte, EncodeStats, error) {
+	dst, err := e.Encode(dst, x)
+	return dst, exactStats(x), err
 }
 
 // EncodeStats implements StatsEncoder via the sz encode-path
 // accumulators: same bytes as Encode, no audit decode.
-func (e SZ) EncodeStats(x []float64) ([]byte, EncodeStats, error) {
+func (e SZ) EncodeStats(dst []byte, x []float64) ([]byte, EncodeStats, error) {
 	blob, st, err := sz.CompressWithStats(x, e.Params)
-	if err != nil {
-		return nil, EncodeStats{}, err
-	}
-	return blob, fromSZStats(st, true), nil
+	dst, err = appendBlob(dst, blob, err)
+	return dst, fromSZStats(st, true), err
 }
 
 // EncodeStats implements StatsEncoder via the blocked container's
 // audit path (per-block decode into pooled scratch).
-func (e ZFP) EncodeStats(x []float64) ([]byte, EncodeStats, error) {
+func (e ZFP) EncodeStats(dst []byte, x []float64) ([]byte, EncodeStats, error) {
 	blob, st, err := codec.CompressWithStats(x, codec.Params{Codec: codec.ZFP, Bound: e.Bound, BlockElems: e.BlockElems})
-	if err != nil {
-		return nil, EncodeStats{}, err
-	}
-	return blob, fromSZStats(st, true), nil
+	dst, err = appendBlob(dst, blob, err)
+	return dst, fromSZStats(st, true), err
 }
 
 // BoundInfo describes the distortion contract an encoder was

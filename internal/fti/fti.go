@@ -11,7 +11,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,11 +34,16 @@ import (
 // registered variables) instead of allocating and copying; encoders
 // without it transparently fall back to Decode plus a copy (see
 // DecodeInto).
+//
+// Inputs are borrowed for the call: a synchronous save hands Encode the
+// solver's live vectors, so an encoder never retains or writes x.
 type Encoder interface {
 	// Name tags checkpoint files for decode-time verification.
 	Name() string
-	// Encode serializes x.
-	Encode(x []float64) ([]byte, error)
+	// Encode appends the serialization of x to dst, as append does. The
+	// Checkpointer passes its reused payload buffer, so an encoder that
+	// stores straight into dst (Raw) allocates nothing.
+	Encode(dst []byte, x []float64) ([]byte, error)
 	// Decode reverses Encode (up to the encoder's error bound).
 	Decode(data []byte) ([]float64, error)
 }
@@ -64,11 +72,12 @@ type Info struct {
 	Shards int
 
 	// Per-stage wall-clock timings of the save that produced this Info,
-	// in seconds. CaptureSeconds is the solver-visible deep copy of the
-	// asynchronous pipeline (zero for synchronous saves, whose capture
-	// happens in the caller); EncodeSeconds covers the Encoder pass over
-	// every vector; WriteSeconds covers the storage commit (all shard
-	// objects plus the manifest for sharded layouts). Together with
+	// in seconds. CaptureSeconds is the asynchronous pipeline's copy of
+	// the snapshot into its double buffer, the only stage the solver
+	// waits for (zero for synchronous saves: they encode the caller's
+	// vectors where they are and copy nothing); EncodeSeconds covers the
+	// Encoder pass over every vector; WriteSeconds covers the storage
+	// commit (all shard objects plus the manifest). Together with
 	// RawBytes (bytes in) and Bytes (bytes out) they are the measured
 	// observations the adaptive interval controller (package adapt)
 	// estimates per-checkpoint costs from — previously this accounting
@@ -340,12 +349,7 @@ func (c *Checkpointer) Recover() error {
 		if !ok {
 			return fmt.Errorf("fti: checkpoint lacks protected vector %q", pv.name)
 		}
-		if len(*pv.ptr) == len(v) {
-			if len(v) > 0 && &v[0] == &(*pv.ptr)[0] {
-				continue // decoded in place
-			}
-			copy(*pv.ptr, v)
-		} else {
+		if len(*pv.ptr) != len(v) { // otherwise decoded in place
 			*pv.ptr = append([]float64(nil), v...)
 		}
 	}
@@ -530,7 +534,7 @@ func (c *Checkpointer) RestoreReassembled() (*Snapshot, error) {
 				return nil, err
 			}
 		}
-		return decodeSnapshot(data, c.enc)
+		return decodeSnapshotInto(data, c.enc, nil)
 	})
 	return s, err
 }
@@ -673,6 +677,9 @@ func (c *Checkpointer) gc(writtenShards int) {
 	}
 }
 
+// uvarintLen is the number of bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 func ckptName(seq int) string { return fmt.Sprintf("ckpt-%012d", seq) }
 
 func parseCkptName(name string) (int, bool) {
@@ -689,9 +696,11 @@ func parseCkptName(name string) (int, bool) {
 const fileMagic = "FTIG"
 
 // encodeSnapshot serializes a snapshot: header, scalars, encoded
-// vectors, CRC32 trailer. The payload is appended into buf's backing
-// array when capacity allows (buf may be nil); the caller owns the
-// returned slice and may pass it back as buf on the next call.
+// vectors, CRC32 trailer. The payload is built in buf's backing array
+// when capacity allows (buf may be nil), each encoder appending its
+// vector straight into it; the caller owns the returned slice and may
+// pass it back as buf on the next call. The snapshot's vectors are only
+// read, and nothing keeps a reference to them.
 //
 // With wantBounds set, bounds lists preferred shard cut offsets within
 // the payload, sorted ascending: the start of every vector blob plus,
@@ -704,63 +713,59 @@ const fileMagic = "FTIG"
 // StatsEncoder fast path when available, so the audited bytes are the
 // exact bytes written and the common case needs no decode.
 func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq int, audit SaveAudit) (payload []byte, rawBytes, vecBytes int, bounds []int, err error) {
-	out := buf[:0]
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		out = append(out, scratch[:n]...)
+	appendString := func(b []byte, str string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(str))), str...)
 	}
-	putString := func(str string) {
-		putUvarint(uint64(len(str)))
-		out = append(out, str...)
-	}
-	putFloat := func(f float64) {
-		var b8 [8]byte
-		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(f))
-		out = append(out, b8[:]...)
-	}
+	out := append(buf[:0], fileMagic...)
+	out = binary.AppendUvarint(out, uint64(s.Iteration))
+	out = appendString(out, enc.Name())
 
-	out = append(out, fileMagic...)
-	putUvarint(uint64(s.Iteration))
-	putString(enc.Name())
-
-	scalarNames := sortedKeysF(s.Scalars)
-	putUvarint(uint64(len(scalarNames)))
-	for _, name := range scalarNames {
-		putString(name)
-		putFloat(s.Scalars[name])
+	out = binary.AppendUvarint(out, uint64(len(s.Scalars)))
+	for _, name := range slices.Sorted(maps.Keys(s.Scalars)) {
+		out = appendString(out, name)
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Scalars[name]))
 		rawBytes += 8
 	}
 
 	audited := audit != nil && audit.SampleSave(seq, s.Iteration)
 	se, haveStats := enc.(StatsEncoder)
 
-	vecNames := sortedKeysV(s.Vectors)
-	putUvarint(uint64(len(vecNames)))
-	for _, name := range vecNames {
+	out = binary.AppendUvarint(out, uint64(len(s.Vectors)))
+	for _, name := range slices.Sorted(maps.Keys(s.Vectors)) {
 		v := s.Vectors[name]
-		var blob []byte
-		var err error
+		out = appendString(out, name)
+		out = binary.AppendUvarint(out, uint64(len(v)))
+		// A blob follows its own length, which only Encode knows: leave
+		// the room an uncompressed blob's length takes (exact for Raw),
+		// encode behind it, and move the blob if its length takes fewer
+		// or more bytes than that.
+		var pad [binary.MaxVarintLen64]byte
+		lenAt := len(out)
+		room := uvarintLen(uint64(8 * len(v)))
+		out = append(out, pad[:room]...)
+		var st *EncodeStats
 		if audited && haveStats {
-			var st EncodeStats
-			blob, st, err = se.EncodeStats(v)
-			if err == nil {
-				audit.ObserveVector(seq, s.Iteration, name, v, blob, enc, &st)
-			}
+			st = new(EncodeStats)
+			out, *st, err = se.EncodeStats(out, v)
 		} else {
-			blob, err = enc.Encode(v)
-			if err == nil && audited {
-				audit.ObserveVector(seq, s.Iteration, name, v, blob, enc, nil)
-			}
+			out, err = enc.Encode(out, v)
 		}
 		if err != nil {
 			return nil, 0, 0, nil, fmt.Errorf("fti: encode vector %q: %w", name, err)
 		}
-		putString(name)
-		putUvarint(uint64(len(v)))
-		putUvarint(uint64(len(blob)))
+		blobLen := len(out) - lenAt - room
+		blobStart := lenAt + uvarintLen(uint64(blobLen))
+		if blobStart != lenAt+room {
+			out = append(out, pad[:max(blobStart-lenAt-room, 0)]...)
+			copy(out[blobStart:], out[lenAt+room:lenAt+room+blobLen])
+			out = out[:blobStart+blobLen]
+		}
+		binary.PutUvarint(out[lenAt:], uint64(blobLen))
+		blob := out[blobStart:]
+		if audited {
+			audit.ObserveVector(seq, s.Iteration, name, v, blob, enc, st)
+		}
 		if wantBounds {
-			blobStart := len(out)
 			bounds = append(bounds, blobStart)
 			ranges, ok := sz.BlockRanges(blob)
 			if !ok {
@@ -772,20 +777,10 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 				}
 			}
 		}
-		out = append(out, blob...)
 		rawBytes += 8 * len(v)
-		vecBytes += len(blob)
+		vecBytes += blobLen
 	}
-
-	crc := crc32.ChecksumIEEE(out)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], crc)
-	out = append(out, b4[:]...)
-	return out, rawBytes, vecBytes, bounds, nil
-}
-
-func decodeSnapshot(data []byte, enc Encoder) (*Snapshot, error) {
-	return decodeSnapshotInto(data, enc, nil)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), rawBytes, vecBytes, bounds, nil
 }
 
 // decodeSnapshotInto decodes a monolithic checkpoint payload,
@@ -897,22 +892,4 @@ func decodeSnapshotInto(data []byte, enc Encoder, targets map[string][]float64) 
 		s.Vectors[name] = v
 	}
 	return s, nil
-}
-
-func sortedKeysF(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedKeysV(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

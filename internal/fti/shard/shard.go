@@ -582,29 +582,18 @@ func IsManifest(data []byte) bool {
 //
 // Strings are uvarint-length-prefixed.
 func AppendManifest(buf []byte, m *Manifest) []byte {
+	appendString := func(b []byte, s string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
 	out := append(buf[:0], manifestMagic...)
-	out = append(out, manifestVersion)
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		k := binary.PutUvarint(scratch[:], v)
-		out = append(out, scratch[:k]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		out = append(out, s...)
-	}
-	putString(m.Encoder)
-	putUvarint(uint64(m.Total))
-	putUvarint(uint64(len(m.Shards)))
-	var b4 [4]byte
+	out = appendString(append(out, manifestVersion), m.Encoder)
+	out = binary.AppendUvarint(out, uint64(m.Total))
+	out = binary.AppendUvarint(out, uint64(len(m.Shards)))
 	for _, s := range m.Shards {
-		putString(s.Name)
-		putUvarint(uint64(s.Size))
-		binary.LittleEndian.PutUint32(b4[:], s.CRC)
-		out = append(out, b4[:]...)
+		out = binary.AppendUvarint(appendString(out, s.Name), uint64(s.Size))
+		out = binary.LittleEndian.AppendUint32(out, s.CRC)
 	}
-	binary.LittleEndian.PutUint32(b4[:], Checksum(out))
-	return append(out, b4[:]...)
+	return binary.LittleEndian.AppendUint32(out, Checksum(out))
 }
 
 // ParseManifest decodes and validates a manifest. Crafted inputs are

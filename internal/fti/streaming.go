@@ -116,15 +116,19 @@ var (
 		parse:       codec.ParseBlockLayout,
 		decodeBlock: codec.DecodeBlockInto,
 	}
+	// rawFormat has no container and needs none: every eight bytes decode
+	// on their own, so any run of whole elements is a block.
+	rawFormat = &blockFormat{decodeBlock: Raw{}.DecodeInto}
 )
 
-// blockFormatFor returns the blocked-container family enc writes, or
-// nil when enc writes monolithic payloads only. For any other encoder
-// a blob starting with a container magic is a byte coincidence (e.g. a
-// raw float image), not a block container — hence the explicit
-// dispatch instead of sniffing.
+// blockFormatFor returns the block family enc writes, or nil when its
+// blobs only decode whole. A blob is never sniffed: in a raw float
+// image a container magic is a byte coincidence — hence the explicit
+// dispatch.
 func blockFormatFor(enc Encoder) *blockFormat {
 	switch e := enc.(type) {
+	case Raw:
+		return rawFormat
 	case SZ:
 		return szFormat
 	case ZFP:
@@ -140,11 +144,11 @@ func blockFormatFor(enc Encoder) *blockFormat {
 // restoreStreaming decodes a sharded checkpoint in place. Vector
 // payloads in a blocked container (SZ's SZG2, or the generic BLK1 the
 // ZFP and blocked-lossless encoders write) are block-decoded per
-// shard; other payloads (legacy single-block streams, raw,
-// un-containered lossless) are
-// stitched and decoded through the encoder's DecodeInto path. The
-// whole-payload IEEE CRC trailer is not re-verified: every byte served
-// by the Reader already passed its shard's CRC32C.
+// shard, and a raw payload decodes from each shard the elements it
+// holds; other payloads (legacy single-block streams, un-containered
+// lossless) are stitched and decoded through the encoder's DecodeInto
+// path. The whole-payload IEEE CRC trailer is not re-verified: every
+// byte served by the Reader already passed its shard's CRC32C.
 func (c *Checkpointer) restoreStreaming(man *shard.Manifest, targets map[string][]float64) (*Snapshot, error) {
 	if man.Encoder != c.enc.Name() {
 		return nil, fmt.Errorf("checkpoint written by encoder %q, decoder is %q", man.Encoder, c.enc.Name())
@@ -251,6 +255,37 @@ func (c *Checkpointer) restoreStreaming(man *shard.Manifest, targets map[string]
 					stitched = append(stitched, blk)
 				}
 			}
+		} else if bf == rawFormat {
+			// Checked before n sizes or overwrites anything.
+			if blobLen%8 != 0 || n64 != uint64(blobLen/8) {
+				return nil, fmt.Errorf("vector %q: raw payload is %d bytes, header says %d values", name, blobLen, n64)
+			}
+			// Read the blob's shards through the pool first: what n then
+			// sizes is backed by bytes that passed their checksums.
+			if err := r.Prefetch(blobStart, blobStart+blobLen, shard.Options{Workers: c.storageWorkers}); err != nil {
+				return nil, err
+			}
+			if dst == nil {
+				dst = make([]float64, blobLen/8)
+			}
+			// Each shard decodes the elements it holds whole straight into
+			// dst; an element a cut runs through is stitched on its own.
+			si := sort.Search(len(offsets)-1, func(j int) bool { return offsets[j+1] > blobStart })
+			for e := 0; e < len(dst); {
+				at := blobStart + 8*e
+				for offsets[si+1] <= at {
+					si++
+				}
+				whole := min((offsets[si+1]-at)/8, len(dst)-e)
+				n := max(whole, 1)
+				blk := streamBlock{span: sz.Range{Start: at, End: at + 8*n}, dst: dst[e : e+n], vec: name}
+				if whole == 0 {
+					stitched = append(stitched, blk)
+				} else {
+					perShard[si] = append(perShard[si], blk)
+				}
+				e += n
+			}
 		} else {
 			// Non-blocked blob: stitch its bytes (zero-copy when it
 			// lies inside one shard) and decode through the encoder.
@@ -322,10 +357,10 @@ func (c *Checkpointer) restoreStreaming(man *shard.Manifest, targets map[string]
 // encoders' payloads — reports blocked=false and is decoded whole by
 // the caller; parse failures are only errors when the blob
 // unambiguously started as a container, since a truncated container
-// would fail whole-blob decode anyway. bf == nil means the encoder
-// never writes containers.
+// would fail whole-blob decode anyway. A bf that is nil or has no
+// parser means the encoder never writes containers.
 func peekBlockLayout(r *shard.Reader, blobStart, blobLen int, bf *blockFormat) (sz.BlockLayout, bool, error) {
-	if bf == nil || blobLen < bf.prefixLen {
+	if bf == nil || bf.parse == nil || blobLen < bf.prefixLen {
 		return sz.BlockLayout{}, false, nil
 	}
 	head, err := r.Bytes(blobStart, blobStart+bf.prefixLen)

@@ -14,9 +14,9 @@ type slowEncoder struct {
 	delay time.Duration
 }
 
-func (s slowEncoder) Encode(x []float64) ([]byte, error) {
+func (s slowEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
 	time.Sleep(s.delay)
-	return s.Encoder.Encode(x)
+	return s.Encoder.Encode(dst, x)
 }
 
 // TestSyncSaveStageTimings: a synchronous Save fills EncodeSeconds and

@@ -54,7 +54,7 @@ func TestEncodePathAuditRecordsBoundedDistortion(t *testing.T) {
 	const bound = 1e-3
 	x := rampState(4096)
 	enc := fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: bound}}
-	blob, st, err := enc.EncodeStats(x)
+	blob, st, err := enc.EncodeStats(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ type corruptEncoder struct{ bound float64 }
 
 func (corruptEncoder) Name() string { return "corrupt" }
 
-func (e corruptEncoder) Encode(x []float64) ([]byte, error) {
+func (e corruptEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
 	y := make([]float64, len(x))
 	for i, v := range x {
 		y[i] = v + 10*e.bound
 	}
-	return fti.Raw{}.Encode(y)
+	return fti.Raw{}.Encode(dst, y)
 }
 
 func (corruptEncoder) Decode(data []byte) ([]float64, error) { return fti.Raw{}.Decode(data) }
@@ -131,7 +131,7 @@ func TestCraftedDistortionDetected(t *testing.T) {
 	const bound = 1e-4
 	x := rampState(512)
 	enc := corruptEncoder{bound: bound}
-	blob, err := enc.Encode(x)
+	blob, err := enc.Encode(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,8 @@ func TestCraftedDistortionDetected(t *testing.T) {
 // zero error — only the exhaustive decode cross-check can expose it.
 type lyingEncoder struct{ corruptEncoder }
 
-func (e lyingEncoder) EncodeStats(x []float64) ([]byte, fti.EncodeStats, error) {
-	blob, err := e.Encode(x)
+func (e lyingEncoder) EncodeStats(dst []byte, x []float64) ([]byte, fti.EncodeStats, error) {
+	blob, err := e.Encode(dst, x)
 	return blob, fti.EncodeStats{Elements: len(x), Bound: e.bound, Lossy: true}, err
 }
 
@@ -182,7 +182,7 @@ func TestExhaustiveCrossCheckCatchesUnderreportedError(t *testing.T) {
 	const bound = 1e-4
 	x := rampState(256)
 	enc := lyingEncoder{corruptEncoder{bound: bound}}
-	blob, st, err := enc.EncodeStats(x)
+	blob, st, err := enc.EncodeStats(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 	save := func(a *Auditor, seq, iter int, resid float64) {
 		t.Helper()
 		a.ObserveResidual(iter, resid)
-		blob, st, err := enc.EncodeStats(x)
+		blob, st, err := enc.EncodeStats(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 func TestRecordCapEvictsAndCounts(t *testing.T) {
 	x := rampState(64)
 	enc := fti.Raw{}
-	blob, st, err := enc.EncodeStats(x)
+	blob, st, err := enc.EncodeStats(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestReportFillAndWriteJSON(t *testing.T) {
 	const bound = 1e-3
 	x := rampState(512)
 	enc := fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: bound}}
-	blob, st, err := enc.EncodeStats(x)
+	blob, st, err := enc.EncodeStats(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}

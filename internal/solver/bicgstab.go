@@ -64,7 +64,7 @@ func NewBiCGSTAB(a Operator, m precond.Interface, b []float64, x0 []float64, spa
 // to their initial values — the lossy recovery path.
 func (s *BiCGSTAB) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
-	copy(s.x, x)
+	adopt(s.x, x)
 	s.a.MulVec(s.r, s.x)
 	for i := range s.r {
 		s.r[i] = s.b[i] - s.r[i]
@@ -144,16 +144,13 @@ func (s *BiCGSTAB) ResidualNorm() float64 { return s.rnorm }
 // X returns the live approximate solution.
 func (s *BiCGSTAB) X() []float64 { return s.x }
 
-// CaptureDynamic saves the full recurrence state (x, r, r̂, p, v and
-// the scalars) — the traditional checkpoint for BiCGSTAB.
-func (s *BiCGSTAB) CaptureDynamic() DynamicState {
-	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
+// DynamicView exposes the full recurrence state (x, r̂, p, v and the
+// scalars) — the traditional checkpoint for BiCGSTAB.
+func (s *BiCGSTAB) DynamicView() DynamicState {
 	return DynamicState{
 		Iteration: s.it,
 		Scalars:   map[string]float64{"rho": s.rho, "alpha": s.alpha, "omega": s.omega},
-		Vectors: map[string][]float64{
-			"x": cp(s.x), "rhat": cp(s.rhat), "p": cp(s.p), "v": cp(s.v),
-		},
+		Vectors:   map[string][]float64{"x": s.x, "rhat": s.rhat, "p": s.p, "v": s.v},
 	}
 }
 
@@ -170,10 +167,10 @@ func (s *BiCGSTAB) RestoreDynamic(st DynamicState) error {
 		}
 	}
 	s.it = st.Iteration
-	copy(s.x, st.Vectors["x"])
-	copy(s.rhat, st.Vectors["rhat"])
-	copy(s.p, st.Vectors["p"])
-	copy(s.v, st.Vectors["v"])
+	adopt(s.x, st.Vectors["x"])
+	adopt(s.rhat, st.Vectors["rhat"])
+	adopt(s.p, st.Vectors["p"])
+	adopt(s.v, st.Vectors["v"])
 	s.rho = st.Scalars["rho"]
 	s.alpha = st.Scalars["alpha"]
 	s.omega = st.Scalars["omega"]

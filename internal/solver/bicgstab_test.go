@@ -97,7 +97,7 @@ func TestBiCGSTABCaptureRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s1.Step()
 	}
-	st := s1.CaptureDynamic()
+	st := s1.DynamicView().Clone()
 	for i := 0; i < 8; i++ {
 		s1.Step()
 	}
@@ -121,12 +121,12 @@ func TestBiCGSTABCaptureRestoreRoundTrip(t *testing.T) {
 func TestBiCGSTABRestoreRejectsPartialState(t *testing.T) {
 	a, b, _ := nonsymmetricSystem(t, 6)
 	s := NewBiCGSTAB(a, nil, b, nil, SeqSpace{}, Options{})
-	st := s.CaptureDynamic()
+	st := s.DynamicView().Clone()
 	delete(st.Vectors, "rhat")
 	if err := s.RestoreDynamic(st); err == nil {
 		t.Fatal("expected error for missing rhat")
 	}
-	st2 := s.CaptureDynamic()
+	st2 := s.DynamicView().Clone()
 	delete(st2.Scalars, "omega")
 	if err := s.RestoreDynamic(st2); err == nil {
 		t.Fatal("expected error for missing omega")

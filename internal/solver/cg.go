@@ -62,7 +62,7 @@ func NewCG(a Operator, m precond.Interface, b []float64, x0 []float64, space Spa
 // counter and the convergence threshold are preserved.
 func (s *CG) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
-	copy(s.x, x)
+	adopt(s.x, x)
 	s.a.MulVec(s.r, s.x) // r ← A·x
 	for i := range s.r {
 		s.r[i] = s.b[i] - s.r[i]
@@ -128,16 +128,13 @@ func (s *CG) R() []float64 { return s.r }
 // P returns the live search direction (a dynamic variable).
 func (s *CG) P() []float64 { return s.p }
 
-// CaptureDynamic deep-copies (i, ρ, p, x) — the traditional
-// checkpoint of Algorithm 1 line 4.
-func (s *CG) CaptureDynamic() DynamicState {
+// DynamicView exposes (i, ρ, p, x) — the traditional checkpoint of
+// Algorithm 1 line 4.
+func (s *CG) DynamicView() DynamicState {
 	return DynamicState{
 		Iteration: s.it,
 		Scalars:   map[string]float64{"rho": s.rho},
-		Vectors: map[string][]float64{
-			"x": append([]float64(nil), s.x...),
-			"p": append([]float64(nil), s.p...),
-		},
+		Vectors:   map[string][]float64{"x": s.x, "p": s.p},
 	}
 }
 
@@ -153,8 +150,8 @@ func (s *CG) RestoreDynamic(st DynamicState) error {
 	checkDims("restored x", len(s.b), len(x))
 	checkDims("restored p", len(s.b), len(p))
 	s.it = st.Iteration
-	copy(s.x, x)
-	copy(s.p, p)
+	adopt(s.x, x)
+	adopt(s.p, p)
 	s.rho = rho
 	s.a.MulVec(s.r, s.x)
 	for i := range s.r {

@@ -70,7 +70,7 @@ func TestCGFusedPathIsBitIdentical(t *testing.T) {
 		compare(step)
 		switch step {
 		case 8:
-			saved = fused.CaptureDynamic()
+			saved = fused.DynamicView().Clone()
 		case 12:
 			// A lossy restart: adopt a perturbed copy of x.
 			x := append([]float64(nil), fused.X()...)

@@ -93,7 +93,7 @@ func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int,
 // cycle; the iteration counter and threshold are preserved.
 func (s *GMRES) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
-	copy(s.x, x)
+	adopt(s.x, x)
 	s.beginCycle()
 }
 
@@ -254,13 +254,12 @@ func (s *GMRES) X() []float64 { return s.x }
 // RestartLength returns k.
 func (s *GMRES) RestartLength() int { return s.k }
 
-// CaptureDynamic saves the materialized iterate — for a restarted
-// method the approximate solution is the only dynamic variable.
-func (s *GMRES) CaptureDynamic() DynamicState {
-	return DynamicState{
-		Iteration: s.it,
-		Vectors:   map[string][]float64{"x": s.CurrentX()},
-	}
+// DynamicView exposes (i, x) — for a restarted method the approximate
+// solution is the only dynamic variable. As with X(), x is the iterate
+// of the last cycle boundary: a restore lands there, and a mid-cycle
+// checkpoint saves CurrentXInto's materialization in its place.
+func (s *GMRES) DynamicView() DynamicState {
+	return DynamicState{Iteration: s.it, Vectors: map[string][]float64{"x": s.x}}
 }
 
 // RestoreDynamic re-seeds the solver from the saved iterate.

@@ -44,6 +44,14 @@ func requireSameGMRES(t *testing.T, step int, fused, plain *GMRES) {
 	same("CurrentX", fused.CurrentX(), plain.CurrentX())
 }
 
+// midCycleState is what a checkpoint saves of a GMRES mid-cycle: the
+// materialized iterate in place of DynamicView's cycle-boundary x.
+func midCycleState(s *GMRES) DynamicState {
+	st := s.DynamicView()
+	st.Vectors["x"] = s.CurrentX()
+	return st
+}
+
 // TestGMRESFusedPathIsBitIdentical steps the two side by side through
 // two full 30-step cycles (so through the restart between them), a
 // lossy Restart and a mid-cycle RestoreDynamic. The benchmark harness
@@ -61,7 +69,7 @@ func TestGMRESFusedPathIsBitIdentical(t *testing.T) {
 		requireSameGMRES(t, step, fused, plain)
 		switch step {
 		case 41:
-			saved = fused.CaptureDynamic() // mid-cycle: j = 11
+			saved = midCycleState(fused) // j = 11
 		case 67:
 			x := fused.CurrentX()
 			for i := range x {
@@ -150,7 +158,7 @@ func TestGMRESCurrentXIntoMatchesCurrentX(t *testing.T) {
 		check(step)
 		switch step {
 		case 41:
-			saved = s.CaptureDynamic() // mid-cycle: j = 11
+			saved = midCycleState(s) // j = 11
 		case 67:
 			x := s.CurrentX()
 			for i := range x {

@@ -13,7 +13,9 @@ package solver
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/vec"
@@ -127,7 +129,8 @@ type Stepper interface {
 // Restartable solvers can adopt a new initial guess mid-run — the
 // paper's lossy recovery path (Algorithm 2): the decompressed solution
 // vector becomes a fresh starting point and all auxiliary Krylov state
-// is rebuilt.
+// is rebuilt. x may be the solver's own X() (a restore that decoded in
+// place); the solver then skips the copy.
 type Restartable interface {
 	Restart(x []float64)
 }
@@ -142,15 +145,29 @@ type DynamicState struct {
 	Vectors   map[string][]float64
 }
 
+// Clone returns a frozen deep copy of st, for callers that keep a state
+// across solver steps.
+func (st DynamicState) Clone() DynamicState {
+	c := DynamicState{Iteration: st.Iteration, Scalars: maps.Clone(st.Scalars), Vectors: maps.Clone(st.Vectors)}
+	for k, v := range c.Vectors {
+		c.Vectors[k] = slices.Clone(v)
+	}
+	return c
+}
+
 // Checkpointable solvers expose their dynamic variables for the
 // traditional checkpointing scheme (Algorithm 1).
 type Checkpointable interface {
 	Stepper
-	// CaptureDynamic deep-copies the dynamic variables.
-	CaptureDynamic() DynamicState
+	// DynamicView returns the dynamic variables without copying them:
+	// the vectors are the solver's own and change with its next Step,
+	// Restart or RestoreDynamic. A checkpoint encodes them before then
+	// and a restore decodes into them; Clone the view to keep it.
+	DynamicView() DynamicState
 	// RestoreDynamic reinstates previously captured dynamic variables
 	// and recomputes the recomputed variables (paper §3), e.g. CG's
-	// residual r = b − A·x.
+	// residual r = b − A·x. Vectors that are the solver's own (a
+	// DynamicView filled in place) are adopted without a copy.
 	RestoreDynamic(DynamicState) error
 }
 
@@ -191,6 +208,14 @@ func RunToConvergence(s Stepper, opts Options, cb func(it int, rnorm float64) er
 	res.Iterations = s.Iteration()
 	res.FinalResidual = rnorm
 	return res, nil
+}
+
+// adopt copies src into the solver's vector dst, unless src already is
+// dst — a restore that decoded in place.
+func adopt(dst, src []float64) {
+	if len(src) > 0 && &dst[0] != &src[0] {
+		copy(dst, src)
+	}
 }
 
 // checkDims panics with a helpful message when a solver is constructed

@@ -122,7 +122,7 @@ func TestCGCaptureRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s1.Step()
 	}
-	st := s1.CaptureDynamic()
+	st := s1.DynamicView().Clone()
 	// Run s1 forward 10 more steps.
 	var want []float64
 	for i := 0; i < 10; i++ {
@@ -354,7 +354,7 @@ func TestStationaryCaptureRestore(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Step()
 	}
-	st := s.CaptureDynamic()
+	st := s.DynamicView().Clone()
 	for i := 0; i < 20; i++ {
 		s.Step()
 	}

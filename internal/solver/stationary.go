@@ -114,7 +114,7 @@ func NewStationary(kind StationaryKind, a *sparse.CSR, b []float64, x0 []float64
 // auxiliary state, so this is a copy plus a residual refresh.
 func (s *Stationary) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
-	copy(s.x, x)
+	adopt(s.x, x)
 	s.refreshResidual()
 }
 
@@ -201,13 +201,10 @@ func (s *Stationary) X() []float64 { return s.x }
 // Kind returns the sweep type.
 func (s *Stationary) Kind() StationaryKind { return s.kind }
 
-// CaptureDynamic saves (i, x): stationary methods have no other
-// dynamic variables.
-func (s *Stationary) CaptureDynamic() DynamicState {
-	return DynamicState{
-		Iteration: s.it,
-		Vectors:   map[string][]float64{"x": append([]float64(nil), s.x...)},
-	}
+// DynamicView exposes (i, x): stationary methods have no other dynamic
+// variables.
+func (s *Stationary) DynamicView() DynamicState {
+	return DynamicState{Iteration: s.it, Vectors: map[string][]float64{"x": s.x}}
 }
 
 // RestoreDynamic reinstates (i, x).
@@ -281,7 +278,7 @@ func NewRichardson(a Operator, m precond.Interface, b []float64, x0 []float64, o
 // Restart adopts x as the current iterate.
 func (s *Richardson) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
-	copy(s.x, x)
+	adopt(s.x, x)
 	s.refreshResidual()
 }
 
@@ -316,12 +313,9 @@ func (s *Richardson) ResidualNorm() float64 { return s.rnorm }
 // X returns the live iterate.
 func (s *Richardson) X() []float64 { return s.x }
 
-// CaptureDynamic saves (i, x).
-func (s *Richardson) CaptureDynamic() DynamicState {
-	return DynamicState{
-		Iteration: s.it,
-		Vectors:   map[string][]float64{"x": append([]float64(nil), s.x...)},
-	}
+// DynamicView exposes (i, x).
+func (s *Richardson) DynamicView() DynamicState {
+	return DynamicState{Iteration: s.it, Vectors: map[string][]float64{"x": s.x}}
 }
 
 // RestoreDynamic reinstates (i, x).

@@ -219,6 +219,39 @@ func craftedStreams(t testing.TB) map[string][]byte {
 		"log/count-mismatch":  logPayload(5, 0, nil, 0, good),
 		"log/header-only":     logPayload(4, 0, nil, 0, nil)[:7],
 		"blocked/wrapped-log": blockedOf(4, logPayload(4, 0, nil, 1<<61, good)[5:]),
+		"constant/n-2pow47":   constantStream(1<<47, 1.5),
+	}
+}
+
+// constantStream frames an SZG1 constant payload declaring n values.
+func constantStream(n uint64, c float64) []byte {
+	p := append([]byte(magic), byte(RelRange), kindConstant)
+	p = binary.LittleEndian.AppendUint64(p, n)
+	return binary.LittleEndian.AppendUint64(p, math.Float64bits(c))
+}
+
+// TestConstantStreamCeiling: 22 bytes may declare any count, and
+// Decompress is the one entry point that sizes its output from the
+// count alone. One value past the ceiling is an error before anything
+// is allocated (at the parent commit: 128 MiB, and up to 2 PB asked
+// for); the ceiling itself and DecompressInto, which is handed its
+// destination, are unaffected.
+func TestConstantStreamCeiling(t *testing.T) {
+	var got []float64
+	var err error
+	allocated := allocatedBytes(func() { got, err = Decompress(constantStream(MaxConstantElems+1, 1.5)) })
+	if err == nil || got != nil {
+		t.Fatalf("Decompress returned %d values, %v for a stream past the ceiling", len(got), err)
+	}
+	if allocated > 64<<10 {
+		t.Fatalf("rejecting the stream allocated %d bytes", allocated)
+	}
+	dst := make([]float64, 3)
+	if err := DecompressInto(dst, constantStream(3, 1.5)); err != nil || dst[0] != 1.5 || dst[2] != 1.5 {
+		t.Fatalf("DecompressInto: %v, %v", dst, err)
+	}
+	if got, err := Decompress(constantStream(3, 1.5)); err != nil || len(got) != 3 || got[1] != 1.5 {
+		t.Fatalf("Decompress: %v, %v", got, err)
 	}
 }
 

@@ -208,9 +208,17 @@ func compressLegacy(x []float64, p Params) ([]byte, error) {
 	return nil, fmt.Errorf("sz: unknown mode %d", p.Mode)
 }
 
+// MaxConstantElems is the most values Decompress reconstructs from a
+// constant SZG1 stream (128 MiB of output for 22 bytes of input). The
+// writer frames at most Params.BlockSize elements that way, 32,768 by
+// default. DecompressInto takes the count from its destination and has
+// no ceiling.
+const MaxConstantElems = 1 << 24
+
 // Decompress reverses Compress. The output slice is freshly allocated.
 // Both the blocked SZG2 container and the legacy SZG1 single-stream
-// format are accepted.
+// format are accepted; a constant SZG1 stream of more than
+// MaxConstantElems values is rejected.
 func Decompress(data []byte) ([]float64, error) {
 	if len(data) >= 4 && string(data[:4]) == magicBlocked {
 		return decompressBlocked(data)
@@ -315,12 +323,11 @@ func decodeConstant(p []byte) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("sz: negative length")
 	}
-	// A constant stream legitimately encodes any vector in 16 bytes,
-	// so n cannot be bounded by the payload; cap it at a count far
-	// beyond any real vector (2^48 elements = 2 PB) so a corrupt
-	// header errors instead of panicking in makeslice.
-	if n > 1<<48 {
-		return nil, fmt.Errorf("sz: constant stream claims %d values", n)
+	// A constant stream encodes any vector in 16 bytes, so the payload
+	// cannot bound n, and this is the one decoder that sizes its output
+	// from n alone.
+	if n > MaxConstantElems {
+		return nil, fmt.Errorf("sz: constant stream claims %d values, Decompress allocates at most %d (DecompressInto has no ceiling)", n, MaxConstantElems)
 	}
 	out := make([]float64, n)
 	if err := decodeConstantInto(p, out); err != nil {
