@@ -260,9 +260,8 @@ func BenchmarkFPCCompress(b *testing.B) {
 
 // BenchmarkCodecThroughput is the per-codec, per-core throughput
 // matrix on the 1M-element solver state: one compress and one
-// decompress sub-benchmark per codec (SZ PWRel/Abs through the SZG2
-// container, ZFP/FPC/flate through the shared BLK1 blocked container),
-// all pinned to a single worker so the MB/s column is per-core. The
+// decompress sub-benchmark per codec (SZ PWRel/Abs, ZFP, FPC and
+// flate, all through the one BLK1 blocked container), all pinned to a single worker so the MB/s column is per-core. The
 // decompress side decodes into a reused target (the DecompressInto
 // path the streaming restore is built on). Acceptance bands are
 // asserted in-bench (skipped under the race detector, whose
@@ -280,7 +279,7 @@ func BenchmarkCodecThroughput(b *testing.B) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
-	cases := []struct {
+	type codecCase struct {
 		name     string
 		compress func([]float64) ([]byte, error)
 		decInto  func([]float64, []byte) error
@@ -288,7 +287,8 @@ func BenchmarkCodecThroughput(b *testing.B) {
 		maxCompressNs float64
 		// blockedAlloc asserts the O(block) allocation band on compress.
 		blockedAlloc bool
-	}{
+	}
+	cases := []codecCase{
 		{
 			name: "sz-pwrel",
 			compress: func(v []float64) ([]byte, error) {
@@ -304,26 +304,14 @@ func BenchmarkCodecThroughput(b *testing.B) {
 			},
 			decInto: sz.DecompressInto,
 		},
-		{
-			name: "zfp",
-			compress: func(v []float64) ([]byte, error) {
-				return codec.Compress(v, codec.Params{Codec: codec.ZFP, Bound: 1e-4})
-			},
-			decInto:      codec.DecompressInto,
+	}
+	for _, bc := range []codec.BlockCodec{codec.BlockedZFP{Bound: 1e-4}, codec.BlockedFPC{}, codec.BlockedFlate{}} {
+		cases = append(cases, codecCase{
+			name:         map[codec.ID]string{codec.ZFP: "zfp", codec.FPC: "fpc", codec.Flate: "flate"}[bc.ID()],
+			compress:     func(v []float64) ([]byte, error) { return codec.Compress(nil, v, bc, nil) },
+			decInto:      func(dst []float64, data []byte) error { return codec.DecompressInto(dst, data, bc) },
 			blockedAlloc: true,
-		},
-		{
-			name:         "fpc",
-			compress:     codec.BlockedFPC{}.Compress,
-			decInto:      codec.BlockedFPC{}.DecompressInto,
-			blockedAlloc: true,
-		},
-		{
-			name:         "flate",
-			compress:     codec.BlockedFlate{}.Compress,
-			decInto:      codec.BlockedFlate{}.DecompressInto,
-			blockedAlloc: true,
-		},
+		})
 	}
 
 	for _, c := range cases {
@@ -761,16 +749,11 @@ func BenchmarkShardedWrite(b *testing.B) {
 
 // BenchmarkRecoverStall measures the restart path on the 1M-element
 // PWRel workload stored as 8 shards (4 storage workers) in a real
-// directory store: the legacy reassemble-then-decode restore
-// (RestoreReassembled: shard.Read into one contiguous buffer, whole-
-// payload CRC, fresh vector allocations) versus the streaming
-// shard-parallel restore (RestoreInto: per-shard read/CRC32C/block-
-// decode straight into reusable targets). Before timing, both paths
-// restore once and the snapshots are compared bitwise (reported as the
-// "bitwise-identical" metric). Allocation assertions enforce the
-// zero-copy claim: the streaming path must allocate less than the raw
-// payload per restore (no reassembly buffer, no fresh output vectors),
-// while the legacy path necessarily allocates more than it.
+// directory store: the streaming shard-parallel restore (RestoreInto:
+// per-shard read/CRC32C/block-decode straight into reusable targets).
+// The allocation assertion enforces the zero-copy claim: a restore must
+// allocate less than the raw payload (no reassembly buffer, no fresh
+// output vectors).
 func BenchmarkRecoverStall(b *testing.B) {
 	x := solverState(1 << 20)
 	rawBytes := float64(8 * len(x))
@@ -782,80 +765,33 @@ func BenchmarkRecoverStall(b *testing.B) {
 	if _, err := ck.Save(&fti.Snapshot{Iteration: 1, Vectors: map[string][]float64{"x": x}}); err != nil {
 		b.Fatal(err)
 	}
-
-	legacySnap, err := ck.RestoreReassembled()
-	if err != nil {
-		b.Fatal(err)
-	}
-	streamSnap, err := ck.Restore()
-	if err != nil {
-		b.Fatal(err)
-	}
-	lv, sv := legacySnap.Vectors["x"], streamSnap.Vectors["x"]
-	if legacySnap.Iteration != streamSnap.Iteration || len(lv) != len(sv) {
-		b.Fatal("streaming restore shape differs from the legacy path")
-	}
-	for i := range lv {
-		if math.Float64bits(lv[i]) != math.Float64bits(sv[i]) {
-			b.Fatalf("index %d: streaming %g != legacy %g", i, sv[i], lv[i])
-		}
-	}
-	b.ReportMetric(1, "bitwise-identical")
-
-	// allocPerOp times fn b.N times and returns the heap bytes
-	// allocated per op across all goroutines (the parallel decode
-	// workers included).
-	allocPerOp := func(b *testing.B, fn func()) float64 {
+	b.Run("streaming", func(b *testing.B) {
+		targets := map[string][]float64{"x": make([]float64, len(x))}
 		b.SetBytes(int64(rawBytes))
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fn()
-		}
-		b.StopTimer()
-		runtime.ReadMemStats(&m1)
-		per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
-		b.ReportMetric(per/1e6, "MB-alloc/op")
-		return per
-	}
-
-	var legacyPer, streamPer float64
-	b.Run("legacy-reassemble", func(b *testing.B) {
-		legacyPer = allocPerOp(b, func() {
-			if _, err := ck.RestoreReassembled(); err != nil {
-				b.Fatal(err)
-			}
-		})
-		// Reassembly buffer + chunks + fresh output vectors: the legacy
-		// path cannot stay under the raw payload size. (Race builds
-		// inflate allocation counts; the bound only holds unraced.)
-		if !raceEnabled && legacyPer < rawBytes {
-			b.Fatalf("legacy restore allocated only %.1f MB/op — expected more than the %.1f MB raw payload",
-				legacyPer/1e6, rawBytes/1e6)
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		targets := map[string][]float64{"x": make([]float64, len(x))}
-		streamPer = allocPerOp(b, func() {
 			if _, err := ck.RestoreInto(targets); err != nil {
 				b.Fatal(err)
 			}
-		})
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		// Heap bytes per op across all goroutines (the parallel decode
+		// workers included).
+		per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
+		b.ReportMetric(per/1e6, "MB-alloc/op")
 		// O(shard) transient memory: shard chunks (≈ encoded bytes,
 		// released as they decode) plus skeleton bookkeeping — never
 		// the raw payload, never a reassembly buffer. (Race builds
 		// inflate allocation counts; the bound only holds unraced.)
-		if !raceEnabled && streamPer >= rawBytes {
+		if !raceEnabled && per >= rawBytes {
 			b.Fatalf("streaming restore allocated %.1f MB/op — expected less than the %.1f MB raw payload",
-				streamPer/1e6, rawBytes/1e6)
+				per/1e6, rawBytes/1e6)
 		}
 	})
-	if !raceEnabled && legacyPer > 0 && streamPer > 0 && streamPer >= legacyPer {
-		b.Fatalf("streaming restore (%.1f MB/op) must allocate less than the legacy path (%.1f MB/op)",
-			streamPer/1e6, legacyPer/1e6)
-	}
 }
 
 // BenchmarkObsOverhead bounds the cost of the observability layer on

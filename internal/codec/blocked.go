@@ -1,59 +1,100 @@
 package codec
 
-import "repro/internal/lossless"
+import (
+	"fmt"
+	"math"
 
-// Container is implemented by codecs whose compressed streams may use
-// the BLK1 blocked container. The streaming restore path uses it to
-// pick the block-layout parser for a checkpoint blob; the ID also lets
-// decode reject a stream written by a different codec.
-type Container interface {
-	// ContainerID returns the BLK1 codec ID the implementation writes.
-	ContainerID() ID
+	"repro/internal/lossless"
+	"repro/internal/parallel"
+	"repro/internal/zfp"
+)
+
+// BlockedZFP is the ZFP-like transform codec as a block codec: every
+// container block is one "ZFG1" stream under the absolute bound.
+type BlockedZFP struct {
+	// Bound is the absolute error bound.
+	Bound float64
+	// BlockElems is the element count per container block; 0 means
+	// DefaultBlockElems.
+	BlockElems int
 }
 
-// BlockedFPC is the lossless FPC codec wrapped in the BLK1 blocked
-// container: compression and decompression run block-parallel, and
-// blocked streams decode shard-by-shard through the streaming restore
-// path. Legacy (un-containered) FPC streams still decode through the
-// fallback path, and inputs of at most one block are emitted in the
-// legacy format, so it is a drop-in replacement for lossless.FPC.
+// ID implements BlockCodec.
+func (BlockedZFP) ID() ID { return ZFP }
+
+// BlockSize rounds the block size up to a multiple of the transform
+// block (zfp.BlockSize), which keeps every transform block inside one
+// container block at the same intra-block offsets: the reconstruction
+// is then bitwise that of one "ZFG1" stream over the whole vector,
+// whatever the container block size.
+func (c BlockedZFP) BlockSize() int {
+	be := c.BlockElems
+	if be <= 0 {
+		be = DefaultBlockElems
+	}
+	if r := be % zfp.BlockSize; r != 0 {
+		be += zfp.BlockSize - r
+	}
+	return be
+}
+
+// EncodeBlock implements BlockCodec. ZFP's transform does not expose
+// per-coefficient reconstructions on the encode path, so an audited
+// block is decoded into pooled scratch while it is cache-hot and the
+// pointwise absolute errors accumulated from that.
+func (c BlockedZFP) EncodeBlock(dst []byte, x []float64, st *Stats) ([]byte, error) {
+	at := len(dst)
+	dst, err := zfp.AppendCompress(dst, x, c.Bound)
+	if err != nil || st == nil {
+		return dst, err
+	}
+	scratch := parallel.GetFloat64s(len(x))[:len(x)]
+	defer parallel.PutFloat64s(scratch)
+	if err := zfp.DecompressInto(scratch, dst[at:]); err != nil {
+		return nil, fmt.Errorf("audit decode: %w", err)
+	}
+	for i, v := range x {
+		d := math.Abs(v - scratch[i])
+		st.Add(math.Abs(v), d, d)
+	}
+	st.Bound, st.Lossy = c.Bound, true
+	return dst, nil
+}
+
+// DecodeBlockInto implements BlockCodec.
+func (BlockedZFP) DecodeBlockInto(dst []float64, block []byte) error {
+	return zfp.DecompressInto(dst, block)
+}
+
+// BlockedFPC is the lossless FPC codec as a block codec.
 type BlockedFPC struct {
 	// BlockElems is the element count per container block; 0 means
 	// DefaultBlockElems.
 	BlockElems int
 }
 
-// Name matches lossless.FPC so checkpoint manifests stay compatible.
-func (BlockedFPC) Name() string { return lossless.FPC{}.Name() }
+// ID implements BlockCodec.
+func (BlockedFPC) ID() ID { return FPC }
 
-// ContainerID implements Container.
-func (BlockedFPC) ContainerID() ID { return FPC }
+// BlockSize implements BlockCodec.
+func (c BlockedFPC) BlockSize() int { return c.BlockElems }
 
-// Compress encodes x exactly, block-parallel.
-func (c BlockedFPC) Compress(x []float64) ([]byte, error) {
-	return Compress(x, Params{Codec: FPC, BlockElems: c.BlockElems})
-}
-
-// Decompress reverses Compress; legacy FPC streams decode too.
-func (c BlockedFPC) Decompress(data []byte) ([]float64, error) {
-	if IsBlocked(data) {
-		return decompress(data, FPC)
+// EncodeBlock implements BlockCodec: exact, so an audit only scans for
+// the peak.
+func (BlockedFPC) EncodeBlock(dst []byte, x []float64, st *Stats) ([]byte, error) {
+	if st != nil {
+		st.AddExact(x)
 	}
-	return lossless.FPC{}.Decompress(data)
+	return lossless.FPC{}.AppendCompress(dst, x)
 }
 
-// DecompressInto reverses Compress into dst; legacy FPC streams decode
-// too.
-func (c BlockedFPC) DecompressInto(dst []float64, data []byte) error {
-	if IsBlocked(data) {
-		return decompressInto(dst, data, FPC)
-	}
-	return lossless.FPC{}.DecompressInto(dst, data)
+// DecodeBlockInto implements BlockCodec.
+func (BlockedFPC) DecodeBlockInto(dst []float64, block []byte) error {
+	return lossless.FPC{}.DecompressInto(dst, block)
 }
 
-// BlockedFlate is the DEFLATE codec wrapped in the BLK1 blocked
-// container; see BlockedFPC for the container semantics. Level follows
-// compress/flate (0 = default).
+// BlockedFlate is the DEFLATE codec (the paper's Gzip baseline) as a
+// block codec. Level follows compress/flate (0 = default).
 type BlockedFlate struct {
 	Level int
 	// BlockElems is the element count per container block; 0 means
@@ -61,38 +102,22 @@ type BlockedFlate struct {
 	BlockElems int
 }
 
-// Name matches lossless.Flate so checkpoint manifests stay compatible.
-func (BlockedFlate) Name() string { return lossless.Flate{}.Name() }
+// ID implements BlockCodec.
+func (BlockedFlate) ID() ID { return Flate }
 
-// ContainerID implements Container.
-func (BlockedFlate) ContainerID() ID { return Flate }
+// BlockSize implements BlockCodec.
+func (c BlockedFlate) BlockSize() int { return c.BlockElems }
 
-// Compress encodes x exactly, block-parallel.
-func (c BlockedFlate) Compress(x []float64) ([]byte, error) {
-	return Compress(x, Params{Codec: Flate, Level: c.Level, BlockElems: c.BlockElems})
-}
-
-// Decompress reverses Compress; legacy flate streams decode too.
-func (c BlockedFlate) Decompress(data []byte) ([]float64, error) {
-	if IsBlocked(data) {
-		return decompress(data, Flate)
+// EncodeBlock implements BlockCodec: exact, so an audit only scans for
+// the peak.
+func (c BlockedFlate) EncodeBlock(dst []byte, x []float64, st *Stats) ([]byte, error) {
+	if st != nil {
+		st.AddExact(x)
 	}
-	return lossless.Flate{Level: c.Level}.Decompress(data)
+	return lossless.Flate{Level: c.Level}.AppendCompress(dst, x)
 }
 
-// DecompressInto reverses Compress into dst; legacy flate streams
-// decode too.
-func (c BlockedFlate) DecompressInto(dst []float64, data []byte) error {
-	if IsBlocked(data) {
-		return decompressInto(dst, data, Flate)
-	}
-	return lossless.Flate{Level: c.Level}.DecompressInto(dst, data)
+// DecodeBlockInto implements BlockCodec.
+func (BlockedFlate) DecodeBlockInto(dst []float64, block []byte) error {
+	return lossless.Flate{}.DecompressInto(dst, block)
 }
-
-// The two adapters satisfy lossless.Codec.
-var (
-	_ lossless.Codec = BlockedFPC{}
-	_ lossless.Codec = BlockedFlate{}
-	_ Container      = BlockedFPC{}
-	_ Container      = BlockedFlate{}
-)

@@ -1,13 +1,13 @@
-// Package codec provides the generic blocked container that gives the
-// non-SZ codecs — ZFP, FPC, and DEFLATE — the same block-parallel
-// treatment the SZ compressor's SZG2 container provides: fixed-size
-// element blocks, each compressed as a fully independent stream of the
-// underlying codec, framed by a header that records every block's byte
+// Package codec is the one blocked container every compressed
+// checkpoint vector is framed in, whichever codec compressed it: the
+// vector is cut into fixed-size element blocks, each block is a fully
+// independent stream of the codec — its own predictor state, Huffman
+// table or DEFLATE window — and a header records every block's byte
 // span. Blocks compress and decompress concurrently across the
-// parallel worker pool, a shard holding whole blocks decodes without
-// its neighbors, and the header layout is compatible with the sharded
-// checkpoint writer's block-aligned cut machinery (BlockRanges /
-// SplitBlocks mirror the sz package's contracts).
+// parallel worker pool with output bytes that depend only on the input
+// and the parameters, a checkpoint shard holding whole blocks decodes
+// them without its neighbours, and the spans are the cut points the
+// sharded checkpoint writer aligns to (BlockRanges).
 //
 // The BLK1 container:
 //
@@ -15,33 +15,37 @@
 //	       | uvarint nBlocks | nBlocks × uvarint blockByteLen
 //	       | concatenated block payloads
 //
-// Block i covers elements [i·blockElems, min(n, (i+1)·blockElems)).
-// Each block payload is the codec ID byte followed by a complete
-// legacy stream of that codec (zfp "ZFG1", fpc, or flate framing), so
-// every block is self-describing and the per-block decoder needs no
-// container context. Legacy single-block streams — anything without
-// the BLK1 magic — still decode through the adapters' fallback path.
+// Block i covers elements [i·blockElems, min(n, (i+1)·blockElems)); an
+// empty vector is one empty block. What a block payload holds is the
+// codec's business (BlockCodec): an SZ core or log-transform payload, a
+// "ZFG1" stream, an FPC or DEFLATE stream. The container never looks
+// inside and never dispatches on the ID — the caller hands it the block
+// codec — so a codec package can sit on top of this one.
 //
-// For ZFP the container block size is forced to a multiple of the
-// transform block (zfp.BlockSize), which keeps every transform block
-// inside one container block at the same intra-block offsets; the
-// blocked reconstruction is then bitwise identical to the legacy
-// stream's. FPC and flate are lossless, so blocked and legacy streams
-// trivially reconstruct the same bits.
+// A vector whose elements are all equal is the one thing not stored in
+// blocks: nBlocks is 0 and the eight bytes after the header are the
+// value (AppendConstant). Keeping constants out of blocks is what
+// makes the elements-per-byte allocation guard sound for every blocked
+// stream; a constant stream has its own ceiling, MaxConstantElems.
+//
+// There is one format. Streams written before it (the SZ-only
+// single-stream and blocked formats, bare zfp/fpc/flate vectors) are
+// rejected with an error naming their magic: no stream outlives its
+// run's checkpoint directory.
 package codec
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/lossless"
 	"repro/internal/parallel"
-	"repro/internal/sz"
-	"repro/internal/zfp"
 )
 
-// ID names the underlying codec of a BLK1 container. The values are
-// part of the on-disk format.
+// ID names the codec of a container. The values are part of the
+// on-disk format.
 type ID byte
 
 const (
@@ -51,6 +55,8 @@ const (
 	FPC ID = 2
 	// Flate is the DEFLATE lossless codec (lossless.Flate).
 	Flate ID = 3
+	// SZ is the prediction-based error-bounded codec (sz package).
+	SZ ID = 4
 )
 
 // String returns the codec's report name, matching the underlying
@@ -63,134 +69,165 @@ func (id ID) String() string {
 		return lossless.FPC{}.Name()
 	case Flate:
 		return lossless.Flate{}.Name()
+	case SZ:
+		return "sz"
 	}
 	return fmt.Sprintf("codec(%d)", byte(id))
 }
 
-// valid reports whether id names a known codec.
-func (id ID) valid() bool { return id == ZFP || id == FPC || id == Flate }
-
 // maxElemsPerByte is the allocation guard for crafted headers: the
-// smallest possible encoded footprint per element for each codec, as a
-// "max elements per payload byte" factor. FPC spends at least a header
-// nibble per value; flate's DEFLATE expands at most ~1032×, and eight
-// raw bytes make one float64; ZFP spends at least one varint byte per
-// coefficient behind the same ~1032× DEFLATE bound.
-func maxElemsPerByte(id ID) int {
+// most elements one payload byte of each codec can genuinely hold, 0
+// for an unknown ID. FPC spends at least a header nibble per value;
+// flate's DEFLATE expands at most ~1032×, and eight raw bytes make one
+// float64; ZFP spends at least one varint byte per coefficient behind
+// the same DEFLATE bound; SZ spends at least one bit per element — a
+// Huffman code, or a zeros- or tiny-bitmap bit in a log-transform
+// block.
+func (id ID) maxElemsPerByte() uint64 {
 	switch id {
+	case ZFP:
+		return 1032
 	case FPC:
 		return 2
 	case Flate:
 		return 129 // ceil(1032/8)
-	case ZFP:
-		return 1032
+	case SZ:
+		return 8
 	}
 	return 0
 }
 
 const magic = "BLK1"
 
-// DefaultBlockElems is the element count per container block when
-// Params.BlockElems is zero. It matches the SZ container's default so
-// shard-cut granularity is uniform across codecs.
+// DefaultBlockElems is the element count per block when a codec's
+// BlockSize is zero: 256 KiB of float64s, in the 64–256 KiB range
+// production SZ implementations use — large enough to amortize the
+// per-block Huffman table, small enough that even modest vectors split
+// across all cores. One default for every codec keeps shard-cut
+// granularity uniform.
 const DefaultBlockElems = 32768
 
-// Range and BlockLayout are shared with the sz package: both
-// containers describe their block structure the same way, so the
-// streaming restore machinery handles either with one set of types.
-type Range = sz.Range
+// MaxConstantElems is the most values an allocating decoder
+// reconstructs from a constant stream (128 MiB of output for some 20
+// bytes of input); BlockLayout.Alloc enforces it. A decoder handed its
+// destination takes the count from there and has no ceiling.
+const MaxConstantElems = 1 << 24
 
-// BlockLayout is the sz package's layout type (see sz.BlockLayout).
-type BlockLayout = sz.BlockLayout
+// BlockCodec compresses and decompresses one block of a container. The
+// container calls it concurrently on distinct blocks, so an
+// implementation holds no mutable state.
+type BlockCodec interface {
+	// ID is the codec ID written to, and required of, the header.
+	ID() ID
+	// BlockSize is the element count per block Compress cuts a vector
+	// into; 0 means DefaultBlockElems.
+	BlockSize() int
+	// EncodeBlock appends the block payload of x to dst, as append
+	// does. A non-nil st receives the distortion the encoding
+	// introduced and the bound it was held to, accumulated on the
+	// encode path itself; the bytes are the same either way.
+	EncodeBlock(dst []byte, x []float64, st *Stats) ([]byte, error)
+	// DecodeBlockInto decodes one block payload into dst, which has
+	// exactly the block's element count. Every element is overwritten
+	// on success.
+	DecodeBlockInto(dst []float64, block []byte) error
+}
 
-// Params selects the codec and shapes the container.
-type Params struct {
-	// Codec picks the underlying compressor.
-	Codec ID
-	// Bound is the absolute error bound (ZFP only; lossless codecs
-	// ignore it).
-	Bound float64
-	// Level is the DEFLATE level (Flate only; 0 = default).
-	Level int
-	// BlockElems is the element count per container block; 0 means
-	// DefaultBlockElems. For ZFP it is rounded up to a multiple of
-	// zfp.BlockSize so blocked output is bitwise identical to legacy.
+// Range is a half-open [Start, End) byte span within an encoded
+// stream.
+type Range struct {
+	Start, End int
+}
+
+// BlockLayout describes a parsed container: the codec, the element
+// count, the elements per full block (the last may be shorter) and the
+// absolute byte span of every block payload within the stream. A
+// consumer holding only a contiguous piece of the stream — a checkpoint
+// shard — decodes exactly the blocks whose spans it covers. A layout
+// without blocks is a constant stream: all N elements equal Constant.
+type BlockLayout struct {
+	ID         ID
+	N          int
 	BlockElems int
+	Blocks     []Range
+	Constant   float64
 }
 
-// sanitize validates p and fills defaults.
-func (p Params) sanitize() (Params, error) {
-	if !p.Codec.valid() {
-		return p, fmt.Errorf("codec: unknown codec id %d", byte(p.Codec))
-	}
-	if p.BlockElems <= 0 {
-		p.BlockElems = DefaultBlockElems
-	}
-	if p.Codec == ZFP {
-		if r := p.BlockElems % zfp.BlockSize; r != 0 {
-			p.BlockElems += zfp.BlockSize - r
-		}
-	}
-	return p, nil
+// ElemRange returns the element span [lo, hi) that block b
+// reconstructs.
+func (l BlockLayout) ElemRange(b int) (lo, hi int) {
+	lo = b * l.BlockElems
+	return lo, min(lo+l.BlockElems, l.N)
 }
 
-// appendBlock appends one block payload — the ID byte plus a complete
-// legacy stream of the codec — to buf.
-func appendBlock(buf []byte, p Params, chunk []float64) ([]byte, error) {
-	buf = append(buf, byte(p.Codec))
-	switch p.Codec {
-	case ZFP:
-		return zfp.AppendCompress(buf, chunk, p.Bound)
-	case FPC:
-		return lossless.FPC{}.AppendCompress(buf, chunk)
-	case Flate:
-		return lossless.Flate{Level: p.Level}.AppendCompress(buf, chunk)
+// Alloc returns a fresh vector of the layout's element count. It is
+// the one place a header's count sizes an allocation: a blocked
+// layout's count passed the parser's elements-per-byte guard, and a
+// constant layout's is held to MaxConstantElems here.
+func (l BlockLayout) Alloc() ([]float64, error) {
+	if len(l.Blocks) == 0 && l.N > MaxConstantElems {
+		return nil, fmt.Errorf("codec: constant stream claims %d values, an allocating decoder takes at most %d", l.N, MaxConstantElems)
 	}
-	return nil, fmt.Errorf("codec: unknown codec id %d", byte(p.Codec))
+	return make([]float64, l.N), nil
 }
 
-// Compress encodes x. Inputs of at most one block emit the codec's
-// legacy stream unchanged (no container framing); larger inputs emit
-// the BLK1 container, compressing blocks concurrently across the
-// worker pool. Output bytes depend only on the input and parameters,
-// never on the schedule.
-func Compress(x []float64, p Params) ([]byte, error) {
-	p, err := p.sanitize()
-	if err != nil {
-		return nil, err
+// blockCount is the number of blocks n elements occupy: an empty
+// vector is one empty block, so a count of zero can mean constant.
+func blockCount(n, blockElems uint64) uint64 {
+	if n == 0 {
+		return 1
 	}
+	return (n-1)/blockElems + 1
+}
+
+// appendHeader is the one header writer: magic through the per-block
+// length table.
+func appendHeader(dst []byte, id ID, n, blockElems int, blocks [][]byte) []byte {
+	dst = append(append(dst, magic...), byte(id))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, uint64(blockElems))
+	dst = binary.AppendUvarint(dst, uint64(len(blocks)))
+	for _, blk := range blocks {
+		dst = binary.AppendUvarint(dst, uint64(len(blk)))
+	}
+	return dst
+}
+
+// blockElemsOf resolves a codec's block size.
+func blockElemsOf(bc BlockCodec) int {
+	if be := bc.BlockSize(); be > 0 {
+		return be
+	}
+	return DefaultBlockElems
+}
+
+// Compress appends the container of x to dst, as append does, the
+// blocks compressed concurrently across the worker pool by bc. A
+// non-nil st receives the per-block stats merged in block order, so
+// they too are independent of the schedule.
+func Compress(dst []byte, x []float64, bc BlockCodec, st *Stats) ([]byte, error) {
 	n := len(x)
-	if n <= p.BlockElems {
-		switch p.Codec {
-		case ZFP:
-			return zfp.Compress(x, p.Bound)
-		case FPC:
-			return lossless.FPC{}.Compress(x)
-		default:
-			return lossless.Flate{Level: p.Level}.Compress(x)
-		}
-	}
-
-	blockElems := p.BlockElems
-	nBlocks := (n + blockElems - 1) / blockElems
+	blockElems := blockElemsOf(bc)
+	nBlocks := int(blockCount(uint64(n), uint64(blockElems)))
 	blocks := make([][]byte, nBlocks)
 	errs := make([]error, nBlocks)
-	parallel.ForBounded(nBlocks, 1, 0, func(lo, hi int) {
+	var stats []Stats
+	if st != nil {
+		stats = make([]Stats, nBlocks)
+	}
+	parallel.For(nBlocks, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
-			start := b * blockElems
-			end := start + blockElems
-			if end > n {
-				end = n
+			chunk := x[min(b*blockElems, n):min((b+1)*blockElems, n)]
+			var bst *Stats
+			if st != nil {
+				bst = &stats[b]
 			}
-			chunk := x[start:end]
-			// One uniform worst-case request (FPC's 8n + n/2 bound is the
-			// largest of the three codecs) keeps every pooled buffer at
-			// least as big as the 8n-byte raw images the codecs stage
-			// internally, so the shared pool reaches a steady state
-			// instead of ping-ponging between compressed-size and
-			// raw-size capacities on every block.
-			buf := parallel.GetBytes(9*len(chunk) + 80)
-			blocks[b], errs[b] = appendBlock(buf, p, chunk)
+			// One worst-case request for every codec (FPC's 8n + n/2 is the
+			// largest) keeps each pooled buffer at least as big as the 8n-byte
+			// raw images the codecs stage internally, so the shared pool
+			// reaches a steady state instead of ping-ponging between
+			// compressed-size and raw-size capacities on every block.
+			blocks[b], errs[b] = bc.EncodeBlock(parallel.GetBytes(9*len(chunk)+80), chunk, bst)
 		}
 	})
 	for b, err := range errs {
@@ -198,204 +235,201 @@ func Compress(x []float64, p Params) ([]byte, error) {
 			return nil, fmt.Errorf("codec: block %d: %w", b, err)
 		}
 	}
-
+	for _, bst := range stats {
+		st.Merge(bst)
+	}
 	total := 0
 	for _, blk := range blocks {
 		total += len(blk)
 	}
-	out := make([]byte, 0, total+16+binary.MaxVarintLen64*(nBlocks+3))
-	out = append(out, magic...)
-	out = append(out, byte(p.Codec))
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		k := binary.PutUvarint(scratch[:], v)
-		out = append(out, scratch[:k]...)
-	}
-	putUvarint(uint64(n))
-	putUvarint(uint64(blockElems))
-	putUvarint(uint64(nBlocks))
+	dst = slices.Grow(dst, total+len(magic)+1+binary.MaxVarintLen64*(nBlocks+3))
+	dst = appendHeader(dst, bc.ID(), n, blockElems, blocks)
 	for _, blk := range blocks {
-		putUvarint(uint64(len(blk)))
-	}
-	for b, blk := range blocks {
-		out = append(out, blk...)
+		dst = append(dst, blk...)
 		parallel.PutBytes(blk)
-		blocks[b] = nil
 	}
-	return out, nil
+	return dst, nil
 }
 
-// IsBlocked reports whether data starts like a BLK1 container.
-func IsBlocked(data []byte) bool {
-	return len(data) >= len(magic) && string(data[:len(magic)]) == magic
+// AppendConstant appends the constant stream of n elements equal to c:
+// a header without blocks, then the value.
+func AppendConstant(dst []byte, bc BlockCodec, n int, c float64) []byte {
+	dst = appendHeader(dst, bc.ID(), n, blockElemsOf(bc), nil)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(c))
 }
 
-// StreamID returns the codec ID recorded in a BLK1 container header.
-func StreamID(data []byte) (ID, bool) {
-	if !IsBlocked(data) || len(data) < len(magic)+1 {
-		return 0, false
+// Whole adapts an in-memory stream — or any prefix of one that holds
+// its complete header — to ParseBlockLayout's head callback.
+func Whole(data []byte) func(n int) ([]byte, error) {
+	return func(n int) ([]byte, error) { return data[:min(n, len(data))], nil }
+}
+
+// headerPrefixLen is the number of leading bytes that always contain
+// the fixed header fields: magic, ID byte and the three size varints.
+const headerPrefixLen = len(magic) + 1 + 3*binary.MaxVarintLen64
+
+// ParseBlockLayout validates a container header and returns its
+// layout. It is the one header parser — the decompressors, the
+// shard-cut alignment and the streaming restore all go through it — so
+// the allocation guards against crafted headers apply uniformly, and
+// before any caller allocates output: a genuine stream can never claim
+// more blocks than remaining bytes (each costs a length byte), more
+// elements than its codec fits in the remaining bytes, or block spans
+// that do not cover the stream exactly.
+//
+// head(n) returns the first min(n, streamLen) bytes of the stream, so a
+// reader that holds the stream in pieces fetches the header alone (it
+// is asked for the fixed fields, then for the length table, whose size
+// they give); in-memory callers pass Whole(data). streamLen is the byte
+// length of the full stream, which the guards and the spans are
+// validated against. All arithmetic on header fields stays in uint64
+// until a guard has bounded it: a crafted count converted first wraps.
+func ParseBlockLayout(head func(n int) ([]byte, error), streamLen int) (BlockLayout, error) {
+	var lay BlockLayout
+	data, err := head(headerPrefixLen)
+	if err != nil {
+		return lay, err
+	}
+	if len(data) < len(magic)+1 || string(data[:len(magic)]) != magic {
+		return lay, fmt.Errorf("codec: not a %s stream (starts %q)", magic, data[:min(len(magic), len(data))])
 	}
 	id := ID(data[len(magic)])
-	return id, id.valid()
-}
-
-// parseLayout validates a BLK1 container header and returns its codec
-// ID and block layout: offsets[b] is the absolute byte offset of block
-// b's payload, with offsets[nBlocks] == streamLen. data must contain
-// the complete header (through the block-length table) but may be
-// truncated before the payloads; streamLen is the byte length of the
-// full stream, against which the allocation guards and block spans are
-// validated. The guards reject crafted headers before any caller
-// allocates output.
-func parseLayout(data []byte, streamLen int) (ID, blockedLayout, error) {
-	var lay blockedLayout
-	if !IsBlocked(data) {
-		return 0, lay, fmt.Errorf("codec: not a BLK1 stream")
+	perByte := id.maxElemsPerByte()
+	if perByte == 0 {
+		return lay, fmt.Errorf("codec: unknown codec id %d", byte(id))
 	}
 	off := len(magic) + 1
-	if len(data) < off {
-		return 0, lay, fmt.Errorf("codec: truncated blocked header")
-	}
-	id := ID(data[len(magic)])
-	if !id.valid() {
-		return 0, lay, fmt.Errorf("codec: unknown codec id %d", byte(id))
-	}
-	getUvarint := func() (uint64, error) {
+	var fields [3]uint64 // n, blockElems, nBlocks
+	for i := range fields {
 		v, k := binary.Uvarint(data[off:])
 		if k <= 0 {
-			return 0, fmt.Errorf("codec: truncated blocked header")
+			return lay, fmt.Errorf("codec: truncated blocked header")
 		}
+		fields[i] = v
 		off += k
-		return v, nil
 	}
-	n64, err := getUvarint()
-	if err != nil {
-		return 0, lay, err
+	n, blockElems, nBlocks := fields[0], fields[1], fields[2]
+	if off > streamLen {
+		return lay, fmt.Errorf("codec: truncated blocked header")
 	}
-	blockElems64, err := getUvarint()
-	if err != nil {
-		return 0, lay, err
+	rem := uint64(streamLen - off)
+	if blockElems < 1 || blockElems > math.MaxInt64 {
+		return lay, fmt.Errorf("codec: invalid blocked header (n=%d blockElems=%d nBlocks=%d)", n, blockElems, nBlocks)
 	}
-	nBlocks64, err := getUvarint()
-	if err != nil {
-		return 0, lay, err
+	if nBlocks == 0 {
+		if n > math.MaxInt64 || rem != 8 {
+			return lay, fmt.Errorf("codec: constant stream of %d values has %d payload bytes, want 8", n, rem)
+		}
+		if data, err = head(streamLen); err != nil {
+			return lay, err
+		}
+		if len(data) < streamLen {
+			return lay, fmt.Errorf("codec: truncated constant stream")
+		}
+		c := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+		return BlockLayout{ID: id, N: int(n), BlockElems: int(blockElems), Constant: c}, nil
 	}
-	n := int(n64)
-	blockElems := int(blockElems64)
-	nBlocks := int(nBlocks64)
-	if n < 0 || blockElems < 1 || nBlocks < 1 {
-		return 0, lay, fmt.Errorf("codec: invalid blocked header (n=%d blockElems=%d nBlocks=%d)",
-			n, blockElems, nBlocks)
-	}
-	if want := (n + blockElems - 1) / blockElems; want != nBlocks {
-		return 0, lay, fmt.Errorf("codec: blocked header inconsistent: %d elements in %d-element blocks needs %d blocks, header says %d",
+	if want := blockCount(n, blockElems); want != nBlocks {
+		return lay, fmt.Errorf("codec: blocked header inconsistent: %d elements in %d-element blocks needs %d blocks, header says %d",
 			n, blockElems, want, nBlocks)
 	}
-	// Allocation guards: every block needs at least one length byte,
-	// and the codec's minimum encoded footprint bounds how many
-	// elements the remaining bytes could genuinely hold.
-	if nBlocks > streamLen-off {
-		return 0, lay, fmt.Errorf("codec: %d blocks exceed %d remaining bytes", nBlocks, streamLen-off)
+	if nBlocks > rem {
+		return lay, fmt.Errorf("codec: %d blocks exceed %d remaining bytes", nBlocks, rem)
 	}
-	if n > maxElemsPerByte(id)*(streamLen-off) {
-		return 0, lay, fmt.Errorf("codec: %d elements exceed %d payload bytes", n, streamLen-off)
+	if n > 0 && (n-1)/perByte >= rem { // n > perByte·rem, without the product
+		return lay, fmt.Errorf("codec: %d elements exceed %d payload bytes", n, rem)
 	}
-	lens := make([]int, nBlocks)
-	for b := range lens {
-		l, err := getUvarint()
-		if err != nil {
-			return 0, lay, err
+	need := off + int(nBlocks)*binary.MaxVarintLen64
+	if need > streamLen || need < off {
+		need = streamLen
+	}
+	if data, err = head(need); err != nil {
+		return lay, err
+	}
+	blocks := make([]Range, nBlocks)
+	for b := range blocks {
+		l, k := binary.Uvarint(data[min(off, len(data)):])
+		if k <= 0 {
+			return lay, fmt.Errorf("codec: truncated blocked header")
 		}
-		if l > uint64(streamLen-off) {
-			return 0, lay, fmt.Errorf("codec: block %d length %d exceeds payload", b, l)
+		off += k
+		if off > streamLen || l > uint64(streamLen-off) {
+			return lay, fmt.Errorf("codec: block %d length %d exceeds payload", b, l)
 		}
-		lens[b] = int(l)
+		blocks[b].End = int(l) // the length, until the table's end is known
 	}
-	offsets := make([]int, nBlocks+1)
-	offsets[0] = off
-	for b, l := range lens {
-		offsets[b+1] = offsets[b] + l
+	at := off
+	for b := range blocks {
+		l := blocks[b].End
+		if l > streamLen-at {
+			return lay, fmt.Errorf("codec: block %d overruns the %d payload bytes", b, streamLen-off)
+		}
+		blocks[b] = Range{Start: at, End: at + l}
+		at += l
 	}
-	if offsets[nBlocks] != streamLen {
-		return 0, lay, fmt.Errorf("codec: blocked payload is %d bytes, blocks cover %d",
-			streamLen-off, offsets[nBlocks]-off)
+	if at != streamLen {
+		return lay, fmt.Errorf("codec: blocked payload is %d bytes, blocks cover %d", streamLen-off, at-off)
 	}
-	return id, blockedLayout{n: n, blockElems: blockElems, offsets: offsets}, nil
+	return BlockLayout{ID: id, N: int(n), BlockElems: int(blockElems), Blocks: blocks}, nil
 }
 
-// blockedLayout mirrors the sz package's internal layout form.
-type blockedLayout struct {
-	n, blockElems int
-	offsets       []int
+// parseFor parses an in-memory stream and checks it was written by bc's
+// codec: a container holding another codec's data is rejected.
+func parseFor(data []byte, bc BlockCodec) (BlockLayout, error) {
+	lay, err := ParseBlockLayout(Whole(data), len(data))
+	if err == nil && lay.ID != bc.ID() {
+		err = fmt.Errorf("codec: stream holds %v data, want %v", lay.ID, bc.ID())
+	}
+	return lay, err
 }
 
-// Decompress decodes a BLK1 container (any codec).
-func Decompress(data []byte) ([]float64, error) {
-	return decompress(data, 0)
-}
-
-// DecompressAs is Decompress restricted to containers written by the
-// given codec; a container holding another codec's data is rejected.
-func DecompressAs(data []byte, want ID) ([]float64, error) {
-	return decompress(data, want)
-}
-
-func decompress(data []byte, want ID) ([]float64, error) {
-	id, lay, err := parseLayout(data, len(data))
+// Decompress decodes a container written by bc's codec into a fresh
+// vector.
+func Decompress(data []byte, bc BlockCodec) ([]float64, error) {
+	lay, err := parseFor(data, bc)
 	if err != nil {
 		return nil, err
 	}
-	if want != 0 && id != want {
-		return nil, fmt.Errorf("codec: stream holds %v data, want %v", id, want)
+	out, err := lay.Alloc()
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, lay.n)
-	if err := decodeBlocksInto(data, lay, out); err != nil {
+	if err := lay.DecodeInto(out, data, bc); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecompressInto decodes a BLK1 container into dst, whose length must
-// equal the stream's element count; blocks decode concurrently
-// straight into their slices of dst.
-func DecompressInto(dst []float64, data []byte) error {
-	return decompressInto(dst, data, 0)
-}
-
-// DecompressIntoAs is DecompressInto restricted to containers written
-// by the given codec.
-func DecompressIntoAs(dst []float64, data []byte, want ID) error {
-	return decompressInto(dst, data, want)
-}
-
-func decompressInto(dst []float64, data []byte, want ID) error {
-	id, lay, err := parseLayout(data, len(data))
+// DecompressInto decodes a container written by bc's codec into dst,
+// whose length must equal the stream's element count; blocks decode
+// concurrently straight into their slices of dst. Every element of dst
+// is overwritten on success; on error its contents are unspecified.
+func DecompressInto(dst []float64, data []byte, bc BlockCodec) error {
+	lay, err := parseFor(data, bc)
 	if err != nil {
 		return err
 	}
-	if want != 0 && id != want {
-		return fmt.Errorf("codec: stream holds %v data, want %v", id, want)
+	if len(dst) != lay.N {
+		return fmt.Errorf("codec: stream holds %d values, dst has %d", lay.N, len(dst))
 	}
-	if len(dst) != lay.n {
-		return fmt.Errorf("codec: stream holds %d values, dst has %d", lay.n, len(dst))
-	}
-	return decodeBlocksInto(data, lay, dst)
+	return lay.DecodeInto(dst, data, bc)
 }
 
-// decodeBlocksInto decodes every block of a parsed BLK1 stream into
-// its slice of out, concurrently across the worker pool.
-func decodeBlocksInto(data []byte, lay blockedLayout, out []float64) error {
-	n, blockElems, offsets := lay.n, lay.blockElems, lay.offsets
-	nBlocks := len(offsets) - 1
-	errs := make([]error, nBlocks)
-	parallel.ForBounded(nBlocks, 1, 0, func(lo, hi int) {
+// DecodeInto decodes every block of the stream the layout was parsed
+// from into its slice of out (len(out) == l.N), concurrently across
+// the worker pool.
+func (l BlockLayout) DecodeInto(out []float64, data []byte, bc BlockCodec) error {
+	if len(l.Blocks) == 0 {
+		for i := range out {
+			out[i] = l.Constant
+		}
+		return nil
+	}
+	errs := make([]error, len(l.Blocks))
+	parallel.For(len(l.Blocks), 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
-			start := b * blockElems
-			end := start + blockElems
-			if end > n {
-				end = n
-			}
-			errs[b] = DecodeBlockInto(out[start:end], data[offsets[b]:offsets[b+1]])
+			from, to := l.ElemRange(b)
+			errs[b] = bc.DecodeBlockInto(out[from:to], data[l.Blocks[b].Start:l.Blocks[b].End])
 		}
 	})
 	for b, err := range errs {
@@ -406,144 +440,13 @@ func decodeBlocksInto(data []byte, lay blockedLayout, out []float64) error {
 	return nil
 }
 
-// DecodeBlockInto decodes one BLK1 block payload — the bytes of one
-// BlockLayout span — into dst, which must hold exactly the block's
-// element count (BlockLayout.ElemRange). It is the streaming-decode
-// entry point: every block is a fully independent compression unit,
-// so a shard holding whole blocks decodes without its neighbors.
-func DecodeBlockInto(dst []float64, block []byte) error {
-	if len(block) < 1 {
-		return fmt.Errorf("codec: empty block")
-	}
-	id, payload := ID(block[0]), block[1:]
-	switch id {
-	case ZFP:
-		return zfp.DecompressInto(dst, payload)
-	case FPC:
-		return lossless.FPC{}.DecompressInto(dst, payload)
-	case Flate:
-		return lossless.Flate{}.DecompressInto(dst, payload)
-	}
-	return fmt.Errorf("codec: unknown block payload codec %d", byte(id))
-}
-
-// HeaderPrefixLen is the number of leading bytes of a BLK1 stream that
-// always contain the fixed header fields (magic, ID byte, and the
-// three size varints); HeaderLenBound needs at most this much. It
-// equals sz.HeaderPrefixLen, so streaming readers can peek once for
-// either container family.
-const HeaderPrefixLen = 5 + 3*binary.MaxVarintLen64
-
-// HeaderLenBound reports an upper bound on the byte length of a BLK1
-// container header (through the per-block length table), given the
-// stream's first bytes. Streaming readers use it to size the header
-// fetch before ParseBlockLayout: peek HeaderPrefixLen bytes, get the
-// bound, fetch that much, parse. ok is false when prefix is not the
-// start of a BLK1 stream or is too short to tell.
-func HeaderLenBound(prefix []byte) (bound int, ok bool) {
-	if !IsBlocked(prefix) {
-		return 0, false
-	}
-	off := len(magic) + 1
-	if len(prefix) < off {
-		return 0, false
-	}
-	var nBlocks uint64
-	for j := 0; j < 3; j++ {
-		v, k := binary.Uvarint(prefix[off:])
-		if k <= 0 {
-			return 0, false
-		}
-		off += k
-		nBlocks = v
-	}
-	// Guard the bound arithmetic against a crafted count; the real
-	// nBlocks-vs-stream-length check happens in parseLayout.
-	if nBlocks > uint64(1<<31/binary.MaxVarintLen64) {
-		return 0, false
-	}
-	return off + int(nBlocks)*binary.MaxVarintLen64, true
-}
-
-// ParseBlockLayout validates a BLK1 container header and returns its
-// block layout. header must contain the complete header (magic
-// through the block-length table) and may be truncated anywhere after
-// it; streamLen is the byte length of the full stream, which the
-// crafted-header allocation guards and the block spans are validated
-// against. In-memory callers pass the whole stream and its length.
-func ParseBlockLayout(header []byte, streamLen int) (BlockLayout, error) {
-	_, lay, err := parseLayout(header, streamLen)
-	if err != nil {
-		return BlockLayout{}, err
-	}
-	bl := BlockLayout{N: lay.n, BlockElems: lay.blockElems, Blocks: make([]Range, len(lay.offsets)-1)}
-	for b := range bl.Blocks {
-		bl.Blocks[b] = Range{Start: lay.offsets[b], End: lay.offsets[b+1]}
-	}
-	return bl, nil
-}
-
-// BlockRanges returns the absolute byte span of every independently
-// compressed block payload inside a BLK1 stream, in order; the first
-// span starts after the container header and the last ends at
-// len(data). It returns (nil, false) when data is not a valid BLK1
-// container (legacy single-block streams, other formats, corrupt
-// headers). The spans are the natural cut points for sharded
-// checkpoint storage, exactly like sz.BlockRanges.
+// BlockRanges returns the absolute byte span of every block payload
+// inside a container, in order: the first span starts after the header
+// and the last ends at len(data); a constant stream has none. It
+// returns false when data is not a valid container. The spans are the
+// natural cut points for sharded checkpoint storage: a shard cut along
+// them holds whole compression units.
 func BlockRanges(data []byte) ([]Range, bool) {
-	_, lay, err := parseLayout(data, len(data))
-	if err != nil {
-		return nil, false
-	}
-	ranges := make([]Range, len(lay.offsets)-1)
-	for b := range ranges {
-		ranges[b] = Range{Start: lay.offsets[b], End: lay.offsets[b+1]}
-	}
-	return ranges, true
-}
-
-// SplitBlocks partitions an encoded stream into at most maxParts
-// contiguous byte spans that cover it exactly. For BLK1 streams every
-// cut falls on a block boundary (the container header travels with the
-// first span) and the spans are balanced by bytes, not block count, so
-// unevenly compressible blocks still split into similar-sized parts.
-// Legacy or foreign streams return a single span; maxParts < 1 is
-// treated as 1. The contract matches sz.SplitBlocks.
-func SplitBlocks(data []byte, maxParts int) []Range {
-	if maxParts < 1 {
-		maxParts = 1
-	}
-	whole := []Range{{Start: 0, End: len(data)}}
-	if maxParts == 1 {
-		return whole
-	}
-	blocks, ok := BlockRanges(data)
-	if !ok || len(blocks) == 0 {
-		return whole
-	}
-	if maxParts > len(blocks) {
-		maxParts = len(blocks)
-	}
-	parts := make([]Range, 0, maxParts)
-	start := 0
-	bi := 0
-	for p := 0; p < maxParts; p++ {
-		// Even byte target for the remaining parts, then advance to the
-		// nearest block boundary at or past it.
-		target := start + (len(data)-start+maxParts-p-1)/(maxParts-p)
-		end := len(data)
-		if p < maxParts-1 {
-			for bi < len(blocks)-1 && blocks[bi].End < target {
-				bi++
-			}
-			end = blocks[bi].End
-			bi++
-		}
-		parts = append(parts, Range{Start: start, End: end})
-		if end == len(data) {
-			break
-		}
-		start = end
-	}
-	return parts
+	lay, err := ParseBlockLayout(Whole(data), len(data))
+	return lay.Blocks, err == nil
 }

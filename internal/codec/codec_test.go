@@ -1,13 +1,17 @@
-package codec
+package codec_test
 
 import (
 	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
+	. "repro/internal/codec"
 	"repro/internal/lossless"
+	"repro/internal/sz"
 	"repro/internal/zfp"
 )
 
@@ -22,250 +26,212 @@ func testField(n int, seed int64) []float64 {
 	return x
 }
 
-// allParams returns one Params per codec with a small block size so
-// modest inputs exercise the container.
-func allParams(blockElems int) []Params {
-	return []Params{
-		{Codec: ZFP, Bound: 1e-6, BlockElems: blockElems},
-		{Codec: FPC, BlockElems: blockElems},
-		{Codec: Flate, BlockElems: blockElems},
+const zfpBound = 1e-6
+
+// blockCodecs returns the three codecs this package adapts, with a
+// small block size so modest inputs span several blocks.
+func blockCodecs(blockElems int) []BlockCodec {
+	return []BlockCodec{
+		BlockedZFP{Bound: zfpBound, BlockElems: blockElems},
+		BlockedFPC{BlockElems: blockElems},
+		BlockedFlate{BlockElems: blockElems},
 	}
 }
 
+func compress(t testing.TB, x []float64, bc BlockCodec) []byte {
+	t.Helper()
+	enc, err := Compress(nil, x, bc, nil)
+	if err != nil {
+		t.Fatalf("%v: compress: %v", bc.ID(), err)
+	}
+	return enc
+}
+
+func layoutOf(t testing.TB, enc []byte) BlockLayout {
+	t.Helper()
+	lay, err := ParseBlockLayout(Whole(enc), len(enc))
+	if err != nil {
+		t.Fatalf("ParseBlockLayout: %v", err)
+	}
+	return lay
+}
+
+// bareDecode decodes a whole-vector stream of bc's underlying codec,
+// outside any container: the reference the blocks are compared to.
+func bareDecode(t testing.TB, x []float64, bc BlockCodec) []float64 {
+	t.Helper()
+	var dec []float64
+	var err error
+	switch bc.ID() {
+	case ZFP:
+		var bare []byte
+		if bare, err = zfp.Compress(x, zfpBound); err == nil {
+			dec, err = zfp.Decompress(bare)
+		}
+	case FPC:
+		var bare []byte
+		if bare, err = (lossless.FPC{}).Compress(x); err == nil {
+			dec, err = lossless.FPC{}.Decompress(bare)
+		}
+	default:
+		var bare []byte
+		if bare, err = (lossless.Flate{}).Compress(x); err == nil {
+			dec, err = lossless.Flate{}.Decompress(bare)
+		}
+	}
+	if err != nil {
+		t.Fatalf("%v: bare codec: %v", bc.ID(), err)
+	}
+	return dec
+}
+
+// TestRoundTripBlockedAndLegacy: every length is framed — one block or
+// many, the empty vector included — and round-trips within the codec's
+// contract; a bare stream of the underlying codec, which inputs of at
+// most one block used to be written as, is turned away by name.
 func TestRoundTripBlockedAndLegacy(t *testing.T) {
-	for _, n := range []int{1, 31, 100, 4096, 4097, 14000} {
+	for _, n := range []int{0, 1, 31, 100, 4096, 4097, 14000} {
 		x := testField(n, int64(n))
-		for _, p := range allParams(4096) {
-			enc, err := Compress(x, p)
+		for _, bc := range blockCodecs(4096) {
+			enc := compress(t, x, bc)
+			lay := layoutOf(t, enc)
+			if want := max(1, (n+4095)/4096); len(lay.Blocks) != want || lay.N != n || lay.ID != bc.ID() {
+				t.Fatalf("%v n=%d: %d blocks of codec %v for %d values, want %d", bc.ID(), n, len(lay.Blocks), lay.ID, lay.N, want)
+			}
+			dec, err := Decompress(enc, bc)
 			if err != nil {
-				t.Fatalf("%v n=%d: compress: %v", p.Codec, n, err)
-			}
-			wantBlocked := n > 4096
-			if IsBlocked(enc) != wantBlocked {
-				t.Fatalf("%v n=%d: blocked=%v, want %v", p.Codec, n, IsBlocked(enc), wantBlocked)
-			}
-			var dec []float64
-			if IsBlocked(enc) {
-				dec, err = Decompress(enc)
-			} else {
-				switch p.Codec {
-				case ZFP:
-					dec, err = zfp.Decompress(enc)
-				case FPC:
-					dec, err = lossless.FPC{}.Decompress(enc)
-				default:
-					dec, err = lossless.Flate{}.Decompress(enc)
-				}
-			}
-			if err != nil {
-				t.Fatalf("%v n=%d: decompress: %v", p.Codec, n, err)
+				t.Fatalf("%v n=%d: decompress: %v", bc.ID(), n, err)
 			}
 			if len(dec) != n {
-				t.Fatalf("%v n=%d: got %d values", p.Codec, n, len(dec))
+				t.Fatalf("%v n=%d: got %d values", bc.ID(), n, len(dec))
 			}
 			for i := range x {
-				if p.Codec == ZFP {
-					if d := math.Abs(dec[i] - x[i]); d > p.Bound*(1+1e-12) {
-						t.Fatalf("%v n=%d: |err|=%g exceeds bound at %d", p.Codec, n, d, i)
+				if bc.ID() == ZFP {
+					if d := math.Abs(dec[i] - x[i]); d > zfpBound*(1+1e-12) {
+						t.Fatalf("%v n=%d: |err|=%g exceeds bound at %d", bc.ID(), n, d, i)
 					}
 				} else if dec[i] != x[i] {
-					t.Fatalf("%v n=%d: lossless mismatch at %d: %v != %v", p.Codec, n, i, dec[i], x[i])
+					t.Fatalf("%v n=%d: lossless mismatch at %d: %v != %v", bc.ID(), n, i, dec[i], x[i])
 				}
 			}
 			// DecompressInto must agree bitwise with Decompress.
-			if IsBlocked(enc) {
-				into := make([]float64, n)
-				if err := DecompressInto(into, enc); err != nil {
-					t.Fatalf("%v n=%d: DecompressInto: %v", p.Codec, n, err)
-				}
-				for i := range dec {
-					if math.Float64bits(into[i]) != math.Float64bits(dec[i]) {
-						t.Fatalf("%v n=%d: Into differs at %d", p.Codec, n, i)
-					}
-				}
+			into := make([]float64, n)
+			if err := DecompressInto(into, enc, bc); err != nil {
+				t.Fatalf("%v n=%d: DecompressInto: %v", bc.ID(), n, err)
+			}
+			if !bytesEqualFloats(into, dec) {
+				t.Fatalf("%v n=%d: Into differs", bc.ID(), n)
 			}
 		}
 	}
+	bare, err := zfp.Compress(testField(100, 1), zfpBound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress(bare, BlockedZFP{}); err == nil || !strings.Contains(err.Error(), "ZFG1") {
+		t.Fatalf("bare ZFG1 vector: %v, want an error naming the magic", err)
+	}
 }
 
-// TestBlockedMatchesLegacyBitwise checks that the blocked container
-// reconstructs exactly the bits the legacy stream does: trivially true
-// for the lossless codecs, and true for ZFP because container blocks
-// are forced to transform-block multiples.
+// TestBlockedMatchesLegacyBitwise checks that the blocks reconstruct
+// exactly the bits one stream of the codec over the whole vector does:
+// trivially true for the lossless codecs, and true for ZFP because
+// container blocks are forced to transform-block multiples.
 func TestBlockedMatchesLegacyBitwise(t *testing.T) {
 	n := 10000
 	x := testField(n, 7)
-	for _, p := range allParams(2048) {
-		legacyP := p
-		legacyP.BlockElems = n + 1 // force legacy
-		legacy, err := Compress(x, legacyP)
+	for _, bc := range blockCodecs(2048) {
+		enc := compress(t, x, bc)
+		if got := len(layoutOf(t, enc).Blocks); got != 5 {
+			t.Fatalf("%v: %d blocks, want 5", bc.ID(), got)
+		}
+		blockedDec, err := Decompress(enc, bc)
 		if err != nil {
-			t.Fatalf("%v: legacy compress: %v", p.Codec, err)
+			t.Fatalf("%v: blocked decompress: %v", bc.ID(), err)
 		}
-		blocked, err := Compress(x, p)
-		if err != nil {
-			t.Fatalf("%v: blocked compress: %v", p.Codec, err)
-		}
-		if !IsBlocked(blocked) || IsBlocked(legacy) {
-			t.Fatalf("%v: container selection wrong", p.Codec)
-		}
-		var legacyDec []float64
-		switch p.Codec {
-		case ZFP:
-			legacyDec, err = zfp.Decompress(legacy)
-		case FPC:
-			legacyDec, err = lossless.FPC{}.Decompress(legacy)
-		default:
-			legacyDec, err = lossless.Flate{}.Decompress(legacy)
-		}
-		if err != nil {
-			t.Fatalf("%v: legacy decompress: %v", p.Codec, err)
-		}
-		blockedDec, err := Decompress(blocked)
-		if err != nil {
-			t.Fatalf("%v: blocked decompress: %v", p.Codec, err)
-		}
-		for i := range legacyDec {
-			if math.Float64bits(legacyDec[i]) != math.Float64bits(blockedDec[i]) {
-				t.Fatalf("%v: reconstruction differs at %d: %x != %x",
-					p.Codec, i, math.Float64bits(legacyDec[i]), math.Float64bits(blockedDec[i]))
-			}
+		if !bytesEqualFloats(bareDecode(t, x, bc), blockedDec) {
+			t.Fatalf("%v: blocks reconstruct other bits than one stream", bc.ID())
 		}
 	}
 }
 
 // TestZFPBlockElemsRounding verifies the transform-alignment rule.
 func TestZFPBlockElemsRounding(t *testing.T) {
-	p, err := Params{Codec: ZFP, Bound: 1e-4, BlockElems: 1000}.sanitize()
-	if err != nil {
-		t.Fatal(err)
+	be := BlockedZFP{Bound: 1e-4, BlockElems: 1000}.BlockSize()
+	if be%zfp.BlockSize != 0 {
+		t.Fatalf("block size %d not a transform-block multiple", be)
 	}
-	if p.BlockElems%zfp.BlockSize != 0 {
-		t.Fatalf("BlockElems %d not a transform-block multiple", p.BlockElems)
+	if be < 1000 {
+		t.Fatalf("block size rounded down: %d", be)
 	}
-	if p.BlockElems < 1000 {
-		t.Fatalf("BlockElems rounded down: %d", p.BlockElems)
+	if got := (BlockedZFP{}).BlockSize(); got != DefaultBlockElems {
+		t.Fatalf("default block size %d", got)
 	}
 }
 
 func TestBlockLayoutAndPerBlockDecode(t *testing.T) {
 	n := 9000
 	x := testField(n, 3)
-	for _, p := range allParams(2048) {
-		enc, err := Compress(x, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lay, err := ParseBlockLayout(enc, len(enc))
-		if err != nil {
-			t.Fatalf("%v: ParseBlockLayout: %v", p.Codec, err)
-		}
+	for _, bc := range blockCodecs(2048) {
+		enc := compress(t, x, bc)
+		lay := layoutOf(t, enc)
 		if lay.N != n {
-			t.Fatalf("%v: layout N=%d", p.Codec, lay.N)
+			t.Fatalf("%v: layout N=%d", bc.ID(), lay.N)
 		}
-		full, err := Decompress(enc)
+		full, err := Decompress(enc, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for b, span := range lay.Blocks {
 			lo, hi := lay.ElemRange(b)
 			dst := make([]float64, hi-lo)
-			if err := DecodeBlockInto(dst, enc[span.Start:span.End]); err != nil {
-				t.Fatalf("%v: block %d: %v", p.Codec, b, err)
+			if err := bc.DecodeBlockInto(dst, enc[span.Start:span.End]); err != nil {
+				t.Fatalf("%v: block %d: %v", bc.ID(), b, err)
 			}
-			for i := range dst {
-				if math.Float64bits(dst[i]) != math.Float64bits(full[lo+i]) {
-					t.Fatalf("%v: block %d differs at %d", p.Codec, b, i)
-				}
+			if !bytesEqualFloats(dst, full[lo:hi]) {
+				t.Fatalf("%v: block %d differs", bc.ID(), b)
 			}
 		}
-		// HeaderLenBound must cover the real header (first block start).
-		bound, ok := HeaderLenBound(enc[:HeaderPrefixLen])
-		if !ok || bound < lay.Blocks[0].Start {
-			t.Fatalf("%v: HeaderLenBound=%d ok=%v, header ends at %d", p.Codec, bound, ok, lay.Blocks[0].Start)
+		// The header alone — what the parser asks a streaming reader
+		// for — yields the same layout.
+		hdr, err := ParseBlockLayout(Whole(enc[:lay.Blocks[0].Start]), len(enc))
+		if err != nil || len(hdr.Blocks) != len(lay.Blocks) {
+			t.Fatalf("%v: layout from the header bytes alone: %v", bc.ID(), err)
 		}
 		// BlockRanges must match the layout spans.
 		ranges, ok := BlockRanges(enc)
 		if !ok || len(ranges) != len(lay.Blocks) {
-			t.Fatalf("%v: BlockRanges mismatch", p.Codec)
+			t.Fatalf("%v: BlockRanges mismatch", bc.ID())
 		}
 		for b := range ranges {
-			if ranges[b] != lay.Blocks[b] {
-				t.Fatalf("%v: range %d mismatch", p.Codec, b)
+			if ranges[b] != lay.Blocks[b] || hdr.Blocks[b] != lay.Blocks[b] {
+				t.Fatalf("%v: range %d mismatch", bc.ID(), b)
 			}
 		}
-	}
-}
-
-func TestSplitBlocksAligned(t *testing.T) {
-	n := 20000
-	x := testField(n, 11)
-	enc, err := Compress(x, Params{Codec: FPC, BlockElems: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges, _ := BlockRanges(enc)
-	ends := map[int]bool{}
-	for _, r := range ranges {
-		ends[r.End] = true
-	}
-	for _, parts := range [][]Range{SplitBlocks(enc, 3), SplitBlocks(enc, 7), SplitBlocks(enc, 1000)} {
-		pos := 0
-		for i, part := range parts {
-			if part.Start != pos {
-				t.Fatalf("part %d starts at %d, want %d", i, part.Start, pos)
-			}
-			if i < len(parts)-1 && !ends[part.End] {
-				t.Fatalf("part %d cut at %d is not a block boundary", i, part.End)
-			}
-			pos = part.End
-		}
-		if pos != len(enc) {
-			t.Fatalf("parts cover %d of %d bytes", pos, len(enc))
-		}
-	}
-	// Legacy streams split into a single span.
-	legacy, err := lossless.FPC{}.Compress(x[:100])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts := SplitBlocks(legacy, 4); len(parts) != 1 || parts[0] != (Range{Start: 0, End: len(legacy)}) {
-		t.Fatalf("legacy split: %v", parts)
 	}
 }
 
 // mangleHeader re-encodes a BLK1 header with the given fields, keeping
 // the original payload bytes, to craft inconsistent streams.
-func mangleHeader(t *testing.T, enc []byte, n, blockElems, nBlocks uint64, lens []uint64, payload []byte) []byte {
-	t.Helper()
+func mangleHeader(enc []byte, n, blockElems, nBlocks uint64, lens []uint64, payload []byte) []byte {
 	out := append([]byte(nil), enc[:5]...)
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		k := binary.PutUvarint(scratch[:], v)
-		out = append(out, scratch[:k]...)
-	}
-	put(n)
-	put(blockElems)
-	put(nBlocks)
+	out = binary.AppendUvarint(out, n)
+	out = binary.AppendUvarint(out, blockElems)
+	out = binary.AppendUvarint(out, nBlocks)
 	for _, l := range lens {
-		put(l)
+		out = binary.AppendUvarint(out, l)
 	}
 	return append(out, payload...)
 }
 
-// TestCraftedHeaderRobustness is the PR-4 hardening contract for the
-// new container: corrupt or adversarial headers must be rejected by
-// the parser, before any output allocation happens.
+// TestCraftedHeaderRobustness is the hardening contract of the
+// container: corrupt or adversarial headers must be rejected by the
+// parser, before any output allocation happens.
 func TestCraftedHeaderRobustness(t *testing.T) {
 	x := testField(8192, 5)
-	enc, err := Compress(x, Params{Codec: FPC, BlockElems: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, err := ParseBlockLayout(enc, len(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bc := BlockedFPC{BlockElems: 2048}
+	enc := compress(t, x, bc)
+	lay := layoutOf(t, enc)
 	payload := enc[lay.Blocks[0].Start:]
 	nb := uint64(len(lay.Blocks))
 	lens := make([]uint64, nb)
@@ -274,25 +240,35 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 	}
 
 	cases := map[string][]byte{
-		"empty":              {},
-		"magic only":         []byte("BLK1"),
-		"truncated prefix":   enc[:6],
-		"truncated table":    enc[:lay.Blocks[0].Start-2],
-		"unknown id":         append([]byte("BLK1\xEE"), enc[5:]...),
-		"zero blocks":        mangleHeader(t, enc, 8192, 2048, 0, nil, payload),
-		"zero blockElems":    mangleHeader(t, enc, 8192, 0, 4, lens, payload),
-		"block count lie":    mangleHeader(t, enc, 8192, 2048, 3, lens[:3], payload),
-		"huge n":             mangleHeader(t, enc, 1<<40, 2048, 4, lens, payload),
-		"overflowing length": mangleHeader(t, enc, 8192, 2048, 4, []uint64{lens[0], lens[1], lens[2], 1 << 50}, payload),
-		"overlapping blocks": mangleHeader(t, enc, 8192, 2048, 4, []uint64{lens[0], lens[1], lens[2] - 10, lens[3]}, payload),
-		"trailing bytes":     append(append([]byte(nil), enc...), 0xFF),
+		"empty":               {},
+		"magic only":          []byte("BLK1"),
+		"truncated prefix":    enc[:6],
+		"truncated table":     enc[:lay.Blocks[0].Start-2],
+		"unknown id":          append([]byte("BLK1\xEE"), enc[5:]...),
+		"zero id":             append([]byte("BLK1\x00"), enc[5:]...),
+		"zero blocks":         mangleHeader(enc, 8192, 2048, 0, nil, payload),
+		"zero blockElems":     mangleHeader(enc, 8192, 0, 4, lens, payload),
+		"blockElems 2^63":     mangleHeader(enc, 8192, 1<<63, 1, lens[:1], payload),
+		"block count lie":     mangleHeader(enc, 8192, 2048, 3, lens[:3], payload),
+		"huge n":              mangleHeader(enc, 1<<40, 2048, 4, lens, payload),
+		"n 2^64-1":            mangleHeader(enc, math.MaxUint64, math.MaxUint64, 1, lens[:1], payload),
+		"overflowing length":  mangleHeader(enc, 8192, 2048, 4, []uint64{lens[0], lens[1], lens[2], 1 << 50}, payload),
+		"length 2^63":         mangleHeader(enc, 8192, 2048, 4, []uint64{lens[0], lens[1], lens[2], 1 << 63}, payload),
+		"overlapping blocks":  mangleHeader(enc, 8192, 2048, 4, []uint64{lens[0], lens[1], lens[2] - 10, lens[3]}, payload),
+		"trailing bytes":      append(append([]byte(nil), enc...), 0xFF),
+		"constant, 7 bytes":   mangleHeader(enc, 8192, 2048, 0, nil, make([]byte, 7)),
+		"constant, 9 bytes":   mangleHeader(enc, 8192, 2048, 0, nil, make([]byte, 9)),
+		"constant past limit": mangleHeader(enc, MaxConstantElems+1, 2048, 0, nil, make([]byte, 8)),
 	}
 	for name, data := range cases {
-		if _, err := ParseBlockLayout(data, len(data)); err == nil {
-			t.Errorf("%s: ParseBlockLayout accepted", name)
-		}
-		if _, err := Decompress(data); err == nil {
+		if _, err := Decompress(data, bc); err == nil {
 			t.Errorf("%s: Decompress accepted", name)
+		}
+		if name == "constant past limit" {
+			continue // a layout, and no ranges to cut at: only allocating from it is refused
+		}
+		if _, err := ParseBlockLayout(Whole(data), len(data)); err == nil {
+			t.Errorf("%s: ParseBlockLayout accepted", name)
 		}
 		if _, ok := BlockRanges(data); ok {
 			t.Errorf("%s: BlockRanges accepted", name)
@@ -301,71 +277,113 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 
 	// The n-vs-payload allocation guard must trip before the decoder
 	// allocates: a tiny stream claiming a huge element count is the
-	// attack ParseBlockLayout's guard exists for. maxElemsPerByte
-	// bounds what each codec could genuinely hold.
-	for _, id := range []ID{ZFP, FPC, Flate} {
-		tiny := mangleHeader(t, append([]byte("BLK1"), byte(id)), 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8))
-		if _, err := Decompress(tiny); err == nil {
+	// attack the parser's guard exists for, with the per-codec ceiling
+	// bounding what each codec could genuinely hold. One element past
+	// the ceiling is refused, the ceiling itself is a layout.
+	for id, perByte := range map[ID]uint64{ZFP: 1032, FPC: 2, Flate: 129, SZ: 8} {
+		head := append([]byte("BLK1"), byte(id))
+		tiny := mangleHeader(head, 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8))
+		if _, err := ParseBlockLayout(Whole(tiny), len(tiny)); err == nil {
 			t.Errorf("%v: huge-n guard missed", id)
+		}
+		at := mangleHeader(head, perByte*9, perByte*9, 1, []uint64{8}, make([]byte, 8)) // 9 bytes follow the fixed fields
+		if _, err := ParseBlockLayout(Whole(at), len(at)); err != nil {
+			t.Errorf("%v: %d elements in 9 bytes refused: %v", id, perByte*9, err)
+		}
+		past := mangleHeader(head, perByte*9+1, perByte*9+1, 1, []uint64{8}, make([]byte, 8))
+		if _, err := ParseBlockLayout(Whole(past), len(past)); err == nil {
+			t.Errorf("%v: %d elements in 9 bytes accepted", id, perByte*9+1)
 		}
 	}
 }
 
+// TestBlockedAdapters: the lossless adapters frame exactly, report the
+// peak to an audit without touching the bytes, and turn away each
+// other's containers.
 func TestBlockedAdapters(t *testing.T) {
 	x := testField(12000, 9)
-	adapters := []lossless.Codec{
-		BlockedFPC{BlockElems: 4096},
-		BlockedFlate{BlockElems: 4096},
-	}
-	inner := []lossless.Codec{lossless.FPC{}, lossless.Flate{}}
-	for i, c := range adapters {
-		if c.Name() != inner[i].Name() {
-			t.Fatalf("adapter name %q != inner %q", c.Name(), inner[i].Name())
+	for _, bc := range []BlockCodec{BlockedFPC{BlockElems: 4096}, BlockedFlate{BlockElems: 4096}} {
+		enc := compress(t, x, bc)
+		if got := len(layoutOf(t, enc).Blocks); got != 3 {
+			t.Fatalf("%v: %d blocks, want 3", bc.ID(), got)
 		}
-		enc, err := c.Compress(x)
-		if err != nil {
-			t.Fatal(err)
+		var st Stats
+		audited, err := Compress(nil, x, bc, &st)
+		if err != nil || !bytes.Equal(audited, enc) {
+			t.Fatalf("%v: audited bytes differ (%v)", bc.ID(), err)
 		}
-		if !IsBlocked(enc) {
-			t.Fatalf("%s: adapter did not emit container", c.Name())
+		if st.Elements != len(x) || st.MaxErr != 0 || st.Bound != 0 || st.Lossy || st.MaxAbsValue < 3 {
+			t.Fatalf("%v: exact stats %+v", bc.ID(), st)
 		}
-		dec, err := c.Decompress(enc)
-		if err != nil {
-			t.Fatal(err)
+		dec, err := Decompress(enc, bc)
+		if err != nil || !bytesEqualFloats(dec, x) {
+			t.Fatalf("%v: blocked round trip mismatch (%v)", bc.ID(), err)
 		}
-		if !bytesEqualFloats(dec, x) {
-			t.Fatalf("%s: blocked round trip mismatch", c.Name())
-		}
-		// Legacy fallback: streams from the un-containered codec decode.
-		legacy, err := inner[i].Compress(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err = c.Decompress(legacy)
-		if err != nil {
-			t.Fatalf("%s: legacy fallback: %v", c.Name(), err)
-		}
-		if !bytesEqualFloats(dec, x) {
-			t.Fatalf("%s: legacy round trip mismatch", c.Name())
-		}
-		into := make([]float64, len(x))
-		if err := c.DecompressInto(into, legacy); err != nil {
-			t.Fatalf("%s: legacy DecompressInto: %v", c.Name(), err)
-		}
-		if !bytesEqualFloats(into, x) {
-			t.Fatalf("%s: legacy DecompressInto mismatch", c.Name())
+		// Appending leaves what dst already holds alone.
+		prefixed, err := Compress([]byte("prefix"), x, bc, nil)
+		if err != nil || !bytes.Equal(prefixed, append([]byte("prefix"), enc...)) {
+			t.Fatalf("%v: Compress is not prefix + stream (%v)", bc.ID(), err)
 		}
 	}
 	// Codec mismatch: an FPC adapter must reject a flate container.
-	flateEnc, err := BlockedFlate{BlockElems: 4096}.Compress(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (BlockedFPC{}).Decompress(flateEnc); err == nil {
+	flateEnc := compress(t, x, BlockedFlate{BlockElems: 4096})
+	if _, err := Decompress(flateEnc, BlockedFPC{}); err == nil {
 		t.Fatal("FPC adapter accepted flate container")
 	}
-	if id, ok := StreamID(flateEnc); !ok || id != Flate {
-		t.Fatalf("StreamID = %v, %v", id, ok)
+	if err := DecompressInto(make([]float64, len(x)), flateEnc, BlockedFPC{}); err == nil {
+		t.Fatal("FPC adapter accepted flate container into a destination")
+	}
+	if id := layoutOf(t, flateEnc).ID; id != Flate || id.String() != (lossless.Flate{}).Name() {
+		t.Fatalf("container ID = %v", id)
+	}
+}
+
+// TestZFPStatsMatchParent pins the decode-while-hot audit against the
+// numbers of the commit before it moved into the container's block
+// loop, where one whole-vector decode after the fact produced them. A
+// vector of one block accumulates in the same order and matches bit
+// for bit; over several blocks the two sums are per-block partial sums
+// merged in block order, so they agree to rounding and the rest
+// exactly. The stream sizes are the parent's plus the declared framing:
+// a container header on what was a bare stream, one ID byte fewer per
+// block on what was a container.
+func TestZFPStatsMatchParent(t *testing.T) {
+	for _, want := range []struct {
+		n, bytes, elements                        int
+		maxErr, sumErr, sumSqAbs, maxAbs, bound64 uint64
+	}{
+		{3000, 5988 + 13, 3000, 0x3ecabd763d5b0000, 0x3f643866bcc99a39, 0x3e2af6667fb2935f, 0x3ff51cca24309194, 0x3ee4f8b588e368f1},
+		{100000, 197130 - 4, 100000, 0x3ed3469b17510000, 0x3fb4e192441cdbb2, 0x3e7be6fed6ff371d, 0x3ff51eb84fd79067, 0x3ee4f8b588e368f1},
+	} {
+		x := make([]float64, want.n)
+		for i := range x {
+			x[i] = math.Sin(float64(i)/50) * (1 + float64(i%97)/300)
+		}
+		var st Stats
+		blob, err := Compress(nil, x, BlockedZFP{Bound: 1e-5}, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) != want.bytes {
+			t.Errorf("n=%d: %d bytes, want %d", want.n, len(blob), want.bytes)
+		}
+		if st.Elements != want.elements || math.Float64bits(st.MaxErr) != want.maxErr ||
+			math.Float64bits(st.MaxAbsValue) != want.maxAbs || math.Float64bits(st.Bound) != want.bound64 ||
+			st.Relative || !st.Lossy {
+			t.Errorf("n=%d: stats %+v differ from the parent commit's", want.n, st)
+		}
+		sumErr, sumSq := math.Float64frombits(want.sumErr), math.Float64frombits(want.sumSqAbs)
+		if want.n <= DefaultBlockElems {
+			if st.SumErr != sumErr || st.SumSqAbs != sumSq {
+				t.Errorf("n=%d: sums %x %x, parent %x %x", want.n, st.SumErr, st.SumSqAbs, sumErr, sumSq)
+			}
+		} else if math.Abs(st.SumErr-sumErr) > 1e-13*sumErr || math.Abs(st.SumSqAbs-sumSq) > 1e-13*sumSq {
+			t.Errorf("n=%d: sums %g %g, parent %g %g", want.n, st.SumErr, st.SumSqAbs, sumErr, sumSq)
+		}
+		plain := compress(t, x, BlockedZFP{Bound: 1e-5})
+		if !bytes.Equal(plain, blob) {
+			t.Errorf("n=%d: audited bytes differ from plain ones", want.n)
+		}
 	}
 }
 
@@ -385,17 +403,104 @@ func bytesEqualFloats(a, b []float64) bool {
 // worker schedule.
 func TestDeterministicOutput(t *testing.T) {
 	x := testField(16384, 13)
-	for _, p := range allParams(1024) {
-		a, err := Compress(x, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Compress(x, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%v: nondeterministic container bytes", p.Codec)
+	for _, bc := range blockCodecs(1024) {
+		if !bytes.Equal(compress(t, x, bc), compress(t, x, bc)) {
+			t.Fatalf("%v: nondeterministic container bytes", bc.ID())
 		}
 	}
+}
+
+// fuzzCodecs maps every codec ID to its block codec.
+var fuzzCodecs = map[ID]BlockCodec{ZFP: BlockedZFP{}, FPC: BlockedFPC{}, Flate: BlockedFlate{}, SZ: sz.Blocks{}}
+
+// FuzzContainer: the one header parser and the block decoders behind
+// it, for all four codec IDs. Any input either errors or decodes, never
+// panics, and never allocates more than a multiple of the input plus
+// the destination it was handed; on success BlockRanges, the layout
+// and a block-by-block decode agree with the whole-stream one.
+func FuzzContainer(f *testing.F) {
+	x := testField(700, 1)
+	for _, bc := range []BlockCodec{
+		BlockedZFP{Bound: 1e-4, BlockElems: 256}, BlockedFPC{BlockElems: 256}, BlockedFlate{BlockElems: 256},
+	} {
+		enc := compress(f, x, bc)
+		f.Add(enc, uint32(len(x)))
+		f.Add(enc[:len(enc)/2], uint32(len(x)))
+	}
+	for _, p := range []sz.Params{
+		{Mode: sz.Abs, ErrorBound: 1e-4, BlockSize: 256},
+		{Mode: sz.PWRel, ErrorBound: 1e-4, BlockSize: 256},
+	} {
+		enc, err := sz.Compress(x, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc, uint32(len(x)))
+	}
+	f.Add(AppendConstant(nil, sz.Blocks{}, 9, 1.5), uint32(9))
+	f.Add(mangleHeader([]byte("BLK1\x04"), 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8)), uint32(4))
+	f.Add(mangleHeader([]byte("BLK1\x01"), 1<<63, 1<<63, 1, []uint64{1 << 63}, nil), uint32(4))
+	f.Fuzz(func(t *testing.T, data []byte, n uint32) {
+		dst := make([]float64, n%(1<<14))
+		var lay BlockLayout
+		var err error
+		allocated := allocatedBytes(func() {
+			if lay, err = ParseBlockLayout(Whole(data), len(data)); err == nil {
+				if bc := fuzzCodecs[lay.ID]; bc == nil {
+					t.Errorf("layout of unknown codec %v", lay.ID)
+				} else {
+					err = DecompressInto(dst, data, bc)
+				}
+			}
+		})
+		// DEFLATE, under three of the four codecs, inflates a byte to at
+		// most 1032; the length table costs 16 bytes a block and each
+		// block at least a byte; scratch is per destination element, and
+		// DEFLATE's window and a cold pool are a constant.
+		if limit := uint64(1100*len(data) + 64*len(dst) + 1<<20); allocated > limit {
+			t.Fatalf("%d input bytes into %d elements allocated %d bytes", len(data), len(dst), allocated)
+		}
+		ranges, ok := BlockRanges(data)
+		if err != nil {
+			if ok && lay.N == len(dst) && len(ranges) == 0 {
+				t.Fatalf("a constant stream of the destination's length failed: %v", err)
+			}
+			return
+		}
+		if !ok || len(ranges) != len(lay.Blocks) || lay.N != len(dst) {
+			t.Fatalf("decoded %d values, layout says %d; %d ranges, %d blocks (%v)", len(dst), lay.N, len(ranges), len(lay.Blocks), ok)
+		}
+		bc := fuzzCodecs[lay.ID]
+		blockwise := make([]float64, lay.N)
+		at := 0
+		for b, r := range lay.Blocks {
+			if r != ranges[b] || r.Start < at || r.End < r.Start {
+				t.Fatalf("block %d spans %+v, ranges say %+v, previous ended at %d", b, r, ranges[b], at)
+			}
+			at = r.End
+			lo, hi := lay.ElemRange(b)
+			if err := bc.DecodeBlockInto(blockwise[lo:hi], data[r.Start:r.End]); err != nil {
+				t.Fatalf("block %d alone: %v", b, err)
+			}
+		}
+		if len(lay.Blocks) == 0 {
+			for i := range blockwise {
+				blockwise[i] = lay.Constant
+			}
+		} else if at != len(data) {
+			t.Fatalf("blocks end at %d of %d bytes", at, len(data))
+		}
+		if !bytesEqualFloats(blockwise, dst) {
+			t.Fatal("block-by-block decode differs from the whole-stream one")
+		}
+	})
+}
+
+// allocatedBytes reports the heap bytes allocated while f runs.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/fti"
 	"repro/internal/solver"
 	"repro/internal/sz"
@@ -142,7 +143,7 @@ func TestExactSyncCaptureIsCopyFree(t *testing.T) {
 type gateAudit struct{ gate chan struct{} }
 
 func (g gateAudit) SampleSave(int, int) bool { <-g.gate; return false }
-func (gateAudit) ObserveVector(int, int, string, []float64, []byte, fti.Encoder, *fti.EncodeStats) {
+func (gateAudit) ObserveVector(int, int, string, []float64, []byte, fti.Encoder, *codec.Stats) {
 }
 
 // TestAsyncCaptureOutlivesSolverSteps: what an async checkpoint

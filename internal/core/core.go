@@ -28,7 +28,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/codec"
 	"repro/internal/fti"
-	"repro/internal/lossless"
 	"repro/internal/model"
 	"repro/internal/quality"
 	"repro/internal/solver"
@@ -79,7 +78,7 @@ type Config struct {
 	// denominator of the Theorem-3 bound.
 	BNorm float64
 	// Codec overrides the lossless codec (default flate/Gzip).
-	Codec lossless.Codec
+	Codec codec.BlockCodec
 	// LossyEncoder overrides the lossy compressor entirely (e.g. the
 	// ZFP-like transform codec). When set, SZParams and Adaptive are
 	// ignored — the caller owns the error-bound policy.
@@ -96,7 +95,7 @@ type Config struct {
 	// checkpoint semantics.
 	Async bool
 	// Shards splits every checkpoint into this many shard objects
-	// (written concurrently, cut along SZG2 block boundaries) plus a
+	// (written concurrently, cut along container block boundaries) plus a
 	// manifest committed last; 0 or 1 keeps the monolithic layout.
 	// Recovery from a group with any missing or corrupted shard falls
 	// back to the previous committed checkpoint. fti.Info.Shards
@@ -216,9 +215,6 @@ func NewManager(cfg Config, storage fti.Storage, s solver.Checkpointable) (*Mana
 		}
 	}
 	if cfg.Codec == nil {
-		// Blocked container by default: compression runs block-parallel
-		// and sharded checkpoints restore block-by-block; legacy flate
-		// checkpoints still decode through the adapter's fallback.
 		cfg.Codec = codec.BlockedFlate{}
 	}
 	if cfg.AdaptiveInterval != nil {

@@ -18,7 +18,7 @@ func RegisterStatics(ck *fti.Checkpointer, a *sparse.CSR, b []float64) error {
 		}
 	}
 	if b != nil {
-		raw, err := (fti.Raw{}).Encode(nil, b)
+		raw, err := (fti.Raw{}).Encode(nil, b, nil)
 		if err != nil {
 			return err
 		}
@@ -43,11 +43,10 @@ func RecoverStatics(ck *fti.Checkpointer) (*sparse.CSR, []float64, error) {
 		a = m
 	}
 	if blob, err := ck.ReadStatic("b"); err == nil {
-		v, err := (fti.Raw{}).Decode(blob)
-		if err != nil {
+		b = make([]float64, len(blob)/8)
+		if err := (fti.Raw{}).DecodeInto(b, blob); err != nil {
 			return nil, nil, fmt.Errorf("core: static b corrupt: %w", err)
 		}
-		b = v
 	}
 	return a, b, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -34,9 +35,9 @@ type gateEncoder struct {
 	gate chan struct{}
 }
 
-func (g gateEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
+func (g gateEncoder) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
 	<-g.gate
-	return g.Encoder.Encode(dst, x)
+	return g.Encoder.Encode(dst, x, st)
 }
 
 func testSnapshot(iter int, x []float64) *Snapshot {

@@ -10,12 +10,11 @@ import (
 )
 
 // This file holds the cross-codec identity matrix: every codec ×
-// container layout {legacy monolithic, blocked-3, blocked-8} × writer
+// container layout {one block, 3 blocks, 8 blocks} × writer
 // {sync, async} × storage {monolithic, 4-shard} must round-trip
-// through all three restore paths — streaming (shard.Reader +
-// per-block/DecompressInto), reassembled (whole-payload Decompress),
-// and in-place (RestoreInto targets, the DecompressInto path) — with
-// bitwise identical reconstructions. Lossless codecs must reproduce
+// through the restore walk without targets, through it with targets
+// (in place), and through the reassemble-then-decode reference
+// (whole-blob DecodeInto) — with bitwise identical reconstructions. Lossless codecs must reproduce
 // the input exactly; lossy codecs must hold their error bound; and
 // ZFP, whose container blocks are forced to transform-block multiples,
 // must reconstruct bitwise identically in every layout.
@@ -23,20 +22,20 @@ import (
 // matrixLayouts names the three container layouts and, per codec, the
 // block-size knob that produces them for the 12,800-element vector
 // used by the matrix.
-var matrixLayouts = []string{"legacy", "blocked-3", "blocked-8"}
+var matrixLayouts = []string{"blocked-1", "blocked-3", "blocked-8"}
 
 const matrixN = 12_800
 
 // matrixCase builds the encoder for one (codec, layout) cell.
 // Block sizes: 4288 and 1600 split 12,800 elements into 3 and 8
 // blocks; both are multiples of zfp's 32-element transform block, so
-// ZFP's blocked streams are bitwise identical to its legacy stream.
-// 16384 ≥ 12,800 keeps the stream in the legacy single-block format.
+// ZFP's blocks reconstruct the bits of one stream over the vector.
+// 16384 ≥ 12,800 keeps the vector in one block.
 type matrixCase struct {
 	codec string
 	// identicalAcrossLayouts: reconstruction must match bitwise
-	// between legacy and blocked layouts (lossless codecs trivially,
-	// ZFP by block alignment). SZ's blocked predictor restarts at
+	// between one block and many (lossless codecs trivially,
+	// ZFP by block alignment). SZ's predictor restarts at
 	// block boundaries, so only the error bound carries across
 	// layouts.
 	identicalAcrossLayouts bool
@@ -130,18 +129,15 @@ func TestCodecIdentityMatrix(t *testing.T) {
 		for _, layout := range matrixLayouts {
 			enc := mc.enc(layout)
 
-			// The layout knob must actually select the container: blocked
-			// layouts emit a block container, legacy stays single-stream.
-			blob, err := enc.Encode(nil, big)
+			// The layout knob must actually select the block count, and
+			// every layout is a container.
+			blob, err := enc.Encode(nil, big, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: encode: %v", mc.codec, layout, err)
 			}
-			isBlocked := codec.IsBlocked(blob)
-			if mc.codec == "sz" {
-				_, isBlocked = sz.BlockRanges(blob)
-			}
-			if wantBlocked := layout != "legacy"; isBlocked != wantBlocked {
-				t.Fatalf("%s/%s: blocked=%v, want %v", mc.codec, layout, isBlocked, wantBlocked)
+			ranges, ok := codec.BlockRanges(blob)
+			if want := (matrixN + matrixBlockElems(layout) - 1) / matrixBlockElems(layout); !ok || len(ranges) != want {
+				t.Fatalf("%s/%s: %d blocks (container: %v), want %d", mc.codec, layout, len(ranges), ok, want)
 			}
 
 			var cellRef []float64 // reference across variants of this cell
@@ -166,19 +162,18 @@ func TestCodecIdentityMatrix(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 
-					// Path 1: streaming restore (shard.Reader + per-block
-					// DecompressInto for blocked streams).
+					// Path 1: the restore walk, block by block.
 					streaming, err := c.Restore()
 					if err != nil {
 						t.Fatalf("%s: streaming restore: %v", label, err)
 					}
-					// Path 2: reassembled whole-payload Decompress.
+					// Path 2: the reassembled whole-blob reference.
 					legacy, err := c.RestoreReassembled()
 					if err != nil {
 						t.Fatalf("%s: reassembled restore: %v", label, err)
 					}
 					snapshotsBitwiseEqual(t, label+" streaming-vs-reassembled", streaming, legacy)
-					// Path 3: in-place DecompressInto via restore targets.
+					// Path 3: the walk again, in place via restore targets.
 					targets := map[string][]float64{
 						"x": make([]float64, len(big)),
 						"p": make([]float64, len(small)),
@@ -212,7 +207,7 @@ func TestCodecIdentityMatrix(t *testing.T) {
 				} else {
 					for i := range layoutRef {
 						if math.Float64bits(layoutRef[i]) != math.Float64bits(cellRef[i]) {
-							t.Fatalf("%s/%s: blocked reconstruction differs from legacy at %d", mc.codec, layout, i)
+							t.Fatalf("%s/%s: reconstruction differs from the one-block layout's at %d", mc.codec, layout, i)
 						}
 					}
 				}

@@ -3,6 +3,7 @@ package fti
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"maps"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/fti/shard"
 	"repro/internal/sparse"
 )
@@ -24,20 +26,20 @@ func allocatedBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestEncodeAppends: Encode and EncodeStats extend dst as append does —
-// what was in it stays, whether or not it had room — and what they
-// append is what they produce from an empty dst, for all four encoders.
+// TestEncodeAppends: Encode extends dst as append does — what was in it
+// stays, whether or not it had room — and what it appends is what it
+// produces from an empty dst, audited or not, for all four encoders.
 func TestEncodeAppends(t *testing.T) {
 	x := sparse.SmoothField(2000, 1)
 	prefix := []byte("what the payload already holds")
 	for _, e := range encoders() {
-		alone, err := e.Encode(nil, x)
+		alone, err := e.Encode(nil, x, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
 		for _, room := range []int{0, 64, len(alone) + 64} { // must grow, grows mid-blob, fits
 			dst := append(make([]byte, 0, len(prefix)+room), prefix...)
-			out, err := e.Encode(dst, x)
+			out, err := e.Encode(dst, x, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name(), err)
 			}
@@ -47,12 +49,13 @@ func TestEncodeAppends(t *testing.T) {
 			if !bytes.Equal(out[len(prefix):], alone) {
 				t.Fatalf("%s room=%d: appended bytes differ from Encode(nil, x)", e.Name(), room)
 			}
-			out, st, err := e.(StatsEncoder).EncodeStats(dst, x)
-			if err != nil || st.Elements != len(x) {
-				t.Fatalf("%s: EncodeStats: %d elements, %v", e.Name(), st.Elements, err)
+			var st codec.Stats
+			out, err = e.Encode(dst, x, &st)
+			if bi := e.BoundInfo(); err != nil || st.Elements != len(x) || st.Lossy != bi.Lossy || st.Bound != bi.Bound || st.MaxErr > st.Bound {
+				t.Fatalf("%s: audited Encode: %+v, %v", e.Name(), st, err)
 			}
 			if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], alone) {
-				t.Fatalf("%s room=%d: EncodeStats is not prefix + Encode's bytes", e.Name(), room)
+				t.Fatalf("%s room=%d: an audited Encode is not prefix + the plain one's bytes", e.Name(), room)
 			}
 		}
 	}
@@ -193,14 +196,28 @@ func TestRawShardSmallerThanAnElement(t *testing.T) {
 // rawPayload frames a checkpoint of one raw vector "x" whose header
 // declares n values over the given blob, with a valid CRC trailer.
 func rawPayload(n uint64, blob []byte) []byte {
-	p := append([]byte(fileMagic), 9)              // iteration
-	p = append(append(p, 3), "raw"...)             // encoder
-	p = append(p, 0, 1)                            // no scalars, one vector
-	p = append(append(p, 1), "x"...)               // its name
-	p = binary.AppendUvarint(p, n)                 // declared values
-	p = binary.AppendUvarint(p, uint64(len(blob))) // blob length
-	p = append(p, blob...)
-	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(p))
+	return sealed(rawVector(rawHeader(3, "raw"), n, uint64(len(blob)), blob))
+}
+
+// rawHeader frames a checkpoint up to its vector count: encoder name
+// (with a possibly lying length), no scalars, one vector.
+func rawHeader(nameLen uint64, name string) []byte {
+	p := append([]byte(fileMagic), 9) // iteration
+	p = append(binary.AppendUvarint(p, nameLen), name...)
+	return append(p, 0, 1)
+}
+
+// rawVector appends vector "x" with the given (possibly lying) lengths.
+func rawVector(p []byte, n, blobLen uint64, blob []byte) []byte {
+	p = append(append(p, 1), "x"...)
+	p = binary.AppendUvarint(p, n)
+	p = binary.AppendUvarint(p, blobLen)
+	return append(p, blob...)
+}
+
+// sealed puts the IEEE CRC trailer behind a checkpoint body.
+func sealed(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 const untouched = 0x7ff8dead0000beef // a NaN no blob below contains
@@ -231,7 +248,7 @@ type craftedPayload struct {
 }
 
 func craftedRawPayloads() map[string]craftedPayload {
-	blob := func(n int) []byte { b, _ := Raw{}.Encode(nil, sparse.SmoothField(n, 5)); return b }
+	blob := func(n int) []byte { b, _ := Raw{}.Encode(nil, sparse.SmoothField(n, 5), nil); return b }
 	return map[string]craftedPayload{
 		"n-over-blob":    {rawPayload(4, blob(3)), false},
 		"n-under-blob":   {rawPayload(4, blob(5)), false},
@@ -240,7 +257,51 @@ func craftedRawPayloads() map[string]craftedPayload {
 		"shorter-vector": {rawPayload(3, blob(3)), true},
 		"longer-vector":  {rawPayload(5, blob(5)), true},
 		"empty-vector":   {rawPayload(0, nil), true},
+		// Lengths that wrap negative once converted to int: compared
+		// after the conversion, as the monolithic parser did before it
+		// became the sharded one's cursor, they sliced out of range.
+		"name-len-2pow63": {sealed(rawVector(rawHeader(1<<63, "raw"), 4, 32, blob(4))), false},
+		"blob-len-2pow63": {sealed(rawVector(rawHeader(3, "raw"), 4, 1<<63+8, blob(4))), false},
 	}
+}
+
+// TestCraftedLengthsDoNotPanic: a CRC is an integrity check, not a
+// gate — a checkpoint with a valid one and a length of 2⁶³ in it is an
+// error like any other, monolithic or sharded.
+func TestCraftedLengthsDoNotPanic(t *testing.T) {
+	for _, name := range []string{"name-len-2pow63", "blob-len-2pow63"} {
+		data := craftedRawPayloads()[name].data
+		for _, cuts := range [][]int{nil, {len(data) / 2}} {
+			if _, err := restoreCut(data, cuts, map[string][]float64{"x": sentinelTarget(4)}); err == nil {
+				t.Errorf("%s cuts=%v: restored", name, cuts)
+			}
+		}
+	}
+}
+
+// restoreCut restores data as what is stored under a checkpoint's name:
+// the object itself with no cuts, else the shard group cut at the given
+// payload offsets (ascending, inside the payload).
+func restoreCut(data []byte, cuts []int, targets map[string][]float64) (*Snapshot, error) {
+	st := NewMemStorage()
+	c := New(st, Raw{})
+	if len(cuts) == 0 {
+		return c.decodeObject(data, new(RestoreAttempt), targets)
+	}
+	man := &shard.Manifest{Encoder: "raw", Total: len(data)}
+	for i, start := 0, 0; i <= len(cuts); i++ {
+		end := len(data)
+		if i < len(cuts) {
+			end = cuts[i]
+		}
+		info := shard.Info{Name: shard.ShardName(ckptName(1), i), Size: end - start, CRC: shard.Checksum(data[start:end])}
+		if err := st.Write(info.Name, data[start:end]); err != nil {
+			return nil, err
+		}
+		man.Shards = append(man.Shards, info)
+		start = end
+	}
+	return c.decodeObject(shard.AppendManifest(nil, man), new(RestoreAttempt), targets)
 }
 
 // TestRawHeaderMismatchLeavesTargetUntouched: a raw vector whose header
@@ -277,34 +338,33 @@ func TestRawHeaderMismatchLeavesTargetUntouched(t *testing.T) {
 
 // FuzzDecodeSnapshotInto: any bytes, with and without a valid CRC
 // trailer put behind them, either fail to decode or decode to what the
-// target-free decoder returns, without panicking and without allocating
-// more than a multiple of the input; a target is written in full or not
-// at all, and a vector of its target's length is decoded nowhere else.
+// target-free restore and the reassembling reference decoder return,
+// without panicking and without allocating more than a multiple of the
+// input; a target is written in full or not at all, and a vector of its
+// target's length is decoded nowhere else. The sealed bytes are then
+// restored as groups of two and three shards cut at the fuzzer's
+// offsets — header, lengths and elements stitched across chunks — and
+// must meet the same verdict with a bitwise-same snapshot: there is
+// one walk, and the layout is not its business.
 func FuzzDecodeSnapshotInto(f *testing.F) {
 	for _, c := range craftedRawPayloads() {
-		f.Add(c.data[:len(c.data)-4], uint16(4))
+		f.Add(c.data[:len(c.data)-4], uint16(4), uint16(21), uint16(50))
 	}
 	good, _, _, _, err := encodeSnapshot(streamSnap(12, rawBits(40, 1), rawBits(7, 2)), Raw{}, nil, false, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good[:len(good)-4], uint16(40))
-	f.Add(good[:len(good)-4], uint16(7))
-	f.Add(good[:len(good)/2], uint16(40))
-	f.Fuzz(func(t *testing.T, body []byte, n uint16) {
+	f.Add(good[:len(good)-4], uint16(40), uint16(100), uint16(101))
+	f.Add(good[:len(good)-4], uint16(7), uint16(3), uint16(398))
+	f.Add(good[:len(good)/2], uint16(40), uint16(0), uint16(9))
+	f.Fuzz(func(t *testing.T, body []byte, n, cutA, cutB uint16) {
 		n %= 1 << 12
-		sealed := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
-		for _, data := range [][]byte{body, sealed} {
-			targets := map[string][]float64{"x": sentinelTarget(int(n)), "p": sentinelTarget(int(n))}
-			var got *Snapshot
-			var err error
-			allocated := allocatedBytes(func() { got, err = decodeSnapshotInto(data, Raw{}, targets) })
-			// Names, map entries and the vectors without a target: each
-			// costs input bytes.
-			if limit := uint64(64*len(data) + 16<<10); allocated > limit {
-				t.Fatalf("%d input bytes allocated %d", len(data), allocated)
-			}
-			// Accepted or not, a target is never left half-written.
+		data := sealed(bytes.Clone(body))
+		newTargets := func() map[string][]float64 {
+			return map[string][]float64{"x": sentinelTarget(int(n)), "p": sentinelTarget(int(n))}
+		}
+		// A target is never left half-written, accepted or not.
+		fullOrNot := func(label string, targets map[string][]float64, err error) {
 			for name, target := range targets {
 				written := 0
 				for _, e := range target {
@@ -313,21 +373,63 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 					}
 				}
 				if written != 0 && written != len(target) {
-					t.Fatalf("%q: %d of %d target values written (%v)", name, written, len(target), err)
+					t.Fatalf("%s: %q: %d of %d target values written (%v)", label, name, written, len(target), err)
 				}
 			}
-			want, werr := decodeSnapshotInto(data, Raw{}, nil)
-			if (err == nil) != (werr == nil) {
-				t.Fatalf("with targets: %v; without: %v", err, werr)
-			}
-			if err != nil {
-				continue
-			}
+		}
+
+		// The body alone almost never carries its own CRC: rejected, and
+		// nothing written.
+		targets := newTargets()
+		selfSealed := len(body) >= 4 && bytes.Equal(sealed(bytes.Clone(body[:len(body)-4])), body)
+		if _, err := restoreCut(body, nil, targets); err == nil && !selfSealed {
+			t.Fatal("restored a checkpoint whose CRC does not match")
+		}
+		fullOrNot("unsealed", targets, nil)
+
+		targets = newTargets()
+		var got *Snapshot
+		allocated := allocatedBytes(func() { got, err = restoreCut(data, nil, targets) })
+		// Names, map entries and the vectors without a target: each
+		// costs input bytes.
+		if limit := uint64(64*len(data) + 16<<10); allocated > limit {
+			t.Fatalf("%d input bytes allocated %d", len(data), allocated)
+		}
+		fullOrNot("monolithic", targets, err)
+		want, werr := restoreCut(data, nil, nil)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("with targets: %v; without: %v", err, werr)
+		}
+		if err == nil {
 			snapshotsBitwiseEqual(t, "targets vs none", want, got)
 			for name, target := range targets {
 				if v := got.Vectors[name]; len(v) == len(target) && len(v) > 0 && &v[0] != &target[0] {
 					t.Fatalf("%q matches its target's length and was decoded elsewhere", name)
 				}
+			}
+			ref, rerr := referenceDecode(data, Raw{})
+			if rerr != nil {
+				t.Fatalf("restored, and the reference decoder says: %v", rerr)
+			}
+			snapshotsBitwiseEqual(t, "walk vs reference", ref, got)
+		}
+
+		a, b := int(cutA)%len(data), int(cutB)%len(data)
+		if a > b {
+			a, b = b, a
+		}
+		for _, cuts := range [][]int{{a}, {a, b}} {
+			if cuts[0] == 0 || (len(cuts) == 2 && cuts[0] == cuts[1]) {
+				continue // an empty shard: a writer never cuts one
+			}
+			targets := newTargets()
+			sharded, serr := restoreCut(data, cuts, targets)
+			fullOrNot(fmt.Sprint("cuts ", cuts), targets, serr)
+			if (serr == nil) != (err == nil) {
+				t.Fatalf("monolithic: %v; cut at %v: %v", err, cuts, serr)
+			}
+			if serr == nil {
+				snapshotsBitwiseEqual(t, fmt.Sprint("monolithic vs cuts ", cuts), got, sharded)
 			}
 		}
 	})

@@ -23,17 +23,18 @@ import (
 	"repro/internal/codec"
 	"repro/internal/fti/shard"
 	"repro/internal/obs"
-	"repro/internal/sz"
 )
 
 // Encoder turns a float64 vector into checkpoint bytes and back.
 // Raw (traditional checkpointing), lossless codecs, and error-bounded
-// lossy compressors all implement it. Encoders that can decode into a
-// caller-provided slice additionally implement DecoderInto — the
-// restore path then reconstructs vectors in place (straight into the
-// registered variables) instead of allocating and copying; encoders
-// without it transparently fall back to Decode plus a copy (see
-// DecodeInto).
+// lossy compressors all implement it, and it is the whole contract:
+// there are no optional extensions to discover.
+//
+// A vector's bytes take one of two shapes, which Blocks tells apart:
+// the raw little-endian image (Raw), or one blocked container (package
+// codec) — every compressing encoder frames every vector, so a restore
+// decodes each block where it lies, in its shard, without its
+// neighbours.
 //
 // Inputs are borrowed for the call: a synchronous save hands Encode the
 // solver's live vectors, so an encoder never retains or writes x.
@@ -42,10 +43,23 @@ type Encoder interface {
 	Name() string
 	// Encode appends the serialization of x to dst, as append does. The
 	// Checkpointer passes its reused payload buffer, so an encoder that
-	// stores straight into dst (Raw) allocates nothing.
-	Encode(dst []byte, x []float64) ([]byte, error)
-	// Decode reverses Encode (up to the encoder's error bound).
-	Decode(data []byte) ([]float64, error)
+	// stores straight into dst (Raw) allocates nothing. A non-nil st
+	// receives the distortion the encoding introduced, accumulated on
+	// the encode path itself; the bytes are the same with and without.
+	Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error)
+	// DecodeInto reverses Encode (up to the encoder's error bound) into
+	// dst, whose length must equal the encoded element count exactly —
+	// an error otherwise, never a partial decode into a shorter dst.
+	// Every element of dst is overwritten on success, so stale contents
+	// cannot survive; on error dst's contents are unspecified.
+	DecodeInto(dst []float64, data []byte) error
+	// BoundInfo states the distortion contract the encoder was configured
+	// with, for an auditor judging a decoded reconstruction against it.
+	BoundInfo() BoundInfo
+	// Blocks returns the block codec of the container Encode frames a
+	// vector in; nil means Encode writes the raw image, of which any run
+	// of whole elements decodes on its own through DecodeInto.
+	Blocks() codec.BlockCodec
 }
 
 // Snapshot is one checkpoint's content: the iteration number, named
@@ -136,16 +150,16 @@ type Checkpointer struct {
 // sampled-audit fast path skips every per-vector hook when it says
 // no. For audited saves ObserveVector fires once per encoded vector
 // while the live values and the encoded blob coexist: st carries the
-// encode-path distortion stats when the encoder implements
-// StatsEncoder, and is nil otherwise (the observer may then decode
-// blob itself to audit — DecodeInto into its own scratch).
+// distortion stats Encode accumulated while it wrote blob (the observer
+// may additionally decode blob to cross-check them — enc.DecodeInto
+// into its own scratch).
 //
 // The AsyncCheckpointer runs saves on its background goroutine, so
 // implementations must be safe for concurrent use. Implementations
 // must treat live and blob as read-only and must not retain them.
 type SaveAudit interface {
 	SampleSave(seq, iteration int) bool
-	ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc Encoder, st *EncodeStats)
+	ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc Encoder, st *codec.Stats)
 }
 
 // SetSaveAudit attaches (or, with nil, detaches) a save auditor. Only
@@ -226,7 +240,7 @@ func (c *Checkpointer) Keep() int { return c.keep }
 
 // SetSharding configures sharded checkpoint storage: each subsequent
 // checkpoint is split into shards objects (cut points aligned to the
-// SZG2 block boundaries of the encoded vectors) written concurrently
+// container block boundaries of the encoded vectors) written concurrently
 // by at most workers goroutines, plus a manifest committed last.
 // shards ≤ 1 restores the monolithic layout; workers ≤ 0 sizes the
 // pool from GOMAXPROCS. Previously written checkpoints — sharded or
@@ -454,7 +468,8 @@ func (c *Checkpointer) Restore() (*Snapshot, error) { return c.RestoreInto(nil) 
 // directly into that slice — the returned snapshot's Vectors then
 // alias the targets — while all other vectors are freshly allocated.
 //
-// Sharded checkpoints stream: each shard is read, CRC32C-verified, and
+// Monolithic and sharded checkpoints take the same walk (restore): a
+// sharded one streams — each shard is read, CRC32C-verified, and
 // block-decoded straight into its destination slices by a bounded
 // worker pool, with no whole-payload reassembly buffer. The redundant
 // whole-payload IEEE CRC is skipped for them — the per-shard CRC32C
@@ -498,45 +513,36 @@ func restoreArgs(att RestoreAttempt, accepted bool) map[string]float64 {
 // failure (every checkpoint invalid) the trace covers all rejected
 // attempts and the error is the usual "all checkpoints invalid".
 func (c *Checkpointer) RestoreIntoTrace(targets map[string][]float64) (*Snapshot, []RestoreAttempt, error) {
-	return c.restoreTrace(func(seq int, data []byte, att *RestoreAttempt) (*Snapshot, error) {
-		if shard.IsManifest(data) {
-			man, err := shard.ParseManifest(data)
-			if err != nil {
-				return nil, err
-			}
-			for _, sh := range man.Shards {
-				att.Bytes += sh.Size
-			}
-			return c.restoreStreaming(man, targets)
-		}
-		return decodeSnapshotInto(data, c.enc, targets)
+	return c.restoreTrace(func(data []byte, att *RestoreAttempt) (*Snapshot, error) {
+		return c.decodeObject(data, att, targets)
 	})
 }
 
-// RestoreReassembled is the pre-streaming restore path, retained for
-// equivalence testing and benchmarking against the streaming decoder:
-// a sharded group is reassembled into one contiguous payload
-// (shard.Read), the whole-payload IEEE CRC is verified, and every
-// vector decodes into a fresh allocation. Restore must produce a
-// bitwise-identical snapshot.
-func (c *Checkpointer) RestoreReassembled() (*Snapshot, error) {
-	s, _, err := c.restoreTrace(func(seq int, data []byte, att *RestoreAttempt) (*Snapshot, error) {
-		if shard.IsManifest(data) {
-			man, err := shard.ParseManifest(data)
-			if err != nil {
-				return nil, err
-			}
-			for _, sh := range man.Shards {
-				att.Bytes += sh.Size
-			}
-			data, err = shard.Read(c.storage, man, shard.Options{Workers: c.storageWorkers})
-			if err != nil {
-				return nil, err
-			}
+// decodeObject decodes what is stored under a checkpoint's name: the
+// payload itself, or the manifest of the shard group that holds it (the
+// group's bytes are added to att).
+func (c *Checkpointer) decodeObject(data []byte, att *RestoreAttempt, targets map[string][]float64) (*Snapshot, error) {
+	if !shard.IsManifest(data) {
+		// For a monolithic object the whole-payload IEEE CRC is the only
+		// integrity check the bytes get: verify it before walking them.
+		if len(data) < 4 || crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+			return nil, fmt.Errorf("CRC mismatch (corrupt checkpoint)")
 		}
-		return decodeSnapshotInto(data, c.enc, nil)
-	})
-	return s, err
+		return c.restore(shard.OneChunk(data), targets)
+	}
+	man, err := shard.ParseManifest(data)
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range man.Shards {
+		att.Bytes += sh.Size
+	}
+	if man.Encoder != c.enc.Name() {
+		return nil, fmt.Errorf("checkpoint written by encoder %q, decoder is %q", man.Encoder, c.enc.Name())
+	}
+	r := shard.NewReader(c.storage, man)
+	r.Instrument(c.ins.shardMetrics())
+	return c.restore(r, targets)
 }
 
 // restoreTrace walks the checkpoint series newest-first, handing each
@@ -545,7 +551,7 @@ func (c *Checkpointer) RestoreReassembled() (*Snapshot, error) {
 // one — the paper's failure-during-checkpoint recovery path. Every
 // attempted checkpoint is recorded in the returned trace, accepted or
 // not.
-func (c *Checkpointer) restoreTrace(decode func(seq int, data []byte, att *RestoreAttempt) (*Snapshot, error)) (*Snapshot, []RestoreAttempt, error) {
+func (c *Checkpointer) restoreTrace(decode func(data []byte, att *RestoreAttempt) (*Snapshot, error)) (*Snapshot, []RestoreAttempt, error) {
 	names, err := c.storage.List()
 	if err != nil {
 		return nil, nil, err
@@ -577,7 +583,7 @@ func (c *Checkpointer) restoreTrace(decode func(seq int, data []byte, att *Resto
 			continue
 		}
 		att.Bytes = len(data)
-		s, err := decode(seq, data, &att)
+		s, err := decode(data, &att)
 		att.Seconds = time.Since(start).Seconds()
 		if err != nil {
 			lastErr = fmt.Errorf("fti: checkpoint %d: %w", seq, err)
@@ -704,14 +710,16 @@ const fileMagic = "FTIG"
 //
 // With wantBounds set, bounds lists preferred shard cut offsets within
 // the payload, sorted ascending: the start of every vector blob plus,
-// for blobs in the SZG2 blocked container, the start of each
-// compression block inside them — so a sharded write can cut along
-// boundaries where a shard holds whole compression units. Monolithic
-// callers pass false and skip the per-blob header parse entirely.
+// for the blobs of an encoder that frames them in the blocked
+// container, the start of each compression block inside them — so a
+// sharded write can cut along boundaries where a shard holds whole
+// compression units. A raw image is never parsed for them: a container
+// magic in it is a byte coincidence. Monolithic callers pass false and
+// skip the per-blob header parse entirely.
 // When audit is non-nil and samples this save (seq identifies it),
-// every vector's encoding is reported to it — through the encoder's
-// StatsEncoder fast path when available, so the audited bytes are the
-// exact bytes written and the common case needs no decode.
+// every vector's encoding is reported to it with the stats Encode
+// accumulated on the way, so the audited bytes are the exact bytes
+// written and the common case needs no decode.
 func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq int, audit SaveAudit) (payload []byte, rawBytes, vecBytes int, bounds []int, err error) {
 	appendString := func(b []byte, str string) []byte {
 		return append(binary.AppendUvarint(b, uint64(len(str))), str...)
@@ -728,7 +736,7 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 	}
 
 	audited := audit != nil && audit.SampleSave(seq, s.Iteration)
-	se, haveStats := enc.(StatsEncoder)
+	framed := enc.Blocks() != nil
 
 	out = binary.AppendUvarint(out, uint64(len(s.Vectors)))
 	for _, name := range slices.Sorted(maps.Keys(s.Vectors)) {
@@ -743,14 +751,11 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 		lenAt := len(out)
 		room := uvarintLen(uint64(8 * len(v)))
 		out = append(out, pad[:room]...)
-		var st *EncodeStats
-		if audited && haveStats {
-			st = new(EncodeStats)
-			out, *st, err = se.EncodeStats(out, v)
-		} else {
-			out, err = enc.Encode(out, v)
+		var st *codec.Stats
+		if audited {
+			st = new(codec.Stats)
 		}
-		if err != nil {
+		if out, err = enc.Encode(out, v, st); err != nil {
 			return nil, 0, 0, nil, fmt.Errorf("fti: encode vector %q: %w", name, err)
 		}
 		blobLen := len(out) - lenAt - room
@@ -767,13 +772,10 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 		}
 		if wantBounds {
 			bounds = append(bounds, blobStart)
-			ranges, ok := sz.BlockRanges(blob)
-			if !ok {
-				ranges, ok = codec.BlockRanges(blob)
-			}
-			if ok {
-				for _, r := range ranges[1:] { // ranges[0].Start is mid-header
-					bounds = append(bounds, blobStart+r.Start)
+			if framed {
+				ranges, _ := codec.BlockRanges(blob)
+				for b := 1; b < len(ranges); b++ { // ranges[0].Start is mid-header
+					bounds = append(bounds, blobStart+ranges[b].Start)
 				}
 			}
 		}
@@ -781,115 +783,4 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 		vecBytes += blobLen
 	}
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), rawBytes, vecBytes, bounds, nil
-}
-
-// decodeSnapshotInto decodes a monolithic checkpoint payload,
-// reconstructing vectors whose name and length match a targets entry
-// directly into that slice (the returned snapshot aliases it) and
-// allocating the rest. The whole-payload IEEE CRC is verified — for a
-// monolithic object it is the only integrity check the bytes get.
-func decodeSnapshotInto(data []byte, enc Encoder, targets map[string][]float64) (*Snapshot, error) {
-	if len(data) < len(fileMagic)+4 {
-		return nil, fmt.Errorf("truncated checkpoint")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("CRC mismatch (corrupt checkpoint)")
-	}
-	if string(body[:4]) != fileMagic {
-		return nil, fmt.Errorf("bad magic")
-	}
-	off := 4
-	getUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("truncated varint at %d", off)
-		}
-		off += n
-		return v, nil
-	}
-	getString := func() (string, error) {
-		l, err := getUvarint()
-		if err != nil {
-			return "", err
-		}
-		if off+int(l) > len(body) {
-			return "", fmt.Errorf("truncated string at %d", off)
-		}
-		s := string(body[off : off+int(l)])
-		off += int(l)
-		return s, nil
-	}
-
-	s := &Snapshot{Scalars: map[string]float64{}, Vectors: map[string][]float64{}}
-	iter, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
-	s.Iteration = int(iter)
-	encName, err := getString()
-	if err != nil {
-		return nil, err
-	}
-	if encName != enc.Name() {
-		return nil, fmt.Errorf("checkpoint written by encoder %q, decoder is %q", encName, enc.Name())
-	}
-
-	nScalars, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nScalars; i++ {
-		name, err := getString()
-		if err != nil {
-			return nil, err
-		}
-		if off+8 > len(body) {
-			return nil, fmt.Errorf("truncated scalar %q", name)
-		}
-		s.Scalars[name] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
-	}
-
-	nVecs, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nVecs; i++ {
-		name, err := getString()
-		if err != nil {
-			return nil, err
-		}
-		n, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
-		blobLen, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if off+int(blobLen) > len(body) {
-			return nil, fmt.Errorf("truncated vector %q", name)
-		}
-		blob := body[off : off+int(blobLen)]
-		off += int(blobLen)
-		var v []float64
-		if t, ok := targets[name]; ok && uint64(len(t)) == n {
-			if err := DecodeInto(enc, t, blob); err != nil {
-				return nil, fmt.Errorf("decode vector %q: %w", name, err)
-			}
-			v = t
-		} else {
-			var err error
-			v, err = enc.Decode(blob)
-			if err != nil {
-				return nil, fmt.Errorf("decode vector %q: %w", name, err)
-			}
-			if uint64(len(v)) != n {
-				return nil, fmt.Errorf("vector %q decoded to %d values, header says %d", name, len(v), n)
-			}
-		}
-		s.Vectors[name] = v
-	}
-	return s, nil
 }

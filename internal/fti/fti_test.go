@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/lossless"
+	"repro/internal/codec"
 	"repro/internal/sparse"
 	"repro/internal/sz"
 	"repro/internal/vec"
@@ -14,8 +14,8 @@ import (
 func encoders() []Encoder {
 	return []Encoder{
 		Raw{},
-		Lossless{Codec: lossless.Flate{}},
-		Lossless{Codec: lossless.FPC{}},
+		Lossless{Codec: codec.BlockedFlate{}},
+		Lossless{Codec: codec.BlockedFPC{}},
 		SZ{Params: sz.Params{Mode: sz.Abs, ErrorBound: 1e-6}},
 		ZFP{Bound: 1e-6},
 	}
@@ -24,16 +24,25 @@ func encoders() []Encoder {
 func TestEncoderRoundTrips(t *testing.T) {
 	x := sparse.SmoothField(2000, 1)
 	for _, e := range encoders() {
-		blob, err := e.Encode(nil, x)
+		blob, err := e.Encode(nil, x, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		got, err := e.Decode(blob)
-		if err != nil {
+		got := make([]float64, len(x))
+		if err := e.DecodeInto(got, blob); err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		if len(got) != len(x) {
-			t.Fatalf("%s: got %d values", e.Name(), len(got))
+		if err := e.DecodeInto(make([]float64, len(x)+1), blob); err == nil {
+			t.Fatalf("%s: decoded %d values into %d", e.Name(), len(x), len(x)+1)
+		}
+		// Two shapes, and Blocks says which: the raw image, or one
+		// container of the codec Blocks names.
+		if lay, err := codec.ParseBlockLayout(codec.Whole(blob), len(blob)); e.Blocks() == nil {
+			if len(blob) != 8*len(x) {
+				t.Fatalf("%s: no block codec and %d bytes for %d values", e.Name(), len(blob), len(x))
+			}
+		} else if err != nil || lay.ID != e.Blocks().ID() || lay.N != len(x) {
+			t.Fatalf("%s: blob is not a container of its block codec: %+v, %v", e.Name(), lay, err)
 		}
 		if d := vec.MaxAbsDiff(x, got); d > 1e-6 {
 			t.Fatalf("%s: error %g beyond encoder bound", e.Name(), d)
@@ -43,12 +52,12 @@ func TestEncoderRoundTrips(t *testing.T) {
 
 func TestRawIsExact(t *testing.T) {
 	x := []float64{1.5, -2.25, math.Pi}
-	blob, err := Raw{}.Encode(nil, x)
+	blob, err := Raw{}.Encode(nil, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Raw{}.Decode(blob)
-	if err != nil {
+	got := make([]float64, len(x))
+	if err := (Raw{}).DecodeInto(got, blob); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -56,7 +65,7 @@ func TestRawIsExact(t *testing.T) {
 			t.Fatalf("raw round trip changed value %d", i)
 		}
 	}
-	if _, err := (Raw{}).Decode(blob[:5]); err == nil {
+	if err := (Raw{}).DecodeInto(got, blob[:5]); err == nil {
 		t.Fatal("expected error for misaligned raw payload")
 	}
 }

@@ -59,7 +59,7 @@ func TestFetchVerifyReReadsTransientCorruption(t *testing.T) {
 	// One in-flight corruption: the first read of shard 2 is torn, the
 	// re-read sees the intact at-rest bytes and repairs the fetch.
 	ts := &tornStore{Storage: st, name: m.Shards[2].Name, torn: 1}
-	got, err := Read(ts, m, Options{Workers: 1})
+	got, err := readAll(ts, m, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("transient read corruption should be absorbed by re-reads: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestFetchVerifyStillRejectsPersistentCorruption(t *testing.T) {
 	}
 	m := manifestOf(t, st, "ckpt-000000000001")
 	ts := &tornStore{Storage: st, name: m.Shards[1].Name, persistent: true}
-	if _, err := Read(ts, m, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "CRC32C") {
+	if _, err := readAll(ts, m, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "CRC32C") {
 		t.Fatalf("persistent corruption must still fail the group, got %v", err)
 	}
 	// The first read plus maxRereads re-reads, no more: persistent

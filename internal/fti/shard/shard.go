@@ -71,7 +71,7 @@ const (
 
 	// MaxShards bounds the shard count a writer accepts and a manifest
 	// parser believes. Far above any sane fan-out; its job is to make
-	// crafted manifests fail fast, mirroring the SZG2 header hardening.
+	// crafted manifests fail fast, mirroring the container header hardening.
 	MaxShards = 1 << 16
 
 	// maxNameLen bounds each shard name in a manifest; real names are
@@ -151,7 +151,7 @@ func ShardBase(name string) (base string, idx int, ok bool) {
 
 // Split partitions [0, totalLen) into n contiguous byte ranges. Each
 // cut starts at its even-split position and snaps to the nearest
-// aligned boundary (a sorted list of offsets, e.g. SZG2 block starts
+// aligned boundary (a sorted list of offsets, e.g. container block starts
 // within the payload) when one lies within half an even span — shards
 // then hold whole compression blocks, at the cost of mild imbalance.
 // n is clamped so every range is non-empty.
@@ -292,9 +292,8 @@ func Write(st Storage, base, encoder string, payload []byte, aligned []int, opt 
 const maxRereads = 2
 
 // fetchVerify reads shard i of m and verifies it against its manifest
-// size and CRC32C — the single read-side integrity gate shared by the
-// reassembling Read and the streaming Reader, so no payload byte is
-// ever served unverified. A size or checksum mismatch earns up to
+// size and CRC32C — the single read-side integrity gate of the Reader,
+// so no payload byte is ever served unverified. A size or checksum mismatch earns up to
 // maxRereads fresh reads (hedged degraded reads) before the shard —
 // and with it the group — is abandoned: recovery should only fall a
 // tier when the bytes at rest are truly bad, not when one read went
@@ -338,41 +337,6 @@ func fetchVerify(st Storage, m *Manifest, i int, met *Metrics) ([]byte, error) {
 	return data, nil
 }
 
-// Read loads every shard of m over the bounded worker pool, verifies
-// each against its manifest size and CRC32C, and returns the
-// reassembled payload. A missing, truncated, or corrupted shard fails
-// the whole group with an error naming the offending shard.
-//
-// Read is the legacy whole-payload path (and the reference for
-// equivalence tests); the streaming Reader serves byte ranges and
-// per-shard decode without the reassembly buffer.
-func Read(st Storage, m *Manifest, opt Options) ([]byte, error) {
-	n := len(m.Shards)
-	chunks := make([][]byte, n)
-	errs := make([]error, n)
-	parallel.ForBounded(n, 1, opt.workers(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			chunks[i], errs[i] = fetchVerify(st, m, i, opt.Metrics)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Assemble only after every shard verified: a crafted manifest's
-	// Total can't size an allocation unless real, checksummed shards
-	// add up to it.
-	payload := make([]byte, 0, m.Total)
-	for _, c := range chunks {
-		payload = append(payload, c...)
-	}
-	if len(payload) != m.Total {
-		return nil, fmt.Errorf("shard: reassembled %d bytes, manifest says %d", len(payload), m.Total)
-	}
-	return payload, nil
-}
-
 // Reader provides streaming access to a committed shard group without
 // reassembling its payload. Byte ranges are served straight from the
 // verified shard chunks — zero-copy when a range lies inside one shard,
@@ -381,7 +345,7 @@ func Read(st Storage, m *Manifest, opt Options) ([]byte, error) {
 // caller's decode overlap across shards. Every served byte comes from
 // a chunk that already passed its manifest size and CRC32C checks, and
 // any missing, truncated, or corrupt shard fails the group, so callers
-// fall back to an older checkpoint exactly as with Read.
+// fall back to an older checkpoint.
 //
 // A Reader serves one restore attempt on one goroutine: Bytes is the
 // serial skeleton-parsing phase, Process the terminal parallel decode
@@ -410,6 +374,18 @@ func NewReader(st Storage, m *Manifest) *Reader {
 		st: st, m: m, offs: offs,
 		chunks:  make([][]byte, len(m.Shards)),
 		fetched: make([]bool, len(m.Shards)),
+	}
+}
+
+// OneChunk wraps a payload already in memory — a monolithic checkpoint,
+// whose integrity the caller has checked — as the reader of a group of
+// one chunk, so a restore walks both layouts the same way.
+func OneChunk(payload []byte) *Reader {
+	return &Reader{
+		m:       &Manifest{Total: len(payload), Shards: []Info{{Size: len(payload)}}},
+		offs:    []int{0, len(payload)},
+		chunks:  [][]byte{payload},
+		fetched: []bool{true},
 	}
 }
 

@@ -188,7 +188,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			if m.Encoder != "sz" || m.Total != len(payload) || len(m.Shards) != shards {
 				t.Fatalf("manifest %+v", m)
 			}
-			got, err := Read(st, m, Options{Workers: workers})
+			got, err := readAll(st, m, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func TestReadDetectsMissingAndCorrupt(t *testing.T) {
 
 	st, m := newGroup()
 	_ = st.Delete(m.Shards[2].Name)
-	if _, err := Read(st, m, Options{}); err == nil || !strings.Contains(err.Error(), "missing shard") {
+	if _, err := readAll(st, m, Options{}); err == nil || !strings.Contains(err.Error(), "missing shard") {
 		t.Fatalf("missing shard not detected: %v", err)
 	}
 
@@ -263,14 +263,14 @@ func TestReadDetectsMissingAndCorrupt(t *testing.T) {
 	data, _ := st.Read(m.Shards[1].Name)
 	data[len(data)/2] ^= 0xFF
 	_ = st.Write(m.Shards[1].Name, data)
-	if _, err := Read(st, m, Options{}); err == nil || !strings.Contains(err.Error(), "CRC32C") {
+	if _, err := readAll(st, m, Options{}); err == nil || !strings.Contains(err.Error(), "CRC32C") {
 		t.Fatalf("corrupted shard not detected: %v", err)
 	}
 
 	st, m = newGroup()
 	data, _ = st.Read(m.Shards[0].Name)
 	_ = st.Write(m.Shards[0].Name, data[:len(data)-1])
-	if _, err := Read(st, m, Options{}); err == nil || !strings.Contains(err.Error(), "bytes") {
+	if _, err := readAll(st, m, Options{}); err == nil || !strings.Contains(err.Error(), "bytes") {
 		t.Fatalf("truncated shard not detected: %v", err)
 	}
 }
@@ -548,4 +548,14 @@ func TestReaderPrefetch(t *testing.T) {
 	if err := r2.Prefetch(0, r2.Total(), Options{}); err == nil || !strings.Contains(err.Error(), "CRC32C") {
 		t.Fatalf("corrupt shard passed Prefetch: %v", err)
 	}
+}
+
+// readAll reassembles a group's payload through the Reader: every shard
+// fetched and verified over the worker pool, then the bytes stitched.
+func readAll(st Storage, m *Manifest, opt Options) ([]byte, error) {
+	r := NewReader(st, m)
+	if err := r.Prefetch(0, r.Total(), opt); err != nil {
+		return nil, err
+	}
+	return r.Bytes(0, r.Total())
 }

@@ -4,14 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/fti/shard"
-	"repro/internal/lossless"
 	"repro/internal/sparse"
 	"repro/internal/sz"
 )
 
-// streamState builds a smooth positive state large enough that the SZ
-// encoder emits the blocked SZG2 container with many blocks.
+// streamState builds a smooth positive state; at the sizes the tests
+// use, a container of many blocks.
 func streamState(n int, seed int64) []float64 {
 	x := sparse.SmoothField(n, seed)
 	for i := range x {
@@ -20,8 +20,8 @@ func streamState(n int, seed int64) []float64 {
 	return x
 }
 
-// streamSnap is a representative snapshot: one large vector (SZG2 under
-// SZ), one small vector (legacy SZG1 under SZ), scalars, iteration.
+// streamSnap is a representative snapshot: one large vector (many
+// blocks), one small vector (one block), scalars, iteration.
 func streamSnap(it int, big, small []float64) *Snapshot {
 	return &Snapshot{
 		Iteration: it,
@@ -58,22 +58,22 @@ func snapshotsBitwiseEqual(t *testing.T, label string, a, b *Snapshot) {
 }
 
 // streamingEncoders is the encoder matrix for the equivalence tests:
-// the SZ blocked container (the streaming fast path), plus every
-// encoder that takes the stitched whole-blob path.
+// every codec ID of the container at several block sizes, and the raw
+// image.
 func streamingEncoders() []Encoder {
 	return []Encoder{
 		SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4, BlockSize: 4096}},
 		SZ{Params: sz.Params{Mode: sz.Abs, ErrorBound: 1e-5}},
 		Raw{},
-		Lossless{Codec: lossless.Flate{}},
-		Lossless{Codec: lossless.FPC{}},
+		Lossless{Codec: codec.BlockedFlate{}},
+		Lossless{Codec: codec.BlockedFPC{BlockElems: 5000}},
 		ZFP{Bound: 1e-5},
 	}
 }
 
 // TestStreamingRestoreMatchesReassembled: across every encoder and
 // layout, the streaming restore must produce snapshots bitwise
-// identical to the legacy reassemble-then-decode path.
+// identical to the reassemble-then-decode reference.
 func TestStreamingRestoreMatchesReassembled(t *testing.T) {
 	big := streamState(60_000, 1)
 	small := streamState(500, 2)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/sparse"
 )
 
@@ -14,9 +15,9 @@ type slowEncoder struct {
 	delay time.Duration
 }
 
-func (s slowEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
+func (s slowEncoder) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
 	time.Sleep(s.delay)
-	return s.Encoder.Encode(dst, x)
+	return s.Encoder.Encode(dst, x, st)
 }
 
 // TestSyncSaveStageTimings: a synchronous Save fills EncodeSeconds and

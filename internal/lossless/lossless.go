@@ -20,22 +20,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// Codec compresses float64 slices without loss.
-type Codec interface {
-	// Name identifies the codec in reports.
-	Name() string
-	// Compress encodes x exactly.
-	Compress(x []float64) ([]byte, error)
-	// Decompress reverses Compress bit-exactly.
-	Decompress(data []byte) ([]float64, error)
-	// DecompressInto reverses Compress bit-exactly into dst, whose
-	// length must equal the stream's element count — no output
-	// allocation, the streaming restore path's contract (every element
-	// of dst is overwritten on success; on error dst's contents are
-	// unspecified).
-	DecompressInto(dst []float64, data []byte) error
-}
-
 // appendWriter is an io.Writer that appends to a byte slice, so the
 // DEFLATE stage can emit straight into a caller-provided (possibly
 // pooled) buffer instead of a bytes.Buffer of its own.

@@ -10,6 +10,14 @@ import (
 	"repro/internal/sparse"
 )
 
+// Codec is what both lossless coders offer.
+type Codec interface {
+	Name() string
+	Compress(x []float64) ([]byte, error)
+	Decompress(data []byte) ([]float64, error)
+	DecompressInto(dst []float64, data []byte) error
+}
+
 func codecs() []Codec {
 	return []Codec{Flate{}, FPC{}}
 }

@@ -13,11 +13,11 @@
 // checkpointer invokes the save audit from its background goroutine).
 //
 // Distortion statistics come from the encoders' own encode-path
-// accumulators (fti.StatsEncoder) whenever available, so the common
-// case needs no audit decode at all; encoders without that extension
-// — and every audited save when Exhaustive is set — are cross-checked
-// by decoding the just-written blob into pooled scratch via
-// fti.DecodeInto and comparing pointwise against the live vector.
+// accumulators (the codec.Stats fti.Encoder.Encode fills), so the
+// common case needs no audit decode at all; every audited save when
+// Exhaustive is set is cross-checked by decoding the just-written blob
+// into pooled scratch with the encoder's DecodeInto and comparing
+// pointwise against the live vector under its BoundInfo.
 package quality
 
 import (
@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/fti"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -217,13 +218,13 @@ func (a *Auditor) SampleSave(seq, iteration int) bool {
 // goroutine — the solver thread for sync checkpoints, the async
 // pipeline's background goroutine otherwise — and must not retain
 // live or blob.
-func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc fti.Encoder, st *fti.EncodeStats) {
+func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc fti.Encoder, st *codec.Stats) {
 	if a == nil {
 		return
 	}
 	wallStart := time.Now()
 
-	var s fti.EncodeStats
+	var s codec.Stats
 	audit := "encode-path"
 	if st != nil {
 		s = *st
@@ -337,25 +338,20 @@ func (a *Auditor) spanTimeLocked(tr *obs.Tracer, wallDur float64) (ts, dur float
 	return 0, wallDur
 }
 
-// decodeStats decodes blob into pooled scratch (the DecompressInto
-// fast path) and accumulates pointwise errors against live, in the
-// metric of the encoder's declared bound when it is fti.Bounded.
-func (a *Auditor) decodeStats(live []float64, blob []byte, enc fti.Encoder) (fti.EncodeStats, bool) {
+// decodeStats decodes blob into pooled scratch and accumulates
+// pointwise errors against live, in the metric of the encoder's
+// declared bound.
+func (a *Auditor) decodeStats(live []float64, blob []byte, enc fti.Encoder) (codec.Stats, bool) {
 	if enc == nil || len(live) == 0 {
-		return fti.EncodeStats{}, false
+		return codec.Stats{}, false
 	}
-	var bi fti.BoundInfo
-	if b, ok := enc.(fti.Bounded); ok {
-		bi = b.BoundInfo()
-	} else {
-		bi.Lossy = true // unknown contract: assume it can distort
-	}
+	bi := enc.BoundInfo()
 	scratch := parallel.GetFloat64s(len(live))[:len(live)]
 	defer parallel.PutFloat64s(scratch)
-	if err := fti.DecodeInto(enc, scratch, blob); err != nil {
-		return fti.EncodeStats{}, false
+	if err := enc.DecodeInto(scratch, blob); err != nil {
+		return codec.Stats{}, false
 	}
-	st := fti.EncodeStats{
+	st := codec.Stats{
 		Elements: len(live),
 		Bound:    bi.Bound,
 		Relative: bi.Relative,

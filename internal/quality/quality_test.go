@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/fti"
 	"repro/internal/obs"
 	"repro/internal/sz"
@@ -54,7 +55,7 @@ func TestEncodePathAuditRecordsBoundedDistortion(t *testing.T) {
 	const bound = 1e-3
 	x := rampState(4096)
 	enc := fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: bound}}
-	blob, st, err := enc.EncodeStats(nil, x)
+	blob, st, err := encodeStats(enc, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,23 +102,32 @@ func TestEncodePathAuditRecordsBoundedDistortion(t *testing.T) {
 	}
 }
 
+// encodeStats is an audited encode: the bytes and the stats Encode
+// accumulated while it wrote them.
+func encodeStats(enc fti.Encoder, x []float64) ([]byte, codec.Stats, error) {
+	var st codec.Stats
+	blob, err := enc.Encode(nil, x, &st)
+	return blob, st, err
+}
+
 // corruptEncoder violates its declared contract: the stored bytes
-// decode to values shifted by 10× the advertised absolute bound. It
-// implements Encoder and Bounded but NOT StatsEncoder, so the auditor
-// must catch the violation through the decode path.
-type corruptEncoder struct{ bound float64 }
+// decode to values shifted by 10× the advertised absolute bound. The
+// test hands the auditor no encode-path stats for it, so the violation
+// must be caught through the decode path.
+type corruptEncoder struct {
+	fti.Raw
+	bound float64
+}
 
 func (corruptEncoder) Name() string { return "corrupt" }
 
-func (e corruptEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
+func (e corruptEncoder) Encode(dst []byte, x []float64, _ *codec.Stats) ([]byte, error) {
 	y := make([]float64, len(x))
 	for i, v := range x {
 		y[i] = v + 10*e.bound
 	}
-	return fti.Raw{}.Encode(dst, y)
+	return e.Raw.Encode(dst, y, nil)
 }
-
-func (corruptEncoder) Decode(data []byte) ([]float64, error) { return fti.Raw{}.Decode(data) }
 
 func (e corruptEncoder) BoundInfo() fti.BoundInfo {
 	return fti.BoundInfo{Bound: e.bound, Lossy: true}
@@ -131,7 +141,7 @@ func TestCraftedDistortionDetected(t *testing.T) {
 	const bound = 1e-4
 	x := rampState(512)
 	enc := corruptEncoder{bound: bound}
-	blob, err := enc.Encode(nil, x)
+	blob, err := enc.Encode(nil, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestCraftedDistortionDetected(t *testing.T) {
 		t.Fatalf("violation must name the vector and iteration: %+v", rec)
 	}
 	if rec.Audit != "decode" {
-		t.Fatalf("audit mode %q, want decode (no StatsEncoder)", rec.Audit)
+		t.Fatalf("audit mode %q, want decode (no encode-path stats)", rec.Audit)
 	}
 	if rec.BoundRatio < 9 {
 		t.Fatalf("bound ratio %g, want ≈10 (10× the bound)", rec.BoundRatio)
@@ -173,16 +183,18 @@ func TestCraftedDistortionDetected(t *testing.T) {
 // zero error — only the exhaustive decode cross-check can expose it.
 type lyingEncoder struct{ corruptEncoder }
 
-func (e lyingEncoder) EncodeStats(dst []byte, x []float64) ([]byte, fti.EncodeStats, error) {
-	blob, err := e.Encode(dst, x)
-	return blob, fti.EncodeStats{Elements: len(x), Bound: e.bound, Lossy: true}, err
+func (e lyingEncoder) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
+	if st != nil {
+		*st = codec.Stats{Elements: len(x), Bound: e.bound, Lossy: true}
+	}
+	return e.corruptEncoder.Encode(dst, x, nil)
 }
 
 func TestExhaustiveCrossCheckCatchesUnderreportedError(t *testing.T) {
 	const bound = 1e-4
 	x := rampState(256)
 	enc := lyingEncoder{corruptEncoder{bound: bound}}
-	blob, st, err := enc.EncodeStats(nil, x)
+	blob, st, err := encodeStats(enc, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +309,7 @@ func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 	save := func(a *Auditor, seq, iter int, resid float64) {
 		t.Helper()
 		a.ObserveResidual(iter, resid)
-		blob, st, err := enc.EncodeStats(nil, x)
+		blob, st, err := encodeStats(enc, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +349,7 @@ func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 func TestRecordCapEvictsAndCounts(t *testing.T) {
 	x := rampState(64)
 	enc := fti.Raw{}
-	blob, st, err := enc.EncodeStats(nil, x)
+	blob, st, err := encodeStats(enc, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +373,7 @@ func TestReportFillAndWriteJSON(t *testing.T) {
 	const bound = 1e-3
 	x := rampState(512)
 	enc := fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: bound}}
-	blob, st, err := enc.EncodeStats(nil, x)
+	blob, st, err := encodeStats(enc, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,27 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/codec"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
+
+// layoutOf parses comp's container header.
+func layoutOf(t testing.TB, comp []byte) codec.BlockLayout {
+	t.Helper()
+	lay, err := codec.ParseBlockLayout(codec.Whole(comp), len(comp))
+	if err != nil {
+		t.Fatalf("not a container: %v", err)
+	}
+	if lay.ID != codec.SZ {
+		t.Fatalf("container of codec %v, want sz", lay.ID)
+	}
+	return lay
+}
 
 // withGOMAXPROCS runs f under the given GOMAXPROCS setting.
 func withGOMAXPROCS(t *testing.T, n int, f func()) {
@@ -44,12 +59,9 @@ func TestBlockedRoundTripAllModes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("procs=%d mode=%v: %v", procs, mode, err)
 				}
-				if string(comp[:4]) != magicBlocked {
-					t.Fatalf("procs=%d mode=%v: expected SZG2 container, got %q", procs, mode, comp[:4])
-				}
-				if nb, be, ok := blockedStats(comp); !ok || nb != 10 || be != 4096 {
-					t.Fatalf("procs=%d mode=%v: blockedStats = (%d,%d,%v), want (10,4096,true)",
-						procs, mode, nb, be, ok)
+				if lay := layoutOf(t, comp); len(lay.Blocks) != 10 || lay.BlockElems != 4096 {
+					t.Fatalf("procs=%d mode=%v: %d blocks of %d, want 10 of 4096",
+						procs, mode, len(lay.Blocks), lay.BlockElems)
 				}
 				got, err := Decompress(comp)
 				if err != nil {
@@ -105,51 +117,32 @@ func TestBlockedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestLegacySingleBlockStreams: inputs at most one block long keep the
-// legacy SZG1 format byte-for-byte, and explicitly legacy-encoded
-// large streams still decompress — old checkpoints stay readable.
+// TestLegacySingleBlockStreams: there is one format. An input at most
+// one block long is framed like any other — a container of one block —
+// and a stream in a retired single-stream or blocked format is an error
+// that names its magic, not a guess at its contents.
 func TestLegacySingleBlockStreams(t *testing.T) {
 	small := blockedInput(1000, 17)
-	comp, err := Compress(small, Params{Mode: Abs, ErrorBound: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(comp[:4]) != magic {
-		t.Fatalf("small input should use legacy SZG1, got %q", comp[:4])
-	}
-
-	// A large stream written by the pre-blocked encoder.
-	large := blockedInput(100000, 19)
 	for _, mode := range []Mode{Abs, RelRange, PWRel} {
-		legacy, err := compressLegacy(large, Params{
-			Mode: mode, ErrorBound: 1e-4, Intervals: defaultIntervals,
-		})
+		comp, err := Compress(small, Params{Mode: mode, ErrorBound: 1e-4})
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatal(err)
 		}
-		if string(legacy[:4]) != magic {
-			t.Fatalf("mode %v: compressLegacy wrote %q", mode, legacy[:4])
+		lay := layoutOf(t, comp)
+		if len(lay.Blocks) != 1 || lay.N != len(small) || lay.BlockElems != codec.DefaultBlockElems {
+			t.Fatalf("mode %v: small input framed as %d blocks of %d for %d values", mode, len(lay.Blocks), lay.BlockElems, lay.N)
 		}
-		got, err := Decompress(legacy)
-		if err != nil {
-			t.Fatalf("mode %v: legacy stream no longer decodes: %v", mode, err)
+		if got, err := Decompress(comp); err != nil || len(got) != len(small) {
+			t.Fatalf("mode %v: %d values, %v", mode, len(got), err)
 		}
-		if len(got) != len(large) {
-			t.Fatalf("mode %v: %d values, want %d", mode, len(got), len(large))
-		}
-		lo, hi := valueRange(large)
-		for i := range large {
-			var bound float64
-			switch mode {
-			case Abs:
-				bound = 1e-4
-			case RelRange:
-				bound = 1e-4 * (hi - lo)
-			case PWRel:
-				bound = 1e-4 * math.Abs(large[i])
+		for _, old := range []string{"SZG1", "SZG2", "ZFG1"} {
+			stale := append([]byte(old), comp[4:]...)
+			_, err := Decompress(stale)
+			if err == nil || !strings.Contains(err.Error(), old) {
+				t.Fatalf("mode %v: %s stream: %v, want an error naming the magic", mode, old, err)
 			}
-			if d := math.Abs(large[i] - got[i]); d > bound*(1+1e-10) {
-				t.Fatalf("mode %v index %d: legacy error %g > %g", mode, i, d, bound)
+			if err := DecompressInto(make([]float64, len(small)), stale); err == nil || !strings.Contains(err.Error(), old) {
+				t.Fatalf("mode %v: %s stream into a destination: %v", mode, old, err)
 			}
 		}
 	}
@@ -187,7 +180,7 @@ func TestBlockedRelRangeUsesGlobalRange(t *testing.T) {
 }
 
 // TestBlockedConstantVector: a globally constant vector collapses to
-// the tiny legacy constant stream even above the blocking threshold.
+// the container's constant stream, whatever its length.
 func TestBlockedConstantVector(t *testing.T) {
 	x := make([]float64, 200000)
 	for i := range x {
@@ -211,7 +204,7 @@ func TestBlockedConstantVector(t *testing.T) {
 	}
 }
 
-// TestBlockedRejectsCorruption: truncated or inconsistent SZG2 headers
+// TestBlockedRejectsCorruption: truncated or inconsistent headers
 // must error, never panic or return garbage.
 func TestBlockedRejectsCorruption(t *testing.T) {
 	x := blockedInput(100000, 23)
@@ -219,8 +212,8 @@ func TestBlockedRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(comp[:4]) != magicBlocked {
-		t.Fatalf("expected blocked stream, got %q", comp[:4])
+	if lay := layoutOf(t, comp); len(lay.Blocks) != 4 {
+		t.Fatalf("expected 4 blocks, got %d", len(lay.Blocks))
 	}
 	for _, cut := range []int{5, 8, len(comp) / 2, len(comp) - 1} {
 		if _, err := Decompress(comp[:cut]); err == nil {
@@ -242,16 +235,16 @@ func TestCraftedHeadersDoNotAllocate(t *testing.T) {
 		var b [10]byte
 		return append(dst, b[:binary.PutUvarint(b[:], v)]...)
 	}
-	// SZG2 with n = nBlocks = 2^50, blockElems = 1.
-	crafted := append([]byte(magicBlocked), byte(Abs))
+	// n = nBlocks = 2^50, blockElems = 1.
+	crafted := append([]byte("BLK1"), byte(codec.SZ))
 	crafted = putUvarint(crafted, 1<<50) // n
 	crafted = putUvarint(crafted, 1)     // blockElems
 	crafted = putUvarint(crafted, 1<<50) // nBlocks
 	if _, err := Decompress(crafted); err == nil {
 		t.Fatal("huge blocked header silently accepted")
 	}
-	// SZG2 with one huge block: n = blockElems = 2^50.
-	crafted = append([]byte(magicBlocked), byte(Abs))
+	// One huge block: n = blockElems = 2^50.
+	crafted = append([]byte("BLK1"), byte(codec.SZ))
 	crafted = putUvarint(crafted, 1<<50) // n
 	crafted = putUvarint(crafted, 1<<50) // blockElems
 	crafted = putUvarint(crafted, 1)     // nBlocks
@@ -260,15 +253,16 @@ func TestCraftedHeadersDoNotAllocate(t *testing.T) {
 	if _, err := Decompress(crafted); err == nil {
 		t.Fatal("huge single-block header silently accepted")
 	}
-	// Legacy SZG1 kindCore with count 2^40 and a tiny payload.
-	crafted = append([]byte(magic), byte(Abs), kindCore)
-	crafted = putUvarint(crafted, 1<<40) // n
-	crafted = append(crafted, make([]byte, 9)...)
-	crafted = putUvarint(crafted, 16) // intervals
-	crafted = putUvarint(crafted, 0)  // nUnpred
-	crafted = putUvarint(crafted, 0)  // hlen
-	if _, err := Decompress(crafted); err == nil {
-		t.Fatal("huge legacy core header silently accepted")
+	// An honest container around a core block with count 2^40 and a
+	// tiny payload.
+	core := putUvarint([]byte{kindCore}, 1<<40) // n
+	core = binary.LittleEndian.AppendUint64(core, math.Float64bits(1e-3))
+	core = append(core, byte(PredictorLorenzo))
+	core = putUvarint(core, 16) // intervals
+	core = putUvarint(core, 0)  // nUnpred
+	core = putUvarint(core, 0)  // hlen
+	if _, err := Decompress(blockedOf(4, core)); err == nil {
+		t.Fatal("huge core header silently accepted")
 	}
 }
 
@@ -295,7 +289,7 @@ func TestBlockedNonFiniteDetected(t *testing.T) {
 	}
 }
 
-// Property: blocked and legacy compression reconstruct within the same
+// Property: compression reconstructs within the
 // bound for random inputs, block sizes, and modes, at 1 and 8 procs.
 func TestBlockedEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {

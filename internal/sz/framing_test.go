@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/huffman"
 )
 
@@ -62,12 +63,7 @@ func bitmapSaving(x []float64, p Params) (saved, varintSlack int) {
 	}
 	blockElems := p.BlockSize
 	if blockElems == 0 {
-		blockElems = defaultBlockElems
-	}
-	if len(x) <= blockElems {
-		blockElems = len(x)
-	} else {
-		varintSlack = (len(x) + blockElems - 1) / blockElems
+		blockElems = codec.DefaultBlockElems
 	}
 	for lo := 0; lo < len(x); lo += blockElems {
 		blk := x[lo:min(lo+blockElems, len(x))]
@@ -78,6 +74,7 @@ func bitmapSaving(x []float64, p Params) (saved, varintSlack int) {
 			tiny = tiny || (v != 0 && math.Abs(v) < tinyThreshold)
 		}
 		saved--
+		varintSlack++
 		for _, stored := range []bool{zero, neg, tiny} {
 			if !stored {
 				saved += (len(blk) + 7) / 8
@@ -92,7 +89,12 @@ func bitmapSaving(x []float64, p Params) (saved, varintSlack int) {
 // hash to what the parent commit produced, and the stream shrinks by
 // exactly the bitmaps no longer stored (Abs and RelRange streams, which
 // have none, keep their size to the byte: every optimal prefix code
-// costs the same bits and the same table).
+// costs the same bits and the same table). Folding the SZ formats into
+// the shared container left the reconstructions and every many-block
+// size alone (the two container headers are the same length); the one
+// single-block case gained its container header: 15 bytes of framing
+// (magic, ID, n, block size, block count, block length, kind) where the
+// single-stream format spent 6.
 func TestReconstructionMatchesParent(t *testing.T) {
 	parent := map[string]struct {
 		hash uint64
@@ -102,7 +104,7 @@ func TestReconstructionMatchesParent(t *testing.T) {
 		"smooth/pwrel/tight":       {0x43d35ae064334278, 769986},
 		"smooth/abs":               {0x932b2f9983257aab, 22043},
 		"smooth/relrange":          {0x410319ce1afa81d6, 22670},
-		"smooth/pwrel/legacy":      {0x6467adcd72f98244, 10141},
+		"smooth/pwrel/legacy":      {0x6467adcd72f98244, 10141 + 9},
 		"mixed/pwrel":              {0x5e2ef6b1c772aab8, 161802},
 		"mixed/pwrel/small-blocks": {0x78c9c9bf96e1cf51, 114641},
 		"negative/pwrel":           {0xdeb005c739377c70, 22422},
@@ -112,7 +114,7 @@ func TestReconstructionMatchesParent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		audited, _, err := CompressWithStats(c.x, c.p)
+		audited, _, err := compressWithStats(c.x, c.p)
 		if err != nil || !bytes.Equal(comp, audited) {
 			t.Fatalf("%s: audited save differs from the plain one (%v)", c.name, err)
 		}
@@ -146,12 +148,13 @@ func TestReconstructionMatchesParent(t *testing.T) {
 // for. A strictly positive, normal vector spent 3 bits per element on
 // three empty bitmaps.
 func TestPositiveVectorStoresNoBitmaps(t *testing.T) {
-	x := blockedInput(defaultBlockElems, 5)
+	x := blockedInput(codec.DefaultBlockElems, 5)
 	comp, err := Compress(x, Params{Mode: PWRel, ErrorBound: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := comp[6:] // magic, mode, kind
+	at := layoutOf(t, comp).Blocks[0].Start + 1 // the block's kind byte
+	payload := comp[at:]
 	_, k := binary.Uvarint(payload)
 	if payload[k] != 0 {
 		t.Fatalf("presence byte %#x, want 0", payload[k])
@@ -161,76 +164,93 @@ func TestPositiveVectorStoresNoBitmaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload = withBoth[6:]; payload[k] != 0b011 {
+	if payload = withBoth[at:]; payload[k] != 0b011 {
 		t.Fatalf("presence byte %#x, want zeros|signs", payload[k])
 	}
-	if grew, want := len(withBoth)-len(comp), 2*defaultBlockElems/8; grew < want-16 || grew > want+16 {
+	if grew, want := len(withBoth)-len(comp), 2*codec.DefaultBlockElems/8; grew < want-16 || grew > want+16 {
 		t.Fatalf("one zero and one negative grew the stream by %d bytes, want two bitmaps (%d)", grew, want)
 	}
 }
 
-// logPayload frames a log-transform payload around a core sub-stream.
-func logPayload(n uint64, presence byte, bitmaps []byte, nExact uint64, core []byte) []byte {
-	p := append([]byte(magic), byte(PWRel), kindLogTransform)
-	p = binary.AppendUvarint(p, n)
+// logBlock frames a log-transform block around a core sub-stream.
+func logBlock(n uint64, presence byte, bitmaps []byte, nExact uint64, core []byte) []byte {
+	p := binary.AppendUvarint([]byte{kindLogTransform}, n)
 	p = append(p, presence)
 	p = append(p, bitmaps...)
 	p = binary.AppendUvarint(p, nExact)
 	return append(p, core...)
 }
 
+// logPayload is a stream of four elements in one such block.
+func logPayload(n uint64, presence byte, bitmaps []byte, nExact uint64, core []byte) []byte {
+	return blockedOf(4, logBlock(n, presence, bitmaps, nExact, core))
+}
+
 // corePayload frames a core payload with the given (possibly lying)
 // length fields around a Huffman stream.
 func corePayload(n, nUnpred, hlen uint64, hstream []byte) []byte {
+	return coreHeader(n, 1e-3, 16, nUnpred, hlen, hstream)
+}
+
+func coreHeader(n uint64, eb float64, intervals, nUnpred, hlen uint64, hstream []byte) []byte {
 	p := binary.AppendUvarint(nil, n)
-	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1e-3))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(eb))
 	p = append(p, byte(PredictorLorenzo))
-	p = binary.AppendUvarint(p, 16) // intervals
+	p = binary.AppendUvarint(p, intervals)
 	p = binary.AppendUvarint(p, nUnpred)
 	p = binary.AppendUvarint(p, hlen)
 	return append(p, hstream...)
 }
 
-// craftedStreams are headers whose length fields lie. The first three
-// wrapped an int conversion or multiplication at the parent commit and
-// panicked (slice bounds out of range, makeslice: len out of range)
-// instead of returning an error.
+// craftedStreams are streams whose fields lie. The length fields of the
+// first three wrapped an int conversion or multiplication and panicked
+// (slice bounds out of range, makeslice: len out of range) before they
+// were compared in uint64; the bounds and bin counts of the last five
+// are ones no encoder writes, and decoded to NaN, Inf or garbage
+// without an error before they were checked.
 func craftedStreams(t testing.TB) map[string][]byte {
 	hstream, err := huffman.Encode([]int{8, 8, 9, 8}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	core := func(n, nUnpred, hlen uint64) []byte {
-		return append(append([]byte(magic), byte(Abs), kindCore), corePayload(n, nUnpred, hlen, hstream)...)
+		return blockedOf(4, append([]byte{kindCore}, corePayload(n, nUnpred, hlen, hstream)...))
+	}
+	bound := func(eb float64, intervals uint64) []byte {
+		return blockedOf(4, append([]byte{kindCore}, coreHeader(4, eb, intervals, 0, uint64(len(hstream)), hstream)...))
 	}
 	good := corePayload(4, 0, uint64(len(hstream)), hstream)
 	return map[string][]byte{
-		"core/hlen-2pow63":    core(4, 0, 1<<63),
-		"core/hlen-2pow64-1":  core(4, 0, math.MaxUint64),
-		"core/nUnpred-2pow61": core(4, 1<<61, uint64(len(hstream))),
-		"core/nUnpred-2pow62": core(4, 1<<62+1, uint64(len(hstream))),
-		"log/nExact-2pow61":   logPayload(4, 0, nil, 1<<61, good),
-		"log/nExact-2pow64-1": logPayload(4, 0, nil, math.MaxUint64, good),
-		"log/n-2pow63":        logPayload(1<<63, 0b111, nil, 0, good),
-		"log/n-2pow64-1":      logPayload(math.MaxUint64, 0, nil, 0, good),
-		"log/presence-8":      logPayload(4, 8, nil, 0, good),
-		"log/missing-bitmap":  logPayload(4, 0b001, nil, 0, nil),
-		"log/old-kind-2":      append(append([]byte(magic), byte(PWRel), 2), logPayload(4, 0, nil, 0, good)[6:]...),
-		"log/count-mismatch":  logPayload(5, 0, nil, 0, good),
-		"log/header-only":     logPayload(4, 0, nil, 0, nil)[:7],
-		"blocked/wrapped-log": blockedOf(4, logPayload(4, 0, nil, 1<<61, good)[5:]),
-		"constant/n-2pow47":   constantStream(1<<47, 1.5),
+		"core/hlen-2pow63":      core(4, 0, 1<<63),
+		"core/hlen-2pow64-1":    core(4, 0, math.MaxUint64),
+		"core/nUnpred-2pow61":   core(4, 1<<61, uint64(len(hstream))),
+		"core/nUnpred-2pow62":   core(4, 1<<62+1, uint64(len(hstream))),
+		"log/nExact-2pow61":     logPayload(4, 0, nil, 1<<61, good),
+		"log/nExact-2pow64-1":   logPayload(4, 0, nil, math.MaxUint64, good),
+		"log/n-2pow63":          logPayload(1<<63, 0b111, nil, 0, good),
+		"log/n-2pow64-1":        logPayload(math.MaxUint64, 0, nil, 0, good),
+		"log/presence-8":        logPayload(4, 8, nil, 0, good),
+		"log/missing-bitmap":    logPayload(4, 0b001, nil, 0, nil),
+		"log/old-kind-2":        blockedOf(4, append([]byte{2}, logBlock(4, 0, nil, 0, good)[1:]...)),
+		"log/count-mismatch":    logPayload(5, 0, nil, 0, good),
+		"log/header-only":       blockedOf(4, logBlock(4, 0, nil, 0, nil)[:2]),
+		"blocked/wrapped-log":   containerOf(8, 4, logBlock(4, 0, nil, 0, good), logBlock(4, 0, nil, 1<<61, good)),
+		"constant/n-2pow47":     constantStream(1<<47, 1.5),
+		"core/eb-nan":           bound(math.NaN(), 16),
+		"core/eb-inf":           bound(math.Inf(1), 16),
+		"core/eb-negative":      bound(-1, 16),
+		"core/intervals-2":      bound(1e-3, 2),
+		"core/intervals-2pow25": bound(1e-3, 1<<25),
 	}
 }
 
-// constantStream frames an SZG1 constant payload declaring n values.
+// constantStream frames a constant stream declaring n values.
 func constantStream(n uint64, c float64) []byte {
-	p := append([]byte(magic), byte(RelRange), kindConstant)
-	p = binary.LittleEndian.AppendUint64(p, n)
+	p := containerOf(n, max(n, 1))
 	return binary.LittleEndian.AppendUint64(p, math.Float64bits(c))
 }
 
-// TestConstantStreamCeiling: 22 bytes may declare any count, and
+// TestConstantStreamCeiling: some 20 bytes may declare any count, and
 // Decompress is the one entry point that sizes its output from the
 // count alone. One value past the ceiling is an error before anything
 // is allocated (at the parent commit: 128 MiB, and up to 2 PB asked
@@ -239,7 +259,7 @@ func constantStream(n uint64, c float64) []byte {
 func TestConstantStreamCeiling(t *testing.T) {
 	var got []float64
 	var err error
-	allocated := allocatedBytes(func() { got, err = Decompress(constantStream(MaxConstantElems+1, 1.5)) })
+	allocated := allocatedBytes(func() { got, err = Decompress(constantStream(codec.MaxConstantElems+1, 1.5)) })
 	if err == nil || got != nil {
 		t.Fatalf("Decompress returned %d values, %v for a stream past the ceiling", len(got), err)
 	}
@@ -255,16 +275,24 @@ func TestConstantStreamCeiling(t *testing.T) {
 	}
 }
 
-// blockedOf wraps one block payload (kind byte first) in an SZG2
-// container declaring n elements.
-func blockedOf(n uint64, block []byte) []byte {
-	p := append([]byte(magicBlocked), byte(PWRel))
+// containerOf frames block payloads (kind byte first) in a container
+// declaring n elements in blocks of blockElems.
+func containerOf(n, blockElems uint64, blocks ...[]byte) []byte {
+	p := append([]byte("BLK1"), byte(codec.SZ))
 	p = binary.AppendUvarint(p, n)
-	p = binary.AppendUvarint(p, n) // blockElems
-	p = binary.AppendUvarint(p, 1) // nBlocks
-	p = binary.AppendUvarint(p, uint64(len(block)))
-	return append(p, block...)
+	p = binary.AppendUvarint(p, blockElems)
+	p = binary.AppendUvarint(p, uint64(len(blocks)))
+	for _, blk := range blocks {
+		p = binary.AppendUvarint(p, uint64(len(blk)))
+	}
+	for _, blk := range blocks {
+		p = append(p, blk...)
+	}
+	return p
 }
+
+// blockedOf wraps one block payload in a container of n elements.
+func blockedOf(n uint64, block []byte) []byte { return containerOf(n, n, block) }
 
 func TestCraftedLengthFieldsError(t *testing.T) {
 	for name, data := range craftedStreams(t) {

@@ -1,10 +1,11 @@
 package sz
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // intoState builds a smooth, strictly positive state of n elements.
@@ -20,8 +21,10 @@ func intoState(n int, seed int64) []float64 {
 }
 
 // TestDecompressIntoMatchesDecompress: the in-place decode must be
-// bitwise identical to the allocating decode for every mode and both
-// container formats, even when dst holds stale values on entry.
+// bitwise identical to the allocating decode for every mode, for a
+// vector of one block (the sizes that used to select the legacy
+// single-stream format) and of many, even when dst holds stale values
+// on entry.
 func TestDecompressIntoMatchesDecompress(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -89,7 +92,7 @@ func TestDecompressIntoConstant(t *testing.T) {
 // TestDecompressIntoLengthMismatch: a wrong-size destination is an
 // error, never a partial decode.
 func TestDecompressIntoLengthMismatch(t *testing.T) {
-	for _, n := range []int{1000, 100_000} { // legacy and blocked
+	for _, n := range []int{1000, 100_000} { // one block and four
 		x := intoState(n, 2)
 		comp, err := Compress(x, Params{Mode: Abs, ErrorBound: 1e-4})
 		if err != nil {
@@ -105,9 +108,9 @@ func TestDecompressIntoLengthMismatch(t *testing.T) {
 }
 
 // TestParseBlockLayoutStreaming: the layout parsed from header bytes
-// alone (HeaderLenBound-sized prefix, as a streaming reader would
-// fetch) must match BlockRanges over the full stream, and each block
-// must decode independently via DecodeBlockInto into exactly the
+// alone (what the parser asks a streaming reader to fetch) must match
+// BlockRanges over the full stream, and each block must decode
+// independently via Blocks.DecodeBlockInto into exactly the
 // reconstruction Decompress produces.
 func TestParseBlockLayoutStreaming(t *testing.T) {
 	x := intoState(200_000, 3)
@@ -115,18 +118,18 @@ func TestParseBlockLayoutStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, ok := HeaderLenBound(comp[:HeaderPrefixLen])
-	if !ok {
-		t.Fatal("HeaderLenBound rejected a genuine SZG2 stream")
-	}
-	if bound > len(comp) {
-		bound = len(comp)
-	}
-	lay, err := ParseBlockLayout(comp[:bound], len(comp))
+	fetched := 0
+	lay, err := codec.ParseBlockLayout(func(n int) ([]byte, error) {
+		fetched = max(fetched, min(n, len(comp)))
+		return comp[:min(n, len(comp))], nil
+	}, len(comp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges, ok := BlockRanges(comp)
+	if fetched < lay.Blocks[0].Start || fetched > lay.Blocks[0].Start+10*len(lay.Blocks) {
+		t.Fatalf("parser fetched %d bytes for a %d-byte header of %d blocks", fetched, lay.Blocks[0].Start, len(lay.Blocks))
+	}
+	ranges, ok := codec.BlockRanges(comp)
 	if !ok {
 		t.Fatal("BlockRanges rejected the stream")
 	}
@@ -148,7 +151,7 @@ func TestParseBlockLayoutStreaming(t *testing.T) {
 	got := make([]float64, lay.N)
 	for b := range lay.Blocks {
 		lo, hi := lay.ElemRange(b)
-		if err := DecodeBlockInto(got[lo:hi], comp[lay.Blocks[b].Start:lay.Blocks[b].End]); err != nil {
+		if err := (Blocks{}).DecodeBlockInto(got[lo:hi], comp[lay.Blocks[b].Start:lay.Blocks[b].End]); err != nil {
 			t.Fatalf("block %d: %v", b, err)
 		}
 	}
@@ -159,22 +162,33 @@ func TestParseBlockLayoutStreaming(t *testing.T) {
 	}
 }
 
-// TestHeaderLenBoundRejectsForeign: legacy streams and junk must not
-// be mistaken for SZG2 containers.
+// TestHeaderLenBoundRejectsForeign: the header fetch is bounded before
+// the stream is believed. Retired formats and junk are turned away on
+// the fixed-size prefix alone — a streaming reader never fetches a blob
+// to learn it is foreign — and are not mistaken for containers.
 func TestHeaderLenBoundRejectsForeign(t *testing.T) {
 	x := intoState(100, 4)
-	legacy, err := Compress(x, Params{Mode: Abs, ErrorBound: 1e-4})
+	comp, err := Compress(x, Params{Mode: Abs, ErrorBound: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := HeaderLenBound(legacy); ok {
-		t.Fatal("legacy SZG1 stream accepted")
-	}
-	if _, ok := HeaderLenBound([]byte("SZ")); ok {
-		t.Fatal("short junk accepted")
-	}
-	if _, ok := HeaderLenBound(nil); ok {
-		t.Fatal("nil accepted")
+	legacy := append([]byte("SZG1"), comp[4:]...)
+	big := append(legacy, make([]byte, 1<<16)...)
+	for name, data := range map[string][]byte{"legacy SZG1 stream": big, "short junk": []byte("SZ"), "nil": nil} {
+		asked := 0
+		_, err := codec.ParseBlockLayout(func(n int) ([]byte, error) {
+			asked = max(asked, n)
+			return data[:min(n, len(data))], nil
+		}, len(data))
+		if err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if asked > 64 {
+			t.Fatalf("%s: parser asked for %d bytes before rejecting it", name, asked)
+		}
+		if _, ok := codec.BlockRanges(data); ok {
+			t.Fatalf("%s has block ranges", name)
+		}
 	}
 }
 
@@ -187,26 +201,21 @@ func TestParseBlockLayoutRejectsWrongStreamLen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseBlockLayout(comp, len(comp)-1); err == nil {
+	if _, err := codec.ParseBlockLayout(codec.Whole(comp), len(comp)-1); err == nil {
 		t.Fatal("short stream length accepted")
 	}
-	if _, err := ParseBlockLayout(comp, len(comp)+10); err == nil {
+	if _, err := codec.ParseBlockLayout(codec.Whole(comp), len(comp)+10); err == nil {
 		t.Fatal("long stream length accepted")
 	}
-	if _, err := ParseBlockLayout(comp[:2], len(comp)); err == nil {
+	if _, err := codec.ParseBlockLayout(codec.Whole(comp[:2]), len(comp)); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }
 
-// TestDecodeConstantRejectsCraftedLength: a 16-byte constant payload
-// claiming an absurd element count must error, not panic in makeslice.
+// TestDecodeConstantRejectsCraftedLength: a constant stream claiming an
+// absurd element count must error, not panic in makeslice.
 func TestDecodeConstantRejectsCraftedLength(t *testing.T) {
-	crafted := append([]byte(magic), byte(Abs), kindConstant)
-	var b16 [16]byte
-	binary.LittleEndian.PutUint64(b16[:], 1<<50)
-	binary.LittleEndian.PutUint64(b16[8:], math.Float64bits(1.0))
-	crafted = append(crafted, b16[:]...)
-	if _, err := Decompress(crafted); err == nil {
+	if _, err := Decompress(constantStream(1<<50, 1.0)); err == nil {
 		t.Fatal("crafted constant length accepted")
 	}
 }

@@ -3,6 +3,8 @@ package sz
 import (
 	"math"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 func rangeTestData(n int) []float64 {
@@ -20,11 +22,11 @@ func TestBlockRangesCoverStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranges, ok := BlockRanges(data)
+		ranges, ok := codec.BlockRanges(data)
 		if !ok {
-			t.Fatalf("mode %v: expected SZG2 stream", mode)
+			t.Fatalf("mode %v: expected a container", mode)
 		}
-		wantBlocks := (len(x) + defaultBlockElems - 1) / defaultBlockElems
+		wantBlocks := (len(x) + codec.DefaultBlockElems - 1) / codec.DefaultBlockElems
 		if len(ranges) != wantBlocks {
 			t.Fatalf("mode %v: %d ranges for %d blocks", mode, len(ranges), wantBlocks)
 		}
@@ -37,7 +39,7 @@ func TestBlockRangesCoverStream(t *testing.T) {
 				t.Fatalf("ranges %d..%d not contiguous", i-1, i)
 			}
 		}
-		if ranges[0].Start <= len(magicBlocked) {
+		if ranges[0].Start <= len("BLK1") {
 			t.Fatal("first block overlaps the container magic")
 		}
 		if ranges[len(ranges)-1].End != len(data) {
@@ -47,90 +49,26 @@ func TestBlockRangesCoverStream(t *testing.T) {
 }
 
 func TestBlockRangesRejectNonBlocked(t *testing.T) {
-	small := rangeTestData(100) // fits one block: legacy SZG1
+	small := rangeTestData(100) // one block: a container all the same
 	data, err := Compress(small, Params{Mode: Abs, ErrorBound: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := BlockRanges(data); ok {
+	if ranges, ok := codec.BlockRanges(data); !ok || len(ranges) != 1 || ranges[0].End != len(data) {
+		t.Fatalf("one-block stream: ranges %v, %v", ranges, ok)
+	}
+	if _, ok := codec.BlockRanges(append([]byte("SZG1"), data[4:]...)); ok {
 		t.Fatal("legacy stream reported block ranges")
 	}
-	if _, ok := BlockRanges([]byte("not a stream")); ok {
+	if _, ok := codec.BlockRanges([]byte("not a stream")); ok {
 		t.Fatal("foreign bytes reported block ranges")
 	}
-	// A truncated SZG2 header must be rejected, not panic.
+	// A truncated header must be rejected, not panic.
 	big, err := Compress(rangeTestData(100_000), Params{Mode: Abs, ErrorBound: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := BlockRanges(big[:6]); ok {
+	if _, ok := codec.BlockRanges(big[:6]); ok {
 		t.Fatal("truncated header reported block ranges")
-	}
-}
-
-func TestSplitBlocksAlignsAndCovers(t *testing.T) {
-	x := rangeTestData(300_000)
-	data, err := Compress(x, Params{Mode: PWRel, ErrorBound: 1e-5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, _ := BlockRanges(data)
-	boundary := map[int]bool{}
-	for _, b := range blocks {
-		boundary[b.End] = true
-	}
-	for _, parts := range [][]Range{
-		SplitBlocks(data, 1),
-		SplitBlocks(data, 3),
-		SplitBlocks(data, 4),
-		SplitBlocks(data, 1000), // clamps to the block count
-	} {
-		prev := 0
-		for i, p := range parts {
-			if p.Start != prev || p.End <= p.Start {
-				t.Fatalf("parts not contiguous/non-empty: %v", parts)
-			}
-			if i < len(parts)-1 && !boundary[p.End] {
-				t.Fatalf("cut at %d is not a block boundary", p.End)
-			}
-			prev = p.End
-		}
-		if prev != len(data) {
-			t.Fatalf("parts cover %d of %d bytes", prev, len(data))
-		}
-	}
-	if got := len(SplitBlocks(data, 1000)); got != len(blocks) {
-		t.Fatalf("maxParts beyond block count yielded %d parts, want %d", got, len(blocks))
-	}
-	// Concatenating the parts must reproduce the stream, and the
-	// stream must still decompress within the bound.
-	parts := SplitBlocks(data, 4)
-	var joined []byte
-	for _, p := range parts {
-		joined = append(joined, data[p.Start:p.End]...)
-	}
-	out, err := Decompress(joined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(out[i]-x[i]) > 1e-5*math.Abs(x[i]) {
-			t.Fatalf("value %d outside bound after split/join", i)
-		}
-	}
-}
-
-func TestSplitBlocksLegacySingleSpan(t *testing.T) {
-	small := rangeTestData(64)
-	data, err := Compress(small, Params{Mode: Abs, ErrorBound: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := SplitBlocks(data, 8)
-	if len(parts) != 1 || parts[0] != (Range{0, len(data)}) {
-		t.Fatalf("legacy stream split into %v", parts)
-	}
-	if parts := SplitBlocks(data, 0); len(parts) != 1 {
-		t.Fatalf("maxParts 0: %v", parts)
 	}
 }

@@ -1,6 +1,8 @@
 package sz
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,6 +176,52 @@ func TestStepFunction(t *testing.T) {
 	for i := range x {
 		if d := math.Abs(x[i] - got[i]); d > eb*(1+1e-12) {
 			t.Fatalf("index %d: error %g", i, d)
+		}
+	}
+}
+
+// TestDecompressRejectsCorruptBound: a valid stream whose stored bound
+// or bin count is overwritten with one no encoder writes must be an
+// error before anything reaches the destination — it used to decode,
+// with a nil error, to NaN, Inf or garbage: a silently divergent
+// restart.
+func TestDecompressRejectsCorruptBound(t *testing.T) {
+	x := blockedInput(3, 1)
+	comp, err := Compress(x, Params{Mode: Abs, ErrorBound: 1e-3, Predictor: PredictorLorenzo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Block: kind byte, uvarint n (1 byte), the bound, the predictor,
+	// uvarint intervals (65536: 3 bytes).
+	at := layoutOf(t, comp).Blocks[0].Start + 2
+	mutate := func(f func(b []byte)) []byte {
+		bad := append([]byte(nil), comp...)
+		f(bad[at:])
+		return bad
+	}
+	cases := map[string][]byte{}
+	for _, eb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		cases[fmt.Sprint("bound ", eb)] = mutate(func(b []byte) { binary.LittleEndian.PutUint64(b, math.Float64bits(eb)) })
+	}
+	cases["2 intervals"] = mutate(func(b []byte) { copy(b[9:], []byte{0x82, 0x80, 0x00}) })
+	cases["2^21-1 intervals past the table"] = mutate(func(b []byte) { copy(b[9:], []byte{0xff, 0xff, 0x7f}) })
+	for name, bad := range cases {
+		if name == "2^21-1 intervals past the table" {
+			// Inside [4, 2^24]: a legal header, and the codes still decode.
+			if _, err := Decompress(bad); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		if out, err := Decompress(bad); err == nil {
+			t.Errorf("%s: decoded to %v without an error", name, out)
+		}
+		dst := []float64{42, 42, 42}
+		if err := DecompressInto(dst, bad); err == nil {
+			t.Errorf("%s: DecompressInto accepted the stream", name)
+		}
+		if dst[0] != 42 || dst[1] != 42 || dst[2] != 42 {
+			t.Errorf("%s: destination %v written before the stream was rejected", name, dst)
 		}
 	}
 }

@@ -5,7 +5,17 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/codec"
 )
+
+// compressWithStats is an audited compression: the bytes and the
+// distortion accumulated while they were written.
+func compressWithStats(x []float64, p Params) ([]byte, codec.Stats, error) {
+	var st codec.Stats
+	blob, err := AppendCompress(nil, x, p, &st)
+	return blob, st, err
+}
 
 func statsWorkloads(n int) map[string][]float64 {
 	rng := rand.New(rand.NewSource(7))
@@ -50,9 +60,9 @@ func TestCompressWithStatsIdenticalBytes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: Compress: %v", wname, p, err)
 			}
-			got, st, err := CompressWithStats(x, p)
+			got, st, err := compressWithStats(x, p)
 			if err != nil {
-				t.Fatalf("%s %+v: CompressWithStats: %v", wname, p, err)
+				t.Fatalf("%s %+v: audited Compress: %v", wname, p, err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s %+v: stats path produced different bytes (%d vs %d)", wname, p, len(got), len(want))
@@ -63,8 +73,8 @@ func TestCompressWithStatsIdenticalBytes(t *testing.T) {
 			if st.MaxErr > st.Bound {
 				t.Fatalf("%s %+v: observed max error %g exceeds requested bound %g", wname, p, st.MaxErr, st.Bound)
 			}
-			if st.Relative != (p.Mode == PWRel) {
-				t.Fatalf("%s %+v: Relative = %v", wname, p, st.Relative)
+			if constant := wname == "constant" && p.Mode == RelRange; st.Relative != (p.Mode == PWRel) || !st.Lossy || (st.Bound == 0) != constant {
+				t.Fatalf("%s %+v: contract Bound=%g Relative=%v Lossy=%v", wname, p, st.Bound, st.Relative, st.Lossy)
 			}
 		}
 	}
@@ -80,7 +90,7 @@ func TestStatsBoundObservedError(t *testing.T) {
 			{Mode: PWRel, ErrorBound: 1e-4},
 			{Mode: PWRel, ErrorBound: 1e-4, BlockSize: 1 << 10},
 		} {
-			blob, st, err := CompressWithStats(x, p)
+			blob, st, err := compressWithStats(x, p)
 			if err != nil {
 				t.Fatalf("%s: %v", wname, err)
 			}
@@ -124,7 +134,7 @@ func TestStatsConstantAndMerge(t *testing.T) {
 	for i := range x {
 		x[i] = -2.5
 	}
-	blob, st, err := CompressWithStats(x, Params{Mode: RelRange, ErrorBound: 1e-4})
+	blob, st, err := compressWithStats(x, Params{Mode: RelRange, ErrorBound: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +146,71 @@ func TestStatsConstantAndMerge(t *testing.T) {
 		t.Fatalf("constant roundtrip: %v %v", dec, err)
 	}
 
-	a := Stats{Elements: 2, MaxErr: 1, SumErr: 1.5, SumSqAbs: 2, MaxAbsValue: 3}
-	b := Stats{Elements: 3, MaxErr: 2, SumErr: 0.5, SumSqAbs: 1, MaxAbsValue: 1}
+	a := codec.Stats{Elements: 2, MaxErr: 1, SumErr: 1.5, SumSqAbs: 2, MaxAbsValue: 3}
+	b := codec.Stats{Elements: 3, MaxErr: 2, SumErr: 0.5, SumSqAbs: 1, MaxAbsValue: 1, Bound: 4, Relative: true, Lossy: true}
 	a.Merge(b)
 	if a.Elements != 5 || a.MaxErr != 2 || a.SumErr != 2 || a.SumSqAbs != 3 || a.MaxAbsValue != 3 {
 		t.Fatalf("merge: %+v", a)
+	}
+	if a.Bound != 4 || !a.Relative || !a.Lossy {
+		t.Fatalf("merge dropped the blocks' contract: %+v", a)
+	}
+}
+
+// TestStatsMatchParent pins the in-loop accumulators against numbers
+// they did not produce: the seven Stats fields, bit for bit, that the
+// commit before this one computed with a second, hand-mirrored copy of
+// the compress loops (since deleted), for every golden input under
+// every mode.
+func TestStatsMatchParent(t *testing.T) {
+	parent := []struct {
+		name                                      string
+		mode                                      Mode
+		elements                                  int
+		maxErr, sumErr, sumSqAbs, maxAbs, bound64 uint64
+		relative                                  bool
+	}{
+		{"smooth/pwrel", 0, 100000, 0x3f1a36cfc1a40000, 0x40140018e36eadaa, 0x3f35d5eee7c0dd8e, 0x401084e9e8bb4823, 0x3f1a36e2eb1c432d, false},
+		{"smooth/pwrel", 1, 100000, 0x3f36ea5332ad2000, 0x40316d18c510d79c, 0x3f70984a0701f893, 0x401084e9e8bb4823, 0x3f36ea6832369fc3, false},
+		{"smooth/pwrel", 2, 100000, 0x3f1a36d65693b9a6, 0x4013f008992eebd0, 0x3f639fb4252ad410, 0x401084e9e8bb4823, 0x3f1a36e2eb1c432d, true},
+		{"smooth/pwrel/tight", 0, 100000, 0x3d3c200000000000, 0x3dfb5f5500000000, 0x3b3ffb1177000000, 0x401084e9e8bb4823, 0x3d3c25c268497682, false},
+		{"smooth/pwrel/tight", 1, 100000, 0x3d58980000000000, 0x3e3f2ed4b0000000, 0x3b9ff51ec7a60000, 0x401084e9e8bb4823, 0x3d589b01ae909034, false},
+		{"smooth/pwrel/tight", 2, 100000, 0x3d3c25000000018c, 0x3e163bf080000018, 0x3b8c4108ddef2edc, 0x401084e9e8bb4823, 0x3d3c25c268497682, true},
+		{"smooth/abs", 0, 100000, 0x3f1a36cfc1a40000, 0x40140018e36eadaa, 0x3f35d5eee7c0dd8e, 0x401084e9e8bb4823, 0x3f1a36e2eb1c432d, false},
+		{"smooth/abs", 1, 100000, 0x3f36ea5332ad2000, 0x40316d18c510d79c, 0x3f70984a0701f893, 0x401084e9e8bb4823, 0x3f36ea6832369fc3, false},
+		{"smooth/abs", 2, 100000, 0x3f1a36d65693b9a6, 0x4013f008992eebd0, 0x3f639fb4252ad410, 0x401084e9e8bb4823, 0x3f1a36e2eb1c432d, true},
+		{"smooth/relrange", 0, 100000, 0x3ee4f868199a0000, 0x3fdffcc29f82b3f2, 0x3ecbef67b8104fa2, 0x401084e9e8bb4823, 0x3ee4f8b588e368f1, false},
+		{"smooth/relrange", 1, 100000, 0x3f02551217200000, 0x3ffbfb16d2e66fd5, 0x3f055ffece2d266a, 0x401084e9e8bb4823, 0x3f025520282bb302, false},
+		{"smooth/relrange", 2, 100000, 0x3ee4f8b34922af8a, 0x3fdff3ee72360a4e, 0x3ef912c3d3970868, 0x401084e9e8bb4823, 0x3ee4f8b588e368f1, true},
+		{"smooth/pwrel/legacy", 0, 20000, 0x3f506241f8376400, 0x4023e3018a7b98f0, 0x3f7b022b1ec166d1, 0x400971d069f13c93, 0x3f50624dd2f1a9fc, false},
+		{"smooth/pwrel/legacy", 1, 20000, 0x3f5a086151bcc800, 0x402fb08400041378, 0x3f91289b23fa8fb2, 0x400971d069f13c93, 0x3f5a08d78590fd6c, false},
+		{"smooth/pwrel/legacy", 2, 20000, 0x3f50618190b24ebf, 0x40241b2586c058bb, 0x3f9e60c8eeeb66f1, 0x400971d069f13c93, 0x3f50624dd2f1a9fc, true},
+		{"mixed/pwrel", 0, 70000, 0x3f1a3668fb37e9a0, 0x3fb1f53a41121f21, 0x3ed38ede5ec7d951, 0x5ae49cee84db38bb, 0x3f1a36e2eb1c432d, false},
+		{"mixed/pwrel", 1, 70000, 0x5a20dff59dba9400, 0x5ab03659c2b29452, 0x74d49e71f8d4fe42, 0x5ae49cee84db38bb, 0x5a20e2ce4718c96a, false},
+		{"mixed/pwrel", 2, 70000, 0x3f1a36805f846b44, 0x4007df6087ef237a, 0x747587356a80a3be, 0x5ae49cee84db38bb, 0x3f1a36e2eb1c432d, true},
+		{"mixed/pwrel/small-blocks", 0, 70000, 0x3f847addd79d0800, 0x401b1a9814531d8a, 0x3fa61f383cc99da0, 0x5ae49cee84db38bb, 0x3f847ae147ae147b, false},
+		{"mixed/pwrel/small-blocks", 1, 70000, 0x5a8a37ee49a2e958, 0x5b0d1c844130523d, 0x759cfba099eeabd6, 0x5ae49cee84db38bb, 0x5a8a62624f16bab6, false},
+		{"mixed/pwrel/small-blocks", 2, 70000, 0x3f847adea32b3181, 0x4072a4c4a353bd74, 0x75518e63a995179c, 0x5ae49cee84db38bb, 0x3f847ae147ae147b, true},
+		{"negative/pwrel", 0, 40000, 0x3f1a369e0e918000, 0x4000048056806a14, 0x3f217b7b565581aa, 0x400971d069f13c93, 0x3f1a36e2eb1c432d, false},
+		{"negative/pwrel", 1, 40000, 0x3f30b1ae415eb800, 0x40145514d4e0eda4, 0x3f4c35abd138f07a, 0x400971d069f13c93, 0x3f30b1df0ef881b2, false},
+		{"negative/pwrel", 2, 40000, 0x3f1a36d65693b9a6, 0x3ffff853e371874a, 0x3f3b50c8d6ccf301, 0x400971d069f13c93, 0x3f1a36e2eb1c432d, true},
+	}
+	cases := map[string]goldenCase{}
+	for _, c := range goldenCases() {
+		cases[c.name] = c
+	}
+	for _, want := range parent {
+		c := cases[want.name]
+		p := c.p
+		p.Mode = want.mode
+		_, st, err := compressWithStats(c.x, p)
+		if err != nil {
+			t.Fatalf("%s/%v: %v", want.name, want.mode, err)
+		}
+		got := [...]uint64{uint64(st.Elements), math.Float64bits(st.MaxErr), math.Float64bits(st.SumErr),
+			math.Float64bits(st.SumSqAbs), math.Float64bits(st.MaxAbsValue), math.Float64bits(st.Bound)}
+		if got != [...]uint64{uint64(want.elements), want.maxErr, want.sumErr, want.sumSqAbs, want.maxAbs, want.bound64} || st.Relative != want.relative {
+			t.Errorf("%s/%v: stats %+v differ from the parent commit's", want.name, want.mode, st)
+		}
 	}
 }

@@ -17,14 +17,22 @@
 // in terms of the pointwise-relative bound, implemented here with the
 // standard logarithmic-transform reduction to the absolute mode.
 //
-// Two container formats exist. Inputs that fit in a single block are
-// written in the legacy single-stream "SZG1" format. Larger inputs use
-// the blocked "SZG2" container: the vector is split into fixed-size
-// blocks that are compressed and decompressed independently — each
-// block carries its own predictor state and Huffman table — so the
-// whole pipeline parallelizes across blocks (see internal/parallel)
-// while the pointwise error bound is preserved exactly. Decompress
-// accepts both formats, so legacy SZG1 checkpoints remain readable.
+// Every stream is one blocked container (package codec, codec ID SZ):
+// the vector is split into fixed-size blocks that are compressed and
+// decompressed independently — each block carries its own predictor
+// state and Huffman table — so the whole pipeline parallelizes across
+// blocks (see internal/parallel) with output bytes that depend only on
+// the input and the parameters, while the pointwise error bound is
+// preserved exactly. A block payload is a kind byte followed by the
+// kind-specific encoding below (core or log-transform).
+//
+// Error-bound semantics do not depend on the blocking. Abs and PWRel
+// bounds are pointwise. The RelRange bound is defined against the
+// *global* value range, so the range is computed once over the whole
+// vector and the derived absolute bound is shared by every block — a
+// block-local range would silently tighten or loosen the guarantee. A
+// vector with no range at all (RelRange on constant data) is stored as
+// the container's constant stream.
 package sz
 
 import (
@@ -34,6 +42,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/codec"
 	"repro/internal/huffman"
 	"repro/internal/parallel"
 )
@@ -79,31 +88,23 @@ const (
 
 // Params configure compression. Zero values select the defaults used
 // in the paper's experiments (65,536 quantization intervals, automatic
-// predictor selection, 32,768-element blocks).
+// predictor selection, codec.DefaultBlockElems-element blocks).
 type Params struct {
 	Mode       Mode
 	ErrorBound float64
 	Intervals  int // quantization bins; default 65536
 	Predictor  Predictor
 	// BlockSize is the number of elements per independently compressed
-	// block in the SZG2 container (default 32,768 elements = 256 KiB).
-	// Inputs of at most BlockSize elements are written in the legacy
-	// single-stream SZG1 format. Smaller blocks expose more
-	// parallelism but pay one Huffman table per block.
+	// block (default codec.DefaultBlockElems = 256 KiB). Smaller blocks
+	// expose more parallelism but pay one Huffman table per block.
 	BlockSize int
 }
 
 const (
-	magic            = "SZG1"
-	magicBlocked     = "SZG2"
 	defaultIntervals = 65536
-	// defaultBlockElems is 256 KiB of float64s, in the 64–256 KiB
-	// block-size range production SZ implementations use: large enough
-	// to amortize the per-block Huffman table, small enough that even
-	// modest vectors split across all cores.
-	defaultBlockElems = 32768
-	kindCore          = 0 // Abs/RelRange payload
-	kindConstant      = 1 // degenerate constant vector
+	kindCore         = 0 // Abs/RelRange payload
+	// 1 framed a constant vector; that is the container's constant
+	// stream now, and no block carries it.
 	// 2 is retired, not free: it framed PWRel payloads with three
 	// always-stored bitmaps, and reusing it would misread such a stream.
 	kindLogTransform = 3 // PWRel payload, bitmaps stored when non-empty
@@ -114,34 +115,59 @@ const (
 // parameters, never for hard-to-compress data (which degrades to
 // stored values).
 func Compress(x []float64, p Params) ([]byte, error) {
+	return AppendCompress(nil, x, p, nil)
+}
+
+// AppendCompress is Compress appending to dst, as append does. A
+// non-nil st receives the distortion the compression introduced,
+// accumulated in the quantizer's own loop (it already holds every
+// reconstruction the decoder will see); the bytes are the same with
+// and without it, so an audited save writes the checkpoint an
+// unaudited one would.
+func AppendCompress(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte, error) {
 	p, err := normalizeParams(x, p)
 	if err != nil {
 		return nil, err
 	}
-	if len(x) <= p.BlockSize {
-		return compressLegacy(x, p)
+	bc := Blocks{p: p, eb: p.ErrorBound}
+	if p.Mode == RelRange {
+		lo, hi := valueRange(x)
+		if bc.eb = p.ErrorBound * (hi - lo); bc.eb == 0 {
+			// Constant (or empty) data has no range to be relative to: store
+			// the constant, exactly.
+			c := 0.0
+			if len(x) > 0 {
+				c = x[0]
+			}
+			if st != nil {
+				st.AddExact(x)
+				st.Lossy = true
+			}
+			return codec.AppendConstant(dst, bc, len(x), c), nil
+		}
 	}
-	return compressBlocked(x, p)
+	return codec.Compress(dst, x, bc, st)
 }
 
-// normalizeParams validates p against x and fills defaults; Compress
-// and CompressWithStats share it so both accept exactly the same
-// inputs.
+// normalizeParams validates p against x and fills defaults.
 func normalizeParams(x []float64, p Params) (Params, error) {
 	if p.ErrorBound <= 0 || math.IsNaN(p.ErrorBound) || math.IsInf(p.ErrorBound, 0) {
 		return p, fmt.Errorf("sz: error bound must be positive and finite, got %v", p.ErrorBound)
 	}
+	if p.Mode > PWRel {
+		return p, fmt.Errorf("sz: unknown mode %d", p.Mode)
+	}
 	if p.Intervals == 0 {
 		p.Intervals = defaultIntervals
 	}
-	if p.Intervals < 4 || p.Intervals > 1<<24 {
-		return p, fmt.Errorf("sz: intervals %d outside [4, 2^24]", p.Intervals)
+	if p.Intervals < minIntervals || p.Intervals > maxIntervals {
+		return p, fmt.Errorf("sz: intervals %d outside [%d, 2^24]", p.Intervals, minIntervals)
 	}
 	if p.BlockSize < 0 {
 		return p, fmt.Errorf("sz: negative block size %d", p.BlockSize)
 	}
 	if p.BlockSize == 0 {
-		p.BlockSize = defaultBlockElems
+		p.BlockSize = codec.DefaultBlockElems
 	}
 	if p.Mode == PWRel && p.ErrorBound >= 1 {
 		return p, fmt.Errorf("sz: pointwise-relative bound must be < 1, got %v", p.ErrorBound)
@@ -151,6 +177,13 @@ func normalizeParams(x []float64, p Params) (Params, error) {
 	}
 	return p, nil
 }
+
+// The quantization-bin counts the encoder writes, and so the only ones
+// a decoder accepts.
+const (
+	minIntervals = 4
+	maxIntervals = 1 << 24
+)
 
 // firstNonFinite scans x concurrently and returns the smallest index
 // holding a NaN or Inf, or -1 if all values are finite.
@@ -181,101 +214,73 @@ func firstNonFinite(x []float64) int {
 	return -1
 }
 
-// compressLegacy emits the single-stream SZG1 format, byte-compatible
-// with streams written before the blocked container existed.
-func compressLegacy(x []float64, p Params) ([]byte, error) {
-	out := []byte(magic)
-	out = append(out, byte(p.Mode))
-
-	switch p.Mode {
-	case Abs, RelRange:
-		eb := p.ErrorBound
-		if p.Mode == RelRange {
-			lo, hi := valueRange(x)
-			eb = p.ErrorBound * (hi - lo)
-			if eb == 0 {
-				// Constant (or empty) data: store the constant.
-				return appendConstant(out, x), nil
-			}
-		}
-		out = append(out, kindCore)
-		return appendCore(out, x, eb, p.Predictor, p.Intervals)
-
-	case PWRel:
-		out = append(out, kindLogTransform)
-		return appendLogTransform(out, x, p)
-	}
-	return nil, fmt.Errorf("sz: unknown mode %d", p.Mode)
-}
-
-// MaxConstantElems is the most values Decompress reconstructs from a
-// constant SZG1 stream (128 MiB of output for 22 bytes of input). The
-// writer frames at most Params.BlockSize elements that way, 32,768 by
-// default. DecompressInto takes the count from its destination and has
-// no ceiling.
-const MaxConstantElems = 1 << 24
-
-// Decompress reverses Compress. The output slice is freshly allocated.
-// Both the blocked SZG2 container and the legacy SZG1 single-stream
-// format are accepted; a constant SZG1 stream of more than
-// MaxConstantElems values is rejected.
+// Decompress reverses Compress. The output slice is freshly allocated;
+// a constant stream of more than codec.MaxConstantElems values is
+// rejected (DecompressInto takes the count from its destination and has
+// no ceiling).
 func Decompress(data []byte) ([]float64, error) {
-	if len(data) >= 4 && string(data[:4]) == magicBlocked {
-		return decompressBlocked(data)
-	}
-	if len(data) < 6 || string(data[:4]) != magic {
-		return nil, fmt.Errorf("sz: bad magic")
-	}
-	kind := data[5]
-	payload := data[6:]
-	switch kind {
-	case kindConstant:
-		return decodeConstant(payload)
-	case kindCore:
-		return decodeCoreInto(payload, nil)
-	case kindLogTransform:
-		return decodeLogTransformInto(payload, nil)
-	}
-	return nil, fmt.Errorf("sz: unknown payload kind %d", kind)
+	return codec.Decompress(data, Blocks{})
 }
 
 // DecompressInto reverses Compress into a caller-provided slice: dst
 // must have exactly the stream's element count, and no output
 // allocation is performed — the restore path uses it to reconstruct
 // checkpointed vectors straight into the solver's registered state.
-// Both the blocked SZG2 container and the legacy SZG1 single-stream
-// format are accepted, and the reconstruction is bitwise identical to
-// Decompress. Every element of dst is overwritten on success; on
-// error dst's contents are unspecified.
+// The reconstruction is bitwise identical to Decompress. Every element
+// of dst is overwritten on success; on error dst's contents are
+// unspecified.
 func DecompressInto(dst []float64, data []byte) error {
-	if len(data) >= 4 && string(data[:4]) == magicBlocked {
-		return decompressBlockedInto(data, dst)
-	}
-	if len(data) < 6 || string(data[:4]) != magic {
-		return fmt.Errorf("sz: bad magic")
-	}
-	kind := data[5]
-	payload := data[6:]
-	switch kind {
-	case kindConstant:
-		return decodeConstantInto(payload, dst)
-	case kindCore:
-		_, err := decodeCoreInto(payload, ensureNonNil(dst))
-		return err
-	case kindLogTransform:
-		_, err := decodeLogTransformInto(payload, ensureNonNil(dst))
-		return err
-	}
-	return fmt.Errorf("sz: unknown payload kind %d", kind)
+	return codec.DecompressInto(dst, data, Blocks{})
 }
 
-// ensureNonNil keeps a nil (zero-length) destination on the in-place
-// path of the decode helpers, which treat nil as "allocate".
-func ensureNonNil(dst []float64) []float64 {
-	if dst == nil {
-		return []float64{}
+// Blocks is SZ's block codec in the blocked container
+// (codec.BlockCodec). The zero value decodes the blocks of any SZ
+// stream; encoding goes through AppendCompress, which makes the
+// whole-vector decisions (parameter defaults, RelRange's global range)
+// the blocks share.
+type Blocks struct {
+	p  Params  // normalized
+	eb float64 // the absolute bound of Abs/RelRange blocks
+}
+
+// ID implements codec.BlockCodec.
+func (Blocks) ID() codec.ID { return codec.SZ }
+
+// BlockSize implements codec.BlockCodec.
+func (b Blocks) BlockSize() int { return b.p.BlockSize }
+
+// EncodeBlock implements codec.BlockCodec: a kind byte, then the core
+// or log-transform payload of x.
+func (b Blocks) EncodeBlock(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
+	if b.p.Intervals == 0 {
+		return nil, fmt.Errorf("sz: Blocks encodes through AppendCompress only")
 	}
-	return dst
+	if st != nil {
+		st.Bound, st.Relative, st.Lossy = b.eb, b.p.Mode == PWRel, true
+	}
+	if b.p.Mode == PWRel {
+		return appendLogTransform(append(dst, kindLogTransform), x, b.p, st)
+	}
+	var a *audit
+	if st != nil {
+		a = &audit{st: st}
+	}
+	return appendCore(append(dst, kindCore), x, b.eb, b.p.Predictor, b.p.Intervals, a)
+}
+
+// DecodeBlockInto implements codec.BlockCodec.
+func (Blocks) DecodeBlockInto(dst []float64, blk []byte) error {
+	if len(blk) < 1 {
+		return fmt.Errorf("sz: empty block")
+	}
+	switch kind, payload := blk[0], blk[1:]; kind {
+	case kindCore:
+		return decodeCoreInto(payload, dst)
+	case kindLogTransform:
+		return decodeLogTransformInto(payload, dst)
+	default:
+		return fmt.Errorf("sz: unknown block payload kind %d", kind)
+	}
 }
 
 // Ratio returns the compression ratio original/compressed in bytes.
@@ -300,60 +305,6 @@ func valueRange(x []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-func appendConstant(out []byte, x []float64) []byte {
-	out = append(out, kindConstant)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(x)))
-	out = append(out, b[:]...)
-	c := 0.0
-	if len(x) > 0 {
-		c = x[0]
-	}
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(c))
-	return append(out, b[:]...)
-}
-
-func decodeConstant(p []byte) ([]float64, error) {
-	if len(p) != 16 {
-		return nil, fmt.Errorf("sz: constant payload must be 16 bytes, got %d", len(p))
-	}
-	n := int(binary.LittleEndian.Uint64(p))
-	if n < 0 {
-		return nil, fmt.Errorf("sz: negative length")
-	}
-	// A constant stream encodes any vector in 16 bytes, so the payload
-	// cannot bound n, and this is the one decoder that sizes its output
-	// from n alone.
-	if n > MaxConstantElems {
-		return nil, fmt.Errorf("sz: constant stream claims %d values, Decompress allocates at most %d (DecompressInto has no ceiling)", n, MaxConstantElems)
-	}
-	out := make([]float64, n)
-	if err := decodeConstantInto(p, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeConstantInto fills dst with the stored constant; dst's length
-// must match the stored element count.
-func decodeConstantInto(p []byte, dst []float64) error {
-	if len(p) != 16 {
-		return fmt.Errorf("sz: constant payload must be 16 bytes, got %d", len(p))
-	}
-	n := int(binary.LittleEndian.Uint64(p))
-	if n < 0 {
-		return fmt.Errorf("sz: negative length")
-	}
-	if len(dst) != n {
-		return fmt.Errorf("sz: constant stream holds %d values, dst has %d", n, len(dst))
-	}
-	c := math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-	for i := range dst {
-		dst[i] = c
-	}
-	return nil
 }
 
 // roundMagic rounds a float64 to the nearest integer (ties to even) by
@@ -435,6 +386,34 @@ func choosePredictor(x []float64, eb float64, intervals int) Predictor {
 	return PredictorLorenzo
 }
 
+// audit is the distortion accumulator of one block, fed by the
+// quantizer loops behind a nil check: the reconstruction is in a
+// register there, so an audited encode costs no decode pass and an
+// unaudited one a predictable branch.
+//
+// mags is nil in the value domain (Abs/RelRange: the native and
+// absolute errors coincide). On the PWRel path the quantizer sees
+// logarithms, mags holds the corresponding |value| magnitudes and
+// fcorr the fast-log accuracy margin: the per-element relative error
+// is then bounded by expm1(|log error| + fcorr) and the absolute error
+// by that times the magnitude.
+type audit struct {
+	st    *codec.Stats
+	mags  []float64
+	fcorr float64
+}
+
+// add folds element i: v as the quantizer saw it, r its reconstruction.
+func (a *audit) add(i int, v, r float64) {
+	d := math.Abs(v - r)
+	if a.mags == nil {
+		a.st.Add(math.Abs(v), d, d)
+		return
+	}
+	rel := math.Expm1(d + a.fcorr)
+	a.st.Add(a.mags[i], rel, rel*a.mags[i])
+}
+
 // appendCore runs the ABS-bound pipeline (predict → quantize →
 // Huffman), appending the payload to dst. All large scratch state
 // comes from the parallel package's pools, keeping the per-call
@@ -442,8 +421,9 @@ func choosePredictor(x []float64, eb float64, intervals int) Predictor {
 // The predict→quantize loop is specialized per predictor: the
 // reconstructed prefix lives in one or two registers instead of a
 // side array, and quantStep's multiply-and-magic-round replaces the
-// divide-and-math.Round of the generic path.
-func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals int) ([]byte, error) {
+// divide-and-math.Round of the generic path. A non-nil a audits every
+// element where it is quantized.
+func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals int, a *audit) ([]byte, error) {
 	if pred == PredictorAuto {
 		pred = choosePredictor(x, eb, intervals)
 	}
@@ -464,6 +444,9 @@ func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals i
 				unpred = append(unpred, v)
 			}
 			codes[i] = code
+			if a != nil {
+				a.add(i, v, r)
+			}
 			prev = r
 		}
 	} else {
@@ -482,6 +465,9 @@ func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals i
 				unpred = append(unpred, x[i])
 			}
 			codes[i] = code
+			if a != nil {
+				a.add(i, x[i], r)
+			}
 			prev2 = prev
 			prev = r
 		}
@@ -492,6 +478,9 @@ func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals i
 				unpred = append(unpred, v)
 			}
 			codes[i] = code
+			if a != nil {
+				a.add(i, v, r)
+			}
 			prev2 = prev
 			prev = r
 		}
@@ -506,9 +495,7 @@ func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals i
 }
 
 // emitCore appends the core payload framing (header, Huffman stream,
-// unpredictable values) to dst. appendCore and the stats-accumulating
-// encode path both emit through it, so their output bytes cannot
-// diverge.
+// unpredictable values) to dst.
 func emitCore(dst []byte, n int, eb float64, pred Predictor, intervals int, hstream []byte, unpred []float64) []byte {
 	out := dst
 	var scratch [binary.MaxVarintLen64]byte
@@ -532,12 +519,11 @@ func emitCore(dst []byte, n int, eb float64, pred Predictor, intervals int, hstr
 	return out
 }
 
-// decodeCoreInto decodes a core payload. When dst is non-nil its
-// length must match the stored element count and the reconstruction is
-// written in place (the blocked container decodes each block straight
-// into its slice of the output vector); when dst is nil a fresh slice
-// is allocated.
-func decodeCoreInto(p []byte, dst []float64) ([]float64, error) {
+// decodeCoreInto decodes a core payload into recon, whose length must
+// match the stored element count (the container decodes each block
+// straight into its slice of the output vector). Nothing is written to
+// recon before the header and the Huffman stream have been accepted.
+func decodeCoreInto(p []byte, recon []float64) error {
 	off := 0
 	getUvarint := func() (uint64, error) {
 		v, k := binary.Uvarint(p[off:])
@@ -549,10 +535,10 @@ func decodeCoreInto(p []byte, dst []float64) ([]float64, error) {
 	}
 	n64, err := getUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if off+9 > len(p) {
-		return nil, fmt.Errorf("sz: truncated core header")
+		return fmt.Errorf("sz: truncated core header")
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
 	off += 8
@@ -560,47 +546,49 @@ func decodeCoreInto(p []byte, dst []float64) ([]float64, error) {
 	off++
 	intervals64, err := getUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nUnpred, err := getUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	hlen, err := getUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Compare in uint64 against what is left: a crafted length converted
 	// to int first can wrap negative and slip past the check.
 	if rem := uint64(len(p) - off); hlen > rem || nUnpred > (rem-hlen)/8 {
-		return nil, fmt.Errorf("sz: truncated core payload")
+		return fmt.Errorf("sz: truncated core payload")
+	}
+	// Only what the encoder can write: a NaN, infinite or non-positive
+	// bound, or a bin count outside the encoder's range, reconstructs
+	// NaN/Inf/garbage without an error — a silently divergent restart.
+	if !(eb > 0) || math.IsInf(eb, 0) || intervals64 < minIntervals || intervals64 > maxIntervals {
+		return fmt.Errorf("sz: corrupt core header (bound %v, %d intervals)", eb, intervals64)
 	}
 	// Every value costs at least one bit in the Huffman stream, so a
 	// count beyond 8× the payload bytes is corrupt; checking before
 	// allocating keeps crafted headers from demanding terabytes.
 	if n64 > 8*uint64(len(p)) {
-		return nil, fmt.Errorf("sz: %d values exceed %d payload bytes", n64, len(p))
+		return fmt.Errorf("sz: %d values exceed %d payload bytes", n64, len(p))
 	}
 	cbuf := parallel.GetInts(int(n64))
 	codes, err := huffman.DecodeInto(p[off:off+int(hlen)], cbuf)
 	if err != nil {
 		parallel.PutInts(cbuf)
-		return nil, err
+		return err
 	}
 	defer parallel.PutInts(codes)
 	off += int(hlen)
 	n := int(n64)
 	if len(codes) != n {
-		return nil, fmt.Errorf("sz: decoded %d codes for %d values", len(codes), n)
+		return fmt.Errorf("sz: decoded %d codes for %d values", len(codes), n)
 	}
-	intervals := int(intervals64)
-	half := intervals / 2
-	recon := dst
-	if recon == nil {
-		recon = make([]float64, n)
-	} else if len(recon) != n {
-		return nil, fmt.Errorf("sz: core block holds %d values, expected %d", n, len(recon))
+	if len(recon) != n {
+		return fmt.Errorf("sz: core block holds %d values, expected %d", n, len(recon))
 	}
+	half := int(intervals64) / 2
 	// Reconstruction mirrors the encoder's specialized loops: the
 	// predictor inputs live in registers, and the arithmetic
 	// (prediction + 2·eb·bin) is identical to the generic predict()
@@ -626,7 +614,7 @@ func decodeCoreInto(p []byte, dst []float64) ([]float64, error) {
 			if c == 0 {
 				var err error
 				if v, err = unpredAt(i); err != nil {
-					return nil, err
+					return err
 				}
 			} else {
 				v = prev + twoEB*float64(c-half)
@@ -647,7 +635,7 @@ func decodeCoreInto(p []byte, dst []float64) ([]float64, error) {
 			if c == 0 {
 				var err error
 				if v, err = unpredAt(i); err != nil {
-					return nil, err
+					return err
 				}
 			} else {
 				v = pr + twoEB*float64(c-half)
@@ -658,9 +646,9 @@ func decodeCoreInto(p []byte, dst []float64) ([]float64, error) {
 		}
 	}
 	if ui != nu {
-		return nil, fmt.Errorf("sz: %d unpredictable values stored, %d consumed", nUnpred, ui)
+		return fmt.Errorf("sz: %d unpredictable values stored, %d consumed", nUnpred, ui)
 	}
-	return recon, nil
+	return nil
 }
 
 // tinyThreshold separates values that survive the log transform from
@@ -675,8 +663,10 @@ const tinyThreshold = 2.2250738585072014e-308 // math.SmallestNormalFloat64
 // compressing ln|x| under the absolute bound ln(1+eb), appending the
 // payload to dst. Signs, exact zeros, and subnormal values travel in
 // side channels; zeros and subnormals reconstruct exactly, trivially
-// satisfying the bound.
-func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
+// satisfying the bound — and an audit (st non-nil) counts them so,
+// while the log-compressed elements carry their magnitudes into the
+// quantizer loop for the relative→absolute conversion.
+func appendLogTransform(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte, error) {
 	n := len(x)
 	nb := (n + 7) / 8
 	// One pooled buffer holds all three bitmaps back to back in stream
@@ -705,6 +695,14 @@ func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
 	if !useFast {
 		lnbEnc = lnb
 	}
+	var a *audit
+	if st != nil {
+		a = &audit{st: st, mags: parallel.GetFloat64s(n)}
+		defer func() { parallel.PutFloat64s(a.mags) }()
+		if useFast {
+			a.fcorr = fastLogErr
+		}
+	}
 
 	// Classification works on the raw bits: sign, zero, and subnormal
 	// tests are integer compares (tinyThreshold is the smallest normal,
@@ -715,6 +713,9 @@ func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
 		bit := byte(1) << (uint(i) & 7)
 		if abs == 0 {
 			zeros[i>>3] |= bit
+			if a != nil {
+				st.Add(0, 0, 0)
+			}
 			continue
 		}
 		if b != abs {
@@ -723,6 +724,9 @@ func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
 		if abs < 1<<52 { // biased exponent 0: subnormal
 			tiny[i>>3] |= bit
 			exact = append(exact, math.Float64frombits(abs))
+			if a != nil {
+				st.Add(math.Float64frombits(abs), 0, 0)
+			}
 			continue
 		}
 		if useFast {
@@ -730,8 +734,11 @@ func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
 		} else {
 			logs = append(logs, math.Log(math.Float64frombits(abs)))
 		}
+		if a != nil {
+			a.mags = append(a.mags, math.Float64frombits(abs))
+		}
 	}
-	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, lnbEnc, p.Predictor, p.Intervals)
+	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, lnbEnc, p.Predictor, p.Intervals, a)
 }
 
 // emitLogHeader appends the log-transform framing that precedes the
@@ -744,8 +751,7 @@ func appendLogTransform(dst []byte, x []float64, p Params) ([]byte, error) {
 // set and is stored; an absent bitmap decodes as all-clear. A strictly
 // positive vector of normal values — a converging solver's iterate —
 // stores none, where three always-present bitmaps cost 3 bits per
-// element. appendLogTransform and the stats-accumulating encode path
-// both emit through it, so their output bytes cannot diverge.
+// element.
 func emitLogHeader(dst []byte, n int, bitmaps []byte, exact []float64) []byte {
 	out := binary.AppendUvarint(dst, uint64(n))
 	presenceAt := len(out)
@@ -775,12 +781,12 @@ func bitSet(bm []byte, i int) bool {
 }
 
 // decodeLogTransformInto decodes a log-transform payload (the layout
-// emitLogHeader documents, then the core sub-stream), writing into dst
-// when non-nil (its length must match the stored count).
-func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
+// emitLogHeader documents, then the core sub-stream) into out, whose
+// length must match the stored count.
+func decodeLogTransformInto(p []byte, out []float64) error {
 	n64, k := binary.Uvarint(p)
 	if k <= 0 || k >= len(p) {
-		return nil, fmt.Errorf("sz: truncated log header")
+		return fmt.Errorf("sz: truncated log header")
 	}
 	// Every element costs at least one bit — in the zeros or tiny
 	// bitmap, or in the core sub-stream's Huffman codes — so a count
@@ -788,14 +794,14 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 	// stays in uint64 against the bytes that remain until it has passed
 	// such a check: a crafted count converted or multiplied first wraps.
 	if n64 > 8*uint64(len(p)) {
-		return nil, fmt.Errorf("sz: %d values exceed %d payload bytes", n64, len(p))
+		return fmt.Errorf("sz: %d values exceed %d payload bytes", n64, len(p))
 	}
 	n := int(n64)
 	nb := (n + 7) / 8
 	presence := p[k]
 	off := k + 1
 	if presence > 7 {
-		return nil, fmt.Errorf("sz: invalid bitmap presence byte %#x", presence)
+		return fmt.Errorf("sz: invalid bitmap presence byte %#x", presence)
 	}
 	var maps [3][]byte // nil when absent: all-clear
 	for j := range maps {
@@ -803,7 +809,7 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 			continue
 		}
 		if nb > len(p)-off {
-			return nil, fmt.Errorf("sz: truncated bitmaps")
+			return fmt.Errorf("sz: truncated bitmaps")
 		}
 		maps[j] = p[off : off+nb]
 		off += nb
@@ -811,11 +817,11 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 	zeros, signs, tiny := maps[0], maps[1], maps[2]
 	nExact64, k := binary.Uvarint(p[off:])
 	if k <= 0 {
-		return nil, fmt.Errorf("sz: truncated exact-list header")
+		return fmt.Errorf("sz: truncated exact-list header")
 	}
 	off += k
 	if nExact64 > uint64(len(p)-off)/8 {
-		return nil, fmt.Errorf("sz: truncated exact list")
+		return fmt.Errorf("sz: truncated exact list")
 	}
 	nExact := int(nExact64)
 	exact := p[off : off+8*nExact]
@@ -825,23 +831,19 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 	// allocation per block.
 	nLogs64, k := binary.Uvarint(p[off:])
 	if k <= 0 {
-		return nil, fmt.Errorf("sz: truncated core header")
+		return fmt.Errorf("sz: truncated core header")
 	}
 	if nLogs64 > uint64(n) {
-		return nil, fmt.Errorf("sz: %d logs for %d values", nLogs64, n)
+		return fmt.Errorf("sz: %d logs for %d values", nLogs64, n)
 	}
 	lbuf := parallel.GetFloat64s(int(nLogs64))
 	defer func() { parallel.PutFloat64s(lbuf) }()
-	lbuf = lbuf[:nLogs64]
-	logs, err := decodeCoreInto(p[off:], lbuf)
-	if err != nil {
-		return nil, err
+	logs := lbuf[:nLogs64]
+	if len(out) != n {
+		return fmt.Errorf("sz: log block holds %d values, expected %d", n, len(out))
 	}
-	out := dst
-	if out == nil {
-		out = make([]float64, n)
-	} else if len(out) != n {
-		return nil, fmt.Errorf("sz: log block holds %d values, expected %d", n, len(out))
+	if err := decodeCoreInto(p[off:], logs); err != nil {
+		return err
 	}
 	li, ei := 0, 0
 	for i := 0; i < n; i++ {
@@ -852,13 +854,13 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 		var v float64
 		if bitSet(tiny, i) {
 			if ei >= nExact {
-				return nil, fmt.Errorf("sz: exact list underflow at %d", i)
+				return fmt.Errorf("sz: exact list underflow at %d", i)
 			}
 			v = math.Float64frombits(binary.LittleEndian.Uint64(exact[8*ei:]))
 			ei++
 		} else {
 			if li >= len(logs) {
-				return nil, fmt.Errorf("sz: log stream underflow at %d", i)
+				return fmt.Errorf("sz: log stream underflow at %d", i)
 			}
 			v = math.Exp(logs[li])
 			li++
@@ -869,7 +871,7 @@ func decodeLogTransformInto(p []byte, dst []float64) ([]float64, error) {
 		out[i] = v
 	}
 	if li != len(logs) || ei != nExact {
-		return nil, fmt.Errorf("sz: stored %d logs/%d exact, consumed %d/%d", len(logs), nExact, li, ei)
+		return fmt.Errorf("sz: stored %d logs/%d exact, consumed %d/%d", len(logs), nExact, li, ei)
 	}
-	return out, nil
+	return nil
 }

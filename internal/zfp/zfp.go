@@ -207,7 +207,9 @@ func decodedLen(data []byte) (int, error) {
 func decompressInto(data []byte, out []float64) error {
 	n := len(out)
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(data[12:]))
-	if eb <= 0 {
+	// The bound the encoder accepts, checked before anything is written to
+	// out: NaN or +Inf would reconstruct NaN/Inf without an error.
+	if !(eb > 0) || math.IsInf(eb, 0) {
 		return fmt.Errorf("zfp: corrupt error bound %v", eb)
 	}
 	r := flate.NewReader(bytes.NewReader(data[20:]))

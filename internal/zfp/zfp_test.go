@@ -207,3 +207,37 @@ func TestDecompressRejectsCraftedLength(t *testing.T) {
 		t.Fatal("crafted zfp length accepted")
 	}
 }
+
+// TestDecompressRejectsCorruptBound: the stored bound scales every
+// coefficient, so one no encoder writes — NaN, ±Inf, zero, negative —
+// is an error before anything is written to the destination, not a
+// vector of NaN or Inf returned with a nil error.
+func TestDecompressRejectsCorruptBound(t *testing.T) {
+	x := make([]float64, 100)
+	for i := range x {
+		x[i] = math.Sin(float64(i) / 7)
+	}
+	comp, err := Compress(x, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e-4} {
+		bad := append([]byte(nil), comp...)
+		binary.LittleEndian.PutUint64(bad[12:], math.Float64bits(eb))
+		if out, err := Decompress(bad); err == nil {
+			t.Errorf("bound %v: decoded to %v… without an error", eb, out[:2])
+		}
+		dst := make([]float64, len(x))
+		for i := range dst {
+			dst[i] = 42
+		}
+		if err := DecompressInto(dst, bad); err == nil {
+			t.Errorf("bound %v: DecompressInto accepted the stream", eb)
+		}
+		for i, v := range dst {
+			if v != 42 {
+				t.Fatalf("bound %v: destination written at %d before the stream was rejected", eb, i)
+			}
+		}
+	}
+}

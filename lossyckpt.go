@@ -39,22 +39,20 @@
 // The two hot paths of the lossy-checkpointing argument — the
 // compressor and the solver inner loop — are parallel:
 //
-// SZ compression uses a blocked container ("SZG2"): vectors larger
-// than SZParams.BlockSize elements (default 32,768 = 256 KiB) are
-// split into fixed-size blocks that compress and decompress
-// independently, each with its own predictor state and Huffman table,
-// across a worker pool sized by GOMAXPROCS. The pointwise error bound
-// of every mode is preserved exactly (RelRange converts to an absolute
-// bound using the global value range before blocking), the output
-// bytes are schedule-independent, and legacy single-stream "SZG1"
-// checkpoints remain decodable. Inputs of at most one block keep the
-// legacy format byte-for-byte. The ZFP, FPC, and flate codecs get the
-// same treatment through a shared blocked container ("BLK1",
-// CompressBlocked/DecompressBlockedInto): per-block independent
-// state, concurrent compress and in-place decode, shard cuts aligned
-// to block boundaries, legacy streams still decoding — with ZFP's
-// blocks pinned to transform-block multiples so its blocked and
-// legacy streams reconstruct bitwise identically.
+// Every compressed vector — SZ, ZFP, FPC or flate — is framed in one
+// blocked container ("BLK1"): it is split into fixed-size blocks
+// (SZParams.BlockSize elements, default 32,768 = 256 KiB) that
+// compress and decompress independently, each with its own predictor
+// state and Huffman table or DEFLATE window, across a worker pool
+// sized by GOMAXPROCS, decode in place, and give sharded checkpoints
+// their cut points. The pointwise error bound of every SZ mode is
+// preserved exactly (RelRange converts to an absolute bound using the
+// global value range before blocking), the output bytes are
+// schedule-independent, and ZFP's blocks are pinned to transform-block
+// multiples so they reconstruct the bits one stream over the whole
+// vector would. There is one format: a stream in a retired one (the
+// SZ-only containers, a bare zfp/fpc/flate vector) is an error naming
+// its magic.
 //
 // Sparse matrix-vector products (CSR.MulVec / MulVecSub) partition by
 // row ranges above ~32k nonzeros; each row accumulates in serial
@@ -84,7 +82,7 @@
 // The storage stage itself shards on request: ManagerConfig.Shards
 // (or (*Checkpointer).SetSharding) splits every checkpoint into N
 // shard objects written concurrently by a bounded worker pool
-// (ManagerConfig.StorageWorkers), with cut points aligned to the SZG2
+// (ManagerConfig.StorageWorkers), with cut points aligned to the container's
 // compression-block boundaries, plus a small manifest — shard names,
 // sizes, per-shard CRC32C checksums, encoder mode — committed last.
 // A checkpoint exists exactly when its manifest does: shards without a
@@ -101,17 +99,16 @@
 //
 // The restore path streams symmetrically: a sharded checkpoint is
 // decoded without reassembling its payload — each worker reads its
-// shard, verifies its CRC32C, and block-decodes the SZG2 compression
+// shard, verifies its CRC32C, and block-decodes the compression
 // blocks it holds straight into the destination vectors, overlapping
 // read, checksum, and decode across shards. Recover decodes directly
 // into the registered (protected) variables when lengths match, so a
 // restart performs no whole-payload buffer allocation and no
 // decode-then-copy; the redundant whole-payload CRC is skipped for
 // sharded groups (per-shard CRC32C already covered every byte) and
-// kept for monolithic ones. Encoders expose the in-place decode via
-// the DecoderInto extension (DecompressSZInto, zfp.DecompressInto,
-// the lossless codecs' DecompressInto), with a decode-plus-copy
-// fallback for encoders that lack it. The cluster model prices
+// kept for monolithic ones, which are walked by the same parser as a
+// group of one chunk. Every encoder decodes in place (DecodeInto is
+// part of the encoder contract, not an extension). The cluster model prices
 // restarts the same way (cluster.Model.ShardedRecoverySeconds:
 // per-stripe read bandwidth × min(shards, stripes), saturating at the
 // read aggregate, overlapped with decompress-per-core).
@@ -339,84 +336,7 @@ var DecompressSZ = sz.Decompress
 // decode the streaming restore path is built on.
 var DecompressSZInto = sz.DecompressInto
 
-// SZBlockLayout describes the block structure of an SZG2 stream for
-// streaming decode: element count, elements per block, and the byte
-// span of every independently decodable block.
-type SZBlockLayout = sz.BlockLayout
-
-// ParseSZBlockLayout parses an SZG2 container header (header bytes
-// plus the full stream length) into its block layout.
-var ParseSZBlockLayout = sz.ParseBlockLayout
-
-// DecodeSZBlockInto decodes one SZG2 block payload into a slice
-// holding exactly that block's elements.
-var DecodeSZBlockInto = sz.DecodeBlockInto
-
-// SZRange is a byte span within an encoded SZ stream.
-type SZRange = sz.Range
-
-// SZBlockRanges reports the byte span of every compression block in an
-// SZG2 stream (false for legacy/foreign streams) — the shard-alignment
-// cut points.
-var SZBlockRanges = sz.BlockRanges
-
-// SZSplitBlocks partitions an SZ stream into at most n contiguous
-// spans cut on block boundaries.
-var SZSplitBlocks = sz.SplitBlocks
-
-// ---- Blocked containers (ZFP / FPC / flate) ---------------------------------
-
-// CodecID identifies a codec inside the shared "BLK1" blocked
-// container (the ZFP/FPC/flate counterpart of SZ's SZG2).
-type CodecID = codec.ID
-
-// The blocked container's codec IDs.
-const (
-	CodecZFP   = codec.ZFP
-	CodecFPC   = codec.FPC
-	CodecFlate = codec.Flate
-)
-
-// CodecParams select the codec and its knobs (error bound for ZFP,
-// DEFLATE level for flate, elements per block) for CompressBlocked.
-type CodecParams = codec.Params
-
-// CompressBlocked encodes through the blocked container: inputs above
-// one block emit a BLK1 stream whose blocks compress concurrently
-// with fully independent state; smaller inputs keep the codec's
-// legacy stream byte-for-byte.
-var CompressBlocked = codec.Compress
-
-// DecompressBlocked decodes a BLK1 container or any codec's legacy
-// stream, dispatching on the stream magic.
-var DecompressBlocked = codec.Decompress
-
-// DecompressBlockedInto is DecompressBlocked into a caller-provided
-// slice whose length must equal the stream's element count — the
-// zero-copy decode the streaming restore path uses.
-var DecompressBlockedInto = codec.DecompressInto
-
-// IsBlockedStream reports whether a stream is a BLK1 container.
-var IsBlockedStream = codec.IsBlocked
-
-// BlockedStreamID reads the codec ID out of a BLK1 container header.
-var BlockedStreamID = codec.StreamID
-
-// ParseBlockedLayout parses a BLK1 container header (header bytes plus
-// the full stream length) into its block layout for streaming decode.
-var ParseBlockedLayout = codec.ParseBlockLayout
-
-// BlockedRanges reports the byte span of every block in a BLK1 stream
-// (false for legacy/foreign streams) — the shard-alignment cut points.
-var BlockedRanges = codec.BlockRanges
-
-// SplitBlockedStream partitions a BLK1 stream into at most n
-// contiguous spans cut on block boundaries.
-var SplitBlockedStream = codec.SplitBlocks
-
-// DecodeBlockedBlockInto decodes one BLK1 block payload into a slice
-// holding exactly that block's elements.
-var DecodeBlockedBlockInto = codec.DecodeBlockInto
+// ---- Blocked container codecs ------------------------------------------------
 
 // BlockedFPC is the lossless FPC codec behind the blocked container —
 // plug into LosslessEncoder for parallel lossless checkpoints.
@@ -485,24 +405,14 @@ type RawEncoder = fti.Raw
 // SZEncoder stores vectors through the lossy compressor.
 type SZEncoder = fti.SZ
 
-// ZFPEncoder stores vectors through the ZFP-like transform codec,
-// blocked above ZFPEncoder.BlockElems elements (transform-block
-// aligned, so blocked and legacy streams decode bitwise identically).
+// ZFPEncoder stores vectors through the ZFP-like transform codec, in
+// blocks of ZFPEncoder.BlockElems elements (transform-block aligned,
+// so the blocks decode to the bits of one stream over the vector).
 type ZFPEncoder = fti.ZFP
 
 // LosslessEncoder stores vectors through a lossless codec — wrap
 // BlockedFPC or BlockedFlate for the parallel blocked containers.
 type LosslessEncoder = fti.Lossless
-
-// DecoderInto is the optional streaming extension of a checkpoint
-// encoder: decode directly into a caller-provided slice (the restore
-// path then reconstructs vectors in place). Encoders without it fall
-// back to decode-plus-copy via EncoderDecodeInto.
-type DecoderInto = fti.DecoderInto
-
-// EncoderDecodeInto decodes with an encoder's DecoderInto fast path
-// when implemented, falling back to Decode plus a copy.
-var EncoderDecodeInto = fti.DecodeInto
 
 // ---- Fault-tolerant storage ---------------------------------------------------
 
