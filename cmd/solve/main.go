@@ -1,7 +1,7 @@
 // Command solve runs one fault-tolerant iterative solve end to end:
 // it builds a 3D Poisson system, solves it with the chosen method and
-// checkpointing scheme, optionally injecting failures in virtual time,
-// and reports the outcome.
+// checkpointing scheme, optionally injecting failures, and reports the
+// outcome.
 //
 // Usage:
 //
@@ -10,93 +10,78 @@
 //	solve -method cg -grid 16 -scheme lossy -mtti 300 -async
 //	solve -method cg -grid 16 -scheme lossy -mtti 300 -async -shards 8 -storage-workers 4
 //	solve -method jacobi -grid 12 -scheme lossy -mtti 300 -adaptive -prior-mtti 3600
+//	solve -method gmres -scheme lossy -async -inject 'proc@40,midckpt@80'
+//
+// Every run with a checkpoint scheme is one call of core.Drive, the
+// checkpoint-lifecycle loop, and the flags pick its three inputs. By
+// default the clock is virtual, the costs are the Bebop cluster model's
+// at 2,048 ranks, and -mtti draws exponential failure times (sim.Run);
+// -inject switches to the wall clock, measured costs, and a seeded
+// step-keyed fault plan. The outcome — checkpoint, backpressure and
+// recovery time, per-tier recovery counts, read traffic, the interval
+// trajectory — is accounted and printed the same way either way.
 //
 // -adaptive replaces the fixed (or Young-probed) checkpoint interval
 // with the online controller: per-checkpoint costs and the failure
 // rate are estimated from the run itself (the controller is never told
 // C, R, or λ — only -prior-mtti seeds its failure-rate prior), and the
 // interval is re-planned from the Young/Daly fixed point after every
-// observation. The interval trajectory is printed at the end of the
-// run alongside a per-phase cost table (capture/encode/write/restart,
-// modeled at cluster scale vs measured in-process).
+// observation, in seconds of whichever clock the run is on. The
+// interval trajectory is printed at the end of the run alongside a
+// per-phase cost table (capture/encode/write/restart, modeled at
+// cluster scale vs measured in-process).
 //
-// -recovery-tiers arms the tiered recovery chain: an ABFT guard
+// -recovery-tiers arms rung 0 of the recovery chain: an ABFT guard
 // retains per-iteration redundancy (exact-state for CG, periodic
 // retained solutions for the stationary methods) and every failure
-// tries checkpoint-free algorithmic reconstruction first, falling back
-// to the latest checkpoint, an older checkpoint, and finally
-// restart-from-zero. With -mtti the simulated run prices ABFT
-// recoveries in local-solve iterations (no PFS reads) and reports
-// per-tier counts and read traffic.
+// tries checkpoint-free algorithmic reconstruction first. With or
+// without it every failure walks the rest of the chain: the latest
+// checkpoint, an older checkpoint, and finally restart-from-zero.
+// Simulated runs price ABFT recoveries in local-solve iterations (no
+// PFS reads); all runs report per-tier counts and read traffic.
 //
-// -inject runs the REAL solve (no virtual clock) under a seeded
-// deterministic fault plan and prints a per-failure table of the tier
-// each recovery used. The spec grammar is
-//
-//	spec  := event ("," event)*
-//	event := kind ("+" kind)* "@" iterspec
-//	kind  := proc | abft | shard | manifest | midckpt
-//	       | storagewrite | storageread | slowio | crash
-//	iterspec := N | N..M | N..M/S
-//
-// e.g. -inject 'proc@50,abft+proc@120,manifest+proc@200'. Corruption
-// kinds without proc/midckpt are latent and surface at the next
-// recovery. The storage kinds arm faults in the injector interposed
-// beneath the resilient retry layer: storagewrite/storageread fail one
-// storage attempt, slowio delays one (exercising hedged reads), and
-// crash kills the store mid-commit — a partial temp artifact is left
-// behind, the store revives, and fsck sweeps the debris before tiered
-// recovery runs. A range iterspec ("storagewrite@100..600") schedules
-// a whole campaign in one event. -inject requires -recovery-tiers and
-// excludes -mtti; in this mode -interval is a checkpoint cadence in
-// iterations (default 25).
+// -inject runs the solve for real under a seeded deterministic fault
+// plan and prints a per-failure table of the tier each recovery used,
+// e.g. -inject 'proc@50,abft+proc@120,manifest+proc@200'. The spec
+// grammar and the nine kinds are package failure's (README,
+// "Fault-injection spec"). An event strikes when the solver's iteration
+// counter reaches N, before any checkpoint due at that iteration is
+// taken. Corruption kinds without proc/midckpt are latent and surface at
+// the next recovery. midckpt and crash land inside a checkpoint window:
+// a save opens at N — whether or not one was due there anyway — never
+// commits, and the process is lost; crash also kills the store
+// mid-commit, which is revived and fsck-swept before recovery runs.
+// -inject excludes -mtti, and the abft kind needs -recovery-tiers; in
+// this mode -interval is a checkpoint cadence in iterations (default
+// 25).
 //
 // Observability: -metrics-out writes the end-of-run metrics snapshot
 // as JSON, -trace-out writes a Chrome trace_event file (load it at
 // chrome://tracing or https://ui.perfetto.dev), and -debug-addr
-// serves /metrics (Prometheus text), /trace, and /debug/pprof live
-// while the solve runs. The cost table and a metrics summary are
-// emitted on every exit path — success, error, and injected runs
-// alike. With -inject -async the trace shows the background
-// encode/write spans overlapping solver iterations on real clocks;
-// simulated runs emit the same span schema in virtual time.
+// serves /metrics (Prometheus text), /trace, /report and /debug/pprof
+// live while the solve runs. The run report, the cost table and a
+// metrics summary are emitted on every exit path — success, error,
+// -scheme none and injected runs alike. With -inject -async the trace
+// shows the background encode/write spans overlapping solver
+// iterations on real clocks; simulated runs emit the same span schema
+// in virtual time.
 //
-// Storage resilience: every store is wrapped in the retry layer
-// (-storage-retries, default 4) that absorbs transient faults with
-// capped exponential backoff and hedges slow reads; -storage-timeout
-// bounds the cumulative backoff one op may accrue. -scrub-interval
-// starts the background scrubber, which CRC-verifies committed shards
-// and repairs corrupt ones from retained state. -storage-fault-rate
-// runs a seeded per-attempt transient-fault campaign against the
-// store — the run must complete with zero solver-visible errors, and
-// simulated runs price the expected retry delay into the checkpoint
-// cost (Outcome.StorageRetryTime). On-disk checkpoint directories are
-// fsck-swept at startup so partial commits from a crashed run never
-// surface as restorable checkpoints.
-//
-// -shards N splits every checkpoint into N shard objects plus a
-// manifest, written concurrently by up to -storage-workers goroutines
-// (0 = GOMAXPROCS). Passing -shards (any value, 1 included) also
-// switches the simulated write cost from the paper's collective model
-// (2,048 ranks writing concurrently at the full aggregate PFS
-// bandwidth) to the single-writer striped model: per-stripe bandwidth
-// × min(shards, stripes), saturating at the aggregate. Compare
-// -shards 1 against -shards 8 to see the storage stage scale with
-// stripes; the two models are different physical setups, so comparing
-// a -shards run against a run without the flag compares collective
-// writes against single-writer ones.
+// Storage resilience (-storage-retries, -storage-timeout,
+// -scrub-interval, -storage-fault-rate; on-disk checkpoint directories
+// are fsck-swept at startup) and the striped single-writer cost model
+// that passing -shards at all switches to (-shards 1 included, so
+// monolithic and sharded runs compare within one model) are described
+// flag by flag in the README, "Storage fault model" and "cmd/solve
+// flags".
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"net/http/pprof"
 	"os"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/abft"
@@ -106,160 +91,191 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fti"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/precond"
 	"repro/internal/quality"
 	"repro/internal/sim"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/sz"
+	"repro/internal/vec"
 )
 
 func main() {
-	method := flag.String("method", "cg", "iterative method: jacobi | gs | sor | ssor | cg | gmres")
-	grid := flag.Int("grid", 14, "Poisson grid dimension (n³ unknowns)")
-	rtol := flag.Float64("rtol", 1e-7, "relative convergence tolerance")
-	schemeName := flag.String("scheme", "lossy", "checkpoint scheme: traditional | lossless | lossy | none")
-	eb := flag.Float64("eb", 1e-4, "lossy pointwise-relative error bound")
-	interval := flag.Float64("interval", 0, "checkpoint interval in simulated seconds (0 = Young-optimal)")
-	mtti := flag.Float64("mtti", 0, "mean time to interruption in simulated seconds (0 = no failures)")
-	tit := flag.Float64("tit", 1, "simulated seconds per iteration")
-	seed := flag.Int64("seed", 1, "failure-injection seed")
-	ckptDir := flag.String("ckptdir", "", "write checkpoints to this directory (default: in-memory)")
-	maxIter := flag.Int("maxiter", 2_000_000, "iteration cap")
-	async := flag.Bool("async", false, "asynchronous checkpointing: charge only the capture stall; encode+write overlap iterations")
-	shards := flag.Int("shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; passing the flag at all prices writes with the single-writer striped-PFS model)")
-	storageWorkers := flag.Int("storage-workers", 0, "worker pool bound for shard writes/reads (0 = GOMAXPROCS)")
-	storageRetries := flag.Int("storage-retries", 4, "max retries per storage op for transient faults (0 disables the resilient wrapper)")
-	storageTimeout := flag.Duration("storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "background scrubber sweep cadence (0 = scrubbing off)")
-	storageFaultRate := flag.Float64("storage-fault-rate", 0, "seeded per-attempt transient storage-fault probability, injected beneath the retry layer (0 = none)")
-	adaptive := flag.Bool("adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan the Young/Daly fixed point each epoch")
-	priorMTTI := flag.Float64("prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge)")
-	recoveryTiers := flag.Bool("recovery-tiers", false, "tiered recovery: ABFT reconstruction, then latest checkpoint, then older checkpoints, then restart-from-zero")
-	injectSpec := flag.String("inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve; requires -recovery-tiers, excludes -mtti")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace, /report, and /debug/pprof on this address (e.g. localhost:6060) while the run is live")
-	metricsOut := flag.String("metrics-out", "", "write the end-of-run metrics snapshot as JSON to this file")
-	traceOut := flag.String("trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
-	qualityOn := flag.Bool("quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and attribute post-recovery convergence delay")
-	qualitySample := flag.Int("quality-sample", 4, "audit every Nth committed checkpoint (1 = every checkpoint)")
-	qualityExhaustive := flag.Bool("quality-exhaustive", false, "audit every checkpoint and decode-verify every audited vector (implies -quality)")
-	reportOut := flag.String("report-out", "", "write the versioned JSON run report (cost table, metrics, per-checkpoint quality, recovery attributions, stability verdict) to this file (implies -quality)")
-	flag.Parse()
-	// The striped single-writer cost model engages when -shards is
-	// given explicitly — including -shards 1, so monolithic and sharded
-	// runs compare within one model instead of across two.
-	striped := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			striped = true
-		}
-	})
-
-	qual := qualityOpts{
-		enabled:    *qualityOn || *qualityExhaustive || *reportOut != "",
-		sample:     *qualitySample,
-		exhaustive: *qualityExhaustive,
+	o, err := parseOptions(os.Args[1:])
+	if err == nil {
+		err = run(o)
 	}
-
-	// One registry + tracer pair backs the live endpoint and the
-	// end-of-run artifacts; left nil (zero overhead) unless asked for.
-	var wiring obsWiring
-	wiring.metricsOut, wiring.traceOut, wiring.reportOut = *metricsOut, *traceOut, *reportOut
-	if *debugAddr != "" || *metricsOut != "" || *traceOut != "" || qual.enabled {
-		wiring.reg = obs.New()
-		wiring.tr = obs.NewTracer()
-	}
-	if *debugAddr != "" {
-		serveDebug(*debugAddr, wiring.reg, wiring.tr)
-	}
-
-	sto := storageOpts{
-		retries:    *storageRetries,
-		timeout:    *storageTimeout,
-		scrubEvery: *scrubInterval,
-		faultRate:  *storageFaultRate,
-	}
-	if err := run(*method, *grid, *rtol, *schemeName, *eb, *interval, *mtti, *tit, *seed, *ckptDir, *maxIter, *async, *shards, *storageWorkers, striped, *adaptive, *priorMTTI, *recoveryTiers, *injectSpec, sto, qual, wiring); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "solve:", err)
 		os.Exit(1)
 	}
 }
 
-// qualityOpts carries the numerical-telemetry knobs from flag parsing
-// into the run.
-type qualityOpts struct {
-	enabled    bool
-	sample     int
-	exhaustive bool
+// options is the command line: filled by flag, checked by validate,
+// and the one value run takes.
+type options struct {
+	args string // the command line as typed, for the run report
+
+	method, scheme, ckptDir, inject            string
+	debugAddr, metricsOut, traceOut, reportOut string
+	grid, maxIter, shards, storageWorkers      int
+	storageRetries, qualitySample              int
+	seed                                       int64
+	rtol, eb, interval, mtti, tit, prior       float64
+	faultRate                                  float64
+	storageTimeout, scrubEvery                 time.Duration
+	async, adaptive, tiers                     bool
+	quality, qualityExhaustive                 bool
+	// striped is whether -shards was given at all — including -shards
+	// 1, so monolithic and sharded runs compare within the single-writer
+	// striped cost model instead of across two.
+	striped bool
+	// plan is -inject parsed (nil without it); validate fills it.
+	plan *failure.Plan
 }
 
-// storageOpts carries the fault-tolerant storage layer's knobs from
-// flag parsing into the run.
-type storageOpts struct {
-	retries    int
-	timeout    time.Duration
-	scrubEvery time.Duration
-	faultRate  float64
+func parseOptions(args []string) (options, error) {
+	o := options{args: strings.Join(args, " ")}
+	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
+	fs.StringVar(&o.method, "method", "cg", "iterative method: jacobi | gs | sor | ssor | cg | gmres")
+	fs.IntVar(&o.grid, "grid", 14, "Poisson grid dimension (n³ unknowns)")
+	fs.Float64Var(&o.rtol, "rtol", 1e-7, "relative convergence tolerance")
+	fs.StringVar(&o.scheme, "scheme", "lossy", "checkpoint scheme: traditional | lossless | lossy | none")
+	fs.Float64Var(&o.eb, "eb", 1e-4, "lossy pointwise-relative error bound")
+	fs.Float64Var(&o.interval, "interval", 0, "checkpoint interval in simulated seconds (0 = Young-optimal); under -inject, in iterations (0 = 25)")
+	fs.Float64Var(&o.mtti, "mtti", 0, "mean time to interruption in simulated seconds (0 = no failures)")
+	fs.Float64Var(&o.tit, "tit", 1, "simulated seconds per iteration")
+	fs.Int64Var(&o.seed, "seed", 1, "failure-injection seed")
+	fs.StringVar(&o.ckptDir, "ckptdir", "", "write checkpoints to this directory (default: in-memory)")
+	fs.IntVar(&o.maxIter, "maxiter", 2_000_000, "iteration cap")
+	fs.BoolVar(&o.async, "async", false, "asynchronous checkpointing: charge only the capture stall; encode+write overlap iterations")
+	fs.IntVar(&o.shards, "shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; passing the flag at all prices writes with the single-writer striped-PFS model)")
+	fs.IntVar(&o.storageWorkers, "storage-workers", 0, "worker pool bound for shard writes/reads (0 = GOMAXPROCS)")
+	fs.IntVar(&o.storageRetries, "storage-retries", 4, "max retries per storage op for transient faults (0 disables the resilient wrapper)")
+	fs.DurationVar(&o.storageTimeout, "storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
+	fs.DurationVar(&o.scrubEvery, "scrub-interval", 0, "background scrubber sweep cadence (0 = scrubbing off)")
+	fs.Float64Var(&o.faultRate, "storage-fault-rate", 0, "seeded per-attempt transient storage-fault probability, injected beneath the retry layer (0 = none)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan the Young/Daly fixed point each epoch")
+	fs.Float64Var(&o.prior, "prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge)")
+	fs.BoolVar(&o.tiers, "recovery-tiers", false, "arm the ABFT guard: every failure tries algorithmic reconstruction before the latest checkpoint, older checkpoints and restart-from-zero")
+	fs.StringVar(&o.inject, "inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve on the wall clock; excludes -mtti, the abft kind needs -recovery-tiers")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace, /report, and /debug/pprof on this address (e.g. localhost:6060) while the run is live")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the end-of-run metrics snapshot as JSON to this file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
+	fs.BoolVar(&o.quality, "quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and attribute post-recovery convergence delay")
+	fs.IntVar(&o.qualitySample, "quality-sample", 4, "audit every Nth committed checkpoint (1 = every checkpoint)")
+	fs.BoolVar(&o.qualityExhaustive, "quality-exhaustive", false, "audit every checkpoint and decode-verify every audited vector (implies -quality)")
+	fs.StringVar(&o.reportOut, "report-out", "", "write the versioned JSON run report (cost table, metrics, per-checkpoint quality, recovery attributions, stability verdict) to this file (implies -quality)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	fs.Visit(func(f *flag.Flag) { o.striped = o.striped || f.Name == "shards" })
+	o.quality = o.quality || o.qualityExhaustive || o.reportOut != ""
+	return o, nil
 }
 
-func run(method string, grid int, rtol float64, schemeName string, eb, interval, mtti, tit float64, seed int64, ckptDir string, maxIter int, async bool, shards, storageWorkers int, striped, adaptive bool, priorMTTI float64, recoveryTiers bool, injectSpec string, sto storageOpts, qual qualityOpts, wiring obsWiring) (err error) {
-	// Setup failures exit before the full reporter is armed; -report-out
-	// still deserves an artifact recording the disposition, so a
-	// minimal report covers the gap until reportArmed flips.
-	reportArmed := false
-	defer func() {
-		if err == nil || reportArmed || wiring.reportOut == "" {
-			return
-		}
-		min := &quality.RunReport{
-			Run:             quality.RunInfo{Command: strings.Join(os.Args[1:], " "), Exit: "error: " + err.Error()},
-			GeneratedAtUnix: time.Now().Unix(),
-		}
-		(*quality.Auditor)(nil).Fill(min)
-		if f, ferr := os.Create(wiring.reportOut); ferr == nil {
-			if werr := min.WriteJSON(f); werr == nil {
-				fmt.Printf("run report written to %s\n", wiring.reportOut)
-			}
-			f.Close()
-		}
-	}()
-	if adaptive && interval > 0 {
+var (
+	stationaryKinds = map[string]solver.StationaryKind{
+		"jacobi": solver.KindJacobi, "gs": solver.KindGaussSeidel, "sor": solver.KindSOR, "ssor": solver.KindSSOR,
+	}
+	schemes = map[string]core.Scheme{
+		"traditional": core.Traditional, "lossless": core.Lossless, "lossy": core.Lossy,
+	}
+)
+
+// validate rejects every combination of flags the run could not honour
+// — a flag is acted on or refused, never ignored — and parses the fault
+// plan.
+func (o *options) validate() error {
+	_, stationary := stationaryKinds[o.method]
+	if !stationary && o.method != "cg" && o.method != "gmres" {
+		return fmt.Errorf("unknown method %q", o.method)
+	}
+	if _, ok := schemes[o.scheme]; !ok && o.scheme != "none" {
+		return fmt.Errorf("unknown scheme %q", o.scheme)
+	}
+	if o.adaptive && o.interval > 0 {
 		return fmt.Errorf("-adaptive and -interval are mutually exclusive (the controller owns the cadence)")
 	}
-	if injectSpec != "" && !recoveryTiers {
-		return fmt.Errorf("-inject requires -recovery-tiers (the fault plan exercises the tier chain)")
-	}
-	if injectSpec != "" && mtti > 0 {
+	if o.inject != "" && o.mtti > 0 {
 		return fmt.Errorf("-inject and -mtti are mutually exclusive (seeded plan vs random virtual-time failures)")
 	}
-	if recoveryTiers && schemeName == "none" {
-		return fmt.Errorf("-recovery-tiers needs a checkpoint scheme (the chain's middle tiers read checkpoints)")
+	if o.scheme == "none" {
+		// Nothing is checkpointed, so nothing can fail, recover or be
+		// planned: -scheme none is the failure-free baseline solve.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-recovery-tiers", o.tiers}, {"-mtti", o.mtti > 0}, {"-inject", o.inject != ""}, {"-adaptive", o.adaptive}} {
+			if f.set {
+				return fmt.Errorf("%s needs a checkpoint scheme (-scheme none is the failure-free baseline: nothing is saved, so nothing can fail, recover or be planned)", f.name)
+			}
+		}
 	}
-	a := sparse.Poisson3D(grid)
+	if o.tiers && o.method == "gmres" {
+		return fmt.Errorf("-recovery-tiers is not supported for method %q (need cg or a stationary method)", o.method)
+	}
+	if o.inject == "" {
+		return nil
+	}
+	plan, err := failure.ParsePlan(o.inject, o.seed)
+	if err != nil {
+		return err
+	}
+	if !o.tiers && planHas(plan, failure.CorruptABFT) {
+		return fmt.Errorf("-inject kind %q corrupts the ABFT guard's retained state and needs -recovery-tiers to arm one", failure.CorruptABFT)
+	}
+	o.plan = plan
+	return nil
+}
+
+// planHas reports whether any scheduled event carries one of kinds.
+func planHas(plan *failure.Plan, kinds ...failure.Kind) bool {
+	if plan == nil {
+		return false
+	}
+	for _, ev := range plan.Events() {
+		for _, k := range ev.Kinds {
+			if slices.Contains(kinds, k) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func run(o options) (err error) {
+	// The reporter exists before anything can fail and is deferred, so
+	// the run report, cost table, metrics summary and observability
+	// artifacts come out on EVERY exit path — rejected flags, setup
+	// errors, -scheme none, converged, errored, or injected.
+	rep := newReporter(o)
+	defer rep.emit()
+	defer func() {
+		if err != nil {
+			rep.update(func(ri *quality.RunInfo) { ri.Exit = "error: " + err.Error() })
+		}
+	}()
+	if err := o.validate(); err != nil {
+		return err
+	}
+	a := sparse.Poisson3D(o.grid)
 	b := sparse.OnesRHS(a.Rows)
-	fmt.Printf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros\n", grid, a.Rows, a.NNZ())
+	rep.update(func(ri *quality.RunInfo) { ri.Unknowns = a.Rows })
+	fmt.Printf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros\n", o.grid, a.Rows, a.NNZ())
 
 	var s solver.Checkpointable
 	var co *abft.ChecksumOperator
-	opts := solver.Options{RTol: rtol}
-	switch method {
-	case "jacobi":
-		s, err = solver.NewStationary(solver.KindJacobi, a, b, nil, 0, opts)
-	case "gs":
-		s, err = solver.NewStationary(solver.KindGaussSeidel, a, b, nil, 0, opts)
-	case "sor":
-		s, err = solver.NewStationary(solver.KindSOR, a, b, nil, 1.5, opts)
-	case "ssor":
-		s, err = solver.NewStationary(solver.KindSSOR, a, b, nil, 1.2, opts)
+	sopts := solver.Options{RTol: o.rtol}
+	gcfg := abft.Config{Seed: o.seed, Method: abft.BackwardForward}
+	switch o.method {
 	case "cg":
-		var m *precond.IC0
-		m, err = precond.NewIC0(a)
+		m, err := precond.NewIC0(a)
 		if err != nil {
 			return err
 		}
 		op := solver.Operator(a)
-		if recoveryTiers {
+		if o.tiers {
 			// Huang–Abraham checksum augmentation: every operator
 			// application is verified against precomputed column sums, so
 			// silent corruption surfaces before it contaminates the
@@ -267,127 +283,104 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 			co = abft.NewChecksumOperator(a)
 			op = co
 		}
-		s = solver.NewCG(op, m, b, nil, solver.SeqSpace{}, opts)
+		s = solver.NewCG(op, m, b, nil, solver.SeqSpace{}, sopts)
+		gcfg.Method = abft.ExactState
 	case "gmres":
-		s = solver.NewGMRES(a, nil, b, nil, 30, solver.SeqSpace{}, opts)
+		s = solver.NewGMRES(a, nil, b, nil, 30, solver.SeqSpace{}, sopts)
 	default:
-		return fmt.Errorf("unknown method %q", method)
+		omega := map[string]float64{"sor": 1.5, "ssor": 1.2}[o.method]
+		if s, err = solver.NewStationary(stationaryKinds[o.method], a, b, nil, omega, sopts); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
+	if o.scheme == "none" {
+		res, err := solver.RunToConvergence(s, solver.Options{MaxIter: o.maxIter}, nil)
+		if err != nil {
+			return err
+		}
+		rep.update(func(ri *quality.RunInfo) {
+			ri.Iterations, ri.Converged, ri.FinalResidual = res.Iterations, res.Converged, res.FinalResidual
+		})
+		fmt.Printf("converged=%v iterations=%d residual=%.3e\n", res.Converged, res.Iterations, res.FinalResidual)
+		return nil
 	}
 	var guard *abft.Guard
-	if recoveryTiers {
-		gcfg := abft.Config{Seed: seed}
-		switch method {
-		case "cg":
-			gcfg.Method = abft.ExactState
-		case "jacobi", "gs", "sor", "ssor":
-			gcfg.Method = abft.BackwardForward
-		default:
-			return fmt.Errorf("-recovery-tiers is not supported for method %q (need cg or a stationary method)", method)
-		}
-		guard, err = abft.NewGuard(a, b, s, gcfg)
-		if err != nil {
+	if o.tiers {
+		if guard, err = abft.NewGuard(a, b, s, gcfg); err != nil {
 			return err
 		}
 		fmt.Printf("recovery tiers armed: %s ABFT guard, %d logical ranks\n", guard.Method(), guard.Ranks())
 	}
-
-	var scheme core.Scheme
-	switch schemeName {
-	case "traditional":
-		scheme = core.Traditional
-	case "lossless":
-		scheme = core.Lossless
-	case "lossy":
-		scheme = core.Lossy
-	case "none":
-		res, err := solver.RunToConvergence(s, solver.Options{MaxIter: maxIter}, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("converged=%v iterations=%d residual=%.3e\n",
-			res.Converged, res.Iterations, res.FinalResidual)
-		return nil
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
-	}
-
-	var plan *failure.Plan
-	if injectSpec != "" {
-		plan, err = failure.ParsePlan(injectSpec, seed)
-		if err != nil {
-			return err
-		}
-	}
+	scheme := schemes[o.scheme]
+	injected := o.plan != nil
 
 	// The storage stack, bottom up: the real store, the fault injector
 	// (only when a campaign or plan needs one), and the resilient retry
 	// wrapper on top — so injected transient faults are absorbed by
 	// retries before the checkpoint layer ever sees them.
 	var baseStorage fti.Storage = fti.NewMemStorage()
-	if ckptDir != "" {
-		ds, err := fti.NewDirStorage(ckptDir)
-		if err != nil {
+	if o.ckptDir != "" {
+		if baseStorage, err = fti.NewDirStorage(o.ckptDir); err != nil {
 			return err
 		}
-		baseStorage = ds
 		// Crash-consistency sweep: a previous run may have died
 		// mid-commit, leaving temp files, orphan shards, or manifest-less
 		// groups. Fsck GCs them so List only exposes fully committed
 		// checkpoints.
 		frep, err := fti.Fsck(baseStorage)
 		if err != nil {
-			return fmt.Errorf("fsck %s: %w", ckptDir, err)
+			return fmt.Errorf("fsck %s: %w", o.ckptDir, err)
 		}
 		if !frep.Clean() {
 			fmt.Println(frep)
 		}
 	}
 	storage := baseStorage
-	injectStorage := sto.faultRate > 0 || planArmsStorage(plan)
 	var injector *failure.StorageInjector
-	if injectStorage {
-		injector = failure.NewStorageInjector(storage, seed, failure.StorageProfile{Rate: sto.faultRate})
+	if o.faultRate > 0 || planHas(o.plan, failure.StorageWriteFault, failure.StorageReadFault, failure.SlowIO, failure.Crash) {
+		injector = failure.NewStorageInjector(storage, o.seed, failure.StorageProfile{Rate: o.faultRate})
 		storage = injector
 	}
 	var resilient *fti.Resilient
-	if sto.retries > 0 {
-		pol := fti.FaultPolicy{MaxRetries: sto.retries, OpBudget: sto.timeout, Seed: seed}
-		resilient = fti.NewResilient(storage, pol)
-		if wiring.reg != nil {
-			resilient.Instrument(wiring.reg)
-		}
+	if o.storageRetries > 0 {
+		resilient = fti.NewResilient(storage, fti.FaultPolicy{MaxRetries: o.storageRetries, OpBudget: o.storageTimeout, Seed: o.seed})
+		resilient.Instrument(rep.reg)
 		storage = resilient
 	}
-	mgr, err := core.NewManager(core.Config{
+	mcfg := core.Config{
 		Scheme:         scheme,
-		SZParams:       sz.Params{Mode: sz.PWRel, ErrorBound: eb},
-		Shards:         shards,
-		StorageWorkers: storageWorkers,
+		SZParams:       sz.Params{Mode: sz.PWRel, ErrorBound: o.eb},
+		Shards:         o.shards,
+		StorageWorkers: o.storageWorkers,
 		ABFT:           guard,
 		// Under an injected-fault campaign a save that exhausts its
 		// retries degrades — the group fails, the counter bumps, and the
 		// solver keeps iterating toward the next interval — instead of
 		// killing the run.
-		DegradedWrites: injectStorage,
-		// The simulator needs a synchronous Manager (it prices the async
-		// overlap itself); the real injected run uses the actual async
+		DegradedWrites: injector != nil,
+		// Modelled costs need a synchronous Manager (the driver prices
+		// the overlap itself); the injected run uses the actual async
 		// pipeline so its overlap shows up on the trace's wall clocks.
-		Async: async && injectSpec != "",
-	}, storage, s)
+		Async: o.async && injected,
+	}
+	if injected && !o.adaptive {
+		// On the wall clock -interval counts iterations.
+		if mcfg.Interval = int(o.interval); mcfg.Interval <= 0 {
+			mcfg.Interval = 25
+		}
+		rep.update(func(ri *quality.RunInfo) { ri.Interval = mcfg.Interval })
+	}
+	mgr, err := core.NewManager(mcfg, storage, s)
 	if err != nil {
 		return err
 	}
+	rep.mgr = mgr
 	var scrubber *fti.Scrubber
-	if sto.scrubEvery > 0 {
+	if o.scrubEvery > 0 {
 		scrubber = fti.NewScrubber(storage)
-		if wiring.armed() {
-			scrubber.Instrument(wiring.reg, wiring.tr)
-		}
+		scrubber.Instrument(rep.reg, rep.tr)
 		mgr.Checkpointer().AttachScrubber(scrubber)
-		if err := scrubber.Start(sto.scrubEvery); err != nil {
+		if err := scrubber.Start(o.scrubEvery); err != nil {
 			return err
 		}
 		defer scrubber.Stop()
@@ -401,10 +394,9 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 				ss.Sweeps, ss.Verified, ss.Corruptions, ss.Repairs, ss.Dropped)
 		}
 		if resilient != nil {
-			rs := resilient.Stats()
-			if rs.Retries > 0 || rs.Exhausted > 0 || rs.Permanent > 0 || rs.HedgedReads > 0 {
-				fmt.Printf("storage resilience: ops=%d retries=%d recovered=%d exhausted=%d permanent=%d hedged-reads=%d hedge-wins=%d backoff=%.1fms\n",
-					rs.Ops, rs.Retries, rs.Recovered, rs.Exhausted, rs.Permanent, rs.HedgedReads, rs.HedgeWins, 1e3*rs.RetryDelay.Seconds())
+			if rs := resilient.Stats(); rs.Retries > 0 || rs.Exhausted > 0 || rs.Permanent > 0 {
+				fmt.Printf("storage resilience: ops=%d retries=%d recovered=%d exhausted=%d permanent=%d backoff=%.1fms\n",
+					rs.Ops, rs.Retries, rs.Recovered, rs.Exhausted, rs.Permanent, 1e3*rs.RetryDelay.Seconds())
 			}
 		}
 		if injector != nil {
@@ -416,35 +408,32 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 			fmt.Printf("degraded saves: %d checkpoint(s) failed and were skipped (last: %v)\n", n, mgr.LastSaveError())
 		}
 	}()
-	if wiring.armed() {
-		if injectSpec != "" {
-			// Real run: the pipeline emits wall-clock spans itself.
-			mgr.Instrument(wiring.reg, wiring.tr)
-		} else {
-			// Virtual-time run: the simulator owns the trace (same span
-			// schema, virtual clock); the Manager still exports metrics.
-			mgr.Instrument(wiring.reg, nil)
-		}
+	if injected {
+		// Measured run: the Manager and pipeline draw their own spans on
+		// the wall clock.
+		mgr.Instrument(rep.reg, rep.tr)
+	} else {
+		// Modelled run: the driver owns the trace (same span schema,
+		// virtual clock); the Manager still exports metrics.
+		mgr.Instrument(rep.reg, nil)
 	}
 	// Numerical telemetry: the auditor is a pure observer (sampled
 	// decode-on-the-fly distortion audits, recovery-delay attribution),
 	// so arming it never perturbs the solve trajectory.
-	var qa *quality.Auditor
-	if qual.enabled {
-		qa = quality.New(quality.Config{
-			SampleEvery: qual.sample,
-			Exhaustive:  qual.exhaustive,
-			BNorm:       vecNorm(b),
+	if o.quality {
+		rep.qa = quality.New(quality.Config{
+			SampleEvery: o.qualitySample,
+			Exhaustive:  o.qualityExhaustive,
+			BNorm:       vec.Norm2(b), // the ‖b‖ the stability verdict normalizes residuals against
 			StabilityC:  1,
 		})
-		qa.Instrument(wiring.reg, wiring.tr)
-		mgr.InstrumentQuality(qa)
-		every := qual.sample
-		if qual.exhaustive || every < 1 {
+		rep.qa.Instrument(rep.reg, rep.tr)
+		mgr.InstrumentQuality(rep.qa)
+		every, mode := o.qualitySample, "encode-path stats"
+		if o.qualityExhaustive || every < 1 {
 			every = 1
 		}
-		mode := "encode-path stats"
-		if qual.exhaustive {
+		if o.qualityExhaustive {
 			mode = "exhaustive decode verification"
 		}
 		fmt.Printf("quality telemetry: auditing every %d committed checkpoint(s), %s\n", every, mode)
@@ -455,204 +444,107 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 
 	// Cost the checkpoints with the Bebop model at 2,048 processes so
 	// the Young-optimal interval is meaningful.
-	mdl := cluster.Bebop()
-	raw := float64(a.Rows) * 8
-	ckptSec := func(info fti.Info) float64 {
-		sch := cluster.Uncompressed
-		switch scheme {
-		case core.Lossless:
-			sch = cluster.LosslessCompressed
-		case core.Lossy:
-			sch = cluster.LossyCompressed
+	cm := &costModel{mdl: cluster.Bebop(), scheme: clusterScheme(scheme), raw: float64(a.Rows) * 8, o: o}
+	rep.cm = cm
+	var ctrl *adapt.Controller
+	if o.adaptive {
+		// The controller learns C, R, and λ from the run itself, on the
+		// run's own clock; the prior MTTI is its only seed. It plans the
+		// async fixed point (AsyncEffectiveStall) when the pipeline is
+		// overlapped.
+		if ctrl, err = adapt.New(adapt.Config{PriorMTTI: o.prior, Async: o.async}); err != nil {
+			return err
 		}
-		if striped {
-			// Single-writer object writes under the striped-PFS model,
-			// engaging min(shards, stripes) stripes — used for every
-			// value of -shards (1 included) so monolithic and sharded
-			// runs compare within the same model.
-			n := info.Shards
-			if n < 1 {
-				n = shards
-			}
-			return mdl.ShardedCheckpointSeconds(2048, float64(info.Bytes), raw, sch, n)
-		}
-		return mdl.CheckpointSeconds(2048, float64(info.Bytes), raw, sch)
+		ctrl.Instrument(rep.reg)
+		fmt.Printf("adaptive interval: prior MTTI %g s, bootstrap interval %g s\n", o.prior, ctrl.Interval(0))
 	}
-	recSec := func(info fti.Info) float64 {
-		sch := cluster.Uncompressed
-		switch scheme {
-		case core.Lossless:
-			sch = cluster.LosslessCompressed
-		case core.Lossy:
-			sch = cluster.LossyCompressed
-		}
-		if striped {
-			// Restarts priced like the write path: a sharded group
-			// streams through min(shards, stripes) concurrent reads
-			// overlapped with decompression; shards=1 is the serial
-			// monolithic restore (exactly RecoverySeconds).
-			n := info.Shards
-			if n < 1 {
-				n = shards
-			}
-			return mdl.ShardedRecoverySeconds(2048, float64(info.Bytes), raw, sch, n)
-		}
-		return mdl.RecoverySeconds(2048, float64(info.Bytes), raw, sch)
-	}
-	capSec := func(info fti.Info) float64 {
-		return mdl.CaptureSeconds(2048, float64(info.RawBytes))
-	}
-	// Under a fault campaign, simulated checkpoint writes carry the
-	// retry layer's expected backoff delay, calibrated from the same
-	// policy defaults the real wrapper runs with.
-	pol := fti.FaultPolicy{MaxRetries: sto.retries}.Normalize()
-	retrySec := func(info fti.Info) float64 {
-		if sto.faultRate <= 0 || sto.retries <= 0 {
-			return 0
-		}
-		n := info.Shards
-		if n < 1 {
-			n = shards
-		}
-		return mdl.StorageRetrySeconds(n, sto.faultRate,
-			pol.BaseDelay.Seconds(), pol.MaxDelay.Seconds(), pol.MaxRetries)
-	}
-	// The reporter is deferred so the cost table, metrics summary, and
-	// observability artifacts come out on EVERY exit path — converged,
-	// errored, or injected — not just the happy one.
-	rep := &reporter{mgr: mgr, mdl: mdl, scheme: scheme, raw: raw, striped: striped,
-		recSec: recSec, measuredRestart: math.NaN(), wiring: wiring, qa: qa, start: time.Now()}
-	rep.runInfo = quality.RunInfo{
-		Command:    strings.Join(os.Args[1:], " "),
-		Solver:     method,
-		Unknowns:   a.Rows,
-		Scheme:     schemeName,
-		Async:      async,
-		Shards:     shards,
-		ErrorBound: eb,
-		Adaptive:   adaptive,
-		Injected:   injectSpec,
-	}
-	reportArmed = true
-	defer rep.emit()
-	// Capture the exit disposition before emit (deferred later → runs
-	// first): error exits still produce one coherent report artifact.
-	defer func() {
-		if err != nil {
-			rep.update(func(ri *quality.RunInfo) { ri.Exit = "error: " + err.Error() })
-		}
-	}()
-	setReportSource(rep.snapshotReport)
-	if injectSpec != "" {
-		ckptEvery := int(interval)
-		if ckptEvery <= 0 {
-			ckptEvery = 25
-		}
-		rep.update(func(ri *quality.RunInfo) { ri.Interval = ckptEvery })
+	x0 := make([]float64, a.Rows)
+	var out *sim.Outcome
+	var src *planSource
+	if injected {
 		// Corruption helpers damage objects on the BASE store, bypassing
 		// the injector (their writes must not consume armed faults) and
 		// the retry layer (a corruption is not an op to retry).
-		return runInjected(a, s, mgr, guard, co, plan, baseStorage, injector, mdl, recSec, tit, ckptEvery, maxIter, wiring.tr, rep)
+		src = &planSource{plan: o.plan, s: s, mgr: mgr, guard: guard, storage: baseStorage, injector: injector}
+		fmt.Printf("injection plan: %d events", len(o.plan.Events()))
+		if !o.adaptive {
+			fmt.Printf(", checkpoint every %d iterations", mcfg.Interval)
+		}
+		fmt.Println()
+		out, err = core.Drive(core.DriveConfig{
+			Stepper: s, Manager: mgr, X0: x0,
+			Failures: src, OnStep: src.onStep, Controller: ctrl,
+			MaxIterations: o.maxIter, Metrics: rep.reg, Tracer: rep.tr, Quality: rep.qa,
+		})
+		if err == nil {
+			err = src.err
+		}
+	} else {
+		interval := o.interval
+		if !o.adaptive && interval == 0 {
+			probe, err := mgr.Checkpoint()
+			if err != nil {
+				return err
+			}
+			// Young's interval balances the failure rate against the cost
+			// the solver actually pays per checkpoint: the full write in
+			// sync mode, the capture stall alone in async mode. The async
+			// interval is floored at the background encode+write time —
+			// checkpointing faster than the pipeline drains only converts
+			// the hidden cost back into backpressure stall.
+			perCkpt := cm.checkpoint(probe)
+			if o.async {
+				perCkpt = cm.capture(probe)
+			}
+			interval = model.YoungInterval(o.mtti, perCkpt)
+			if o.async && interval < cm.checkpoint(probe) {
+				interval = cm.checkpoint(probe)
+			}
+			if interval == 0 {
+				interval = 100 * o.tit
+			}
+			fmt.Printf("Young-optimal interval: %.0f simulated seconds\n", interval)
+		}
+		rep.update(func(ri *quality.RunInfo) { ri.Interval = int(interval) })
+		out, err = sim.Run(sim.Config{
+			Stepper:             s,
+			Manager:             mgr,
+			X0:                  x0,
+			TitSeconds:          o.tit,
+			IntervalSeconds:     interval,
+			Controller:          ctrl,
+			CheckpointSeconds:   cm.checkpoint,
+			RecoverySeconds:     cm.recovery,
+			StorageRetrySeconds: cm.storageRetry,
+			AsyncCheckpoint:     o.async,
+			CaptureSeconds:      cm.capture,
+			ABFTSeconds:         cm.abft,
+			Failures:            failure.NewInjector(o.mtti, o.seed),
+			MaxIterations:       o.maxIter,
+			Metrics:             rep.reg,
+			Tracer:              rep.tr,
+			Quality:             rep.qa,
+		})
 	}
-	var ctrl *adapt.Controller
-	if adaptive {
-		// The controller learns C, R, and λ from the run itself; the
-		// prior MTTI is its only seed. It plans the async fixed point
-		// (AsyncEffectiveStall) when the pipeline is overlapped.
-		var err error
-		ctrl, err = adapt.New(adapt.Config{PriorMTTI: priorMTTI, Async: async})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("adaptive interval: prior MTTI %.0f s, bootstrap interval %.0f s\n",
-			priorMTTI, ctrl.Interval(0))
-	} else if interval == 0 {
-		probe, err := mgr.Checkpoint()
-		if err != nil {
-			return err
-		}
-		// Young's interval balances the failure rate against the cost
-		// the solver actually pays per checkpoint: the full write in
-		// sync mode, the capture stall alone in async mode. The async
-		// interval is floored at the background encode+write time —
-		// checkpointing faster than the pipeline drains only converts
-		// the hidden cost back into backpressure stall.
-		perCkpt := ckptSec(probe)
-		if async {
-			perCkpt = capSec(probe)
-		}
-		interval = model.YoungInterval(mtti, perCkpt)
-		if async && interval < ckptSec(probe) {
-			interval = ckptSec(probe)
-		}
-		if interval == 0 {
-			interval = 100 * tit
-		}
-		fmt.Printf("Young-optimal interval: %.0f simulated seconds\n", interval)
-	}
-
-	// The ABFT tier is priced in local-solve iterations over the lost
-	// block, re-gathered over the interconnect — never through the PFS.
-	abftSec := func(att core.TierAttempt) float64 {
-		return mdl.ABFTRecoverySeconds(raw/2048, att.Iterations, tit)
-	}
-	out, err := sim.Run(sim.Config{
-		Stepper:             s,
-		Manager:             mgr,
-		X0:                  make([]float64, a.Rows),
-		TitSeconds:          tit,
-		IntervalSeconds:     interval,
-		Controller:          ctrl,
-		CheckpointSeconds:   ckptSec,
-		RecoverySeconds:     recSec,
-		StorageRetrySeconds: retrySec,
-		AsyncCheckpoint:     async,
-		CaptureSeconds:      capSec,
-		ABFTSeconds:         abftSec,
-		Failures:            failure.NewInjector(mtti, seed),
-		MaxIterations:       maxIter,
-		Metrics:             wiring.reg,
-		Tracer:              wiring.tr,
-		Quality:             qa,
-	})
 	if err != nil {
 		return err
 	}
 	rep.update(func(ri *quality.RunInfo) {
-		ri.Interval = int(interval)
-		ri.Iterations = out.IterationsExecuted
-		ri.Converged = out.Converged
-		ri.FinalResidual = out.FinalResidual
+		ri.Iterations, ri.Converged, ri.FinalResidual = out.IterationsExecuted, out.Converged, out.FinalResidual
 	})
-	fmt.Printf("converged=%v iterations=%d sim-time=%.0fs failures=%d checkpoints=%d\n",
-		out.Converged, out.IterationsExecuted, out.SimSeconds, out.Failures, out.Checkpoints)
-	fmt.Printf("checkpoint-time=%.1fs recovery-time=%.0fs final-residual=%.3e\n",
-		out.CheckpointTime, out.RecoveryTime, out.FinalResidual)
-	if recoveryTiers {
-		fmt.Printf("recovery tiers: abft=%d checkpoint-restart=%d restart-zero=%d pfs-read-bytes=%d\n",
-			out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts, out.RecoveryReadBytes)
+	printOutcome(o, out)
+	if co != nil && injected {
+		fmt.Printf("checksum operator: %d applications, %d mismatches\n", co.Applications(), co.Mismatches())
 	}
-	if async {
-		fmt.Printf("async: aborted-in-flight=%d backpressure=%.1fs (stall is capture-only when 0)\n",
-			out.AbortedCheckpoints, out.BackpressureTime)
+	if guard != nil && injected {
+		st := guard.Stats()
+		fmt.Printf("abft guard: observes=%d reconstructions=%d rejected=%d local-iterations=%d\n",
+			st.Observes, st.Reconstructions, st.Rejected, st.LocalIterations)
 	}
-	if sto.faultRate > 0 {
-		fmt.Printf("storage faults: rate=%.3g priced retry delay %.2fs across %d checkpoints\n",
-			sto.faultRate, out.StorageRetryTime, out.Checkpoints)
-	}
-	if adaptive && len(out.IntervalPlans) > 0 {
-		plans := out.IntervalPlans
-		last := plans[len(plans)-1]
-		fmt.Printf("adaptive: %d re-plans; final interval %.0f s (estimated MTTI %.0f s, per-checkpoint cost %.2f s)\n",
-			len(plans), last.Interval, 1/last.Lambda, last.Cost)
-		fmt.Printf("interval trajectory (sim-time  interval  est-MTTI  est-cost  est-ratio):\n")
-		step := (len(plans) + 11) / 12 // at most ~12 rows plus the final one
-		for i := 0; i < len(plans); i += step {
-			p := plans[i]
-			fmt.Printf("  %8.0fs %8.0fs %8.0fs %8.2fs %8.1fx\n", p.When, p.Interval, 1/p.Lambda, p.Cost, p.Ratio)
-		}
-		if (len(plans)-1)%step != 0 {
-			fmt.Printf("  %8.0fs %8.0fs %8.0fs %8.2fs %8.1fx\n", last.When, last.Interval, 1/last.Lambda, last.Cost, last.Ratio)
+	if injected {
+		src.printTable(out, cm, mgr.LastInfo())
+		if n := len(o.plan.Events()); n > 0 {
+			fmt.Printf("injection plan: %d event(s) never fired (the solve ended at iteration %d)\n", n, s.Iteration())
 		}
 	}
 	if info := mgr.LastInfo(); info.Bytes > 0 {
@@ -660,13 +552,13 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 			info.Bytes, info.CompressionRatio, info.EncoderName)
 		if info.Shards > 1 {
 			fmt.Printf("sharded: %d shard objects + manifest, %d storage workers, striped write bandwidth %.2f GB/s\n",
-				info.Shards, storageWorkers, mdl.StripedWriteBandwidth(info.Shards)/1e9)
+				info.Shards, o.storageWorkers, cm.mdl.StripedWriteBandwidth(info.Shards)/1e9)
 		}
 	}
-	// On failure-injected runs, measure one real restart so the
+	// On simulated failure runs, measure one real restart so the
 	// in-process R (streaming shard-parallel restore) can be compared
 	// against the modeled ShardedRecoverySeconds at cluster scale.
-	if mtti > 0 && mgr.HasCheckpoint() {
+	if o.mtti > 0 && mgr.HasCheckpoint() {
 		info := mgr.LastInfo()
 		// Detach the auditor first: the measurement is not a failure, so
 		// it must not add a recovery-attribution entry to the report.
@@ -678,534 +570,128 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 		}
 		wall := time.Since(start).Seconds()
 		rep.measuredRestart = wall
-		bps := 0.0
-		if wall > 0 {
-			bps = float64(info.Bytes) / wall
-		}
 		fmt.Printf("restart: measured %.2f ms wall for %d encoded bytes (%.1f MB/s, rolled back to iteration %d)\n",
-			1e3*wall, info.Bytes, bps/1e6, it)
+			1e3*wall, info.Bytes, float64(info.Bytes)/math.Max(wall, 1e-12)/1e6, it)
 		fmt.Printf("restart: modeled R=%.2fs at 2048 ranks (%d shard objects)\n",
-			recSec(info), max(info.Shards, 1))
+			cm.recovery(info), max(info.Shards, 1))
 	}
 	return nil // the deferred reporter prints the cost table and metrics
 }
 
-// obsWiring carries the optional observability plumbing from flag
-// parsing into the run: both pointers nil means every hook in every
-// instrumented layer is a no-op.
-type obsWiring struct {
-	reg        *obs.Registry
-	tr         *obs.Tracer
-	metricsOut string
-	traceOut   string
-	reportOut  string
-}
-
-func (w obsWiring) armed() bool { return w.reg != nil || w.tr != nil }
-
-// reportSource is the live run-report builder that /report serves.
-// run() installs it once the reporter exists — the debug listener
-// starts earlier, during flag handling.
-var reportSource struct {
-	mu sync.Mutex
-	fn func() *quality.RunReport
-}
-
-func setReportSource(fn func() *quality.RunReport) {
-	reportSource.mu.Lock()
-	reportSource.fn = fn
-	reportSource.mu.Unlock()
-}
-
-// serveDebug exposes the live registry and tracer (plus pprof) on a
-// background HTTP listener. Snapshots are taken per request, so
-// hitting /metrics mid-run observes the solve without pausing it.
-func serveDebug(addr string, reg *obs.Registry, tr *obs.Tracer) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WriteProm(w)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = tr.WriteChrome(w)
-	})
-	mux.HandleFunc("/report", func(w http.ResponseWriter, _ *http.Request) {
-		reportSource.mu.Lock()
-		fn := reportSource.fn
-		reportSource.mu.Unlock()
-		if fn == nil {
-			http.Error(w, "report not ready", http.StatusServiceUnavailable)
-			return
+// printOutcome renders what the driver accounted — the same lines for
+// a simulated run (virtual seconds) and an injected one (stopwatch
+// milliseconds).
+func printOutcome(o options, out *sim.Outcome) {
+	clock := "sim"
+	dur := func(simFormat string, sec float64) string { return fmt.Sprintf(simFormat+"s", sec) }
+	if o.plan != nil {
+		clock = "wall"
+		dur = func(_ string, sec float64) string { return fmt.Sprintf("%.3gms", 1e3*sec) }
+	}
+	fmt.Printf("converged=%v iterations=%d %s-time=%s failures=%d checkpoints=%d\n",
+		out.Converged, out.IterationsExecuted, clock, dur("%.0f", out.SimSeconds), out.Failures, out.Checkpoints)
+	fmt.Printf("checkpoint-time=%s recovery-time=%s final-residual=%.3e\n",
+		dur("%.1f", out.CheckpointTime), dur("%.0f", out.RecoveryTime), out.FinalResidual)
+	if o.tiers || o.plan != nil {
+		fmt.Printf("recovery tiers: abft=%d checkpoint-restart=%d restart-zero=%d pfs-read-bytes=%d\n",
+			out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts, out.RecoveryReadBytes)
+	}
+	if o.async {
+		fmt.Printf("async: aborted-in-flight=%d backpressure=%s (stall is capture-only when 0)\n",
+			out.AbortedCheckpoints, dur("%.1f", out.BackpressureTime))
+	}
+	if o.faultRate > 0 && o.plan == nil {
+		fmt.Printf("storage faults: rate=%.3g priced retry delay %.2fs across %d checkpoints\n",
+			o.faultRate, out.StorageRetryTime, out.Checkpoints)
+	}
+	if plans := out.IntervalPlans; len(plans) > 0 {
+		last := plans[len(plans)-1]
+		fmt.Printf("adaptive: %d re-plans; final interval %s (estimated MTTI %s, per-checkpoint cost %s)\n",
+			len(plans), dur("%.0f", last.Interval), dur("%.0f", 1/last.Lambda), dur("%.2f", last.Cost))
+		fmt.Printf("interval trajectory (%s-time  interval  est-MTTI  est-cost  est-ratio):\n", clock)
+		row := func(p adapt.Plan) {
+			fmt.Printf("  %9s %9s %9s %9s %8.1fx\n", dur("%.0f", p.When), dur("%.0f", p.Interval),
+				dur("%.0f", 1/p.Lambda), dur("%.2f", p.Cost), p.Ratio)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = fn().WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "solve: debug server:", err)
+		step := (len(plans) + 11) / 12 // at most ~12 rows plus the final one
+		for i := 0; i < len(plans); i += step {
+			row(plans[i])
 		}
-	}()
-	fmt.Printf("debug endpoint: http://%s/{metrics,trace,report,debug/pprof}\n", addr)
-}
-
-// reporter emits the end-of-run cost table, metrics summary, quality
-// digest, and observability artifacts exactly once — all assembled
-// from ONE quality.RunReport, so the text output, -report-out file,
-// and /report endpoint always agree. run defers it, so error and
-// injection paths report the same way the happy path does.
-type reporter struct {
-	once            sync.Once
-	mu              sync.Mutex // guards runInfo and final
-	mgr             *core.Manager
-	mdl             *cluster.Model
-	scheme          core.Scheme
-	raw             float64
-	striped         bool
-	recSec          func(fti.Info) float64
-	measuredRestart float64
-	wiring          obsWiring
-	qa              *quality.Auditor
-	start           time.Time
-	runInfo         quality.RunInfo
-	final           *quality.RunReport
-}
-
-// update mutates the run-description fields under the reporter's lock
-// (the /report handler reads them concurrently with the solve).
-func (r *reporter) update(fn func(*quality.RunInfo)) {
-	r.mu.Lock()
-	fn(&r.runInfo)
-	r.mu.Unlock()
-}
-
-// buildReport assembles the versioned run report from the current
-// state: run info, cost lines, quality sections, metrics snapshot.
-func (r *reporter) buildReport(cost []quality.CostLine) *quality.RunReport {
-	r.mu.Lock()
-	ri := r.runInfo
-	r.mu.Unlock()
-	if ri.Exit == "" {
-		ri.Exit = "ok"
-	}
-	if ri.WallSeconds == 0 && !r.start.IsZero() {
-		ri.WallSeconds = time.Since(r.start).Seconds()
-	}
-	rep := &quality.RunReport{Run: ri, Cost: cost, GeneratedAtUnix: time.Now().Unix()}
-	r.qa.Fill(rep)
-	if r.wiring.reg != nil {
-		rep.Metrics = r.wiring.reg.Snapshot()
-	}
-	return rep
-}
-
-// snapshotReport backs /report: the final report once emit has run,
-// else a live view built on demand. The live view has no cost lines —
-// those need the Manager's committed Info, which cannot be probed
-// concurrently with the solver thread.
-func (r *reporter) snapshotReport() *quality.RunReport {
-	r.mu.Lock()
-	final := r.final
-	r.mu.Unlock()
-	if final != nil {
-		return final
-	}
-	rep := r.buildReport(nil)
-	if rep.Run.Exit == "ok" {
-		// The disposition is only known once emit runs; a mid-run
-		// snapshot must not claim a clean exit.
-		rep.Run.Exit = "running"
-	}
-	return rep
-}
-
-func (r *reporter) emit() {
-	r.once.Do(func() {
-		// Drain any in-flight async save first so LastInfo and the
-		// registry describe the run's final state (no-op when sync).
-		info, _ := r.mgr.WaitCheckpoint()
-		cost := printCostBreakdown(r.mdl, r.scheme, info, r.raw, r.striped, r.recSec, r.measuredRestart)
-		rep := r.buildReport(cost)
-		r.mu.Lock()
-		r.final = rep
-		r.mu.Unlock()
-		r.printMetricsSummary(rep.Metrics)
-		r.printQualitySummary(rep)
-		r.writeArtifacts(rep)
-	})
-}
-
-// printQualitySummary digests the quality sections of the report:
-// audited saves, bound violations, per-recovery convergence-delay
-// attribution, and the stability verdict.
-func (r *reporter) printQualitySummary(rep *quality.RunReport) {
-	if r.qa == nil {
-		return
-	}
-	viol, worst := 0, 0.0
-	for i := range rep.Checkpoints {
-		rec := &rep.Checkpoints[i]
-		if rec.Violated {
-			viol++
+		if (len(plans)-1)%step != 0 {
+			row(last)
 		}
-		if rec.BoundRatio > worst {
-			worst = rec.BoundRatio
-		}
-	}
-	fmt.Printf("quality: %d audited vector saves, %d bound violations, worst observed/requested %.3g\n",
-		len(rep.Checkpoints), viol, worst)
-	for _, e := range rep.Recoveries {
-		delay := "unresolved (run ended before the failure-time residual was reacquired)"
-		if e.Resolved {
-			delay = fmt.Sprintf("realized N'=%d, residual reacquired in %d iterations",
-				e.RealizedNPrime, e.ReacquireIterations)
-		}
-		dist := ""
-		if e.Distortion != nil {
-			dist = fmt.Sprintf(", adopted max-err %.3g", e.Distortion.MaxError)
-		}
-		fmt.Printf("  recovery@%-6d via %-18s (ckpt iter %d%s): %s\n",
-			e.FailureIteration, e.Tier, e.CheckpointIteration, dist, delay)
-	}
-	if v := rep.Stability; v.Defined {
-		state := "INSIDE"
-		if !v.Inside {
-			state = "OUTSIDE"
-		}
-		fmt.Printf("stability (%s): %s — %d/%d audited lossy checkpoints within c·‖r‖/‖b‖, worst margin %.3g\n",
-			v.Region, state, v.CheckpointsInside, v.CheckpointsInside+v.CheckpointsOutside, v.WorstMargin)
 	}
 }
 
-// printMetricsSummary renders the non-zero counters, gauges, and
-// histogram aggregates from the report's snapshot — a digest of what
-// -metrics-out (or /metrics) exposes in full.
-func (r *reporter) printMetricsSummary(snap obs.Snapshot) {
-	if r.wiring.reg == nil {
-		return
-	}
-	printed := false
-	for i := range snap.Metrics {
-		md := &snap.Metrics[i]
-		name := md.Name
-		for _, l := range md.Labels {
-			name += fmt.Sprintf("{%s=%q}", l.Key, l.Value)
-		}
-		var line string
-		switch {
-		case md.Type == "histogram" && md.Count > 0:
-			line = fmt.Sprintf("  %-52s count=%-6d mean=%-10.4g p99=%.4g",
-				name, md.Count, md.Sum/float64(md.Count), md.Quantile(0.99))
-		case md.Type != "histogram" && md.Value != 0:
-			line = fmt.Sprintf("  %-52s %g", name, md.Value)
-		default:
-			continue // zero-valued: present in the snapshot, noise here
-		}
-		if !printed {
-			fmt.Printf("metrics summary (non-zero; full snapshot via -metrics-out or /metrics):\n")
-			printed = true
-		}
-		fmt.Println(line)
-	}
-}
-
-func (r *reporter) writeArtifacts(rep *quality.RunReport) {
-	write := func(path, what string, emit func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = emit(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "solve: writing %s: %v\n", what, err)
-			return
-		}
-		fmt.Printf("%s written to %s\n", what, path)
-	}
-	if r.wiring.reg != nil {
-		write(r.wiring.metricsOut, "metrics snapshot", r.wiring.reg.WriteJSON)
-	}
-	if r.wiring.tr != nil {
-		write(r.wiring.traceOut, "chrome trace", r.wiring.tr.WriteChrome)
-	}
-	write(r.wiring.reportOut, "run report", rep.WriteJSON)
-}
-
-// injectedFailure records one injected event and the tier chain that
-// recovered from it.
-type injectedFailure struct {
-	iter  int
-	kinds []failure.Kind
-	rep   *core.RecoveryReport
-}
-
-// planArmsStorage reports whether any scheduled event carries a
-// storage fault kind — those need the injector interposed in the
-// storage stack before the Manager is built.
-func planArmsStorage(plan *failure.Plan) bool {
-	if plan == nil {
-		return false
-	}
-	for _, ev := range plan.Events() {
-		for _, k := range ev.Kinds {
-			switch k {
-			case failure.StorageWriteFault, failure.StorageReadFault, failure.SlowIO, failure.Crash:
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// runInjected drives the REAL solve (wall clock, no simulator) under a
-// seeded deterministic fault plan, recovering every failure through
-// the tier chain, and prints the per-failure tier table. storage is
-// the BASE store (beneath the injector and retry layers): corruption
-// writes bypass the fault gate, and the post-crash fsck sweeps the
-// debris where the crash left it.
-func runInjected(a *sparse.CSR, s solver.Checkpointable, mgr *core.Manager, guard *abft.Guard,
-	co *abft.ChecksumOperator, plan *failure.Plan, storage fti.Storage, injector *failure.StorageInjector,
-	mdl *cluster.Model, recSec func(fti.Info) float64, tit float64, ckptEvery, maxIter int, tr *obs.Tracer, repr *reporter) error {
-	fmt.Printf("injection plan: %d events, checkpoint every %d iterations\n", len(plan.Events()), ckptEvery)
-	x0 := make([]float64, a.Rows)
-	var failures []injectedFailure
-	// Coalesce the iteration stretches between lifecycle events into
-	// compute spans, so the trace shows the async pipeline's
-	// encode/write spans overlapping them. All no-ops when tr is nil.
-	computeStart := tr.Now()
-	markCompute := func() {
-		if now := tr.Now(); now > computeStart {
-			tr.Complete(obs.TrackSolver, obs.CatSolver, obs.SpanCompute, computeStart, now-computeStart, nil)
-		}
-	}
-	cb := func(it int, rnorm float64) error {
-		// Feed the residual trajectory to the quality auditor (nil-safe
-		// no-op when -quality is off): it tags checkpoints with the
-		// residual at save and counts post-recovery reacquisition.
-		mgr.Quality().ObserveResidual(it, rnorm)
-		// Retain this iteration's redundancy first: the guard protects
-		// the state the step just produced.
-		guard.Observe()
-		if it%ckptEvery == 0 {
-			markCompute()
-			if _, err := mgr.Checkpoint(); err != nil {
-				return err
-			}
-			computeStart = tr.Now()
-		}
-		kinds := plan.Take(it)
-		if len(kinds) == 0 {
-			return nil
-		}
-		// Corruption kinds damage state first (latently, if no failure
-		// accompanies them); proc/midckpt then lose a rank and force the
-		// chain to run against whatever survives.
-		needRecovery := false
-		for _, k := range kinds {
-			switch k {
-			case failure.CorruptABFT:
-				guard.CorruptRetained()
-			case failure.CorruptShard:
-				if _, err := failure.CorruptLatestShard(storage, plan.Rand()); err != nil {
-					return fmt.Errorf("inject shard corruption at %d: %w", it, err)
-				}
-			case failure.CorruptManifest:
-				if _, err := failure.CorruptLatestManifest(storage); err != nil {
-					return fmt.Errorf("inject manifest corruption at %d: %w", it, err)
-				}
-			case failure.StorageWriteFault:
-				injector.ArmWrite(1)
-			case failure.StorageReadFault:
-				injector.ArmRead(1)
-			case failure.SlowIO:
-				injector.ArmSlow(1)
-			}
-		}
-		for _, k := range kinds {
-			switch k {
-			case failure.MidCheckpoint:
-				// The failure strikes mid-write: the in-flight checkpoint
-				// never commits and its partial object is discarded.
-				if _, err := mgr.Checkpoint(); err != nil {
-					return err
-				}
-				if err := mgr.AbortLastCheckpoint(); err != nil {
-					return err
-				}
-				needRecovery = true
-			case failure.ProcLoss:
-				needRecovery = true
-			case failure.Crash:
-				// The storage dies mid-commit: the forced checkpoint leaves
-				// a partial temp artifact and never commits (the save error
-				// is the expected outcome, swallowed by degraded mode or
-				// tolerated here). The store then revives — the restart —
-				// and fsck sweeps the debris before tiered recovery runs
-				// against what actually committed.
-				injector.ArmCrash()
-				_, _ = mgr.Checkpoint()
-				_, _ = mgr.WaitCheckpoint() // drain an async save; its failure is the point
-				if !injector.Crashed() {
-					return fmt.Errorf("inject crash at %d: the store never saw a write", it)
-				}
-				injector.Revive()
-				frep, err := fti.Fsck(storage)
-				if err != nil {
-					return fmt.Errorf("fsck after crash at %d: %w", it, err)
-				}
-				fmt.Printf("  crash@%d: store revived; %s\n", it, frep)
-				needRecovery = true
-			}
-		}
-		if !needRecovery {
-			return nil // latent corruption: surfaces at the next recovery
-		}
-		markCompute()
-		tr.Instant(obs.TrackSolver, obs.CatRecovery, obs.SpanFailure)
-		guard.FailNextRank()
-		rep, err := mgr.RecoverTiered(x0)
-		if err != nil {
-			return err
-		}
-		computeStart = tr.Now()
-		failures = append(failures, injectedFailure{iter: it, kinds: kinds, rep: rep})
-		return nil
-	}
-	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: maxIter}, cb)
-	markCompute()
-	if err != nil {
-		return err
-	}
-	repr.update(func(ri *quality.RunInfo) {
-		ri.Iterations = res.Iterations
-		ri.Converged = res.Converged
-		ri.FinalResidual = res.FinalResidual
-	})
-	fmt.Printf("converged=%v iterations=%d residual=%.3e failures=%d\n",
-		res.Converged, res.Iterations, res.FinalResidual, len(failures))
-	if co != nil {
-		fmt.Printf("checksum operator: %d applications, %d mismatches\n", co.Applications(), co.Mismatches())
-	}
-	st := guard.Stats()
-	fmt.Printf("abft guard: observes=%d reconstructions=%d rejected=%d local-iterations=%d\n",
-		st.Observes, st.Reconstructions, st.Rejected, st.LocalIterations)
-	if len(failures) == 0 {
-		return nil
-	}
-	fmt.Printf("per-failure recovery tiers (modeled costs at 2048 ranks):\n")
-	raw := float64(a.Rows) * 8
-	for _, f := range failures {
-		names := make([]string, len(f.kinds))
-		for i, k := range f.kinds {
-			names[i] = k.String()
-		}
-		fmt.Printf("  @%-6d %-24s recovered via %s\n", f.iter, strings.Join(names, "+"), f.rep.Used)
-		for _, att := range f.rep.Attempts {
-			status := "accepted"
-			if !att.Accepted {
-				status = "rejected: " + att.Err
-			}
-			var cost string
-			switch att.Tier {
-			case core.TierABFT:
-				cost = fmt.Sprintf("%d local its, modeled %.3gs, 0 B read",
-					att.Iterations, mdl.ABFTRecoverySeconds(raw/2048, att.Iterations, tit))
-			case core.TierCheckpoint, core.TierPreviousCheckpoint:
-				cost = fmt.Sprintf("seq %d, %d B read, modeled %.3gs",
-					att.Seq, att.ReadBytes, recSec(mgr.LastInfo()))
-			default:
-				cost = "free (all progress lost)"
-			}
-			fmt.Printf("    %-20s %-10s %.3g ms wall — %s\n",
-				att.Tier, status, 1e3*att.Seconds, cost)
-		}
-	}
-	return nil
-}
-
-// printCostBreakdown renders the per-phase checkpoint/restart cost
-// table: the cluster model's 2,048-rank prediction next to what the
-// in-process run actually measured (fti.Info stage timings and the
-// measured restart). The two columns are different machines by design
-// — the point is seeing each phase's model beside a real measurement
-// of the same code path. The same rows come back as structured cost
-// lines for the run report (NaN "not measured" sentinels become 0,
-// which omitempty drops — NaN is not valid JSON).
-func printCostBreakdown(mdl *cluster.Model, scheme core.Scheme, info fti.Info, raw float64,
-	striped bool, recSec func(fti.Info) float64, measuredRestart float64) []quality.CostLine {
-	if info.Bytes == 0 {
-		return nil // no checkpoint was ever committed; nothing to break down
-	}
-	sch := cluster.Uncompressed
-	switch scheme {
+// clusterScheme maps the checkpoint scheme onto the cluster model's.
+func clusterScheme(s core.Scheme) cluster.Scheme {
+	switch s {
 	case core.Lossless:
-		sch = cluster.LosslessCompressed
+		return cluster.LosslessCompressed
 	case core.Lossy:
-		sch = cluster.LossyCompressed
+		return cluster.LossyCompressed
 	}
-	modCapture := mdl.CaptureSeconds(2048, raw)
-	// The stage helpers share the fused cost model's terms, so the
-	// per-phase rows always sum to the ckptSec the run was priced with:
-	// the codec-aware encode rate is pinned to the scheme-level
-	// calibration for the schemes' default codecs (sz, gzip) and falls
-	// back to it for codecs without a CodecRates entry.
-	modEncode := mdl.CodecCompressSeconds(2048, raw, info.EncoderName, sch)
-	modWrite := mdl.WriteStageSeconds(2048, float64(info.Bytes), max(info.Shards, 1), striped)
-	ms := func(s float64) string {
-		if math.IsNaN(s) {
-			return "      -"
-		}
-		return fmt.Sprintf("%10.4g", 1e3*s)
-	}
-	measCapture := math.NaN()
-	if info.CaptureSeconds > 0 {
-		measCapture = info.CaptureSeconds
-	}
-	fmt.Printf("per-checkpoint phase costs — modeled at 2048 ranks vs measured in-process (ms):\n")
-	fmt.Printf("  %-8s %12s %12s\n", "phase", "modeled", "measured")
-	fmt.Printf("  %-8s %12s %12s   (in-process sync capture happens inside the save)\n", "capture", ms(modCapture), ms(measCapture))
-	fmt.Printf("  %-8s %12s %12s\n", "encode", ms(modEncode), ms(info.EncodeSeconds))
-	if sch != cluster.Uncompressed && info.EncodeSeconds > 0 {
-		// Measured per-codec encode throughput beside the model's
-		// per-core rate: the in-process figure is this machine's cores,
-		// the modeled one is one Bebop core.
-		measMBs := raw / info.EncodeSeconds / 1e6
-		modMBs := raw / mdl.CodecCompressSeconds(1, raw, info.EncoderName, sch) / 1e6
-		fmt.Printf("  %-8s %12.4g %12.4g   (encode MB/s, codec %s; modeled is per Bebop core)\n",
-			"enc-MB/s", modMBs, measMBs, info.EncoderName)
-	}
-	fmt.Printf("  %-8s %12s %12s\n", "write", ms(modWrite), ms(info.WriteSeconds))
-	fmt.Printf("  %-8s %12s %12s   (measured only on failure runs)\n", "restart", ms(recSec(info)), ms(measuredRestart))
-	fin := func(s float64) float64 {
-		if math.IsNaN(s) {
-			return 0
-		}
-		return s
-	}
-	return []quality.CostLine{
-		{Phase: "capture", ModeledSeconds: modCapture, MeasuredSeconds: fin(measCapture)},
-		{Phase: "encode", ModeledSeconds: modEncode, MeasuredSeconds: info.EncodeSeconds},
-		{Phase: "write", ModeledSeconds: modWrite, MeasuredSeconds: info.WriteSeconds},
-		{Phase: "restart", ModeledSeconds: recSec(info), MeasuredSeconds: fin(measuredRestart)},
-	}
+	return cluster.Uncompressed
 }
 
-// vecNorm is the Euclidean norm of the right-hand side — the ‖b‖ the
-// stability verdict normalizes residuals against.
-func vecNorm(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
+// costModel is the run's modelled cost source: the Bebop cluster model
+// at 2,048 ranks, applied to what each checkpoint actually wrote.
+type costModel struct {
+	mdl    *cluster.Model
+	scheme cluster.Scheme
+	raw    float64 // bytes of one uncompressed state vector
+	o      options
+}
+
+// shardsOf is the layout a checkpoint was written in (the flag's when
+// the Info predates any save).
+func (c *costModel) shardsOf(info fti.Info) int {
+	if info.Shards >= 1 {
+		return info.Shards
 	}
-	return math.Sqrt(s)
+	return c.o.shards
+}
+
+func (c *costModel) checkpoint(info fti.Info) float64 {
+	if c.o.striped {
+		// Single-writer object writes under the striped-PFS model,
+		// engaging min(shards, stripes) stripes — used for every value of
+		// -shards (1 included) so monolithic and sharded runs compare
+		// within the same model.
+		return c.mdl.ShardedCheckpointSeconds(2048, float64(info.Bytes), c.raw, c.scheme, c.shardsOf(info))
+	}
+	return c.mdl.CheckpointSeconds(2048, float64(info.Bytes), c.raw, c.scheme)
+}
+
+func (c *costModel) recovery(info fti.Info) float64 {
+	if c.o.striped {
+		// Restarts priced like the write path: a sharded group streams
+		// through min(shards, stripes) concurrent reads overlapped with
+		// decompression; shards=1 is the serial monolithic restore
+		// (exactly RecoverySeconds).
+		return c.mdl.ShardedRecoverySeconds(2048, float64(info.Bytes), c.raw, c.scheme, c.shardsOf(info))
+	}
+	return c.mdl.RecoverySeconds(2048, float64(info.Bytes), c.raw, c.scheme)
+}
+
+func (c *costModel) capture(info fti.Info) float64 {
+	return c.mdl.CaptureSeconds(2048, float64(info.RawBytes))
+}
+
+// storageRetry prices the retry layer's expected backoff delay under a
+// fault campaign, calibrated from the same policy defaults the real
+// wrapper runs with.
+func (c *costModel) storageRetry(info fti.Info) float64 {
+	if c.o.faultRate <= 0 || c.o.storageRetries <= 0 {
+		return 0
+	}
+	pol := fti.FaultPolicy{MaxRetries: c.o.storageRetries}.Normalize()
+	return c.mdl.StorageRetrySeconds(c.shardsOf(info), c.o.faultRate,
+		pol.BaseDelay.Seconds(), pol.MaxDelay.Seconds(), pol.MaxRetries)
+}
+
+// abft prices the ABFT tier in local-solve iterations over the lost
+// block, re-gathered over the interconnect — never through the PFS.
+func (c *costModel) abft(att core.TierAttempt) float64 {
+	return c.mdl.ABFTRecoverySeconds(c.raw/2048, att.Iterations, c.o.tit)
 }

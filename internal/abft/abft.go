@@ -160,7 +160,7 @@ type Guard struct {
 	failed int // rank lost by the most recent failure, -1 when none
 
 	stats Stats
-	met   *guardMetrics
+	met   guardMetrics
 }
 
 // NewGuard builds a guard over the system A·x = b protected by the
@@ -259,7 +259,7 @@ func (g *Guard) Observe() {
 	g.retainedAt = it
 	g.have = true
 	g.stats.Observes++
-	g.met.observe()
+	g.met.observes.Inc()
 }
 
 // FailRank simulates the fail-stop loss of rank k: the rank's block of
@@ -330,13 +330,14 @@ func (g *Guard) Reconstruct() (*Recon, error) {
 	}
 	if err != nil {
 		g.stats.Rejected++
-		g.met.reject()
+		g.met.rejects.Inc()
 		return nil, err
 	}
 	g.failed = -1
 	g.stats.Reconstructions++
 	g.stats.LocalIterations += rec.LocalIterations
-	g.met.reconstruct(rec.LocalIterations)
+	g.met.reconstructions.Inc()
+	g.met.localIterations.Add(uint64(rec.LocalIterations))
 	return rec, nil
 }
 
@@ -345,7 +346,7 @@ func (g *Guard) Reconstruct() (*Recon, error) {
 // verify the recomputed true residual.
 func (g *Guard) reconstructExact(k int) (*Recon, error) {
 	if checksum(g.rR) != g.sumR || checksum(g.rP) != g.sumP {
-		g.met.checksumFailure()
+		g.met.checksumFailures.Inc()
 		return nil, fmt.Errorf("abft: retained state failed checksum verification")
 	}
 	if it := g.s.Iteration(); it != g.retainedAt {
@@ -416,7 +417,7 @@ func (g *Guard) reconstructExact(k int) (*Recon, error) {
 // values and Restart from the hybrid iterate.
 func (g *Guard) reconstructBF(k int) (*Recon, error) {
 	if checksum(g.rX) != g.sumX {
-		g.met.checksumFailure()
+		g.met.checksumFailures.Inc()
 		return nil, fmt.Errorf("abft: retained state failed checksum verification")
 	}
 	lo, hi := g.cuts[k], g.cuts[k+1]

@@ -2,9 +2,9 @@ package abft
 
 import "repro/internal/obs"
 
-// guardMetrics is the guard's observability bundle. A nil bundle (the
-// default) makes every hook a no-op, so the retention and
-// reconstruction paths call them unconditionally.
+// guardMetrics is the guard's observability bundle. Its handles are
+// nil-safe, so the zero bundle (the default) observes nothing and the
+// retention and reconstruction paths call them unconditionally.
 type guardMetrics struct {
 	observes         *obs.Counter
 	reconstructions  *obs.Counter
@@ -16,44 +16,11 @@ type guardMetrics struct {
 // Instrument attaches metric sinks to the guard's retention and
 // reconstruction paths. Passing nil detaches.
 func (g *Guard) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		g.met = nil
-		return
-	}
-	g.met = &guardMetrics{
+	g.met = guardMetrics{
 		observes:         reg.Counter(obs.MABFTObservesTotal),
 		reconstructions:  reg.Counter(obs.MABFTReconstructionsTotal),
 		rejects:          reg.Counter(obs.MABFTRejectsTotal),
 		checksumFailures: reg.Counter(obs.MABFTChecksumFailuresTotal),
 		localIterations:  reg.Counter(obs.MABFTLocalIterationsTotal),
 	}
-}
-
-func (m *guardMetrics) observe() {
-	if m == nil {
-		return
-	}
-	m.observes.Inc()
-}
-
-func (m *guardMetrics) reject() {
-	if m == nil {
-		return
-	}
-	m.rejects.Inc()
-}
-
-func (m *guardMetrics) reconstruct(localIterations int) {
-	if m == nil {
-		return
-	}
-	m.reconstructions.Inc()
-	m.localIterations.Add(uint64(localIterations))
-}
-
-func (m *guardMetrics) checksumFailure() {
-	if m == nil {
-		return
-	}
-	m.checksumFailures.Inc()
 }

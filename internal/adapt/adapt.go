@@ -264,7 +264,7 @@ type Controller struct {
 	planned    bool // at least one re-plan happened
 	dirty      bool // fresh observations since the last re-plan
 	traj       []Plan
-	met        *ctrlMetrics
+	met        ctrlMetrics
 }
 
 // New builds a Controller.
@@ -330,23 +330,16 @@ func (c *Controller) ObserveCheckpoint(o CheckpointObs) {
 	}
 }
 
-// ObserveRecovery records the measured duration of one completed
-// checkpoint-restart recovery. The estimate is informational
-// (Estimates.Recovery) — neither Young's nor Daly's formula consumes
-// R, so recoveries do not trigger a re-plan; a lossy-aware policy
-// folding the restart cost into the plan is a ROADMAP candidate.
-// Equivalent to ObserveRecoveryKind with RestartIO set.
-func (c *Controller) ObserveRecovery(seconds float64) {
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: seconds, RestartIO: true})
-}
-
 // ObserveRecoveryKind records one completed recovery with its tier
 // flavor. Checkpoint restarts (RestartIO) feed the Recovery estimate;
 // ABFT reconstructions feed the separate ABFTRecovery estimate, so a
 // run where ABFT usually succeeds does not drag the I/O restart-cost
 // estimate toward zero. Either way the failure-rate posterior is
 // untouched — recoveries are consequences of failures already reported
-// via ObserveFailure, never additional evidence about λ.
+// via ObserveFailure, never additional evidence about λ. Both estimates
+// are informational: neither Young's nor Daly's formula consumes R, so
+// recoveries do not trigger a re-plan (a lossy-aware policy folding the
+// restart cost into the plan is a ROADMAP candidate).
 func (c *Controller) ObserveRecoveryKind(o RecoveryObs) {
 	if o.Seconds < 0 {
 		return

@@ -266,7 +266,7 @@ func TestTrajectoryDeterminism(t *testing.T) {
 			})
 			if i%7 == 3 {
 				c.ObserveFailure(now + 1)
-				c.ObserveRecovery(3)
+				c.ObserveRecoveryKind(RecoveryObs{Seconds: 3, RestartIO: true})
 			}
 			c.Interval(now + 2)
 		}
@@ -287,8 +287,8 @@ func TestTrajectoryDeterminism(t *testing.T) {
 // Estimates view.
 func TestEstimatesSnapshot(t *testing.T) {
 	c := mustNew(t, Config{PriorMTTI: 100})
-	c.ObserveRecovery(7)
-	c.ObserveRecovery(9)
+	c.ObserveRecoveryKind(RecoveryObs{Seconds: 7, RestartIO: true})
+	c.ObserveRecoveryKind(RecoveryObs{Seconds: 9, RestartIO: true})
 	est := c.Estimates(6)
 	if est.Recovery <= 7 || est.Recovery >= 9 {
 		t.Fatalf("recovery EWMA %g, want between the samples", est.Recovery)
@@ -328,10 +328,10 @@ func TestObserveRecoveryKindSeparatesTiers(t *testing.T) {
 		t.Fatalf("recovery kind counts io=%d abft=%d, want 1/2", est.IORestarts, est.ABFTRecoveries)
 	}
 
-	// The legacy entry point is a checkpoint restart by definition.
-	c.ObserveRecovery(8)
+	// A second checkpoint restart moves only the I/O count.
+	c.ObserveRecoveryKind(RecoveryObs{Seconds: 8, RestartIO: true})
 	if got := c.Estimates(200); got.IORestarts != 2 || got.ABFTRecoveries != 2 {
-		t.Fatalf("legacy ObserveRecovery miscounted: io=%d abft=%d, want 2/2", got.IORestarts, got.ABFTRecoveries)
+		t.Fatalf("an I/O restart miscounted: io=%d abft=%d, want 2/2", got.IORestarts, got.ABFTRecoveries)
 	}
 
 	// Negative durations are ignored entirely.

@@ -4,8 +4,8 @@ import "repro/internal/obs"
 
 // ctrlMetrics exports the controller's estimator state as gauges,
 // refreshed at every re-plan — the decision points, so the exported
-// values are exactly the beliefs each plan was made from. A nil
-// bundle (the default) is a no-op.
+// values are exactly the beliefs each plan was made from. Its handles
+// are nil-safe: the zero bundle (the default) exports nothing.
 type ctrlMetrics struct {
 	replans    *obs.Counter
 	interval   *obs.Gauge
@@ -20,11 +20,7 @@ type ctrlMetrics struct {
 // re-plan of its own — it only observes the ones Interval schedules —
 // so an instrumented controller plans identically.
 func (c *Controller) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		c.met = nil
-		return
-	}
-	c.met = &ctrlMetrics{
+	c.met = ctrlMetrics{
 		replans:    reg.Counter(obs.MAdaptReplansTotal),
 		interval:   reg.Gauge(obs.MAdaptIntervalSeconds),
 		mtti:       reg.Gauge(obs.MAdaptMTTISeconds),
@@ -35,9 +31,6 @@ func (c *Controller) Instrument(reg *obs.Registry) {
 }
 
 func (m *ctrlMetrics) observePlan(p Plan, recoverySeconds float64) {
-	if m == nil {
-		return
-	}
 	m.replans.Inc()
 	m.interval.Set(p.Interval)
 	if p.Lambda > 0 {

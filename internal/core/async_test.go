@@ -314,6 +314,56 @@ func TestAsyncAbortDropsCompletedInFlight(t *testing.T) {
 	}
 }
 
+// TestAbortOfAFailedSaveKeepsItsPredecessor: a save that failed — on
+// the spot in degraded mode, or in the background, whether the abort
+// drains it or someone already had — committed nothing, so aborting it
+// drops nothing: the checkpoint before it stays the recovery target.
+func TestAbortOfAFailedSaveKeepsItsPredecessor(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		async   bool
+		drained bool // WaitCheckpoint consumes the failure before the abort
+	}{{"sync", false, false}, {"async", true, false}, {"async-drained", true, true}} {
+		a, b, _ := cgSystem(t)
+		s := newCG(t, a, b)
+		st := &hookStorage{Storage: fti.NewMemStorage()}
+		m, err := NewManager(Config{Scheme: Traditional, Async: c.async, DegradedWrites: true}, st, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			s.Step()
+		}
+		if _, err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := m.WaitCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step()
+		st.failNext.Store(true)
+		if _, err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if c.drained {
+			if _, err := m.WaitCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.AbortLastCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.LastInfo(); got.Seq != before.Seq || m.LastCheckpointIteration() != 3 {
+			t.Fatalf("%s: aborting a failed save moved the recovery target to seq %d (iteration %d), want seq %d (iteration 3)",
+				c.name, got.Seq, m.LastCheckpointIteration(), before.Seq)
+		}
+		if it, err := m.Recover(); err != nil || it != 3 {
+			t.Fatalf("%s: Recover() = %d, %v; want the checkpoint at iteration 3", c.name, it, err)
+		}
+	}
+}
+
 // TestAbortWithKeepOneLeavesNoPhantomCheckpoint: with a retention
 // window of 1, aborting the latest checkpoint empties storage (the gc
 // already removed its predecessor), and HasCheckpoint must say so —

@@ -18,6 +18,16 @@
 // pointwise-relative bound is re-derived before every checkpoint as
 // eb = O(‖r⁽ᵗ⁾‖/‖b‖), which provably keeps the post-recovery residual
 // on the order of the pre-failure residual (expected N′ = 0).
+//
+// The Manager is the scheme: what a checkpoint captures, how it is
+// encoded and committed, and how the recovery chain reinstates the
+// solver (RecoverTiered; Recover is its checkpoint rungs alone). Drive
+// is the lifecycle around it — when to save, where failures land, what
+// each op costs, what the adaptive controller is told — as one loop
+// whose clock, cost source and failure source are its only inputs, so
+// a simulated run (package sim) and a real one differ in nothing else.
+// Hand-written loops (the examples, bench/) call Due, Checkpoint and
+// RecoverTiered themselves.
 package core
 
 import (
@@ -25,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/abft"
-	"repro/internal/adapt"
 	"repro/internal/codec"
 	"repro/internal/fti"
 	"repro/internal/model"
@@ -63,7 +72,9 @@ type Config struct {
 	Scheme Scheme
 	// Interval checkpoints every Interval iterations (Algorithm 1
 	// line 3, "i % ckpt_intvl == 0"). Zero disables periodic
-	// checkpoints (explicit Checkpoint calls still work).
+	// checkpoints (explicit Checkpoint calls still work). A cadence in
+	// seconds — fixed, or planned online by adapt.Controller — belongs
+	// to the loop that owns a clock: DriveConfig.
 	Interval int
 	// SZParams configure the lossy compressor (ignored otherwise).
 	// The zero value means PWRel at 1e-4 — the paper's setting for
@@ -105,25 +116,6 @@ type Config struct {
 	// StorageWorkers bounds the worker pool writing/reading shard
 	// objects (0 = GOMAXPROCS-sized; capped at Shards).
 	StorageWorkers int
-	// AdaptiveInterval plugs the online checkpoint-interval controller
-	// into the periodic-checkpoint decision: Due consults the
-	// controller's currently planned interval (in seconds of Clock
-	// time since the last checkpoint) instead of the fixed
-	// iteration-count Interval, and the Manager feeds the controller
-	// its measured per-checkpoint stage timings (fti.Info's capture/
-	// encode/write seconds and byte counts) and measured recovery
-	// durations. Failures are outside the Manager's sight — the
-	// embedding application reports them via the controller's
-	// ObserveFailure. Mutually exclusive with Interval; the
-	// controller's Async flag must match Async. Virtual-time runs
-	// drive the controller through sim.Config.Controller instead.
-	AdaptiveInterval *adapt.Controller
-	// Clock supplies "now" in seconds for AdaptiveInterval. Nil
-	// defaults to wall-clock seconds since the Manager was built.
-	// The per-checkpoint cost observations are measured internally by
-	// the checkpoint path regardless of this clock, so a coarse Clock
-	// only coarsens when checkpoints trigger, not what they cost.
-	Clock func() float64
 	// DegradedWrites makes a failed checkpoint save non-fatal: instead
 	// of surfacing the storage error to the solver loop, Checkpoint
 	// (and the async pipeline's deferred error surfacing) swallows it,
@@ -163,6 +155,9 @@ type Manager struct {
 	prevCkptIter int
 	prevInfo     fti.Info
 	prevHaveCkpt bool
+	// openSeq is the sequence of the save Checkpoint last opened, the one
+	// AbortLastCheckpoint is about: 0 when it failed on the spot.
+	openSeq int
 
 	// In-flight async save, promoted to the committed fields above
 	// once its background write finishes.
@@ -170,13 +165,6 @@ type Manager struct {
 	inflightIter int
 	inflightLive bool
 	asyncErr     error // failed background save, surfaced on next Checkpoint
-
-	// Adaptive-interval state: the controller (nil when disabled), the
-	// clock it is consulted on, and the clock time of the last
-	// checkpoint capture (the start of the current interval window).
-	ctrl          *adapt.Controller
-	clock         func() float64
-	lastCkptClock float64
 
 	// abft is the optional first recovery tier (Config.ABFT).
 	abft *abft.Guard
@@ -186,8 +174,9 @@ type Manager struct {
 	degradedSaves int
 	lastSaveErr   error
 
-	// mobs is the observability bundle (nil when uninstrumented).
-	mobs *managerObs
+	// mobs is the observability bundle (all-nil handles when
+	// uninstrumented).
+	mobs managerObs
 
 	// qa is the numerical-telemetry auditor (nil when uninstrumented);
 	// it rides the checkpointer's save-audit hook and is marked on
@@ -217,25 +206,10 @@ func NewManager(cfg Config, storage fti.Storage, s solver.Checkpointable) (*Mana
 	if cfg.Codec == nil {
 		cfg.Codec = codec.BlockedFlate{}
 	}
-	if cfg.AdaptiveInterval != nil {
-		if cfg.Interval > 0 {
-			return nil, fmt.Errorf("core: Interval and AdaptiveInterval are mutually exclusive")
-		}
-		if cfg.AdaptiveInterval.Async() != cfg.Async {
-			return nil, fmt.Errorf("core: controller async=%v does not match Config.Async=%v",
-				cfg.AdaptiveInterval.Async(), cfg.Async)
-		}
-	}
 	if cfg.ABFT != nil && cfg.ABFT.Solver() != s {
 		return nil, fmt.Errorf("core: the ABFT guard protects a different solver than the Manager wires")
 	}
 	m := &Manager{cfg: cfg, slv: s, abft: cfg.ABFT}
-	m.ctrl = cfg.AdaptiveInterval
-	m.clock = cfg.Clock
-	if m.ctrl != nil && m.clock == nil {
-		start := time.Now()
-		m.clock = func() float64 { return time.Since(start).Seconds() }
-	}
 	m.rst, _ = s.(solver.Restartable)
 	m.gmres, _ = s.(*solver.GMRES)
 	m.ckpt = fti.New(storage, m.encoder())
@@ -284,27 +258,9 @@ func (m *Manager) AsyncCheckpointer() *fti.AsyncCheckpointer { return m.async }
 // Due reports whether the periodic checkpoint condition of Algorithm 1
 // line 3 holds at the solver's current iteration. An async checkpoint
 // captured at this iteration — committed or still in flight — counts
-// as taken. With AdaptiveInterval, the condition is instead that the
-// controller's currently planned interval has elapsed on the
-// configured clock since the last checkpoint capture.
+// as taken.
 func (m *Manager) Due() bool {
 	it := m.slv.Iteration()
-	if m.ctrl != nil {
-		if it == 0 {
-			return false
-		}
-		if m.async != nil {
-			m.promote()
-			if m.inflightLive && it == m.inflightIter {
-				return false
-			}
-		}
-		if it == m.lastCkptIter {
-			return false
-		}
-		now := m.clock()
-		return now-m.lastCkptClock >= m.ctrl.Interval(now)
-	}
 	if m.cfg.Interval <= 0 || it == 0 || it%m.cfg.Interval != 0 {
 		return false
 	}
@@ -346,6 +302,7 @@ func (m *Manager) Checkpoint() (fti.Info, error) {
 	snap := m.capture()
 	m.ckpt.SetEncoder(m.encoder())
 	info, err := m.ckpt.Save(snap)
+	m.openSeq = info.Seq
 	if err != nil {
 		if m.cfg.DegradedWrites {
 			// The save rolled back; the previous committed checkpoint is
@@ -355,27 +312,16 @@ func (m *Manager) Checkpoint() (fti.Info, error) {
 		}
 		return fti.Info{}, err
 	}
-	m.prevCkptIter, m.prevHaveCkpt = m.lastCkptIter, m.haveCkpt
-	m.prevInfo = m.lastInfo
-	m.lastCkptIter = m.slv.Iteration()
-	m.lastInfo = info
-	m.haveCkpt = true
-	m.mobs.observeCommit()
-	m.observeQualityCommit(info.Seq, info.RawBytes, info.Bytes)
-	if m.ctrl != nil {
-		now := m.clock()
-		m.mobs.observeWindow(now - m.lastCkptClock)
-		m.lastCkptClock = now
-		// The stage timings are measured inside the save, so a coarse or
-		// virtual Clock cannot zero the cost observation.
-		m.ctrl.ObserveCheckpoint(adapt.CheckpointObs{
-			When:        now,
-			SyncSeconds: info.EncodeSeconds + info.WriteSeconds,
-			RawBytes:    info.RawBytes,
-			Bytes:       info.Bytes,
-		})
-	}
+	m.commit(m.slv.Iteration(), info)
 	return info, nil
+}
+
+// commit makes a written checkpoint the recovery target, keeping its
+// predecessor's bookkeeping for AbortLastCheckpoint to fall back to.
+func (m *Manager) commit(iter int, info fti.Info) {
+	m.prevCkptIter, m.prevHaveCkpt, m.prevInfo = m.lastCkptIter, m.haveCkpt, m.lastInfo
+	m.lastCkptIter, m.haveCkpt, m.lastInfo = iter, true, info
+	m.mobs.committed.Inc()
 }
 
 // checkpointAsync is the capture-stall-only checkpoint path.
@@ -395,16 +341,8 @@ func (m *Manager) checkpointAsync() (fti.Info, error) {
 	if err != nil {
 		return fti.Info{}, err
 	}
-	m.inflight, m.inflightLive = t, true
+	m.inflight, m.inflightLive, m.openSeq = t, true, t.Seq
 	m.inflightIter = m.slv.Iteration()
-	if m.ctrl != nil {
-		// The interval window restarts at capture completion; the cost
-		// observation follows at promote time, when the background
-		// encode+write durations are known.
-		now := m.clock()
-		m.mobs.observeWindow(now - m.lastCkptClock)
-		m.lastCkptClock = now
-	}
 	info := fti.Info{Seq: t.Seq, EncoderName: m.ckpt.Encoder().Name()}
 	for _, v := range snap.Vectors {
 		info.RawBytes += 8 * len(v)
@@ -433,22 +371,7 @@ func (m *Manager) promote() {
 		m.asyncErr = err
 		return
 	}
-	m.prevCkptIter, m.prevHaveCkpt = m.lastCkptIter, m.haveCkpt
-	m.prevInfo = m.lastInfo
-	m.lastCkptIter = m.inflightIter
-	m.lastInfo = info
-	m.haveCkpt = true
-	m.mobs.observeCommit()
-	m.observeQualityCommit(info.Seq, info.RawBytes, info.Bytes)
-	if m.ctrl != nil {
-		m.ctrl.ObserveCheckpoint(adapt.CheckpointObs{
-			When:              m.clock(),
-			CaptureSeconds:    info.CaptureSeconds,
-			BackgroundSeconds: info.EncodeSeconds + info.WriteSeconds,
-			RawBytes:          info.RawBytes,
-			Bytes:             info.Bytes,
-		})
-	}
+	m.commit(m.inflightIter, info)
 }
 
 // WaitCheckpoint blocks until no checkpoint is in flight and returns
@@ -480,7 +403,7 @@ func (m *Manager) takeAsyncErr() error {
 func (m *Manager) noteDegraded(err error) {
 	m.degradedSaves++
 	m.lastSaveErr = err
-	m.mobs.observeDegraded()
+	m.mobs.degraded.Inc()
 }
 
 // DegradedSaves reports how many checkpoint saves degraded-writes
@@ -492,26 +415,22 @@ func (m *Manager) DegradedSaves() int { return m.degradedSaves }
 func (m *Manager) LastSaveError() error { return m.lastSaveErr }
 
 // AbortLastCheckpoint models a failure striking while the checkpoint
-// was being written: the partial file is discarded and the previous
-// checkpoint becomes the recovery target again. The virtual-time
-// simulator calls this when a failure lands inside a checkpoint
-// window. In async mode the in-flight save is drained first; if it
-// already failed there is nothing to drop, otherwise the just-
-// committed file is discarded.
+// Checkpoint last opened was being written: the partial file is
+// discarded and the previous checkpoint becomes the recovery target
+// again. The driver calls this when a failure lands inside a checkpoint
+// window. In async mode the in-flight save is drained first. A save
+// that had already failed — on the spot, or in the background, whoever
+// drained it — committed nothing, so there is nothing to drop: its
+// predecessor stays the recovery target.
 func (m *Manager) AbortLastCheckpoint() error {
-	if m.async != nil {
-		m.async.Wait()
-		m.promote()
-		if m.asyncErr != nil {
-			// The aborted save never committed; dropping is a no-op.
-			m.asyncErr = nil
-			return nil
-		}
+	m.drain()
+	if m.lastInfo.Seq != m.openSeq {
+		return nil
 	}
 	if err := m.ckpt.DropLatest(); err != nil {
 		return err
 	}
-	m.mobs.observeAbort()
+	m.mobs.aborted.Inc()
 	m.lastCkptIter, m.haveCkpt = m.prevCkptIter, m.prevHaveCkpt
 	// Roll the accounting back too: LastInfo must describe the
 	// checkpoint recovery will actually restore, not the dropped one
@@ -585,10 +504,12 @@ func (m *Manager) InFlight() bool {
 	return m.inflightLive
 }
 
-// Recover reinstates the solver from the latest checkpoint according
-// to the scheme. For lossy checkpointing this is Algorithm 2 lines
-// 7–13: decompress x, adopt it as a fresh initial guess, rebuild the
-// auxiliary state. It returns the iteration the solver rolled back to.
+// Recover reinstates the solver from the latest restorable checkpoint
+// according to the scheme — the checkpoint rungs of RecoverTiered on
+// their own, for loops that handle a missing checkpoint themselves. For
+// lossy checkpointing this is Algorithm 2 lines 7–13: decompress x,
+// adopt it as a fresh initial guess, rebuild the auxiliary state. It
+// returns the iteration the solver rolled back to.
 //
 // In async mode, Recover first drains the in-flight write. If that
 // write completed, it is the recovery target like any committed
@@ -604,37 +525,15 @@ func (m *Manager) InFlight() bool {
 // is unspecified only when Recover returns an error; RecoverFresh
 // (where RecoverTiered ends) then makes it whole again.
 func (m *Manager) Recover() (int, error) {
+	rep := &RecoveryReport{}
 	m.qa.ObserveFailure()
-	if m.async != nil {
-		m.async.Wait()
-		m.promote()
-		// A failed in-flight save is superseded by the recovery itself:
-		// its sequence rolled back, so Restore below already targets
-		// the previous committed checkpoint.
-		m.asyncErr = nil
-	}
-	restoreStart := time.Now()
-	snap, attempts, err := m.ckpt.RestoreIntoTrace(m.slv.DynamicView().Vectors)
-	if err != nil {
+	start, traceAt := time.Now(), m.mobs.tr.Now()
+	m.drain()
+	if err := m.restore(rep); err != nil {
 		return 0, err
 	}
-	if m.ctrl != nil {
-		// The restart duration feeds the recovery-cost estimator, and
-		// the interval window restarts: the state just went to storage's
-		// version of itself, so nothing is at risk yet.
-		m.ctrl.ObserveRecovery(time.Since(restoreStart).Seconds())
-		m.lastCkptClock = m.clock()
-	}
-	it, aerr := m.adoptSnapshot(snap)
-	if aerr == nil {
-		m.mobs.observeRecovery(TierCheckpoint, time.Since(restoreStart).Seconds())
-		seq := 0
-		if len(attempts) > 0 {
-			seq = attempts[len(attempts)-1].Seq
-		}
-		m.qa.ObserveRecovery(seq, TierCheckpoint.String(), it, m.slv.ResidualNorm())
-	}
-	return it, aerr
+	m.mobs.finish(rep, traceAt, time.Since(start).Seconds())
+	return rep.Iteration, nil
 }
 
 // adoptSnapshot reinstates the solver from a restored snapshot

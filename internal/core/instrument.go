@@ -1,33 +1,44 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/obs"
 )
 
+// tierCounters counts completed recoveries under the rung that
+// restored the solver.
+type tierCounters [TierRestartZero + 1]*obs.Counter
+
+func newTierCounters(reg *obs.Registry, name string) (c tierCounters) {
+	for t := range c {
+		c[t] = reg.With(obs.L("tier", RecoveryTier(t).String())).Counter(name)
+	}
+	return c
+}
+
 // managerObs is the Manager's observability bundle: checkpoint
 // lifecycle counters, per-tier recovery counters, the recovery-chain
-// latency histogram, the realized interval-window gauge, and the
-// trace sink for tiered-recovery spans. A nil bundle (the default)
-// makes every hook a no-op.
+// latency histogram and the trace sink for recovery spans. Every
+// handle is nil-safe, so the zero bundle (the default) observes
+// nothing.
 type managerObs struct {
 	committed   *obs.Counter
 	aborted     *obs.Counter
 	degraded    *obs.Counter
 	recoverySec *obs.Histogram
-	window      *obs.Gauge
-	tiers       [TierRestartZero + 1]*obs.Counter
+	tiers       tierCounters
 	tr          *obs.Tracer
 }
 
 // Instrument attaches metric and trace sinks to the Manager and to
-// every subsystem it owns: the checkpointer (sync or async pipeline),
-// the ABFT guard, and the adaptive-interval controller. Passing nil
-// for both detaches. Only safe while no checkpoint is in flight.
+// every subsystem it owns: the checkpointer (sync or async pipeline)
+// and the ABFT guard. Passing nil for both detaches. Only safe while no
+// checkpoint is in flight.
 //
-// Instrumentation is strictly an observer — it never adds controller
-// calls, clock reads that feed decisions, or extra storage traffic —
-// so an instrumented Manager converges bitwise-identically to an
-// uninstrumented one.
+// Instrumentation is strictly an observer — it never adds clock reads
+// that feed decisions or extra storage traffic — so an instrumented
+// Manager converges bitwise-identically to an uninstrumented one.
 func (m *Manager) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	if m.async != nil {
 		m.async.Instrument(reg, tr)
@@ -37,97 +48,45 @@ func (m *Manager) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	if m.abft != nil {
 		m.abft.Instrument(reg)
 	}
-	if m.ctrl != nil {
-		m.ctrl.Instrument(reg)
-	}
-	if reg == nil && tr == nil {
-		m.mobs = nil
-		return
-	}
-	mo := &managerObs{
+	m.mobs = managerObs{
 		committed:   reg.Counter(obs.MCoreCheckpointsCommittedTotal),
 		aborted:     reg.Counter(obs.MCoreCheckpointsAbortedTotal),
 		degraded:    reg.Counter(obs.MCoreDegradedSavesTotal),
 		recoverySec: reg.Histogram(obs.MCoreRecoverySeconds, obs.LatencyBuckets()),
-		window:      reg.Gauge(obs.MCoreIntervalSeconds),
+		tiers:       newTierCounters(reg, obs.MCoreRecoveriesTotal),
 		tr:          tr,
 	}
-	for t := TierABFT; t <= TierRestartZero; t++ {
-		mo.tiers[t] = reg.With(obs.L("tier", t.String())).Counter(obs.MCoreRecoveriesTotal)
-	}
-	m.mobs = mo
 }
 
-func (o *managerObs) observeCommit() {
-	if o == nil {
-		return
-	}
-	o.committed.Inc()
+// finish records a finished recovery: the per-tier counter, the
+// chain's duration, and one span per attempt from the chain's start.
+func (o *managerObs) finish(rep *RecoveryReport, start, totalSec float64) {
+	o.tiers[rep.Used].Inc()
+	o.recoverySec.Observe(totalSec)
+	tierSpans(o.tr, rep, start, math.Inf(1))
 }
 
-// observeDegraded counts a save swallowed by degraded-writes mode.
-func (o *managerObs) observeDegraded() {
-	if o == nil {
-		return
-	}
-	o.degraded.Inc()
-}
-
-func (o *managerObs) observeAbort() {
-	if o == nil {
-		return
-	}
-	o.aborted.Inc()
-}
-
-// observeWindow records the realized interval between consecutive
-// checkpoint captures (adaptive-interval runs, where the Manager has
-// a clock).
-func (o *managerObs) observeWindow(sec float64) {
-	if o == nil {
-		return
-	}
-	o.window.Set(sec)
-}
-
-// observeRecovery counts one completed recovery under the tier that
-// finally restored the solver and records the whole chain's duration.
-func (o *managerObs) observeRecovery(tier RecoveryTier, sec float64) {
-	if o == nil {
-		return
-	}
-	if tier >= 0 && int(tier) < len(o.tiers) {
-		o.tiers[tier].Inc()
-	}
-	o.recoverySec.Observe(sec)
-}
-
-// traceStart returns the trace-relative start time of a recovery
-// chain about to run (0 when tracing is off).
-func (o *managerObs) traceStart() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.tr.Now()
-}
-
-// finishTiered records a finished recovery chain: the per-tier
-// counter and chain histogram, plus one span per tier attempt laid
-// out sequentially from the chain's start — the attempts did run
-// back-to-back, so the measured durations tile the chain.
-func (o *managerObs) finishTiered(rep *RecoveryReport, start, totalSec float64) {
-	if o == nil {
-		return
-	}
-	o.observeRecovery(rep.Used, totalSec)
-	if o.tr == nil {
-		return
+// tierSpans lays one recovery chain out on the recovery track: one
+// span per attempt, back to back from start — the attempts did run
+// back to back, so their durations tile the chain. Spans of an
+// interrupted chain are truncated at limit, the time the new failure
+// struck, and attempts that would start past it are dropped from the
+// trace (they stay in the report).
+func tierSpans(tr *obs.Tracer, rep *RecoveryReport, start, limit float64) {
+	if tr == nil {
+		return // skip the per-attempt arg maps
 	}
 	cursor := start
 	for _, att := range rep.Attempts {
+		if cursor >= limit {
+			break
+		}
 		args := map[string]float64{"accepted": 0}
 		if att.Accepted {
 			args["accepted"] = 1
+		}
+		if rep.Interrupted {
+			args["interrupted"] = 1
 		}
 		if att.Iterations > 0 {
 			args["iterations"] = float64(att.Iterations)
@@ -138,8 +97,64 @@ func (o *managerObs) finishTiered(rep *RecoveryReport, start, totalSec float64) 
 		if att.Seq > 0 {
 			args["seq"] = float64(att.Seq)
 		}
-		o.tr.Complete(obs.TrackRecovery, obs.CatRecovery,
-			obs.SpanTierPrefix+att.Tier.String(), cursor, att.Seconds, args)
+		tr.Complete(obs.TrackRecovery, obs.CatRecovery,
+			obs.SpanTierPrefix+att.Tier.String(), cursor, math.Min(att.Seconds, limit-cursor), args)
 		cursor += att.Seconds
 	}
+}
+
+// driveObs is the driver's observability bundle: the lifecycle
+// counters of the sim_* catalog, the realized interval-window gauge,
+// and two views of the trace sink. Compute spans and failure instants
+// are the driver's on either clock; the ops' own spans it draws only
+// when it models them — measured ops have drawn theirs on the same wall
+// clock — so model is nil under measured costs.
+type driveObs struct {
+	failures *obs.Counter
+	ckpts    *obs.Counter
+	aborts   *obs.Counter
+	tiers    tierCounters
+	elapsed  *obs.Gauge
+	window   *obs.Gauge
+	tr       *obs.Tracer
+	model    *obs.Tracer
+}
+
+func newDriveObs(reg *obs.Registry, tr *obs.Tracer, modelled bool) driveObs {
+	o := driveObs{
+		failures: reg.Counter(obs.MSimFailuresTotal),
+		ckpts:    reg.Counter(obs.MSimCheckpointsTotal),
+		aborts:   reg.Counter(obs.MSimCheckpointAbortsTotal),
+		tiers:    newTierCounters(reg, obs.MSimRecoveriesTotal),
+		elapsed:  reg.Gauge(obs.MSimElapsedSeconds),
+		window:   reg.Gauge(obs.MCoreIntervalSeconds),
+		tr:       tr,
+	}
+	if modelled {
+		o.model = tr
+	}
+	return o
+}
+
+// now is the trace's reading of the present: the virtual clock when
+// the driver models the run, the tracer's own wall clock otherwise.
+func (o *driveObs) now(virtual float64) float64 {
+	if o.model != nil || o.tr == nil {
+		return virtual
+	}
+	return o.tr.Now()
+}
+
+func (o *driveObs) failure(at float64) {
+	o.failures.Inc()
+	o.tr.InstantAt(obs.TrackSolver, obs.CatRecovery, obs.SpanFailure, o.now(at))
+}
+
+// recovery records one run of the chain: the per-tier counter unless a
+// new failure interrupted it at limit, and its spans.
+func (o *driveObs) recovery(rep *RecoveryReport, start, limit float64) {
+	if !rep.Interrupted {
+		o.tiers[rep.Used].Inc()
+	}
+	tierSpans(o.model, rep, start, limit)
 }

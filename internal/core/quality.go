@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/adapt"
-	"repro/internal/quality"
-)
+import "repro/internal/quality"
 
 // InstrumentQuality attaches the numerical-telemetry auditor: every
 // committed save's vectors pass through its (sampled) distortion
@@ -12,37 +9,11 @@ import (
 //
 // Like Instrument, this is strictly an observer: the auditor never
 // mutates solver or checkpoint state, so a quality-instrumented run
-// converges bitwise-identically to an uninstrumented one. The driver
-// still owns the residual feed (quality.Auditor.ObserveResidual once
-// per iteration) — the Manager cannot see iterations.
+// converges bitwise-identically to an uninstrumented one. The loop
+// that steps the solver owns the residual feed
+// (quality.Auditor.ObserveResidual once per iteration; Drive does it) —
+// the Manager cannot see iterations.
 func (m *Manager) InstrumentQuality(qa *quality.Auditor) {
 	m.qa = qa
 	m.ckpt.SetSaveAudit(qa)
-}
-
-// Quality returns the attached auditor (nil when uninstrumented).
-func (m *Manager) Quality() *quality.Auditor { return m.qa }
-
-// observeQualityCommit forwards a committed checkpoint's audited
-// distortion to the adaptive-interval controller's quality feed
-// (plumbing only — the controller's planning ignores it).
-func (m *Manager) observeQualityCommit(seq, rawBytes, bytes int) {
-	if m.qa == nil || m.ctrl == nil {
-		return
-	}
-	d := m.qa.DistortionFor(seq)
-	if d == nil {
-		return
-	}
-	o := adapt.QualityObs{Relative: d.Relative}
-	if m.clock != nil {
-		o.When = m.clock()
-	}
-	if d.RequestedBound > 0 {
-		o.BoundRatio = d.MaxError / d.RequestedBound
-	}
-	if bytes > 0 {
-		o.CompressionRatio = float64(rawBytes) / float64(bytes)
-	}
-	m.ctrl.ObserveQuality(o)
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/abft"
-	"repro/internal/adapt"
 	"repro/internal/quality"
 )
 
@@ -105,27 +104,24 @@ func (m *Manager) ABFTGuard() *abft.Guard { return m.abft }
 
 // RecoverTiered runs the full recovery chain after a failure:
 // ABFT reconstruction → latest checkpoint → older checkpoints →
-// restart-from-zero, accepting the highest tier that verifies. It
+// restart-from-zero, accepting the highest tier that verifies. A
+// Manager without a guard is the same chain without its first rung. It
 // never returns an error for a merely-degraded recovery — the chain
-// bottoms out at restart-from-zero, which always succeeds — so the
-// error return covers only broken invariants (an aborted in-flight
-// checkpoint that cannot be dropped, for instance).
+// bottoms out at restart-from-zero, which always succeeds.
 //
 // The per-tier timings, iteration counts and read bytes are recorded
-// in the returned report; an adaptive-interval controller wired into
-// the Manager additionally receives the recovery observation with its
-// tier flavor (ABFT recoveries never contaminate the I/O restart-cost
-// estimate, and neither kind touches the failure-rate posterior).
+// in the returned report; the loop that owns the clock (Drive) prices
+// them and tells its controller.
 func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	m.qa.ObserveFailure()
-	chainStart := time.Now()
-	traceAt := m.mobs.traceStart()
+	chainStart, traceAt := time.Now(), m.mobs.tr.Now()
 	defer func() {
-		m.mobs.finishTiered(rep, traceAt, time.Since(chainStart).Seconds())
+		m.mobs.finish(rep, traceAt, time.Since(chainStart).Seconds())
 	}()
 
-	// Tier 0: algorithmic reconstruction, no storage involved.
+	// Tier 0: algorithmic reconstruction, no storage involved. The state
+	// is recovered but nothing new is durable.
 	if m.abft != nil {
 		start := time.Now()
 		recon, err := m.abft.Reconstruct()
@@ -138,12 +134,6 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 			rep.Attempts = append(rep.Attempts, att)
 			rep.Used = TierABFT
 			rep.Iteration = recon.Iteration
-			// The state is recovered but nothing new is durable: the
-			// interval window keeps running, and the controller sees a
-			// no-I/O recovery.
-			if m.ctrl != nil {
-				m.ctrl.ObserveRecoveryKind(adapt.RecoveryObs{Seconds: att.Seconds, RestartIO: false})
-			}
 			m.qa.ObserveRecovery(0, TierABFT.String(), recon.Iteration, m.slv.ResidualNorm())
 			return rep, nil
 		}
@@ -151,75 +141,11 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 		rep.Attempts = append(rep.Attempts, att)
 	}
 
-	// Tiers 1–2: the stored-checkpoint chain. The fti restore walk
-	// already falls back newest-first; its per-attempt trace is mapped
-	// onto tiers by comparing each attempt against the latest committed
-	// sequence.
-	if m.async != nil {
-		m.async.Wait()
-		m.promote()
-		m.asyncErr = nil
-	}
-	if m.HasCheckpoint() {
-		start := time.Now()
-		snap, attempts, err := m.ckpt.RestoreIntoTrace(m.slv.DynamicView().Vectors)
-		if err != nil && len(attempts) == 0 {
-			// The walk failed before any per-checkpoint read began
-			// (e.g. the storage listing errored): the elapsed time was
-			// still paid, so the rejection is reported with it rather
-			// than dropped.
-			rep.Attempts = append(rep.Attempts, TierAttempt{
-				Tier:    TierCheckpoint,
-				Err:     err.Error(),
-				Seconds: time.Since(start).Seconds(),
-			})
-		}
-		latest := m.lastInfo.Seq
-		for _, fa := range attempts {
-			tier := TierCheckpoint
-			if fa.Seq != latest {
-				tier = TierPreviousCheckpoint
-			}
-			rep.Attempts = append(rep.Attempts, TierAttempt{
-				Tier:      tier,
-				Accepted:  fa.Err == "",
-				Err:       fa.Err,
-				Seconds:   fa.Seconds,
-				ReadBytes: fa.Bytes,
-				Seq:       fa.Seq,
-			})
-		}
-		if err == nil {
-			adoptStart := time.Now()
-			it, aerr := m.adoptSnapshot(snap)
-			if aerr == nil {
-				last := &rep.Attempts[len(rep.Attempts)-1]
-				rep.Used = last.Tier
-				rep.Iteration = it
-				rep.AdoptedDistortion = m.qa.DistortionFor(last.Seq)
-				m.qa.ObserveRecovery(last.Seq, last.Tier.String(), it, m.slv.ResidualNorm())
-				if m.ctrl != nil {
-					m.ctrl.ObserveRecoveryKind(adapt.RecoveryObs{
-						Seconds:   time.Since(start).Seconds(),
-						RestartIO: true,
-					})
-					// The state just went back to storage's version of
-					// itself: the interval window restarts.
-					m.lastCkptClock = m.clock()
-				}
-				return rep, nil
-			}
-			// The snapshot decoded but the solver rejected it (missing
-			// dynamic variables, dimension mismatch): demote the accepted
-			// attempt and degrade to restart-from-zero. The adoption
-			// work belongs to the rejected attempt's duration.
-			last := &rep.Attempts[len(rep.Attempts)-1]
-			last.Accepted = false
-			last.Err = aerr.Error()
-			last.Seconds += time.Since(adoptStart).Seconds()
-		}
-		// err != nil: every checkpoint was invalid; the rejected
-		// attempts are already in the report. Degrade to tier 3.
+	// Tiers 1–2: the stored checkpoints. A chain that finds none, or
+	// none it can stand on, keeps the rejected attempts in the report
+	// and degrades to tier 3.
+	if m.drain(); m.haveCkpt && m.restore(rep) == nil {
+		return rep, nil
 	}
 
 	// Tier 3: restart from the initial guess. Always succeeds. Its
@@ -235,4 +161,79 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 	rep.Used = TierRestartZero
 	rep.Iteration = it
 	return rep, nil
+}
+
+// drain waits out an in-flight async save and folds it into the
+// committed bookkeeping. A save that failed in the background is
+// superseded by the recovery itself: its sequence rolled back, so the
+// restore walk already targets the previous committed checkpoint.
+func (m *Manager) drain() {
+	if m.async != nil {
+		m.async.Wait()
+		m.promote()
+		m.asyncErr = nil
+	}
+}
+
+// restore is the one checkpoint-recovery body, under Recover and under
+// RecoverTiered's middle rungs, both of which drain the in-flight save
+// first: walk storage newest-first decoding into the solver's own
+// vectors, and adopt the first checkpoint that verifies. Every checkpoint tried is appended to
+// rep as a tier attempt — an attempt on the latest committed sequence
+// is TierCheckpoint, anything older the walk fell back to is
+// TierPreviousCheckpoint — and on success rep names the rung that
+// recovered. The auditor hears of a recovery only once the solver has
+// adopted it.
+func (m *Manager) restore(rep *RecoveryReport) error {
+	start := time.Now()
+	snap, attempts, err := m.ckpt.RestoreIntoTrace(m.slv.DynamicView().Vectors)
+	if err != nil && len(attempts) == 0 {
+		// The walk failed before any per-checkpoint read began (no
+		// checkpoint at all, or the storage listing errored): the elapsed
+		// time was still paid, so the rejection is reported with it
+		// rather than dropped.
+		rep.Attempts = append(rep.Attempts, TierAttempt{
+			Tier:    TierCheckpoint,
+			Err:     err.Error(),
+			Seconds: time.Since(start).Seconds(),
+		})
+	}
+	latest := m.lastInfo.Seq
+	if !m.haveCkpt && len(attempts) > 0 {
+		latest = attempts[0].Seq // a Manager new to this storage: the newest stored
+	}
+	for _, fa := range attempts {
+		tier := TierCheckpoint
+		if fa.Seq != latest {
+			tier = TierPreviousCheckpoint
+		}
+		rep.Attempts = append(rep.Attempts, TierAttempt{
+			Tier:      tier,
+			Accepted:  fa.Err == "",
+			Err:       fa.Err,
+			Seconds:   fa.Seconds,
+			ReadBytes: fa.Bytes,
+			Seq:       fa.Seq,
+		})
+	}
+	if err != nil {
+		return err // every checkpoint was invalid
+	}
+	last := &rep.Attempts[len(rep.Attempts)-1]
+	adoptStart := time.Now()
+	it, err := m.adoptSnapshot(snap)
+	if err != nil {
+		// The snapshot decoded but the solver rejected it (missing
+		// dynamic variables, dimension mismatch): demote the accepted
+		// attempt. The adoption work belongs to its duration.
+		last.Accepted = false
+		last.Err = err.Error()
+		last.Seconds += time.Since(adoptStart).Seconds()
+		return err
+	}
+	rep.Used = last.Tier
+	rep.Iteration = it
+	rep.AdoptedDistortion = m.qa.DistortionFor(last.Seq)
+	m.qa.ObserveRecovery(last.Seq, last.Tier.String(), it, m.slv.ResidualNorm())
+	return nil
 }

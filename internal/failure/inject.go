@@ -31,9 +31,8 @@
 //	storagewrite  arm a storage fault on an upcoming checkpoint write
 //	              (transient or permanent per the injector's seeded mix)
 //	storageread   arm a storage fault on an upcoming checkpoint read
-//	midckpt       (see above)
-//	slowio        arm a slow (delayed) storage op, exercising hedged
-//	              reads and the retry layer's latency accounting
+//	slowio        arm a slow (delayed) storage op: a stall the solver
+//	              sits through (the retry layer does not time ops out)
 //	crash         the process dies mid-commit: the storage goes dead
 //	              leaving a partial temp artifact, and restart runs the
 //	              fsck sweep before recovering

@@ -108,10 +108,6 @@ type FaultPolicy struct {
 	// remaining budget is not attempted and the op fails as exhausted.
 	// 0 means no budget (MaxRetries alone bounds the op).
 	OpBudget time.Duration
-	// HedgeDelay, when positive, arms hedged reads: a Read still
-	// outstanding after this long gets a parallel second read of the
-	// same object, and the first success wins. 0 disables hedging.
-	HedgeDelay time.Duration
 	// Seed drives the jitter stream, so a seeded run's backoff
 	// schedule is reproducible.
 	Seed int64
@@ -176,17 +172,15 @@ func (e *FaultError) FaultClass() ErrClass { return e.Class }
 
 // RetryStats is Resilient's cumulative accounting.
 type RetryStats struct {
-	Ops         int           // operations issued through the wrapper
-	Retries     int           // retry attempts (beyond each op's first)
-	Recovered   int           // ops that failed at least once but eventually succeeded
-	Exhausted   int           // ops abandoned after the retry budget ran out
-	Permanent   int           // ops failed fast on a permanent error
-	HedgedReads int           // reads that armed a hedge request
-	HedgeWins   int           // hedge requests that beat the primary
-	RetryDelay  time.Duration // total backoff slept
+	Ops        int           // operations issued through the wrapper
+	Retries    int           // retry attempts (beyond each op's first)
+	Recovered  int           // ops that failed at least once but eventually succeeded
+	Exhausted  int           // ops abandoned after the retry budget ran out
+	Permanent  int           // ops failed fast on a permanent error
+	RetryDelay time.Duration // total backoff slept
 }
 
-// Resilient wraps a Storage with the FaultPolicy retry/backoff/hedging
+// Resilient wraps a Storage with the FaultPolicy retry/backoff
 // machinery. It implements Storage, and forwards WriteBatched to the
 // inner store's BatchWriter when present so the shard group-commit
 // optimization survives the wrapping. Safe for concurrent use to the
@@ -199,7 +193,7 @@ type Resilient struct {
 	rng   *rand.Rand
 	stats RetryStats
 
-	met *resilientMetrics
+	met resilientMetrics
 }
 
 // NewResilient wraps inner with pol (normalized). Wrapping an already
@@ -224,27 +218,21 @@ func (r *Resilient) Stats() RetryStats {
 	return r.stats
 }
 
+// resilientMetrics holds nil-safe handles: the zero bundle observes
+// nothing.
 type resilientMetrics struct {
 	retries   *obs.Counter
 	exhausted *obs.Counter
 	permanent *obs.Counter
-	hedged    *obs.Counter
-	hedgeWins *obs.Counter
 	delaySec  *obs.Histogram
 }
 
-// Instrument attaches retry/hedge counters to reg; nil detaches.
+// Instrument attaches the retry counters to reg; nil detaches.
 func (r *Resilient) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		r.met = nil
-		return
-	}
-	r.met = &resilientMetrics{
+	r.met = resilientMetrics{
 		retries:   reg.Counter(obs.MStorageRetriesTotal),
 		exhausted: reg.Counter(obs.MStorageRetryExhaustedTotal),
 		permanent: reg.Counter(obs.MStoragePermanentErrorsTotal),
-		hedged:    reg.Counter(obs.MStorageHedgedReadsTotal),
-		hedgeWins: reg.Counter(obs.MStorageHedgeWinsTotal),
 		delaySec:  reg.Histogram(obs.MStorageRetryDelaySeconds, obs.LatencyBuckets()),
 	}
 }
@@ -288,7 +276,7 @@ func (r *Resilient) retry(op, name string, fn func() error) error {
 			r.stats.Ops++
 			r.stats.Permanent++
 			r.mu.Unlock()
-			r.met.permanentInc()
+			r.met.permanent.Inc()
 			return &FaultError{Op: op, Name: name, Attempts: attempt + 1, Class: class, Err: err}
 		}
 		d := r.backoff(attempt)
@@ -297,7 +285,7 @@ func (r *Resilient) retry(op, name string, fn func() error) error {
 			r.stats.Ops++
 			r.stats.Exhausted++
 			r.mu.Unlock()
-			r.met.exhaustedInc()
+			r.met.exhausted.Inc()
 			return &FaultError{Op: op, Name: name, Attempts: attempt + 1, Class: ClassTransient, Err: last}
 		}
 		slept += d
@@ -305,7 +293,8 @@ func (r *Resilient) retry(op, name string, fn func() error) error {
 		r.stats.Retries++
 		r.stats.RetryDelay += d
 		r.mu.Unlock()
-		r.met.retryObserve(d)
+		r.met.retries.Inc()
+		r.met.delaySec.Observe(d.Seconds())
 		r.pol.Sleep(d)
 	}
 }
@@ -334,77 +323,18 @@ type shardBatchWriter interface {
 	WriteBatched(name string, data []byte) error
 }
 
-// Read loads name, retrying transient failures; when HedgeDelay is
-// armed, each attempt races a hedge read launched if the primary is
-// still outstanding after the delay, and the first success wins
-// (slices returned by Read are caller-owned, so the loser's result is
-// simply dropped).
+// Read loads name, retrying transient failures.
 func (r *Resilient) Read(name string) ([]byte, error) {
 	var data []byte
 	err := r.retry("read", name, func() error {
 		var err error
-		data, err = r.hedgedRead(name)
+		data, err = r.inner.Read(name)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return data, nil
-}
-
-func (r *Resilient) hedgedRead(name string) ([]byte, error) {
-	if r.pol.HedgeDelay <= 0 {
-		return r.inner.Read(name)
-	}
-	type result struct {
-		data   []byte
-		err    error
-		hedged bool
-	}
-	ch := make(chan result, 2) // buffered: the losing goroutine must not leak
-	launch := func(hedged bool) {
-		go func() {
-			d, e := r.inner.Read(name)
-			ch <- result{d, e, hedged}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(r.pol.HedgeDelay)
-	defer timer.Stop()
-	pending, hedged := 1, false
-	var firstErr error
-	for {
-		select {
-		case res := <-ch:
-			pending--
-			if res.err == nil {
-				if res.hedged {
-					r.mu.Lock()
-					r.stats.HedgeWins++
-					r.mu.Unlock()
-					r.met.hedgeWinInc()
-				}
-				return res.data, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if pending == 0 {
-				return nil, firstErr
-			}
-			// The other request (primary or hedge) is still out; wait for it.
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				r.mu.Lock()
-				r.stats.HedgedReads++
-				r.mu.Unlock()
-				r.met.hedgedInc()
-				launch(true)
-			}
-		}
-	}
 }
 
 // Delete removes name, retrying transient failures.
@@ -434,40 +364,4 @@ func (r *Resilient) SweepTemp() ([]string, error) {
 		return nil, nil
 	}
 	return ts.SweepTemp()
-}
-
-func (m *resilientMetrics) retryObserve(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-	m.delaySec.Observe(d.Seconds())
-}
-
-func (m *resilientMetrics) exhaustedInc() {
-	if m == nil {
-		return
-	}
-	m.exhausted.Inc()
-}
-
-func (m *resilientMetrics) permanentInc() {
-	if m == nil {
-		return
-	}
-	m.permanent.Inc()
-}
-
-func (m *resilientMetrics) hedgedInc() {
-	if m == nil {
-		return
-	}
-	m.hedged.Inc()
-}
-
-func (m *resilientMetrics) hedgeWinInc() {
-	if m == nil {
-		return
-	}
-	m.hedgeWins.Inc()
 }

@@ -201,54 +201,6 @@ func TestResilientBackoffDeterministicAndCapped(t *testing.T) {
 	}
 }
 
-// stallStore blocks the first Read until released; later reads return
-// immediately. It drives the hedged-read race deterministically.
-type stallStore struct {
-	*MemStorage
-	mu      sync.Mutex
-	reads   int
-	release chan struct{}
-}
-
-func (s *stallStore) Read(name string) ([]byte, error) {
-	s.mu.Lock()
-	first := s.reads == 0
-	s.reads++
-	s.mu.Unlock()
-	if first {
-		<-s.release
-	}
-	return s.MemStorage.Read(name)
-}
-
-func TestResilientHedgedReadWins(t *testing.T) {
-	ss := &stallStore{MemStorage: NewMemStorage(), release: make(chan struct{})}
-	if err := ss.MemStorage.Write("a", []byte{7}); err != nil {
-		t.Fatal(err)
-	}
-	defer close(ss.release) // unblock the stalled primary at test end
-	r := NewResilient(ss, FaultPolicy{HedgeDelay: time.Millisecond})
-	done := make(chan error, 1)
-	var got []byte
-	go func() {
-		var err error
-		got, err = r.Read("a")
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil || len(got) != 1 || got[0] != 7 {
-			t.Fatalf("hedged read: %v %v", got, err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("hedged read never completed; the hedge was not issued")
-	}
-	st := r.Stats()
-	if st.HedgedReads != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats %+v: want the hedge to be armed and to win", st)
-	}
-}
-
 func TestClassifyError(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -44,13 +44,11 @@ const (
 	MShardRereadRepairsTotal = "shard_reread_repairs_total"
 
 	// storage — the fault-tolerant Storage wrapper (fti.Resilient):
-	// retry/backoff on transient errors, hedged reads, degraded-mode
+	// retry/backoff on transient errors, degraded-mode
 	// exhaustion.
 	MStorageRetriesTotal         = "storage_retries_total"
 	MStorageRetryExhaustedTotal  = "storage_retry_exhausted_total"
 	MStoragePermanentErrorsTotal = "storage_permanent_errors_total"
-	MStorageHedgedReadsTotal     = "storage_hedged_reads_total"
-	MStorageHedgeWinsTotal       = "storage_hedge_wins_total"
 	MStorageRetryDelaySeconds    = "storage_retry_delay_seconds"
 
 	// fti scrub/fsck — background CRC verification and repair of
@@ -124,8 +122,7 @@ var AllMetricNames = []string{
 	MShardCRCFailuresTotal, MShardReadFailuresTotal,
 	MShardRereadsTotal, MShardRereadRepairsTotal,
 	MStorageRetriesTotal, MStorageRetryExhaustedTotal,
-	MStoragePermanentErrorsTotal, MStorageHedgedReadsTotal,
-	MStorageHedgeWinsTotal, MStorageRetryDelaySeconds,
+	MStoragePermanentErrorsTotal, MStorageRetryDelaySeconds,
 	MFTIScrubSweepsTotal, MFTIScrubCorruptionsTotal,
 	MFTIScrubRepairsTotal, MFTIScrubDroppedTotal, MFTIAsyncAbortedTotal,
 	MCoreCheckpointsCommittedTotal, MCoreCheckpointsAbortedTotal,

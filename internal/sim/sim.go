@@ -9,11 +9,13 @@
 //
 // The numerical consequences (extra iterations after a lossy restart,
 // residual jumps, reproducibility to the convergence tolerance) emerge
-// from the actual solver; only the clock is modeled.
+// from the actual solver; only the clock is modeled — literally: Run
+// is core.Drive, the one checkpoint-lifecycle loop real runs walk too,
+// handed a virtual clock, the modeled costs below and failure times in
+// virtual seconds.
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/adapt"
@@ -25,657 +27,125 @@ import (
 	"repro/internal/solver"
 )
 
-// Config assembles one simulated run.
+// Config assembles one simulated run: core.DriveConfig with the cost
+// source (core.Costs) spelled out as the callbacks the experiments fill
+// from the cluster model, in simulated seconds, and the failure source
+// as virtual failure times. Every other field is the core field of the
+// same name, documented there. Sharded checkpoints carry their layout in
+// info.Shards, so striped-PFS runs price through
+// cluster.Model.ShardedCheckpointSeconds / ShardedRecoverySeconds; the
+// numerics are layout-independent, so only the callbacks change.
 type Config struct {
-	// Stepper is the live solver; it must be the same object the
-	// Manager was built around.
 	Stepper solver.Stepper
-	// Manager wires the checkpoint scheme.
+	// Manager must be synchronous and count no iterations (Config.Async
+	// false, Config.Interval 0): AsyncCheckpoint models the overlap in
+	// virtual time, and the cadence is in seconds.
 	Manager *core.Manager
-	// X0 is the initial guess used when a failure precedes the first
-	// checkpoint (recover-from-scratch).
-	X0 []float64
+	X0      []float64
 
-	// TitSeconds is the simulated duration of one iteration.
-	TitSeconds float64
-	// IntervalSeconds is the checkpoint interval in simulated seconds
-	// (Young's optimum in the experiments). Zero disables periodic
-	// checkpointing. Mutually exclusive with Controller.
-	IntervalSeconds float64
-	// Controller, when non-nil, replaces the fixed IntervalSeconds with
-	// the adaptive interval controller: every checkpoint decision asks
-	// the controller for the current planned interval, and the
-	// simulator feeds it the modeled costs (sync checkpoint seconds, or
-	// capture stall + background write in AsyncCheckpoint mode), the
-	// checkpoint byte counts, every injected failure, and every
-	// completed recovery — all in virtual time, so a given seed
-	// reproduces the identical interval trajectory. The controller's
-	// Async flag must match AsyncCheckpoint. The controller is driven,
-	// not copied: pass a fresh one per run.
-	Controller *adapt.Controller
-	// CheckpointSeconds maps a written checkpoint to its simulated
-	// duration (cluster model + measured compression ratio). In async
-	// mode this is the background encode+write time, overlapped with
-	// iterations. Sharded checkpoints report their shard count in
-	// info.Shards, so striped-PFS costing is
-	// cluster.Model.ShardedCheckpointSeconds(..., info.Shards): the
-	// write engages min(shards, stripes) stripes. The numerics are
-	// layout-independent — sharded and monolithic runs execute
-	// identical iteration sequences — so only this callback changes.
-	CheckpointSeconds func(info fti.Info) float64
-	// RecoverySeconds maps the checkpoint being restored to the
-	// simulated recovery duration. Like the write side, sharded
-	// checkpoints carry their layout in info.Shards, so restarts are
-	// priced through the streaming read model —
-	// cluster.Model.ShardedRecoverySeconds(..., info.Shards): min(
-	// shards, stripes) concurrent per-stripe reads overlapped with
-	// decompression, falling back to the serial RecoverySeconds cost
-	// at shards ≤ 1.
-	RecoverySeconds func(info fti.Info) float64
-
-	// StorageRetrySeconds prices the expected retry/backoff delay the
-	// fault-tolerant storage layer adds to one checkpoint write under a
-	// lossy PFS — cluster.Model.StorageRetrySeconds is the calibrated
-	// form. The delay is added to the synchronous checkpoint stall (or
-	// the background write duration in async mode) and accumulated in
-	// Outcome.StorageRetryTime. Nil means a fault-free store: zero
-	// retry delay.
+	TitSeconds          float64
+	CheckpointSeconds   func(info fti.Info) float64
 	StorageRetrySeconds func(info fti.Info) float64
+	CaptureSeconds      func(info fti.Info) float64
+	RecoverySeconds     func(info fti.Info) float64
+	ABFTSeconds         func(att core.TierAttempt) float64
 
-	// AsyncCheckpoint enables the overlapped-checkpoint cost mode and
-	// requires a synchronous Manager (core.Config.Async off): the
-	// simulator models the overlap in virtual time, so the in-process
-	// checkpoint must complete inside m.Checkpoint() to yield the full
-	// Info the cost callbacks need. With an async Manager the Info
-	// would be provisional (Bytes 0) and Run returns an error. The
-	// solver is charged only CaptureSeconds per checkpoint plus any
-	// backpressure wait for the previous background encode+write
-	// (which occupies CheckpointSeconds of virtual time concurrently
-	// with iterations). A checkpoint whose background write has not
-	// finished when a failure strikes is not a recovery target — it is
-	// aborted and recovery falls back to the previous committed one,
-	// the same semantics the real AsyncCheckpointer has. Only the
-	// clock differs from sync mode: the solver executes the identical
-	// iteration/checkpoint/recovery sequence for a given failure
-	// trace.
+	IntervalSeconds float64 // Young's optimum in the experiments
+	Controller      *adapt.Controller
 	AsyncCheckpoint bool
-	// CaptureSeconds maps a checkpoint to the solver-visible capture
-	// stall (the deep copy of the protected state) in async mode.
-	// Nil means a free capture.
-	CaptureSeconds func(info fti.Info) float64
+	OnStep          func()
 
-	// ABFTSeconds prices one ABFT tier attempt in simulated seconds
-	// when the Manager carries an ABFT guard (core.Config.ABFT): the
-	// tier costs local reconstruction iterations and neighbor block
-	// fetches, not PFS reads — cluster.Model.ABFTRecoverySeconds is the
-	// calibrated form. Nil defaults to Iterations × TitSeconds.
-	// Rejected attempts are priced too: a verification that failed
-	// still ran the local solve.
-	ABFTSeconds func(att core.TierAttempt) float64
-
-	// OnStep, when non-nil, runs after every completed iteration (after
-	// the ABFT guard's retention refresh) — the hook deterministic
-	// fault-injection couples through to damage state mid-run.
-	OnStep func()
-
-	// Failures injects fail-stop errors; nil disables them.
-	Failures *failure.Injector
-	// FailureSchedule, when non-empty, overrides Failures with an
+	// Failures injects fail-stop errors with exponential gaps; nil
+	// disables them. FailureSchedule, when non-empty, runs first: an
 	// explicit list of absolute failure times (ascending). Figure 9's
 	// controlled 1-failure and 2-failure traces use it.
+	Failures        *failure.Injector
 	FailureSchedule []float64
 
-	// MaxIterations caps the run (defends against divergence).
-	MaxIterations int
-	// RecordResiduals retains the per-iteration residual trace
-	// (Figure 9 needs it).
+	MaxIterations   int
 	RecordResiduals bool
-
-	// Metrics, when non-nil, receives the harness's lifecycle counters
-	// (the sim_* catalog: failures, checkpoints, aborts, recoveries by
-	// tier, elapsed virtual seconds). Tracer, when non-nil, receives
-	// the same span schema real runs emit — compute, checkpoint,
-	// capture and background-write spans plus per-tier recovery spans
-	// — stamped with the virtual clock, so a simulated trace opens in
-	// chrome://tracing like a wall-clock one. Both are pure observers
-	// and never alter the simulated trajectory.
-	Metrics *obs.Registry
-	Tracer  *obs.Tracer
-
-	// Quality, when non-nil, is the numerical-telemetry auditor. It
-	// must be the same auditor attached to the Manager
-	// (InstrumentQuality); the simulator feeds it the per-iteration
-	// residual trajectory and retargets its span clock at the virtual
-	// clock for the duration of the run, so audit and reacquire spans
-	// carry virtual timestamps under the same schema real runs emit.
-	// Like Metrics and Tracer it is a pure observer: a
-	// quality-instrumented simulation executes the bitwise-identical
-	// trajectory of an uninstrumented one.
-	Quality *quality.Auditor
+	Metrics         *obs.Registry
+	Tracer          *obs.Tracer
+	Quality         *quality.Auditor
 }
 
 // Event marks a failure in the trace.
-type Event struct {
-	SimSeconds float64
-	Iteration  int // iterations executed when the failure struck
-}
+type Event = core.Event
 
-// Outcome reports one simulated run.
-type Outcome struct {
-	Converged          bool
-	SimSeconds         float64 // total wall time Tt
-	IterationsExecuted int     // solver steps actually performed
-	// ConvergenceIterations is the paper's "number of convergence
-	// iterations": the logical iteration index at convergence, which
-	// rolls back to the checkpointed index on recovery (re-executed
-	// work is not double counted). GMRES's occasional post-recovery
-	// acceleration shows up here as a count *below* the failure-free
-	// baseline (paper Fig. 8).
-	ConvergenceIterations int
-	Failures              int
-	Checkpoints           int
-	AbortedCheckpoints    int
-	CheckpointTime        float64 // solver-visible seconds spent checkpointing
-	// BackpressureTime is the part of CheckpointTime spent waiting for
-	// the previous background encode+write (async mode only): the
-	// checkpoint interval was shorter than the background pipeline.
-	BackpressureTime float64
-	// StorageRetryTime is the simulated seconds checkpoint writes spent
-	// in the storage layer's retry/backoff loops (part of
-	// CheckpointTime in sync mode, of the background write duration in
-	// async mode).
-	StorageRetryTime float64
-	RecoveryTime     float64 // simulated seconds spent recovering
-	FailureEvents    []Event
-	Residuals        []float64 // per executed iteration (optional)
-	FinalResidual    float64
-	// Recovery-tier accounting. Every recovery increments exactly one
-	// of the three counters: ABFTRecoveries (checkpoint-free
-	// reconstruction — no PFS reads), CheckpointRestarts (latest or
-	// previous committed checkpoint), FreshRestarts (restart from the
-	// initial guess). RecoveryReadBytes totals the encoded bytes
-	// recoveries read from storage, including reads of checkpoints that
-	// were then rejected — the PFS read-traffic metric the ABFT tier
-	// exists to reduce.
-	ABFTRecoveries     int
-	CheckpointRestarts int
-	FreshRestarts      int
-	RecoveryReadBytes  int64
-	// RecoveryReports holds the per-failure tier reports of a tiered
-	// run (Manager with an ABFT guard), in failure order. Chains cut
-	// short by a new failure before their simulated cost had elapsed
-	// are included too, marked Interrupted — their attempts (and the
-	// attempts' virtual durations) were still paid — and do not count
-	// against the tier counters above.
-	RecoveryReports []core.RecoveryReport
-	// IntervalPlans is the adaptive controller's re-planning trajectory
-	// (adaptive runs only): every interval decision with the estimates
-	// it was made from, in virtual-time order.
-	IntervalPlans []adapt.Plan
-}
+// Outcome reports one simulated run (core.Drive's outcome, in virtual
+// seconds).
+type Outcome = core.Outcome
 
-// Run executes the simulation to convergence or the iteration cap.
+// Run executes the simulation to convergence or the iteration cap:
+// core.Drive on a virtual clock, with cfg's cost callbacks as the cost
+// source and its failure times as the failure source. The driver
+// validates the rest (a synchronous Manager, a positive TitSeconds,
+// Controller against IntervalSeconds and AsyncCheckpoint).
 func Run(cfg Config) (*Outcome, error) {
-	if cfg.Stepper == nil || cfg.Manager == nil {
-		return nil, fmt.Errorf("sim: Stepper and Manager are required")
+	var failures core.FailureSource
+	if len(cfg.FailureSchedule) > 0 || cfg.Failures != nil {
+		f := &failureTimes{schedule: cfg.FailureSchedule, inj: cfg.Failures}
+		f.next = f.draw(0)
+		failures = f
 	}
-	if cfg.Manager.AsyncCheckpointer() != nil {
-		// Either way round, the simulator needs the full Info a
-		// synchronous Checkpoint returns: async overlap is modeled in
-		// virtual time via cfg.AsyncCheckpoint, not by the real
-		// pipeline, whose provisional Info (Bytes 0) would zero out
-		// the cost callbacks.
-		return nil, fmt.Errorf("sim: the simulator needs a synchronous Manager (disable core.Config.Async; use Config.AsyncCheckpoint for overlapped-cost modeling)")
-	}
-	if cfg.TitSeconds <= 0 {
-		return nil, fmt.Errorf("sim: TitSeconds must be positive")
-	}
-	if cfg.Controller != nil {
-		if cfg.IntervalSeconds > 0 {
-			return nil, fmt.Errorf("sim: IntervalSeconds and Controller are mutually exclusive")
-		}
-		if cfg.Controller.Async() != cfg.AsyncCheckpoint {
-			return nil, fmt.Errorf("sim: controller async=%v does not match AsyncCheckpoint=%v (the controller would plan against the wrong cost model)",
-				cfg.Controller.Async(), cfg.AsyncCheckpoint)
-		}
-	}
-	if cfg.MaxIterations == 0 {
-		cfg.MaxIterations = 1_000_000
-	}
-	if cfg.CheckpointSeconds == nil {
-		cfg.CheckpointSeconds = func(fti.Info) float64 { return 0 }
-	}
-	if cfg.RecoverySeconds == nil {
-		cfg.RecoverySeconds = func(fti.Info) float64 { return 0 }
-	}
-	if cfg.CaptureSeconds == nil {
-		cfg.CaptureSeconds = func(fti.Info) float64 { return 0 }
-	}
-	if cfg.StorageRetrySeconds == nil {
-		cfg.StorageRetrySeconds = func(fti.Info) float64 { return 0 }
-	}
-
-	out := &Outcome{}
-	s := cfg.Stepper
-	m := cfg.Manager
-	ob := newSimObs(cfg.Metrics, cfg.Tracer)
-
-	t := 0.0
-	if cfg.Quality != nil {
-		// Quality spans are stamped with the virtual clock while the
-		// simulation runs (the closure reads t as it advances).
-		cfg.Quality.SetSpanClock(func() float64 { return t })
-		defer cfg.Quality.SetSpanClock(nil)
-	}
-	lastCkptAt := 0.0
-	// computeAt marks the virtual start of the current uninterrupted
-	// stretch of solver iterations; markCompute closes the stretch as
-	// one coalesced span on the solver track.
-	computeAt := 0.0
-	markCompute := func(now float64) {
-		ob.compute(computeAt, now)
-		computeAt = now
-	}
-	logical := 0       // logical iteration index (paper's i)
-	logicalAtCkpt := 0 // logical index captured by the latest checkpoint
-	prevLogicalAtCkpt := 0
-	schedule := append([]float64(nil), cfg.FailureSchedule...)
-	drawFail := func(now float64) float64 {
-		if len(schedule) > 0 {
-			next := schedule[0]
-			schedule = schedule[1:]
-			if next <= now {
-				next = now + 1e-9
-			}
-			return next
-		}
-		if cfg.Failures != nil {
-			return cfg.Failures.Next(now)
-		}
-		return math.Inf(1)
-	}
-	nextFail := drawFail(0)
-
-	// interval returns the checkpoint cadence in force at virtual time
-	// t: the fixed IntervalSeconds, or the controller's current plan
-	// (re-planned on its epoch cadence as observations arrive).
-	ctrl := cfg.Controller
-	interval := func() float64 {
-		if ctrl != nil {
-			return ctrl.Interval(t)
-		}
-		return cfg.IntervalSeconds
-	}
-
-	// Async mode: the background encode+write of the latest checkpoint
-	// occupies virtual time [capture end, pendingCommitAt) concurrently
-	// with iterations. Until it commits, that checkpoint is not a
-	// recovery target.
-	pendingLive := false
-	pendingCommitAt := 0.0
-	pendingStart := 0.0 // capture end: when the background write began
-	// commitPending marks the pending checkpoint committed if its
-	// background write finished by virtual time `now`.
-	commitPending := func(now float64) {
-		if pendingLive && pendingCommitAt <= now {
-			pendingLive = false
-			out.Checkpoints++
-			ob.checkpoint()
-			ob.span(obs.TrackPipeline, obs.CatCheckpoint, obs.SpanBackground,
-				pendingStart, pendingCommitAt-pendingStart, nil)
-		}
-	}
-	// abortPending discards a still-uncommitted pending checkpoint —
-	// the failure struck mid-write, so recovery must fall back to the
-	// previous committed one.
-	abortPending := func() error {
-		if !pendingLive {
-			return nil
-		}
-		pendingLive = false
-		out.AbortedCheckpoints++
-		ob.abort()
-		ob.span(obs.TrackPipeline, obs.CatCheckpoint, obs.SpanBackground,
-			pendingStart, t-pendingStart, map[string]float64{"aborted": 1})
-		if err := m.AbortLastCheckpoint(); err != nil {
-			return fmt.Errorf("sim: abort in-flight checkpoint: %w", err)
-		}
-		logicalAtCkpt = prevLogicalAtCkpt
-		return nil
-	}
-
-	// Tiered recovery engages when the Manager carries an ABFT guard:
-	// each failure loses one rank's block and the full chain
-	// (ABFT → latest ckpt → previous ckpt → zero) runs, priced per
-	// tier attempt. Without a guard the legacy single-tier path runs
-	// unchanged (plus read-traffic accounting).
-	guard := m.ABFTGuard()
-	abftSec := cfg.ABFTSeconds
-	if abftSec == nil {
-		abftSec = func(att core.TierAttempt) float64 { return float64(att.Iterations) * cfg.TitSeconds }
-	}
-	// priceReport prices every tier attempt of one chain recovery in
-	// simulated seconds and writes the price back onto the attempt, so
-	// the report's durations are consistently virtual for accepted and
-	// rejected attempts alike (the wall-clock timings RecoverTiered
-	// measured are meaningless inside the virtual clock). ABFT
-	// attempts cost reconstruction work (accepted or not — a failed
-	// verification still ran the local solve), each checkpoint-tier
-	// attempt costs one restore read (rejected reads were still paid),
-	// restart-from-zero is free. Returns the chain's total.
-	priceReport := func(rep *core.RecoveryReport) float64 {
-		total := 0.0
-		for i := range rep.Attempts {
-			att := &rep.Attempts[i]
-			sec := 0.0
-			switch att.Tier {
-			case core.TierABFT:
-				sec = abftSec(*att)
-			case core.TierCheckpoint, core.TierPreviousCheckpoint:
-				sec = cfg.RecoverySeconds(m.LastInfo())
-			}
-			att.Seconds = sec
-			total += sec
-		}
-		return total
-	}
-
-	// handleFailure advances the clock through the recovery (including
-	// nested failures during recovery) and restores the solver.
-	handleFailure := func() error {
-		out.Failures++
-		out.FailureEvents = append(out.FailureEvents, Event{SimSeconds: t, Iteration: out.IterationsExecuted})
-		if ctrl != nil {
-			ctrl.ObserveFailure(t)
-		}
-		ob.failure(t)
-		if guard == nil {
-			for {
-				rec := cfg.RecoverySeconds(m.LastInfo())
-				nextFail = drawFail(t)
-				if t+rec <= nextFail {
-					ob.span(obs.TrackRecovery, obs.CatRecovery, obs.SpanRestore, t, rec, nil)
-					t += rec
-					out.RecoveryTime += rec
-					if ctrl != nil {
-						ctrl.ObserveRecovery(rec)
-					}
-					break
-				}
-				// Failure during recovery: the recovery restarts.
-				wasted := nextFail - t
-				ob.span(obs.TrackRecovery, obs.CatRecovery, obs.SpanRestore, t, wasted,
-					map[string]float64{"interrupted": 1})
-				t = nextFail
-				out.RecoveryTime += wasted
-				out.Failures++
-				out.FailureEvents = append(out.FailureEvents, Event{SimSeconds: t, Iteration: out.IterationsExecuted})
-				if ctrl != nil {
-					ctrl.ObserveFailure(t)
-				}
-				ob.failure(t)
-			}
-			if m.HasCheckpoint() {
-				if _, err := m.Recover(); err != nil {
-					return fmt.Errorf("sim: recovery: %w", err)
-				}
-				out.CheckpointRestarts++
-				ob.recoveryTier(core.TierCheckpoint)
-				out.RecoveryReadBytes += int64(m.LastInfo().Bytes)
-				logical = logicalAtCkpt
-			} else {
-				m.RecoverFresh(cfg.X0)
-				out.FreshRestarts++
-				ob.recoveryTier(core.TierRestartZero)
-				logical = 0
-			}
-			lastCkptAt = t // the interval clock restarts after recovery
-			computeAt = t
-			return nil
-		}
-		for {
-			// Each failure (including one striking during recovery)
-			// loses one rank drawn from the guard's seeded stream.
-			guard.FailNextRank()
-			rep, err := m.RecoverTiered(cfg.X0)
-			if err != nil {
-				return fmt.Errorf("sim: tiered recovery: %w", err)
-			}
-			rec := priceReport(rep)
-			out.RecoveryReadBytes += int64(rep.ReadBytes())
-			nextFail = drawFail(t)
-			if t+rec <= nextFail {
-				ob.recovery(rep, t, math.Inf(1))
-				t += rec
-				out.RecoveryTime += rec
-				out.RecoveryReports = append(out.RecoveryReports, *rep)
-				switch rep.Used {
-				case core.TierABFT:
-					out.ABFTRecoveries++
-					if ctrl != nil {
-						ctrl.ObserveRecoveryKind(adapt.RecoveryObs{Seconds: rec, RestartIO: false})
-					}
-					// Exact pre-failure state restored: no logical
-					// rollback, no re-executed work.
-				case core.TierCheckpoint:
-					out.CheckpointRestarts++
-					if ctrl != nil {
-						ctrl.ObserveRecoveryKind(adapt.RecoveryObs{Seconds: rec, RestartIO: true})
-					}
-					logical = logicalAtCkpt
-				case core.TierPreviousCheckpoint:
-					out.CheckpointRestarts++
-					if ctrl != nil {
-						ctrl.ObserveRecoveryKind(adapt.RecoveryObs{Seconds: rec, RestartIO: true})
-					}
-					logical = prevLogicalAtCkpt
-				default:
-					out.FreshRestarts++
-					logical = 0
-				}
-				break
-			}
-			// Failure during recovery: the chain's work is wasted and
-			// the chain reruns against the new loss. The report is
-			// still kept — its attempts and their virtual durations
-			// were paid — marked Interrupted so tier accounting skips
-			// it.
-			rep.Interrupted = true
-			out.RecoveryReports = append(out.RecoveryReports, *rep)
-			ob.recovery(rep, t, nextFail)
-			wasted := nextFail - t
-			t = nextFail
-			out.RecoveryTime += wasted
-			out.Failures++
-			out.FailureEvents = append(out.FailureEvents, Event{SimSeconds: t, Iteration: out.IterationsExecuted})
-			if ctrl != nil {
-				ctrl.ObserveFailure(t)
-			}
-			ob.failure(t)
-		}
-		lastCkptAt = t // the interval clock restarts after recovery
-		computeAt = t
-		return nil
-	}
-
-	// failDuringCheckpoint is the failure-inside-the-checkpoint-window
-	// path, shared by the sync write and the async capture: charge the
-	// wasted time up to the failure, discard the unusable checkpoint,
-	// and recover. (In sync mode the write was partial; in async mode
-	// the capture copy was.)
-	failDuringCheckpoint := func() error {
-		wasted := nextFail - t
-		ob.span(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCheckpoint, t, wasted,
-			map[string]float64{"aborted": 1})
-		t = nextFail
-		computeAt = t
-		out.CheckpointTime += wasted
-		out.AbortedCheckpoints++
-		ob.abort()
-		if err := m.AbortLastCheckpoint(); err != nil {
-			return fmt.Errorf("sim: abort checkpoint: %w", err)
-		}
-		logicalAtCkpt = prevLogicalAtCkpt
-		return handleFailure()
-	}
-
-	rnorm := s.ResidualNorm()
-	for !s.Converged(rnorm) {
-		if out.IterationsExecuted >= cfg.MaxIterations {
-			break
-		}
-
-		// Periodic checkpoint (Algorithm 1/2 line 3), expressed in
-		// simulated time as in the paper's optimal-interval runs (fixed
-		// cadence) or re-planned online by the adaptive controller.
-		if iv := interval(); iv > 0 && t-lastCkptAt >= iv {
-			markCompute(t)
-			if cfg.AsyncCheckpoint {
-				// Backpressure: SaveAsync drains the previous
-				// background encode+write before capturing.
-				if pendingLive && pendingCommitAt > t {
-					if pendingCommitAt > nextFail {
-						// The failure strikes during the wait; the
-						// in-flight write never completes.
-						wasted := nextFail - t
-						t = nextFail
-						out.CheckpointTime += wasted
-						out.BackpressureTime += wasted
-						if err := abortPending(); err != nil {
-							return nil, err
-						}
-						if err := handleFailure(); err != nil {
-							return nil, err
-						}
-						rnorm = s.ResidualNorm()
-						continue
-					}
-					wait := pendingCommitAt - t
-					t = pendingCommitAt
-					out.CheckpointTime += wait
-					out.BackpressureTime += wait
-				}
-				commitPending(t)
-				info, err := m.Checkpoint()
-				if err != nil {
-					return nil, fmt.Errorf("sim: checkpoint: %w", err)
-				}
-				prevLogicalAtCkpt, logicalAtCkpt = logicalAtCkpt, logical
-				capSec := cfg.CaptureSeconds(info)
-				if t+capSec > nextFail {
-					if err := failDuringCheckpoint(); err != nil {
-						return nil, err
-					}
-					rnorm = s.ResidualNorm()
-					continue
-				}
-				t += capSec
-				out.CheckpointTime += capSec
-				ob.span(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCapture, t-capSec, capSec, nil)
-				retrySec := cfg.StorageRetrySeconds(info)
-				out.StorageRetryTime += retrySec
-				bg := cfg.CheckpointSeconds(info) + retrySec
-				pendingLive = true
-				pendingCommitAt = t + bg
-				pendingStart = t
-				lastCkptAt = t
-				computeAt = t
-				if ctrl != nil {
-					ctrl.ObserveCheckpoint(adapt.CheckpointObs{
-						When:              t,
-						CaptureSeconds:    capSec,
-						BackgroundSeconds: bg,
-						RawBytes:          info.RawBytes,
-						Bytes:             info.Bytes,
-					})
-				}
-			} else {
-				info, err := m.Checkpoint()
-				if err != nil {
-					return nil, fmt.Errorf("sim: checkpoint: %w", err)
-				}
-				prevLogicalAtCkpt, logicalAtCkpt = logicalAtCkpt, logical
-				retrySec := cfg.StorageRetrySeconds(info)
-				out.StorageRetryTime += retrySec
-				d := cfg.CheckpointSeconds(info) + retrySec
-				if t+d > nextFail {
-					if err := failDuringCheckpoint(); err != nil {
-						return nil, err
-					}
-					rnorm = s.ResidualNorm()
-					continue
-				}
-				t += d
-				out.CheckpointTime += d
-				out.Checkpoints++
-				ob.checkpoint()
-				ob.span(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCheckpoint, t-d, d,
-					map[string]float64{"bytes": float64(info.Bytes)})
-				lastCkptAt = t
-				computeAt = t
-				if ctrl != nil {
-					ctrl.ObserveCheckpoint(adapt.CheckpointObs{
-						When:        t,
-						SyncSeconds: d,
-						RawBytes:    info.RawBytes,
-						Bytes:       info.Bytes,
-					})
-				}
-			}
-		}
-
-		// One iteration of simulated duration Tit.
-		if t+cfg.TitSeconds > nextFail {
-			// Failure mid-iteration: the step's work is lost. A pending
-			// background write that finished before the failure had
-			// committed; one still in flight is lost with the node.
-			t = nextFail
-			markCompute(t)
-			commitPending(t)
-			if err := abortPending(); err != nil {
-				return nil, err
-			}
-			if err := handleFailure(); err != nil {
-				return nil, err
-			}
-			rnorm = s.ResidualNorm()
-			continue
-		}
-		rnorm = s.Step()
-		cfg.Quality.ObserveResidual(s.Iteration(), rnorm)
-		if guard != nil {
-			// The ABFT guard retains its per-iteration redundancy after
-			// every accepted step, as the paper's protected CG does.
-			guard.Observe()
-		}
-		if cfg.OnStep != nil {
-			cfg.OnStep()
-		}
-		out.IterationsExecuted++
-		logical++
-		t += cfg.TitSeconds
-		if cfg.RecordResiduals {
-			out.Residuals = append(out.Residuals, rnorm)
-		}
-	}
-
-	// A background write still running at convergence completes during
-	// shutdown; it counts as taken but adds no solver-visible time.
-	commitPending(math.Inf(1))
-	markCompute(t)
-	ob.setElapsed(t)
-	out.Converged = s.Converged(rnorm)
-	out.SimSeconds = t
-	out.ConvergenceIterations = logical
-	out.FinalResidual = rnorm
-	if ctrl != nil {
-		out.IntervalPlans = append([]adapt.Plan(nil), ctrl.Trajectory()...)
-	}
-	return out, nil
+	return core.Drive(core.DriveConfig{
+		Stepper: cfg.Stepper,
+		Manager: cfg.Manager,
+		X0:      cfg.X0,
+		Costs: &core.Costs{
+			TitSeconds:          cfg.TitSeconds,
+			CheckpointSeconds:   cfg.CheckpointSeconds,
+			RecoverySeconds:     cfg.RecoverySeconds,
+			StorageRetrySeconds: cfg.StorageRetrySeconds,
+			CaptureSeconds:      cfg.CaptureSeconds,
+			ABFTSeconds:         cfg.ABFTSeconds,
+		},
+		Failures:        failures,
+		IntervalSeconds: cfg.IntervalSeconds,
+		Controller:      cfg.Controller,
+		AsyncCheckpoint: cfg.AsyncCheckpoint,
+		OnStep:          cfg.OnStep,
+		MaxIterations:   cfg.MaxIterations,
+		RecordResiduals: cfg.RecordResiduals,
+		Metrics:         cfg.Metrics,
+		Tracer:          cfg.Tracer,
+		Quality:         cfg.Quality,
+	})
 }
 
-// FaultToleranceOverhead computes the paper's metric: total running
-// time minus the failure-free baseline's productive time.
-func (o *Outcome) FaultToleranceOverhead(baselineSeconds float64) float64 {
-	return o.SimSeconds - baselineSeconds
+// failureTimes is the virtual-time failure source: the explicit
+// schedule while it lasts, then the injector's exponential gaps. The
+// failure after a strike is drawn the moment the strike is reported, so
+// a seed's draws come in failure order whatever the failures interrupt.
+type failureTimes struct {
+	schedule []float64
+	inj      *failure.Injector
+	next     float64
+}
+
+// draw returns the absolute time of the first failure after now.
+func (f *failureTimes) draw(now float64) float64 {
+	if len(f.schedule) > 0 {
+		next := f.schedule[0]
+		f.schedule = f.schedule[1:]
+		if next <= now {
+			next = now + 1e-9
+		}
+		return next
+	}
+	if f.inj != nil {
+		return f.inj.Next(now)
+	}
+	return math.Inf(1)
+}
+
+// Strikes reports the pending failure when it lands before the
+// window's end.
+func (f *failureTimes) Strikes(w core.Window) (float64, bool) {
+	if w.End <= f.next {
+		return 0, false
+	}
+	at := f.next
+	f.next = f.draw(at)
+	return at, true
 }

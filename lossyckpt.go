@@ -113,9 +113,14 @@
 // per-stripe read bandwidth × min(shards, stripes), saturating at the
 // read aggregate, overlapped with decompress-per-core).
 //
-// The checkpoint cadence itself can close the loop on the model:
-// ManagerConfig.AdaptiveInterval (or sim.Config.Controller in the
-// virtual-time simulator) plugs in the online interval controller —
+// One loop walks the checkpoint lifecycle — step, failure?, due?,
+// capture/encode/write, commit or abort, tiered recovery, rollback —
+// for every kind of run: Drive. Its three inputs are a clock, a cost
+// source (nil: measured on the clock; set: modelled, which is all the
+// virtual-time simulator is) and a failure source. The checkpoint
+// cadence it owns can close the loop on the model:
+// DriveConfig.Controller (sim.Config.Controller in the virtual-time
+// simulator) plugs in the online interval controller —
 // EWMA estimators over the measured per-checkpoint stage timings
 // (capture/encode/write seconds and bytes in/out now surfaced on every
 // CheckpointInfo), a censored-exponential posterior over observed
@@ -147,21 +152,20 @@
 // The whole pipeline is observable without being perturbable:
 // Manager.Instrument wires a MetricsRegistry and LifecycleTracer
 // through every layer it owns (fti stage timings and byte counts,
-// shard fan-out, ABFT guard verdicts, controller re-plans, per-tier
-// recovery outcomes), emitting per-stage spans on a Chrome
+// shard fan-out, ABFT guard verdicts, per-tier recovery outcomes;
+// IntervalController.Instrument adds the controller's re-plans), emitting per-stage spans on a Chrome
 // trace_event timeline. Both are nil-safe — uninstrumented runs pay
 // nothing — and instrumentation is a pure observer: instrumented and
 // uninstrumented runs produce bitwise-identical convergence traces.
-// The simulator (sim.Config.Metrics/Tracer) emits the same span
-// schema on its virtual clock, and cmd/solve serves everything live
+// The driver under modelled costs (sim.Config.Metrics/Tracer) emits
+// the same span schema on its virtual clock, and cmd/solve serves everything live
 // (-debug-addr) or as exit artifacts (-metrics-out, -trace-out).
 //
 // The storage layer beneath all of this is fault-tolerant: wrapping
 // any Storage in NewResilientStorage classifies every error
 // (transient / permanent / corruption), absorbs transient PFS faults
 // with capped exponential backoff under a per-op retry and time
-// budget, fails fast on permanent ones, and hedges slow reads with a
-// delayed second fetch. Commit-protocol crash points (a torn temp
+// budget, and fails fast on permanent ones. Commit-protocol crash points (a torn temp
 // file, an unrenamed temp, shards without a manifest, a partial
 // manifest) are enumerated and swept by FsckStorage at startup, so
 // List exposes only fully committed checkpoints; a background
@@ -417,14 +421,14 @@ type LosslessEncoder = fti.Lossless
 // ---- Fault-tolerant storage ---------------------------------------------------
 
 // StorageFaultPolicy tunes the resilient storage wrapper: retry count,
-// capped exponential backoff with seeded jitter, per-op time budget,
-// and the hedged-read delay for slow primaries.
+// capped exponential backoff with seeded jitter, and the per-op time
+// budget.
 type StorageFaultPolicy = fti.FaultPolicy
 
 // ResilientStorage wraps any Storage with error classification,
-// bounded retry/backoff for transient faults, fail-fast on permanent
-// ones, and hedged re-reads — the solver above it never sees a
-// transient PFS error.
+// bounded retry/backoff for transient faults and fail-fast on
+// permanent ones — the solver above it never sees a transient PFS
+// error.
 type ResilientStorage = fti.Resilient
 
 // NewResilientStorage wraps a Storage under a policy (zero value =
@@ -631,8 +635,18 @@ var CorruptLatestManifest = failure.CorruptLatestManifest
 // IntervalController is the online checkpoint-interval controller:
 // EWMA cost estimators + censored failure-rate posterior + Young/Daly
 // re-planning (the AsyncEffectiveStall fixed point in async mode).
-// Plug into ManagerConfig.AdaptiveInterval or sim.Config.Controller.
+// Plug into DriveConfig.Controller (or sim.Config.Controller).
 type IntervalController = adapt.Controller
+
+// Drive runs a solver to convergence through the whole checkpoint
+// lifecycle — periodic or controller-planned saves, failures from
+// DriveConfig.Failures, tiered recovery — on the wall clock with
+// measured costs, or in virtual time when DriveConfig.Costs models
+// them.
+var Drive = core.Drive
+
+// DriveConfig assembles one Drive call.
+type DriveConfig = core.DriveConfig
 
 // IntervalControllerConfig assembles an IntervalController.
 type IntervalControllerConfig = adapt.Config
