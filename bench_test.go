@@ -32,6 +32,7 @@ import (
 	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/sz"
+	"repro/internal/vec"
 	"repro/internal/zfp"
 )
 
@@ -658,6 +659,74 @@ func BenchmarkJacobiSweep(b *testing.B) {
 		s.Step()
 	}
 	reportPerRow(b, n, csrBytes(a)+(4+3+2)*8*n)
+}
+
+// ---- BLAS-1 kernels, Go loops against the AVX2 bodies ------------------------
+//
+// The same streams through both paths of internal/vec at the GMRES
+// (36³) and CG (48³) harness sizes. GB/s is computed from the passes a
+// kernel makes: 8 B per element read or written.
+
+var vecSink float64
+
+// BenchmarkVecKernels is one call of each kernel the Krylov steps spend
+// their BLAS-1 time in.
+func BenchmarkVecKernels(b *testing.B) {
+	const a = 1e-9 // keeps the in-place updates O(1) at any b.N
+	kernels := []struct {
+		name   string
+		passes int // vectors read plus vectors written
+		run    func(x, y, z, w []float64)
+	}{
+		{"dot", 2, func(x, y, _, _ []float64) { vecSink = vec.Dot(x, y) }},
+		{"norm2", 2, func(x, _, _, _ []float64) { vecSink = vec.Norm2(x) }}, // max|x_i|, then the scaled squares
+		{"axpy", 3, func(x, y, _, _ []float64) { vec.Axpy(a, x, y) }},
+		{"axpydot", 4, func(x, y, z, _ []float64) { vecSink = vec.AxpyDot(a, x, y, z) }},
+		{"dotnorm2", 2, func(x, y, _, _ []float64) { vecSink, _ = vec.DotNorm2(x, y, 4) }},
+		{"axpypair", 6, func(x, y, z, w []float64) { vecSink = vec.AxpyPairNormInf(a, x, y, z, w) }},
+	}
+	for _, grid := range []int{36, pcgGrid} {
+		n := grid * grid * grid
+		x, y, z, w := solverState(n), solverState(n), solverState(n), solverState(n)
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/%d", k.name, grid), func(b *testing.B) {
+				runGoAndAsm(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						k.run(x, y, z, w)
+					}
+					reportPerElem(b, n)
+					b.ReportMetric(float64(8*k.passes*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GB/s")
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkMGSProjection is the Gram–Schmidt loop of GMRES(30)'s step
+// j = 16 on its own: 16 fused projections w ← w − h·v_i, h ← w·v_i+1
+// over a 31-vector 36³ basis (11.6 MB, so as in the solver the basis
+// does not stay in cache from one step to the next).
+func BenchmarkMGSProjection(b *testing.B) {
+	const n = 36 * 36 * 36
+	w := solverState(n)
+	v := make([][]float64, 31)
+	for i := range v {
+		v[i] = solverState(n)
+	}
+	runGoAndAsm(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			basis := v[i%2*14:]
+			h := 1.0
+			for j := 0; j < 16; j++ {
+				h = vec.AxpyDot(-1e-9*h, basis[j], w, basis[j+1])
+			}
+			vecSink = h
+		}
+		reportPerElem(b, 16*n)
+		b.ReportMetric(float64(16*4*8*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GB/s")
+	})
 }
 
 func BenchmarkCheckpointLossy(b *testing.B) {

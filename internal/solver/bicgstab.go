@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/precond"
+	"repro/internal/vec"
 )
 
 // BiCGSTAB is the stabilized bi-conjugate gradient method (van der
@@ -66,9 +67,7 @@ func (s *BiCGSTAB) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
 	adopt(s.x, x)
 	s.a.MulVec(s.r, s.x)
-	for i := range s.r {
-		s.r[i] = s.b[i] - s.r[i]
-	}
+	vec.Sub(s.r, s.b, s.r)
 	copy(s.rhat, s.r)
 	for i := range s.p {
 		s.p[i] = 0
@@ -107,9 +106,7 @@ func (s *BiCGSTAB) Step() float64 {
 	}
 	// Early exit on half-step convergence.
 	if sn := s.space.Norm2(s.s); sn <= s.threshold {
-		for i := range s.x {
-			s.x[i] += s.alpha * s.ph[i]
-		}
+		vec.Axpy(s.alpha, s.ph, s.x)
 		copy(s.r, s.s)
 		s.rnorm = sn
 		return s.rnorm
@@ -175,9 +172,7 @@ func (s *BiCGSTAB) RestoreDynamic(st DynamicState) error {
 	s.alpha = st.Scalars["alpha"]
 	s.omega = st.Scalars["omega"]
 	s.a.MulVec(s.r, s.x)
-	for i := range s.r {
-		s.r[i] = s.b[i] - s.r[i]
-	}
+	vec.Sub(s.r, s.b, s.r)
 	s.rnorm = s.space.Norm2(s.r)
 	return nil
 }

@@ -64,9 +64,7 @@ func (s *CG) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
 	adopt(s.x, x)
 	s.a.MulVec(s.r, s.x) // r ← A·x
-	for i := range s.r {
-		s.r[i] = s.b[i] - s.r[i]
-	}
+	vec.Sub(s.r, s.b, s.r)
 	s.m.Apply(s.z, s.r)
 	copy(s.p, s.z)
 	s.rho = s.space.Dot(s.r, s.z)
@@ -99,9 +97,7 @@ func (s *CG) Step() float64 {
 	}
 	beta := rhoNew / s.rho
 	s.rho = rhoNew
-	for i := range s.p {
-		s.p[i] = s.z[i] + beta*s.p[i]
-	}
+	vec.Aypx(beta, s.z, s.p) // p ← z + β·p
 	return s.rnorm
 }
 
@@ -154,9 +150,7 @@ func (s *CG) RestoreDynamic(st DynamicState) error {
 	adopt(s.p, p)
 	s.rho = rho
 	s.a.MulVec(s.r, s.x)
-	for i := range s.r {
-		s.r[i] = s.b[i] - s.r[i]
-	}
+	vec.Sub(s.r, s.b, s.r)
 	s.m.Apply(s.z, s.r)
 	s.rnorm = s.space.Norm2(s.r)
 	return nil

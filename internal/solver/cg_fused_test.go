@@ -118,3 +118,31 @@ func TestIC0PCGIterationCount(t *testing.T) {
 		t.Fatalf("IC0-PCG on Poisson3D(48), rtol 1e-7: converged=%v in %d iterations, want 44±1", res.Converged, res.Iterations)
 	}
 }
+
+// TestCGNaNIterateNeverConverges: a CG restarted from an iterate with a
+// NaN in it (a lossy restore gone wrong) turns wholly NaN within a
+// step. ‖r‖ of an all-NaN r used to come back 0 — the largest non-NaN
+// magnitude is 0, the zero vector's norm — and the solver reported
+// convergence; on both reduction paths it must report NaN and keep
+// saying not converged.
+func TestCGNaNIterateNeverConverges(t *testing.T) {
+	a, m, b := ic0System(t, 8)
+	for name, space := range map[string]Space{"fused": SeqSpace{}, "generic": wrappedSpace{SeqSpace{}}} {
+		s := NewCG(a, m, b, nil, space, Options{})
+		for i := 0; i < 3; i++ {
+			s.Step()
+		}
+		x := append([]float64(nil), s.X()...)
+		x[len(x)/2] = math.NaN()
+		s.Restart(x)
+		if s.Converged(s.ResidualNorm()) {
+			t.Errorf("%s: converged on restart with residual norm %v", name, s.ResidualNorm())
+		}
+		for i := 0; i < 5; i++ {
+			if rnorm := s.Step(); s.Converged(rnorm) || !math.IsNaN(rnorm) {
+				t.Errorf("%s: step %d after the poisoned restart: residual norm %v, converged %v",
+					name, i, rnorm, s.Converged(rnorm))
+			}
+		}
+	}
+}

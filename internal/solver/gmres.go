@@ -101,9 +101,7 @@ func (s *GMRES) Restart(x []float64) {
 // basis.
 func (s *GMRES) beginCycle() {
 	s.a.MulVec(s.t, s.x)
-	for i := range s.t {
-		s.t[i] = s.b[i] - s.t[i]
-	}
+	vec.Sub(s.t, s.b, s.t)
 	s.m.Apply(s.w, s.t)
 	beta := s.space.Norm2(s.w)
 	s.rnorm = beta
@@ -113,14 +111,9 @@ func (s *GMRES) beginCycle() {
 	}
 	s.g[0] = beta
 	if beta > 0 {
-		inv := 1 / beta
-		for i := range s.w {
-			s.v[0][i] = s.w[i] * inv
-		}
+		vec.ScaleTo(s.v[0], 1/beta, s.w)
 	} else {
-		for i := range s.v[0] {
-			s.v[0][i] = 0
-		}
+		vec.Zero(s.v[0])
 	}
 }
 
@@ -152,16 +145,11 @@ func (s *GMRES) Step() float64 {
 	hj1 := s.space.Norm2(s.w)
 	s.h[j+1][j] = hj1
 	if hj1 > 0 {
-		inv := 1 / hj1
-		for l := range s.w {
-			s.v[j+1][l] = s.w[l] * inv
-		}
+		vec.ScaleTo(s.v[j+1], 1/hj1, s.w)
 	} else {
 		// Happy breakdown: the Krylov space is invariant; the
 		// least-squares solve below yields the exact solution.
-		for l := range s.v[j+1] {
-			s.v[j+1][l] = 0
-		}
+		vec.Zero(s.v[j+1])
 	}
 	// Apply accumulated Givens rotations to the new column.
 	for i := 0; i < j; i++ {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/precond"
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // StationaryKind selects the sweep performed by a Stationary solver.
@@ -284,18 +285,14 @@ func (s *Richardson) Restart(x []float64) {
 
 func (s *Richardson) refreshResidual() {
 	s.a.MulVec(s.r, s.x)
-	for i := range s.r {
-		s.r[i] = s.b[i] - s.r[i]
-	}
+	vec.Sub(s.r, s.b, s.r)
 	s.rnorm = s.space.Norm2(s.r)
 }
 
 // Step performs x ← x + ω·M⁻¹·r and returns the new residual norm.
 func (s *Richardson) Step() float64 {
 	s.m.Apply(s.z, s.r)
-	for i := range s.x {
-		s.x[i] += s.omega * s.z[i]
-	}
+	vec.Axpy(s.omega, s.z, s.x)
 	s.it++
 	s.refreshResidual()
 	return s.rnorm

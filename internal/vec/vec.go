@@ -2,6 +2,15 @@
 // solvers. All kernels operate on []float64 slices in place where
 // possible to avoid allocation inside solver loops; the distributed
 // variants in package mpi build on these local kernels.
+//
+// The streaming kernels the solvers run every step (Dot, Norm2, NormInf,
+// DotNorm2, Axpy, AxpyDot, AxpyPairNormInf, Aypx, Sub, ScaleTo) have an
+// AVX2 body on amd64, taken when the CPU has AVX2. It holds the four
+// accumulators of the Go loop as the four lanes of one register, over
+// the leading len&^3 elements; the Go loop then finds only the tail
+// left, and the combine is shared. The two are bitwise identical (up to
+// which NaN a NaN result is), so the Go loops are the portable path and
+// the oracle the assembly is tested against.
 package vec
 
 import (
@@ -23,6 +32,10 @@ func Dot(x, y []float64) float64 {
 	}
 	var s0, s1, s2, s3 float64
 	i := 0
+	if useAVX2 {
+		i = len(x) &^ 3
+		s0, s1, s2, s3 = dotAVX2(x, y)
+	}
 	for ; i+4 <= len(x); i += 4 {
 		s0 += x[i] * y[i]
 		s1 += x[i+1] * y[i+1]
@@ -42,6 +55,13 @@ func Dot(x, y []float64) float64 {
 func Norm2(x []float64) float64 {
 	scale := NormInf(x)
 	if scale == 0 {
+		// NormInf skips NaN, so this is the zero vector or NaN among
+		// zeros, and a NaN residual must not read as a converged one.
+		for _, v := range x {
+			if v != v {
+				return v
+			}
+		}
 		return 0
 	}
 	if math.IsInf(scale, 0) {
@@ -55,6 +75,10 @@ func Norm2(x []float64) float64 {
 		// than a divide per element.
 		inv := 1 / scale
 		i := 0
+		if useAVX2 {
+			i = len(x) &^ 3
+			s0, s1, s2, s3 = sumSquaresAVX2(x, inv)
+		}
 		for ; i+4 <= len(x); i += 4 {
 			r0, r1, r2, r3 := x[i]*inv, x[i+1]*inv, x[i+2]*inv, x[i+3]*inv
 			s0 += r0 * r0
@@ -92,6 +116,10 @@ func DotNorm2(x, y []float64, scale float64) (dot, norm float64) {
 	var n0, n1, n2, n3 float64
 	inv := 1 / scale
 	i := 0
+	if useAVX2 {
+		i = len(x) &^ 3
+		s0, s1, s2, s3, n0, n1, n2, n3 = dotNorm2AVX2(x, y, inv)
+	}
 	for ; i+4 <= len(x); i += 4 {
 		s0 += x[i] * y[i]
 		s1 += x[i+1] * y[i+1]
@@ -119,6 +147,14 @@ func AxpyPairNormInf(a float64, x, p, r, q []float64) float64 {
 		panic("vec: AxpyPairNormInf length mismatch")
 	}
 	var m float64
+	if useAVX2 {
+		n := len(x) &^ 3
+		// No lane holds a NaN, so the maximum does not depend on the
+		// order it is taken in.
+		m0, m1, m2, m3 := axpyPairNormInfAVX2(a, x, p, r, q)
+		m = max(m0, m1, m2, m3)
+		x, p, r, q = x[n:], p[n:], r[n:], q[n:]
+	}
 	for i := range x {
 		x[i] += a * p[i]
 		r[i] -= a * q[i]
@@ -140,6 +176,11 @@ func AxpyDot(a float64, x, y, z []float64) float64 {
 		panic(fmt.Sprintf("vec: AxpyDot length mismatch %d, %d, %d", len(x), len(y), len(z)))
 	}
 	var s0, s1, s2, s3 float64
+	if useAVX2 {
+		n := len(y) &^ 3
+		s0, s1, s2, s3 = axpyDotAVX2(a, x, y, z)
+		x, y, z = x[n:], y[n:], z[n:]
+	}
 	for ; len(x) >= 4 && len(y) >= 4 && len(z) >= 4; x, y, z = x[4:], y[4:], z[4:] {
 		y0 := y[0] + a*x[0]
 		y1 := y[1] + a*x[1]
@@ -167,6 +208,10 @@ const tinyNormal = 2.2250738585072014e-308
 func NormInf(x []float64) float64 {
 	var m0, m1, m2, m3 float64
 	i := 0
+	if useAVX2 {
+		i = len(x) &^ 3
+		m0, m1, m2, m3 = normInfAVX2(x)
+	}
 	for ; i+4 <= len(x); i += 4 {
 		if a := math.Abs(x[i]); a > m0 {
 			m0 = a
@@ -203,6 +248,11 @@ func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("vec: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
+	if useAVX2 {
+		n := len(x) &^ 3
+		axpyAVX2(a, x, y)
+		x, y = x[n:], y[n:]
+	}
 	for i, v := range x {
 		y[i] += a * v
 	}
@@ -214,15 +264,32 @@ func Aypx(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("vec: Aypx length mismatch %d != %d", len(x), len(y)))
 	}
+	if useAVX2 {
+		n := len(x) &^ 3
+		aypxAVX2(a, x, y)
+		x, y = x[n:], y[n:]
+	}
 	for i, v := range x {
 		y[i] = v + a*y[i]
 	}
 }
 
 // Scale computes x ← a·x.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
+func Scale(a float64, x []float64) { ScaleTo(x, a, x) }
+
+// ScaleTo computes dst ← a·x (GMRES's normalisation of a new basis
+// vector). dst may be x.
+func ScaleTo(dst []float64, a float64, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("vec: ScaleTo length mismatch %d != %d", len(dst), len(x)))
+	}
+	if useAVX2 {
+		n := len(x) &^ 3
+		scaleToAVX2(dst, a, x)
+		dst, x = dst[n:], x[n:]
+	}
+	for i, v := range x {
+		dst[i] = a * v
 	}
 }
 
@@ -255,10 +322,16 @@ func Fill(x []float64, a float64) {
 	}
 }
 
-// Sub computes dst ← x − y. dst may alias x or y.
+// Sub computes dst ← x − y (the residual b − A·x once A·x is formed).
+// dst may be x or y.
 func Sub(dst, x, y []float64) {
 	if len(x) != len(y) || len(dst) != len(x) {
 		panic("vec: Sub length mismatch")
+	}
+	if useAVX2 {
+		n := len(dst) &^ 3
+		subAVX2(dst, x, y)
+		dst, x, y = dst[n:], x[n:], y[n:]
 	}
 	for i := range dst {
 		dst[i] = x[i] - y[i]

@@ -318,6 +318,36 @@ func TestNorm2Infinite(t *testing.T) {
 	}
 }
 
+// TestNorm2NaN: a NaN component makes the norm NaN whatever the other
+// components are. NormInf skips NaN, so a vector of NaN and zeros has
+// scale 0 and used to take the zero vector's exit — an all-NaN residual
+// read as converged — and the fused CG reductions inherited it.
+func TestNorm2NaN(t *testing.T) {
+	nan := math.NaN()
+	for name, x := range map[string][]float64{
+		"all NaN":         {nan, nan, nan},
+		"NaN and zeros":   {nan, 0, 0, 0, 0},
+		"NaN in the tail": {0, 0, 0, 0, math.Copysign(0, -1), nan},
+		"NaN and finite":  {1, nan, -2, 3, 4},
+	} {
+		if got := Norm2(x); !math.IsNaN(got) {
+			t.Errorf("%s: Norm2 = %v, want NaN", name, got)
+		}
+		y := make([]float64, len(x))
+		if _, got := DotNorm2(x, y, NormInf(x)); !math.IsNaN(got) {
+			t.Errorf("%s: DotNorm2 norm = %v, want NaN", name, got)
+		}
+		// CG's residual update with a NaN step length, then its fused
+		// reductions: r ← r − NaN·q is NaN wherever q is not skipped.
+		r, q, p, z := Clone(x), make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x))
+		Fill(q, 1)
+		rmax := AxpyPairNormInf(nan, z, p, r, q)
+		if _, got := DotNorm2(r, q, rmax); !math.IsNaN(got) {
+			t.Errorf("%s: norm after a NaN update = %v, want NaN", name, got)
+		}
+	}
+}
+
 // TestNorm2SubnormalScale: a vector whose largest magnitude is
 // subnormal must not produce Inf or 0 from the reciprocal-scaling
 // fast path.
