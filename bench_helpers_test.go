@@ -37,6 +37,12 @@ func runGoAndAsm(b *testing.B, body func(b *testing.B)) {
 	})
 }
 
+// ratio is the compression ratio original/compressed in bytes of n
+// float64 values.
+func ratio(n int, compressed []byte) float64 {
+	return float64(8*n) / float64(len(compressed))
+}
+
 // simRunJacobi drives one lossy-checkpointed Jacobi run in virtual
 // time and returns the total simulated seconds (shared by the interval
 // ablation bench).

@@ -194,6 +194,28 @@ func (o *options) validate() error {
 	if _, ok := schemes[o.scheme]; !ok && o.scheme != "none" {
 		return fmt.Errorf("unknown scheme %q", o.scheme)
 	}
+	for _, f := range []struct {
+		name string
+		got  any
+		ok   bool
+		want string
+	}{
+		{"-grid", o.grid, o.grid >= 1, "at least 1"},
+		{"-eb", o.eb, o.eb > 0 && !math.IsInf(o.eb, 0), "a positive finite bound"},
+		{"-interval", o.interval, o.interval >= 0 && !math.IsInf(o.interval, 0), "0 (the default cadence) or a positive finite length"},
+		{"-mtti", o.mtti, o.mtti >= 0, "0 (no failures) or positive"},
+		{"-maxiter", o.maxIter, o.maxIter >= 0, "0 (the default cap) or positive"},
+		{"-shards", o.shards, o.shards >= 0, "0 or 1 (one monolithic object) or a shard count"},
+		{"-storage-retries", o.storageRetries, o.storageRetries >= 0, "0 (no resilient wrapper) or positive"},
+		{"-quality-sample", o.qualitySample, o.qualitySample >= 1, "at least 1 (1 = every checkpoint)"},
+	} {
+		if !f.ok {
+			return fmt.Errorf("%s %v is out of range: want %s", f.name, f.got, f.want)
+		}
+	}
+	if o.inject != "" && o.interval != math.Trunc(o.interval) {
+		return fmt.Errorf("-interval %v: under -inject the interval counts iterations, so it must be a whole number", o.interval)
+	}
 	if o.adaptive && o.interval > 0 {
 		return fmt.Errorf("-adaptive and -interval are mutually exclusive (the controller owns the cadence)")
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,8 +25,10 @@ func solve(t *testing.T, args ...string) (string, error) {
 	}
 	stdout := os.Stdout
 	os.Stdout = f
-	runErr := run(o)
-	os.Stdout = stdout
+	runErr := func() error {
+		defer func() { os.Stdout = stdout }() // also when run panics
+		return run(o)
+	}()
 	f.Close()
 	out, err := os.ReadFile(f.Name())
 	if err != nil {
@@ -64,6 +67,46 @@ func TestRejectedCombinations(t *testing.T) {
 		}
 		if run := readReport(t, report)["run"].(map[string]any); !strings.Contains(run["exit"].(string), c.want) {
 			t.Errorf("solve %s: report exit %q does not record the refusal", c.args, run["exit"])
+		}
+	}
+}
+
+// TestRejectedValues: a flag value the run could not honour is refused
+// by flag name before anything is built — not a panic out of the
+// matrix generator, not a silent default, not a truncation — and the
+// refusal still leaves a run report behind.
+func TestRejectedValues(t *testing.T) {
+	for _, args := range []string{
+		"-grid 0",
+		"-grid -3",
+		"-eb 0",
+		"-eb -1e-4",
+		"-interval -5 -mtti 100",
+		"-interval 7.9 -inject proc@30",
+		"-mtti -100",
+		"-maxiter -1",
+		"-shards -2",
+		"-storage-retries -1",
+		"-quality-sample -3",
+		"-quality-sample 0",
+	} {
+		flagName := strings.Fields(args)[0]
+		report := filepath.Join(t.TempDir(), "report.json")
+		err := func() (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("run panicked: %v", p)
+				}
+			}()
+			_, err = solve(t, append(strings.Fields(args), "-report-out", report)...)
+			return err
+		}()
+		if err == nil || !strings.HasPrefix(err.Error(), flagName+" ") {
+			t.Errorf("solve %s: error %v, want a refusal naming %s", args, err, flagName)
+			continue
+		}
+		if run := readReport(t, report)["run"].(map[string]any); !strings.HasPrefix(run["exit"].(string), "error: "+flagName+" ") {
+			t.Errorf("solve %s: report exit %q does not record the refusal", args, run["exit"])
 		}
 	}
 }

@@ -228,9 +228,6 @@ func (g *Guard) Method() Method { return g.cfg.Method }
 // Ranks returns the number of simulated process blocks.
 func (g *Guard) Ranks() int { return g.cfg.Ranks }
 
-// BlockRows returns the row range [lo, hi) owned by rank k.
-func (g *Guard) BlockRows(k int) (lo, hi int) { return g.cuts[k], g.cuts[k+1] }
-
 // Stats returns the guard's lifetime counters.
 func (g *Guard) Stats() Stats { return g.stats }
 
@@ -286,10 +283,6 @@ func (g *Guard) FailNextRank() int {
 	g.FailRank(k)
 	return k
 }
-
-// FailedRank returns the rank lost by the most recent failure, -1 when
-// none is pending.
-func (g *Guard) FailedRank() int { return g.failed }
 
 // CorruptRetained damages the retained redundant copies — the
 // injection hook for the ABFT-verify-fail tier transition. The
@@ -527,8 +520,5 @@ func (o *ChecksumOperator) Applications() int { return o.applications }
 
 // Mismatches reports how many applications failed the checksum.
 func (o *ChecksumOperator) Mismatches() int { return o.mismatches }
-
-// Verified reports whether every application so far passed.
-func (o *ChecksumOperator) Verified() bool { return o.mismatches == 0 }
 
 var _ solver.Operator = (*ChecksumOperator)(nil)

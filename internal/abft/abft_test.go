@@ -236,7 +236,7 @@ func TestChecksumOperatorDetectsSilentCorruption(t *testing.T) {
 			t.Fatal("checksum operator changed the numerics")
 		}
 	}
-	if !co.Verified() {
+	if co.Mismatches() != 0 {
 		t.Fatalf("clean application flagged: %d mismatches", co.Mismatches())
 	}
 	// Silently corrupt the operator after the checksums were

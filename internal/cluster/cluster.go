@@ -74,7 +74,7 @@ type Model struct {
 
 	// CodecRates refines the two scheme-level throughput knobs
 	// (CompressPerCore/LosslessPerCore) with per-codec rates, keyed by
-	// codec name as the fti encoders report it ("sz", "zfp", "fpc",
+	// codec name as the fti encoders report it ("sz", "zfp",
 	// "gzip(deflate)"; "lossless/<name>" encoder names resolve to
 	// <name>). Codecs without an entry fall back to the scheme-level
 	// rate, so legacy Model literals price exactly as before.
@@ -92,11 +92,10 @@ type Model struct {
 	ReadStripeBandwidth float64
 }
 
-// CodecRate holds one codec's per-core compress and decompress
-// throughputs, in bytes per second of *raw* (uncompressed) data.
+// CodecRate holds one codec's per-core compress throughput, in bytes
+// per second of *raw* (uncompressed) data.
 type CodecRate struct {
-	CompressPerCore   float64
-	DecompressPerCore float64
+	CompressPerCore float64
 }
 
 // Bebop returns the model calibrated to the paper's measurements.
@@ -128,15 +127,13 @@ func Bebop() *Model {
 		// codecs the schemes default to ("sz" for lossy,
 		// "gzip(deflate)" for lossless) are pinned to the scheme-level
 		// calibration, so codec-aware and scheme-level pricing agree
-		// for the paper's configurations; zfp and fpc are
-		// representative Xeon per-core figures (zfp's fixed-rate
-		// transform and FPC's predictor both outrun SZ's
-		// quantize+Huffman pipeline), not paper measurements.
+		// for the paper's configurations; zfp is a representative
+		// Xeon per-core figure (its fixed-rate transform outruns SZ's
+		// quantize+Huffman pipeline), not a paper measurement.
 		CodecRates: map[string]CodecRate{
-			"sz":            {CompressPerCore: 77e6, DecompressPerCore: 192e6},
-			"gzip(deflate)": {CompressPerCore: 100e6, DecompressPerCore: 250e6},
-			"zfp":           {CompressPerCore: 300e6, DecompressPerCore: 600e6},
-			"fpc":           {CompressPerCore: 400e6, DecompressPerCore: 500e6},
+			"sz":            {CompressPerCore: 77e6},
+			"gzip(deflate)": {CompressPerCore: 100e6},
+			"zfp":           {CompressPerCore: 300e6},
 		},
 	}
 }
@@ -164,17 +161,6 @@ func (m *Model) compressSeconds(procs int, rawBytes float64, scheme Scheme) floa
 	return 0
 }
 
-// CompressStageSeconds is the compression term of one checkpoint —
-// compressSeconds exported for per-phase cost breakdowns (cmd/solve's
-// modeled-vs-measured table), so a calibration change cannot diverge
-// from the fused CheckpointSeconds/ShardedCheckpointSeconds totals.
-func (m *Model) CompressStageSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	return m.compressSeconds(procs, rawBytes, scheme)
-}
-
 // codecRate resolves a codec or encoder name against CodecRates,
 // accepting both bare codec names ("sz") and the fti Lossless
 // encoder's composite names ("lossless/gzip(deflate)").
@@ -190,7 +176,7 @@ func (m *Model) codecRate(name string) (CodecRate, bool) {
 	return CodecRate{}, false
 }
 
-// CodecCompressSeconds is CompressStageSeconds refined with the named
+// CodecCompressSeconds is compressSeconds refined with the named
 // codec's per-core rate: rawBytes compressed across procs cores. A
 // codec without a CodecRates entry (or a Model without the map) falls
 // back to the scheme-level rate, so the fused checkpoint costs and the
@@ -208,27 +194,12 @@ func (m *Model) CodecCompressSeconds(procs int, rawBytes float64, name string, s
 	return m.compressSeconds(procs, rawBytes, scheme)
 }
 
-// CodecDecompressSeconds mirrors CodecCompressSeconds for the restore
-// path's decompression stage.
-func (m *Model) CodecDecompressSeconds(procs int, rawBytes float64, name string, scheme Scheme) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	if scheme == Uncompressed {
-		return 0
-	}
-	if r, ok := m.codecRate(name); ok && r.DecompressPerCore > 0 {
-		return rawBytes / (r.DecompressPerCore * float64(procs))
-	}
-	return m.decompressSeconds(procs, rawBytes, scheme)
-}
-
 // WriteStageSeconds is the PFS-write term of one checkpoint: the
 // per-rank metadata overhead plus the transfer. striped prices the
 // single-writer striped-object model (per-shard metadata for the
 // shards plus the manifest, min(shards, stripes) concurrent stripes);
 // otherwise the collective aggregate-bandwidth write. By construction
-// CompressStageSeconds + WriteStageSeconds equals CheckpointSeconds
+// compressSeconds + WriteStageSeconds equals CheckpointSeconds
 // (collective) or ShardedCheckpointSeconds (striped).
 func (m *Model) WriteStageSeconds(procs int, encodedBytes float64, shards int, striped bool) float64 {
 	if procs <= 0 {

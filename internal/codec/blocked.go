@@ -66,33 +66,6 @@ func (BlockedZFP) DecodeBlockInto(dst []float64, block []byte) error {
 	return zfp.DecompressInto(dst, block)
 }
 
-// BlockedFPC is the lossless FPC codec as a block codec.
-type BlockedFPC struct {
-	// BlockElems is the element count per container block; 0 means
-	// DefaultBlockElems.
-	BlockElems int
-}
-
-// ID implements BlockCodec.
-func (BlockedFPC) ID() ID { return FPC }
-
-// BlockSize implements BlockCodec.
-func (c BlockedFPC) BlockSize() int { return c.BlockElems }
-
-// EncodeBlock implements BlockCodec: exact, so an audit only scans for
-// the peak.
-func (BlockedFPC) EncodeBlock(dst []byte, x []float64, st *Stats) ([]byte, error) {
-	if st != nil {
-		st.AddExact(x)
-	}
-	return lossless.FPC{}.AppendCompress(dst, x)
-}
-
-// DecodeBlockInto implements BlockCodec.
-func (BlockedFPC) DecodeBlockInto(dst []float64, block []byte) error {
-	return lossless.FPC{}.DecompressInto(dst, block)
-}
-
 // BlockedFlate is the DEFLATE codec (the paper's Gzip baseline) as a
 // block codec. Level follows compress/flate (0 = default).
 type BlockedFlate struct {

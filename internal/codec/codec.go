@@ -18,7 +18,7 @@
 // Block i covers elements [i·blockElems, min(n, (i+1)·blockElems)); an
 // empty vector is one empty block. What a block payload holds is the
 // codec's business (BlockCodec): an SZ core or log-transform payload, a
-// "ZFG1" stream, an FPC or DEFLATE stream. The container never looks
+// "ZFG1" stream, a DEFLATE stream. The container never looks
 // inside and never dispatches on the ID — the caller hands it the block
 // codec — so a codec package can sit on top of this one.
 //
@@ -29,7 +29,7 @@
 // stream; a constant stream has its own ceiling, MaxConstantElems.
 //
 // There is one format. Streams written before it (the SZ-only
-// single-stream and blocked formats, bare zfp/fpc/flate vectors) are
+// single-stream and blocked formats, bare zfp/flate vectors) are
 // rejected with an error naming their magic: no stream outlives its
 // run's checkpoint directory.
 package codec
@@ -45,14 +45,12 @@ import (
 )
 
 // ID names the codec of a container. The values are part of the
-// on-disk format.
+// on-disk format; 2 belonged to a retired codec and stays unknown.
 type ID byte
 
 const (
 	// ZFP is the transform-based error-bounded codec (zfp package).
 	ZFP ID = 1
-	// FPC is the predictive XOR lossless codec (lossless.FPC).
-	FPC ID = 2
 	// Flate is the DEFLATE lossless codec (lossless.Flate).
 	Flate ID = 3
 	// SZ is the prediction-based error-bounded codec (sz package).
@@ -65,8 +63,6 @@ func (id ID) String() string {
 	switch id {
 	case ZFP:
 		return "zfp"
-	case FPC:
-		return lossless.FPC{}.Name()
 	case Flate:
 		return lossless.Flate{}.Name()
 	case SZ:
@@ -77,18 +73,15 @@ func (id ID) String() string {
 
 // maxElemsPerByte is the allocation guard for crafted headers: the
 // most elements one payload byte of each codec can genuinely hold, 0
-// for an unknown ID. FPC spends at least a header nibble per value;
-// flate's DEFLATE expands at most ~1032×, and eight raw bytes make one
-// float64; ZFP spends at least one varint byte per coefficient behind
-// the same DEFLATE bound; SZ spends at least one bit per element — a
-// Huffman code, or a zeros- or tiny-bitmap bit in a log-transform
-// block.
+// for an unknown ID. Flate's DEFLATE expands at most ~1032×, and eight
+// raw bytes make one float64; ZFP spends at least one varint byte per
+// coefficient behind the same DEFLATE bound; SZ spends at least one bit
+// per element — a Huffman code, or a zeros- or tiny-bitmap bit in a
+// log-transform block.
 func (id ID) maxElemsPerByte() uint64 {
 	switch id {
 	case ZFP:
 		return 1032
-	case FPC:
-		return 2
 	case Flate:
 		return 129 // ceil(1032/8)
 	case SZ:
@@ -222,9 +215,9 @@ func Compress(dst []byte, x []float64, bc BlockCodec, st *Stats) ([]byte, error)
 			if st != nil {
 				bst = &stats[b]
 			}
-			// One worst-case request for every codec (FPC's 8n + n/2 is the
-			// largest) keeps each pooled buffer at least as big as the 8n-byte
-			// raw images the codecs stage internally, so the shared pool
+			// One worst-case request for every codec keeps each pooled
+			// buffer at least as big as the 8n-byte raw images the
+			// codecs stage internally, so the shared pool
 			// reaches a steady state instead of ping-ponging between
 			// compressed-size and raw-size capacities on every block.
 			blocks[b], errs[b] = bc.EncodeBlock(parallel.GetBytes(9*len(chunk)+80), chunk, bst)

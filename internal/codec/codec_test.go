@@ -28,12 +28,11 @@ func testField(n int, seed int64) []float64 {
 
 const zfpBound = 1e-6
 
-// blockCodecs returns the three codecs this package adapts, with a
+// blockCodecs returns the two codecs this package adapts, with a
 // small block size so modest inputs span several blocks.
 func blockCodecs(blockElems int) []BlockCodec {
 	return []BlockCodec{
 		BlockedZFP{Bound: zfpBound, BlockElems: blockElems},
-		BlockedFPC{BlockElems: blockElems},
 		BlockedFlate{BlockElems: blockElems},
 	}
 }
@@ -60,23 +59,17 @@ func layoutOf(t testing.TB, enc []byte) BlockLayout {
 // outside any container: the reference the blocks are compared to.
 func bareDecode(t testing.TB, x []float64, bc BlockCodec) []float64 {
 	t.Helper()
-	var dec []float64
+	dec := make([]float64, len(x))
+	var bare []byte
 	var err error
 	switch bc.ID() {
 	case ZFP:
-		var bare []byte
 		if bare, err = zfp.Compress(x, zfpBound); err == nil {
-			dec, err = zfp.Decompress(bare)
-		}
-	case FPC:
-		var bare []byte
-		if bare, err = (lossless.FPC{}).Compress(x); err == nil {
-			dec, err = lossless.FPC{}.Decompress(bare)
+			err = zfp.DecompressInto(dec, bare)
 		}
 	default:
-		var bare []byte
 		if bare, err = (lossless.Flate{}).Compress(x); err == nil {
-			dec, err = lossless.Flate{}.Decompress(bare)
+			err = lossless.Flate{}.DecompressInto(dec, bare)
 		}
 	}
 	if err != nil {
@@ -229,7 +222,7 @@ func mangleHeader(enc []byte, n, blockElems, nBlocks uint64, lens []uint64, payl
 // parser, before any output allocation happens.
 func TestCraftedHeaderRobustness(t *testing.T) {
 	x := testField(8192, 5)
-	bc := BlockedFPC{BlockElems: 2048}
+	bc := BlockedFlate{BlockElems: 2048}
 	enc := compress(t, x, bc)
 	lay := layoutOf(t, enc)
 	payload := enc[lay.Blocks[0].Start:]
@@ -246,6 +239,7 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 		"truncated table":     enc[:lay.Blocks[0].Start-2],
 		"unknown id":          append([]byte("BLK1\xEE"), enc[5:]...),
 		"zero id":             append([]byte("BLK1\x00"), enc[5:]...),
+		"retired id 2 (fpc)":  append([]byte("BLK1\x02"), enc[5:]...),
 		"zero blocks":         mangleHeader(enc, 8192, 2048, 0, nil, payload),
 		"zero blockElems":     mangleHeader(enc, 8192, 0, 4, lens, payload),
 		"blockElems 2^63":     mangleHeader(enc, 8192, 1<<63, 1, lens[:1], payload),
@@ -275,12 +269,19 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 		}
 	}
 
+	// A stream of the retired codec is named as what it is, from the
+	// header alone.
+	retired := cases["retired id 2 (fpc)"]
+	if _, err := ParseBlockLayout(Whole(retired[:8]), len(retired)); err == nil || !strings.Contains(err.Error(), "unknown codec id 2") {
+		t.Errorf("retired id: %v, want the unknown-codec-id error", err)
+	}
+
 	// The n-vs-payload allocation guard must trip before the decoder
 	// allocates: a tiny stream claiming a huge element count is the
 	// attack the parser's guard exists for, with the per-codec ceiling
 	// bounding what each codec could genuinely hold. One element past
 	// the ceiling is refused, the ceiling itself is a layout.
-	for id, perByte := range map[ID]uint64{ZFP: 1032, FPC: 2, Flate: 129, SZ: 8} {
+	for id, perByte := range map[ID]uint64{ZFP: 1032, Flate: 129, SZ: 8} {
 		head := append([]byte("BLK1"), byte(id))
 		tiny := mangleHeader(head, 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8))
 		if _, err := ParseBlockLayout(Whole(tiny), len(tiny)); err == nil {
@@ -297,43 +298,41 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 	}
 }
 
-// TestBlockedAdapters: the lossless adapters frame exactly, report the
-// peak to an audit without touching the bytes, and turn away each
-// other's containers.
+// TestBlockedAdapters: the lossless adapter frames exactly and reports
+// the peak to an audit without touching the bytes, and an adapter
+// turns away another codec's container.
 func TestBlockedAdapters(t *testing.T) {
 	x := testField(12000, 9)
-	for _, bc := range []BlockCodec{BlockedFPC{BlockElems: 4096}, BlockedFlate{BlockElems: 4096}} {
-		enc := compress(t, x, bc)
-		if got := len(layoutOf(t, enc).Blocks); got != 3 {
-			t.Fatalf("%v: %d blocks, want 3", bc.ID(), got)
-		}
-		var st Stats
-		audited, err := Compress(nil, x, bc, &st)
-		if err != nil || !bytes.Equal(audited, enc) {
-			t.Fatalf("%v: audited bytes differ (%v)", bc.ID(), err)
-		}
-		if st.Elements != len(x) || st.MaxErr != 0 || st.Bound != 0 || st.Lossy || st.MaxAbsValue < 3 {
-			t.Fatalf("%v: exact stats %+v", bc.ID(), st)
-		}
-		dec, err := Decompress(enc, bc)
-		if err != nil || !bytesEqualFloats(dec, x) {
-			t.Fatalf("%v: blocked round trip mismatch (%v)", bc.ID(), err)
-		}
-		// Appending leaves what dst already holds alone.
-		prefixed, err := Compress([]byte("prefix"), x, bc, nil)
-		if err != nil || !bytes.Equal(prefixed, append([]byte("prefix"), enc...)) {
-			t.Fatalf("%v: Compress is not prefix + stream (%v)", bc.ID(), err)
-		}
+	bc := BlockedFlate{BlockElems: 4096}
+	enc := compress(t, x, bc)
+	if got := len(layoutOf(t, enc).Blocks); got != 3 {
+		t.Fatalf("%d blocks, want 3", got)
 	}
-	// Codec mismatch: an FPC adapter must reject a flate container.
-	flateEnc := compress(t, x, BlockedFlate{BlockElems: 4096})
-	if _, err := Decompress(flateEnc, BlockedFPC{}); err == nil {
-		t.Fatal("FPC adapter accepted flate container")
+	var st Stats
+	audited, err := Compress(nil, x, bc, &st)
+	if err != nil || !bytes.Equal(audited, enc) {
+		t.Fatalf("audited bytes differ (%v)", err)
 	}
-	if err := DecompressInto(make([]float64, len(x)), flateEnc, BlockedFPC{}); err == nil {
-		t.Fatal("FPC adapter accepted flate container into a destination")
+	if st.Elements != len(x) || st.MaxErr != 0 || st.Bound != 0 || st.Lossy || st.MaxAbsValue < 3 {
+		t.Fatalf("exact stats %+v", st)
 	}
-	if id := layoutOf(t, flateEnc).ID; id != Flate || id.String() != (lossless.Flate{}).Name() {
+	dec, err := Decompress(enc, bc)
+	if err != nil || !bytesEqualFloats(dec, x) {
+		t.Fatalf("blocked round trip mismatch (%v)", err)
+	}
+	// Appending leaves what dst already holds alone.
+	prefixed, err := Compress([]byte("prefix"), x, bc, nil)
+	if err != nil || !bytes.Equal(prefixed, append([]byte("prefix"), enc...)) {
+		t.Fatalf("Compress is not prefix + stream (%v)", err)
+	}
+	// Codec mismatch: a ZFP adapter must reject a flate container.
+	if _, err := Decompress(enc, BlockedZFP{}); err == nil {
+		t.Fatal("ZFP adapter accepted flate container")
+	}
+	if err := DecompressInto(make([]float64, len(x)), enc, BlockedZFP{}); err == nil {
+		t.Fatal("ZFP adapter accepted flate container into a destination")
+	}
+	if id := layoutOf(t, enc).ID; id != Flate || id.String() != (lossless.Flate{}).Name() {
 		t.Fatalf("container ID = %v", id)
 	}
 }
@@ -411,17 +410,17 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 // fuzzCodecs maps every codec ID to its block codec.
-var fuzzCodecs = map[ID]BlockCodec{ZFP: BlockedZFP{}, FPC: BlockedFPC{}, Flate: BlockedFlate{}, SZ: sz.Blocks{}}
+var fuzzCodecs = map[ID]BlockCodec{ZFP: BlockedZFP{}, Flate: BlockedFlate{}, SZ: sz.Blocks{}}
 
 // FuzzContainer: the one header parser and the block decoders behind
-// it, for all four codec IDs. Any input either errors or decodes, never
+// it, for all three codec IDs. Any input either errors or decodes, never
 // panics, and never allocates more than a multiple of the input plus
 // the destination it was handed; on success BlockRanges, the layout
 // and a block-by-block decode agree with the whole-stream one.
 func FuzzContainer(f *testing.F) {
 	x := testField(700, 1)
 	for _, bc := range []BlockCodec{
-		BlockedZFP{Bound: 1e-4, BlockElems: 256}, BlockedFPC{BlockElems: 256}, BlockedFlate{BlockElems: 256},
+		BlockedZFP{Bound: 1e-4, BlockElems: 256}, BlockedFlate{BlockElems: 256},
 	} {
 		enc := compress(f, x, bc)
 		f.Add(enc, uint32(len(x)))
@@ -438,6 +437,9 @@ func FuzzContainer(f *testing.F) {
 		f.Add(enc, uint32(len(x)))
 	}
 	f.Add(AppendConstant(nil, sz.Blocks{}, 9, 1.5), uint32(9))
+	// The empty vector: one empty block, nothing to decode into.
+	f.Add(compress(f, nil, BlockedZFP{Bound: 1e-4}), uint32(0))
+	f.Add(compress(f, nil, BlockedFlate{}), uint32(0))
 	f.Add(mangleHeader([]byte("BLK1\x04"), 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8)), uint32(4))
 	f.Add(mangleHeader([]byte("BLK1\x01"), 1<<63, 1<<63, 1, []uint64{1 << 63}, nil), uint32(4))
 	f.Fuzz(func(t *testing.T, data []byte, n uint32) {
@@ -453,7 +455,7 @@ func FuzzContainer(f *testing.F) {
 				}
 			}
 		})
-		// DEFLATE, under three of the four codecs, inflates a byte to at
+		// DEFLATE, under two of the three codecs, inflates a byte to at
 		// most 1032; the length table costs 16 bytes a block and each
 		// block at least a byte; scratch is per destination element, and
 		// DEFLATE's window and a cold pool are a constant.

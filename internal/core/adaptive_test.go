@@ -99,7 +99,7 @@ func TestAdaptiveDueFollowsClock(t *testing.T) {
 			} else {
 				clk.now += 4
 			}
-			if it := m.LastCheckpointIteration(); it > 0 && (len(ckptIters) == 0 || ckptIters[len(ckptIters)-1] != it) {
+			if it := lastCkptIter(m); it > 0 && (len(ckptIters) == 0 || ckptIters[len(ckptIters)-1] != it) {
 				ckptIters = append(ckptIters, it)
 			}
 		},

@@ -109,7 +109,7 @@ func TestAsyncCrashConsistency(t *testing.T) {
 	if _, err := m.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.LastCheckpointIteration(); got != 10 {
+	if got := lastCkptIter(m); got != 10 {
 		t.Fatalf("committed checkpoint at %d, want 10", got)
 	}
 
@@ -131,7 +131,7 @@ func TestAsyncCrashConsistency(t *testing.T) {
 	if rolledTo != 10 {
 		t.Fatalf("recovered to iteration %d, want 10 (previous committed checkpoint)", rolledTo)
 	}
-	if got := m.LastCheckpointIteration(); got != 10 {
+	if got := lastCkptIter(m); got != 10 {
 		t.Fatalf("rollback target %d after recovery, want 10", got)
 	}
 	// The pipeline is healthy again: the next checkpoint commits.
@@ -144,7 +144,7 @@ func TestAsyncCrashConsistency(t *testing.T) {
 	if _, err := m.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.LastCheckpointIteration(); got != 15 {
+	if got := lastCkptIter(m); got != 15 {
 		t.Fatalf("post-recovery checkpoint at %d, want 15", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestAsyncErrorSurfacedOnNextCheckpoint(t *testing.T) {
 	if _, err := m.Checkpoint(); err == nil {
 		t.Fatal("background write failure was swallowed")
 	}
-	if got := m.LastCheckpointIteration(); got != 1 {
+	if got := lastCkptIter(m); got != 1 {
 		t.Fatalf("committed checkpoint moved to %d despite the failed write", got)
 	}
 	// Error consumed; checkpointing resumes.
@@ -187,14 +187,13 @@ func TestAsyncErrorSurfacedOnNextCheckpoint(t *testing.T) {
 	if _, err := m.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.LastCheckpointIteration(); got != 3 {
+	if got := lastCkptIter(m); got != 3 {
 		t.Fatalf("recovered pipeline checkpointed at %d, want 3", got)
 	}
 }
 
-// TestAsyncInFlightNotARecoveryTarget: HasCheckpoint and
-// LastCheckpointIteration must ignore a save whose write has not
-// committed yet.
+// TestAsyncInFlightNotARecoveryTarget: HasCheckpoint and the rollback
+// target must ignore a save whose write has not committed yet.
 func TestAsyncInFlightNotARecoveryTarget(t *testing.T) {
 	a, b, _ := cgSystem(t)
 	s := newCG(t, a, b)
@@ -208,7 +207,7 @@ func TestAsyncInFlightNotARecoveryTarget(t *testing.T) {
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if m.HasCheckpoint() || m.LastCheckpointIteration() != 0 {
+	if m.HasCheckpoint() || lastCkptIter(m) != 0 {
 		t.Fatal("in-flight save already counted as committed")
 	}
 	if !m.InFlight() {
@@ -218,7 +217,7 @@ func TestAsyncInFlightNotARecoveryTarget(t *testing.T) {
 	if _, err := m.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasCheckpoint() || m.LastCheckpointIteration() != 1 {
+	if !m.HasCheckpoint() || lastCkptIter(m) != 1 {
 		t.Fatal("committed save not promoted")
 	}
 }
@@ -299,7 +298,7 @@ func TestAsyncAbortDropsCompletedInFlight(t *testing.T) {
 	if err := m.AbortLastCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.LastCheckpointIteration(); got != 5 {
+	if got := lastCkptIter(m); got != 5 {
 		t.Fatalf("after abort the rollback target is %d, want 5", got)
 	}
 	if got := m.LastInfo(); got.Seq != infoBefore.Seq || got.Bytes != infoBefore.Bytes {
@@ -354,9 +353,9 @@ func TestAbortOfAFailedSaveKeepsItsPredecessor(t *testing.T) {
 		if err := m.AbortLastCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.LastInfo(); got.Seq != before.Seq || m.LastCheckpointIteration() != 3 {
+		if got := m.LastInfo(); got.Seq != before.Seq || lastCkptIter(m) != 3 {
 			t.Fatalf("%s: aborting a failed save moved the recovery target to seq %d (iteration %d), want seq %d (iteration 3)",
-				c.name, got.Seq, m.LastCheckpointIteration(), before.Seq)
+				c.name, got.Seq, lastCkptIter(m), before.Seq)
 		}
 		if it, err := m.Recover(); err != nil || it != 3 {
 			t.Fatalf("%s: Recover() = %d, %v; want the checkpoint at iteration 3", c.name, it, err)

@@ -99,7 +99,7 @@ type Config struct {
 	// provisional — Bytes is unknown until the background encode
 	// finishes; WaitCheckpoint or LastInfo report the final
 	// accounting), and the encode+write run concurrently with solver
-	// iterations. HasCheckpoint and LastCheckpointIteration report
+	// iterations. HasCheckpoint and LastInfo report
 	// committed checkpoints only; Recover drains the in-flight write
 	// first, and a background write that failed falls back to the
 	// previous committed checkpoint — the paper's failure-during-
@@ -481,17 +481,6 @@ func (m *Manager) HasCheckpoint() bool {
 func (m *Manager) LastInfo() fti.Info {
 	m.promote()
 	return m.lastInfo
-}
-
-// LastCheckpointIteration returns the iteration number at the most
-// recent committed checkpoint (0 if none) — the rollback target. An
-// in-flight async save is not yet a rollback target.
-func (m *Manager) LastCheckpointIteration() int {
-	m.promote()
-	if !m.haveCkpt {
-		return 0
-	}
-	return m.lastCkptIter
 }
 
 // InFlight reports whether an async checkpoint is currently being

@@ -6,7 +6,6 @@ import (
 	"repro/internal/fti"
 	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/sz"
 	"repro/internal/vec"
 )
 
@@ -52,107 +51,5 @@ func TestLossyWithZFPEncoder(t *testing.T) {
 	vec.Sub(diff, s.X(), xe)
 	if rel := vec.Norm2(diff) / vec.Norm2(xe); rel > 1e-5 {
 		t.Fatalf("solution error %g after ZFP lossy recovery", rel)
-	}
-}
-
-// TestBiCGSTABLossyCheckpointing extends the paper's scheme to
-// BiCGSTAB (future-work direction): lossy recovery restarts the
-// recurrence from the decompressed iterate and convergence survives.
-func TestBiCGSTABLossyCheckpointing(t *testing.T) {
-	// Nonsymmetric system: Poisson plus skew coupling.
-	base := sparse.Poisson2D(10)
-	bld := sparse.NewBuilder(base.Rows, base.Cols)
-	for i := 0; i < base.Rows; i++ {
-		for k := base.RowPtr[i]; k < base.RowPtr[i+1]; k++ {
-			bld.Add(i, base.ColIdx[k], base.Val[k])
-		}
-		if i+1 < base.Rows {
-			bld.Add(i, i+1, 0.4)
-		}
-	}
-	a := bld.Build()
-	xe := sparse.SmoothField(a.Rows, 53)
-	b := sparse.RHSForSolution(a, xe)
-
-	mk := func() *solver.BiCGSTAB {
-		return solver.NewBiCGSTAB(a, nil, b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-9})
-	}
-	baseRes, err := solver.RunToConvergence(mk(), solver.Options{MaxIter: 10000}, nil)
-	if err != nil || !baseRes.Converged {
-		t.Fatalf("baseline BiCGSTAB failed: %v", err)
-	}
-
-	s := mk()
-	m, err := NewManager(Config{
-		Scheme:   Lossy,
-		Interval: 8,
-		SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-5},
-	}, fti.NewMemStorage(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failAt := baseRes.Iterations / 2
-	if failAt < 9 {
-		failAt = 9
-	}
-	failed := false
-	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 20000}, func(it int, rnorm float64) error {
-		if _, err := m.MaybeCheckpoint(); err != nil {
-			return err
-		}
-		if it == failAt && !failed {
-			failed = true
-			if _, err := m.Recover(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || !failed {
-		t.Fatalf("converged=%v failed=%v", res.Converged, failed)
-	}
-	diff := make([]float64, len(xe))
-	vec.Sub(diff, s.X(), xe)
-	if rel := vec.Norm2(diff) / vec.Norm2(xe); rel > 1e-5 {
-		t.Fatalf("solution error %g after BiCGSTAB lossy recovery", rel)
-	}
-}
-
-// TestBiCGSTABTraditionalCheckpointing verifies the full dynamic-state
-// capture path for BiCGSTAB under the traditional scheme.
-func TestBiCGSTABTraditionalCheckpointing(t *testing.T) {
-	a := sparse.Poisson2D(8)
-	xe := sparse.SmoothField(a.Rows, 57)
-	b := sparse.RHSForSolution(a, xe)
-	s := solver.NewBiCGSTAB(a, nil, b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-9})
-	m, err := NewManager(Config{Scheme: Traditional, Interval: 5}, fti.NewMemStorage(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := false
-	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 10000}, func(it int, rnorm float64) error {
-		if _, err := m.MaybeCheckpoint(); err != nil {
-			return err
-		}
-		if it == 12 && !failed {
-			failed = true
-			rolledTo, err := m.Recover()
-			if err != nil {
-				return err
-			}
-			if rolledTo != 10 {
-				t.Errorf("rolled to %d, want 10", rolledTo)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge")
 	}
 }

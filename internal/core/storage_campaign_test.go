@@ -65,7 +65,8 @@ func TestStorageFaultCampaignInvisibleToSolver(t *testing.T) {
 		t.Fatalf("solver saw a storage error through the retry layer: %v", err)
 	}
 
-	injected := inj.Stats().Total()
+	ist := inj.Stats()
+	injected := ist.WriteFaults + ist.ReadFaults
 	if injected < 500 {
 		t.Fatalf("campaign injected only %d faults over %d checkpoints, want ≥ 500 — grow the system", injected, ckpts)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/abft"
 	"repro/internal/quality"
 )
 
@@ -97,10 +96,6 @@ func (r *RecoveryReport) ReadBytes() int {
 	}
 	return total
 }
-
-// ABFTGuard returns the configured ABFT guard (nil when the tier is
-// disabled).
-func (m *Manager) ABFTGuard() *abft.Guard { return m.abft }
 
 // RecoverTiered runs the full recovery chain after a failure:
 // ABFT reconstruction → latest checkpoint → older checkpoints →

@@ -115,7 +115,7 @@ func TestRecoverTieredFallsBackToLatestCheckpoint(t *testing.T) {
 	r := newTieredRig(t, 1)
 	r.steps(t, 5)
 	r.checkpoint(t)
-	ckptIt := r.m.LastCheckpointIteration()
+	ckptIt := lastCkptIter(r.m)
 	r.steps(t, 5)
 
 	r.g.CorruptRetained() // ABFT tier must fail verification

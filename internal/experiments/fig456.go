@@ -81,16 +81,6 @@ func (r *CkptTimesResult) CkptAt(s core.Scheme, procs int) float64 {
 	return -1
 }
 
-// RecAt returns the recovery seconds for a scheme at a process count.
-func (r *CkptTimesResult) RecAt(s core.Scheme, procs int) float64 {
-	for i, p := range r.Procs {
-		if p == procs {
-			return r.Rec[s][i]
-		}
-	}
-	return -1
-}
-
 // WriteText renders both panels of the figure.
 func (r *CkptTimesResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "%s — average time of one checkpoint and recovery, %s\n", r.Figure, r.Method)

@@ -185,28 +185,6 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	return out, nil
 }
 
-// schemeTimes derives per-scheme checkpoint and recovery seconds at a
-// given paper scale from the measured ratios and the cluster model.
-type schemeTimes struct {
-	Ckpt, Rec map[core.Scheme]float64
-}
-
-func timesAtScale(mdl *cluster.Model, procs int, perProcMB float64, r ratios) schemeTimes {
-	raw := float64(procs) * perProcMB * 1e6
-	st := schemeTimes{Ckpt: map[core.Scheme]float64{}, Rec: map[core.Scheme]float64{}}
-	st.Ckpt[core.Traditional] = mdl.CheckpointSeconds(procs, raw, raw, cluster.Uncompressed)
-	st.Rec[core.Traditional] = mdl.RecoverySeconds(procs, raw, raw, cluster.Uncompressed)
-	st.Ckpt[core.Lossless] = mdl.CheckpointSeconds(procs, raw/r.Lossless, raw, cluster.LosslessCompressed)
-	st.Rec[core.Lossless] = mdl.RecoverySeconds(procs, raw/r.Lossless, raw, cluster.LosslessCompressed)
-	// The lossy scheme checkpoints only x (one vector), so for CG the
-	// raw volume halves before compression — handled by the caller via
-	// perProcMB when needed; here ratios already refer to the full
-	// dynamic state.
-	st.Ckpt[core.Lossy] = mdl.CheckpointSeconds(procs, raw/r.Lossy, raw, cluster.LossyCompressed)
-	st.Rec[core.Lossy] = mdl.RecoverySeconds(procs, raw/r.Lossy, raw, cluster.LossyCompressed)
-	return st
-}
-
 // managedRun builds a solver plus manager pair for a sim run.
 func managedRun(method string, a *sparse.CSR, b []float64, rtol float64, scheme core.Scheme, eb float64) (solver.Checkpointable, *core.Manager, error) {
 	s, err := buildSolver(method, a, b, rtol)

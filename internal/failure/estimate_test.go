@@ -110,9 +110,6 @@ func TestRateEstimatorConvergesToTrueRate(t *testing.T) {
 	if rel := math.Abs(e.Rate(now)*mtti - 1); rel > 0.05 {
 		t.Fatalf("posterior rate %.6f after 5000 failures, want ≈ %.6f", e.Rate(now), 1/mtti)
 	}
-	if got := e.MTTI(now); math.Abs(got-1/e.Rate(now)) > 1e-12 {
-		t.Fatalf("MTTI %g inconsistent with Rate %g", got, e.Rate(now))
-	}
 }
 
 // TestRateEstimatorMatchesBatchMLE: the incremental posterior with the

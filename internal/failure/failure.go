@@ -25,9 +25,6 @@ func NewInjector(mtti float64, seed int64) *Injector {
 	return &Injector{rng: rand.New(rand.NewSource(seed)), mtti: mtti}
 }
 
-// MTTI returns the configured mean time to interruption.
-func (i *Injector) MTTI() float64 { return i.mtti }
-
 // Next returns the absolute time of the next failure after now.
 func (i *Injector) Next(now float64) float64 {
 	if i.mtti <= 0 {
@@ -132,9 +129,6 @@ func (e *RateEstimator) Rate(now float64) float64 {
 	return (e.priorFailures + float64(e.failures)) /
 		(e.priorSeconds + e.observed + (now - e.lastAt))
 }
-
-// MTTI returns 1/Rate(now): the estimated mean time to interruption.
-func (e *RateEstimator) MTTI(now float64) float64 { return 1 / e.Rate(now) }
 
 // Failures reports how many real (non-prior) failures were observed.
 func (e *RateEstimator) Failures() int { return e.failures }

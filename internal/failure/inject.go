@@ -229,9 +229,6 @@ func parseIterSpec(s string) ([]int, error) {
 // Events returns the remaining scheduled events in iteration order.
 func (p *Plan) Events() []Injection { return p.events }
 
-// Empty reports whether no events remain.
-func (p *Plan) Empty() bool { return len(p.events) == 0 }
-
 // Take consumes and returns the kinds scheduled at iterations ≤ iter
 // (normally exactly one event). Nil when nothing is due.
 func (p *Plan) Take(iter int) []Kind {

@@ -46,7 +46,7 @@ func TestParsePlanRejectsBadSpecs(t *testing.T) {
 			t.Errorf("spec %q was accepted", spec)
 		}
 	}
-	if p, err := ParsePlan("  ", 1); err != nil || !p.Empty() {
+	if p, err := ParsePlan("  ", 1); err != nil || len(p.Events()) != 0 {
 		t.Fatalf("blank spec: plan %+v err %v, want empty plan", p, err)
 	}
 }
@@ -68,7 +68,7 @@ func TestPlanTakeConsumesInOrder(t *testing.T) {
 	if got := p.Take(30); len(got) != 1 || got[0] != ProcLoss {
 		t.Fatalf("Take(30) = %v, want [proc]", got)
 	}
-	if !p.Empty() {
+	if len(p.Events()) != 0 {
 		t.Fatal("plan not empty after consuming everything")
 	}
 }

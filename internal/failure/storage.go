@@ -69,10 +69,6 @@ type InjectStats struct {
 	CrashedOps      int // attempts rejected while crashed
 }
 
-// Total returns the number of injected error faults (excluding
-// delays).
-func (s InjectStats) Total() int { return s.WriteFaults + s.ReadFaults }
-
 // ErrCrashed is what every operation returns between a crash arming
 // and Revive — classified permanent so the retry layer fails fast,
 // exactly like a node that lost its PFS mount.
@@ -111,9 +107,6 @@ func NewStorageInjector(inner fti.Storage, seed int64, prof StorageProfile) *Sto
 		seenFirst: map[string]bool{},
 	}
 }
-
-// Unwrap returns the wrapped Storage.
-func (si *StorageInjector) Unwrap() fti.Storage { return si.inner }
 
 // ArmWrite schedules the next n write attempts to fail per the seeded
 // transient/permanent mix.

@@ -88,7 +88,7 @@ func TestStorageInjectorSeededDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed, different campaigns: %+v vs %+v", a, b)
 	}
-	if a.Total() == 0 || a.TransientFaults == 0 || a.PermanentFaults == 0 {
+	if a.WriteFaults+a.ReadFaults == 0 || a.TransientFaults == 0 || a.PermanentFaults == 0 {
 		t.Fatalf("rate 0.5 / frac 0.7 over 400 attempts should mix classes: %+v", a)
 	}
 }

@@ -99,14 +99,6 @@ func matrixCases() []matrixCase {
 			},
 		},
 		{
-			codec:                  "fpc",
-			identicalAcrossLayouts: true,
-			check:                  exactCheck,
-			enc: func(layout string) Encoder {
-				return Lossless{Codec: codec.BlockedFPC{BlockElems: matrixBlockElems(layout)}}
-			},
-		},
-		{
 			codec:                  "flate",
 			identicalAcrossLayouts: true,
 			check:                  exactCheck,

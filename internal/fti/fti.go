@@ -261,10 +261,6 @@ func (c *Checkpointer) SetSharding(shards, workers int) error {
 	return nil
 }
 
-// Sharding reports the configured shard count and storage worker
-// bound (1, 0 means monolithic writes).
-func (c *Checkpointer) Sharding() (shards, workers int) { return max(c.shards, 1), c.storageWorkers }
-
 // AttachScrubber wires s into the save path: every committed
 // checkpoint's encoded payload is retained (copied) by the scrubber
 // as its repair source. Pass nil to detach. Follows the same

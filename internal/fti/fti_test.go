@@ -15,7 +15,6 @@ func encoders() []Encoder {
 	return []Encoder{
 		Raw{},
 		Lossless{Codec: codec.BlockedFlate{}},
-		Lossless{Codec: codec.BlockedFPC{}},
 		SZ{Params: sz.Params{Mode: sz.Abs, ErrorBound: 1e-6}},
 		ZFP{Bound: 1e-6},
 	}
@@ -76,14 +75,9 @@ func storages(t *testing.T) map[string]Storage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := NewDirStorage(filepath.Join(t.TempDir(), "local"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Storage{
-		"dir":    ds,
-		"mem":    NewMemStorage(),
-		"tiered": &Tiered{Local: local, Global: NewMemStorage()},
+		"dir": ds,
+		"mem": NewMemStorage(),
 	}
 }
 
@@ -422,23 +416,6 @@ func TestStatics(t *testing.T) {
 	}
 	if _, err := c.ReadStatic("missing"); err == nil {
 		t.Fatal("expected error for missing static")
-	}
-}
-
-func TestTieredFallsBackToGlobal(t *testing.T) {
-	local := NewMemStorage()
-	global := NewMemStorage()
-	tiered := &Tiered{Local: local, Global: global}
-	if err := tiered.Write("a", []byte{5}); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate node-local loss (the failure mode FTI levels exist for).
-	if err := local.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tiered.Read("a")
-	if err != nil || got[0] != 5 {
-		t.Fatalf("tiered read after local loss: %v %v", got, err)
 	}
 }
 

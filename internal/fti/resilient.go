@@ -207,10 +207,6 @@ func NewResilient(inner Storage, pol FaultPolicy) *Resilient {
 	}
 }
 
-// Unwrap returns the wrapped Storage (fault injectors and fsck sweeps
-// reach through the retry layer with it).
-func (r *Resilient) Unwrap() Storage { return r.inner }
-
 // Stats returns a snapshot of the cumulative retry accounting.
 func (r *Resilient) Stats() RetryStats {
 	r.mu.Lock()

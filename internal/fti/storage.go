@@ -275,49 +275,3 @@ func (s *MemStorage) List() ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// TotalBytes reports the number of bytes held (test/diagnostic aid).
-func (s *MemStorage) TotalBytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, d := range s.files {
-		total += len(d)
-	}
-	return total
-}
-
-// Tiered mirrors FTI's multilevel idea in its simplest useful form:
-// writes go to both a fast local level and a reliable global level;
-// reads try local first and fall back to global. Deletes apply to both.
-type Tiered struct {
-	Local  Storage
-	Global Storage
-}
-
-// Write stores to both levels; the global level must succeed.
-func (s *Tiered) Write(name string, data []byte) error {
-	if err := s.Global.Write(name, data); err != nil {
-		return err
-	}
-	// A local-level failure only costs the fast path.
-	_ = s.Local.Write(name, data)
-	return nil
-}
-
-// Read prefers the local level.
-func (s *Tiered) Read(name string) ([]byte, error) {
-	if data, err := s.Local.Read(name); err == nil {
-		return data, nil
-	}
-	return s.Global.Read(name)
-}
-
-// Delete removes from both levels.
-func (s *Tiered) Delete(name string) error {
-	_ = s.Local.Delete(name)
-	return s.Global.Delete(name)
-}
-
-// List lists the global (authoritative) level.
-func (s *Tiered) List() ([]string, error) { return s.Global.List() }

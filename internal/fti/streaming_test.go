@@ -66,7 +66,7 @@ func streamingEncoders() []Encoder {
 		SZ{Params: sz.Params{Mode: sz.Abs, ErrorBound: 1e-5}},
 		Raw{},
 		Lossless{Codec: codec.BlockedFlate{}},
-		Lossless{Codec: codec.BlockedFPC{BlockElems: 5000}},
+		Lossless{Codec: codec.BlockedFlate{BlockElems: 5000}},
 		ZFP{Bound: 1e-5},
 	}
 }

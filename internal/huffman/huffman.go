@@ -182,8 +182,8 @@ type encoder struct {
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
 // Encode Huffman-codes the symbol stream. Symbols must lie in
-// [0, alphabet). The output is self-describing: Decode needs no side
-// information.
+// [0, alphabet). The output is self-describing: DecodeInto needs no
+// side information.
 func Encode(symbols []int, alphabet int) ([]byte, error) {
 	return AppendEncode(nil, symbols, alphabet)
 }
@@ -276,11 +276,6 @@ func emitBits(buf []byte, symbols []int, packed []uint64) int {
 	return idx + int((nbits+7)>>3)
 }
 
-// Decode reverses Encode.
-func Decode(data []byte) ([]int, error) {
-	return DecodeInto(data, nil)
-}
-
 // decoder is the per-stream decode state, pooled so steady-state
 // decoding allocates nothing. Table rows everywhere are sym<<6 | len.
 type decoder struct {
@@ -300,7 +295,7 @@ type decoder struct {
 
 var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
-// DecodeInto is Decode writing into buf's backing array when its
+// DecodeInto reverses Encode, writing into buf's backing array when its
 // capacity suffices (buf may be nil or a recycled zero-length slice).
 // The returned slice aliases buf when no growth was needed, letting
 // callers pool the symbol buffer across blocks. The decoder builds its

@@ -639,10 +639,10 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(enc[:2]); err == nil {
+	if _, err := DecodeInto(enc[:2], nil); err == nil {
 		t.Fatal("expected error on truncated header")
 	}
-	if _, err := Decode(enc[:len(enc)-1]); err == nil {
+	if _, err := DecodeInto(enc[:len(enc)-1], nil); err == nil {
 		t.Fatal("expected error on truncated bitstream")
 	}
 }

@@ -10,35 +10,29 @@ import (
 	"repro/internal/sparse"
 )
 
-// Codec is what both lossless coders offer.
-type Codec interface {
-	Name() string
-	Compress(x []float64) ([]byte, error)
-	Decompress(data []byte) ([]float64, error)
-	DecompressInto(dst []float64, data []byte) error
+// ratio is original/compressed in bytes for n float64 values.
+func ratio(n int, compressed []byte) float64 {
+	return float64(8*n) / float64(len(compressed))
 }
 
-func codecs() []Codec {
-	return []Codec{Flate{}, FPC{}}
-}
-
-func roundTrip(t *testing.T, c Codec, x []float64) []byte {
+// roundTrip compresses x, decodes it into a NaN-poisoned destination
+// and requires every value back bit for bit.
+func roundTrip(t *testing.T, x []float64) []byte {
 	t.Helper()
-	comp, err := c.Compress(x)
+	comp, err := Flate{}.Compress(x)
 	if err != nil {
-		t.Fatalf("%s: %v", c.Name(), err)
+		t.Fatal(err)
 	}
-	got, err := c.Decompress(comp)
-	if err != nil {
-		t.Fatalf("%s: %v", c.Name(), err)
+	got := make([]float64, len(x))
+	for i := range got {
+		got[i] = math.NaN()
 	}
-	if len(got) != len(x) {
-		t.Fatalf("%s: got %d values, want %d", c.Name(), len(got), len(x))
+	if err := (Flate{}).DecompressInto(got, comp); err != nil {
+		t.Fatal(err)
 	}
 	for i := range x {
 		if math.Float64bits(got[i]) != math.Float64bits(x[i]) {
-			t.Fatalf("%s: value %d not bit-exact: %x vs %x",
-				c.Name(), i, math.Float64bits(got[i]), math.Float64bits(x[i]))
+			t.Fatalf("value %d not bit-exact: %x vs %x", i, math.Float64bits(got[i]), math.Float64bits(x[i]))
 		}
 	}
 	return comp
@@ -46,9 +40,7 @@ func roundTrip(t *testing.T, c Codec, x []float64) []byte {
 
 func TestRoundTripSmooth(t *testing.T) {
 	x := sparse.SmoothField(5000, 1)
-	for _, c := range codecs() {
-		roundTrip(t, c, x)
-	}
+	roundTrip(t, x)
 }
 
 func TestRoundTripRandom(t *testing.T) {
@@ -57,35 +49,17 @@ func TestRoundTripRandom(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20))-10)
 	}
-	for _, c := range codecs() {
-		roundTrip(t, c, x)
-	}
+	roundTrip(t, x)
 }
 
 func TestRoundTripSpecialValues(t *testing.T) {
 	x := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.MaxFloat64, math.SmallestNonzeroFloat64, -1.5}
-	for _, c := range codecs() {
-		comp, err := c.Compress(x)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		got, err := c.Decompress(comp)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		for i := range x {
-			if math.Float64bits(got[i]) != math.Float64bits(x[i]) {
-				t.Fatalf("%s: special value %d corrupted", c.Name(), i)
-			}
-		}
-	}
+	roundTrip(t, x)
 }
 
 func TestRoundTripEmpty(t *testing.T) {
-	for _, c := range codecs() {
-		roundTrip(t, c, nil)
-	}
+	roundTrip(t, nil)
 }
 
 func TestRepeatedDataCompressesWell(t *testing.T) {
@@ -93,11 +67,8 @@ func TestRepeatedDataCompressesWell(t *testing.T) {
 	for i := range x {
 		x[i] = 1.0
 	}
-	for _, c := range codecs() {
-		comp := roundTrip(t, c, x)
-		if r := Ratio(len(x), comp); r < 4 {
-			t.Fatalf("%s: constant data ratio %.1f < 4", c.Name(), r)
-		}
+	if r := ratio(len(x), roundTrip(t, x)); r < 4 {
+		t.Fatalf("constant data ratio %.1f < 4", r)
 	}
 }
 
@@ -109,50 +80,33 @@ func TestRandomMantissasBarelyCompress(t *testing.T) {
 	for i := range x {
 		x[i] = 1 + rng.Float64() // same exponent, random mantissa
 	}
-	for _, c := range codecs() {
-		comp := roundTrip(t, c, x)
-		r := Ratio(len(x), comp)
-		if r > 2.5 {
-			t.Fatalf("%s: ratio %.2f unexpectedly high for random mantissas", c.Name(), r)
-		}
-		if r < 0.8 {
-			t.Fatalf("%s: ratio %.2f shows pathological expansion", c.Name(), r)
-		}
+	r := ratio(len(x), roundTrip(t, x))
+	if r > 2.5 {
+		t.Fatalf("ratio %.2f unexpectedly high for random mantissas", r)
+	}
+	if r < 0.8 {
+		t.Fatalf("ratio %.2f shows pathological expansion", r)
 	}
 }
 
 func TestDecompressRejectsGarbage(t *testing.T) {
-	for _, c := range codecs() {
-		if _, err := c.Decompress([]byte{1, 2, 3}); err == nil {
-			t.Fatalf("%s: expected error on truncated input", c.Name())
-		}
+	dst := make([]float64, 100)
+	if err := (Flate{}).DecompressInto(dst, []byte{1, 2, 3}); err == nil {
+		t.Fatal("expected error on truncated input")
 	}
 	comp, err := Flate{}.Compress(sparse.SmoothField(100, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Flate{}).Decompress(comp[:len(comp)-3]); err == nil {
-		t.Fatal("flate: expected error on truncated stream")
+	if err := (Flate{}).DecompressInto(dst, comp[:len(comp)-3]); err == nil {
+		t.Fatal("expected error on truncated stream")
 	}
-	compF, err := FPC{}.Compress(sparse.SmoothField(100, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (FPC{}).Decompress(compF[:len(compF)-3]); err == nil {
-		t.Fatal("fpc: expected error on truncated stream")
-	}
-}
-
-func TestFPCExploitsSmoothness(t *testing.T) {
-	// FPC's stride predictor should beat flate on slowly varying data
-	// with shared exponents, and both must stay lossless.
-	x := make([]float64, 20000)
-	for i := range x {
-		x[i] = 1000 + float64(i)*1e-6
-	}
-	fpc := roundTrip(t, FPC{}, x)
-	if r := Ratio(len(x), fpc); r < 2 {
-		t.Fatalf("fpc ratio %.2f < 2 on linear data", r)
+	// A header claiming far more values than DEFLATE could expand the
+	// payload to must error before the inflate buffer is sized.
+	crafted := make([]byte, 24)
+	binary.LittleEndian.PutUint64(crafted, 1<<40)
+	if err := (Flate{}).DecompressInto(dst, crafted); err == nil {
+		t.Fatal("crafted length accepted")
 	}
 }
 
@@ -171,19 +125,17 @@ func TestRoundTripProperty(t *testing.T) {
 				x[i] = math.Float64frombits(rng.Uint64()) // arbitrary bits
 			}
 		}
-		for _, c := range codecs() {
-			comp, err := c.Compress(x)
-			if err != nil {
+		comp, err := Flate{}.Compress(x)
+		if err != nil {
+			return false
+		}
+		got := make([]float64, n)
+		if err := (Flate{}).DecompressInto(got, comp); err != nil {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(got[i]) != math.Float64bits(x[i]) {
 				return false
-			}
-			got, err := c.Decompress(comp)
-			if err != nil || len(got) != n {
-				return false
-			}
-			for i := range x {
-				if math.Float64bits(got[i]) != math.Float64bits(x[i]) {
-					return false
-				}
 			}
 		}
 		return true
@@ -193,51 +145,15 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestDecompressIntoMatchesDecompress: both codecs' in-place decodes
-// must be bit-exact against the allocating path and reject wrong-size
-// destinations (the extended Encoder contract's into-variant).
-func TestDecompressIntoMatchesDecompress(t *testing.T) {
+// TestDecompressIntoRejectsWrongSize: the in-place decode refuses a
+// destination whose length is not the stream's element count.
+func TestDecompressIntoRejectsWrongSize(t *testing.T) {
 	x := sparse.SmoothField(20_000, 21)
-	for _, c := range codecs() {
-		comp, err := c.Compress(x)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		want, err := c.Decompress(comp)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		got := make([]float64, len(x))
-		for i := range got {
-			got[i] = math.NaN()
-		}
-		if err := c.DecompressInto(got, comp); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("%s index %d: into %g != alloc %g", c.Name(), i, got[i], want[i])
-			}
-		}
-		if err := c.DecompressInto(make([]float64, len(x)-1), comp); err == nil {
-			t.Fatalf("%s: short dst accepted", c.Name())
-		}
-		if err := c.DecompressInto(make([]float64, len(x)+1), comp); err == nil {
-			t.Fatalf("%s: long dst accepted", c.Name())
-		}
+	comp := roundTrip(t, x)
+	if err := (Flate{}).DecompressInto(make([]float64, len(x)-1), comp); err == nil {
+		t.Fatal("short dst accepted")
 	}
-}
-
-// TestFPCRejectsCraftedLength: a header claiming far more values than
-// the payload could hold must error before any allocation, so a
-// corrupt checkpoint falls back instead of OOM-ing the restore.
-func TestFPCRejectsCraftedLength(t *testing.T) {
-	crafted := make([]byte, 24)
-	binary.LittleEndian.PutUint64(crafted, 1<<40)
-	if _, err := (FPC{}).Decompress(crafted); err == nil {
-		t.Fatal("crafted fpc length accepted")
-	}
-	if err := (FPC{}).DecompressInto(make([]float64, 4), crafted); err == nil {
-		t.Fatal("crafted fpc length accepted by DecompressInto")
+	if err := (Flate{}).DecompressInto(make([]float64, len(x)+1), comp); err == nil {
+		t.Fatal("long dst accepted")
 	}
 }

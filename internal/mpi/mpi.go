@@ -1,9 +1,9 @@
 // Package mpi provides a small message-passing runtime that stands in
 // for MPI in this reproduction. Ranks are goroutines inside one
 // process; the package offers the collective and point-to-point
-// semantics the solvers need (Barrier, Allreduce, Bcast, Allgatherv,
-// Send/Recv), so the distributed numerical code paths are exercised
-// for real even though no network is involved.
+// semantics the solvers need (Allreduce, Allgatherv, Send/Recv), so
+// the distributed numerical code paths are exercised for real even
+// though no network is involved.
 //
 // The paper ran PETSc over MPI on 2,048 physical cores. The numerics
 // of a Krylov or stationary solver are independent of the transport:
@@ -47,9 +47,6 @@ func NewWorld(size int) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
 
 // Comm is a per-rank communicator handle. It is not safe to share one
 // Comm between goroutines; each rank goroutine owns its Comm.
@@ -147,11 +144,6 @@ func (c *collective) phase(contribute, finish, read func()) {
 	}
 }
 
-// Barrier blocks until every rank has entered the barrier.
-func (c *Comm) Barrier() {
-	c.w.coll.phase(func() {}, nil, nil)
-}
-
 // AllreduceSum returns the sum of x over all ranks. This is the kernel
 // behind distributed dot products and norms.
 func (c *Comm) AllreduceSum(x float64) float64 {
@@ -163,42 +155,6 @@ func (c *Comm) AllreduceSum(x float64) float64 {
 				cl.accF = 0
 			}
 			cl.accF += x
-		},
-		func() { cl.resF = cl.accF },
-		func() { out = cl.resF },
-	)
-	return out
-}
-
-// AllreduceMax returns the maximum of x over all ranks.
-func (c *Comm) AllreduceMax(x float64) float64 {
-	cl := c.w.coll
-	var out float64
-	cl.phase(
-		func() {
-			if cl.count == 0 {
-				cl.accF = x
-			} else if x > cl.accF {
-				cl.accF = x
-			}
-		},
-		func() { cl.resF = cl.accF },
-		func() { out = cl.resF },
-	)
-	return out
-}
-
-// AllreduceMin returns the minimum of x over all ranks.
-func (c *Comm) AllreduceMin(x float64) float64 {
-	cl := c.w.coll
-	var out float64
-	cl.phase(
-		func() {
-			if cl.count == 0 {
-				cl.accF = x
-			} else if x < cl.accF {
-				cl.accF = x
-			}
 		},
 		func() { cl.resF = cl.accF },
 		func() { out = cl.resF },
@@ -233,28 +189,6 @@ func (c *Comm) AllreduceSumVec(x []float64) {
 		},
 		func() {
 			copy(x, cl.result)
-		},
-	)
-}
-
-// Bcast broadcasts x from root to all ranks; every rank passes a slice
-// of the same length and receives root's contents.
-func (c *Comm) Bcast(root int, x []float64) {
-	cl := c.w.coll
-	cl.phase(
-		func() {
-			if c.rank == root {
-				cl.result = append(cl.result[:0], x...)
-			}
-		},
-		nil,
-		func() {
-			if c.rank != root {
-				if len(x) != len(cl.result) {
-					panic("mpi: Bcast length mismatch")
-				}
-				copy(x, cl.result)
-			}
 		},
 	)
 }
@@ -323,21 +257,4 @@ func (c *Comm) Recv(from, tag int) []float64 {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, from, m.tag))
 	}
 	return m.data
-}
-
-// SendRecv exchanges data with a partner rank without deadlocking:
-// lower rank sends first. Both sides must call it with matching tags.
-func (c *Comm) SendRecv(partner, tag int, send []float64) []float64 {
-	if c.rank == partner {
-		out := make([]float64, len(send))
-		copy(out, send)
-		return out
-	}
-	if c.rank < partner {
-		c.Send(partner, tag, send)
-		return c.Recv(partner, tag)
-	}
-	recv := c.Recv(partner, tag)
-	c.Send(partner, tag, send)
-	return recv
 }

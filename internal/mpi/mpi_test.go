@@ -63,59 +63,12 @@ func TestAllreduceSumRepeated(t *testing.T) {
 	}
 }
 
-func TestAllreduceMaxMin(t *testing.T) {
-	err := Run(7, func(c *Comm) error {
-		max := c.AllreduceMax(float64(c.Rank()))
-		if max != 6 {
-			t.Errorf("AllreduceMax = %v, want 6", max)
-		}
-		min := c.AllreduceMin(float64(c.Rank()))
-		if min != 0 {
-			t.Errorf("AllreduceMin = %v, want 0", min)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduceMaxNegative(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		got := c.AllreduceMax(-float64(c.Rank()) - 1)
-		if got != -1 {
-			t.Errorf("AllreduceMax = %v, want -1", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllreduceSumVec(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		x := []float64{float64(c.Rank()), 1}
 		c.AllreduceSumVec(x)
 		if x[0] != 6 || x[1] != 4 {
 			t.Errorf("rank %d: AllreduceSumVec = %v, want [6 4]", c.Rank(), x)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	err := Run(6, func(c *Comm) error {
-		x := make([]float64, 3)
-		if c.Rank() == 2 {
-			x[0], x[1], x[2] = 7, 8, 9
-		}
-		c.Bcast(2, x)
-		if x[0] != 7 || x[1] != 8 || x[2] != 9 {
-			t.Errorf("rank %d: Bcast = %v", c.Rank(), x)
 		}
 		return nil
 	})
@@ -180,55 +133,6 @@ func TestSendCopiesData(t *testing.T) {
 			if got[0] != 42 {
 				t.Errorf("Recv = %v, want 42 (Send must copy)", got[0])
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvExchange(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		partner := c.Rank() ^ 1 // pair 0<->1, 2<->3
-		got := c.SendRecv(partner, 5, []float64{float64(c.Rank())})
-		if got[0] != float64(partner) {
-			t.Errorf("rank %d: SendRecv = %v, want %d", c.Rank(), got[0], partner)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvSelf(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		got := c.SendRecv(0, 0, []float64{3})
-		if got[0] != 3 {
-			t.Errorf("self SendRecv = %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierManyRanks(t *testing.T) {
-	// A larger world exercising repeated barriers; a bug in the
-	// generation logic shows up as a hang (caught by test timeout) or
-	// as a torn counter.
-	var phase int64
-	err := Run(64, func(c *Comm) error {
-		for i := 0; i < 10; i++ {
-			atomic.AddInt64(&phase, 1)
-			c.Barrier()
-			if v := atomic.LoadInt64(&phase); v%64 != 0 {
-				t.Errorf("barrier leaked: phase=%d after barrier %d", v, i)
-				return nil
-			}
-			c.Barrier()
 		}
 		return nil
 	})

@@ -176,7 +176,6 @@ const (
 	SpanFailure     = "failure"      // instant marker
 	SpanTierPrefix  = "tier:"        // + RecoveryTier.String(), one span per TierAttempt
 	SpanScrub       = "scrub-sweep"  // one background scrub pass over committed groups
-	SpanFsck        = "fsck"         // startup crash-consistency sweep
 
 	SpanQualityAudit     = "quality-audit"   // one audited vector save (distortion stats)
 	SpanQualityViolation = "bound-violation" // instant: audited error exceeded the bound

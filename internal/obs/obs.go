@@ -16,8 +16,8 @@
 //     identically (asserted in internal/sim tests).
 //   - labeled child scopes: Registry.With derives a view over the
 //     same store with extra labels, so a future multi-tenant ckptd
-//     can mount one scope per stream (tenant="..."), snapshot them
-//     together, and Merge snapshots across processes.
+//     can mount one scope per stream (tenant="...") and snapshot them
+//     together.
 package obs
 
 import (
@@ -73,20 +73,6 @@ type Gauge struct{ bits atomic.Uint64 }
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds v (CAS loop).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
 	}
 }
 
@@ -423,72 +409,6 @@ func sortedLabels(labels []Label) []Label {
 	out := append([]Label(nil), labels...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
-}
-
-// Merge combines two snapshots: counters and histograms add (bounds
-// must match), gauges take o's value (o is the newer snapshot).
-// Metrics present in only one side pass through.
-func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
-	type slot struct {
-		m    MetricData
-		seen bool
-	}
-	idx := make(map[mkey]*slot, len(s.Metrics))
-	order := make([]mkey, 0, len(s.Metrics)+len(o.Metrics))
-	for _, m := range s.Metrics {
-		k := mkey{m.Name, encodeLabels(m.Labels)}
-		cp := m
-		cp.Bounds = append([]float64(nil), m.Bounds...)
-		cp.Counts = append([]uint64(nil), m.Counts...)
-		idx[k] = &slot{m: cp}
-		order = append(order, k)
-	}
-	for _, m := range o.Metrics {
-		k := mkey{m.Name, encodeLabels(m.Labels)}
-		sl, ok := idx[k]
-		if !ok {
-			cp := m
-			cp.Bounds = append([]float64(nil), m.Bounds...)
-			cp.Counts = append([]uint64(nil), m.Counts...)
-			idx[k] = &slot{m: cp}
-			order = append(order, k)
-			continue
-		}
-		if sl.m.Type != m.Type {
-			return Snapshot{}, fmt.Errorf("obs: merge type mismatch for %s: %s vs %s", m.Name, sl.m.Type, m.Type)
-		}
-		switch m.Type {
-		case "counter":
-			sl.m.Value += m.Value
-		case "gauge":
-			sl.m.Value = m.Value
-		case "histogram":
-			if len(sl.m.Bounds) != len(m.Bounds) {
-				return Snapshot{}, fmt.Errorf("obs: merge bucket mismatch for %s", m.Name)
-			}
-			for i, b := range m.Bounds {
-				if sl.m.Bounds[i] != b {
-					return Snapshot{}, fmt.Errorf("obs: merge bucket mismatch for %s", m.Name)
-				}
-			}
-			sl.m.Count += m.Count
-			sl.m.Sum += m.Sum
-			for i, c := range m.Counts {
-				sl.m.Counts[i] += c
-			}
-		}
-	}
-	out := Snapshot{Metrics: make([]MetricData, 0, len(order))}
-	for _, k := range order {
-		out.Metrics = append(out.Metrics, idx[k].m)
-	}
-	sort.Slice(out.Metrics, func(i, j int) bool {
-		if out.Metrics[i].Name != out.Metrics[j].Name {
-			return out.Metrics[i].Name < out.Metrics[j].Name
-		}
-		return encodeLabels(out.Metrics[i].Labels) < encodeLabels(out.Metrics[j].Labels)
-	})
-	return out, nil
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -103,7 +103,7 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(1)
 				h.Observe(float64(1024 * (w + 1)))
 			}
 		}(w)
@@ -112,73 +112,48 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := c.Value(); got != workers*per {
 		t.Errorf("counter = %d, want %d", got, workers*per)
 	}
-	if got := g.Value(); got != workers*per {
-		t.Errorf("gauge = %g, want %d", got, workers*per)
+	if got := g.Value(); got != 1 {
+		t.Errorf("gauge = %g, want 1", got)
 	}
 	if got := h.Count(); got != workers*per {
 		t.Errorf("histogram count = %d, want %d", got, workers*per)
 	}
 }
 
-func TestSnapshotMergeRoundTrip(t *testing.T) {
-	mk := func(n uint64) *Registry {
-		r := New()
-		r.Counter("test_events_total").Add(n)
-		r.Gauge("test_level_ratio").Set(float64(n))
-		h := r.Histogram("test_size_bytes", []float64{10, 100})
-		for i := uint64(0); i < n; i++ {
-			h.Observe(float64(i * 30))
-		}
-		r.With(L("tier", "abft")).Counter("test_events_total").Add(2 * n)
-		return r
+func TestSnapshotJSONRoundTrip(t *testing.T) {
+	r := New()
+	r.Counter("test_events_total").Add(3)
+	r.Gauge("test_level_ratio").Set(3)
+	h := r.Histogram("test_size_bytes", []float64{10, 100})
+	for _, v := range []float64{0, 30, 60, 120} {
+		h.Observe(v)
 	}
-	a, b := mk(3), mk(5)
-	merged, err := a.Snapshot().Merge(b.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round-trip through JSON and compare against a registry that saw
-	// both loads.
+	r.With(L("tier", "abft")).Counter("test_events_total").Add(6)
 	var buf bytes.Buffer
-	if err := merged.WriteJSON(&buf); err != nil {
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if got := back.Get("test_events_total").Value; got != 8 {
-		t.Errorf("merged unlabeled counter = %g, want 8", got)
+	if got := back.Get("test_events_total").Value; got != 3 {
+		t.Errorf("unlabeled counter = %g, want 3", got)
 	}
-	if got := back.Get("test_events_total", L("tier", "abft")).Value; got != 16 {
-		t.Errorf("merged labeled counter = %g, want 16", got)
+	if got := back.Get("test_events_total", L("tier", "abft")).Value; got != 6 {
+		t.Errorf("labeled counter = %g, want 6", got)
 	}
-	if got := back.Get("test_level_ratio").Value; got != 5 {
-		t.Errorf("merged gauge = %g, want 5 (newer side wins)", got)
+	if got := back.Get("test_level_ratio").Value; got != 3 {
+		t.Errorf("gauge = %g, want 3", got)
 	}
 	hm := back.Get("test_size_bytes")
-	if hm.Count != 8 {
-		t.Errorf("merged histogram count = %d, want 8", hm.Count)
+	if hm.Count != 4 {
+		t.Errorf("histogram count = %d, want 4", hm.Count)
 	}
-	// 3-observation side: 0,30,60 → buckets le10:1, le100:2; 5-side:
-	// 0,30,60,90,120 → le10:1, le100:3, +Inf:1.
-	wantCounts := []uint64{2, 5, 1}
-	for i, c := range hm.Counts {
-		if c != wantCounts[i] {
-			t.Errorf("merged bucket %d = %d, want %d", i, c, wantCounts[i])
+	for i, want := range []uint64{1, 2, 1} { // le10, le100, +Inf
+		if hm.Counts[i] != want {
+			t.Errorf("bucket %d = %d, want %d", i, hm.Counts[i], want)
 		}
-	}
-
-	// Bucket-mismatch and type-mismatch merges must error.
-	r2 := New()
-	r2.Histogram("test_size_bytes", []float64{1, 2, 3})
-	if _, err := a.Snapshot().Merge(r2.Snapshot()); err == nil {
-		t.Error("merge with mismatched buckets: want error")
-	}
-	r3 := New()
-	r3.Gauge("test_size_bytes")
-	if _, err := a.Snapshot().Merge(r3.Snapshot()); err == nil {
-		t.Error("merge with mismatched types: want error")
 	}
 }
 
@@ -211,7 +186,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(1)
+	g.Set(1)
 	h.Observe(42)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil handles must read zero")

@@ -67,16 +67,6 @@ func (t *Tracer) Now() float64 {
 	return t.clock()
 }
 
-// SetTrackName names a track (Chrome "thread") lane.
-func (t *Tracer) SetTrackName(track int, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.tracks[track] = name
-	t.mu.Unlock()
-}
-
 // Span is an open interval returned by Begin. The zero Span (and any
 // span from a nil tracer) is inert.
 type Span struct {
@@ -114,14 +104,6 @@ func (t *Tracer) Complete(track int, cat, name string, start, dur float64, args 
 		return
 	}
 	t.push(traceEvent{track: track, cat: cat, name: name, ph: 'X', start: start, dur: dur, args: args})
-}
-
-// Instant records a zero-duration marker at the current clock reading.
-func (t *Tracer) Instant(track int, cat, name string) {
-	if t == nil {
-		return
-	}
-	t.InstantAt(track, cat, name, t.clock())
 }
 
 // InstantAt records a zero-duration marker at an explicit clock time.

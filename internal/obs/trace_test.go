@@ -12,8 +12,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp.End()
 	sp.EndArgs(map[string]float64{"bytes": 1})
 	tr.Complete(TrackSolver, CatCheckpoint, SpanWrite, 0, 1, nil)
-	tr.Instant(TrackSolver, CatSolver, SpanFailure)
-	tr.SetTrackName(9, "x")
+	tr.InstantAt(TrackSolver, CatSolver, SpanFailure, 0)
 	if tr.Now() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Error("nil tracer must read zero")
 	}

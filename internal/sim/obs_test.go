@@ -47,8 +47,7 @@ func TestSimInstrumentationDeterministic(t *testing.T) {
 // included — carries its virtual-time duration, priced by the same
 // model the clock advanced by.
 func TestSimReportsVirtualAttemptDurations(t *testing.T) {
-	cfg, _ := tieredConfig(t, true, []float64{15})
-	guard := cfg.Manager.ABFTGuard()
+	cfg, guard := tieredConfig(t, true, []float64{15})
 	steps := 0
 	cfg.OnStep = func() {
 		steps++

@@ -69,9 +69,6 @@ type Config struct {
 	Quality         *quality.Auditor
 }
 
-// Event marks a failure in the trace.
-type Event = core.Event
-
 // Outcome reports one simulated run (core.Drive's outcome, in virtual
 // seconds).
 type Outcome = core.Outcome

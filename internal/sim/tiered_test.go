@@ -15,7 +15,7 @@ import (
 
 // tieredConfig builds one guarded-or-not CG sim config over the shared
 // test system with a fixed failure schedule.
-func tieredConfig(t *testing.T, guarded bool, schedule []float64) (Config, *solver.CG) {
+func tieredConfig(t *testing.T, guarded bool, schedule []float64) (Config, *abft.Guard) {
 	t.Helper()
 	a, b, _ := testSystem()
 	s := solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{},
@@ -24,12 +24,13 @@ func tieredConfig(t *testing.T, guarded bool, schedule []float64) (Config, *solv
 		Scheme:   core.Lossy,
 		SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4},
 	}
+	var guard *abft.Guard
 	if guarded {
 		g, err := abft.NewGuard(a, b, s, abft.Config{Seed: 3})
 		if err != nil {
 			t.Fatalf("NewGuard: %v", err)
 		}
-		cfg.ABFT = g
+		cfg.ABFT, guard = g, g
 	}
 	m, err := core.NewManager(cfg, fti.NewMemStorage(), s)
 	if err != nil {
@@ -45,7 +46,7 @@ func tieredConfig(t *testing.T, guarded bool, schedule []float64) (Config, *solv
 		RecoverySeconds:   func(fti.Info) float64 { return 8 },
 		FailureSchedule:   schedule,
 		MaxIterations:     100000,
-	}, s
+	}, guard
 }
 
 func TestTieredSimReducesPFSReadTraffic(t *testing.T) {
@@ -108,8 +109,7 @@ func TestTieredSimExhaustionFallsBackToCheckpoint(t *testing.T) {
 	// verification and the chain must degrade to the checkpoint tier,
 	// not panic.
 	schedule := []float64{15}
-	cfg, _ := tieredConfig(t, true, schedule)
-	guard := cfg.Manager.ABFTGuard()
+	cfg, guard := tieredConfig(t, true, schedule)
 	steps := 0
 	cfg.OnStep = func() {
 		steps++

@@ -199,9 +199,6 @@ func (s *Stationary) ResidualNorm() float64 { return s.rnorm }
 // the same slice for the lifetime of the solver.
 func (s *Stationary) X() []float64 { return s.x }
 
-// Kind returns the sweep type.
-func (s *Stationary) Kind() StationaryKind { return s.kind }
-
 // DynamicView exposes (i, x): stationary methods have no other dynamic
 // variables.
 func (s *Stationary) DynamicView() DynamicState {

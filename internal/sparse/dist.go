@@ -185,9 +185,6 @@ func (d *Dist) LocalRows() int { return d.starts[d.comm.Rank()+1] - d.starts[d.c
 // RowStart returns the first global row owned by this rank.
 func (d *Dist) RowStart() int { return d.starts[d.comm.Rank()] }
 
-// Comm returns the communicator this matrix was built on.
-func (d *Dist) Comm() *mpi.Comm { return d.comm }
-
 // Counts returns the per-rank row counts (shared by Allgatherv calls).
 func (d *Dist) Counts() []int {
 	counts := make([]int, d.comm.Size())

@@ -283,14 +283,6 @@ func (Blocks) DecodeBlockInto(dst []float64, blk []byte) error {
 	}
 }
 
-// Ratio returns the compression ratio original/compressed in bytes.
-func Ratio(n int, compressed []byte) float64 {
-	if len(compressed) == 0 {
-		return 0
-	}
-	return float64(8*n) / float64(len(compressed))
-}
-
 func valueRange(x []float64) (lo, hi float64) {
 	if len(x) == 0 {
 		return 0, 0

@@ -46,7 +46,7 @@ func TestAbsBoundSmoothData(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAbsBound(t, x, got, eb)
-	if r := Ratio(len(x), comp); r < 8 {
+	if r := float64(8*len(x)) / float64(len(comp)); r < 8 {
 		t.Fatalf("compression ratio %.1f too low for smooth data (paper reports 20–60×)", r)
 	}
 }
@@ -59,7 +59,7 @@ func TestAbsBoundTightens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := Ratio(len(x), comp)
+		r := float64(8*len(x)) / float64(len(comp))
 		if r > prev*1.05 {
 			t.Fatalf("ratio should not grow as the bound tightens: eb=%g gives %.1f after %.1f",
 				eb, r, prev)
@@ -165,7 +165,7 @@ func TestPWRelSmoothRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := Ratio(len(x), comp); r < 10 {
+	if r := float64(8*len(x)) / float64(len(comp)); r < 10 {
 		t.Fatalf("PWRel ratio %.1f too low for smooth data", r)
 	}
 }

@@ -285,13 +285,5 @@ func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// Ratio returns the compression ratio original/compressed in bytes.
-func Ratio(n int, compressed []byte) float64 {
-	if len(compressed) == 0 {
-		return 0
-	}
-	return float64(8*n) / float64(len(compressed))
-}
-
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

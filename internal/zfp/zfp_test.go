@@ -47,7 +47,7 @@ func TestBoundSmoothData(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBound(t, x, got, eb)
-	if r := Ratio(len(x), comp); r < 4 {
+	if r := float64(8*len(x)) / float64(len(comp)); r < 4 {
 		t.Fatalf("ratio %.1f too low for smooth data", r)
 	}
 }

@@ -1,6 +1,12 @@
 package lossyckpt_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 
 	lossyckpt "repro"
@@ -45,198 +51,57 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeAsyncCheckpointing drives the async pipeline through the
-// public API: Manager in async mode, the standalone AsyncCheckpointer,
-// the SetKeep retention knob, and the overlapped-cost model helpers.
-func TestFacadeAsyncCheckpointing(t *testing.T) {
-	a := lossyckpt.Poisson3D(8)
-	b := lossyckpt.OnesRHS(a.Rows)
-	cg := lossyckpt.NewCG(a, nil, b, nil, lossyckpt.SeqSpace{}, lossyckpt.SolverOptions{RTol: 1e-7})
-	mgr, err := lossyckpt.NewManager(lossyckpt.ManagerConfig{
-		Scheme:   lossyckpt.Lossy,
-		Interval: 5,
-		Async:    true,
-		SZParams: lossyckpt.SZParams{Mode: lossyckpt.PWRel, ErrorBound: 1e-4},
-	}, lossyckpt.NewMemStorage(), cg)
+// TestFacadeSurface keeps the facade from regrowing unnoticed: every
+// exported identifier lossyckpt.go declares must be written as
+// lossyckpt.<Name> somewhere under examples/ or in README.md.
+func TestFacadeSurface(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "lossyckpt.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Checkpointer().SetKeep(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Checkpointer().SetKeep(0); err == nil {
-		t.Fatal("SetKeep(0) must be rejected through the facade")
-	}
-	failed := false
-	res, err := lossyckpt.RunToConvergence(cg, lossyckpt.SolverOptions{}, func(it int, rnorm float64) error {
-		if _, err := mgr.MaybeCheckpoint(); err != nil {
-			return err
-		}
-		if it == 12 && !failed {
-			failed = true
-			if _, err := mgr.Recover(); err != nil {
-				return err
+	var exported []string
+	for _, d := range file.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						exported = append(exported, sp.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						if n.IsExported() {
+							exported = append(exported, n.Name)
+						}
+					}
+				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if !res.Converged {
-		t.Fatal("async facade solve did not converge")
-	}
-	if _, err := mgr.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if stats := mgr.AsyncCheckpointer().Stats(); stats.Saves == 0 {
-		t.Fatal("no async saves recorded")
+	if len(exported) == 0 {
+		t.Fatal("no exported identifiers found in lossyckpt.go")
 	}
 
-	// Standalone pipeline usage.
-	ac := lossyckpt.NewAsyncCheckpointer(lossyckpt.NewCheckpointer(lossyckpt.NewMemStorage(), lossyckpt.RawEncoder{}))
-	x := []float64{1, 2, 3}
-	tk, err := ac.SaveAsync(&lossyckpt.CheckpointSnapshot{Iteration: 1, Vectors: map[string][]float64{"x": x}})
-	if err != nil {
-		t.Fatal(err)
+	users, err := filepath.Glob("examples/*/*.go")
+	if err != nil || len(users) == 0 {
+		t.Fatalf("no example sources found: %v", err)
 	}
-	if info, err := tk.Wait(); err != nil || info.Seq != 1 {
-		t.Fatalf("ticket wait: %+v %v", info, err)
-	}
-
-	// Overlapped-cost model: background hidden by the interval.
-	if got := lossyckpt.AsyncEffectiveStall(0.5, 30, 120); got != 0.5 {
-		t.Fatalf("AsyncEffectiveStall = %v, want 0.5", got)
-	}
-	if a, s := lossyckpt.AsyncOverheadRatio(1.0/3600, 0.5, 30, 120), lossyckpt.ExpectedOverheadRatio(1.0/3600, 30.5); a >= s {
-		t.Fatalf("async ratio %v not below sync %v", a, s)
-	}
-}
-
-// TestFacadeModel sanity-checks the re-exported model functions.
-func TestFacadeModel(t *testing.T) {
-	if got := lossyckpt.YoungInterval(3600, 25); got < 400 || got > 440 {
-		t.Fatalf("YoungInterval = %v, want ≈424", got)
-	}
-	if got := lossyckpt.ExpectedOverheadRatio(1.0/3600, 120); got < 0.3 || got > 0.5 {
-		t.Fatalf("ExpectedOverheadRatio = %v", got)
-	}
-	if got := lossyckpt.MaxExtraIterations(120, 25, 1.0/3600, 1.2); got < 400 || got > 600 {
-		t.Fatalf("MaxExtraIterations = %v, want ≈500", got)
-	}
-}
-
-// TestFacadeCompression round-trips the re-exported compressor.
-func TestFacadeCompression(t *testing.T) {
-	x := lossyckpt.SmoothField(5000, 1)
-	comp, err := lossyckpt.CompressSZ(x, lossyckpt.SZParams{Mode: lossyckpt.AbsBound, ErrorBound: 1e-5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := lossyckpt.DecompressSZ(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(x) {
-		t.Fatalf("round trip length %d != %d", len(got), len(x))
-	}
-	for i := range x {
-		if d := x[i] - got[i]; d > 1e-5*1.000001 || d < -1e-5*1.000001 {
-			t.Fatalf("bound violated at %d: %g", i, d)
+	var text []byte
+	for _, path := range append(users, "README.md") {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		text = append(text, b...)
 	}
-}
-
-// TestExperimentRegistryViaFacade lists and runs one experiment.
-func TestExperimentRegistryViaFacade(t *testing.T) {
-	ids := lossyckpt.ExperimentIDs()
-	if len(ids) != 12 {
-		t.Fatalf("expected 12 artifacts, got %v", ids)
-	}
-	res, err := lossyckpt.RunExperiment("fig1", lossyckpt.ExperimentConfig{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil {
-		t.Fatal("nil result")
-	}
-}
-
-// TestFacadeTieredRecovery drives the tiered ABFT recovery chain
-// through the public API: guard a CG solve, recover a lost rank
-// checkpoint-free, then corrupt the retained redundancy and watch the
-// chain degrade to the checkpoint tier, all via facade names.
-func TestFacadeTieredRecovery(t *testing.T) {
-	a := lossyckpt.Poisson3D(8)
-	b := lossyckpt.OnesRHS(a.Rows)
-	cg := lossyckpt.NewCG(a, nil, b, nil, lossyckpt.SeqSpace{}, lossyckpt.SolverOptions{RTol: 1e-7})
-	guard, err := lossyckpt.NewABFTGuard(a, b, cg, lossyckpt.ABFTConfig{Seed: 1, Method: lossyckpt.ABFTExactState})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := lossyckpt.NewManager(lossyckpt.ManagerConfig{
-		Scheme:   lossyckpt.Lossy,
-		SZParams: lossyckpt.SZParams{Mode: lossyckpt.PWRel, ErrorBound: 1e-4},
-		ABFT:     guard,
-	}, lossyckpt.NewMemStorage(), cg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		cg.Step()
-		guard.Observe()
-	}
-	if _, err := mgr.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	x0 := make([]float64, a.Rows)
-
-	// Tier 0: checkpoint-free reconstruction, no PFS reads.
-	guard.FailNextRank()
-	rep, err := mgr.RecoverTiered(x0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Used != lossyckpt.TierABFT || rep.ReadBytes() != 0 {
-		t.Fatalf("report %+v, want a read-free abft recovery", rep)
-	}
-
-	// Corrupted redundancy: the chain degrades to the checkpoint tier.
-	guard.CorruptRetained()
-	guard.FailNextRank()
-	rep, err = mgr.RecoverTiered(x0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Used != lossyckpt.TierCheckpoint || rep.ReadBytes() == 0 {
-		t.Fatalf("report %+v, want a paid checkpoint-tier recovery", rep)
-	}
-	if st := guard.Stats(); st.Reconstructions != 1 || st.Rejected != 1 {
-		t.Fatalf("guard stats %+v, want one acceptance and one rejection", st)
-	}
-
-	res, err := lossyckpt.RunToConvergence(cg, lossyckpt.SolverOptions{}, func(int, float64) error {
-		guard.Observe()
-		return nil
-	})
-	if err != nil || !res.Converged {
-		t.Fatalf("post-recovery solve: converged=%v err=%v", res != nil && res.Converged, err)
-	}
-
-	// The injection grammar parses through the facade.
-	plan, err := lossyckpt.ParseFailurePlan("proc@3,abft+proc@6", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kinds := plan.Take(6); len(kinds) != 3 || kinds[0] != lossyckpt.FailProcLoss {
-		t.Fatalf("Take(6) = %v, want [proc abft proc]", kinds)
-	}
-
-	// Huang–Abraham verification on the operator's hot path.
-	co := lossyckpt.NewChecksumOperator(a)
-	dst := make([]float64, a.Rows)
-	co.MulVec(dst, b)
-	if !co.Verified() || co.Applications() != 1 {
-		t.Fatalf("checksum operator: verified=%v applications=%d", co.Verified(), co.Applications())
+	for _, name := range exported {
+		if !regexp.MustCompile(`\blossyckpt\.` + name + `\b`).Match(text) {
+			t.Errorf("lossyckpt.%s is exported but neither examples/ nor README.md uses it", name)
+		}
 	}
 }
