@@ -573,21 +573,27 @@ func BenchmarkPCGStep(b *testing.B) {
 // above; x is counted once per multiply although it is gathered.
 
 // BenchmarkCSRMulVecSub is the residual kernel b − A·x, serial, so the
-// number is the row kernel's and not the worker pool's.
+// number is the kernel's and not the worker pool's: on the generated
+// matrix (the stencil kernel where the machine has one) and on the same
+// arrays hand-assembled, which carry no summary and take the row kernel
+// on every row. Bytes are the CSR-equivalent ones on both.
 func BenchmarkCSRMulVecSub(b *testing.B) {
-	for _, grid := range []int{32, pcgGrid} {
-		a := sparse.Poisson3D(grid)
-		n := a.Rows
+	for _, grid := range []int{32, 36, pcgGrid} {
+		gen := sparse.Poisson3D(grid)
+		rows := &sparse.CSR{Rows: gen.Rows, Cols: gen.Cols, RowPtr: gen.RowPtr, ColIdx: gen.ColIdx, Val: gen.Val}
+		n := gen.Rows
 		x, rhs, dst := solverState(n), sparse.OnesRHS(n), make([]float64, n)
-		b.Run(fmt.Sprintf("%d", grid), func(b *testing.B) {
-			prev := parallel.SetWorkers(1)
-			defer parallel.SetWorkers(prev)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.MulVecSub(dst, rhs, x)
-			}
-			reportPerRow(b, n, csrBytes(a)+3*8*n)
-		})
+		for _, a := range []*sparse.CSR{rows, gen} {
+			b.Run(fmt.Sprintf("%d/%s", grid, a.Kernel()), func(b *testing.B) {
+				prev := parallel.SetWorkers(1)
+				defer parallel.SetWorkers(prev)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a.MulVecSub(dst, rhs, x)
+				}
+				reportPerRow(b, n, csrBytes(a)+3*8*n)
+			})
+		}
 	}
 }
 

@@ -283,8 +283,8 @@ func run(o options) (err error) {
 	}
 	a := sparse.Poisson3D(o.grid)
 	b := sparse.OnesRHS(a.Rows)
-	rep.update(func(ri *quality.RunInfo) { ri.Unknowns = a.Rows })
-	fmt.Printf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros\n", o.grid, a.Rows, a.NNZ())
+	rep.update(func(ri *quality.RunInfo) { ri.Unknowns, ri.Operator = a.Rows, a.Kernel() })
+	fmt.Printf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros, operator %s\n", o.grid, a.Rows, a.NNZ(), a.Kernel())
 
 	var s solver.Checkpointable
 	var co *abft.ChecksumOperator

@@ -268,7 +268,7 @@ func TestRunReport(t *testing.T) {
 	for _, c := range []struct {
 		name, args string
 		keys       []string
-		run        map[string]any // wall_seconds, command and final_residual are checked for presence only
+		run        map[string]any // wall_seconds, command, final_residual and operator (the machine's) are checked for presence only
 	}{
 		{
 			name: "simulated", args: "-method jacobi -grid 8 -scheme lossy -mtti 150 -interval 40 -seed 3",
@@ -307,7 +307,7 @@ func TestRunReport(t *testing.T) {
 				t.Errorf("report keys %v, want %v", got, c.keys)
 			}
 			run := rep["run"].(map[string]any)
-			for _, k := range []string{"command", "wall_seconds", "final_residual"} {
+			for _, k := range []string{"command", "wall_seconds", "final_residual", "operator"} {
 				if _, ok := run[k]; !ok {
 					t.Errorf("run block lacks %q", k)
 				}
@@ -323,6 +323,9 @@ func TestRunReport(t *testing.T) {
 			}
 			if !reflect.DeepEqual(run, c.run) {
 				t.Errorf("run block\n got %v\nwant %v", run, c.run)
+			}
+			if !strings.Contains(out, "operator stencil7/avx2\n") && !strings.Contains(out, "operator csr\n") {
+				t.Errorf("system line names no operator path:\n%s", out)
 			}
 		})
 	}

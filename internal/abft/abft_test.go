@@ -2,6 +2,7 @@ package abft
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -221,7 +222,13 @@ func TestGuardMethodValidation(t *testing.T) {
 }
 
 func TestChecksumOperatorDetectsSilentCorruption(t *testing.T) {
-	a := sparse.Poisson3D(6)
+	// A hand-assembled matrix over the generator's arrays: it carries
+	// no stencil summary, so every multiply reads Val live and the
+	// corruption below is corruption of what the kernel reads. (The
+	// generated matrix itself must not be modified, and its interior
+	// rows would not notice.)
+	g := sparse.Poisson3D(6)
+	a := &sparse.CSR{Rows: g.Rows, Cols: g.Cols, RowPtr: g.RowPtr, ColIdx: g.ColIdx, Val: g.Val}
 	co := NewChecksumOperator(a)
 	x := make([]float64, a.Rows)
 	for i := range x {
@@ -248,5 +255,34 @@ func TestChecksumOperatorDetectsSilentCorruption(t *testing.T) {
 	}
 	if co.Applications() != 2 {
 		t.Fatalf("applications = %d, want 2", co.Applications())
+	}
+}
+
+// TestChecksumOperatorOverGeneratedMatrix is the converse: over a
+// generated matrix, whose multiply takes the stencil kernel where there
+// is one, the guarded product has the bits of the unguarded row-kernel
+// product and no application is flagged.
+func TestChecksumOperatorOverGeneratedMatrix(t *testing.T) {
+	a := sparse.Poisson3D(6)
+	rows := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
+	co := NewChecksumOperator(a)
+	rng := rand.New(rand.NewSource(5))
+	x := make([]float64, a.Rows)
+	dst := make([]float64, a.Rows)
+	ref := make([]float64, a.Rows)
+	for app := 0; app < 100; app++ {
+		for i := range x {
+			x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		rows.MulVec(ref, x)
+		co.MulVec(dst, x)
+		for i := range dst {
+			if math.Float64bits(dst[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("application %d (%s): row %d = %v, unguarded %v", app, a.Kernel(), i, dst[i], ref[i])
+			}
+		}
+	}
+	if co.Mismatches() != 0 || co.Applications() != 100 {
+		t.Fatalf("%s: %d mismatches in %d applications, want 0 in 100", a.Kernel(), co.Mismatches(), co.Applications())
 	}
 }

@@ -25,6 +25,7 @@ type RunInfo struct {
 	Command       string  `json:"command,omitempty"`
 	Solver        string  `json:"solver,omitempty"`
 	Unknowns      int     `json:"unknowns,omitempty"`
+	Operator      string  `json:"operator,omitempty"` // the multiply's path: sparse.CSR.Kernel
 	Scheme        string  `json:"scheme,omitempty"`
 	Async         bool    `json:"async"`
 	Shards        int     `json:"shards,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -324,6 +325,33 @@ func TestDeserializeRejectsCraftedHeaders(t *testing.T) {
 	// The same 2×2 shape with honest row pointers is a valid matrix.
 	if _, err := Deserialize(words(2, 2, 0, 1, 2, 0, 1, one, one)); err != nil {
 		t.Fatalf("well-formed blob rejected: %v", err)
+	}
+}
+
+// TestDeserializeRejectsUnsortedRows: a blob whose sizes are all honest
+// but whose columns are not strictly increasing within a row used to
+// deserialise into a matrix on which At misses a stored entry.
+func TestDeserializeRejectsUnsortedRows(t *testing.T) {
+	// 2×3: row 0 stores column 1, row 1 stores columns 0 and 2.
+	good := &CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 1, 3}, ColIdx: []int{1, 0, 2}, Val: []float64{5, 6, 7}}
+	if _, err := Deserialize(good.Serialize()); err != nil {
+		t.Fatalf("well-formed blob rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		cols []int
+	}{
+		{"swapped pair", []int{1, 2, 0}},
+		{"duplicate column", []int{1, 2, 2}},
+	} {
+		bad := *good
+		bad.ColIdx = c.cols
+		m, err := Deserialize(bad.Serialize())
+		if err == nil {
+			t.Errorf("%s: accepted; At(1,%d) = %v", c.name, c.cols[1], m.At(1, c.cols[1]))
+		} else if !strings.Contains(err.Error(), "row 1") {
+			t.Errorf("%s: error does not name row 1: %v", c.name, err)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+
+	"repro/internal/vec"
 )
 
 // Poisson3D returns the n³×n³ system matrix of the paper's Eq. (15):
@@ -16,54 +18,7 @@ func Poisson3D(n int) *CSR {
 	if n <= 0 {
 		panic("sparse: Poisson3D needs n > 0")
 	}
-	N := n * n * n
-	nnz := 7 * N // upper bound
-	m := &CSR{
-		Rows:   N,
-		Cols:   N,
-		RowPtr: make([]int, N+1),
-		ColIdx: make([]int, 0, nnz),
-		Val:    make([]float64, 0, nnz),
-	}
-	idx := func(ix, iy, iz int) int { return (iz*n+iy)*n + ix }
-	row := 0
-	for iz := 0; iz < n; iz++ {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < n; ix++ {
-				// Neighbors in increasing column order:
-				// -z, -y, -x, center, +x, +y, +z.
-				if iz > 0 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy, iz-1))
-					m.Val = append(m.Val, -1)
-				}
-				if iy > 0 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy-1, iz))
-					m.Val = append(m.Val, -1)
-				}
-				if ix > 0 {
-					m.ColIdx = append(m.ColIdx, idx(ix-1, iy, iz))
-					m.Val = append(m.Val, -1)
-				}
-				m.ColIdx = append(m.ColIdx, row)
-				m.Val = append(m.Val, 6)
-				if ix < n-1 {
-					m.ColIdx = append(m.ColIdx, idx(ix+1, iy, iz))
-					m.Val = append(m.Val, -1)
-				}
-				if iy < n-1 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy+1, iz))
-					m.Val = append(m.Val, -1)
-				}
-				if iz < n-1 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy, iz+1))
-					m.Val = append(m.Val, -1)
-				}
-				row++
-				m.RowPtr[row] = len(m.Val)
-			}
-		}
-	}
-	return m
+	return poissonGrid(n, n, n, 6)
 }
 
 // Poisson3DAniso returns the 7-point stencil operator on an
@@ -77,45 +32,7 @@ func Poisson3DAniso(nx, ny, nz int) *CSR {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		panic("sparse: Poisson3DAniso needs positive dims")
 	}
-	N := nx * ny * nz
-	m := &CSR{Rows: N, Cols: N, RowPtr: make([]int, N+1)}
-	idx := func(ix, iy, iz int) int { return (iz*ny+iy)*nx + ix }
-	row := 0
-	for iz := 0; iz < nz; iz++ {
-		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				if iz > 0 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy, iz-1))
-					m.Val = append(m.Val, -1)
-				}
-				if iy > 0 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy-1, iz))
-					m.Val = append(m.Val, -1)
-				}
-				if ix > 0 {
-					m.ColIdx = append(m.ColIdx, idx(ix-1, iy, iz))
-					m.Val = append(m.Val, -1)
-				}
-				m.ColIdx = append(m.ColIdx, row)
-				m.Val = append(m.Val, 6)
-				if ix < nx-1 {
-					m.ColIdx = append(m.ColIdx, idx(ix+1, iy, iz))
-					m.Val = append(m.Val, -1)
-				}
-				if iy < ny-1 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy+1, iz))
-					m.Val = append(m.Val, -1)
-				}
-				if iz < nz-1 {
-					m.ColIdx = append(m.ColIdx, idx(ix, iy, iz+1))
-					m.Val = append(m.Val, -1)
-				}
-				row++
-				m.RowPtr[row] = len(m.Val)
-			}
-		}
-	}
-	return m
+	return poissonGrid(nx, ny, nz, 6)
 }
 
 // Poisson2D returns the n²×n² 5-point stencil matrix (diagonal 4,
@@ -125,33 +42,82 @@ func Poisson2D(n int) *CSR {
 	if n <= 0 {
 		panic("sparse: Poisson2D needs n > 0")
 	}
-	N := n * n
-	m := &CSR{Rows: N, Cols: N, RowPtr: make([]int, N+1)}
-	idx := func(ix, iy int) int { return iy*n + ix }
-	row := 0
-	for iy := 0; iy < n; iy++ {
-		for ix := 0; ix < n; ix++ {
-			if iy > 0 {
-				m.ColIdx = append(m.ColIdx, idx(ix, iy-1))
-				m.Val = append(m.Val, -1)
-			}
-			if ix > 0 {
-				m.ColIdx = append(m.ColIdx, idx(ix-1, iy))
-				m.Val = append(m.Val, -1)
-			}
-			m.ColIdx = append(m.ColIdx, row)
-			m.Val = append(m.Val, 4)
-			if ix < n-1 {
-				m.ColIdx = append(m.ColIdx, idx(ix+1, iy))
-				m.Val = append(m.Val, -1)
-			}
-			if iy < n-1 {
-				m.ColIdx = append(m.ColIdx, idx(ix, iy+1))
-				m.Val = append(m.Val, -1)
-			}
-			row++
-			m.RowPtr[row] = len(m.Val)
+	return poissonGrid(n, n, 1, 4)
+}
+
+// poissonGrid is the one grid generator: center on the diagonal, −1
+// towards each neighbour inside the nx×ny×nz grid, x fastest. Arrays
+// are allocated at their exact size and written by index.
+//
+// It also declares the matrix's stencil summary from the six boundary
+// tests it evaluates anyway: the diagonals are the neighbour directions
+// of extent > 1 (an extent-1 direction stores nothing) in CSR's column
+// order −z, −y, −x, center, +x, +y, +z, and a row's mask has the bit of
+// each neighbour it stored. The summary is attached where the AVX2
+// kernel exists and at least four rows keep every diagonal inside x.
+func poissonGrid(nx, ny, nz int, center float64) *CSR {
+	N := nx * ny * nz
+	nnz := 7*N - 2*(nx*ny+ny*nz+nx*nz)
+	m := &CSR{
+		Rows:   N,
+		Cols:   N,
+		RowPtr: make([]int, N+1),
+		ColIdx: make([]int, nnz),
+		Val:    make([]float64, nnz),
+	}
+	st := &stencil{mask: make([]uint16, N)}
+	var bit [7]uint16 // −z, −y, −x, center, +x, +y, +z; 0 for an extent-1 direction
+	for k, d := range [7]struct {
+		extent, off int
+		coef        float64
+	}{
+		{nz, -nx * ny, -1}, {ny, -nx, -1}, {nx, -1, -1}, {2, 0, center}, {nx, 1, -1}, {ny, nx, -1}, {nz, nx * ny, -1},
+	} {
+		if d.extent > 1 {
+			bit[k] = 1 << len(st.off)
+			st.off = append(st.off, d.off)
+			st.coef = append(st.coef, d.coef)
 		}
+	}
+	colIdx, val := m.ColIdx, m.Val
+	put := func(k, j int, v float64) int {
+		colIdx[k], val[k] = j, v
+		return k + 1
+	}
+	row, k := 0, 0
+	for iz := 0; iz < nz; iz++ {
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				var mask uint16
+				if iz > 0 {
+					k, mask = put(k, row-nx*ny, -1), mask|bit[0]
+				}
+				if iy > 0 {
+					k, mask = put(k, row-nx, -1), mask|bit[1]
+				}
+				if ix > 0 {
+					k, mask = put(k, row-1, -1), mask|bit[2]
+				}
+				k, mask = put(k, row, center), mask|bit[3]
+				if ix < nx-1 {
+					k, mask = put(k, row+1, -1), mask|bit[4]
+				}
+				if iy < ny-1 {
+					k, mask = put(k, row+nx, -1), mask|bit[5]
+				}
+				if iz < nz-1 {
+					k, mask = put(k, row+nx*ny, -1), mask|bit[6]
+				}
+				st.mask[row] = mask
+				row++
+				m.RowPtr[row] = k
+			}
+		}
+	}
+	st.lo = -st.off[0]
+	st.hi = st.lo + (N-st.off[len(st.off)-1]-st.lo)&^3
+	if vec.Accelerated() && st.hi-st.lo >= 4 {
+		m.st = st
 	}
 	return m
 }

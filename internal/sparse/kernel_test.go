@@ -124,4 +124,23 @@ func TestRowKernelPropagatesNonFinite(t *testing.T) {
 			t.Errorf("empty row %d: b − A·x = %v, want b = %v", i, dst[i], b[i])
 		}
 	}
+
+	// A generated matrix, on the stencil kernel where there is one: the
+	// kernel loads x[i+off] for diagonals a boundary row does not store,
+	// and a NaN there must still reach exactly the rows that store
+	// column j — head, tail, full and masked blocks alike.
+	g := Poisson3D(5)
+	gx := randomVector(g.Cols, 46)
+	gdst := make([]float64, g.Rows)
+	for j := 0; j < g.Cols; j++ {
+		saved := gx[j]
+		gx[j] = math.NaN()
+		g.MulVec(gdst, gx)
+		for i, v := range gdst {
+			if math.IsNaN(v) != (g.At(i, j) != 0) {
+				t.Fatalf("%s: NaN in x[%d]: row %d = %v, A[%d,%d] = %v", g.Kernel(), j, i, v, i, j, g.At(i, j))
+			}
+		}
+		gx[j] = saved
+	}
 }

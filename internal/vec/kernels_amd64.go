@@ -39,3 +39,8 @@ func subAVX2(dst, x, y []float64)
 
 //go:noescape
 func scaleToAVX2(dst []float64, a float64, x []float64)
+
+// stencilAVX2 is StencilMulVec's body; every argument has been checked.
+//
+//go:noescape
+func stencilAVX2(dst, b, x []float64, off []int, coef []float64, mask []uint16, lo, hi int)

@@ -281,3 +281,80 @@ check:
 	JLT  loop
 	VZEROUPPER
 	RET
+
+// func stencilAVX2(dst, b, x []float64, off []int, coef []float64, mask []uint16, lo, hi int)
+//
+// Lane k is row i+k. Each block of four rows starts from +0 and takes
+// the diagonals in ascending order, one VMULPD of the broadcast
+// coefficient with the contiguous x[i+off : i+off+4] and one VADDPD per
+// diagonal. A block whose four mask words are all full (R12 holds four
+// full words) takes the unmasked loop; any other ANDs each product with
+// a lane mask made from bit d of the four words, so an absent entry
+// adds +0. With b present the block stores b − sum.
+TEXT ·stencilAVX2(SB), NOSPLIT, $0-160
+	MOVQ dst_base+0(FP), DI
+	MOVQ b_base+24(FP), R8
+	MOVQ x_base+48(FP), SI
+	MOVQ off_base+72(FP), R9
+	MOVQ off_len+80(FP), R10
+	MOVQ coef_base+96(FP), BX
+	MOVQ mask_base+120(FP), DX
+	MOVQ lo+144(FP), AX
+
+	// R12 ← (1<<nd − 1) in each of its four words.
+	MOVQ  R10, CX
+	MOVQ  $1, R12
+	SHLQ  CX, R12
+	DECQ  R12
+	MOVQ  $0x0001000100010001, R13
+	IMULQ R13, R12
+	MOVQ  hi+152(FP), CX
+
+	// Y13 ← 1 in each lane: bit 0, shifted left once per diagonal.
+	VPCMPEQQ Y13, Y13, Y13
+	VPSRLQ   $63, Y13, Y13
+	JMP      check
+rowloop:
+	VXORPD Y0, Y0, Y0
+	XORQ   R13, R13
+	CMPQ   R12, (DX)(AX*2)
+	JNE    slow
+fast:
+	MOVQ         (R9)(R13*8), R14
+	ADDQ         AX, R14
+	VBROADCASTSD (BX)(R13*8), Y1
+	VMULPD       (SI)(R14*8), Y1, Y2
+	VADDPD       Y2, Y0, Y0
+	INCQ         R13
+	CMPQ         R13, R10
+	JLT          fast
+	JMP          finish
+slow:
+	VPMOVZXWQ (DX)(AX*2), Y10
+	VMOVDQA   Y13, Y11
+sloop:
+	MOVQ         (R9)(R13*8), R14
+	ADDQ         AX, R14
+	VPAND        Y10, Y11, Y12
+	VPCMPEQQ     Y12, Y11, Y12
+	VBROADCASTSD (BX)(R13*8), Y1
+	VMULPD       (SI)(R14*8), Y1, Y2
+	VANDPD       Y12, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VPSLLQ       $1, Y11, Y11
+	INCQ         R13
+	CMPQ         R13, R10
+	JLT          sloop
+finish:
+	TESTQ R8, R8
+	JZ    store
+	VMOVUPD (R8)(AX*8), Y4
+	VSUBPD  Y0, Y4, Y0
+store:
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+check:
+	CMPQ AX, CX
+	JLT  rowloop
+	VZEROUPPER
+	RET

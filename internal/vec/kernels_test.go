@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -288,5 +289,103 @@ func TestGuardCatchesStrayWrite(t *testing.T) {
 	v[0], v[4] = 1, 1
 	if !guardsIntact(v, backing, 2) {
 		t.Error("a write inside the vector was reported as stray")
+	}
+}
+
+// TestStencilMatchesGoLoop: the stencil kernel on shapes no grid
+// generator produces — 1 to 16 diagonals at random offsets, random
+// masks (empty and full rows included), a zero coefficient, every
+// special value in x both under a set bit and under a clear one — with
+// and without b, at every offset of dst in its backing array.
+func TestStencilMatchesGoLoop(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(74))
+	for nd := 1; nd <= 16; nd++ {
+		for trial := 0; trial < 8; trial++ {
+			const n = 64
+			off := make([]int, nd)
+			coef := make([]float64, nd)
+			for d, o := range rng.Perm(25)[:nd] {
+				off[d] = o - 12
+				coef[d] = float64(rng.Intn(9) - 4) // zero among them
+			}
+			sort.Ints(off)
+			lo := -min(off[0], 0)
+			hi := lo + (n-max(off[nd-1], 0)-lo)&^3
+			mask := make([]uint16, n)
+			for i := range mask {
+				switch rng.Intn(4) {
+				case 0:
+					mask[i] = 1<<nd - 1
+				case 1:
+					mask[i] = 0
+				default:
+					mask[i] = uint16(rng.Intn(1 << nd))
+				}
+			}
+			in := randomVecs(rng, 2, n)
+			x, b := in[0], in[1]
+			for i := range x {
+				if rng.Intn(3) == 0 {
+					x[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			for _, withB := range []bool{false, true} {
+				var bb []float64
+				if withB {
+					bb = b
+				}
+				for o := 0; o < 4; o++ {
+					pass := func(on bool) (dst, backing []float64) {
+						useAVX2 = on
+						defer func() { useAVX2 = true }() // needAVX2: it was
+						dst, backing = guarded(make([]float64, n), o)
+						Fill(dst, guard)
+						StencilMulVec(dst, bb, x, off, coef, mask, lo, hi)
+						return dst, backing
+					}
+					want, _ := pass(false)
+					got, backing := pass(true)
+					for i := range want {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("off %v mask[%d]=%#b b=%v: row %d is %v, Go loop %v", off, i, mask[i], withB, i, got[i], want[i])
+						}
+					}
+					if !guardsIntact(got, backing, o) {
+						t.Fatalf("off %v rows [%d,%d): wrote outside dst", off, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStencilChecksItsArguments: the wrapper, not the assembly, refuses
+// a range the loads would leave.
+func TestStencilChecksItsArguments(t *testing.T) {
+	x, dst := make([]float64, 16), make([]float64, 16)
+	mask := make([]uint16, 16)
+	off, coef := []int{-2, 0, 3}, []float64{1, 2, 3}
+	StencilMulVec(dst, nil, x, off, coef, mask, 2, 10) // the widest legal range
+	for name, call := range map[string]func(){
+		"first row reaches before x":   func() { StencilMulVec(dst, nil, x, off, coef, mask, 1, 9) },
+		"last row reaches past x":      func() { StencilMulVec(dst, nil, x, off, coef, mask, 6, 14) },
+		"range not a multiple of 4":    func() { StencilMulVec(dst, nil, x, off, coef, mask, 2, 9) },
+		"dst short":                    func() { StencilMulVec(dst[:9], nil, x, off, coef, mask, 2, 10) },
+		"b short":                      func() { StencilMulVec(dst, x[:9], x, off, coef, mask, 2, 10) },
+		"mask short":                   func() { StencilMulVec(dst, nil, x, off, coef, mask[:9], 2, 10) },
+		"coefficients short":           func() { StencilMulVec(dst, nil, x, off, coef[:2], mask, 2, 10) },
+		"no diagonals":                 func() { StencilMulVec(dst, nil, x, nil, nil, mask, 2, 10) },
+		"more diagonals than a mask":   func() { StencilMulVec(dst, nil, x, make([]int, 17), make([]float64, 17), mask, 2, 10) },
+		"unsorted offsets, one leaves": func() { StencilMulVec(dst, nil, x, []int{0, -3, 1}, coef, mask, 2, 10) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

@@ -10,7 +10,9 @@
 // the leading len&^3 elements; the Go loop then finds only the tail
 // left, and the combine is shared. The two are bitwise identical (up to
 // which NaN a NaN result is), so the Go loops are the portable path and
-// the oracle the assembly is tested against.
+// the oracle the assembly is tested against. StencilMulVec, the banded
+// product package sparse runs generated grid operators through, has an
+// AVX2 body on the same terms: lane k is row i+k.
 package vec
 
 import (
@@ -410,4 +412,53 @@ func Range(x []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
+}
+
+// Accelerated reports whether the kernels run their AVX2 bodies. A
+// caller that would build a data layout only the assembly makes
+// worthwhile asks first.
+func Accelerated() bool { return useAVX2 }
+
+// StencilMulVec computes rows [lo, hi) of the product with a banded
+// matrix held as a stencil: its entries lie on the diagonals off
+// (column − row, ascending), diagonal d carries the one value coef[d],
+// and row i stores an entry on diagonal d iff bit d of mask[i] is set.
+// It writes dst[i] ← Σ_d coef[d]·x[i+off[d]] over the set bits, summed
+// from +0 in ascending d — the order and the bits of a CSR row loop —
+// or b[i] − that sum when b is not nil. dst must not alias x.
+//
+// The AVX2 body holds rows i..i+3 as the four lanes of one register
+// and loads x[i+off[d] : i+off[d]+4] whole, so every diagonal must stay
+// inside x over the whole range, stored or not, and hi−lo must be a
+// multiple of four; an absent entry's product is masked to +0, which a
+// sum that started at +0 absorbs without changing a bit (such a sum is
+// never −0). The checks are here, not in the assembly.
+func StencilMulVec(dst, b, x []float64, off []int, coef []float64, mask []uint16, lo, hi int) {
+	if len(off) == 0 || len(off) > 16 || len(coef) != len(off) {
+		panic(fmt.Sprintf("vec: StencilMulVec has %d offsets, %d coefficients", len(off), len(coef)))
+	}
+	if lo < 0 || hi < lo || (hi-lo)%4 != 0 || hi > len(dst) || hi > len(mask) || (b != nil && hi > len(b)) {
+		panic(fmt.Sprintf("vec: StencilMulVec rows [%d,%d) of dst %d, b %d, mask %d", lo, hi, len(dst), len(b), len(mask)))
+	}
+	for _, o := range off {
+		if lo+o < 0 || hi+o > len(x) {
+			panic(fmt.Sprintf("vec: StencilMulVec diagonal %d leaves x (%d) on rows [%d,%d)", o, len(x), lo, hi))
+		}
+	}
+	if useAVX2 {
+		stencilAVX2(dst, b, x, off, coef, mask, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		var s float64
+		for d, o := range off {
+			if mask[i]>>d&1 != 0 {
+				s += coef[d] * x[i+o]
+			}
+		}
+		if b != nil {
+			s = b[i] - s
+		}
+		dst[i] = s
+	}
 }
