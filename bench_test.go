@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -112,12 +114,15 @@ func BenchmarkSZDecompress(b *testing.B) {
 
 // ---- The save path on real solver state --------------------------------------
 //
-// solverState above is smooth: its quantization codes fall in a few
-// dozen bins and a block's Huffman table is tiny. A checkpoint
-// compresses a Krylov iterate, whose blocks carry 600–1,200 distinct
-// codes each, so table construction and long codes weigh several
-// times more. These four run on what cg-lossy-sync saves: the 48³
-// IC(0)-PCG iterate at iteration 25, PWRel 1e-4.
+// solverState above is smooth in one dimension: its quantization codes
+// fall in a few dozen bins and a block's Huffman table is tiny. A
+// checkpoint compresses a Krylov iterate, a field on the solver's grid.
+// These four run on what cg-lossy-sync saves — the 48³ IC(0)-PCG
+// iterate at iteration 25 — the entropy stage on the recorded code
+// histograms of its first block (internal/huffman/testdata): as the
+// 1-D linear predictor left them (~1,200 distinct codes) and as the
+// 3-D Lorenzo stencil over the inferred grid does (~130), which is
+// what a checkpoint holds now.
 
 func pcgIterate(b *testing.B) []float64 {
 	a := sparse.Poisson3D(pcgGrid)
@@ -132,97 +137,124 @@ func pcgIterate(b *testing.B) []float64 {
 	return append([]float64(nil), s.X()...)
 }
 
-// entropyBlock is the symbol stream the Huffman stage sees for the
-// iterate's first SZ block: quantization of ln x under ln(1+eb) against
-// the order-2 linear extrapolation of the reconstruction, the
-// predictor SZ picks on every block of this vector.
-func entropyBlock(x []float64) (symbols []int, alphabet int) {
-	const half = 1 << 15
-	twoEB := 2 * math.Log1p(1e-4)
-	symbols = make([]int, 1<<15)
-	var prev, prev2 float64
-	for i := range symbols {
-		v, p := math.Log(x[i]), 2*prev-prev2
-		if i < 2 {
-			p = prev
+// entropyBlocks are the symbol streams the Huffman stage sees, by
+// predictor: a recorded histogram expanded and shuffled (the coder is
+// memoryless: table and bits depend on the counts alone).
+func entropyBlocks(b *testing.B) map[string][]int {
+	blocks := map[string][]int{}
+	for name, file := range map[string]string{"linear1d": "pcg48_iter25_block0.hist", "lorenzo3d": "pcg48_iter25_grid_block0.hist"} {
+		hist, err := os.ReadFile("internal/huffman/testdata/" + file)
+		if err != nil {
+			b.Fatal(err)
 		}
-		r := v // unpredictable values keep symbol 0 and reconstruct exactly
-		if bin := math.RoundToEven((v - p) / twoEB); math.Abs(bin) < half-1 {
-			symbols[i], r = half+int(bin), p+twoEB*bin
+		var symbols []int
+		for _, line := range strings.Split(string(hist), "\n") {
+			var sym, n int
+			if _, err := fmt.Sscanf(line, "%d %d", &sym, &n); err != nil {
+				continue // the comment line, the last newline
+			}
+			for ; n > 0; n-- {
+				symbols = append(symbols, sym)
+			}
 		}
-		prev2, prev = prev, r
+		rand.New(rand.NewSource(3)).Shuffle(len(symbols), func(i, j int) { symbols[i], symbols[j] = symbols[j], symbols[i] })
+		blocks[name] = symbols
 	}
-	return symbols, 2 * half
+	return blocks
 }
+
+const entropyAlphabet = 1 << 16
 
 func reportPerElem(b *testing.B, elems int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
 }
 
 func BenchmarkHuffmanEncode(b *testing.B) {
-	symbols, alphabet := entropyBlock(pcgIterate(b))
-	dst, err := huffman.AppendEncode(nil, symbols, alphabet)
-	if err != nil {
-		b.Fatal(err)
+	for name, symbols := range entropyBlocks(b) {
+		b.Run(name, func(b *testing.B) {
+			dst, err := huffman.AppendEncode(nil, symbols, entropyAlphabet)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(8 * len(symbols)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dst, err = huffman.AppendEncode(dst[:0], symbols, entropyAlphabet); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerElem(b, len(symbols))
+			b.ReportMetric(8*float64(len(dst))/float64(len(symbols)), "bits/elem")
+		})
 	}
-	b.SetBytes(int64(8 * len(symbols)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dst, err = huffman.AppendEncode(dst[:0], symbols, alphabet); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportPerElem(b, len(symbols))
 }
 
 func BenchmarkHuffmanDecode(b *testing.B) {
-	symbols, alphabet := entropyBlock(pcgIterate(b))
-	enc, err := huffman.AppendEncode(nil, symbols, alphabet)
-	if err != nil {
-		b.Fatal(err)
+	for name, symbols := range entropyBlocks(b) {
+		b.Run(name, func(b *testing.B) {
+			enc, err := huffman.AppendEncode(nil, symbols, entropyAlphabet)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]int, 0, len(symbols))
+			b.SetBytes(int64(8 * len(symbols)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = huffman.DecodeInto(enc, buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerElem(b, len(symbols))
+		})
 	}
-	buf := make([]int, 0, len(symbols))
-	b.SetBytes(int64(8 * len(symbols)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if buf, err = huffman.DecodeInto(enc, buf[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportPerElem(b, len(symbols))
 }
+
+// solverStateBounds are the bounds the save path is priced at: the
+// benchmark workload's, and the one the N′ levers need (ROADMAP item 4).
+var solverStateBounds = []float64{1e-4, 1e-6}
 
 func BenchmarkSZCompressSolverState(b *testing.B) {
 	x := pcgIterate(b)
-	b.SetBytes(int64(8 * len(x)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}); err != nil {
-			b.Fatal(err)
-		}
+	for _, eb := range solverStateBounds {
+		b.Run(fmt.Sprint(eb), func(b *testing.B) {
+			var comp []byte
+			var err error
+			b.SetBytes(int64(8 * len(x)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if comp, err = sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: eb}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerElem(b, len(x))
+			b.ReportMetric(8*float64(len(comp))/float64(len(x)), "bits/elem")
+		})
 	}
-	reportPerElem(b, len(x))
 }
 
 func BenchmarkSZDecompressSolverState(b *testing.B) {
 	x := pcgIterate(b)
-	comp, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4})
-	if err != nil {
-		b.Fatal(err)
+	for _, eb := range solverStateBounds {
+		b.Run(fmt.Sprint(eb), func(b *testing.B) {
+			comp, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: eb})
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]float64, len(x))
+			b.SetBytes(int64(8 * len(x)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sz.DecompressInto(dst, comp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerElem(b, len(x))
+		})
 	}
-	dst := make([]float64, len(x))
-	b.SetBytes(int64(8 * len(x)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sz.DecompressInto(dst, comp); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportPerElem(b, len(x))
 }
 
 // BenchmarkCodecThroughput is the per-codec, per-core throughput

@@ -409,6 +409,24 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 }
 
+// gridStream is an SZ stream predicted over a 20×20×3 grid, two slabs
+// to a block: the one stream whose block size the codec chose.
+func gridStream(t testing.TB) []byte {
+	x := make([]float64, 0, 20*20*3)
+	for i := 0; i < cap(x); i++ {
+		u, v, w := float64(i%20), float64(i/20%20), float64(i/400)
+		x = append(x, 2.5+math.Sin(u/5)*math.Cos(v/4+w/6)+0.2*math.Sin(w/3))
+	}
+	enc, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-6, BlockSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lay, err := ParseBlockLayout(Whole(enc), len(enc)); err != nil || lay.BlockElems != 800 {
+		t.Fatalf("grid stream in blocks of %d (%v), want two 400-element slabs", lay.BlockElems, err)
+	}
+	return enc
+}
+
 // fuzzCodecs maps every codec ID to its block codec.
 var fuzzCodecs = map[ID]BlockCodec{ZFP: BlockedZFP{}, Flate: BlockedFlate{}, SZ: sz.Blocks{}}
 
@@ -436,6 +454,7 @@ func FuzzContainer(f *testing.F) {
 		}
 		f.Add(enc, uint32(len(x)))
 	}
+	f.Add(gridStream(f), uint32(20*20*3))
 	f.Add(AppendConstant(nil, sz.Blocks{}, 9, 1.5), uint32(9))
 	// The empty vector: one empty block, nothing to decode into.
 	f.Add(compress(f, nil, BlockedZFP{Bound: 1e-4}), uint32(0))

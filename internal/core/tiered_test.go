@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -24,9 +28,12 @@ type tieredRig struct {
 	x0 []float64
 }
 
-func newTieredRig(t *testing.T, seed int64) *tieredRig {
+func newTieredRig(t *testing.T, seed int64) *tieredRig { return newTieredRigOn(t, seed, 8) }
+
+// newTieredRigOn builds the rig over a grid³ Poisson system.
+func newTieredRigOn(t *testing.T, seed int64, grid int) *tieredRig {
 	t.Helper()
-	a := sparse.Poisson3D(8)
+	a := sparse.Poisson3D(grid)
 	b := sparse.OnesRHS(a.Rows)
 	cg := solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{},
 		solver.Options{RTol: 1e-8})
@@ -180,6 +187,63 @@ func TestRecoverTieredFallsBackToPreviousCheckpoint(t *testing.T) {
 	// The rejected read was still paid: its bytes count in the total.
 	if rep.Attempts[1].ReadBytes == 0 {
 		t.Fatal("rejected checkpoint attempt reports no read bytes")
+	}
+}
+
+// TestRecoverTieredRejectsForeignPredictor: a newest checkpoint whose
+// CRC holds but whose SZ block names a predictor this decoder does not
+// know, or grid strides no encoder writes, is an error — not a
+// reconstruction under no bound — and recovery lands on the checkpoint
+// before it.
+func TestRecoverTieredRejectsForeignPredictor(t *testing.T) {
+	// The core header of a 12³ iterate's block: predictor 3, strides 12
+	// and 144 as uvarints.
+	header := []byte{byte(sz.PredictorLorenzoND), 12, 0x90, 0x01}
+	for name, forged := range map[string][]byte{
+		"unknown predictor": {9, 12, 0x90, 0x01},
+		"zero row stride":   {byte(sz.PredictorLorenzoND), 0, 0x90, 0x01},
+		"ragged slab":       {byte(sz.PredictorLorenzoND), 12, 0x91, 0x01},
+	} {
+		r := newTieredRigOn(t, 1, 12)
+		r.steps(t, 4)
+		r.checkpoint(t)
+		r.steps(t, 4)
+		r.checkpoint(t)
+		firstIt := r.cg.Iteration() - 4
+		r.steps(t, 4)
+
+		names, err := r.st.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(names)
+		newest := names[len(names)-1]
+		data, err := r.st.Read(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(data, header)
+		if at < 0 {
+			t.Fatalf("%s: %s holds no block predicted over the 12×12×12 grid", name, newest)
+		}
+		body := bytes.Clone(data[:len(data)-4])
+		copy(body[at:], forged)
+		if err := r.st.Write(newest, binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))); err != nil {
+			t.Fatal(err)
+		}
+
+		r.g.CorruptRetained()
+		r.g.FailNextRank()
+		rep, err := r.m.RecoverTiered(r.x0)
+		if err != nil {
+			t.Fatalf("%s: RecoverTiered: %v", name, err)
+		}
+		if rep.Used != TierPreviousCheckpoint || rep.Iteration != firstIt {
+			t.Fatalf("%s: used %v at iteration %d, want previous-checkpoint at %d; attempts %+v", name, rep.Used, rep.Iteration, firstIt, rep.Attempts)
+		}
+		if why := rep.Attempts[1].Err; !strings.Contains(why, "sz: ") {
+			t.Fatalf("%s: the newest checkpoint was refused for %q, want the SZ decoder's verdict", name, why)
+		}
 	}
 }
 

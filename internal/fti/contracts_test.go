@@ -15,6 +15,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/fti/shard"
 	"repro/internal/sparse"
+	"repro/internal/sz"
 )
 
 // allocatedBytes reports the heap bytes allocated while f runs.
@@ -106,6 +107,17 @@ func rawBits(n int, seed int64) []float64 {
 		x[i] = math.Float64frombits(rng.Uint64())
 	}
 	x[0], x[n/2], x[n-1] = math.Copysign(0, -1), 0, math.Float64frombits(0x7ff0000000000001)
+	return x
+}
+
+// gridIterate is a smooth positive field on a grid³ grid, x fastest:
+// what SZ infers the grid of and predicts over.
+func gridIterate(grid int) []float64 {
+	x := make([]float64, 0, grid*grid*grid)
+	for i := 0; i < cap(x); i++ {
+		u, v, w := float64(i%grid), float64(i/grid%grid), float64(i/grid/grid)
+		x = append(x, 2.5+math.Sin(u/5)*math.Cos(v/4+w/6)+0.2*math.Sin(w/3))
+	}
 	return x
 }
 
@@ -357,6 +369,13 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 	f.Add(good[:len(good)-4], uint16(40), uint16(100), uint16(101))
 	f.Add(good[:len(good)-4], uint16(7), uint16(3), uint16(398))
 	f.Add(good[:len(good)/2], uint16(40), uint16(0), uint16(9))
+	// A compressed vector predicted over its grid, for what the header
+	// and length walk make of bytes that are not raw elements.
+	grid, _, _, _, err := encodeSnapshot(streamSnap(12, gridIterate(12), sparse.SmoothField(7, 2)), SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-5}}, nil, false, 0, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grid[:len(grid)-4], uint16(1728), uint16(300), uint16(2000))
 	f.Fuzz(func(t *testing.T, body []byte, n, cutA, cutB uint16) {
 		n %= 1 << 12
 		data := sealed(bytes.Clone(body))

@@ -90,7 +90,8 @@ func (Lossless) BoundInfo() BoundInfo { return BoundInfo{} }
 func (e Lossless) Blocks() codec.BlockCodec { return e.Codec }
 
 // SZ wraps the SZ-like error-bounded lossy compressor — the paper's
-// choice for 1D solver state.
+// choice for solver state, which it predicts over the grid the vector
+// is a flattened field of (inferred from the data, not declared).
 type SZ struct {
 	Params sz.Params
 }

@@ -391,9 +391,17 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// realBlock expands a recorded histogram of SZ quantization codes —
-// one block of the 48³ PCG iterate cg-lossy-sync checkpoints — into a
-// shuffled symbol stream.
+// realBlocks are the recorded histograms of SZ quantization codes: the
+// first and the last block of the 48³ PCG iterate cg-lossy-sync
+// checkpoints, as the 1-D linear predictor left them (~1,200 distinct
+// codes) and as the 3-D Lorenzo stencil over the inferred grid does
+// (~130, in blocks of fourteen whole slabs).
+var realBlocks = []string{
+	"pcg48_iter25_block0.hist", "pcg48_iter25_block3.hist",
+	"pcg48_iter25_grid_block0.hist", "pcg48_iter25_grid_block3.hist",
+}
+
+// realBlock expands one of them into a shuffled symbol stream.
 func realBlock(t testing.TB, name string) []int {
 	t.Helper()
 	f, err := os.Open("testdata/" + name)
@@ -417,7 +425,7 @@ func realBlock(t testing.TB, name string) []int {
 }
 
 func TestRoundTripRealBlocks(t *testing.T) {
-	for _, name := range []string{"pcg48_iter25_block0.hist", "pcg48_iter25_block3.hist"} {
+	for _, name := range realBlocks {
 		symbols := realBlock(t, name)
 		if len(symbols) < 10000 {
 			t.Fatalf("%s: only %d symbols", name, len(symbols))
@@ -475,7 +483,7 @@ func TestCodeLengthsOptimal(t *testing.T) {
 		histograms[fmt.Sprintf("skewed%d", i)] = skewed
 		histograms[fmt.Sprintf("uniform%d", i)] = uniform
 	}
-	for _, name := range []string{"pcg48_iter25_block0.hist", "pcg48_iter25_block3.hist"} {
+	for _, name := range realBlocks {
 		freq := make([]uint64, 65536)
 		for _, s := range realBlock(t, name) {
 			freq[s]++
@@ -717,6 +725,7 @@ func TestConcurrentUseIsPure(t *testing.T) {
 	jobs := []job{
 		{symbols: realBlock(t, "pcg48_iter25_block0.hist"), alphabet: 65536},
 		{symbols: realBlock(t, "pcg48_iter25_block3.hist"), alphabet: 65536},
+		{symbols: realBlock(t, "pcg48_iter25_grid_block0.hist"), alphabet: 65536},
 		{symbols: skewedSymbols(20000), alphabet: 65536},
 		{symbols: []int{3, 3, 3}, alphabet: 4},
 		{symbols: seq(300), alphabet: 300},

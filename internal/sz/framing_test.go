@@ -94,7 +94,9 @@ func bitmapSaving(x []float64, p Params) (saved, varintSlack int) {
 // size alone (the two container headers are the same length); the one
 // single-block case gained its container header: 15 bytes of framing
 // (magic, ID, n, block size, block count, block length, kind) where the
-// single-stream format spent 6.
+// single-stream format spent 6. Grid inference looks at all eight — each
+// is long enough — and declines on all eight: they are 1-D signals, so
+// no block is predicted over a grid and every hash and size stands.
 func TestReconstructionMatchesParent(t *testing.T) {
 	parent := map[string]struct {
 		hash uint64
@@ -117,6 +119,11 @@ func TestReconstructionMatchesParent(t *testing.T) {
 		audited, _, err := compressWithStats(c.x, c.p)
 		if err != nil || !bytes.Equal(comp, audited) {
 			t.Fatalf("%s: audited save differs from the plain one (%v)", c.name, err)
+		}
+		for b, s := range predictorsOf(t, comp) {
+			if s.pred == PredictorLorenzoND {
+				t.Fatalf("%s: block %d predicted over strides (%d, %d): re-record the case", c.name, b, s.s1, s.s2)
+			}
 		}
 		got, err := Decompress(comp)
 		if err != nil {
@@ -202,12 +209,26 @@ func coreHeader(n uint64, eb float64, intervals, nUnpred, hlen uint64, hstream [
 	return append(p, hstream...)
 }
 
+// stencilCore is the well-formed four-element core payload with its
+// predictor byte replaced by pred and the uvarints that follow it.
+func stencilCore(hstream []byte, pred byte, strides ...uint64) []byte {
+	p := corePayload(4, 0, uint64(len(hstream)), hstream)
+	out := append(bytes.Clone(p[:9]), pred) // uvarint n, the bound, the predictor byte
+	for _, s := range strides {
+		out = binary.AppendUvarint(out, s)
+	}
+	return append(out, p[10:]...)
+}
+
 // craftedStreams are streams whose fields lie. The length fields of the
 // first three wrapped an int conversion or multiplication and panicked
 // (slice bounds out of range, makeslice: len out of range) before they
-// were compared in uint64; the bounds and bin counts of the last five
-// are ones no encoder writes, and decoded to NaN, Inf or garbage
-// without an error before they were checked.
+// were compared in uint64; the bounds and bin counts of the five after
+// "constant" are ones no encoder writes, and decoded to NaN, Inf or
+// garbage without an error before they were checked; so did every
+// predictor byte but Lorenzo's, which all took the linear path. The
+// strides of the grid predictor are held to what an encoder writes
+// before they index anything.
 func craftedStreams(t testing.TB) map[string][]byte {
 	hstream, err := huffman.Encode([]int{8, 8, 9, 8}, 16)
 	if err != nil {
@@ -218,6 +239,9 @@ func craftedStreams(t testing.TB) map[string][]byte {
 	}
 	bound := func(eb float64, intervals uint64) []byte {
 		return blockedOf(4, append([]byte{kindCore}, coreHeader(4, eb, intervals, 0, uint64(len(hstream)), hstream)...))
+	}
+	stencil := func(pred byte, strides ...uint64) []byte {
+		return blockedOf(4, append([]byte{kindCore}, stencilCore(hstream, pred, strides...)...))
 	}
 	good := corePayload(4, 0, uint64(len(hstream)), hstream)
 	return map[string][]byte{
@@ -241,6 +265,16 @@ func craftedStreams(t testing.TB) map[string][]byte {
 		"core/eb-negative":      bound(-1, 16),
 		"core/intervals-2":      bound(1e-3, 2),
 		"core/intervals-2pow25": bound(1e-3, 1<<25),
+		"core/pred-auto":        stencil(byte(PredictorAuto)),
+		"core/pred-4":           stencil(4),
+		"core/pred-255":         stencil(255),
+		"core/nd-no-strides":    blockedOf(4, append([]byte{kindCore}, stencilCore(hstream, byte(PredictorLorenzoND))[:10]...)),
+		"core/nd-s1-0":          stencil(byte(PredictorLorenzoND), 0, 0),
+		"core/nd-s1-whole":      stencil(byte(PredictorLorenzoND), 4, 0),
+		"core/nd-s1-2pow63":     stencil(byte(PredictorLorenzoND), 1<<63, 0),
+		"core/nd-s2-ragged":     stencil(byte(PredictorLorenzoND), 2, 1),
+		"core/nd-s2-overrun":    stencil(byte(PredictorLorenzoND), 1, 3),
+		"core/nd-s2-2pow64-1":   stencil(byte(PredictorLorenzoND), 1, math.MaxUint64),
 	}
 }
 
@@ -309,6 +343,14 @@ func TestCraftedLengthFieldsError(t *testing.T) {
 	if got, err := Decompress(good); err != nil || len(got) != 4 {
 		t.Fatalf("well-formed crafted stream: %v, %v", got, err)
 	}
+	// So do the grids four elements can be: two rows of two, and four
+	// slabs of one row of one.
+	for _, strides := range [][]uint64{{2, 0}, {1, 2}, {1, 1}} {
+		grid := blockedOf(4, append([]byte{kindCore}, stencilCore(hstream, byte(PredictorLorenzoND), strides...)...))
+		if got, err := Decompress(grid); err != nil || len(got) != 4 {
+			t.Fatalf("well-formed crafted stream over strides %v: %v, %v", strides, got, err)
+		}
+	}
 }
 
 // FuzzDecompressInto: any input either errors or fills dst with what
@@ -328,6 +370,11 @@ func FuzzDecompressInto(f *testing.F) {
 		f.Add(comp, uint32(len(x)))
 		f.Add(comp[:len(comp)/2], uint32(len(x)))
 	}
+	grid, err := Compress(gridField(8, 8, 8, 0), Params{Mode: PWRel, ErrorBound: 1e-4, Predictor: PredictorLorenzoND, BlockSize: 250})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grid, uint32(512))
 	f.Fuzz(func(t *testing.T, data []byte, n uint32) {
 		dst := make([]float64, n%(1<<16))
 		var err error

@@ -1,10 +1,13 @@
 // Package sz implements a prediction-based, error-bounded lossy
 // floating-point compressor modeled on SZ 1.4 (Di & Cappello, IPDPS'16;
 // Tao et al., IPDPS'17), the compressor the paper integrates into its
-// lossy checkpointing scheme. The pipeline is the 1D SZ pipeline:
+// lossy checkpointing scheme. The pipeline is SZ's:
 //
-//  1. predict each value from previously *reconstructed* values
-//     (order-1 Lorenzo or order-2 linear extrapolation),
+//  1. predict each value from previously *reconstructed* values: over
+//     the grid the vector is a flattened field of — the Lorenzo stencil
+//     of SZ 1.4, two- or three-dimensional, its strides inferred from
+//     the data (inferStrides) — or, where the data shows no grid, along
+//     the vector (order-1 Lorenzo or order-2 linear extrapolation),
 //  2. quantize the prediction error into 2·eb-wide bins
 //     (error-controlled quantization — this is what guarantees the
 //     pointwise bound),
@@ -20,11 +23,12 @@
 // Every stream is one blocked container (package codec, codec ID SZ):
 // the vector is split into fixed-size blocks that are compressed and
 // decompressed independently — each block carries its own predictor
-// state and Huffman table — so the whole pipeline parallelizes across
-// blocks (see internal/parallel) with output bytes that depend only on
-// the input and the parameters, while the pointwise error bound is
-// preserved exactly. A block payload is a kind byte followed by the
-// kind-specific encoding below (core or log-transform).
+// state and Huffman table, and over a grid holds whole rows or slabs, so
+// that no stencil reaches into another block — so the whole pipeline
+// parallelizes across blocks (see internal/parallel) with output bytes
+// that depend only on the input and the parameters, while the pointwise
+// error bound is preserved exactly. A block payload is a kind byte
+// followed by the kind-specific encoding below (core or log-transform).
 //
 // Error-bound semantics do not depend on the blocking. Abs and PWRel
 // bounds are pointwise. The RelRange bound is defined against the
@@ -40,6 +44,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/codec"
@@ -78,12 +83,18 @@ func (m Mode) String() string {
 type Predictor byte
 
 const (
-	// PredictorAuto picks the cheaper of the two on a sample.
+	// PredictorAuto infers the grid (see inferStrides) and predicts over
+	// it when that is cheaper on a sample; otherwise each block picks
+	// the cheaper of the two 1-D rules on a dry run of its head.
 	PredictorAuto Predictor = iota
 	// PredictorLorenzo predicts x_i ≈ x′_{i−1} (order-1 Lorenzo).
 	PredictorLorenzo
 	// PredictorLinear predicts x_i ≈ 2·x′_{i−1} − x′_{i−2}.
 	PredictorLinear
+	// PredictorLorenzoND predicts from the Lorenzo stencil over the
+	// inferred grid whether or not the sample favours it; a vector with
+	// no grid (a prime length) falls back to PredictorLorenzo.
+	PredictorLorenzoND
 )
 
 // Params configure compression. Zero values select the defaults used
@@ -129,7 +140,7 @@ func AppendCompress(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	bc := Blocks{p: p, eb: p.ErrorBound}
+	bc := Blocks{p: p, eb: p.ErrorBound, sten: stencil{pred: p.Predictor}}
 	if p.Mode == RelRange {
 		lo, hi := valueRange(x)
 		if bc.eb = p.ErrorBound * (hi - lo); bc.eb == 0 {
@@ -146,6 +157,9 @@ func AppendCompress(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte,
 			return codec.AppendConstant(dst, bc, len(x), c), nil
 		}
 	}
+	if s1, s2 := inferStrides(x, p, bc.eb); s1 > 0 {
+		bc.sten = stencil{PredictorLorenzoND, s1, s2}
+	}
 	return codec.Compress(dst, x, bc, st)
 }
 
@@ -156,6 +170,9 @@ func normalizeParams(x []float64, p Params) (Params, error) {
 	}
 	if p.Mode > PWRel {
 		return p, fmt.Errorf("sz: unknown mode %d", p.Mode)
+	}
+	if p.Predictor > PredictorLorenzoND {
+		return p, fmt.Errorf("sz: unknown predictor %d", p.Predictor)
 	}
 	if p.Intervals == 0 {
 		p.Intervals = defaultIntervals
@@ -236,18 +253,26 @@ func DecompressInto(dst []float64, data []byte) error {
 // Blocks is SZ's block codec in the blocked container
 // (codec.BlockCodec). The zero value decodes the blocks of any SZ
 // stream; encoding goes through AppendCompress, which makes the
-// whole-vector decisions (parameter defaults, RelRange's global range)
-// the blocks share.
+// whole-vector decisions (parameter defaults, RelRange's global range,
+// the grid's strides) the blocks share.
 type Blocks struct {
-	p  Params  // normalized
-	eb float64 // the absolute bound of Abs/RelRange blocks
+	p    Params  // normalized
+	eb   float64 // the absolute bound of Abs/RelRange blocks
+	sten stencil // p.Predictor, or the grid stencil with its inferred strides
 }
 
 // ID implements codec.BlockCodec.
 func (Blocks) ID() codec.ID { return codec.SZ }
 
-// BlockSize implements codec.BlockCodec.
-func (b Blocks) BlockSize() int { return b.p.BlockSize }
+// BlockSize implements codec.BlockCodec. Over a grid, blocks hold whole
+// rows (2-D) or slabs (3-D) — as many as fit Params.BlockSize, at least
+// one — so no block's stencil reaches into another.
+func (b Blocks) BlockSize() int {
+	if outer := max(b.sten.s1, b.sten.s2); outer > 0 {
+		return max(b.p.BlockSize/outer, 1) * outer
+	}
+	return b.p.BlockSize
+}
 
 // EncodeBlock implements codec.BlockCodec: a kind byte, then the core
 // or log-transform payload of x.
@@ -259,13 +284,13 @@ func (b Blocks) EncodeBlock(dst []byte, x []float64, st *codec.Stats) ([]byte, e
 		st.Bound, st.Relative, st.Lossy = b.eb, b.p.Mode == PWRel, true
 	}
 	if b.p.Mode == PWRel {
-		return appendLogTransform(append(dst, kindLogTransform), x, b.p, st)
+		return appendLogTransform(append(dst, kindLogTransform), x, b.p, b.sten, st)
 	}
 	var a *audit
 	if st != nil {
 		a = &audit{st: st}
 	}
-	return appendCore(append(dst, kindCore), x, b.eb, b.p.Predictor, b.p.Intervals, a)
+	return appendCore(append(dst, kindCore), x, nil, b.eb, b.sten, b.p.Intervals, a)
 }
 
 // DecodeBlockInto implements codec.BlockCodec.
@@ -332,14 +357,16 @@ func quantStep(v, p, inv, twoEB, eb, limit float64, half int) (int, float64) {
 	return 0, v
 }
 
-// choosePredictor dry-runs both predictors on a sample and picks the
-// one with the lower total coded-magnitude proxy (bits.Len of the bin
-// magnitude — an integer stand-in for the log2 entropy proxy).
+// binCost is the coded-magnitude proxy of a value d bins from its
+// prediction (bits.Len of the bin magnitude — an integer stand-in for
+// the log2 entropy proxy); an unpredictable value costs unpredCost.
+func binCost(d uint64) int { return bits.Len64(2*d + 2) }
+
+const unpredCost = 64 // the full value is stored
+
+// choosePredictor dry-runs both 1-D predictors on the head of a block
+// and picks the one with the lower total binCost.
 func choosePredictor(x []float64, eb float64, intervals int) Predictor {
-	n := len(x)
-	if n > 4096 {
-		n = 4096
-	}
 	half := intervals / 2
 	inv := 1 / (2 * eb)
 	twoEB := 2 * eb
@@ -347,28 +374,14 @@ func choosePredictor(x []float64, eb float64, intervals int) Predictor {
 	cost := func(pred Predictor) int {
 		c := 0
 		var prev, prev2 float64
-		for i := 0; i < n; i++ {
-			p := 2*prev - prev2
-			if pred == PredictorLorenzo {
-				p = prev
-			}
-			if i == 0 {
-				p = 0
-			} else if i == 1 {
-				p = prev
-			}
-			code, r := quantStep(x[i], p, inv, twoEB, eb, limit, half)
+		for i, v := range x[:min(len(x), 4096)] {
+			code, r := quantStep(v, predict(pred, prev, prev2, nil, nil, nil, i), inv, twoEB, eb, limit, half)
 			if code == 0 {
-				c += 64 // unpredictable: full value stored
+				c += unpredCost
 			} else {
-				d := code - half
-				if d < 0 {
-					d = -d
-				}
-				c += bits.Len64(uint64(2*d + 2))
+				c += binCost(uint64(max(code-half, half-code)))
 			}
-			prev2 = prev
-			prev = r
+			prev2, prev = prev, r
 		}
 		return c
 	}
@@ -378,8 +391,232 @@ func choosePredictor(x []float64, eb float64, intervals int) Predictor {
 	return PredictorLorenzo
 }
 
+const (
+	// inferSamples elements price a candidate grid, the first
+	// inferScreen of them screen it, in sixteenths of a quantization bin
+	// (inferSub); a vector shorter than inferFloor is not looked at (the
+	// sample would be a quarter of it, and a Huffman table outweighs
+	// what a grid that small can save).
+	inferSamples = 256
+	inferScreen  = 32
+	inferSub     = 16
+	inferFloor   = 1024
+)
+
+// sampler prices prediction stencils on a fixed sample of x.
+type sampler struct {
+	x     []float64
+	at    [inferSamples]int
+	inv   float64 // cost units per unit of residual
+	limit float64 // units past which a value is unpredictable
+	logs  bool    // PWRel: the residual is of ln|x|
+}
+
+// cost prices, on the first m samples, the stencil that adds the
+// values plus[k] elements back and subtracts those minus[k] back: the
+// total binCost — over that of a perfect prediction, so that prices
+// compare by ratio — of the sampled elements, each predicted from the
+// original values behind it. Under PWRel the quantizer will see
+// logarithms, so sums become products and the residual ln(N/D) is taken
+// to first order, 2(N−D)/(N+D): a sample has no logarithm to spare per
+// candidate, and only small residuals tell candidates apart.
+func (s *sampler) cost(plus, minus []int, m int) int {
+	c := 0
+	for _, i := range s.at[:m] {
+		res := s.x[i]
+		if s.logs {
+			num := 1.0
+			for _, o := range plus {
+				num *= s.x[i-o]
+			}
+			for _, o := range minus {
+				res *= s.x[i-o]
+			}
+			num, res = math.Abs(num), math.Abs(res)
+			res = 2 * (num - res) / (num + res)
+		} else {
+			for _, o := range plus {
+				res -= s.x[i-o]
+			}
+			for _, o := range minus {
+				res += s.x[i-o]
+			}
+		}
+		if d := math.Abs(res) * s.inv; d < s.limit { // false for NaN
+			c += binCost(uint64(int64(d+0.5))) - binCost(0)
+		} else {
+			c += unpredCost
+		}
+	}
+	return c
+}
+
+// lorenzo prices the Lorenzo stencil over strides (s1, s2), s2 == 0
+// being the 2-D form.
+func (s *sampler) lorenzo(s1, s2, m int) int {
+	if s2 == 0 {
+		return s.cost([]int{1, s1}, []int{s1 + 1}, m)
+	}
+	return s.cost([]int{1, s1, s2, s1 + s2 + 1}, []int{s1 + 1, s2 + 1, s1 + s2}, m)
+}
+
+// inferStrides finds the grid x is a flattened field of: the strides
+// (s1, s2) of its rows and slabs, s2 == 0 for a 2-D grid, (0, 0) unless
+// prediction over a grid prices a sixteenth below both 1-D rules on the
+// sample (or p does not ask). A solver's iterate does not carry its
+// shape through a checkpoint library, but it shows: candidates are the
+// divisor chains s1 | s2 | len(x), searched greedily — the best single
+// stride under the 2-D stencil, then the best second one comparable
+// with it under the 3-D stencil, kept if it saves a sixteenth again and
+// two slabs fit a block — with near-ties going to the smaller stride
+// (on a cube the y and the z neighbour predict equally well, and so
+// nearly do their multiples). A pure function of (x, p, eb): the bytes
+// depend on no schedule and no history.
+func inferStrides(x []float64, p Params, eb float64) (s1, s2 int) {
+	n := len(x)
+	forced := p.Predictor == PredictorLorenzoND
+	if !forced && (p.Predictor != PredictorAuto || n < inferFloor) {
+		return 0, 0
+	}
+	if p.Mode == PWRel {
+		eb = math.Log1p(eb)
+	}
+	s := sampler{x: x, inv: inferSub / (2 * eb), limit: inferSub * float64(p.Intervals/2-1), logs: p.Mode == PWRel}
+	// Samples come from the back half, so that every stencil reaching
+	// at most reach elements back finds all its neighbours, at
+	// golden-ratio steps, which line up with no grid and leave every
+	// prefix of the sample as evenly spread as the whole.
+	reach := n - n/2
+	for k := range s.at {
+		s.at[k] = n - 1 - int((uint64(k+1)*0x9E3779B97F4A7C15>>32)*uint64(n/2)>>32)
+	}
+	var divs, large []int // divisors of n with a row and an element more in reach
+	for d := 2; d*d <= n && d < reach; d++ {
+		if n%d == 0 {
+			divs = append(divs, d)
+			if q := n / d; q != d && q < reach {
+				large = append(large, q)
+			}
+		}
+	}
+	slices.Reverse(large)
+	divs = append(divs, large...)
+	// pick screens the candidates on a prefix of the sample, prices on
+	// all of it those within a quarter (and a unit a sample) of the
+	// cheapest, and returns the smallest within a quarter of the
+	// cheapest, with its price; 0 when none prices under ceiling.
+	// Stencils the candidate has none of price at math.MaxInt.
+	costs := make([]int, len(divs))
+	pick := func(ceiling int, cost func(d, m int) int) (int, int) {
+		screen := math.MaxInt
+		for k, d := range divs {
+			costs[k] = cost(d, inferScreen)
+			screen = min(screen, costs[k])
+		}
+		best := ceiling
+		for k, d := range divs {
+			if costs[k] < math.MaxInt && costs[k] <= screen+screen/4+inferScreen {
+				costs[k] = cost(d, inferSamples)
+				best = min(best, costs[k])
+			} else {
+				costs[k] = math.MaxInt
+			}
+		}
+		for k, c := range costs {
+			if c < ceiling && c <= best+best/4 {
+				return divs[k], c
+			}
+		}
+		return 0, 0
+	}
+	ceiling := math.MaxInt / 2
+	if !forced {
+		oneD := min(s.cost([]int{1}, nil, inferSamples), s.cost([]int{1, 1}, []int{2}, inferSamples))
+		ceiling = oneD - oneD/16
+	}
+	a, cost := pick(ceiling, func(d, m int) int { return s.lorenzo(d, 0, m) })
+	if a == 0 {
+		return 0, 0
+	}
+	b, _ := pick(cost-cost/16, func(d, m int) int {
+		lo, hi := min(a, d), max(a, d)
+		if lo == hi || hi%lo != 0 || lo+hi >= reach || 2*hi > p.BlockSize {
+			return math.MaxInt
+		}
+		return s.lorenzo(lo, hi, m)
+	})
+	if b == 0 {
+		return a, 0
+	}
+	return min(a, b), max(a, b)
+}
+
+// stencil is the prediction rule of one block: the predictor and, for
+// PredictorLorenzoND, the strides of the grid it steps back over — one
+// row (s1) and one slab (s2; 0 on a 2-D grid).
+type stencil struct {
+	pred   Predictor
+	s1, s2 int
+}
+
+// predict is the one prediction both directions run, so their float
+// operation order cannot diverge. It predicts element j of a row from
+// prev and prev2, the reconstructions of elements j−1 and j−2 (0
+// before the row starts), and — PredictorLorenzoND only — from the
+// reconstructed rows one step back along each outer axis (stencil.rows):
+//
+//	x′(i−1) + x′(i−s1) − x′(i−s1−1) + x′(i−s2) − x′(i−s2−1) − x′(i−s2−s1) + x′(i−s2−s1−1)
+//
+// with every neighbour outside the block, the slab or the row reading
+// as zero. The 1-D rules see a whole block as one row.
+func predict(pred Predictor, prev, prev2 float64, up, back, ub []float64, j int) float64 {
+	switch {
+	case pred == PredictorLorenzoND && j > 0:
+		return prev + ((up[j] - up[j-1]) + (back[j] - back[j-1]) - (ub[j] - ub[j-1]))
+	case pred == PredictorLorenzoND:
+		return up[0] + back[0] - ub[0]
+	case pred == PredictorLinear && j > 1:
+		return 2*prev - prev2
+	}
+	return prev
+}
+
+// rows returns what predict reads beside the w-element row that starts
+// at element b of the block reconstructed in r: the row above it (up),
+// the same row of the slab behind (back) and the row above that one
+// (ub), each the all-zero row where the block or the slab has none.
+func (s stencil) rows(r, zero []float64, b, w int) (up, back, ub []float64) {
+	if s.pred != PredictorLorenzoND {
+		return nil, nil, nil
+	}
+	up, back, ub = zero[:w], zero[:w], zero[:w]
+	hasUp := b >= s.s1 && (s.s2 == 0 || b%s.s2 != 0)
+	if hasUp {
+		up = r[b-s.s1:][:w]
+	}
+	if s.s2 != 0 && b >= s.s2 {
+		back = r[b-s.s2:][:w]
+		if hasUp {
+			ub = r[b-s.s2-s.s1:][:w]
+		}
+	}
+	return up, back, ub
+}
+
+// rowLen is the run of elements predict treats as one row, and zeroRow
+// the pooled all-zero row an absent neighbour reads as (nil for the 1-D
+// rules); the caller returns it to the pool.
+func (s stencil) rowLen(n int) (w int, zeroRow []float64) {
+	if s.pred != PredictorLorenzoND {
+		return n, nil
+	}
+	zeroRow = parallel.GetFloat64s(s.s1)[:s.s1]
+	clear(zeroRow)
+	return s.s1, zeroRow
+}
+
 // audit is the distortion accumulator of one block, fed by the
-// quantizer loops behind a nil check: the reconstruction is in a
+// quantizer loop behind a nil check: the reconstruction is in a
 // register there, so an audited encode costs no decode pass and an
 // unaudited one a predictable branch.
 //
@@ -410,16 +647,36 @@ func (a *audit) add(i int, v, r float64) {
 // Huffman), appending the payload to dst. All large scratch state
 // comes from the parallel package's pools, keeping the per-call
 // allocation profile flat even when many blocks encode concurrently.
-// The predict→quantize loop is specialized per predictor: the
-// reconstructed prefix lives in one or two registers instead of a
-// side array, and quantStep's multiply-and-magic-round replaces the
-// divide-and-math.Round of the generic path. A non-nil a audits every
-// element where it is quantized.
-func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals int, a *audit) ([]byte, error) {
-	if pred == PredictorAuto {
-		pred = choosePredictor(x, eb, intervals)
-	}
+// One loop serves every predictor, row by row: the 1-D rules keep the
+// reconstructed prefix in two registers, the N-D stencil also writes
+// it to r — a pooled array when r is nil; the PWRel path passes x
+// itself, each logarithm being read once and then overwritten.
+// quantStep's multiply-and-magic-round replaces a divide and a
+// math.Round. A non-nil a audits every element where it is quantized.
+func appendCore(dst []byte, x, r []float64, eb float64, sten stencil, intervals int, a *audit) ([]byte, error) {
 	n := len(x)
+	if sten.pred == PredictorLorenzoND {
+		// A block of one slab has none behind it, and one without a whole
+		// row and an element more is no grid: the header says what the
+		// decoder will find, and holds to what it validates.
+		if sten.s1+sten.s2 >= n {
+			sten.s2 = 0
+		}
+		if sten.s1 == 0 || sten.s1 >= n {
+			sten = stencil{pred: PredictorLorenzo}
+		}
+	}
+	if sten.pred == PredictorAuto {
+		sten.pred = choosePredictor(x, eb, intervals)
+	}
+	rowLen, zero := sten.rowLen(n)
+	if zero != nil {
+		defer parallel.PutFloat64s(zero)
+		if r == nil {
+			r = parallel.GetFloat64s(n)[:n]
+			defer parallel.PutFloat64s(r)
+		}
+	}
 	half := intervals / 2
 	codes := parallel.GetInts(n)[:n]
 	defer parallel.PutInts(codes)
@@ -428,53 +685,23 @@ func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals i
 	inv := 1 / (2 * eb)
 	twoEB := 2 * eb
 	limit := float64(half - 1)
-	if pred == PredictorLorenzo {
-		prev := 0.0
-		for i, v := range x {
-			code, r := quantStep(v, prev, inv, twoEB, eb, limit, half)
-			if code == 0 {
-				unpred = append(unpred, v)
-			}
-			codes[i] = code
-			if a != nil {
-				a.add(i, v, r)
-			}
-			prev = r
-		}
-	} else {
+	for b := 0; b < n; b += rowLen {
+		w := min(rowLen, n-b)
+		up, back, ub := sten.rows(r, zero, b, w)
 		var prev, prev2 float64
-		i := 0
-		// The first two elements use the short-prefix predictors
-		// (0, then previous), peeled so the steady-state loop is
-		// branch-free on the index.
-		for ; i < n && i < 2; i++ {
-			p := 0.0
-			if i == 1 {
-				p = prev
-			}
-			code, r := quantStep(x[i], p, inv, twoEB, eb, limit, half)
-			if code == 0 {
-				unpred = append(unpred, x[i])
-			}
-			codes[i] = code
-			if a != nil {
-				a.add(i, x[i], r)
-			}
-			prev2 = prev
-			prev = r
-		}
-		for ; i < n; i++ {
-			v := x[i]
-			code, r := quantStep(v, 2*prev-prev2, inv, twoEB, eb, limit, half)
+		for j, v := range x[b : b+w] {
+			code, rv := quantStep(v, predict(sten.pred, prev, prev2, up, back, ub, j), inv, twoEB, eb, limit, half)
 			if code == 0 {
 				unpred = append(unpred, v)
 			}
-			codes[i] = code
+			codes[b+j] = code
 			if a != nil {
-				a.add(i, v, r)
+				a.add(b+j, v, rv)
 			}
-			prev2 = prev
-			prev = r
+			if zero != nil {
+				r[b+j] = rv
+			}
+			prev2, prev = prev, rv
 		}
 	}
 	hstream := parallel.GetBytes(n)
@@ -483,30 +710,30 @@ func appendCore(dst []byte, x []float64, eb float64, pred Predictor, intervals i
 	if err != nil {
 		return nil, err
 	}
-	return emitCore(dst, n, eb, pred, intervals, hstream, unpred), nil
+	return emitCore(dst, n, eb, sten, intervals, hstream, unpred), nil
 }
 
-// emitCore appends the core payload framing (header, Huffman stream,
-// unpredictable values) to dst.
-func emitCore(dst []byte, n int, eb float64, pred Predictor, intervals int, hstream []byte, unpred []float64) []byte {
-	out := dst
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		k := binary.PutUvarint(scratch[:], v)
-		out = append(out, scratch[:k]...)
+// emitCore appends the core payload framing to dst:
+//
+//	uvarint n | float64 eb | predictor byte [| uvarint s1 | uvarint s2]
+//	          | uvarint intervals | uvarint nUnpred | uvarint hlen
+//	          | Huffman stream | nUnpred × float64
+//
+// The strides follow the predictor byte of PredictorLorenzoND only.
+func emitCore(dst []byte, n int, eb float64, sten stencil, intervals int, hstream []byte, unpred []float64) []byte {
+	out := binary.AppendUvarint(dst, uint64(n))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(eb))
+	out = append(out, byte(sten.pred))
+	if sten.pred == PredictorLorenzoND {
+		out = binary.AppendUvarint(out, uint64(sten.s1))
+		out = binary.AppendUvarint(out, uint64(sten.s2))
 	}
-	putUvarint(uint64(n))
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(eb))
-	out = append(out, b8[:]...)
-	out = append(out, byte(pred))
-	putUvarint(uint64(intervals))
-	putUvarint(uint64(len(unpred)))
-	putUvarint(uint64(len(hstream)))
+	out = binary.AppendUvarint(out, uint64(intervals))
+	out = binary.AppendUvarint(out, uint64(len(unpred)))
+	out = binary.AppendUvarint(out, uint64(len(hstream)))
 	out = append(out, hstream...)
 	for _, v := range unpred {
-		binary.LittleEndian.PutUint64(b8[:], math.Float64bits(v))
-		out = append(out, b8[:]...)
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	return out
 }
@@ -534,8 +761,32 @@ func decodeCoreInto(p []byte, recon []float64) error {
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
 	off += 8
-	pred := Predictor(p[off])
+	sten := stencil{pred: Predictor(p[off])}
 	off++
+	// Only the rules the encoder writes: any other byte is a damaged or
+	// a future stream, and guessing a rule for it reconstructs garbage
+	// under no bound where an error falls back to the previous checkpoint.
+	switch sten.pred {
+	case PredictorLorenzo, PredictorLinear:
+	case PredictorLorenzoND:
+		s1, err := getUvarint()
+		if err != nil {
+			return err
+		}
+		s2, err := getUvarint()
+		if err != nil {
+			return err
+		}
+		// In uint64, before any index or pool request is derived from
+		// them: a whole row, a whole slab and one element more fit the
+		// block, and slabs are whole rows.
+		if s1 == 0 || s1 >= n64 || s2 >= n64-s1 || s2%s1 != 0 {
+			return fmt.Errorf("sz: corrupt core header (strides %d, %d over %d values)", s1, s2, n64)
+		}
+		sten.s1, sten.s2 = int(s1), int(s2)
+	default:
+		return fmt.Errorf("sz: unknown predictor %d", byte(sten.pred))
+	}
 	intervals64, err := getUvarint()
 	if err != nil {
 		return err
@@ -580,65 +831,56 @@ func decodeCoreInto(p []byte, recon []float64) error {
 	if len(recon) != n {
 		return fmt.Errorf("sz: core block holds %d values, expected %d", n, len(recon))
 	}
-	half := int(intervals64) / 2
-	// Reconstruction mirrors the encoder's specialized loops: the
-	// predictor inputs live in registers, and the arithmetic
-	// (prediction + 2·eb·bin) is identical to the generic predict()
-	// path, so streams written before the specialization decode
-	// bitwise identically. Any predictor byte other than Lorenzo —
-	// Linear, or junk from a corrupt stream — takes the linear path,
-	// matching the generic switch's default arm.
-	twoEB := 2 * eb
-	ui := 0
-	nu := int(nUnpred)
-	unpredAt := func(i int) (float64, error) {
-		if ui >= nu {
-			return 0, fmt.Errorf("sz: unpredictable count overflow at %d", i)
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(p[off+8*ui:]))
-		ui++
-		return v, nil
-	}
-	if pred == PredictorLorenzo {
+	stored := p[off : off+8*int(nUnpred)]
+	return sten.reconstruct(recon, codes, stored, 2*eb, int(intervals64)/2)
+}
+
+// reconstruct fills recon from a block's codes: the prediction plus
+// 2·eb·bin or, where the code is 0, the next of the stored values. It
+// mirrors the encoder's loop through the same predict, and the
+// arithmetic is what every earlier encoder's quantStep computed, so
+// their streams decode bitwise identically. Order-1 Lorenzo — what a
+// vector with no grid mostly decodes through — keeps a loop of its own:
+// three instructions an element, which predict's dispatch doubles.
+func (s stencil) reconstruct(recon []float64, codes []int, stored []byte, twoEB float64, half int) error {
+	overflow := func(i int) error { return fmt.Errorf("sz: unpredictable count overflow at %d", i) }
+	if s.pred == PredictorLorenzo {
 		prev := 0.0
 		for i, c := range codes {
-			var v float64
-			if c == 0 {
-				var err error
-				if v, err = unpredAt(i); err != nil {
-					return err
-				}
+			if c != 0 {
+				prev += twoEB * float64(c-half)
+			} else if len(stored) >= 8 {
+				prev, stored = math.Float64frombits(binary.LittleEndian.Uint64(stored)), stored[8:]
 			} else {
-				v = prev + twoEB*float64(c-half)
+				return overflow(i)
 			}
-			recon[i] = v
-			prev = v
+			recon[i] = prev
 		}
 	} else {
-		var prev, prev2 float64
-		for i, c := range codes {
-			pr := 2*prev - prev2
-			if i == 0 {
-				pr = 0
-			} else if i == 1 {
-				pr = prev
-			}
-			var v float64
-			if c == 0 {
-				var err error
-				if v, err = unpredAt(i); err != nil {
-					return err
+		n := len(recon)
+		rowLen, zero := s.rowLen(n)
+		if zero != nil {
+			defer parallel.PutFloat64s(zero)
+		}
+		for b := 0; b < n; b += rowLen {
+			cur := recon[b:min(b+rowLen, n)]
+			up, back, ub := s.rows(recon, zero, b, len(cur))
+			var prev, prev2 float64
+			for j, c := range codes[b:][:len(cur)] {
+				v := predict(s.pred, prev, prev2, up, back, ub, j) + twoEB*float64(c-half)
+				if c == 0 {
+					if len(stored) < 8 {
+						return overflow(b + j)
+					}
+					v, stored = math.Float64frombits(binary.LittleEndian.Uint64(stored)), stored[8:]
 				}
-			} else {
-				v = pr + twoEB*float64(c-half)
+				cur[j] = v
+				prev2, prev = prev, v
 			}
-			recon[i] = v
-			prev2 = prev
-			prev = v
 		}
 	}
-	if ui != nu {
-		return fmt.Errorf("sz: %d unpredictable values stored, %d consumed", nUnpred, ui)
+	if len(stored) != 0 {
+		return fmt.Errorf("sz: %d unpredictable values stored and not consumed", len(stored)/8)
 	}
 	return nil
 }
@@ -658,7 +900,7 @@ const tinyThreshold = 2.2250738585072014e-308 // math.SmallestNormalFloat64
 // satisfying the bound — and an audit (st non-nil) counts them so,
 // while the log-compressed elements carry their magnitudes into the
 // quantizer loop for the relative→absolute conversion.
-func appendLogTransform(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte, error) {
+func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *codec.Stats) ([]byte, error) {
 	n := len(x)
 	nb := (n + 7) / 8
 	// One pooled buffer holds all three bitmaps back to back in stream
@@ -730,7 +972,12 @@ func appendLogTransform(dst []byte, x []float64, p Params, st *codec.Stats) ([]b
 			a.mags = append(a.mags, math.Float64frombits(abs))
 		}
 	}
-	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, lnbEnc, p.Predictor, p.Intervals, a)
+	if len(logs) != n && sten.pred == PredictorLorenzoND {
+		// Zeros and subnormals travel beside the logarithms, not among
+		// them: what is left of the block is no longer the grid.
+		sten = stencil{}
+	}
+	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, logs, lnbEnc, sten, p.Intervals, a)
 }
 
 // emitLogHeader appends the log-transform framing that precedes the
