@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -502,7 +503,7 @@ func BenchmarkCGStep(b *testing.B) {
 
 const pcgGrid = 48
 
-// factorBytes is the compact IC(0)/ILU(0) factor of a: the sub- and
+// factorBytes is the CSR-layout IC(0)/ILU(0) factor of a: the sub- and
 // superdiagonal and the reciprocal diagonal as dense vectors, every
 // other off-diagonal entry at 12 B, two int32 row-pointer arrays.
 func factorBytes(a *sparse.CSR) int {
@@ -518,9 +519,35 @@ func factorBytes(a *sparse.CSR) int {
 	return 12*entries + 3*8*n + 8*(n+1)
 }
 
-// applyBytes is one M⁻¹·r: the factor once, r read, dst written by the
-// forward sweep, read and rewritten by the backward sweep.
-func applyBytes(a *sparse.CSR) int { return factorBytes(a) + 4*8*a.Rows }
+// lowerDiagonals is the number of diagonals a's declared stencil puts
+// below the main one: the vectors precond's "diag3" factor holds
+// beside dinv.
+func lowerDiagonals(a *sparse.CSR) int {
+	off, _, _ := a.Stencil()
+	return slices.Index(off, 0)
+}
+
+// applyBytes is one M⁻¹·r on the path kernel names (IC0.Kernel; "csr"
+// for BlockILU0): r read, dst written by the forward sweep, read and
+// rewritten by the backward sweep, and the factor — once in the CSR
+// layout, whose triangles are separate arrays, and in the diagonal
+// layout the lower diagonals once per sweep and dinv once.
+func applyBytes(a *sparse.CSR, kernel string) int {
+	if kernel == "diag3" {
+		return (2*lowerDiagonals(a) + 1 + 4) * 8 * a.Rows
+	}
+	return factorBytes(a) + 4*8*a.Rows
+}
+
+// setupBytes is one NewIC0: the CSR path reads the matrix and writes
+// its factor; the diagonal path reads the 2 B/row presence mask, writes
+// its vectors, and reads and rewrites dinv in a last pass.
+func setupBytes(a *sparse.CSR, kernel string) int {
+	if kernel == "diag3" {
+		return (2 + (lowerDiagonals(a)+1+2)*8) * a.Rows
+	}
+	return csrBytes(a) + factorBytes(a)
+}
 
 func csrBytes(a *sparse.CSR) int { return 16*a.NNZ() + 8*(a.Rows+1) }
 
@@ -529,23 +556,50 @@ func reportPerRow(b *testing.B, rows, bytesPerOp int) {
 	b.ReportMetric(float64(bytesPerOp), "computed-B/op")
 }
 
-func benchApply(b *testing.B, a *sparse.CSR, m precond.Interface) {
+func benchApply(b *testing.B, a *sparse.CSR, m precond.Interface, kernel string) {
 	r := solverState(a.Rows)
 	dst := make([]float64, a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Apply(dst, r)
 	}
-	reportPerRow(b, a.Rows, applyBytes(a))
+	reportPerRow(b, a.Rows, applyBytes(a, kernel))
 }
 
-func BenchmarkIC0Apply(b *testing.B) {
+// csrTwin is a without its stencil summary (Serialize does not write
+// one): NewIC0 of it is the CSR-layout factor of the same matrix.
+func csrTwin(b *testing.B, a *sparse.CSR) *sparse.CSR {
+	twin, err := sparse.Deserialize(a.Serialize())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return twin
+}
+
+// runIC0Paths runs body on the generated 48³ matrix, as the
+// sub-benchmark named after the path NewIC0 takes on it ("diag3" where
+// the generator declares a stencil), and as "csr" on its twin.
+func runIC0Paths(b *testing.B, body func(b *testing.B, a *sparse.CSR)) {
 	a := sparse.Poisson3D(pcgGrid)
 	m, err := precond.NewIC0(a)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchApply(b, a, m)
+	if m.Kernel() != "csr" {
+		b.Run(m.Kernel(), func(b *testing.B) { body(b, a) })
+	}
+	twin := csrTwin(b, a)
+	b.Run("csr", func(b *testing.B) { body(b, twin) })
+}
+
+func BenchmarkIC0Apply(b *testing.B) {
+	runIC0Paths(b, func(b *testing.B, a *sparse.CSR) {
+		m, err := precond.NewIC0(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchApply(b, a, m, m.Kernel())
+	})
 }
 
 func BenchmarkILU0Apply(b *testing.B) {
@@ -554,19 +608,22 @@ func BenchmarkILU0Apply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchApply(b, a, m)
+	benchApply(b, a, m, "csr")
 }
 
 func BenchmarkIC0Setup(b *testing.B) {
-	a := sparse.Poisson3D(pcgGrid)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := precond.NewIC0(a); err != nil {
-			b.Fatal(err)
+	runIC0Paths(b, func(b *testing.B, a *sparse.CSR) {
+		var m *precond.IC0
+		var err error
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if m, err = precond.NewIC0(a); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	reportPerRow(b, a.Rows, csrBytes(a)+factorBytes(a))
+		reportPerRow(b, a.Rows, setupBytes(a, m.Kernel()))
+	})
 }
 
 // BenchmarkPCGStep is one IC(0)-preconditioned CG iteration on the
@@ -594,7 +651,7 @@ func BenchmarkPCGStep(b *testing.B) {
 	}
 	// SpMV (matrix, p read, q written), Apply, and the BLAS-1 passes:
 	// p·q, the x/r update (4 reads, 2 writes), r·z with ‖r‖, p ← z+βp.
-	reportPerRow(b, n, csrBytes(a)+2*8*n+applyBytes(a)+(2+6+2+3)*8*n)
+	reportPerRow(b, n, csrBytes(a)+2*8*n+applyBytes(a, m.Kernel())+(2+6+2+3)*8*n)
 }
 
 // ---- Jacobi and GMRES kernels at the bench/ harness sizes --------------------

@@ -284,7 +284,17 @@ func run(o options) (err error) {
 	a := sparse.Poisson3D(o.grid)
 	b := sparse.OnesRHS(a.Rows)
 	rep.update(func(ri *quality.RunInfo) { ri.Unknowns, ri.Operator = a.Rows, a.Kernel() })
-	fmt.Printf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros, operator %s\n", o.grid, a.Rows, a.NNZ(), a.Kernel())
+	system := fmt.Sprintf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros, operator %s", o.grid, a.Rows, a.NNZ(), a.Kernel())
+	var m *precond.IC0
+	if o.method == "cg" {
+		if m, err = precond.NewIC0(a); err != nil {
+			return err
+		}
+		pre := "ic0/" + m.Kernel()
+		rep.update(func(ri *quality.RunInfo) { ri.Precond = pre })
+		system += ", preconditioner " + pre
+	}
+	fmt.Println(system)
 
 	var s solver.Checkpointable
 	var co *abft.ChecksumOperator
@@ -292,10 +302,6 @@ func run(o options) (err error) {
 	gcfg := abft.Config{Seed: o.seed, Method: abft.BackwardForward}
 	switch o.method {
 	case "cg":
-		m, err := precond.NewIC0(a)
-		if err != nil {
-			return err
-		}
 		op := solver.Operator(a)
 		if o.tiers {
 			// Huang–Abraham checksum augmentation: every operator

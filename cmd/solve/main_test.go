@@ -268,7 +268,7 @@ func TestRunReport(t *testing.T) {
 	for _, c := range []struct {
 		name, args string
 		keys       []string
-		run        map[string]any // wall_seconds, command, final_residual and operator (the machine's) are checked for presence only
+		run        map[string]any // wall_seconds, command, final_residual and operator (the machine's) are checked for presence only, preconditioner against the operator
 	}{
 		{
 			name: "simulated", args: "-method jacobi -grid 8 -scheme lossy -mtti 150 -interval 40 -seed 3",
@@ -313,6 +313,21 @@ func TestRunReport(t *testing.T) {
 				}
 				delete(run, k)
 			}
+			// The factor's layout follows what the operator declares: IC(0)
+			// of a generated grid with a stencil summary is held by
+			// diagonals, and only a CG run has a preconditioner to name.
+			wantPre, wantLine := any(nil), "\n"
+			if c.run["solver"] == "cg" {
+				pre := "ic0/csr"
+				if strings.Contains(out, "operator stencil7/avx2") {
+					pre = "ic0/diag3"
+				}
+				wantPre, wantLine = pre, ", preconditioner "+pre+"\n"
+			}
+			if run["preconditioner"] != wantPre {
+				t.Errorf("run block names preconditioner %v, want %v", run["preconditioner"], wantPre)
+			}
+			delete(run, "preconditioner")
 			if c.name == "injected-adaptive" {
 				// How many steps a wall-clock cadence takes is the machine's
 				// business; that the controller ran is ours.
@@ -324,8 +339,8 @@ func TestRunReport(t *testing.T) {
 			if !reflect.DeepEqual(run, c.run) {
 				t.Errorf("run block\n got %v\nwant %v", run, c.run)
 			}
-			if !strings.Contains(out, "operator stencil7/avx2\n") && !strings.Contains(out, "operator csr\n") {
-				t.Errorf("system line names no operator path:\n%s", out)
+			if !strings.Contains(out, "operator stencil7/avx2"+wantLine) && !strings.Contains(out, "operator csr"+wantLine) {
+				t.Errorf("system line names no operator path, or not the preconditioner's:\n%s", out)
 			}
 		})
 	}

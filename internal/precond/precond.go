@@ -3,14 +3,17 @@
 // or IC(0) inside each block. A preconditioner approximates M⁻¹ and is
 // applied once per iteration of PCG or left-preconditioned GMRES.
 //
-// Both incomplete factorizations are held in one layout and applied by
-// one triangular-solve kernel (factor.go): M = L̃·D·Ũ with L̃ unit
-// lower, Ũ unit upper and D⁻¹ stored, so that neither sweep divides —
-// IC(0) as L̃·D·L̃ᵀ, ILU(0) as L·D·(D⁻¹U). The sub- and superdiagonal
-// are dense vectors and the rest of each triangle is CSR with int32
+// Both incomplete factorizations are M = L̃·D·Ũ with L̃ unit lower, Ũ
+// unit upper and D⁻¹ stored, so that neither sweep divides — IC(0) as
+// L̃·D·L̃ᵀ, ILU(0) as L·D·(D⁻¹U). The general layout and its
+// triangular-solve kernel are factor.go: the sub- and superdiagonal are
+// dense vectors and the rest of each triangle is CSR with int32
 // indices, which limits a factor to 2³¹−1 rows and 2³¹−1 entries per
-// triangle; the constructors return an error beyond that. Apply reads
-// r while it writes dst: the two must not alias.
+// triangle; the constructors return an error beyond that. IC(0) of a
+// matrix that declares a grid stencil (sparse.CSR.Stencil) is instead
+// held and applied by diagonals (diag.go): the same numbers in the same
+// order, no index at all. Apply reads r while it writes dst: the two
+// must not alias.
 package precond
 
 import (
@@ -210,7 +213,7 @@ func NewBlockILU0(a *sparse.CSR, nb int) (*BlockILU0, error) {
 	if nb > a.Rows {
 		nb = a.Rows
 	}
-	p := &BlockILU0{starts: sparse.PartitionStarts(a.Rows, nb)}
+	p := &BlockILU0{starts: partitionStarts(a.Rows, nb)}
 	for bk := 0; bk < nb; bk++ {
 		lo, hi := p.starts[bk], p.starts[bk+1]
 		if lo == hi {
@@ -224,6 +227,16 @@ func NewBlockILU0(a *sparse.CSR, nb int) (*BlockILU0, error) {
 		p.factors = append(p.factors, f)
 	}
 	return p, nil
+}
+
+// partitionStarts returns the contiguous partition of n rows into nb
+// blocks: block k is rows [starts[k], starts[k+1]).
+func partitionStarts(n, nb int) []int {
+	starts := make([]int, nb+1)
+	for k := range starts {
+		starts[k] = k * n / nb
+	}
+	return starts
 }
 
 // Apply computes dst ← M⁻¹·r block by block. dst and r must not alias.
@@ -245,13 +258,28 @@ func (p *BlockILU0) Apply(dst, r []float64) {
 // symmetric positive definite matrices: A ≈ L·Lᵀ on the pattern of the
 // lower triangle of A.
 //
-// It is held root-free as M = L̃·D·L̃ᵀ in the package's compact layout
-// (L̃ = L·diag(l_kk)⁻¹, D = diag(l_kk²), and Ũ = L̃ᵀ stored row-wise so
-// that the backward sweep gathers like the forward one): the same
-// preconditioner, applied without a division. The layout limits the
-// matrix to 2³¹−1 rows and as many strictly-lower entries.
+// It is held root-free as M = L̃·D·L̃ᵀ (L̃ = L·diag(l_kk)⁻¹, D =
+// diag(l_kk²)): the same preconditioner, applied without a division. A
+// matrix whose declared stencil newDiag3 takes is held by diagonals;
+// every other in the package's CSR layout, with Ũ = L̃ᵀ stored row-wise
+// so that the backward sweep gathers like the forward one, which limits
+// the matrix to 2³¹−1 rows and as many strictly-lower entries. The two
+// are the same factor and the same Apply bit for bit, up to the sign of
+// a zero (diag3.solve).
 type IC0 struct {
-	f *factor
+	n int
+	f *factor // nil when d is set
+	d *diag3
+}
+
+// Kernel names the layout the factor is held and applied in: "diag3"
+// for a matrix whose declared stencil newDiag3 takes, "csr" for every
+// other.
+func (p *IC0) Kernel() string {
+	if p.d != nil {
+		return "diag3"
+	}
+	return "csr"
 }
 
 // NewIC0 factors the SPD matrix a. It returns an error if a pivot
@@ -263,6 +291,14 @@ func NewIC0(a *sparse.CSR) (*IC0, error) {
 		return nil, fmt.Errorf("precond: IC(0) needs square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
+	off, coef, mask := a.Stencil()
+	d, err := newDiag3(n, off, coef, mask)
+	if err != nil {
+		return nil, err
+	}
+	if d != nil {
+		return &IC0{n: n, d: d}, nil
+	}
 	f, err := newFactor(n)
 	if err != nil {
 		return nil, err
@@ -364,13 +400,17 @@ func NewIC0(a *sparse.CSR) (*IC0, error) {
 	for i, l := range diag {
 		f.dinv[i] = 1 / (l * l)
 	}
-	return &IC0{f: f}, nil
+	return &IC0{n: n, f: f}, nil
 }
 
 // Apply computes dst ← (L·Lᵀ)⁻¹·r. dst and r must not alias.
 func (p *IC0) Apply(dst, r []float64) {
-	if len(dst) != p.f.n || len(r) != p.f.n {
+	if len(dst) != p.n || len(r) != p.n {
 		panic("precond: IC0.Apply length mismatch")
+	}
+	if p.d != nil {
+		p.d.solve(dst, r)
+		return
 	}
 	p.f.solve(dst, r)
 }

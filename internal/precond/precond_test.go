@@ -3,6 +3,7 @@ package precond
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sparse"
@@ -370,6 +371,9 @@ func TestIC0MatchesDenseReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if off, _, _ := a.Stencil(); off != nil && p.Kernel() != "diag3" {
+			t.Errorf("%s declares a stencil and took the %s path", name, p.Kernel())
+		}
 		v, in := denseBlock(a, 0, a.Rows)
 		denseIC0(v, in)
 		for seed := int64(0); seed < 3; seed++ {
@@ -500,11 +504,18 @@ func TestApplyDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, icCSR := bothIC0(t, a)
 	r := randomVec(a.Rows, 1)
 	dst := make([]float64, a.Rows)
-	for name, p := range map[string]Interface{"IC0": ic, "BlockILU0": ilu} {
+	for name, p := range map[string]Interface{"IC0": ic, "IC0/csr": icCSR, "BlockILU0": ilu} {
 		if n := testing.AllocsPerRun(10, func() { p.Apply(dst, r) }); n != 0 {
 			t.Errorf("%s.Apply allocates %v times per call", name, n)
 		}
+	}
+}
+
+func TestPartitionStarts(t *testing.T) {
+	if got, want := partitionStarts(10, 3), []int{0, 3, 6, 10}; !slices.Equal(got, want) {
+		t.Fatalf("starts = %v, want %v", got, want)
 	}
 }

@@ -25,7 +25,8 @@ type RunInfo struct {
 	Command       string  `json:"command,omitempty"`
 	Solver        string  `json:"solver,omitempty"`
 	Unknowns      int     `json:"unknowns,omitempty"`
-	Operator      string  `json:"operator,omitempty"` // the multiply's path: sparse.CSR.Kernel
+	Operator      string  `json:"operator,omitempty"`       // the multiply's path: sparse.CSR.Kernel
+	Precond       string  `json:"preconditioner,omitempty"` // "ic0/" + its factor's layout: precond.IC0.Kernel
 	Scheme        string  `json:"scheme,omitempty"`
 	Async         bool    `json:"async"`
 	Shards        int     `json:"shards,omitempty"`

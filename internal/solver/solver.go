@@ -6,18 +6,16 @@
 // and 2.
 //
 // Solvers are written against two small abstractions: Operator (apply
-// the system matrix) and Space (inner products and norms), so the same
-// solver code runs sequentially (sparse.CSR + SeqSpace) or distributed
-// (sparse.Dist + MPISpace over the mpi runtime).
+// the system matrix) and Space (inner products and norms), so a caller
+// can wrap either — a checksummed operator (abft), a timed one (the
+// benchmark harness) — without the solver knowing.
 package solver
 
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 
-	"repro/internal/mpi"
 	"repro/internal/vec"
 )
 
@@ -26,9 +24,7 @@ type Operator interface {
 	MulVec(dst, x []float64)
 }
 
-// Space provides the reductions a Krylov method needs. For a
-// distributed run, vectors hold only the locally owned block and the
-// Space reduces across ranks.
+// Space provides the reductions a Krylov method needs.
 type Space interface {
 	Dot(x, y []float64) float64
 	Norm2(x []float64) float64
@@ -61,20 +57,6 @@ func (SeqSpace) dotNorm2(x, y []float64, xmax float64) (float64, float64) {
 
 func (SeqSpace) axpyDot(a float64, x, y, z []float64) float64 {
 	return vec.AxpyDot(a, x, y, z)
-}
-
-// MPISpace reduces partial dot products across all ranks of a
-// communicator, the distributed-memory analogue of SeqSpace.
-type MPISpace struct{ Comm *mpi.Comm }
-
-// Dot returns the global inner product of the distributed vectors.
-func (s MPISpace) Dot(x, y []float64) float64 {
-	return s.Comm.AllreduceSum(vec.Dot(x, y))
-}
-
-// Norm2 returns the global Euclidean norm of a distributed vector.
-func (s MPISpace) Norm2(x []float64) float64 {
-	return math.Sqrt(s.Comm.AllreduceSum(vec.Dot(x, x)))
 }
 
 // Options control convergence testing. The zero value picks the

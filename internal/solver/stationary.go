@@ -226,9 +226,8 @@ var (
 // x ← x + ω·M⁻¹·(b − A·x). With M = diag(A) and ω = 1 it is exactly
 // the Jacobi method (on a SeqSpace, bit for bit what
 // Stationary{KindJacobi} computes), but expressed through
-// Operator/Space it also runs distributed (sparse.Dist + MPISpace),
-// which is how the examples run the paper's Jacobi experiments across
-// ranks.
+// Operator/Space, so it runs on any wrapped operator and is the oracle
+// the fused Jacobi sweep is tested against.
 type Richardson struct {
 	a     Operator
 	m     precond.Interface

@@ -1,7 +1,6 @@
-// Package sparse provides compressed sparse row (CSR) matrices, the
+// Package sparse provides compressed sparse row (CSR) matrices and the
 // problem generators used by the paper's evaluation (3D Poisson,
-// KKT-like saddle point, random SPD), and a row-partitioned
-// distributed matrix with ghost exchange over the mpi runtime.
+// KKT-like saddle point, random SPD).
 package sparse
 
 import (
@@ -52,6 +51,18 @@ func (m *CSR) Kernel() string {
 		return "csr"
 	}
 	return fmt.Sprintf("stencil%d/avx2", len(m.st.off))
+}
+
+// Stencil returns the summary a grid generator declared for this
+// matrix, or nils when it carries none: the diagonal offsets (column −
+// row) in ascending order, the one value every entry on each diagonal
+// holds, and per row a mask whose bit d says the row stores an entry on
+// diagonal d. The slices are the matrix's own and must not be written.
+func (m *CSR) Stencil() (off []int, coef []float64, mask []uint16) {
+	if m.st == nil {
+		return nil, nil, nil
+	}
+	return m.st.off, m.st.coef, m.st.mask
 }
 
 // At returns the value at (i, j); zero if no entry is stored. It is a

@@ -1,7 +1,6 @@
 // Package vec provides dense vector kernels used by the iterative
 // solvers. All kernels operate on []float64 slices in place where
-// possible to avoid allocation inside solver loops; the distributed
-// variants in package mpi build on these local kernels.
+// possible to avoid allocation inside solver loops.
 //
 // The streaming kernels the solvers run every step (Dot, Norm2, NormInf,
 // DotNorm2, Axpy, AxpyDot, AxpyPairNormInf, Aypx, Sub, ScaleTo) have an
