@@ -220,18 +220,20 @@ func BenchmarkSZCompressSolverState(b *testing.B) {
 	x := pcgIterate(b)
 	for _, eb := range solverStateBounds {
 		b.Run(fmt.Sprint(eb), func(b *testing.B) {
-			var comp []byte
-			var err error
-			b.SetBytes(int64(8 * len(x)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if comp, err = sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: eb}); err != nil {
-					b.Fatal(err)
+			runSZPaths(b, func(b *testing.B) {
+				var comp []byte
+				var err error
+				b.SetBytes(int64(8 * len(x)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if comp, err = sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: eb}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			reportPerElem(b, len(x))
-			b.ReportMetric(8*float64(len(comp))/float64(len(x)), "bits/elem")
+				reportPerElem(b, len(x))
+				b.ReportMetric(8*float64(len(comp))/float64(len(x)), "bits/elem")
+			})
 		})
 	}
 }
@@ -245,15 +247,17 @@ func BenchmarkSZDecompressSolverState(b *testing.B) {
 				b.Fatal(err)
 			}
 			dst := make([]float64, len(x))
-			b.SetBytes(int64(8 * len(x)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sz.DecompressInto(dst, comp); err != nil {
-					b.Fatal(err)
+			runSZPaths(b, func(b *testing.B) {
+				b.SetBytes(int64(8 * len(x)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := sz.DecompressInto(dst, comp); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			reportPerElem(b, len(x))
+				reportPerElem(b, len(x))
+			})
 		})
 	}
 }

@@ -205,7 +205,7 @@ func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Ticket, error) {
 		a.mu.Unlock()
 		return Ticket{}, err
 	}
-	capSpan := a.c.ins.spanOn(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCapture)
+	capSpan := a.c.ins.tr.Begin(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCapture)
 	start := time.Now()
 	slot := a.slot
 	a.slot ^= 1
@@ -213,7 +213,7 @@ func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Ticket, error) {
 	job := &asyncJob{snap: a.caps[slot], slot: slot, done: make(chan struct{})}
 	job.capSec = time.Since(start).Seconds()
 	capSpan.End()
-	a.c.ins.observeCapture(job.capSec)
+	a.c.ins.captureSec.Observe(job.capSec)
 	a.inflight = job
 	a.stats.Saves++
 	a.stats.CaptureSeconds += job.capSec
@@ -246,7 +246,7 @@ func (a *AsyncCheckpointer) run(job *asyncJob) {
 	} else {
 		err = wrapSaveError(job.seq, err)
 		a.stats.FailedSaves++
-		a.c.ins.observeAsyncAbort()
+		a.c.ins.asyncAbort.Inc()
 		a.sticky, a.stickyJb = err, job
 	}
 	job.info, job.err = info, err

@@ -131,9 +131,9 @@ type Checkpointer struct {
 	ints   []protInt
 	floats []protFloat
 
-	// ins is the optional observability bundle (see Instrument); nil
-	// means every hook is a no-op.
-	ins *instruments
+	// ins is the observability bundle (see Instrument); the zero bundle
+	// makes every hook a no-op.
+	ins instruments
 
 	// scrub, when attached, retains each committed checkpoint's
 	// encoded payload as the scrubber's repair source.
@@ -406,7 +406,7 @@ func (c *Checkpointer) save(s *Snapshot, buf []byte) ([]byte, Info, error) {
 	payload, rawBytes, vecBytes, bounds, err := encodeSnapshot(s, c.enc, buf, c.shards > 1, c.seq, c.audit)
 	if err != nil {
 		c.seq--
-		c.ins.observeSaveError()
+		c.ins.ckptErrs.Inc()
 		return buf, Info{}, err
 	}
 	info.EncodeSeconds = time.Since(encStart).Seconds()
@@ -432,14 +432,14 @@ func (c *Checkpointer) save(s *Snapshot, buf []byte) ([]byte, Info, error) {
 			c.ins.shardOpts(shard.Options{Shards: c.shards, Workers: c.storageWorkers}))
 		if err != nil {
 			c.seq--
-			c.ins.observeSaveError()
+			c.ins.ckptErrs.Inc()
 			return payload, Info{}, err
 		}
 		info.Shards = written
 		groupShards = written
 	} else if err := c.storage.Write(name, payload); err != nil {
 		c.seq--
-		c.ins.observeSaveError()
+		c.ins.ckptErrs.Inc()
 		return payload, Info{}, err
 	}
 	info.WriteSeconds = time.Since(writeStart).Seconds()
@@ -537,7 +537,7 @@ func (c *Checkpointer) decodeObject(data []byte, att *RestoreAttempt, targets ma
 		return nil, fmt.Errorf("checkpoint written by encoder %q, decoder is %q", man.Encoder, c.enc.Name())
 	}
 	r := shard.NewReader(c.storage, man)
-	r.Instrument(c.ins.shardMetrics())
+	r.Instrument(c.ins.sm)
 	return c.restore(r, targets)
 }
 
@@ -566,7 +566,7 @@ func (c *Checkpointer) restoreTrace(decode func(data []byte, att *RestoreAttempt
 	var lastErr error
 	for _, seq := range seqs {
 		att := RestoreAttempt{Seq: seq}
-		sp := c.ins.spanOn(obs.TrackRecovery, obs.CatRecovery, obs.SpanRestore)
+		sp := c.ins.tr.Begin(obs.TrackRecovery, obs.CatRecovery, obs.SpanRestore)
 		start := time.Now()
 		data, err := c.storage.Read(ckptName(seq))
 		if err != nil {

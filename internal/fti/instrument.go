@@ -7,34 +7,23 @@ import (
 
 // instruments is the fti layer's observability bundle: stage latency
 // and size histograms, lifecycle counters, the shard layer's bundle,
-// and the trace sink. A nil *instruments (the default) makes every
-// hook a no-op, so the save/restore paths call them unconditionally
-// and an uninstrumented Checkpointer pays one nil check per stage.
+// and the trace sink. Its handles are nil-safe, so the zero bundle (the
+// default) makes every hook a no-op and the save/restore paths call
+// them unconditionally.
 type instruments struct {
-	captureSec *obs.Histogram
-	encodeSec  *obs.Histogram
-	writeSec   *obs.Histogram
-	restoreSec *obs.Histogram
-	rawBytes   *obs.Histogram
-	encBytes   *obs.Histogram
-	ratio      *obs.Gauge
-	ckpts      *obs.Counter
-	ckptErrs   *obs.Counter
-	asyncAbort *obs.Counter
-	restAtts   *obs.Counter
-	restRejs   *obs.Counter
-	restBytes  *obs.Counter
+	captureSec, encodeSec, writeSec, restoreSec *obs.Histogram
+	rawBytes, encBytes                          *obs.Histogram
+	ratio                                       *obs.Gauge
+	ckpts, ckptErrs, asyncAbort                 *obs.Counter
+	restAtts, restRejs, restBytes               *obs.Counter
 
 	tr    *obs.Tracer
 	track int // the track save-stage spans land on (solver or pipeline)
-	sm    *shard.Metrics
+	sm    shard.Metrics
 }
 
-func newInstruments(reg *obs.Registry, tr *obs.Tracer, track int) *instruments {
-	if reg == nil && tr == nil {
-		return nil
-	}
-	return &instruments{
+func newInstruments(reg *obs.Registry, tr *obs.Tracer, track int) instruments {
+	return instruments{
 		captureSec: reg.Histogram(obs.MFTICaptureSeconds, obs.LatencyBuckets()),
 		encodeSec:  reg.Histogram(obs.MFTIEncodeSeconds, obs.LatencyBuckets()),
 		writeSec:   reg.Histogram(obs.MFTIWriteSeconds, obs.LatencyBuckets()),
@@ -74,45 +63,17 @@ func (a *AsyncCheckpointer) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	a.c.ins = newInstruments(reg, tr, obs.TrackPipeline)
 }
 
-func (in *instruments) span(cat, name string) obs.Span {
-	if in == nil {
-		return obs.Span{}
-	}
-	return in.tr.Begin(in.track, cat, name)
-}
-
-func (in *instruments) spanOn(track int, cat, name string) obs.Span {
-	if in == nil {
-		return obs.Span{}
-	}
-	return in.tr.Begin(track, cat, name)
-}
+func (in *instruments) span(cat, name string) obs.Span { return in.tr.Begin(in.track, cat, name) }
 
 // shardOpts decorates a shard write's Options with the metric and
 // trace sinks.
 func (in *instruments) shardOpts(o shard.Options) shard.Options {
-	if in == nil {
-		return o
-	}
-	o.Metrics = in.sm
-	o.Tracer = in.tr
-	o.Track = in.track
+	o.Metrics, o.Tracer, o.Track = in.sm, in.tr, in.track
 	return o
-}
-
-// shardMetrics returns the shard-layer bundle for read-side paths.
-func (in *instruments) shardMetrics() *shard.Metrics {
-	if in == nil {
-		return nil
-	}
-	return in.sm
 }
 
 // observeSave records a committed save's stage timings and sizes.
 func (in *instruments) observeSave(info Info) {
-	if in == nil {
-		return
-	}
 	in.encodeSec.Observe(info.EncodeSeconds)
 	in.writeSec.Observe(info.WriteSeconds)
 	in.rawBytes.Observe(float64(info.RawBytes))
@@ -123,37 +84,9 @@ func (in *instruments) observeSave(info Info) {
 	in.ckpts.Inc()
 }
 
-// observeSaveError counts a failed (rolled-back) save.
-func (in *instruments) observeSaveError() {
-	if in == nil {
-		return
-	}
-	in.ckptErrs.Inc()
-}
-
-// observeAsyncAbort counts a background save that aborted instead of
-// committing.
-func (in *instruments) observeAsyncAbort() {
-	if in == nil {
-		return
-	}
-	in.asyncAbort.Inc()
-}
-
-// observeCapture records the async capture stall.
-func (in *instruments) observeCapture(sec float64) {
-	if in == nil {
-		return
-	}
-	in.captureSec.Observe(sec)
-}
-
 // observeRestoreAttempt records one checkpoint the restore walk
 // tried, accepted or rejected.
 func (in *instruments) observeRestoreAttempt(att RestoreAttempt) {
-	if in == nil {
-		return
-	}
 	in.restAtts.Inc()
 	if att.Err != "" {
 		in.restRejs.Inc()

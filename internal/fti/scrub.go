@@ -40,7 +40,7 @@ type Scrubber struct {
 	payload     []byte // retained encoded payload
 	stats       ScrubStats
 
-	met *scrubMetrics
+	met scrubMetrics
 	tr  *obs.Tracer
 
 	stopCh chan struct{}
@@ -64,22 +64,17 @@ func NewScrubber(st Storage) *Scrubber {
 	return &Scrubber{st: st}
 }
 
+// scrubMetrics holds nil-safe handles: the zero bundle observes
+// nothing.
 type scrubMetrics struct {
-	sweeps      *obs.Counter
-	corruptions *obs.Counter
-	repairs     *obs.Counter
-	dropped     *obs.Counter
+	sweeps, corruptions, repairs, dropped *obs.Counter
 }
 
 // Instrument attaches metric and trace sinks; nil detaches. Call
 // before Start.
 func (s *Scrubber) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	s.tr = tr
-	if reg == nil {
-		s.met = nil
-		return
-	}
-	s.met = &scrubMetrics{
+	s.met = scrubMetrics{
 		sweeps:      reg.Counter(obs.MFTIScrubSweepsTotal),
 		corruptions: reg.Counter(obs.MFTIScrubCorruptionsTotal),
 		repairs:     reg.Counter(obs.MFTIScrubRepairsTotal),
@@ -150,10 +145,10 @@ func (s *Scrubber) Sweep() error {
 		}
 		if _, err := verifyLoadedGroup(s.st, data); err != nil {
 			s.bump(func(st *ScrubStats) { st.Corruptions++ })
-			s.met.corruptionInc()
+			s.met.corruptions.Inc()
 			if s.repair(base) {
 				s.bump(func(st *ScrubStats) { st.Repairs++ })
-				s.met.repairInc()
+				s.met.repairs.Inc()
 				intact++
 			} else {
 				corrupt = append(corrupt, base)
@@ -174,10 +169,10 @@ func (s *Scrubber) Sweep() error {
 			continue
 		}
 		s.bump(func(st *ScrubStats) { st.Dropped++ })
-		s.met.droppedInc()
+		s.met.dropped.Inc()
 	}
 	s.bump(func(st *ScrubStats) { st.Sweeps++ })
-	s.met.sweepInc()
+	s.met.sweeps.Inc()
 	return nil
 }
 
@@ -281,32 +276,4 @@ func (s *Scrubber) bump(f func(*ScrubStats)) {
 	s.mu.Lock()
 	f(&s.stats)
 	s.mu.Unlock()
-}
-
-func (m *scrubMetrics) sweepInc() {
-	if m == nil {
-		return
-	}
-	m.sweeps.Inc()
-}
-
-func (m *scrubMetrics) corruptionInc() {
-	if m == nil {
-		return
-	}
-	m.corruptions.Inc()
-}
-
-func (m *scrubMetrics) repairInc() {
-	if m == nil {
-		return
-	}
-	m.repairs.Inc()
-}
-
-func (m *scrubMetrics) droppedInc() {
-	if m == nil {
-		return
-	}
-	m.dropped.Inc()
 }

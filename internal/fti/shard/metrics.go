@@ -8,29 +8,19 @@ import (
 
 // Metrics is the shard layer's observability bundle: per-shard-object
 // write/read latency and bytes, plus integrity failures split into
-// CRC mismatches and all read-side rejections. A nil *Metrics (the
-// disabled mode) makes every observation a no-op, so the I/O paths
-// call these unconditionally.
+// CRC mismatches and all read-side rejections. Its handles are
+// nil-safe, so the zero bundle (the disabled mode) observes nothing and
+// the I/O paths call it unconditionally.
 type Metrics struct {
-	writeSec     *obs.Histogram
-	readSec      *obs.Histogram
-	writes       *obs.Counter
-	reads        *obs.Counter
-	writtenBytes *obs.Counter
-	readBytes    *obs.Counter
-	crcFailures  *obs.Counter
-	readFailures *obs.Counter
-	rereads      *obs.Counter
-	rereadFixes  *obs.Counter
+	writeSec, readSec                               *obs.Histogram
+	writes, reads, writtenBytes, readBytes          *obs.Counter
+	crcFailures, readFailures, rereads, rereadFixes *obs.Counter
 }
 
-// NewMetrics registers the shard metrics in reg; nil reg returns a
-// nil (disabled) bundle.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return nil
-	}
-	return &Metrics{
+// NewMetrics registers the shard metrics in reg; a nil reg gives the
+// zero bundle.
+func NewMetrics(reg *obs.Registry) Metrics {
+	return Metrics{
 		writeSec:     reg.Histogram(obs.MShardWriteSeconds, obs.LatencyBuckets()),
 		readSec:      reg.Histogram(obs.MShardReadSeconds, obs.LatencyBuckets()),
 		writes:       reg.Counter(obs.MShardWritesTotal),
@@ -44,56 +34,22 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) observeWrite(sec float64, n int) {
-	if m == nil {
-		return
-	}
+func (m Metrics) observeWrite(sec float64, n int) {
 	m.writeSec.Observe(sec)
 	m.writes.Inc()
 	m.writtenBytes.Add(uint64(n))
 }
 
-func (m *Metrics) observeRead(sec float64, n int) {
-	if m == nil {
-		return
-	}
+func (m Metrics) observeRead(sec float64, n int) {
 	m.readSec.Observe(sec)
 	m.reads.Inc()
 	m.readBytes.Add(uint64(n))
 }
 
-func (m *Metrics) observeCRCFailure() {
-	if m == nil {
-		return
-	}
-	m.crcFailures.Inc()
-}
-
-func (m *Metrics) observeReadFailure() {
-	if m == nil {
-		return
-	}
-	m.readFailures.Inc()
-}
-
-func (m *Metrics) observeReread() {
-	if m == nil {
-		return
-	}
-	m.rereads.Inc()
-}
-
-func (m *Metrics) observeRereadRepair() {
-	if m == nil {
-		return
-	}
-	m.rereadFixes.Inc()
-}
-
 // now returns the wall clock only when the bundle is live, so the
 // disabled mode skips even the clock read.
-func (m *Metrics) now() time.Time {
-	if m == nil {
+func (m Metrics) now() time.Time {
+	if m.writes == nil {
 		return time.Time{}
 	}
 	return time.Now()

@@ -115,9 +115,9 @@ type Options struct {
 	// concurrently; 0 means parallel.Workers(). The pool never exceeds
 	// the shard count.
 	Workers int
-	// Metrics, when non-nil, receives per-shard-object write/read
-	// timings, bytes, and integrity failures (see NewMetrics).
-	Metrics *Metrics
+	// Metrics receives per-shard-object write/read timings, bytes,
+	// and integrity failures (see NewMetrics); the zero bundle nothing.
+	Metrics Metrics
 	// Tracer/Track, when Tracer is non-nil, receive the shard-write
 	// fan-out and manifest-commit lifecycle spans.
 	Tracer *obs.Tracer
@@ -298,12 +298,12 @@ const maxRereads = 2
 // and with it the group — is abandoned: recovery should only fall a
 // tier when the bytes at rest are truly bad, not when one read went
 // wrong in flight.
-func fetchVerify(st Storage, m *Manifest, i int, met *Metrics) ([]byte, error) {
+func fetchVerify(st Storage, m *Manifest, i int, met Metrics) ([]byte, error) {
 	s := m.Shards[i]
 	start := met.now()
 	data, err := st.Read(s.Name)
 	if err != nil {
-		met.observeReadFailure()
+		met.readFailures.Inc()
 		return nil, fmt.Errorf("shard: missing shard %s: %w", s.Name, err)
 	}
 	verify := func(d []byte) error {
@@ -311,26 +311,26 @@ func fetchVerify(st Storage, m *Manifest, i int, met *Metrics) ([]byte, error) {
 			return fmt.Errorf("shard: shard %s is %d bytes, manifest says %d", s.Name, len(d), s.Size)
 		}
 		if Checksum(d) != s.CRC {
-			met.observeCRCFailure()
+			met.crcFailures.Inc()
 			return fmt.Errorf("shard: shard %s fails its CRC32C (corrupt)", s.Name)
 		}
 		return nil
 	}
 	verr := verify(data)
 	for r := 0; verr != nil && r < maxRereads; r++ {
-		met.observeReread()
+		met.rereads.Inc()
 		again, err := st.Read(s.Name)
 		if err != nil {
 			break // the object degraded from corrupt to unreadable; give up
 		}
 		if e := verify(again); e == nil {
-			met.observeRereadRepair()
+			met.rereadFixes.Inc()
 			data, verr = again, nil
 			break
 		}
 	}
 	if verr != nil {
-		met.observeReadFailure()
+		met.readFailures.Inc()
 		return nil, verr
 	}
 	met.observeRead(time.Since(start).Seconds(), len(data))
@@ -357,12 +357,12 @@ type Reader struct {
 	offs    []int // offs[i] = payload offset of shard i; offs[n] = Total
 	chunks  [][]byte
 	fetched []bool
-	met     *Metrics
+	met     Metrics
 }
 
 // Instrument attaches a metrics bundle to the reader's shard fetches;
-// nil detaches. Call before the first read.
-func (r *Reader) Instrument(met *Metrics) { r.met = met }
+// the zero bundle detaches. Call before the first read.
+func (r *Reader) Instrument(met Metrics) { r.met = met }
 
 // NewReader wraps a parsed manifest for streaming reads.
 func NewReader(st Storage, m *Manifest) *Reader {

@@ -236,28 +236,6 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// SubmatrixRows returns the block of rows [lo, hi) as a new CSR matrix
-// that keeps the original (global) column space.
-func (m *CSR) SubmatrixRows(lo, hi int) *CSR {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("sparse: SubmatrixRows [%d,%d) out of range %d", lo, hi, m.Rows))
-	}
-	s, e := m.RowPtr[lo], m.RowPtr[hi]
-	sub := &CSR{
-		Rows:   hi - lo,
-		Cols:   m.Cols,
-		RowPtr: make([]int, hi-lo+1),
-		ColIdx: make([]int, e-s),
-		Val:    make([]float64, e-s),
-	}
-	for i := lo; i <= hi; i++ {
-		sub.RowPtr[i-lo] = m.RowPtr[i] - s
-	}
-	copy(sub.ColIdx, m.ColIdx[s:e])
-	copy(sub.Val, m.Val[s:e])
-	return sub
-}
-
 // Builder accumulates coordinate-format entries and compresses them
 // into a CSR matrix. Duplicate (i, j) entries are summed, matching the
 // usual finite-element assembly convention.

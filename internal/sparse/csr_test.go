@@ -132,20 +132,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestSubmatrixRows(t *testing.T) {
-	m := Tridiag(5, -1, 2, -1)
-	sub := m.SubmatrixRows(1, 3)
-	if sub.Rows != 2 || sub.Cols != 5 {
-		t.Fatalf("dims = %dx%d", sub.Rows, sub.Cols)
-	}
-	if sub.At(0, 0) != -1 || sub.At(0, 1) != 2 || sub.At(0, 2) != -1 {
-		t.Fatal("row 1 content wrong")
-	}
-	if sub.At(1, 1) != -1 || sub.At(1, 2) != 2 || sub.At(1, 3) != -1 {
-		t.Fatal("row 2 content wrong")
-	}
-}
-
 func TestPoisson3DStructure(t *testing.T) {
 	n := 3
 	m := Poisson3D(n)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // layoutOf parses comp's container header.
@@ -51,7 +52,7 @@ func TestBlockedRoundTripAllModes(t *testing.T) {
 	const n = 40000
 	const eb = 1e-4
 	x := blockedInput(n, 11)
-	lo, hi := valueRange(x)
+	lo, hi := vec.Range(x)
 	for _, procs := range []int{1, 8} {
 		withGOMAXPROCS(t, procs, func() {
 			for _, mode := range []Mode{Abs, RelRange, PWRel} {
@@ -90,28 +91,34 @@ func TestBlockedRoundTripAllModes(t *testing.T) {
 }
 
 // TestBlockedDeterministicAcrossWorkers: the container bytes must not
-// depend on the schedule — compression of the same input at 1, 2, 7 and
-// 8 workers is byte-identical. The blocks share the Huffman stage's
-// pooled tables, so this is also that stage's purity check.
+// depend on the schedule — compression of the same input, a 1-D signal
+// and a grid, at 1, 2, 7 and 8 workers is byte-identical. The blocks
+// share the Huffman stage's pooled tables, so this is also that stage's
+// purity check.
 func TestBlockedDeterministicAcrossWorkers(t *testing.T) {
-	x := blockedInput(120000, 13)
-	p := Params{Mode: PWRel, ErrorBound: 1e-4, BlockSize: 8192}
+	kernelPaths(t, blockedDeterministicAcrossWorkers)
+}
 
+func blockedDeterministicAcrossWorkers(t *testing.T) {
+	p := Params{Mode: PWRel, ErrorBound: 1e-4, BlockSize: 8192}
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	serial, err := Compress(x, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 7, 8} {
-		parallel.SetWorkers(workers)
-		for round := 0; round < 3; round++ {
-			got, err := Compress(x, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial, got) {
-				t.Fatalf("blocked compression must be schedule-independent, bytes differ at %d workers", workers)
+	for _, x := range [][]float64{blockedInput(120000, 13), gridField(40, 40, 40, 0)} {
+		parallel.SetWorkers(1)
+		serial, err := Compress(x, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 7, 8} {
+			parallel.SetWorkers(workers)
+			for round := 0; round < 3; round++ {
+				got, err := Compress(x, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(serial, got) {
+					t.Fatalf("blocked compression must be schedule-independent, bytes differ at %d workers", workers)
+				}
 			}
 		}
 	}
@@ -170,7 +177,7 @@ func TestBlockedRelRangeUsesGlobalRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := valueRange(x)
+	lo, hi := vec.Range(x)
 	bound := eb * (hi - lo)
 	for i := range x {
 		if d := math.Abs(x[i] - got[i]); d > bound*(1+1e-10) {
@@ -317,7 +324,7 @@ func TestBlockedEquivalenceProperty(t *testing.T) {
 			t.Logf("seed %d: decompress: %v", seed, err)
 			return false
 		}
-		lo, hi := valueRange(x)
+		lo, hi := vec.Range(x)
 		for i := range x {
 			var bound float64
 			switch mode {

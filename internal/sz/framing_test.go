@@ -97,7 +97,9 @@ func bitmapSaving(x []float64, p Params) (saved, varintSlack int) {
 // single-stream format spent 6. Grid inference looks at all eight — each
 // is long enough — and declines on all eight: they are 1-D signals, so
 // no block is predicted over a grid and every hash and size stands.
-func TestReconstructionMatchesParent(t *testing.T) {
+func TestReconstructionMatchesParent(t *testing.T) { kernelPaths(t, reconstructionMatchesParent) }
+
+func reconstructionMatchesParent(t *testing.T) {
 	parent := map[string]struct {
 		hash uint64
 		size int

@@ -1,0 +1,9 @@
+//go:build !amd64 || amd64.v3
+
+package sz
+
+// useKernels is never set off amd64 or from GOAMD64=v3 on (see
+// fused_amd64.go): the two-pass path writes every PWRel block.
+var useKernels = false
+
+func (g *gridLogs) pair(b int) bool { return g.row(b) && g.row(b+g.sten.s1) }

@@ -1,0 +1,283 @@
+package sz
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	_ "unsafe" // go:linkname
+
+	"repro/internal/codec"
+	"repro/internal/parallel"
+)
+
+// vecUseAVX2 is internal/vec's dispatch flag, bound by name (vec
+// exports no switch): the restore path's exp runs through it.
+//
+//go:linkname vecUseAVX2 repro/internal/vec.useAVX2
+var vecUseAVX2 bool
+
+// kernelPaths runs f as "kernel" — the one-pass grid encoder with its
+// row-pair kernel, and vec's four-lane exp on restore — where this
+// machine has them, and as "portable": the two-pass encoder and the
+// math.Exp loop, which are their oracles.
+func kernelPaths(t *testing.T, f func(t *testing.T)) {
+	haveSZ, haveVec := useKernels, vecUseAVX2
+	for _, on := range []bool{true, false} {
+		if on && !haveSZ {
+			continue
+		}
+		name := map[bool]string{true: "kernel", false: "portable"}[on]
+		t.Run(name, func(t *testing.T) {
+			useKernels, vecUseAVX2 = on, on && haveVec
+			defer func() { useKernels, vecUseAVX2 = haveSZ, haveVec }()
+			f(t)
+		})
+	}
+}
+
+// gridBounds are FuzzGridEncode's bounds: loose, the benchmark's, tight
+// and, below the fast log's cut-off, one the kernels never see.
+var gridBounds = []float64{1e-1, 1e-4, 1e-7, 1e-13}
+
+// gridEncodeInput decodes one FuzzGridEncode case: a smooth field on an
+// nx×ny×nz grid (1…40 each, x fastest), shifted down by shift/64 so that
+// a sign change can cross it, with raw bit patterns written over it —
+// ten bytes a value: a little-endian uint16 position (mod n), then the
+// float64's bits.
+func gridEncodeInput(nx, ny, nz, shift uint8, data []byte) (x []float64, sten stencil) {
+	gx, gy, gz := 1+int(nx)%40, 1+int(ny)%40, 1+int(nz)%40
+	x = gridField(gx, gy, gz, float64(shift)/64)
+	for ; len(data) >= 10; data = data[10:] {
+		x[int(binary.LittleEndian.Uint16(data))%len(x)] = math.Float64frombits(binary.LittleEndian.Uint64(data[2:]))
+	}
+	return x, stencil{PredictorLorenzoND, gx, gx * gy}
+}
+
+// checkGridEncode is the differential check on one block: the one-pass
+// encoder, audited (the Go loop) and not (the row-pair kernel), writes
+// the bytes and accumulates the stats the two-pass path does, and
+// predicts from what the decoder reconstructs (checkGridState). A
+// vector holding a NaN or an Inf is refused by Compress either way.
+func checkGridEncode(t *testing.T, x []float64, sten stencil, eb float64) {
+	t.Helper()
+	p := Params{Mode: PWRel, ErrorBound: eb, Intervals: defaultIntervals, BlockSize: len(x)}
+	blk := Blocks{p: p, eb: eb, sten: sten}
+	encode := func(on bool, st *codec.Stats) []byte {
+		t.Helper()
+		prev := useKernels
+		useKernels = on
+		defer func() { useKernels = prev }()
+		out, err := blk.EncodeBlock(nil, x, st)
+		if err != nil {
+			t.Fatalf("%v, eb %g, kernels %v: %v", sten, eb, on, err)
+		}
+		return out
+	}
+	var stWant, stGot codec.Stats
+	want, wantAudited := encode(false, nil), encode(false, &stWant)
+	got, gotAudited := encode(true, nil), encode(true, &stGot)
+	if !bytes.Equal(want, wantAudited) {
+		t.Fatalf("%v, eb %g: the two-pass path writes different bytes when audited", sten, eb)
+	}
+	if !bytes.Equal(got, want) || !bytes.Equal(gotAudited, want) {
+		t.Fatalf("%v, eb %g, %d values: one pass writes %d bytes (audited %d), two passes %d", sten, eb, len(x), len(got), len(gotAudited), len(want))
+	}
+	if fmt.Sprint(stGot) != fmt.Sprint(stWant) { // a NaN among the sums is a NaN in both
+		t.Fatalf("%v, eb %g: audited one pass %+v, two passes %+v", sten, eb, stGot, stWant)
+	}
+	if lnb := math.Log1p(eb); lnb-fastLogErr > 0.5*lnb {
+		checkGridState(t, x, sten.fit(len(x)), lnb-fastLogErr)
+	}
+	if i := firstNonFinite(x); i >= 0 {
+		for _, on := range []bool{true, false} {
+			useKernels = on
+			_, err := Compress(x, p)
+			useKernels = true
+			if want := fmt.Sprintf("sz: non-finite value at index %d", i); err == nil || err.Error() != want {
+				t.Fatalf("kernels %v: Compress returned %v, want %q", on, err, want)
+			}
+		}
+	}
+}
+
+// checkGridState compares what the stream does not show: the
+// reconstructions the encoder predicts from — equal bytes can hide an
+// ulp a prediction rounded differently, which the decoder would not
+// reproduce. The row-pair kernel (gridLogs unaudited) leaves the codes,
+// the reconstructions and the signs bitmap the Go loop (audited, so row
+// by row) does, bit for bit; their reconstructions are the decoder's;
+// and both decline exactly the blocks holding a zero or a subnormal.
+func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
+	t.Helper()
+	if sten.pred != PredictorLorenzoND {
+		return
+	}
+	n, half := len(x), defaultIntervals/2
+	run := func(rows bool) (*gridLogs, bool) {
+		g := &gridLogs{x: x, r: make([]float64, n), codes: make([]int, n), signs: make([]byte, (n+7)/8),
+			zero: make([]float64, 2*sten.s1), sten: sten,
+			inv: 1 / (2 * eb), twoEB: 2 * eb, eb: eb, limit: float64(half - 1), half: half}
+		if rows {
+			g.a = &audit{st: new(codec.Stats), fcorr: fastLogErr}
+		}
+		return g, g.encode()
+	}
+	kernel, ok := run(false)
+	loop, loopOK := run(true)
+	clean := true
+	for _, v := range x {
+		clean = clean && math.Float64bits(v)<<1 >= 1<<53 // biased exponent non-zero; NaN and Inf included
+	}
+	if ok != clean || loopOK != clean {
+		t.Fatalf("%v: kernel took the block: %v, Go loop: %v, free of zeros and subnormals: %v", sten, ok, loopOK, clean)
+	}
+	if !ok {
+		return
+	}
+	for i := range x {
+		if kernel.codes[i] != loop.codes[i] || math.Float64bits(kernel.r[i]) != math.Float64bits(loop.r[i]) {
+			t.Fatalf("%v, eb %g: element %d: kernel code %d, reconstruction %x; Go loop %d, %x", sten, eb, i,
+				kernel.codes[i], math.Float64bits(kernel.r[i]), loop.codes[i], math.Float64bits(loop.r[i]))
+		}
+	}
+	if !bytes.Equal(kernel.signs, loop.signs) || kernel.unpred != loop.unpred {
+		t.Fatalf("%v: kernel signs %x (%d unpredictable), Go loop %x (%d)", sten, kernel.signs, kernel.unpred, loop.signs, loop.unpred)
+	}
+	var unpred []float64
+	for i, c := range loop.codes {
+		if c == 0 {
+			unpred = append(unpred, loop.r[i])
+		}
+	}
+	core, err := emitCore(nil, loop.codes, eb, sten, defaultIntervals, unpred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := make([]float64, n)
+	if err := decodeCoreInto(core, decoded); err != nil {
+		t.Fatal(err)
+	}
+	for i := range decoded {
+		if math.Float64bits(decoded[i]) != math.Float64bits(loop.r[i]) {
+			t.Fatalf("%v, eb %g: element %d: the encoder predicted from %x, the decoder reconstructs %x", sten, eb, i,
+				math.Float64bits(loop.r[i]), math.Float64bits(decoded[i]))
+		}
+	}
+}
+
+// FuzzGridEncode: on any grid of 1…40 elements an axis (rows of one and
+// two elements; odd row counts, which leave the last row of each slab
+// unpaired; planes; slabs of one row), at every bound, and with any bit
+// pattern anywhere, the one-pass encoder and its row-pair kernel are
+// the two-pass path byte for byte, or decline the block. The committed
+// crafted-* inputs name the cases.
+func FuzzGridEncode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nx, ny, nz, bound, shift uint8, data []byte) {
+		if !useKernels {
+			t.Skip("no kernels on this machine: the two-pass path is the only one")
+		}
+		x, sten := gridEncodeInput(nx, ny, nz, shift, data)
+		checkGridEncode(t, x, sten, gridBounds[int(bound)%len(gridBounds)])
+	})
+}
+
+// TestDecompressIntoAllocatesNoScratch: a restore decodes into the
+// solver's own vector and takes its scratch from the pools, so a call
+// allocates a few hundred bytes of container bookkeeping with the
+// four-lane exp as without — nothing that grows with the 110,592 values
+// it writes.
+func TestDecompressIntoAllocatesNoScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	x := gridField(48, 48, 48, 0)
+	comp, err := Compress(x, Params{Mode: PWRel, ErrorBound: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, len(x))
+	kernelPaths(t, func(t *testing.T) {
+		defer parallel.SetWorkers(parallel.SetWorkers(1))
+		// The least of a few calls: a collection may empty the pools
+		// under any one of them.
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			least = min(least, allocatedBytes(func() {
+				if err := DecompressInto(dst, comp); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if least > 1<<10 {
+			t.Errorf("DecompressInto of %d values allocated %d bytes", len(x), least)
+		}
+	})
+}
+
+// TestGridEncodeMatchesTwoPass: the differential check on what the
+// encoder is for — the checkpoints of the benchmark's three solvers on
+// a 20×30×50 box, cut into whole-slab blocks as Compress cuts them — at
+// every FuzzGridEncode bound, and the same through Compress, whose
+// bytes the kernels must not move either.
+func TestGridEncodeMatchesTwoPass(t *testing.T) {
+	if !useKernels {
+		t.Skip("no kernels on this machine: the two-pass path is the only one")
+	}
+	for _, method := range []string{"cg", "gmres", "jacobi"} {
+		for k, x := range checkpointIterates(t, 20, 30, 50, method) {
+			for _, eb := range gridBounds {
+				checkGridEncode(t, x[:6*600], stencil{PredictorLorenzoND, 20, 600}, eb)
+				p := Params{Mode: PWRel, ErrorBound: eb}
+				compress := func(on bool) []byte {
+					useKernels = on
+					defer func() { useKernels = true }()
+					comp, err := Compress(x, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return comp
+				}
+				if !bytes.Equal(compress(true), compress(false)) {
+					t.Fatalf("%s save %d at %g: Compress writes different bytes with the kernels", method, k, eb)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGridBlockEncode is one PWRel block as a cg-lossy-sync save
+// cuts it — the first 14 slabs of the 48³ IC(0)-PCG iterate at
+// iteration 25, at 1e-4 — written by the one-pass encoder ("kernel":
+// the row-pair kernel; "kernel/audited": the Go loop an audited save
+// takes) and by the two-pass path ("portable"), Huffman stage and
+// framing included, on the calling goroutine.
+func BenchmarkGridBlockEncode(b *testing.B) {
+	x := checkpointIterates(b, 48, 48, 48, "cg")[4][:14*48*48]
+	p, err := normalizeParams(x, Params{Mode: PWRel, ErrorBound: 1e-4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	have := useKernels
+	defer func() { useKernels = have }()
+	for _, path := range []string{"kernel", "kernel/audited", "portable", "portable/audited"} {
+		b.Run(path, func(b *testing.B) {
+			if useKernels = strings.HasPrefix(path, "kernel"); useKernels && !have {
+				b.Skip("no kernels on this machine")
+			}
+			var dst []byte
+			for i := 0; i < b.N; i++ {
+				var st *codec.Stats
+				if strings.HasSuffix(path, "audited") {
+					st = new(codec.Stats)
+				}
+				if dst, err = appendLogTransform(dst[:0], x, p, stencil{PredictorLorenzoND, 48, 48 * 48}, st); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)), "ns/elem")
+		})
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/precond"
 	"repro/internal/solver"
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // gridField samples a smooth, strictly positive field on an nx×ny×nz
@@ -150,9 +151,11 @@ func oracleInputs() []oracleInput {
 // the oracle inputs, in one block and in many, and judges every element
 // against the stated bound. Decompress and DecompressInto agree bitwise
 // and an audited save writes the bytes of an unaudited one.
-func TestErrorBoundOracle(t *testing.T) {
+func TestErrorBoundOracle(t *testing.T) { kernelPaths(t, errorBoundOracle) }
+
+func errorBoundOracle(t *testing.T) {
 	for _, in := range oracleInputs() {
-		lo, hi := valueRange(in.x)
+		lo, hi := vec.Range(in.x)
 		for _, mode := range []Mode{Abs, RelRange, PWRel} {
 			for _, eb := range []float64{1e-3, 1e-6} {
 				sizes := map[Predictor]int{}
@@ -375,7 +378,9 @@ func TestGridBlocksHoldWholeSlabs(t *testing.T) {
 // by the commit before it (testdata/parent, forced Lorenzo and Linear,
 // PWRel and Abs, three blocks each) decode to the reconstruction that
 // commit produced, and this encoder still writes them byte for byte.
-func TestParentWrittenStreamsDecode(t *testing.T) {
+func TestParentWrittenStreamsDecode(t *testing.T) { kernelPaths(t, parentWrittenStreamsDecode) }
+
+func parentWrittenStreamsDecode(t *testing.T) {
 	cases := goldenCases()
 	smooth, mixed := cases[0].x[:600], cases[5].x[:600]
 	for _, c := range []struct {

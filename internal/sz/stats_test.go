@@ -39,6 +39,7 @@ func statsWorkloads(n int) map[string][]float64 {
 	}
 	return map[string][]float64{
 		"smooth": smooth, "rough": rough, "zeros": withZeros, "constant": constant,
+		"grid": gridField(20, 20, n/400, 0), // one-pass encoded over its inferred grid
 	}
 }
 
@@ -46,6 +47,10 @@ func statsWorkloads(n int) map[string][]float64 {
 // contract: an audited compression writes exactly the bytes an
 // unaudited one would, across modes, block layouts, and predictors.
 func TestCompressWithStatsIdenticalBytes(t *testing.T) {
+	kernelPaths(t, compressWithStatsIdenticalBytes)
+}
+
+func compressWithStatsIdenticalBytes(t *testing.T) {
 	for wname, x := range statsWorkloads(10000) {
 		for _, p := range []Params{
 			{Mode: Abs, ErrorBound: 1e-6},

@@ -50,6 +50,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/huffman"
 	"repro/internal/parallel"
+	"repro/internal/vec"
 )
 
 // Mode selects how the error bound is interpreted.
@@ -142,7 +143,7 @@ func AppendCompress(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte,
 	}
 	bc := Blocks{p: p, eb: p.ErrorBound, sten: stencil{pred: p.Predictor}}
 	if p.Mode == RelRange {
-		lo, hi := valueRange(x)
+		lo, hi := vec.Range(x)
 		if bc.eb = p.ErrorBound * (hi - lo); bc.eb == 0 {
 			// Constant (or empty) data has no range to be relative to: store
 			// the constant, exactly.
@@ -306,22 +307,6 @@ func (Blocks) DecodeBlockInto(dst []float64, blk []byte) error {
 	default:
 		return fmt.Errorf("sz: unknown block payload kind %d", kind)
 	}
-}
-
-func valueRange(x []float64) (lo, hi float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	lo, hi = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }
 
 // roundMagic rounds a float64 to the nearest integer (ties to even) by
@@ -634,13 +619,19 @@ type audit struct {
 
 // add folds element i: v as the quantizer saw it, r its reconstruction.
 func (a *audit) add(i int, v, r float64) {
-	d := math.Abs(v - r)
 	if a.mags == nil {
+		d := math.Abs(v - r)
 		a.st.Add(math.Abs(v), d, d)
 		return
 	}
-	rel := math.Expm1(d + a.fcorr)
-	a.st.Add(a.mags[i], rel, rel*a.mags[i])
+	a.addLog(a.mags[i], v, r)
+}
+
+// addLog folds a PWRel element of magnitude mag whose logarithm the
+// quantizer saw as v and reconstructed as r.
+func (a *audit) addLog(mag, v, r float64) {
+	rel := math.Expm1(math.Abs(v-r) + a.fcorr)
+	a.st.Add(mag, rel, rel*mag)
 }
 
 // appendCore runs the ABS-bound pipeline (predict → quantize →
@@ -655,18 +646,7 @@ func (a *audit) add(i int, v, r float64) {
 // math.Round. A non-nil a audits every element where it is quantized.
 func appendCore(dst []byte, x, r []float64, eb float64, sten stencil, intervals int, a *audit) ([]byte, error) {
 	n := len(x)
-	if sten.pred == PredictorLorenzoND {
-		// A block of one slab has none behind it, and one without a whole
-		// row and an element more is no grid: the header says what the
-		// decoder will find, and holds to what it validates.
-		if sten.s1+sten.s2 >= n {
-			sten.s2 = 0
-		}
-		if sten.s1 == 0 || sten.s1 >= n {
-			sten = stencil{pred: PredictorLorenzo}
-		}
-	}
-	if sten.pred == PredictorAuto {
+	if sten = sten.fit(n); sten.pred == PredictorAuto {
 		sten.pred = choosePredictor(x, eb, intervals)
 	}
 	rowLen, zero := sten.rowLen(n)
@@ -704,23 +684,41 @@ func appendCore(dst []byte, x, r []float64, eb float64, sten stencil, intervals 
 			prev2, prev = prev, rv
 		}
 	}
-	hstream := parallel.GetBytes(n)
-	defer func() { parallel.PutBytes(hstream) }()
-	hstream, err := huffman.AppendEncode(hstream, codes, intervals)
-	if err != nil {
-		return nil, err
-	}
-	return emitCore(dst, n, eb, sten, intervals, hstream, unpred), nil
+	return emitCore(dst, codes, eb, sten, intervals, unpred)
 }
 
-// emitCore appends the core payload framing to dst:
+// fit is s as a block of n elements can hold it. A block of one slab
+// has none behind it, and one without a whole row and an element more
+// is no grid: the header says what the decoder will find, and holds to
+// what it validates.
+func (s stencil) fit(n int) stencil {
+	if s.pred == PredictorLorenzoND {
+		if s.s1+s.s2 >= n {
+			s.s2 = 0
+		}
+		if s.s1 == 0 || s.s1 >= n {
+			s = stencil{pred: PredictorLorenzo}
+		}
+	}
+	return s
+}
+
+// emitCore Huffman-codes a block's quantization codes and appends the
+// core payload framing to dst:
 //
 //	uvarint n | float64 eb | predictor byte [| uvarint s1 | uvarint s2]
 //	          | uvarint intervals | uvarint nUnpred | uvarint hlen
 //	          | Huffman stream | nUnpred × float64
 //
 // The strides follow the predictor byte of PredictorLorenzoND only.
-func emitCore(dst []byte, n int, eb float64, sten stencil, intervals int, hstream []byte, unpred []float64) []byte {
+func emitCore(dst []byte, codes []int, eb float64, sten stencil, intervals int, unpred []float64) ([]byte, error) {
+	n := len(codes)
+	hstream := parallel.GetBytes(n)
+	defer func() { parallel.PutBytes(hstream) }()
+	hstream, err := huffman.AppendEncode(hstream, codes, intervals)
+	if err != nil {
+		return nil, err
+	}
 	out := binary.AppendUvarint(dst, uint64(n))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(eb))
 	out = append(out, byte(sten.pred))
@@ -735,7 +733,7 @@ func emitCore(dst []byte, n int, eb float64, sten stencil, intervals int, hstrea
 	for _, v := range unpred {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
-	return out
+	return out, nil
 }
 
 // decodeCoreInto decodes a core payload into recon, whose length must
@@ -899,24 +897,10 @@ const tinyThreshold = 2.2250738585072014e-308 // math.SmallestNormalFloat64
 // side channels; zeros and subnormals reconstruct exactly, trivially
 // satisfying the bound — and an audit (st non-nil) counts them so,
 // while the log-compressed elements carry their magnitudes into the
-// quantizer loop for the relative→absolute conversion.
+// quantizer loop for the relative→absolute conversion. A grid block
+// under the fast log tries appendGridLogs first, the same bytes in one
+// pass; this path is its fallback and its oracle.
 func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *codec.Stats) ([]byte, error) {
-	n := len(x)
-	nb := (n + 7) / 8
-	// One pooled buffer holds all three bitmaps back to back in stream
-	// order (zeros | signs | tiny), as emitLogHeader takes them.
-	bitmaps := parallel.GetBytes(3 * nb)[:3*nb]
-	defer func() { parallel.PutBytes(bitmaps) }()
-	for i := range bitmaps {
-		bitmaps[i] = 0
-	}
-	zeros := bitmaps[:nb]
-	signs := bitmaps[nb : 2*nb]
-	tiny := bitmaps[2*nb : 3*nb]
-	var exact []float64
-	logs := parallel.GetFloat64s(n)
-	defer func() { parallel.PutFloat64s(logs) }()
-
 	// fastLog is accurate to fastLogErr, not correctly rounded, so the
 	// encoder quantizes under a bound tightened by exactly that much:
 	// reconstruction stays within ln(1+eb) of the true logarithm. The
@@ -929,6 +913,25 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *cod
 	if !useFast {
 		lnbEnc = lnb
 	}
+	n := len(x)
+	nb := (n + 7) / 8
+	// One pooled buffer holds all three bitmaps back to back in stream
+	// order (zeros | signs | tiny), as emitLogHeader takes them.
+	bitmaps := parallel.GetBytes(3 * nb)[:3*nb]
+	defer func() { parallel.PutBytes(bitmaps) }()
+	clear(bitmaps)
+	zeros := bitmaps[:nb]
+	signs := bitmaps[nb : 2*nb]
+	tiny := bitmaps[2*nb : 3*nb]
+	if g := sten.fit(n); useKernels && useFast && g.pred == PredictorLorenzoND {
+		if out, ok, err := appendGridLogs(dst, x, signs, bitmaps, lnbEnc, g, p.Intervals, st); ok {
+			return out, err
+		}
+		clear(signs)
+	}
+	var exact []float64
+	logs := parallel.GetFloat64s(n)
+	defer func() { parallel.PutFloat64s(logs) }()
 	var a *audit
 	if st != nil {
 		a = &audit{st: st, mags: parallel.GetFloat64s(n)}
@@ -1021,7 +1024,8 @@ func bitSet(bm []byte, i int) bool {
 
 // decodeLogTransformInto decodes a log-transform payload (the layout
 // emitLogHeader documents, then the core sub-stream) into out, whose
-// length must match the stored count.
+// length must match the stored count. vec.Exp, math.Exp bit for bit,
+// exponentiates the logarithms.
 func decodeLogTransformInto(p []byte, out []float64) error {
 	n64, k := binary.Uvarint(p)
 	if k <= 0 || k >= len(p) {
@@ -1084,6 +1088,18 @@ func decodeLogTransformInto(p []byte, out []float64) error {
 	if err := decodeCoreInto(p[off:], logs); err != nil {
 		return err
 	}
+	if zeros == nil && tiny == nil && nExact == 0 && len(logs) == n {
+		// Normal values only, a converging iterate's block: nothing to
+		// interleave, every element is its logarithm exponentiated.
+		vec.Exp(out, logs)
+		for i := 0; signs != nil && i < n; i++ {
+			if bitSet(signs, i) {
+				out[i] = -out[i]
+			}
+		}
+		return nil
+	}
+	vec.Exp(logs, logs)
 	li, ei := 0, 0
 	for i := 0; i < n; i++ {
 		if bitSet(zeros, i) {
@@ -1101,7 +1117,7 @@ func decodeLogTransformInto(p []byte, out []float64) error {
 			if li >= len(logs) {
 				return fmt.Errorf("sz: log stream underflow at %d", i)
 			}
-			v = math.Exp(logs[li])
+			v = logs[li]
 			li++
 		}
 		if bitSet(signs, i) {

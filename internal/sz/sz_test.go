@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 func roundTrip(t *testing.T, x []float64, p Params) []float64 {
@@ -83,7 +84,7 @@ func TestAbsRandomDataStillBounded(t *testing.T) {
 
 func TestRelRangeBound(t *testing.T) {
 	x := sparse.SmoothField(8000, 4)
-	lo, hi := valueRange(x)
+	lo, hi := vec.Range(x)
 	const eb = 1e-4
 	got := roundTrip(t, x, Params{Mode: RelRange, ErrorBound: eb})
 	assertAbsBound(t, x, got, eb*(hi-lo))

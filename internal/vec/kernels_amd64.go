@@ -5,7 +5,13 @@ package vec
 // ever flip it.
 var useAVX2 = cpuHasAVX2()
 
+// hasFMA with useAVX2 is where math.Exp takes its FMA path, which
+// expAVX2 copies.
+var hasFMA = cpuHasFMA()
+
 func cpuHasAVX2() bool
+
+func cpuHasFMA() bool
 
 // Each kernel covers the leading len&^3 elements of its (equal-length)
 // slices and returns its four lanes; see kernels_amd64.s.
@@ -39,6 +45,11 @@ func subAVX2(dst, x, y []float64)
 
 //go:noescape
 func scaleToAVX2(dst []float64, a float64, x []float64)
+
+// expAVX2 is Exp's body: it returns how many leading elements it wrote.
+//
+//go:noescape
+func expAVX2(dst, x []float64) int
 
 // stencilAVX2 is StencilMulVec's body; every argument has been checked.
 //

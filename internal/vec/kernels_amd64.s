@@ -358,3 +358,104 @@ check:
 	JLT  rowloop
 	VZEROUPPER
 	RET
+
+// func cpuHasFMA() bool
+//
+// FMA is CPUID leaf 1, ECX bit 12. Its registers are the AVX state
+// whose saving by the OS cpuHasAVX2 checks, so the two together are
+// math.Exp's condition for its FMA path.
+TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	SHRL $12, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+	RET
+
+// Constants of math.archExp (math/exp_amd64.s), four lanes each, as the
+// bit patterns its assembler wrote.
+#define EXPQ(off, bits) \
+	DATA expq<>+(off+0)(SB)/8, bits; \
+	DATA expq<>+(off+8)(SB)/8, bits; \
+	DATA expq<>+(off+16)(SB)/8, bits; \
+	DATA expq<>+(off+24)(SB)/8, bits
+
+EXPQ(0, $0x7fffffffffffffff)   // |·|
+EXPQ(32, $0x4086200000000000)  // 708
+EXPQ(64, $0x3ff71547652b82fe)  // LOG2E
+EXPQ(96, $0x3fe62e42fefa3000)  // LN2U
+EXPQ(128, $0x3d53de6af278ece6) // LN2L
+EXPQ(160, $0x3fb0000000000000) // 0.0625
+EXPQ(192, $0x3efa01a01a01a01a) // 1/8!
+EXPQ(224, $0x3f2a01a01a01a01a) // 1/7!
+EXPQ(256, $0x3f56c16c16c16c17) // 1/6!
+EXPQ(288, $0x3f81111111111111) // 1/5!
+EXPQ(320, $0x3fa5555555555555) // 1/4!
+EXPQ(352, $0x3fc5555555555555) // 1/3!
+EXPQ(384, $0x3fe0000000000000) // 1/2
+EXPQ(416, $0x3ff0000000000000) // 1
+EXPQ(448, $0x4000000000000000) // 2
+EXPQ(480, $0x00000000000003ff) // the exponent bias, as an integer
+GLOBL expq<>(SB), RODATA|NOPTR, $512
+
+// func expAVX2(dst, x []float64) int
+//
+// math.archExp's FMA path, lane k being element i+k: the same
+// VFNMADD231/VFMADD213 steps in the same order on the same constants,
+// VCVTPD2DQ rounding x·log2(e) to nearest as its CVTSD2SL does, and
+// 2^k built and multiplied in as its ldexp step does for the k that
+// |x| ≤ 708 gives (|k| ≤ 1021: no overflow, no subnormal scale). It
+// writes the leading groups of four of len(x)&^3 and returns how many
+// elements it wrote, stopping before the first group with a lane
+// outside ±708 or a NaN, which math.Exp's special cases take.
+TEXT ·expAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	ANDQ $~3, CX
+	XORQ AX, AX
+	JMP  check
+loop:
+	VMOVUPD      (SI)(AX*8), Y0
+	VANDPD       expq<>+0(SB), Y0, Y1
+	VCMPPD       $0x12, expq<>+32(SB), Y1, Y1 // |x| ≤ 708 (LE_OQ)
+	VMOVMSKPD    Y1, DX
+	CMPL         DX, $15
+	JNE          done
+	VMULPD       expq<>+64(SB), Y0, Y1
+	VCVTPD2DQY   Y1, X2 // k
+	VCVTDQ2PD    X2, Y1
+	VFNMADD231PD expq<>+96(SB), Y1, Y0
+	VFNMADD231PD expq<>+128(SB), Y1, Y0
+	VMULPD       expq<>+160(SB), Y0, Y0
+	VMOVUPD      expq<>+192(SB), Y1
+	VFMADD213PD  expq<>+224(SB), Y0, Y1
+	VFMADD213PD  expq<>+256(SB), Y0, Y1
+	VFMADD213PD  expq<>+288(SB), Y0, Y1
+	VFMADD213PD  expq<>+320(SB), Y0, Y1
+	VFMADD213PD  expq<>+352(SB), Y0, Y1
+	VFMADD213PD  expq<>+384(SB), Y0, Y1
+	VFMADD213PD  expq<>+416(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expq<>+448(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expq<>+448(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expq<>+448(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expq<>+448(SB), Y0, Y1
+	VFMADD213PD  expq<>+416(SB), Y1, Y0
+	VPMOVSXDQ    X2, Y2
+	VPADDQ       expq<>+480(SB), Y2, Y2
+	VPSLLQ       $52, Y2, Y2 // 2^k
+	VMULPD       Y2, Y0, Y0
+	VMOVUPD      Y0, (DI)(AX*8)
+	ADDQ         $4, AX
+check:
+	CMPQ AX, CX
+	JLT  loop
+done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET

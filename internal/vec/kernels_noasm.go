@@ -6,6 +6,10 @@ package vec
 // functions below are not reached.
 var useAVX2 = false
 
+var hasFMA = false
+
+func expAVX2(dst, x []float64) int { panic("vec: no AVX2 kernel") }
+
 func dotAVX2(x, y []float64) (s0, s1, s2, s3 float64) { panic("vec: no AVX2 kernel") }
 
 func sumSquaresAVX2(x []float64, inv float64) (s0, s1, s2, s3 float64) {

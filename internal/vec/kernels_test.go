@@ -43,6 +43,8 @@ var kernels = []kernel{
 	{"Sub dst=x", 2, func(_ float64, v [][]float64) [2]float64 { Sub(v[0], v[0], v[1]); return [2]float64{} }},
 	{"Sub dst=y", 2, func(_ float64, v [][]float64) [2]float64 { Sub(v[1], v[0], v[1]); return [2]float64{} }},
 	{"Scale", 1, func(a float64, v [][]float64) [2]float64 { Scale(a, v[0]); return [2]float64{} }},
+	{"Exp", 2, func(_ float64, v [][]float64) [2]float64 { Exp(v[0], v[1]); return [2]float64{} }},
+	{"Exp dst=x", 1, func(_ float64, v [][]float64) [2]float64 { Exp(v[0], v[0]); return [2]float64{} }},
 }
 
 // setAVX2 switches the dispatch for the rest of the test.

@@ -11,7 +11,9 @@
 // which NaN a NaN result is), so the Go loops are the portable path and
 // the oracle the assembly is tested against. StencilMulVec, the banded
 // product package sparse runs generated grid operators through, has an
-// AVX2 body on the same terms: lane k is row i+k.
+// AVX2 body on the same terms: lane k is row i+k. So does Exp, the
+// elementwise math.Exp the lossy restore runs, where math.Exp itself
+// takes its FMA path.
 package vec
 
 import (
@@ -411,6 +413,26 @@ func Range(x []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
+}
+
+// Exp sets dst[i] = math.Exp(x[i]), bit for bit; dst may be x. Where
+// math.Exp itself takes its AVX+FMA path, the AVX2 body runs that path
+// on four elements at a time; a group of four with a lane outside ±708
+// or a NaN goes through math.Exp, as does the tail.
+func Exp(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("vec: Exp length mismatch %d != %d", len(dst), len(x)))
+	}
+	i := 0
+	for useAVX2 && hasFMA && i+4 <= len(x) {
+		i += expAVX2(dst[i:], x[i:])
+		for end := min(i+4, len(x)); i < end; i++ { // the group it stopped at, or the tail
+			dst[i] = math.Exp(x[i])
+		}
+	}
+	for ; i < len(x); i++ {
+		dst[i] = math.Exp(x[i])
+	}
 }
 
 // Accelerated reports whether the kernels run their AVX2 bodies. A
