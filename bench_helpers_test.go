@@ -10,7 +10,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fti"
 	"repro/internal/parallel"
-	"repro/internal/sim"
 	"repro/internal/solver"
 )
 
@@ -80,16 +79,18 @@ func ratio(n int, compressed []byte) float64 {
 // time and returns the total simulated seconds (shared by the interval
 // ablation bench).
 func simRunJacobi(s solver.Checkpointable, mgr *core.Manager, n int, tit, interval, ckptCost float64) (float64, error) {
-	out, err := sim.Run(sim.Config{
-		Stepper:           s,
-		Manager:           mgr,
-		X0:                make([]float64, n),
-		TitSeconds:        tit,
-		IntervalSeconds:   interval,
-		CheckpointSeconds: func(fti.Info) float64 { return ckptCost },
-		RecoverySeconds:   func(fti.Info) float64 { return ckptCost * 1.2 },
-		Failures:          failure.NewInjector(3600, 5),
-		MaxIterations:     5_000_000,
+	out, err := core.Drive(core.DriveConfig{
+		Stepper: s,
+		Manager: mgr,
+		X0:      make([]float64, n),
+		Costs: &core.Costs{
+			TitSeconds:        tit,
+			CheckpointSeconds: func(fti.Info) float64 { return ckptCost },
+			RecoverySeconds:   func(fti.Info) float64 { return ckptCost * 1.2 },
+		},
+		Failures:        core.FailureTimes(nil, failure.NewInjector(3600, 5)),
+		IntervalSeconds: interval,
+		MaxIterations:   5_000_000,
 	})
 	if err != nil {
 		return 0, err

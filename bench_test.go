@@ -1342,7 +1342,7 @@ func intervalOverheadPct(mult float64) (float64, error) {
 // ratio-drift cost regimes) and reports the simulated wall-clocks as
 // metrics — the CI artifact tracking the controller's quality. The
 // acceptance bands are asserted in-bench: adaptive within 10% of the
-// best fixed interval under steady costs (the sim package's 12-seed
+// best fixed interval under steady costs (core's 12-seed modelled-run
 // test enforces the strict 5%), and strictly better than the stale
 // probe-derived Young interval once the compression ratio drifts.
 func BenchmarkAdaptiveInterval(b *testing.B) {

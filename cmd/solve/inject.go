@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/fti"
-	"repro/internal/sim"
 	"repro/internal/solver"
 )
 
@@ -127,7 +126,7 @@ func (p *planSource) Strikes(w core.Window) (float64, bool) {
 // printTable renders the per-failure tier table: every injected event
 // with the chain that recovered from it, each attempt's measured wall
 // time beside its modeled cost at cluster scale.
-func (p *planSource) printTable(out *sim.Outcome, cm *costModel, last fti.Info) {
+func (p *planSource) printTable(out *core.Outcome, cm *costModel, last fti.Info) {
 	if len(out.RecoveryReports) == 0 {
 		return
 	}

@@ -15,7 +15,7 @@
 // Every run with a checkpoint scheme is one call of core.Drive, the
 // checkpoint-lifecycle loop, and the flags pick its three inputs. By
 // default the clock is virtual, the costs are the Bebop cluster model's
-// at 2,048 ranks, and -mtti draws exponential failure times (sim.Run);
+// at 2,048 ranks, and -mtti draws exponential failure times;
 // -inject switches to the wall clock, measured costs, and a seeded
 // step-keyed fault plan. The outcome — checkpoint, backpressure and
 // recovery time, per-tier recovery counts, read traffic, the interval
@@ -93,7 +93,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/precond"
 	"repro/internal/quality"
-	"repro/internal/sim"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/sz"
@@ -486,8 +485,10 @@ func run(o options) (err error) {
 		ctrl.Instrument(rep.reg)
 		fmt.Printf("adaptive interval: prior MTTI %g s, bootstrap interval %g s\n", o.prior, ctrl.Interval(0))
 	}
-	x0 := make([]float64, a.Rows)
-	var out *sim.Outcome
+	run := core.DriveConfig{
+		Stepper: s, Manager: mgr, X0: make([]float64, a.Rows), Controller: ctrl,
+		MaxIterations: o.maxIter, Metrics: rep.reg, Tracer: rep.tr, Quality: rep.qa,
+	}
 	var src *planSource
 	if injected {
 		// Corruption helpers damage objects on the BASE store, bypassing
@@ -499,14 +500,7 @@ func run(o options) (err error) {
 			fmt.Printf(", checkpoint every %d iterations", mcfg.Interval)
 		}
 		fmt.Println()
-		out, err = core.Drive(core.DriveConfig{
-			Stepper: s, Manager: mgr, X0: x0,
-			Failures: src, OnStep: src.onStep, Controller: ctrl,
-			MaxIterations: o.maxIter, Metrics: rep.reg, Tracer: rep.tr, Quality: rep.qa,
-		})
-		if err == nil {
-			err = src.err
-		}
+		run.Failures, run.OnStep = src, src.onStep
 	} else {
 		interval := o.interval
 		if !o.adaptive && interval == 0 {
@@ -534,25 +528,20 @@ func run(o options) (err error) {
 			fmt.Printf("Young-optimal interval: %.0f simulated seconds\n", interval)
 		}
 		rep.update(func(ri *quality.RunInfo) { ri.Interval = int(interval) })
-		out, err = sim.Run(sim.Config{
-			Stepper:             s,
-			Manager:             mgr,
-			X0:                  x0,
+		run.Costs = &core.Costs{
 			TitSeconds:          o.tit,
-			IntervalSeconds:     interval,
-			Controller:          ctrl,
 			CheckpointSeconds:   cm.checkpoint,
 			RecoverySeconds:     cm.recovery,
 			StorageRetrySeconds: cm.storageRetry,
-			AsyncCheckpoint:     o.async,
 			CaptureSeconds:      cm.capture,
 			ABFTSeconds:         cm.abft,
-			Failures:            failure.NewInjector(o.mtti, o.seed),
-			MaxIterations:       o.maxIter,
-			Metrics:             rep.reg,
-			Tracer:              rep.tr,
-			Quality:             rep.qa,
-		})
+		}
+		run.Failures = core.FailureTimes(nil, failure.NewInjector(o.mtti, o.seed))
+		run.IntervalSeconds, run.AsyncCheckpoint = interval, o.async
+	}
+	out, err := core.Drive(run)
+	if err == nil && src != nil {
+		err = src.err
 	}
 	if err != nil {
 		return err
@@ -609,7 +598,7 @@ func run(o options) (err error) {
 // printOutcome renders what the driver accounted — the same lines for
 // a simulated run (virtual seconds) and an injected one (stopwatch
 // milliseconds).
-func printOutcome(o options, out *sim.Outcome) {
+func printOutcome(o options, out *core.Outcome) {
 	clock := "sim"
 	dur := func(simFormat string, sec float64) string { return fmt.Sprintf(simFormat+"s", sec) }
 	if o.plan != nil {

@@ -69,7 +69,7 @@
 // current time (virtual or wall seconds) as an argument and nothing
 // reads a real clock, so a simulated run driving it with virtual time
 // is bitwise reproducible — same seed and failure trace, same interval
-// trajectory (asserted under -race by the sim tests).
+// trajectory (asserted by core's modelled-run tests).
 package adapt
 
 import (

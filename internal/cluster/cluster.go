@@ -419,7 +419,7 @@ func (m *Model) ShardedRecoverySeconds(procs int, encodedBytes, rawBytes float64
 // redundancy, then localIters iterations of the local reconstruction
 // solve at iterSeconds each, plus the fixed per-rank coordination
 // overhead. No PFS term appears anywhere — that absence is the tier's
-// entire advantage, and why the sim's read-traffic comparison shows
+// entire advantage, and why the modelled read-traffic comparison shows
 // ABFT-on runs touching the file system less. A Model without
 // InterconnectBandwidth falls back to MemCopyPerCore (node-local
 // exchange), keeping legacy literals finite.

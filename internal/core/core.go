@@ -25,7 +25,8 @@
 // is the lifecycle around it — when to save, where failures land, what
 // each op costs, what the adaptive controller is told — as one loop
 // whose clock, cost source and failure source are its only inputs, so
-// a simulated run (package sim) and a real one differ in nothing else.
+// a modelled run (Costs, FailureTimes) and a real one differ in nothing
+// else.
 // Hand-written loops (the examples, bench/) call Due, Checkpoint and
 // RecoverTiered themselves.
 package core
@@ -434,7 +435,7 @@ func (m *Manager) AbortLastCheckpoint() error {
 	m.lastCkptIter, m.haveCkpt = m.prevCkptIter, m.prevHaveCkpt
 	// Roll the accounting back too: LastInfo must describe the
 	// checkpoint recovery will actually restore, not the dropped one
-	// (the sim prices RecoverySeconds off it).
+	// (a modelled run prices RecoverySeconds off it).
 	m.lastInfo = m.prevInfo
 	// Consult storage, not the sequence counter: with keep=1 the gc of
 	// the just-dropped checkpoint already removed its predecessor, so

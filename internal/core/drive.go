@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/failure"
 	"repro/internal/fti"
 	"repro/internal/obs"
 	"repro/internal/quality"
@@ -31,8 +32,8 @@ import (
 //	          stage timings, TierAttempt.Seconds).
 //	failures  where failures land, asked once per window.
 //
-// sim.Run is this loop with the cluster model's costs and exponential
-// or scheduled failure times; cmd/solve -inject is this loop on the
+// The experiments and cmd/solve -mtti run this loop with the cluster
+// model's Costs and FailureTimes; cmd/solve -inject runs it on the
 // wall clock with measured costs and a step-keyed fault plan.
 func Drive(cfg DriveConfig) (*Outcome, error) {
 	s, m := cfg.Stepper, cfg.Manager
@@ -225,6 +226,49 @@ type Window struct {
 // and reports the window's End.
 type FailureSource interface {
 	Strikes(w Window) (at float64, hit bool)
+}
+
+// FailureTimes is the time-keyed failure source of a modelled run: the
+// absolute times of schedule (ascending) while it lasts, then inj's
+// exponential gaps; with neither, no failure lands. A scheduled time at
+// or before the previous failure (or 0) lands 1 ns after it. The failure
+// after a strike is drawn the moment the strike is reported, so a
+// seed's draws come in failure order whatever the failures interrupt.
+func FailureTimes(schedule []float64, inj *failure.Injector) FailureSource {
+	f := &failureTimes{schedule: schedule, inj: inj}
+	f.next = f.draw(0)
+	return f
+}
+
+type failureTimes struct {
+	schedule []float64
+	inj      *failure.Injector
+	next     float64
+}
+
+// draw returns the absolute time of the first failure after now.
+func (f *failureTimes) draw(now float64) float64 {
+	if len(f.schedule) > 0 {
+		next := f.schedule[0]
+		f.schedule = f.schedule[1:]
+		if next <= now {
+			next = now + 1e-9
+		}
+		return next
+	}
+	if f.inj != nil {
+		return f.inj.Next(now)
+	}
+	return math.Inf(1)
+}
+
+func (f *failureTimes) Strikes(w Window) (float64, bool) {
+	if w.End <= f.next {
+		return 0, false
+	}
+	at := f.next
+	f.next = f.draw(at)
+	return at, true
 }
 
 // Event marks a failure in the trace.

@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"fmt"
@@ -20,7 +20,7 @@ import (
 	"repro/internal/vec"
 )
 
-// The golden matrix pins sim.Outcome across the lifecycle's whole
+// The golden matrix pins core.Outcome across the lifecycle's whole
 // configuration space — solver × scheme × cost mode × guard × cadence ×
 // failure source — as recorded at the commit before the driver
 // refactor. Floats are stored as math.Float64bits: any drift in the
@@ -79,9 +79,9 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// goldenConfig builds the case's run from scratch (the simulator
+// goldenConfig builds the case's run from scratch (the driver
 // mutates solver, Manager and controller).
-func goldenConfig(t *testing.T, c goldenCase) Config {
+func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 	t.Helper()
 	var (
 		a    *sparse.CSR
@@ -127,17 +127,19 @@ func goldenConfig(t *testing.T, c goldenCase) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Stepper:    s.(solver.Stepper),
-		Manager:    m,
-		X0:         make([]float64, a.Rows),
-		TitSeconds: 1,
-		// Every cost depends on what was written, so a byte of drift in
-		// the checkpoint moves the clock.
-		CheckpointSeconds:   func(i fti.Info) float64 { return 3 + 1e-4*float64(i.Bytes) },
-		RecoverySeconds:     func(i fti.Info) float64 { return 4 + 1e-4*float64(i.Bytes) },
-		StorageRetrySeconds: func(fti.Info) float64 { return 0.25 },
-		MaxIterations:       100000,
+	cfg := core.DriveConfig{
+		Stepper:       s.(solver.Stepper),
+		Manager:       m,
+		X0:            make([]float64, a.Rows),
+		MaxIterations: 100000,
+		Costs: &core.Costs{
+			TitSeconds: 1,
+			// Every cost depends on what was written, so a byte of drift in
+			// the checkpoint moves the clock.
+			CheckpointSeconds:   func(i fti.Info) float64 { return 3 + 1e-4*float64(i.Bytes) },
+			RecoverySeconds:     func(i fti.Info) float64 { return 4 + 1e-4*float64(i.Bytes) },
+			StorageRetrySeconds: func(fti.Info) float64 { return 0.25 },
+		},
 	}
 	if c.guard == "abft-corrupt" {
 		steps := 0
@@ -149,10 +151,10 @@ func goldenConfig(t *testing.T, c goldenCase) Config {
 	}
 	if c.async {
 		cfg.AsyncCheckpoint = true
-		cfg.CaptureSeconds = func(i fti.Info) float64 { return 0.5 + 1e-6*float64(i.RawBytes) }
+		cfg.Costs.CaptureSeconds = func(i fti.Info) float64 { return 0.5 + 1e-6*float64(i.RawBytes) }
 		// A background write longer than the interval: every steady-state
 		// checkpoint waits on its predecessor.
-		cfg.CheckpointSeconds = func(i fti.Info) float64 { return 13 + 1e-4*float64(i.Bytes) }
+		cfg.Costs.CheckpointSeconds = func(i fti.Info) float64 { return 13 + 1e-4*float64(i.Bytes) }
 	}
 	if c.adaptive {
 		ctrl, err := adapt.New(adapt.Config{PriorMTTI: 60, PriorWeight: 1, Async: c.async, InitialInterval: 10})
@@ -165,9 +167,9 @@ func goldenConfig(t *testing.T, c goldenCase) Config {
 	}
 	switch c.fail {
 	case "seed1", "seed2", "seed3":
-		cfg.Failures = failure.NewInjector(45, int64(c.fail[4]-'0'))
+		cfg.Failures = core.FailureTimes(nil, failure.NewInjector(45, int64(c.fail[4]-'0')))
 	case "sched":
-		cfg.FailureSchedule = goldenSchedule
+		cfg.Failures = core.FailureTimes(goldenSchedule, nil)
 	}
 	return cfg
 }
@@ -185,7 +187,7 @@ type goldenRow struct {
 	lastInterval                                             uint64
 }
 
-func rowOf(name string, o *Outcome) goldenRow {
+func rowOf(name string, o *core.Outcome) goldenRow {
 	r := goldenRow{
 		name:       name,
 		simSeconds: math.Float64bits(o.SimSeconds),
@@ -255,7 +257,7 @@ func TestGoldenOutcomeMatrix(t *testing.T) {
 				cfg.Manager.InstrumentQuality(qa)
 				cfg.Quality = qa
 			}
-			out, err := Run(cfg)
+			out, err := core.Drive(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name(), err)
 			}

@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"math"
@@ -76,21 +76,23 @@ func failureTrace(seed int64) []float64 {
 // live solver to the simulated per-checkpoint cost, so tests can model
 // a compression ratio that drifts with convergence.
 func runJacobiSim(t *testing.T, seed int64, fixedInterval float64, ctrl *adapt.Controller,
-	scheme core.Scheme, ckptCost func(s *solver.Stationary) float64) *Outcome {
+	scheme core.Scheme, ckptCost func(s *solver.Stationary) float64) *core.Outcome {
 	t.Helper()
 	a, b := jacobiSystem()
 	s, m := newManagedJacobi(t, a, b, scheme)
-	out, err := Run(Config{
-		Stepper:           s,
-		Manager:           m,
-		X0:                make([]float64, a.Rows),
-		TitSeconds:        1,
-		IntervalSeconds:   fixedInterval,
-		Controller:        ctrl,
-		CheckpointSeconds: func(fti.Info) float64 { return ckptCost(s) },
-		RecoverySeconds:   func(fti.Info) float64 { return 8 },
-		FailureSchedule:   failureTrace(seed),
-		MaxIterations:     500000,
+	out, err := core.Drive(core.DriveConfig{
+		Stepper:         s,
+		Manager:         m,
+		X0:              make([]float64, a.Rows),
+		IntervalSeconds: fixedInterval,
+		Controller:      ctrl,
+		Failures:        core.FailureTimes(failureTrace(seed), nil),
+		MaxIterations:   500000,
+		Costs: &core.Costs{
+			TitSeconds:        1,
+			CheckpointSeconds: func(fti.Info) float64 { return ckptCost(s) },
+			RecoverySeconds:   func(fti.Info) float64 { return 8 },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +105,7 @@ func runJacobiSim(t *testing.T, seed int64, fixedInterval float64, ctrl *adapt.C
 
 // meanSimSeconds averages a scenario's simulated wall-clock over the
 // deterministic seed set.
-func meanSimSeconds(t *testing.T, seeds []int64, run func(seed int64) *Outcome) float64 {
+func meanSimSeconds(t *testing.T, seeds []int64, run func(seed int64) *core.Outcome) float64 {
 	t.Helper()
 	var sum float64
 	for _, seed := range seeds {
@@ -123,7 +125,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(Config{Stepper: s, Manager: m, TitSeconds: 1, IntervalSeconds: 10, Controller: ctrl})
+	_, err = core.Drive(core.DriveConfig{Stepper: s, Manager: m, Costs: &core.Costs{TitSeconds: 1}, IntervalSeconds: 10, Controller: ctrl})
 	if err == nil {
 		t.Fatal("Controller + IntervalSeconds accepted")
 	}
@@ -131,7 +133,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(Config{Stepper: s, Manager: m, TitSeconds: 1, Controller: asyncCtrl})
+	_, err = core.Drive(core.DriveConfig{Stepper: s, Manager: m, Costs: &core.Costs{TitSeconds: 1}, Controller: asyncCtrl})
 	if err == nil {
 		t.Fatal("async controller accepted for a sync-cost run")
 	}
@@ -142,7 +144,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 // controller's determinism contract (pure state machine, virtual-time
 // driven); CI re-runs it under -race.
 func TestAdaptiveDeterministicTrajectory(t *testing.T) {
-	run := func() *Outcome {
+	run := func() *core.Outcome {
 		ctrl, err := adapt.New(conservativeControllerConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -167,25 +169,27 @@ func TestAdaptiveDeterministicTrajectory(t *testing.T) {
 // (fixed point over the overlapped stall) is deterministic too, and
 // its plan reflects the overlapped cost, not the raw one.
 func TestAdaptiveAsyncDeterministicTrajectory(t *testing.T) {
-	run := func() *Outcome {
+	run := func() *core.Outcome {
 		a, b := jacobiSystem()
 		s, m := newManagedJacobi(t, a, b, core.Lossy)
 		ctrl, err := adapt.New(adapt.Config{PriorMTTI: 100, PriorWeight: 1, Async: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Run(Config{
-			Stepper:           s,
-			Manager:           m,
-			X0:                make([]float64, a.Rows),
-			TitSeconds:        1,
-			Controller:        ctrl,
-			AsyncCheckpoint:   true,
-			CaptureSeconds:    func(fti.Info) float64 { return 0.4 },
-			CheckpointSeconds: func(fti.Info) float64 { return 6 },
-			RecoverySeconds:   func(fti.Info) float64 { return 8 },
-			FailureSchedule:   failureTrace(7),
-			MaxIterations:     500000,
+		out, err := core.Drive(core.DriveConfig{
+			Stepper:         s,
+			Manager:         m,
+			X0:              make([]float64, a.Rows),
+			Controller:      ctrl,
+			AsyncCheckpoint: true,
+			Failures:        core.FailureTimes(failureTrace(7), nil),
+			MaxIterations:   500000,
+			Costs: &core.Costs{
+				TitSeconds:        1,
+				CaptureSeconds:    func(fti.Info) float64 { return 0.4 },
+				CheckpointSeconds: func(fti.Info) float64 { return 6 },
+				RecoverySeconds:   func(fti.Info) float64 { return 8 },
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -244,14 +248,14 @@ func TestAdaptiveWithinFivePercentOfBestFixed(t *testing.T) {
 	best := math.Inf(1)
 	bestIv := 0.0
 	for _, iv := range fixedIntervals {
-		m := meanSimSeconds(t, seeds, func(seed int64) *Outcome {
+		m := meanSimSeconds(t, seeds, func(seed int64) *core.Outcome {
 			return runJacobiSim(t, seed, iv, nil, core.Lossless, cost)
 		})
 		if m < best {
 			best, bestIv = m, iv
 		}
 	}
-	adaptive := meanSimSeconds(t, seeds, func(seed int64) *Outcome {
+	adaptive := meanSimSeconds(t, seeds, func(seed int64) *core.Outcome {
 		ctrl, err := adapt.New(conservativeControllerConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -288,10 +292,10 @@ func TestAdaptiveBeatsPaperDefaultUnderRatioDrift(t *testing.T) {
 	// The paper's offline recipe: probe the checkpoint cost at run
 	// start, plug it into Young's formula with the (true) MTTI.
 	paperDefault := model.YoungInterval(adaptiveTestMTTI, probeCost)
-	fixed := meanSimSeconds(t, seeds, func(seed int64) *Outcome {
+	fixed := meanSimSeconds(t, seeds, func(seed int64) *core.Outcome {
 		return runJacobiSim(t, seed, paperDefault, nil, core.Lossless, driftCost)
 	})
-	adaptive := meanSimSeconds(t, seeds, func(seed int64) *Outcome {
+	adaptive := meanSimSeconds(t, seeds, func(seed int64) *core.Outcome {
 		ctrl, err := adapt.New(conservativeControllerConfig())
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"math"
@@ -32,20 +32,22 @@ func asyncSystem(t *testing.T) (*solver.Stationary, *core.Manager, int) {
 	return s, m, a.Rows
 }
 
-func asyncCfg(s *solver.Stationary, m *core.Manager, n int, async bool, capSec, ckptSec float64, schedule []float64) Config {
-	return Config{
-		Stepper:           s,
-		Manager:           m,
-		X0:                make([]float64, n),
-		TitSeconds:        1,
-		IntervalSeconds:   25,
-		CheckpointSeconds: func(fti.Info) float64 { return ckptSec },
-		CaptureSeconds:    func(fti.Info) float64 { return capSec },
-		RecoverySeconds:   func(fti.Info) float64 { return ckptSec },
-		AsyncCheckpoint:   async,
-		FailureSchedule:   schedule,
-		MaxIterations:     200000,
-		RecordResiduals:   true,
+func asyncCfg(s *solver.Stationary, m *core.Manager, n int, async bool, capSec, ckptSec float64, schedule []float64) core.DriveConfig {
+	return core.DriveConfig{
+		Stepper:         s,
+		Manager:         m,
+		X0:              make([]float64, n),
+		IntervalSeconds: 25,
+		AsyncCheckpoint: async,
+		Failures:        core.FailureTimes(schedule, nil),
+		MaxIterations:   200000,
+		RecordResiduals: true,
+		Costs: &core.Costs{
+			TitSeconds:        1,
+			CheckpointSeconds: func(fti.Info) float64 { return ckptSec },
+			CaptureSeconds:    func(fti.Info) float64 { return capSec },
+			RecoverySeconds:   func(fti.Info) float64 { return ckptSec },
+		},
 	}
 }
 
@@ -67,12 +69,12 @@ func TestAsyncCostModeRejectsAsyncManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(asyncCfg(s, m, a.Rows, true, 0.5, 10, nil)); err == nil {
+	if _, err := core.Drive(asyncCfg(s, m, a.Rows, true, 0.5, 10, nil)); err == nil {
 		t.Fatal("sim must reject AsyncCheckpoint with an async Manager")
 	}
 	// The converse misconfiguration — async Manager, sync cost mode —
 	// would silently price every checkpoint off a provisional Info.
-	if _, err := Run(asyncCfg(s, m, a.Rows, false, 0.5, 10, nil)); err == nil {
+	if _, err := core.Drive(asyncCfg(s, m, a.Rows, false, 0.5, 10, nil)); err == nil {
 		t.Fatal("sim must reject an async Manager in sync cost mode too")
 	}
 }
@@ -83,12 +85,12 @@ func TestAsyncCostModeRejectsAsyncManager(t *testing.T) {
 // stall — the solver-visible checkpoint time collapses.
 func TestAsyncCostModeFailureFreeIdenticalNumericsCheaperClock(t *testing.T) {
 	s1, m1, n := asyncSystem(t)
-	syncOut, err := Run(asyncCfg(s1, m1, n, false, 0.5, 10, nil))
+	syncOut, err := core.Drive(asyncCfg(s1, m1, n, false, 0.5, 10, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2, m2, _ := asyncSystem(t)
-	asyncOut, err := Run(asyncCfg(s2, m2, n, true, 0.5, 10, nil))
+	asyncOut, err := core.Drive(asyncCfg(s2, m2, n, true, 0.5, 10, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestAsyncCostModeBackpressure(t *testing.T) {
 	s, m, n := asyncSystem(t)
 	// interval 25 (plus 1.0 capture), background 40 → every checkpoint
 	// after the first waits ≈ 40 − 26 = 14s.
-	out, err := Run(asyncCfg(s, m, n, true, 1.0, 40, nil))
+	out, err := core.Drive(asyncCfg(s, m, n, true, 1.0, 40, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestAsyncCostModeFailureDuringInFlightWrite(t *testing.T) {
 	s, m, n := asyncSystem(t)
 	// First checkpoint captured at t=25 (0.5s capture), background
 	// write commits at 25.5+20=45.5. Failure at t=30 strikes mid-write.
-	out, err := Run(asyncCfg(s, m, n, true, 0.5, 20, []float64{30}))
+	out, err := core.Drive(asyncCfg(s, m, n, true, 0.5, 20, []float64{30}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestAsyncCostModeFailureDuringInFlightWrite(t *testing.T) {
 func TestAsyncCostModeFailureAfterCommitRecovers(t *testing.T) {
 	s, m, n := asyncSystem(t)
 	// Commit at 25.5+5 = 30.5; failure at 40 > 30.5.
-	out, err := Run(asyncCfg(s, m, n, true, 0.5, 5, []float64{40}))
+	out, err := core.Drive(asyncCfg(s, m, n, true, 0.5, 5, []float64{40}))
 	if err != nil {
 		t.Fatal(err)
 	}

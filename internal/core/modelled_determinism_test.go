@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"testing"
@@ -9,20 +9,22 @@ import (
 )
 
 // runSeeded executes one lossy CG sim with the given failure seed.
-func runSeeded(t *testing.T, seed int64) *Outcome {
+func runSeeded(t *testing.T, seed int64) *core.Outcome {
 	t.Helper()
 	a, b, _ := testSystem()
 	s, m := newManagedCG(t, a, b, core.Lossy)
-	out, err := Run(Config{
-		Stepper:           s,
-		Manager:           m,
-		X0:                make([]float64, a.Rows),
-		TitSeconds:        2,
-		IntervalSeconds:   25,
-		CheckpointSeconds: func(fti.Info) float64 { return 2 },
-		RecoverySeconds:   func(fti.Info) float64 { return 3 },
-		Failures:          failure.NewInjector(120, seed),
-		MaxIterations:     200000,
+	out, err := core.Drive(core.DriveConfig{
+		Stepper:         s,
+		Manager:         m,
+		X0:              make([]float64, a.Rows),
+		IntervalSeconds: 25,
+		Failures:        core.FailureTimes(nil, failure.NewInjector(120, seed)),
+		MaxIterations:   200000,
+		Costs: &core.Costs{
+			TitSeconds:        2,
+			CheckpointSeconds: func(fti.Info) float64 { return 2 },
+			RecoverySeconds:   func(fti.Info) float64 { return 3 },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,16 +62,18 @@ func TestSimSeedsDiffer(t *testing.T) {
 func TestFailureScheduleExact(t *testing.T) {
 	a, b, _ := testSystem()
 	s, m := newManagedCG(t, a, b, core.Lossy)
-	out, err := Run(Config{
-		Stepper:           s,
-		Manager:           m,
-		X0:                make([]float64, a.Rows),
-		TitSeconds:        2,
-		IntervalSeconds:   20,
-		CheckpointSeconds: func(fti.Info) float64 { return 1 },
-		RecoverySeconds:   func(fti.Info) float64 { return 1 },
-		FailureSchedule:   []float64{30, 70},
-		MaxIterations:     200000,
+	out, err := core.Drive(core.DriveConfig{
+		Stepper:         s,
+		Manager:         m,
+		X0:              make([]float64, a.Rows),
+		IntervalSeconds: 20,
+		Failures:        core.FailureTimes([]float64{30, 70}, nil),
+		MaxIterations:   200000,
+		Costs: &core.Costs{
+			TitSeconds:        2,
+			CheckpointSeconds: func(fti.Info) float64 { return 1 },
+			RecoverySeconds:   func(fti.Info) float64 { return 1 },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

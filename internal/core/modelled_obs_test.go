@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"math"
@@ -12,15 +12,15 @@ import (
 // The registry and tracer are pure observers: an instrumented run must
 // execute the bitwise-identical trajectory of an uninstrumented one.
 func TestSimInstrumentationDeterministic(t *testing.T) {
-	run := func(instrument bool) *Outcome {
+	run := func(instrument bool) *core.Outcome {
 		cfg, _ := tieredConfig(t, true, nil)
-		cfg.Failures = failure.NewInjector(120, 5)
+		cfg.Failures = core.FailureTimes(nil, failure.NewInjector(120, 5))
 		cfg.RecordResiduals = true
 		if instrument {
 			cfg.Metrics = obs.New()
 			cfg.Tracer = obs.NewTracer()
 		}
-		out, err := Run(cfg)
+		out, err := core.Drive(cfg)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -55,7 +55,7 @@ func TestSimReportsVirtualAttemptDurations(t *testing.T) {
 			guard.CorruptRetained()
 		}
 	}
-	out, err := Run(cfg)
+	out, err := core.Drive(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestSimReportsVirtualAttemptDurations(t *testing.T) {
 	// reconstruction iterations at TitSeconds each (zero iterations ran
 	// here — verification failed before the local solve — so zero, not
 	// the dropped/unset wall-clock time).
-	if want := float64(abftAtt.Iterations) * cfg.TitSeconds; abftAtt.Seconds != want {
+	if want := float64(abftAtt.Iterations) * cfg.Costs.TitSeconds; abftAtt.Seconds != want {
 		t.Fatalf("rejected abft attempt Seconds = %g, want priced %g", abftAtt.Seconds, want)
 	}
 	var total float64
@@ -102,7 +102,7 @@ func TestSimEmitsVirtualTraceAndMetrics(t *testing.T) {
 	tr := obs.NewTracer()
 	cfg.Metrics = reg
 	cfg.Tracer = tr
-	out, err := Run(cfg)
+	out, err := core.Drive(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

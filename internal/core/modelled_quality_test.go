@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"math"
@@ -20,21 +20,23 @@ import (
 // convergence-delay attributions.
 func TestQualityInSimVirtualTime(t *testing.T) {
 	a, b, _ := testSystem()
-	run := func(qa *quality.Auditor, tr *obs.Tracer) (*Outcome, []uint64) {
+	run := func(qa *quality.Auditor, tr *obs.Tracer) (*core.Outcome, []uint64) {
 		s, m := newManagedCG(t, a, b, core.Lossy)
 		m.InstrumentQuality(qa)
-		out, err := Run(Config{
-			Stepper:           s,
-			Manager:           m,
-			X0:                make([]float64, a.Rows),
-			TitSeconds:        2,
-			IntervalSeconds:   20,
-			CheckpointSeconds: func(fti.Info) float64 { return 3 },
-			RecoverySeconds:   func(fti.Info) float64 { return 4 },
-			Failures:          failure.NewInjector(60, 7),
-			MaxIterations:     100000,
-			Tracer:            tr,
-			Quality:           qa,
+		out, err := core.Drive(core.DriveConfig{
+			Stepper:         s,
+			Manager:         m,
+			X0:              make([]float64, a.Rows),
+			IntervalSeconds: 20,
+			Failures:        core.FailureTimes(nil, failure.NewInjector(60, 7)),
+			MaxIterations:   100000,
+			Tracer:          tr,
+			Quality:         qa,
+			Costs: &core.Costs{
+				TitSeconds:        2,
+				CheckpointSeconds: func(fti.Info) float64 { return 3 },
+				RecoverySeconds:   func(fti.Info) float64 { return 4 },
+			},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"testing"
@@ -31,7 +31,7 @@ func newShardedCG(t *testing.T, a *sparse.CSR, b []float64, shards, workers int)
 // shardedSimRun executes one failure-injected run whose checkpoint
 // write cost comes from the striped-PFS model at the given shard
 // count.
-func shardedSimRun(t *testing.T, shards, workers int) *Outcome {
+func shardedSimRun(t *testing.T, shards, workers int) *core.Outcome {
 	t.Helper()
 	a, b, _ := testSystem()
 	s, m := newShardedCG(t, a, b, shards, workers)
@@ -43,18 +43,20 @@ func shardedSimRun(t *testing.T, shards, workers int) *Outcome {
 	// virtual-time cost is scaled.
 	const ranks = 256
 	raw := float64(a.Rows) * 8 * ranks
-	out, err := Run(Config{
+	out, err := core.Drive(core.DriveConfig{
 		Stepper:         s,
 		Manager:         m,
 		X0:              make([]float64, a.Rows),
-		TitSeconds:      2,
 		IntervalSeconds: 25,
-		CheckpointSeconds: func(info fti.Info) float64 {
-			return mdl.ShardedCheckpointSeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
-		},
-		RecoverySeconds: func(info fti.Info) float64 { return 3 },
-		FailureSchedule: []float64{120, 260},
+		Failures:        core.FailureTimes([]float64{120, 260}, nil),
 		MaxIterations:   200000,
+		Costs: &core.Costs{
+			TitSeconds: 2,
+			CheckpointSeconds: func(info fti.Info) float64 {
+				return mdl.ShardedCheckpointSeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
+			},
+			RecoverySeconds: func(info fti.Info) float64 { return 3 },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,28 +72,30 @@ func shardedSimRun(t *testing.T, shards, workers int) *Outcome {
 // count; the checkpoint cost is held constant so the two layouts
 // execute identical virtual-time schedules and the only difference is
 // the priced recovery.
-func shardedRecoveryRun(t *testing.T, shards, workers int) *Outcome {
+func shardedRecoveryRun(t *testing.T, shards, workers int) *core.Outcome {
 	t.Helper()
 	a, b, _ := testSystem()
 	s, m := newShardedCG(t, a, b, shards, workers)
 	mdl := cluster.Bebop()
 	const ranks = 256
 	raw := float64(a.Rows) * 8 * ranks
-	out, err := Run(Config{
-		Stepper:           s,
-		Manager:           m,
-		X0:                make([]float64, a.Rows),
-		TitSeconds:        2,
-		IntervalSeconds:   25,
-		CheckpointSeconds: func(info fti.Info) float64 { return 3 },
-		RecoverySeconds: func(info fti.Info) float64 {
-			return mdl.ShardedRecoverySeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
-		},
+	out, err := core.Drive(core.DriveConfig{
+		Stepper:         s,
+		Manager:         m,
+		X0:              make([]float64, a.Rows),
+		IntervalSeconds: 25,
 		// One failure only, after the first committed checkpoint: the
 		// recovery duration then shifts the completion time but not
 		// the iteration/checkpoint sequence.
-		FailureSchedule: []float64{40},
-		MaxIterations:   200000,
+		Failures:      core.FailureTimes([]float64{40}, nil),
+		MaxIterations: 200000,
+		Costs: &core.Costs{
+			TitSeconds:        2,
+			CheckpointSeconds: func(info fti.Info) float64 { return 3 },
+			RecoverySeconds: func(info fti.Info) float64 {
+				return mdl.ShardedRecoverySeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
+			},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"testing"
@@ -39,10 +39,12 @@ func TestFailureFreeRunMatchesDirectSolve(t *testing.T) {
 	resDirect, _ := solver.RunToConvergence(direct, solver.Options{MaxIter: 5000}, nil)
 
 	s, m := newManagedCG(t, a, b, core.Traditional)
-	out, err := Run(Config{
-		Stepper:    s,
-		Manager:    m,
-		TitSeconds: 1,
+	out, err := core.Drive(core.DriveConfig{
+		Stepper: s,
+		Manager: m,
+		Costs: &core.Costs{
+			TitSeconds: 1,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +68,14 @@ func TestCheckpointsAtInterval(t *testing.T) {
 	a, b, _ := testSystem()
 	s, m := newManagedCG(t, a, b, core.Traditional)
 	ckptCost := 5.0
-	out, err := Run(Config{
-		Stepper:           s,
-		Manager:           m,
-		TitSeconds:        1,
-		IntervalSeconds:   10,
-		CheckpointSeconds: func(fti.Info) float64 { return ckptCost },
+	out, err := core.Drive(core.DriveConfig{
+		Stepper:         s,
+		Manager:         m,
+		IntervalSeconds: 10,
+		Costs: &core.Costs{
+			TitSeconds:        1,
+			CheckpointSeconds: func(fti.Info) float64 { return ckptCost },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,16 +100,18 @@ func TestFailuresForceRecoveryAndStillConverge(t *testing.T) {
 	a, b, xe := testSystem()
 	for _, scheme := range []core.Scheme{core.Traditional, core.Lossless, core.Lossy} {
 		s, m := newManagedCG(t, a, b, scheme)
-		out, err := Run(Config{
-			Stepper:           s,
-			Manager:           m,
-			X0:                make([]float64, a.Rows),
-			TitSeconds:        2,
-			IntervalSeconds:   20,
-			CheckpointSeconds: func(fti.Info) float64 { return 3 },
-			RecoverySeconds:   func(fti.Info) float64 { return 4 },
-			Failures:          failure.NewInjector(60, 7),
-			MaxIterations:     100000,
+		out, err := core.Drive(core.DriveConfig{
+			Stepper:         s,
+			Manager:         m,
+			X0:              make([]float64, a.Rows),
+			IntervalSeconds: 20,
+			Failures:        core.FailureTimes(nil, failure.NewInjector(60, 7)),
+			MaxIterations:   100000,
+			Costs: &core.Costs{
+				TitSeconds:        2,
+				CheckpointSeconds: func(fti.Info) float64 { return 3 },
+				RecoverySeconds:   func(fti.Info) float64 { return 4 },
+			},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
@@ -134,18 +140,20 @@ func TestLossyRunExecutesMoreIterationsThanTraditional(t *testing.T) {
 	// traditional recovery replays only the rollback. Compare total
 	// executed iterations under the same failure schedule.
 	a, b, _ := testSystem()
-	run := func(scheme core.Scheme) *Outcome {
+	run := func(scheme core.Scheme) *core.Outcome {
 		s, m := newManagedCG(t, a, b, scheme)
-		out, err := Run(Config{
-			Stepper:           s,
-			Manager:           m,
-			X0:                make([]float64, a.Rows),
-			TitSeconds:        2,
-			IntervalSeconds:   30,
-			CheckpointSeconds: func(fti.Info) float64 { return 1 },
-			RecoverySeconds:   func(fti.Info) float64 { return 1 },
-			Failures:          failure.NewInjector(100, 11),
-			MaxIterations:     100000,
+		out, err := core.Drive(core.DriveConfig{
+			Stepper:         s,
+			Manager:         m,
+			X0:              make([]float64, a.Rows),
+			IntervalSeconds: 30,
+			Failures:        core.FailureTimes(nil, failure.NewInjector(100, 11)),
+			MaxIterations:   100000,
+			Costs: &core.Costs{
+				TitSeconds:        2,
+				CheckpointSeconds: func(fti.Info) float64 { return 1 },
+				RecoverySeconds:   func(fti.Info) float64 { return 1 },
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -175,15 +183,17 @@ func TestFailureBeforeFirstCheckpointRestartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(Config{
+	out, err := core.Drive(core.DriveConfig{
 		Stepper:         s,
 		Manager:         m,
 		X0:              make([]float64, a.Rows),
-		TitSeconds:      4,
-		IntervalSeconds: 1e9, // never checkpoint
-		RecoverySeconds: func(fti.Info) float64 { return 1 },
-		Failures:        failure.NewInjector(120, 9), // seed 9: first failure at t≈1.1 s
+		IntervalSeconds: 1e9,                                                 // never checkpoint
+		Failures:        core.FailureTimes(nil, failure.NewInjector(120, 9)), // seed 9: first failure at t≈1.1 s
 		MaxIterations:   100000,
+		Costs: &core.Costs{
+			TitSeconds:      4,
+			RecoverySeconds: func(fti.Info) float64 { return 1 },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,16 +212,18 @@ func TestFailureBeforeFirstCheckpointRestartsFresh(t *testing.T) {
 func TestEventTrace(t *testing.T) {
 	a, b, _ := testSystem()
 	s, m := newManagedCG(t, a, b, core.Lossy)
-	out, err := Run(Config{
+	out, err := core.Drive(core.DriveConfig{
 		Stepper:         s,
 		Manager:         m,
 		X0:              make([]float64, a.Rows),
-		TitSeconds:      5,
 		IntervalSeconds: 25,
-		RecoverySeconds: func(fti.Info) float64 { return 2 },
-		Failures:        failure.NewInjector(80, 5),
+		Failures:        core.FailureTimes(nil, failure.NewInjector(80, 5)),
 		RecordResiduals: true,
 		MaxIterations:   100000,
+		Costs: &core.Costs{
+			TitSeconds:      5,
+			RecoverySeconds: func(fti.Info) float64 { return 2 },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,12 +243,12 @@ func TestEventTrace(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := core.Drive(core.DriveConfig{}); err == nil {
 		t.Fatal("missing stepper/manager must error")
 	}
 	a, b, _ := testSystem()
 	s, m := newManagedCG(t, a, b, core.Traditional)
-	if _, err := Run(Config{Stepper: s, Manager: m}); err == nil {
+	if _, err := core.Drive(core.DriveConfig{Stepper: s, Manager: m, Costs: &core.Costs{}}); err == nil {
 		t.Fatal("missing TitSeconds must error")
 	}
 }
@@ -249,7 +261,7 @@ func TestMaxIterationsCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(Config{Stepper: s, Manager: m, TitSeconds: 1, MaxIterations: 50})
+	out, err := core.Drive(core.DriveConfig{Stepper: s, Manager: m, Costs: &core.Costs{TitSeconds: 1}, MaxIterations: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

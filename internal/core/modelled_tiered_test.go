@@ -1,4 +1,4 @@
-package sim
+package core_test
 
 import (
 	"math"
@@ -15,7 +15,7 @@ import (
 
 // tieredConfig builds one guarded-or-not CG sim config over the shared
 // test system with a fixed failure schedule.
-func tieredConfig(t *testing.T, guarded bool, schedule []float64) (Config, *abft.Guard) {
+func tieredConfig(t *testing.T, guarded bool, schedule []float64) (core.DriveConfig, *abft.Guard) {
 	t.Helper()
 	a, b, _ := testSystem()
 	s := solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{},
@@ -36,16 +36,18 @@ func tieredConfig(t *testing.T, guarded bool, schedule []float64) (Config, *abft
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	return Config{
-		Stepper:           s,
-		Manager:           m,
-		X0:                make([]float64, a.Rows),
-		TitSeconds:        1,
-		IntervalSeconds:   10,
-		CheckpointSeconds: func(fti.Info) float64 { return 2 },
-		RecoverySeconds:   func(fti.Info) float64 { return 8 },
-		FailureSchedule:   schedule,
-		MaxIterations:     100000,
+	return core.DriveConfig{
+		Stepper:         s,
+		Manager:         m,
+		X0:              make([]float64, a.Rows),
+		IntervalSeconds: 10,
+		Failures:        core.FailureTimes(schedule, nil),
+		MaxIterations:   100000,
+		Costs: &core.Costs{
+			TitSeconds:        1,
+			CheckpointSeconds: func(fti.Info) float64 { return 2 },
+			RecoverySeconds:   func(fti.Info) float64 { return 8 },
+		},
 	}, guard
 }
 
@@ -53,12 +55,12 @@ func TestTieredSimReducesPFSReadTraffic(t *testing.T) {
 	schedule := []float64{15, 28}
 
 	withCfg, _ := tieredConfig(t, true, schedule)
-	with, err := Run(withCfg)
+	with, err := core.Drive(withCfg)
 	if err != nil {
 		t.Fatalf("guarded run: %v", err)
 	}
 	withoutCfg, _ := tieredConfig(t, false, schedule)
-	without, err := Run(withoutCfg)
+	without, err := core.Drive(withoutCfg)
 	if err != nil {
 		t.Fatalf("unguarded run: %v", err)
 	}
@@ -117,7 +119,7 @@ func TestTieredSimExhaustionFallsBackToCheckpoint(t *testing.T) {
 			guard.CorruptRetained()
 		}
 	}
-	out, err := Run(cfg)
+	out, err := core.Drive(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -138,11 +140,10 @@ func TestTieredSimExhaustionFallsBackToCheckpoint(t *testing.T) {
 }
 
 func TestTieredSimDeterministic(t *testing.T) {
-	run := func() *Outcome {
+	run := func() *core.Outcome {
 		cfg, _ := tieredConfig(t, true, nil)
-		cfg.FailureSchedule = nil
-		cfg.Failures = failure.NewInjector(120, 5)
-		out, err := Run(cfg)
+		cfg.Failures = core.FailureTimes(nil, failure.NewInjector(120, 5))
+		out, err := core.Drive(cfg)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

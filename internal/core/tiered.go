@@ -47,8 +47,8 @@ func (t RecoveryTier) String() string {
 // TierAttempt is the fti.Info-style observation of one tier try: what
 // was attempted, whether it was accepted, and what it cost — wall
 // seconds, local-solve iterations (the ABFT tier's currency) and
-// encoded bytes read from storage (the checkpoint tiers'). The sim and
-// cluster layers price tiers from these fields.
+// encoded bytes read from storage (the checkpoint tiers'). Modelled
+// Costs and the cluster layer price tiers from these fields.
 type TierAttempt struct {
 	Tier     RecoveryTier
 	Accepted bool

@@ -8,12 +8,8 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/failure"
-	"repro/internal/fti"
 	"repro/internal/model"
-	"repro/internal/sim"
-	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/sz"
 )
 
 func init() {
@@ -85,31 +81,13 @@ func adaptTrace(seed int64) []float64 {
 // regime the Young/Daly model is derived for); lossy restores resume
 // from the decompressed approximation and pay a convergence delay.
 func runAdaptOnce(grid int, fixedInterval float64, ctrl *adapt.Controller,
-	scheme core.Scheme, trace []float64, ckptCost func(rnorm float64) float64) (*sim.Outcome, error) {
+	scheme core.Scheme, trace []float64, ckptCost func(rnorm float64) float64) (*core.Outcome, error) {
 	a := sparse.Poisson2D(grid)
-	b := sparse.OnesRHS(a.Rows)
-	s, err := solver.NewStationary(solver.KindJacobi, a, b, nil, 0, solver.Options{RTol: 1e-7})
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.NewManager(core.Config{
-		Scheme:   scheme,
-		SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4},
-	}, fti.NewMemStorage(), s)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(sim.Config{
-		Stepper:           s,
-		Manager:           m,
-		X0:                make([]float64, a.Rows),
-		TitSeconds:        1,
-		IntervalSeconds:   fixedInterval,
-		Controller:        ctrl,
-		CheckpointSeconds: func(fti.Info) float64 { return ckptCost(s.ResidualNorm()) },
-		RecoverySeconds:   func(fti.Info) float64 { return 8 },
-		FailureSchedule:   trace,
-		MaxIterations:     500000,
+	return managedRun("jacobi", a, sparse.OnesRHS(a.Rows), 1e-7, scheme, 1e-4, 1, ckptCost, 8, core.DriveConfig{
+		Failures:        core.FailureTimes(trace, nil),
+		IntervalSeconds: fixedInterval,
+		Controller:      ctrl,
+		MaxIterations:   500000,
 	})
 }
 
@@ -156,9 +134,9 @@ func runAdapt(cfg Config) (Result, error) {
 	}
 
 	mean := func(fixedInterval float64, ctrlFor func() (*adapt.Controller, error),
-		scheme core.Scheme, cost func(rnorm float64) float64) (float64, float64, *sim.Outcome, error) {
+		scheme core.Scheme, cost func(rnorm float64) float64) (float64, float64, *core.Outcome, error) {
 		var sum, iters float64
-		var first *sim.Outcome
+		var first *core.Outcome
 		for _, seed := range seeds {
 			var ctrl *adapt.Controller
 			if ctrlFor != nil {
@@ -188,7 +166,7 @@ func runAdapt(cfg Config) (Result, error) {
 	out := &AdaptResult{MTTI: adaptMTTI, Seeds: len(seeds)}
 	fixedIntervals := []float64{20, 30, 42, 55, 70, 90, 120}
 	for _, sc := range scenarios {
-		row := AdaptScenario{Name: sc.name, Scheme: schemeName(sc.scheme), FixedIntervals: fixedIntervals}
+		row := AdaptScenario{Name: sc.name, Scheme: sc.scheme.String(), FixedIntervals: fixedIntervals}
 		row.BestSeconds = math.Inf(1)
 		// Failure-free baseline: fixes the convergence-delay zero point.
 		base, err := runAdaptOnce(grid, fixedIntervals[len(fixedIntervals)-1], nil, sc.scheme, nil, sc.cost)
@@ -230,19 +208,6 @@ func runAdapt(cfg Config) (Result, error) {
 		out.Scenarios = append(out.Scenarios, row)
 	}
 	return out, nil
-}
-
-// schemeName renders the core scheme for the result row.
-func schemeName(s core.Scheme) string {
-	switch s {
-	case core.Lossy:
-		return "lossy"
-	case core.Lossless:
-		return "lossless"
-	case core.Traditional:
-		return "traditional"
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
 // Scenario returns the named scenario row (nil if absent).

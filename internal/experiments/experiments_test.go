@@ -296,7 +296,7 @@ func TestAdaptSweep(t *testing.T) {
 		t.Fatal("steady scenario missing")
 	}
 	// Quick mode runs 3 seeds on a smaller grid; allow a wider band
-	// than the sim package's strict 5% acceptance test (12 seeds).
+	// than core's strict 5% acceptance test (12 seeds).
 	if steady.AdaptiveSecs > 1.10*steady.BestSeconds {
 		t.Fatalf("steady: adaptive %.1f s far off best fixed %.1f s", steady.AdaptiveSecs, steady.BestSeconds)
 	}

@@ -7,10 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/failure"
-	"repro/internal/fti"
 	"repro/internal/model"
-	"repro/internal/sim"
-	"repro/internal/solver"
 )
 
 func init() {
@@ -49,7 +46,6 @@ func runFig10(cfg Config) (Result, error) {
 		trials = cfg.Trials
 	}
 	const procs = 2048
-	mdl := cluster.Bebop()
 	out := &Fig10Result{}
 
 	for _, method := range methodNames {
@@ -58,64 +54,37 @@ func runFig10(cfg Config) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, b := poissonSystem(simGrid(method, cfg.Quick))
-		sBase, err := buildSolver(method, a, b, base.RTol)
+		grid := simGrid(method, cfg.Quick)
+		a, b := poissonSystem(grid)
+		iters, tit, err := baseline(method, grid, a, b)
 		if err != nil {
 			return nil, err
 		}
-		resBase, err := solver.RunToConvergence(sBase, solver.Options{MaxIter: 500000}, nil)
-		if err != nil || !resBase.Converged {
-			return nil, fmt.Errorf("fig10: %s baseline failed: %v", method, err)
-		}
-		tit := base.BaselineSeconds / float64(resBase.Iterations)
-		baselineSeconds := base.BaselineSeconds
-
 		oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * procs
-		tradRaw := oneVec * float64(base.CkptVectors)
 
 		for _, scheme := range schemeOrder {
-			var ckptSec, recSec float64
-			switch scheme {
-			case core.Traditional:
-				ckptSec = mdl.CheckpointSeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
-				recSec = mdl.RecoverySeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
-			case core.Lossless:
-				ckptSec = mdl.CheckpointSeconds(procs, tradRaw/ratio.Lossless, tradRaw, cluster.LosslessCompressed)
-				recSec = mdl.RecoverySeconds(procs, tradRaw/ratio.Lossless, tradRaw, cluster.LosslessCompressed)
-			case core.Lossy:
-				ckptSec = mdl.CheckpointSeconds(procs, oneVec/ratio.Lossy, oneVec, cluster.LossyCompressed)
-				recSec = mdl.RecoverySeconds(procs, oneVec/ratio.Lossy, oneVec, cluster.LossyCompressed)
-			}
+			ckptSec, recSec := ckptCosts(method, scheme, procs, oneVec, ratio)
 			interval := model.YoungInterval(3600, ckptSec)
 
 			var sumOverhead float64
 			var sumFailures int
 			for trial := 0; trial < trials; trial++ {
-				s, m, err := managedRun(method, a, b, base.RTol, scheme, base.LossyErrorBound)
+				res, err := managedRun(method, a, b, base.RTol, scheme, base.LossyErrorBound,
+					tit, func(float64) float64 { return ckptSec }, recSec, core.DriveConfig{
+						Failures:        core.FailureTimes(nil, failure.NewInjector(3600, cfg.Seed+int64(100*trial)+int64(len(method)))),
+						IntervalSeconds: interval,
+						MaxIterations:   5000000,
+					})
 				if err != nil {
 					return nil, err
 				}
-				outSim, err := sim.Run(sim.Config{
-					Stepper:           s,
-					Manager:           m,
-					X0:                make([]float64, a.Rows),
-					TitSeconds:        tit,
-					IntervalSeconds:   interval,
-					CheckpointSeconds: func(fti.Info) float64 { return ckptSec },
-					RecoverySeconds:   func(fti.Info) float64 { return recSec },
-					Failures:          failure.NewInjector(3600, cfg.Seed+int64(100*trial)+int64(len(method))),
-					MaxIterations:     5000000,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if !outSim.Converged {
+				if !res.Converged {
 					return nil, fmt.Errorf("fig10: %s/%s trial %d did not converge", method, scheme, trial)
 				}
-				sumOverhead += outSim.FaultToleranceOverhead(baselineSeconds)
-				sumFailures += outSim.Failures
+				sumOverhead += res.FaultToleranceOverhead(base.BaselineSeconds)
+				sumFailures += res.Failures
 			}
-			meanOverheadPct := 100 * sumOverhead / float64(trials) / baselineSeconds
+			meanOverheadPct := 100 * sumOverhead / float64(trials) / base.BaselineSeconds
 
 			lambda := 1.0 / 3600
 			var expected float64
@@ -124,7 +93,7 @@ func runFig10(cfg Config) (Result, error) {
 				// at its problem scale; what transfers across scales
 				// is the *fraction* of the total iteration count
 				// (Jacobi 6/3941, GMRES 0, CG 594/2400 ≈ 25%).
-				nPrime := nPrimeFraction(method) * float64(resBase.Iterations)
+				nPrime := nPrimeFraction(method) * float64(iters)
 				expected = model.LossyOverheadRatio(lambda, ckptSec, nPrime, tit)
 			} else {
 				expected = model.ExpectedOverheadRatio(lambda, ckptSec)

@@ -33,12 +33,10 @@ func figCkptTimes(method, figure string) Runner {
 		if cfg.Quick {
 			measGrid = 8
 		}
-		base := cluster.PaperBaselines()[method]
-		r, err := measureRatios(method, measGrid, base.LossyErrorBound)
+		r, err := measureRatios(method, measGrid, cluster.PaperBaselines()[method].LossyErrorBound)
 		if err != nil {
 			return nil, err
 		}
-		mdl := cluster.Bebop()
 		out := &CkptTimesResult{
 			Figure: figure,
 			Method: method,
@@ -50,21 +48,11 @@ func figCkptTimes(method, figure string) Runner {
 			out.Procs = append(out.Procs, sc.Procs)
 			elemsPerProc := float64(sc.N) * float64(sc.N) * float64(sc.N) / float64(sc.Procs)
 			oneVec := elemsPerProc * 8 * float64(sc.Procs) // bytes, one global vector
-			tradRaw := oneVec * float64(base.CkptVectors)
-			// Traditional and lossless move the full dynamic state;
-			// lossy moves only x.
-			out.Ckpt[core.Traditional] = append(out.Ckpt[core.Traditional],
-				mdl.CheckpointSeconds(sc.Procs, tradRaw, tradRaw, cluster.Uncompressed))
-			out.Rec[core.Traditional] = append(out.Rec[core.Traditional],
-				mdl.RecoverySeconds(sc.Procs, tradRaw, tradRaw, cluster.Uncompressed))
-			out.Ckpt[core.Lossless] = append(out.Ckpt[core.Lossless],
-				mdl.CheckpointSeconds(sc.Procs, tradRaw/r.Lossless, tradRaw, cluster.LosslessCompressed))
-			out.Rec[core.Lossless] = append(out.Rec[core.Lossless],
-				mdl.RecoverySeconds(sc.Procs, tradRaw/r.Lossless, tradRaw, cluster.LosslessCompressed))
-			out.Ckpt[core.Lossy] = append(out.Ckpt[core.Lossy],
-				mdl.CheckpointSeconds(sc.Procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed))
-			out.Rec[core.Lossy] = append(out.Rec[core.Lossy],
-				mdl.RecoverySeconds(sc.Procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed))
+			for _, scheme := range schemeOrder {
+				c, rec := ckptCosts(method, scheme, sc.Procs, oneVec, r)
+				out.Ckpt[scheme] = append(out.Ckpt[scheme], c)
+				out.Rec[scheme] = append(out.Rec[scheme], rec)
+			}
 		}
 		return out, nil
 	}

@@ -59,7 +59,6 @@ func runFig7(cfg Config) (Result, error) {
 	if cfg.Quick {
 		measGrid = 8
 	}
-	mdl := cluster.Bebop()
 	out := &Fig7Result{MTTIs: []float64{3600, 3 * 3600}}
 	for _, sc := range cluster.Table3ProblemSizes() {
 		out.Procs = append(out.Procs, sc.Procs)
@@ -78,17 +77,9 @@ func runFig7(cfg Config) (Result, error) {
 				for _, sc := range cluster.Table3ProblemSizes() {
 					elemsPerProc := float64(sc.N) * float64(sc.N) * float64(sc.N) / float64(sc.Procs)
 					oneVec := elemsPerProc * 8 * float64(sc.Procs)
-					tradRaw := oneVec * float64(base.CkptVectors)
-					var tckp, overhead float64
-					switch scheme {
-					case core.Traditional:
-						tckp = mdl.CheckpointSeconds(sc.Procs, tradRaw, tradRaw, cluster.Uncompressed)
-						overhead = model.ExpectedOverheadRatio(lambda, tckp)
-					case core.Lossless:
-						tckp = mdl.CheckpointSeconds(sc.Procs, tradRaw/r.Lossless, tradRaw, cluster.LosslessCompressed)
-						overhead = model.ExpectedOverheadRatio(lambda, tckp)
-					case core.Lossy:
-						tckp = mdl.CheckpointSeconds(sc.Procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed)
+					tckp, _ := ckptCosts(method, scheme, sc.Procs, oneVec, r)
+					overhead := model.ExpectedOverheadRatio(lambda, tckp)
+					if scheme == core.Lossy {
 						overhead = model.LossyOverheadRatio(lambda, tckp, paperNPrime(method), tit)
 					}
 					curve.Overhead[mi] = append(curve.Overhead[mi], overhead)

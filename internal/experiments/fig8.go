@@ -7,10 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/failure"
-	"repro/internal/fti"
 	"repro/internal/model"
-	"repro/internal/sim"
-	"repro/internal/solver"
 )
 
 func init() {
@@ -36,27 +33,6 @@ type Fig8Result struct {
 	Cells []Fig8Cell
 }
 
-// simTimes builds the cluster-model checkpoint/recovery cost functions
-// for a method at a paper scale, extrapolating measured ratios.
-func simTimes(method string, procs int, lossyScheme bool, r ratios) (func(fti.Info) float64, func(fti.Info) float64) {
-	mdl := cluster.Bebop()
-	base := cluster.PaperBaselines()[method]
-	oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * float64(procs)
-	tradRaw := oneVec * float64(base.CkptVectors)
-	if lossyScheme {
-		return func(fti.Info) float64 {
-				return mdl.CheckpointSeconds(procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed)
-			}, func(fti.Info) float64 {
-				return mdl.RecoverySeconds(procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed)
-			}
-	}
-	return func(fti.Info) float64 {
-			return mdl.CheckpointSeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
-		}, func(fti.Info) float64 {
-			return mdl.RecoverySeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
-		}
-}
-
 func runFig8(cfg Config) (Result, error) {
 	scales := []int{256, 512, 1024, 2048}
 	out := &Fig8Result{}
@@ -69,54 +45,31 @@ func runFig8(cfg Config) (Result, error) {
 		for _, procs := range scales {
 			grid := gridForMethod(method, procs, cfg.Quick)
 			a, b := poissonSystem(grid)
-
-			// Failure-free baseline.
-			sBase, err := buildSolver(method, a, b, base.RTol)
+			iters, tit, err := baseline(method, grid, a, b)
 			if err != nil {
 				return nil, err
 			}
-			resBase, err := solver.RunToConvergence(sBase, solver.Options{MaxIter: 500000}, nil)
+			oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * float64(procs)
+			c, r := ckptCosts(method, core.Lossy, procs, oneVec, ratio)
+			res, err := managedRun(method, a, b, base.RTol, core.Lossy, base.LossyErrorBound,
+				tit, func(float64) float64 { return c }, r, core.DriveConfig{
+					Failures:        core.FailureTimes(nil, failure.NewInjector(3600, cfg.Seed+int64(procs))),
+					IntervalSeconds: model.YoungInterval(3600, c),
+					MaxIterations:   2000000,
+				})
 			if err != nil {
 				return nil, err
 			}
-			if !resBase.Converged {
-				return nil, fmt.Errorf("fig8: %s baseline did not converge at grid %d", method, grid)
-			}
-			// Map real iterations to the paper's wall clock so the
-			// MTTI=1h failure process interacts with the run the way
-			// it did on Bebop.
-			tit := base.BaselineSeconds / float64(resBase.Iterations)
-
-			s, m, err := managedRun(method, a, b, base.RTol, core.Lossy, base.LossyErrorBound)
-			if err != nil {
-				return nil, err
-			}
-			ckptSec, recSec := simTimes(method, procs, true, ratio)
-			interval := model.YoungInterval(3600, ckptSec(fti.Info{}))
-			outSim, err := sim.Run(sim.Config{
-				Stepper:           s,
-				Manager:           m,
-				X0:                make([]float64, a.Rows),
-				TitSeconds:        tit,
-				IntervalSeconds:   interval,
-				CheckpointSeconds: ckptSec,
-				RecoverySeconds:   recSec,
-				Failures:          failure.NewInjector(3600, cfg.Seed+int64(procs)),
-				MaxIterations:     2000000,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !outSim.Converged {
+			if !res.Converged {
 				return nil, fmt.Errorf("fig8: %s lossy run did not converge at grid %d", method, grid)
 			}
 			out.Cells = append(out.Cells, Fig8Cell{
 				Method:      method,
 				Procs:       procs,
 				Unknowns:    a.Rows,
-				FailureFree: resBase.Iterations,
-				Lossy:       outSim.ConvergenceIterations,
-				Failures:    outSim.Failures,
+				FailureFree: iters,
+				Lossy:       res.ConvergenceIterations,
+				Failures:    res.Failures,
 			})
 		}
 	}

@@ -6,10 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fti"
 	"repro/internal/model"
-	"repro/internal/sim"
-	"repro/internal/solver"
 )
 
 func init() {
@@ -44,18 +41,12 @@ func runFig9(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckptSec, recSec := simTimes("jacobi", 2048, true, ratio)
-
-	// Failure-free baseline fixes the simulated wall clock.
-	sBase, err := buildSolver("jacobi", a, b, base.RTol)
+	oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * 2048
+	c, r := ckptCosts("jacobi", core.Lossy, 2048, oneVec, ratio)
+	_, tit, err := baseline("jacobi", grid, a, b)
 	if err != nil {
 		return nil, err
 	}
-	resBase, err := solver.RunToConvergence(sBase, solver.Options{MaxIter: 500000}, nil)
-	if err != nil || !resBase.Converged {
-		return nil, fmt.Errorf("fig9: baseline Jacobi failed: %v", err)
-	}
-	tit := base.BaselineSeconds / float64(resBase.Iterations)
 	duration := base.BaselineSeconds
 
 	out := &Fig9Result{}
@@ -68,35 +59,26 @@ func runFig9(cfg Config) (Result, error) {
 		{"lossy checkpointing, 2 failures/restarts", []float64{duration * 0.3, duration * 0.65}},
 	}
 	for _, rr := range runs {
-		s, m, err := managedRun("jacobi", a, b, base.RTol, core.Lossy, base.LossyErrorBound)
+		res, err := managedRun("jacobi", a, b, base.RTol, core.Lossy, base.LossyErrorBound,
+			tit, func(float64) float64 { return c }, r, core.DriveConfig{
+				Failures:        core.FailureTimes(rr.schedule, nil),
+				IntervalSeconds: model.YoungInterval(3600, c),
+				RecordResiduals: true,
+				MaxIterations:   2000000,
+			})
 		if err != nil {
 			return nil, err
 		}
-		outSim, err := sim.Run(sim.Config{
-			Stepper:           s,
-			Manager:           m,
-			X0:                make([]float64, a.Rows),
-			TitSeconds:        tit,
-			IntervalSeconds:   model.YoungInterval(3600, ckptSec(fti.Info{})),
-			CheckpointSeconds: ckptSec,
-			RecoverySeconds:   recSec,
-			FailureSchedule:   rr.schedule,
-			RecordResiduals:   true,
-			MaxIterations:     2000000,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !outSim.Converged {
+		if !res.Converged {
 			return nil, fmt.Errorf("fig9: run %q did not converge", rr.label)
 		}
 		trace := Fig9Trace{
 			Label:      rr.label,
-			Residuals:  outSim.Residuals,
-			Iterations: outSim.IterationsExecuted,
-			FinalRes:   outSim.FinalResidual,
+			Residuals:  res.Residuals,
+			Iterations: res.IterationsExecuted,
+			FinalRes:   res.FinalResidual,
 		}
-		for _, e := range outSim.FailureEvents {
+		for _, e := range res.FailureEvents {
 			trace.FailureAt = append(trace.FailureAt, e.Iteration)
 		}
 		out.Traces = append(out.Traces, trace)

@@ -185,11 +185,56 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	return out, nil
 }
 
-// managedRun builds a solver plus manager pair for a sim run.
-func managedRun(method string, a *sparse.CSR, b []float64, rtol float64, scheme core.Scheme, eb float64) (solver.Checkpointable, *core.Manager, error) {
+// ckptCosts returns C and R, the seconds of one checkpoint and of one
+// recovery on the Bebop model at procs ranks, for method's state under
+// scheme, given the bytes of one global vector: traditional and
+// lossless move every vector the method checkpoints, raw or at the
+// measured lossless ratio; lossy moves x alone, at the lossy ratio.
+func ckptCosts(method string, scheme core.Scheme, procs int, oneVec float64, r ratios) (c, rec float64) {
+	tradRaw := oneVec * float64(cluster.PaperBaselines()[method].CkptVectors)
+	enc, raw, cs := tradRaw, tradRaw, cluster.Uncompressed
+	switch scheme {
+	case core.Lossless:
+		enc, cs = tradRaw/r.Lossless, cluster.LosslessCompressed
+	case core.Lossy:
+		enc, raw, cs = oneVec/r.Lossy, oneVec, cluster.LossyCompressed
+	}
+	mdl := cluster.Bebop()
+	return mdl.CheckpointSeconds(procs, enc, raw, cs), mdl.RecoverySeconds(procs, enc, raw, cs)
+}
+
+// baseline runs method's failure-free solve of A·x = b (the Poisson
+// system at grid) and returns its iteration count and the paper's t_it:
+// the paper's failure-free time over those iterations, which maps the
+// modelled clock onto Bebop's so that failures meet the run as they did
+// there.
+func baseline(method string, grid int, a *sparse.CSR, b []float64) (iters int, tit float64, err error) {
+	base := cluster.PaperBaselines()[method]
+	s, err := buildSolver(method, a, b, base.RTol)
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 500000}, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	if !res.Converged {
+		return 0, 0, fmt.Errorf("experiments: %s baseline did not converge on grid %d in %d iterations", method, grid, res.Iterations)
+	}
+	return res.Iterations, base.BaselineSeconds / float64(res.Iterations), nil
+}
+
+// managedRun assembles method × scheme on A·x = b — the solver at rtol
+// and a Manager over in-memory storage, lossy at pointwise-relative eb
+// (GMRES re-derives it by Theorem 3) — and drives it on the modelled
+// clock: tit seconds per step, ckpt(‖r‖) per checkpoint given the live
+// residual, rec per recovery. run carries the rest: the failure source,
+// the cadence and the caps.
+func managedRun(method string, a *sparse.CSR, b []float64, rtol float64, scheme core.Scheme, eb float64,
+	tit float64, ckpt func(rnorm float64) float64, rec float64, run core.DriveConfig) (*core.Outcome, error) {
 	s, err := buildSolver(method, a, b, rtol)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg := core.Config{Scheme: scheme}
 	if scheme == core.Lossy {
@@ -202,7 +247,13 @@ func managedRun(method string, a *sparse.CSR, b []float64, rtol float64, scheme 
 	}
 	m, err := core.NewManager(cfg, fti.NewMemStorage(), s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s, m, nil
+	run.Stepper, run.Manager, run.X0 = s, m, make([]float64, a.Rows)
+	run.Costs = &core.Costs{
+		TitSeconds:        tit,
+		CheckpointSeconds: func(fti.Info) float64 { return ckpt(s.ResidualNorm()) },
+		RecoverySeconds:   func(fti.Info) float64 { return rec },
+	}
+	return core.Drive(run)
 }

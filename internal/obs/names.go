@@ -82,7 +82,8 @@ const (
 	MAdaptRecoverySeconds   = "adapt_recovery_seconds"
 	MAdaptCompressionRatio  = "adapt_compression_ratio"
 
-	// sim — the virtual-time harness (same schema, virtual clock).
+	// sim — core.Drive's lifecycle counters, on either clock (the prefix
+	// is the simulator's, which came first).
 	MSimFailuresTotal         = "sim_failures_total"
 	MSimCheckpointsTotal      = "sim_checkpoints_total"
 	MSimCheckpointAbortsTotal = "sim_checkpoint_aborts_total"
@@ -169,8 +170,8 @@ const (
 	SpanWrite       = "write"
 	SpanShardWrite  = "shard-write"
 	SpanShardCommit = "shard-commit"
-	SpanCheckpoint  = "checkpoint"   // fused encode+write when stages aren't split (sim sync mode)
-	SpanBackground  = "encode+write" // async background stage as one span (sim async mode)
+	SpanCheckpoint  = "checkpoint"   // fused encode+write when stages aren't split (modelled sync mode)
+	SpanBackground  = "encode+write" // async background stage as one span (modelled async mode)
 	SpanRestore     = "restore"      // one fti restore attempt (one checkpoint read+decode)
 	SpanCompute     = "compute"      // solver iterations between lifecycle events
 	SpanFailure     = "failure"      // instant marker

@@ -13,7 +13,7 @@
 //     once; Inc/Add/Set/Observe are plain atomics on the handle.
 //   - deterministic-trace-safe: nothing here feeds back into the
 //     numerics; instrumented and bare runs converge bitwise
-//     identically (asserted in internal/sim tests).
+//     identically (asserted in internal/core tests).
 //   - labeled child scopes: Registry.With derives a view over the
 //     same store with extra labels, so a future multi-tenant ckptd
 //     can mount one scope per stream (tenant="...") and snapshot them

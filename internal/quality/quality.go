@@ -126,7 +126,7 @@ type Auditor struct {
 
 	reg   *obs.Registry
 	tr    *obs.Tracer
-	clock func() float64 // span-timestamp override (sim virtual time)
+	clock func() float64 // span-timestamp override (a modelled run's virtual time)
 
 	records []Record
 	dropped int
@@ -153,7 +153,7 @@ type Auditor struct {
 var _ fti.SaveAudit = (*Auditor)(nil)
 
 // New builds an Auditor. Pass the result to Manager.InstrumentQuality
-// (or sim.Config.Quality) and feed residuals via ObserveResidual.
+// (and core.DriveConfig.Quality) and feed residuals via ObserveResidual.
 func New(cfg Config) *Auditor {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = DefaultSampleEvery
