@@ -6,11 +6,7 @@ import (
 	"testing"
 	_ "unsafe" // go:linkname
 
-	"repro/internal/core"
-	"repro/internal/failure"
-	"repro/internal/fti"
 	"repro/internal/parallel"
-	"repro/internal/solver"
 )
 
 // vecUseAVX2 is internal/vec's dispatch flag (true when the CPU has
@@ -67,33 +63,4 @@ func runSZPaths(b *testing.B, body func(b *testing.B)) {
 			}
 		})
 	}
-}
-
-// ratio is the compression ratio original/compressed in bytes of n
-// float64 values.
-func ratio(n int, compressed []byte) float64 {
-	return float64(8*n) / float64(len(compressed))
-}
-
-// simRunJacobi drives one lossy-checkpointed Jacobi run in virtual
-// time and returns the total simulated seconds (shared by the interval
-// ablation bench).
-func simRunJacobi(s solver.Checkpointable, mgr *core.Manager, n int, tit, interval, ckptCost float64) (float64, error) {
-	out, err := core.Drive(core.DriveConfig{
-		Stepper: s,
-		Manager: mgr,
-		X0:      make([]float64, n),
-		Costs: &core.Costs{
-			TitSeconds:        tit,
-			CheckpointSeconds: func(fti.Info) float64 { return ckptCost },
-			RecoverySeconds:   func(fti.Info) float64 { return ckptCost * 1.2 },
-		},
-		Failures:        core.FailureTimes(nil, failure.NewInjector(3600, 5)),
-		IntervalSeconds: interval,
-		MaxIterations:   5_000_000,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return out.SimSeconds, nil
 }

@@ -1,12 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artifact, backed by the experiment
-// registry), plus kernel benchmarks for the substrates and ablation
-// benchmarks for the design choices called out in DESIGN.md §5.
+// Kernel and checkpoint-lifecycle benchmarks. Each one is cited by
+// README.md, in a table it feeds or in "Experiments and benchmarks",
+// and CI's "Kernel benchmarks" step runs them all; CI's "Line budget"
+// step fails on a benchmark here that neither README.md nor ci.yml
+// names. The paper's figures are not benchmarks: `go run ./cmd/repro
+// -exp <id>` regenerates them, and internal/experiments' tests run every
+// one in quick mode.
 package lossyckpt_test
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -25,8 +27,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fti"
 	"repro/internal/huffman"
-	"repro/internal/lossless"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/precond"
@@ -35,36 +35,7 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/sz"
 	"repro/internal/vec"
-	"repro/internal/zfp"
 )
-
-// runExperiment executes one registry experiment in quick mode.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, experiments.Config{Quick: true, Seed: 1})
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if err := res.WriteText(io.Discard); err != nil {
-			b.Fatalf("%s render: %v", id, err)
-		}
-	}
-}
-
-// ---- One benchmark per paper artifact --------------------------------------
-
-func BenchmarkFig1OverheadSurface(b *testing.B)         { runExperiment(b, "fig1") }
-func BenchmarkFig2CGExtraIterations(b *testing.B)       { runExperiment(b, "fig2") }
-func BenchmarkFig3KKTScaling(b *testing.B)              { runExperiment(b, "fig3") }
-func BenchmarkTable3CheckpointSizes(b *testing.B)       { runExperiment(b, "table3") }
-func BenchmarkFig4JacobiCkptTime(b *testing.B)          { runExperiment(b, "fig4") }
-func BenchmarkFig5GMRESCkptTime(b *testing.B)           { runExperiment(b, "fig5") }
-func BenchmarkFig6CGCkptTime(b *testing.B)              { runExperiment(b, "fig6") }
-func BenchmarkFig7ExpectedOverhead(b *testing.B)        { runExperiment(b, "fig7") }
-func BenchmarkFig8ConvergenceIterations(b *testing.B)   { runExperiment(b, "fig8") }
-func BenchmarkFig9JacobiResidualTrace(b *testing.B)     { runExperiment(b, "fig9") }
-func BenchmarkFig10FaultToleranceOverhead(b *testing.B) { runExperiment(b, "fig10") }
 
 // ---- Kernel benchmarks -------------------------------------------------------
 
@@ -74,43 +45,6 @@ func solverState(n int) []float64 {
 		x[i] += 2.5
 	}
 	return x
-}
-
-func BenchmarkSZCompressPWRel(b *testing.B) {
-	x := solverState(1 << 20)
-	b.SetBytes(int64(8 * len(x)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSZCompressAbs(b *testing.B) {
-	x := solverState(1 << 20)
-	b.SetBytes(int64(8 * len(x)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sz.Compress(x, sz.Params{Mode: sz.Abs, ErrorBound: 1e-4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSZDecompress(b *testing.B) {
-	x := solverState(1 << 20)
-	comp, err := sz.Compress(x, sz.Params{Mode: sz.Abs, ErrorBound: 1e-4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(8 * len(x)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sz.Decompress(comp); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // ---- The save path on real solver state --------------------------------------
@@ -266,17 +200,14 @@ func BenchmarkSZDecompressSolverState(b *testing.B) {
 // matrix on the 1M-element solver state: one compress and one
 // decompress sub-benchmark per codec (SZ PWRel/Abs, ZFP and flate, all
 // through the one BLK1 blocked container), all pinned to a single
-// worker so the MB/s column is per-core. The decompress side decodes into a reused target (the DecompressInto
-// path the streaming restore is built on). Acceptance bands are
-// asserted in-bench (skipped under the race detector, whose
-// instrumentation distorts both time and allocation counts):
-//
-//   - SZ PWRel compress must run at least 2× faster than the 46.7 ms
-//     1M-element baseline recorded when the blocked container first
-//     landed (PR 1), i.e. ≤ 23.35 ms/op;
-//   - the blocked ZFP/flate compressors must allocate O(block)
-//     amortized — strictly less than the 8 MB raw payload per op —
-//     proving the per-block scratch is pooled, not reallocated.
+// worker so the MB/s column is per-core. The decompress side decodes
+// into a reused target (the DecompressInto path the streaming restore
+// is built on). Compress reports its steady-state heap bytes per op
+// (MB-alloc/op); codec.TestCompressAllocatesPerBlock is the contract on
+// them. SZ PWRel compress must run at least 2× faster than the 46.7 ms
+// 1M-element baseline recorded when the blocked container first
+// landed, i.e. ≤ 23.35 ms/op (asserted in-bench, skipped under the
+// race detector).
 func BenchmarkCodecThroughput(b *testing.B) {
 	x := solverState(1 << 20)
 	rawBytes := float64(8 * len(x))
@@ -289,8 +220,6 @@ func BenchmarkCodecThroughput(b *testing.B) {
 		decInto  func([]float64, []byte) error
 		// maxCompressNs is the per-op compress time band (0 = none).
 		maxCompressNs float64
-		// blockedAlloc asserts the O(block) allocation band on compress.
-		blockedAlloc bool
 	}
 	cases := []codecCase{
 		{
@@ -311,10 +240,9 @@ func BenchmarkCodecThroughput(b *testing.B) {
 	}
 	for _, bc := range []codec.BlockCodec{codec.BlockedZFP{Bound: 1e-4}, codec.BlockedFlate{}} {
 		cases = append(cases, codecCase{
-			name:         map[codec.ID]string{codec.ZFP: "zfp", codec.Flate: "flate"}[bc.ID()],
-			compress:     func(v []float64) ([]byte, error) { return codec.Compress(nil, v, bc, nil) },
-			decInto:      func(dst []float64, data []byte) error { return codec.DecompressInto(dst, data, bc) },
-			blockedAlloc: true,
+			name:     map[codec.ID]string{codec.ZFP: "zfp", codec.Flate: "flate"}[bc.ID()],
+			compress: func(v []float64) ([]byte, error) { return codec.Compress(nil, v, bc, nil) },
+			decInto:  func(dst []float64, data []byte) error { return codec.DecompressInto(dst, data, bc) },
 		})
 	}
 
@@ -340,8 +268,7 @@ func BenchmarkCodecThroughput(b *testing.B) {
 			// follow it, and ran twice when a background cycle was
 			// already under way) or inside the loop would bill the pool
 			// re-warm (big block buffers, DEFLATE writers) to whichever
-			// op it landed on and drown the steady-state figure the
-			// band is about.
+			// op it landed on and drown the steady-state figure.
 			prevGC := debug.SetGCPercent(-1)
 			defer debug.SetGCPercent(prevGC)
 			runtime.GC()
@@ -360,14 +287,7 @@ func BenchmarkCodecThroughput(b *testing.B) {
 			runtime.ReadMemStats(&m1)
 			per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
 			b.ReportMetric(per/1e6, "MB-alloc/op")
-			if raceEnabled {
-				return
-			}
-			if c.blockedAlloc && per >= rawBytes {
-				b.Fatalf("%s compress allocated %.1f MB/op — the blocked container must stay under the %.1f MB raw payload (pooled per-block scratch)",
-					c.name, per/1e6, rawBytes/1e6)
-			}
-			if c.maxCompressNs > 0 {
+			if !raceEnabled && c.maxCompressNs > 0 {
 				if perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N); perOp > c.maxCompressNs {
 					b.Fatalf("%s compress %.1f ms/op exceeds the %.1f ms acceptance band (2x the 46.7 ms PR-1 baseline)",
 						c.name, perOp/1e6, c.maxCompressNs/1e6)
@@ -383,119 +303,6 @@ func BenchmarkCodecThroughput(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSZCompressParallel measures the blocked SZ pipeline on a
-// 1M-element solver state, serial (one worker) versus the full worker
-// pool. The error bound is verified once post-decompression so the
-// timed path is known to produce valid output.
-func BenchmarkSZCompressParallel(b *testing.B) {
-	x := solverState(1 << 20)
-	p := sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}
-	comp, err := sz.Compress(x, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := sz.Decompress(comp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range x {
-		if d := math.Abs(x[i] - got[i]); d > 1e-4*math.Abs(x[i])*(1+1e-10) {
-			b.Fatalf("index %d: error bound violated: %g", i, d)
-		}
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := parallel.SetWorkers(bc.workers)
-			defer parallel.SetWorkers(prev)
-			b.SetBytes(int64(8 * len(x)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sz.Compress(x, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSZDecompressParallel is the decode side of the blocked
-// container on the same 1M-element state.
-func BenchmarkSZDecompressParallel(b *testing.B) {
-	x := solverState(1 << 20)
-	comp, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := parallel.SetWorkers(bc.workers)
-			defer parallel.SetWorkers(prev)
-			b.SetBytes(int64(8 * len(x)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sz.Decompress(comp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCSRMulVecParallel measures SpMV on the paper's 100³ Poisson
-// operator (1M rows, ~6.9M nonzeros), serial versus the worker pool.
-func BenchmarkCSRMulVecParallel(b *testing.B) {
-	a := sparse.Poisson3D(100)
-	x := make([]float64, a.Cols)
-	dst := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = float64(i%17) + 0.25
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := parallel.SetWorkers(bc.workers)
-			defer parallel.SetWorkers(prev)
-			b.SetBytes(int64(12 * a.NNZ()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.MulVec(dst, x)
-			}
-		})
-	}
-}
-
-func BenchmarkSparseMatVec(b *testing.B) {
-	a := sparse.Poisson3D(32) // 32,768 rows, ~223k nnz
-	x := make([]float64, a.Rows)
-	dst := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = float64(i % 17)
-	}
-	b.SetBytes(int64(12 * a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVec(dst, x)
-	}
-}
-
-func BenchmarkCGStep(b *testing.B) {
-	a := sparse.Poisson3D(24)
-	rhs := sparse.OnesRHS(a.Rows)
-	s := solver.NewCG(a, nil, rhs, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
 	}
 }
 
@@ -797,19 +604,6 @@ func BenchmarkMGSProjection(b *testing.B) {
 	})
 }
 
-func BenchmarkCheckpointLossy(b *testing.B) {
-	x := solverState(1 << 18)
-	ck := fti.New(fti.NewMemStorage(), fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}})
-	ck.Protect("x", &x)
-	b.SetBytes(int64(8 * len(x)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ck.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCheckpointStall measures the solver-visible stall of one
 // checkpoint on the 1M-element PWRel workload: the full encode+write
 // in sync mode versus the capture copy alone in async mode (the
@@ -1090,19 +884,6 @@ func mustDirStorage(b *testing.B) *fti.DirStorage {
 	return ds
 }
 
-func BenchmarkCheckpointTraditional(b *testing.B) {
-	x := solverState(1 << 18)
-	ck := fti.New(fti.NewMemStorage(), fti.Raw{})
-	ck.Protect("x", &x)
-	b.SetBytes(int64(8 * len(x)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ck.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExactSaveRestore is the exact checkpoint path of
 // cg-trad-sync-shard in isolation: CG on the 48³ system, x and p (1.77
 // MB) stored raw in 8 shards by 2 workers on a real directory, through
@@ -1143,7 +924,7 @@ func BenchmarkExactSaveRestore(b *testing.B) {
 	})
 }
 
-// ---- Ablation benchmarks (DESIGN.md §5) --------------------------------------
+// ---- Lossy CG recovery: restart against resume ------------------------------
 
 // BenchmarkAblationCGRestart compares the paper's restarted lossy
 // recovery for CG (Algorithm 2) against naively restoring lossy
@@ -1202,140 +983,7 @@ func BenchmarkAblationCGRestart(b *testing.B) {
 	b.ReportMetric(naive/float64(b.N), "extra-its-naive")
 }
 
-// BenchmarkAblationBoundModes reports the compression ratio of the
-// three error-bound modes on the same solver state at eb = 1e-4.
-func BenchmarkAblationBoundModes(b *testing.B) {
-	x := solverState(1 << 19)
-	modes := []struct {
-		name string
-		mode sz.Mode
-	}{{"abs", sz.Abs}, {"relrange", sz.RelRange}, {"pwrel", sz.PWRel}}
-	for i := 0; i < b.N; i++ {
-		for _, m := range modes {
-			comp, err := sz.Compress(x, sz.Params{Mode: m.mode, ErrorBound: 1e-4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(ratio(len(x), comp), "ratio-"+m.name)
-		}
-	}
-}
-
-// BenchmarkAblationAdaptiveGMRESBound compares Theorem 3's adaptive
-// bound against a fixed loose bound: extra iterations per recovery.
-func BenchmarkAblationAdaptiveGMRESBound(b *testing.B) {
-	a := sparse.Poisson3D(12)
-	rhs := sparse.OnesRHS(a.Rows)
-	bnorm := solver.SeqSpace{}.Norm2(rhs)
-	const rtol = 1e-9
-	newG := func() *solver.GMRES {
-		return solver.NewGMRES(a, nil, rhs, nil, 10, solver.SeqSpace{}, solver.Options{RTol: rtol})
-	}
-	base, err := solver.RunToConvergence(newG(), solver.Options{MaxIter: 100000}, nil)
-	if err != nil || !base.Converged {
-		b.Fatalf("baseline: %v", err)
-	}
-	recoverWith := func(eb float64) int {
-		s := newG()
-		for j := 0; j < base.Iterations/2; j++ {
-			s.Step()
-		}
-		comp, err := sz.Compress(s.CurrentX(), sz.Params{Mode: sz.PWRel, ErrorBound: eb})
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := sz.Decompress(comp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Restart(x)
-		r, _ := solver.RunToConvergence(s, solver.Options{MaxIter: 400000}, nil)
-		return r.Iterations - base.Iterations
-	}
-	var adaptive, fixed float64
-	for i := 0; i < b.N; i++ {
-		s := newG()
-		for j := 0; j < base.Iterations/2; j++ {
-			s.Step()
-		}
-		ebAdaptive := model.GMRESAdaptiveBound(s.ResidualNorm(), bnorm, 1)
-		adaptive += float64(recoverWith(ebAdaptive))
-		fixed += float64(recoverWith(0.2)) // loose fixed bound
-	}
-	b.ReportMetric(adaptive/float64(b.N), "extra-its-adaptive")
-	b.ReportMetric(fixed/float64(b.N), "extra-its-fixed0.2")
-}
-
-// BenchmarkAblationCompressorChoice reports ratio for SZ vs ZFP vs
-// Gzip on identical solver state (the paper's §5.1 compressor choice).
-func BenchmarkAblationCompressorChoice(b *testing.B) {
-	x := solverState(1 << 19)
-	for i := 0; i < b.N; i++ {
-		szc, err := sz.Compress(x, sz.Params{Mode: sz.Abs, ErrorBound: 1e-4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		zc, err := zfp.Compress(x, 1e-4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fc, err := (lossless.Flate{}).Compress(x)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(ratio(len(x), szc), "ratio-sz")
-		b.ReportMetric(ratio(len(x), zc), "ratio-zfp")
-		b.ReportMetric(ratio(len(x), fc), "ratio-gzip")
-	}
-}
-
-// BenchmarkAblationIntervalSensitivity measures the simulated FT
-// overhead of lossy-checkpointed Jacobi at the Young-optimal interval
-// and at half/double that interval.
-func BenchmarkAblationIntervalSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, mult := range []float64{0.5, 1, 2} {
-			pct, err := intervalOverheadPct(mult)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(pct, fmt.Sprintf("overhead%%-x%g", mult))
-		}
-	}
-}
-
-func intervalOverheadPct(mult float64) (float64, error) {
-	a := sparse.Poisson3D(10)
-	rhs := sparse.OnesRHS(a.Rows)
-	s, err := solver.NewStationary(solver.KindJacobi, a, rhs, nil, 0, solver.Options{RTol: 1e-4})
-	if err != nil {
-		return 0, err
-	}
-	baseRes, err := solver.RunToConvergence(s, solver.Options{MaxIter: 200000}, nil)
-	if err != nil || !baseRes.Converged {
-		return 0, fmt.Errorf("baseline failed")
-	}
-	tit := 3000.0 / float64(baseRes.Iterations)
-	const ckptCost = 25.0
-	interval := mult * model.YoungInterval(3600, ckptCost)
-
-	s2, err := solver.NewStationary(solver.KindJacobi, a, rhs, nil, 0, solver.Options{RTol: 1e-4})
-	if err != nil {
-		return 0, err
-	}
-	mgr, err := core.NewManager(core.Config{
-		Scheme:   core.Lossy,
-		SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4},
-	}, fti.NewMemStorage(), s2)
-	if err != nil {
-		return 0, err
-	}
-	out, err := simRunJacobi(s2, mgr, a.Rows, tit, interval, ckptCost)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * (out - 3000) / 3000, nil
-}
+// ---- Interval control, recovery tiers, storage faults -----------------------
 
 // BenchmarkAdaptiveInterval runs the deterministic fixed-vs-adaptive
 // sweep (the `adapt` experiment: shared failure traces, steady and

@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	. "repro/internal/codec"
 	"repro/internal/lossless"
+	"repro/internal/parallel"
 	"repro/internal/sz"
 	"repro/internal/zfp"
 )
@@ -405,6 +407,45 @@ func TestDeterministicOutput(t *testing.T) {
 	for _, bc := range blockCodecs(1024) {
 		if !bytes.Equal(compress(t, x, bc), compress(t, x, bc)) {
 			t.Fatalf("%v: nondeterministic container bytes", bc.ID())
+		}
+	}
+}
+
+// TestCompressAllocatesPerBlock: a blocked ZFP or DEFLATE compress in
+// steady state allocates O(block), not O(payload) — the per-block encode
+// buffer and the codecs' own scratch (DEFLATE's byte image and writer,
+// ZFP's coefficient stream) come from pools. The stream is appended to
+// a reused dst, so what is counted is scratch alone, and it must stay
+// under the raw payload: one unpooled encode buffer per block is 9/8 of
+// it.
+func TestCompressAllocatesPerBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	x := testField(8*DefaultBlockElems, 5)
+	const calls = 4
+	for _, bc := range []BlockCodec{BlockedZFP{Bound: zfpBound}, BlockedFlate{}} {
+		// GC paused: every collection empties the pools, and one after
+		// the warm-up would bill the re-warm to a measured call.
+		prevGC := debug.SetGCPercent(-1)
+		runtime.GC()
+		dst := compress(t, x, bc) // warms the pools; dst keeps the stream's capacity
+		var err error
+		per := allocatedBytes(func() {
+			for range calls {
+				if dst, err = Compress(dst[:0], x, bc, nil); err != nil {
+					break
+				}
+			}
+		}) / calls
+		debug.SetGCPercent(prevGC)
+		if err != nil {
+			t.Fatalf("%v: %v", bc.ID(), err)
+		}
+		if raw := uint64(8 * len(x)); per >= raw {
+			t.Errorf("%v: compress of %d blocks allocated %d bytes per call, want under the %d-byte raw payload",
+				bc.ID(), len(x)/DefaultBlockElems, per, raw)
 		}
 	}
 }
