@@ -385,10 +385,7 @@ func run(o options) (err error) {
 		// solver keeps iterating toward the next interval — instead of
 		// killing the run.
 		DegradedWrites: injector != nil,
-		// Modelled costs need a synchronous Manager (the driver prices
-		// the overlap itself); the injected run uses the actual async
-		// pipeline so its overlap shows up on the trace's wall clocks.
-		Async: o.async && injected,
+		Async:          o.async,
 	}
 	if injected && !o.adaptive {
 		// On the wall clock -interval counts iterations.
@@ -504,7 +501,11 @@ func run(o options) (err error) {
 	} else {
 		interval := o.interval
 		if !o.adaptive && interval == 0 {
-			probe, err := mgr.Checkpoint()
+			if _, err := mgr.Checkpoint(); err != nil {
+				return err
+			}
+			// An async save's record is complete once it has committed.
+			probe, err := mgr.WaitCheckpoint()
 			if err != nil {
 				return err
 			}
@@ -537,7 +538,7 @@ func run(o options) (err error) {
 			ABFTSeconds:         cm.abft,
 		}
 		run.Failures = core.FailureTimes(nil, failure.NewInjector(o.mtti, o.seed))
-		run.IntervalSeconds, run.AsyncCheckpoint = interval, o.async
+		run.IntervalSeconds = interval
 	}
 	out, err := core.Drive(run)
 	if err == nil && src != nil {

@@ -283,13 +283,13 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 		}
 		return fmt.Sprintf("%10.4g", 1e3*s)
 	}
-	measCapture := math.NaN()
-	if info.CaptureSeconds > 0 {
-		measCapture = info.CaptureSeconds
+	measCapture, captureNote := info.CaptureSeconds, ""
+	if measCapture == 0 {
+		measCapture, captureNote = math.NaN(), "   (in-process sync capture happens inside the save)"
 	}
 	fmt.Printf("per-checkpoint phase costs — modeled at 2048 ranks vs measured in-process (ms):\n")
 	fmt.Printf("  %-8s %12s %12s\n", "phase", "modeled", "measured")
-	fmt.Printf("  %-8s %12s %12s   (in-process sync capture happens inside the save)\n", "capture", ms(modCapture), ms(measCapture))
+	fmt.Printf("  %-8s %12s %12s%s\n", "capture", ms(modCapture), ms(measCapture), captureNote)
 	fmt.Printf("  %-8s %12s %12s\n", "encode", ms(modEncode), ms(info.EncodeSeconds))
 	if c.scheme != cluster.Uncompressed && info.EncodeSeconds > 0 {
 		// Measured per-codec encode throughput beside the model's

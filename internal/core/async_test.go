@@ -363,6 +363,39 @@ func TestAbortOfAFailedSaveKeepsItsPredecessor(t *testing.T) {
 	}
 }
 
+// TestAbortOfAFailedFirstSaveKeepsAnEarlierRunsCheckpoint: a Manager
+// over storage an earlier run left a checkpoint in has committed
+// nothing of its own; when its first save fails on the spot, it opened
+// nothing, and aborting it must not drop the earlier run's checkpoint.
+func TestAbortOfAFailedFirstSaveKeepsAnEarlierRunsCheckpoint(t *testing.T) {
+	a, b, _ := cgSystem(t)
+	s := newCG(t, a, b)
+	st := &hookStorage{Storage: fti.NewMemStorage()}
+	earlier, err := NewManager(Config{Scheme: Traditional}, st, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	if _, err := earlier.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Config{Scheme: Traditional, DegradedWrites: true}, st, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	st.failNext.Store(true)
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AbortLastCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Checkpointer().CheckpointCount(); n != 1 {
+		t.Fatalf("%d checkpoints in storage after aborting a save that failed, want the earlier run's 1", n)
+	}
+}
+
 // TestAbortWithKeepOneLeavesNoPhantomCheckpoint: with a retention
 // window of 1, aborting the latest checkpoint empties storage (the gc
 // already removed its predecessor), and HasCheckpoint must say so —

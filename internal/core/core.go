@@ -95,16 +95,17 @@ type Config struct {
 	// ZFP-like transform codec). When set, SZParams and Adaptive are
 	// ignored — the caller owns the error-bound policy.
 	LossyEncoder fti.Encoder
-	// Async routes checkpoints through the asynchronous pipeline:
-	// Checkpoint returns after the capture copy (the returned Info is
-	// provisional — Bytes is unknown until the background encode
-	// finishes; WaitCheckpoint or LastInfo report the final
-	// accounting), and the encode+write run concurrently with solver
-	// iterations. HasCheckpoint and LastInfo report
-	// committed checkpoints only; Recover drains the in-flight write
-	// first, and a background write that failed falls back to the
-	// previous committed checkpoint — the paper's failure-during-
-	// checkpoint semantics.
+	// Async routes checkpoints through the asynchronous pipeline, and is
+	// the one switch for overlapped checkpoints: Drive prices a modelled
+	// run's saves as overlapped exactly when it is set. Checkpoint
+	// returns after the capture copy (the returned Info is the record as
+	// the save opened — Bytes is unknown until the background encode
+	// finishes; WaitCheckpoint or LastInfo report the final record), and
+	// the encode+write run concurrently with solver iterations.
+	// HasCheckpoint and LastInfo report committed checkpoints only;
+	// Recover drains the in-flight write first, and a background write
+	// that failed falls back to the previous committed checkpoint — the
+	// paper's failure-during-checkpoint semantics.
 	Async bool
 	// Shards splits every checkpoint into this many shard objects
 	// (written concurrently, cut along container block boundaries) plus a
@@ -143,29 +144,23 @@ type Config struct {
 // schemes and keeps the bookkeeping the experiments need (bytes
 // written, compression ratios, rollback distances).
 type Manager struct {
-	cfg          Config
-	ckpt         *fti.Checkpointer
-	async        *fti.AsyncCheckpointer // non-nil in async mode
-	slv          solver.Checkpointable
-	rst          solver.Restartable
-	gmres        *solver.GMRES // non-nil when the solver is GMRES: X() lags mid-cycle
-	xbuf         []float64     // GMRES's materialized iterate, reused by every capture
-	lastCkptIter int
-	lastInfo     fti.Info
-	haveCkpt     bool
-	prevCkptIter int
-	prevInfo     fti.Info
-	prevHaveCkpt bool
-	// openSeq is the sequence of the save Checkpoint last opened, the one
-	// AbortLastCheckpoint is about: 0 when it failed on the spot.
-	openSeq int
+	cfg   Config
+	ckpt  *fti.Checkpointer
+	async *fti.AsyncCheckpointer // non-nil in async mode
+	slv   solver.Checkpointable
+	rst   solver.Restartable
+	gmres *solver.GMRES // non-nil when the solver is GMRES: X() lags mid-cycle
+	xbuf  []float64     // GMRES's materialized iterate, reused by every capture
 
-	// In-flight async save, promoted to the committed fields above
-	// once its background write finishes.
-	inflight     fti.Ticket
-	inflightIter int
-	inflightLive bool
-	asyncErr     error // failed background save, surfaced on next Checkpoint
+	// The Manager's record of its saves, each one fti.Info. last is the
+	// committed checkpoint recovery stands on (Seq 0: none) and prev its
+	// predecessor, which AbortLastCheckpoint falls back to. open is the
+	// save Checkpoint last opened — as it opened while an async one is in
+	// flight, zero when it failed on the spot — and pending that async
+	// save's ticket until fold has read its outcome. Whether a save is in
+	// flight, and why a background one failed, the pipeline says.
+	last, prev, open fti.Info
+	pending          fti.Ticket
 
 	// abft is the optional first recovery tier (Config.ABFT).
 	abft *abft.Guard
@@ -265,13 +260,13 @@ func (m *Manager) Due() bool {
 	if m.cfg.Interval <= 0 || it == 0 || it%m.cfg.Interval != 0 {
 		return false
 	}
-	if m.async != nil {
-		m.promote()
-		if m.inflightLive && it == m.inflightIter {
-			return false
-		}
+	// Asked before fold: a save the pipeline no longer holds has
+	// finished, so fold then sees how.
+	if m.InFlight() && it == m.open.Iteration {
+		return false
 	}
-	return it != m.lastCkptIter
+	m.fold()
+	return it != m.last.Iteration
 }
 
 // MaybeCheckpoint takes a checkpoint if one is due. It returns the
@@ -291,11 +286,12 @@ func (m *Manager) MaybeCheckpoint() (*fti.Info, error) {
 	return &info, nil
 }
 
-// Checkpoint writes a checkpoint now, regardless of the interval. In
-// async mode it returns after the capture copy with a provisional Info
-// (Seq, EncoderName, RawBytes; Bytes unknown until the background
-// encode finishes); an error from the previous background save is
-// returned here, before a new capture is taken.
+// Checkpoint writes a checkpoint now, regardless of the interval, and
+// returns its record. In async mode it returns after the capture copy
+// with the record as the save opened (Seq, Iteration, EncoderName,
+// RawBytes, CaptureSeconds; Bytes unknown until the background encode
+// finishes); an error from the previous background save is returned
+// here, before a new capture is taken.
 func (m *Manager) Checkpoint() (fti.Info, error) {
 	if m.async != nil {
 		return m.checkpointAsync()
@@ -303,25 +299,20 @@ func (m *Manager) Checkpoint() (fti.Info, error) {
 	snap := m.capture()
 	m.ckpt.SetEncoder(m.encoder())
 	info, err := m.ckpt.Save(snap)
-	m.openSeq = info.Seq
-	if err != nil {
-		if m.cfg.DegradedWrites {
-			// The save rolled back; the previous committed checkpoint is
-			// still the recovery target and the next interval retries.
-			m.noteDegraded(err)
-			return fti.Info{}, nil
-		}
-		return fti.Info{}, err
+	if m.open = info; err != nil {
+		// The save rolled back; in degraded-writes mode the previous
+		// committed checkpoint is still the recovery target and the next
+		// interval retries.
+		return fti.Info{}, m.degrade(err)
 	}
-	m.commit(m.slv.Iteration(), info)
+	m.commit(info)
 	return info, nil
 }
 
 // commit makes a written checkpoint the recovery target, keeping its
-// predecessor's bookkeeping for AbortLastCheckpoint to fall back to.
-func (m *Manager) commit(iter int, info fti.Info) {
-	m.prevCkptIter, m.prevHaveCkpt, m.prevInfo = m.lastCkptIter, m.haveCkpt, m.lastInfo
-	m.lastCkptIter, m.haveCkpt, m.lastInfo = iter, true, info
+// predecessor's record for AbortLastCheckpoint to fall back to.
+func (m *Manager) commit(info fti.Info) {
+	m.prev, m.last = m.last, info
 	m.mobs.committed.Inc()
 }
 
@@ -332,79 +323,58 @@ func (m *Manager) checkpointAsync() (fti.Info, error) {
 	// at-most-one-in-flight backpressure lands in the solver's time,
 	// so the wait is accounted as backpressure in Stats.
 	m.async.WaitBackpressure()
-	m.promote()
-	if err := m.takeAsyncErr(); err != nil {
+	m.fold()
+	_, err := m.async.Flush()
+	if err = m.degrade(err); err != nil {
 		return fti.Info{}, err
 	}
 	m.ckpt.SetEncoder(m.encoder())
-	snap := m.capture()
-	t, err := m.async.SaveAsync(snap)
+	t, err := m.async.SaveAsync(m.capture())
 	if err != nil {
 		return fti.Info{}, err
 	}
-	m.inflight, m.inflightLive, m.openSeq = t, true, t.Seq
-	m.inflightIter = m.slv.Iteration()
-	info := fti.Info{Seq: t.Seq, EncoderName: m.ckpt.Encoder().Name()}
-	for _, v := range snap.Vectors {
-		info.RawBytes += 8 * len(v)
-	}
-	info.RawBytes += 8 * len(snap.Scalars)
-	return info, nil
+	m.open, m.pending = t.Info, t
+	return t.Info, nil
 }
 
-// promote folds a finished background save into the committed-
-// checkpoint bookkeeping. Non-blocking: an in-flight save stays
-// in flight.
-func (m *Manager) promote() {
-	if !m.inflightLive {
+// fold reads the outcome of the async save Checkpoint last opened off
+// its ticket, without blocking: a committed save becomes the recovery
+// target; a failed one commits nothing, and its error stays with the
+// pipeline, which hands it to the next Flush or SaveAsync.
+func (m *Manager) fold() {
+	info, done, err := m.pending.Peek()
+	if !done {
 		return
 	}
-	select {
-	case <-m.inflight.Done():
-	default:
-		return
+	m.pending = fti.Ticket{}
+	if err == nil {
+		m.commit(info)
 	}
-	info, err := m.inflight.Wait()
-	m.inflightLive = false
-	if err != nil {
-		// The save rolled back; nothing was committed. Surface the
-		// error on the next Checkpoint call.
-		m.asyncErr = err
-		return
-	}
-	m.commit(m.inflightIter, info)
 }
 
 // WaitCheckpoint blocks until no checkpoint is in flight and returns
-// the Info of the most recent committed checkpoint. In sync mode it
+// the record of the most recent committed checkpoint. In sync mode it
 // returns LastInfo immediately. The error, if any, is the failure of
 // the drained background save (also cleared from the pipeline).
 func (m *Manager) WaitCheckpoint() (fti.Info, error) {
 	if m.async == nil {
-		return m.lastInfo, nil
+		return m.last, nil
 	}
-	m.async.Wait()
-	m.promote()
-	return m.lastInfo, m.takeAsyncErr()
+	_, err := m.async.Flush()
+	m.fold()
+	return m.last, m.degrade(err)
 }
 
-// takeAsyncErr consumes the pending background-save error, swallowing
-// (and counting) it in degraded-writes mode.
-func (m *Manager) takeAsyncErr() error {
-	err := m.asyncErr
-	m.asyncErr = nil
-	if err != nil && m.cfg.DegradedWrites {
-		m.noteDegraded(err)
-		return nil
+// degrade swallows — counting and remembering it — a failed save in
+// degraded-writes mode, and hands any other error back.
+func (m *Manager) degrade(err error) error {
+	if err == nil || !m.cfg.DegradedWrites {
+		return err
 	}
-	return err
-}
-
-// noteDegraded records a save swallowed by degraded-writes mode.
-func (m *Manager) noteDegraded(err error) {
 	m.degradedSaves++
 	m.lastSaveErr = err
 	m.mobs.degraded.Inc()
+	return nil
 }
 
 // DegradedSaves reports how many checkpoint saves degraded-writes
@@ -425,24 +395,23 @@ func (m *Manager) LastSaveError() error { return m.lastSaveErr }
 // predecessor stays the recovery target.
 func (m *Manager) AbortLastCheckpoint() error {
 	m.drain()
-	if m.lastInfo.Seq != m.openSeq {
+	if m.open.Seq == 0 || m.last.Seq != m.open.Seq {
 		return nil
 	}
 	if err := m.ckpt.DropLatest(); err != nil {
 		return err
 	}
 	m.mobs.aborted.Inc()
-	m.lastCkptIter, m.haveCkpt = m.prevCkptIter, m.prevHaveCkpt
-	// Roll the accounting back too: LastInfo must describe the
-	// checkpoint recovery will actually restore, not the dropped one
-	// (a modelled run prices RecoverySeconds off it).
-	m.lastInfo = m.prevInfo
-	// Consult storage, not the sequence counter: with keep=1 the gc of
-	// the just-dropped checkpoint already removed its predecessor, so
-	// the abort can leave nothing to recover from — recovery must then
-	// restart from scratch rather than chase a deleted file.
+	// The record rolls back too: LastInfo must describe the checkpoint
+	// recovery will actually restore, not the dropped one (a modelled run
+	// prices RecoverySeconds off it). Consult storage, not the sequence
+	// counter: with keep=1 the gc of the just-dropped checkpoint already
+	// removed its predecessor, so the abort can leave nothing to recover
+	// from — recovery must then restart from scratch rather than chase a
+	// deleted file.
+	m.last = m.prev
 	if m.ckpt.CheckpointCount() == 0 {
-		m.haveCkpt = false
+		m.last = fti.Info{}
 	}
 	return nil
 }
@@ -473,26 +442,20 @@ func (m *Manager) capture() *fti.Snapshot {
 // exists. An async save still in flight does not count: until its
 // write completes it is not a recovery target.
 func (m *Manager) HasCheckpoint() bool {
-	m.promote()
-	return m.haveCkpt
+	m.fold()
+	return m.last.Seq != 0
 }
 
-// LastInfo returns the accounting of the most recent committed
-// checkpoint.
+// LastInfo returns the record of the most recent committed checkpoint
+// (the zero Info when there is none).
 func (m *Manager) LastInfo() fti.Info {
-	m.promote()
-	return m.lastInfo
+	m.fold()
+	return m.last
 }
 
 // InFlight reports whether an async checkpoint is currently being
 // encoded or written in the background.
-func (m *Manager) InFlight() bool {
-	if m.async == nil {
-		return false
-	}
-	m.promote()
-	return m.inflightLive
-}
+func (m *Manager) InFlight() bool { return m.async != nil && m.async.InFlight() }
 
 // Recover reinstates the solver from the latest restorable checkpoint
 // according to the scheme — the checkpoint rungs of RecoverTiered on

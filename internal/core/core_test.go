@@ -26,12 +26,7 @@ func newCG(t *testing.T, a *sparse.CSR, b []float64) *solver.CG {
 // lastCkptIter is the iteration of the newest committed checkpoint —
 // the rollback target — or 0 when there is none; an in-flight async
 // save does not count.
-func lastCkptIter(m *Manager) int {
-	if !m.HasCheckpoint() {
-		return 0
-	}
-	return m.lastCkptIter
-}
+func lastCkptIter(m *Manager) int { return m.LastInfo().Iteration }
 
 func TestSchemeString(t *testing.T) {
 	if Traditional.String() != "traditional" || Lossless.String() != "lossless" || Lossy.String() != "lossy" {

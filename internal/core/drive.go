@@ -43,17 +43,11 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 	d := &driver{cfg: cfg, s: s, m: m, out: &Outcome{}, pos: map[int]int{0: 0},
 		costs: measured, overlapped: m.async != nil}
 	switch {
-	case cfg.Costs == nil && cfg.AsyncCheckpoint:
-		return nil, fmt.Errorf("core: AsyncCheckpoint models the overlap; with measured costs the Manager's own pipeline (Config.Async) is the overlap")
 	case cfg.Costs == nil:
 		if cfg.Clock == nil {
 			start := time.Now()
 			d.cfg.Clock = func() float64 { return time.Since(start).Seconds() }
 		}
-	case m.async != nil:
-		// The real pipeline's provisional Info (Bytes 0) would zero out
-		// the cost callbacks.
-		return nil, fmt.Errorf("core: modelled costs need the full Info of a synchronous Manager (disable Config.Async; AsyncCheckpoint models the overlap)")
 	case cfg.Clock != nil:
 		return nil, fmt.Errorf("core: modelled costs run on the driver's own virtual clock; Clock must be nil")
 	case cfg.Costs.TitSeconds <= 0:
@@ -61,7 +55,7 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 	case m.cfg.Interval > 0:
 		return nil, fmt.Errorf("core: a modelled run keeps its cadence in seconds of the virtual clock (IntervalSeconds or Controller); the Manager's Config.Interval must be 0")
 	default:
-		d.costs, d.virtual, d.overlapped = cfg.Costs.withDefaults(), true, cfg.AsyncCheckpoint
+		d.costs, d.virtual = cfg.Costs.withDefaults(), true
 		// Quality spans are stamped with the virtual clock while the run
 		// lasts (the closure reads it as it advances).
 		cfg.Quality.SetSpanClock(d.now)
@@ -72,7 +66,7 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 			return nil, fmt.Errorf("core: IntervalSeconds and Controller are mutually exclusive")
 		}
 		if ctrl.Async() != d.overlapped {
-			return nil, fmt.Errorf("core: controller async=%v does not match the run's checkpoint mode async=%v (it would plan against the wrong cost model)",
+			return nil, fmt.Errorf("core: controller async=%v does not match the Manager's Config.Async=%v (it would plan against the wrong cost model)",
 				ctrl.Async(), d.overlapped)
 		}
 	}
@@ -113,15 +107,9 @@ type DriveConfig struct {
 	// failure, every completed recovery with its I/O flavour, and — with
 	// Quality attached — every audited save's distortion, all on the
 	// run's clock, so a seed reproduces the interval trajectory. Its
-	// Async flag must match the run's checkpoint mode. It is driven, not
+	// Async flag must match the Manager's Config.Async. It is driven, not
 	// copied: pass a fresh one per run.
 	Controller *adapt.Controller
-	// AsyncCheckpoint models overlapped checkpoints under Costs: the
-	// solver is charged CaptureSeconds plus any wait for the previous
-	// background write, which occupies CheckpointSeconds of virtual time
-	// concurrently with iterations and is not a recovery target until it
-	// commits. Measured runs overlap for real through Config.Async.
-	AsyncCheckpoint bool
 
 	// OnStep, when non-nil, runs after every completed iteration (after
 	// the ABFT guard's retention refresh) — the hook deterministic
@@ -151,11 +139,13 @@ type DriveConfig struct {
 type Costs struct {
 	// TitSeconds is the duration of one iteration.
 	TitSeconds float64
-	// CheckpointSeconds prices one written checkpoint (with
-	// AsyncCheckpoint: the background encode+write); StorageRetrySeconds
-	// the retry/backoff delay a lossy store adds to that write;
-	// CaptureSeconds the solver-visible capture stall of an overlapped
-	// checkpoint. Sharded checkpoints carry their layout in info.Shards.
+	// CheckpointSeconds prices one written checkpoint (over an async
+	// Manager: the background encode+write, which occupies that much
+	// virtual time concurrently with iterations and is not a recovery
+	// target until it commits); StorageRetrySeconds the retry/backoff
+	// delay a lossy store adds to that write; CaptureSeconds the
+	// solver-visible capture stall of an overlapped checkpoint. Sharded
+	// checkpoints carry their layout in info.Shards.
 	CheckpointSeconds   func(info fti.Info) float64
 	StorageRetrySeconds func(info fti.Info) float64
 	CaptureSeconds      func(info fti.Info) float64
@@ -349,7 +339,7 @@ type driver struct {
 	m          *Manager
 	costs      Costs
 	virtual    bool
-	overlapped bool // a save returns after its capture; the write runs behind the solver
+	overlapped bool // an async Manager: a save returns after its capture; the write runs behind the solver
 	out        *Outcome
 	ob         driveObs
 
@@ -597,6 +587,16 @@ func (d *driver) checkpoint() (struck bool, err error) {
 	d.settle(begin)
 
 	info, err := d.m.Checkpoint()
+	if err == nil && d.virtual && d.overlapped {
+		// The model prices the background write off what it wrote, so it
+		// needs the save's committed record now; the pipeline's wall time
+		// is not the run's clock. A save that failed leaves the record
+		// before it in place, which is not this save's.
+		opened := info.Seq
+		if info, err = d.m.WaitCheckpoint(); info.Seq != opened {
+			info = fti.Info{}
+		}
+	}
 	if err != nil {
 		return false, fmt.Errorf("core: checkpoint: %w", err)
 	}

@@ -32,7 +32,7 @@ import (
 // goldenCase names one cell of the matrix.
 type goldenCase struct {
 	sys      string // cg-lossy | cg-trad-2shard | jacobi-lossless | gmres-lossy-bound
-	async    bool   // AsyncCheckpoint cost mode
+	async    bool   // Config.Async, priced by the overlapped costs
 	guard    string // noguard | abft | abft-corrupt (retained state damaged from step 5 on: the chain passes rung 0)
 	adaptive bool   // Controller instead of IntervalSeconds
 	fail     string // seed1 | seed2 | seed3 | sched
@@ -123,6 +123,7 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 		}
 		mcfg.ABFT, guard = g, g
 	}
+	mcfg.Async = c.async
 	m, err := core.NewManager(mcfg, fti.NewMemStorage(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +151,6 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 		}
 	}
 	if c.async {
-		cfg.AsyncCheckpoint = true
 		cfg.Costs.CaptureSeconds = func(i fti.Info) float64 { return 0.5 + 1e-6*float64(i.RawBytes) }
 		// A background write longer than the interval: every steady-state
 		// checkpoint waits on its predecessor.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/sz"
 )
 
 // jacobiSystem is the adaptive tests' workload: a ~930-iteration
@@ -23,16 +22,15 @@ func jacobiSystem() (*sparse.CSR, []float64) {
 	return a, sparse.OnesRHS(a.Rows)
 }
 
-func newManagedJacobi(t *testing.T, a *sparse.CSR, b []float64, scheme core.Scheme) (*solver.Stationary, *core.Manager) {
+// newManagedJacobi builds the adaptive tests' solver and a Manager over
+// it (a lossy one at the default bound, PWRel 1e-4).
+func newManagedJacobi(t *testing.T, a *sparse.CSR, b []float64, cfg core.Config) (*solver.Stationary, *core.Manager) {
 	t.Helper()
 	s, err := solver.NewStationary(solver.KindJacobi, a, b, nil, 0, solver.Options{RTol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.NewManager(core.Config{
-		Scheme:   scheme,
-		SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4},
-	}, fti.NewMemStorage(), s)
+	m, err := core.NewManager(cfg, fti.NewMemStorage(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +77,7 @@ func runJacobiSim(t *testing.T, seed int64, fixedInterval float64, ctrl *adapt.C
 	scheme core.Scheme, ckptCost func(s *solver.Stationary) float64) *core.Outcome {
 	t.Helper()
 	a, b := jacobiSystem()
-	s, m := newManagedJacobi(t, a, b, scheme)
+	s, m := newManagedJacobi(t, a, b, core.Config{Scheme: scheme})
 	out, err := core.Drive(core.DriveConfig{
 		Stepper:         s,
 		Manager:         m,
@@ -120,7 +118,7 @@ func sweepSeeds() []int64 { return []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12
 // interval, and its async flag must match the simulator's cost mode.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	a, b := jacobiSystem()
-	s, m := newManagedJacobi(t, a, b, core.Lossy)
+	s, m := newManagedJacobi(t, a, b, core.Config{Scheme: core.Lossy})
 	ctrl, err := adapt.New(conservativeControllerConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -171,19 +169,18 @@ func TestAdaptiveDeterministicTrajectory(t *testing.T) {
 func TestAdaptiveAsyncDeterministicTrajectory(t *testing.T) {
 	run := func() *core.Outcome {
 		a, b := jacobiSystem()
-		s, m := newManagedJacobi(t, a, b, core.Lossy)
+		s, m := newManagedJacobi(t, a, b, core.Config{Scheme: core.Lossy, Async: true})
 		ctrl, err := adapt.New(adapt.Config{PriorMTTI: 100, PriorWeight: 1, Async: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out, err := core.Drive(core.DriveConfig{
-			Stepper:         s,
-			Manager:         m,
-			X0:              make([]float64, a.Rows),
-			Controller:      ctrl,
-			AsyncCheckpoint: true,
-			Failures:        core.FailureTimes(failureTrace(7), nil),
-			MaxIterations:   500000,
+			Stepper:       s,
+			Manager:       m,
+			X0:            make([]float64, a.Rows),
+			Controller:    ctrl,
+			Failures:      core.FailureTimes(failureTrace(7), nil),
+			MaxIterations: 500000,
 			Costs: &core.Costs{
 				TitSeconds:        1,
 				CaptureSeconds:    func(fti.Info) float64 { return 0.4 },

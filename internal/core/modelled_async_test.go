@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/fti"
 	"repro/internal/solver"
@@ -12,8 +13,9 @@ import (
 )
 
 // asyncSystem builds a fresh lossy-checkpointed Jacobi solver+manager
-// pair (each run needs its own: the simulator mutates solver state).
-func asyncSystem(t *testing.T) (*solver.Stationary, *core.Manager, int) {
+// pair (each run needs its own: the driver mutates solver state); async
+// is the Manager's Config.Async, which decides the cost mode.
+func asyncSystem(t *testing.T, async bool) (*solver.Stationary, *core.Manager, int) {
 	t.Helper()
 	a := sparse.Poisson2D(8)
 	xe := sparse.SmoothField(a.Rows, 31)
@@ -25,6 +27,7 @@ func asyncSystem(t *testing.T) (*solver.Stationary, *core.Manager, int) {
 	m, err := core.NewManager(core.Config{
 		Scheme:   core.Lossy,
 		SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4},
+		Async:    async,
 	}, fti.NewMemStorage(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -32,13 +35,12 @@ func asyncSystem(t *testing.T) (*solver.Stationary, *core.Manager, int) {
 	return s, m, a.Rows
 }
 
-func asyncCfg(s *solver.Stationary, m *core.Manager, n int, async bool, capSec, ckptSec float64, schedule []float64) core.DriveConfig {
+func asyncCfg(s *solver.Stationary, m *core.Manager, n int, capSec, ckptSec float64, schedule []float64) core.DriveConfig {
 	return core.DriveConfig{
 		Stepper:         s,
 		Manager:         m,
 		X0:              make([]float64, n),
 		IntervalSeconds: 25,
-		AsyncCheckpoint: async,
 		Failures:        core.FailureTimes(schedule, nil),
 		MaxIterations:   200000,
 		RecordResiduals: true,
@@ -51,31 +53,38 @@ func asyncCfg(s *solver.Stationary, m *core.Manager, n int, async bool, capSec, 
 	}
 }
 
-// TestAsyncCostModeRejectsAsyncManager: the sim models the overlap in
-// virtual time and needs the full (non-provisional) checkpoint Info,
-// so pairing it with a real async Manager is a configuration error.
-func TestAsyncCostModeRejectsAsyncManager(t *testing.T) {
-	a := sparse.Poisson2D(8)
-	b := sparse.RHSForSolution(a, sparse.SmoothField(a.Rows, 31))
-	s, err := solver.NewStationary(solver.KindJacobi, a, b, nil, 0, solver.Options{RTol: 1e-6})
+// TestAsyncCostModeRunsTheManagersPipeline: Config.Async is the one
+// overlap switch. A modelled run over an async Manager drives its real
+// pipeline — every committed save went through it, and the costs were
+// priced off each save's committed record, not the one it opened with —
+// and a controller planning for sync checkpoints is refused.
+func TestAsyncCostModeRunsTheManagersPipeline(t *testing.T) {
+	s, m, n := asyncSystem(t, true)
+	cfg := asyncCfg(s, m, n, 0.5, 10, nil)
+	var priced []fti.Info
+	cfg.Costs.CheckpointSeconds = func(info fti.Info) float64 { priced = append(priced, info); return 10 }
+	out, err := core.Drive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.NewManager(core.Config{
-		Scheme:   core.Lossy,
-		Async:    true,
-		SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4},
-	}, fti.NewMemStorage(), s)
-	if err != nil {
+	st := m.AsyncCheckpointer().Stats()
+	if out.Checkpoints == 0 || st.Saves != out.Checkpoints || st.FailedSaves != 0 {
+		t.Fatalf("%d checkpoints committed, the pipeline ran %d saves (%d failed)", out.Checkpoints, st.Saves, st.FailedSaves)
+	}
+	for _, info := range priced {
+		if info.Bytes == 0 || info.Iteration == 0 {
+			t.Fatalf("a save was priced off the record it opened with: %+v", info)
+		}
+	}
+
+	s, m, n = asyncSystem(t, true)
+	cfg = asyncCfg(s, m, n, 0.5, 10, nil)
+	cfg.IntervalSeconds = 0
+	if cfg.Controller, err = adapt.New(adapt.Config{PriorMTTI: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Drive(asyncCfg(s, m, a.Rows, true, 0.5, 10, nil)); err == nil {
-		t.Fatal("sim must reject AsyncCheckpoint with an async Manager")
-	}
-	// The converse misconfiguration — async Manager, sync cost mode —
-	// would silently price every checkpoint off a provisional Info.
-	if _, err := core.Drive(asyncCfg(s, m, a.Rows, false, 0.5, 10, nil)); err == nil {
-		t.Fatal("sim must reject an async Manager in sync cost mode too")
+	if _, err := core.Drive(cfg); err == nil {
+		t.Fatal("a sync-cost controller was accepted over an async Manager")
 	}
 }
 
@@ -84,13 +93,13 @@ func TestAsyncCostModeRejectsAsyncManager(t *testing.T) {
 // (bitwise-identical residual trace) while charging only the capture
 // stall — the solver-visible checkpoint time collapses.
 func TestAsyncCostModeFailureFreeIdenticalNumericsCheaperClock(t *testing.T) {
-	s1, m1, n := asyncSystem(t)
-	syncOut, err := core.Drive(asyncCfg(s1, m1, n, false, 0.5, 10, nil))
+	s1, m1, n := asyncSystem(t, false)
+	syncOut, err := core.Drive(asyncCfg(s1, m1, n, 0.5, 10, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, m2, _ := asyncSystem(t)
-	asyncOut, err := core.Drive(asyncCfg(s2, m2, n, true, 0.5, 10, nil))
+	s2, m2, _ := asyncSystem(t, true)
+	asyncOut, err := core.Drive(asyncCfg(s2, m2, n, 0.5, 10, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +135,10 @@ func TestAsyncCostModeFailureFreeIdenticalNumericsCheaperClock(t *testing.T) {
 // checkpoint interval stalls the next capture — the charged wait is
 // tbg − interval per steady-state checkpoint.
 func TestAsyncCostModeBackpressure(t *testing.T) {
-	s, m, n := asyncSystem(t)
+	s, m, n := asyncSystem(t, true)
 	// interval 25 (plus 1.0 capture), background 40 → every checkpoint
 	// after the first waits ≈ 40 − 26 = 14s.
-	out, err := core.Drive(asyncCfg(s, m, n, true, 1.0, 40, nil))
+	out, err := core.Drive(asyncCfg(s, m, n, 1.0, 40, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +162,10 @@ func TestAsyncCostModeBackpressure(t *testing.T) {
 // (here: to scratch, as it was the first checkpoint) and the run still
 // converges.
 func TestAsyncCostModeFailureDuringInFlightWrite(t *testing.T) {
-	s, m, n := asyncSystem(t)
+	s, m, n := asyncSystem(t, true)
 	// First checkpoint captured at t=25 (0.5s capture), background
 	// write commits at 25.5+20=45.5. Failure at t=30 strikes mid-write.
-	out, err := core.Drive(asyncCfg(s, m, n, true, 0.5, 20, []float64{30}))
+	out, err := core.Drive(asyncCfg(s, m, n, 0.5, 20, []float64{30}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +184,9 @@ func TestAsyncCostModeFailureDuringInFlightWrite(t *testing.T) {
 // background write committed recovers from that checkpoint, exactly as
 // in sync mode.
 func TestAsyncCostModeFailureAfterCommitRecovers(t *testing.T) {
-	s, m, n := asyncSystem(t)
+	s, m, n := asyncSystem(t, true)
 	// Commit at 25.5+5 = 30.5; failure at 40 > 30.5.
-	out, err := core.Drive(asyncCfg(s, m, n, true, 0.5, 5, []float64{40}))
+	out, err := core.Drive(asyncCfg(s, m, n, 0.5, 5, []float64{40}))
 	if err != nil {
 		t.Fatal(err)
 	}

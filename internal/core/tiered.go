@@ -139,7 +139,7 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 	// Tiers 1–2: the stored checkpoints. A chain that finds none, or
 	// none it can stand on, keeps the rejected attempts in the report
 	// and degrades to tier 3.
-	if m.drain(); m.haveCkpt && m.restore(rep) == nil {
+	if m.drain(); m.last.Seq != 0 && m.restore(rep) == nil {
 		return rep, nil
 	}
 
@@ -159,14 +159,14 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 }
 
 // drain waits out an in-flight async save and folds it into the
-// committed bookkeeping. A save that failed in the background is
-// superseded by the recovery itself: its sequence rolled back, so the
-// restore walk already targets the previous committed checkpoint.
+// record. A save that failed in the background is superseded by the
+// recovery itself — its sequence rolled back, so the restore walk
+// already targets the previous committed checkpoint — and its error is
+// dropped.
 func (m *Manager) drain() {
 	if m.async != nil {
-		m.async.Wait()
-		m.promote()
-		m.asyncErr = nil
+		_, _ = m.async.Flush()
+		m.fold()
 	}
 }
 
@@ -193,8 +193,8 @@ func (m *Manager) restore(rep *RecoveryReport) error {
 			Seconds: time.Since(start).Seconds(),
 		})
 	}
-	latest := m.lastInfo.Seq
-	if !m.haveCkpt && len(attempts) > 0 {
+	latest := m.last.Seq
+	if latest == 0 && len(attempts) > 0 {
 		latest = attempts[0].Seq // a Manager new to this storage: the newest stored
 	}
 	for _, fa := range attempts {

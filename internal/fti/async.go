@@ -124,23 +124,25 @@ type AsyncStats struct {
 }
 
 type asyncJob struct {
-	snap   *Snapshot
-	slot   int
-	seq    int           // sequence the save will commit as if it succeeds
-	capSec float64       // capture-stage duration, folded into the Info
-	done   chan struct{} // closed when the job's results are published
-	info   Info
-	err    error
+	snap *Snapshot
+	slot int
+	open Info          // the save's record as it opened, capture stage included
+	done chan struct{} // closed when the job's results are published
+	info Info
+	err  error
 }
 
 // Ticket identifies one asynchronous save.
 type Ticket struct {
-	// Seq is the sequence number the save will commit under if it
-	// succeeds.
-	Seq int
+	// Info is the save's record as it opened: Seq is the sequence it
+	// commits under if it succeeds, and CaptureSeconds the capture stall
+	// already paid. Wait and Peek return the committed record.
+	Info
 	a   *AsyncCheckpointer
 	job *asyncJob
 }
+
+var errZeroTicket = errors.New("fti: zero Ticket")
 
 // Done returns a channel closed when the save has finished (committed
 // or failed). A zero Ticket returns a closed channel.
@@ -158,7 +160,7 @@ func (t Ticket) Done() <-chan struct{} {
 // not surfaced a second time by the next SaveAsync or Flush.
 func (t Ticket) Wait() (Info, error) {
 	if t.job == nil {
-		return Info{}, fmt.Errorf("fti: wait on zero Ticket")
+		return Info{}, errZeroTicket
 	}
 	<-t.job.done
 	t.a.mu.Lock()
@@ -167,6 +169,22 @@ func (t Ticket) Wait() (Info, error) {
 	}
 	t.a.mu.Unlock()
 	return t.job.info, t.job.err
+}
+
+// Peek reports the save's outcome without blocking: done is false while
+// it is in flight. Unlike Wait it leaves a failure with the pipeline,
+// which still surfaces it on the next SaveAsync or Flush. A zero Ticket
+// is done, with an error.
+func (t Ticket) Peek() (info Info, done bool, err error) {
+	if t.job == nil {
+		return Info{}, true, errZeroTicket
+	}
+	select {
+	case <-t.job.done:
+		return t.job.info, true, t.job.err
+	default:
+		return t.Info, false, nil
+	}
 }
 
 // NewAsync wraps a Checkpointer in the asynchronous pipeline. The
@@ -210,18 +228,17 @@ func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Ticket, error) {
 	slot := a.slot
 	a.slot ^= 1
 	a.caps[slot] = copySnapshotInto(a.caps[slot], s)
-	job := &asyncJob{snap: a.caps[slot], slot: slot, done: make(chan struct{})}
-	job.capSec = time.Since(start).Seconds()
+	capSec := time.Since(start).Seconds()
 	capSpan.End()
-	a.c.ins.captureSec.Observe(job.capSec)
+	a.c.ins.captureSec.Observe(capSec)
+	job := &asyncJob{snap: a.caps[slot], slot: slot, open: a.c.record(s, a.c.seq+1), done: make(chan struct{})}
+	job.open.CaptureSeconds = capSec
 	a.inflight = job
 	a.stats.Saves++
-	a.stats.CaptureSeconds += job.capSec
-	seq := a.c.seq + 1
-	job.seq = seq
+	a.stats.CaptureSeconds += capSec
 	a.mu.Unlock()
 	go a.run(job)
-	return Ticket{Seq: seq, a: a, job: job}, nil
+	return Ticket{Info: job.open, a: a, job: job}, nil
 }
 
 // run is the background encode+write stage.
@@ -233,7 +250,7 @@ func (a *AsyncCheckpointer) run(job *asyncJob) {
 	payload, info, err := a.c.save(job.snap, buf)
 	// Surface the capture stall on the save's own Info, so a Ticket
 	// holder (or LastInfo) sees all three stage timings together.
-	info.CaptureSeconds = job.capSec
+	info.CaptureSeconds = job.open.CaptureSeconds
 	a.mu.Lock()
 	if payload != nil {
 		a.encBufs[job.slot] = payload
@@ -244,7 +261,7 @@ func (a *AsyncCheckpointer) run(job *asyncJob) {
 		a.stats.EncodeSeconds += info.EncodeSeconds
 		a.stats.WriteSeconds += info.WriteSeconds
 	} else {
-		err = wrapSaveError(job.seq, err)
+		err = wrapSaveError(job.open.Seq, err)
 		a.stats.FailedSaves++
 		a.c.ins.asyncAbort.Inc()
 		a.sticky, a.stickyJb = err, job

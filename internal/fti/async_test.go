@@ -67,6 +67,10 @@ func TestAsyncSaveReturnsBeforeWriteCompletes(t *testing.T) {
 		t.Fatal("ticket done before the write was released")
 	default:
 	}
+	// The ticket carries the save's record as it opened; Peek does not wait.
+	if info, done, err := tk.Peek(); done || err != nil || info.Seq != 1 || info.Iteration != 3 || info.RawBytes != 8*(len(x)+1) {
+		t.Fatalf("Peek while the write is gated: %+v done=%v err=%v", info, done, err)
+	}
 	if names, _ := mem.List(); len(names) != 0 {
 		t.Fatalf("storage already has %v before the write was released", names)
 	}
@@ -154,8 +158,12 @@ func TestAsyncErrorSurfacedOnNextSave(t *testing.T) {
 		t.Fatalf("SaveAsync itself must not fail, the write does: %v", err)
 	}
 	<-tk.Done()
+	if _, done, err := tk.Peek(); !done || err == nil {
+		t.Fatalf("Peek after the failed write: done=%v err=%v", done, err)
+	}
 
-	// The failure surfaces on the next call, which is not started.
+	// Peek left the failure with the pipeline: it surfaces on the next
+	// call, which is not started.
 	if _, err := a.SaveAsync(testSnapshot(3, x)); err == nil {
 		t.Fatal("previous background failure was not surfaced")
 	}
@@ -292,6 +300,9 @@ func TestAsyncFlushIdleAndZeroTicket(t *testing.T) {
 	}
 	if _, err := zero.Wait(); err == nil {
 		t.Fatal("zero ticket Wait must error")
+	}
+	if _, done, err := zero.Peek(); !done || err == nil {
+		t.Fatal("zero ticket Peek must be done, with an error")
 	}
 }
 

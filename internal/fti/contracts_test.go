@@ -126,7 +126,7 @@ func gridIterate(grid int) []float64 {
 // raw blob the cuts fell, modulo 8.
 func writeEvenShards(t *testing.T, c *Checkpointer, snap *Snapshot, n int) map[int]bool {
 	t.Helper()
-	payload, _, _, starts, err := encodeSnapshot(snap, Raw{}, nil, true, 0, nil)
+	payload, _, starts, err := encodeSnapshot(snap, Raw{}, nil, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 	for _, c := range craftedRawPayloads() {
 		f.Add(c.data[:len(c.data)-4], uint16(4), uint16(21), uint16(50))
 	}
-	good, _, _, _, err := encodeSnapshot(streamSnap(12, rawBits(40, 1), rawBits(7, 2)), Raw{}, nil, false, 0, nil)
+	good, _, _, err := encodeSnapshot(streamSnap(12, rawBits(40, 1), rawBits(7, 2)), Raw{}, nil, false, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 	f.Add(good[:len(good)/2], uint16(40), uint16(0), uint16(9))
 	// A compressed vector predicted over its grid, for what the header
 	// and length walk make of bytes that are not raw elements.
-	grid, _, _, _, err := encodeSnapshot(streamSnap(12, gridIterate(12), sparse.SmoothField(7, 2)), SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-5}}, nil, false, 0, nil)
+	grid, _, _, err := encodeSnapshot(streamSnap(12, gridIterate(12), sparse.SmoothField(7, 2)), SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-5}}, nil, false, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -71,9 +71,13 @@ type Snapshot struct {
 	Vectors   map[string][]float64
 }
 
-// Info reports what a checkpoint cost.
+// Info is the one record of a save: which checkpoint it is and what it
+// cost. Seq, Iteration, EncoderName, RawBytes and StaticBytes are known
+// when the save opens (an async Ticket carries them from the capture
+// on); the rest once it has committed.
 type Info struct {
 	Seq              int
+	Iteration        int // the snapshot's iteration
 	Bytes            int // encoded bytes written
 	RawBytes         int // 8 × total vector elements (plus scalars)
 	EncoderName      string
@@ -392,6 +396,17 @@ func (c *Checkpointer) Save(s *Snapshot) (Info, error) {
 	return info, err
 }
 
+// record is the Info of the save of s under seq as it opens: what is
+// known before a byte is encoded.
+func (c *Checkpointer) record(s *Snapshot, seq int) Info {
+	raw := 8 * len(s.Scalars)
+	for _, v := range s.Vectors {
+		raw += 8 * len(v)
+	}
+	return Info{Seq: seq, Iteration: s.Iteration, EncoderName: c.enc.Name(), RawBytes: raw,
+		StaticBytes: c.staticSize, Shards: 1}
+}
+
 // save encodes s into buf's backing array (growing it as needed) and
 // writes the result to storage, rolling the sequence counter back on
 // failure. It returns the (possibly reallocated) buffer so the caller
@@ -400,24 +415,23 @@ func (c *Checkpointer) Save(s *Snapshot) (Info, error) {
 // its own double buffers, so save must not touch c.encBuf.
 func (c *Checkpointer) save(s *Snapshot, buf []byte) ([]byte, Info, error) {
 	c.seq++
-	info := Info{Seq: c.seq, EncoderName: c.enc.Name(), StaticBytes: c.staticSize, Shards: 1}
+	info := c.record(s, c.seq)
 	encSpan := c.ins.span(obs.CatCheckpoint, obs.SpanEncode)
 	encStart := time.Now()
-	payload, rawBytes, vecBytes, bounds, err := encodeSnapshot(s, c.enc, buf, c.shards > 1, c.seq, c.audit)
+	payload, vecBytes, bounds, err := encodeSnapshot(s, c.enc, buf, c.shards > 1, c.seq, c.audit)
 	if err != nil {
 		c.seq--
 		c.ins.ckptErrs.Inc()
 		return buf, Info{}, err
 	}
 	info.EncodeSeconds = time.Since(encStart).Seconds()
-	info.RawBytes = rawBytes
 	info.VectorBytes = vecBytes
 	info.Bytes = len(payload)
 	if info.Bytes > 0 {
-		info.CompressionRatio = float64(rawBytes) / float64(info.Bytes)
+		info.CompressionRatio = float64(info.RawBytes) / float64(info.Bytes)
 	}
 	encSpan.EndArgs(map[string]float64{
-		"raw_bytes": float64(rawBytes), "encoded_bytes": float64(info.Bytes),
+		"raw_bytes": float64(info.RawBytes), "encoded_bytes": float64(info.Bytes),
 	})
 	name := ckptName(c.seq)
 	wrSpan := c.ins.span(obs.CatCheckpoint, obs.SpanWrite)
@@ -716,7 +730,7 @@ const fileMagic = "FTIG"
 // every vector's encoding is reported to it with the stats Encode
 // accumulated on the way, so the audited bytes are the exact bytes
 // written and the common case needs no decode.
-func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq int, audit SaveAudit) (payload []byte, rawBytes, vecBytes int, bounds []int, err error) {
+func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq int, audit SaveAudit) (payload []byte, vecBytes int, bounds []int, err error) {
 	appendString := func(b []byte, str string) []byte {
 		return append(binary.AppendUvarint(b, uint64(len(str))), str...)
 	}
@@ -728,7 +742,6 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 	for _, name := range slices.Sorted(maps.Keys(s.Scalars)) {
 		out = appendString(out, name)
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Scalars[name]))
-		rawBytes += 8
 	}
 
 	audited := audit != nil && audit.SampleSave(seq, s.Iteration)
@@ -752,7 +765,7 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 			st = new(codec.Stats)
 		}
 		if out, err = enc.Encode(out, v, st); err != nil {
-			return nil, 0, 0, nil, fmt.Errorf("fti: encode vector %q: %w", name, err)
+			return nil, 0, nil, fmt.Errorf("fti: encode vector %q: %w", name, err)
 		}
 		blobLen := len(out) - lenAt - room
 		blobStart := lenAt + uvarintLen(uint64(blobLen))
@@ -775,8 +788,7 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 				}
 			}
 		}
-		rawBytes += 8 * len(v)
 		vecBytes += blobLen
 	}
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), rawBytes, vecBytes, bounds, nil
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), vecBytes, bounds, nil
 }
