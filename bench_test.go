@@ -198,7 +198,7 @@ func BenchmarkSZDecompressSolverState(b *testing.B) {
 
 // BenchmarkCodecThroughput is the per-codec, per-core throughput
 // matrix on the 1M-element solver state: one compress and one
-// decompress sub-benchmark per codec (SZ PWRel/Abs, ZFP and flate, all
+// decompress sub-benchmark per codec (SZ PWRel/Abs and flate, all
 // through the one BLK1 blocked container), all pinned to a single
 // worker so the MB/s column is per-core. The decompress side decodes
 // into a reused target (the DecompressInto path the streaming restore
@@ -237,13 +237,11 @@ func BenchmarkCodecThroughput(b *testing.B) {
 			},
 			decInto: sz.DecompressInto,
 		},
-	}
-	for _, bc := range []codec.BlockCodec{codec.BlockedZFP{Bound: 1e-4}, codec.BlockedFlate{}} {
-		cases = append(cases, codecCase{
-			name:     map[codec.ID]string{codec.ZFP: "zfp", codec.Flate: "flate"}[bc.ID()],
-			compress: func(v []float64) ([]byte, error) { return codec.Compress(nil, v, bc, nil) },
-			decInto:  func(dst []float64, data []byte) error { return codec.DecompressInto(dst, data, bc) },
-		})
+		{
+			name:     "flate",
+			compress: func(v []float64) ([]byte, error) { return codec.Compress(nil, v, codec.BlockedFlate{}, nil) },
+			decInto:  func(dst []float64, data []byte) error { return codec.DecompressInto(dst, data, codec.BlockedFlate{}) },
+		},
 	}
 
 	for _, c := range cases {

@@ -203,9 +203,15 @@ func (o *options) validate() error {
 		{"-eb", o.eb, o.eb > 0 && !math.IsInf(o.eb, 0), "a positive finite bound"},
 		{"-interval", o.interval, o.interval >= 0 && !math.IsInf(o.interval, 0), "0 (the default cadence) or a positive finite length"},
 		{"-mtti", o.mtti, o.mtti >= 0, "0 (no failures) or positive"},
+		{"-tit", o.tit, o.tit > 0 && !math.IsInf(o.tit, 0), "a positive finite number of seconds"},
+		{"-prior-mtti", o.prior, o.prior > 0, "a positive number of seconds"},
 		{"-maxiter", o.maxIter, o.maxIter >= 0, "0 (the default cap) or positive"},
 		{"-shards", o.shards, o.shards >= 0, "0 or 1 (one monolithic object) or a shard count"},
+		{"-storage-workers", o.storageWorkers, o.storageWorkers >= 0, "0 (GOMAXPROCS) or positive"},
 		{"-storage-retries", o.storageRetries, o.storageRetries >= 0, "0 (no resilient wrapper) or positive"},
+		{"-storage-timeout", o.storageTimeout, o.storageTimeout >= 0, "0 (no budget) or positive"},
+		{"-scrub-interval", o.scrubEvery, o.scrubEvery >= 0, "0 (scrubbing off) or positive"},
+		{"-storage-fault-rate", o.faultRate, o.faultRate >= 0 && o.faultRate <= 1, "a probability in [0, 1]"},
 		{"-quality-sample", o.qualitySample, o.qualitySample >= 1, "at least 1 (1 = every checkpoint)"},
 	} {
 		if !f.ok {

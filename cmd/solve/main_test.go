@@ -84,9 +84,17 @@ func TestRejectedValues(t *testing.T) {
 		"-interval -5 -mtti 100",
 		"-interval 7.9 -inject proc@30",
 		"-mtti -100",
+		"-tit 0",
+		"-tit -1",
+		"-prior-mtti 0 -adaptive",
 		"-maxiter -1",
 		"-shards -2",
+		"-storage-workers -3",
 		"-storage-retries -1",
+		"-storage-timeout -1s",
+		"-scrub-interval -1s",
+		"-storage-fault-rate -0.5",
+		"-storage-fault-rate 2",
 		"-quality-sample -3",
 		"-quality-sample 0",
 	} {

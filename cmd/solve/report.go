@@ -270,11 +270,8 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 	}
 	modCapture := c.mdl.CaptureSeconds(2048, c.raw)
 	// The stage helpers share the fused cost model's terms, so the
-	// per-phase rows always sum to the cost the run was priced with: the
-	// codec-aware encode rate is pinned to the scheme-level calibration
-	// for the schemes' default codecs (sz, gzip) and falls back to it for
-	// codecs without a CodecRates entry.
-	modEncode := c.mdl.CodecCompressSeconds(2048, c.raw, info.EncoderName, c.scheme)
+	// per-phase rows always sum to the cost the run was priced with.
+	modEncode := c.mdl.CompressSeconds(2048, c.raw, c.scheme)
 	modWrite := c.mdl.WriteStageSeconds(2048, float64(info.Bytes), max(info.Shards, 1), c.o.striped)
 	modRestart := c.recovery(info)
 	ms := func(s float64) string {
@@ -296,7 +293,7 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 		// per-core rate: the in-process figure is this machine's cores,
 		// the modeled one is one Bebop core.
 		measMBs := c.raw / info.EncodeSeconds / 1e6
-		modMBs := c.raw / c.mdl.CodecCompressSeconds(1, c.raw, info.EncoderName, c.scheme) / 1e6
+		modMBs := c.raw / c.mdl.CompressSeconds(1, c.raw, c.scheme) / 1e6
 		fmt.Printf("  %-8s %12.4g %12.4g   (encode MB/s, codec %s; modeled is per Bebop core)\n",
 			"enc-MB/s", modMBs, measMBs, info.EncoderName)
 	}

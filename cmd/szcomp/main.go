@@ -1,12 +1,11 @@
 // Command szcomp compresses and decompresses raw little-endian
-// float64 files with the repository's error-bounded compressors — the
-// standalone equivalent of the sz/zfp command-line tools.
+// float64 files with the repository's error-bounded SZ compressor — the
+// standalone equivalent of the sz command-line tool.
 //
 // Usage:
 //
 //	szcomp -c -in state.f64 -out state.sz -mode pwrel -eb 1e-4
 //	szcomp -d -in state.sz  -out state.f64
-//	szcomp -c -in state.f64 -out state.zfp -codec zfp -eb 1e-6
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"os"
 
 	"repro/internal/sz"
-	"repro/internal/zfp"
 )
 
 func main() {
@@ -25,8 +23,7 @@ func main() {
 	decompress := flag.Bool("d", false, "decompress")
 	in := flag.String("in", "", "input file")
 	out := flag.String("out", "", "output file")
-	codec := flag.String("codec", "sz", "codec: sz | zfp")
-	mode := flag.String("mode", "pwrel", "sz bound mode: abs | rel | pwrel")
+	mode := flag.String("mode", "pwrel", "bound mode: abs | rel | pwrel")
 	eb := flag.Float64("eb", 1e-4, "error bound")
 	flag.Parse()
 
@@ -38,13 +35,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "szcomp: -in and -out are required")
 		os.Exit(2)
 	}
-	if err := run(*compress, *in, *out, *codec, *mode, *eb); err != nil {
+	if err := run(*compress, *in, *out, *mode, *eb); err != nil {
 		fmt.Fprintln(os.Stderr, "szcomp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(compress bool, in, out, codec, mode string, eb float64) error {
+func run(compress bool, in, out, mode string, eb float64) error {
 	data, err := os.ReadFile(in)
 	if err != nil {
 		return err
@@ -57,26 +54,18 @@ func run(compress bool, in, out, codec, mode string, eb float64) error {
 		for i := range x {
 			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
-		var blob []byte
-		switch codec {
-		case "sz":
-			var m sz.Mode
-			switch mode {
-			case "abs":
-				m = sz.Abs
-			case "rel":
-				m = sz.RelRange
-			case "pwrel":
-				m = sz.PWRel
-			default:
-				return fmt.Errorf("unknown mode %q", mode)
-			}
-			blob, err = sz.Compress(x, sz.Params{Mode: m, ErrorBound: eb})
-		case "zfp":
-			blob, err = zfp.Compress(x, eb)
+		var m sz.Mode
+		switch mode {
+		case "abs":
+			m = sz.Abs
+		case "rel":
+			m = sz.RelRange
+		case "pwrel":
+			m = sz.PWRel
 		default:
-			return fmt.Errorf("unknown codec %q", codec)
+			return fmt.Errorf("unknown mode %q", mode)
 		}
+		blob, err := sz.Compress(x, sz.Params{Mode: m, ErrorBound: eb})
 		if err != nil {
 			return err
 		}
@@ -88,15 +77,7 @@ func run(compress bool, in, out, codec, mode string, eb float64) error {
 		return nil
 	}
 
-	var x []float64
-	switch codec {
-	case "sz":
-		x, err = sz.Decompress(data)
-	case "zfp":
-		x, err = zfp.Decompress(data)
-	default:
-		return fmt.Errorf("unknown codec %q", codec)
-	}
+	x, err := sz.Decompress(data)
 	if err != nil {
 		return err
 	}

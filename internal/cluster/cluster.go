@@ -18,10 +18,7 @@
 //     b) are reconstructed (§5.4, Figs. 4–6).
 package cluster
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Model captures the platform's timing parameters. All bandwidths are
 // bytes per second.
@@ -72,14 +69,6 @@ type Model struct {
 	// back to MemCopyPerCore so pre-ABFT Model literals keep working.
 	InterconnectBandwidth float64
 
-	// CodecRates refines the two scheme-level throughput knobs
-	// (CompressPerCore/LosslessPerCore) with per-codec rates, keyed by
-	// codec name as the fti encoders report it ("sz", "zfp",
-	// "gzip(deflate)"; "lossless/<name>" encoder names resolve to
-	// <name>). Codecs without an entry fall back to the scheme-level
-	// rate, so legacy Model literals price exactly as before.
-	CodecRates map[string]CodecRate
-
 	// ReadStripeBandwidth is the per-stripe bandwidth of the restore
 	// path's shard fan-out reads. PFS read paths typically outpace the
 	// write paths (no commit/sync round trips, no parity update,
@@ -90,12 +79,6 @@ type Model struct {
 	// fan-out adds nothing beyond the aggregate (legacy Model
 	// literals).
 	ReadStripeBandwidth float64
-}
-
-// CodecRate holds one codec's per-core compress throughput, in bytes
-// per second of *raw* (uncompressed) data.
-type CodecRate struct {
-	CompressPerCore float64
 }
 
 // Bebop returns the model calibrated to the paper's measurements.
@@ -123,18 +106,6 @@ func Bebop() *Model {
 		// fan-out restores at up to 1.6 GB/s against the 0.8 GB/s
 		// write aggregate.
 		ReadStripeBandwidth: 2 * 0.80e9 / 48,
-		// Per-codec refinements of the scheme-level rates. The two
-		// codecs the schemes default to ("sz" for lossy,
-		// "gzip(deflate)" for lossless) are pinned to the scheme-level
-		// calibration, so codec-aware and scheme-level pricing agree
-		// for the paper's configurations; zfp is a representative
-		// Xeon per-core figure (its fixed-rate transform outruns SZ's
-		// quantize+Huffman pipeline), not a paper measurement.
-		CodecRates: map[string]CodecRate{
-			"sz":            {CompressPerCore: 77e6},
-			"gzip(deflate)": {CompressPerCore: 100e6},
-			"zfp":           {CompressPerCore: 300e6},
-		},
 	}
 }
 
@@ -148,10 +119,13 @@ const (
 	LossyCompressed
 )
 
-// compressSeconds is the scheme-dependent compression cost of one
-// checkpoint, shared by the collective and sharded write models so a
-// calibration change cannot skew their comparison.
-func (m *Model) compressSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
+// CompressSeconds is the scheme-dependent compression cost of one
+// checkpoint: rawBytes compressed across procs cores at the scheme's
+// per-core rate (CompressPerCore lossy, LosslessPerCore lossless, free
+// uncompressed). The collective and sharded write models and
+// cmd/solve's per-phase table share it, so a calibration change cannot
+// skew their comparison.
+func (m *Model) CompressSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
 	switch scheme {
 	case LossyCompressed:
 		return rawBytes / (m.CompressPerCore * float64(procs))
@@ -161,45 +135,12 @@ func (m *Model) compressSeconds(procs int, rawBytes float64, scheme Scheme) floa
 	return 0
 }
 
-// codecRate resolves a codec or encoder name against CodecRates,
-// accepting both bare codec names ("sz") and the fti Lossless
-// encoder's composite names ("lossless/gzip(deflate)").
-func (m *Model) codecRate(name string) (CodecRate, bool) {
-	if r, ok := m.CodecRates[name]; ok {
-		return r, true
-	}
-	if short, ok := strings.CutPrefix(name, "lossless/"); ok {
-		if r, ok := m.CodecRates[short]; ok {
-			return r, true
-		}
-	}
-	return CodecRate{}, false
-}
-
-// CodecCompressSeconds is compressSeconds refined with the named
-// codec's per-core rate: rawBytes compressed across procs cores. A
-// codec without a CodecRates entry (or a Model without the map) falls
-// back to the scheme-level rate, so the fused checkpoint costs and the
-// per-phase breakdown cannot diverge for unknown codecs.
-func (m *Model) CodecCompressSeconds(procs int, rawBytes float64, name string, scheme Scheme) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	if scheme == Uncompressed {
-		return 0
-	}
-	if r, ok := m.codecRate(name); ok && r.CompressPerCore > 0 {
-		return rawBytes / (r.CompressPerCore * float64(procs))
-	}
-	return m.compressSeconds(procs, rawBytes, scheme)
-}
-
 // WriteStageSeconds is the PFS-write term of one checkpoint: the
 // per-rank metadata overhead plus the transfer. striped prices the
 // single-writer striped-object model (per-shard metadata for the
 // shards plus the manifest, min(shards, stripes) concurrent stripes);
 // otherwise the collective aggregate-bandwidth write. By construction
-// compressSeconds + WriteStageSeconds equals CheckpointSeconds
+// CompressSeconds + WriteStageSeconds equals CheckpointSeconds
 // (collective) or ShardedCheckpointSeconds (striped).
 func (m *Model) WriteStageSeconds(procs int, encodedBytes float64, shards int, striped bool) float64 {
 	if procs <= 0 {
@@ -225,7 +166,7 @@ func (m *Model) CheckpointSeconds(procs int, encodedBytes, rawBytes float64, sch
 	}
 	return m.PerRankSeconds*float64(procs) +
 		encodedBytes/m.PFSBandwidth +
-		m.compressSeconds(procs, rawBytes, scheme)
+		m.CompressSeconds(procs, rawBytes, scheme)
 }
 
 // StripedWriteBandwidth returns the effective PFS bandwidth of a
@@ -270,7 +211,7 @@ func (m *Model) ShardedCheckpointSeconds(procs int, encodedBytes, rawBytes float
 	return m.PerRankSeconds*float64(procs) +
 		m.PerShardSeconds*float64(shards+1) + // +1: the manifest object
 		encodedBytes/m.StripedWriteBandwidth(shards) +
-		m.compressSeconds(procs, rawBytes, scheme)
+		m.CompressSeconds(procs, rawBytes, scheme)
 }
 
 // StorageRetrySeconds returns the expected retry/backoff delay the

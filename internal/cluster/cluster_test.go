@@ -264,12 +264,12 @@ func TestStageHelpersSumToFusedCosts(t *testing.T) {
 	m := Bebop()
 	const procs, encoded, raw = 2048, 3.2e9, 78.8e9
 	for _, sch := range []Scheme{Uncompressed, LosslessCompressed, LossyCompressed} {
-		sum := m.compressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded, 1, false)
+		sum := m.CompressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded, 1, false)
 		if got := m.CheckpointSeconds(procs, encoded, raw, sch); !approxEq(sum, got) {
 			t.Errorf("scheme %v: stages sum to %g, CheckpointSeconds %g", sch, sum, got)
 		}
 		for _, shards := range []int{1, 8, 48, 96} {
-			sum := m.compressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded, shards, true)
+			sum := m.CompressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded, shards, true)
 			if got := m.ShardedCheckpointSeconds(procs, encoded, raw, sch, shards); !approxEq(sum, got) {
 				t.Errorf("scheme %v shards %d: stages sum to %g, ShardedCheckpointSeconds %g", sch, shards, sum, got)
 			}
@@ -310,39 +310,5 @@ func TestABFTRecoverySeconds(t *testing.T) {
 	legacy := &Model{PerRankSeconds: 0.01, MemCopyPerCore: 4e9}
 	if v := legacy.ABFTRecoverySeconds(block, 0, 0); math.IsInf(v, 0) || math.IsNaN(v) {
 		t.Fatalf("legacy model ABFT cost not finite: %g", v)
-	}
-}
-
-func TestCodecRates(t *testing.T) {
-	m := Bebop()
-	raw := 78.8e9
-	// The schemes' default codecs are pinned to the scheme-level
-	// calibration, so codec-aware and scheme-level pricing agree for
-	// the paper's configurations.
-	if got, want := m.CodecCompressSeconds(2048, raw, "sz", LossyCompressed), m.compressSeconds(2048, raw, LossyCompressed); !approxEq(got, want) {
-		t.Fatalf("sz codec pricing %g != scheme pricing %g", got, want)
-	}
-	if got, want := m.CodecCompressSeconds(2048, raw, "gzip(deflate)", LosslessCompressed), m.compressSeconds(2048, raw, LosslessCompressed); !approxEq(got, want) {
-		t.Fatalf("gzip codec pricing %g != scheme pricing %g", got, want)
-	}
-	// The fti Lossless encoder's composite name resolves to the codec.
-	if got, want := m.CodecCompressSeconds(2048, raw, "lossless/gzip(deflate)", LosslessCompressed), raw/(m.CodecRates["gzip(deflate)"].CompressPerCore*2048); !approxEq(got, want) {
-		t.Fatalf("lossless/gzip(deflate) priced %g, want the gzip rate %g", got, want)
-	}
-	// zfp's dedicated rate outruns the sz calibration.
-	if c, s := m.CodecCompressSeconds(2048, raw, "zfp", LossyCompressed), m.compressSeconds(2048, raw, LossyCompressed); c >= s {
-		t.Fatalf("zfp compress %g not below sz-calibrated %g", c, s)
-	}
-	// Unknown codecs and legacy literals fall back to the scheme rate.
-	if got, want := m.CodecCompressSeconds(2048, raw, "mystery", LossyCompressed), m.compressSeconds(2048, raw, LossyCompressed); !approxEq(got, want) {
-		t.Fatalf("unknown codec priced %g, want scheme fallback %g", got, want)
-	}
-	legacy := &Model{CompressPerCore: 77e6, LosslessPerCore: 100e6, DecompressPerCore: 192e6}
-	if got, want := legacy.CodecCompressSeconds(2048, raw, "zfp", LossyCompressed), raw/(77e6*2048); !approxEq(got, want) {
-		t.Fatalf("legacy literal priced %g, want %g", got, want)
-	}
-	// Uncompressed transfers cost nothing to encode regardless of name.
-	if got := m.CodecCompressSeconds(2048, raw, "sz", Uncompressed); got != 0 {
-		t.Fatalf("uncompressed encode cost %g, want 0", got)
 	}
 }

@@ -17,10 +17,12 @@
 //
 // Block i covers elements [i·blockElems, min(n, (i+1)·blockElems)); an
 // empty vector is one empty block. What a block payload holds is the
-// codec's business (BlockCodec): an SZ core or log-transform payload, a
-// "ZFG1" stream, a DEFLATE stream. The container never looks
-// inside and never dispatches on the ID — the caller hands it the block
-// codec — so a codec package can sit on top of this one.
+// codec's business (BlockCodec): an SZ core or log-transform payload,
+// or a DEFLATE stream. The container never looks inside and never
+// dispatches on the ID — the caller hands it the block codec — so a
+// codec package can sit on top of this one. Two codecs write it, SZ for
+// lossy checkpoints and DEFLATE for lossless ones; IDs 1 and 2 belonged
+// to retired codecs and parse as unknown.
 //
 // A vector whose elements are all equal is the one thing not stored in
 // blocks: nBlocks is 0 and the eight bytes after the header are the
@@ -29,7 +31,7 @@
 // stream; a constant stream has its own ceiling, MaxConstantElems.
 //
 // There is one format. Streams written before it (the SZ-only
-// single-stream and blocked formats, bare zfp/flate vectors) are
+// single-stream and blocked formats, bare ZFG1/flate vectors) are
 // rejected with an error naming their magic: no stream outlives its
 // run's checkpoint directory.
 package codec
@@ -45,12 +47,10 @@ import (
 )
 
 // ID names the codec of a container. The values are part of the
-// on-disk format; 2 belonged to a retired codec and stays unknown.
+// on-disk format; 1 and 2 belonged to retired codecs and stay unknown.
 type ID byte
 
 const (
-	// ZFP is the transform-based error-bounded codec (zfp package).
-	ZFP ID = 1
 	// Flate is the DEFLATE lossless codec (lossless.Flate).
 	Flate ID = 3
 	// SZ is the prediction-based error-bounded codec (sz package).
@@ -61,8 +61,6 @@ const (
 // codec's Name() where one exists.
 func (id ID) String() string {
 	switch id {
-	case ZFP:
-		return "zfp"
 	case Flate:
 		return lossless.Flate{}.Name()
 	case SZ:
@@ -74,14 +72,11 @@ func (id ID) String() string {
 // maxElemsPerByte is the allocation guard for crafted headers: the
 // most elements one payload byte of each codec can genuinely hold, 0
 // for an unknown ID. Flate's DEFLATE expands at most ~1032×, and eight
-// raw bytes make one float64; ZFP spends at least one varint byte per
-// coefficient behind the same DEFLATE bound; SZ spends at least one bit
-// per element — a Huffman code, or a zeros- or tiny-bitmap bit in a
-// log-transform block.
+// raw bytes make one float64; SZ spends at least one bit per element —
+// a Huffman code, or a zeros- or tiny-bitmap bit in a log-transform
+// block.
 func (id ID) maxElemsPerByte() uint64 {
 	switch id {
-	case ZFP:
-		return 1032
 	case Flate:
 		return 129 // ceil(1032/8)
 	case SZ:

@@ -3,6 +3,7 @@ package codec_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/lossless"
 	"repro/internal/parallel"
 	"repro/internal/sz"
-	"repro/internal/zfp"
 )
 
 // testField builds a deterministic, smooth-but-noisy field like solver
@@ -26,17 +26,6 @@ func testField(n int, seed int64) []float64 {
 		x[i] = 2.5 + math.Sin(float64(i)/97.0) + 1e-3*rng.NormFloat64()
 	}
 	return x
-}
-
-const zfpBound = 1e-6
-
-// blockCodecs returns the two codecs this package adapts, with a
-// small block size so modest inputs span several blocks.
-func blockCodecs(blockElems int) []BlockCodec {
-	return []BlockCodec{
-		BlockedZFP{Bound: zfpBound, BlockElems: blockElems},
-		BlockedFlate{BlockElems: blockElems},
-	}
 }
 
 func compress(t testing.TB, x []float64, bc BlockCodec) []byte {
@@ -57,151 +46,101 @@ func layoutOf(t testing.TB, enc []byte) BlockLayout {
 	return lay
 }
 
-// bareDecode decodes a whole-vector stream of bc's underlying codec,
-// outside any container: the reference the blocks are compared to.
-func bareDecode(t testing.TB, x []float64, bc BlockCodec) []float64 {
-	t.Helper()
-	dec := make([]float64, len(x))
-	var bare []byte
-	var err error
-	switch bc.ID() {
-	case ZFP:
-		if bare, err = zfp.Compress(x, zfpBound); err == nil {
-			err = zfp.DecompressInto(dec, bare)
-		}
-	default:
-		if bare, err = (lossless.Flate{}).Compress(x); err == nil {
-			err = lossless.Flate{}.DecompressInto(dec, bare)
-		}
-	}
-	if err != nil {
-		t.Fatalf("%v: bare codec: %v", bc.ID(), err)
-	}
-	return dec
-}
-
 // TestRoundTripBlockedAndLegacy: every length is framed — one block or
-// many, the empty vector included — and round-trips within the codec's
-// contract; a bare stream of the underlying codec, which inputs of at
-// most one block used to be written as, is turned away by name.
+// many, the empty vector included — and round-trips exactly; a bare
+// flate stream, which inputs of at most one block used to be written
+// as, is turned away by name.
 func TestRoundTripBlockedAndLegacy(t *testing.T) {
+	bc := BlockedFlate{BlockElems: 4096}
 	for _, n := range []int{0, 1, 31, 100, 4096, 4097, 14000} {
 		x := testField(n, int64(n))
-		for _, bc := range blockCodecs(4096) {
-			enc := compress(t, x, bc)
-			lay := layoutOf(t, enc)
-			if want := max(1, (n+4095)/4096); len(lay.Blocks) != want || lay.N != n || lay.ID != bc.ID() {
-				t.Fatalf("%v n=%d: %d blocks of codec %v for %d values, want %d", bc.ID(), n, len(lay.Blocks), lay.ID, lay.N, want)
-			}
-			dec, err := Decompress(enc, bc)
-			if err != nil {
-				t.Fatalf("%v n=%d: decompress: %v", bc.ID(), n, err)
-			}
-			if len(dec) != n {
-				t.Fatalf("%v n=%d: got %d values", bc.ID(), n, len(dec))
-			}
-			for i := range x {
-				if bc.ID() == ZFP {
-					if d := math.Abs(dec[i] - x[i]); d > zfpBound*(1+1e-12) {
-						t.Fatalf("%v n=%d: |err|=%g exceeds bound at %d", bc.ID(), n, d, i)
-					}
-				} else if dec[i] != x[i] {
-					t.Fatalf("%v n=%d: lossless mismatch at %d: %v != %v", bc.ID(), n, i, dec[i], x[i])
-				}
-			}
-			// DecompressInto must agree bitwise with Decompress.
-			into := make([]float64, n)
-			if err := DecompressInto(into, enc, bc); err != nil {
-				t.Fatalf("%v n=%d: DecompressInto: %v", bc.ID(), n, err)
-			}
-			if !bytesEqualFloats(into, dec) {
-				t.Fatalf("%v n=%d: Into differs", bc.ID(), n)
-			}
+		enc := compress(t, x, bc)
+		lay := layoutOf(t, enc)
+		if want := max(1, (n+4095)/4096); len(lay.Blocks) != want || lay.N != n || lay.ID != Flate {
+			t.Fatalf("n=%d: %d blocks of codec %v for %d values, want %d", n, len(lay.Blocks), lay.ID, lay.N, want)
+		}
+		dec, err := Decompress(enc, bc)
+		if err != nil || !bytesEqualFloats(dec, x) {
+			t.Fatalf("n=%d: decompress is not the input (%v)", n, err)
+		}
+		// DecompressInto must agree bitwise with Decompress.
+		into := make([]float64, n)
+		if err := DecompressInto(into, enc, bc); err != nil || !bytesEqualFloats(into, dec) {
+			t.Fatalf("n=%d: DecompressInto differs (%v)", n, err)
 		}
 	}
-	bare, err := zfp.Compress(testField(100, 1), zfpBound)
+	bare, err := lossless.Flate{}.Compress(testField(100, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(bare, BlockedZFP{}); err == nil || !strings.Contains(err.Error(), "ZFG1") {
-		t.Fatalf("bare ZFG1 vector: %v, want an error naming the magic", err)
+	if _, err := Decompress(bare, BlockedFlate{}); err == nil || !strings.Contains(err.Error(), "not a BLK1 stream") {
+		t.Fatalf("bare flate vector: %v, want an error naming the magic", err)
 	}
 }
 
 // TestBlockedMatchesLegacyBitwise checks that the blocks reconstruct
-// exactly the bits one stream of the codec over the whole vector does:
-// trivially true for the lossless codecs, and true for ZFP because
-// container blocks are forced to transform-block multiples.
+// exactly the bits one flate stream over the whole vector does.
 func TestBlockedMatchesLegacyBitwise(t *testing.T) {
-	n := 10000
-	x := testField(n, 7)
-	for _, bc := range blockCodecs(2048) {
-		enc := compress(t, x, bc)
-		if got := len(layoutOf(t, enc).Blocks); got != 5 {
-			t.Fatalf("%v: %d blocks, want 5", bc.ID(), got)
-		}
-		blockedDec, err := Decompress(enc, bc)
-		if err != nil {
-			t.Fatalf("%v: blocked decompress: %v", bc.ID(), err)
-		}
-		if !bytesEqualFloats(bareDecode(t, x, bc), blockedDec) {
-			t.Fatalf("%v: blocks reconstruct other bits than one stream", bc.ID())
-		}
+	x := testField(10000, 7)
+	bc := BlockedFlate{BlockElems: 2048}
+	enc := compress(t, x, bc)
+	if got := len(layoutOf(t, enc).Blocks); got != 5 {
+		t.Fatalf("%d blocks, want 5", got)
 	}
-}
-
-// TestZFPBlockElemsRounding verifies the transform-alignment rule.
-func TestZFPBlockElemsRounding(t *testing.T) {
-	be := BlockedZFP{Bound: 1e-4, BlockElems: 1000}.BlockSize()
-	if be%zfp.BlockSize != 0 {
-		t.Fatalf("block size %d not a transform-block multiple", be)
+	blockedDec, err := Decompress(enc, bc)
+	if err != nil {
+		t.Fatalf("blocked decompress: %v", err)
 	}
-	if be < 1000 {
-		t.Fatalf("block size rounded down: %d", be)
+	bare, err := lossless.Flate{}.Compress(x)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := (BlockedZFP{}).BlockSize(); got != DefaultBlockElems {
-		t.Fatalf("default block size %d", got)
+	bareDec := make([]float64, len(x))
+	if err := (lossless.Flate{}).DecompressInto(bareDec, bare); err != nil {
+		t.Fatal(err)
+	}
+	if !bytesEqualFloats(bareDec, blockedDec) {
+		t.Fatal("blocks reconstruct other bits than one stream")
 	}
 }
 
 func TestBlockLayoutAndPerBlockDecode(t *testing.T) {
 	n := 9000
 	x := testField(n, 3)
-	for _, bc := range blockCodecs(2048) {
-		enc := compress(t, x, bc)
-		lay := layoutOf(t, enc)
-		if lay.N != n {
-			t.Fatalf("%v: layout N=%d", bc.ID(), lay.N)
+	bc := BlockedFlate{BlockElems: 2048}
+	enc := compress(t, x, bc)
+	lay := layoutOf(t, enc)
+	if lay.N != n {
+		t.Fatalf("layout N=%d", lay.N)
+	}
+	full, err := Decompress(enc, bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, span := range lay.Blocks {
+		lo, hi := lay.ElemRange(b)
+		dst := make([]float64, hi-lo)
+		if err := bc.DecodeBlockInto(dst, enc[span.Start:span.End]); err != nil {
+			t.Fatalf("block %d: %v", b, err)
 		}
-		full, err := Decompress(enc, bc)
-		if err != nil {
-			t.Fatal(err)
+		if !bytesEqualFloats(dst, full[lo:hi]) {
+			t.Fatalf("block %d differs", b)
 		}
-		for b, span := range lay.Blocks {
-			lo, hi := lay.ElemRange(b)
-			dst := make([]float64, hi-lo)
-			if err := bc.DecodeBlockInto(dst, enc[span.Start:span.End]); err != nil {
-				t.Fatalf("%v: block %d: %v", bc.ID(), b, err)
-			}
-			if !bytesEqualFloats(dst, full[lo:hi]) {
-				t.Fatalf("%v: block %d differs", bc.ID(), b)
-			}
-		}
-		// The header alone — what the parser asks a streaming reader
-		// for — yields the same layout.
-		hdr, err := ParseBlockLayout(Whole(enc[:lay.Blocks[0].Start]), len(enc))
-		if err != nil || len(hdr.Blocks) != len(lay.Blocks) {
-			t.Fatalf("%v: layout from the header bytes alone: %v", bc.ID(), err)
-		}
-		// BlockRanges must match the layout spans.
-		ranges, ok := BlockRanges(enc)
-		if !ok || len(ranges) != len(lay.Blocks) {
-			t.Fatalf("%v: BlockRanges mismatch", bc.ID())
-		}
-		for b := range ranges {
-			if ranges[b] != lay.Blocks[b] || hdr.Blocks[b] != lay.Blocks[b] {
-				t.Fatalf("%v: range %d mismatch", bc.ID(), b)
-			}
+	}
+	// The header alone — what the parser asks a streaming reader for —
+	// yields the same layout.
+	hdr, err := ParseBlockLayout(Whole(enc[:lay.Blocks[0].Start]), len(enc))
+	if err != nil || len(hdr.Blocks) != len(lay.Blocks) {
+		t.Fatalf("layout from the header bytes alone: %v", err)
+	}
+	// BlockRanges must match the layout spans.
+	ranges, ok := BlockRanges(enc)
+	if !ok || len(ranges) != len(lay.Blocks) {
+		t.Fatal("BlockRanges mismatch")
+	}
+	for b := range ranges {
+		if ranges[b] != lay.Blocks[b] || hdr.Blocks[b] != lay.Blocks[b] {
+			t.Fatalf("range %d mismatch", b)
 		}
 	}
 }
@@ -241,6 +180,7 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 		"truncated table":     enc[:lay.Blocks[0].Start-2],
 		"unknown id":          append([]byte("BLK1\xEE"), enc[5:]...),
 		"zero id":             append([]byte("BLK1\x00"), enc[5:]...),
+		"retired id 1 (zfp)":  append([]byte("BLK1\x01"), enc[5:]...),
 		"retired id 2 (fpc)":  append([]byte("BLK1\x02"), enc[5:]...),
 		"zero blocks":         mangleHeader(enc, 8192, 2048, 0, nil, payload),
 		"zero blockElems":     mangleHeader(enc, 8192, 0, 4, lens, payload),
@@ -271,11 +211,14 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 		}
 	}
 
-	// A stream of the retired codec is named as what it is, from the
+	// A stream of a retired codec is named as what it is, from the
 	// header alone.
-	retired := cases["retired id 2 (fpc)"]
-	if _, err := ParseBlockLayout(Whole(retired[:8]), len(retired)); err == nil || !strings.Contains(err.Error(), "unknown codec id 2") {
-		t.Errorf("retired id: %v, want the unknown-codec-id error", err)
+	for id, name := range map[byte]string{1: "retired id 1 (zfp)", 2: "retired id 2 (fpc)"} {
+		retired := cases[name]
+		want := fmt.Sprintf("unknown codec id %d", id)
+		if _, err := ParseBlockLayout(Whole(retired[:8]), len(retired)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want %q", name, err, want)
+		}
 	}
 
 	// The n-vs-payload allocation guard must trip before the decoder
@@ -283,7 +226,7 @@ func TestCraftedHeaderRobustness(t *testing.T) {
 	// attack the parser's guard exists for, with the per-codec ceiling
 	// bounding what each codec could genuinely hold. One element past
 	// the ceiling is refused, the ceiling itself is a layout.
-	for id, perByte := range map[ID]uint64{ZFP: 1032, Flate: 129, SZ: 8} {
+	for id, perByte := range map[ID]uint64{Flate: 129, SZ: 8} {
 		head := append([]byte("BLK1"), byte(id))
 		tiny := mangleHeader(head, 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8))
 		if _, err := ParseBlockLayout(Whole(tiny), len(tiny)); err == nil {
@@ -327,64 +270,15 @@ func TestBlockedAdapters(t *testing.T) {
 	if err != nil || !bytes.Equal(prefixed, append([]byte("prefix"), enc...)) {
 		t.Fatalf("Compress is not prefix + stream (%v)", err)
 	}
-	// Codec mismatch: a ZFP adapter must reject a flate container.
-	if _, err := Decompress(enc, BlockedZFP{}); err == nil {
-		t.Fatal("ZFP adapter accepted flate container")
+	// Codec mismatch: SZ's block codec must reject a flate container.
+	if _, err := Decompress(enc, sz.Blocks{}); err == nil {
+		t.Fatal("SZ block codec accepted flate container")
 	}
-	if err := DecompressInto(make([]float64, len(x)), enc, BlockedZFP{}); err == nil {
-		t.Fatal("ZFP adapter accepted flate container into a destination")
+	if err := DecompressInto(make([]float64, len(x)), enc, sz.Blocks{}); err == nil {
+		t.Fatal("SZ block codec accepted flate container into a destination")
 	}
 	if id := layoutOf(t, enc).ID; id != Flate || id.String() != (lossless.Flate{}).Name() {
 		t.Fatalf("container ID = %v", id)
-	}
-}
-
-// TestZFPStatsMatchParent pins the decode-while-hot audit against the
-// numbers of the commit before it moved into the container's block
-// loop, where one whole-vector decode after the fact produced them. A
-// vector of one block accumulates in the same order and matches bit
-// for bit; over several blocks the two sums are per-block partial sums
-// merged in block order, so they agree to rounding and the rest
-// exactly. The stream sizes are the parent's plus the declared framing:
-// a container header on what was a bare stream, one ID byte fewer per
-// block on what was a container.
-func TestZFPStatsMatchParent(t *testing.T) {
-	for _, want := range []struct {
-		n, bytes, elements                        int
-		maxErr, sumErr, sumSqAbs, maxAbs, bound64 uint64
-	}{
-		{3000, 5988 + 13, 3000, 0x3ecabd763d5b0000, 0x3f643866bcc99a39, 0x3e2af6667fb2935f, 0x3ff51cca24309194, 0x3ee4f8b588e368f1},
-		{100000, 197130 - 4, 100000, 0x3ed3469b17510000, 0x3fb4e192441cdbb2, 0x3e7be6fed6ff371d, 0x3ff51eb84fd79067, 0x3ee4f8b588e368f1},
-	} {
-		x := make([]float64, want.n)
-		for i := range x {
-			x[i] = math.Sin(float64(i)/50) * (1 + float64(i%97)/300)
-		}
-		var st Stats
-		blob, err := Compress(nil, x, BlockedZFP{Bound: 1e-5}, &st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(blob) != want.bytes {
-			t.Errorf("n=%d: %d bytes, want %d", want.n, len(blob), want.bytes)
-		}
-		if st.Elements != want.elements || math.Float64bits(st.MaxErr) != want.maxErr ||
-			math.Float64bits(st.MaxAbsValue) != want.maxAbs || math.Float64bits(st.Bound) != want.bound64 ||
-			st.Relative || !st.Lossy {
-			t.Errorf("n=%d: stats %+v differ from the parent commit's", want.n, st)
-		}
-		sumErr, sumSq := math.Float64frombits(want.sumErr), math.Float64frombits(want.sumSqAbs)
-		if want.n <= DefaultBlockElems {
-			if st.SumErr != sumErr || st.SumSqAbs != sumSq {
-				t.Errorf("n=%d: sums %x %x, parent %x %x", want.n, st.SumErr, st.SumSqAbs, sumErr, sumSq)
-			}
-		} else if math.Abs(st.SumErr-sumErr) > 1e-13*sumErr || math.Abs(st.SumSqAbs-sumSq) > 1e-13*sumSq {
-			t.Errorf("n=%d: sums %g %g, parent %g %g", want.n, st.SumErr, st.SumSqAbs, sumErr, sumSq)
-		}
-		plain := compress(t, x, BlockedZFP{Bound: 1e-5})
-		if !bytes.Equal(plain, blob) {
-			t.Errorf("n=%d: audited bytes differ from plain ones", want.n)
-		}
 	}
 }
 
@@ -404,20 +298,18 @@ func bytesEqualFloats(a, b []float64) bool {
 // worker schedule.
 func TestDeterministicOutput(t *testing.T) {
 	x := testField(16384, 13)
-	for _, bc := range blockCodecs(1024) {
-		if !bytes.Equal(compress(t, x, bc), compress(t, x, bc)) {
-			t.Fatalf("%v: nondeterministic container bytes", bc.ID())
-		}
+	bc := BlockedFlate{BlockElems: 1024}
+	if !bytes.Equal(compress(t, x, bc), compress(t, x, bc)) {
+		t.Fatal("nondeterministic container bytes")
 	}
 }
 
-// TestCompressAllocatesPerBlock: a blocked ZFP or DEFLATE compress in
-// steady state allocates O(block), not O(payload) — the per-block encode
-// buffer and the codecs' own scratch (DEFLATE's byte image and writer,
-// ZFP's coefficient stream) come from pools. The stream is appended to
-// a reused dst, so what is counted is scratch alone, and it must stay
-// under the raw payload: one unpooled encode buffer per block is 9/8 of
-// it.
+// TestCompressAllocatesPerBlock: a blocked DEFLATE compress in steady
+// state allocates O(block), not O(payload) — the per-block encode
+// buffer and DEFLATE's byte image and writer come from pools. The
+// stream is appended to a reused dst, so what is counted is scratch
+// alone, and it must stay under the raw payload: one unpooled encode
+// buffer per block is 9/8 of it.
 func TestCompressAllocatesPerBlock(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -425,28 +317,26 @@ func TestCompressAllocatesPerBlock(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	x := testField(8*DefaultBlockElems, 5)
 	const calls = 4
-	for _, bc := range []BlockCodec{BlockedZFP{Bound: zfpBound}, BlockedFlate{}} {
-		// GC paused: every collection empties the pools, and one after
-		// the warm-up would bill the re-warm to a measured call.
-		prevGC := debug.SetGCPercent(-1)
-		runtime.GC()
-		dst := compress(t, x, bc) // warms the pools; dst keeps the stream's capacity
-		var err error
-		per := allocatedBytes(func() {
-			for range calls {
-				if dst, err = Compress(dst[:0], x, bc, nil); err != nil {
-					break
-				}
+	bc := BlockedFlate{}
+	// GC paused: every collection empties the pools, and one after the
+	// warm-up would bill the re-warm to a measured call.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	dst := compress(t, x, bc) // warms the pools; dst keeps the stream's capacity
+	var err error
+	per := allocatedBytes(func() {
+		for range calls {
+			if dst, err = Compress(dst[:0], x, bc, nil); err != nil {
+				break
 			}
-		}) / calls
-		debug.SetGCPercent(prevGC)
-		if err != nil {
-			t.Fatalf("%v: %v", bc.ID(), err)
 		}
-		if raw := uint64(8 * len(x)); per >= raw {
-			t.Errorf("%v: compress of %d blocks allocated %d bytes per call, want under the %d-byte raw payload",
-				bc.ID(), len(x)/DefaultBlockElems, per, raw)
-		}
+	}) / calls
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := uint64(8 * len(x)); per >= raw {
+		t.Errorf("compress of %d blocks allocated %d bytes per call, want under the %d-byte raw payload",
+			len(x)/DefaultBlockElems, per, raw)
 	}
 }
 
@@ -469,36 +359,36 @@ func gridStream(t testing.TB) []byte {
 }
 
 // fuzzCodecs maps every codec ID to its block codec.
-var fuzzCodecs = map[ID]BlockCodec{ZFP: BlockedZFP{}, Flate: BlockedFlate{}, SZ: sz.Blocks{}}
+var fuzzCodecs = map[ID]BlockCodec{Flate: BlockedFlate{}, SZ: sz.Blocks{}}
 
 // FuzzContainer: the one header parser and the block decoders behind
-// it, for all three codec IDs. Any input either errors or decodes, never
-// panics, and never allocates more than a multiple of the input plus
-// the destination it was handed; on success BlockRanges, the layout
-// and a block-by-block decode agree with the whole-stream one.
+// it, for both codec IDs (the retired IDs 1 and 2 parse as unknown).
+// Any input either errors or decodes, never panics, and never
+// allocates more than a multiple of the input plus the destination it
+// was handed; on success BlockRanges, the layout and a block-by-block
+// decode agree with the whole-stream one.
 func FuzzContainer(f *testing.F) {
 	x := testField(700, 1)
-	for _, bc := range []BlockCodec{
-		BlockedZFP{Bound: 1e-4, BlockElems: 256}, BlockedFlate{BlockElems: 256},
-	} {
-		enc := compress(f, x, bc)
-		f.Add(enc, uint32(len(x)))
-		f.Add(enc[:len(enc)/2], uint32(len(x)))
-	}
-	for _, p := range []sz.Params{
-		{Mode: sz.Abs, ErrorBound: 1e-4, BlockSize: 256},
-		{Mode: sz.PWRel, ErrorBound: 1e-4, BlockSize: 256},
-	} {
+	szStream := func(x []float64, p sz.Params) []byte {
 		enc, err := sz.Compress(x, p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(enc, uint32(len(x)))
+		return enc
 	}
+	for _, enc := range [][]byte{
+		szStream(x, sz.Params{Mode: sz.RelRange, ErrorBound: 1e-4, BlockSize: 256}),
+		compress(f, x, BlockedFlate{BlockElems: 256}),
+	} {
+		f.Add(enc, uint32(len(x)))
+		f.Add(enc[:len(enc)/2], uint32(len(x)))
+	}
+	f.Add(szStream(x, sz.Params{Mode: sz.Abs, ErrorBound: 1e-4, BlockSize: 256}), uint32(len(x)))
+	f.Add(szStream(x, sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4, BlockSize: 256}), uint32(len(x)))
 	f.Add(gridStream(f), uint32(20*20*3))
 	f.Add(AppendConstant(nil, sz.Blocks{}, 9, 1.5), uint32(9))
 	// The empty vector: one empty block, nothing to decode into.
-	f.Add(compress(f, nil, BlockedZFP{Bound: 1e-4}), uint32(0))
+	f.Add(szStream(nil, sz.Params{Mode: sz.Abs, ErrorBound: 1e-4}), uint32(0))
 	f.Add(compress(f, nil, BlockedFlate{}), uint32(0))
 	f.Add(mangleHeader([]byte("BLK1\x04"), 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8)), uint32(4))
 	f.Add(mangleHeader([]byte("BLK1\x01"), 1<<63, 1<<63, 1, []uint64{1 << 63}, nil), uint32(4))
@@ -515,8 +405,7 @@ func FuzzContainer(f *testing.F) {
 				}
 			}
 		})
-		// DEFLATE, under two of the three codecs, inflates a byte to at
-		// most 1032; the length table costs 16 bytes a block and each
+		// DEFLATE inflates a byte to at most 1032; the length table costs 16 bytes a block and each
 		// block at least a byte; scratch is per destination element, and
 		// DEFLATE's window and a cold pool are a constant.
 		if limit := uint64(1100*len(data) + 64*len(dst) + 1<<20); allocated > limit {

@@ -5,9 +5,8 @@ import "math"
 // Stats summarizes the pointwise distortion one vector's encoding
 // introduced, accumulated on the encode path: the SZ quantizer already
 // computes the reconstruction the decoder will see (it is the next
-// prediction input), ZFP decodes each block while it is cache-hot, and
-// the exact codecs only scan for the PSNR peak — no decode pass over
-// the checkpoint is needed to audit it.
+// prediction input), and the exact codecs only scan for the PSNR peak —
+// no decode pass over the checkpoint is needed to audit it.
 //
 // Errors are reported in the bound's native metric: absolute error for
 // absolute bounds, relative error for pointwise-relative ones

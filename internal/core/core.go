@@ -91,10 +91,6 @@ type Config struct {
 	BNorm float64
 	// Codec overrides the lossless codec (default flate/Gzip).
 	Codec codec.BlockCodec
-	// LossyEncoder overrides the lossy compressor entirely (e.g. the
-	// ZFP-like transform codec). When set, SZParams and Adaptive are
-	// ignored — the caller owns the error-bound policy.
-	LossyEncoder fti.Encoder
 	// Async routes checkpoints through the asynchronous pipeline, and is
 	// the one switch for overlapped checkpoints: Drive prices a modelled
 	// run's saves as overlapped exactly when it is set. Checkpoint
@@ -227,9 +223,6 @@ func (m *Manager) encoder() fti.Encoder {
 	case Lossless:
 		return fti.Lossless{Codec: m.cfg.Codec}
 	default:
-		if m.cfg.LossyEncoder != nil {
-			return m.cfg.LossyEncoder
-		}
 		p := m.cfg.SZParams
 		if m.cfg.Adaptive {
 			eb := model.GMRESAdaptiveBound(m.slv.ResidualNorm(), m.cfg.BNorm, m.cfg.AdaptiveC)

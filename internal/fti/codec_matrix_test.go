@@ -14,10 +14,9 @@ import (
 // {sync, async} × storage {monolithic, 4-shard} must round-trip
 // through the restore walk without targets, through it with targets
 // (in place), and through the reassemble-then-decode reference
-// (whole-blob DecodeInto) — with bitwise identical reconstructions. Lossless codecs must reproduce
-// the input exactly; lossy codecs must hold their error bound; and
-// ZFP, whose container blocks are forced to transform-block multiples,
-// must reconstruct bitwise identically in every layout.
+// (whole-blob DecodeInto) — with bitwise identical reconstructions.
+// Lossless codecs must reproduce the input exactly, in every layout;
+// lossy codecs must hold their error bound.
 
 // matrixLayouts names the three container layouts and, per codec, the
 // block-size knob that produces them for the 12,800-element vector
@@ -28,16 +27,13 @@ const matrixN = 12_800
 
 // matrixCase builds the encoder for one (codec, layout) cell.
 // Block sizes: 4288 and 1600 split 12,800 elements into 3 and 8
-// blocks; both are multiples of zfp's 32-element transform block, so
-// ZFP's blocks reconstruct the bits of one stream over the vector.
-// 16384 ≥ 12,800 keeps the vector in one block.
+// blocks; 16384 ≥ 12,800 keeps the vector in one block.
 type matrixCase struct {
 	codec string
 	// identicalAcrossLayouts: reconstruction must match bitwise
-	// between one block and many (lossless codecs trivially,
-	// ZFP by block alignment). SZ's predictor restarts at
-	// block boundaries, so only the error bound carries across
-	// layouts.
+	// between one block and many (lossless codecs). SZ's predictor
+	// restarts at block boundaries, so only the error bound carries
+	// across layouts.
 	identicalAcrossLayouts bool
 	// check verifies the reconstruction against the original.
 	check func(t *testing.T, label string, x, dec []float64)
@@ -80,22 +76,6 @@ func matrixCases() []matrixCase {
 			},
 			enc: func(layout string) Encoder {
 				return SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4, BlockSize: matrixBlockElems(layout)}}
-			},
-		},
-		{
-			codec:                  "zfp",
-			identicalAcrossLayouts: true,
-			check: func(t *testing.T, label string, x, dec []float64) {
-				t.Helper()
-				const eb = 1e-5
-				for i := range x {
-					if d := math.Abs(x[i] - dec[i]); d > eb*(1+1e-9) {
-						t.Fatalf("%s: ABS bound broken at %d: |%g-%g| = %g", label, i, x[i], dec[i], d)
-					}
-				}
-			},
-			enc: func(layout string) Encoder {
-				return ZFP{Bound: 1e-5, BlockElems: matrixBlockElems(layout)}
 			},
 		},
 		{

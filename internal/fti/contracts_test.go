@@ -29,7 +29,7 @@ func allocatedBytes(f func()) uint64 {
 
 // TestEncodeAppends: Encode extends dst as append does — what was in it
 // stays, whether or not it had room — and what it appends is what it
-// produces from an empty dst, audited or not, for all four encoders.
+// produces from an empty dst, audited or not, for all three encoders.
 func TestEncodeAppends(t *testing.T) {
 	x := sparse.SmoothField(2000, 1)
 	prefix := []byte("what the payload already holds")

@@ -122,35 +122,3 @@ func (e SZ) BoundInfo() BoundInfo {
 
 // Blocks returns SZ's block decoder.
 func (SZ) Blocks() codec.BlockCodec { return sz.Blocks{} }
-
-// ZFP wraps the transform-based lossy compressor (absolute bound) in
-// the blocked container — compressed block-parallel and restorable
-// shard-by-shard — with a reconstruction bitwise identical to one
-// stream over the whole vector.
-type ZFP struct {
-	Bound float64
-	// BlockElems is the container block size in elements; 0 means
-	// codec.DefaultBlockElems (rounded to a transform-block multiple).
-	BlockElems int
-}
-
-// Name returns "zfp".
-func (ZFP) Name() string { return "zfp" }
-
-// Encode compresses within the absolute error bound.
-func (e ZFP) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
-	return codec.Compress(dst, x, e.Blocks(), st)
-}
-
-// DecodeInto reconstructs within the bound into dst.
-func (e ZFP) DecodeInto(dst []float64, data []byte) error {
-	return codec.DecompressInto(dst, data, e.Blocks())
-}
-
-// BoundInfo reports the configured absolute ZFP bound.
-func (e ZFP) BoundInfo() BoundInfo { return BoundInfo{Bound: e.Bound, Lossy: true} }
-
-// Blocks returns the ZFP block codec.
-func (e ZFP) Blocks() codec.BlockCodec {
-	return codec.BlockedZFP{Bound: e.Bound, BlockElems: e.BlockElems}
-}

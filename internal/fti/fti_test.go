@@ -16,7 +16,6 @@ func encoders() []Encoder {
 		Raw{},
 		Lossless{Codec: codec.BlockedFlate{}},
 		SZ{Params: sz.Params{Mode: sz.Abs, ErrorBound: 1e-6}},
-		ZFP{Bound: 1e-6},
 	}
 }
 

@@ -67,7 +67,6 @@ func streamingEncoders() []Encoder {
 		Raw{},
 		Lossless{Codec: codec.BlockedFlate{}},
 		Lossless{Codec: codec.BlockedFlate{BlockElems: 5000}},
-		ZFP{Bound: 1e-5},
 	}
 }
 
