@@ -24,8 +24,8 @@
 // -adaptive replaces the fixed (or Young-probed) checkpoint interval
 // with the online controller: per-checkpoint costs and the failure
 // rate are estimated from the run itself (the controller is never told
-// C, R, or λ — only -prior-mtti seeds its failure-rate prior), and the
-// interval is re-planned from the Young/Daly fixed point after every
+// C or λ — only -prior-mtti seeds its failure-rate prior), and the
+// interval is re-planned from the Daly fixed point after every
 // observation, in seconds of whichever clock the run is on. The
 // interval trajectory is printed at the end of the run alongside a
 // per-phase cost table (capture/encode/write/restart, modeled at
@@ -125,10 +125,11 @@ type options struct {
 	storageTimeout, scrubEvery                 time.Duration
 	async, adaptive, tiers                     bool
 	quality, qualityExhaustive                 bool
-	// striped is whether -shards was given at all — including -shards
-	// 1, so monolithic and sharded runs compare within the single-writer
-	// striped cost model instead of across two.
-	striped bool
+	// typed holds the names of the flags given on the command line. A
+	// typed -shards — even -shards 1 — prices writes with the
+	// single-writer striped cost model, so monolithic and sharded runs
+	// compare within one model instead of across two.
+	typed map[string]bool
 	// plan is -inject parsed (nil without it); validate fills it.
 	plan *failure.Plan
 }
@@ -154,8 +155,8 @@ func parseOptions(args []string) (options, error) {
 	fs.DurationVar(&o.storageTimeout, "storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
 	fs.DurationVar(&o.scrubEvery, "scrub-interval", 0, "background scrubber sweep cadence (0 = scrubbing off)")
 	fs.Float64Var(&o.faultRate, "storage-fault-rate", 0, "seeded per-attempt transient storage-fault probability, injected beneath the retry layer (0 = none)")
-	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan the Young/Daly fixed point each epoch")
-	fs.Float64Var(&o.prior, "prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan Daly's interval (the overlapped fixed point under -async) whenever an estimate moves")
+	fs.Float64Var(&o.prior, "prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge; needs -adaptive)")
 	fs.BoolVar(&o.tiers, "recovery-tiers", false, "arm the ABFT guard: every failure tries algorithmic reconstruction before the latest checkpoint, older checkpoints and restart-from-zero")
 	fs.StringVar(&o.inject, "inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve on the wall clock; excludes -mtti, the abft kind needs -recovery-tiers")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace, /report, and /debug/pprof on this address (e.g. localhost:6060) while the run is live")
@@ -168,7 +169,8 @@ func parseOptions(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	fs.Visit(func(f *flag.Flag) { o.striped = o.striped || f.Name == "shards" })
+	o.typed = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.typed[f.Name] = true })
 	o.quality = o.quality || o.qualityExhaustive || o.reportOut != ""
 	return o, nil
 }
@@ -216,6 +218,22 @@ func (o *options) validate() error {
 	} {
 		if !f.ok {
 			return fmt.Errorf("%s %v is out of range: want %s", f.name, f.got, f.want)
+		}
+	}
+	for _, f := range []struct {
+		name    string
+		ignored bool
+		why     string
+	}{
+		{"-prior-mtti", !o.adaptive, "needs -adaptive: it is the adaptive controller's prior"},
+		{"-eb", o.scheme != "lossy", "needs -scheme lossy: the other schemes save exact state"},
+		{"-storage-timeout", o.storageRetries == 0, "needs -storage-retries above 0: it budgets the retries' backoff"},
+		{"-quality-sample", !o.quality, "needs quality telemetry (-quality or -report-out)"},
+		{"-quality-sample", o.qualityExhaustive, "conflicts with -quality-exhaustive, which audits every checkpoint"},
+		{"-storage-workers", o.shards <= 1, "needs -shards above 1: it bounds the shard readers and writers"},
+	} {
+		if f.ignored && o.typed[f.name[1:]] {
+			return fmt.Errorf("%s %s", f.name, f.why)
 		}
 	}
 	if o.inject != "" && o.interval != math.Trunc(o.interval) {
@@ -304,7 +322,6 @@ func run(o options) (err error) {
 	var s solver.Checkpointable
 	var co *abft.ChecksumOperator
 	sopts := solver.Options{RTol: o.rtol}
-	gcfg := abft.Config{Seed: o.seed, Method: abft.BackwardForward}
 	switch o.method {
 	case "cg":
 		op := solver.Operator(a)
@@ -317,7 +334,6 @@ func run(o options) (err error) {
 			op = co
 		}
 		s = solver.NewCG(op, m, b, nil, solver.SeqSpace{}, sopts)
-		gcfg.Method = abft.ExactState
 	case "gmres":
 		s = solver.NewGMRES(a, nil, b, nil, 30, solver.SeqSpace{}, sopts)
 	default:
@@ -339,7 +355,7 @@ func run(o options) (err error) {
 	}
 	var guard *abft.Guard
 	if o.tiers {
-		if guard, err = abft.NewGuard(a, b, s, gcfg); err != nil {
+		if guard, err = abft.NewGuard(a, b, s, abft.Config{Seed: o.seed}); err != nil {
 			return err
 		}
 		fmt.Printf("recovery tiers armed: %s ABFT guard, %d logical ranks\n", guard.Method(), guard.Ranks())
@@ -455,7 +471,6 @@ func run(o options) (err error) {
 			SampleEvery: o.qualitySample,
 			Exhaustive:  o.qualityExhaustive,
 			BNorm:       vec.Norm2(b), // the ‖b‖ the stability verdict normalizes residuals against
-			StabilityC:  1,
 		})
 		rep.qa.Instrument(rep.reg, rep.tr)
 		mgr.InstrumentQuality(rep.qa)
@@ -478,11 +493,11 @@ func run(o options) (err error) {
 	rep.cm = cm
 	var ctrl *adapt.Controller
 	if o.adaptive {
-		// The controller learns C, R, and λ from the run itself, on the
-		// run's own clock; the prior MTTI is its only seed. It plans the
-		// async fixed point (AsyncEffectiveStall) when the pipeline is
-		// overlapped.
-		if ctrl, err = adapt.New(adapt.Config{PriorMTTI: o.prior, Async: o.async}); err != nil {
+		// The controller learns C and λ from the run itself, on the run's
+		// own clock; the prior MTTI is its only seed. Fed an overlapped
+		// pipeline's capture and background costs, it plans the async
+		// fixed point (AsyncEffectiveStall).
+		if ctrl, err = adapt.New(adapt.Config{PriorMTTI: o.prior}); err != nil {
 			return err
 		}
 		ctrl.Instrument(rep.reg)
@@ -632,10 +647,10 @@ func printOutcome(o options, out *core.Outcome) {
 		last := plans[len(plans)-1]
 		fmt.Printf("adaptive: %d re-plans; final interval %s (estimated MTTI %s, per-checkpoint cost %s)\n",
 			len(plans), dur("%.0f", last.Interval), dur("%.0f", 1/last.Lambda), dur("%.2f", last.Cost))
-		fmt.Printf("interval trajectory (%s-time  interval  est-MTTI  est-cost  est-ratio):\n", clock)
+		fmt.Printf("interval trajectory (%s-time  interval  est-MTTI  est-cost):\n", clock)
 		row := func(p adapt.Plan) {
-			fmt.Printf("  %9s %9s %9s %9s %8.1fx\n", dur("%.0f", p.When), dur("%.0f", p.Interval),
-				dur("%.0f", 1/p.Lambda), dur("%.2f", p.Cost), p.Ratio)
+			fmt.Printf("  %9s %9s %9s %9s\n", dur("%.0f", p.When), dur("%.0f", p.Interval),
+				dur("%.0f", 1/p.Lambda), dur("%.2f", p.Cost))
 		}
 		step := (len(plans) + 11) / 12 // at most ~12 rows plus the final one
 		for i := 0; i < len(plans); i += step {
@@ -677,7 +692,7 @@ func (c *costModel) shardsOf(info fti.Info) int {
 }
 
 func (c *costModel) checkpoint(info fti.Info) float64 {
-	if c.o.striped {
+	if c.o.typed["shards"] {
 		// Single-writer object writes under the striped-PFS model,
 		// engaging min(shards, stripes) stripes — used for every value of
 		// -shards (1 included) so monolithic and sharded runs compare
@@ -688,7 +703,7 @@ func (c *costModel) checkpoint(info fti.Info) float64 {
 }
 
 func (c *costModel) recovery(info fti.Info) float64 {
-	if c.o.striped {
+	if c.o.typed["shards"] {
 		// Restarts priced like the write path: a sharded group streams
 		// through min(shards, stripes) concurrent reads overlapped with
 		// decompression; shards=1 is the serial monolithic restore

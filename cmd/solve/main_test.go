@@ -97,6 +97,12 @@ func TestRejectedValues(t *testing.T) {
 		"-storage-fault-rate 2",
 		"-quality-sample -3",
 		"-quality-sample 0",
+		// A value the run would not act on is refused too.
+		"-prior-mtti 100",
+		"-eb 0.5 -scheme traditional",
+		"-storage-timeout 1s -storage-retries 0",
+		"-quality-sample 2 -quality-exhaustive",
+		"-storage-workers 3",
 	} {
 		flagName := strings.Fields(args)[0]
 		report := filepath.Join(t.TempDir(), "report.json")
@@ -116,6 +122,11 @@ func TestRejectedValues(t *testing.T) {
 		if run := readReport(t, report)["run"].(map[string]any); !strings.HasPrefix(run["exit"].(string), "error: "+flagName+" ") {
 			t.Errorf("solve %s: report exit %q does not record the refusal", args, run["exit"])
 		}
+	}
+	// -report-out turns quality telemetry on, so the sampling cadence
+	// without it is checked on its own.
+	if _, err := solve(t, "-quality-sample", "2"); err == nil || !strings.HasPrefix(err.Error(), "-quality-sample ") {
+		t.Errorf("solve -quality-sample 2: error %v, want a refusal naming -quality-sample", err)
 	}
 }
 

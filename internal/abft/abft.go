@@ -4,7 +4,8 @@
 // algorithmic reconstruction before touching the parallel file system.
 //
 // Two reconstruction methods are implemented, following the related
-// work cited in PAPERS.md:
+// work cited in PAPERS.md; the solver's type picks which one a guard
+// runs:
 //
 //   - ExactState (Pachajoa & Levonyak): every iteration the guard
 //     retains redundant copies of the search direction p and residual r
@@ -18,16 +19,16 @@
 //     and CG continues as if the failure never happened.
 //
 //   - BackwardForward (Fasi, Langou, Robert & Uçar): every
-//     ProtectEvery iterations the guard retains a copy of x only. On
+//     protectEvery iterations the guard retains a copy of x only. On
 //     failure the lost block is spliced from the retained (stale) copy
 //     into the surviving blocks' current values and the solver is
 //     Restarted from the hybrid iterate — trading a few extra
-//     iterations for far less retained state, and applicable to any
-//     Restartable solver, not just CG.
+//     iterations for far less retained state. Every Restartable solver
+//     other than CG gets this method.
 //
 // Either way, the reconstruction is accepted only after verification:
 // the retained copies must pass their checksums, and the true residual
-// ‖b − A·x‖ after reconstruction must be within VerifyFactor of the
+// ‖b − A·x‖ after reconstruction must be within verifyFactor of the
 // retained pre-failure residual norm. A reconstruction that fails
 // verification is rejected and the caller falls back to the next
 // recovery tier (the lossy checkpoint).
@@ -49,17 +50,17 @@ import (
 	"repro/internal/vec"
 )
 
-// Method selects the reconstruction algorithm.
+// Method names the reconstruction algorithm a guard runs.
 type Method int
 
 const (
 	// ExactState is Pachajoa/Levonyak exact-state reconstruction for
 	// CG: redundant (r, p) retained every iteration, lost x-block
-	// rebuilt by a local solve. Requires a *solver.CG.
+	// rebuilt by a local solve. A *solver.CG gets it.
 	ExactState Method = iota
 	// BackwardForward is the Fasi et al. backward/forward recovery:
-	// a periodic retained copy of x, hybrid restart on failure. Works
-	// with any Restartable solver.
+	// a periodic retained copy of x, hybrid restart on failure. Any
+	// other Restartable solver gets it.
 	BackwardForward
 )
 
@@ -74,28 +75,28 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
+const (
+	// ranks is the number of simulated process blocks the vectors are
+	// partitioned into (clamped to the system size). A failure loses
+	// one block.
+	ranks = 8
+	// protectEvery is the BackwardForward retention cadence in
+	// iterations. ExactState retains every iteration — its redundancy
+	// is the per-iteration neighbor exchange.
+	protectEvery = 10
+	// verifyFactor bounds the accepted post-reconstruction true
+	// residual at verifyFactor × the retained pre-failure residual
+	// norm. NaN or anything beyond rejects the tier.
+	verifyFactor = 4.0
+	// localRTol is the relative tolerance of the exact-state local
+	// solve — well below any outer tolerance, so the reconstruction
+	// error stays invisible to the outer iteration. The local solve is
+	// capped at 4× the block size.
+	localRTol = 1e-12
+)
+
 // Config assembles a Guard.
 type Config struct {
-	// Ranks is the number of simulated process blocks the vectors are
-	// partitioned into (default 8, clamped to the system size). A
-	// failure loses one block.
-	Ranks int
-	// Method picks the reconstruction algorithm (default ExactState).
-	Method Method
-	// ProtectEvery is the BackwardForward retention cadence in
-	// iterations (default 10). ExactState retains every iteration —
-	// its redundancy is the per-iteration neighbor exchange.
-	ProtectEvery int
-	// VerifyFactor bounds the accepted post-reconstruction true
-	// residual at VerifyFactor × the retained pre-failure residual
-	// norm (default 4). NaN or anything beyond rejects the tier.
-	VerifyFactor float64
-	// LocalRTol is the relative tolerance of the exact-state local
-	// solve (default 1e-12 — well below any outer tolerance, so the
-	// reconstruction error stays invisible to the outer iteration).
-	LocalRTol float64
-	// LocalMaxIter caps the local solve (default 4× the block size).
-	LocalMaxIter int
 	// Seed drives the deterministic failed-rank selection of
 	// FailNextRank (default 1).
 	Seed int64
@@ -133,13 +134,14 @@ type Stats struct {
 // from and performs the reconstruction. It is not safe for concurrent
 // use; drive it from the solver loop.
 type Guard struct {
-	cfg  Config
-	a    *sparse.CSR
-	b    []float64
-	s    solver.Checkpointable
-	cg   *solver.CG         // non-nil for ExactState
-	rst  solver.Restartable // non-nil for BackwardForward
-	cuts []int              // rank block boundaries, len Ranks+1
+	method Method
+	ranks  int
+	a      *sparse.CSR
+	b      []float64
+	s      solver.Checkpointable
+	cg     *solver.CG         // non-nil for ExactState
+	rst    solver.Restartable // non-nil for BackwardForward
+	cuts   []int              // rank block boundaries, len ranks+1
 
 	// Retained redundancy. ExactState keeps (r, p, ρ, ‖r‖, i) from the
 	// last Observe; BackwardForward keeps (x, ‖r‖, i) from the last
@@ -164,8 +166,8 @@ type Guard struct {
 }
 
 // NewGuard builds a guard over the system A·x = b protected by the
-// given solver. ExactState requires a *solver.CG; BackwardForward
-// requires a Restartable solver.
+// given solver: ExactState for a *solver.CG, BackwardForward for any
+// other Restartable solver.
 func NewGuard(a *sparse.CSR, b []float64, s solver.Checkpointable, cfg Config) (*Guard, error) {
 	if a == nil || a.Rows != a.Cols {
 		return nil, fmt.Errorf("abft: need a square operator")
@@ -173,47 +175,24 @@ func NewGuard(a *sparse.CSR, b []float64, s solver.Checkpointable, cfg Config) (
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("abft: rhs length %d does not match system size %d", len(b), a.Rows)
 	}
-	if cfg.Ranks <= 0 {
-		cfg.Ranks = 8
-	}
-	if cfg.Ranks > a.Rows {
-		cfg.Ranks = a.Rows
-	}
-	if cfg.ProtectEvery <= 0 {
-		cfg.ProtectEvery = 10
-	}
-	if cfg.VerifyFactor <= 0 {
-		cfg.VerifyFactor = 4
-	}
-	if cfg.LocalRTol <= 0 {
-		cfg.LocalRTol = 1e-12
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	g := &Guard{cfg: cfg, a: a, b: b, s: s, failed: -1}
-	switch cfg.Method {
-	case ExactState:
-		cg, ok := s.(*solver.CG)
-		if !ok {
-			return nil, fmt.Errorf("abft: exact-state reconstruction needs a *solver.CG, %T is not", s)
-		}
-		g.cg = cg
+	g := &Guard{ranks: min(ranks, a.Rows), a: a, b: b, s: s, failed: -1}
+	switch s := s.(type) {
+	case *solver.CG:
+		g.method, g.cg = ExactState, s
 		g.rR = make([]float64, a.Rows)
 		g.rP = make([]float64, a.Rows)
-	case BackwardForward:
-		rst, ok := s.(solver.Restartable)
-		if !ok {
-			return nil, fmt.Errorf("abft: backward/forward recovery needs a restartable solver, %T is not", s)
-		}
-		g.rst = rst
+	case solver.Restartable:
+		g.method, g.rst = BackwardForward, s
 		g.rX = make([]float64, a.Rows)
 	default:
-		return nil, fmt.Errorf("abft: unknown method %v", cfg.Method)
+		return nil, fmt.Errorf("abft: recovery needs a *solver.CG or a restartable solver, %T is neither", s)
 	}
-	g.cuts = make([]int, cfg.Ranks+1)
-	for i := 0; i <= cfg.Ranks; i++ {
-		g.cuts[i] = i * a.Rows / cfg.Ranks
+	g.cuts = make([]int, g.ranks+1)
+	for i := 0; i <= g.ranks; i++ {
+		g.cuts[i] = i * a.Rows / g.ranks
 	}
 	g.rng = rand.New(rand.NewSource(cfg.Seed))
 	return g, nil
@@ -222,11 +201,11 @@ func NewGuard(a *sparse.CSR, b []float64, s solver.Checkpointable, cfg Config) (
 // Solver returns the solver the guard protects.
 func (g *Guard) Solver() solver.Checkpointable { return g.s }
 
-// Method returns the configured reconstruction method.
-func (g *Guard) Method() Method { return g.cfg.Method }
+// Method returns the reconstruction method the solver's type picked.
+func (g *Guard) Method() Method { return g.method }
 
 // Ranks returns the number of simulated process blocks.
-func (g *Guard) Ranks() int { return g.cfg.Ranks }
+func (g *Guard) Ranks() int { return g.ranks }
 
 // Stats returns the guard's lifetime counters.
 func (g *Guard) Stats() Stats { return g.stats }
@@ -234,10 +213,10 @@ func (g *Guard) Stats() Stats { return g.stats }
 // Observe refreshes the retained redundancy after one accepted solver
 // step. Call it once per iteration, after Step. For ExactState this is
 // the per-iteration retention of (r, p, ρ); for BackwardForward it
-// retains x every ProtectEvery iterations.
+// retains x every protectEvery iterations.
 func (g *Guard) Observe() {
 	it := g.s.Iteration()
-	switch g.cfg.Method {
+	switch g.method {
 	case ExactState:
 		copy(g.rR, g.cg.R())
 		copy(g.rP, g.cg.P())
@@ -246,7 +225,7 @@ func (g *Guard) Observe() {
 		g.sumR = checksum(g.rR)
 		g.sumP = checksum(g.rP)
 	case BackwardForward:
-		if g.have && it-g.retainedAt < g.cfg.ProtectEvery {
+		if g.have && it-g.retainedAt < protectEvery {
 			return
 		}
 		copy(g.rX, g.s.X())
@@ -263,7 +242,7 @@ func (g *Guard) Observe() {
 // the live solver state is poisoned (set to NaN, the way a lost node's
 // memory is simply gone). Reconstruct then rebuilds it.
 func (g *Guard) FailRank(k int) {
-	if k < 0 || k >= g.cfg.Ranks {
+	if k < 0 || k >= g.ranks {
 		return
 	}
 	lo, hi := g.cuts[k], g.cuts[k+1]
@@ -279,7 +258,7 @@ func (g *Guard) FailRank(k int) {
 // stream and fails it, returning the rank — the deterministic
 // injection entry point.
 func (g *Guard) FailNextRank() int {
-	k := g.rng.Intn(g.cfg.Ranks)
+	k := g.rng.Intn(g.ranks)
 	g.FailRank(k)
 	return k
 }
@@ -315,7 +294,7 @@ func (g *Guard) Reconstruct() (*Recon, error) {
 	k := g.failed
 	var rec *Recon
 	var err error
-	switch g.cfg.Method {
+	switch g.method {
 	case ExactState:
 		rec, err = g.reconstructExact(k)
 	default:
@@ -369,13 +348,9 @@ func (g *Guard) reconstructExact(k int) (*Recon, error) {
 	// Local solve A_kk·x_k = rhs. The principal submatrix of an SPD
 	// matrix is SPD, so a Jacobi-preconditioned local CG applies.
 	sub := extractBlock(g.a, lo, hi)
-	maxIter := g.cfg.LocalMaxIter
-	if maxIter <= 0 {
-		maxIter = 4 * (hi - lo)
-	}
-	local := solver.NewCG(sub, precond.NewJacobiFromMatrix(sub), rhs, nil, solver.SeqSpace{},
-		solver.Options{RTol: g.cfg.LocalRTol, MaxIter: maxIter})
-	res, err := solver.RunToConvergence(local, solver.Options{RTol: g.cfg.LocalRTol, MaxIter: maxIter}, nil)
+	opts := solver.Options{RTol: localRTol, MaxIter: 4 * (hi - lo)}
+	local := solver.NewCG(sub, precond.NewJacobiFromMatrix(sub), rhs, nil, solver.SeqSpace{}, opts)
+	res, err := solver.RunToConvergence(local, opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("abft: local solve: %w", err)
 	}
@@ -391,9 +366,9 @@ func (g *Guard) reconstructExact(k int) (*Recon, error) {
 		return nil, fmt.Errorf("abft: reinstate: %w", err)
 	}
 	rnorm := g.cg.ResidualNorm()
-	if !(rnorm <= g.cfg.VerifyFactor*g.rRnorm) { // NaN-safe: NaN fails the comparison
+	if !(rnorm <= verifyFactor*g.rRnorm) { // NaN-safe: NaN fails the comparison
 		return nil, fmt.Errorf("abft: verification failed: reconstructed residual %.3e exceeds %.1f× retained %.3e",
-			rnorm, g.cfg.VerifyFactor, g.rRnorm)
+			rnorm, verifyFactor, g.rRnorm)
 	}
 	return &Recon{
 		Method:          ExactState,
@@ -418,9 +393,9 @@ func (g *Guard) reconstructBF(k int) (*Recon, error) {
 	copy(xh[lo:hi], g.rX[lo:hi])
 	g.rst.Restart(xh)
 	rnorm := g.s.ResidualNorm()
-	if !(rnorm <= g.cfg.VerifyFactor*g.rRnorm) { // NaN-safe
+	if !(rnorm <= verifyFactor*g.rRnorm) { // NaN-safe
 		return nil, fmt.Errorf("abft: verification failed: hybrid-restart residual %.3e exceeds %.1f× retained %.3e",
-			rnorm, g.cfg.VerifyFactor, g.rRnorm)
+			rnorm, verifyFactor, g.rRnorm)
 	}
 	return &Recon{
 		Method:       BackwardForward,

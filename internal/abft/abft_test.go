@@ -73,7 +73,7 @@ func TestExactStateReconstructionConvergesLikeFailureFree(t *testing.T) {
 	if rec.LocalIterations <= 0 {
 		t.Fatal("exact-state reconstruction reported no local-solve iterations")
 	}
-	if !(rec.ResidualNorm <= g.cfg.VerifyFactor*rec.Reference) {
+	if !(rec.ResidualNorm <= verifyFactor*rec.Reference) {
 		t.Fatalf("accepted residual %.3e outside the verification band (ref %.3e)", rec.ResidualNorm, rec.Reference)
 	}
 
@@ -106,7 +106,7 @@ func TestBackwardForwardReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStationary: %v", err)
 	}
-	g, err := NewGuard(a, b, s, Config{Method: BackwardForward, ProtectEvery: 5})
+	g, err := NewGuard(a, b, s, Config{})
 	if err != nil {
 		t.Fatalf("NewGuard: %v", err)
 	}
@@ -205,19 +205,38 @@ func TestFailNextRankDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// notRestartable is a checkpointable solver that cannot be restarted
+// from a spliced iterate: no reconstruction method applies to it.
+type notRestartable struct{ solver.Checkpointable }
+
+// TestGuardMethodValidation: the solver's type picks the method —
+// exact-state for CG, backward/forward for any other restartable
+// solver — and a solver that is neither is refused.
 func TestGuardMethodValidation(t *testing.T) {
 	a := sparse.Poisson2D(6)
 	b := sparse.OnesRHS(a.Rows)
-	s, err := solver.NewStationary(solver.KindJacobi, a, b, nil, 0, solver.Options{})
+	jacobi, err := solver.NewStationary(solver.KindJacobi, a, b, nil, 0, solver.Options{})
 	if err != nil {
 		t.Fatalf("NewStationary: %v", err)
 	}
-	if _, err := NewGuard(a, b, s, Config{Method: ExactState}); err == nil {
-		t.Fatal("exact-state guard accepted a non-CG solver")
+	for _, c := range []struct {
+		s    solver.Checkpointable
+		want Method
+	}{
+		{solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{}, solver.Options{}), ExactState},
+		{jacobi, BackwardForward},
+		{solver.NewGMRES(a, nil, b, nil, 10, solver.SeqSpace{}, solver.Options{}), BackwardForward},
+	} {
+		g, err := NewGuard(a, b, c.s, Config{})
+		if err != nil {
+			t.Fatalf("%T: %v", c.s, err)
+		}
+		if g.Method() != c.want {
+			t.Errorf("%T: method %v, want %v", c.s, g.Method(), c.want)
+		}
 	}
-	cg := solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{}, solver.Options{})
-	if _, err := NewGuard(a, b, cg, Config{Method: BackwardForward}); err != nil {
-		t.Fatalf("backward/forward guard rejected restartable CG: %v", err)
+	if _, err := NewGuard(a, b, notRestartable{jacobi}, Config{}); err == nil {
+		t.Fatal("guard accepted a solver that is neither CG nor restartable")
 	}
 }
 

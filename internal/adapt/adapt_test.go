@@ -18,34 +18,33 @@ func mustNew(t *testing.T, cfg Config) *Controller {
 
 // TestEWMA: initialization, smoothing, convergence to a constant.
 func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Ok() || e.Value() != 0 {
+	var e ewma
+	if e.ok || e.value != 0 {
 		t.Fatal("fresh EWMA should be empty")
 	}
-	e.Observe(10)
-	if !e.Ok() || e.Value() != 10 {
-		t.Fatalf("first sample must initialize: %v", e.Value())
+	e.observe(10)
+	if !e.ok || e.value != 10 {
+		t.Fatalf("first sample must initialize: %v", e.value)
 	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("0.5-smoothed 10→20 should be 15, got %v", e.Value())
+	e.observe(20)
+	if want := alpha*20 + (1-alpha)*10; e.value != want {
+		t.Fatalf("%g-smoothed 10→20 should be %g, got %v", alpha, want, e.value)
 	}
 	for i := 0; i < 60; i++ {
-		e.Observe(42)
+		e.observe(42)
 	}
-	if math.Abs(e.Value()-42) > 1e-6 {
-		t.Fatalf("EWMA did not converge to the constant: %v", e.Value())
+	if math.Abs(e.value-42) > 1e-6 {
+		t.Fatalf("EWMA did not converge to the constant: %v", e.value)
 	}
 }
 
 // TestConfigValidation: bad configs are rejected.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{},                              // no prior MTTI
-		{PriorMTTI: -1},                 // negative prior
-		{PriorMTTI: 100, Alpha: 1.5},    // alpha out of range
-		{PriorMTTI: 100, Alpha: -0.1},   // alpha negative
-		{PriorMTTI: 100, PlanEvery: -1}, // negative epoch
+		{},                                    // no prior MTTI
+		{PriorMTTI: -1},                       // negative prior
+		{PriorMTTI: 100, InitialInterval: -1}, // negative bootstrap
+		{PriorMTTI: 100, MinInterval: -1},     // negative clamp
 		{PriorMTTI: 100, MinInterval: 10, MaxInterval: 5}, // inverted clamp
 	}
 	for i, cfg := range bad {
@@ -72,29 +71,54 @@ func TestInitialIntervalBeforeObservations(t *testing.T) {
 }
 
 // TestSyncPlanMatchesPolicyOnKnownEstimates: after observations settle
-// the planned interval equals the policy formula evaluated at the
+// the planned interval equals Daly's formula evaluated at the
 // estimated MTTI and cost — the controller rediscovers the offline
 // plan without being told C or λ.
 func TestSyncPlanMatchesPolicyOnKnownEstimates(t *testing.T) {
-	for _, pol := range []Policy{PolicyYoung, PolicyDaly} {
-		c := mustNew(t, Config{PriorMTTI: 500, Policy: pol})
-		const cost = 8.0
-		now := 0.0
-		for i := 0; i < 40; i++ {
-			now += 50
-			c.ObserveCheckpoint(CheckpointObs{When: now, SyncSeconds: cost})
+	c := mustNew(t, Config{PriorMTTI: 500})
+	const cost = 8.0
+	now := 0.0
+	for i := 0; i < 40; i++ {
+		now += 50
+		c.ObserveCheckpoint(CheckpointObs{SyncSeconds: cost})
+	}
+	got := c.Interval(now)
+	want := model.DalyInterval(1/c.Estimates(now).Lambda, cost)
+	if math.Abs(got-want) > 1e-9*want {
+		t.Errorf("interval %g, want Daly's %g", got, want)
+	}
+}
+
+// TestObservationsPickTheCostModel: nobody tells the controller whether
+// the pipeline is overlapped. Before any observation both controllers
+// plan InitialInterval; fed only SyncSeconds, one plans Daly's formula
+// on the sync cost; fed only capture/background observations, the other
+// plans the bisection fixed point over the overlapped stall.
+func TestObservationsPickTheCostModel(t *testing.T) {
+	cfg := Config{PriorMTTI: 1000, InitialInterval: 25}
+	sync, async := mustNew(t, cfg), mustNew(t, cfg)
+	for _, c := range []*Controller{sync, async} {
+		if got := c.Interval(0); got != cfg.InitialInterval {
+			t.Fatalf("before any observation: interval %g, want InitialInterval %g", got, cfg.InitialInterval)
 		}
-		got := c.Interval(now)
-		mtti := 1 / c.Estimates(now).Lambda
-		var want float64
-		if pol == PolicyYoung {
-			want = model.YoungInterval(mtti, cost)
-		} else {
-			want = model.DalyInterval(mtti, cost)
-		}
-		if math.Abs(got-want) > 1e-9*want {
-			t.Errorf("%v: interval %g, want policy value %g", pol, got, want)
-		}
+	}
+	const tcap, tbg = 0.01, 40.0
+	now := 0.0
+	for i := 0; i < 10; i++ {
+		now += 60
+		sync.ObserveCheckpoint(CheckpointObs{SyncSeconds: tcap + tbg})
+		async.ObserveCheckpoint(CheckpointObs{CaptureSeconds: tcap, BackgroundSeconds: tbg})
+	}
+	mtti := 1 / sync.Estimates(now).Lambda
+	if got, want := sync.Interval(now), model.DalyInterval(mtti, tcap+tbg); got != want {
+		t.Fatalf("sync-fed plan %g, want Daly(M̂, Ĉ) = %g", got, want)
+	}
+	tau := async.Interval(now)
+	if self := model.DalyInterval(mtti, model.AsyncEffectiveStall(tcap, tbg, tau)); math.Abs(self-tau) > 1e-6*tau {
+		t.Fatalf("overlap-fed plan %g is not the fixed point: Daly(M̂, stall(τ)) = %g", tau, self)
+	}
+	if tau >= tbg || tau >= sync.Interval(now) {
+		t.Fatalf("overlap-fed plan %g should sit below t̂bg %g and below the sync plan %g", tau, tbg, sync.Interval(now))
 	}
 }
 
@@ -102,7 +126,7 @@ func TestSyncPlanMatchesPolicyOnKnownEstimates(t *testing.T) {
 // shorter interval.
 func TestFailureObservationsShortenInterval(t *testing.T) {
 	c := mustNew(t, Config{PriorMTTI: 10000})
-	c.ObserveCheckpoint(CheckpointObs{When: 10, SyncSeconds: 5})
+	c.ObserveCheckpoint(CheckpointObs{SyncSeconds: 5})
 	before := c.Interval(10)
 	// 100 failures 100 s apart: the posterior MTTI — (1·10000 + 10000
 	// observed seconds) over (1 + 100) events — collapses toward 100 s
@@ -134,16 +158,14 @@ func TestCostDriftMovesInterval(t *testing.T) {
 	now := 0.0
 	for i := 0; i < 30; i++ {
 		now += 30
-		c.ObserveCheckpoint(CheckpointObs{When: now, SyncSeconds: 12, RawBytes: 8 << 20, Bytes: 4 << 20})
+		c.ObserveCheckpoint(CheckpointObs{SyncSeconds: 12})
 	}
 	high := c.Interval(now)
-	r1 := c.Estimates(now).Ratio
 	for i := 0; i < 30; i++ {
 		now += 30
-		c.ObserveCheckpoint(CheckpointObs{When: now, SyncSeconds: 2, RawBytes: 8 << 20, Bytes: 1 << 20})
+		c.ObserveCheckpoint(CheckpointObs{SyncSeconds: 2})
 	}
 	low := c.Interval(now)
-	r2 := c.Estimates(now).Ratio
 	if low >= high {
 		t.Fatalf("interval did not track the cost drift: %g → %g", high, low)
 	}
@@ -153,25 +175,21 @@ func TestCostDriftMovesInterval(t *testing.T) {
 	if got := low / high; got < 0.3 || got > 0.65 {
 		t.Fatalf("interval ratio %g, want ≈0.4–0.6 for a 6× cost drop", got)
 	}
-	if r2 <= r1 {
-		t.Fatalf("compression-ratio estimate did not drift: %g → %g", r1, r2)
-	}
 }
 
-// TestAsyncFixedPointDegeneratesToCaptureStall: when the policy
-// interval for the capture stall alone exceeds the background time,
-// the fixed point is policy(M̂, t̂cap) — the overlapped cost, not the
-// raw one.
+// TestAsyncFixedPointDegeneratesToCaptureStall: when Daly's interval
+// for the capture stall alone exceeds the background time, the fixed
+// point is Daly(M̂, t̂cap) — the overlapped cost, not the raw one.
 func TestAsyncFixedPointDegeneratesToCaptureStall(t *testing.T) {
-	c := mustNew(t, Config{PriorMTTI: 10000, Async: true, Policy: PolicyYoung})
+	c := mustNew(t, Config{PriorMTTI: 10000})
 	now := 0.0
 	for i := 0; i < 20; i++ {
 		now += 100
-		c.ObserveCheckpoint(CheckpointObs{When: now, CaptureSeconds: 0.5, BackgroundSeconds: 10})
+		c.ObserveCheckpoint(CheckpointObs{CaptureSeconds: 0.5, BackgroundSeconds: 10})
 	}
 	got := c.Interval(now)
 	mtti := 1 / c.Estimates(now).Lambda
-	want := model.YoungInterval(mtti, 0.5)
+	want := model.DalyInterval(mtti, 0.5)
 	if want <= 10 {
 		t.Fatalf("test setup broken: capture-only interval %g should exceed tbg 10", want)
 	}
@@ -179,11 +197,11 @@ func TestAsyncFixedPointDegeneratesToCaptureStall(t *testing.T) {
 		t.Fatalf("async interval %g, want capture-only plan %g", got, want)
 	}
 	// Overlap pays: the async stall (0.5 s) is far below the sync cost
-	// (10.5 s), so the async plan checkpoints much more often — Young's
-	// interval scales with √C — at a lower modeled overhead.
-	sync := mustNew(t, Config{PriorMTTI: 10000, Policy: PolicyYoung})
+	// (10.5 s), so the async plan checkpoints much more often — Daly's
+	// interval grows with √C — at a lower modeled overhead.
+	sync := mustNew(t, Config{PriorMTTI: 10000})
 	for i := 0; i < 20; i++ {
-		sync.ObserveCheckpoint(CheckpointObs{When: float64(i) * 100, SyncSeconds: 10.5})
+		sync.ObserveCheckpoint(CheckpointObs{SyncSeconds: 10.5})
 	}
 	s := sync.Interval(now)
 	if got >= s {
@@ -197,14 +215,14 @@ func TestAsyncFixedPointDegeneratesToCaptureStall(t *testing.T) {
 
 // TestAsyncFixedPointBackpressureRegime: with a background write far
 // longer than the capture-only plan, the fixed point lands below t̂bg
-// and satisfies τ = policy(M̂, stall(τ)) to solver precision.
+// and satisfies τ = Daly(M̂, stall(τ)) to solver precision.
 func TestAsyncFixedPointBackpressureRegime(t *testing.T) {
-	c := mustNew(t, Config{PriorMTTI: 10000, Async: true, Policy: PolicyYoung})
+	c := mustNew(t, Config{PriorMTTI: 10000})
 	now := 0.0
 	const tcap, tbg = 0.001, 100.0
 	for i := 0; i < 30; i++ {
 		now += 200
-		c.ObserveCheckpoint(CheckpointObs{When: now, CaptureSeconds: tcap, BackgroundSeconds: tbg})
+		c.ObserveCheckpoint(CheckpointObs{CaptureSeconds: tcap, BackgroundSeconds: tbg})
 	}
 	tau := c.Interval(now)
 	mtti := 1 / c.Estimates(now).Lambda
@@ -212,30 +230,30 @@ func TestAsyncFixedPointBackpressureRegime(t *testing.T) {
 		t.Fatalf("fixed point %g should sit below tbg %g in the backpressure regime", tau, tbg)
 	}
 	stall := model.AsyncEffectiveStall(tcap, tbg, tau)
-	self := model.YoungInterval(mtti, stall)
+	self := model.DalyInterval(mtti, stall)
 	if math.Abs(self-tau) > 1e-6*tau {
-		t.Fatalf("not a fixed point: τ=%g but policy(M, stall(τ))=%g", tau, self)
+		t.Fatalf("not a fixed point: τ=%g but Daly(M, stall(τ))=%g", tau, self)
 	}
 }
 
-// TestClampAndPlanEvery: clamps bound every plan; PlanEvery batches
-// re-planning to the epoch cadence.
+// TestClampAndPlanEvery: clamps bound every plan, and the controller
+// plans on every fresh observation — and only then.
 func TestClampAndPlanEvery(t *testing.T) {
-	c := mustNew(t, Config{PriorMTTI: 1000, MinInterval: 40, MaxInterval: 60, PlanEvery: 100})
-	c.ObserveCheckpoint(CheckpointObs{When: 1, SyncSeconds: 1e-9}) // →tiny τ, clamped up
+	c := mustNew(t, Config{PriorMTTI: 1000, MinInterval: 40, MaxInterval: 60})
+	c.ObserveCheckpoint(CheckpointObs{SyncSeconds: 1e-9}) // →tiny τ, clamped up
 	if got := c.Interval(1); got != 40 {
 		t.Fatalf("min clamp: %g, want 40", got)
 	}
-	c.ObserveCheckpoint(CheckpointObs{When: 2, SyncSeconds: 1e6}) // →huge τ, clamped down
-	// Inside the planning epoch: the old plan stands despite fresh data.
-	if got := c.Interval(50); got != 40 {
-		t.Fatalf("re-planned inside the epoch: %g", got)
+	c.ObserveCheckpoint(CheckpointObs{SyncSeconds: 1e6}) // →huge τ, clamped down
+	if got := c.Interval(2); got != 60 {
+		t.Fatalf("max clamp: %g, want 60", got)
 	}
-	if got := c.Interval(101); got != 60 {
-		t.Fatalf("max clamp after epoch: %g, want 60", got)
+	// Nothing new observed: the plan stands and nothing is re-planned.
+	if got := c.Interval(50); got != 60 {
+		t.Fatalf("re-planned without fresh data: %g", got)
 	}
 	if n := len(c.Trajectory()); n != 2 {
-		t.Fatalf("trajectory has %d plans, want 2 (one per epoch)", n)
+		t.Fatalf("trajectory has %d plans, want 2 (one per fresh observation)", n)
 	}
 }
 
@@ -256,17 +274,13 @@ func TestReplanWithoutCostKeepsPlan(t *testing.T) {
 // identical trajectories, bit for bit.
 func TestTrajectoryDeterminism(t *testing.T) {
 	run := func() []Plan {
-		c := mustNew(t, Config{PriorMTTI: 777, Async: true})
+		c := mustNew(t, Config{PriorMTTI: 777})
 		now := 0.0
 		for i := 0; i < 25; i++ {
 			now += 13.5
-			c.ObserveCheckpoint(CheckpointObs{
-				When: now, CaptureSeconds: 0.25, BackgroundSeconds: 3 + float64(i%5),
-				RawBytes: 1 << 20, Bytes: 1 << 17,
-			})
+			c.ObserveCheckpoint(CheckpointObs{CaptureSeconds: 0.25, BackgroundSeconds: 3 + float64(i%5)})
 			if i%7 == 3 {
 				c.ObserveFailure(now + 1)
-				c.ObserveRecoveryKind(RecoveryObs{Seconds: 3, RestartIO: true})
 			}
 			c.Interval(now + 2)
 		}
@@ -283,60 +297,18 @@ func TestTrajectoryDeterminism(t *testing.T) {
 	}
 }
 
-// TestEstimatesSnapshot: recovery observations and ratio feed the
-// Estimates view.
+// TestEstimatesSnapshot: each cost feed lands in its own estimate, and
+// failures in the rate and the count.
 func TestEstimatesSnapshot(t *testing.T) {
 	c := mustNew(t, Config{PriorMTTI: 100})
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: 7, RestartIO: true})
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: 9, RestartIO: true})
+	c.ObserveCheckpoint(CheckpointObs{SyncSeconds: 7})
+	c.ObserveCheckpoint(CheckpointObs{CaptureSeconds: 0.5, BackgroundSeconds: 9})
+	c.ObserveFailure(5)
 	est := c.Estimates(6)
-	if est.Recovery <= 7 || est.Recovery >= 9 {
-		t.Fatalf("recovery EWMA %g, want between the samples", est.Recovery)
+	if est.SyncCost != 7 || est.Capture != 0.5 || est.Background != 9 || est.Failures != 1 {
+		t.Fatalf("estimates %+v, want sync 7, capture 0.5, background 9, one failure", est)
 	}
-	if est.MTTI <= 0 || est.Lambda <= 0 {
+	if est.MTTI <= 0 || est.Lambda <= 0 || est.MTTI != 1/est.Lambda {
 		t.Fatalf("degenerate rate estimates: %+v", est)
-	}
-}
-
-// TestObserveRecoveryKindSeparatesTiers pins the tier separation: ABFT
-// recoveries feed their own EWMA and counter, checkpoint restarts feed
-// the I/O restart-cost estimate the Young/Daly plan consumes, and
-// neither moves the failure-rate posterior.
-func TestObserveRecoveryKindSeparatesTiers(t *testing.T) {
-	c, err := New(Config{PriorMTTI: 1000})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	c.ObserveFailure(100)
-	lambdaBefore := c.Estimates(200).Lambda
-
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: 8, RestartIO: true})
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: 0.25, RestartIO: false})
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: 0.75, RestartIO: false})
-
-	est := c.Estimates(200)
-	if est.Lambda != lambdaBefore {
-		t.Fatalf("recovery observations moved lambda: %.6g → %.6g", lambdaBefore, est.Lambda)
-	}
-	if est.Recovery != 8 {
-		t.Fatalf("I/O restart EWMA %.3g, want 8 (ABFT costs must not dilute it)", est.Recovery)
-	}
-	if est.ABFTRecovery <= 0 || est.ABFTRecovery >= 8 {
-		t.Fatalf("ABFT recovery EWMA %.3g, want within the observed 0.25–0.75 band", est.ABFTRecovery)
-	}
-	if est.IORestarts != 1 || est.ABFTRecoveries != 2 {
-		t.Fatalf("recovery kind counts io=%d abft=%d, want 1/2", est.IORestarts, est.ABFTRecoveries)
-	}
-
-	// A second checkpoint restart moves only the I/O count.
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: 8, RestartIO: true})
-	if got := c.Estimates(200); got.IORestarts != 2 || got.ABFTRecoveries != 2 {
-		t.Fatalf("an I/O restart miscounted: io=%d abft=%d, want 2/2", got.IORestarts, got.ABFTRecoveries)
-	}
-
-	// Negative durations are ignored entirely.
-	c.ObserveRecoveryKind(RecoveryObs{Seconds: -1, RestartIO: false})
-	if got := c.Estimates(200); got.ABFTRecoveries != 2 {
-		t.Fatal("negative-duration recovery observation was counted")
 	}
 }

@@ -11,8 +11,6 @@ type ctrlMetrics struct {
 	interval   *obs.Gauge
 	mtti       *obs.Gauge
 	checkpoint *obs.Gauge
-	recovery   *obs.Gauge
-	ratio      *obs.Gauge
 }
 
 // Instrument attaches metric sinks to the controller's re-planning
@@ -25,20 +23,14 @@ func (c *Controller) Instrument(reg *obs.Registry) {
 		interval:   reg.Gauge(obs.MAdaptIntervalSeconds),
 		mtti:       reg.Gauge(obs.MAdaptMTTISeconds),
 		checkpoint: reg.Gauge(obs.MAdaptCheckpointSeconds),
-		recovery:   reg.Gauge(obs.MAdaptRecoverySeconds),
-		ratio:      reg.Gauge(obs.MAdaptCompressionRatio),
 	}
 }
 
-func (m *ctrlMetrics) observePlan(p Plan, recoverySeconds float64) {
+func (m *ctrlMetrics) observePlan(p Plan) {
 	m.replans.Inc()
 	m.interval.Set(p.Interval)
 	if p.Lambda > 0 {
 		m.mtti.Set(1 / p.Lambda)
 	}
 	m.checkpoint.Set(p.Cost)
-	m.recovery.Set(recoverySeconds)
-	if p.Ratio > 0 {
-		m.ratio.Set(p.Ratio)
-	}
 }

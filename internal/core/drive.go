@@ -61,14 +61,8 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 		cfg.Quality.SetSpanClock(d.now)
 		defer cfg.Quality.SetSpanClock(nil)
 	}
-	if ctrl := cfg.Controller; ctrl != nil {
-		if cfg.IntervalSeconds > 0 {
-			return nil, fmt.Errorf("core: IntervalSeconds and Controller are mutually exclusive")
-		}
-		if ctrl.Async() != d.overlapped {
-			return nil, fmt.Errorf("core: controller async=%v does not match the Manager's Config.Async=%v (it would plan against the wrong cost model)",
-				ctrl.Async(), d.overlapped)
-		}
+	if cfg.Controller != nil && cfg.IntervalSeconds > 0 {
+		return nil, fmt.Errorf("core: IntervalSeconds and Controller are mutually exclusive")
 	}
 	if cfg.MaxIterations == 0 {
 		d.cfg.MaxIterations = 1_000_000
@@ -103,12 +97,11 @@ type DriveConfig struct {
 	// exclusive with Controller.
 	IntervalSeconds float64
 	// Controller, when non-nil, plans the interval online. The driver is
-	// its only feed: every checkpoint's cost and byte counts, every
-	// failure, every completed recovery with its I/O flavour, and — with
-	// Quality attached — every audited save's distortion, all on the
-	// run's clock, so a seed reproduces the interval trajectory. Its
-	// Async flag must match the Manager's Config.Async. It is driven, not
-	// copied: pass a fresh one per run.
+	// its only feed: every committed checkpoint's cost — the whole write
+	// when synchronous, capture and background write when overlapped —
+	// and every failure, on the run's clock, so a seed reproduces the
+	// interval trajectory. It is driven, not copied: pass a fresh one per
+	// run.
 	Controller *adapt.Controller
 
 	// OnStep, when non-nil, runs after every completed iteration (after
@@ -522,7 +515,7 @@ func (d *driver) settle(at float64) {
 	d.out.Checkpoints++
 	d.ob.ckpts.Inc()
 	if !d.virtual {
-		d.observeCheckpoint(info, adapt.CheckpointObs{
+		d.observeCheckpoint(adapt.CheckpointObs{
 			CaptureSeconds: d.costs.CaptureSeconds(info), BackgroundSeconds: d.costs.CheckpointSeconds(info)})
 	}
 }
@@ -538,28 +531,11 @@ func (d *driver) abort() error {
 	return nil
 }
 
-// observeCheckpoint is the controller's checkpoint feed: the cost
-// observation, stamped and sized here, and the audited distortion of
-// the same save when the quality auditor sampled it.
-func (d *driver) observeCheckpoint(info fti.Info, o adapt.CheckpointObs) {
-	ctrl := d.cfg.Controller
-	if ctrl == nil {
-		return
+// observeCheckpoint is the controller's checkpoint feed.
+func (d *driver) observeCheckpoint(o adapt.CheckpointObs) {
+	if ctrl := d.cfg.Controller; ctrl != nil {
+		ctrl.ObserveCheckpoint(o)
 	}
-	o.When, o.RawBytes, o.Bytes = d.now(), info.RawBytes, info.Bytes
-	ctrl.ObserveCheckpoint(o)
-	dist := d.cfg.Quality.DistortionFor(info.Seq)
-	if dist == nil {
-		return
-	}
-	q := adapt.QualityObs{When: o.When, Relative: dist.Relative}
-	if dist.RequestedBound > 0 {
-		q.BoundRatio = dist.MaxError / dist.RequestedBound
-	}
-	if info.Bytes > 0 {
-		q.CompressionRatio = float64(info.RawBytes) / float64(info.Bytes)
-	}
-	ctrl.ObserveQuality(q)
 }
 
 // checkpoint walks one save through the lifecycle: wait for the
@@ -633,7 +609,7 @@ func (d *driver) checkpoint() (struck bool, err error) {
 			// only when it has committed (settle).
 			out.StorageRetryTime += retry
 			d.saveCommitAt = now + write
-			d.observeCheckpoint(info, adapt.CheckpointObs{CaptureSeconds: stall, BackgroundSeconds: write})
+			d.observeCheckpoint(adapt.CheckpointObs{CaptureSeconds: stall, BackgroundSeconds: write})
 		}
 		return false, nil
 	}
@@ -642,7 +618,7 @@ func (d *driver) checkpoint() (struck bool, err error) {
 	if info.Seq != 0 { // else a degraded save was swallowed: nothing committed
 		out.Checkpoints++
 		d.ob.ckpts.Inc()
-		d.observeCheckpoint(info, adapt.CheckpointObs{SyncSeconds: write})
+		d.observeCheckpoint(adapt.CheckpointObs{SyncSeconds: write})
 	}
 	return false, nil
 }
@@ -698,22 +674,17 @@ func (d *driver) recover() error {
 		d.ob.recovery(rep, begin, math.Inf(1))
 		d.settle(d.now()) // a drained real save committed, or failed, inside the recovery
 		out.RecoveryReadBytes += int64(rep.ReadBytes())
-		restart := adapt.RecoveryObs{Seconds: cost, RestartIO: true}
 		switch rep.Used {
 		case TierABFT:
 			// The pre-failure state itself is back: no logical rollback,
 			// no re-executed work, no restart I/O.
 			out.ABFTRecoveries++
-			restart.RestartIO = false
 		case TierRestartZero:
 			out.FreshRestarts++
 			d.logical = 0
 		default:
 			out.CheckpointRestarts++
 			d.logical = d.pos[rep.Iteration]
-		}
-		if ctrl != nil {
-			ctrl.ObserveRecoveryKind(restart)
 		}
 		d.openWindow()
 		return nil

@@ -107,7 +107,6 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 		}
 		s = st
 		mcfg = core.Config{Scheme: core.Lossless}
-		gcfg.Method = abft.BackwardForward
 	case "gmres-lossy-bound":
 		a, b, _ = testSystem()
 		s = solver.NewGMRES(a, nil, b, nil, 10, solver.SeqSpace{}, solver.Options{RTol: 1e-8})
@@ -157,7 +156,7 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 		cfg.Costs.CheckpointSeconds = func(i fti.Info) float64 { return 13 + 1e-4*float64(i.Bytes) }
 	}
 	if c.adaptive {
-		ctrl, err := adapt.New(adapt.Config{PriorMTTI: 60, PriorWeight: 1, Async: c.async, InitialInterval: 10})
+		ctrl, err := adapt.New(adapt.Config{PriorMTTI: 60, InitialInterval: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

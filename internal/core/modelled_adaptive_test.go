@@ -50,7 +50,7 @@ const adaptiveTestMTTI = 150.0
 // failures correct it — and the censored estimator relaxes the rate as
 // failure-free time accumulates.
 func conservativeControllerConfig() adapt.Config {
-	return adapt.Config{PriorMTTI: 100, PriorWeight: 1}
+	return adapt.Config{PriorMTTI: 100}
 }
 
 // failureTrace pre-draws one seed's failure times as absolute virtual
@@ -115,7 +115,7 @@ func meanSimSeconds(t *testing.T, seeds []int64, run func(seed int64) *core.Outc
 func sweepSeeds() []int64 { return []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} }
 
 // TestAdaptiveConfigValidation: the controller excludes a fixed
-// interval, and its async flag must match the simulator's cost mode.
+// interval.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	a, b := jacobiSystem()
 	s, m := newManagedJacobi(t, a, b, core.Config{Scheme: core.Lossy})
@@ -126,14 +126,6 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	_, err = core.Drive(core.DriveConfig{Stepper: s, Manager: m, Costs: &core.Costs{TitSeconds: 1}, IntervalSeconds: 10, Controller: ctrl})
 	if err == nil {
 		t.Fatal("Controller + IntervalSeconds accepted")
-	}
-	asyncCtrl, err := adapt.New(adapt.Config{PriorMTTI: 1000, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.Drive(core.DriveConfig{Stepper: s, Manager: m, Costs: &core.Costs{TitSeconds: 1}, Controller: asyncCtrl})
-	if err == nil {
-		t.Fatal("async controller accepted for a sync-cost run")
 	}
 }
 
@@ -170,7 +162,7 @@ func TestAdaptiveAsyncDeterministicTrajectory(t *testing.T) {
 	run := func() *core.Outcome {
 		a, b := jacobiSystem()
 		s, m := newManagedJacobi(t, a, b, core.Config{Scheme: core.Lossy, Async: true})
-		ctrl, err := adapt.New(adapt.Config{PriorMTTI: 100, PriorWeight: 1, Async: true})
+		ctrl, err := adapt.New(conservativeControllerConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +226,7 @@ func TestAdaptivePinnedControllerMatchesFixedRun(t *testing.T) {
 
 // TestAdaptiveWithinFivePercentOfBestFixed is the acceptance sweep:
 // over a deterministic seed set with shared failure traces, the
-// adaptive controller — told nothing about C, R, or λ beyond a
+// adaptive controller — told nothing about C or λ beyond a
 // conservative prior — lands within 5% of the best fixed interval's
 // mean simulated wall-clock. The scheme is lossless (exact-state
 // recovery), the regime the Young/Daly interval model is derived for.

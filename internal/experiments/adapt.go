@@ -53,12 +53,9 @@ type AdaptResult struct {
 }
 
 // adaptMTTI is the injected failure rate of the sweep; the controller
-// is seeded with a 1.5× pessimistic prior and learns the rest online.
-const adaptMTTI = 150.0
-
-func adaptControllerConfig() adapt.Config {
-	return adapt.Config{PriorMTTI: 100, PriorWeight: 1}
-}
+// is seeded with a 1.5× pessimistic prior (adaptPrior) and learns the
+// rest online.
+const adaptMTTI, adaptPrior = 150.0, 100.0
 
 // adaptTrace pre-draws one seed's absolute failure times so every
 // policy under a seed faces the identical trace.
@@ -194,7 +191,7 @@ func runAdapt(cfg Config) (Result, error) {
 		}
 		row.ProbeSeconds = probeSecs
 		adaptive, adaptIters, first, err := mean(0, func() (*adapt.Controller, error) {
-			return adapt.New(adaptControllerConfig())
+			return adapt.New(adapt.Config{PriorMTTI: adaptPrior})
 		}, sc.scheme, sc.cost)
 		if err != nil {
 			return nil, err

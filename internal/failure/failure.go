@@ -81,16 +81,6 @@ type RateEstimator struct {
 	failures      int
 	observed      float64 // Σ completed inter-failure gaps
 	lastAt        float64 // absolute time of the last failure (or start)
-
-	// Recovery bookkeeping, deliberately outside the posterior: how a
-	// failure was recovered from (checkpoint-restart I/O vs an ABFT
-	// algorithmic reconstruction) carries no information about the
-	// failure *rate*, so these counters never enter Rate. Keeping them
-	// here hardens the observation feed — a caller reporting both the
-	// failure and its recovery cannot double-count an ABFT recovery as
-	// a checkpoint restart (or as a second failure).
-	ioRestarts     int
-	abftRecoveries int
 }
 
 // NewRateEstimator creates an estimator with a prior mean time to
@@ -132,24 +122,3 @@ func (e *RateEstimator) Rate(now float64) float64 {
 
 // Failures reports how many real (non-prior) failures were observed.
 func (e *RateEstimator) Failures() int { return e.failures }
-
-// ObserveRecovery records how a failure was recovered from: restartIO
-// true means a checkpoint restart (PFS reads), false an ABFT
-// algorithmic reconstruction (no restart I/O). The censored-
-// exponential posterior is untouched either way — only ObserveFailure
-// moves λ̂ — so ABFT recoveries are never double-counted as checkpoint
-// restarts and recovery reporting cannot skew the failure rate.
-func (e *RateEstimator) ObserveRecovery(restartIO bool) {
-	if restartIO {
-		e.ioRestarts++
-	} else {
-		e.abftRecoveries++
-	}
-}
-
-// IORestarts reports how many recoveries read a stored checkpoint.
-func (e *RateEstimator) IORestarts() int { return e.ioRestarts }
-
-// ABFTRecoveries reports how many recoveries were algorithmic (no
-// restart I/O).
-func (e *RateEstimator) ABFTRecoveries() int { return e.abftRecoveries }

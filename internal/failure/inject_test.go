@@ -147,33 +147,3 @@ func ParseMustPlan(t *testing.T, spec string, seed int64) *Plan {
 	}
 	return p
 }
-
-// TestRateEstimatorRecoveryKindsOutsidePosterior pins the hardening
-// contract: recovery observations classify how failures were handled
-// but must never move the censored-exponential failure-rate posterior
-// — an ABFT recovery is not a checkpoint restart, and neither is a
-// second failure.
-func TestRateEstimatorRecoveryKindsOutsidePosterior(t *testing.T) {
-	e, err := NewRateEstimator(1000, 1)
-	if err != nil {
-		t.Fatalf("NewRateEstimator: %v", err)
-	}
-	e.ObserveFailure(500)
-	e.ObserveFailure(900)
-	before := e.Rate(1200)
-	fails := e.Failures()
-
-	e.ObserveRecovery(false) // ABFT reconstruction
-	e.ObserveRecovery(false)
-	e.ObserveRecovery(true) // checkpoint restart
-
-	if after := e.Rate(1200); after != before {
-		t.Fatalf("recovery observations moved the posterior: %.6g → %.6g", before, after)
-	}
-	if e.Failures() != fails {
-		t.Fatalf("recovery observations changed the failure count: %d → %d", fails, e.Failures())
-	}
-	if e.ABFTRecoveries() != 2 || e.IORestarts() != 1 {
-		t.Fatalf("recovery kinds miscounted: abft=%d io=%d, want 2/1", e.ABFTRecoveries(), e.IORestarts())
-	}
-}

@@ -111,8 +111,6 @@ type FaultPolicy struct {
 	// Seed drives the jitter stream, so a seeded run's backoff
 	// schedule is reproducible.
 	Seed int64
-	// Classify overrides the error taxonomy; nil means ClassifyError.
-	Classify func(error) ErrClass
 	// Sleep overrides the backoff sleep (tests substitute a recorder);
 	// nil means time.Sleep.
 	Sleep func(time.Duration)
@@ -128,9 +126,6 @@ func (p FaultPolicy) Normalize() FaultPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 250 * time.Millisecond
-	}
-	if p.Classify == nil {
-		p.Classify = ClassifyError
 	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
@@ -266,7 +261,7 @@ func (r *Resilient) retry(op, name string, fn func() error) error {
 			return nil
 		}
 		last = err
-		class := r.pol.Classify(err)
+		class := ClassifyError(err)
 		if class != ClassTransient {
 			r.mu.Lock()
 			r.stats.Ops++

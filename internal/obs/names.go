@@ -79,8 +79,6 @@ const (
 	MAdaptIntervalSeconds   = "adapt_interval_seconds"
 	MAdaptMTTISeconds       = "adapt_mtti_seconds"
 	MAdaptCheckpointSeconds = "adapt_checkpoint_seconds"
-	MAdaptRecoverySeconds   = "adapt_recovery_seconds"
-	MAdaptCompressionRatio  = "adapt_compression_ratio"
 
 	// sim — core.Drive's lifecycle counters, on either clock (the prefix
 	// is the simulator's, which came first).
@@ -132,7 +130,7 @@ var AllMetricNames = []string{
 	MABFTObservesTotal, MABFTReconstructionsTotal, MABFTRejectsTotal,
 	MABFTChecksumFailuresTotal, MABFTLocalIterationsTotal,
 	MAdaptReplansTotal, MAdaptIntervalSeconds, MAdaptMTTISeconds,
-	MAdaptCheckpointSeconds, MAdaptRecoverySeconds, MAdaptCompressionRatio,
+	MAdaptCheckpointSeconds,
 	MSimFailuresTotal, MSimCheckpointsTotal, MSimCheckpointAbortsTotal,
 	MSimRecoveriesTotal, MSimElapsedSeconds,
 	MQualityAuditsTotal, MQualityViolationsTotal, MQualityErrorRatio,

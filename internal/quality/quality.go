@@ -32,7 +32,9 @@ import (
 )
 
 // Config tunes the auditor. The zero value is usable: sample every
-// DefaultSampleEvery-th checkpoint, keep DefaultMaxRecords records.
+// DefaultSampleEvery-th checkpoint. The auditor keeps the newest
+// DefaultMaxRecords per-vector records; older records are dropped (and
+// counted) once the cap is hit.
 type Config struct {
 	// SampleEvery audits every n-th committed save (by sequence
 	// number, so sampling is deterministic and independent of
@@ -42,24 +44,20 @@ type Config struct {
 	// every audited vector even when the encoder reports encode-path
 	// stats, cross-checking the accumulators against a real decode.
 	Exhaustive bool
-	// MaxRecords caps retained per-vector records; older records are
-	// dropped (and counted) once the cap is hit. 0 means
-	// DefaultMaxRecords.
-	MaxRecords int
-	// BNorm is ‖b‖ of the system being solved; needed (with
-	// StabilityC) for the stability verdict. 0 leaves the verdict
-	// undefined.
+	// BNorm is ‖b‖ of the system being solved; needed for the
+	// stability verdict. 0 leaves the verdict undefined.
 	BNorm float64
-	// StabilityC is the c in the adaptive bound eb = c·‖r‖/‖b‖ that
-	// delimits the Fox et al. inline-ZFP stability region. 0 means 1.
-	StabilityC float64
 }
 
-// Defaults for Config zero values.
+// Defaults for Config zero values, and the record cap.
 const (
 	DefaultSampleEvery = 4
 	DefaultMaxRecords  = 4096
 )
+
+// stabilityC is the c in the adaptive bound eb = c·‖r‖/‖b‖ that
+// delimits the Fox et al. inline-ZFP stability region.
+const stabilityC = 1.0
 
 // Record is one audited vector of one committed checkpoint.
 type Record struct {
@@ -160,12 +158,6 @@ func New(cfg Config) *Auditor {
 	}
 	if cfg.Exhaustive {
 		cfg.SampleEvery = 1
-	}
-	if cfg.MaxRecords <= 0 {
-		cfg.MaxRecords = DefaultMaxRecords
-	}
-	if cfg.StabilityC <= 0 {
-		cfg.StabilityC = 1
 	}
 	return &Auditor{
 		cfg:        cfg,
@@ -378,7 +370,7 @@ func (a *Auditor) decodeStats(live []float64, blob []byte, enc fti.Encoder) (cod
 // appendRecordLocked stores rec (bounded) and folds it into the
 // per-checkpoint distortion aggregate.
 func (a *Auditor) appendRecordLocked(rec Record) {
-	if len(a.records) >= a.cfg.MaxRecords {
+	if len(a.records) >= DefaultMaxRecords {
 		a.records = append(a.records[:0], a.records[1:]...)
 		a.dropped++
 	}
@@ -390,7 +382,7 @@ func (a *Auditor) appendRecordLocked(rec Record) {
 		a.bySeq[rec.Seq] = d
 		a.seqs = append(a.seqs, rec.Seq)
 		// Prune the oldest aggregates alongside the record cap.
-		for len(a.seqs) > a.cfg.MaxRecords {
+		for len(a.seqs) > DefaultMaxRecords {
 			delete(a.bySeq, a.seqs[0])
 			a.seqs = a.seqs[1:]
 		}

@@ -353,16 +353,20 @@ func TestRecordCapEvictsAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(Config{SampleEvery: 1, MaxRecords: 2})
-	for seq := 1; seq <= 3; seq++ {
+	a := New(Config{SampleEvery: 1})
+	const audits = DefaultMaxRecords + 1
+	for seq := 1; seq <= audits; seq++ {
 		a.ObserveVector(seq, seq*10, "x", x, blob, enc, &st)
 	}
 	recs := a.Records()
-	if len(recs) != 2 || a.Dropped() != 1 {
-		t.Fatalf("cap=2 after 3 audits: %d records, %d dropped", len(recs), a.Dropped())
+	if len(recs) != DefaultMaxRecords || a.Dropped() != 1 {
+		t.Fatalf("cap=%d after %d audits: %d records, %d dropped", DefaultMaxRecords, audits, len(recs), a.Dropped())
 	}
-	if recs[0].Seq != 2 || recs[1].Seq != 3 {
-		t.Fatalf("oldest record must be evicted first: %+v", recs)
+	if recs[0].Seq != 2 || recs[len(recs)-1].Seq != audits {
+		t.Fatalf("oldest record must be evicted first: seqs %d…%d", recs[0].Seq, recs[len(recs)-1].Seq)
+	}
+	if a.DistortionFor(1) != nil || a.DistortionFor(2) == nil {
+		t.Fatal("the evicted checkpoint's aggregate must go with its record, and only it")
 	}
 	if !recs[0].Exact || recs[0].Lossy {
 		t.Fatalf("raw encoding must audit as exact and non-lossy: %+v", recs[0])

@@ -99,7 +99,7 @@ func (a *Auditor) Verdict() StabilityVerdict {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	v.StabilityC, v.BNorm = a.cfg.StabilityC, a.cfg.BNorm
+	v.StabilityC, v.BNorm = stabilityC, a.cfg.BNorm
 	if v.BNorm <= 0 {
 		return v
 	}

@@ -30,8 +30,8 @@
 // storage layout. Drive walks the whole lifecycle — step, failure?,
 // due?, capture/encode/write, commit or abort, recovery, rollback — for
 // a solver and a Manager, on a fixed Interval or on the cadence an
-// IntervalController re-plans from what each checkpoint and recovery
-// cost.
+// IntervalController re-plans from what each checkpoint cost and when
+// each failure struck.
 package lossyckpt
 
 import (
@@ -133,7 +133,7 @@ type DriveConfig = core.DriveConfig
 
 // IntervalControllerConfig assembles the online checkpoint-interval
 // controller: EWMA cost estimators, a censored failure-rate posterior
-// and Young/Daly re-planning.
+// and Daly re-planning, overlapped or not as its observations say.
 type IntervalControllerConfig = adapt.Config
 
 // NewIntervalController builds the controller DriveConfig.Controller
