@@ -239,7 +239,7 @@ func BenchmarkCodecThroughput(b *testing.B) {
 		},
 		{
 			name:     "flate",
-			compress: func(v []float64) ([]byte, error) { return codec.Compress(nil, v, codec.BlockedFlate{}, nil) },
+			compress: func(v []float64) ([]byte, error) { return codec.Compress(nil, v, codec.BlockedFlate{}) },
 			decInto:  func(dst []float64, data []byte) error { return codec.DecompressInto(dst, data, codec.BlockedFlate{}) },
 		},
 	}
@@ -793,12 +793,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkQualityTelemetry bounds the cost of the numerical-telemetry
 // audit on the checkpoint hot path: the 1M-element PWRel sync save is
 // timed uninstrumented and with a sampled (every-4th) audit attached
-// — the production default, riding the encoder's own encode-path
-// accumulators — and the band sub-benchmark asserts the interleaved
-// medians agree within 2%. The exhaustive sub-benchmark additionally
-// decode-verifies every save; its ratio is reported as a metric but
-// not gated (a full audit decode per save is priced, not promised).
-// Race builds skip the band (the detector inflates the audited path).
+// — the production default, which decodes each audited save and
+// compares it with the live state — and the band sub-benchmark asserts
+// the interleaved medians agree within 2%. The every-save sub-benchmark
+// audits every save; its ratio is reported as a metric but not gated
+// (an audit decode per save is priced, not promised). Race builds skip
+// the band (the detector inflates the audited path).
 func BenchmarkQualityTelemetry(b *testing.B) {
 	x := solverState(1 << 20)
 	params := sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}
@@ -810,8 +810,8 @@ func BenchmarkQualityTelemetry(b *testing.B) {
 		ck.SetSaveAudit(qa) // nil leaves the hook a no-op
 		return ck
 	}
-	newAuditor := func(exhaustive bool) *quality.Auditor {
-		qa := quality.New(quality.Config{Exhaustive: exhaustive})
+	newAuditor := func(every int) *quality.Auditor {
+		qa := quality.New(quality.Config{SampleEvery: every})
 		qa.Instrument(obs.New(), nil)
 		return qa
 	}
@@ -831,15 +831,15 @@ func BenchmarkQualityTelemetry(b *testing.B) {
 		}
 	})
 	b.Run("sampled", func(b *testing.B) {
-		ck := newCk(newAuditor(false))
+		ck := newCk(newAuditor(0))
 		b.SetBytes(int64(8 * len(x)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			save(ck, i)
 		}
 	})
-	b.Run("exhaustive", func(b *testing.B) {
-		ck := newCk(newAuditor(true))
+	b.Run("every-save", func(b *testing.B) {
+		ck := newCk(newAuditor(1))
 		b.SetBytes(int64(8 * len(x)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -848,24 +848,24 @@ func BenchmarkQualityTelemetry(b *testing.B) {
 	})
 	b.Run("band", func(b *testing.B) {
 		const trials = 9
-		plain, sampled, exhaustive := newCk(nil), newCk(newAuditor(false)), newCk(newAuditor(true))
+		plain, sampled, everySave := newCk(nil), newCk(newAuditor(0)), newCk(newAuditor(1))
 		save(plain, 0) // warm all paths (pool spin-up, buffer growth)
 		save(sampled, 0)
-		save(exhaustive, 0)
+		save(everySave, 0)
 		plainT := make([]float64, 0, trials)
 		sampledT := make([]float64, 0, trials)
-		exhaustT := make([]float64, 0, trials)
+		everyT := make([]float64, 0, trials)
 		for t := 1; t <= trials; t++ {
 			plainT = append(plainT, save(plain, t))
 			sampledT = append(sampledT, save(sampled, t))
-			exhaustT = append(exhaustT, save(exhaustive, t))
+			everyT = append(everyT, save(everySave, t))
 		}
 		sort.Float64s(plainT)
 		sort.Float64s(sampledT)
-		sort.Float64s(exhaustT)
+		sort.Float64s(everyT)
 		ratio := sampledT[trials/2] / plainT[trials/2]
 		b.ReportMetric(100*(ratio-1), "sampled-overhead-%")
-		b.ReportMetric(100*(exhaustT[trials/2]/plainT[trials/2]-1), "exhaustive-overhead-%")
+		b.ReportMetric(100*(everyT[trials/2]/plainT[trials/2]-1), "every-save-overhead-%")
 		if !raceEnabled && ratio > 1.02 {
 			b.Fatalf("sampled audit median %.2f ms vs disabled %.2f ms: %.2f%% overhead exceeds the 2%% band",
 				1e3*sampledT[trials/2], 1e3*plainT[trials/2], 100*(ratio-1))

@@ -124,7 +124,7 @@ type options struct {
 	faultRate                                  float64
 	storageTimeout, scrubEvery                 time.Duration
 	async, adaptive, tiers                     bool
-	quality, qualityExhaustive                 bool
+	quality                                    bool
 	// typed holds the names of the flags given on the command line. A
 	// typed -shards — even -shards 1 — prices writes with the
 	// single-writer striped cost model, so monolithic and sharded runs
@@ -164,14 +164,13 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
 	fs.BoolVar(&o.quality, "quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and attribute post-recovery convergence delay")
 	fs.IntVar(&o.qualitySample, "quality-sample", 4, "audit every Nth committed checkpoint (1 = every checkpoint)")
-	fs.BoolVar(&o.qualityExhaustive, "quality-exhaustive", false, "audit every checkpoint and decode-verify every audited vector (implies -quality)")
 	fs.StringVar(&o.reportOut, "report-out", "", "write the versioned JSON run report (cost table, metrics, per-checkpoint quality, recovery attributions, stability verdict) to this file (implies -quality)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
 	o.typed = map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { o.typed[f.Name] = true })
-	o.quality = o.quality || o.qualityExhaustive || o.reportOut != ""
+	o.quality = o.quality || o.reportOut != ""
 	return o, nil
 }
 
@@ -229,7 +228,6 @@ func (o *options) validate() error {
 		{"-eb", o.scheme != "lossy", "needs -scheme lossy: the other schemes save exact state"},
 		{"-storage-timeout", o.storageRetries == 0, "needs -storage-retries above 0: it budgets the retries' backoff"},
 		{"-quality-sample", !o.quality, "needs quality telemetry (-quality or -report-out)"},
-		{"-quality-sample", o.qualityExhaustive, "conflicts with -quality-exhaustive, which audits every checkpoint"},
 		{"-storage-workers", o.shards <= 1, "needs -shards above 1: it bounds the shard readers and writers"},
 	} {
 		if f.ignored && o.typed[f.name[1:]] {
@@ -469,19 +467,11 @@ func run(o options) (err error) {
 	if o.quality {
 		rep.qa = quality.New(quality.Config{
 			SampleEvery: o.qualitySample,
-			Exhaustive:  o.qualityExhaustive,
 			BNorm:       vec.Norm2(b), // the ‖b‖ the stability verdict normalizes residuals against
 		})
 		rep.qa.Instrument(rep.reg, rep.tr)
 		mgr.InstrumentQuality(rep.qa)
-		every, mode := o.qualitySample, "encode-path stats"
-		if o.qualityExhaustive || every < 1 {
-			every = 1
-		}
-		if o.qualityExhaustive {
-			mode = "exhaustive decode verification"
-		}
-		fmt.Printf("quality telemetry: auditing every %d committed checkpoint(s), %s\n", every, mode)
+		fmt.Printf("quality telemetry: auditing every %d committed checkpoint(s), decoded\n", o.qualitySample)
 	}
 	if err := core.RegisterStatics(mgr.Checkpointer(), a, b); err != nil {
 		return err
@@ -505,7 +495,7 @@ func run(o options) (err error) {
 	}
 	run := core.DriveConfig{
 		Stepper: s, Manager: mgr, X0: make([]float64, a.Rows), Controller: ctrl,
-		MaxIterations: o.maxIter, Metrics: rep.reg, Tracer: rep.tr, Quality: rep.qa,
+		MaxIterations: o.maxIter, Metrics: rep.reg, Tracer: rep.tr,
 	}
 	var src *planSource
 	if injected {

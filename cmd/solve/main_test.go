@@ -101,7 +101,6 @@ func TestRejectedValues(t *testing.T) {
 		"-prior-mtti 100",
 		"-eb 0.5 -scheme traditional",
 		"-storage-timeout 1s -storage-retries 0",
-		"-quality-sample 2 -quality-exhaustive",
 		"-storage-workers 3",
 	} {
 		flagName := strings.Fields(args)[0]

@@ -17,12 +17,8 @@ func (BlockedFlate) ID() ID { return Flate }
 // BlockSize implements BlockCodec.
 func (c BlockedFlate) BlockSize() int { return c.BlockElems }
 
-// EncodeBlock implements BlockCodec: exact, so an audit only scans for
-// the peak.
-func (c BlockedFlate) EncodeBlock(dst []byte, x []float64, st *Stats) ([]byte, error) {
-	if st != nil {
-		st.AddExact(x)
-	}
+// EncodeBlock implements BlockCodec.
+func (c BlockedFlate) EncodeBlock(dst []byte, x []float64) ([]byte, error) {
 	return lossless.Flate{Level: c.Level}.AppendCompress(dst, x)
 }
 

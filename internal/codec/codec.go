@@ -111,10 +111,9 @@ type BlockCodec interface {
 	// into; 0 means DefaultBlockElems.
 	BlockSize() int
 	// EncodeBlock appends the block payload of x to dst, as append
-	// does. A non-nil st receives the distortion the encoding
-	// introduced and the bound it was held to, accumulated on the
-	// encode path itself; the bytes are the same either way.
-	EncodeBlock(dst []byte, x []float64, st *Stats) ([]byte, error)
+	// does. What the encoding distorted is judged by decoding it: the
+	// encoder reports nothing about it.
+	EncodeBlock(dst []byte, x []float64) ([]byte, error)
 	// DecodeBlockInto decodes one block payload into dst, which has
 	// exactly the block's element count. Every element is overwritten
 	// on success.
@@ -190,41 +189,28 @@ func blockElemsOf(bc BlockCodec) int {
 }
 
 // Compress appends the container of x to dst, as append does, the
-// blocks compressed concurrently across the worker pool by bc. A
-// non-nil st receives the per-block stats merged in block order, so
-// they too are independent of the schedule.
-func Compress(dst []byte, x []float64, bc BlockCodec, st *Stats) ([]byte, error) {
+// blocks compressed concurrently across the worker pool by bc.
+func Compress(dst []byte, x []float64, bc BlockCodec) ([]byte, error) {
 	n := len(x)
 	blockElems := blockElemsOf(bc)
 	nBlocks := int(blockCount(uint64(n), uint64(blockElems)))
 	blocks := make([][]byte, nBlocks)
 	errs := make([]error, nBlocks)
-	var stats []Stats
-	if st != nil {
-		stats = make([]Stats, nBlocks)
-	}
 	parallel.For(nBlocks, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			chunk := x[min(b*blockElems, n):min((b+1)*blockElems, n)]
-			var bst *Stats
-			if st != nil {
-				bst = &stats[b]
-			}
 			// One worst-case request for every codec keeps each pooled
 			// buffer at least as big as the 8n-byte raw images the
 			// codecs stage internally, so the shared pool
 			// reaches a steady state instead of ping-ponging between
 			// compressed-size and raw-size capacities on every block.
-			blocks[b], errs[b] = bc.EncodeBlock(parallel.GetBytes(9*len(chunk)+80), chunk, bst)
+			blocks[b], errs[b] = bc.EncodeBlock(parallel.GetBytes(9*len(chunk)+80), chunk)
 		}
 	})
 	for b, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("codec: block %d: %w", b, err)
 		}
-	}
-	for _, bst := range stats {
-		st.Merge(bst)
 	}
 	total := 0
 	for _, blk := range blocks {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/fti"
 	"repro/internal/solver"
 	"repro/internal/sz"
@@ -142,9 +141,8 @@ func TestExactSyncCaptureIsCopyFree(t *testing.T) {
 // encoded, until the test opens the gate; it audits nothing.
 type gateAudit struct{ gate chan struct{} }
 
-func (g gateAudit) SampleSave(int, int) bool { <-g.gate; return false }
-func (gateAudit) ObserveVector(int, int, string, []float64, []byte, fti.Encoder, *codec.Stats) {
-}
+func (g gateAudit) SampleSave(int, int) bool                                     { <-g.gate; return false }
+func (gateAudit) ObserveVector(int, int, string, []float64, []byte, fti.Encoder) {}
 
 // TestAsyncCaptureOutlivesSolverSteps: what an async checkpoint
 // restores is the state at the capture, under every scheme, whatever

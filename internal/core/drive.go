@@ -9,7 +9,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fti"
 	"repro/internal/obs"
-	"repro/internal/quality"
 	"repro/internal/solver"
 )
 
@@ -56,10 +55,10 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 		return nil, fmt.Errorf("core: a modelled run keeps its cadence in seconds of the virtual clock (IntervalSeconds or Controller); the Manager's Config.Interval must be 0")
 	default:
 		d.costs, d.virtual = cfg.Costs.withDefaults(), true
-		// Quality spans are stamped with the virtual clock while the run
-		// lasts (the closure reads it as it advances).
-		cfg.Quality.SetSpanClock(d.now)
-		defer cfg.Quality.SetSpanClock(nil)
+		// The Manager's quality spans are stamped with the virtual clock
+		// while the run lasts (the closure reads it as it advances).
+		m.qa.SetSpanClock(d.now)
+		defer m.qa.SetSpanClock(nil)
 	}
 	if cfg.Controller != nil && cfg.IntervalSeconds > 0 {
 		return nil, fmt.Errorf("core: IntervalSeconds and Controller are mutually exclusive")
@@ -117,13 +116,12 @@ type DriveConfig struct {
 	// Tracer the compute spans and failure instants; with Costs the
 	// driver also draws the checkpoint, capture, background-write and
 	// per-tier recovery spans in virtual time — the schema the Manager
-	// and pipeline draw for themselves on a wall clock. Quality must be
-	// the auditor attached to the Manager (InstrumentQuality); the driver
-	// feeds it the residual trajectory. All three are pure observers: an
-	// instrumented run walks the bitwise-identical trajectory.
+	// and pipeline draw for themselves on a wall clock. The driver also
+	// feeds the Manager's quality auditor (InstrumentQuality), if any,
+	// the residual trajectory. All are pure observers: an instrumented
+	// run walks the bitwise-identical trajectory.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
-	Quality *quality.Auditor
 }
 
 // Costs is the modelled cost source: the seconds each op takes, as
@@ -445,7 +443,7 @@ func (d *driver) step(rnorm float64) (float64, bool) {
 		return rnorm, true
 	}
 	rnorm = d.s.Step()
-	d.cfg.Quality.ObserveResidual(d.s.Iteration(), rnorm)
+	d.m.qa.ObserveResidual(d.s.Iteration(), rnorm)
 	if guard := d.m.abft; guard != nil {
 		// The guard retains its per-iteration redundancy after every
 		// accepted step, as the paper's protected CG does.

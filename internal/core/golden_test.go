@@ -254,7 +254,6 @@ func TestGoldenOutcomeMatrix(t *testing.T) {
 				cfg.Metrics, cfg.Tracer = obs.New(), tr
 				qa := quality.New(quality.Config{SampleEvery: 1, BNorm: 1})
 				cfg.Manager.InstrumentQuality(qa)
-				cfg.Quality = qa
 			}
 			out, err := core.Drive(cfg)
 			if err != nil {

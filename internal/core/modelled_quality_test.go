@@ -31,7 +31,6 @@ func TestQualityInSimVirtualTime(t *testing.T) {
 			Failures:        core.FailureTimes(nil, failure.NewInjector(60, 7)),
 			MaxIterations:   100000,
 			Tracer:          tr,
-			Quality:         qa,
 			Costs: &core.Costs{
 				TitSeconds:        2,
 				CheckpointSeconds: func(fti.Info) float64 { return 3 },
@@ -54,7 +53,7 @@ func TestQualityInSimVirtualTime(t *testing.T) {
 		t.Fatal("the seeded injector should produce failures")
 	}
 
-	qa := quality.New(quality.Config{Exhaustive: true, BNorm: vec.Norm2(b)})
+	qa := quality.New(quality.Config{SampleEvery: 1, BNorm: vec.Norm2(b)})
 	tr := obs.NewTracerWithClock(func() float64 { return 0 }) // sim overrides per-span via SetSpanClock
 	qa.Instrument(obs.New(), tr)
 	inst, instX := run(qa, tr)

@@ -11,8 +11,9 @@ import "repro/internal/quality"
 // mutates solver or checkpoint state, so a quality-instrumented run
 // converges bitwise-identically to an uninstrumented one. The loop
 // that steps the solver owns the residual feed
-// (quality.Auditor.ObserveResidual once per iteration; Drive does it) —
-// the Manager cannot see iterations.
+// (quality.Auditor.ObserveResidual once per iteration) — the Manager
+// cannot see iterations. Drive feeds the auditor attached here, and on
+// a modelled run stamps its spans with the virtual clock.
 func (m *Manager) InstrumentQuality(qa *quality.Auditor) {
 	m.qa = qa
 	m.ckpt.SetSaveAudit(qa)

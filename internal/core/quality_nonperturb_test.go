@@ -15,7 +15,7 @@ import (
 // TestQualityNonPerturbationMatrix is the observer-purity contract in
 // executable form: across sync/async × sharded/monolithic ×
 // lossy/lossless pipelines, a run with the quality auditor attached
-// (exhaustive audits, live registry and tracer, residual feed, one
+// (every save audited, live registry and tracer, residual feed, one
 // mid-run recovery) must produce a bitwise-identical residual
 // trajectory and final solution to the uninstrumented run. CI re-runs
 // this under the race detector, covering the async pipeline's
@@ -84,7 +84,7 @@ func TestQualityNonPerturbationMatrix(t *testing.T) {
 			}
 
 			baseTrace, baseX := run(nil)
-			qa := quality.New(quality.Config{Exhaustive: true, BNorm: bnorm})
+			qa := quality.New(quality.Config{SampleEvery: 1, BNorm: bnorm})
 			qa.Instrument(obs.New(), obs.NewTracer())
 			instTrace, instX := run(qa)
 

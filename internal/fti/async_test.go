@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/sparse"
 	"repro/internal/vec"
 )
@@ -35,9 +34,9 @@ type gateEncoder struct {
 	gate chan struct{}
 }
 
-func (g gateEncoder) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
+func (g gateEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
 	<-g.gate
-	return g.Encoder.Encode(dst, x, st)
+	return g.Encoder.Encode(dst, x)
 }
 
 func testSnapshot(iter int, x []float64) *Snapshot {

@@ -103,7 +103,7 @@ func TestCodecIdentityMatrix(t *testing.T) {
 
 			// The layout knob must actually select the block count, and
 			// every layout is a container.
-			blob, err := enc.Encode(nil, big, nil)
+			blob, err := enc.Encode(nil, big)
 			if err != nil {
 				t.Fatalf("%s/%s: encode: %v", mc.codec, layout, err)
 			}

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/fti/shard"
 	"repro/internal/sparse"
 	"repro/internal/sz"
@@ -29,18 +28,18 @@ func allocatedBytes(f func()) uint64 {
 
 // TestEncodeAppends: Encode extends dst as append does — what was in it
 // stays, whether or not it had room — and what it appends is what it
-// produces from an empty dst, audited or not, for all three encoders.
+// produces from an empty dst, for all three encoders.
 func TestEncodeAppends(t *testing.T) {
 	x := sparse.SmoothField(2000, 1)
 	prefix := []byte("what the payload already holds")
 	for _, e := range encoders() {
-		alone, err := e.Encode(nil, x, nil)
+		alone, err := e.Encode(nil, x)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
 		for _, room := range []int{0, 64, len(alone) + 64} { // must grow, grows mid-blob, fits
 			dst := append(make([]byte, 0, len(prefix)+room), prefix...)
-			out, err := e.Encode(dst, x, nil)
+			out, err := e.Encode(dst, x)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name(), err)
 			}
@@ -49,14 +48,6 @@ func TestEncodeAppends(t *testing.T) {
 			}
 			if !bytes.Equal(out[len(prefix):], alone) {
 				t.Fatalf("%s room=%d: appended bytes differ from Encode(nil, x)", e.Name(), room)
-			}
-			var st codec.Stats
-			out, err = e.Encode(dst, x, &st)
-			if bi := e.BoundInfo(); err != nil || st.Elements != len(x) || st.Lossy != bi.Lossy || st.Bound != bi.Bound || st.MaxErr > st.Bound {
-				t.Fatalf("%s: audited Encode: %+v, %v", e.Name(), st, err)
-			}
-			if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], alone) {
-				t.Fatalf("%s room=%d: an audited Encode is not prefix + the plain one's bytes", e.Name(), room)
 			}
 		}
 	}
@@ -260,7 +251,7 @@ type craftedPayload struct {
 }
 
 func craftedRawPayloads() map[string]craftedPayload {
-	blob := func(n int) []byte { b, _ := Raw{}.Encode(nil, sparse.SmoothField(n, 5), nil); return b }
+	blob := func(n int) []byte { b, _ := Raw{}.Encode(nil, sparse.SmoothField(n, 5)); return b }
 	return map[string]craftedPayload{
 		"n-over-blob":    {rawPayload(4, blob(3)), false},
 		"n-under-blob":   {rawPayload(4, blob(5)), false},

@@ -8,14 +8,13 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/sz"
+	"repro/internal/vec"
 )
 
-// BoundInfo describes the distortion contract an encoder was
-// configured with: the requested error bound in its native metric
-// (absolute, or relative when Relative) and whether the encoder can
-// distort at all. Encoders whose bound cannot be stated up front
-// (e.g. range-relative, where the absolute bound depends on the data)
-// report Bound 0 with Lossy true.
+// BoundInfo describes the distortion contract an encoder holds one
+// vector to: the error bound in its native metric (absolute, or
+// relative when Relative) and whether the encoder can distort at all.
+// Bound 0 on an absolute contract means exact.
 type BoundInfo struct {
 	Bound    float64
 	Relative bool
@@ -31,10 +30,7 @@ func (Raw) Name() string { return "raw" }
 
 // Encode appends the exact bytes of x: the one pass a traditional
 // checkpoint makes over the state, stored straight into the payload.
-func (Raw) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
-	if st != nil {
-		st.AddExact(x)
-	}
+func (Raw) Encode(dst []byte, x []float64) ([]byte, error) {
 	off := len(dst)
 	dst = slices.Grow(dst, 8*len(x))[:off+8*len(x)]
 	out := dst[off:]
@@ -59,7 +55,7 @@ func (Raw) DecodeInto(dst []float64, data []byte) error {
 }
 
 // BoundInfo reports the exact contract (no distortion).
-func (Raw) BoundInfo() BoundInfo { return BoundInfo{} }
+func (Raw) BoundInfo([]float64) BoundInfo { return BoundInfo{} }
 
 // Blocks is nil: a raw image has no container.
 func (Raw) Blocks() codec.BlockCodec { return nil }
@@ -74,8 +70,8 @@ type Lossless struct {
 func (e Lossless) Name() string { return "lossless/" + e.Codec.ID().String() }
 
 // Encode compresses exactly.
-func (e Lossless) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
-	return codec.Compress(dst, x, e.Codec, st)
+func (e Lossless) Encode(dst []byte, x []float64) ([]byte, error) {
+	return codec.Compress(dst, x, e.Codec)
 }
 
 // DecodeInto decompresses exactly into dst.
@@ -84,7 +80,7 @@ func (e Lossless) DecodeInto(dst []float64, data []byte) error {
 }
 
 // BoundInfo reports the exact contract (no distortion).
-func (Lossless) BoundInfo() BoundInfo { return BoundInfo{} }
+func (Lossless) BoundInfo([]float64) BoundInfo { return BoundInfo{} }
 
 // Blocks returns the wrapped codec.
 func (e Lossless) Blocks() codec.BlockCodec { return e.Codec }
@@ -100,21 +96,23 @@ type SZ struct {
 func (SZ) Name() string { return "sz" }
 
 // Encode compresses within the configured error bound.
-func (e SZ) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
-	return sz.AppendCompress(dst, x, e.Params, st)
+func (e SZ) Encode(dst []byte, x []float64) ([]byte, error) {
+	return sz.AppendCompress(dst, x, e.Params)
 }
 
 // DecodeInto reconstructs within the error bound into dst.
 func (SZ) DecodeInto(dst []float64, data []byte) error { return sz.DecompressInto(dst, data) }
 
-// BoundInfo reports the configured sz bound in its native metric.
-func (e SZ) BoundInfo() BoundInfo {
+// BoundInfo reports the configured sz bound in its native metric; a
+// range-relative bound is the absolute bound × the value range of x,
+// as the compressor derives it.
+func (e SZ) BoundInfo(x []float64) BoundInfo {
 	switch e.Params.Mode {
 	case sz.PWRel:
 		return BoundInfo{Bound: e.Params.ErrorBound, Relative: true, Lossy: true}
 	case sz.RelRange:
-		// The absolute bound is data-dependent (bound × value range).
-		return BoundInfo{Lossy: true}
+		lo, hi := vec.Range(x)
+		return BoundInfo{Bound: e.Params.ErrorBound * (hi - lo), Lossy: true}
 	default:
 		return BoundInfo{Bound: e.Params.ErrorBound, Lossy: true}
 	}

@@ -43,19 +43,17 @@ type Encoder interface {
 	Name() string
 	// Encode appends the serialization of x to dst, as append does. The
 	// Checkpointer passes its reused payload buffer, so an encoder that
-	// stores straight into dst (Raw) allocates nothing. A non-nil st
-	// receives the distortion the encoding introduced, accumulated on
-	// the encode path itself; the bytes are the same with and without.
-	Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error)
+	// stores straight into dst (Raw) allocates nothing.
+	Encode(dst []byte, x []float64) ([]byte, error)
 	// DecodeInto reverses Encode (up to the encoder's error bound) into
 	// dst, whose length must equal the encoded element count exactly —
 	// an error otherwise, never a partial decode into a shorter dst.
 	// Every element of dst is overwritten on success, so stale contents
 	// cannot survive; on error dst's contents are unspecified.
 	DecodeInto(dst []float64, data []byte) error
-	// BoundInfo states the distortion contract the encoder was configured
-	// with, for an auditor judging a decoded reconstruction against it.
-	BoundInfo() BoundInfo
+	// BoundInfo states the distortion contract Encode holds x to, for an
+	// auditor judging the decoded reconstruction of x against it.
+	BoundInfo(x []float64) BoundInfo
 	// Blocks returns the block codec of the container Encode frames a
 	// vector in; nil means Encode writes the raw image, of which any run
 	// of whole elements decodes on its own through DecodeInto.
@@ -153,17 +151,16 @@ type Checkpointer struct {
 // once per save whether this save should be audited at all — the
 // sampled-audit fast path skips every per-vector hook when it says
 // no. For audited saves ObserveVector fires once per encoded vector
-// while the live values and the encoded blob coexist: st carries the
-// distortion stats Encode accumulated while it wrote blob (the observer
-// may additionally decode blob to cross-check them — enc.DecodeInto
-// into its own scratch).
+// while the live values and the encoded blob coexist, so the observer
+// can decode blob (enc.DecodeInto, into its own scratch) and judge what
+// a restore would adopt against enc.BoundInfo(live).
 //
 // The AsyncCheckpointer runs saves on its background goroutine, so
 // implementations must be safe for concurrent use. Implementations
 // must treat live and blob as read-only and must not retain them.
 type SaveAudit interface {
 	SampleSave(seq, iteration int) bool
-	ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc Encoder, st *codec.Stats)
+	ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc Encoder)
 }
 
 // SetSaveAudit attaches (or, with nil, detaches) a save auditor. Only
@@ -276,9 +273,6 @@ func (c *Checkpointer) AttachScrubber(s *Scrubber) { c.scrub = s }
 // The paper's Theorem-3 adaptive GMRES bound re-parameterizes the
 // compressor before every checkpoint, which lands here.
 func (c *Checkpointer) SetEncoder(enc Encoder) { c.enc = enc }
-
-// Encoder returns the current encoder.
-func (c *Checkpointer) Encoder() Encoder { return c.enc }
 
 // Protect registers a vector variable: Checkpoint saves the slice the
 // pointer currently refers to; Recover overwrites it in place (or
@@ -727,9 +721,8 @@ const fileMagic = "FTIG"
 // magic in it is a byte coincidence. Monolithic callers pass false and
 // skip the per-blob header parse entirely.
 // When audit is non-nil and samples this save (seq identifies it),
-// every vector's encoding is reported to it with the stats Encode
-// accumulated on the way, so the audited bytes are the exact bytes
-// written and the common case needs no decode.
+// every vector's blob is reported to it beside the live vector, so the
+// audited bytes are the exact bytes written.
 func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq int, audit SaveAudit) (payload []byte, vecBytes int, bounds []int, err error) {
 	appendString := func(b []byte, str string) []byte {
 		return append(binary.AppendUvarint(b, uint64(len(str))), str...)
@@ -760,11 +753,7 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 		lenAt := len(out)
 		room := uvarintLen(uint64(8 * len(v)))
 		out = append(out, pad[:room]...)
-		var st *codec.Stats
-		if audited {
-			st = new(codec.Stats)
-		}
-		if out, err = enc.Encode(out, v, st); err != nil {
+		if out, err = enc.Encode(out, v); err != nil {
 			return nil, 0, nil, fmt.Errorf("fti: encode vector %q: %w", name, err)
 		}
 		blobLen := len(out) - lenAt - room
@@ -777,7 +766,7 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 		binary.PutUvarint(out[lenAt:], uint64(blobLen))
 		blob := out[blobStart:]
 		if audited {
-			audit.ObserveVector(seq, s.Iteration, name, v, blob, enc, st)
+			audit.ObserveVector(seq, s.Iteration, name, v, blob, enc)
 		}
 		if wantBounds {
 			bounds = append(bounds, blobStart)

@@ -22,7 +22,7 @@ func encoders() []Encoder {
 func TestEncoderRoundTrips(t *testing.T) {
 	x := sparse.SmoothField(2000, 1)
 	for _, e := range encoders() {
-		blob, err := e.Encode(nil, x, nil)
+		blob, err := e.Encode(nil, x)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -50,7 +50,7 @@ func TestEncoderRoundTrips(t *testing.T) {
 
 func TestRawIsExact(t *testing.T) {
 	x := []float64{1.5, -2.25, math.Pi}
-	blob, err := Raw{}.Encode(nil, x, nil)
+	blob, err := Raw{}.Encode(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@ import (
 // This file is the fault-tolerant storage layer: Resilient wraps any
 // Storage with a FaultPolicy that classifies errors, retries transient
 // ones with capped exponential backoff plus seeded jitter under a
-// per-operation retry budget, and hedges slow reads with a parallel
-// second attempt. The PFS the paper's setup writes to (and the
+// per-operation retry budget. It issues no re-read of its own: the
+// only re-reads are shard.fetchVerify's, after a failed integrity
+// check. The PFS the paper's setup writes to (and the
 // Bebop-class model in package cluster prices) fails transiently and
 // partially; without this layer a single flaky write aborts a whole
 // checkpoint and a slow stripe stalls a whole restore.

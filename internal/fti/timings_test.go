@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/sparse"
 )
 
@@ -15,9 +14,9 @@ type slowEncoder struct {
 	delay time.Duration
 }
 
-func (s slowEncoder) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
+func (s slowEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
 	time.Sleep(s.delay)
-	return s.Encoder.Encode(dst, x, st)
+	return s.Encoder.Encode(dst, x)
 }
 
 // TestSyncSaveStageTimings: a synchronous Save fills EncodeSeconds and

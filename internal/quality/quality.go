@@ -12,12 +12,11 @@
 // nil-safe (a nil *Auditor is a no-op) and concurrency-safe (the async
 // checkpointer invokes the save audit from its background goroutine).
 //
-// Distortion statistics come from the encoders' own encode-path
-// accumulators (the codec.Stats fti.Encoder.Encode fills), so the
-// common case needs no audit decode at all; every audited save when
-// Exhaustive is set is cross-checked by decoding the just-written blob
-// into pooled scratch with the encoder's DecodeInto and comparing
-// pointwise against the live vector under its BoundInfo.
+// Distortion is measured on what a restore would adopt: every audited
+// vector's just-written blob is decoded into pooled scratch with the
+// encoder's DecodeInto and compared pointwise with the live vector
+// under the encoder's BoundInfo for it. The encoder is never asked what
+// it distorted, so a lying or buggy codec is caught, not trusted.
 package quality
 
 import (
@@ -25,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/fti"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -40,10 +38,6 @@ type Config struct {
 	// number, so sampling is deterministic and independent of
 	// timing). 0 means DefaultSampleEvery; 1 audits every save.
 	SampleEvery int
-	// Exhaustive audits every save and additionally decode-verifies
-	// every audited vector even when the encoder reports encode-path
-	// stats, cross-checking the accumulators against a real decode.
-	Exhaustive bool
 	// BNorm is ‖b‖ of the system being solved; needed for the
 	// stability verdict. 0 leaves the verdict undefined.
 	BNorm float64
@@ -66,8 +60,8 @@ type Record struct {
 	Vector    string `json:"vector"`
 	Elements  int    `json:"elements"`
 
-	// Errors are in the bound's native metric: absolute, or
-	// relative when Relative is set.
+	// Errors are those of the decoded blob, in the bound's native
+	// metric: absolute, or relative when Relative is set.
 	MaxError       float64 `json:"max_error"`
 	MeanError      float64 `json:"mean_error"`
 	RMSE           float64 `json:"rmse"`
@@ -83,10 +77,9 @@ type Record struct {
 	CompressionRatio float64 `json:"compression_ratio"`
 	PeakValue        float64 `json:"peak_value"`
 
-	// Audit records how the stats were obtained: "encode-path",
-	// "decode", or "encode-path+decode" (exhaustive cross-check).
-	Audit    string `json:"audit"`
-	Violated bool   `json:"violated"`
+	// Violated: an element broke the bound (sz.TestErrorBoundOracle's
+	// rule), or the blob did not decode at all.
+	Violated bool `json:"violated"`
 
 	// ResidualAtSave is the solver residual norm nearest (at or
 	// before) the checkpoint's iteration, when the driver feeds
@@ -150,14 +143,11 @@ type Auditor struct {
 // The Auditor plugs straight into the checkpointer's audit hook.
 var _ fti.SaveAudit = (*Auditor)(nil)
 
-// New builds an Auditor. Pass the result to Manager.InstrumentQuality
-// (and core.DriveConfig.Quality) and feed residuals via ObserveResidual.
+// New builds an Auditor. Pass the result to Manager.InstrumentQuality,
+// which core.Drive also feeds residuals and its clock from.
 func New(cfg Config) *Auditor {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = DefaultSampleEvery
-	}
-	if cfg.Exhaustive {
-		cfg.SampleEvery = 1
 	}
 	return &Auditor{
 		cfg:        cfg,
@@ -210,69 +200,33 @@ func (a *Auditor) SampleSave(seq, iteration int) bool {
 // goroutine — the solver thread for sync checkpoints, the async
 // pipeline's background goroutine otherwise — and must not retain
 // live or blob.
-func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc fti.Encoder, st *codec.Stats) {
+func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64, blob []byte, enc fti.Encoder) {
 	if a == nil {
 		return
 	}
 	wallStart := time.Now()
-
-	var s codec.Stats
-	audit := "encode-path"
-	if st != nil {
-		s = *st
-	}
-	a.mu.Lock()
-	exhaustive := a.cfg.Exhaustive
-	a.mu.Unlock()
-
-	if st == nil || exhaustive {
-		ds, ok := a.decodeStats(live, blob, enc)
-		if ok {
-			if st == nil {
-				s, audit = ds, "decode"
-			} else {
-				audit = "encode-path+decode"
-				// Cross-check: the decode must agree with (be bounded
-				// by) the encode-path accumulators; keep the larger
-				// observed error so a disagreement surfaces as a
-				// violation rather than vanishing.
-				if ds.MaxErr > s.MaxErr {
-					s.MaxErr = ds.MaxErr
-				}
-				if ds.SumErr > s.SumErr {
-					s.SumErr, s.SumSqAbs = ds.SumErr, ds.SumSqAbs
-				}
-			}
-		} else if st == nil {
-			// Encoder offers neither stats nor a decodable stream we
-			// can check; nothing to record.
-			return
-		}
-	}
-
+	bi := enc.BoundInfo(live)
+	d := decodeDistortion(live, blob, enc, bi)
 	rec := Record{
 		Seq:            seq,
 		Iteration:      iteration,
 		Vector:         name,
-		Elements:       s.Elements,
-		MaxError:       s.MaxErr,
-		MeanError:      s.MeanErr(),
-		RMSE:           s.RMSE(),
-		RequestedBound: s.Bound,
-		Relative:       s.Relative,
-		Lossy:          s.Lossy,
-		Exact:          s.MaxErr == 0,
+		Elements:       len(live),
+		MaxError:       d.maxErr,
+		MeanError:      d.mean(),
+		RMSE:           d.rmse(),
+		PSNR:           d.psnr(),
+		RequestedBound: bi.Bound,
+		Relative:       bi.Relative,
+		Lossy:          bi.Lossy,
+		Exact:          d.maxErr == 0 && !d.violated,
 		RawBytes:       8 * len(live),
 		EncodedBytes:   len(blob),
-		PeakValue:      s.MaxAbsValue,
-		Audit:          audit,
-	}
-	if psnr := s.PSNR(); !math.IsInf(psnr, 0) && !math.IsNaN(psnr) {
-		rec.PSNR = psnr
+		PeakValue:      d.peak,
+		Violated:       d.violated,
 	}
 	if rec.RequestedBound > 0 {
 		rec.BoundRatio = rec.MaxError / rec.RequestedBound
-		rec.Violated = rec.MaxError > rec.RequestedBound
 	}
 	if len(blob) > 0 {
 		rec.CompressionRatio = float64(rec.RawBytes) / float64(len(blob))
@@ -330,41 +284,82 @@ func (a *Auditor) spanTimeLocked(tr *obs.Tracer, wallDur float64) (ts, dur float
 	return 0, wallDur
 }
 
-// decodeStats decodes blob into pooled scratch and accumulates
-// pointwise errors against live, in the metric of the encoder's
-// declared bound.
-func (a *Auditor) decodeStats(live []float64, blob []byte, enc fti.Encoder) (codec.Stats, bool) {
-	if enc == nil || len(live) == 0 {
-		return codec.Stats{}, false
+// distortion is one decoded vector's pointwise errors against the
+// live one, in the bound's native metric (sumSq in the value domain).
+type distortion struct {
+	n                           int
+	maxErr, sumErr, sumSq, peak float64
+	violated                    bool
+}
+
+func (d distortion) mean() float64 {
+	if d.n == 0 {
+		return 0
 	}
-	bi := enc.BoundInfo()
+	return d.sumErr / float64(d.n)
+}
+
+func (d distortion) rmse() float64 {
+	if d.n == 0 {
+		return 0
+	}
+	return math.Sqrt(d.sumSq / float64(d.n))
+}
+
+// psnr is 20·log10(peak/RMSE) in dB; 0 where that is not finite (an
+// exact reconstruction, an all-zero vector).
+func (d distortion) psnr() float64 {
+	if rmse := d.rmse(); rmse > 0 && d.peak > 0 {
+		return 20 * math.Log10(d.peak/rmse)
+	}
+	return 0
+}
+
+// decodeDistortion decodes blob into pooled scratch and compares it
+// with live under bi, by sz.TestErrorBoundOracle's rule: an absolute
+// error within Bound, or a relative one within Bound·|v|·(1+1e-10)
+// with zeros and subnormals exact. A bitwise-identical element is
+// exact, so a NaN or an infinity an exact codec carries verbatim adds
+// no error; any other element whose error is not finite breaks the
+// bound and stays out of the sums, as does a blob that does not decode.
+func decodeDistortion(live []float64, blob []byte, enc fti.Encoder, bi fti.BoundInfo) distortion {
+	d := distortion{n: len(live)}
 	scratch := parallel.GetFloat64s(len(live))[:len(live)]
 	defer parallel.PutFloat64s(scratch)
 	if err := enc.DecodeInto(scratch, blob); err != nil {
-		return codec.Stats{}, false
-	}
-	st := codec.Stats{
-		Elements: len(live),
-		Bound:    bi.Bound,
-		Relative: bi.Relative,
-		Lossy:    bi.Lossy,
+		d.violated = true
+		return d
 	}
 	for i, v := range live {
 		av := math.Abs(v)
-		if av > st.MaxAbsValue {
-			st.MaxAbsValue = av
+		if av > d.peak && !math.IsInf(av, 1) {
+			d.peak = av
 		}
-		d := math.Abs(v - scratch[i])
-		st.SumSqAbs += d * d
+		if math.Float64bits(v) == math.Float64bits(scratch[i]) {
+			continue
+		}
+		e := math.Abs(v - scratch[i])
+		limit := bi.Bound
+		if bi.Relative {
+			limit = 0
+			if av >= 0x1p-1022 { // the smallest normal float64
+				limit = bi.Bound * av * (1 + 1e-10)
+			}
+		}
+		if !(e <= limit) {
+			d.violated = true
+		}
+		if math.IsInf(e, 0) || math.IsNaN(e) {
+			continue
+		}
+		d.sumSq += e * e
 		if bi.Relative && v != 0 {
-			d /= av
+			e /= av
 		}
-		if d > st.MaxErr {
-			st.MaxErr = d
-		}
-		st.SumErr += d
+		d.maxErr = max(d.maxErr, e)
+		d.sumErr += e
 	}
-	return st, true
+	return d
 }
 
 // appendRecordLocked stores rec (bounded) and folds it into the

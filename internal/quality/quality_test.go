@@ -3,6 +3,8 @@ package quality
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -40,29 +42,27 @@ func TestSampleSaveDeterministic(t *testing.T) {
 		}
 	}
 	every := New(Config{SampleEvery: 1})
-	exh := New(Config{SampleEvery: 7, Exhaustive: true})
 	for seq := 1; seq <= 10; seq++ {
 		if !every.SampleSave(seq, 0) {
 			t.Errorf("SampleEvery=1 skipped seq %d", seq)
 		}
-		if !exh.SampleSave(seq, 0) {
-			t.Errorf("Exhaustive skipped seq %d", seq)
-		}
 	}
 }
 
+// TestEncodePathAuditRecordsBoundedDistortion: the audit of a save as
+// the encoder wrote it records the decoded distortion within the bound.
 func TestEncodePathAuditRecordsBoundedDistortion(t *testing.T) {
 	const bound = 1e-3
 	x := rampState(4096)
 	enc := fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: bound}}
-	blob, st, err := encodeStats(enc, x)
+	blob, err := enc.Encode(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := New(Config{SampleEvery: 1})
 	a.ObserveResidual(9, 0.25)
 	a.ObserveResidual(10, 0.125)
-	a.ObserveVector(1, 10, "x", x, blob, enc, &st)
+	a.ObserveVector(1, 10, "x", x, blob, enc)
 
 	recs := a.Records()
 	if len(recs) != 1 {
@@ -71,9 +71,6 @@ func TestEncodePathAuditRecordsBoundedDistortion(t *testing.T) {
 	rec := recs[0]
 	if rec.Seq != 1 || rec.Iteration != 10 || rec.Vector != "x" {
 		t.Fatalf("record identity wrong: %+v", rec)
-	}
-	if rec.Audit != "encode-path" {
-		t.Fatalf("audit mode %q, want encode-path", rec.Audit)
 	}
 	if !rec.Lossy || !rec.Relative {
 		t.Fatalf("PWRel record should be lossy+relative: %+v", rec)
@@ -102,18 +99,8 @@ func TestEncodePathAuditRecordsBoundedDistortion(t *testing.T) {
 	}
 }
 
-// encodeStats is an audited encode: the bytes and the stats Encode
-// accumulated while it wrote them.
-func encodeStats(enc fti.Encoder, x []float64) ([]byte, codec.Stats, error) {
-	var st codec.Stats
-	blob, err := enc.Encode(nil, x, &st)
-	return blob, st, err
-}
-
 // corruptEncoder violates its declared contract: the stored bytes
-// decode to values shifted by 10× the advertised absolute bound. The
-// test hands the auditor no encode-path stats for it, so the violation
-// must be caught through the decode path.
+// decode to values shifted by 10× the advertised absolute bound.
 type corruptEncoder struct {
 	fti.Raw
 	bound float64
@@ -121,15 +108,15 @@ type corruptEncoder struct {
 
 func (corruptEncoder) Name() string { return "corrupt" }
 
-func (e corruptEncoder) Encode(dst []byte, x []float64, _ *codec.Stats) ([]byte, error) {
+func (e corruptEncoder) Encode(dst []byte, x []float64) ([]byte, error) {
 	y := make([]float64, len(x))
 	for i, v := range x {
 		y[i] = v + 10*e.bound
 	}
-	return e.Raw.Encode(dst, y, nil)
+	return e.Raw.Encode(dst, y)
 }
 
-func (e corruptEncoder) BoundInfo() fti.BoundInfo {
+func (e corruptEncoder) BoundInfo([]float64) fti.BoundInfo {
 	return fti.BoundInfo{Bound: e.bound, Lossy: true}
 }
 
@@ -141,14 +128,14 @@ func TestCraftedDistortionDetected(t *testing.T) {
 	const bound = 1e-4
 	x := rampState(512)
 	enc := corruptEncoder{bound: bound}
-	blob, err := enc.Encode(nil, x, nil)
+	blob, err := enc.Encode(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.New()
 	a := New(Config{SampleEvery: 1})
 	a.Instrument(reg, obs.NewTracer())
-	a.ObserveVector(3, 42, "x", x, blob, enc, nil)
+	a.ObserveVector(3, 42, "x", x, blob, enc)
 
 	if got := a.Violations(); got != 1 {
 		t.Fatalf("Violations() = %d, want 1", got)
@@ -167,9 +154,6 @@ func TestCraftedDistortionDetected(t *testing.T) {
 	if rec.Vector != "x" || rec.Iteration != 42 || rec.Seq != 3 {
 		t.Fatalf("violation must name the vector and iteration: %+v", rec)
 	}
-	if rec.Audit != "decode" {
-		t.Fatalf("audit mode %q, want decode (no encode-path stats)", rec.Audit)
-	}
 	if rec.BoundRatio < 9 {
 		t.Fatalf("bound ratio %g, want ≈10 (10× the bound)", rec.BoundRatio)
 	}
@@ -179,41 +163,67 @@ func TestCraftedDistortionDetected(t *testing.T) {
 	}
 }
 
-// lyingEncoder pairs corrupt bytes with encode-path stats that claim
-// zero error — only the exhaustive decode cross-check can expose it.
-type lyingEncoder struct{ corruptEncoder }
+// undecodableEncoder writes raw images that it then refuses to decode:
+// a checkpoint a restore would reject.
+type undecodableEncoder struct{ fti.Raw }
 
-func (e lyingEncoder) Encode(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
-	if st != nil {
-		*st = codec.Stats{Elements: len(x), Bound: e.bound, Lossy: true}
-	}
-	return e.corruptEncoder.Encode(dst, x, nil)
+func (undecodableEncoder) Name() string { return "undecodable" }
+
+func (undecodableEncoder) DecodeInto([]float64, []byte) error {
+	return errors.New("undecodable")
 }
 
-func TestExhaustiveCrossCheckCatchesUnderreportedError(t *testing.T) {
-	const bound = 1e-4
+// TestUndecodableSaveIsViolated: a save whose blob does not decode is a
+// violation, counted and recorded with finite numbers, not a clean save.
+func TestUndecodableSaveIsViolated(t *testing.T) {
+	reg := obs.New()
+	a := New(Config{SampleEvery: 1})
+	a.Instrument(reg, nil)
+	ck := fti.New(fti.NewMemStorage(), undecodableEncoder{})
+	ck.SetSaveAudit(a)
 	x := rampState(256)
-	enc := lyingEncoder{corruptEncoder{bound: bound}}
-	blob, st, err := encodeStats(enc, x)
-	if err != nil {
+	ck.Protect("x", &x)
+	if _, err := ck.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Without Exhaustive the lie stands: encode-path stats are trusted.
-	trusting := New(Config{SampleEvery: 1})
-	trusting.ObserveVector(1, 5, "x", x, blob, enc, &st)
-	if trusting.Violations() != 0 {
-		t.Fatal("non-exhaustive audit should trust encode-path stats")
+	if got := a.Violations(); got != 1 {
+		t.Fatalf("Violations() = %d, want 1", got)
 	}
-
-	exhaustive := New(Config{Exhaustive: true})
-	exhaustive.ObserveVector(1, 5, "x", x, blob, enc, &st)
-	if exhaustive.Violations() != 1 {
-		t.Fatal("exhaustive cross-check missed the under-reported error")
+	if got := metricValue(t, reg, obs.MQualityViolationsTotal); got != 1 {
+		t.Fatalf("%s = %g, want 1", obs.MQualityViolationsTotal, got)
 	}
-	rec := exhaustive.Records()[0]
-	if rec.Audit != "encode-path+decode" {
-		t.Fatalf("audit mode %q, want encode-path+decode", rec.Audit)
+	rec := a.Records()[0]
+	if rec.Exact || rec.Vector != "x" {
+		t.Fatalf("undecodable save recorded as %+v", rec)
+	}
+	for _, v := range []float64{rec.MaxError, rec.MeanError, rec.RMSE, rec.PSNR, rec.BoundRatio, rec.PeakValue, rec.CompressionRatio} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("non-finite field in %+v", rec)
+		}
+	}
+}
+
+// TestNonFiniteExactValuesAuditFinite: ±Inf and NaN that an exact codec
+// carries verbatim decode bitwise identical, so they audit as exact and
+// the run report still encodes.
+func TestNonFiniteExactValuesAuditFinite(t *testing.T) {
+	x := rampState(300)
+	x[7], x[100], x[200] = math.Inf(1), math.Inf(-1), math.NaN()
+	a := New(Config{SampleEvery: 1})
+	for seq, enc := range []fti.Encoder{fti.Raw{}, fti.Lossless{Codec: codec.BlockedFlate{}}} {
+		blob, err := enc.Encode(nil, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.ObserveVector(seq+1, 10, "x", x, blob, enc)
+		if rec := a.Records()[seq]; rec.MaxError != 0 || !rec.Exact || rec.Violated {
+			t.Fatalf("%s: %+v", enc.Name(), rec)
+		}
+	}
+	rep := &RunReport{}
+	a.Fill(rep)
+	if err := rep.WriteJSON(io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -309,11 +319,11 @@ func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 	save := func(a *Auditor, seq, iter int, resid float64) {
 		t.Helper()
 		a.ObserveResidual(iter, resid)
-		blob, st, err := encodeStats(enc, x)
+		blob, err := enc.Encode(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.ObserveVector(seq, iter, "x", x, blob, enc, &st)
+		a.ObserveVector(seq, iter, "x", x, blob, enc)
 	}
 
 	// ‖b‖ = 1, c = 1: threshold at save is simply the residual there.
@@ -349,14 +359,14 @@ func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 func TestRecordCapEvictsAndCounts(t *testing.T) {
 	x := rampState(64)
 	enc := fti.Raw{}
-	blob, st, err := encodeStats(enc, x)
+	blob, err := enc.Encode(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := New(Config{SampleEvery: 1})
 	const audits = DefaultMaxRecords + 1
 	for seq := 1; seq <= audits; seq++ {
-		a.ObserveVector(seq, seq*10, "x", x, blob, enc, &st)
+		a.ObserveVector(seq, seq*10, "x", x, blob, enc)
 	}
 	recs := a.Records()
 	if len(recs) != DefaultMaxRecords || a.Dropped() != 1 {
@@ -377,13 +387,13 @@ func TestReportFillAndWriteJSON(t *testing.T) {
 	const bound = 1e-3
 	x := rampState(512)
 	enc := fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: bound}}
-	blob, st, err := encodeStats(enc, x)
+	blob, err := enc.Encode(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := New(Config{SampleEvery: 1, BNorm: 1})
 	a.ObserveResidual(10, 0.5)
-	a.ObserveVector(1, 10, "x", x, blob, enc, &st)
+	a.ObserveVector(1, 10, "x", x, blob, enc)
 	a.ObserveFailure()
 	a.ObserveRecovery(1, "checkpoint", 10, 0.5)
 
@@ -424,7 +434,7 @@ func TestNilAuditorIsSafe(t *testing.T) {
 	if a.SampleSave(1, 1) {
 		t.Fatal("nil auditor must not request audits")
 	}
-	a.ObserveVector(1, 1, "x", []float64{1}, []byte{0}, fti.Raw{}, nil)
+	a.ObserveVector(1, 1, "x", []float64{1}, []byte{0}, fti.Raw{})
 	a.ObserveResidual(1, 1)
 	a.ObserveFailure()
 	a.ObserveRecovery(1, "checkpoint", 1, 1)

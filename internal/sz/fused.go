@@ -3,7 +3,6 @@ package sz
 import (
 	"math"
 
-	"repro/internal/codec"
 	"repro/internal/parallel"
 )
 
@@ -14,13 +13,13 @@ import (
 // taken, predicted from its reconstructed neighbours and quantized in
 // one loop, with no array of logarithms between the steps; the steps
 // are appendLogTransform's and appendCore's in their order, so the
-// bytes are theirs. An unaudited block runs two rows at a time through
-// pair. signs is the block's signs bitmap inside bitmaps, all clear.
+// bytes are theirs. Rows go two at a time through pair where they can.
+// signs is the block's signs bitmap inside bitmaps, all clear.
 //
 // At a zero or a subnormal the pass stops: ok is false, nothing is
-// appended, st is as it was, and signs must be cleared again for the
-// two-pass path, which writes such a block.
-func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, sten stencil, intervals int, st *codec.Stats) (out []byte, ok bool, err error) {
+// appended, and signs must be cleared again for the two-pass path,
+// which writes such a block.
+func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, sten stencil, intervals int) (out []byte, ok bool, err error) {
 	n, w := len(x), sten.s1
 	g := gridLogs{x: x, r: parallel.GetFloat64s(n)[:n], codes: parallel.GetInts(n)[:n], signs: signs,
 		zero: parallel.GetFloat64s(2 * w)[:2*w], sten: sten,
@@ -33,14 +32,7 @@ func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, 
 		parallel.PutFloat64s(unpred)
 	}()
 	clear(g.zero)
-	var saved codec.Stats
-	if st != nil {
-		saved, g.a = *st, &audit{st: st, fcorr: fastLogErr}
-	}
 	if !g.encode() {
-		if st != nil {
-			*st = saved
-		}
 		return nil, false, nil
 	}
 	for i := 0; g.unpred > 0 && i < n; i++ {
@@ -55,8 +47,7 @@ func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, 
 // gridLogs is one block on its way through appendGridLogs: the values,
 // the reconstructed logarithms, the codes, the signs bitmap, two rows'
 // worth of zeros (what an absent neighbour row reads as), quantStep's
-// constants (half among them), the audit (nil when unaudited) and how
-// many codes are 0.
+// constants (half among them) and how many codes are 0.
 type gridLogs struct {
 	x, r                  []float64
 	codes                 []int
@@ -64,18 +55,17 @@ type gridLogs struct {
 	zero                  []float64
 	sten                  stencil
 	inv, twoEB, eb, limit float64
-	a                     *audit
 	half, unpred          int
 }
 
 // encode runs the block's rows in order, two at a time where the
 // second reads the first as its row above (not across a slab
-// boundary), rows are at least two long and no audit wants the
-// elements one by one; false at a zero or a subnormal.
+// boundary) and rows are at least two long; false at a zero or a
+// subnormal.
 func (g *gridLogs) encode() bool {
 	n, s1, s2 := len(g.x), g.sten.s1, g.sten.s2
 	for b := 0; b < n; b += s1 {
-		if g.a == nil && s1 > 1 && b+2*s1 <= n && (s2 == 0 || (b+s1)%s2 != 0) {
+		if s1 > 1 && b+2*s1 <= n && (s2 == 0 || (b+s1)%s2 != 0) {
 			if !g.pair(b) {
 				return false
 			}
@@ -109,9 +99,6 @@ func (g *gridLogs) row(b int) bool {
 			g.unpred++
 		}
 		codes[j], r[j] = code, rv
-		if g.a != nil {
-			g.a.addLog(math.Float64frombits(abs), v, rv)
-		}
 		prev = rv
 	}
 	return true

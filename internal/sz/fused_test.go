@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	_ "unsafe" // go:linkname
 
-	"repro/internal/codec"
 	"repro/internal/parallel"
 )
 
@@ -57,36 +55,26 @@ func gridEncodeInput(nx, ny, nz, shift uint8, data []byte) (x []float64, sten st
 }
 
 // checkGridEncode is the differential check on one block: the one-pass
-// encoder, audited (the Go loop) and not (the row-pair kernel), writes
-// the bytes and accumulates the stats the two-pass path does, and
-// predicts from what the decoder reconstructs (checkGridState). A
-// vector holding a NaN or an Inf is refused by Compress either way.
+// encoder writes the bytes the two-pass path does, and predicts from
+// what the decoder reconstructs (checkGridState). A vector holding a
+// NaN or an Inf is refused by Compress either way.
 func checkGridEncode(t *testing.T, x []float64, sten stencil, eb float64) {
 	t.Helper()
 	p := Params{Mode: PWRel, ErrorBound: eb, Intervals: defaultIntervals, BlockSize: len(x)}
 	blk := Blocks{p: p, eb: eb, sten: sten}
-	encode := func(on bool, st *codec.Stats) []byte {
+	encode := func(on bool) []byte {
 		t.Helper()
 		prev := useKernels
 		useKernels = on
 		defer func() { useKernels = prev }()
-		out, err := blk.EncodeBlock(nil, x, st)
+		out, err := blk.EncodeBlock(nil, x)
 		if err != nil {
 			t.Fatalf("%v, eb %g, kernels %v: %v", sten, eb, on, err)
 		}
 		return out
 	}
-	var stWant, stGot codec.Stats
-	want, wantAudited := encode(false, nil), encode(false, &stWant)
-	got, gotAudited := encode(true, nil), encode(true, &stGot)
-	if !bytes.Equal(want, wantAudited) {
-		t.Fatalf("%v, eb %g: the two-pass path writes different bytes when audited", sten, eb)
-	}
-	if !bytes.Equal(got, want) || !bytes.Equal(gotAudited, want) {
-		t.Fatalf("%v, eb %g, %d values: one pass writes %d bytes (audited %d), two passes %d", sten, eb, len(x), len(got), len(gotAudited), len(want))
-	}
-	if fmt.Sprint(stGot) != fmt.Sprint(stWant) { // a NaN among the sums is a NaN in both
-		t.Fatalf("%v, eb %g: audited one pass %+v, two passes %+v", sten, eb, stGot, stWant)
+	if want, got := encode(false), encode(true); !bytes.Equal(got, want) {
+		t.Fatalf("%v, eb %g, %d values: one pass writes %d bytes, two passes %d", sten, eb, len(x), len(got), len(want))
 	}
 	if lnb := math.Log1p(eb); lnb-fastLogErr > 0.5*lnb {
 		checkGridState(t, x, sten.fit(len(x)), lnb-fastLogErr)
@@ -106,10 +94,11 @@ func checkGridEncode(t *testing.T, x []float64, sten stencil, eb float64) {
 // checkGridState compares what the stream does not show: the
 // reconstructions the encoder predicts from — equal bytes can hide an
 // ulp a prediction rounded differently, which the decoder would not
-// reproduce. The row-pair kernel (gridLogs unaudited) leaves the codes,
-// the reconstructions and the signs bitmap the Go loop (audited, so row
-// by row) does, bit for bit; their reconstructions are the decoder's;
-// and both decline exactly the blocks holding a zero or a subnormal.
+// reproduce. The row-pair kernel (gridLogs.encode) leaves the codes,
+// the reconstructions and the signs bitmap the Go loop (gridLogs.row
+// over every row) does, bit for bit; their reconstructions are the
+// decoder's; and both decline exactly the blocks holding a zero or a
+// subnormal.
 func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 	t.Helper()
 	if sten.pred != PredictorLorenzoND {
@@ -120,10 +109,15 @@ func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 		g := &gridLogs{x: x, r: make([]float64, n), codes: make([]int, n), signs: make([]byte, (n+7)/8),
 			zero: make([]float64, 2*sten.s1), sten: sten,
 			inv: 1 / (2 * eb), twoEB: 2 * eb, eb: eb, limit: float64(half - 1), half: half}
-		if rows {
-			g.a = &audit{st: new(codec.Stats), fcorr: fastLogErr}
+		if !rows {
+			return g, g.encode()
 		}
-		return g, g.encode()
+		for b := 0; b < n; b += sten.s1 {
+			if !g.row(b) {
+				return g, false
+			}
+		}
+		return g, true
 	}
 	kernel, ok := run(false)
 	loop, loopOK := run(true)
@@ -251,9 +245,8 @@ func TestGridEncodeMatchesTwoPass(t *testing.T) {
 // BenchmarkGridBlockEncode is one PWRel block as a cg-lossy-sync save
 // cuts it — the first 14 slabs of the 48³ IC(0)-PCG iterate at
 // iteration 25, at 1e-4 — written by the one-pass encoder ("kernel":
-// the row-pair kernel; "kernel/audited": the Go loop an audited save
-// takes) and by the two-pass path ("portable"), Huffman stage and
-// framing included, on the calling goroutine.
+// the row-pair kernel) and by the two-pass path ("portable"), Huffman
+// stage and framing included, on the calling goroutine.
 func BenchmarkGridBlockEncode(b *testing.B) {
 	x := checkpointIterates(b, 48, 48, 48, "cg")[4][:14*48*48]
 	p, err := normalizeParams(x, Params{Mode: PWRel, ErrorBound: 1e-4})
@@ -262,18 +255,14 @@ func BenchmarkGridBlockEncode(b *testing.B) {
 	}
 	have := useKernels
 	defer func() { useKernels = have }()
-	for _, path := range []string{"kernel", "kernel/audited", "portable", "portable/audited"} {
+	for _, path := range []string{"kernel", "portable"} {
 		b.Run(path, func(b *testing.B) {
-			if useKernels = strings.HasPrefix(path, "kernel"); useKernels && !have {
+			if useKernels = path == "kernel"; useKernels && !have {
 				b.Skip("no kernels on this machine")
 			}
 			var dst []byte
 			for i := 0; i < b.N; i++ {
-				var st *codec.Stats
-				if strings.HasSuffix(path, "audited") {
-					st = new(codec.Stats)
-				}
-				if dst, err = appendLogTransform(dst[:0], x, p, stencil{PredictorLorenzoND, 48, 48 * 48}, st); err != nil {
+				if dst, err = appendLogTransform(dst[:0], x, p, stencil{PredictorLorenzoND, 48, 48 * 48}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -127,16 +127,11 @@ const (
 // parameters, never for hard-to-compress data (which degrades to
 // stored values).
 func Compress(x []float64, p Params) ([]byte, error) {
-	return AppendCompress(nil, x, p, nil)
+	return AppendCompress(nil, x, p)
 }
 
-// AppendCompress is Compress appending to dst, as append does. A
-// non-nil st receives the distortion the compression introduced,
-// accumulated in the quantizer's own loop (it already holds every
-// reconstruction the decoder will see); the bytes are the same with
-// and without it, so an audited save writes the checkpoint an
-// unaudited one would.
-func AppendCompress(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte, error) {
+// AppendCompress is Compress appending to dst, as append does.
+func AppendCompress(dst []byte, x []float64, p Params) ([]byte, error) {
 	p, err := normalizeParams(x, p)
 	if err != nil {
 		return nil, err
@@ -151,17 +146,13 @@ func AppendCompress(dst []byte, x []float64, p Params, st *codec.Stats) ([]byte,
 			if len(x) > 0 {
 				c = x[0]
 			}
-			if st != nil {
-				st.AddExact(x)
-				st.Lossy = true
-			}
 			return codec.AppendConstant(dst, bc, len(x), c), nil
 		}
 	}
 	if s1, s2 := inferStrides(x, p, bc.eb); s1 > 0 {
 		bc.sten = stencil{PredictorLorenzoND, s1, s2}
 	}
-	return codec.Compress(dst, x, bc, st)
+	return codec.Compress(dst, x, bc)
 }
 
 // normalizeParams validates p against x and fills defaults.
@@ -277,21 +268,14 @@ func (b Blocks) BlockSize() int {
 
 // EncodeBlock implements codec.BlockCodec: a kind byte, then the core
 // or log-transform payload of x.
-func (b Blocks) EncodeBlock(dst []byte, x []float64, st *codec.Stats) ([]byte, error) {
+func (b Blocks) EncodeBlock(dst []byte, x []float64) ([]byte, error) {
 	if b.p.Intervals == 0 {
 		return nil, fmt.Errorf("sz: Blocks encodes through AppendCompress only")
 	}
-	if st != nil {
-		st.Bound, st.Relative, st.Lossy = b.eb, b.p.Mode == PWRel, true
-	}
 	if b.p.Mode == PWRel {
-		return appendLogTransform(append(dst, kindLogTransform), x, b.p, b.sten, st)
+		return appendLogTransform(append(dst, kindLogTransform), x, b.p, b.sten)
 	}
-	var a *audit
-	if st != nil {
-		a = &audit{st: st}
-	}
-	return appendCore(append(dst, kindCore), x, nil, b.eb, b.sten, b.p.Intervals, a)
+	return appendCore(append(dst, kindCore), x, nil, b.eb, b.sten, b.p.Intervals)
 }
 
 // DecodeBlockInto implements codec.BlockCodec.
@@ -600,40 +584,6 @@ func (s stencil) rowLen(n int) (w int, zeroRow []float64) {
 	return s.s1, zeroRow
 }
 
-// audit is the distortion accumulator of one block, fed by the
-// quantizer loop behind a nil check: the reconstruction is in a
-// register there, so an audited encode costs no decode pass and an
-// unaudited one a predictable branch.
-//
-// mags is nil in the value domain (Abs/RelRange: the native and
-// absolute errors coincide). On the PWRel path the quantizer sees
-// logarithms, mags holds the corresponding |value| magnitudes and
-// fcorr the fast-log accuracy margin: the per-element relative error
-// is then bounded by expm1(|log error| + fcorr) and the absolute error
-// by that times the magnitude.
-type audit struct {
-	st    *codec.Stats
-	mags  []float64
-	fcorr float64
-}
-
-// add folds element i: v as the quantizer saw it, r its reconstruction.
-func (a *audit) add(i int, v, r float64) {
-	if a.mags == nil {
-		d := math.Abs(v - r)
-		a.st.Add(math.Abs(v), d, d)
-		return
-	}
-	a.addLog(a.mags[i], v, r)
-}
-
-// addLog folds a PWRel element of magnitude mag whose logarithm the
-// quantizer saw as v and reconstructed as r.
-func (a *audit) addLog(mag, v, r float64) {
-	rel := math.Expm1(math.Abs(v-r) + a.fcorr)
-	a.st.Add(mag, rel, rel*mag)
-}
-
 // appendCore runs the ABS-bound pipeline (predict → quantize →
 // Huffman), appending the payload to dst. All large scratch state
 // comes from the parallel package's pools, keeping the per-call
@@ -643,8 +593,8 @@ func (a *audit) addLog(mag, v, r float64) {
 // it to r — a pooled array when r is nil; the PWRel path passes x
 // itself, each logarithm being read once and then overwritten.
 // quantStep's multiply-and-magic-round replaces a divide and a
-// math.Round. A non-nil a audits every element where it is quantized.
-func appendCore(dst []byte, x, r []float64, eb float64, sten stencil, intervals int, a *audit) ([]byte, error) {
+// math.Round.
+func appendCore(dst []byte, x, r []float64, eb float64, sten stencil, intervals int) ([]byte, error) {
 	n := len(x)
 	if sten = sten.fit(n); sten.pred == PredictorAuto {
 		sten.pred = choosePredictor(x, eb, intervals)
@@ -675,9 +625,6 @@ func appendCore(dst []byte, x, r []float64, eb float64, sten stencil, intervals 
 				unpred = append(unpred, v)
 			}
 			codes[b+j] = code
-			if a != nil {
-				a.add(b+j, v, rv)
-			}
 			if zero != nil {
 				r[b+j] = rv
 			}
@@ -895,12 +842,10 @@ const tinyThreshold = 2.2250738585072014e-308 // math.SmallestNormalFloat64
 // compressing ln|x| under the absolute bound ln(1+eb), appending the
 // payload to dst. Signs, exact zeros, and subnormal values travel in
 // side channels; zeros and subnormals reconstruct exactly, trivially
-// satisfying the bound — and an audit (st non-nil) counts them so,
-// while the log-compressed elements carry their magnitudes into the
-// quantizer loop for the relative→absolute conversion. A grid block
+// satisfying the bound. A grid block
 // under the fast log tries appendGridLogs first, the same bytes in one
 // pass; this path is its fallback and its oracle.
-func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *codec.Stats) ([]byte, error) {
+func appendLogTransform(dst []byte, x []float64, p Params, sten stencil) ([]byte, error) {
 	// fastLog is accurate to fastLogErr, not correctly rounded, so the
 	// encoder quantizes under a bound tightened by exactly that much:
 	// reconstruction stays within ln(1+eb) of the true logarithm. The
@@ -924,7 +869,7 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *cod
 	signs := bitmaps[nb : 2*nb]
 	tiny := bitmaps[2*nb : 3*nb]
 	if g := sten.fit(n); useKernels && useFast && g.pred == PredictorLorenzoND {
-		if out, ok, err := appendGridLogs(dst, x, signs, bitmaps, lnbEnc, g, p.Intervals, st); ok {
+		if out, ok, err := appendGridLogs(dst, x, signs, bitmaps, lnbEnc, g, p.Intervals); ok {
 			return out, err
 		}
 		clear(signs)
@@ -932,14 +877,6 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *cod
 	var exact []float64
 	logs := parallel.GetFloat64s(n)
 	defer func() { parallel.PutFloat64s(logs) }()
-	var a *audit
-	if st != nil {
-		a = &audit{st: st, mags: parallel.GetFloat64s(n)}
-		defer func() { parallel.PutFloat64s(a.mags) }()
-		if useFast {
-			a.fcorr = fastLogErr
-		}
-	}
 
 	// Classification works on the raw bits: sign, zero, and subnormal
 	// tests are integer compares (tinyThreshold is the smallest normal,
@@ -950,9 +887,6 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *cod
 		bit := byte(1) << (uint(i) & 7)
 		if abs == 0 {
 			zeros[i>>3] |= bit
-			if a != nil {
-				st.Add(0, 0, 0)
-			}
 			continue
 		}
 		if b != abs {
@@ -961,9 +895,6 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *cod
 		if abs < 1<<52 { // biased exponent 0: subnormal
 			tiny[i>>3] |= bit
 			exact = append(exact, math.Float64frombits(abs))
-			if a != nil {
-				st.Add(math.Float64frombits(abs), 0, 0)
-			}
 			continue
 		}
 		if useFast {
@@ -971,16 +902,13 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil, st *cod
 		} else {
 			logs = append(logs, math.Log(math.Float64frombits(abs)))
 		}
-		if a != nil {
-			a.mags = append(a.mags, math.Float64frombits(abs))
-		}
 	}
 	if len(logs) != n && sten.pred == PredictorLorenzoND {
 		// Zeros and subnormals travel beside the logarithms, not among
 		// them: what is left of the block is no longer the grid.
 		sten = stencil{}
 	}
-	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, logs, lnbEnc, sten, p.Intervals, a)
+	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, logs, lnbEnc, sten, p.Intervals)
 }
 
 // emitLogHeader appends the log-transform framing that precedes the
