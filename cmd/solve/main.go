@@ -68,11 +68,12 @@
 //
 // Storage resilience (-storage-retries, -storage-timeout,
 // -scrub-interval, -storage-fault-rate; on-disk checkpoint directories
-// are fsck-swept at startup) and the striped single-writer cost model
-// that passing -shards at all switches to (-shards 1 included, so
-// monolithic and sharded runs compare within one model) are described
-// flag by flag in the README, "Storage fault model" and "cmd/solve
-// flags".
+// are fsck-swept at startup) and the shard layout (-shards,
+// -storage-workers) are described flag by flag in the README, "Storage
+// fault model" and "cmd/solve flags". The layout changes what is
+// written and measured, not the modelled price: every modelled
+// checkpoint and restart is the paper's collective write through the
+// aggregate PFS bandwidth.
 package main
 
 import (
@@ -125,10 +126,8 @@ type options struct {
 	storageTimeout, scrubEvery                 time.Duration
 	async, adaptive, tiers                     bool
 	quality                                    bool
-	// typed holds the names of the flags given on the command line. A
-	// typed -shards — even -shards 1 — prices writes with the
-	// single-writer striped cost model, so monolithic and sharded runs
-	// compare within one model instead of across two.
+	// typed holds the names of the flags given on the command line, so
+	// validate can refuse a typed flag the run would not act on.
 	typed map[string]bool
 	// plan is -inject parsed (nil without it); validate fills it.
 	plan *failure.Plan
@@ -149,7 +148,7 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.ckptDir, "ckptdir", "", "write checkpoints to this directory (default: in-memory)")
 	fs.IntVar(&o.maxIter, "maxiter", 2_000_000, "iteration cap")
 	fs.BoolVar(&o.async, "async", false, "asynchronous checkpointing: charge only the capture stall; encode+write overlap iterations")
-	fs.IntVar(&o.shards, "shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; passing the flag at all prices writes with the single-writer striped-PFS model)")
+	fs.IntVar(&o.shards, "shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; the modelled price is the same collective write for every layout)")
 	fs.IntVar(&o.storageWorkers, "storage-workers", 0, "worker pool bound for shard writes/reads (0 = GOMAXPROCS)")
 	fs.IntVar(&o.storageRetries, "storage-retries", 4, "max retries per storage op for transient faults (0 disables the resilient wrapper)")
 	fs.DurationVar(&o.storageTimeout, "storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
@@ -579,14 +578,10 @@ func run(o options) (err error) {
 	if info := mgr.LastInfo(); info.Bytes > 0 {
 		fmt.Printf("last checkpoint: %d bytes (ratio %.1fx, encoder %s)\n",
 			info.Bytes, info.CompressionRatio, info.EncoderName)
-		if info.Shards > 1 {
-			fmt.Printf("sharded: %d shard objects + manifest, %d storage workers, striped write bandwidth %.2f GB/s\n",
-				info.Shards, o.storageWorkers, cm.mdl.StripedWriteBandwidth(info.Shards)/1e9)
-		}
 	}
 	// On simulated failure runs, measure one real restart so the
-	// in-process R (streaming shard-parallel restore) can be compared
-	// against the modeled ShardedRecoverySeconds at cluster scale.
+	// in-process R (streaming restore) can be compared against the
+	// modeled RecoverySeconds at cluster scale.
 	if o.mtti > 0 && mgr.HasCheckpoint() {
 		info := mgr.LastInfo()
 		// Detach the auditor first: the measurement is not a failure, so
@@ -672,34 +667,11 @@ type costModel struct {
 	o      options
 }
 
-// shardsOf is the layout a checkpoint was written in (the flag's when
-// the Info predates any save).
-func (c *costModel) shardsOf(info fti.Info) int {
-	if info.Shards >= 1 {
-		return info.Shards
-	}
-	return c.o.shards
-}
-
 func (c *costModel) checkpoint(info fti.Info) float64 {
-	if c.o.typed["shards"] {
-		// Single-writer object writes under the striped-PFS model,
-		// engaging min(shards, stripes) stripes — used for every value of
-		// -shards (1 included) so monolithic and sharded runs compare
-		// within the same model.
-		return c.mdl.ShardedCheckpointSeconds(2048, float64(info.Bytes), c.raw, c.scheme, c.shardsOf(info))
-	}
 	return c.mdl.CheckpointSeconds(2048, float64(info.Bytes), c.raw, c.scheme)
 }
 
 func (c *costModel) recovery(info fti.Info) float64 {
-	if c.o.typed["shards"] {
-		// Restarts priced like the write path: a sharded group streams
-		// through min(shards, stripes) concurrent reads overlapped with
-		// decompression; shards=1 is the serial monolithic restore
-		// (exactly RecoverySeconds).
-		return c.mdl.ShardedRecoverySeconds(2048, float64(info.Bytes), c.raw, c.scheme, c.shardsOf(info))
-	}
 	return c.mdl.RecoverySeconds(2048, float64(info.Bytes), c.raw, c.scheme)
 }
 
@@ -714,8 +686,12 @@ func (c *costModel) storageRetry(info fti.Info) float64 {
 	if c.o.faultRate <= 0 || c.o.storageRetries <= 0 {
 		return 0
 	}
+	shards := info.Shards
+	if shards < 1 {
+		shards = c.o.shards // no committed record: the flag's layout
+	}
 	pol := fti.FaultPolicy{MaxRetries: c.o.storageRetries}.Normalize()
-	return c.mdl.StorageRetrySeconds(c.shardsOf(info), c.o.faultRate,
+	return c.mdl.StorageRetrySeconds(shards, c.o.faultRate,
 		pol.BaseDelay.Seconds(), pol.MaxDelay.Seconds(), pol.MaxRetries)
 }
 

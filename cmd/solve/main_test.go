@@ -363,3 +363,42 @@ func TestRunReport(t *testing.T) {
 		})
 	}
 }
+
+// TestShardsDoNotMovePrices: the shard layout changes what is written,
+// not the modelled price. No -shards, -shards 1 and -shards 8 print the
+// same Young interval, sim-time and checkpoint-time lines and report
+// the same modelled cost column: every layout is priced as the paper's
+// collective write.
+func TestShardsDoNotMovePrices(t *testing.T) {
+	modelled := func(layout ...string) []string {
+		path := filepath.Join(t.TempDir(), "report.json")
+		args := append([]string{"-method", "jacobi", "-grid", "32", "-scheme", "traditional",
+			"-mtti", "2000", "-seed", "1", "-report-out", path}, layout...)
+		out, err := solve(t, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, line := range strings.Split(out, "\n") {
+			for _, prefix := range []string{"Young-optimal interval:", "converged=", "checkpoint-time="} {
+				if strings.HasPrefix(line, prefix) {
+					lines = append(lines, line)
+				}
+			}
+		}
+		for _, c := range readReport(t, path)["cost"].([]any) {
+			c := c.(map[string]any)
+			lines = append(lines, fmt.Sprintf("cost %v modeled %v", c["phase"], c["modeled_seconds"]))
+		}
+		return lines
+	}
+	want := modelled()
+	if len(want) != 7 {
+		t.Fatalf("want 3 outcome lines and 4 cost rows, got:\n%s", strings.Join(want, "\n"))
+	}
+	for _, shards := range []string{"1", "8"} {
+		if got := modelled("-shards", shards); !reflect.DeepEqual(got, want) {
+			t.Errorf("-shards %s:\n%s\nwithout the flag:\n%s", shards, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}

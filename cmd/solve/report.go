@@ -272,7 +272,7 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 	// The stage helpers share the fused cost model's terms, so the
 	// per-phase rows always sum to the cost the run was priced with.
 	modEncode := c.mdl.CompressSeconds(2048, c.raw, c.scheme)
-	modWrite := c.mdl.WriteStageSeconds(2048, float64(info.Bytes), max(info.Shards, 1), c.o.typed["shards"])
+	modWrite := c.mdl.WriteStageSeconds(2048, float64(info.Bytes))
 	modRestart := c.recovery(info)
 	ms := func(s float64) string {
 		if math.IsNaN(s) {

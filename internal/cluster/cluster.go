@@ -47,38 +47,11 @@ type Model struct {
 	// compression, so orders of magnitude faster than a checkpoint.
 	MemCopyPerCore float64
 
-	// Stripes and StripeBandwidth model the PFS's object-storage
-	// striping (Lustre OSTs): the file system exposes Stripes stripes
-	// of StripeBandwidth bytes/s each, with Stripes×StripeBandwidth =
-	// PFSBandwidth (the aggregate a fully collective write achieves).
-	// A checkpoint written as one monolithic object streams through a
-	// single stripe; sharding it into S objects engages min(S, Stripes)
-	// stripes — exactly why per-block shard objects make the storage
-	// stage scale (ShardedCheckpointSeconds).
-	Stripes         int
-	StripeBandwidth float64
-	// PerShardSeconds is the metadata cost of creating one shard
-	// object (open/create+commit on the PFS metadata server); it is
-	// the term that makes over-sharding (S ≫ Stripes) a loss.
-	PerShardSeconds float64
-
 	// InterconnectBandwidth is the point-to-point node interconnect
 	// bandwidth (bytes/s) — the channel an ABFT reconstruction uses to
 	// re-gather the surviving ranks' contributions to the lost block
-	// (checksum/neighbor exchanges), never touching the PFS. Zero falls
-	// back to MemCopyPerCore so pre-ABFT Model literals keep working.
+	// (checksum/neighbor exchanges), never touching the PFS.
 	InterconnectBandwidth float64
-
-	// ReadStripeBandwidth is the per-stripe bandwidth of the restore
-	// path's shard fan-out reads. PFS read paths typically outpace the
-	// write paths (no commit/sync round trips, no parity update,
-	// server-side caching), so per stripe this exceeds the write-side
-	// StripeBandwidth; a sharded restore reading min(shards, Stripes)
-	// objects concurrently can therefore beat even the aggregate write
-	// bandwidth a monolithic restore streams at. Zero means the read
-	// fan-out adds nothing beyond the aggregate (legacy Model
-	// literals).
-	ReadStripeBandwidth float64
 }
 
 // Bebop returns the model calibrated to the paper's measurements.
@@ -91,21 +64,9 @@ func Bebop() *Model {
 		LosslessPerCore:      100e6,
 		StaticPerRankSeconds: 0.004,
 		MemCopyPerCore:       4e9,
-		// 48 OSTs splitting the calibrated 0.8 GB/s aggregate: a full
-		// stripe-wide sharded write recovers exactly the collective
-		// bandwidth the paper's measurements fix, a monolithic write
-		// gets one stripe's worth.
-		Stripes:         48,
-		StripeBandwidth: 0.80e9 / 48,
-		PerShardSeconds: 0.0005,
 		// Omni-Path node injection bandwidth (100 Gb/s ≈ 12.5 GB/s) —
 		// the fabric Bebop's ABFT-style exchanges would ride on.
 		InterconnectBandwidth: 12.5e9,
-		// Read path per stripe at 2× the write path — the usual PFS
-		// asymmetry (no commit, no parity) — so a full-stripe shard
-		// fan-out restores at up to 1.6 GB/s against the 0.8 GB/s
-		// write aggregate.
-		ReadStripeBandwidth: 2 * 0.80e9 / 48,
 	}
 }
 
@@ -122,9 +83,8 @@ const (
 // CompressSeconds is the scheme-dependent compression cost of one
 // checkpoint: rawBytes compressed across procs cores at the scheme's
 // per-core rate (CompressPerCore lossy, LosslessPerCore lossless, free
-// uncompressed). The collective and sharded write models and
-// cmd/solve's per-phase table share it, so a calibration change cannot
-// skew their comparison.
+// uncompressed). CheckpointSeconds and cmd/solve's per-phase table
+// share it, so a calibration change cannot skew their comparison.
 func (m *Model) CompressSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
 	switch scheme {
 	case LossyCompressed:
@@ -136,107 +96,45 @@ func (m *Model) CompressSeconds(procs int, rawBytes float64, scheme Scheme) floa
 }
 
 // WriteStageSeconds is the PFS-write term of one checkpoint: the
-// per-rank metadata overhead plus the transfer. striped prices the
-// single-writer striped-object model (per-shard metadata for the
-// shards plus the manifest, min(shards, stripes) concurrent stripes);
-// otherwise the collective aggregate-bandwidth write. By construction
-// CompressSeconds + WriteStageSeconds equals CheckpointSeconds
-// (collective) or ShardedCheckpointSeconds (striped).
-func (m *Model) WriteStageSeconds(procs int, encodedBytes float64, shards int, striped bool) float64 {
+// per-rank metadata overhead plus encodedBytes through the aggregate
+// bandwidth. CompressSeconds + WriteStageSeconds equals
+// CheckpointSeconds.
+func (m *Model) WriteStageSeconds(procs int, encodedBytes float64) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
-	if !striped {
-		return m.PerRankSeconds*float64(procs) + encodedBytes/m.PFSBandwidth
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return m.PerRankSeconds*float64(procs) +
-		m.PerShardSeconds*float64(shards+1) +
-		encodedBytes/m.StripedWriteBandwidth(shards)
+	return m.PerRankSeconds*float64(procs) + encodedBytes/m.PFSBandwidth
 }
 
 // CheckpointSeconds returns the wall time of one checkpoint: optional
 // compression of rawBytes across procs cores, then writing
-// encodedBytes through the shared PFS.
+// encodedBytes through the shared PFS in one collective write — the
+// model the paper's anchors fix, whatever object layout the write
+// takes.
 func (m *Model) CheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	return m.PerRankSeconds*float64(procs) +
-		encodedBytes/m.PFSBandwidth +
-		m.CompressSeconds(procs, rawBytes, scheme)
-}
-
-// StripedWriteBandwidth returns the effective PFS bandwidth of a
-// checkpoint written as shards parallel shard objects: per-stripe
-// bandwidth × min(shards, stripes), never exceeding the aggregate
-// PFSBandwidth. shards < 1 is treated as a monolithic single-object
-// write; a Model without striping parameters (Stripes or
-// StripeBandwidth zero) falls back to the aggregate bandwidth, so
-// pre-striping Model literals keep their old behavior.
-func (m *Model) StripedWriteBandwidth(shards int) float64 {
-	if m.Stripes <= 0 || m.StripeBandwidth <= 0 {
-		return m.PFSBandwidth
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > m.Stripes {
-		shards = m.Stripes
-	}
-	bw := m.StripeBandwidth * float64(shards)
-	if m.PFSBandwidth > 0 && bw > m.PFSBandwidth {
-		bw = m.PFSBandwidth
-	}
-	return bw
-}
-
-// ShardedCheckpointSeconds returns the wall time of one checkpoint
-// written as shards parallel shard objects plus a manifest: optional
-// compression of rawBytes across procs cores (as in
-// CheckpointSeconds), then encodedBytes through min(shards, Stripes)
-// stripes, plus the per-object metadata cost of the shards and the
-// manifest. With shards = 1 and the Bebop striping parameters this is
-// the single-stripe serial write; at shards ≥ Stripes it recovers the
-// aggregate-bandwidth cost of the collective write the paper measures.
-func (m *Model) ShardedCheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme, shards int) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return m.PerRankSeconds*float64(procs) +
-		m.PerShardSeconds*float64(shards+1) + // +1: the manifest object
-		encodedBytes/m.StripedWriteBandwidth(shards) +
-		m.CompressSeconds(procs, rawBytes, scheme)
+	return m.WriteStageSeconds(procs, encodedBytes) + m.CompressSeconds(procs, rawBytes, scheme)
 }
 
 // StorageRetrySeconds returns the expected retry/backoff delay the
-// fault-tolerant storage wrapper (fti.Resilient) adds to one sharded
-// checkpoint write when each object write fails transiently with
-// probability faultRate. Each of the shards+1 object writes (the +1 is
-// the manifest) pays the expected backoff sum
+// fault-tolerant storage wrapper (fti.Resilient) adds to one checkpoint
+// write when each object write fails transiently with probability
+// faultRate. A monolithic save (shards ≤ 1) writes one object, a
+// sharded one shards objects plus the manifest. Each object write pays
+// the expected backoff sum
 //
-//	Σ_{k=0}^{maxRetries-1} p^{k+1} · min(base·2^k, max)
+//	Σ_{k=0}^{maxRetries-1} p^{k+1} · ¾·min(base·2^k, max)
 //
 // — the k-th backoff step is slept only if attempts 0..k all failed,
-// and steps grow geometrically from baseDelay up to the maxDelay cap,
-// matching the wrapper's schedule (jitter averages out; the mean of
-// the uniform [step/2, step] draw is 3/4·step, folded into base by
-// callers that want that precision). Zero at faultRate ≤ 0 and
-// monotone in it; faultRate ≥ 1 prices every attempt as failed.
+// steps grow geometrically from baseDelay up to the maxDelay cap, and
+// the wrapper draws each sleep uniformly from [step/2, step], whose
+// mean is ¾·step. Zero at faultRate ≤ 0 and monotone in it;
+// faultRate ≥ 1 prices every attempt as failed.
 func (m *Model) StorageRetrySeconds(shards int, faultRate, baseDelay, maxDelay float64, maxRetries int) float64 {
 	if faultRate <= 0 || maxRetries <= 0 || baseDelay <= 0 {
 		return 0
 	}
 	if faultRate > 1 {
 		faultRate = 1
-	}
-	if shards < 1 {
-		shards = 1
 	}
 	if maxDelay <= 0 {
 		maxDelay = baseDelay
@@ -246,14 +144,14 @@ func (m *Model) StorageRetrySeconds(shards int, faultRate, baseDelay, maxDelay f
 	step := baseDelay
 	for k := 0; k < maxRetries; k++ {
 		pPow *= faultRate
-		d := step
-		if d > maxDelay {
-			d = maxDelay
-		}
-		perOp += pPow * d
+		perOp += pPow * 0.75 * min(step, maxDelay)
 		step *= 2
 	}
-	return perOp * float64(shards+1) // +1: the manifest object
+	objects := 1
+	if shards > 1 {
+		objects = shards + 1 // +1: the manifest object
+	}
+	return perOp * float64(objects)
 }
 
 // CaptureSeconds returns the solver-visible stall of one asynchronous
@@ -271,87 +169,24 @@ func (m *Model) CaptureSeconds(procs int, rawBytes float64) float64 {
 	return rawBytes / (m.MemCopyPerCore * float64(procs))
 }
 
-// decompressSeconds is the scheme-dependent decompression cost of one
-// recovery, shared by the serial and streaming restore models so a
-// calibration change cannot skew their comparison.
-func (m *Model) decompressSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
-	switch scheme {
-	case LossyCompressed:
-		return rawBytes / (m.DecompressPerCore * float64(procs))
-	case LosslessCompressed:
-		return rawBytes / (m.LosslessPerCore * float64(procs))
-	}
-	return 0
-}
-
 // RecoverySeconds returns the wall time of one recovery: reading the
-// checkpoint back, optional decompression, and reconstructing the
-// static variables. This is the legacy serial restore — the full read,
-// then the full decompression — of a monolithic checkpoint (which, as
-// one file striped across the OSTs, already streams at the aggregate
-// PFS bandwidth).
+// checkpoint back through the aggregate PFS bandwidth, then optional
+// decompression, then reconstructing the static variables.
 func (m *Model) RecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
+	dec := 0.0
+	switch scheme {
+	case LossyCompressed:
+		dec = rawBytes / (m.DecompressPerCore * float64(procs))
+	case LosslessCompressed:
+		dec = rawBytes / (m.LosslessPerCore * float64(procs))
+	}
 	return m.PerRankSeconds*float64(procs) +
 		encodedBytes/m.PFSBandwidth +
-		m.decompressSeconds(procs, rawBytes, scheme) +
+		dec +
 		m.StaticPerRankSeconds*float64(procs)
-}
-
-// StripedReadBandwidth returns the effective PFS bandwidth of a
-// restore reading a checkpoint stored as shards parallel objects:
-// per-stripe read bandwidth × min(shards, stripes), saturating at the
-// read-side aggregate (ReadStripeBandwidth × Stripes) and never below
-// the write-side aggregate PFSBandwidth — a monolithic checkpoint is
-// one file striped across the OSTs, so even a single-object read
-// streams at the aggregate, and a shard fan-out can always fall back
-// to that scan. Models without striping or read parameters keep the
-// aggregate (legacy Model literals).
-func (m *Model) StripedReadBandwidth(shards int) float64 {
-	if m.Stripes <= 0 || m.ReadStripeBandwidth <= 0 {
-		return m.PFSBandwidth
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > m.Stripes {
-		shards = m.Stripes
-	}
-	bw := m.ReadStripeBandwidth * float64(shards)
-	if bw < m.PFSBandwidth {
-		bw = m.PFSBandwidth
-	}
-	return bw
-}
-
-// ShardedRecoverySeconds returns the wall time of one recovery from a
-// checkpoint stored as shards parallel objects, mirroring
-// ShardedCheckpointSeconds on the read side. shards ≤ 1 is the legacy
-// monolithic restore and prices exactly like RecoverySeconds: the full
-// payload is read, then decompressed. A sharded group (shards ≥ 2)
-// restores through the streaming pipeline: min(shards, Stripes)
-// concurrent per-stripe reads, saturating at the read aggregate
-// (StripedReadBandwidth), with decompression overlapped against the
-// reads per shard — the transfer term is max(read, decompress) instead
-// of their sum. Read-side object opens carry no create/commit round
-// trips and overlap the transfer, so no per-shard metadata term
-// applies; the cost is therefore monotonically non-increasing in the
-// shard count up to the stripe saturation point.
-func (m *Model) ShardedRecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme, shards int) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	if shards <= 1 {
-		return m.RecoverySeconds(procs, encodedBytes, rawBytes, scheme)
-	}
-	read := encodedBytes / m.StripedReadBandwidth(shards)
-	dec := m.decompressSeconds(procs, rawBytes, scheme)
-	if dec > read {
-		read = dec
-	}
-	return m.PerRankSeconds*float64(procs) + read + m.StaticPerRankSeconds*float64(procs)
 }
 
 // ABFTRecoverySeconds returns the wall time of one checkpoint-free
@@ -361,18 +196,14 @@ func (m *Model) ShardedRecoverySeconds(procs int, encodedBytes, rawBytes float64
 // solve at iterSeconds each, plus the fixed per-rank coordination
 // overhead. No PFS term appears anywhere — that absence is the tier's
 // entire advantage, and why the modelled read-traffic comparison shows
-// ABFT-on runs touching the file system less. A Model without
-// InterconnectBandwidth falls back to MemCopyPerCore (node-local
-// exchange), keeping legacy literals finite.
+// ABFT-on runs touching the file system less. Like CaptureSeconds, a
+// Model literal without InterconnectBandwidth yields +Inf, not a
+// substituted default.
 func (m *Model) ABFTRecoverySeconds(blockBytes float64, localIters int, iterSeconds float64) float64 {
-	bw := m.InterconnectBandwidth
-	if bw <= 0 {
-		bw = m.MemCopyPerCore
-	}
 	if localIters < 0 {
 		localIters = 0
 	}
-	return m.PerRankSeconds + blockBytes/bw + float64(localIters)*iterSeconds
+	return m.PerRankSeconds + blockBytes/m.InterconnectBandwidth + float64(localIters)*iterSeconds
 }
 
 // MethodBaseline holds the paper's failure-free reference execution

@@ -119,161 +119,37 @@ func TestTable3Sizes(t *testing.T) {
 	}
 }
 
-func TestStripedWriteBandwidth(t *testing.T) {
-	m := Bebop()
-	// Striping splits the calibrated aggregate exactly.
-	if got := m.StripedWriteBandwidth(m.Stripes) - m.PFSBandwidth; got > 1e-6 || got < -1e-6 {
-		t.Fatalf("full-stripe bandwidth %.3g != aggregate %.3g", m.StripedWriteBandwidth(m.Stripes), m.PFSBandwidth)
-	}
-	one := m.StripedWriteBandwidth(1)
-	if one != m.StripeBandwidth {
-		t.Fatalf("monolithic write should get one stripe: %.3g vs %.3g", one, m.StripeBandwidth)
-	}
-	// min(shards, stripes): bandwidth grows linearly then saturates.
-	if m.StripedWriteBandwidth(8) != 8*m.StripeBandwidth {
-		t.Fatal("8 shards should engage 8 stripes")
-	}
-	if m.StripedWriteBandwidth(10*m.Stripes) != m.PFSBandwidth {
-		t.Fatal("over-sharding must saturate at the aggregate")
-	}
-	if m.StripedWriteBandwidth(0) != one || m.StripedWriteBandwidth(-3) != one {
-		t.Fatal("shards < 1 must be treated as monolithic")
-	}
-	// A model without striping parameters keeps the aggregate (legacy
-	// Model literals).
-	legacy := &Model{PFSBandwidth: 1e9}
-	if legacy.StripedWriteBandwidth(4) != 1e9 {
-		t.Fatal("legacy model must fall back to the aggregate bandwidth")
-	}
-}
-
-func TestShardedCheckpointSeconds(t *testing.T) {
-	m := Bebop()
-	const procs = 2048
-	enc, raw := 1.0e9, 8.0e9
-	mono := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, 1)
-	s8 := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, 8)
-	full := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, m.Stripes)
-	if !(s8 < mono) || !(full < s8) {
-		t.Fatalf("sharding must speed up the write: mono=%.2f s8=%.2f full=%.2f", mono, s8, full)
-	}
-	// At full striping the transfer term matches the collective model;
-	// only the per-shard metadata differs.
-	collective := m.CheckpointSeconds(procs, enc, raw, LossyCompressed)
-	extra := full - collective
-	want := m.PerShardSeconds * float64(m.Stripes+1)
-	if diff := extra - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("full-stripe sharded cost differs from collective by %.6f, want metadata %.6f", extra, want)
-	}
-	// Over-sharding: bandwidth saturated, metadata keeps growing.
-	over := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, 4*m.Stripes)
-	if !(over > full) {
-		t.Fatal("over-sharding must cost more than full striping")
-	}
-}
-
-func TestStripedReadBandwidth(t *testing.T) {
-	m := Bebop()
-	// A monolithic read is one striped file scanned at the aggregate.
-	if m.StripedReadBandwidth(1) != m.PFSBandwidth {
-		t.Fatalf("single-object read %.3g, want the aggregate %.3g", m.StripedReadBandwidth(1), m.PFSBandwidth)
-	}
-	// The fan-out can always fall back to the monolithic scan, so the
-	// effective bandwidth never drops below the aggregate...
-	for s := 1; s <= 4*m.Stripes; s++ {
-		if m.StripedReadBandwidth(s) < m.PFSBandwidth {
-			t.Fatalf("%d shards read below the aggregate", s)
-		}
-		if s > 1 && m.StripedReadBandwidth(s) < m.StripedReadBandwidth(s-1) {
-			t.Fatalf("read bandwidth must be non-decreasing at %d shards", s)
-		}
-	}
-	// ...and saturates at the read-side aggregate at full striping.
-	full := m.ReadStripeBandwidth * float64(m.Stripes)
-	if got := m.StripedReadBandwidth(m.Stripes); got != full {
-		t.Fatalf("full-stripe read %.3g, want %.3g", got, full)
-	}
-	if m.StripedReadBandwidth(10*m.Stripes) != full {
-		t.Fatal("over-sharding must saturate at the read aggregate")
-	}
-	// Bebop's read path outpaces its write path.
-	if full <= m.PFSBandwidth {
-		t.Fatal("full-stripe read aggregate should exceed the write aggregate")
-	}
-	// A model without striping/read parameters keeps the aggregate.
-	legacy := &Model{PFSBandwidth: 1e9}
-	if legacy.StripedReadBandwidth(8) != 1e9 {
-		t.Fatal("legacy model must fall back to the aggregate bandwidth")
-	}
-}
-
-func TestShardedRecoverySeconds(t *testing.T) {
-	m := Bebop()
-	const procs = 2048
-	enc, raw := 2.0e9, 8.0e9
-	schemes := []Scheme{Uncompressed, LosslessCompressed, LossyCompressed}
-	// shards ≤ 1 prices exactly like the serial monolithic restore.
-	for _, sch := range schemes {
-		want := m.RecoverySeconds(procs, enc, raw, sch)
-		for _, s := range []int{-1, 0, 1} {
-			if got := m.ShardedRecoverySeconds(procs, enc, raw, sch, s); got != want {
-				t.Fatalf("scheme %d shards=%d: %.6f != RecoverySeconds %.6f", sch, s, got, want)
-			}
-		}
-	}
-	// Monotonically non-increasing in shard count up to (and past) the
-	// stripe saturation point, for every scheme.
-	for _, sch := range schemes {
-		prev := m.ShardedRecoverySeconds(procs, enc, raw, sch, 1)
-		for s := 2; s <= 2*m.Stripes; s++ {
-			got := m.ShardedRecoverySeconds(procs, enc, raw, sch, s)
-			if got > prev+1e-12 {
-				t.Fatalf("scheme %d: recovery cost increased at %d shards (%.6f after %.6f)", sch, s, got, prev)
-			}
-			prev = got
-		}
-	}
-	// The streaming pipeline overlaps read with decompression, so a
-	// sharded lossy restore strictly beats the serial one...
-	mono := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, 1)
-	s8 := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, 8)
-	full := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, m.Stripes)
-	if !(s8 < mono) {
-		t.Fatalf("sharding must speed up recovery: mono=%.2f s8=%.2f", mono, s8)
-	}
-	// ...and past saturation nothing changes (no per-object penalty on
-	// the read side).
-	if over := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, 4*m.Stripes); over != full {
-		t.Fatalf("over-sharded recovery %.4f != saturated %.4f", over, full)
-	}
-	// The transfer term is max(read, decompress) + fixed per-rank
-	// costs: verify against the explicit formula at full striping.
-	read := enc / m.StripedReadBandwidth(m.Stripes)
-	dec := raw / (m.DecompressPerCore * procs)
-	wantFull := m.PerRankSeconds*procs + math.Max(read, dec) + m.StaticPerRankSeconds*procs
-	if d := full - wantFull; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("full-stripe recovery %.6f, want %.6f", full, wantFull)
-	}
-}
-
 // TestStageHelpersSumToFusedCosts: the per-phase helpers
 // (cmd/solve's modeled cost table) must decompose the fused checkpoint
-// costs exactly, for every scheme, shard count, and write model — a
-// calibration change cannot skew the breakdown against the totals.
+// cost exactly, for every scheme — a calibration change cannot skew
+// the breakdown against the totals.
 func TestStageHelpersSumToFusedCosts(t *testing.T) {
 	m := Bebop()
 	const procs, encoded, raw = 2048, 3.2e9, 78.8e9
 	for _, sch := range []Scheme{Uncompressed, LosslessCompressed, LossyCompressed} {
-		sum := m.CompressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded, 1, false)
+		sum := m.CompressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded)
 		if got := m.CheckpointSeconds(procs, encoded, raw, sch); !approxEq(sum, got) {
 			t.Errorf("scheme %v: stages sum to %g, CheckpointSeconds %g", sch, sum, got)
 		}
-		for _, shards := range []int{1, 8, 48, 96} {
-			sum := m.CompressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded, shards, true)
-			if got := m.ShardedCheckpointSeconds(procs, encoded, raw, sch, shards); !approxEq(sum, got) {
-				t.Errorf("scheme %v shards %d: stages sum to %g, ShardedCheckpointSeconds %g", sch, shards, sum, got)
-			}
-		}
+	}
+}
+
+// TestStorageRetrySecondsCountsObjects: each retried object is charged
+// the mean ¾·step of the wrapper's [step/2, step] draw; a monolithic
+// save (shards ≤ 1) retries one object, a sharded one its shards plus
+// the manifest.
+func TestStorageRetrySecondsCountsObjects(t *testing.T) {
+	m := Bebop()
+	one := m.StorageRetrySeconds(1, 0.3, 0.002, 0.25, 4)
+	want := 0.75 * (0.3*0.002 + 0.09*0.004 + 0.027*0.008 + 0.0081*0.016)
+	if !approxEq(one, want) {
+		t.Fatalf("monolithic retry price %g, want %g", one, want)
+	}
+	if zero := m.StorageRetrySeconds(0, 0.3, 0.002, 0.25, 4); zero != one {
+		t.Fatalf("shards=0 priced %g, a monolithic save %g", zero, one)
+	}
+	if got := m.StorageRetrySeconds(8, 0.3, 0.002, 0.25, 4); !approxEq(got, 9*one) {
+		t.Fatalf("8 shards priced %g, want 9 objects = %g", got, 9*one)
 	}
 }
 
@@ -305,10 +181,10 @@ func TestABFTRecoverySeconds(t *testing.T) {
 	if m.ABFTRecoverySeconds(block, -5, 0.5) != m.ABFTRecoverySeconds(block, 0, 0.5) {
 		t.Fatal("negative local iterations must clamp to zero")
 	}
-	// Legacy literals without the interconnect field stay finite via
-	// the node-local memory fallback.
-	legacy := &Model{PerRankSeconds: 0.01, MemCopyPerCore: 4e9}
-	if v := legacy.ABFTRecoverySeconds(block, 0, 0); math.IsInf(v, 0) || math.IsNaN(v) {
-		t.Fatalf("legacy model ABFT cost not finite: %g", v)
+	// A literal without the interconnect field gets no substituted
+	// bandwidth: its cost is a visible +Inf, as CaptureSeconds'.
+	bare := &Model{PerRankSeconds: 0.01, MemCopyPerCore: 4e9}
+	if v := bare.ABFTRecoverySeconds(block, 0, 0); !math.IsInf(v, 1) {
+		t.Fatalf("model without InterconnectBandwidth priced ABFT at %g, want +Inf", v)
 	}
 }

@@ -108,8 +108,7 @@ type Config struct {
 	// manifest committed last; 0 or 1 keeps the monolithic layout.
 	// Recovery from a group with any missing or corrupted shard falls
 	// back to the previous committed checkpoint. fti.Info.Shards
-	// reports the layout to striped-PFS cost models
-	// (cluster.Model.ShardedCheckpointSeconds).
+	// reports the layout; the modelled price does not depend on it.
 	Shards int
 	// StorageWorkers bounds the worker pool writing/reading shard
 	// objects (0 = GOMAXPROCS-sized; capped at Shards).

@@ -29,16 +29,14 @@ func newShardedCG(t *testing.T, a *sparse.CSR, b []float64, shards, workers int)
 }
 
 // shardedSimRun executes one failure-injected run whose checkpoint
-// write cost comes from the striped-PFS model at the given shard
-// count.
+// write cost comes from the cluster model's collective write.
 func shardedSimRun(t *testing.T, shards, workers int) *core.Outcome {
 	t.Helper()
 	a, b, _ := testSystem()
 	s, m := newShardedCG(t, a, b, shards, workers)
 	mdl := cluster.Bebop()
 	// Price the write at the paper's weak-scaled size: each of the 256
-	// ranks contributes a state like this test system's, so the PFS
-	// transfer term dominates and the striping is visible. The local
+	// ranks contributes a state like this test system's. The local
 	// solve still produces the real (small) checkpoint bytes; only the
 	// virtual-time cost is scaled.
 	const ranks = 256
@@ -53,7 +51,7 @@ func shardedSimRun(t *testing.T, shards, workers int) *core.Outcome {
 		Costs: &core.Costs{
 			TitSeconds: 2,
 			CheckpointSeconds: func(info fti.Info) float64 {
-				return mdl.ShardedCheckpointSeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
+				return mdl.CheckpointSeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed)
 			},
 			RecoverySeconds: func(info fti.Info) float64 { return 3 },
 		},
@@ -68,10 +66,9 @@ func shardedSimRun(t *testing.T, shards, workers int) *core.Outcome {
 }
 
 // shardedRecoveryRun executes one controlled-failure run whose restart
-// cost comes from the streaming read model at the layout's shard
-// count; the checkpoint cost is held constant so the two layouts
-// execute identical virtual-time schedules and the only difference is
-// the priced recovery.
+// cost comes from the cluster model's recovery; the checkpoint cost is
+// held constant so the two layouts execute identical virtual-time
+// schedules.
 func shardedRecoveryRun(t *testing.T, shards, workers int) *core.Outcome {
 	t.Helper()
 	a, b, _ := testSystem()
@@ -93,7 +90,7 @@ func shardedRecoveryRun(t *testing.T, shards, workers int) *core.Outcome {
 			TitSeconds:        2,
 			CheckpointSeconds: func(info fti.Info) float64 { return 3 },
 			RecoverySeconds: func(info fti.Info) float64 {
-				return mdl.ShardedRecoverySeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
+				return mdl.RecoverySeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed)
 			},
 		},
 	})
@@ -109,9 +106,9 @@ func shardedRecoveryRun(t *testing.T, shards, workers int) *core.Outcome {
 	return out
 }
 
-// TestShardedRecoveryPricing: restarts priced off Info.Shards through
-// the streaming read model must leave the numerics untouched while
-// shrinking the recovery time for sharded layouts.
+// TestShardedRecoveryPricing: restarts priced through the cluster
+// model leave the numerics untouched, and the layout does not move the
+// price: both layouts write the same payload bytes.
 func TestShardedRecoveryPricing(t *testing.T) {
 	mono := shardedRecoveryRun(t, 1, 0)
 	sharded := shardedRecoveryRun(t, 8, 4)
@@ -120,16 +117,15 @@ func TestShardedRecoveryPricing(t *testing.T) {
 		mono.FinalResidual != sharded.FinalResidual {
 		t.Fatalf("recovery pricing changed the numerics:\nmono    %+v\nsharded %+v", mono, sharded)
 	}
-	if !(sharded.RecoveryTime < mono.RecoveryTime) {
-		t.Fatalf("streaming restart did not shrink recovery time: mono %.3fs sharded %.3fs",
+	if sharded.RecoveryTime != mono.RecoveryTime {
+		t.Fatalf("layout moved the modelled recovery time: mono %.3fs sharded %.3fs",
 			mono.RecoveryTime, sharded.RecoveryTime)
 	}
 }
 
 // TestShardedSimNumericsLayoutIndependent: through real recoveries,
 // the sharded and monolithic layouts must execute the identical
-// iteration sequence — only the simulated checkpoint time (the
-// striped write) may differ, and it must shrink with sharding.
+// iteration sequence at the identical modelled checkpoint time.
 func TestShardedSimNumericsLayoutIndependent(t *testing.T) {
 	mono := shardedSimRun(t, 1, 0)
 	sharded := shardedSimRun(t, 8, 4)
@@ -138,8 +134,8 @@ func TestShardedSimNumericsLayoutIndependent(t *testing.T) {
 		mono.FinalResidual != sharded.FinalResidual {
 		t.Fatalf("layout changed the numerics:\nmono    %+v\nsharded %+v", mono, sharded)
 	}
-	if !(sharded.CheckpointTime < mono.CheckpointTime) {
-		t.Fatalf("striped write did not shrink checkpoint time: mono %.2fs sharded %.2fs",
+	if sharded.CheckpointTime != mono.CheckpointTime {
+		t.Fatalf("layout moved the modelled checkpoint time: mono %.2fs sharded %.2fs",
 			mono.CheckpointTime, sharded.CheckpointTime)
 	}
 }

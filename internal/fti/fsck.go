@@ -158,7 +158,8 @@ func verifyGroup(st Storage, base string) (*shard.Manifest, error) {
 
 // verifyLoadedGroup is verifyGroup for an already-read base object
 // (the scrubber reads the base itself so a group vanishing under a
-// concurrent gc is distinguishable from a corrupt one).
+// concurrent gc is distinguishable from a corrupt one). A group's
+// shards pass through shard.Reader, the restore walk's own gate.
 func verifyLoadedGroup(st Storage, data []byte) (*shard.Manifest, error) {
 	if !shard.IsManifest(data) {
 		return nil, verifyMonolithic(data)
@@ -167,33 +168,24 @@ func verifyLoadedGroup(st Storage, data []byte) (*shard.Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range man.Shards {
-		chunk, err := st.Read(s.Name)
-		if err != nil {
-			return nil, fmt.Errorf("fti: shard %s: %w", s.Name, err)
-		}
-		if len(chunk) != s.Size {
-			return nil, fmt.Errorf("fti: shard %s is %d bytes, manifest says %d", s.Name, len(chunk), s.Size)
-		}
-		if shard.Checksum(chunk) != s.CRC {
-			return nil, fmt.Errorf("fti: shard %s fails its CRC32C", s.Name)
-		}
+	err = shard.NewReader(st, man).Process(shard.Options{Workers: 1}, func(int, int, []byte) error { return nil })
+	if err != nil {
+		return nil, err
 	}
 	return man, nil
 }
 
-// verifyMonolithic checks a monolithic snapshot payload's framing:
-// magic plus the IEEE CRC32 trailer over everything before it.
+// verifyMonolithic checks a monolithic snapshot payload's framing: the
+// IEEE CRC32 trailer over everything before it, then the magic. It is
+// the restore walk's gate for a monolithic object, so its CRC message
+// is the one a rejected restore attempt reports.
 func verifyMonolithic(data []byte) error {
-	if len(data) < len(fileMagic)+4 {
-		return fmt.Errorf("fti: truncated checkpoint payload")
+	if len(data) < len(fileMagic)+4 ||
+		crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return fmt.Errorf("CRC mismatch (corrupt checkpoint)")
 	}
 	if string(data[:len(fileMagic)]) != fileMagic {
-		return fmt.Errorf("fti: bad checkpoint magic")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return fmt.Errorf("fti: checkpoint CRC mismatch")
+		return fmt.Errorf("bad magic")
 	}
 	return nil
 }

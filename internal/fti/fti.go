@@ -83,8 +83,8 @@ type Info struct {
 	StaticBytes      int // bytes of statics written so far (once)
 	CompressionRatio float64
 	// Shards is the number of shard objects the checkpoint was written
-	// as (1 = a single monolithic object). Striped-PFS cost models key
-	// off it: a sharded write engages min(Shards, stripes) stripes.
+	// as (1 = a single monolithic object); the retry-delay model counts
+	// objects off it (cluster.Model.StorageRetrySeconds).
 	Shards int
 
 	// Per-stage wall-clock timings of the save that produced this Info,
@@ -529,8 +529,8 @@ func (c *Checkpointer) decodeObject(data []byte, att *RestoreAttempt, targets ma
 	if !shard.IsManifest(data) {
 		// For a monolithic object the whole-payload IEEE CRC is the only
 		// integrity check the bytes get: verify it before walking them.
-		if len(data) < 4 || crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-			return nil, fmt.Errorf("CRC mismatch (corrupt checkpoint)")
+		if err := verifyMonolithic(data); err != nil {
+			return nil, err
 		}
 		return c.restore(shard.OneChunk(data), targets)
 	}
