@@ -130,7 +130,7 @@ func (p *planSource) printTable(out *core.Outcome, cm *costModel, last fti.Info)
 	if len(out.RecoveryReports) == 0 {
 		return
 	}
-	fmt.Printf("per-failure recovery tiers (modeled costs at 2048 ranks):\n")
+	fmt.Printf("per-failure recovery tiers (modeled costs at %d ranks):\n", ranks)
 	for i, rep := range out.RecoveryReports {
 		ev := p.events[i]
 		names := make([]string, len(ev.kinds))

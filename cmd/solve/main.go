@@ -15,7 +15,9 @@
 // Every run with a checkpoint scheme is one call of core.Drive, the
 // checkpoint-lifecycle loop, and the flags pick its three inputs. By
 // default the clock is virtual, the costs are the Bebop cluster model's
-// at 2,048 ranks, and -mtti draws exponential failure times;
+// — each save moves the paper's per-rank state of the method (Table 3)
+// from 2,048 ranks, at the compression ratio that save measured — and
+// -mtti draws exponential failure times;
 // -inject switches to the wall clock, measured costs, and a seeded
 // step-keyed fault plan. The outcome — checkpoint, backpressure and
 // recovery time, per-tier recovery counts, read traffic, the interval
@@ -476,9 +478,12 @@ func run(o options) (err error) {
 		return err
 	}
 
-	// Cost the checkpoints with the Bebop model at 2,048 processes so
-	// the Young-optimal interval is meaningful.
-	cm := &costModel{mdl: cluster.Bebop(), scheme: clusterScheme(scheme), raw: float64(a.Rows) * 8, o: o}
+	// gs, sor and ssor save one vector, as the paper's Jacobi does.
+	base, ok := cluster.PaperBaselines()[o.method]
+	if !ok {
+		base = cluster.PaperBaselines()["jacobi"]
+	}
+	cm := &costModel{mdl: cluster.Bebop(), base: base, scheme: scheme, o: o}
 	rep.cm = cm
 	var ctrl *adapt.Controller
 	if o.adaptive {
@@ -524,19 +529,18 @@ func run(o options) (err error) {
 			// sync mode, the capture stall alone in async mode. The async
 			// interval is floored at the background encode+write time —
 			// checkpointing faster than the pipeline drains only converts
-			// the hidden cost back into backpressure stall.
-			perCkpt := cm.checkpoint(probe)
+			// the hidden cost back into backpressure stall. The probe saves
+			// X0, whose ratio need not be the run's: the line prints it.
+			c := cm.checkpoint(probe)
+			interval = model.YoungInterval(o.mtti, c)
 			if o.async {
-				perCkpt = cm.capture(probe)
-			}
-			interval = model.YoungInterval(o.mtti, perCkpt)
-			if o.async && interval < cm.checkpoint(probe) {
-				interval = cm.checkpoint(probe)
+				interval = max(model.YoungInterval(o.mtti, cm.capture(probe)), c)
 			}
 			if interval == 0 {
 				interval = 100 * o.tit
 			}
-			fmt.Printf("Young-optimal interval: %.0f simulated seconds\n", interval)
+			fmt.Printf("Young-optimal interval: %.0f simulated seconds (planned from the save of X0: ratio %.1fx, C=%.2fs)\n",
+				interval, probe.CompressionRatio, c)
 		}
 		rep.update(func(ri *quality.RunInfo) { ri.Interval = int(interval) })
 		run.Costs = &core.Costs{
@@ -596,8 +600,7 @@ func run(o options) (err error) {
 		rep.measuredRestart = wall
 		fmt.Printf("restart: measured %.2f ms wall for %d encoded bytes (%.1f MB/s, rolled back to iteration %d)\n",
 			1e3*wall, info.Bytes, float64(info.Bytes)/math.Max(wall, 1e-12)/1e6, it)
-		fmt.Printf("restart: modeled R=%.2fs at 2048 ranks (%d shard objects)\n",
-			cm.recovery(info), max(info.Shards, 1))
+		fmt.Printf("restart: modeled R=%.2fs at %d ranks\n", cm.recovery(info), ranks)
 	}
 	return nil // the deferred reporter prints the cost table and metrics
 }
@@ -647,36 +650,42 @@ func printOutcome(o options, out *core.Outcome) {
 	}
 }
 
-// clusterScheme maps the checkpoint scheme onto the cluster model's.
-func clusterScheme(s core.Scheme) cluster.Scheme {
-	switch s {
-	case core.Lossless:
-		return cluster.LosslessCompressed
-	case core.Lossy:
-		return cluster.LossyCompressed
-	}
-	return cluster.Uncompressed
-}
+// ranks is the paper's scale, at which every modelled save is priced.
+const ranks = 2048
 
 // costModel is the run's modelled cost source: the Bebop cluster model
-// at 2,048 ranks, applied to what each checkpoint actually wrote.
+// at the paper's scale, pricing each save by cluster's
+// checkpoint-bytes rule at the compression ratio that save measured.
 type costModel struct {
 	mdl    *cluster.Model
-	scheme cluster.Scheme
-	raw    float64 // bytes of one uncompressed state vector
+	base   cluster.MethodBaseline // the paper's per-rank state of the method
+	scheme core.Scheme
 	o      options
 }
 
+// bytes returns the encoded and raw bytes info's save moves at the
+// paper's scale. A record that wrote nothing — the restart from zero, a
+// failed async save — moves none.
+func (c *costModel) bytes(info fti.Info) (enc, raw float64) {
+	if info.Bytes == 0 {
+		return 0, 0
+	}
+	return c.base.SaveBytes(c.scheme, c.base.VectorBytes(ranks), info.CompressionRatio)
+}
+
 func (c *costModel) checkpoint(info fti.Info) float64 {
-	return c.mdl.CheckpointSeconds(2048, float64(info.Bytes), c.raw, c.scheme)
+	enc, raw := c.bytes(info)
+	return c.mdl.CheckpointSeconds(ranks, enc, raw, c.scheme)
 }
 
 func (c *costModel) recovery(info fti.Info) float64 {
-	return c.mdl.RecoverySeconds(2048, float64(info.Bytes), c.raw, c.scheme)
+	enc, raw := c.bytes(info)
+	return c.mdl.RecoverySeconds(ranks, enc, raw, c.scheme)
 }
 
 func (c *costModel) capture(info fti.Info) float64 {
-	return c.mdl.CaptureSeconds(2048, float64(info.RawBytes))
+	_, raw := c.bytes(info)
+	return c.mdl.CaptureSeconds(ranks, raw)
 }
 
 // storageRetry prices the retry layer's expected backoff delay under a
@@ -696,7 +705,7 @@ func (c *costModel) storageRetry(info fti.Info) float64 {
 }
 
 // abft prices the ABFT tier in local-solve iterations over the lost
-// block, re-gathered over the interconnect — never through the PFS.
+// block, one rank's x, re-gathered over the interconnect, not the PFS.
 func (c *costModel) abft(att core.TierAttempt) float64 {
-	return c.mdl.ABFTRecoverySeconds(c.raw/2048, att.Iterations, c.o.tit)
+	return c.mdl.ABFTRecoverySeconds(c.base.VectorBytes(1), att.Iterations, c.o.tit)
 }

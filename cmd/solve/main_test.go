@@ -3,13 +3,19 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/fti"
 )
 
 // solve runs one invocation in-process and returns what it printed.
@@ -170,13 +176,13 @@ func TestInjectedTierTable(t *testing.T) {
 		"  @10     proc                     recovered via abft",
 		"    abft                 accepted   T ms wall — 28 local its, modeled 28s, 0 B read",
 		"  @20     abft+proc                recovered via restart-zero",
-		"    abft                 rejected: abft: retained state failed checksum verification T ms wall — 0 local its, modeled 0.0108s, 0 B read",
+		"    abft                 rejected: abft: retained state failed checksum verification T ms wall — 0 local its, modeled 0.014s, 0 B read",
 		"    restart-zero         accepted   T ms wall — all progress lost, modeled 30.3s",
 		"  @30     manifest+proc            recovered via abft",
 		"    abft                 accepted   T ms wall — 28 local its, modeled 28s, 0 B read",
 		"  @40     midckpt                  recovered via restart-zero",
-		"    abft                 rejected: abft: verification failed: reconstructed residual R exceeds 4.0× retained R T ms wall — 0 local its, modeled 0.0108s, 0 B read",
-		"    checkpoint           rejected: CRC mismatch (corrupt checkpoint) T ms wall — seq 1, 2840 B read, modeled 30.3s",
+		"    abft                 rejected: abft: verification failed: reconstructed residual R exceeds 4.0× retained R T ms wall — 0 local its, modeled 0.014s, 0 B read",
+		"    checkpoint           rejected: CRC mismatch (corrupt checkpoint) T ms wall — seq 1, 2840 B read, modeled 47.7s",
 		"    restart-zero         accepted   T ms wall — all progress lost, modeled 30.3s",
 	}
 	if got := tierTable(out); !reflect.DeepEqual(got, want) {
@@ -292,7 +298,7 @@ func TestRunReport(t *testing.T) {
 			name: "simulated", args: "-method jacobi -grid 8 -scheme lossy -mtti 150 -interval 40 -seed 3",
 			keys: full,
 			run: map[string]any{"solver": "jacobi", "unknowns": 512.0, "scheme": "lossy", "async": false, "shards": 1.0,
-				"error_bound": 1e-4, "interval": 40.0, "iterations": 295.0, "converged": true, "exit": "ok"},
+				"error_bound": 1e-4, "interval": 40.0, "iterations": 297.0, "converged": true, "exit": "ok"},
 		},
 		{
 			name: "injected", args: "-method cg -grid 8 -scheme traditional -rtol 1e-12 -interval 6 -shards 2 -inject proc@9,shard+proc@14",
@@ -399,6 +405,167 @@ func TestShardsDoNotMovePrices(t *testing.T) {
 	for _, shards := range []string{"1", "8"} {
 		if got := modelled("-shards", shards); !reflect.DeepEqual(got, want) {
 			t.Errorf("-shards %s:\n%s\nwithout the flag:\n%s", shards, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// costRows returns the run report's modelled cost column by phase.
+func costRows(t *testing.T, rep map[string]any) map[string]float64 {
+	t.Helper()
+	rows := map[string]float64{}
+	for _, c := range rep["cost"].([]any) {
+		c := c.(map[string]any)
+		rows[c["phase"].(string)] = c["modeled_seconds"].(float64)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("want 4 cost rows, got %v", rows)
+	}
+	return rows
+}
+
+// rawBytes returns the bytes every save of the run captured, from the
+// report's metrics: the runs here save the same vectors every time.
+func rawBytes(t *testing.T, rep map[string]any) float64 {
+	t.Helper()
+	for _, m := range rep["metrics"].(map[string]any)["metrics"].([]any) {
+		if m := m.(map[string]any); m["name"] == "fti_checkpoint_raw_bytes" {
+			return m["sum"].(float64) / m["count"].(float64)
+		}
+	}
+	t.Fatal("report carries no fti_checkpoint_raw_bytes")
+	return 0
+}
+
+func approxSeconds(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// TestModelledClockOrdersSchemesAsFig10: the modelled clock prices each
+// save at the ratio it measured, so on Jacobi the schemes finish in
+// fig10's order — lossy before lossless before traditional — a
+// traditional save costs fig10's Jacobi Tckp, and a lossy save's C in
+// the cost table is cluster's rule at that save's ratio.
+func TestModelledClockOrdersSchemesAsFig10(t *testing.T) {
+	simTime := regexp.MustCompile(`sim-time=([0-9]+)s`)
+	lastSave := regexp.MustCompile(`last checkpoint: ([0-9]+) bytes`)
+	var times []float64
+	for _, scheme := range []string{"lossy", "lossless", "traditional"} {
+		path := filepath.Join(t.TempDir(), "report.json")
+		out, err := solve(t, "-method", "jacobi", "-grid", "32", "-mtti", "2000", "-seed", "1",
+			"-scheme", scheme, "-report-out", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, saved := simTime.FindStringSubmatch(out), lastSave.FindStringSubmatch(out)
+		if m == nil || saved == nil {
+			t.Fatalf("%s: no sim-time or last-checkpoint line:\n%s", scheme, out)
+		}
+		sec, _ := strconv.ParseFloat(m[1], 64)
+		times = append(times, sec)
+		switch scheme {
+		case "traditional":
+			if !strings.Contains(out, "C=122.98s)") {
+				t.Errorf("a traditional save should cost fig10's 122.98 s:\n%s", out)
+			}
+		case "lossy":
+			rep := readReport(t, path)
+			bytes, _ := strconv.ParseFloat(saved[1], 64)
+			base := cluster.PaperBaselines()["jacobi"]
+			enc, raw := base.SaveBytes(core.Lossy, base.VectorBytes(2048), rawBytes(t, rep)/bytes)
+			want := cluster.Bebop().CheckpointSeconds(2048, enc, raw, core.Lossy)
+			if rows := costRows(t, rep); !approxSeconds(rows["encode"]+rows["write"], want) {
+				t.Errorf("lossy save priced %g s (encode + write), the rule at its ratio gives %g s", rows["encode"]+rows["write"], want)
+			}
+		}
+	}
+	if !(times[0] < times[1] && times[1] < times[2]) {
+		t.Errorf("sim-time lossy %g, lossless %g, traditional %g: want lossy < lossless < traditional", times[0], times[1], times[2])
+	}
+}
+
+// TestCostTableMatchesWhatTheRunCharged: on a CG lossless -async run,
+// whose saves carry x and p, the modelled capture row is the capture
+// every save was charged, encode + write is the background C of the
+// last save, and the measured encode rate is over every byte the save
+// encoded.
+func TestCostTableMatchesWhatTheRunCharged(t *testing.T) {
+	dir := t.TempDir()
+	report, trace := filepath.Join(dir, "report.json"), filepath.Join(dir, "trace.json")
+	out, err := solve(t, "-method", "cg", "-grid", "32", "-scheme", "lossless", "-mtti", "2000", "-async",
+		"-rtol", "1e-12", "-tit", "20", "-report-out", report, "-trace-out", trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := readReport(t, report)
+	rows := costRows(t, rep)
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name string
+			Dur  float64
+			Args map[string]any
+		}
+	}
+	if err := json.Unmarshal(data, &tr); err != nil {
+		t.Fatal(err)
+	}
+	captures, background := 0, 0.0
+	for _, e := range tr.TraceEvents {
+		switch {
+		case e.Name == "capture":
+			captures++
+			if !approxSeconds(e.Dur/1e6, rows["capture"]) {
+				t.Errorf("a save was charged a %g s capture, the cost table models %g s", e.Dur/1e6, rows["capture"])
+			}
+		case e.Name == "encode+write" && e.Args["aborted"] == nil:
+			background = e.Dur / 1e6
+		}
+	}
+	if captures < 2 {
+		t.Fatalf("want several charged captures, got %d:\n%s", captures, out)
+	}
+	if !approxSeconds(background, rows["encode"]+rows["write"]) {
+		t.Errorf("the last save's background write was charged %g s, encode + write model %g s", background, rows["encode"]+rows["write"])
+	}
+	measured := func(phase string) float64 {
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) >= 3 && f[0] == phase {
+				v, err := strconv.ParseFloat(f[2], 64)
+				if err == nil {
+					return v
+				}
+			}
+		}
+		t.Fatalf("no measured %s row:\n%s", phase, out)
+		return 0
+	}
+	raw := rawBytes(t, rep)
+	if got := measured("enc-MB/s") * measured("encode") * 1e3; math.Abs(got-raw) > 1e-3*raw {
+		t.Errorf("measured enc-MB/s × encode ms = %.0f B, the save encoded %.0f B", got, raw)
+	}
+}
+
+// TestEmptyRecordMovesNoBytes: a record that wrote nothing — the
+// restart from zero, a failed async save — is priced as moving no
+// bytes under every scheme, never at a 0/0 ratio.
+func TestEmptyRecordMovesNoBytes(t *testing.T) {
+	mdl := cluster.Bebop()
+	for _, scheme := range []core.Scheme{core.Traditional, core.Lossless, core.Lossy} {
+		c := &costModel{mdl: mdl, base: cluster.PaperBaselines()["cg"], scheme: scheme}
+		for _, p := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"checkpoint", c.checkpoint(fti.Info{}), mdl.CheckpointSeconds(ranks, 0, 0, scheme)},
+			{"recovery", c.recovery(fti.Info{}), mdl.RecoverySeconds(ranks, 0, 0, scheme)},
+			{"capture", c.capture(fti.Info{}), 0},
+		} {
+			if p.got != p.want {
+				t.Errorf("%v %s of an empty record: %g s, want %g s", scheme, p.name, p.got, p.want)
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fti"
 	"repro/internal/obs"
@@ -257,7 +256,8 @@ func (r *reporter) writeArtifacts(rep *quality.RunReport) {
 }
 
 // printBreakdown renders the per-phase checkpoint/restart cost table:
-// the cluster model's 2,048-rank prediction next to what the in-process
+// the cluster model's prediction at the paper's scale, split from the
+// C, R and capture the run was priced with, next to what the in-process
 // run actually measured (fti.Info stage timings and the measured
 // restart). The two columns are different machines by design — the
 // point is seeing each phase's model beside a real measurement of the
@@ -268,11 +268,12 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 	if info.Bytes == 0 {
 		return nil // no checkpoint was ever committed; nothing to break down
 	}
-	modCapture := c.mdl.CaptureSeconds(2048, c.raw)
 	// The stage helpers share the fused cost model's terms, so the
 	// per-phase rows always sum to the cost the run was priced with.
-	modEncode := c.mdl.CompressSeconds(2048, c.raw, c.scheme)
-	modWrite := c.mdl.WriteStageSeconds(2048, float64(info.Bytes))
+	enc, raw := c.bytes(info)
+	modCapture := c.capture(info)
+	modEncode := c.mdl.CompressSeconds(ranks, raw, c.scheme)
+	modWrite := c.mdl.WriteStageSeconds(ranks, enc)
 	modRestart := c.recovery(info)
 	ms := func(s float64) string {
 		if math.IsNaN(s) {
@@ -284,16 +285,17 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 	if measCapture == 0 {
 		measCapture, captureNote = math.NaN(), "   (in-process sync capture happens inside the save)"
 	}
-	fmt.Printf("per-checkpoint phase costs — modeled at 2048 ranks vs measured in-process (ms):\n")
+	fmt.Printf("per-checkpoint phase costs — modeled at %d ranks vs measured in-process (ms):\n", ranks)
 	fmt.Printf("  %-8s %12s %12s\n", "phase", "modeled", "measured")
 	fmt.Printf("  %-8s %12s %12s%s\n", "capture", ms(modCapture), ms(measCapture), captureNote)
 	fmt.Printf("  %-8s %12s %12s\n", "encode", ms(modEncode), ms(info.EncodeSeconds))
-	if c.scheme != cluster.Uncompressed && info.EncodeSeconds > 0 {
+	if c.scheme != core.Traditional && info.EncodeSeconds > 0 {
 		// Measured per-codec encode throughput beside the model's
-		// per-core rate: the in-process figure is this machine's cores,
-		// the modeled one is one Bebop core.
-		measMBs := c.raw / info.EncodeSeconds / 1e6
-		modMBs := c.raw / c.mdl.CompressSeconds(1, c.raw, c.scheme) / 1e6
+		// per-core rate: the in-process figure is this machine's cores
+		// over every byte the save encoded, the modeled one is one Bebop
+		// core.
+		measMBs := float64(info.RawBytes) / info.EncodeSeconds / 1e6
+		modMBs := raw / c.mdl.CompressSeconds(1, raw, c.scheme) / 1e6
 		fmt.Printf("  %-8s %12.4g %12.4g   (encode MB/s, codec %s; modeled is per Bebop core)\n",
 			"enc-MB/s", modMBs, measMBs, info.EncoderName)
 	}

@@ -16,9 +16,17 @@
 //     ≈192 MB/s;
 //   - recovery exceeds checkpointing because static variables (A, M,
 //     b) are reconstructed (§5.4, Figs. 4–6).
+//
+// One rule, MethodBaseline.SaveBytes, says what a save moves: the
+// paper's per-rank state at the save's measured compression ratio. The
+// experiments and cmd/solve's modelled clock price every save from it.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Model captures the platform's timing parameters. All bandwidths are
 // bytes per second.
@@ -70,26 +78,16 @@ func Bebop() *Model {
 	}
 }
 
-// Scheme tags which compression stage applies to a transfer.
-type Scheme int
-
-// Checkpoint data flavors.
-const (
-	Uncompressed Scheme = iota
-	LosslessCompressed
-	LossyCompressed
-)
-
 // CompressSeconds is the scheme-dependent compression cost of one
 // checkpoint: rawBytes compressed across procs cores at the scheme's
 // per-core rate (CompressPerCore lossy, LosslessPerCore lossless, free
-// uncompressed). CheckpointSeconds and cmd/solve's per-phase table
+// traditional). CheckpointSeconds and cmd/solve's per-phase table
 // share it, so a calibration change cannot skew their comparison.
-func (m *Model) CompressSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
+func (m *Model) CompressSeconds(procs int, rawBytes float64, scheme core.Scheme) float64 {
 	switch scheme {
-	case LossyCompressed:
+	case core.Lossy:
 		return rawBytes / (m.CompressPerCore * float64(procs))
-	case LosslessCompressed:
+	case core.Lossless:
 		return rawBytes / (m.LosslessPerCore * float64(procs))
 	}
 	return 0
@@ -111,7 +109,7 @@ func (m *Model) WriteStageSeconds(procs int, encodedBytes float64) float64 {
 // encodedBytes through the shared PFS in one collective write — the
 // model the paper's anchors fix, whatever object layout the write
 // takes.
-func (m *Model) CheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme) float64 {
+func (m *Model) CheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme core.Scheme) float64 {
 	return m.WriteStageSeconds(procs, encodedBytes) + m.CompressSeconds(procs, rawBytes, scheme)
 }
 
@@ -170,23 +168,16 @@ func (m *Model) CaptureSeconds(procs int, rawBytes float64) float64 {
 }
 
 // RecoverySeconds returns the wall time of one recovery: reading the
-// checkpoint back through the aggregate PFS bandwidth, then optional
-// decompression, then reconstructing the static variables.
-func (m *Model) RecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	dec := 0.0
-	switch scheme {
-	case LossyCompressed:
+// checkpoint back through the aggregate PFS bandwidth (the write
+// stage's terms), then optional decompression — the Gzip-class codec is
+// symmetric, SZ decodes at DecompressPerCore — then reconstructing the
+// static variables.
+func (m *Model) RecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme core.Scheme) float64 {
+	dec := m.CompressSeconds(procs, rawBytes, scheme)
+	if scheme == core.Lossy {
 		dec = rawBytes / (m.DecompressPerCore * float64(procs))
-	case LosslessCompressed:
-		dec = rawBytes / (m.LosslessPerCore * float64(procs))
 	}
-	return m.PerRankSeconds*float64(procs) +
-		encodedBytes/m.PFSBandwidth +
-		dec +
-		m.StaticPerRankSeconds*float64(procs)
+	return m.WriteStageSeconds(procs, encodedBytes) + dec + m.StaticPerRankSeconds*float64(procs)
 }
 
 // ABFTRecoverySeconds returns the wall time of one checkpoint-free
@@ -225,6 +216,29 @@ func (b MethodBaseline) TitSeconds() float64 {
 		return 0
 	}
 	return b.BaselineSeconds / float64(b.Iterations)
+}
+
+// VectorBytes returns the bytes of one global vector of the method's
+// state at procs ranks: the paper's per-rank checkpoint (Table 3)
+// split over the vectors it holds.
+func (b MethodBaseline) VectorBytes(procs int) float64 {
+	return b.PerProcMB / float64(b.CkptVectors) * 1e6 * float64(procs)
+}
+
+// SaveBytes is the paper's checkpoint-bytes rule: the encoded and raw
+// bytes one save of the method moves under scheme, given the bytes of
+// one global vector and the save's measured compression ratio.
+// Traditional and lossless move all CkptVectors vectors, raw or at the
+// ratio; lossy moves x alone, at the ratio.
+func (b MethodBaseline) SaveBytes(scheme core.Scheme, oneVec, ratio float64) (enc, raw float64) {
+	raw = oneVec * float64(b.CkptVectors)
+	switch scheme {
+	case core.Lossless:
+		return raw / ratio, raw
+	case core.Lossy:
+		return oneVec / ratio, oneVec
+	}
+	return raw, raw
 }
 
 // PaperBaselines returns the three methods' reference executions:

@@ -3,13 +3,15 @@ package cluster
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestBebopCheckpointAnchor(t *testing.T) {
 	// §3: checkpointing one 78.8 GB vector from 2,048 processes takes
 	// about 120 seconds.
 	m := Bebop()
-	got := m.CheckpointSeconds(2048, 78.8e9, 78.8e9, Uncompressed)
+	got := m.CheckpointSeconds(2048, 78.8e9, 78.8e9, core.Traditional)
 	if got < 100 || got > 140 {
 		t.Fatalf("traditional 78.8 GB @2048 = %.1f s, paper says ≈120", got)
 	}
@@ -19,7 +21,7 @@ func TestBebopLossyCheckpointAnchor(t *testing.T) {
 	// §4.3: lossy compression reduces GMRES checkpoint time from
 	// ≈120 s to ≈25 s (≈80 GB at ratio ≈34, Table 3).
 	m := Bebop()
-	got := m.CheckpointSeconds(2048, 78.8e9/34, 78.8e9, LossyCompressed)
+	got := m.CheckpointSeconds(2048, 78.8e9/34, 78.8e9, core.Lossy)
 	if got < 18 || got > 32 {
 		t.Fatalf("lossy 78.8 GB @2048 = %.1f s, paper says ≈25", got)
 	}
@@ -46,7 +48,7 @@ func TestCheckpointTimeGrowsWithScale(t *testing.T) {
 	perProc := 39.4e6
 	prev := 0.0
 	for _, p := range []int{256, 512, 1024, 2048} {
-		got := m.CheckpointSeconds(p, float64(p)*perProc, float64(p)*perProc, Uncompressed)
+		got := m.CheckpointSeconds(p, float64(p)*perProc, float64(p)*perProc, core.Traditional)
 		if got <= prev {
 			t.Fatalf("checkpoint time must grow with scale: %v after %v", got, prev)
 		}
@@ -58,11 +60,11 @@ func TestRecoveryExceedsCheckpoint(t *testing.T) {
 	// §5.4: recovery time exceeds checkpoint time because static
 	// variables are reconstructed.
 	m := Bebop()
-	for _, scheme := range []Scheme{Uncompressed, LosslessCompressed, LossyCompressed} {
+	for _, scheme := range []core.Scheme{core.Traditional, core.Lossless, core.Lossy} {
 		ck := m.CheckpointSeconds(1024, 40e9, 40e9, scheme)
 		rc := m.RecoverySeconds(1024, 40e9, 40e9, scheme)
 		if rc <= ck {
-			t.Fatalf("scheme %d: recovery %.1f ≤ checkpoint %.1f", scheme, rc, ck)
+			t.Fatalf("scheme %v: recovery %.1f ≤ checkpoint %.1f", scheme, rc, ck)
 		}
 	}
 }
@@ -70,9 +72,9 @@ func TestRecoveryExceedsCheckpoint(t *testing.T) {
 func TestLossySchemeFasterThanTraditional(t *testing.T) {
 	m := Bebop()
 	raw := 2048 * 39.4e6
-	trad := m.CheckpointSeconds(2048, raw, raw, Uncompressed)
-	lossless := m.CheckpointSeconds(2048, raw/5, raw, LosslessCompressed)
-	lossy := m.CheckpointSeconds(2048, raw/34, raw, LossyCompressed)
+	trad := m.CheckpointSeconds(2048, raw, raw, core.Traditional)
+	lossless := m.CheckpointSeconds(2048, raw/5, raw, core.Lossless)
+	lossy := m.CheckpointSeconds(2048, raw/34, raw, core.Lossy)
 	if !(lossy < lossless && lossless < trad) {
 		t.Fatalf("ordering violated: lossy %.1f, lossless %.1f, trad %.1f", lossy, lossless, trad)
 	}
@@ -94,6 +96,36 @@ func TestPaperBaselines(t *testing.T) {
 	for name, b := range bases {
 		if b.TitSeconds() <= 0 || b.PerProcMB <= 0 {
 			t.Fatalf("%s: incomplete baseline %+v", name, b)
+		}
+	}
+}
+
+// TestSaveBytesRule: a Jacobi traditional save at 2,048 ranks moves the
+// paper's 39.4 MB per rank raw and costs fig10's 122.98 s; traditional
+// and lossless move every vector the method checkpoints, lossy x alone,
+// and both compressed schemes divide by the save's measured ratio.
+func TestSaveBytesRule(t *testing.T) {
+	m, bases := Bebop(), PaperBaselines()
+	jacobi := bases["jacobi"]
+	enc, raw := jacobi.SaveBytes(core.Traditional, jacobi.VectorBytes(2048), 0.9999)
+	if c := m.CheckpointSeconds(2048, enc, raw, core.Traditional); math.Abs(c-122.98) > 0.005 {
+		t.Fatalf("Jacobi traditional save at 2,048 ranks: %.4f s, want 122.98", c)
+	}
+	cg := bases["cg"]
+	oneVec := cg.VectorBytes(2048)
+	if oneVec != jacobi.VectorBytes(2048) {
+		t.Fatalf("one CG vector %g B, one Jacobi vector %g B: Table 3 gives both the same grid", oneVec, jacobi.VectorBytes(2048))
+	}
+	for _, c := range []struct {
+		scheme   core.Scheme
+		enc, raw float64
+	}{
+		{core.Traditional, 2 * oneVec, 2 * oneVec},
+		{core.Lossless, 2 * oneVec / 4, 2 * oneVec},
+		{core.Lossy, oneVec / 4, oneVec},
+	} {
+		if enc, raw := cg.SaveBytes(c.scheme, oneVec, 4); !approxEq(enc, c.enc) || !approxEq(raw, c.raw) {
+			t.Errorf("CG %v at ratio 4: moves %g B encoded of %g B raw, want %g of %g", c.scheme, enc, raw, c.enc, c.raw)
 		}
 	}
 }
@@ -126,7 +158,7 @@ func TestTable3Sizes(t *testing.T) {
 func TestStageHelpersSumToFusedCosts(t *testing.T) {
 	m := Bebop()
 	const procs, encoded, raw = 2048, 3.2e9, 78.8e9
-	for _, sch := range []Scheme{Uncompressed, LosslessCompressed, LossyCompressed} {
+	for _, sch := range []core.Scheme{core.Traditional, core.Lossless, core.Lossy} {
 		sum := m.CompressSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded)
 		if got := m.CheckpointSeconds(procs, encoded, raw, sch); !approxEq(sum, got) {
 			t.Errorf("scheme %v: stages sum to %g, CheckpointSeconds %g", sch, sum, got)
@@ -173,7 +205,7 @@ func TestABFTRecoverySeconds(t *testing.T) {
 	}
 	// The tier's raison d'être: no PFS term — it must be far below even
 	// the cheapest modeled restart of the same state.
-	restart := m.RecoverySeconds(2048, 78.8e9, 78.8e9, Uncompressed)
+	restart := m.RecoverySeconds(2048, 78.8e9, 78.8e9, core.Traditional)
 	if got >= restart {
 		t.Fatalf("ABFT recovery %g s not below the PFS restart %g s", got, restart)
 	}

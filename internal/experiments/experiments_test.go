@@ -127,8 +127,8 @@ func TestTable3Shape(t *testing.T) {
 		}
 	}
 	for _, m := range methodNames {
-		if r.RatiosUsed[m].Lossy < 5 {
-			t.Fatalf("%s lossy ratio %v too low to reproduce the paper's regime", m, r.RatiosUsed[m].Lossy)
+		if r.RatiosUsed[m][core.Lossy] < 5 {
+			t.Fatalf("%s lossy ratio %v too low to reproduce the paper's regime", m, r.RatiosUsed[m][core.Lossy])
 		}
 	}
 }

@@ -46,7 +46,7 @@ func runFig10(cfg Config) (Result, error) {
 		trials = cfg.Trials
 	}
 	const procs = 2048
-	out := &Fig10Result{}
+	out, mdl := &Fig10Result{}, cluster.Bebop()
 
 	for _, method := range methodNames {
 		base := cluster.PaperBaselines()[method]
@@ -60,10 +60,9 @@ func runFig10(cfg Config) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * procs
-
 		for _, scheme := range schemeOrder {
-			ckptSec, recSec := ckptCosts(method, scheme, procs, oneVec, ratio)
+			enc, raw := base.SaveBytes(scheme, base.VectorBytes(procs), ratio[scheme])
+			ckptSec, recSec := mdl.CheckpointSeconds(procs, enc, raw, scheme), mdl.RecoverySeconds(procs, enc, raw, scheme)
 			interval := model.YoungInterval(3600, ckptSec)
 
 			var sumOverhead float64

@@ -33,7 +33,8 @@ func figCkptTimes(method, figure string) Runner {
 		if cfg.Quick {
 			measGrid = 8
 		}
-		r, err := measureRatios(method, measGrid, cluster.PaperBaselines()[method].LossyErrorBound)
+		base, mdl := cluster.PaperBaselines()[method], cluster.Bebop()
+		r, err := measureRatios(method, measGrid, base.LossyErrorBound)
 		if err != nil {
 			return nil, err
 		}
@@ -49,9 +50,9 @@ func figCkptTimes(method, figure string) Runner {
 			elemsPerProc := float64(sc.N) * float64(sc.N) * float64(sc.N) / float64(sc.Procs)
 			oneVec := elemsPerProc * 8 * float64(sc.Procs) // bytes, one global vector
 			for _, scheme := range schemeOrder {
-				c, rec := ckptCosts(method, scheme, sc.Procs, oneVec, r)
-				out.Ckpt[scheme] = append(out.Ckpt[scheme], c)
-				out.Rec[scheme] = append(out.Rec[scheme], rec)
+				enc, raw := base.SaveBytes(scheme, oneVec, r[scheme])
+				out.Ckpt[scheme] = append(out.Ckpt[scheme], mdl.CheckpointSeconds(sc.Procs, enc, raw, scheme))
+				out.Rec[scheme] = append(out.Rec[scheme], mdl.RecoverySeconds(sc.Procs, enc, raw, scheme))
 			}
 		}
 		return out, nil
@@ -72,7 +73,7 @@ func (r *CkptTimesResult) CkptAt(s core.Scheme, procs int) float64 {
 // WriteText renders both panels of the figure.
 func (r *CkptTimesResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "%s — average time of one checkpoint and recovery, %s\n", r.Figure, r.Method)
-	fmt.Fprintf(w, "(measured ratios: lossless %.2fx, lossy %.1fx)\n", r.Ratios.Lossless, r.Ratios.Lossy)
+	fmt.Fprintf(w, "(measured ratios: lossless %.2fx, lossy %.1fx)\n", r.Ratios[core.Lossless], r.Ratios[core.Lossy])
 	fmt.Fprintf(w, "%6s | %10s %10s %10s | %10s %10s %10s\n", "procs",
 		"ckpt-trad", "ckpt-less", "ckpt-lossy", "rec-trad", "rec-less", "rec-lossy")
 	for i, p := range r.Procs {

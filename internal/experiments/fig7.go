@@ -59,7 +59,7 @@ func runFig7(cfg Config) (Result, error) {
 	if cfg.Quick {
 		measGrid = 8
 	}
-	out := &Fig7Result{MTTIs: []float64{3600, 3 * 3600}}
+	out, mdl := &Fig7Result{MTTIs: []float64{3600, 3 * 3600}}, cluster.Bebop()
 	for _, sc := range cluster.Table3ProblemSizes() {
 		out.Procs = append(out.Procs, sc.Procs)
 	}
@@ -77,7 +77,8 @@ func runFig7(cfg Config) (Result, error) {
 				for _, sc := range cluster.Table3ProblemSizes() {
 					elemsPerProc := float64(sc.N) * float64(sc.N) * float64(sc.N) / float64(sc.Procs)
 					oneVec := elemsPerProc * 8 * float64(sc.Procs)
-					tckp, _ := ckptCosts(method, scheme, sc.Procs, oneVec, r)
+					enc, raw := base.SaveBytes(scheme, oneVec, r[scheme])
+					tckp := mdl.CheckpointSeconds(sc.Procs, enc, raw, scheme)
 					overhead := model.ExpectedOverheadRatio(lambda, tckp)
 					if scheme == core.Lossy {
 						overhead = model.LossyOverheadRatio(lambda, tckp, paperNPrime(method), tit)

@@ -35,7 +35,7 @@ type Fig8Result struct {
 
 func runFig8(cfg Config) (Result, error) {
 	scales := []int{256, 512, 1024, 2048}
-	out := &Fig8Result{}
+	out, mdl := &Fig8Result{}, cluster.Bebop()
 	for _, method := range methodNames {
 		base := cluster.PaperBaselines()[method]
 		ratio, err := measureRatios(method, gridFor(1024, cfg.Quick), base.LossyErrorBound)
@@ -49,8 +49,8 @@ func runFig8(cfg Config) (Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * float64(procs)
-			c, r := ckptCosts(method, core.Lossy, procs, oneVec, ratio)
+			enc, raw := base.SaveBytes(core.Lossy, base.VectorBytes(procs), ratio[core.Lossy])
+			c, r := mdl.CheckpointSeconds(procs, enc, raw, core.Lossy), mdl.RecoverySeconds(procs, enc, raw, core.Lossy)
 			res, err := managedRun(method, a, b, base.RTol, core.Lossy, base.LossyErrorBound,
 				tit, func(float64) float64 { return c }, r, core.DriveConfig{
 					Failures:        core.FailureTimes(nil, failure.NewInjector(3600, cfg.Seed+int64(procs))),

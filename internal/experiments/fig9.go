@@ -35,14 +35,14 @@ func runFig9(cfg Config) (Result, error) {
 		grid = 9
 	}
 	a, b := poissonSystem(grid)
-	base := cluster.PaperBaselines()["jacobi"]
+	base, mdl := cluster.PaperBaselines()["jacobi"], cluster.Bebop()
 
 	ratio, err := measureRatios("jacobi", gridFor(1024, cfg.Quick), base.LossyErrorBound)
 	if err != nil {
 		return nil, err
 	}
-	oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * 2048
-	c, r := ckptCosts("jacobi", core.Lossy, 2048, oneVec, ratio)
+	enc, raw := base.SaveBytes(core.Lossy, base.VectorBytes(2048), ratio[core.Lossy])
+	c, r := mdl.CheckpointSeconds(2048, enc, raw, core.Lossy), mdl.RecoverySeconds(2048, enc, raw, core.Lossy)
 	_, tit, err := baseline("jacobi", grid, a, b)
 	if err != nil {
 		return nil, err

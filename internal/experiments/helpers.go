@@ -106,12 +106,8 @@ func gridForMethod(method string, procs int, quick bool) int {
 }
 
 // ratios holds measured compression ratios per checkpointing scheme on
-// a real solver state.
-type ratios struct {
-	Traditional float64 // always 1
-	Lossless    float64
-	Lossy       float64
-}
+// a real solver state (traditional: always 1).
+type ratios map[core.Scheme]float64
 
 // measureRatios runs the method partway to convergence on an
 // affordable system, captures the checkpoint vector(s), and measures
@@ -137,13 +133,13 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	base := cluster.PaperBaselines()[method]
 	s, err := buildSolver(method, a, b, base.RTol)
 	if err != nil {
-		return ratios{}, err
+		return nil, err
 	}
 	// Advance to roughly half convergence so the state is realistic
 	// (neither the trivial guess nor the converged fixed point).
 	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 100000}, nil)
 	if err != nil {
-		return ratios{}, err
+		return nil, err
 	}
 	half := res.Iterations / 2
 	if half < 1 {
@@ -151,7 +147,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	}
 	s2, err := buildSolver(method, a, b, base.RTol)
 	if err != nil {
-		return ratios{}, err
+		return nil, err
 	}
 	for i := 0; i < half; i++ {
 		s2.Step()
@@ -162,45 +158,26 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 		state.Vectors["x"] = g.CurrentX() // mid-cycle, X() lags the iterate
 	}
 
-	out := ratios{Traditional: 1}
 	var rawTotal, flateTotal, szTotal int
 	for _, v := range state.Vectors {
 		rawTotal += 8 * len(v)
 		fl, err := (lossless.Flate{}).Compress(v)
 		if err != nil {
-			return ratios{}, err
+			return nil, err
 		}
 		flateTotal += len(fl)
 		lz, err := sz.Compress(v, sz.Params{Mode: sz.RelRange, ErrorBound: eb})
 		if err != nil {
-			return ratios{}, err
+			return nil, err
 		}
 		szTotal += len(lz)
 	}
 	if flateTotal == 0 || szTotal == 0 {
-		return ratios{}, fmt.Errorf("experiments: empty compressed state")
+		return nil, fmt.Errorf("experiments: empty compressed state")
 	}
-	out.Lossless = float64(rawTotal) / float64(flateTotal)
-	out.Lossy = float64(rawTotal) / float64(szTotal)
-	return out, nil
-}
-
-// ckptCosts returns C and R, the seconds of one checkpoint and of one
-// recovery on the Bebop model at procs ranks, for method's state under
-// scheme, given the bytes of one global vector: traditional and
-// lossless move every vector the method checkpoints, raw or at the
-// measured lossless ratio; lossy moves x alone, at the lossy ratio.
-func ckptCosts(method string, scheme core.Scheme, procs int, oneVec float64, r ratios) (c, rec float64) {
-	tradRaw := oneVec * float64(cluster.PaperBaselines()[method].CkptVectors)
-	enc, raw, cs := tradRaw, tradRaw, cluster.Uncompressed
-	switch scheme {
-	case core.Lossless:
-		enc, cs = tradRaw/r.Lossless, cluster.LosslessCompressed
-	case core.Lossy:
-		enc, raw, cs = oneVec/r.Lossy, oneVec, cluster.LossyCompressed
-	}
-	mdl := cluster.Bebop()
-	return mdl.CheckpointSeconds(procs, enc, raw, cs), mdl.RecoverySeconds(procs, enc, raw, cs)
+	return ratios{core.Traditional: 1,
+		core.Lossless: float64(rawTotal) / float64(flateTotal),
+		core.Lossy:    float64(rawTotal) / float64(szTotal)}, nil
 }
 
 // baseline runs method's failure-free solve of A·x = b (the Poisson

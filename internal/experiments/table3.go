@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 func init() {
@@ -56,14 +57,10 @@ func runTable3(cfg Config) (Result, error) {
 		elemsPerProc := float64(sc.N) * float64(sc.N) * float64(sc.N) / float64(sc.Procs)
 		oneVecMB := elemsPerProc * 8 / 1e6
 		for _, method := range methodNames {
-			vecs := float64(cluster.PaperBaselines()[method].CkptVectors)
-			trad := oneVecMB * vecs
-			r := ratiosUsed[method]
-			row.PerProcMB[method] = trad
-			row.LosslessMB[method] = trad / r.Lossless
-			// The lossy scheme checkpoints only x (one vector for
-			// every method), compressed.
-			row.LossyMB[method] = oneVecMB / r.Lossy
+			base, r := cluster.PaperBaselines()[method], ratiosUsed[method]
+			row.PerProcMB[method], _ = base.SaveBytes(core.Traditional, oneVecMB, r[core.Traditional])
+			row.LosslessMB[method], _ = base.SaveBytes(core.Lossless, oneVecMB, r[core.Lossless])
+			row.LossyMB[method], _ = base.SaveBytes(core.Lossy, oneVecMB, r[core.Lossy])
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -86,7 +83,7 @@ func (r *Table3Result) WriteText(w io.Writer) error {
 	fmt.Fprintln(w, "measured compression ratios on real solver state:")
 	for _, m := range methodNames {
 		rr := r.RatiosUsed[m]
-		fmt.Fprintf(w, "  %-6s lossless %5.2fx   lossy %6.1fx\n", m, rr.Lossless, rr.Lossy)
+		fmt.Fprintf(w, "  %-6s lossless %5.2fx   lossy %6.1fx\n", m, rr[core.Lossless], rr[core.Lossy])
 	}
 	fmt.Fprintln(w, "paper: traditional ≈38–40 MB (J, G) / ≈77–80 MB (CG);")
 	fmt.Fprintln(w, "       lossless ratio ≈6.4 (J) and ≈1.2 (G, CG); lossy ≈1.1–1.7 MB per process")
