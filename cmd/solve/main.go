@@ -53,9 +53,12 @@
 // a save opens at N — whether or not one was due there anyway — never
 // commits, and the process is lost; crash also kills the store
 // mid-commit, which is revived and fsck-swept before recovery runs.
-// -inject excludes -mtti, and the abft kind needs -recovery-tiers; in
-// this mode -interval is a checkpoint cadence in iterations (default
-// 25).
+// -inject excludes -mtti, and the abft kind needs -recovery-tiers.
+//
+// -interval N saves every N solver iterations on either clock. Left at
+// 0 it is Young's interval, planned in simulated seconds from a probe
+// save of X0 and rounded up to whole iterations of -tit; 100 iterations
+// under -mtti 0; 25 under -inject.
 //
 // Observability: -metrics-out writes the end-of-run metrics snapshot
 // as JSON, -trace-out writes a Chrome trace_event file (load it at
@@ -143,7 +146,7 @@ func parseOptions(args []string) (options, error) {
 	fs.Float64Var(&o.rtol, "rtol", 1e-7, "relative convergence tolerance")
 	fs.StringVar(&o.scheme, "scheme", "lossy", "checkpoint scheme: traditional | lossless | lossy | none")
 	fs.Float64Var(&o.eb, "eb", 1e-4, "lossy pointwise-relative error bound")
-	fs.Float64Var(&o.interval, "interval", 0, "checkpoint interval in simulated seconds (0 = Young-optimal); under -inject, in iterations (0 = 25)")
+	fs.Float64Var(&o.interval, "interval", 0, "checkpoint interval in solver iterations (0 = Young-optimal under -mtti, converted from seconds at -tit; 100 without failures; 25 under -inject)")
 	fs.Float64Var(&o.mtti, "mtti", 0, "mean time to interruption in simulated seconds (0 = no failures)")
 	fs.Float64Var(&o.tit, "tit", 1, "simulated seconds per iteration")
 	fs.Int64Var(&o.seed, "seed", 1, "failure-injection seed")
@@ -203,7 +206,7 @@ func (o *options) validate() error {
 	}{
 		{"-grid", o.grid, o.grid >= 1, "at least 1"},
 		{"-eb", o.eb, o.eb > 0 && !math.IsInf(o.eb, 0), "a positive finite bound"},
-		{"-interval", o.interval, o.interval >= 0 && !math.IsInf(o.interval, 0), "0 (the default cadence) or a positive finite length"},
+		{"-interval", o.interval, o.interval >= 0 && o.interval < 1<<31 && o.interval == math.Trunc(o.interval), "0 (the default cadence) or a whole number of iterations"},
 		{"-mtti", o.mtti, o.mtti >= 0, "0 (no failures) or positive"},
 		{"-tit", o.tit, o.tit > 0 && !math.IsInf(o.tit, 0), "a positive finite number of seconds"},
 		{"-prior-mtti", o.prior, o.prior > 0, "a positive number of seconds"},
@@ -234,9 +237,6 @@ func (o *options) validate() error {
 		if f.ignored && o.typed[f.name[1:]] {
 			return fmt.Errorf("%s %s", f.name, f.why)
 		}
-	}
-	if o.inject != "" && o.interval != math.Trunc(o.interval) {
-		return fmt.Errorf("-interval %v: under -inject the interval counts iterations, so it must be a whole number", o.interval)
 	}
 	if o.adaptive && o.interval > 0 {
 		return fmt.Errorf("-adaptive and -interval are mutually exclusive (the controller owns the cadence)")
@@ -408,12 +408,14 @@ func run(o options) (err error) {
 		DegradedWrites: injector != nil,
 		Async:          o.async,
 	}
+	// -interval counts iterations on either clock; the controller, when
+	// armed, owns the cadence instead.
+	interval := int(o.interval)
 	if injected && !o.adaptive {
-		// On the wall clock -interval counts iterations.
-		if mcfg.Interval = int(o.interval); mcfg.Interval <= 0 {
-			mcfg.Interval = 25
+		if interval == 0 {
+			interval = 25
 		}
-		rep.update(func(ri *quality.RunInfo) { ri.Interval = mcfg.Interval })
+		mcfg.Interval = interval
 	}
 	mgr, err := core.NewManager(mcfg, storage, s)
 	if err != nil {
@@ -514,7 +516,6 @@ func run(o options) (err error) {
 		fmt.Println()
 		run.Failures, run.OnStep = src, src.onStep
 	} else {
-		interval := o.interval
 		if !o.adaptive && interval == 0 {
 			if _, err := mgr.Checkpoint(); err != nil {
 				return err
@@ -532,17 +533,20 @@ func run(o options) (err error) {
 			// the hidden cost back into backpressure stall. The probe saves
 			// X0, whose ratio need not be the run's: the line prints it.
 			c := cm.checkpoint(probe)
-			interval = model.YoungInterval(o.mtti, c)
+			tau := model.YoungInterval(o.mtti, c)
 			if o.async {
-				interval = max(model.YoungInterval(o.mtti, cm.capture(probe)), c)
+				tau = max(model.YoungInterval(o.mtti, cm.capture(probe)), c)
 			}
-			if interval == 0 {
-				interval = 100 * o.tit
+			if o.mtti == 0 {
+				interval = 100
+				fmt.Printf("checkpoint interval: %d iterations (the default: -mtti 0 draws no failures to plan against; the save of X0: ratio %.1fx, C=%.2fs)\n",
+					interval, probe.CompressionRatio, c)
+			} else {
+				interval = int(math.Ceil(tau / o.tit))
+				fmt.Printf("Young-optimal interval: %d iterations (τ=%.0f simulated seconds at t_it=%gs, planned from the save of X0: ratio %.1fx, C=%.2fs)\n",
+					interval, tau, o.tit, probe.CompressionRatio, c)
 			}
-			fmt.Printf("Young-optimal interval: %.0f simulated seconds (planned from the save of X0: ratio %.1fx, C=%.2fs)\n",
-				interval, probe.CompressionRatio, c)
 		}
-		rep.update(func(ri *quality.RunInfo) { ri.Interval = int(interval) })
 		run.Costs = &core.Costs{
 			TitSeconds:          o.tit,
 			CheckpointSeconds:   cm.checkpoint,
@@ -552,8 +556,13 @@ func run(o options) (err error) {
 			ABFTSeconds:         cm.abft,
 		}
 		run.Failures = core.FailureTimes(nil, failure.NewInjector(o.mtti, o.seed))
-		run.IntervalSeconds = interval
+		if interval > 0 {
+			// Half a step short, so the save opens on the Nth step
+			// whatever rounding a fractional cost left on the clock.
+			run.IntervalSeconds = (float64(interval) - 0.5) * o.tit
+		}
 	}
+	rep.update(func(ri *quality.RunInfo) { ri.Interval = interval })
 	out, err := core.Drive(run)
 	if err == nil && src != nil {
 		err = src.err

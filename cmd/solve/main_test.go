@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,6 +90,7 @@ func TestRejectedValues(t *testing.T) {
 		"-eb -1e-4",
 		"-interval -5 -mtti 100",
 		"-interval 7.9 -inject proc@30",
+		"-interval 7.9 -mtti 100",
 		"-mtti -100",
 		"-tit 0",
 		"-tit -1",
@@ -567,5 +569,89 @@ func TestEmptyRecordMovesNoBytes(t *testing.T) {
 				t.Errorf("%v %s of an empty record: %g s, want %g s", scheme, p.name, p.got, p.want)
 			}
 		}
+	}
+}
+
+// reportedRun runs one invocation with -report-out and returns its
+// output and report.
+func reportedRun(t *testing.T, args string) (string, map[string]any) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "report.json")
+	out, err := solve(t, append(strings.Fields(args), "-report-out", path)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, readReport(t, path)
+}
+
+// iterations returns one field, a solver iteration, of every entry of
+// a report list.
+func iterations(rep map[string]any, list, field string) []int {
+	var its []int
+	for _, e := range rep[list].([]any) {
+		its = append(its, int(e.(map[string]any)[field].(float64)))
+	}
+	return its
+}
+
+// TestSameSavesOnEitherClock: -interval counts iterations on the
+// modelled clock as it does under -inject, so a failure-free run saves
+// at the same iterations either way — every 25th, with no drift from
+// fractional save costs on the virtual clock.
+func TestSameSavesOnEitherClock(t *testing.T) {
+	const args = "-method jacobi -grid 16 -scheme lossless -rtol 1e-4 -interval 25 -quality-sample 1"
+	_, modelled := reportedRun(t, args)
+	_, injected := reportedRun(t, args+" -inject proc@100000")
+	m, i := iterations(modelled, "checkpoints", "iteration"), iterations(injected, "checkpoints", "iteration")
+	if len(m) < 5 || !reflect.DeepEqual(m, i) {
+		t.Fatalf("modelled run saved at %v, injected run at %v", m, i)
+	}
+	for _, it := range m {
+		if it%25 != 0 {
+			t.Fatalf("saves at %v: %d is not a multiple of -interval 25", m, it)
+		}
+	}
+}
+
+// TestSavesNApartBetweenFailures: on the modelled clock with failures,
+// two consecutive saves with no failure between them are exactly
+// -interval iterations apart, whatever the fractional save and
+// recovery costs before them left on the clock.
+func TestSavesNApartBetweenFailures(t *testing.T) {
+	_, rep := reportedRun(t, "-method jacobi -grid 16 -scheme lossless -mtti 200 -interval 25 -seed 7 -recovery-tiers -quality-sample 1")
+	saves, failures := iterations(rep, "checkpoints", "iteration"), iterations(rep, "recoveries", "failure_iteration")
+	if len(failures) < 3 {
+		t.Fatalf("want several failures, got %v", failures)
+	}
+	pairs := 0
+	for k := 1; k < len(saves); k++ {
+		a, b := saves[k-1], saves[k]
+		if slices.ContainsFunc(failures, func(f int) bool { return a < f && f < b }) {
+			continue
+		}
+		pairs++
+		if b-a != 25 {
+			t.Errorf("saves at %d and %d with no failure between are %d apart, want 25 (saves %v, failures %v)", a, b, b-a, saves, failures)
+		}
+	}
+	if pairs < 10 {
+		t.Fatalf("only %d failure-free save pairs: saves %v, failures %v", pairs, saves, failures)
+	}
+}
+
+// TestReportedIntervalIsTheRunsCadence: the report's interval is the
+// iteration count the run saved at — on the Young default, the N the
+// Young line prints, Young's τ rounded up to whole iterations.
+func TestReportedIntervalIsTheRunsCadence(t *testing.T) {
+	out, rep := reportedRun(t, "-method jacobi -grid 32 -scheme traditional -mtti 2000 -seed 1")
+	m := regexp.MustCompile(`Young-optimal interval: ([0-9]+) iterations \(τ=([0-9]+) simulated seconds`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no Young-optimal interval line:\n%s", out)
+	}
+	if m[1] != "702" || m[2] != "701" {
+		t.Errorf("Young line prints N=%s, τ=%s s; want 702 iterations for τ=701.37 s at t_it=1 s", m[1], m[2])
+	}
+	if got := rep["run"].(map[string]any)["interval"]; fmt.Sprint(got) != m[1] {
+		t.Errorf("report interval %v, the run saved every %s iterations", got, m[1])
 	}
 }

@@ -3,9 +3,8 @@ package codec
 import "repro/internal/lossless"
 
 // BlockedFlate is the DEFLATE codec (the paper's Gzip baseline) as a
-// block codec. Level follows compress/flate (0 = default).
+// block codec, at compress/flate's default level.
 type BlockedFlate struct {
-	Level int
 	// BlockElems is the element count per container block; 0 means
 	// DefaultBlockElems.
 	BlockElems int
@@ -19,7 +18,7 @@ func (c BlockedFlate) BlockSize() int { return c.BlockElems }
 
 // EncodeBlock implements BlockCodec.
 func (c BlockedFlate) EncodeBlock(dst []byte, x []float64) ([]byte, error) {
-	return lossless.Flate{Level: c.Level}.AppendCompress(dst, x)
+	return lossless.Flate{}.AppendCompress(dst, x)
 }
 
 // DecodeBlockInto implements BlockCodec.

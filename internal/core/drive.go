@@ -93,7 +93,10 @@ type DriveConfig struct {
 	// passed on the clock since the last capture or recovery. Zero
 	// leaves the cadence to Controller or — measured runs only — to the
 	// Manager's iteration-count Config.Interval (Manager.Due). Mutually
-	// exclusive with Controller.
+	// exclusive with Controller. It is compared against a difference of
+	// clock readings, and N steps of TitSeconds after a fractional save
+	// or recovery cost can read a hair under N·TitSeconds, so a caller
+	// counting steps passes half a step less.
 	IntervalSeconds float64
 	// Controller, when non-nil, plans the interval online. The driver is
 	// its only feed: every committed checkpoint's cost — the whole write

@@ -70,9 +70,9 @@ type Snapshot struct {
 }
 
 // Info is the one record of a save: which checkpoint it is and what it
-// cost. Seq, Iteration, EncoderName, RawBytes and StaticBytes are known
-// when the save opens (an async Ticket carries them from the capture
-// on); the rest once it has committed.
+// cost. Seq, Iteration, EncoderName and RawBytes are known when the
+// save opens (an async Ticket carries them from the capture on); the
+// rest once it has committed.
 type Info struct {
 	Seq              int
 	Iteration        int // the snapshot's iteration
@@ -80,7 +80,6 @@ type Info struct {
 	RawBytes         int // 8 × total vector elements (plus scalars)
 	EncoderName      string
 	VectorBytes      int // encoded bytes of the vector payload only
-	StaticBytes      int // bytes of statics written so far (once)
 	CompressionRatio float64
 	// Shards is the number of shard objects the checkpoint was written
 	// as (1 = a single monolithic object); the retry-delay model counts
@@ -117,8 +116,7 @@ type Checkpointer struct {
 	shards         int
 	storageWorkers int
 
-	seq        int
-	staticSize int
+	seq int
 
 	// encBuf is the snapshot encode buffer, reused across checkpoints.
 	// Checkpoints recur every few hundred iterations for the life of a
@@ -295,11 +293,7 @@ func (c *Checkpointer) ProtectFloat(name string, ptr *float64) {
 // preconditioner M, the right-hand side b — the paper's static
 // variables, checkpointed once before the iteration loop).
 func (c *Checkpointer) WriteStatic(name string, data []byte) error {
-	if err := c.storage.Write("static-"+name, data); err != nil {
-		return err
-	}
-	c.staticSize += len(data)
-	return nil
+	return c.storage.Write("static-"+name, data)
 }
 
 // ReadStatic loads a static blob during recovery.
@@ -397,8 +391,7 @@ func (c *Checkpointer) record(s *Snapshot, seq int) Info {
 	for _, v := range s.Vectors {
 		raw += 8 * len(v)
 	}
-	return Info{Seq: seq, Iteration: s.Iteration, EncoderName: c.enc.Name(), RawBytes: raw,
-		StaticBytes: c.staticSize, Shards: 1}
+	return Info{Seq: seq, Iteration: s.Iteration, EncoderName: c.enc.Name(), RawBytes: raw, Shards: 1}
 }
 
 // save encodes s into buf's backing array (growing it as needed) and

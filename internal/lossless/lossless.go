@@ -27,40 +27,26 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// flateWriterPools recycles flate.Writer instances per compression
-// level (a flate.Writer carries ~600 KiB of match-finder state, by far
-// the dominant allocation of a small compress call). Index is
-// level+2: flate levels span -2 (HuffmanOnly) through 9.
-var flateWriterPools [12]sync.Pool
+// flateWriters recycles flate.Writer instances at
+// flate.DefaultCompression (a flate.Writer carries ~600 KiB of
+// match-finder state, by far the dominant allocation of a small
+// compress call).
+var flateWriters sync.Pool
 
-// getFlateWriter returns a writer for level bound to w, reusing pooled
-// state when available.
-func getFlateWriter(level int, w io.Writer) (*flate.Writer, error) {
-	idx := level + 2
-	if idx < 0 || idx >= len(flateWriterPools) {
-		return flate.NewWriter(w, level) // out-of-range level: let flate report it
-	}
-	if v := flateWriterPools[idx].Get(); v != nil {
+// getFlateWriter returns a writer bound to w, reusing pooled state
+// when available.
+func getFlateWriter(w io.Writer) (*flate.Writer, error) {
+	if v := flateWriters.Get(); v != nil {
 		fw := v.(*flate.Writer)
 		fw.Reset(w)
 		return fw, nil
 	}
-	return flate.NewWriter(w, level)
+	return flate.NewWriter(w, flate.DefaultCompression)
 }
 
-// putFlateWriter recycles a writer obtained from getFlateWriter.
-func putFlateWriter(level int, fw *flate.Writer) {
-	idx := level + 2
-	if idx >= 0 && idx < len(flateWriterPools) {
-		flateWriterPools[idx].Put(fw)
-	}
-}
-
-// Flate is the DEFLATE/Gzip-family codec. Level follows compress/flate
-// (0 = default speed/ratio tradeoff used by gzip).
-type Flate struct {
-	Level int
-}
+// Flate is the DEFLATE/Gzip-family codec at compress/flate's default
+// level, the speed/ratio tradeoff gzip uses.
+type Flate struct{}
 
 // Name returns "gzip(deflate)".
 func (Flate) Name() string { return "gzip(deflate)" }
@@ -75,11 +61,7 @@ func (f Flate) Compress(x []float64) ([]byte, error) {
 // DEFLATE state come from pools, so the only growth is dst itself —
 // the blocked container uses this to keep per-block encode free of
 // whole-payload intermediates.
-func (f Flate) AppendCompress(dst []byte, x []float64) ([]byte, error) {
-	level := f.Level
-	if level == 0 {
-		level = flate.DefaultCompression
-	}
+func (Flate) AppendCompress(dst []byte, x []float64) ([]byte, error) {
 	raw := parallel.GetBytes(8 * len(x))[:8*len(x)]
 	for i, v := range x {
 		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
@@ -88,7 +70,7 @@ func (f Flate) AppendCompress(dst []byte, x []float64) ([]byte, error) {
 	var b8 [8]byte
 	binary.LittleEndian.PutUint64(b8[:], uint64(len(x)))
 	aw.b = append(aw.b, b8[:]...)
-	w, err := getFlateWriter(level, aw)
+	w, err := getFlateWriter(aw)
 	if err != nil {
 		parallel.PutBytes(raw)
 		return nil, err
@@ -98,7 +80,7 @@ func (f Flate) AppendCompress(dst []byte, x []float64) ([]byte, error) {
 		return nil, err
 	}
 	err = w.Close()
-	putFlateWriter(level, w)
+	flateWriters.Put(w)
 	parallel.PutBytes(raw)
 	if err != nil {
 		return nil, err

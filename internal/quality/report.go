@@ -32,7 +32,7 @@ type RunInfo struct {
 	Shards        int     `json:"shards,omitempty"`
 	ErrorBound    float64 `json:"error_bound,omitempty"`
 	Adaptive      bool    `json:"adaptive,omitempty"`
-	Interval      int     `json:"interval,omitempty"`
+	Interval      int     `json:"interval,omitempty"` // the fixed checkpoint cadence, in solver iterations
 	Iterations    int     `json:"iterations,omitempty"`
 	Converged     bool    `json:"converged"`
 	FinalResidual float64 `json:"final_residual,omitempty"`
