@@ -678,8 +678,8 @@ func BenchmarkShardedWrite(b *testing.B) {
 
 // BenchmarkRecoverStall measures the restart path on the 1M-element
 // PWRel workload stored as 8 shards (4 storage workers) in a real
-// directory store: the streaming shard-parallel restore (RestoreInto:
-// per-shard read/CRC32C/block-decode straight into reusable targets).
+// directory store: the streaming shard-parallel restore (Restore with
+// targets: per-shard read/CRC32C/block-decode straight into them).
 // The allocation assertion enforces the zero-copy claim: a restore must
 // allocate less than the raw payload (no reassembly buffer, no fresh
 // output vectors).
@@ -702,7 +702,7 @@ func BenchmarkRecoverStall(b *testing.B) {
 		runtime.ReadMemStats(&m0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ck.RestoreInto(targets); err != nil {
+			if _, _, err := ck.Restore(targets); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -23,8 +23,8 @@
 //     failure the lost block is spliced from the retained (stale) copy
 //     into the surviving blocks' current values and the solver is
 //     Restarted from the hybrid iterate — trading a few extra
-//     iterations for far less retained state. Every Restartable solver
-//     other than CG gets this method.
+//     iterations for far less retained state. Every solver other than
+//     CG gets this method.
 //
 // Either way, the reconstruction is accepted only after verification:
 // the retained copies must pass their checksums, and the true residual
@@ -60,7 +60,7 @@ const (
 	ExactState Method = iota
 	// BackwardForward is the Fasi et al. backward/forward recovery:
 	// a periodic retained copy of x, hybrid restart on failure. Any
-	// other Restartable solver gets it.
+	// other solver gets it.
 	BackwardForward
 )
 
@@ -139,9 +139,8 @@ type Guard struct {
 	a      *sparse.CSR
 	b      []float64
 	s      solver.Checkpointable
-	cg     *solver.CG         // non-nil for ExactState
-	rst    solver.Restartable // non-nil for BackwardForward
-	cuts   []int              // rank block boundaries, len ranks+1
+	cg     *solver.CG // non-nil for ExactState
+	cuts   []int      // rank block boundaries, len ranks+1
 
 	// Retained redundancy. ExactState keeps (r, p, ρ, ‖r‖, i) from the
 	// last Observe; BackwardForward keeps (x, ‖r‖, i) from the last
@@ -167,7 +166,7 @@ type Guard struct {
 
 // NewGuard builds a guard over the system A·x = b protected by the
 // given solver: ExactState for a *solver.CG, BackwardForward for any
-// other Restartable solver.
+// other.
 func NewGuard(a *sparse.CSR, b []float64, s solver.Checkpointable, cfg Config) (*Guard, error) {
 	if a == nil || a.Rows != a.Cols {
 		return nil, fmt.Errorf("abft: need a square operator")
@@ -179,16 +178,13 @@ func NewGuard(a *sparse.CSR, b []float64, s solver.Checkpointable, cfg Config) (
 		cfg.Seed = 1
 	}
 	g := &Guard{ranks: min(ranks, a.Rows), a: a, b: b, s: s, failed: -1}
-	switch s := s.(type) {
-	case *solver.CG:
-		g.method, g.cg = ExactState, s
+	if cg, ok := s.(*solver.CG); ok {
+		g.method, g.cg = ExactState, cg
 		g.rR = make([]float64, a.Rows)
 		g.rP = make([]float64, a.Rows)
-	case solver.Restartable:
-		g.method, g.rst = BackwardForward, s
+	} else {
+		g.method = BackwardForward
 		g.rX = make([]float64, a.Rows)
-	default:
-		return nil, fmt.Errorf("abft: recovery needs a *solver.CG or a restartable solver, %T is neither", s)
 	}
 	g.cuts = make([]int, g.ranks+1)
 	for i := 0; i <= g.ranks; i++ {
@@ -391,7 +387,7 @@ func (g *Guard) reconstructBF(k int) (*Recon, error) {
 	lo, hi := g.cuts[k], g.cuts[k+1]
 	xh := append([]float64(nil), g.s.X()...)
 	copy(xh[lo:hi], g.rX[lo:hi])
-	g.rst.Restart(xh)
+	g.s.Restart(xh)
 	rnorm := g.s.ResidualNorm()
 	if !(rnorm <= verifyFactor*g.rRnorm) { // NaN-safe
 		return nil, fmt.Errorf("abft: verification failed: hybrid-restart residual %.3e exceeds %.1f× retained %.3e",

@@ -28,6 +28,9 @@ func (h *hookStorage) Write(name string, data []byte) error {
 	return h.Storage.Write(name, data)
 }
 
+// WriteBatched takes the same injection, so shard writes hit it.
+func (h *hookStorage) WriteBatched(name string, data []byte) error { return h.Write(name, data) }
+
 // traceRun drives CG with checkpoints every `interval` iterations and
 // one recovery at iteration failAt, returning the residual after every
 // step. Shared by the sync/async bitwise-equivalence tests.
@@ -231,6 +234,8 @@ func (g *gatedStorage) Write(name string, data []byte) error {
 	<-g.gate
 	return g.Storage.Write(name, data)
 }
+
+func (g *gatedStorage) WriteBatched(name string, data []byte) error { return g.Write(name, data) }
 
 // TestAsyncManagerRecordsBackpressure: a Checkpoint issued while the
 // previous write is still in flight stalls the solver, and that stall

@@ -143,7 +143,6 @@ type Manager struct {
 	ckpt  *fti.Checkpointer
 	async *fti.AsyncCheckpointer // non-nil in async mode
 	slv   solver.Checkpointable
-	rst   solver.Restartable
 	gmres *solver.GMRES // non-nil when the solver is GMRES: X() lags mid-cycle
 	xbuf  []float64     // GMRES's materialized iterate, reused by every capture
 
@@ -175,13 +174,9 @@ type Manager struct {
 	qa *quality.Auditor
 }
 
-// NewManager wires solver s to storage through the scheme in cfg. The
-// solver must implement Restartable for the lossy scheme.
+// NewManager wires solver s to storage through the scheme in cfg.
 func NewManager(cfg Config, storage fti.Storage, s solver.Checkpointable) (*Manager, error) {
 	if cfg.Scheme == Lossy {
-		if _, ok := s.(solver.Restartable); !ok {
-			return nil, fmt.Errorf("core: lossy checkpointing needs a restartable solver, %T is not", s)
-		}
 		if cfg.SZParams.ErrorBound == 0 {
 			cfg.SZParams = sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}
 		}
@@ -201,7 +196,6 @@ func NewManager(cfg Config, storage fti.Storage, s solver.Checkpointable) (*Mana
 		return nil, fmt.Errorf("core: the ABFT guard protects a different solver than the Manager wires")
 	}
 	m := &Manager{cfg: cfg, slv: s, abft: cfg.ABFT}
-	m.rst, _ = s.(solver.Restartable)
 	m.gmres, _ = s.(*solver.GMRES)
 	m.ckpt = fti.New(storage, m.encoder())
 	if err := m.ckpt.SetSharding(cfg.Shards, cfg.StorageWorkers); err != nil {
@@ -501,7 +495,7 @@ func (m *Manager) adoptSnapshot(snap *fti.Snapshot) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: lossy checkpoint lacks x")
 	}
-	m.rst.Restart(x)
+	m.slv.Restart(x)
 	return snap.Iteration, nil
 }
 
@@ -510,13 +504,7 @@ func (m *Manager) adoptSnapshot(snap *fti.Snapshot) (int, error) {
 // strikes before the first checkpoint or every checkpoint is rejected:
 // the restart rebuilds all of the solver's dynamic state from x0.
 func (m *Manager) RecoverFresh(x0 []float64) int {
-	if m.rst != nil {
-		m.rst.Restart(x0)
-	} else {
-		// Every solver here is Restartable; one that is not gets x0 as
-		// its whole dynamic state.
-		_ = m.slv.RestoreDynamic(solver.DynamicState{Vectors: map[string][]float64{"x": x0}})
-	}
+	m.slv.Restart(x0)
 	m.qa.ObserveRecovery(0, TierRestartZero.String(), 0, m.slv.ResidualNorm())
 	return 0
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/quality"
 )
 
 // RecoveryTier names one rung of the tiered recovery chain, tried in
@@ -72,11 +70,6 @@ type RecoveryReport struct {
 	Attempts  []TierAttempt
 	Used      RecoveryTier
 	Iteration int
-	// AdoptedDistortion is the audited distortion of the checkpoint
-	// whose state the chain adopted — nil when the quality auditor is
-	// not attached, the adopted save was not sampled, or the chain
-	// recovered without a checkpoint (ABFT, restart-zero).
-	AdoptedDistortion *quality.Distortion
 	// Interrupted marks a chain whose recovered state was lost to a
 	// new failure before the chain's cost had fully elapsed (the
 	// virtual-time harness sets it): the attempts and their durations
@@ -181,7 +174,7 @@ func (m *Manager) drain() {
 // adopted it.
 func (m *Manager) restore(rep *RecoveryReport) error {
 	start := time.Now()
-	snap, attempts, err := m.ckpt.RestoreIntoTrace(m.slv.DynamicView().Vectors)
+	snap, attempts, err := m.ckpt.Restore(m.slv.DynamicView().Vectors)
 	if err != nil && len(attempts) == 0 {
 		// The walk failed before any per-checkpoint read began (no
 		// checkpoint at all, or the storage listing errored): the elapsed
@@ -228,7 +221,6 @@ func (m *Manager) restore(rep *RecoveryReport) error {
 	}
 	rep.Used = last.Tier
 	rep.Iteration = it
-	rep.AdoptedDistortion = m.qa.DistortionFor(last.Seq)
 	m.qa.ObserveRecovery(last.Seq, last.Tier.String(), it, m.slv.ResidualNorm())
 	return nil
 }

@@ -24,9 +24,6 @@ type Fig3Result struct {
 	MeasuredIters  int
 	Procs          []int
 	ModeledSeconds []float64
-	// PaperIters is the iteration range the paper reports (per-process
-	// counts vary between 5e5 and 7e5 on KKT240).
-	PaperIters [2]float64
 }
 
 // fig3TimeModel extrapolates per-iteration cost at paper scale: the
@@ -69,7 +66,6 @@ func runFig3(cfg Config) (Result, error) {
 		MatrixRows:    a.Rows,
 		MeasuredIters: res.Iterations,
 		Procs:         []int{256, 512, 1024, 2048, 4096},
-		PaperIters:    [2]float64{5e5, 7e5},
 	}
 	// The paper's iteration counts on KKT240 sit in [5e5, 7e5]; scale
 	// modeled execution time with the paper's count so the time curve

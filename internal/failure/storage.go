@@ -235,16 +235,10 @@ func (si *StorageInjector) Write(name string, data []byte) error {
 	return si.write(name, data, si.inner.Write)
 }
 
-// WriteBatched forwards to the inner store's batch path (or Write)
-// under the same fault gate.
+// WriteBatched forwards to the inner store's batch path under the same
+// fault gate.
 func (si *StorageInjector) WriteBatched(name string, data []byte) error {
-	inner := si.inner.Write
-	if bw, ok := si.inner.(interface {
-		WriteBatched(name string, data []byte) error
-	}); ok {
-		inner = bw.WriteBatched
-	}
-	return si.write(name, data, inner)
+	return si.write(name, data, si.inner.WriteBatched)
 }
 
 func (si *StorageInjector) write(name string, data []byte, inner func(string, []byte) error) error {
@@ -309,12 +303,6 @@ func (si *StorageInjector) List() ([]string, error) {
 	return si.inner.List()
 }
 
-// SweepTemp forwards to the inner store's sweeper (fsck runs after
-// Revive, through the injector).
-func (si *StorageInjector) SweepTemp() ([]string, error) {
-	ts, ok := si.inner.(fti.TempSweeper)
-	if !ok {
-		return nil, nil
-	}
-	return ts.SweepTemp()
-}
+// SweepTemp forwards to the inner store (fsck runs after Revive,
+// through the injector).
+func (si *StorageInjector) SweepTemp() ([]string, error) { return si.inner.SweepTemp() }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/fti"
 )
 
+var _ fti.Storage = (*StorageInjector)(nil)
+
 func TestStorageInjectorArmedOneShots(t *testing.T) {
 	mem := fti.NewMemStorage()
 	si := NewStorageInjector(mem, 1, StorageProfile{})

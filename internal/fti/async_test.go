@@ -27,6 +27,9 @@ func (h *hookStorage) Write(name string, data []byte) error {
 	return h.Storage.Write(name, data)
 }
 
+// WriteBatched takes the hook too, so shard writes hit it.
+func (h *hookStorage) WriteBatched(name string, data []byte) error { return h.Write(name, data) }
+
 // gateEncoder blocks Encode until the gate channel is closed, making
 // the background stage's timing deterministic in tests.
 type gateEncoder struct {
@@ -173,7 +176,7 @@ func TestAsyncErrorSurfacedOnNextSave(t *testing.T) {
 	if _, err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Checkpointer().Restore()
+	got, _, err := a.Checkpointer().Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +239,7 @@ func TestAsyncCaptureIsDeepCopy(t *testing.T) {
 	if _, err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Checkpointer().Restore()
+	got, _, err := a.Checkpointer().Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +277,7 @@ func TestAsyncDoubleBufferKeepsCommittedCheckpoints(t *testing.T) {
 	if err := c.DropLatest(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Restore()
+	got, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

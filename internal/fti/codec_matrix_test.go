@@ -135,7 +135,7 @@ func TestCodecIdentityMatrix(t *testing.T) {
 					}
 
 					// Path 1: the restore walk, block by block.
-					streaming, err := c.Restore()
+					streaming, _, err := c.Restore(nil)
 					if err != nil {
 						t.Fatalf("%s: streaming restore: %v", label, err)
 					}
@@ -150,13 +150,13 @@ func TestCodecIdentityMatrix(t *testing.T) {
 						"x": make([]float64, len(big)),
 						"p": make([]float64, len(small)),
 					}
-					inPlace, err := c.RestoreInto(targets)
+					inPlace, _, err := c.Restore(targets)
 					if err != nil {
 						t.Fatalf("%s: in-place restore: %v", label, err)
 					}
 					snapshotsBitwiseEqual(t, label+" streaming-vs-inplace", streaming, inPlace)
 					if &targets["x"][0] != &inPlace.Vectors["x"][0] {
-						t.Fatalf("%s: RestoreInto did not decode into the provided target", label)
+						t.Fatalf("%s: Restore did not decode into the provided target", label)
 					}
 
 					dec := streaming.Vectors["x"]

@@ -17,6 +17,14 @@ import (
 	"repro/internal/sz"
 )
 
+// Every store meets the whole Storage contract; no caller probes for a
+// method.
+var (
+	_ Storage = (*DirStorage)(nil)
+	_ Storage = (*MemStorage)(nil)
+	_ Storage = (*Resilient)(nil)
+)
+
 // allocatedBytes reports the heap bytes allocated while f runs.
 func allocatedBytes(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -57,10 +65,12 @@ func TestEncodeAppends(t *testing.T) {
 // allocations can be counted.
 type discardStorage struct{}
 
-func (discardStorage) Write(string, []byte) error  { return nil }
-func (discardStorage) Read(string) ([]byte, error) { return nil, nil }
-func (discardStorage) Delete(string) error         { return nil }
-func (discardStorage) List() ([]string, error)     { return nil, nil }
+func (discardStorage) Write(string, []byte) error        { return nil }
+func (discardStorage) WriteBatched(string, []byte) error { return nil }
+func (discardStorage) Read(string) ([]byte, error)       { return nil, nil }
+func (discardStorage) Delete(string) error               { return nil }
+func (discardStorage) List() ([]string, error)           { return nil, nil }
+func (discardStorage) SweepTemp() ([]string, error)      { return nil, nil }
 
 // TestRawSaveAllocatesNoPayload: after the first save sized the
 // payload buffer, a synchronous raw save stores the vectors straight
@@ -158,7 +168,7 @@ func TestRawShardedRestoreInPlace(t *testing.T) {
 			snapshotsBitwiseEqual(t, "reassembled", snap, want)
 
 			targets := map[string][]float64{"x": make([]float64, n), "p": make([]float64, 2*n+3)}
-			got, err := c.RestoreInto(targets)
+			got, _, err := c.Restore(targets)
 			if err != nil {
 				t.Fatalf("shards=%d n=%d: %v", shards, n, err)
 			}
@@ -168,7 +178,7 @@ func TestRawShardedRestoreInPlace(t *testing.T) {
 					t.Fatalf("shards=%d n=%d: %q was not decoded into its target", shards, n, name)
 				}
 			}
-			fresh, err := c.Restore()
+			fresh, _, err := c.Restore(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +199,7 @@ func TestRawShardSmallerThanAnElement(t *testing.T) {
 	snap := &Snapshot{Iteration: 3, Vectors: map[string][]float64{"x": rawBits(5, 9)}}
 	c := New(NewMemStorage(), Raw{})
 	writeEvenShards(t, c, snap, 40)
-	got, err := c.RestoreInto(map[string][]float64{"x": make([]float64, 5)})
+	got, _, err := c.Restore(map[string][]float64{"x": make([]float64, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +335,7 @@ func TestRawHeaderMismatchLeavesTargetUntouched(t *testing.T) {
 				t.Fatal(err)
 			}
 			target := sentinelTarget(4)
-			snap, err := ck.RestoreInto(map[string][]float64{"x": target})
+			snap, _, err := ck.Restore(map[string][]float64{"x": target})
 			if (err == nil) != c.ok {
 				t.Fatalf("%s shards=%d: err = %v, want accepted = %v", name, shards, err, c.ok)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"strings"
 
 	"repro/internal/fti/shard"
 )
@@ -70,30 +69,18 @@ func (r *FsckReport) String() string {
 // exposes only fully committed checkpoints and Recover lands on the
 // newest of them.
 func Fsck(st Storage) (*FsckReport, error) {
-	rep := &FsckReport{}
-	if ts, ok := st.(TempSweeper); ok {
-		removed, err := ts.SweepTemp()
-		if err != nil {
-			return rep, err
-		}
-		rep.TempRemoved = append(rep.TempRemoved, removed...)
+	removed, err := st.SweepTemp()
+	rep := &FsckReport{TempRemoved: removed}
+	if err != nil {
+		return rep, err
 	}
 	names, err := st.List()
 	if err != nil {
 		return rep, err
 	}
-	// Stores whose List exposes in-progress names (MemStorage under a
-	// crash injector) get the generic temp sweep.
 	var bases []string
 	shardsByBase := map[string][]string{}
 	for _, n := range names {
-		if strings.HasSuffix(n, ".tmp") {
-			if err := st.Delete(n); err != nil {
-				return rep, err
-			}
-			rep.TempRemoved = append(rep.TempRemoved, n)
-			continue
-		}
 		if base, _, ok := shard.ShardBase(n); ok {
 			if _, isCkpt := parseCkptName(base); isCkpt {
 				shardsByBase[base] = append(shardsByBase[base], n)

@@ -3,6 +3,7 @@ package fti
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -41,6 +42,10 @@ func (k *killStore) Write(name string, data []byte) error {
 	return k.inner.Write(name, data)
 }
 
+// WriteBatched counts toward the kill like Write, so a sharded save can
+// die between two shards.
+func (k *killStore) WriteBatched(name string, data []byte) error { return k.Write(name, data) }
+
 func (k *killStore) gate() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -69,6 +74,13 @@ func (k *killStore) List() ([]string, error) {
 		return nil, err
 	}
 	return k.inner.List()
+}
+
+func (k *killStore) SweepTemp() ([]string, error) {
+	if err := k.gate(); err != nil {
+		return nil, err
+	}
+	return k.inner.SweepTemp()
 }
 
 // TestFsckCrashPointMatrix kills the commit protocol after every
@@ -237,5 +249,47 @@ func TestDirStorageSweepTemp(t *testing.T) {
 	names, err := ds.List()
 	if err != nil || len(names) != 1 {
 		t.Fatalf("list after sweep: %v %v", names, err)
+	}
+}
+
+// TestStorageHidesAndSweepsTemps: on both stores, List never shows the
+// "*.tmp" debris a crashed write leaves, and SweepTemp removes exactly
+// that debris, once.
+func TestStorageHidesAndSweepsTemps(t *testing.T) {
+	dir, err := NewDirStorage(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		st   Storage
+	}{{"dir", dir}, {"mem", NewMemStorage()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := []string{ckptName(1), "static-A"}
+			for _, n := range live {
+				if err := tc.st.Write(n, []byte{1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			debris := []string{ckptName(2) + ".tmp", ckptName(3) + ".s00001.tmp"}
+			for _, n := range []string{ckptName(2), ckptName(3) + ".s00001"} {
+				if err := (&killStore{inner: tc.st}).Write(n, []byte("torn payload")); err == nil {
+					t.Fatal("kill store should have failed the write")
+				}
+			}
+			for _, want := range [][]string{debris, nil} { // the second sweep finds nothing
+				names, err := tc.st.List()
+				if err != nil || !slices.Equal(names, live) {
+					t.Fatalf("List = %v, %v; want %v", names, err, live)
+				}
+				removed, err := tc.st.SweepTemp()
+				if err != nil || !slices.Equal(removed, want) {
+					t.Fatalf("SweepTemp = %v, %v; want %v", removed, err, want)
+				}
+			}
+			if _, err := tc.st.Read(ckptName(1)); err != nil {
+				t.Fatalf("sweep touched a live object: %v", err)
+			}
+		})
 	}
 }

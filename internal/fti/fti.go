@@ -342,7 +342,7 @@ func (c *Checkpointer) Recover() error {
 			targets[pv.name] = v
 		}
 	}
-	s, err := c.RestoreInto(targets)
+	s, _, err := c.Restore(targets)
 	if err != nil {
 		return err
 	}
@@ -456,14 +456,12 @@ func (c *Checkpointer) save(s *Snapshot, buf []byte) ([]byte, Info, error) {
 }
 
 // Restore returns the most recent snapshot that passes integrity
-// checks, falling back to older ones. The returned snapshot owns its
-// vectors (freshly allocated); RestoreInto is the in-place variant.
-func (c *Checkpointer) Restore() (*Snapshot, error) { return c.RestoreInto(nil) }
-
-// RestoreInto is Restore with caller-provided decode targets: a vector
-// payload whose name and length match an entry of targets decodes
-// directly into that slice — the returned snapshot's Vectors then
-// alias the targets — while all other vectors are freshly allocated.
+// checks, falling back to older ones, with the ordered trace of every
+// checkpoint the newest-first walk attempted. A vector payload whose
+// name and length match an entry of targets decodes directly into that
+// slice — the returned snapshot's Vectors then alias the targets —
+// while all other vectors (every one, under nil targets) are freshly
+// allocated.
 //
 // Monolithic and sharded checkpoints take the same walk (restore): a
 // sharded one streams — each shard is read, CRC32C-verified, and
@@ -473,10 +471,13 @@ func (c *Checkpointer) Restore() (*Snapshot, error) { return c.RestoreInto(nil) 
 // checksums already covered every byte — while monolithic checkpoints
 // keep it. On error, target slices may hold partially decoded data
 // from a checkpoint that was later rejected; a recovery that falls
-// back to an older checkpoint overwrites them in full.
-func (c *Checkpointer) RestoreInto(targets map[string][]float64) (*Snapshot, error) {
-	s, _, err := c.RestoreIntoTrace(targets)
-	return s, err
+// back to an older checkpoint overwrites them in full. On total
+// failure (every checkpoint invalid) the trace covers all rejected
+// attempts and the error is the usual "all checkpoints invalid".
+func (c *Checkpointer) Restore(targets map[string][]float64) (*Snapshot, []RestoreAttempt, error) {
+	return c.restoreTrace(func(data []byte, att *RestoreAttempt) (*Snapshot, error) {
+		return c.decodeObject(data, att, targets)
+	})
 }
 
 // RestoreAttempt records one checkpoint the restore walk tried: its
@@ -503,16 +504,6 @@ func restoreArgs(att RestoreAttempt, accepted bool) map[string]float64 {
 	return map[string]float64{
 		"seq": float64(att.Seq), "bytes": float64(att.Bytes), "accepted": acc,
 	}
-}
-
-// RestoreIntoTrace is RestoreInto returning, additionally, the ordered
-// trace of every checkpoint the newest-first walk attempted. On total
-// failure (every checkpoint invalid) the trace covers all rejected
-// attempts and the error is the usual "all checkpoints invalid".
-func (c *Checkpointer) RestoreIntoTrace(targets map[string][]float64) (*Snapshot, []RestoreAttempt, error) {
-	return c.restoreTrace(func(data []byte, att *RestoreAttempt) (*Snapshot, error) {
-		return c.decodeObject(data, att, targets)
-	})
 }
 
 // decodeObject decodes what is stored under a checkpoint's name: the

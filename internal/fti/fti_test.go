@@ -140,7 +140,7 @@ func TestSnapshotSaveRestore(t *testing.T) {
 		if info.RawBytes != 8*500+8 {
 			t.Fatalf("%s: RawBytes = %d", name, info.RawBytes)
 		}
-		got, err := c.Restore()
+		got, _, err := c.Restore(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -161,7 +161,7 @@ func TestRestoreNewestCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := c.Restore()
+	got, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestNewResumesSequence(t *testing.T) {
 	if string(saved) != string(after) {
 		t.Fatal("post-restart save overwrote a pre-existing checkpoint")
 	}
-	got, err := c2.Restore()
+	got, _, err := c2.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRestoreResyncsSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := c2.Restore()
+	got, _, err := c2.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err := st.Write(newest, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Restore()
+	got, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 
 func TestRestoreNoCheckpoints(t *testing.T) {
 	c := New(NewMemStorage(), Raw{})
-	if _, err := c.Restore(); err == nil {
+	if _, _, err := c.Restore(nil); err == nil {
 		t.Fatal("expected error with no checkpoints")
 	}
 }
@@ -323,7 +323,7 @@ func TestEncoderMismatchRejected(t *testing.T) {
 	}
 	c2 := New(st, SZ{Params: sz.Params{Mode: sz.Abs, ErrorBound: 1e-4}})
 	c2.seq = c.seq
-	if _, err := c2.Restore(); err == nil {
+	if _, _, err := c2.Restore(nil); err == nil {
 		t.Fatal("expected encoder-mismatch error")
 	}
 }

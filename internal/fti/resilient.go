@@ -35,11 +35,6 @@ const (
 	// misconfigured storage, invalid names) will not improve with
 	// retries; they fail fast.
 	ClassPermanent
-	// ClassCorruption marks data that was read successfully but failed
-	// an integrity check. The storage op itself "worked", so retrying
-	// blindly is wrong — the read-side CRC layers issue their own
-	// targeted re-reads instead (see shard.fetchVerify).
-	ClassCorruption
 )
 
 // String names the class for error messages and reports.
@@ -49,8 +44,6 @@ func (c ErrClass) String() string {
 		return "transient"
 	case ClassPermanent:
 		return "permanent"
-	case ClassCorruption:
-		return "corruption"
 	}
 	return fmt.Sprintf("ErrClass(%d)", int(c))
 }
@@ -178,9 +171,8 @@ type RetryStats struct {
 
 // Resilient wraps a Storage with the FaultPolicy retry/backoff
 // machinery. It implements Storage, and forwards WriteBatched to the
-// inner store's BatchWriter when present so the shard group-commit
-// optimization survives the wrapping. Safe for concurrent use to the
-// same degree as the wrapped store.
+// inner store's so the shard group commit survives the wrapping. Safe
+// for concurrent use to the same degree as the wrapped store.
 type Resilient struct {
 	inner Storage
 	pol   FaultPolicy
@@ -244,9 +236,9 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 }
 
 // retry runs fn under the policy: transient failures back off and
-// retry until MaxRetries or the OpBudget runs out; permanent and
-// corruption failures return immediately. The terminal error is
-// always a *FaultError carrying the attempt count and class.
+// retry until MaxRetries or the OpBudget runs out; permanent failures
+// return immediately. The terminal error is always a *FaultError
+// carrying the attempt count and class.
 func (r *Resilient) retry(op, name string, fn func() error) error {
 	var slept time.Duration
 	var last error
@@ -296,23 +288,10 @@ func (r *Resilient) Write(name string, data []byte) error {
 	return r.retry("write", name, func() error { return r.inner.Write(name, data) })
 }
 
-// WriteBatched forwards to the inner store's BatchWriter (preserving
-// the shard layer's deferred-namespace-fsync group commit) with the
-// same retry policy, falling back to Write when the inner store has
-// no batch path.
+// WriteBatched forwards to the inner store's WriteBatched under the
+// same retry policy.
 func (r *Resilient) WriteBatched(name string, data []byte) error {
-	bw, ok := r.inner.(shardBatchWriter)
-	if !ok {
-		return r.Write(name, data)
-	}
-	return r.retry("write", name, func() error { return bw.WriteBatched(name, data) })
-}
-
-// shardBatchWriter mirrors shard.BatchWriter without importing the
-// shard package here (fti already depends on shard elsewhere; the
-// local alias keeps this file self-contained).
-type shardBatchWriter interface {
-	WriteBatched(name string, data []byte) error
+	return r.retry("write", name, func() error { return r.inner.WriteBatched(name, data) })
 }
 
 // Read loads name, retrying transient failures.
@@ -348,12 +327,6 @@ func (r *Resilient) List() ([]string, error) {
 	return names, nil
 }
 
-// SweepTemp forwards to the inner store's temp-file sweeper when it
-// has one (see TempSweeper), so fsck works through the wrapper.
-func (r *Resilient) SweepTemp() ([]string, error) {
-	ts, ok := r.inner.(TempSweeper)
-	if !ok {
-		return nil, nil
-	}
-	return ts.SweepTemp()
-}
+// SweepTemp forwards to the inner store, so fsck works through the
+// wrapper.
+func (r *Resilient) SweepTemp() ([]string, error) { return r.inner.SweepTemp() }

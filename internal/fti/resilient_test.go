@@ -62,6 +62,9 @@ func (f *flakyStore) Write(name string, data []byte) error {
 	return f.MemStorage.Write(name, data)
 }
 
+// WriteBatched shares Write's gate, so shard writes are flaky too.
+func (f *flakyStore) WriteBatched(name string, data []byte) error { return f.Write(name, data) }
+
 func (f *flakyStore) Read(name string) ([]byte, error) {
 	if err := f.gate("read", name); err != nil {
 		return nil, err
@@ -206,7 +209,6 @@ func TestClassifyError(t *testing.T) {
 		err  error
 		want ErrClass
 	}{
-		{&classedErr{ClassCorruption}, ClassCorruption},
 		{&classedErr{ClassPermanent}, ClassPermanent},
 		{fmt.Errorf("wrap: %w", &classedErr{ClassPermanent}), ClassPermanent},
 		{&FaultError{Class: ClassTransient, Err: errors.New("x")}, ClassTransient},

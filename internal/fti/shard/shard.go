@@ -38,31 +38,26 @@ import (
 	"repro/internal/parallel"
 )
 
-// Storage is the minimal object-store contract the shard layer needs.
-// It is structurally identical to fti.Storage (which satisfies it), and
-// is redeclared here so the fti package can build on this one without
-// an import cycle. Write is called concurrently from the worker pool —
-// always with distinct names — so implementations must tolerate
-// concurrent writes to distinct objects.
-type Storage interface {
-	Write(name string, data []byte) error
-	Read(name string) ([]byte, error)
-	Delete(name string) error
-	List() ([]string, error)
-}
-
-// BatchWriter is an optional Storage extension the shard writer uses
-// for the shard objects of one group: WriteBatched must make the
+// Storage is the part of fti.Storage the shard layer uses (every
+// fti.Storage satisfies it), redeclared here so the fti package can
+// build on this one without an import cycle. WriteBatched is called
+// concurrently from the worker pool — always with distinct names — so
+// implementations must tolerate concurrent writes to distinct objects.
+//
+// A group's shard objects go through WriteBatched, which makes each
 // object's *data* durable but may defer making its namespace entry
 // durable until the next full Write to the same store. The manifest is
 // always committed with a full Write after the batch, so on a
-// directory store one directory fsync commits the entire group —
-// N shards cost N data flushes but a single namespace flush, and the
+// directory store one directory fsync commits the entire group — N
+// shards cost N data flushes but a single namespace flush, and the
 // commit protocol stays intact (no manifest entry can become durable
-// ahead of it in the same directory sync). Stores without the
-// extension just get a full Write per shard.
-type BatchWriter interface {
+// ahead of it in the same directory sync).
+type Storage interface {
+	Write(name string, data []byte) error
 	WriteBatched(name string, data []byte) error
+	Read(name string) ([]byte, error)
+	Delete(name string) error
+	List() ([]string, error)
 }
 
 const (
@@ -235,10 +230,6 @@ func Write(st Storage, base, encoder string, payload []byte, aligned []int, opt 
 	ranges := Split(len(payload), n, aligned)
 	n = len(ranges)
 	m := &Manifest{Encoder: encoder, Total: len(payload), Shards: make([]Info, n)}
-	writeShard := st.Write
-	if bw, ok := st.(BatchWriter); ok {
-		writeShard = bw.WriteBatched
-	}
 	errs := make([]error, n)
 	fanout := opt.Tracer.Begin(opt.Track, obs.CatCheckpoint, obs.SpanShardWrite)
 	parallel.ForBounded(n, 1, opt.workers(n), func(lo, hi int) {
@@ -247,7 +238,7 @@ func Write(st Storage, base, encoder string, payload []byte, aligned []int, opt 
 			name := ShardName(base, i)
 			m.Shards[i] = Info{Name: name, Size: len(chunk), CRC: Checksum(chunk)}
 			start := opt.Metrics.now()
-			errs[i] = writeShard(name, chunk)
+			errs[i] = st.WriteBatched(name, chunk)
 			if errs[i] == nil {
 				opt.Metrics.observeWrite(time.Since(start).Seconds(), len(chunk))
 			}

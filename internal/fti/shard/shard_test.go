@@ -26,6 +26,8 @@ func (s *memStore) Write(name string, data []byte) error {
 	return nil
 }
 
+func (s *memStore) WriteBatched(name string, data []byte) error { return s.Write(name, data) }
+
 func (s *memStore) Read(name string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -66,6 +68,9 @@ func (s *failStore) Write(name string, data []byte) error {
 	}
 	return s.Storage.Write(name, data)
 }
+
+// WriteBatched takes the same failure, so shard writes hit it.
+func (s *failStore) WriteBatched(name string, data []byte) error { return s.Write(name, data) }
 
 func payloadOf(n int) []byte {
 	p := make([]byte, n)
@@ -238,6 +243,8 @@ func (s *manifestFailStore) Write(name string, data []byte) error {
 	}
 	return s.Storage.Write(name, data)
 }
+
+func (s *manifestFailStore) WriteBatched(name string, data []byte) error { return s.Write(name, data) }
 
 func TestReadDetectsMissingAndCorrupt(t *testing.T) {
 	newGroup := func() (*memStore, *Manifest) {

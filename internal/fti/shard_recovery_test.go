@@ -65,7 +65,7 @@ func TestShardedSaveRestoreRoundTrip(t *testing.T) {
 	if manifest != 1 || shardsSeen != 8 {
 		t.Fatalf("layout: %d manifests, %d shards (%v)", manifest, shardsSeen, names)
 	}
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestShardedMissingShardFallsBack(t *testing.T) {
 	if err := st.Delete(shard.ShardName(ckptName(2), 2)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestShardedCorruptShardFallsBack(t *testing.T) {
 	if err := st.Write(name, data); err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestShardedCorruptManifestFallsBack(t *testing.T) {
 	data, _ := st.Read(name)
 	data[len(data)-1] ^= 0xFF // break the manifest trailer CRC
 	_ = st.Write(name, data)
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestOrphanShardsIgnoredAndSwept(t *testing.T) {
 		t.Fatalf("CheckpointCount = %d with orphans present, want 1", got)
 	}
 	// ...must recover from the committed checkpoint...
-	s, err := c2.Restore()
+	s, _, err := c2.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStaleShardsOfReusedSeqSwept(t *testing.T) {
 			t.Fatalf("stale shard %s outlived the narrower rewrite (%v)", n, names)
 		}
 	}
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestMixedShardedMonolithicSeries(t *testing.T) {
 	// A fresh Checkpointer (any sharding config) sees the full series.
 	c := newShardedCheckpointer(t, st, 8, 0)
 	c.SetKeep(10)
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestMixedShardedMonolithicSeries(t *testing.T) {
 	data, _ := st.Read(ckptName(3))
 	data[len(data)-1] ^= 0xFF
 	_ = st.Write(ckptName(3), data)
-	s, err = c.Restore()
+	s, _, err = c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestShardedDropLatestRemovesGroup(t *testing.T) {
 			t.Fatalf("DropLatest left %s behind", n)
 		}
 	}
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestShardedWriteFailureRollsBackSeq(t *testing.T) {
 		t.Fatalf("sequence did not roll back: %d", c.LatestSeq())
 	}
 	fs.failSub = ""
-	s, err := c.Restore()
+	s, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +389,8 @@ func (s *flakyShardStorage) Write(name string, data []byte) error {
 	return s.Storage.Write(name, data)
 }
 
+func (s *flakyShardStorage) WriteBatched(name string, data []byte) error { return s.Write(name, data) }
+
 // TestAsyncShardedMatchesSyncMonolithic: the async pipeline with a
 // sharded layout must commit checkpoints that decode to exactly the
 // bytes a synchronous monolithic save produces — layout and pipeline
@@ -401,7 +403,7 @@ func TestAsyncShardedMatchesSyncMonolithic(t *testing.T) {
 	if _, err := syncC.Save(shardSnap(3, x)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := syncC.Restore()
+	want, _, err := syncC.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +421,7 @@ func TestAsyncShardedMatchesSyncMonolithic(t *testing.T) {
 	} else if info.Shards != 8 {
 		t.Fatalf("async committed %d shards, want 8", info.Shards)
 	}
-	got, err := ac.Checkpointer().Restore()
+	got, _, err := ac.Checkpointer().Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ import (
 // implementations satisfy the contract.
 //
 // Read-side concurrency under streaming restore: a sharded recovery
-// (shard.Reader.Process via Checkpointer.RestoreInto) issues up to
+// (shard.Reader.Process via Checkpointer.Restore) issues up to
 // storage-workers concurrent Reads for the group's shard objects and
 // decodes each returned slice on the worker that read it, retaining it
 // only until that shard's blocks are decoded. Because the returned
@@ -51,16 +51,32 @@ import (
 // DropLatest all operate on the manifest name and treat the group as
 // one checkpoint; shard objects without a manifest are orphans that
 // recovery ignores and gc sweeps.
+//
+// Every implementation meets the whole contract; no caller probes for
+// a method. A store with no cheaper batch path makes WriteBatched its
+// Write, and one that leaves no temp artifacts returns nothing from
+// SweepTemp.
 type Storage interface {
 	// Write stores data under name, replacing any previous content.
 	// See the interface comment for the ownership rules on data.
 	Write(name string, data []byte) error
+	// WriteBatched is Write whose data is durable on return but whose
+	// namespace entry may only become durable with the next Write to
+	// the same store. The shard layer writes a group's shards through
+	// it and commits them with the manifest's Write.
+	WriteBatched(name string, data []byte) error
 	// Read returns the content stored under name.
 	Read(name string) ([]byte, error)
 	// Delete removes name; deleting a missing name is not an error.
 	Delete(name string) error
-	// List returns all stored names in lexicographic order.
+	// List returns all stored names in lexicographic order. It never
+	// shows a "*.tmp" name: those are writes a crash interrupted.
 	List() ([]string, error)
+	// SweepTemp removes the "*.tmp" artifacts of interrupted writes and
+	// returns their names, sorted. Only call it when no write can be in
+	// flight (Fsck at startup): a sweep racing a live writer could
+	// unlink a temp file about to be committed.
+	SweepTemp() ([]string, error)
 }
 
 // DirStorage stores each object as a file in a directory.
@@ -95,11 +111,10 @@ func (s *DirStorage) Write(name string, data []byte) error {
 	return s.write(name, data, true)
 }
 
-// WriteBatched is Write minus the directory fsync — the shard batch
-// path (see shard.BatchWriter): the data is durable, the rename is
-// issued, and the directory sync of the next full Write (the group's
-// manifest commit, always in this same directory) makes every batched
-// entry durable at once.
+// WriteBatched is Write minus the directory fsync: the data is
+// durable, the rename is issued, and the directory sync of the next
+// full Write (the group's manifest commit, always in this same
+// directory) makes every batched entry durable at once.
 func (s *DirStorage) WriteBatched(name string, data []byte) error {
 	return s.write(name, data, false)
 }
@@ -181,23 +196,13 @@ func (s *DirStorage) List() ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
+		if e.IsDir() || isTemp(e.Name()) {
 			continue
 		}
 		names = append(names, e.Name())
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// TempSweeper is the optional Storage extension fsck uses to clean up
-// temp files from interrupted writes: implementations remove every
-// stale in-progress artifact (for DirStorage, "*.tmp" files — which
-// List already hides) and return the names removed. Only call it when
-// no write can be in flight; a sweep racing a live writer could
-// unlink a temp file about to be committed.
-type TempSweeper interface {
-	SweepTemp() ([]string, error)
 }
 
 // SweepTemp removes stale "*.tmp" files left by writes that were
@@ -211,7 +216,7 @@ func (s *DirStorage) SweepTemp() ([]string, error) {
 	}
 	var removed []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".tmp") {
+		if e.IsDir() || !isTemp(e.Name()) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil && !os.IsNotExist(err) {
@@ -222,6 +227,8 @@ func (s *DirStorage) SweepTemp() ([]string, error) {
 	sort.Strings(removed)
 	return removed, nil
 }
+
+func isTemp(name string) bool { return strings.HasSuffix(name, ".tmp") }
 
 // MemStorage is an in-memory Storage, safe for concurrent use.
 type MemStorage struct {
@@ -245,6 +252,9 @@ func (s *MemStorage) Write(name string, data []byte) error {
 	return nil
 }
 
+// WriteBatched is Write: memory has no namespace to sync.
+func (s *MemStorage) WriteBatched(name string, data []byte) error { return s.Write(name, data) }
+
 // Read returns a copy of the stored bytes.
 func (s *MemStorage) Read(name string) ([]byte, error) {
 	s.mu.Lock()
@@ -264,14 +274,32 @@ func (s *MemStorage) Delete(name string) error {
 	return nil
 }
 
-// List returns stored names sorted.
+// List returns stored names sorted, hiding "*.tmp" entries as
+// DirStorage's does.
 func (s *MemStorage) List() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := make([]string, 0, len(s.files))
 	for n := range s.files {
-		names = append(names, n)
+		if !isTemp(n) {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// SweepTemp removes the "*.tmp" entries a crashed write left.
+func (s *MemStorage) SweepTemp() ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var removed []string
+	for n := range s.files {
+		if isTemp(n) {
+			delete(s.files, n)
+			removed = append(removed, n)
+		}
+	}
+	sort.Strings(removed)
+	return removed, nil
 }

@@ -90,7 +90,7 @@ func TestStreamingRestoreMatchesReassembled(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s shards=%d legacy: %v", enc.Name(), shards, err)
 			}
-			streaming, err := c.Restore()
+			streaming, _, err := c.Restore(nil)
 			if err != nil {
 				t.Fatalf("%s shards=%d streaming: %v", enc.Name(), shards, err)
 			}
@@ -129,7 +129,7 @@ func TestStreamingRestoreMatchesReassembledAsync(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d async=%v legacy: %v", shards, async, err)
 			}
-			streaming, err := c.Restore()
+			streaming, _, err := c.Restore(nil)
 			if err != nil {
 				t.Fatalf("shards=%d async=%v streaming: %v", shards, async, err)
 			}
@@ -160,7 +160,7 @@ func TestRestoreIntoDecodesInPlace(t *testing.T) {
 		}
 		tx := make([]float64, len(big))
 		tp := make([]float64, len(small)+1) // length mismatch: must not be used
-		s, err := c.RestoreInto(map[string][]float64{"x": tx, "p": tp})
+		s, _, err := c.Restore(map[string][]float64{"x": tx, "p": tp})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -237,7 +237,7 @@ func TestRecoverInPlaceAndLengthMismatch(t *testing.T) {
 		t.Fatalf("recovered x has %d elements, want %d", len(x), len(big))
 	}
 	x[0] = math.Inf(1)
-	s2, err := c.Restore()
+	s2, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestStreamingUnalignedCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streaming, err := c.Restore()
+	streaming, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,8 +156,4 @@ func (s *CG) RestoreDynamic(st DynamicState) error {
 	return nil
 }
 
-var (
-	_ Stepper        = (*CG)(nil)
-	_ Restartable    = (*CG)(nil)
-	_ Checkpointable = (*CG)(nil)
-)
+var _ Checkpointable = (*CG)(nil)

@@ -261,8 +261,4 @@ func (s *GMRES) RestoreDynamic(st DynamicState) error {
 	return nil
 }
 
-var (
-	_ Stepper        = (*GMRES)(nil)
-	_ Restartable    = (*GMRES)(nil)
-	_ Checkpointable = (*GMRES)(nil)
-)
+var _ Checkpointable = (*GMRES)(nil)

@@ -108,15 +108,6 @@ type Stepper interface {
 	X() []float64
 }
 
-// Restartable solvers can adopt a new initial guess mid-run — the
-// paper's lossy recovery path (Algorithm 2): the decompressed solution
-// vector becomes a fresh starting point and all auxiliary Krylov state
-// is rebuilt. x may be the solver's own X() (a restore that decoded in
-// place); the solver then skips the copy.
-type Restartable interface {
-	Restart(x []float64)
-}
-
 // DynamicState is the set of dynamic variables (paper §3) that a
 // traditional checkpoint must save for a given solver: the iteration
 // number, solver-specific scalars (CG's ρ), and solver-specific
@@ -137,10 +128,18 @@ func (st DynamicState) Clone() DynamicState {
 	return c
 }
 
-// Checkpointable solvers expose their dynamic variables for the
-// traditional checkpointing scheme (Algorithm 1).
+// Checkpointable is the contract every solver here meets and every
+// checkpoint scheme and recovery tier is written against: the traditional
+// scheme (Algorithm 1) saves and reinstates the dynamic variables, and
+// the lossy scheme (Algorithm 2), a restart from the initial guess and
+// ABFT's backward/forward recovery restart from a vector.
 type Checkpointable interface {
 	Stepper
+	// Restart adopts x as a new initial guess mid-run: it becomes a
+	// fresh starting point and all auxiliary Krylov state is rebuilt.
+	// x may be the solver's own X() (a restore that decoded in place);
+	// the solver then skips the copy. The iteration counter runs on.
+	Restart(x []float64)
 	// DynamicView returns the dynamic variables without copying them:
 	// the vectors are the solver's own and change with its next Step,
 	// Restart or RestoreDynamic. A checkpoint encodes them before then
@@ -158,8 +157,6 @@ type Result struct {
 	Converged     bool
 	Iterations    int
 	FinalResidual float64 // absolute residual norm at exit
-	RelResidual   float64 // FinalResidual / reference norm
-	History       []float64
 }
 
 // RunToConvergence drives a Stepper until convergence or the iteration

@@ -216,11 +216,7 @@ func (s *Stationary) RestoreDynamic(st DynamicState) error {
 	return nil
 }
 
-var (
-	_ Stepper        = (*Stationary)(nil)
-	_ Restartable    = (*Stationary)(nil)
-	_ Checkpointable = (*Stationary)(nil)
-)
+var _ Checkpointable = (*Stationary)(nil)
 
 // Richardson is the operator-form stationary iteration
 // x ← x + ω·M⁻¹·(b − A·x). With M = diag(A) and ω = 1 it is exactly
@@ -322,8 +318,4 @@ func (s *Richardson) RestoreDynamic(st DynamicState) error {
 	return nil
 }
 
-var (
-	_ Stepper        = (*Richardson)(nil)
-	_ Restartable    = (*Richardson)(nil)
-	_ Checkpointable = (*Richardson)(nil)
-)
+var _ Checkpointable = (*Richardson)(nil)
