@@ -883,15 +883,20 @@ func mustDirStorage(b *testing.B) *fti.DirStorage {
 }
 
 // BenchmarkExactSaveRestore is the exact checkpoint path of
-// cg-trad-sync-shard in isolation: CG on the 48³ system, x and p (1.77
-// MB) stored raw in 8 shards by 2 workers on a real directory, through
-// Manager.Checkpoint and Manager.Recover (which ends in CG's r = b − A·x).
-// ns/op, B/op and allocs/op of each are the README's "Checkpoint path"
-// rows; the fsyncs are in ns/op and vary with the disk, the bytes and
-// objects allocated do not.
+// cg-trad-sync-shard in isolation: IC(0)-preconditioned CG on the 48³
+// system, as the workload builds it, x and p (1.77 MB) stored raw in 8
+// shards by 2 workers on a real directory, through Manager.Checkpoint
+// and Manager.Recover (which ends in CG's r = b − A·x). ns/op, B/op and
+// allocs/op of each are the README's "Checkpoint path" rows; the fsyncs
+// are in ns/op and vary with the disk, the bytes and objects allocated
+// do not.
 func BenchmarkExactSaveRestore(b *testing.B) {
 	a := sparse.Poisson3D(pcgGrid)
-	s := solver.NewCG(a, nil, sparse.OnesRHS(a.Rows), nil, solver.SeqSpace{}, solver.Options{})
+	ic, err := precond.NewIC0(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := solver.NewCG(a, ic, sparse.OnesRHS(a.Rows), nil, solver.SeqSpace{}, solver.Options{})
 	m, err := core.NewManager(core.Config{Scheme: core.Traditional, Shards: 8, StorageWorkers: 2}, mustDirStorage(b), s)
 	if err != nil {
 		b.Fatal(err)

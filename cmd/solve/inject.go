@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/abft"
@@ -155,4 +156,24 @@ func (p *planSource) printTable(out *core.Outcome, cm *costModel, last fti.Info)
 			fmt.Printf("    %-20s %-10s %.3g ms wall — %s\n", att.Tier, status, 1e3*att.Seconds, cost)
 		}
 	}
+}
+
+// checkpointRecoverySeconds is the R an injected run measured: the mean
+// wall time of its accepted checkpoint-rung attempts (read, decode and
+// the solver's recompute), or NaN when no recovery restored a
+// checkpoint.
+func checkpointRecoverySeconds(reports []core.RecoveryReport) float64 {
+	sum, n := 0.0, 0
+	for _, rep := range reports {
+		for _, att := range rep.Attempts {
+			if att.Accepted && (att.Tier == core.TierCheckpoint || att.Tier == core.TierPreviousCheckpoint) {
+				sum += att.Seconds
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
 }

@@ -62,14 +62,12 @@
 //
 // Observability: -metrics-out writes the end-of-run metrics snapshot
 // as JSON, -trace-out writes a Chrome trace_event file (load it at
-// chrome://tracing or https://ui.perfetto.dev), and -debug-addr
-// serves /metrics (Prometheus text), /trace, /report and /debug/pprof
-// live while the solve runs. The run report, the cost table and a
-// metrics summary are emitted on every exit path — success, error,
-// -scheme none and injected runs alike. With -inject -async the trace
-// shows the background encode/write spans overlapping solver
-// iterations on real clocks; simulated runs emit the same span schema
-// in virtual time.
+// chrome://tracing or https://ui.perfetto.dev), and -report-out writes
+// the run report. The run report, the cost table and a metrics summary
+// are emitted on every exit path — success, error, -scheme none and
+// injected runs alike. With -inject -async the trace shows the
+// background encode/write spans overlapping solver iterations on real
+// clocks; simulated runs emit the same span schema in virtual time.
 //
 // Storage resilience (-storage-retries, -storage-timeout,
 // -scrub-interval, -storage-fault-rate; on-disk checkpoint directories
@@ -121,16 +119,16 @@ func main() {
 type options struct {
 	args string // the command line as typed, for the run report
 
-	method, scheme, ckptDir, inject            string
-	debugAddr, metricsOut, traceOut, reportOut string
-	grid, maxIter, shards, storageWorkers      int
-	storageRetries, qualitySample              int
-	seed                                       int64
-	rtol, eb, interval, mtti, tit, prior       float64
-	faultRate                                  float64
-	storageTimeout, scrubEvery                 time.Duration
-	async, adaptive, tiers                     bool
-	quality                                    bool
+	method, scheme, ckptDir, inject       string
+	metricsOut, traceOut, reportOut       string
+	grid, maxIter, shards, storageWorkers int
+	storageRetries, qualitySample         int
+	seed                                  int64
+	rtol, eb, interval, mtti, tit, prior  float64
+	faultRate                             float64
+	storageTimeout, scrubEvery            time.Duration
+	async, adaptive, tiers                bool
+	quality                               bool
 	// typed holds the names of the flags given on the command line, so
 	// validate can refuse a typed flag the run would not act on.
 	typed map[string]bool
@@ -163,7 +161,6 @@ func parseOptions(args []string) (options, error) {
 	fs.Float64Var(&o.prior, "prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge; needs -adaptive)")
 	fs.BoolVar(&o.tiers, "recovery-tiers", false, "arm the ABFT guard: every failure tries algorithmic reconstruction before the latest checkpoint, older checkpoints and restart-from-zero")
 	fs.StringVar(&o.inject, "inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve on the wall clock; excludes -mtti, the abft kind needs -recovery-tiers")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace, /report, and /debug/pprof on this address (e.g. localhost:6060) while the run is live")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the end-of-run metrics snapshot as JSON to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
 	fs.BoolVar(&o.quality, "quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and attribute post-recovery convergence delay")
@@ -297,7 +294,7 @@ func run(o options) (err error) {
 	defer rep.emit()
 	defer func() {
 		if err != nil {
-			rep.update(func(ri *quality.RunInfo) { ri.Exit = "error: " + err.Error() })
+			rep.runInfo.Exit = "error: " + err.Error()
 		}
 	}()
 	if err := o.validate(); err != nil {
@@ -305,7 +302,7 @@ func run(o options) (err error) {
 	}
 	a := sparse.Poisson3D(o.grid)
 	b := sparse.OnesRHS(a.Rows)
-	rep.update(func(ri *quality.RunInfo) { ri.Unknowns, ri.Operator = a.Rows, a.Kernel() })
+	rep.runInfo.Unknowns, rep.runInfo.Operator = a.Rows, a.Kernel()
 	system := fmt.Sprintf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros, operator %s", o.grid, a.Rows, a.NNZ(), a.Kernel())
 	var m *precond.IC0
 	if o.method == "cg" {
@@ -313,7 +310,7 @@ func run(o options) (err error) {
 			return err
 		}
 		pre := "ic0/" + m.Kernel()
-		rep.update(func(ri *quality.RunInfo) { ri.Precond = pre })
+		rep.runInfo.Precond = pre
 		system += ", preconditioner " + pre
 	}
 	fmt.Println(system)
@@ -346,9 +343,7 @@ func run(o options) (err error) {
 		if err != nil {
 			return err
 		}
-		rep.update(func(ri *quality.RunInfo) {
-			ri.Iterations, ri.Converged, ri.FinalResidual = res.Iterations, res.Converged, res.FinalResidual
-		})
+		rep.runInfo.Iterations, rep.runInfo.Converged, rep.runInfo.FinalResidual = res.Iterations, res.Converged, res.FinalResidual
 		fmt.Printf("converged=%v iterations=%d residual=%.3e\n", res.Converged, res.Iterations, res.FinalResidual)
 		return nil
 	}
@@ -562,7 +557,7 @@ func run(o options) (err error) {
 			run.IntervalSeconds = (float64(interval) - 0.5) * o.tit
 		}
 	}
-	rep.update(func(ri *quality.RunInfo) { ri.Interval = interval })
+	rep.runInfo.Interval = interval
 	out, err := core.Drive(run)
 	if err == nil && src != nil {
 		err = src.err
@@ -570,9 +565,7 @@ func run(o options) (err error) {
 	if err != nil {
 		return err
 	}
-	rep.update(func(ri *quality.RunInfo) {
-		ri.Iterations, ri.Converged, ri.FinalResidual = out.IterationsExecuted, out.Converged, out.FinalResidual
-	})
+	rep.runInfo.Iterations, rep.runInfo.Converged, rep.runInfo.FinalResidual = out.IterationsExecuted, out.Converged, out.FinalResidual
 	printOutcome(o, out)
 	if co != nil && injected {
 		fmt.Printf("checksum operator: %d applications, %d mismatches\n", co.Applications(), co.Mismatches())
@@ -584,6 +577,7 @@ func run(o options) (err error) {
 	}
 	if injected {
 		src.printTable(out, cm, mgr.LastInfo())
+		rep.measuredRestart = checkpointRecoverySeconds(out.RecoveryReports)
 		if n := len(o.plan.Events()); n > 0 {
 			fmt.Printf("injection plan: %d event(s) never fired (the solve ended at iteration %d)\n", n, s.Iteration())
 		}

@@ -200,6 +200,53 @@ func TestInjectedTierTable(t *testing.T) {
 	}
 }
 
+// TestInjectedRunReportsItsRestart: an injected run timed every
+// recovery, so its phase table and its report's restart cost line carry
+// the mean of its accepted checkpoint recoveries — the per-failure
+// table's wall times — and a run whose failures never reached a
+// checkpoint still prints the dash and omits the measurement.
+func TestInjectedRunReportsItsRestart(t *testing.T) {
+	accepted := regexp.MustCompile(`checkpoint +accepted +([0-9.e+-]+) ms wall`)
+	for _, c := range []struct {
+		plan     string
+		restores int
+	}{{"proc@8,proc@16", 2}, {"proc@3", 0}} {
+		out, rep := reportedRun(t, "-method cg -grid 10 -scheme traditional -rtol 1e-14 -interval 5 -inject "+c.plan)
+		var walls []float64
+		for _, m := range accepted.FindAllStringSubmatch(out, -1) {
+			ms, err := strconv.ParseFloat(m[1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walls = append(walls, ms)
+		}
+		if len(walls) != c.restores {
+			t.Fatalf("-inject %s: want %d checkpoint recoveries, got %v:\n%s", c.plan, c.restores, walls, out)
+		}
+		var row map[string]any
+		for _, line := range rep["cost"].([]any) {
+			if line := line.(map[string]any); line["phase"] == "restart" {
+				row = line
+			}
+		}
+		measured, ok := row["measured_seconds"].(float64)
+		dash := regexp.MustCompile(`(?m)^  restart +\S+ +- `).MatchString(out)
+		if c.restores == 0 {
+			if ok || !dash {
+				t.Errorf("-inject %s restored no checkpoint, yet measured %v s:\n%s", c.plan, row["measured_seconds"], out)
+			}
+			continue
+		}
+		mean := 0.0
+		for _, ms := range walls {
+			mean += ms / float64(len(walls))
+		}
+		if !ok || dash || math.Abs(1e3*measured-mean) > 0.01*mean {
+			t.Errorf("-inject %s: restart measured %v s, the tier table's accepted recoveries average %g ms:\n%s", c.plan, row["measured_seconds"], mean, out)
+		}
+	}
+}
+
 // TestInjectWithoutGuard: -inject no longer needs an ABFT guard, so
 // GMRES — which has none — can be driven on the real clock, async
 // pipeline included; without rung 0 the chain starts at the latest

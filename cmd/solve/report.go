@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -17,19 +14,17 @@ import (
 )
 
 // reporter emits the end-of-run cost table, metrics summary, quality
-// digest, and observability artifacts — all assembled
-// from ONE quality.RunReport, so the text output, -report-out file,
-// and /report endpoint always agree. run creates it before anything
-// can fail and defers emit, so rejected flags, setup errors, -scheme
-// none and injected runs report the same way the happy path does. It
-// also owns the registry + tracer pair that backs the live endpoint and
-// the end-of-run artifacts; both stay nil (every hook in every
-// instrumented layer a no-op) unless asked for.
+// digest, and observability artifacts — all assembled from ONE
+// quality.RunReport, so the text output and the -report-out file
+// always agree. run creates it before anything can fail and defers
+// emit, so rejected flags, setup errors, -scheme none and injected runs
+// report the same way the happy path does. It also owns the registry +
+// tracer pair behind the end-of-run artifacts; both stay nil (every
+// hook in every instrumented layer a no-op) unless asked for.
 type reporter struct {
 	o   options
 	reg *obs.Registry
 	tr  *obs.Tracer
-	mu  sync.Mutex // guards runInfo and final
 
 	// Filled in as run builds them; nil until then (and for good under
 	// -scheme none, which checkpoints nothing).
@@ -40,7 +35,6 @@ type reporter struct {
 
 	start   time.Time
 	runInfo quality.RunInfo
-	final   *quality.RunReport
 }
 
 func newReporter(o options) *reporter {
@@ -55,60 +49,24 @@ func newReporter(o options) *reporter {
 		Adaptive:   o.adaptive,
 		Injected:   o.inject,
 	}
-	if o.debugAddr != "" || o.metricsOut != "" || o.traceOut != "" || o.quality {
+	if o.metricsOut != "" || o.traceOut != "" || o.quality {
 		r.reg, r.tr = obs.New(), obs.NewTracer()
-	}
-	if o.debugAddr != "" {
-		r.serveDebug(o.debugAddr)
 	}
 	return r
 }
 
-// serveDebug exposes the live registry, tracer and run report (plus
-// pprof) on a background HTTP listener. Snapshots are taken per
-// request, so hitting /metrics mid-run observes the solve without
-// pausing it.
-func (r *reporter) serveDebug(addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.reg.WriteProm(w)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.tr.WriteChrome(w)
-	})
-	mux.HandleFunc("/report", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.snapshotReport().WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "solve: debug server:", err)
-		}
-	}()
-	fmt.Printf("debug endpoint: http://%s/{metrics,trace,report,debug/pprof}\n", addr)
-}
-
-// update mutates the run-description fields under the reporter's lock
-// (the /report handler reads them concurrently with the solve).
-func (r *reporter) update(fn func(*quality.RunInfo)) {
-	r.mu.Lock()
-	fn(&r.runInfo)
-	r.mu.Unlock()
-}
-
-// buildReport assembles the versioned run report from the current
-// state: run info, cost lines, quality sections, metrics snapshot.
-func (r *reporter) buildReport(cost []quality.CostLine) *quality.RunReport {
-	r.mu.Lock()
+// emit runs once, deferred by run: it assembles the versioned run
+// report (run info, cost lines, quality sections, metrics snapshot),
+// prints its digests and writes the artifacts.
+func (r *reporter) emit() {
+	var cost []quality.CostLine
+	if r.mgr != nil && r.cm != nil {
+		// Drain any in-flight async save first so LastInfo and the
+		// registry describe the run's final state (no-op when sync).
+		info, _ := r.mgr.WaitCheckpoint()
+		cost = r.cm.printBreakdown(info, r.measuredRestart)
+	}
 	ri := r.runInfo
-	r.mu.Unlock()
 	if ri.Exit == "" {
 		ri.Exit = "ok"
 	}
@@ -118,42 +76,6 @@ func (r *reporter) buildReport(cost []quality.CostLine) *quality.RunReport {
 	if r.reg != nil {
 		rep.Metrics = r.reg.Snapshot()
 	}
-	return rep
-}
-
-// snapshotReport backs /report: the final report once emit has run,
-// else a live view built on demand. The live view has no cost lines —
-// those need the Manager's committed Info, which cannot be probed
-// concurrently with the solver thread.
-func (r *reporter) snapshotReport() *quality.RunReport {
-	r.mu.Lock()
-	final := r.final
-	r.mu.Unlock()
-	if final != nil {
-		return final
-	}
-	rep := r.buildReport(nil)
-	if rep.Run.Exit == "ok" {
-		// The disposition is only known once emit runs; a mid-run
-		// snapshot must not claim a clean exit.
-		rep.Run.Exit = "running"
-	}
-	return rep
-}
-
-// emit runs once, deferred by run.
-func (r *reporter) emit() {
-	var cost []quality.CostLine
-	if r.mgr != nil && r.cm != nil {
-		// Drain any in-flight async save first so LastInfo and the
-		// registry describe the run's final state (no-op when sync).
-		info, _ := r.mgr.WaitCheckpoint()
-		cost = r.cm.printBreakdown(info, r.measuredRestart)
-	}
-	rep := r.buildReport(cost)
-	r.mu.Lock()
-	r.final = rep
-	r.mu.Unlock()
 	r.printMetricsSummary(rep.Metrics)
 	r.printQualitySummary(rep)
 	r.writeArtifacts(rep)
@@ -203,7 +125,7 @@ func (r *reporter) printQualitySummary(rep *quality.RunReport) {
 
 // printMetricsSummary renders the non-zero counters, gauges, and
 // histogram aggregates from the report's snapshot — a digest of what
-// -metrics-out (or /metrics) exposes in full.
+// -metrics-out exposes in full.
 func (r *reporter) printMetricsSummary(snap obs.Snapshot) {
 	printed := false
 	for i := range snap.Metrics {
@@ -223,7 +145,7 @@ func (r *reporter) printMetricsSummary(snap obs.Snapshot) {
 			continue // zero-valued: present in the snapshot, noise here
 		}
 		if !printed {
-			fmt.Printf("metrics summary (non-zero; full snapshot via -metrics-out or /metrics):\n")
+			fmt.Printf("metrics summary (non-zero; full snapshot via -metrics-out):\n")
 			printed = true
 		}
 		fmt.Println(line)
@@ -300,7 +222,7 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 			"enc-MB/s", modMBs, measMBs, info.EncoderName)
 	}
 	fmt.Printf("  %-8s %12s %12s\n", "write", ms(modWrite), ms(info.WriteSeconds))
-	fmt.Printf("  %-8s %12s %12s   (measured only on simulated failure runs)\n", "restart", ms(modRestart), ms(measuredRestart))
+	fmt.Printf("  %-8s %12s %12s   (measured: mean checkpoint recovery under -inject, one restart after -mtti)\n", "restart", ms(modRestart), ms(measuredRestart))
 	fin := func(s float64) float64 {
 		if math.IsNaN(s) {
 			return 0

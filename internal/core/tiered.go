@@ -210,13 +210,16 @@ func (m *Manager) restore(rep *RecoveryReport) error {
 	last := &rep.Attempts[len(rep.Attempts)-1]
 	adoptStart := time.Now()
 	it, err := m.adoptSnapshot(snap)
+	// The adoption work (the solver's recomputed variables) belongs to
+	// the attempt's duration: read, decode and recompute are the R a
+	// checkpoint recovery costs.
+	last.Seconds += time.Since(adoptStart).Seconds()
 	if err != nil {
 		// The snapshot decoded but the solver rejected it (missing
 		// dynamic variables, dimension mismatch): demote the accepted
-		// attempt. The adoption work belongs to its duration.
+		// attempt.
 		last.Accepted = false
 		last.Err = err.Error()
-		last.Seconds += time.Since(adoptStart).Seconds()
 		return err
 	}
 	rep.Used = last.Tier

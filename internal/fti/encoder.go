@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/codec"
 	"repro/internal/sz"
@@ -34,6 +35,10 @@ func (Raw) Encode(dst []byte, x []float64) ([]byte, error) {
 	off := len(dst)
 	dst = slices.Grow(dst, 8*len(x))[:off+8*len(x)]
 	out := dst[off:]
+	if nativeIsRaw {
+		copy(out, memoryImage(x))
+		return dst, nil
+	}
 	for _, v := range x {
 		binary.LittleEndian.PutUint64(out, math.Float64bits(v))
 		out = out[8:]
@@ -48,10 +53,28 @@ func (Raw) DecodeInto(dst []float64, data []byte) error {
 	if len(data) != 8*len(dst) {
 		return fmt.Errorf("fti: raw payload is %d bytes, a %d-element destination needs %d", len(data), len(dst), 8*len(dst))
 	}
+	if nativeIsRaw {
+		copy(memoryImage(dst), data)
+		return nil
+	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
 	return nil
+}
+
+// nativeIsRaw is set where a float64's in-memory bytes are its
+// little-endian image (amd64, arm64): there Raw moves a vector as one
+// copy of memoryImage, and elsewhere element by element.
+var nativeIsRaw = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// memoryImage is x's memory viewed as its 8·len(x) bytes, aliasing x.
+// It is the package's one use of unsafe: a float64 has no padding and
+// any byte address is aligned, so the view is valid for the slice's
+// lifetime on every platform; only its byte order varies, which is why
+// callers ask nativeIsRaw first.
+func memoryImage(x []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), 8*len(x))
 }
 
 // BoundInfo reports the exact contract (no distortion).

@@ -1,6 +1,8 @@
 package fti
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"path/filepath"
 	"testing"
@@ -48,23 +50,68 @@ func TestEncoderRoundTrips(t *testing.T) {
 	}
 }
 
+// TestRawIsExact holds Raw to its format on both byte-order paths —
+// the one copy of the memory image little-endian platforms take and
+// the element loop of big-endian ones — over the values an exact
+// checkpoint must carry bit for bit: signed zeros and infinities, quiet
+// and signalling NaNs with payloads, subnormals and the extremes. Every
+// whole-element run of the image (what one shard holds) decodes on its
+// own, from any byte alignment.
 func TestRawIsExact(t *testing.T) {
-	x := []float64{1.5, -2.25, math.Pi}
-	blob, err := Raw{}.Encode(nil, x)
-	if err != nil {
-		t.Fatal(err)
+	bits := []uint64{
+		0, 1 << 63, // ±0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x7ff8000000000000, 0x7ff8000000000123, 0xfff8dead0000beef, // quiet NaNs
+		0x7ff0000000000001, 0x7ff4000000000abc, 0xfff0000000000777, // signalling NaNs
+		1, 0x000fffffffffffff, 0x800fffffffffffff, // subnormals
+		0x0010000000000000, math.Float64bits(math.MaxFloat64), math.Float64bits(-math.MaxFloat64),
+		math.Float64bits(1.5), math.Float64bits(-math.Pi),
 	}
-	got := make([]float64, len(x))
-	if err := (Raw{}).DecodeInto(got, blob); err != nil {
-		t.Fatal(err)
+	x := make([]float64, len(bits))
+	want := []byte("hdr")
+	for i, b := range bits {
+		x[i] = math.Float64frombits(b)
+		want = binary.LittleEndian.AppendUint64(want, b)
 	}
-	for i := range x {
-		if got[i] != x[i] {
-			t.Fatalf("raw round trip changed value %d", i)
-		}
-	}
-	if err := (Raw{}).DecodeInto(got, blob[:5]); err == nil {
-		t.Fatal("expected error for misaligned raw payload")
+	image := want[3:]
+	for _, native := range []bool{true, false} {
+		name := map[bool]string{true: "native", false: "portable"}[native]
+		t.Run(name, func(t *testing.T) {
+			prev := nativeIsRaw
+			if native && !prev {
+				t.Skip("the memory image is not little-endian on this platform")
+			}
+			nativeIsRaw = native
+			t.Cleanup(func() { nativeIsRaw = prev })
+
+			blob, err := Raw{}.Encode([]byte("hdr"), x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, want) {
+				t.Fatalf("Encode appended\n%x, want\n%x", blob, want)
+			}
+			shifted := append([]byte{0}, image...)[1:] // off the allocation's alignment
+			for i := 0; i <= len(x); i++ {
+				for j := i; j <= len(x); j++ {
+					got := make([]float64, j-i)
+					if err := (Raw{}).DecodeInto(got, shifted[8*i:8*j]); err != nil {
+						t.Fatalf("elements [%d, %d): %v", i, j, err)
+					}
+					for k, v := range got {
+						if math.Float64bits(v) != bits[i+k] {
+							t.Fatalf("elements [%d, %d): element %d decoded as %#016x, want %#016x", i, j, i+k, math.Float64bits(v), bits[i+k])
+						}
+					}
+				}
+			}
+			for _, n := range []int{5, len(image) - 8, len(image) + 8} {
+				data := append(append([]byte(nil), image...), make([]byte, 8)...)[:n]
+				if err := (Raw{}).DecodeInto(make([]float64, len(x)), data); err == nil {
+					t.Fatalf("decoded a %d-byte payload into %d elements", n, len(x))
+				}
+			}
+		})
 	}
 }
 

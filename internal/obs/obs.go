@@ -1,7 +1,7 @@
 // Package obs is the repo's dependency-free observability substrate:
 // a metrics registry (atomic counters, gauges, fixed-bucket
-// histograms) with Prometheus-text and JSON exposition, and a
-// lifecycle tracer (trace.go) exporting Chrome trace_event JSON.
+// histograms) with JSON exposition, and a lifecycle tracer (trace.go)
+// exporting Chrome trace_event JSON.
 //
 // Design constraints, in order:
 //
@@ -417,79 +417,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
-
-// WriteProm writes the snapshot in the Prometheus text exposition
-// format (v0.0.4): # TYPE lines, _bucket{le=...}/_sum/_count
-// expansion for histograms.
-func (s Snapshot) WriteProm(w io.Writer) error {
-	lastType := ""
-	for _, m := range s.Metrics {
-		if m.Name != lastType {
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.Name, m.Type); err != nil {
-				return err
-			}
-			lastType = m.Name
-		}
-		switch m.Type {
-		case "counter", "gauge":
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", m.Name, promLabels(m.Labels, "", ""), promFloat(m.Value)); err != nil {
-				return err
-			}
-		case "histogram":
-			var cum uint64
-			for i, c := range m.Counts {
-				le := "+Inf"
-				if i < len(m.Bounds) {
-					le = promFloat(m.Bounds[i])
-				}
-				cum += c
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.Name, promLabels(m.Labels, "le", le), cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", m.Name, promLabels(m.Labels, "", ""), promFloat(m.Sum)); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", m.Name, promLabels(m.Labels, "", ""), cum); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func promLabels(labels []Label, extraKey, extraVal string) string {
-	if len(labels) == 0 && extraKey == "" {
-		return ""
-	}
-	var sb strings.Builder
-	sb.WriteByte('{')
-	first := true
-	for _, l := range labels {
-		if !first {
-			sb.WriteByte(',')
-		}
-		first = false
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Quote(l.Value))
-	}
-	if extraKey != "" {
-		if !first {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(extraKey)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Quote(extraVal))
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
-
-// WriteProm writes the registry's current snapshot; see Snapshot.WriteProm.
-func (r *Registry) WriteProm(w io.Writer) error { return r.Snapshot().WriteProm(w) }
 
 // WriteJSON writes the registry's current snapshot; see Snapshot.WriteJSON.
 func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }

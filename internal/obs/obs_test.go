@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -195,48 +194,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Error("nil registry snapshot must be empty")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteProm(t *testing.T) {
-	r := New()
-	r.Counter("test_events_total").Add(3)
-	r.With(L("tier", "abft")).Counter("test_events_total").Add(7)
-	r.Gauge("test_level_ratio").Set(0.25)
-	h := r.Histogram("test_lat_seconds", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE test_events_total counter\n",
-		"test_events_total 3\n",
-		"test_events_total{tier=\"abft\"} 7\n",
-		"# TYPE test_level_ratio gauge\n",
-		"test_level_ratio 0.25\n",
-		"# TYPE test_lat_seconds histogram\n",
-		"test_lat_seconds_bucket{le=\"0.1\"} 1\n",
-		"test_lat_seconds_bucket{le=\"1\"} 2\n",
-		"test_lat_seconds_bucket{le=\"+Inf\"} 3\n",
-		"test_lat_seconds_sum 5.55\n",
-		"test_lat_seconds_count 3\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prom output missing %q; got:\n%s", want, out)
-		}
-	}
-	// One TYPE line per metric name even with multiple label sets.
-	if n := strings.Count(out, "# TYPE test_events_total"); n != 1 {
-		t.Errorf("TYPE line repeated %d times", n)
 	}
 }
 

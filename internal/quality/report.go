@@ -74,7 +74,7 @@ type StabilityVerdict struct {
 // RunReport is the structured, versioned artifact unifying the cost
 // table, metrics snapshot, per-checkpoint quality records, recovery
 // attributions, and the stability verdict. cmd/solve writes it with
-// -report-out and serves it at /report on -debug-addr.
+// -report-out.
 type RunReport struct {
 	Schema             string           `json:"schema"`
 	GeneratedAtUnix    int64            `json:"generated_at_unix,omitempty"`

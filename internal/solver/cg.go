@@ -57,17 +57,18 @@ func NewCG(a Operator, m precond.Interface, b []float64, x0 []float64, space Spa
 	return s
 }
 
-// Restart adopts x as a new initial guess and rebuilds r, z, p, ρ —
-// the lossy recovery path (Algorithm 2 lines 8–13). The iteration
-// counter and the convergence threshold are preserved.
+// Restart adopts x as a new initial guess and rebuilds r, p = M⁻¹·r
+// and ρ = r·p — the lossy recovery path (Algorithm 2 lines 8–13). z is
+// not rebuilt: Step writes it before reading it, so the preconditioner
+// applies straight into p. The iteration counter and the convergence
+// threshold are preserved.
 func (s *CG) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
 	adopt(s.x, x)
 	s.a.MulVec(s.r, s.x) // r ← A·x
 	vec.Sub(s.r, s.b, s.r)
-	s.m.Apply(s.z, s.r)
-	copy(s.p, s.z)
-	s.rho = s.space.Dot(s.r, s.z)
+	s.m.Apply(s.p, s.r)
+	s.rho = s.space.Dot(s.r, s.p)
 	s.rnorm = s.space.Norm2(s.r)
 }
 
@@ -134,8 +135,10 @@ func (s *CG) DynamicView() DynamicState {
 	}
 }
 
-// RestoreDynamic reinstates (i, ρ, p, x) and recomputes the recomputed
-// variables r = b − A·x and z = M⁻¹·r (Algorithm 1 lines 7–8).
+// RestoreDynamic reinstates (i, ρ, p, x) and recomputes r = b − A·x,
+// the one recomputed variable the next Step reads. z = M⁻¹·r is not
+// recomputed: Step overwrites z before anything reads it, so applying
+// the preconditioner here would be work no iterate depends on.
 func (s *CG) RestoreDynamic(st DynamicState) error {
 	x, okX := st.Vectors["x"]
 	p, okP := st.Vectors["p"]
@@ -151,7 +154,6 @@ func (s *CG) RestoreDynamic(st DynamicState) error {
 	s.rho = rho
 	s.a.MulVec(s.r, s.x)
 	vec.Sub(s.r, s.b, s.r)
-	s.m.Apply(s.z, s.r)
 	s.rnorm = s.space.Norm2(s.r)
 	return nil
 }

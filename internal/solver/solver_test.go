@@ -151,6 +151,69 @@ func TestCGCaptureRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// countingPrecond counts the preconditioner applications it forwards.
+type countingPrecond struct {
+	inner precond.Interface
+	calls int
+}
+
+func (c *countingPrecond) Apply(dst, r []float64) { c.calls++; c.inner.Apply(dst, r) }
+
+// TestCGRecoveryAppliesOnlyWhatTheNextStepReads pins the work each CG
+// recovery does with the preconditioner: an exact restore applies it
+// not at all (Step writes z = M⁻¹·r before reading it), a restart once
+// (p = M⁻¹·r). It then checks that z really is dead: a solver whose z
+// holds NaN, restored from a state captured where the uninterrupted
+// solve's r is b − A·x bit for bit (right after a restart), steps on
+// with the same bits in x, r, p, ρ and the residual norm.
+func TestCGRecoveryAppliesOnlyWhatTheNextStepReads(t *testing.T) {
+	a, ic0, b := ic0System(t, 12)
+	opts := Options{RTol: 1e-14}
+	m := &countingPrecond{inner: ic0}
+	s := NewCG(a, m, b, nil, SeqSpace{}, opts)
+	for i := 0; i < 5; i++ {
+		s.Step()
+	}
+	for _, tc := range []struct {
+		name    string
+		recover func() error
+		applies int
+	}{
+		{"RestoreDynamic", func() error { return s.RestoreDynamic(s.DynamicView().Clone()) }, 0},
+		{"Restart", func() error { s.Restart(append([]float64(nil), s.X()...)); return nil }, 1},
+	} {
+		m.calls = 0
+		if err := tc.recover(); err != nil {
+			t.Fatal(err)
+		}
+		if m.calls != tc.applies {
+			t.Errorf("%s applied M⁻¹ %d times, want %d", tc.name, m.calls, tc.applies)
+		}
+	}
+
+	ref := NewCG(a, ic0, b, nil, SeqSpace{}, opts)
+	for i := 0; i < 6; i++ {
+		ref.Step()
+	}
+	ref.Restart(append([]float64(nil), ref.X()...))
+	saved := ref.DynamicView().Clone()
+	restored := NewCG(a, ic0, b, nil, SeqSpace{}, opts)
+	for i := range restored.z {
+		restored.z[i] = math.NaN()
+	}
+	if err := restored.RestoreDynamic(saved); err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= 10; step++ {
+		requireSameBits(t, step, "Step()", []float64{ref.Step()}, []float64{restored.Step()})
+		requireSameBits(t, step, "rnorm", []float64{ref.ResidualNorm()}, []float64{restored.ResidualNorm()})
+		requireSameBits(t, step, "rho", []float64{ref.Rho()}, []float64{restored.Rho()})
+		requireSameBits(t, step, "x", ref.X(), restored.X())
+		requireSameBits(t, step, "r", ref.R(), restored.R())
+		requireSameBits(t, step, "p", ref.P(), restored.P())
+	}
+}
+
 func TestCGRestoreRejectsMissingFields(t *testing.T) {
 	a, b, _ := poissonSystem(t, 4)
 	s := NewCG(a, nil, b, nil, SeqSpace{}, Options{})
