@@ -139,7 +139,7 @@ type options struct {
 func parseOptions(args []string) (options, error) {
 	o := options{args: strings.Join(args, " ")}
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
-	fs.StringVar(&o.method, "method", "cg", "iterative method: jacobi | gs | sor | ssor | cg | gmres")
+	fs.StringVar(&o.method, "method", "cg", "iterative method (solver.New): jacobi | gs | sor | ssor | cg (IC(0)-preconditioned) | gmres (GMRES(5))")
 	fs.IntVar(&o.grid, "grid", 14, "Poisson grid dimension (n³ unknowns)")
 	fs.Float64Var(&o.rtol, "rtol", 1e-7, "relative convergence tolerance")
 	fs.StringVar(&o.scheme, "scheme", "lossy", "checkpoint scheme: traditional | lossless | lossy | none")
@@ -175,23 +175,14 @@ func parseOptions(args []string) (options, error) {
 	return o, nil
 }
 
-var (
-	stationaryKinds = map[string]solver.StationaryKind{
-		"jacobi": solver.KindJacobi, "gs": solver.KindGaussSeidel, "sor": solver.KindSOR, "ssor": solver.KindSSOR,
-	}
-	schemes = map[string]core.Scheme{
-		"traditional": core.Traditional, "lossless": core.Lossless, "lossy": core.Lossy,
-	}
-)
+var schemes = map[string]core.Scheme{
+	"traditional": core.Traditional, "lossless": core.Lossless, "lossy": core.Lossy,
+}
 
 // validate rejects every combination of flags the run could not honour
 // — a flag is acted on or refused, never ignored — and parses the fault
-// plan.
+// plan. An unknown -method is solver.New's to refuse.
 func (o *options) validate() error {
-	_, stationary := stationaryKinds[o.method]
-	if !stationary && o.method != "cg" && o.method != "gmres" {
-		return fmt.Errorf("unknown method %q", o.method)
-	}
 	if _, ok := schemes[o.scheme]; !ok && o.scheme != "none" {
 		return fmt.Errorf("unknown scheme %q", o.scheme)
 	}
@@ -303,41 +294,26 @@ func run(o options) (err error) {
 	a := sparse.Poisson3D(o.grid)
 	b := sparse.OnesRHS(a.Rows)
 	rep.runInfo.Unknowns, rep.runInfo.Operator = a.Rows, a.Kernel()
+	op := solver.Operator(a)
+	var co *abft.ChecksumOperator
+	if o.tiers && o.method == "cg" {
+		// Huang–Abraham checksum augmentation: every operator
+		// application is verified against precomputed column sums, so
+		// silent corruption surfaces before it contaminates the
+		// retained ABFT redundancy.
+		co = abft.NewChecksumOperator(a)
+		op = co
+	}
+	s, err := solver.New(o.method, a, op, b, solver.Options{RTol: o.rtol})
+	if err != nil {
+		return err
+	}
 	system := fmt.Sprintf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros, operator %s", o.grid, a.Rows, a.NNZ(), a.Kernel())
-	var m *precond.IC0
-	if o.method == "cg" {
-		if m, err = precond.NewIC0(a); err != nil {
-			return err
-		}
-		pre := "ic0/" + m.Kernel()
-		rep.runInfo.Precond = pre
-		system += ", preconditioner " + pre
+	if cg, ok := s.(*solver.CG); ok {
+		rep.runInfo.Precond = "ic0/" + cg.Preconditioner().(*precond.IC0).Kernel()
+		system += ", preconditioner " + rep.runInfo.Precond
 	}
 	fmt.Println(system)
-
-	var s solver.Checkpointable
-	var co *abft.ChecksumOperator
-	sopts := solver.Options{RTol: o.rtol}
-	switch o.method {
-	case "cg":
-		op := solver.Operator(a)
-		if o.tiers {
-			// Huang–Abraham checksum augmentation: every operator
-			// application is verified against precomputed column sums, so
-			// silent corruption surfaces before it contaminates the
-			// retained ABFT redundancy.
-			co = abft.NewChecksumOperator(a)
-			op = co
-		}
-		s = solver.NewCG(op, m, b, nil, solver.SeqSpace{}, sopts)
-	case "gmres":
-		s = solver.NewGMRES(a, nil, b, nil, 30, solver.SeqSpace{}, sopts)
-	default:
-		omega := map[string]float64{"sor": 1.5, "ssor": 1.2}[o.method]
-		if s, err = solver.NewStationary(stationaryKinds[o.method], a, b, nil, omega, sopts); err != nil {
-			return err
-		}
-	}
 	if o.scheme == "none" {
 		res, err := solver.RunToConvergence(s, solver.Options{MaxIter: o.maxIter}, nil)
 		if err != nil {

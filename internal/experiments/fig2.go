@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"repro/internal/cluster"
 	"repro/internal/solver"
 	"repro/internal/sz"
 )
@@ -25,29 +26,18 @@ type Fig2Result struct {
 }
 
 func runFig2(cfg Config) (Result, error) {
-	grid := 14
-	trials := 8
+	grid, trials := simGrid("cg", cfg.Quick), 8
 	if cfg.Quick {
-		grid = 8
 		trials = 3
 	}
 	if cfg.Trials > 0 {
 		trials = cfg.Trials
 	}
 	a, b := poissonSystem(grid)
-	const rtol = 1e-7 // the paper's CG tolerance
-
-	newCG := func() *solver.CG {
-		return solver.NewCG(a, nil, b, nil, solver.SeqSpace{}, solver.Options{RTol: rtol})
-	}
-	base, err := solver.RunToConvergence(newCG(), solver.Options{MaxIter: 200000}, nil)
+	n, _, err := baseline("cg", grid, a, b)
 	if err != nil {
 		return nil, err
 	}
-	if !base.Converged {
-		return nil, fmt.Errorf("fig2: baseline CG did not converge")
-	}
-	n := base.Iterations
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	bounds := []float64{1e-3, 1e-4, 1e-5, 1e-6}
@@ -59,7 +49,10 @@ func runFig2(cfg Config) (Result, error) {
 			// approximate solution vector, decompress it to continue
 			// the computations, and count the extra iterations" §4.4.3.
 			t := n/10 + rng.Intn(n*8/10)
-			s := newCG()
+			s, err := solver.New("cg", a, a, b, solver.Options{RTol: cluster.PaperBaselines()["cg"].RTol})
+			if err != nil {
+				return nil, err
+			}
 			for i := 0; i < t; i++ {
 				s.Step()
 			}

@@ -18,44 +18,13 @@ var methodNames = []string{"jacobi", "gmres", "cg"}
 // schemeOrder lists the three checkpointing schemes in paper order.
 var schemeOrder = []core.Scheme{core.Traditional, core.Lossless, core.Lossy}
 
-// buildSolver constructs the named method on A·x = b with the paper's
-// configuration (block-Jacobi/ILU-class preconditioning for CG, plain
-// GMRES(30), plain Jacobi sweeps) and the paper's per-method rtol.
-func buildSolver(method string, a *sparse.CSR, b []float64, rtol float64) (solver.Checkpointable, error) {
-	opts := solver.Options{RTol: rtol}
-	switch method {
-	case "jacobi":
-		s, err := solver.NewStationary(solver.KindJacobi, a, b, nil, 0, opts)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	case "gmres":
-		// The paper runs GMRES(30) with N ≈ 5,875 iterations (≈200
-		// Krylov cycles). Our laptop-scale systems converge in tens to
-		// hundreds of iterations, so the restart length scales down to
-		// keep N ≫ k — otherwise a single lossy restart would wipe out
-		// the only Krylov cycle of the run, a regime the paper never
-		// operates in.
-		return solver.NewGMRES(a, nil, b, nil, 5, solver.SeqSpace{}, opts), nil
-	case "cg":
-		// Unpreconditioned CG: at laptop scale the block-ILU
-		// preconditioner collapses the iteration count to a handful,
-		// which would leave the simulated iteration time comparable to
-		// the checkpoint interval — again a regime the paper's
-		// 2,400-iteration CG never enters. The preconditioned variant
-		// is exercised by the solver tests and the ablation bench.
-		return solver.NewCG(a, nil, b, nil, solver.SeqSpace{}, opts), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown method %q", method)
-}
-
 // simGrid returns the per-method grid dimension for the virtual-time
 // experiments, chosen so the failure-free iteration count keeps the
-// simulated iteration time well below the checkpoint interval.
+// simulated iteration time well below the checkpoint interval. CG's is
+// the largest because IC(0) converges in few steps: 44 at 48³, 33 at 32³.
 func simGrid(method string, quick bool) int {
-	full := map[string]int{"jacobi": 14, "gmres": 20, "cg": 20}
-	q := map[string]int{"jacobi": 8, "gmres": 12, "cg": 12}
+	full := map[string]int{"jacobi": 14, "gmres": 20, "cg": 48}
+	q := map[string]int{"jacobi": 8, "gmres": 12, "cg": 32}
 	if quick {
 		return q[method]
 	}
@@ -131,7 +100,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	a := sparse.Poisson3DAniso(nx, 8, 8)
 	b := sparse.SmoothField(a.Rows, 77)
 	base := cluster.PaperBaselines()[method]
-	s, err := buildSolver(method, a, b, base.RTol)
+	s, err := solver.New(method, a, a, b, solver.Options{RTol: base.RTol})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +114,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	if half < 1 {
 		half = 1
 	}
-	s2, err := buildSolver(method, a, b, base.RTol)
+	s2, err := solver.New(method, a, a, b, solver.Options{RTol: base.RTol})
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +156,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 // there.
 func baseline(method string, grid int, a *sparse.CSR, b []float64) (iters int, tit float64, err error) {
 	base := cluster.PaperBaselines()[method]
-	s, err := buildSolver(method, a, b, base.RTol)
+	s, err := solver.New(method, a, a, b, solver.Options{RTol: base.RTol})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -201,17 +170,13 @@ func baseline(method string, grid int, a *sparse.CSR, b []float64) (iters int, t
 	return res.Iterations, base.BaselineSeconds / float64(res.Iterations), nil
 }
 
-// managedRun assembles method × scheme on A·x = b — the solver at rtol
-// and a Manager over in-memory storage, lossy at pointwise-relative eb
-// (GMRES re-derives it by Theorem 3) — and drives it on the modelled
-// clock: tit seconds per step, ckpt(‖r‖) per checkpoint given the live
-// residual, rec per recovery. run carries the rest: the failure source,
-// the cadence and the caps.
-func managedRun(method string, a *sparse.CSR, b []float64, rtol float64, scheme core.Scheme, eb float64,
-	tit float64, ckpt func(rnorm float64) float64, rec float64, run core.DriveConfig) (*core.Outcome, error) {
-	s, err := buildSolver(method, a, b, rtol)
+// managedSolver assembles method × scheme on A·x = b: the solver at
+// rtol and a Manager over in-memory storage, lossy at pointwise-relative
+// eb (GMRES re-derives it by Theorem 3).
+func managedSolver(method string, a *sparse.CSR, b []float64, rtol float64, scheme core.Scheme, eb float64) (solver.Checkpointable, *core.Manager, error) {
+	s, err := solver.New(method, a, a, b, solver.Options{RTol: rtol})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := core.Config{Scheme: scheme}
 	if scheme == core.Lossy {
@@ -223,6 +188,16 @@ func managedRun(method string, a *sparse.CSR, b []float64, rtol float64, scheme 
 		}
 	}
 	m, err := core.NewManager(cfg, fti.NewMemStorage(), s)
+	return s, m, err
+}
+
+// managedRun drives managedSolver's method × scheme on the modelled
+// clock: tit seconds per step, ckpt(‖r‖) per checkpoint given the live
+// residual, rec per recovery. run carries the rest: the failure source,
+// the cadence and the caps.
+func managedRun(method string, a *sparse.CSR, b []float64, rtol float64, scheme core.Scheme, eb float64,
+	tit float64, ckpt func(rnorm float64) float64, rec float64, run core.DriveConfig) (*core.Outcome, error) {
+	s, m, err := managedSolver(method, a, b, rtol, scheme, eb)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,8 @@
 // N+2S, … ≤ M (stride S defaults to 1), which is how a campaign of
 // hundreds of injected storage faults is spelled in one event:
 // "storagewrite@100..600" arms a transient write fault at each of 501
-// iterations.
+// iterations. A spec names iterations up to 2³¹−1 and expands to at
+// most 2²⁰ events in all.
 //
 // e.g. "proc@50,abft+proc@120,manifest+proc@200": a plain process loss
 // at iteration 50, a process loss with corrupted ABFT retained state
@@ -48,6 +49,7 @@ package failure
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -140,16 +142,21 @@ func ParsePlan(spec string, seed int64) (*Plan, error) {
 		return p, nil
 	}
 	at := map[int]*Injection{}
+	total := 0
 	for _, ev := range strings.Split(spec, ",") {
 		ev = strings.TrimSpace(ev)
 		kindsPart, iterPart, ok := strings.Cut(ev, "@")
 		if !ok {
 			return nil, fmt.Errorf("failure: event %q lacks '@iteration'", ev)
 		}
-		iters, err := parseIterSpec(strings.TrimSpace(iterPart))
+		lo, stride, n, err := parseIterSpec(strings.TrimSpace(iterPart))
 		if err != nil {
 			return nil, fmt.Errorf("failure: event %q: %w", ev, err)
 		}
+		if n > maxRangeEvents-total {
+			return nil, fmt.Errorf("failure: spec expands to more than %d events", maxRangeEvents)
+		}
+		total += n
 		var kinds []Kind
 		for _, ks := range strings.Split(kindsPart, "+") {
 			k, err := ParseKind(strings.TrimSpace(ks))
@@ -158,21 +165,15 @@ func ParsePlan(spec string, seed int64) (*Plan, error) {
 			}
 			kinds = append(kinds, k)
 		}
-		for _, iter := range iters {
+		for k := range n {
+			iter := lo + k*stride
 			inj := at[iter]
 			if inj == nil {
 				inj = &Injection{Iteration: iter}
 				at[iter] = inj
 			}
 			for _, k := range kinds {
-				seen := false
-				for _, have := range inj.Kinds {
-					if have == k {
-						seen = true
-						break
-					}
-				}
-				if !seen {
+				if !slices.Contains(inj.Kinds, k) {
 					inj.Kinds = append(inj.Kinds, k)
 				}
 			}
@@ -185,45 +186,45 @@ func ParsePlan(spec string, seed int64) (*Plan, error) {
 	return p, nil
 }
 
-// maxRangeEvents bounds how many iterations one range iterspec may
-// expand to — a typo'd "1..1000000000" should fail parsing, not eat
-// the heap.
-const maxRangeEvents = 1 << 20
+// maxRangeEvents bounds how many iterations a whole spec may expand
+// to — a typo'd "1..1000000000", or many ranges that add up, should
+// fail parsing, not eat the heap. maxIteration bounds the iteration an
+// event may name, as cmd/solve bounds its iteration-valued flags.
+const (
+	maxRangeEvents = 1 << 20
+	maxIteration   = 1<<31 - 1
+)
 
-// parseIterSpec expands an iteration spec — "N", "N..M", or "N..M/S"
-// — into the ordered iterations it schedules.
-func parseIterSpec(s string) ([]int, error) {
+// parseIterSpec reads an iteration spec — "N", "N..M", or "N..M/S" —
+// as the n iterations lo + k·stride, k < n, it schedules. Counting
+// rather than stepping to M cannot wrap past the largest int.
+func parseIterSpec(s string) (lo, stride, n int, err error) {
 	rangePart, stridePart, hasStride := strings.Cut(s, "/")
 	first, last, isRange := strings.Cut(rangePart, "..")
-	lo, err := strconv.Atoi(strings.TrimSpace(first))
+	lo, err = strconv.Atoi(strings.TrimSpace(first))
 	if err != nil || lo <= 0 {
-		return nil, fmt.Errorf("needs a positive iteration, got %q", s)
+		return 0, 0, 0, fmt.Errorf("needs a positive iteration, got %q", s)
 	}
-	if !isRange {
-		if hasStride {
-			return nil, fmt.Errorf("stride %q without a range in %q", stridePart, s)
+	if hasStride && !isRange {
+		return 0, 0, 0, fmt.Errorf("stride %q without a range in %q", stridePart, s)
+	}
+	hi := lo
+	if isRange {
+		if hi, err = strconv.Atoi(strings.TrimSpace(last)); err != nil || hi < lo {
+			return 0, 0, 0, fmt.Errorf("range end must be ≥ start in %q", s)
 		}
-		return []int{lo}, nil
 	}
-	hi, err := strconv.Atoi(strings.TrimSpace(last))
-	if err != nil || hi < lo {
-		return nil, fmt.Errorf("range end must be ≥ start in %q", s)
+	if hi > maxIteration {
+		return 0, 0, 0, fmt.Errorf("iteration beyond %d in %q", maxIteration, s)
 	}
-	stride := 1
+	stride = 1
 	if hasStride {
 		stride, err = strconv.Atoi(strings.TrimSpace(stridePart))
 		if err != nil || stride <= 0 {
-			return nil, fmt.Errorf("needs a positive stride, got %q", s)
+			return 0, 0, 0, fmt.Errorf("needs a positive stride, got %q", s)
 		}
 	}
-	if (hi-lo)/stride+1 > maxRangeEvents {
-		return nil, fmt.Errorf("range %q expands to more than %d events", s, maxRangeEvents)
-	}
-	var iters []int
-	for i := lo; i <= hi; i += stride {
-		iters = append(iters, i)
-	}
-	return iters, nil
+	return lo, stride, (hi-lo)/stride + 1, nil
 }
 
 // Events returns the remaining scheduled events in iteration order.

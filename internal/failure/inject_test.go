@@ -1,6 +1,8 @@
 package failure
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fti"
@@ -41,14 +43,64 @@ func TestParsePlanMergesAndDedups(t *testing.T) {
 }
 
 func TestParsePlanRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{"proc", "proc@0", "proc@-3", "proc@x", "bogus@5", "proc+@5"} {
+	atCap := strings.Repeat("proc@1..65536,", 16) // 2²⁰ events in all
+	for _, spec := range []string{"proc", "proc@0", "proc@-3", "proc@x", "bogus@5", "proc+@5",
+		// A range is counted, not stepped, so one ending near the largest
+		// int cannot wrap; the event cap holds for the whole spec.
+		"proc@9223372036854775806..9223372036854775807",
+		"proc@9223372036854775807..9223372036854775807/5",
+		"proc@1..2147483647",
+		atCap + "abft@7",
+		"abft@7,proc@1..1048576",
+	} {
 		if _, err := ParsePlan(spec, 1); err == nil {
-			t.Errorf("spec %q was accepted", spec)
+			t.Errorf("spec %.60q was accepted", spec)
 		}
 	}
 	if p, err := ParsePlan("  ", 1); err != nil || len(p.Events()) != 0 {
 		t.Fatalf("blank spec: plan %+v err %v, want empty plan", p, err)
 	}
+	for _, spec := range []string{strings.TrimSuffix(atCap, ","), "proc@2147483646..2147483647/1000"} {
+		if _, err := ParsePlan(spec, 1); err != nil {
+			t.Errorf("spec %.60q: %v", spec, err)
+		}
+	}
+}
+
+// FuzzParsePlan: whatever the spec, ParsePlan does not panic, expands
+// to at most maxRangeEvents events, and what it accepts is sorted by
+// positive iteration with no kind repeated at one iteration.
+func FuzzParsePlan(f *testing.F) {
+	for _, spec := range []string{
+		"proc@40,midckpt@80",
+		"proc@50,abft+proc@120,manifest+proc@200,shard+midckpt@300",
+		"storagewrite@10..200,crash@300",
+		"proc@10..100/10,slowio+storageread@5",
+		"proc@10,abft@10,proc@10",
+		"proc@9223372036854775806..9223372036854775807",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec, 1)
+		if err != nil {
+			return
+		}
+		evs := p.Events()
+		if len(evs) > maxRangeEvents {
+			t.Fatalf("%d events, above the cap of %d", len(evs), maxRangeEvents)
+		}
+		for i, ev := range evs {
+			if ev.Iteration <= 0 || (i > 0 && ev.Iteration <= evs[i-1].Iteration) {
+				t.Fatalf("event %d at iteration %d: not positive and strictly after %v", i, ev.Iteration, evs[max(i-1, 0)])
+			}
+			for j, k := range ev.Kinds {
+				if slices.Contains(ev.Kinds[:j], k) {
+					t.Fatalf("kind %v repeated at iteration %d: %v", k, ev.Iteration, ev.Kinds)
+				}
+			}
+		}
+	})
 }
 
 func TestPlanTakeConsumesInOrder(t *testing.T) {

@@ -114,6 +114,9 @@ func (s *CG) ResidualNorm() float64 { return s.rnorm }
 // X returns the live approximate solution vector.
 func (s *CG) X() []float64 { return s.x }
 
+// Preconditioner returns M, as the solver was built with it.
+func (s *CG) Preconditioner() precond.Interface { return s.m }
+
 // Rho returns the current ρ scalar (a dynamic variable).
 func (s *CG) Rho() float64 { return s.rho }
 

@@ -16,6 +16,8 @@ import (
 	"maps"
 	"slices"
 
+	"repro/internal/precond"
+	"repro/internal/sparse"
 	"repro/internal/vec"
 )
 
@@ -150,6 +152,40 @@ type Checkpointable interface {
 	// residual r = b − A·x. Vectors that are the solver's own (a
 	// DynamicView filled in place) are adopted without a copy.
 	RestoreDynamic(DynamicState) error
+}
+
+// New builds method on A·x = b. It holds the one recipe per method that
+// every front end runs — cmd/repro's figures and cmd/solve alike:
+//   - "cg" is conjugate gradients preconditioned by IC(0) of a;
+//   - "gmres" is unpreconditioned GMRES(5): the paper's GMRES(30) ran
+//     about 196 restart cycles, and at the grids a workstation solves
+//     in seconds k = 30 leaves about 3, so a lossy restart costs far
+//     more than the paper's (README, "Experiments and benchmarks");
+//   - "jacobi", "gs", "sor" (ω = 1.5) and "ssor" (ω = 1.2) are the
+//     stationary sweeps.
+//
+// op is what CG and GMRES apply: a, or a wrapper of it such as abft's
+// checksum operator. The stationary sweeps read a itself.
+func New(method string, a *sparse.CSR, op Operator, b []float64, opts Options) (Checkpointable, error) {
+	switch method {
+	case "cg":
+		m, err := precond.NewIC0(a)
+		if err != nil {
+			return nil, err
+		}
+		return NewCG(op, m, b, nil, SeqSpace{}, opts), nil
+	case "gmres":
+		return NewGMRES(op, nil, b, nil, 5, SeqSpace{}, opts), nil
+	}
+	kind, ok := map[string]StationaryKind{"jacobi": KindJacobi, "gs": KindGaussSeidel, "sor": KindSOR, "ssor": KindSSOR}[method]
+	if !ok {
+		return nil, fmt.Errorf("solver: unknown method %q", method)
+	}
+	s, err := NewStationary(kind, a, b, nil, map[string]float64{"sor": 1.5, "ssor": 1.2}[method], opts)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Result summarizes a completed solve.
