@@ -42,7 +42,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/lossless"
 	"repro/internal/parallel"
 )
 
@@ -51,18 +50,17 @@ import (
 type ID byte
 
 const (
-	// Flate is the DEFLATE lossless codec (lossless.Flate).
+	// Flate is the DEFLATE lossless codec (BlockedFlate).
 	Flate ID = 3
 	// SZ is the prediction-based error-bounded codec (sz package).
 	SZ ID = 4
 )
 
-// String returns the codec's report name, matching the underlying
-// codec's Name() where one exists.
+// String returns the codec's report name.
 func (id ID) String() string {
 	switch id {
 	case Flate:
-		return lossless.Flate{}.Name()
+		return "gzip(deflate)"
 	case SZ:
 		return "sz"
 	}
@@ -188,6 +186,13 @@ func blockElemsOf(bc BlockCodec) int {
 	return DefaultBlockElems
 }
 
+// blockBuffer is a pooled buffer for a block of n elements, at one
+// worst-case size for every codec: at least as big as the 8n-byte raw
+// images the codecs stage, so the shared pool reaches a steady state
+// instead of ping-ponging between compressed-size and raw-size
+// capacities on every block.
+func blockBuffer(n int) []byte { return parallel.GetBytes(9*n + 80) }
+
 // Compress appends the container of x to dst, as append does, the
 // blocks compressed concurrently across the worker pool by bc.
 func Compress(dst []byte, x []float64, bc BlockCodec) ([]byte, error) {
@@ -199,12 +204,7 @@ func Compress(dst []byte, x []float64, bc BlockCodec) ([]byte, error) {
 	parallel.For(nBlocks, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			chunk := x[min(b*blockElems, n):min((b+1)*blockElems, n)]
-			// One worst-case request for every codec keeps each pooled
-			// buffer at least as big as the 8n-byte raw images the
-			// codecs stage internally, so the shared pool
-			// reaches a steady state instead of ping-ponging between
-			// compressed-size and raw-size capacities on every block.
-			blocks[b], errs[b] = bc.EncodeBlock(parallel.GetBytes(9*len(chunk)+80), chunk)
+			blocks[b], errs[b] = bc.EncodeBlock(blockBuffer(len(chunk)), chunk)
 		}
 	})
 	for b, err := range errs {

@@ -8,11 +8,11 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	. "repro/internal/codec"
-	"repro/internal/lossless"
 	"repro/internal/parallel"
 	"repro/internal/sz"
 )
@@ -69,7 +69,7 @@ func TestRoundTripBlockedAndLegacy(t *testing.T) {
 			t.Fatalf("n=%d: DecompressInto differs (%v)", n, err)
 		}
 	}
-	bare, err := lossless.Flate{}.Compress(testField(100, 1))
+	bare, err := BlockedFlate{}.EncodeBlock(nil, testField(100, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestBlockedMatchesLegacyBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatalf("blocked decompress: %v", err)
 	}
-	bare, err := lossless.Flate{}.Compress(x)
+	bare, err := BlockedFlate{}.EncodeBlock(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bareDec := make([]float64, len(x))
-	if err := (lossless.Flate{}).DecompressInto(bareDec, bare); err != nil {
+	if err := (BlockedFlate{}).DecodeBlockInto(bareDec, bare); err != nil {
 		t.Fatal(err)
 	}
 	if !bytesEqualFloats(bareDec, blockedDec) {
@@ -268,7 +268,7 @@ func TestBlockedAdapters(t *testing.T) {
 	if err := DecompressInto(make([]float64, len(x)), enc, sz.Blocks{}); err == nil {
 		t.Fatal("SZ block codec accepted flate container into a destination")
 	}
-	if id := layoutOf(t, enc).ID; id != Flate || id.String() != (lossless.Flate{}).Name() {
+	if id := layoutOf(t, enc).ID; id != Flate || id.String() != "gzip(deflate)" {
 		t.Fatalf("container ID = %v", id)
 	}
 }
@@ -300,34 +300,41 @@ func TestDeterministicOutput(t *testing.T) {
 // buffer and DEFLATE's byte image and writer come from pools. The
 // stream is appended to a reused dst, so what is counted is scratch
 // alone, and it must stay under the raw payload: one unpooled encode
-// buffer per block is 9/8 of it.
+// buffer per block is 9/8 of it. A 32³ vector, the Jacobi state,
+// stays under 1% of its payload on one worker or two.
 func TestCompressAllocatesPerBlock(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
 	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	x := testField(8*DefaultBlockElems, 5)
-	const calls = 4
-	bc := BlockedFlate{}
 	// GC paused: every collection empties the pools, and one after the
 	// warm-up would bill the re-warm to a measured call.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	dst := compress(t, x, bc) // warms the pools; dst keeps the stream's capacity
-	var err error
-	per := allocatedBytes(func() {
-		for range calls {
-			if dst, err = Compress(dst[:0], x, bc); err != nil {
-				break
+	for _, c := range []struct {
+		n, workers int
+		share      float64 // of the raw payload
+	}{{8 * DefaultBlockElems, 1, 1}, {32768, 1, 0.01}, {32768, 2, 0.01}} {
+		parallel.SetWorkers(c.workers)
+		x := testField(c.n, 5)
+		const calls = 4
+		bc := BlockedFlate{}
+		runtime.GC()
+		dst := compress(t, x, bc) // warms the pools; dst keeps the stream's capacity
+		var err error
+		per := allocatedBytes(func() {
+			for range calls {
+				if dst, err = Compress(dst[:0], x, bc); err != nil {
+					break
+				}
 			}
+		}) / calls
+		if err != nil {
+			t.Fatal(err)
 		}
-	}) / calls
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw := uint64(8 * len(x)); per >= raw {
-		t.Errorf("compress of %d blocks allocated %d bytes per call, want under the %d-byte raw payload",
-			len(x)/DefaultBlockElems, per, raw)
+		if limit := uint64(c.share * float64(8*len(x))); per >= limit {
+			t.Errorf("compress of %d elements on %d workers allocated %d bytes per call, want under %d",
+				c.n, c.workers, per, limit)
+		}
 	}
 }
 
@@ -383,6 +390,13 @@ func FuzzContainer(f *testing.F) {
 	f.Add(compress(f, nil, BlockedFlate{}), uint32(0))
 	f.Add(mangleHeader([]byte("BLK1\x04"), 1<<40, 1<<39, 2, []uint64{4, 4}, make([]byte, 8)), uint32(4))
 	f.Add(mangleHeader([]byte("BLK1\x01"), 1<<63, 1<<63, 1, []uint64{1 << 63}, nil), uint32(4))
+	bomb := flateBomb(f)
+	f.Add(mangleHeader([]byte("BLK1\x03"), 1, 1, 1, []uint64{uint64(len(bomb))}, bomb), uint32(1))
+	// Thirty one-value flate blocks of garbage: each is refused, and
+	// none may cost a fresh inflater.
+	tiny := binary.LittleEndian.AppendUint64(nil, 1)
+	tiny = append(tiny, 0xff, 0xff)
+	f.Add(mangleHeader([]byte("BLK1\x03"), 30, 1, 30, slices.Repeat([]uint64{10}, 30), bytes.Repeat(tiny, 30)), uint32(30))
 	f.Fuzz(func(t *testing.T, data []byte, n uint32) {
 		dst := make([]float64, n%(1<<14))
 		var lay BlockLayout
@@ -396,10 +410,12 @@ func FuzzContainer(f *testing.F) {
 				}
 			}
 		})
-		// DEFLATE inflates a byte to at most 1032; the length table costs 16 bytes a block and each
-		// block at least a byte; scratch is per destination element, and
-		// DEFLATE's window and a cold pool are a constant.
-		if limit := uint64(1100*len(data) + 64*len(dst) + 1<<20); allocated > limit {
+		// A block inflates to no more than its slice of the
+		// destination; the length table costs 16 bytes a block and each
+		// block at least a byte; scratch is per destination element,
+		// a cold pool is a constant, and so is the inflater (its 32 KiB
+		// window) each worker takes from its pool.
+		if limit := uint64(16*len(data) + 64*len(dst) + 1<<20 + 64<<10*parallel.Workers()); allocated > limit {
 			t.Fatalf("%d input bytes into %d elements allocated %d bytes", len(data), len(dst), allocated)
 		}
 		ranges, ok := BlockRanges(data)

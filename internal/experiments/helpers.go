@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/fti"
-	"repro/internal/lossless"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/sz"
@@ -130,7 +130,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	var rawTotal, flateTotal, szTotal int
 	for _, v := range state.Vectors {
 		rawTotal += 8 * len(v)
-		fl, err := (lossless.Flate{}).Compress(v)
+		fl, err := codec.BlockedFlate{}.EncodeBlock(nil, v) // one stream over the whole vector
 		if err != nil {
 			return nil, err
 		}
