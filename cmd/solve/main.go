@@ -163,9 +163,9 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.inject, "inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve on the wall clock; excludes -mtti, the abft kind needs -recovery-tiers")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the end-of-run metrics snapshot as JSON to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
-	fs.BoolVar(&o.quality, "quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and attribute post-recovery convergence delay")
+	fs.BoolVar(&o.quality, "quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and judge the lossy saves against the stability region")
 	fs.IntVar(&o.qualitySample, "quality-sample", 4, "audit every Nth committed checkpoint (1 = every checkpoint)")
-	fs.StringVar(&o.reportOut, "report-out", "", "write the versioned JSON run report (cost table, metrics, per-checkpoint quality, recovery attributions, stability verdict) to this file (implies -quality)")
+	fs.StringVar(&o.reportOut, "report-out", "", "write the versioned JSON run report (run info and iteration ledger, cost table, metrics, per-checkpoint quality, recoveries, stability verdict) to this file (implies -quality)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -436,8 +436,8 @@ func run(o options) (err error) {
 		mgr.Instrument(rep.reg, nil)
 	}
 	// Numerical telemetry: the auditor is a pure observer (sampled
-	// decode-on-the-fly distortion audits, recovery-delay attribution),
-	// so arming it never perturbs the solve trajectory.
+	// decode-on-the-fly distortion audits), so arming it never perturbs
+	// the solve trajectory.
 	if o.quality {
 		rep.qa = quality.New(quality.Config{
 			SampleEvery: o.qualitySample,
@@ -542,7 +542,27 @@ func run(o options) (err error) {
 		return err
 	}
 	rep.runInfo.Iterations, rep.runInfo.Converged, rep.runInfo.FinalResidual = out.IterationsExecuted, out.Converged, out.FinalResidual
+	rep.recoveries = recoveries(out, rep.qa)
 	printOutcome(o, out)
+	if out.Converged && out.Failures > 0 {
+		// The paper's ledger: N is the same system solved with nothing
+		// failing, off Drive's clock; what the run executed beyond it is
+		// replayed work and N′, the extra iterations a restart cost.
+		ref, err := solver.New(o.method, a, solver.Operator(a), b, solver.Options{RTol: o.rtol})
+		if err != nil {
+			return err
+		}
+		res, err := solver.RunToConvergence(ref, solver.Options{MaxIter: o.maxIter}, nil)
+		if err != nil {
+			return err
+		}
+		ri := &rep.runInfo
+		ri.FailureFreeIterations = res.Iterations
+		ri.ReplayedIterations = out.IterationsExecuted - out.ConvergenceIterations
+		ri.ExtraIterations = out.ConvergenceIterations - res.Iterations
+		fmt.Printf("iterations: %d = %d failure-free + %d replayed + %d extra (N')\n",
+			out.IterationsExecuted, ri.FailureFreeIterations, ri.ReplayedIterations, ri.ExtraIterations)
+	}
 	if co != nil && injected {
 		fmt.Printf("checksum operator: %d applications, %d mismatches\n", co.Applications(), co.Mismatches())
 	}
@@ -567,9 +587,6 @@ func run(o options) (err error) {
 	// modeled RecoverySeconds at cluster scale.
 	if o.mtti > 0 && mgr.HasCheckpoint() {
 		info := mgr.LastInfo()
-		// Detach the auditor first: the measurement is not a failure, so
-		// it must not add a recovery-attribution entry to the report.
-		mgr.InstrumentQuality(nil)
 		start := time.Now()
 		it, err := mgr.Recover()
 		if err != nil {

@@ -347,14 +347,16 @@ func TestRunReport(t *testing.T) {
 			name: "simulated", args: "-method jacobi -grid 8 -scheme lossy -mtti 150 -interval 40 -seed 3",
 			keys: full,
 			run: map[string]any{"solver": "jacobi", "unknowns": 512.0, "scheme": "lossy", "async": false, "shards": 1.0,
-				"error_bound": 1e-4, "interval": 40.0, "iterations": 297.0, "converged": true, "exit": "ok"},
+				"error_bound": 1e-4, "interval": 40.0, "iterations": 297.0, "converged": true, "exit": "ok",
+				"failure_free_iterations": 257.0, "replayed_iterations": 40.0}, // N′ = 0 is omitted
 		},
 		{
 			name: "injected", args: "-method cg -grid 8 -scheme traditional -rtol 1e-12 -interval 6 -shards 2 -inject proc@9,shard+proc@14",
 			keys: full,
 			run: map[string]any{"solver": "cg", "unknowns": 512.0, "scheme": "traditional", "async": false, "shards": 2.0,
 				"error_bound": 1e-4, "interval": 6.0, "iterations": 27.0, "converged": true,
-				"injected": "proc@9,shard+proc@14", "exit": "ok"},
+				"injected": "proc@9,shard+proc@14", "exit": "ok",
+				"failure_free_iterations": 16.0, "replayed_iterations": 11.0}, // N′ = 0 is omitted
 		},
 		{
 			name: "injected-adaptive", args: "-method cg -grid 8 -scheme lossy -rtol 1e-12 -adaptive -prior-mtti 1e-4 -inject proc@9",
@@ -403,7 +405,17 @@ func TestRunReport(t *testing.T) {
 			delete(run, "preconditioner")
 			if c.name == "injected-adaptive" {
 				// How many steps a wall-clock cadence takes is the machine's
-				// business; that the controller ran is ours.
+				// business; that the controller ran, and that the ledger adds
+				// up to what the run executed, is ours.
+				terms := 0.0
+				for _, k := range []string{"failure_free_iterations", "replayed_iterations", "extra_iterations"} {
+					n, _ := run[k].(float64)
+					terms += n
+					delete(run, k)
+				}
+				if run["iterations"] != terms {
+					t.Errorf("run executed %v iterations, its ledger sums to %v", run["iterations"], terms)
+				}
 				delete(run, "iterations")
 				if !strings.Contains(out, "interval trajectory (wall-time") {
 					t.Errorf("-adaptive -inject printed no interval trajectory:\n%s", out)
@@ -416,6 +428,27 @@ func TestRunReport(t *testing.T) {
 				t.Errorf("system line names no operator path, or not the preconditioner's:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestIterationLedger: a converged run with failures prints the paper's
+// ledger, E = N + R + N′. The same step-keyed plan replays the same
+// five steps under every scheme; only the lossy restart costs extra
+// iterations to converge.
+func TestIterationLedger(t *testing.T) {
+	for scheme, want := range map[string]string{
+		"lossy":       "iterations: 27 = 16 failure-free + 5 replayed + 6 extra (N')\n",
+		"traditional": "iterations: 21 = 16 failure-free + 5 replayed + 0 extra (N')\n",
+		"lossless":    "iterations: 21 = 16 failure-free + 5 replayed + 0 extra (N')\n",
+	} {
+		out, err := solve(t, "-method", "cg", "-grid", "8", "-rtol", "1e-12", "-interval", "6",
+			"-inject", "proc@9,proc@14", "-scheme", scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("-scheme %s: output lacks %q:\n%s", scheme, want, out)
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ type reporter struct {
 	mgr             *core.Manager
 	cm              *costModel
 	qa              *quality.Auditor
+	recoveries      []quality.RecoveryEntry
 	measuredRestart float64
 
 	start   time.Time
@@ -73,6 +74,7 @@ func (r *reporter) emit() {
 	ri.WallSeconds = time.Since(r.start).Seconds()
 	rep := &quality.RunReport{Run: ri, Cost: cost, GeneratedAtUnix: time.Now().Unix()}
 	r.qa.Fill(rep)
+	rep.Recoveries = r.recoveries
 	if r.reg != nil {
 		rep.Metrics = r.reg.Snapshot()
 	}
@@ -82,8 +84,8 @@ func (r *reporter) emit() {
 }
 
 // printQualitySummary digests the quality sections of the report:
-// audited saves, bound violations, per-recovery convergence-delay
-// attribution, and the stability verdict.
+// audited saves, bound violations, the recoveries with the distortion
+// of what each adopted, and the stability verdict.
 func (r *reporter) printQualitySummary(rep *quality.RunReport) {
 	if r.qa == nil {
 		return
@@ -101,17 +103,12 @@ func (r *reporter) printQualitySummary(rep *quality.RunReport) {
 	fmt.Printf("quality: %d audited vector saves, %d bound violations, worst observed/requested %.3g\n",
 		len(rep.Checkpoints), viol, worst)
 	for _, e := range rep.Recoveries {
-		delay := "unresolved (run ended before the failure-time residual was reacquired)"
-		if e.Resolved {
-			delay = fmt.Sprintf("realized N'=%d, residual reacquired in %d iterations",
-				e.RealizedNPrime, e.ReacquireIterations)
-		}
 		dist := ""
 		if e.Distortion != nil {
 			dist = fmt.Sprintf(", adopted max-err %.3g", e.Distortion.MaxError)
 		}
-		fmt.Printf("  recovery@%-6d via %-18s (ckpt iter %d%s): %s\n",
-			e.FailureIteration, e.Tier, e.CheckpointIteration, dist, delay)
+		fmt.Printf("  recovery@%-6d via %-18s (ckpt iter %d%s)\n",
+			e.FailureIteration, e.Tier, e.CheckpointIteration, dist)
 	}
 	if v := rep.Stability; v.Defined {
 		state := "INSIDE"
@@ -121,6 +118,25 @@ func (r *reporter) printQualitySummary(rep *quality.RunReport) {
 		fmt.Printf("stability (%s): %s — %d/%d audited lossy checkpoints within c·‖r‖/‖b‖, worst margin %.3g\n",
 			v.Region, state, v.CheckpointsInside, v.CheckpointsInside+v.CheckpointsOutside, v.WorstMargin)
 	}
+}
+
+// recoveries lists the run's recoveries in failure order, each tagged
+// with the audited distortion of the checkpoint it adopted (a recovery
+// chain always ends on the attempt that recovered, and only a
+// checkpoint attempt carries a sequence number).
+func recoveries(out *core.Outcome, qa *quality.Auditor) []quality.RecoveryEntry {
+	rows := make([]quality.RecoveryEntry, len(out.RecoveryReports))
+	for i, rep := range out.RecoveryReports {
+		seq := rep.Attempts[len(rep.Attempts)-1].Seq
+		rows[i] = quality.RecoveryEntry{
+			FailureIteration:    out.FailureEvents[i].SolverIteration,
+			Tier:                rep.Used.String(),
+			AdoptedSeq:          seq,
+			CheckpointIteration: rep.Iteration,
+			Distortion:          qa.DistortionFor(seq),
+		}
+	}
+	return rows
 }
 
 // printMetricsSummary renders the non-zero counters, gauges, and

@@ -168,9 +168,9 @@ type Manager struct {
 	// uninstrumented).
 	mobs managerObs
 
-	// qa is the numerical-telemetry auditor (nil when uninstrumented);
-	// it rides the checkpointer's save-audit hook and is marked on
-	// every recovery for convergence-delay attribution.
+	// qa is the numerical-telemetry auditor (nil when uninstrumented):
+	// it rides the checkpointer's save-audit hook, and Drive feeds it
+	// residuals and its clock. No recovery path calls it.
 	qa *quality.Auditor
 }
 
@@ -465,7 +465,6 @@ func (m *Manager) InFlight() bool { return m.async != nil && m.async.InFlight() 
 // (where RecoverTiered ends) then makes it whole again.
 func (m *Manager) Recover() (int, error) {
 	rep := &RecoveryReport{}
-	m.qa.ObserveFailure()
 	start, traceAt := time.Now(), m.mobs.tr.Now()
 	m.drain()
 	if err := m.restore(rep); err != nil {
@@ -505,6 +504,5 @@ func (m *Manager) adoptSnapshot(snap *fti.Snapshot) (int, error) {
 // the restart rebuilds all of the solver's dynamic state from x0.
 func (m *Manager) RecoverFresh(x0 []float64) int {
 	m.slv.Restart(x0)
-	m.qa.ObserveRecovery(0, TierRestartZero.String(), 0, m.slv.ResidualNorm())
 	return 0
 }

@@ -257,8 +257,9 @@ func (f *failureTimes) Strikes(w Window) (float64, bool) {
 
 // Event marks a failure in the trace.
 type Event struct {
-	SimSeconds float64
-	Iteration  int // iterations executed when the failure struck
+	SimSeconds      float64
+	Iteration       int // iterations executed when the failure struck
+	SolverIteration int // the solver's iteration counter when it struck
 }
 
 // Outcome reports one driven run. The seconds are virtual under
@@ -649,7 +650,7 @@ func (d *driver) recover() error {
 	for {
 		begin := d.now()
 		out.Failures++
-		out.FailureEvents = append(out.FailureEvents, Event{SimSeconds: begin, Iteration: out.IterationsExecuted})
+		out.FailureEvents = append(out.FailureEvents, Event{SimSeconds: begin, Iteration: out.IterationsExecuted, SolverIteration: d.s.Iteration()})
 		if ctrl != nil {
 			ctrl.ObserveFailure(begin)
 		}

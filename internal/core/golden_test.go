@@ -225,7 +225,10 @@ func (r goldenRow) describe() string {
 
 // TestGoldenOutcomeMatrix replays every cell and compares it with the
 // recorded row — uninstrumented, then with Metrics, Tracer and the
-// quality auditor attached, which must not move a bit either.
+// quality auditor attached, which must not move a bit either. Each run's
+// modelled clock also closes: every second of SimSeconds is a step, a
+// checkpoint or a recovery, apart from the steps a failure cut short —
+// less than one step per failure.
 func TestGoldenOutcomeMatrix(t *testing.T) {
 	want := map[string]goldenRow{}
 	for _, r := range goldenOutcomes {
@@ -261,6 +264,14 @@ func TestGoldenOutcomeMatrix(t *testing.T) {
 			}
 			if !out.Converged {
 				t.Errorf("%s: did not converge", c.name())
+			}
+			// The terms summed here round differently from the clock that
+			// added them up, hence the tolerance around zero.
+			tit := cfg.Costs.TitSeconds
+			rest := out.SimSeconds - (float64(out.IterationsExecuted)*tit + out.CheckpointTime + out.RecoveryTime)
+			if round := 1e-12 * out.SimSeconds; rest < -round || rest > round && rest >= float64(out.Failures)*tit {
+				t.Errorf("%s (instrumented=%v): %g s of the clock are neither steps, checkpoints nor recoveries, want 0 or under %d failures × %g s",
+					c.name(), instrumented, rest, out.Failures, tit)
 			}
 			got := rowOf(c.name(), out)
 			if w, ok := want[c.name()]; !ok {

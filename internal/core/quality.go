@@ -4,8 +4,9 @@ import "repro/internal/quality"
 
 // InstrumentQuality attaches the numerical-telemetry auditor: every
 // committed save's vectors pass through its (sampled) distortion
-// audit, and recoveries are marked for convergence-delay attribution.
-// Passing nil detaches. Only safe while no checkpoint is in flight.
+// audit. Recoveries are not its business: a run's recoveries and its
+// extra iterations are in Drive's Outcome. Passing nil detaches. Only
+// safe while no checkpoint is in flight.
 //
 // Like Instrument, this is strictly an observer: the auditor never
 // mutates solver or checkpoint state, so a quality-instrumented run

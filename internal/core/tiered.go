@@ -102,7 +102,6 @@ func (r *RecoveryReport) ReadBytes() int {
 // them and tells its controller.
 func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
-	m.qa.ObserveFailure()
 	chainStart, traceAt := time.Now(), m.mobs.tr.Now()
 	defer func() {
 		m.mobs.finish(rep, traceAt, time.Since(chainStart).Seconds())
@@ -122,7 +121,6 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 			rep.Attempts = append(rep.Attempts, att)
 			rep.Used = TierABFT
 			rep.Iteration = recon.Iteration
-			m.qa.ObserveRecovery(0, TierABFT.String(), recon.Iteration, m.slv.ResidualNorm())
 			return rep, nil
 		}
 		att.Err = err.Error()
@@ -170,8 +168,7 @@ func (m *Manager) drain() {
 // rep as a tier attempt — an attempt on the latest committed sequence
 // is TierCheckpoint, anything older the walk fell back to is
 // TierPreviousCheckpoint — and on success rep names the rung that
-// recovered. The auditor hears of a recovery only once the solver has
-// adopted it.
+// recovered.
 func (m *Manager) restore(rep *RecoveryReport) error {
 	start := time.Now()
 	snap, attempts, err := m.ckpt.Restore(m.slv.DynamicView().Vectors)
@@ -224,6 +221,5 @@ func (m *Manager) restore(rep *RecoveryReport) error {
 	}
 	rep.Used = last.Tier
 	rep.Iteration = it
-	m.qa.ObserveRecovery(last.Seq, last.Tier.String(), it, m.slv.ResidualNorm())
 	return nil
 }

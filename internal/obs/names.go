@@ -89,23 +89,16 @@ const (
 	MSimElapsedSeconds        = "sim_elapsed_seconds"
 
 	// quality — the numerical-telemetry layer: per-checkpoint lossy
-	// distortion audits and post-recovery convergence-delay
-	// attribution. Audits are per committed save (sampled); violations
-	// count audited vectors whose observed error exceeded the encoder's
-	// requested bound. The error gauge is the last audited
+	// distortion audits. Audits are per committed save (sampled);
+	// violations count audited vectors whose observed error exceeded
+	// the encoder's requested bound. The error gauge is the last audited
 	// observed/requested ratio (≤ 1 means the bound held), the
-	// compression-ratio gauge the last audited achieved ratio. The
-	// iteration metrics are Theorem 2's realized quantities: extra
-	// iterations a restart cost beyond replaying the pre-failure
-	// trajectory (N′), and iterations until the post-restart residual
-	// re-reached the residual at failure.
-	MQualityAuditsTotal         = "quality_audits_total"
-	MQualityViolationsTotal     = "quality_bound_violations_total"
-	MQualityErrorRatio          = "quality_observed_error_ratio"
-	MQualityCompressionRatio    = "quality_compression_ratio"
-	MQualityAuditSeconds        = "quality_audit_seconds"
-	MQualityExtraIterTotal      = "quality_extra_iterations_total"
-	MQualityReacquireIterations = "quality_reacquire_iterations"
+	// compression-ratio gauge the last audited achieved ratio.
+	MQualityAuditsTotal      = "quality_audits_total"
+	MQualityViolationsTotal  = "quality_bound_violations_total"
+	MQualityErrorRatio       = "quality_observed_error_ratio"
+	MQualityCompressionRatio = "quality_compression_ratio"
+	MQualityAuditSeconds     = "quality_audit_seconds"
 )
 
 // AllMetricNames is the catalog CI and the README table are generated
@@ -135,7 +128,6 @@ var AllMetricNames = []string{
 	MSimRecoveriesTotal, MSimElapsedSeconds,
 	MQualityAuditsTotal, MQualityViolationsTotal, MQualityErrorRatio,
 	MQualityCompressionRatio, MQualityAuditSeconds,
-	MQualityExtraIterTotal, MQualityReacquireIterations,
 }
 
 var nameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*_(seconds|bytes|ratio|total|iterations)$`)
@@ -178,5 +170,4 @@ const (
 
 	SpanQualityAudit     = "quality-audit"   // one audited vector save (distortion stats)
 	SpanQualityViolation = "bound-violation" // instant: audited error exceeded the bound
-	SpanQualityReacquire = "reacquire"       // post-recovery residual catch-up window
 )

@@ -1,10 +1,10 @@
 // Package quality is the numerical-telemetry layer of the lossy
 // checkpointing pipeline: it audits the distortion each committed
 // checkpoint actually introduced (observed vs. requested error bound,
-// PSNR, achieved compression ratio) and attributes the convergence
-// delay each recovery actually cost (the paper's N′, realized rather
-// than modeled, plus iterations until the post-restart residual
-// re-reached the residual at failure).
+// PSNR, achieved compression ratio) and judges the run's lossy saves
+// against the inline-compression stability region. The paper's N′ is
+// not the auditor's: a run's extra iterations are its own iteration
+// count's, read off core.Outcome against a failure-free solve.
 //
 // The central type is Auditor. It is strictly observational: it never
 // touches solver state, so instrumented runs produce bitwise-identical
@@ -88,7 +88,7 @@ type Record struct {
 }
 
 // Distortion aggregates a checkpoint's audited vectors — the shape a
-// RecoveryReport tags adopted state with.
+// RecoveryEntry tags an adopted checkpoint with.
 type Distortion struct {
 	Seq            int     `json:"seq"`
 	Iteration      int     `json:"iteration"`
@@ -108,8 +108,7 @@ type Distortion struct {
 // observations for residual-at-save lookup.
 const residRing = 1024
 
-// Auditor implements fti.SaveAudit plus the post-recovery
-// convergence-delay attribution. All methods are nil-safe and
+// Auditor implements fti.SaveAudit. All methods are nil-safe and
 // mutex-guarded.
 type Auditor struct {
 	mu  sync.Mutex
@@ -128,16 +127,6 @@ type Auditor struct {
 	iters  [residRing]int
 	resids [residRing]float64
 	rn     int // total observations (ring head = rn % residRing)
-
-	lastIter  int
-	lastResid float64
-	haveResid bool
-
-	entries    []RecoveryEntry
-	pendingIdx int // index into entries of the unresolved entry, -1 if none
-	failIter   int
-	failResid  float64
-	haveFail   bool
 }
 
 // The Auditor plugs straight into the checkpointer's audit hook.
@@ -149,11 +138,7 @@ func New(cfg Config) *Auditor {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = DefaultSampleEvery
 	}
-	return &Auditor{
-		cfg:        cfg,
-		bySeq:      make(map[int]*Distortion),
-		pendingIdx: -1,
-	}
+	return &Auditor{cfg: cfg, bySeq: make(map[int]*Distortion)}
 }
 
 // Instrument attaches a metrics registry and tracer; nil+nil
@@ -401,6 +386,21 @@ func (a *Auditor) appendRecordLocked(rec Record) {
 	if rec.Violated {
 		d.Violated = true
 	}
+}
+
+// ObserveResidual feeds one solver residual observation (iteration,
+// residual norm) into the window ResidualAtSave is read from. Call once
+// per iteration, after the solver step; it is read-only with respect to
+// solver state. Nil-safe.
+func (a *Auditor) ObserveResidual(iter int, rnorm float64) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.iters[a.rn%residRing] = iter
+	a.resids[a.rn%residRing] = rnorm
+	a.rn++
+	a.mu.Unlock()
 }
 
 // residualAtLocked returns the observed residual at the latest

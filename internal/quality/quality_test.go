@@ -227,91 +227,6 @@ func TestNonFiniteExactValuesAuditFinite(t *testing.T) {
 	}
 }
 
-func TestRecoveryAttributionLosslessReplayIsZero(t *testing.T) {
-	a := New(Config{})
-	for it := 1; it <= 10; it++ {
-		a.ObserveResidual(it, 1/float64(it))
-	}
-	a.ObserveFailure() // failure at iteration 10, residual 0.1
-	a.ObserveRecovery(2, "checkpoint", 5, 1.0/5)
-	// Replay iterations 6..10 exactly: the residual re-reaches the
-	// failure value after precisely the rolled-back segment.
-	for it := 6; it <= 10; it++ {
-		a.ObserveResidual(it, 1/float64(it))
-	}
-	es := a.RecoveryEntries()
-	if len(es) != 1 {
-		t.Fatalf("got %d entries, want 1", len(es))
-	}
-	e := es[0]
-	if !e.Resolved || e.ReacquireIterations != 5 || e.RealizedNPrime != 0 {
-		t.Fatalf("lossless replay must attribute N'=0 over 5 iterations: %+v", e)
-	}
-	if e.FailureIteration != 10 || e.FailureResidual != 0.1 || e.AdoptedSeq != 2 {
-		t.Fatalf("failure context wrong: %+v", e)
-	}
-}
-
-func TestRecoveryAttributionLossyDelay(t *testing.T) {
-	reg := obs.New()
-	a := New(Config{})
-	a.Instrument(reg, nil)
-	for it := 1; it <= 10; it++ {
-		a.ObserveResidual(it, 1/float64(it))
-	}
-	a.ObserveFailure()
-	a.ObserveRecovery(1, "checkpoint", 5, 0.9)
-	// The distorted restart needs 7 iterations to re-reach the
-	// iteration-10 residual: 2 beyond the 5-iteration replay.
-	resids := []float64{0.8, 0.5, 0.3, 0.2, 0.15, 0.12, 0.1}
-	for i, r := range resids {
-		a.ObserveResidual(6+i, r)
-	}
-	e := a.RecoveryEntries()[0]
-	if !e.Resolved || e.ReacquireIterations != 7 || e.RealizedNPrime != 2 {
-		t.Fatalf("want N'=2 over 7 iterations, got %+v", e)
-	}
-	if got := metricValue(t, reg, obs.MQualityExtraIterTotal); got != 2 {
-		t.Fatalf("%s = %g, want 2", obs.MQualityExtraIterTotal, got)
-	}
-	if got := metricValue(t, reg, obs.MQualityReacquireIterations); got != 7 {
-		t.Fatalf("%s = %g, want 7", obs.MQualityReacquireIterations, got)
-	}
-}
-
-func TestRecoveryAttributionImmediateResolve(t *testing.T) {
-	a := New(Config{})
-	a.ObserveResidual(50, 0.25)
-	a.ObserveFailure()
-	// ABFT reconstructs the failure-point state exactly: the residual
-	// after adoption already matches, nothing to reacquire.
-	a.ObserveRecovery(0, "abft", 50, 0.25)
-	e := a.RecoveryEntries()[0]
-	if !e.Resolved || e.RealizedNPrime != 0 || e.ReacquireIterations != 0 {
-		t.Fatalf("exact reconstruction must resolve immediately with N'=0: %+v", e)
-	}
-	if e.Distortion != nil {
-		t.Fatal("no checkpoint adopted, distortion must be nil")
-	}
-}
-
-func TestRecoveryDemoteRetrySupersedes(t *testing.T) {
-	a := New(Config{})
-	a.ObserveResidual(20, 0.5)
-	a.ObserveFailure()
-	// First adoption is rejected before any step runs; the chain
-	// demotes to an older checkpoint. One attribution entry results.
-	a.ObserveRecovery(4, "checkpoint", 18, 2.0)
-	a.ObserveRecovery(3, "previous-checkpoint", 12, 3.0)
-	es := a.RecoveryEntries()
-	if len(es) != 1 {
-		t.Fatalf("demote-retry must supersede in place, got %d entries", len(es))
-	}
-	if es[0].Tier != "previous-checkpoint" || es[0].AdoptedSeq != 3 {
-		t.Fatalf("surviving entry is not the retried tier: %+v", es[0])
-	}
-}
-
 func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 	const bound = 1e-4
 	x := rampState(1024)
@@ -394,19 +309,14 @@ func TestReportFillAndWriteJSON(t *testing.T) {
 	a := New(Config{SampleEvery: 1, BNorm: 1})
 	a.ObserveResidual(10, 0.5)
 	a.ObserveVector(1, 10, "x", x, blob, enc)
-	a.ObserveFailure()
-	a.ObserveRecovery(1, "checkpoint", 10, 0.5)
 
 	rep := &RunReport{Run: RunInfo{Solver: "cg", Scheme: "lossy", Exit: "ok"}}
 	a.Fill(rep)
 	if rep.Schema != ReportSchema {
 		t.Fatalf("schema %q, want %q", rep.Schema, ReportSchema)
 	}
-	if len(rep.Checkpoints) != 1 || len(rep.Recoveries) != 1 || !rep.Stability.Defined {
+	if len(rep.Checkpoints) != 1 || !rep.Stability.Defined {
 		t.Fatalf("report sections incomplete: %+v", rep)
-	}
-	if rep.Recoveries[0].Distortion == nil {
-		t.Fatal("adopted-checkpoint recovery must carry its distortion")
 	}
 
 	var buf bytes.Buffer
@@ -420,7 +330,7 @@ func TestReportFillAndWriteJSON(t *testing.T) {
 	if back["schema"] != ReportSchema {
 		t.Fatalf("round-trip schema %v", back["schema"])
 	}
-	for _, key := range []string{"run", "checkpoints", "recoveries", "stability"} {
+	for _, key := range []string{"run", "checkpoints", "stability"} {
 		if _, ok := back[key]; !ok {
 			t.Fatalf("report JSON missing %q", key)
 		}
@@ -436,9 +346,7 @@ func TestNilAuditorIsSafe(t *testing.T) {
 	}
 	a.ObserveVector(1, 1, "x", []float64{1}, []byte{0}, fti.Raw{})
 	a.ObserveResidual(1, 1)
-	a.ObserveFailure()
-	a.ObserveRecovery(1, "checkpoint", 1, 1)
-	if a.Records() != nil || a.RecoveryEntries() != nil || a.DistortionFor(1) != nil {
+	if a.Records() != nil || a.DistortionFor(1) != nil {
 		t.Fatal("nil auditor must report empty state")
 	}
 	if a.Dropped() != 0 || a.Violations() != 0 {

@@ -9,7 +9,7 @@ import (
 
 // ReportSchema versions the run-report JSON layout. Consumers must
 // check it before interpreting the rest of the document.
-const ReportSchema = "lossyckpt.run-report/v2"
+const ReportSchema = "lossyckpt.run-report/v3"
 
 // StabilityRegion names the stability criterion the verdict is
 // judged against: Fox, Diffenderfer et al.'s analysis of inline ZFP
@@ -42,6 +42,30 @@ type RunInfo struct {
 	// error/injection path the run ended on — the report is emitted
 	// on every exit path, not only success.
 	Exit string `json:"exit,omitempty"`
+	// The paper's ledger of a converged run that saw failures:
+	// Iterations = FailureFreeIterations (N, the same system solved with
+	// nothing failing) + ReplayedIterations (steps re-executed after
+	// rollbacks) + ExtraIterations (N′, Eq. 8's extra iterations to
+	// converge; negative when a restart sped convergence up). A zero
+	// term is omitted, as are all three on any other run.
+	FailureFreeIterations int `json:"failure_free_iterations,omitempty"`
+	ReplayedIterations    int `json:"replayed_iterations,omitempty"`
+	ExtraIterations       int `json:"extra_iterations,omitempty"`
+}
+
+// RecoveryEntry is one recovery of the run, in failure order: the
+// solver's iteration counter when the failure struck, the tier that
+// recovered it, the checkpoint it adopted (AdoptedSeq 0 for the ABFT
+// and restart-zero tiers) and the iteration it rolled back to.
+type RecoveryEntry struct {
+	FailureIteration    int    `json:"failure_iteration"`
+	Tier                string `json:"tier"`
+	AdoptedSeq          int    `json:"adopted_seq,omitempty"`
+	CheckpointIteration int    `json:"checkpoint_iteration"`
+	// Distortion is the audited distortion of the adopted checkpoint,
+	// when that save was sampled (nil for ABFT/zero-restart tiers and
+	// unsampled checkpoints).
+	Distortion *Distortion `json:"distortion,omitempty"`
 }
 
 // CostLine is one phase of the run's cost table (the text table
@@ -72,8 +96,8 @@ type StabilityVerdict struct {
 }
 
 // RunReport is the structured, versioned artifact unifying the cost
-// table, metrics snapshot, per-checkpoint quality records, recovery
-// attributions, and the stability verdict. cmd/solve writes it with
+// table, metrics snapshot, per-checkpoint quality records, the run's
+// recoveries, and the stability verdict. cmd/solve writes it with
 // -report-out.
 type RunReport struct {
 	Schema             string           `json:"schema"`
@@ -133,9 +157,9 @@ func (a *Auditor) Verdict() StabilityVerdict {
 	return v
 }
 
-// Fill populates the quality-owned sections of a report: records,
-// recovery attributions, and the stability verdict. Nil-safe — a nil
-// auditor fills an (empty) verdict only.
+// Fill populates the quality-owned sections of a report: records and
+// the stability verdict. Nil-safe — a nil auditor fills an (empty)
+// verdict only.
 func (a *Auditor) Fill(rep *RunReport) {
 	if rep == nil {
 		return
@@ -147,7 +171,6 @@ func (a *Auditor) Fill(rep *RunReport) {
 	}
 	rep.Checkpoints = a.Records()
 	rep.CheckpointsDropped = a.Dropped()
-	rep.Recoveries = a.RecoveryEntries()
 }
 
 // WriteJSON writes the report as indented JSON.

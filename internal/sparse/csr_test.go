@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -339,6 +340,25 @@ func TestDeserializeRejectsUnsortedRows(t *testing.T) {
 			t.Errorf("%s: error does not name row 1: %v", c.name, err)
 		}
 	}
+}
+
+// FuzzDeserialize: Deserialize is how RecoverStatics reads a
+// checkpointed operator back. It never panics, and any bytes it accepts
+// are a matrix that serialises back to exactly those bytes and
+// multiplies without a fault.
+func FuzzDeserialize(f *testing.F) {
+	f.Add(Poisson2D(3).Serialize())
+	f.Add(Poisson3D(2).Serialize())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Deserialize(data)
+		if err != nil {
+			return
+		}
+		if back := m.Serialize(); !bytes.Equal(back, data) {
+			t.Fatalf("accepted %d bytes as a %dx%d matrix that serialises to %d other bytes", len(data), m.Rows, m.Cols, len(back))
+		}
+		m.MulVec(make([]float64, m.Rows), make([]float64, m.Cols))
+	})
 }
 
 func TestRHSForSolution(t *testing.T) {
