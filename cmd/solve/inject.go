@@ -125,13 +125,13 @@ func (p *planSource) Strikes(w core.Window) (float64, bool) {
 }
 
 // printTable renders the per-failure tier table: every injected event
-// with the chain that recovered from it, each attempt's measured wall
-// time beside its modeled cost at cluster scale.
-func (p *planSource) printTable(out *core.Outcome, cm *costModel, last fti.Info) {
+// with the chain that recovered from it and each attempt's measured
+// wall time.
+func (p *planSource) printTable(out *core.Outcome) {
 	if len(out.RecoveryReports) == 0 {
 		return
 	}
-	fmt.Printf("per-failure recovery tiers (modeled costs at %d ranks):\n", ranks)
+	fmt.Println("per-failure recovery tiers:")
 	for i, rep := range out.RecoveryReports {
 		ev := p.events[i]
 		names := make([]string, len(ev.kinds))
@@ -144,16 +144,16 @@ func (p *planSource) printTable(out *core.Outcome, cm *costModel, last fti.Info)
 			if !att.Accepted {
 				status = "rejected: " + att.Err
 			}
-			var cost string
+			var what string
 			switch att.Tier {
 			case core.TierABFT:
-				cost = fmt.Sprintf("%d local its, modeled %.3gs, 0 B read", att.Iterations, cm.abft(att))
+				what = fmt.Sprintf("%d local its, 0 B read", att.Iterations)
 			case core.TierRestartZero:
-				cost = fmt.Sprintf("all progress lost, modeled %.3gs", cm.recovery(fti.Info{}))
+				what = "all progress lost"
 			default:
-				cost = fmt.Sprintf("seq %d, %d B read, modeled %.3gs", att.Seq, att.ReadBytes, cm.recovery(last))
+				what = fmt.Sprintf("seq %d, %d B read", att.Seq, att.ReadBytes)
 			}
-			fmt.Printf("    %-20s %-10s %.3g ms wall — %s\n", att.Tier, status, 1e3*att.Seconds, cost)
+			fmt.Printf("    %-20s %-10s %.3g ms wall — %s\n", att.Tier, status, 1e3*att.Seconds, what)
 		}
 	}
 }

@@ -5,33 +5,30 @@
 //
 // Usage:
 //
-//	solve -method cg -grid 16 -scheme lossy -eb 1e-4 -mtti 300
+//	solve -method cg -grid 16 -scheme lossy -eb 1e-4 -rtol 1e-12 -interval 5 -inject proc@12
 //	solve -method jacobi -grid 12 -scheme traditional -ckptdir /tmp/ck
-//	solve -method cg -grid 16 -scheme lossy -mtti 300 -async
-//	solve -method cg -grid 16 -scheme lossy -mtti 300 -async -shards 8 -storage-workers 4
-//	solve -method jacobi -grid 12 -scheme lossy -mtti 300 -adaptive -prior-mtti 3600
+//	solve -method cg -grid 48 -scheme lossy -interval 10 -async -inject proc@40
+//	solve -method cg -grid 48 -scheme lossy -async -shards 8 -storage-workers 4
+//	solve -method jacobi -grid 16 -scheme lossy -rtol 1e-4 -adaptive -prior-mtti 0.05 -inject proc@300
 //	solve -method gmres -scheme lossy -async -inject 'proc@40,midckpt@80'
 //
 // Every run with a checkpoint scheme is one call of core.Drive, the
-// checkpoint-lifecycle loop, and the flags pick its three inputs. By
-// default the clock is virtual, the costs are the Bebop cluster model's
-// — each save moves the paper's per-rank state of the method (Table 3)
-// from 2,048 ranks, at the compression ratio that save measured — and
-// -mtti draws exponential failure times;
-// -inject switches to the wall clock, measured costs, and a seeded
-// step-keyed fault plan. The outcome — checkpoint, backpressure and
-// recovery time, per-tier recovery counts, read traffic, the interval
-// trajectory — is accounted and printed the same way either way.
+// checkpoint-lifecycle loop, on the wall clock with measured costs:
+// each save and each recovery costs what it timed for itself. Failures
+// come from -inject or not at all. The outcome — checkpoint,
+// backpressure and recovery time, per-tier recovery counts, read
+// traffic, the interval trajectory — is printed in milliseconds of the
+// wall clock. The paper's modelled clock runs in cmd/repro.
 //
-// -adaptive replaces the fixed (or Young-probed) checkpoint interval
-// with the online controller: per-checkpoint costs and the failure
-// rate are estimated from the run itself (the controller is never told
-// C or λ — only -prior-mtti seeds its failure-rate prior), and the
-// interval is re-planned from the Daly fixed point after every
-// observation, in seconds of whichever clock the run is on. The
-// interval trajectory is printed at the end of the run alongside a
-// per-phase cost table (capture/encode/write/restart, modeled at
-// cluster scale vs measured in-process).
+// -adaptive replaces the fixed checkpoint interval with the online
+// controller: per-checkpoint costs and the failure rate are estimated
+// from the run itself (the controller is never told C or λ — only
+// -prior-mtti, which -adaptive needs, seeds its failure-rate prior), and
+// the interval is re-planned from the Daly fixed point after every
+// observation, in wall seconds. The interval trajectory is printed at
+// the end of the run alongside a per-phase cost table (capture, encode,
+// write, restart: measured in-process, with encode, write and restart
+// also modeled at cluster scale).
 //
 // -recovery-tiers arms rung 0 of the recovery chain: an ABFT guard
 // retains per-iteration redundancy (exact-state for CG, periodic
@@ -39,44 +36,38 @@
 // tries checkpoint-free algorithmic reconstruction first. With or
 // without it every failure walks the rest of the chain: the latest
 // checkpoint, an older checkpoint, and finally restart-from-zero.
-// Simulated runs price ABFT recoveries in local-solve iterations (no
-// PFS reads); all runs report per-tier counts and read traffic.
 //
-// -inject runs the solve for real under a seeded deterministic fault
-// plan and prints a per-failure table of the tier each recovery used,
-// e.g. -inject 'proc@50,abft+proc@120,manifest+proc@200'. The spec
-// grammar and the nine kinds are package failure's (README,
-// "Fault-injection spec"). An event strikes when the solver's iteration
-// counter reaches N, before any checkpoint due at that iteration is
-// taken. Corruption kinds without proc/midckpt are latent and surface at
-// the next recovery. midckpt and crash land inside a checkpoint window:
-// a save opens at N — whether or not one was due there anyway — never
-// commits, and the process is lost; crash also kills the store
-// mid-commit, which is revived and fsck-swept before recovery runs.
-// -inject excludes -mtti, and the abft kind needs -recovery-tiers.
+// -inject runs the solve under a seeded deterministic fault plan and
+// prints a per-failure table of the tier each recovery used, e.g.
+// -inject 'proc@50,abft+proc@120,manifest+proc@200'. The spec grammar
+// and the nine kinds are package failure's (README, "Fault-injection
+// spec"). An event strikes when the solver's iteration counter reaches
+// N, before any checkpoint due at that iteration is taken. Corruption
+// kinds without proc/midckpt are latent and surface at the next
+// recovery. midckpt and crash land inside a checkpoint window: a save
+// opens at N — whether or not one was due there anyway — never commits,
+// and the process is lost; crash also kills the store mid-commit, which
+// is revived and fsck-swept before recovery runs. The abft kind needs
+// -recovery-tiers.
 //
-// -interval N saves every N solver iterations on either clock. Left at
-// 0 it is Young's interval, planned in simulated seconds from a probe
-// save of X0 and rounded up to whole iterations of -tit; 100 iterations
-// under -mtti 0; 25 under -inject.
+// -interval N saves every N solver iterations; left at 0 it is 25.
 //
 // Observability: -metrics-out writes the end-of-run metrics snapshot
 // as JSON, -trace-out writes a Chrome trace_event file (load it at
 // chrome://tracing or https://ui.perfetto.dev), and -report-out writes
 // the run report. The run report, the cost table and a metrics summary
-// are emitted on every exit path — success, error, -scheme none and
-// injected runs alike. With -inject -async the trace shows the
-// background encode/write spans overlapping solver iterations on real
-// clocks; simulated runs emit the same span schema in virtual time.
+// are emitted on every exit path — success, error and -scheme none
+// alike. With -async the trace shows the background encode/write spans
+// overlapping solver iterations.
 //
 // Storage resilience (-storage-retries, -storage-timeout,
 // -scrub-interval, -storage-fault-rate; on-disk checkpoint directories
 // are fsck-swept at startup) and the shard layout (-shards,
 // -storage-workers) are described flag by flag in the README, "Storage
 // fault model" and "cmd/solve flags". The layout changes what is
-// written and measured, not the modelled price: every modelled
-// checkpoint and restart is the paper's collective write through the
-// aggregate PFS bandwidth.
+// written and measured, not the modeled column of the cost table: every
+// modeled checkpoint and restart is the paper's collective write
+// through the aggregate PFS bandwidth.
 package main
 
 import (
@@ -94,7 +85,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/fti"
-	"repro/internal/model"
 	"repro/internal/precond"
 	"repro/internal/quality"
 	"repro/internal/solver"
@@ -124,8 +114,7 @@ type options struct {
 	grid, maxIter, shards, storageWorkers int
 	storageRetries, qualitySample         int
 	seed                                  int64
-	rtol, eb, interval, mtti, tit, prior  float64
-	faultRate                             float64
+	rtol, eb, interval, prior, faultRate  float64
 	storageTimeout, scrubEvery            time.Duration
 	async, adaptive, tiers                bool
 	quality                               bool
@@ -144,23 +133,21 @@ func parseOptions(args []string) (options, error) {
 	fs.Float64Var(&o.rtol, "rtol", 1e-7, "relative convergence tolerance")
 	fs.StringVar(&o.scheme, "scheme", "lossy", "checkpoint scheme: traditional | lossless | lossy | none")
 	fs.Float64Var(&o.eb, "eb", 1e-4, "lossy pointwise-relative error bound")
-	fs.Float64Var(&o.interval, "interval", 0, "checkpoint interval in solver iterations (0 = Young-optimal under -mtti, converted from seconds at -tit; 100 without failures; 25 under -inject)")
-	fs.Float64Var(&o.mtti, "mtti", 0, "mean time to interruption in simulated seconds (0 = no failures)")
-	fs.Float64Var(&o.tit, "tit", 1, "simulated seconds per iteration")
+	fs.Float64Var(&o.interval, "interval", 0, "checkpoint interval in solver iterations (0 = 25)")
 	fs.Int64Var(&o.seed, "seed", 1, "failure-injection seed")
 	fs.StringVar(&o.ckptDir, "ckptdir", "", "write checkpoints to this directory (default: in-memory)")
 	fs.IntVar(&o.maxIter, "maxiter", 2_000_000, "iteration cap")
-	fs.BoolVar(&o.async, "async", false, "asynchronous checkpointing: charge only the capture stall; encode+write overlap iterations")
-	fs.IntVar(&o.shards, "shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; the modelled price is the same collective write for every layout)")
+	fs.BoolVar(&o.async, "async", false, "asynchronous checkpointing: the solver waits for the capture only; encode+write overlap iterations")
+	fs.IntVar(&o.shards, "shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; the modeled column prices every layout as the same collective write)")
 	fs.IntVar(&o.storageWorkers, "storage-workers", 0, "worker pool bound for shard writes/reads (0 = GOMAXPROCS)")
 	fs.IntVar(&o.storageRetries, "storage-retries", 4, "max retries per storage op for transient faults (0 disables the resilient wrapper)")
 	fs.DurationVar(&o.storageTimeout, "storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
 	fs.DurationVar(&o.scrubEvery, "scrub-interval", 0, "background scrubber sweep cadence (0 = scrubbing off)")
 	fs.Float64Var(&o.faultRate, "storage-fault-rate", 0, "seeded per-attempt transient storage-fault probability, injected beneath the retry layer (0 = none)")
 	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan Daly's interval (the overlapped fixed point under -async) whenever an estimate moves")
-	fs.Float64Var(&o.prior, "prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge; needs -adaptive)")
+	fs.Float64Var(&o.prior, "prior-mtti", 0, "adaptive controller's prior mean time to interruption in wall seconds (its only a-priori knowledge; -adaptive needs it)")
 	fs.BoolVar(&o.tiers, "recovery-tiers", false, "arm the ABFT guard: every failure tries algorithmic reconstruction before the latest checkpoint, older checkpoints and restart-from-zero")
-	fs.StringVar(&o.inject, "inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve on the wall clock; excludes -mtti, the abft kind needs -recovery-tiers")
+	fs.StringVar(&o.inject, "inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the solve; the abft kind needs -recovery-tiers")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the end-of-run metrics snapshot as JSON to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
 	fs.BoolVar(&o.quality, "quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and judge the lossy saves against the stability region")
@@ -195,9 +182,7 @@ func (o *options) validate() error {
 		{"-grid", o.grid, o.grid >= 1, "at least 1"},
 		{"-eb", o.eb, o.eb > 0 && !math.IsInf(o.eb, 0), "a positive finite bound"},
 		{"-interval", o.interval, o.interval >= 0 && o.interval < 1<<31 && o.interval == math.Trunc(o.interval), "0 (the default cadence) or a whole number of iterations"},
-		{"-mtti", o.mtti, o.mtti >= 0, "0 (no failures) or positive"},
-		{"-tit", o.tit, o.tit > 0 && !math.IsInf(o.tit, 0), "a positive finite number of seconds"},
-		{"-prior-mtti", o.prior, o.prior > 0, "a positive number of seconds"},
+		{"-prior-mtti", o.prior, o.prior > 0 || !o.typed["prior-mtti"], "a positive number of seconds"},
 		{"-maxiter", o.maxIter, o.maxIter >= 0, "0 (the default cap) or positive"},
 		{"-shards", o.shards, o.shards >= 0, "0 or 1 (one monolithic object) or a shard count"},
 		{"-storage-workers", o.storageWorkers, o.storageWorkers >= 0, "0 (GOMAXPROCS) or positive"},
@@ -229,20 +214,20 @@ func (o *options) validate() error {
 	if o.adaptive && o.interval > 0 {
 		return fmt.Errorf("-adaptive and -interval are mutually exclusive (the controller owns the cadence)")
 	}
-	if o.inject != "" && o.mtti > 0 {
-		return fmt.Errorf("-inject and -mtti are mutually exclusive (seeded plan vs random virtual-time failures)")
-	}
 	if o.scheme == "none" {
 		// Nothing is checkpointed, so nothing can fail, recover or be
 		// planned: -scheme none is the failure-free baseline solve.
 		for _, f := range []struct {
 			name string
 			set  bool
-		}{{"-recovery-tiers", o.tiers}, {"-mtti", o.mtti > 0}, {"-inject", o.inject != ""}, {"-adaptive", o.adaptive}} {
+		}{{"-recovery-tiers", o.tiers}, {"-inject", o.inject != ""}, {"-adaptive", o.adaptive}} {
 			if f.set {
 				return fmt.Errorf("%s needs a checkpoint scheme (-scheme none is the failure-free baseline: nothing is saved, so nothing can fail, recover or be planned)", f.name)
 			}
 		}
+	}
+	if o.adaptive && !o.typed["prior-mtti"] {
+		return fmt.Errorf("-adaptive needs -prior-mtti: the controller's prior mean time to interruption, in wall seconds, is its only seed")
 	}
 	if o.tiers && o.method == "gmres" {
 		return fmt.Errorf("-recovery-tiers is not supported for method %q (need cg or a stationary method)", o.method)
@@ -315,12 +300,13 @@ func run(o options) (err error) {
 	}
 	fmt.Println(system)
 	if o.scheme == "none" {
+		start := time.Now()
 		res, err := solver.RunToConvergence(s, solver.Options{MaxIter: o.maxIter}, nil)
 		if err != nil {
 			return err
 		}
 		rep.runInfo.Iterations, rep.runInfo.Converged, rep.runInfo.FinalResidual = res.Iterations, res.Converged, res.FinalResidual
-		fmt.Printf("converged=%v iterations=%d residual=%.3e\n", res.Converged, res.Iterations, res.FinalResidual)
+		fmt.Printf("converged=%v iterations=%d wall-time=%.3gms residual=%.3e\n", res.Converged, res.Iterations, 1e3*time.Since(start).Seconds(), res.FinalResidual)
 		return nil
 	}
 	var guard *abft.Guard
@@ -379,10 +365,10 @@ func run(o options) (err error) {
 		DegradedWrites: injector != nil,
 		Async:          o.async,
 	}
-	// -interval counts iterations on either clock; the controller, when
-	// armed, owns the cadence instead.
+	// -interval counts iterations; the controller, when armed, owns the
+	// cadence instead.
 	interval := int(o.interval)
-	if injected && !o.adaptive {
+	if !o.adaptive {
 		if interval == 0 {
 			interval = 25
 		}
@@ -426,15 +412,8 @@ func run(o options) (err error) {
 			fmt.Printf("degraded saves: %d checkpoint(s) failed and were skipped (last: %v)\n", n, mgr.LastSaveError())
 		}
 	}()
-	if injected {
-		// Measured run: the Manager and pipeline draw their own spans on
-		// the wall clock.
-		mgr.Instrument(rep.reg, rep.tr)
-	} else {
-		// Modelled run: the driver owns the trace (same span schema,
-		// virtual clock); the Manager still exports metrics.
-		mgr.Instrument(rep.reg, nil)
-	}
+	// The Manager and pipeline draw their own spans on the wall clock.
+	mgr.Instrument(rep.reg, rep.tr)
 	// Numerical telemetry: the auditor is a pure observer (sampled
 	// decode-on-the-fly distortion audits), so arming it never perturbs
 	// the solve trajectory.
@@ -456,19 +435,20 @@ func run(o options) (err error) {
 	if !ok {
 		base = cluster.PaperBaselines()["jacobi"]
 	}
-	cm := &costModel{mdl: cluster.Bebop(), base: base, scheme: scheme, o: o}
-	rep.cm = cm
+	rep.cm = &costModel{mdl: cluster.Bebop(), base: base, scheme: scheme}
 	var ctrl *adapt.Controller
 	if o.adaptive {
-		// The controller learns C and λ from the run itself, on the run's
-		// own clock; the prior MTTI is its only seed. Fed an overlapped
-		// pipeline's capture and background costs, it plans the async
-		// fixed point (AsyncEffectiveStall).
+		// The controller learns C and λ from the run itself; the prior
+		// MTTI is its only seed. Fed an overlapped pipeline's capture and
+		// background costs, it plans the async fixed point
+		// (AsyncEffectiveStall).
 		if ctrl, err = adapt.New(adapt.Config{PriorMTTI: o.prior}); err != nil {
 			return err
 		}
 		ctrl.Instrument(rep.reg)
 		fmt.Printf("adaptive interval: prior MTTI %g s, bootstrap interval %g s\n", o.prior, ctrl.Interval(0))
+	} else {
+		fmt.Printf("checkpoint interval: %d iterations\n", interval)
 	}
 	run := core.DriveConfig{
 		Stepper: s, Manager: mgr, X0: make([]float64, a.Rows), Controller: ctrl,
@@ -480,58 +460,8 @@ func run(o options) (err error) {
 		// the injector (their writes must not consume armed faults) and
 		// the retry layer (a corruption is not an op to retry).
 		src = &planSource{plan: o.plan, s: s, mgr: mgr, guard: guard, storage: baseStorage, injector: injector}
-		fmt.Printf("injection plan: %d events", len(o.plan.Events()))
-		if !o.adaptive {
-			fmt.Printf(", checkpoint every %d iterations", mcfg.Interval)
-		}
-		fmt.Println()
+		fmt.Printf("injection plan: %d events\n", len(o.plan.Events()))
 		run.Failures, run.OnStep = src, src.onStep
-	} else {
-		if !o.adaptive && interval == 0 {
-			if _, err := mgr.Checkpoint(); err != nil {
-				return err
-			}
-			// An async save's record is complete once it has committed.
-			probe, err := mgr.WaitCheckpoint()
-			if err != nil {
-				return err
-			}
-			// Young's interval balances the failure rate against the cost
-			// the solver actually pays per checkpoint: the full write in
-			// sync mode, the capture stall alone in async mode. The async
-			// interval is floored at the background encode+write time —
-			// checkpointing faster than the pipeline drains only converts
-			// the hidden cost back into backpressure stall. The probe saves
-			// X0, whose ratio need not be the run's: the line prints it.
-			c := cm.checkpoint(probe)
-			tau := model.YoungInterval(o.mtti, c)
-			if o.async {
-				tau = max(model.YoungInterval(o.mtti, cm.capture(probe)), c)
-			}
-			if o.mtti == 0 {
-				interval = 100
-				fmt.Printf("checkpoint interval: %d iterations (the default: -mtti 0 draws no failures to plan against; the save of X0: ratio %.1fx, C=%.2fs)\n",
-					interval, probe.CompressionRatio, c)
-			} else {
-				interval = int(math.Ceil(tau / o.tit))
-				fmt.Printf("Young-optimal interval: %d iterations (τ=%.0f simulated seconds at t_it=%gs, planned from the save of X0: ratio %.1fx, C=%.2fs)\n",
-					interval, tau, o.tit, probe.CompressionRatio, c)
-			}
-		}
-		run.Costs = &core.Costs{
-			TitSeconds:          o.tit,
-			CheckpointSeconds:   cm.checkpoint,
-			RecoverySeconds:     cm.recovery,
-			StorageRetrySeconds: cm.storageRetry,
-			CaptureSeconds:      cm.capture,
-			ABFTSeconds:         cm.abft,
-		}
-		run.Failures = core.FailureTimes(nil, failure.NewInjector(o.mtti, o.seed))
-		if interval > 0 {
-			// Half a step short, so the save opens on the Nth step
-			// whatever rounding a fractional cost left on the clock.
-			run.IntervalSeconds = (float64(interval) - 0.5) * o.tit
-		}
 	}
 	rep.runInfo.Interval = interval
 	out, err := core.Drive(run)
@@ -563,17 +493,17 @@ func run(o options) (err error) {
 		fmt.Printf("iterations: %d = %d failure-free + %d replayed + %d extra (N')\n",
 			out.IterationsExecuted, ri.FailureFreeIterations, ri.ReplayedIterations, ri.ExtraIterations)
 	}
-	if co != nil && injected {
+	if co != nil {
 		fmt.Printf("checksum operator: %d applications, %d mismatches\n", co.Applications(), co.Mismatches())
 	}
-	if guard != nil && injected {
+	if guard != nil {
 		st := guard.Stats()
 		fmt.Printf("abft guard: observes=%d reconstructions=%d rejected=%d local-iterations=%d\n",
 			st.Observes, st.Reconstructions, st.Rejected, st.LocalIterations)
 	}
+	rep.measuredRestart = checkpointRecoverySeconds(out.RecoveryReports)
 	if injected {
-		src.printTable(out, cm, mgr.LastInfo())
-		rep.measuredRestart = checkpointRecoverySeconds(out.RecoveryReports)
+		src.printTable(out)
 		if n := len(o.plan.Events()); n > 0 {
 			fmt.Printf("injection plan: %d event(s) never fired (the solve ended at iteration %d)\n", n, s.Iteration())
 		}
@@ -582,59 +512,32 @@ func run(o options) (err error) {
 		fmt.Printf("last checkpoint: %d bytes (ratio %.1fx, encoder %s)\n",
 			info.Bytes, info.CompressionRatio, info.EncoderName)
 	}
-	// On simulated failure runs, measure one real restart so the
-	// in-process R (streaming restore) can be compared against the
-	// modeled RecoverySeconds at cluster scale.
-	if o.mtti > 0 && mgr.HasCheckpoint() {
-		info := mgr.LastInfo()
-		start := time.Now()
-		it, err := mgr.Recover()
-		if err != nil {
-			return fmt.Errorf("restart measurement: %w", err)
-		}
-		wall := time.Since(start).Seconds()
-		rep.measuredRestart = wall
-		fmt.Printf("restart: measured %.2f ms wall for %d encoded bytes (%.1f MB/s, rolled back to iteration %d)\n",
-			1e3*wall, info.Bytes, float64(info.Bytes)/math.Max(wall, 1e-12)/1e6, it)
-		fmt.Printf("restart: modeled R=%.2fs at %d ranks\n", cm.recovery(info), ranks)
-	}
 	return nil // the deferred reporter prints the cost table and metrics
 }
 
-// printOutcome renders what the driver accounted — the same lines for
-// a simulated run (virtual seconds) and an injected one (stopwatch
-// milliseconds).
+// printOutcome renders what the driver accounted, in milliseconds of
+// the wall clock.
 func printOutcome(o options, out *core.Outcome) {
-	clock := "sim"
-	dur := func(simFormat string, sec float64) string { return fmt.Sprintf(simFormat+"s", sec) }
-	if o.plan != nil {
-		clock = "wall"
-		dur = func(_ string, sec float64) string { return fmt.Sprintf("%.3gms", 1e3*sec) }
-	}
-	fmt.Printf("converged=%v iterations=%d %s-time=%s failures=%d checkpoints=%d\n",
-		out.Converged, out.IterationsExecuted, clock, dur("%.0f", out.SimSeconds), out.Failures, out.Checkpoints)
+	ms := func(sec float64) string { return fmt.Sprintf("%.3gms", 1e3*sec) }
+	fmt.Printf("converged=%v iterations=%d wall-time=%s failures=%d checkpoints=%d\n",
+		out.Converged, out.IterationsExecuted, ms(out.SimSeconds), out.Failures, out.Checkpoints)
 	fmt.Printf("checkpoint-time=%s recovery-time=%s final-residual=%.3e\n",
-		dur("%.1f", out.CheckpointTime), dur("%.0f", out.RecoveryTime), out.FinalResidual)
+		ms(out.CheckpointTime), ms(out.RecoveryTime), out.FinalResidual)
 	if o.tiers || o.plan != nil {
 		fmt.Printf("recovery tiers: abft=%d checkpoint-restart=%d restart-zero=%d pfs-read-bytes=%d\n",
 			out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts, out.RecoveryReadBytes)
 	}
 	if o.async {
 		fmt.Printf("async: aborted-in-flight=%d backpressure=%s (stall is capture-only when 0)\n",
-			out.AbortedCheckpoints, dur("%.1f", out.BackpressureTime))
-	}
-	if o.faultRate > 0 && o.plan == nil {
-		fmt.Printf("storage faults: rate=%.3g priced retry delay %.2fs across %d checkpoints\n",
-			o.faultRate, out.StorageRetryTime, out.Checkpoints)
+			out.AbortedCheckpoints, ms(out.BackpressureTime))
 	}
 	if plans := out.IntervalPlans; len(plans) > 0 {
 		last := plans[len(plans)-1]
 		fmt.Printf("adaptive: %d re-plans; final interval %s (estimated MTTI %s, per-checkpoint cost %s)\n",
-			len(plans), dur("%.0f", last.Interval), dur("%.0f", 1/last.Lambda), dur("%.2f", last.Cost))
-		fmt.Printf("interval trajectory (%s-time  interval  est-MTTI  est-cost):\n", clock)
+			len(plans), ms(last.Interval), ms(1/last.Lambda), ms(last.Cost))
+		fmt.Printf("interval trajectory (wall-time  interval  est-MTTI  est-cost):\n")
 		row := func(p adapt.Plan) {
-			fmt.Printf("  %9s %9s %9s %9s\n", dur("%.0f", p.When), dur("%.0f", p.Interval),
-				dur("%.0f", 1/p.Lambda), dur("%.2f", p.Cost))
+			fmt.Printf("  %9s %9s %9s %9s\n", ms(p.When), ms(p.Interval), ms(1/p.Lambda), ms(p.Cost))
 		}
 		step := (len(plans) + 11) / 12 // at most ~12 rows plus the final one
 		for i := 0; i < len(plans); i += step {
@@ -646,17 +549,17 @@ func printOutcome(o options, out *core.Outcome) {
 	}
 }
 
-// ranks is the paper's scale, at which every modelled save is priced.
+// ranks is the paper's scale, at which the cost table's modeled column
+// prices a save.
 const ranks = 2048
 
-// costModel is the run's modelled cost source: the Bebop cluster model
-// at the paper's scale, pricing each save by cluster's
-// checkpoint-bytes rule at the compression ratio that save measured.
+// costModel prices the cost table's modeled column: the Bebop cluster
+// model at the paper's scale, applying cluster's checkpoint-bytes rule
+// at the compression ratio the save measured.
 type costModel struct {
 	mdl    *cluster.Model
 	base   cluster.MethodBaseline // the paper's per-rank state of the method
 	scheme core.Scheme
-	o      options
 }
 
 // bytes returns the encoded and raw bytes info's save moves at the
@@ -669,39 +572,13 @@ func (c *costModel) bytes(info fti.Info) (enc, raw float64) {
 	return c.base.SaveBytes(c.scheme, c.base.VectorBytes(ranks), info.CompressionRatio)
 }
 
-func (c *costModel) checkpoint(info fti.Info) float64 {
+// checkpoint returns the modeled encode and write stages of info's save.
+func (c *costModel) checkpoint(info fti.Info) (encode, write float64) {
 	enc, raw := c.bytes(info)
-	return c.mdl.CheckpointSeconds(ranks, enc, raw, c.scheme)
+	return c.mdl.CompressSeconds(ranks, raw, c.scheme), c.mdl.WriteStageSeconds(ranks, enc)
 }
 
 func (c *costModel) recovery(info fti.Info) float64 {
 	enc, raw := c.bytes(info)
 	return c.mdl.RecoverySeconds(ranks, enc, raw, c.scheme)
-}
-
-func (c *costModel) capture(info fti.Info) float64 {
-	_, raw := c.bytes(info)
-	return c.mdl.CaptureSeconds(ranks, raw)
-}
-
-// storageRetry prices the retry layer's expected backoff delay under a
-// fault campaign, calibrated from the same policy defaults the real
-// wrapper runs with.
-func (c *costModel) storageRetry(info fti.Info) float64 {
-	if c.o.faultRate <= 0 || c.o.storageRetries <= 0 {
-		return 0
-	}
-	shards := info.Shards
-	if shards < 1 {
-		shards = c.o.shards // no committed record: the flag's layout
-	}
-	pol := fti.FaultPolicy{MaxRetries: c.o.storageRetries}.Normalize()
-	return c.mdl.StorageRetrySeconds(shards, c.o.faultRate,
-		pol.BaseDelay.Seconds(), pol.MaxDelay.Seconds(), pol.MaxRetries)
-}
-
-// abft prices the ABFT tier in local-solve iterations over the lost
-// block, one rank's x, re-gathered over the interconnect, not the PFS.
-func (c *costModel) abft(att core.TierAttempt) float64 {
-	return c.mdl.ABFTRecoverySeconds(c.base.VectorBytes(1), att.Iterations, c.o.tit)
 }

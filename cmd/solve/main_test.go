@@ -52,13 +52,12 @@ func TestRejectedCombinations(t *testing.T) {
 		args string
 		want string // must appear in the error
 	}{
-		{"-adaptive -interval 5 -mtti 100", "-adaptive and -interval"},
-		{"-inject proc@5 -mtti 100", "-inject and -mtti"},
+		{"-adaptive -prior-mtti 1 -interval 5", "-adaptive and -interval"},
+		{"-adaptive", "-adaptive needs -prior-mtti"},
 		{"-recovery-tiers -scheme none", "-recovery-tiers needs a checkpoint scheme"},
 		{"-recovery-tiers -method gmres", `not supported for method "gmres"`},
 		{"-method gmres -inject abft+proc@5", `kind "abft"`},
 		{"-inject abft@5", "needs -recovery-tiers"},
-		{"-scheme none -mtti 100", "-mtti needs a checkpoint scheme"},
 		{"-scheme none -inject proc@5", "-inject needs a checkpoint scheme"},
 		{"-scheme none -adaptive", "-adaptive needs a checkpoint scheme"},
 		{"-method bicg", `unknown method "bicg"`},
@@ -76,6 +75,12 @@ func TestRejectedCombinations(t *testing.T) {
 			t.Errorf("solve %s: report exit %q does not record the refusal", c.args, run["exit"])
 		}
 	}
+	// The modelled clock lives in cmd/repro: its flags are unknown here.
+	for _, f := range []string{"-mtti", "-tit"} {
+		if _, err := parseOptions([]string{f, "1"}); err == nil || !strings.Contains(err.Error(), "not defined: "+f) {
+			t.Errorf("solve %s 1: error %v, want an unknown flag", f, err)
+		}
+	}
 }
 
 // TestRejectedValues: a flag value the run could not honour is refused
@@ -88,12 +93,9 @@ func TestRejectedValues(t *testing.T) {
 		"-grid -3",
 		"-eb 0",
 		"-eb -1e-4",
-		"-interval -5 -mtti 100",
+		"-interval -5",
+		"-interval 7.9",
 		"-interval 7.9 -inject proc@30",
-		"-interval 7.9 -mtti 100",
-		"-mtti -100",
-		"-tit 0",
-		"-tit -1",
 		"-prior-mtti 0 -adaptive",
 		"-maxiter -1",
 		"-shards -2",
@@ -176,16 +178,16 @@ func TestInjectedTierTable(t *testing.T) {
 	}
 	want := []string{
 		"  @10     proc                     recovered via abft",
-		"    abft                 accepted   T ms wall — 28 local its, modeled 28s, 0 B read",
+		"    abft                 accepted   T ms wall — 28 local its, 0 B read",
 		"  @20     abft+proc                recovered via restart-zero",
-		"    abft                 rejected: abft: retained state failed checksum verification T ms wall — 0 local its, modeled 0.014s, 0 B read",
-		"    restart-zero         accepted   T ms wall — all progress lost, modeled 30.3s",
+		"    abft                 rejected: abft: retained state failed checksum verification T ms wall — 0 local its, 0 B read",
+		"    restart-zero         accepted   T ms wall — all progress lost",
 		"  @30     manifest+proc            recovered via abft",
-		"    abft                 accepted   T ms wall — 28 local its, modeled 28s, 0 B read",
+		"    abft                 accepted   T ms wall — 28 local its, 0 B read",
 		"  @40     midckpt                  recovered via restart-zero",
-		"    abft                 rejected: abft: verification failed: reconstructed residual R exceeds 4.0× retained R T ms wall — 0 local its, modeled 0.014s, 0 B read",
-		"    checkpoint           rejected: CRC mismatch (corrupt checkpoint) T ms wall — seq 1, 2840 B read, modeled 47.7s",
-		"    restart-zero         accepted   T ms wall — all progress lost, modeled 30.3s",
+		"    abft                 rejected: abft: verification failed: reconstructed residual R exceeds 4.0× retained R T ms wall — 0 local its, 0 B read",
+		"    checkpoint           rejected: CRC mismatch (corrupt checkpoint) T ms wall — seq 1, 2840 B read",
+		"    restart-zero         accepted   T ms wall — all progress lost",
 	}
 	if got := tierTable(out); !reflect.DeepEqual(got, want) {
 		t.Errorf("tier table:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -332,10 +334,9 @@ func keys(m map[string]any) []string {
 	return ks
 }
 
-// TestRunReport pins the run report's key set and its run block for a
-// simulated run, an injected one, an injected adaptive one (the flag
-// used to be recorded and ignored) and -scheme none (which used to
-// write no report at all).
+// TestRunReport pins the run report's key set and its run block for two
+// injected runs, an injected adaptive one (the flag used to be recorded
+// and ignored) and -scheme none (which used to write no report at all).
 func TestRunReport(t *testing.T) {
 	full := []string{"checkpoints", "cost", "generated_at_unix", "metrics", "recoveries", "run", "schema", "stability"}
 	for _, c := range []struct {
@@ -344,11 +345,12 @@ func TestRunReport(t *testing.T) {
 		run        map[string]any // wall_seconds, command, final_residual and operator (the machine's) are checked for presence only, preconditioner against the operator
 	}{
 		{
-			name: "simulated", args: "-method jacobi -grid 8 -scheme lossy -mtti 150 -interval 40 -seed 3",
+			name: "injected-lossy", args: "-method jacobi -grid 8 -scheme lossy -interval 40 -inject proc@100,proc@190",
 			keys: full,
 			run: map[string]any{"solver": "jacobi", "unknowns": 512.0, "scheme": "lossy", "async": false, "shards": 1.0,
-				"error_bound": 1e-4, "interval": 40.0, "iterations": 297.0, "converged": true, "exit": "ok",
-				"failure_free_iterations": 257.0, "replayed_iterations": 40.0}, // N′ = 0 is omitted
+				"error_bound": 1e-4, "interval": 40.0, "iterations": 306.0, "converged": true,
+				"injected": "proc@100,proc@190", "exit": "ok",
+				"failure_free_iterations": 257.0, "replayed_iterations": 50.0, "extra_iterations": -1.0},
 		},
 		{
 			name: "injected", args: "-method cg -grid 8 -scheme traditional -rtol 1e-12 -interval 6 -shards 2 -inject proc@9,shard+proc@14",
@@ -453,56 +455,32 @@ func TestIterationLedger(t *testing.T) {
 }
 
 // TestShardsDoNotMovePrices: the shard layout changes what is written,
-// not the modelled price. No -shards, -shards 1 and -shards 8 print the
-// same Young interval, sim-time and checkpoint-time lines and report
-// the same modelled cost column: every layout is priced as the paper's
-// collective write.
+// not the modeled column of the cost table. No -shards, -shards 1 and
+// -shards 8 report the same modeled prices: every layout is priced as
+// the paper's collective write.
 func TestShardsDoNotMovePrices(t *testing.T) {
-	modelled := func(layout ...string) []string {
-		path := filepath.Join(t.TempDir(), "report.json")
-		args := append([]string{"-method", "jacobi", "-grid", "32", "-scheme", "traditional",
-			"-mtti", "2000", "-seed", "1", "-report-out", path}, layout...)
-		out, err := solve(t, args...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var lines []string
-		for _, line := range strings.Split(out, "\n") {
-			for _, prefix := range []string{"Young-optimal interval:", "converged=", "checkpoint-time="} {
-				if strings.HasPrefix(line, prefix) {
-					lines = append(lines, line)
+	for _, scheme := range []string{"traditional", "lossy"} {
+		modeled := func(layout string) []string {
+			_, rep := reportedRun(t, "-method jacobi -grid 16 -rtol 1e-4 -scheme "+scheme+layout)
+			var rows []string
+			for _, c := range rep["cost"].([]any) {
+				c := c.(map[string]any)
+				if c["modeled_seconds"] != nil {
+					rows = append(rows, fmt.Sprintf("%v modeled %v", c["phase"], c["modeled_seconds"]))
 				}
 			}
+			return rows
 		}
-		for _, c := range readReport(t, path)["cost"].([]any) {
-			c := c.(map[string]any)
-			lines = append(lines, fmt.Sprintf("cost %v modeled %v", c["phase"], c["modeled_seconds"]))
+		want := modeled("")
+		if len(want) < 2 {
+			t.Fatalf("-scheme %s: want modeled write and restart rows at least, got %q", scheme, want)
 		}
-		return lines
-	}
-	want := modelled()
-	if len(want) != 7 {
-		t.Fatalf("want 3 outcome lines and 4 cost rows, got:\n%s", strings.Join(want, "\n"))
-	}
-	for _, shards := range []string{"1", "8"} {
-		if got := modelled("-shards", shards); !reflect.DeepEqual(got, want) {
-			t.Errorf("-shards %s:\n%s\nwithout the flag:\n%s", shards, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		for _, layout := range []string{" -shards 1", " -shards 8"} {
+			if got := modeled(layout); !reflect.DeepEqual(got, want) {
+				t.Errorf("-scheme %s%s:\n%s\nwithout the flag:\n%s", scheme, layout, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
 		}
 	}
-}
-
-// costRows returns the run report's modelled cost column by phase.
-func costRows(t *testing.T, rep map[string]any) map[string]float64 {
-	t.Helper()
-	rows := map[string]float64{}
-	for _, c := range rep["cost"].([]any) {
-		c := c.(map[string]any)
-		rows[c["phase"].(string)] = c["modeled_seconds"].(float64)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 cost rows, got %v", rows)
-	}
-	return rows
 }
 
 // rawBytes returns the bytes every save of the run captured, from the
@@ -522,111 +500,62 @@ func approxSeconds(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestModelledClockOrdersSchemesAsFig10: the modelled clock prices each
-// save at the ratio it measured, so on Jacobi the schemes finish in
-// fig10's order — lossy before lossless before traditional — a
-// traditional save costs fig10's Jacobi Tckp, and a lossy save's C in
-// the cost table is cluster's rule at that save's ratio.
-func TestModelledClockOrdersSchemesAsFig10(t *testing.T) {
-	simTime := regexp.MustCompile(`sim-time=([0-9]+)s`)
-	lastSave := regexp.MustCompile(`last checkpoint: ([0-9]+) bytes`)
-	var times []float64
-	for _, scheme := range []string{"lossy", "lossless", "traditional"} {
-		path := filepath.Join(t.TempDir(), "report.json")
-		out, err := solve(t, "-method", "jacobi", "-grid", "32", "-mtti", "2000", "-seed", "1",
-			"-scheme", scheme, "-report-out", path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, saved := simTime.FindStringSubmatch(out), lastSave.FindStringSubmatch(out)
-		if m == nil || saved == nil {
-			t.Fatalf("%s: no sim-time or last-checkpoint line:\n%s", scheme, out)
-		}
-		sec, _ := strconv.ParseFloat(m[1], 64)
-		times = append(times, sec)
-		switch scheme {
-		case "traditional":
-			if !strings.Contains(out, "C=122.98s)") {
-				t.Errorf("a traditional save should cost fig10's 122.98 s:\n%s", out)
-			}
-		case "lossy":
-			rep := readReport(t, path)
-			bytes, _ := strconv.ParseFloat(saved[1], 64)
-			base := cluster.PaperBaselines()["jacobi"]
-			enc, raw := base.SaveBytes(core.Lossy, base.VectorBytes(2048), rawBytes(t, rep)/bytes)
-			want := cluster.Bebop().CheckpointSeconds(2048, enc, raw, core.Lossy)
-			if rows := costRows(t, rep); !approxSeconds(rows["encode"]+rows["write"], want) {
-				t.Errorf("lossy save priced %g s (encode + write), the rule at its ratio gives %g s", rows["encode"]+rows["write"], want)
-			}
-		}
-	}
-	if !(times[0] < times[1] && times[1] < times[2]) {
-		t.Errorf("sim-time lossy %g, lossless %g, traditional %g: want lossy < lossless < traditional", times[0], times[1], times[2])
-	}
-}
-
-// TestCostTableMatchesWhatTheRunCharged: on a CG lossless -async run,
-// whose saves carry x and p, the modelled capture row is the capture
-// every save was charged, encode + write is the background C of the
-// last save, and the measured encode rate is over every byte the save
-// encoded.
+// TestCostTableMatchesWhatTheRunCharged: on a Jacobi lossy run and a CG
+// lossless -async one, whose saves carry x and p, the modeled encode +
+// write is cluster's checkpoint rule at the last save's measured ratio,
+// the measured encode rate is over every byte the save encoded, and the
+// capture row is measured only — the pipeline's copy under -async,
+// nothing for a sync save, which copies nothing.
 func TestCostTableMatchesWhatTheRunCharged(t *testing.T) {
-	dir := t.TempDir()
-	report, trace := filepath.Join(dir, "report.json"), filepath.Join(dir, "trace.json")
-	out, err := solve(t, "-method", "cg", "-grid", "32", "-scheme", "lossless", "-mtti", "2000", "-async",
-		"-rtol", "1e-12", "-tit", "20", "-report-out", report, "-trace-out", trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := readReport(t, report)
-	rows := costRows(t, rep)
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		TraceEvents []struct {
-			Name string
-			Dur  float64
-			Args map[string]any
+	lastSave := regexp.MustCompile(`last checkpoint: ([0-9]+) bytes`)
+	for _, c := range []struct {
+		method string
+		scheme core.Scheme
+		args   string
+	}{
+		{"jacobi", core.Lossy, "-method jacobi -grid 32 -scheme lossy -rtol 1e-4"},
+		{"cg", core.Lossless, "-method cg -grid 32 -scheme lossless -rtol 1e-12 -async"},
+	} {
+		out, rep := reportedRun(t, c.args)
+		saved := lastSave.FindStringSubmatch(out)
+		if saved == nil {
+			t.Fatalf("%s: no last-checkpoint line:\n%s", c.args, out)
 		}
-	}
-	if err := json.Unmarshal(data, &tr); err != nil {
-		t.Fatal(err)
-	}
-	captures, background := 0, 0.0
-	for _, e := range tr.TraceEvents {
-		switch {
-		case e.Name == "capture":
-			captures++
-			if !approxSeconds(e.Dur/1e6, rows["capture"]) {
-				t.Errorf("a save was charged a %g s capture, the cost table models %g s", e.Dur/1e6, rows["capture"])
-			}
-		case e.Name == "encode+write" && e.Args["aborted"] == nil:
-			background = e.Dur / 1e6
+		rows := map[string]map[string]any{}
+		for _, r := range rep["cost"].([]any) {
+			r := r.(map[string]any)
+			rows[r["phase"].(string)] = r
 		}
-	}
-	if captures < 2 {
-		t.Fatalf("want several charged captures, got %d:\n%s", captures, out)
-	}
-	if !approxSeconds(background, rows["encode"]+rows["write"]) {
-		t.Errorf("the last save's background write was charged %g s, encode + write model %g s", background, rows["encode"]+rows["write"])
-	}
-	measured := func(phase string) float64 {
-		for _, line := range strings.Split(out, "\n") {
-			if f := strings.Fields(line); len(f) >= 3 && f[0] == phase {
-				v, err := strconv.ParseFloat(f[2], 64)
-				if err == nil {
-					return v
+		raw := rawBytes(t, rep)
+		bytes, _ := strconv.ParseFloat(saved[1], 64)
+		base := cluster.PaperBaselines()[c.method]
+		enc, rawAtScale := base.SaveBytes(c.scheme, base.VectorBytes(ranks), raw/bytes)
+		want := cluster.Bebop().CheckpointSeconds(ranks, enc, rawAtScale, c.scheme)
+		if got := rows["encode"]["modeled_seconds"].(float64) + rows["write"]["modeled_seconds"].(float64); !approxSeconds(got, want) {
+			t.Errorf("%s: save priced %g s (encode + write), the rule at its ratio gives %g s", c.args, got, want)
+		}
+		capture := rows["capture"]
+		if _, modeled := capture["modeled_seconds"]; modeled {
+			t.Errorf("%s: the capture row carries a modeled cost: %v", c.args, capture)
+		}
+		if _, measured := capture["measured_seconds"]; measured != strings.HasSuffix(c.args, "-async") {
+			t.Errorf("%s: capture row %v, want a measured capture exactly under -async", c.args, capture)
+		}
+		measured := func(phase string) float64 {
+			for _, line := range strings.Split(out, "\n") {
+				if f := strings.Fields(line); len(f) >= 3 && f[0] == phase {
+					v, err := strconv.ParseFloat(f[2], 64)
+					if err == nil {
+						return v
+					}
 				}
 			}
+			t.Fatalf("%s: no measured %s row:\n%s", c.args, phase, out)
+			return 0
 		}
-		t.Fatalf("no measured %s row:\n%s", phase, out)
-		return 0
-	}
-	raw := rawBytes(t, rep)
-	if got := measured("enc-MB/s") * measured("encode") * 1e3; math.Abs(got-raw) > 1e-3*raw {
-		t.Errorf("measured enc-MB/s × encode ms = %.0f B, the save encoded %.0f B", got, raw)
+		if got := measured("enc-MB/s") * measured("encode") * 1e3; math.Abs(got-raw) > 1e-3*raw {
+			t.Errorf("%s: measured enc-MB/s × encode ms = %.0f B, the save encoded %.0f B", c.args, got, raw)
+		}
 	}
 }
 
@@ -637,13 +566,13 @@ func TestEmptyRecordMovesNoBytes(t *testing.T) {
 	mdl := cluster.Bebop()
 	for _, scheme := range []core.Scheme{core.Traditional, core.Lossless, core.Lossy} {
 		c := &costModel{mdl: mdl, base: cluster.PaperBaselines()["cg"], scheme: scheme}
+		encode, write := c.checkpoint(fti.Info{})
 		for _, p := range []struct {
 			name      string
 			got, want float64
 		}{
-			{"checkpoint", c.checkpoint(fti.Info{}), mdl.CheckpointSeconds(ranks, 0, 0, scheme)},
+			{"checkpoint", encode + write, mdl.CheckpointSeconds(ranks, 0, 0, scheme)},
 			{"recovery", c.recovery(fti.Info{}), mdl.RecoverySeconds(ranks, 0, 0, scheme)},
-			{"capture", c.capture(fti.Info{}), 0},
 		} {
 			if p.got != p.want {
 				t.Errorf("%v %s of an empty record: %g s, want %g s", scheme, p.name, p.got, p.want)
@@ -674,31 +603,11 @@ func iterations(rep map[string]any, list, field string) []int {
 	return its
 }
 
-// TestSameSavesOnEitherClock: -interval counts iterations on the
-// modelled clock as it does under -inject, so a failure-free run saves
-// at the same iterations either way — every 25th, with no drift from
-// fractional save costs on the virtual clock.
-func TestSameSavesOnEitherClock(t *testing.T) {
-	const args = "-method jacobi -grid 16 -scheme lossless -rtol 1e-4 -interval 25 -quality-sample 1"
-	_, modelled := reportedRun(t, args)
-	_, injected := reportedRun(t, args+" -inject proc@100000")
-	m, i := iterations(modelled, "checkpoints", "iteration"), iterations(injected, "checkpoints", "iteration")
-	if len(m) < 5 || !reflect.DeepEqual(m, i) {
-		t.Fatalf("modelled run saved at %v, injected run at %v", m, i)
-	}
-	for _, it := range m {
-		if it%25 != 0 {
-			t.Fatalf("saves at %v: %d is not a multiple of -interval 25", m, it)
-		}
-	}
-}
-
-// TestSavesNApartBetweenFailures: on the modelled clock with failures,
-// two consecutive saves with no failure between them are exactly
-// -interval iterations apart, whatever the fractional save and
-// recovery costs before them left on the clock.
+// TestSavesNApartBetweenFailures: two consecutive saves with no failure
+// between them are exactly -interval iterations apart, however many
+// failures and recoveries came before them.
 func TestSavesNApartBetweenFailures(t *testing.T) {
-	_, rep := reportedRun(t, "-method jacobi -grid 16 -scheme lossless -mtti 200 -interval 25 -seed 7 -recovery-tiers -quality-sample 1")
+	_, rep := reportedRun(t, "-method jacobi -grid 16 -scheme lossless -interval 25 -recovery-tiers -quality-sample 1 -inject proc@110,proc@260,proc@480,proc@700")
 	saves, failures := iterations(rep, "checkpoints", "iteration"), iterations(rep, "recoveries", "failure_iteration")
 	if len(failures) < 3 {
 		t.Fatalf("want several failures, got %v", failures)
@@ -719,19 +628,77 @@ func TestSavesNApartBetweenFailures(t *testing.T) {
 	}
 }
 
-// TestReportedIntervalIsTheRunsCadence: the report's interval is the
-// iteration count the run saved at — on the Young default, the N the
-// Young line prints, Young's τ rounded up to whole iterations.
+// TestReportedIntervalIsTheRunsCadence: left at 0, -interval is 25 —
+// the interval the report and the output name, and the one the run
+// saved at.
 func TestReportedIntervalIsTheRunsCadence(t *testing.T) {
-	out, rep := reportedRun(t, "-method jacobi -grid 32 -scheme traditional -mtti 2000 -seed 1")
-	m := regexp.MustCompile(`Young-optimal interval: ([0-9]+) iterations \(τ=([0-9]+) simulated seconds`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no Young-optimal interval line:\n%s", out)
+	out, rep := reportedRun(t, "-method jacobi -grid 16 -scheme lossless -rtol 1e-4 -quality-sample 1")
+	if !strings.Contains(out, "checkpoint interval: 25 iterations\n") {
+		t.Errorf("output names no 25-iteration interval:\n%s", out)
 	}
-	if m[1] != "702" || m[2] != "701" {
-		t.Errorf("Young line prints N=%s, τ=%s s; want 702 iterations for τ=701.37 s at t_it=1 s", m[1], m[2])
+	if got := rep["run"].(map[string]any)["interval"]; got != 25.0 {
+		t.Errorf("report interval %v, want 25", got)
 	}
-	if got := rep["run"].(map[string]any)["interval"]; fmt.Sprint(got) != m[1] {
-		t.Errorf("report interval %v, the run saved every %s iterations", got, m[1])
+	saves := iterations(rep, "checkpoints", "iteration")
+	if len(saves) < 10 {
+		t.Fatalf("want a save every 25 iterations of a 523-step solve, got %v", saves)
+	}
+	for k, it := range saves {
+		if it != 25*(k+1) {
+			t.Fatalf("saves at %v, want every 25th iteration", saves)
+		}
+	}
+}
+
+// TestInjectedRunGolden pins the deterministic half of a measured run:
+// per method, scheme and one step-keyed plan that fails a process and
+// then a save, the iteration ledger E = N + R + N′, the bytes of the
+// last checkpoint and the tiers the recoveries took. Each row runs
+// twice; both runs must give the recorded values.
+func TestInjectedRunGolden(t *testing.T) {
+	ledger := regexp.MustCompile(`(?m)^iterations: (.+) \(N'\)$`)
+	lastSave := regexp.MustCompile(`(?m)^last checkpoint: ([0-9]+) bytes`)
+	tier := regexp.MustCompile(`(?m)^  @[0-9]+ .* recovered via (\S+)$`)
+	plans := map[string]string{
+		"cg":     "-method cg -grid 16 -interval 5 -inject proc@7,midckpt@13",
+		"jacobi": "-method jacobi -grid 16 -rtol 1e-4 -inject proc@110,midckpt@260",
+		"gmres":  "-method gmres -grid 12 -interval 10 -inject proc@37,midckpt@64",
+	}
+	for _, row := range []struct {
+		method, scheme, ledger, bytes string
+		tiers                         []string
+	}{
+		{"cg", "traditional", "23 = 18 failure-free + 5 replayed + 0 extra", "65577", []string{"checkpoint", "checkpoint"}},
+		{"cg", "lossless", "23 = 18 failure-free + 5 replayed + 0 extra", "37018", []string{"checkpoint", "checkpoint"}},
+		{"cg", "lossy", "27 = 18 failure-free + 5 replayed + 4 extra", "2091", []string{"checkpoint", "checkpoint"}},
+		{"jacobi", "traditional", "543 = 523 failure-free + 20 replayed + 0 extra", "32791", []string{"checkpoint", "checkpoint"}},
+		{"jacobi", "lossless", "543 = 523 failure-free + 20 replayed + 0 extra", "5369", []string{"checkpoint", "checkpoint"}},
+		{"jacobi", "lossy", "543 = 523 failure-free + 20 replayed + 0 extra", "2069", []string{"checkpoint", "checkpoint"}},
+		{"gmres", "traditional", "124 = 113 failure-free + 11 replayed + 0 extra", "13845", []string{"checkpoint", "checkpoint"}},
+		{"gmres", "lossless", "124 = 113 failure-free + 11 replayed + 0 extra", "5758", []string{"checkpoint", "checkpoint"}},
+		{"gmres", "lossy", "110 = 113 failure-free + 11 replayed + -14 extra", "1142", []string{"checkpoint", "checkpoint"}},
+	} {
+		args := strings.Fields(plans[row.method] + " -scheme " + row.scheme)
+		for run := 1; run <= 2; run++ {
+			out, err := solve(t, args...)
+			if err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			var ledgerGot, bytesGot string
+			if m := ledger.FindStringSubmatch(out); m != nil {
+				ledgerGot = m[1]
+			}
+			if m := lastSave.FindStringSubmatch(out); m != nil {
+				bytesGot = m[1]
+			}
+			var tiers []string
+			for _, m := range tier.FindAllStringSubmatch(out, -1) {
+				tiers = append(tiers, m[1])
+			}
+			if ledgerGot != row.ledger || bytesGot != row.bytes || !reflect.DeepEqual(tiers, row.tiers) {
+				t.Errorf("%s, run %d: E %q, last checkpoint %s B, tiers %v; want E %q, %s B, tiers %v:\n%s",
+					strings.Join(args, " "), run, ledgerGot, bytesGot, tiers, row.ledger, row.bytes, row.tiers, out)
+			}
+		}
 	}
 }

@@ -194,24 +194,20 @@ func (r *reporter) writeArtifacts(rep *quality.RunReport) {
 }
 
 // printBreakdown renders the per-phase checkpoint/restart cost table:
-// the cluster model's prediction at the paper's scale, split from the
-// C, R and capture the run was priced with, next to what the in-process
-// run actually measured (fti.Info stage timings and the measured
-// restart). The two columns are different machines by design — the
-// point is seeing each phase's model beside a real measurement of the
-// same code path. The same rows come back as structured cost lines for
-// the run report (NaN "not measured" sentinels become 0, which
-// omitempty drops — NaN is not valid JSON).
+// what the in-process run measured (fti.Info stage timings and the
+// mean checkpoint recovery) beside, for encode, write and restart, the
+// cluster model's price at the paper's scale and the save's measured
+// ratio. The two columns are different machines by design — the point
+// is seeing each phase's model beside a real measurement of the same
+// code path. The same rows come back as structured cost lines for the
+// run report (NaN "not measured" sentinels become 0, which omitempty
+// drops — NaN is not valid JSON).
 func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []quality.CostLine {
 	if info.Bytes == 0 {
 		return nil // no checkpoint was ever committed; nothing to break down
 	}
-	// The stage helpers share the fused cost model's terms, so the
-	// per-phase rows always sum to the cost the run was priced with.
-	enc, raw := c.bytes(info)
-	modCapture := c.capture(info)
-	modEncode := c.mdl.CompressSeconds(ranks, raw, c.scheme)
-	modWrite := c.mdl.WriteStageSeconds(ranks, enc)
+	_, raw := c.bytes(info)
+	modEncode, modWrite := c.checkpoint(info)
 	modRestart := c.recovery(info)
 	ms := func(s float64) string {
 		if math.IsNaN(s) {
@@ -225,7 +221,7 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 	}
 	fmt.Printf("per-checkpoint phase costs — modeled at %d ranks vs measured in-process (ms):\n", ranks)
 	fmt.Printf("  %-8s %12s %12s\n", "phase", "modeled", "measured")
-	fmt.Printf("  %-8s %12s %12s%s\n", "capture", ms(modCapture), ms(measCapture), captureNote)
+	fmt.Printf("  %-8s %12s %12s%s\n", "capture", ms(math.NaN()), ms(measCapture), captureNote)
 	fmt.Printf("  %-8s %12s %12s\n", "encode", ms(modEncode), ms(info.EncodeSeconds))
 	if c.scheme != core.Traditional && info.EncodeSeconds > 0 {
 		// Measured per-codec encode throughput beside the model's
@@ -238,7 +234,7 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 			"enc-MB/s", modMBs, measMBs, info.EncoderName)
 	}
 	fmt.Printf("  %-8s %12s %12s\n", "write", ms(modWrite), ms(info.WriteSeconds))
-	fmt.Printf("  %-8s %12s %12s   (measured: mean checkpoint recovery under -inject, one restart after -mtti)\n", "restart", ms(modRestart), ms(measuredRestart))
+	fmt.Printf("  %-8s %12s %12s   (measured: mean checkpoint recovery)\n", "restart", ms(modRestart), ms(measuredRestart))
 	fin := func(s float64) float64 {
 		if math.IsNaN(s) {
 			return 0
@@ -246,7 +242,7 @@ func (c *costModel) printBreakdown(info fti.Info, measuredRestart float64) []qua
 		return s
 	}
 	return []quality.CostLine{
-		{Phase: "capture", ModeledSeconds: modCapture, MeasuredSeconds: fin(measCapture)},
+		{Phase: "capture", MeasuredSeconds: fin(measCapture)},
 		{Phase: "encode", ModeledSeconds: modEncode, MeasuredSeconds: info.EncodeSeconds},
 		{Phase: "write", ModeledSeconds: modWrite, MeasuredSeconds: info.WriteSeconds},
 		{Phase: "restart", ModeledSeconds: modRestart, MeasuredSeconds: fin(measuredRestart)},

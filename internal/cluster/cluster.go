@@ -19,7 +19,8 @@
 //
 // One rule, MethodBaseline.SaveBytes, says what a save moves: the
 // paper's per-rank state at the save's measured compression ratio. The
-// experiments and cmd/solve's modelled clock price every save from it.
+// experiments price every save from it, and cmd/solve's cost table the
+// modeled column of a measured run.
 package cluster
 
 import (
@@ -49,17 +50,6 @@ type Model struct {
 	// StaticPerRankSeconds models the extra recovery cost of
 	// reconstructing static variables, growing with scale.
 	StaticPerRankSeconds float64
-	// MemCopyPerCore is the per-core node-local memory bandwidth used
-	// by the asynchronous pipeline's capture stage (a deep copy of the
-	// protected state into the double buffer) — no PFS, no
-	// compression, so orders of magnitude faster than a checkpoint.
-	MemCopyPerCore float64
-
-	// InterconnectBandwidth is the point-to-point node interconnect
-	// bandwidth (bytes/s) — the channel an ABFT reconstruction uses to
-	// re-gather the surviving ranks' contributions to the lost block
-	// (checksum/neighbor exchanges), never touching the PFS.
-	InterconnectBandwidth float64
 }
 
 // Bebop returns the model calibrated to the paper's measurements.
@@ -71,10 +61,6 @@ func Bebop() *Model {
 		DecompressPerCore:    192e6,
 		LosslessPerCore:      100e6,
 		StaticPerRankSeconds: 0.004,
-		MemCopyPerCore:       4e9,
-		// Omni-Path node injection bandwidth (100 Gb/s ≈ 12.5 GB/s) —
-		// the fabric Bebop's ABFT-style exchanges would ride on.
-		InterconnectBandwidth: 12.5e9,
 	}
 }
 
@@ -113,60 +99,6 @@ func (m *Model) CheckpointSeconds(procs int, encodedBytes, rawBytes float64, sch
 	return m.WriteStageSeconds(procs, encodedBytes) + m.CompressSeconds(procs, rawBytes, scheme)
 }
 
-// StorageRetrySeconds returns the expected retry/backoff delay the
-// fault-tolerant storage wrapper (fti.Resilient) adds to one checkpoint
-// write when each object write fails transiently with probability
-// faultRate. A monolithic save (shards ≤ 1) writes one object, a
-// sharded one shards objects plus the manifest. Each object write pays
-// the expected backoff sum
-//
-//	Σ_{k=0}^{maxRetries-1} p^{k+1} · ¾·min(base·2^k, max)
-//
-// — the k-th backoff step is slept only if attempts 0..k all failed,
-// steps grow geometrically from baseDelay up to the maxDelay cap, and
-// the wrapper draws each sleep uniformly from [step/2, step], whose
-// mean is ¾·step. Zero at faultRate ≤ 0 and monotone in it;
-// faultRate ≥ 1 prices every attempt as failed.
-func (m *Model) StorageRetrySeconds(shards int, faultRate, baseDelay, maxDelay float64, maxRetries int) float64 {
-	if faultRate <= 0 || maxRetries <= 0 || baseDelay <= 0 {
-		return 0
-	}
-	if faultRate > 1 {
-		faultRate = 1
-	}
-	if maxDelay <= 0 {
-		maxDelay = baseDelay
-	}
-	perOp := 0.0
-	pPow := 1.0
-	step := baseDelay
-	for k := 0; k < maxRetries; k++ {
-		pPow *= faultRate
-		perOp += pPow * 0.75 * min(step, maxDelay)
-		step *= 2
-	}
-	objects := 1
-	if shards > 1 {
-		objects = shards + 1 // +1: the manifest object
-	}
-	return perOp * float64(objects)
-}
-
-// CaptureSeconds returns the solver-visible stall of one asynchronous
-// checkpoint: the node-local deep copy of rawBytes across procs cores.
-// This is the only part of the checkpoint the async pipeline leaves on
-// the critical path; encode and PFS write (CheckpointSeconds) proceed
-// in the background.
-func (m *Model) CaptureSeconds(procs int, rawBytes float64) float64 {
-	if procs <= 0 {
-		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
-	}
-	// No silent fallback, matching the sibling cost methods: a Model
-	// literal that omits MemCopyPerCore yields a visible +Inf rather
-	// than a quietly substituted default.
-	return rawBytes / (m.MemCopyPerCore * float64(procs))
-}
-
 // RecoverySeconds returns the wall time of one recovery: reading the
 // checkpoint back through the aggregate PFS bandwidth (the write
 // stage's terms), then optional decompression — the Gzip-class codec is
@@ -178,23 +110,6 @@ func (m *Model) RecoverySeconds(procs int, encodedBytes, rawBytes float64, schem
 		dec = rawBytes / (m.DecompressPerCore * float64(procs))
 	}
 	return m.WriteStageSeconds(procs, encodedBytes) + dec + m.StaticPerRankSeconds*float64(procs)
-}
-
-// ABFTRecoverySeconds returns the wall time of one checkpoint-free
-// algorithmic (ABFT) recovery: re-gathering the lost block's
-// blockBytes over the interconnect from the surviving ranks'
-// redundancy, then localIters iterations of the local reconstruction
-// solve at iterSeconds each, plus the fixed per-rank coordination
-// overhead. No PFS term appears anywhere — that absence is the tier's
-// entire advantage, and why the modelled read-traffic comparison shows
-// ABFT-on runs touching the file system less. Like CaptureSeconds, a
-// Model literal without InterconnectBandwidth yields +Inf, not a
-// substituted default.
-func (m *Model) ABFTRecoverySeconds(blockBytes float64, localIters int, iterSeconds float64) float64 {
-	if localIters < 0 {
-		localIters = 0
-	}
-	return m.PerRankSeconds + blockBytes/m.InterconnectBandwidth + float64(localIters)*iterSeconds
 }
 
 // MethodBaseline holds the paper's failure-free reference execution

@@ -166,57 +166,10 @@ func TestStageHelpersSumToFusedCosts(t *testing.T) {
 	}
 }
 
-// TestStorageRetrySecondsCountsObjects: each retried object is charged
-// the mean ¾·step of the wrapper's [step/2, step] draw; a monolithic
-// save (shards ≤ 1) retries one object, a sharded one its shards plus
-// the manifest.
-func TestStorageRetrySecondsCountsObjects(t *testing.T) {
-	m := Bebop()
-	one := m.StorageRetrySeconds(1, 0.3, 0.002, 0.25, 4)
-	want := 0.75 * (0.3*0.002 + 0.09*0.004 + 0.027*0.008 + 0.0081*0.016)
-	if !approxEq(one, want) {
-		t.Fatalf("monolithic retry price %g, want %g", one, want)
-	}
-	if zero := m.StorageRetrySeconds(0, 0.3, 0.002, 0.25, 4); zero != one {
-		t.Fatalf("shards=0 priced %g, a monolithic save %g", zero, one)
-	}
-	if got := m.StorageRetrySeconds(8, 0.3, 0.002, 0.25, 4); !approxEq(got, 9*one) {
-		t.Fatalf("8 shards priced %g, want 9 objects = %g", got, 9*one)
-	}
-}
-
 func approxEq(a, b float64) bool {
 	d := a - b
 	if d < 0 {
 		d = -d
 	}
 	return d <= 1e-12*(1+b)
-}
-
-func TestABFTRecoverySeconds(t *testing.T) {
-	m := Bebop()
-	// One 2,048-rank block of the CG checkpoint state (78.8 GB / 2048)
-	// re-gathered over Omni-Path plus 30 local iterations at 0.5 s.
-	block := 78.8e9 / 2048
-	got := m.ABFTRecoverySeconds(block, 30, 0.5)
-	want := m.PerRankSeconds + block/m.InterconnectBandwidth + 30*0.5
-	if !approxEq(got, want) {
-		t.Fatalf("ABFTRecoverySeconds = %g, want %g", got, want)
-	}
-	// The tier's raison d'être: no PFS term — it must be far below even
-	// the cheapest modeled restart of the same state.
-	restart := m.RecoverySeconds(2048, 78.8e9, 78.8e9, core.Traditional)
-	if got >= restart {
-		t.Fatalf("ABFT recovery %g s not below the PFS restart %g s", got, restart)
-	}
-	// Negative local iterations clamp to zero.
-	if m.ABFTRecoverySeconds(block, -5, 0.5) != m.ABFTRecoverySeconds(block, 0, 0.5) {
-		t.Fatal("negative local iterations must clamp to zero")
-	}
-	// A literal without the interconnect field gets no substituted
-	// bandwidth: its cost is a visible +Inf, as CaptureSeconds'.
-	bare := &Model{PerRankSeconds: 0.01, MemCopyPerCore: 4e9}
-	if v := bare.ABFTRecoverySeconds(block, 0, 0); !math.IsInf(v, 1) {
-		t.Fatalf("model without InterconnectBandwidth priced ABFT at %g, want +Inf", v)
-	}
 }

@@ -31,9 +31,9 @@ import (
 //	          stage timings, TierAttempt.Seconds).
 //	failures  where failures land, asked once per window.
 //
-// The experiments and cmd/solve -mtti run this loop with the cluster
-// model's Costs and FailureTimes; cmd/solve -inject runs it on the
-// wall clock with measured costs and a step-keyed fault plan.
+// The experiments run this loop with the cluster model's Costs and
+// FailureTimes; cmd/solve runs it on the wall clock with measured costs
+// and, under -inject, a step-keyed fault plan.
 func Drive(cfg DriveConfig) (*Outcome, error) {
 	s, m := cfg.Stepper, cfg.Manager
 	if s == nil || m == nil {

@@ -1,13 +1,10 @@
 package core_test
 
 import (
-	"math"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/fti"
 	"repro/internal/solver"
 	"repro/internal/sparse"
@@ -140,44 +137,5 @@ func TestShardedSimNumericsLayoutIndependent(t *testing.T) {
 	if sharded.CheckpointTime != mono.CheckpointTime {
 		t.Fatalf("layout moved the modelled checkpoint time: mono %.2fs sharded %.2fs",
 			mono.CheckpointTime, sharded.CheckpointTime)
-	}
-}
-
-// TestStorageRetryPriceMatchesResilient: the modelled clock charges a
-// save the backoff fti.Resilient actually sleeps. Raw saves run under a
-// seeded all-transient fault campaign (rate 0.3) with a recording
-// Sleep; per layout, the mean sleep per save must land within ±5% of
-// cluster.Model.StorageRetrySeconds — one object for a monolithic save,
-// the shards plus the manifest for a sharded one, each backoff at the
-// mean ¾·step of its [step/2, step] draw.
-func TestStorageRetryPriceMatchesResilient(t *testing.T) {
-	const rate, saves = 0.3, 40000
-	for _, shards := range []int{1, 8} {
-		var slept time.Duration
-		inj := failure.NewStorageInjector(fti.NewMemStorage(), 11, failure.StorageProfile{Rate: rate})
-		pol := fti.FaultPolicy{Seed: 11, Sleep: func(d time.Duration) { slept += d }}.Normalize()
-		ck := fti.New(fti.NewResilient(inj, pol), fti.Raw{})
-		if err := ck.SetSharding(shards, 1); err != nil {
-			t.Fatal(err)
-		}
-		snap := &fti.Snapshot{Vectors: map[string][]float64{"x": make([]float64, 256)}}
-		failed := 0
-		for i := 0; i < saves; i++ {
-			snap.Iteration = i
-			// A write that exhausts its retries fails the save; the
-			// backoff it slept first is still part of the price.
-			if _, err := ck.Save(snap); err != nil {
-				failed++
-			}
-		}
-		want := cluster.Bebop().StorageRetrySeconds(shards, rate,
-			pol.BaseDelay.Seconds(), pol.MaxDelay.Seconds(), pol.MaxRetries)
-		got := slept.Seconds() / saves
-		if math.Abs(got/want-1) > 0.05 {
-			t.Errorf("shards=%d: mean sleep %.4g s per save, model prices %.4g s (%+.1f%%)",
-				shards, got, want, 100*(got/want-1))
-		}
-		t.Logf("shards=%d: mean sleep %.4g s per save, model %.4g s, %d of %d saves exhausted a retry budget",
-			shards, got, want, failed, saves)
 	}
 }

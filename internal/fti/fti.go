@@ -82,8 +82,7 @@ type Info struct {
 	VectorBytes      int // encoded bytes of the vector payload only
 	CompressionRatio float64
 	// Shards is the number of shard objects the checkpoint was written
-	// as (1 = a single monolithic object); the retry-delay model counts
-	// objects off it (cluster.Model.StorageRetrySeconds).
+	// as (1 = a single monolithic object).
 	Shards int
 
 	// Per-stage wall-clock timings of the save that produced this Info,
