@@ -635,7 +635,7 @@ func BenchmarkCheckpointStall(b *testing.B) {
 			// Solver iterations would run here; the drain stands in for
 			// them and stays outside the timed stall.
 			b.StopTimer()
-			if _, err := ac.Flush(); err != nil {
+			if err := ac.Flush(); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

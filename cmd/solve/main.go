@@ -196,6 +196,18 @@ func (o *options) validate() error {
 			return fmt.Errorf("%s %v is out of range: want %s", f.name, f.got, f.want)
 		}
 	}
+	if o.scheme == "none" {
+		// Nothing is checkpointed, so nothing can fail, recover or be
+		// planned, and no save has a cadence, a store or an audit:
+		// -scheme none is the failure-free baseline solve.
+		for _, name := range []string{"recovery-tiers", "inject", "adaptive", "async", "interval", "ckptdir", "shards",
+			"storage-workers", "storage-retries", "storage-timeout", "scrub-interval", "storage-fault-rate",
+			"quality", "quality-sample", "seed"} {
+			if o.typed[name] {
+				return fmt.Errorf("-%s needs a checkpoint scheme (-scheme none is the failure-free baseline: nothing is saved, so nothing can fail, recover or be planned)", name)
+			}
+		}
+	}
 	for _, f := range []struct {
 		name    string
 		ignored bool
@@ -213,18 +225,6 @@ func (o *options) validate() error {
 	}
 	if o.adaptive && o.interval > 0 {
 		return fmt.Errorf("-adaptive and -interval are mutually exclusive (the controller owns the cadence)")
-	}
-	if o.scheme == "none" {
-		// Nothing is checkpointed, so nothing can fail, recover or be
-		// planned: -scheme none is the failure-free baseline solve.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{{"-recovery-tiers", o.tiers}, {"-inject", o.inject != ""}, {"-adaptive", o.adaptive}} {
-			if f.set {
-				return fmt.Errorf("%s needs a checkpoint scheme (-scheme none is the failure-free baseline: nothing is saved, so nothing can fail, recover or be planned)", f.name)
-			}
-		}
 	}
 	if o.adaptive && !o.typed["prior-mtti"] {
 		return fmt.Errorf("-adaptive needs -prior-mtti: the controller's prior mean time to interruption, in wall seconds, is its only seed")

@@ -60,6 +60,20 @@ func TestRejectedCombinations(t *testing.T) {
 		{"-inject abft@5", "needs -recovery-tiers"},
 		{"-scheme none -inject proc@5", "-inject needs a checkpoint scheme"},
 		{"-scheme none -adaptive", "-adaptive needs a checkpoint scheme"},
+		// Every flag that shapes the saves is refused under -scheme none
+		// too, -report-out alone (which every row sets) excepted.
+		{"-scheme none -async", "-async needs a checkpoint scheme"},
+		{"-scheme none -interval 5", "-interval needs a checkpoint scheme"},
+		{"-scheme none -ckptdir ckpt", "-ckptdir needs a checkpoint scheme"},
+		{"-scheme none -shards 4", "-shards needs a checkpoint scheme"},
+		{"-scheme none -storage-workers 2", "-storage-workers needs a checkpoint scheme"},
+		{"-scheme none -storage-retries 2", "-storage-retries needs a checkpoint scheme"},
+		{"-scheme none -storage-timeout 1s", "-storage-timeout needs a checkpoint scheme"},
+		{"-scheme none -scrub-interval 1s", "-scrub-interval needs a checkpoint scheme"},
+		{"-scheme none -storage-fault-rate 0.1", "-storage-fault-rate needs a checkpoint scheme"},
+		{"-scheme none -quality", "-quality needs a checkpoint scheme"},
+		{"-scheme none -quality-sample 2", "-quality-sample needs a checkpoint scheme"},
+		{"-scheme none -seed 7", "-seed needs a checkpoint scheme"},
 		{"-method bicg", `unknown method "bicg"`},
 		{"-scheme zip", `unknown scheme "zip"`},
 		{"-inject proc", "lacks '@iteration'"},

@@ -89,8 +89,6 @@ type Config struct {
 	// BNorm is ‖b‖ (or ‖M⁻¹b‖ for left-preconditioned GMRES), the
 	// denominator of the Theorem-3 bound.
 	BNorm float64
-	// Codec overrides the lossless codec (default flate/Gzip).
-	Codec codec.BlockCodec
 	// Async routes checkpoints through the asynchronous pipeline, and is
 	// the one switch for overlapped checkpoints: Drive prices a modelled
 	// run's saves as overlapped exactly when it is set. Checkpoint
@@ -150,11 +148,11 @@ type Manager struct {
 	// committed checkpoint recovery stands on (Seq 0: none) and prev its
 	// predecessor, which AbortLastCheckpoint falls back to. open is the
 	// save Checkpoint last opened — as it opened while an async one is in
-	// flight, zero when it failed on the spot — and pending that async
-	// save's ticket until fold has read its outcome. Whether a save is in
-	// flight, and why a background one failed, the pipeline says.
+	// flight, zero when it failed on the spot — and pending is set while
+	// that async save's outcome has not been folded in. Whether a save is
+	// in flight, and why a background one failed, the pipeline says.
 	last, prev, open fti.Info
-	pending          fti.Ticket
+	pending          bool
 
 	// abft is the optional first recovery tier (Config.ABFT).
 	abft *abft.Guard
@@ -189,9 +187,6 @@ func NewManager(cfg Config, storage fti.Storage, s solver.Checkpointable) (*Mana
 			}
 		}
 	}
-	if cfg.Codec == nil {
-		cfg.Codec = codec.BlockedFlate{}
-	}
 	if cfg.ABFT != nil && cfg.ABFT.Solver() != s {
 		return nil, fmt.Errorf("core: the ABFT guard protects a different solver than the Manager wires")
 	}
@@ -214,7 +209,7 @@ func (m *Manager) encoder() fti.Encoder {
 	case Traditional:
 		return fti.Raw{}
 	case Lossless:
-		return fti.Lossless{Codec: m.cfg.Codec}
+		return fti.Lossless{Codec: codec.BlockedFlate{}}
 	default:
 		p := m.cfg.SZParams
 		if m.cfg.Adaptive {
@@ -310,29 +305,31 @@ func (m *Manager) checkpointAsync() (fti.Info, error) {
 	// so the wait is accounted as backpressure in Stats.
 	m.async.WaitBackpressure()
 	m.fold()
-	_, err := m.async.Flush()
-	if err = m.degrade(err); err != nil {
+	if err := m.degrade(m.async.Flush()); err != nil {
 		return fti.Info{}, err
 	}
 	m.ckpt.SetEncoder(m.encoder())
-	t, err := m.async.SaveAsync(m.capture())
+	info, err := m.async.SaveAsync(m.capture())
 	if err != nil {
 		return fti.Info{}, err
 	}
-	m.open, m.pending = t.Info, t
-	return t.Info, nil
+	m.open, m.pending = info, true
+	return info, nil
 }
 
 // fold reads the outcome of the async save Checkpoint last opened off
-// its ticket, without blocking: a committed save becomes the recovery
+// the pipeline, without blocking: a committed save becomes the recovery
 // target; a failed one commits nothing, and its error stays with the
 // pipeline, which hands it to the next Flush or SaveAsync.
 func (m *Manager) fold() {
-	info, done, err := m.pending.Peek()
+	if !m.pending {
+		return
+	}
+	info, done, err := m.async.Peek()
 	if !done {
 		return
 	}
-	m.pending = fti.Ticket{}
+	m.pending = false
 	if err == nil {
 		m.commit(info)
 	}
@@ -346,7 +343,7 @@ func (m *Manager) WaitCheckpoint() (fti.Info, error) {
 	if m.async == nil {
 		return m.last, nil
 	}
-	_, err := m.async.Flush()
+	err := m.async.Flush()
 	m.fold()
 	return m.last, m.degrade(err)
 }

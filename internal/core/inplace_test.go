@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/abft"
-	"repro/internal/codec"
 	"repro/internal/fti"
 	"repro/internal/precond"
 	"repro/internal/solver"
@@ -25,13 +24,18 @@ type inPlaceRig struct {
 }
 
 func newInPlaceRig(scheme Scheme) inPlaceRig {
-	a := sparse.Poisson2D(70)
+	// A lossless vector is cut into codec.BlockedFlate's 16,384-element
+	// blocks, so its grid is large enough for several of them.
+	n := 70
+	if scheme == Lossless {
+		n = 260
+	}
+	a := sparse.Poisson2D(n)
 	return inPlaceRig{a: a, b: sparse.OnesRHS(a.Rows), cfg: Config{
 		Scheme:         scheme,
 		Shards:         4,
 		StorageWorkers: 2,
 		SZParams:       sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4, BlockSize: 512},
-		Codec:          codec.BlockedFlate{BlockElems: 512},
 	}}
 }
 

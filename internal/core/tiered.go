@@ -156,7 +156,7 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 // dropped.
 func (m *Manager) drain() {
 	if m.async != nil {
-		_, _ = m.async.Flush()
+		_ = m.async.Flush()
 		m.fold()
 	}
 }

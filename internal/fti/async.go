@@ -10,11 +10,11 @@ import (
 )
 
 // AsyncSaveError is how a failed background save surfaces: the next
-// SaveAsync, Flush, or Ticket.Wait returns it instead of the raw
-// storage error, carrying the sequence and object name the save was
-// committing, the storage attempt count, and the error class — so a
-// caller (or a log line) can tell retry exhaustion on a transient
-// fault from a genuinely permanent failure without string-matching.
+// SaveAsync or Flush returns it instead of the raw storage error,
+// carrying the sequence and object name the save was committing, the
+// storage attempt count, and the error class — so a caller (or a log
+// line) can tell retry exhaustion on a transient fault from a genuinely
+// permanent failure without string-matching.
 type AsyncSaveError struct {
 	Seq      int      // sequence the save would have committed as
 	Name     string   // checkpoint object name
@@ -70,37 +70,39 @@ func wrapSaveError(seq int, err error) error {
 // (backpressure), which bounds memory at two capture buffers and two
 // encode buffers and keeps checkpoint ordering trivial.
 //
+// The pipeline keeps one record, the newest save: Peek reports it as it
+// opened while it is in flight and its outcome once it has finished.
+// Which save is the recovery target is the caller's to record (the
+// core.Manager does); the pipeline does not keep a second copy.
+//
 // Concurrency contract: all AsyncCheckpointer methods, and any direct
 // use of the wrapped Checkpointer (SetEncoder, Restore, DropLatest,
 // ...), must happen on one goroutine — the solver loop — and direct
-// Checkpointer use is only safe after Wait/Flush has drained the
-// in-flight save. The background goroutine is the only other toucher
-// of the wrapped Checkpointer, and the drain forms the happens-before
-// edge between the two.
+// Checkpointer use is only safe after Flush has drained the in-flight
+// save. The background goroutine is the only other toucher of the
+// wrapped Checkpointer, and the drain forms the happens-before edge
+// between the two.
 //
 // A background save that fails does not panic and is not lost: the
-// error is held and surfaced by the next SaveAsync, Flush, or the
-// ticket's Wait, whichever comes first. The failed save rolled its
-// sequence number back, so recovery falls back to the previous
-// committed checkpoint — the same contract as the paper's
-// failure-during-checkpoint path.
+// error is held and surfaced once, by the next SaveAsync or Flush,
+// whichever comes first. The failed save rolled its sequence number
+// back, so recovery falls back to the previous committed checkpoint —
+// the same contract as the paper's failure-during-checkpoint path.
 type AsyncCheckpointer struct {
-	c *Checkpointer
+	c   *Checkpointer
+	job *asyncJob // the newest save, nil before the first
 
-	mu       sync.Mutex
-	inflight *asyncJob
-	sticky   error     // background failure awaiting surfacing
-	stickyJb *asyncJob // the job sticky came from (cleared by its Wait)
-	lastInfo Info      // most recent committed save
-	commit   int       // sequence of the most recent committed save
-	stats    AsyncStats
+	mu     sync.Mutex
+	failed error // a background failure not yet surfaced
+	stats  AsyncStats
 
 	// Double buffers: slot flips on every save, so the capture of save
 	// n+1 never touches the memory the in-flight encode of save n is
 	// reading. (With at-most-one-in-flight the flip is one save ahead
 	// of strictly necessary, which is exactly the margin that keeps a
 	// Storage implementation that mis-retains its data argument from
-	// corrupting an already-written checkpoint.)
+	// corrupting an already-written checkpoint.) Save n+1 starts only
+	// after save n's done channel closed, which orders their accesses.
 	slot    int
 	caps    [2]*Snapshot
 	encBufs [2][]byte
@@ -111,8 +113,7 @@ type AsyncCheckpointer struct {
 // solver-visible stall; EncodeWriteSeconds ran in the background and
 // splits into EncodeSeconds (the Encoder pass) and WriteSeconds (the
 // storage commit) plus scheduling slack. Per-save stage timings are on
-// each save's Info (Ticket.Wait, LastInfo) — these are the cumulative
-// sums.
+// each save's Info (Peek) — these are the cumulative sums.
 type AsyncStats struct {
 	Saves               int
 	FailedSaves         int // background saves that aborted (rolled back) instead of committing
@@ -127,101 +128,34 @@ type asyncJob struct {
 	snap *Snapshot
 	slot int
 	open Info          // the save's record as it opened, capture stage included
-	done chan struct{} // closed when the job's results are published
+	done chan struct{} // closed when info and err are final
 	info Info
 	err  error
 }
 
-// Ticket identifies one asynchronous save.
-type Ticket struct {
-	// Info is the save's record as it opened: Seq is the sequence it
-	// commits under if it succeeds, and CaptureSeconds the capture stall
-	// already paid. Wait and Peek return the committed record.
-	Info
-	a   *AsyncCheckpointer
-	job *asyncJob
-}
-
-var errZeroTicket = errors.New("fti: zero Ticket")
-
-// Done returns a channel closed when the save has finished (committed
-// or failed). A zero Ticket returns a closed channel.
-func (t Ticket) Done() <-chan struct{} {
-	if t.job == nil {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	return t.job.done
-}
-
-// Wait blocks until the save finishes and returns its Info and error.
-// Consuming the error here also clears it from the pipeline, so it is
-// not surfaced a second time by the next SaveAsync or Flush.
-func (t Ticket) Wait() (Info, error) {
-	if t.job == nil {
-		return Info{}, errZeroTicket
-	}
-	<-t.job.done
-	t.a.mu.Lock()
-	if t.a.stickyJb == t.job {
-		t.a.sticky, t.a.stickyJb = nil, nil
-	}
-	t.a.mu.Unlock()
-	return t.job.info, t.job.err
-}
-
-// Peek reports the save's outcome without blocking: done is false while
-// it is in flight. Unlike Wait it leaves a failure with the pipeline,
-// which still surfaces it on the next SaveAsync or Flush. A zero Ticket
-// is done, with an error.
-func (t Ticket) Peek() (info Info, done bool, err error) {
-	if t.job == nil {
-		return Info{}, true, errZeroTicket
-	}
-	select {
-	case <-t.job.done:
-		return t.job.info, true, t.job.err
-	default:
-		return t.Info, false, nil
-	}
-}
-
 // NewAsync wraps a Checkpointer in the asynchronous pipeline. The
 // wrapped Checkpointer must not be used directly while a save is in
-// flight (drain with Wait or Flush first).
+// flight (drain with Flush first).
 func NewAsync(c *Checkpointer) *AsyncCheckpointer {
 	return &AsyncCheckpointer{c: c}
 }
 
-// Checkpointer returns the wrapped synchronous Checkpointer. Only safe
-// to use after Wait/Flush has drained the in-flight save.
-func (a *AsyncCheckpointer) Checkpointer() *Checkpointer { return a.c }
-
-// SetSharding configures the wrapped Checkpointer's sharded storage
-// layout (see Checkpointer.SetSharding): the background write stage
-// then fans each checkpoint out into shards objects over a bounded
-// worker pool and commits a manifest last. The in-flight save, if any,
-// is drained first so the layout never changes mid-write.
-func (a *AsyncCheckpointer) SetSharding(shards, workers int) error {
-	a.drain(false)
-	return a.c.SetSharding(shards, workers)
-}
-
-// SaveAsync captures s and schedules its encode+write in the
-// background. It returns once the capture copy is complete — the
+// SaveAsync captures s, schedules its encode+write in the background,
+// and returns the save's record as it opened: Seq is the sequence it
+// commits under if it succeeds, and CaptureSeconds the capture stall
+// already paid. It returns once the capture copy is complete — the
 // solver may mutate the snapshot's vectors immediately afterwards. If
 // a previous save is still in flight, SaveAsync first blocks until it
 // finishes (at-most-one-in-flight backpressure). If a previous
-// background save failed, that error is returned now and the new save
-// is not started.
-func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Ticket, error) {
+// background save failed unsurfaced, that error is returned now and
+// the new save is not started.
+func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Info, error) {
 	a.drain(true)
 	a.mu.Lock()
-	if err := a.sticky; err != nil {
-		a.sticky, a.stickyJb = nil, nil
-		a.mu.Unlock()
-		return Ticket{}, err
+	defer a.mu.Unlock()
+	if err := a.failed; err != nil {
+		a.failed = nil
+		return Info{}, err
 	}
 	capSpan := a.c.ins.tr.Begin(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCapture)
 	start := time.Now()
@@ -231,63 +165,73 @@ func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Ticket, error) {
 	capSec := time.Since(start).Seconds()
 	capSpan.End()
 	a.c.ins.captureSec.Observe(capSec)
-	job := &asyncJob{snap: a.caps[slot], slot: slot, open: a.c.record(s, a.c.seq+1), done: make(chan struct{})}
-	job.open.CaptureSeconds = capSec
-	a.inflight = job
+	a.job = &asyncJob{snap: a.caps[slot], slot: slot, open: a.c.record(s, a.c.seq+1), done: make(chan struct{})}
+	a.job.open.CaptureSeconds = capSec
 	a.stats.Saves++
 	a.stats.CaptureSeconds += capSec
-	a.mu.Unlock()
-	go a.run(job)
-	return Ticket{Info: job.open, a: a, job: job}, nil
+	go a.run(a.job)
+	return a.job.open, nil
 }
 
 // run is the background encode+write stage.
 func (a *AsyncCheckpointer) run(job *asyncJob) {
 	start := time.Now()
-	a.mu.Lock()
-	buf := a.encBufs[job.slot]
-	a.mu.Unlock()
-	payload, info, err := a.c.save(job.snap, buf)
-	// Surface the capture stall on the save's own Info, so a Ticket
-	// holder (or LastInfo) sees all three stage timings together.
-	info.CaptureSeconds = job.open.CaptureSeconds
-	a.mu.Lock()
+	payload, info, err := a.c.save(job.snap, a.encBufs[job.slot])
 	if payload != nil {
 		a.encBufs[job.slot] = payload
 	}
+	// Surface the capture stall on the save's own Info, so Peek reports
+	// all three stage timings together.
+	info.CaptureSeconds = job.open.CaptureSeconds
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if err == nil {
-		a.lastInfo = info
-		a.commit = info.Seq
 		a.stats.EncodeSeconds += info.EncodeSeconds
 		a.stats.WriteSeconds += info.WriteSeconds
 	} else {
 		err = wrapSaveError(job.open.Seq, err)
 		a.stats.FailedSaves++
 		a.c.ins.asyncAbort.Inc()
-		a.sticky, a.stickyJb = err, job
+		a.failed = err
 	}
-	job.info, job.err = info, err
-	// Close inside the critical section: anyone who observes
-	// inflight == nil under the mutex must also observe the ticket as
-	// done, or a non-blocking poll right after a drain could miss a
-	// finished save.
-	close(job.done)
-	a.inflight = nil
 	a.stats.EncodeWriteSeconds += time.Since(start).Seconds()
-	a.mu.Unlock()
+	job.info, job.err = info, err
+	// Close inside the critical section: whoever sees the save done and
+	// then takes the mutex also sees its stats and its failure.
+	close(job.done)
+}
+
+// Peek reports the newest save without blocking: while it is in flight,
+// its record as it opened and done false; once it has finished, the
+// committed record or its failure. A failure stays with the pipeline,
+// which still surfaces it on the next SaveAsync or Flush. Before the
+// first save Peek reports the zero Info, done.
+func (a *AsyncCheckpointer) Peek() (info Info, done bool, err error) {
+	if a.job == nil {
+		return Info{}, true, nil
+	}
+	select {
+	case <-a.job.done:
+		return a.job.info, true, a.job.err
+	default:
+		return a.job.open, false, nil
+	}
+}
+
+// InFlight reports whether a save is currently running.
+func (a *AsyncCheckpointer) InFlight() bool {
+	_, done, _ := a.Peek()
+	return !done
 }
 
 // drain blocks until no save is in flight. backpressure marks the wait
 // as solver-visible stall in the stats.
 func (a *AsyncCheckpointer) drain(backpressure bool) {
-	a.mu.Lock()
-	job := a.inflight
-	a.mu.Unlock()
-	if job == nil {
+	if !a.InFlight() {
 		return
 	}
 	start := time.Now()
-	<-job.done
+	<-a.job.done
 	if backpressure {
 		a.mu.Lock()
 		a.stats.BackpressureSeconds += time.Since(start).Seconds()
@@ -295,51 +239,23 @@ func (a *AsyncCheckpointer) drain(backpressure bool) {
 	}
 }
 
-// Wait blocks until no save is in flight. Afterwards the wrapped
-// Checkpointer may be used directly (swap encoders, Restore, ...).
-// Unlike Flush, Wait leaves any pending background error in place.
-func (a *AsyncCheckpointer) Wait() { a.drain(false) }
-
-// WaitBackpressure is Wait with the time spent blocked accounted as
-// solver-visible backpressure. Callers draining on the checkpoint path
-// (a new save about to be submitted) use it so Stats keeps its
-// invariant: CaptureSeconds + BackpressureSeconds is the total stall
-// the solver paid.
+// WaitBackpressure blocks until no save is in flight and accounts the
+// time spent blocked as solver-visible backpressure. Callers draining
+// on the checkpoint path (a new save about to be submitted) use it so
+// Stats keeps its invariant: CaptureSeconds + BackpressureSeconds is
+// the total stall the solver paid. A failure stays with the pipeline.
 func (a *AsyncCheckpointer) WaitBackpressure() { a.drain(true) }
 
-// Flush drains the in-flight save and returns the Info of the most
-// recent committed checkpoint along with any background error not yet
-// surfaced (which it clears).
-func (a *AsyncCheckpointer) Flush() (Info, error) {
+// Flush drains the in-flight save and returns, once, any background
+// error not yet surfaced. Afterwards the wrapped Checkpointer may be
+// used directly (swap encoders, Restore, ...).
+func (a *AsyncCheckpointer) Flush() error {
 	a.drain(false)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	err := a.sticky
-	a.sticky, a.stickyJb = nil, nil
-	return a.lastInfo, err
-}
-
-// InFlight reports whether a save is currently running.
-func (a *AsyncCheckpointer) InFlight() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inflight != nil
-}
-
-// CommittedSeq returns the sequence number of the most recent save the
-// background stage fully committed to storage, 0 if none. In-flight
-// and failed saves are excluded — this is the recovery target.
-func (a *AsyncCheckpointer) CommittedSeq() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.commit
-}
-
-// LastInfo returns the Info of the most recent committed save.
-func (a *AsyncCheckpointer) LastInfo() Info {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastInfo
+	err := a.failed
+	a.failed = nil
+	return err
 }
 
 // Stats returns a snapshot of the pipeline's accounting.

@@ -1,6 +1,7 @@
 package fti
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -57,42 +58,37 @@ func TestAsyncSaveReturnsBeforeWriteCompletes(t *testing.T) {
 	a := NewAsync(New(st, Raw{}))
 
 	x := sparse.SmoothField(1000, 1)
-	tk, err := a.SaveAsync(testSnapshot(3, x))
+	opened, err := a.SaveAsync(testSnapshot(3, x))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.InFlight() {
 		t.Fatal("save should be in flight while the write is gated")
 	}
-	select {
-	case <-tk.Done():
-		t.Fatal("ticket done before the write was released")
-	default:
+	// SaveAsync returns the save's record as it opened; Peek reports the
+	// same while the write is gated, and does not wait.
+	if opened.Seq != 1 || opened.Iteration != 3 || opened.RawBytes != 8*(len(x)+1) {
+		t.Fatalf("record as opened: %+v", opened)
 	}
-	// The ticket carries the save's record as it opened; Peek does not wait.
-	if info, done, err := tk.Peek(); done || err != nil || info.Seq != 1 || info.Iteration != 3 || info.RawBytes != 8*(len(x)+1) {
-		t.Fatalf("Peek while the write is gated: %+v done=%v err=%v", info, done, err)
+	if info, done, err := a.Peek(); done || err != nil || info != opened {
+		t.Fatalf("Peek while the write is gated: %+v done=%v err=%v, want %+v", info, done, err, opened)
 	}
 	if names, _ := mem.List(); len(names) != 0 {
 		t.Fatalf("storage already has %v before the write was released", names)
 	}
 
 	close(gate)
-	info, err := tk.Wait()
-	if err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if info.Seq != 1 || tk.Seq != 1 {
-		t.Fatalf("committed seq %d, ticket seq %d, want 1", info.Seq, tk.Seq)
-	}
 	if a.InFlight() {
-		t.Fatal("still in flight after Wait")
+		t.Fatal("still in flight after Flush")
+	}
+	if info, done, err := a.Peek(); !done || err != nil || info.Seq != 1 || info.Bytes == 0 {
+		t.Fatalf("Peek after commit: %+v done=%v err=%v, want seq 1 with its bytes", info, done, err)
 	}
 	if names, _ := mem.List(); len(names) != 1 {
 		t.Fatalf("storage has %v after commit", names)
-	}
-	if a.CommittedSeq() != 1 {
-		t.Fatalf("CommittedSeq = %d", a.CommittedSeq())
 	}
 }
 
@@ -122,7 +118,7 @@ func TestAsyncAtMostOneInFlightBackpressure(t *testing.T) {
 	if err := <-second; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Flush(); err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	names, _ := mem.List()
@@ -134,38 +130,46 @@ func TestAsyncAtMostOneInFlightBackpressure(t *testing.T) {
 	}
 }
 
-func TestAsyncErrorSurfacedOnNextSave(t *testing.T) {
-	mem := NewMemStorage()
+// failingPipeline is a pipeline over Raw whose next write fails once
+// failNext is set, and its storage.
+func failingPipeline() (*AsyncCheckpointer, *Checkpointer, *atomic.Bool) {
 	var failNext atomic.Bool
-	boom := fmt.Errorf("pfs exploded")
-	st := &hookStorage{Storage: mem, onWrite: func(string) error {
+	st := &hookStorage{Storage: NewMemStorage(), onWrite: func(string) error {
 		if failNext.CompareAndSwap(true, false) {
-			return boom
+			return fmt.Errorf("pfs exploded")
 		}
 		return nil
 	}}
-	a := NewAsync(New(st, Raw{}))
+	c := New(st, Raw{})
+	return NewAsync(c), c, &failNext
+}
+
+func TestAsyncErrorSurfacedOnNextSave(t *testing.T) {
+	a, c, failNext := failingPipeline()
 	x := sparse.SmoothField(500, 3)
 
 	if _, err := a.SaveAsync(testSnapshot(1, x)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Flush(); err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	failNext.Store(true)
-	tk, err := a.SaveAsync(testSnapshot(2, x))
-	if err != nil {
+	if _, err := a.SaveAsync(testSnapshot(2, x)); err != nil {
 		t.Fatalf("SaveAsync itself must not fail, the write does: %v", err)
 	}
-	<-tk.Done()
-	if _, done, err := tk.Peek(); !done || err == nil {
-		t.Fatalf("Peek after the failed write: done=%v err=%v", done, err)
+	a.WaitBackpressure()
+	// Peek reports the failure and leaves it with the pipeline, however
+	// often it is asked.
+	for range 2 {
+		var ase *AsyncSaveError
+		if _, done, err := a.Peek(); !done || !errors.As(err, &ase) || ase.Seq != 2 {
+			t.Fatalf("Peek after the failed write: done=%v err=%v", done, err)
+		}
 	}
 
-	// Peek left the failure with the pipeline: it surfaces on the next
-	// call, which is not started.
+	// It surfaces on the next call, which is not started.
 	if _, err := a.SaveAsync(testSnapshot(3, x)); err == nil {
 		t.Fatal("previous background failure was not surfaced")
 	}
@@ -173,45 +177,41 @@ func TestAsyncErrorSurfacedOnNextSave(t *testing.T) {
 	if _, err := a.SaveAsync(testSnapshot(4, x)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Flush(); err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Checkpointer().Restore(nil)
+	got, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Iteration != 4 {
 		t.Fatalf("restored iteration %d, want 4", got.Iteration)
 	}
-	if a.CommittedSeq() != 2 {
-		t.Fatalf("CommittedSeq %d, want 2 (failed save rolled back)", a.CommittedSeq())
+	if info, _, _ := a.Peek(); info.Seq != 2 {
+		t.Fatalf("committed seq %d, want 2 (failed save rolled back)", info.Seq)
 	}
 }
 
-func TestAsyncTicketWaitConsumesError(t *testing.T) {
-	var failNext atomic.Bool
-	st := &hookStorage{Storage: NewMemStorage(), onWrite: func(string) error {
-		if failNext.CompareAndSwap(true, false) {
-			return fmt.Errorf("transient")
-		}
-		return nil
-	}}
-	a := NewAsync(New(st, Raw{}))
+// TestAsyncFlushSurfacesErrorOnce: a failure that no SaveAsync met is
+// returned by the first Flush alone.
+func TestAsyncFlushSurfacesErrorOnce(t *testing.T) {
+	a, _, failNext := failingPipeline()
 	x := sparse.SmoothField(100, 4)
 
 	failNext.Store(true)
-	tk, err := a.SaveAsync(testSnapshot(1, x))
-	if err != nil {
+	if _, err := a.SaveAsync(testSnapshot(1, x)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(); err == nil {
-		t.Fatal("ticket Wait should report the write failure")
+	if err := a.Flush(); err == nil {
+		t.Fatal("Flush should report the write failure")
 	}
-	// Consumed by Wait: the next save must not see it again.
+	if err := a.Flush(); err != nil {
+		t.Fatalf("error surfaced twice: %v", err)
+	}
 	if _, err := a.SaveAsync(testSnapshot(2, x)); err != nil {
 		t.Fatalf("error surfaced twice: %v", err)
 	}
-	if _, err := a.Flush(); err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,12 +223,12 @@ func TestAsyncTicketWaitConsumesError(t *testing.T) {
 // background encode reads anything.
 func TestAsyncCaptureIsDeepCopy(t *testing.T) {
 	gate := make(chan struct{})
-	a := NewAsync(New(NewMemStorage(), gateEncoder{Encoder: Raw{}, gate: gate}))
+	c := New(NewMemStorage(), gateEncoder{Encoder: Raw{}, gate: gate})
+	a := NewAsync(c)
 
 	x := sparse.SmoothField(2000, 5)
 	want := append([]float64(nil), x...)
-	tk, err := a.SaveAsync(testSnapshot(9, x))
-	if err != nil {
+	if _, err := a.SaveAsync(testSnapshot(9, x)); err != nil {
 		t.Fatal(err)
 	}
 	// Solver keeps iterating: trash the live vector mid-flight.
@@ -236,10 +236,10 @@ func TestAsyncCaptureIsDeepCopy(t *testing.T) {
 		x[i] = -7
 	}
 	close(gate)
-	if _, err := tk.Wait(); err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Checkpointer().Restore(nil)
+	got, _, err := c.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +255,8 @@ func TestAsyncCaptureIsDeepCopy(t *testing.T) {
 // synchronous encode-buffer-reuse test for the double-buffered async
 // path: consecutive saves must not clobber each other's stored bytes.
 func TestAsyncDoubleBufferKeepsCommittedCheckpoints(t *testing.T) {
-	mem := NewMemStorage()
-	a := NewAsync(New(mem, Raw{}))
+	c := New(NewMemStorage(), Raw{})
+	a := NewAsync(c)
 
 	x := sparse.SmoothField(3000, 6)
 	v1 := append([]float64(nil), x...)
@@ -269,11 +269,10 @@ func TestAsyncDoubleBufferKeepsCommittedCheckpoints(t *testing.T) {
 	if _, err := a.SaveAsync(testSnapshot(2, x)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Flush(); err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	c := a.Checkpointer()
 	if err := c.DropLatest(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,22 +288,18 @@ func TestAsyncDoubleBufferKeepsCommittedCheckpoints(t *testing.T) {
 	}
 }
 
-func TestAsyncFlushIdleAndZeroTicket(t *testing.T) {
+// TestAsyncFlushAndPeekIdle: before the first save there is nothing to
+// drain, to report or to surface.
+func TestAsyncFlushAndPeekIdle(t *testing.T) {
 	a := NewAsync(New(NewMemStorage(), Raw{}))
-	if info, err := a.Flush(); err != nil || info.Seq != 0 {
-		t.Fatalf("idle Flush: %+v %v", info, err)
+	if err := a.Flush(); err != nil {
+		t.Fatalf("idle Flush: %v", err)
 	}
-	var zero Ticket
-	select {
-	case <-zero.Done():
-	default:
-		t.Fatal("zero ticket Done must be closed")
+	if info, done, err := a.Peek(); !done || err != nil || info != (Info{}) {
+		t.Fatalf("idle Peek: %+v done=%v err=%v", info, done, err)
 	}
-	if _, err := zero.Wait(); err == nil {
-		t.Fatal("zero ticket Wait must error")
-	}
-	if _, done, err := zero.Peek(); !done || err == nil {
-		t.Fatal("zero ticket Peek must be done, with an error")
+	if a.InFlight() {
+		t.Fatal("idle pipeline in flight")
 	}
 }
 
@@ -316,7 +311,7 @@ func TestAsyncStatsAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.Flush(); err != nil {
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	s := a.Stats()

@@ -127,7 +127,7 @@ func TestCodecIdentityMatrix(t *testing.T) {
 						if _, err := ac.SaveAsync(snap); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if _, err := ac.Flush(); err != nil {
+						if err := ac.Flush(); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
 					} else if _, err := c.Save(snap); err != nil {

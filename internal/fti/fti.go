@@ -71,8 +71,9 @@ type Snapshot struct {
 
 // Info is the one record of a save: which checkpoint it is and what it
 // cost. Seq, Iteration, EncoderName and RawBytes are known when the
-// save opens (an async Ticket carries them from the capture on); the
-// rest once it has committed.
+// save opens (SaveAsync returns them from the capture on); the rest
+// once it has committed. The core.Manager keeps the records recovery
+// stands on; the async pipeline keeps only its newest save's.
 type Info struct {
 	Seq              int
 	Iteration        int // the snapshot's iteration

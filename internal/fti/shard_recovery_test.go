@@ -409,19 +409,21 @@ func TestAsyncShardedMatchesSyncMonolithic(t *testing.T) {
 	}
 
 	asyncSt := NewMemStorage()
-	ac := NewAsync(New(asyncSt, SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-6}}))
-	if err := ac.SetSharding(8, 4); err != nil {
+	asyncC := New(asyncSt, SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-6}})
+	if err := asyncC.SetSharding(8, 4); err != nil {
 		t.Fatal(err)
 	}
+	ac := NewAsync(asyncC)
 	if _, err := ac.SaveAsync(shardSnap(3, x)); err != nil {
 		t.Fatal(err)
 	}
-	if info, err := ac.Flush(); err != nil {
+	if err := ac.Flush(); err != nil {
 		t.Fatal(err)
-	} else if info.Shards != 8 {
+	}
+	if info, _, _ := ac.Peek(); info.Shards != 8 {
 		t.Fatalf("async committed %d shards, want 8", info.Shards)
 	}
-	got, _, err := ac.Checkpointer().Restore(nil)
+	got, _, err := asyncC.Restore(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestStreamingRestoreMatchesReassembledAsync(t *testing.T) {
 				if _, err := ac.SaveAsync(streamSnap(42, big, small)); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := ac.Flush(); err != nil {
+				if err := ac.Flush(); err != nil {
 					t.Fatal(err)
 				}
 			} else if _, err := c.Save(streamSnap(42, big, small)); err != nil {
@@ -284,7 +284,7 @@ func TestStreamingFallbackMidStream(t *testing.T) {
 					if _, err := ac.SaveAsync(streamSnap(it, x, small)); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := ac.Flush(); err != nil {
+					if err := ac.Flush(); err != nil {
 						t.Fatal(err)
 					}
 				} else if _, err := c.Save(streamSnap(it, x, small)); err != nil {
