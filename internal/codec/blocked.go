@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/parallel"
@@ -53,38 +54,66 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 }
 
 // deflater is a pooled flate.Writer (about 600 KiB of match-finder
-// state, the dominant allocation of a cold compress) and its sink.
+// state, the dominant allocation of a cold compress), its sink and the
+// byte image of the block it compresses.
 type deflater struct {
 	zw  *flate.Writer
 	out appendWriter
+	raw []byte
 }
 
 // inflater is a pooled flate reader (its 32 KiB window and Huffman
-// tables) and the source it reads.
+// tables), the source it reads and the byte image it inflates into.
 type inflater struct {
 	zr  io.Reader
 	src bytes.Reader
+	raw []byte
 }
 
-var deflaters, inflaters sync.Pool
+// freeList is a pool every goroutine sees whole: a sync.Pool keeps its
+// last object private to one P, where a block run on another P missed
+// it. It keeps at most one object per worker.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+func (l *freeList[T]) get() (t *T) {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		t, l.items = l.items[n-1], l.items[:n-1]
+	}
+	l.mu.Unlock()
+	return t
+}
+
+func (l *freeList[T]) put(t *T) {
+	l.mu.Lock()
+	if len(l.items) < parallel.Workers() {
+		l.items = append(l.items, t)
+	}
+	l.mu.Unlock()
+}
+
+var deflaters freeList[deflater]
+var inflaters freeList[inflater]
 
 // EncodeBlock implements BlockCodec.
 func (BlockedFlate) EncodeBlock(dst []byte, x []float64) ([]byte, error) {
-	raw := blockBuffer(len(x))[:8*len(x)]
-	defer parallel.PutBytes(raw)
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
-	d, _ := deflaters.Get().(*deflater)
+	d := deflaters.get()
 	if d == nil {
 		d = new(deflater)
 		d.zw, _ = flate.NewWriter(&d.out, flate.DefaultCompression) // errs only on a bad level
 	} else {
 		d.zw.Reset(&d.out)
 	}
-	defer deflaters.Put(d)
+	defer deflaters.put(d)
+	d.raw = slices.Grow(d.raw[:0], 8*len(x))[:8*len(x)]
+	for i, v := range x {
+		binary.LittleEndian.PutUint64(d.raw[8*i:], math.Float64bits(v))
+	}
 	d.out.b = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
-	d.zw.Write(raw) // a flate.Writer's error is sticky: Close reports it
+	d.zw.Write(d.raw) // a flate.Writer's error is sticky: Close reports it
 	err := d.zw.Close()
 	dst, d.out.b = d.out.b, nil
 	return dst, err
@@ -101,9 +130,7 @@ func (BlockedFlate) DecodeBlockInto(dst []float64, block []byte) error {
 	if n := binary.LittleEndian.Uint64(block); n != uint64(len(dst)) {
 		return fmt.Errorf("flate: block holds %d values, dst has %d", n, len(dst))
 	}
-	raw := blockBuffer(len(dst))[:8*len(dst)]
-	defer parallel.PutBytes(raw)
-	z, _ := inflaters.Get().(*inflater)
+	z := inflaters.get()
 	if z == nil {
 		z = new(inflater)
 		z.zr = flate.NewReader(&z.src)
@@ -112,9 +139,10 @@ func (BlockedFlate) DecodeBlockInto(dst []float64, block []byte) error {
 	z.zr.(flate.Resetter).Reset(&z.src, nil)
 	defer func() {
 		z.src.Reset(nil)
-		inflaters.Put(z)
+		inflaters.put(z)
 	}()
-	if _, err := io.ReadFull(z.zr, raw); err != nil {
+	z.raw = slices.Grow(z.raw[:0], 8*len(dst))[:8*len(dst)]
+	if _, err := io.ReadFull(z.zr, z.raw); err != nil {
 		return fmt.Errorf("flate: inflate: %w", err)
 	}
 	var extra [1]byte
@@ -122,7 +150,7 @@ func (BlockedFlate) DecodeBlockInto(dst []float64, block []byte) error {
 		return fmt.Errorf("flate: stream does not end after %d values (%v)", len(dst), err)
 	}
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(z.raw[8*i:]))
 	}
 	return nil
 }

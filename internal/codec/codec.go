@@ -186,13 +186,6 @@ func blockElemsOf(bc BlockCodec) int {
 	return DefaultBlockElems
 }
 
-// blockBuffer is a pooled buffer for a block of n elements, at one
-// worst-case size for every codec: at least as big as the 8n-byte raw
-// images the codecs stage, so the shared pool reaches a steady state
-// instead of ping-ponging between compressed-size and raw-size
-// capacities on every block.
-func blockBuffer(n int) []byte { return parallel.GetBytes(9*n + 80) }
-
 // Compress appends the container of x to dst, as append does, the
 // blocks compressed concurrently across the worker pool by bc.
 func Compress(dst []byte, x []float64, bc BlockCodec) ([]byte, error) {
@@ -204,7 +197,9 @@ func Compress(dst []byte, x []float64, bc BlockCodec) ([]byte, error) {
 	parallel.For(nBlocks, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			chunk := x[min(b*blockElems, n):min((b+1)*blockElems, n)]
-			blocks[b], errs[b] = bc.EncodeBlock(blockBuffer(len(chunk)), chunk)
+			// A pooled buffer at one worst-case size for every codec, so
+			// the pool settles instead of ping-ponging between capacities.
+			blocks[b], errs[b] = bc.EncodeBlock(parallel.GetBytes(9*len(chunk)+80), chunk)
 		}
 	})
 	for b, err := range errs {

@@ -153,63 +153,38 @@ func Grain(n, minGrain, chunksPerWorker int) int {
 // capacity, and Put* recycles it. Contents are never zeroed — callers
 // must treat returned slices as uninitialized beyond their own writes.
 
-var (
-	bytePool    = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
-	intPool     = sync.Pool{New: func() any { s := make([]int, 0, 1024); return &s }}
-	float64Pool = sync.Pool{New: func() any { s := make([]float64, 0, 1024); return &s }}
-)
+var bytePool, intPool, float64Pool sync.Pool
+
+// get returns a zero-length slice with capacity ≥ n from p.
+func get[T any](p *sync.Pool, n int) []T {
+	if s, ok := p.Get().(*[]T); ok && cap(*s) >= n {
+		return (*s)[:0]
+	}
+	return make([]T, 0, max(n, 1024))
+}
+
+// put recycles s into p. The caller must not use s afterwards.
+func put[T any](p *sync.Pool, s []T) {
+	if cap(s) > 0 {
+		s = s[:0]
+		p.Put(&s)
+	}
+}
 
 // GetBytes returns a zero-length byte slice with capacity ≥ n.
-func GetBytes(n int) []byte {
-	b := *bytePool.Get().(*[]byte)
-	if cap(b) < n {
-		b = make([]byte, 0, n)
-	}
-	return b[:0]
-}
+func GetBytes(n int) []byte { return get[byte](&bytePool, n) }
 
-// PutBytes recycles a slice obtained from GetBytes. The caller must
-// not use b afterwards.
-func PutBytes(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	bytePool.Put(&b)
-}
+// PutBytes recycles a slice obtained from GetBytes.
+func PutBytes(b []byte) { put(&bytePool, b) }
 
 // GetInts returns a zero-length int slice with capacity ≥ n.
-func GetInts(n int) []int {
-	s := *intPool.Get().(*[]int)
-	if cap(s) < n {
-		s = make([]int, 0, n)
-	}
-	return s[:0]
-}
+func GetInts(n int) []int { return get[int](&intPool, n) }
 
 // PutInts recycles a slice obtained from GetInts.
-func PutInts(s []int) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	intPool.Put(&s)
-}
+func PutInts(s []int) { put(&intPool, s) }
 
 // GetFloat64s returns a zero-length float64 slice with capacity ≥ n.
-func GetFloat64s(n int) []float64 {
-	s := *float64Pool.Get().(*[]float64)
-	if cap(s) < n {
-		s = make([]float64, 0, n)
-	}
-	return s[:0]
-}
+func GetFloat64s(n int) []float64 { return get[float64](&float64Pool, n) }
 
 // PutFloat64s recycles a slice obtained from GetFloat64s.
-func PutFloat64s(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	float64Pool.Put(&s)
-}
+func PutFloat64s(s []float64) { put(&float64Pool, s) }

@@ -34,10 +34,9 @@ type CSR struct {
 // each carrying one value: 2 B per row and O(diagonals), no copy of an
 // index or a value. It is derived state — Serialize does not write it.
 type stencil struct {
-	off    []int     // diagonal offsets (column − row), ascending: CSR's column order
-	coef   []float64 // the value every entry on diagonal d holds
-	mask   []uint16  // per row: bit d ⇔ the row stores an entry on diagonal d
-	lo, hi int       // rows the stencil kernel takes: every diagonal inside x, hi−lo a multiple of 4
+	off  []int     // diagonal offsets (column − row), ascending: CSR's column order
+	coef []float64 // the value every entry on diagonal d holds
+	mask []uint16  // per row: bit d ⇔ the row stores an entry on diagonal d
 }
 
 // NNZ returns the number of stored entries.
@@ -119,16 +118,16 @@ func (m *CSR) mulRows(dst, b, x []float64, lo, hi int) {
 
 // mulVec runs mulRows over all rows: serially below parallelMinNNZ,
 // by row ranges across the worker pool above it. A matrix with a
-// stencil summary gives its middle rows to vec.StencilMulVec instead —
-// the same sum in the same order, bit for bit, four rows per register —
-// on the caller's goroutine: at ≤ 0.2 ms a multiply the fan-out costs
-// more than a second worker returns. The head and tail rows, where a
-// diagonal would leave x, stay on mulRows.
+// stencil summary gives rows [0, Rows&^3), boundary rows included, to
+// vec.StencilMulVec instead — the same sum in the same order, bit for
+// bit — on the caller's goroutine: at ≤ 0.2 ms a multiply the fan-out
+// costs more than a second worker returns. A neighbour outside the grid
+// is a clear mask bit, which the kernel never loads.
 func (m *CSR) mulVec(dst, b, x []float64) {
 	if st := m.st; st != nil {
-		m.mulRows(dst, b, x, 0, st.lo)
-		vec.StencilMulVec(dst, b, x, st.off, st.coef, st.mask, st.lo, st.hi)
-		m.mulRows(dst, b, x, st.hi, m.Rows)
+		n := m.Rows &^ 3
+		vec.StencilMulVec(dst, b, x, st.off, st.coef, st.mask, 0, n)
+		m.mulRows(dst, b, x, n, m.Rows)
 		return
 	}
 	if m.NNZ() < parallelMinNNZ {

@@ -54,7 +54,7 @@ func Poisson2D(n int) *CSR {
 // of extent > 1 (an extent-1 direction stores nothing) in CSR's column
 // order −z, −y, −x, center, +x, +y, +z, and a row's mask has the bit of
 // each neighbour it stored. The summary is attached where the AVX2
-// kernel exists and at least four rows keep every diagonal inside x.
+// kernel exists and the grid has at least one four-row block.
 func poissonGrid(nx, ny, nz int, center float64) *CSR {
 	N := nx * ny * nz
 	nnz := 7*N - 2*(nx*ny+ny*nz+nx*nz)
@@ -114,9 +114,7 @@ func poissonGrid(nx, ny, nz int, center float64) *CSR {
 			}
 		}
 	}
-	st.lo = -st.off[0]
-	st.hi = st.lo + (N-st.off[len(st.off)-1]-st.lo)&^3
-	if vec.Accelerated() && st.hi-st.lo >= 4 {
+	if vec.Accelerated() && N >= 4 {
 		m.st = st
 	}
 	return m

@@ -51,7 +51,7 @@ func scaleToAVX2(dst []float64, a float64, x []float64)
 //go:noescape
 func expAVX2(dst, x []float64) int
 
-// stencilAVX2 is StencilMulVec's body; every argument has been checked.
+// stencilAVX2 is StencilMulVec's body on checked, front-padded arguments.
 //
 //go:noescape
-func stencilAVX2(dst, b, x []float64, off []int, coef []float64, mask []uint16, lo, hi int)
+func stencilAVX2(dst, b, x []float64, off *[7]int, coef *[7]float64, mask []uint16, lo, hi, pad int)

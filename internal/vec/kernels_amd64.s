@@ -282,80 +282,153 @@ check:
 	VZEROUPPER
 	RET
 
-// func stencilAVX2(dst, b, x []float64, off []int, coef []float64, mask []uint16, lo, hi int)
+// func stencilAVX2(dst, b, x []float64, off *[7]int, coef *[7]float64, mask []uint16, lo, hi, pad int)
 //
-// Lane k is row i+k. Each block of four rows starts from +0 and takes
-// the diagonals in ascending order, one VMULPD of the broadcast
-// coefficient with the contiguous x[i+off : i+off+4] and one VADDPD per
-// diagonal. A block whose four mask words are all full (R12 holds four
-// full words) takes the unmasked loop; any other ANDs each product with
-// a lane mask made from bit d of the four words, so an absent entry
-// adds +0. With b present the block stores b − sum.
-TEXT ·stencilAVX2(SB), NOSPLIT, $0-160
+// Lane k is row i+k, and the seven diagonal slots are held for the
+// whole call: slot s's base x + off[s] in SI, BX, R9…R13 and its
+// broadcast coefficient in Y9…Y15. StencilMulVec fills the leading pad
+// slots (7 − the diagonal count) with offset 0 and coefficient +0.
+// Every block starts from +0 and takes the slots in ascending order,
+// one VMULPD and one VADDPD each, never a fused multiply-add.
+//
+// A block whose four mask words are all 0x7F (R14 holds four of them)
+// loads x whole; when the next block is full too, the two run as two
+// independent chains. Any other block, and every block when pad > 0,
+// loads x with VMASKMOVPD under lane k = bit s − pad of row i+k's word,
+// shifted to the sign: an absent lane reads nothing and multiplies +0,
+// adding c·(+0) = ±0 (c is finite) to a sum that started at +0 and so
+// is never −0 — the bits of a sum that skipped the entry. A slot whose
+// four lanes are all absent (every pad slot; a grid's outward diagonal
+// on its first and last planes) is skipped, which gives those bits too:
+// a masked load still walks to the page it points at, which there lies
+// outside x, and one that would fault costs a microcode assist. With b
+// present a block stores b − sum.
+#define FULL1(R, YC) \
+	VMULPD (R)(AX*8), YC, Y2; \
+	VADDPD Y2, Y0, Y0
+
+#define FULL2(R, YC) \
+	VMULPD (R)(AX*8), YC, Y2; \
+	VMULPD 32(R)(AX*8), YC, Y3; \
+	VADDPD Y2, Y0, Y0; \
+	VADDPD Y3, Y1, Y1
+
+#define MASKED(S, R, YC, L) \
+	VPSLLQ     $(63-S), Y4, Y2; \
+	VTESTPD    Y2, Y2; \
+	JZ         L; \
+	VMASKMOVPD (R)(AX*8), Y2, Y2; \
+	VMULPD     YC, Y2, Y2; \
+	VADDPD     Y2, Y0, Y0; \
+L:
+
+TEXT ·stencilAVX2(SB), NOSPLIT, $0-136
+	MOVQ x_base+48(FP), SI
+	MOVQ off+72(FP), R14
+	MOVQ 8(R14), BX
+	LEAQ (SI)(BX*8), BX
+	MOVQ 16(R14), R9
+	LEAQ (SI)(R9*8), R9
+	MOVQ 24(R14), R10
+	LEAQ (SI)(R10*8), R10
+	MOVQ 32(R14), R11
+	LEAQ (SI)(R11*8), R11
+	MOVQ 40(R14), R12
+	LEAQ (SI)(R12*8), R12
+	MOVQ 48(R14), R13
+	LEAQ (SI)(R13*8), R13
+	MOVQ (R14), R14
+	LEAQ (SI)(R14*8), SI
+
+	MOVQ         coef+80(FP), R14
+	VBROADCASTSD (R14), Y9
+	VBROADCASTSD 8(R14), Y10
+	VBROADCASTSD 16(R14), Y11
+	VBROADCASTSD 24(R14), Y12
+	VBROADCASTSD 32(R14), Y13
+	VBROADCASTSD 40(R14), Y14
+	VBROADCASTSD 48(R14), Y15
+	VMOVQ        pad+128(FP), X8
+
 	MOVQ dst_base+0(FP), DI
 	MOVQ b_base+24(FP), R8
-	MOVQ x_base+48(FP), SI
-	MOVQ off_base+72(FP), R9
-	MOVQ off_len+80(FP), R10
-	MOVQ coef_base+96(FP), BX
-	MOVQ mask_base+120(FP), DX
-	MOVQ lo+144(FP), AX
+	MOVQ mask_base+88(FP), DX
+	MOVQ lo+112(FP), AX
+	MOVQ hi+120(FP), CX
+	SUBQ $4, CX // a block at AX fits iff AX ≤ CX, a pair iff AX < CX
+	MOVQ $0x007F007F007F007F, R14
+	CMPQ pad+128(FP), $0
+	JNE  padded
 
-	// R12 ← (1<<nd − 1) in each of its four words.
-	MOVQ  R10, CX
-	MOVQ  $1, R12
-	SHLQ  CX, R12
-	DECQ  R12
-	MOVQ  $0x0001000100010001, R13
-	IMULQ R13, R12
-	MOVQ  hi+152(FP), CX
-
-	// Y13 ← 1 in each lane: bit 0, shifted left once per diagonal.
-	VPCMPEQQ Y13, Y13, Y13
-	VPSRLQ   $63, Y13, Y13
-	JMP      check
-rowloop:
+block:
+	CMPQ AX, CX
+	JGT  done
+	CMPQ R14, (DX)(AX*2)
+	JNE  masked
+	CMPQ AX, CX
+	JGE  single
+	CMPQ R14, 8(DX)(AX*2)
+	JNE  single
 	VXORPD Y0, Y0, Y0
-	XORQ   R13, R13
-	CMPQ   R12, (DX)(AX*2)
-	JNE    slow
-fast:
-	MOVQ         (R9)(R13*8), R14
-	ADDQ         AX, R14
-	VBROADCASTSD (BX)(R13*8), Y1
-	VMULPD       (SI)(R14*8), Y1, Y2
-	VADDPD       Y2, Y0, Y0
-	INCQ         R13
-	CMPQ         R13, R10
-	JLT          fast
-	JMP          finish
-slow:
-	VPMOVZXWQ (DX)(AX*2), Y10
-	VMOVDQA   Y13, Y11
-sloop:
-	MOVQ         (R9)(R13*8), R14
-	ADDQ         AX, R14
-	VPAND        Y10, Y11, Y12
-	VPCMPEQQ     Y12, Y11, Y12
-	VBROADCASTSD (BX)(R13*8), Y1
-	VMULPD       (SI)(R14*8), Y1, Y2
-	VANDPD       Y12, Y2, Y2
-	VADDPD       Y2, Y0, Y0
-	VPSLLQ       $1, Y11, Y11
-	INCQ         R13
-	CMPQ         R13, R10
-	JLT          sloop
+	VXORPD Y1, Y1, Y1
+	FULL2(SI, Y9)
+	FULL2(BX, Y10)
+	FULL2(R9, Y11)
+	FULL2(R10, Y12)
+	FULL2(R11, Y13)
+	FULL2(R12, Y14)
+	FULL2(R13, Y15)
+	TESTQ R8, R8
+	JZ    storepair
+	VMOVUPD (R8)(AX*8), Y2
+	VSUBPD  Y0, Y2, Y0
+	VMOVUPD 32(R8)(AX*8), Y3
+	VSUBPD  Y1, Y3, Y1
+storepair:
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     block
+
+single:
+	VXORPD Y0, Y0, Y0
+	FULL1(SI, Y9)
+	FULL1(BX, Y10)
+	FULL1(R9, Y11)
+	FULL1(R10, Y12)
+	FULL1(R11, Y13)
+	FULL1(R12, Y14)
+	FULL1(R13, Y15)
+	JMP finish
+
+padded:
+	CMPQ AX, CX
+	JGT  done
+masked:
+	VPMOVZXWQ (DX)(AX*2), Y4
+	VPSLLQ    X8, Y4, Y4
+	VXORPD    Y0, Y0, Y0
+	MASKED(0, SI, Y9, absent0)
+	MASKED(1, BX, Y10, absent1)
+	MASKED(2, R9, Y11, absent2)
+	MASKED(3, R10, Y12, absent3)
+	MASKED(4, R11, Y13, absent4)
+	MASKED(5, R12, Y14, absent5)
+	MASKED(6, R13, Y15, absent6)
+
 finish:
 	TESTQ R8, R8
 	JZ    store
-	VMOVUPD (R8)(AX*8), Y4
-	VSUBPD  Y0, Y4, Y0
+	VMOVUPD (R8)(AX*8), Y2
+	VSUBPD  Y0, Y2, Y0
 store:
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ    $4, AX
-check:
-	CMPQ AX, CX
-	JLT  rowloop
+	CMPQ    pad+128(FP), $0
+	JEQ     block
+	JMP     padded
+
+done:
 	VZEROUPPER
 	RET
 

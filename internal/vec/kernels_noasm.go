@@ -38,6 +38,6 @@ func subAVX2(dst, x, y []float64) { panic("vec: no AVX2 kernel") }
 
 func scaleToAVX2(dst []float64, a float64, x []float64) { panic("vec: no AVX2 kernel") }
 
-func stencilAVX2(dst, b, x []float64, off []int, coef []float64, mask []uint16, lo, hi int) {
+func stencilAVX2(dst, b, x []float64, off *[7]int, coef *[7]float64, mask []uint16, lo, hi, pad int) {
 	panic("vec: no AVX2 kernel")
 }

@@ -294,16 +294,47 @@ func TestGuardCatchesStrayWrite(t *testing.T) {
 	}
 }
 
+// stencilMask is a random mask over n rows for diagonals off: blocks of
+// four full rows (runs of them, so pairs of full blocks occur), rows
+// empty, rows full and random rows, some with bits at or above
+// len(off) set, which every path ignores — full rows among them, with
+// every bit up to the seventh set whatever the count. A bit whose
+// neighbour leaves [0, n) is cleared, as the contract asks.
+func stencilMask(rng *rand.Rand, off []int, n int) []uint16 {
+	nd := len(off)
+	mask := make([]uint16, n)
+	for i := range mask {
+		switch mode := rng.Intn(8); {
+		case i/4%3 != 0 && i/12%2 != 0:
+			mask[i] = 0x7F
+		case i/4%3 != 0 || mode == 0:
+			mask[i] = 1<<nd - 1
+		case mode == 1:
+			mask[i] = 0
+		default:
+			mask[i] = uint16(rng.Intn(1 << 16))
+		}
+		for d, o := range off {
+			if i+o < 0 || i+o >= n {
+				mask[i] &^= 1 << d
+			}
+		}
+	}
+	return mask
+}
+
 // TestStencilMatchesGoLoop: the stencil kernel on shapes no grid
-// generator produces — 1 to 16 diagonals at random offsets, random
-// masks (empty and full rows included), a zero coefficient, every
-// special value in x both under a set bit and under a clear one — with
-// and without b, at every offset of dst in its backing array.
+// generator produces — every supported count of diagonals (1 to 7) at
+// random offsets, random masks over the whole of x (so the first and
+// last rows' absent neighbours fall outside it), a zero coefficient,
+// every special value in x both under a set bit and under a clear one —
+// with and without b, from every start of the range modulo four, at
+// every offset of dst in its backing array.
 func TestStencilMatchesGoLoop(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(74))
-	for nd := 1; nd <= 16; nd++ {
-		for trial := 0; trial < 8; trial++ {
+	for nd := 1; nd <= 7; nd++ {
+		for trial := 0; trial < 16; trial++ {
 			const n = 64
 			off := make([]int, nd)
 			coef := make([]float64, nd)
@@ -312,19 +343,9 @@ func TestStencilMatchesGoLoop(t *testing.T) {
 				coef[d] = float64(rng.Intn(9) - 4) // zero among them
 			}
 			sort.Ints(off)
-			lo := -min(off[0], 0)
-			hi := lo + (n-max(off[nd-1], 0)-lo)&^3
-			mask := make([]uint16, n)
-			for i := range mask {
-				switch rng.Intn(4) {
-				case 0:
-					mask[i] = 1<<nd - 1
-				case 1:
-					mask[i] = 0
-				default:
-					mask[i] = uint16(rng.Intn(1 << nd))
-				}
-			}
+			mask := stencilMask(rng, off, n)
+			lo := trial % 4
+			hi := lo + (n-lo)&^3
 			in := randomVecs(rng, 2, n)
 			x, b := in[0], in[1]
 			for i := range x {
@@ -362,24 +383,94 @@ func TestStencilMatchesGoLoop(t *testing.T) {
 	}
 }
 
+// TestStencilNeighbourRule: for every supported count of diagonals, a
+// call whose every set bit's neighbour lies inside x passes on both
+// paths though clear bits point outside x, and setting any one bit
+// whose neighbour leaves x — in any row of the range, on either side —
+// panics in Go, before the assembly runs.
+func TestStencilNeighbourRule(t *testing.T) {
+	const n = 24
+	x := make([]float64, n)
+	dst := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i%5) - 2
+	}
+	for nd := 1; nd <= 7; nd++ {
+		off := []int{-9, -4, -1, 0, 1, 4, 9}[7-nd:] // offsets of both signs from nd = 4 on
+		if nd < 4 {
+			off = []int{-5, 0, 3}[:nd]
+		}
+		coef := make([]float64, nd)
+		for d := range coef {
+			coef[d] = float64(d + 1)
+		}
+		mask := make([]uint16, n)
+		for i := range mask {
+			for d, o := range off {
+				if i+o >= 0 && i+o < n {
+					mask[i] |= 1 << d
+				}
+			}
+		}
+		for _, on := range []bool{false, useAVX2} {
+			func() {
+				have := useAVX2
+				defer func() { useAVX2 = have }()
+				useAVX2 = on
+				StencilMulVec(dst, nil, x, off, coef, mask, 0, n)
+			}()
+		}
+		for i := range mask {
+			for d, o := range off {
+				if i+o >= 0 && i+o < n {
+					continue
+				}
+				mask[i] |= 1 << d
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%d diagonals %v: row %d's bit for offset %d leaves x, no panic", nd, off, i, o)
+						}
+					}()
+					StencilMulVec(dst, nil, x, off, coef, mask, 0, n)
+				}()
+				// A range that excludes the row does not look at it.
+				if lo := (i/4 + 1) * 4; lo < n {
+					StencilMulVec(dst, nil, x, off, coef, mask, lo, n)
+				} else {
+					StencilMulVec(dst, nil, x, off, coef, mask, 0, i&^3)
+				}
+				mask[i] &^= 1 << d
+			}
+		}
+	}
+}
+
 // TestStencilChecksItsArguments: the wrapper, not the assembly, refuses
-// a range the loads would leave.
+// a call the kernel cannot take.
 func TestStencilChecksItsArguments(t *testing.T) {
 	x, dst := make([]float64, 16), make([]float64, 16)
-	mask := make([]uint16, 16)
 	off, coef := []int{-2, 0, 3}, []float64{1, 2, 3}
-	StencilMulVec(dst, nil, x, off, coef, mask, 2, 10) // the widest legal range
+	mask := make([]uint16, 16)
+	for i := range mask {
+		mask[i] = 0b010
+	}
+	StencilMulVec(dst, nil, x, off, coef, mask, 0, 16) // clear bits pointing outside x
 	for name, call := range map[string]func(){
-		"first row reaches before x":   func() { StencilMulVec(dst, nil, x, off, coef, mask, 1, 9) },
-		"last row reaches past x":      func() { StencilMulVec(dst, nil, x, off, coef, mask, 6, 14) },
-		"range not a multiple of 4":    func() { StencilMulVec(dst, nil, x, off, coef, mask, 2, 9) },
-		"dst short":                    func() { StencilMulVec(dst[:9], nil, x, off, coef, mask, 2, 10) },
-		"b short":                      func() { StencilMulVec(dst, x[:9], x, off, coef, mask, 2, 10) },
-		"mask short":                   func() { StencilMulVec(dst, nil, x, off, coef, mask[:9], 2, 10) },
-		"coefficients short":           func() { StencilMulVec(dst, nil, x, off, coef[:2], mask, 2, 10) },
-		"no diagonals":                 func() { StencilMulVec(dst, nil, x, nil, nil, mask, 2, 10) },
-		"more diagonals than a mask":   func() { StencilMulVec(dst, nil, x, make([]int, 17), make([]float64, 17), mask, 2, 10) },
-		"unsorted offsets, one leaves": func() { StencilMulVec(dst, nil, x, []int{0, -3, 1}, coef, mask, 2, 10) },
+		"range not a multiple of 4": func() { StencilMulVec(dst, nil, x, off, coef, mask, 2, 9) },
+		"negative start":            func() { StencilMulVec(dst, nil, x, off, coef, mask, -4, 4) },
+		"dst short":                 func() { StencilMulVec(dst[:9], nil, x, off, coef, mask, 0, 12) },
+		"b short":                   func() { StencilMulVec(dst, x[:9], x, off, coef, mask, 0, 12) },
+		"mask short":                func() { StencilMulVec(dst, nil, x, off, coef, mask[:9], 0, 12) },
+		"coefficients short":        func() { StencilMulVec(dst, nil, x, off, coef[:2], mask, 0, 12) },
+		"no diagonals":              func() { StencilMulVec(dst, nil, x, nil, nil, mask, 0, 12) },
+		"more than seven diagonals": func() { StencilMulVec(dst, nil, x, make([]int, 8), make([]float64, 8), mask, 0, 12) },
+		"infinite coefficient":      func() { StencilMulVec(dst, nil, x, off, []float64{1, math.Inf(-1), 3}, mask, 0, 12) },
+		"NaN coefficient":           func() { StencilMulVec(dst, nil, x, off, []float64{math.NaN(), 2, 3}, mask, 0, 12) },
+		"x too short for a set bit": func() { StencilMulVec(dst, nil, x[:10], off, coef, mask, 0, 12) },
+		"unsorted offsets, one leaves": func() {
+			StencilMulVec(dst, nil, x, []int{0, -3, 1}, coef, []uint16{0b011, 0b011, 0b011, 0b011}, 0, 4)
+		},
 	} {
 		func() {
 			defer func() {
