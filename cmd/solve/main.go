@@ -61,13 +61,13 @@
 // overlapping solver iterations.
 //
 // Storage resilience (-storage-retries, -storage-timeout,
-// -scrub-interval, -storage-fault-rate; on-disk checkpoint directories
-// are fsck-swept at startup) and the shard layout (-shards,
-// -storage-workers) are described flag by flag in the README, "Storage
-// fault model" and "cmd/solve flags". The layout changes what is
-// written and measured, not the modeled column of the cost table: every
-// modeled checkpoint and restart is the paper's collective write
-// through the aggregate PFS bandwidth.
+// -storage-fault-rate; on-disk checkpoint directories are fsck-swept at
+// startup) and the shard layout (-shards, -storage-workers) are
+// described flag by flag in the README, "Storage fault model" and
+// "cmd/solve flags". The layout changes what is written and measured,
+// not the modeled column of the cost table: every modeled checkpoint
+// and restart is the paper's collective write through the aggregate PFS
+// bandwidth.
 package main
 
 import (
@@ -115,7 +115,7 @@ type options struct {
 	storageRetries, qualitySample         int
 	seed                                  int64
 	rtol, eb, interval, prior, faultRate  float64
-	storageTimeout, scrubEvery            time.Duration
+	storageTimeout                        time.Duration
 	async, adaptive, tiers                bool
 	quality                               bool
 	// typed holds the names of the flags given on the command line, so
@@ -142,7 +142,6 @@ func parseOptions(args []string) (options, error) {
 	fs.IntVar(&o.storageWorkers, "storage-workers", 0, "worker pool bound for shard writes/reads (0 = GOMAXPROCS)")
 	fs.IntVar(&o.storageRetries, "storage-retries", 4, "max retries per storage op for transient faults (0 disables the resilient wrapper)")
 	fs.DurationVar(&o.storageTimeout, "storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
-	fs.DurationVar(&o.scrubEvery, "scrub-interval", 0, "background scrubber sweep cadence (0 = scrubbing off)")
 	fs.Float64Var(&o.faultRate, "storage-fault-rate", 0, "seeded per-attempt transient storage-fault probability, injected beneath the retry layer (0 = none)")
 	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan Daly's interval (the overlapped fixed point under -async) whenever an estimate moves")
 	fs.Float64Var(&o.prior, "prior-mtti", 0, "adaptive controller's prior mean time to interruption in wall seconds (its only a-priori knowledge; -adaptive needs it)")
@@ -188,7 +187,6 @@ func (o *options) validate() error {
 		{"-storage-workers", o.storageWorkers, o.storageWorkers >= 0, "0 (GOMAXPROCS) or positive"},
 		{"-storage-retries", o.storageRetries, o.storageRetries >= 0, "0 (no resilient wrapper) or positive"},
 		{"-storage-timeout", o.storageTimeout, o.storageTimeout >= 0, "0 (no budget) or positive"},
-		{"-scrub-interval", o.scrubEvery, o.scrubEvery >= 0, "0 (scrubbing off) or positive"},
 		{"-storage-fault-rate", o.faultRate, o.faultRate >= 0 && o.faultRate <= 1, "a probability in [0, 1]"},
 		{"-quality-sample", o.qualitySample, o.qualitySample >= 1, "at least 1 (1 = every checkpoint)"},
 	} {
@@ -201,7 +199,7 @@ func (o *options) validate() error {
 		// planned, and no save has a cadence, a store or an audit:
 		// -scheme none is the failure-free baseline solve.
 		for _, name := range []string{"recovery-tiers", "inject", "adaptive", "async", "interval", "ckptdir", "shards",
-			"storage-workers", "storage-retries", "storage-timeout", "scrub-interval", "storage-fault-rate",
+			"storage-workers", "storage-retries", "storage-timeout", "storage-fault-rate",
 			"quality", "quality-sample", "seed"} {
 			if o.typed[name] {
 				return fmt.Errorf("-%s needs a checkpoint scheme (-scheme none is the failure-free baseline: nothing is saved, so nothing can fail, recover or be planned)", name)
@@ -379,24 +377,8 @@ func run(o options) (err error) {
 		return err
 	}
 	rep.mgr = mgr
-	var scrubber *fti.Scrubber
-	if o.scrubEvery > 0 {
-		scrubber = fti.NewScrubber(storage)
-		scrubber.Instrument(rep.reg, rep.tr)
-		mgr.Checkpointer().AttachScrubber(scrubber)
-		if err := scrubber.Start(o.scrubEvery); err != nil {
-			return err
-		}
-		defer scrubber.Stop()
-	}
-	// Storage-resilience accounting prints on every exit path, after the
-	// scrubber has stopped (LIFO) so its final sweep is counted.
+	// Storage-resilience accounting prints on every exit path.
 	defer func() {
-		if scrubber != nil {
-			ss := scrubber.Stats()
-			fmt.Printf("scrubber: sweeps=%d verified=%d corruptions=%d repairs=%d dropped=%d\n",
-				ss.Sweeps, ss.Verified, ss.Corruptions, ss.Repairs, ss.Dropped)
-		}
 		if resilient != nil {
 			if rs := resilient.Stats(); rs.Retries > 0 || rs.Exhausted > 0 || rs.Permanent > 0 {
 				fmt.Printf("storage resilience: ops=%d retries=%d recovered=%d exhausted=%d permanent=%d backoff=%.1fms\n",

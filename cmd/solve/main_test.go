@@ -69,7 +69,6 @@ func TestRejectedCombinations(t *testing.T) {
 		{"-scheme none -storage-workers 2", "-storage-workers needs a checkpoint scheme"},
 		{"-scheme none -storage-retries 2", "-storage-retries needs a checkpoint scheme"},
 		{"-scheme none -storage-timeout 1s", "-storage-timeout needs a checkpoint scheme"},
-		{"-scheme none -scrub-interval 1s", "-scrub-interval needs a checkpoint scheme"},
 		{"-scheme none -storage-fault-rate 0.1", "-storage-fault-rate needs a checkpoint scheme"},
 		{"-scheme none -quality", "-quality needs a checkpoint scheme"},
 		{"-scheme none -quality-sample 2", "-quality-sample needs a checkpoint scheme"},
@@ -89,8 +88,10 @@ func TestRejectedCombinations(t *testing.T) {
 			t.Errorf("solve %s: report exit %q does not record the refusal", c.args, run["exit"])
 		}
 	}
-	// The modelled clock lives in cmd/repro: its flags are unknown here.
-	for _, f := range []string{"-mtti", "-tit"} {
+	// The modelled clock lives in cmd/repro, and the background CRC
+	// sweep is gone (the restore walk's fallback is the only repair):
+	// their flags are unknown here.
+	for _, f := range []string{"-mtti", "-tit", "-scrub-interval"} {
 		if _, err := parseOptions([]string{f, "1"}); err == nil || !strings.Contains(err.Error(), "not defined: "+f) {
 			t.Errorf("solve %s 1: error %v, want an unknown flag", f, err)
 		}
@@ -116,7 +117,6 @@ func TestRejectedValues(t *testing.T) {
 		"-storage-workers -3",
 		"-storage-retries -1",
 		"-storage-timeout -1s",
-		"-scrub-interval -1s",
 		"-storage-fault-rate -0.5",
 		"-storage-fault-rate 2",
 		"-quality-sample -3",
@@ -667,7 +667,10 @@ func TestReportedIntervalIsTheRunsCadence(t *testing.T) {
 // TestInjectedRunGolden pins the deterministic half of a measured run:
 // per method, scheme and one step-keyed plan that fails a process and
 // then a save, the iteration ledger E = N + R + N′, the bytes of the
-// last checkpoint and the tiers the recoveries took. Each row runs
+// last checkpoint and the tiers the recoveries took. One more plan
+// corrupts the newest of two committed checkpoints before a process
+// fails: the restore walk must reject it by its CRC and fall back to
+// the one before, and that row pins the whole tier table. Each row runs
 // twice; both runs must give the recorded values.
 func TestInjectedRunGolden(t *testing.T) {
 	ledger := regexp.MustCompile(`(?m)^iterations: (.+) \(N'\)$`)
@@ -677,10 +680,19 @@ func TestInjectedRunGolden(t *testing.T) {
 		"cg":     "-method cg -grid 16 -interval 5 -inject proc@7,midckpt@13",
 		"jacobi": "-method jacobi -grid 16 -rtol 1e-4 -inject proc@110,midckpt@260",
 		"gmres":  "-method gmres -grid 12 -interval 10 -inject proc@37,midckpt@64",
+		// Saves at 5 and 10; the one at 10 is damaged at 12.
+		"cg-corrupt-newest": "-method cg -grid 16 -interval 5 -inject manifest+proc@12",
+	}
+	tables := map[string][]string{ // the whole tier table, where a plan pins it
+		"cg-corrupt-newest": {
+			"  @12     manifest+proc            recovered via previous-checkpoint",
+			"    checkpoint           rejected: CRC mismatch (corrupt checkpoint) T ms wall — seq 2, 2161 B read",
+			"    previous-checkpoint  accepted   T ms wall — seq 1, 2320 B read",
+		},
 	}
 	for _, row := range []struct {
-		method, scheme, ledger, bytes string
-		tiers                         []string
+		plan, scheme, ledger, bytes string
+		tiers                       []string
 	}{
 		{"cg", "traditional", "23 = 18 failure-free + 5 replayed + 0 extra", "65577", []string{"checkpoint", "checkpoint"}},
 		{"cg", "lossless", "23 = 18 failure-free + 5 replayed + 0 extra", "37018", []string{"checkpoint", "checkpoint"}},
@@ -691,8 +703,9 @@ func TestInjectedRunGolden(t *testing.T) {
 		{"gmres", "traditional", "124 = 113 failure-free + 11 replayed + 0 extra", "13845", []string{"checkpoint", "checkpoint"}},
 		{"gmres", "lossless", "124 = 113 failure-free + 11 replayed + 0 extra", "5758", []string{"checkpoint", "checkpoint"}},
 		{"gmres", "lossy", "110 = 113 failure-free + 11 replayed + -14 extra", "1142", []string{"checkpoint", "checkpoint"}},
+		{"cg-corrupt-newest", "lossy", "29 = 18 failure-free + 7 replayed + 4 extra", "2091", []string{"previous-checkpoint"}},
 	} {
-		args := strings.Fields(plans[row.method] + " -scheme " + row.scheme)
+		args := strings.Fields(plans[row.plan] + " -scheme " + row.scheme)
 		for run := 1; run <= 2; run++ {
 			out, err := solve(t, args...)
 			if err != nil {
@@ -712,6 +725,10 @@ func TestInjectedRunGolden(t *testing.T) {
 			if ledgerGot != row.ledger || bytesGot != row.bytes || !reflect.DeepEqual(tiers, row.tiers) {
 				t.Errorf("%s, run %d: E %q, last checkpoint %s B, tiers %v; want E %q, %s B, tiers %v:\n%s",
 					strings.Join(args, " "), run, ledgerGot, bytesGot, tiers, row.ledger, row.bytes, row.tiers, out)
+			}
+			if want, ok := tables[row.plan]; ok && !reflect.DeepEqual(tierTable(out), want) {
+				t.Errorf("%s, run %d: tier table:\n%s\nwant:\n%s",
+					strings.Join(args, " "), run, strings.Join(tierTable(out), "\n"), strings.Join(want, "\n"))
 			}
 		}
 	}

@@ -129,9 +129,10 @@ type DriveConfig struct {
 
 // Costs is the modelled cost source: the seconds each op takes, as
 // functions of what was actually written or attempted. A nil callback
-// costs nothing, except ABFTSeconds: Iterations × TitSeconds.
+// costs nothing.
 type Costs struct {
-	// TitSeconds is the duration of one iteration.
+	// TitSeconds is the duration of one iteration, and so prices an ABFT
+	// tier attempt's local iterations too.
 	TitSeconds float64
 	// CheckpointSeconds prices one written checkpoint (over an async
 	// Manager: the background encode+write, which occupies that much
@@ -148,9 +149,6 @@ type Costs struct {
 	// restart from the initial guess: a relaunch still pays job start-up
 	// and the static reload.
 	RecoverySeconds func(info fti.Info) float64
-	// ABFTSeconds prices one ABFT tier attempt, accepted or rejected (a
-	// failed verification still ran the local solve).
-	ABFTSeconds func(att TierAttempt) float64
 }
 
 func (c Costs) withDefaults() Costs {
@@ -158,10 +156,6 @@ func (c Costs) withDefaults() Costs {
 		if *f == nil {
 			*f = func(fti.Info) float64 { return 0 }
 		}
-	}
-	if c.ABFTSeconds == nil {
-		tit := c.TitSeconds
-		c.ABFTSeconds = func(att TierAttempt) float64 { return float64(att.Iterations) * tit }
 	}
 	return c
 }
@@ -696,10 +690,11 @@ func (d *driver) recover() error {
 // price returns what one run of the chain cost. On the virtual clock it
 // prices every attempt and writes the price back onto it, so the
 // report's durations are consistently virtual for accepted and rejected
-// attempts alike: an ABFT attempt costs its reconstruction work, each
-// checkpoint-rung attempt one restore read of the checkpoint recovery
-// stands on, and a restart from zero the relaunch. On a real clock the
-// attempts timed themselves.
+// attempts alike: an ABFT attempt costs its local iterations at
+// TitSeconds each (a failed verification still ran the local solve),
+// each checkpoint-rung attempt one restore read of the checkpoint
+// recovery stands on, and a restart from zero the relaunch. On a real
+// clock the attempts timed themselves.
 func (d *driver) price(rep *RecoveryReport) float64 {
 	total := 0.0
 	for i := range rep.Attempts {
@@ -707,7 +702,7 @@ func (d *driver) price(rep *RecoveryReport) float64 {
 		switch {
 		case !d.virtual:
 		case att.Tier == TierABFT:
-			att.Seconds = d.costs.ABFTSeconds(*att)
+			att.Seconds = float64(att.Iterations) * d.costs.TitSeconds
 		case att.Tier == TierRestartZero:
 			att.Seconds = d.costs.RecoverySeconds(fti.Info{})
 		default:

@@ -130,24 +130,17 @@ func Fsck(st Storage) (*FsckReport, error) {
 }
 
 // verifyGroup integrity-checks the checkpoint stored under base: for a
-// sharded group, the manifest must parse and every shard must be
-// present with its manifest size and CRC32C; for a monolithic object,
-// the payload must carry the snapshot magic and pass its IEEE CRC
-// trailer. It returns the parsed manifest (nil for monolithic) on
-// success, and the first integrity error otherwise.
+// sharded group, the manifest must parse and every shard must pass
+// through shard.Reader, the restore walk's own gate (present, with its
+// manifest size and CRC32C); for a monolithic object, the payload must
+// carry the snapshot magic and pass its IEEE CRC trailer. It returns
+// the parsed manifest (nil for monolithic) on success, and the first
+// integrity error otherwise.
 func verifyGroup(st Storage, base string) (*shard.Manifest, error) {
 	data, err := st.Read(base)
 	if err != nil {
 		return nil, err
 	}
-	return verifyLoadedGroup(st, data)
-}
-
-// verifyLoadedGroup is verifyGroup for an already-read base object
-// (the scrubber reads the base itself so a group vanishing under a
-// concurrent gc is distinguishable from a corrupt one). A group's
-// shards pass through shard.Reader, the restore walk's own gate.
-func verifyLoadedGroup(st Storage, data []byte) (*shard.Manifest, error) {
 	if !shard.IsManifest(data) {
 		return nil, verifyMonolithic(data)
 	}

@@ -135,10 +135,6 @@ type Checkpointer struct {
 	// makes every hook a no-op.
 	ins instruments
 
-	// scrub, when attached, retains each committed checkpoint's
-	// encoded payload as the scrubber's repair source.
-	scrub *Scrubber
-
 	// audit, when attached, observes every save's per-vector encoding
 	// against the live state (see SaveAudit). Nil means no auditing.
 	audit SaveAudit
@@ -259,13 +255,6 @@ func (c *Checkpointer) SetSharding(shards, workers int) error {
 	c.storageWorkers = workers
 	return nil
 }
-
-// AttachScrubber wires s into the save path: every committed
-// checkpoint's encoded payload is retained (copied) by the scrubber
-// as its repair source. Pass nil to detach. Follows the same
-// concurrency rule as SetEncoder: only between saves (drain the async
-// pipeline first).
-func (c *Checkpointer) AttachScrubber(s *Scrubber) { c.scrub = s }
 
 // SetEncoder swaps the vector encoder; subsequent checkpoints use it.
 // The paper's Theorem-3 adaptive GMRES bound re-parameterizes the
@@ -449,9 +438,6 @@ func (c *Checkpointer) save(s *Snapshot, buf []byte) ([]byte, Info, error) {
 	})
 	c.ins.observeSave(info)
 	c.gc(groupShards)
-	if c.scrub != nil {
-		c.scrub.Retain(name, payload)
-	}
 	return payload, info, nil
 }
 

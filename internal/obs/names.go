@@ -51,13 +51,8 @@ const (
 	MStoragePermanentErrorsTotal = "storage_permanent_errors_total"
 	MStorageRetryDelaySeconds    = "storage_retry_delay_seconds"
 
-	// fti scrub/fsck — background CRC verification and repair of
-	// committed checkpoints, and startup crash-consistency sweeps.
-	MFTIScrubSweepsTotal      = "fti_scrub_sweeps_total"
-	MFTIScrubCorruptionsTotal = "fti_scrub_corruptions_total"
-	MFTIScrubRepairsTotal     = "fti_scrub_repairs_total"
-	MFTIScrubDroppedTotal     = "fti_scrub_dropped_total"
-	MFTIAsyncAbortedTotal     = "fti_async_aborted_saves_total"
+	// fti async — saves the background pipeline aborted.
+	MFTIAsyncAbortedTotal = "fti_async_aborted_saves_total"
 
 	// core — Manager lifecycle: commits, aborts, tiered recoveries.
 	MCoreCheckpointsCommittedTotal = "core_checkpoints_committed_total"
@@ -115,8 +110,7 @@ var AllMetricNames = []string{
 	MShardRereadsTotal, MShardRereadRepairsTotal,
 	MStorageRetriesTotal, MStorageRetryExhaustedTotal,
 	MStoragePermanentErrorsTotal, MStorageRetryDelaySeconds,
-	MFTIScrubSweepsTotal, MFTIScrubCorruptionsTotal,
-	MFTIScrubRepairsTotal, MFTIScrubDroppedTotal, MFTIAsyncAbortedTotal,
+	MFTIAsyncAbortedTotal,
 	MCoreCheckpointsCommittedTotal, MCoreCheckpointsAbortedTotal,
 	MCoreDegradedSavesTotal,
 	MCoreRecoveriesTotal, MCoreRecoverySeconds, MCoreIntervalSeconds,
@@ -143,7 +137,6 @@ const (
 	TrackSolver   = 1 // the solver goroutine: iterations, capture stalls, sync saves
 	TrackPipeline = 2 // background encode+write of the async double buffer
 	TrackRecovery = 3 // restore walks and tiered recovery attempts
-	TrackScrubber = 4 // background CRC scrub sweeps and fsck startup sweeps
 )
 
 // Span categories and names. Real (wall-clock) runs and the
@@ -166,7 +159,6 @@ const (
 	SpanCompute     = "compute"      // solver iterations between lifecycle events
 	SpanFailure     = "failure"      // instant marker
 	SpanTierPrefix  = "tier:"        // + RecoveryTier.String(), one span per TierAttempt
-	SpanScrub       = "scrub-sweep"  // one background scrub pass over committed groups
 
 	SpanQualityAudit     = "quality-audit"   // one audited vector save (distortion stats)
 	SpanQualityViolation = "bound-violation" // instant: audited error exceeded the bound
