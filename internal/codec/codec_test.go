@@ -319,6 +319,7 @@ func TestCompressAllocatesPerBlock(t *testing.T) {
 		const calls = 4
 		bc := BlockedFlate{}
 		runtime.GC()
+		WarmDeflaters(c.workers, x[:min(len(x), bc.BlockSize())])
 		dst := compress(t, x, bc) // warms the pools; dst keeps the stream's capacity
 		var err error
 		per := allocatedBytes(func() {

@@ -483,3 +483,11 @@ func TestAsyncConcurrentStepping(t *testing.T) {
 	}
 	_ = xe
 }
+
+// HasCheckpoint reports whether at least one committed checkpoint
+// exists. An async save still in flight does not count: until its
+// write completes it is not a recovery target.
+func (m *Manager) HasCheckpoint() bool {
+	m.fold()
+	return m.last.Seq != 0
+}

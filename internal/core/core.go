@@ -421,14 +421,6 @@ func (m *Manager) capture() *fti.Snapshot {
 	return &fti.Snapshot{Iteration: st.Iteration, Scalars: st.Scalars, Vectors: st.Vectors}
 }
 
-// HasCheckpoint reports whether at least one committed checkpoint
-// exists. An async save still in flight does not count: until its
-// write completes it is not a recovery target.
-func (m *Manager) HasCheckpoint() bool {
-	m.fold()
-	return m.last.Seq != 0
-}
-
 // LastInfo returns the record of the most recent committed checkpoint
 // (the zero Info when there is none).
 func (m *Manager) LastInfo() fti.Info {

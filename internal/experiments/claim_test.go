@@ -76,6 +76,16 @@ func (f *procAt) Strikes(w core.Window) (float64, bool) {
 // store.
 var claimBandwidths = []float64{0, 100, 20, 5}
 
+// cgUnthrottledFloor declares CG's one standing reversal of the claim:
+// on an unthrottled store nothing is bought with fewer bytes, and lossy
+// pays N′ = 13 extra steps (67 executed against 54) and an SZ encode per
+// save, so it comes in at or above traditional. With IC(0)-PCG at about
+// 0.8 ms a step, lossy/traditional was 1.35–1.42 over four medians of
+// three runs (43–52 ms against 58–74 ms; single runs spread ±20%). A
+// change that turns the reversal around — a cheaper N′, a faster encode
+// — has to move this line.
+const cgUnthrottledFloor = 1.0
+
 // claimCase is one solve of the claim: a method on a 3-D Poisson grid,
 // a save every interval steps, and one process failure at failAt.
 // asserted lists the bandwidths its assertions read; the other rows are
@@ -150,7 +160,8 @@ func raceBuild() bool {
 // SZ, would still beat traditional there (it saves x alone) but lands
 // near 0.56. At 5 MB/s CG shows the paper's whole ordering, lossy <
 // lossless < traditional; one run per cell is enough for gaps of 7×.
-// Under -race the runs and their checks still happen, once per cell,
+// Unthrottled, CG keeps its declared reversal (cgUnthrottledFloor), on
+// medians of three runs. Under -race the runs and their checks still happen, once per cell,
 // and no time is asserted. Under -v the test also measures the
 // unthrottled and the other bandwidths, one run per cell, and logs the
 // whole table.
@@ -159,7 +170,7 @@ func TestLossyCheckpointsWinOnTheWallClock(t *testing.T) {
 	schemes := []core.Scheme{core.Traditional, core.Lossless, core.Lossy}
 	cases := []claimCase{
 		{name: "CG 48³ proc@40, a save every 10 steps", method: "cg", grid: 48, rtol: 1e-7, interval: 10, failAt: 40,
-			asserted: []float64{20, 5}},
+			asserted: []float64{0, 20, 5}},
 		{name: "Jacobi 32³ proc@900, a save every 50 steps", method: "jacobi", grid: 32, rtol: 1e-4, interval: 50, failAt: 900,
 			asserted: []float64{20}},
 	}
@@ -174,7 +185,7 @@ func TestLossyCheckpointsWinOnTheWallClock(t *testing.T) {
 				continue
 			}
 			runs := 1
-			if mbps == 20 && !race {
+			if (mbps == 20 || mbps == 0) && !race {
 				runs = 3
 			}
 			median[mbps] = map[core.Scheme]float64{}
@@ -221,6 +232,10 @@ func TestLossyCheckpointsWinOnTheWallClock(t *testing.T) {
 		if !(at5[core.Lossy] < at5[core.Lossless] && at5[core.Lossless] < at5[core.Traditional]) {
 			t.Errorf("%s at 5 MB/s: lossy %.3f s, lossless %.3f s, traditional %.3f s; want lossy < lossless < traditional",
 				c.name, at5[core.Lossy], at5[core.Lossless], at5[core.Traditional])
+		}
+		if ratio := median[0][core.Lossy] / median[0][core.Traditional]; ratio < cgUnthrottledFloor {
+			t.Errorf("%s unthrottled: lossy/traditional = %.2f, below the declared %.2f: the reversal is gone; update cgUnthrottledFloor",
+				c.name, ratio, cgUnthrottledFloor)
 		}
 	}
 }

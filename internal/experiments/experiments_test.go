@@ -335,3 +335,24 @@ func TestAdaptSweep(t *testing.T) {
 		t.Fatal("render missing the convergence-delay row")
 	}
 }
+
+// CkptAt returns the checkpoint seconds for a scheme at a process
+// count (-1 if absent).
+func (r *CkptTimesResult) CkptAt(s core.Scheme, procs int) float64 {
+	for i, p := range r.Procs {
+		if p == procs {
+			return r.Ckpt[s][i]
+		}
+	}
+	return -1
+}
+
+// Curve returns the series for a method × scheme (nil if absent).
+func (r *Fig7Result) Curve(method string, scheme core.Scheme) *Fig7Curve {
+	for i := range r.Curves {
+		if r.Curves[i].Method == method && r.Curves[i].Scheme == scheme {
+			return &r.Curves[i]
+		}
+	}
+	return nil
+}

@@ -59,17 +59,6 @@ func figCkptTimes(method, figure string) Runner {
 	}
 }
 
-// CkptAt returns the checkpoint seconds for a scheme at a process
-// count (-1 if absent).
-func (r *CkptTimesResult) CkptAt(s core.Scheme, procs int) float64 {
-	for i, p := range r.Procs {
-		if p == procs {
-			return r.Ckpt[s][i]
-		}
-	}
-	return -1
-}
-
 // WriteText renders both panels of the figure.
 func (r *CkptTimesResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "%s — average time of one checkpoint and recovery, %s\n", r.Figure, r.Method)

@@ -92,16 +92,6 @@ func runFig7(cfg Config) (Result, error) {
 	return out, nil
 }
 
-// Curve returns the series for a method × scheme (nil if absent).
-func (r *Fig7Result) Curve(method string, scheme core.Scheme) *Fig7Curve {
-	for i := range r.Curves {
-		if r.Curves[i].Method == method && r.Curves[i].Scheme == scheme {
-			return &r.Curves[i]
-		}
-	}
-	return nil
-}
-
 // WriteText renders both MTTI panels.
 func (r *Fig7Result) WriteText(w io.Writer) error {
 	for mi, mtti := range r.MTTIs {

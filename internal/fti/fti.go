@@ -230,9 +230,6 @@ func (c *Checkpointer) SetKeep(n int) error {
 	return nil
 }
 
-// Keep reports the current retention window.
-func (c *Checkpointer) Keep() int { return c.keep }
-
 // SetSharding configures sharded checkpoint storage: each subsequent
 // checkpoint is split into shards objects (cut points aligned to the
 // container block boundaries of the encoded vectors) written concurrently
@@ -579,14 +576,10 @@ func (c *Checkpointer) restoreTrace(decode func(data []byte, att *RestoreAttempt
 	return nil, attempts, fmt.Errorf("fti: all checkpoints invalid: %w", lastErr)
 }
 
-// LatestSeq returns the sequence number of the last written
-// checkpoint, 0 if none.
-func (c *Checkpointer) LatestSeq() int { return c.seq }
-
 // CheckpointCount reports how many checkpoint files storage currently
 // holds (0 on a listing error). With keep=1 an aborted checkpoint can
 // empty storage even though the sequence counter is positive, so
-// recovery decisions must consult this, not LatestSeq.
+// recovery decisions must consult this, not the sequence number.
 func (c *Checkpointer) CheckpointCount() int { return len(c.ckptSeqs()) }
 
 // DropLatest discards the most recent checkpoint — the failure-during-

@@ -546,3 +546,10 @@ func TestEncodeBufferReuseKeepsCheckpoints(t *testing.T) {
 		t.Fatalf("recovered vector differs from checkpoint 1 by %g", d)
 	}
 }
+
+// LatestSeq returns the sequence number of the last written
+// checkpoint, 0 if none.
+func (c *Checkpointer) LatestSeq() int { return c.seq }
+
+// Keep reports the current retention window.
+func (c *Checkpointer) Keep() int { return c.keep }

@@ -10,10 +10,9 @@
 // dense vectors and the rest of each triangle is CSR with int32
 // indices, which limits a factor to 2³¹−1 rows and 2³¹−1 entries per
 // triangle; the constructors return an error beyond that. IC(0) of a
-// matrix that declares a grid stencil (sparse.CSR.Stencil) is instead
-// held and applied by diagonals (diag.go): the same numbers in the same
-// order, no index at all. Apply reads r while it writes dst: the two
-// must not alias.
+// matrix that declares a grid stencil (sparse.CSR.Stencil) is instead a
+// table of the few distinct rows its factor has (diag.go). Apply reads
+// r while it writes dst: the two must not alias.
 package precond
 
 import (
@@ -260,7 +259,7 @@ func (p *BlockILU0) Apply(dst, r []float64) {
 //
 // It is held root-free as M = L̃·D·L̃ᵀ (L̃ = L·diag(l_kk)⁻¹, D =
 // diag(l_kk²)): the same preconditioner, applied without a division. A
-// matrix whose declared stencil newDiag3 takes is held by diagonals;
+// matrix whose declared stencil newDiag3 takes is held as diag3's table;
 // every other in the package's CSR layout, with Ũ = L̃ᵀ stored row-wise
 // so that the backward sweep gathers like the forward one, which limits
 // the matrix to 2³¹−1 rows and as many strictly-lower entries. The two
@@ -291,8 +290,8 @@ func NewIC0(a *sparse.CSR) (*IC0, error) {
 		return nil, fmt.Errorf("precond: IC(0) needs square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	off, coef, mask := a.Stencil()
-	d, err := newDiag3(n, off, coef, mask)
+	off, coef, _ := a.Stencil()
+	d, err := newDiag3(n, off, coef, settleCap)
 	if err != nil {
 		return nil, err
 	}

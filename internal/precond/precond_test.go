@@ -43,7 +43,7 @@ func TestJacobiZeroDiagonalGuard(t *testing.T) {
 }
 
 func TestJacobiFromMatrix(t *testing.T) {
-	a := sparse.Tridiag(4, -1, 2, -1)
+	a := tridiag(4, -1, 2, -1)
 	j := NewJacobiFromMatrix(a)
 	dst := make([]float64, 4)
 	j.Apply(dst, []float64{2, 2, 2, 2})
@@ -86,7 +86,7 @@ func preconditionQuality(t *testing.T, a *sparse.CSR, p Interface) float64 {
 func TestILU0ExactForTridiagonal(t *testing.T) {
 	// A tridiagonal matrix has no fill-in, so ILU(0) = exact LU and
 	// the preconditioner must invert A to machine precision.
-	a := sparse.Tridiag(50, -1, 2, -1)
+	a := tridiag(50, -1, 2, -1)
 	p, err := NewBlockILU0(a, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestBlockILU0MultipleBlocks(t *testing.T) {
 }
 
 func TestBlockILU0MoreBlocksThanRows(t *testing.T) {
-	a := sparse.Tridiag(3, -1, 2, -1)
+	a := tridiag(3, -1, 2, -1)
 	p, err := NewBlockILU0(a, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestBlockILU0HandlesZeroDiagonal(t *testing.T) {
 }
 
 func TestNewBlockILU0Validation(t *testing.T) {
-	a := sparse.Tridiag(3, -1, 2, -1)
+	a := tridiag(3, -1, 2, -1)
 	if _, err := NewBlockILU0(a, 0); err == nil {
 		t.Fatal("expected error for zero blocks")
 	}
@@ -182,7 +182,7 @@ func TestNewBlockILU0Validation(t *testing.T) {
 }
 
 func TestIC0ExactForTridiagonal(t *testing.T) {
-	a := sparse.Tridiag(40, -1, 2, -1)
+	a := tridiag(40, -1, 2, -1)
 	f, err := NewIC0(a)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestIC0RejectsIndefinite(t *testing.T) {
 func TestIC0MatchesILU0OnSPD(t *testing.T) {
 	// For SPD systems both incomplete factorizations should give
 	// comparable quality (same sparsity pattern).
-	a := sparse.RandomSPD(60, 2, 4)
+	a := randomSPD(60, 2, 4)
 	ic, err := NewIC0(a)
 	if err != nil {
 		t.Fatal(err)
@@ -359,9 +359,9 @@ func relDiff(got, want []float64) float64 {
 
 func oracleMatrices() map[string]*sparse.CSR {
 	return map[string]*sparse.CSR{
-		"tridiag":   sparse.Tridiag(50, -1, 2, -1),
+		"tridiag":   tridiag(50, -1, 2, -1),
 		"poisson3d": sparse.Poisson3D(6),
-		"randomspd": sparse.RandomSPD(80, 3, 5),
+		"randomspd": randomSPD(80, 3, 5),
 	}
 }
 
@@ -518,4 +518,48 @@ func TestPartitionStarts(t *testing.T) {
 	if got, want := partitionStarts(10, 3), []int{0, 3, 6, 10}; !slices.Equal(got, want) {
 		t.Fatalf("starts = %v, want %v", got, want)
 	}
+}
+
+// randomSPD is sparse's test generator RandomSPD, the same matrix for
+// the same arguments: a random sparse symmetric positive definite
+// matrix with about extraPerRow off-diagonal entries per row, made
+// strictly diagonally dominant.
+func randomSPD(n, extraPerRow int, seed int64) *sparse.CSR {
+	rng := rand.New(rand.NewSource(seed))
+	b := sparse.NewBuilder(n, n)
+	rowAbs := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for e := 0; e < extraPerRow; e++ {
+			j := rng.Intn(n)
+			if j == i {
+				continue
+			}
+			v := rng.NormFloat64()
+			b.Add(i, j, v)
+			b.Add(j, i, v)
+			rowAbs[i] += math.Abs(v)
+			rowAbs[j] += math.Abs(v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		b.Add(i, i, rowAbs[i]+1+rng.Float64())
+	}
+	return b.Build()
+}
+
+// tridiag is sparse's test generator Tridiag, the same matrix for the
+// same arguments: sub-diagonal a, diagonal b and super-diagonal c, a
+// zero not stored.
+func tridiag(n int, a, b, c float64) *sparse.CSR {
+	bld := sparse.NewBuilder(n, n)
+	for i := range n {
+		if i > 0 {
+			bld.Add(i, i-1, a)
+		}
+		bld.Add(i, i, b)
+		if i < n-1 {
+			bld.Add(i, i+1, c)
+		}
+	}
+	return bld.Build()
 }

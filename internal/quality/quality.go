@@ -461,20 +461,3 @@ func (a *Auditor) Dropped() int {
 	defer a.mu.Unlock()
 	return a.dropped
 }
-
-// Violations counts audited vectors whose observed error exceeded
-// the requested bound. Nil-safe.
-func (a *Auditor) Violations() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for i := range a.records {
-		if a.records[i].Violated {
-			n++
-		}
-	}
-	return n
-}

@@ -362,3 +362,20 @@ func TestNilAuditorIsSafe(t *testing.T) {
 		t.Fatal("nil auditor Fill must still stamp the schema")
 	}
 }
+
+// Violations counts audited vectors whose observed error exceeded
+// the requested bound. Nil-safe.
+func (a *Auditor) Violations() int {
+	if a == nil {
+		return 0
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for i := range a.records {
+		if a.records[i].Violated {
+			n++
+		}
+	}
+	return n
+}

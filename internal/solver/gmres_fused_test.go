@@ -96,7 +96,7 @@ func TestGMRESFusedPathIsBitIdentical(t *testing.T) {
 // vector is invariant, w is annihilated exactly and the cycle ends
 // with the exact solution on both paths.
 func TestGMRESFusedHappyBreakdown(t *testing.T) {
-	a := sparse.Tridiag(50, 0, 1, 0)
+	a := tridiag(50, 0, 1, 0)
 	b := sparse.SmoothField(a.Rows, 4)
 	fused, plain := gmresPair(t, a, b, 30)
 	fused.Step()

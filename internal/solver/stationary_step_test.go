@@ -57,7 +57,7 @@ func TestStationaryStepsInPlace(t *testing.T) {
 // the sweeps as they stood before, on a nonsymmetric tridiagonal
 // system, and must be reproduced to the bit.
 func TestSORSweepsMatchRecordedHistories(t *testing.T) {
-	a := sparse.Tridiag(64, -1, 2.5, -0.75)
+	a := tridiag(64, -1, 2.5, -0.75)
 	b := sparse.SmoothField(a.Rows, 3)
 	for _, c := range []struct {
 		kind  StationaryKind

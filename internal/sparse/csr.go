@@ -212,29 +212,6 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// IsSymmetric reports whether the matrix equals its transpose within
-// tolerance tol on every stored entry.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	t := m.Transpose()
-	if t.NNZ() != m.NNZ() {
-		return false
-	}
-	for i := 0; i <= m.Rows; i++ {
-		if t.RowPtr[i] != m.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range m.Val {
-		if t.ColIdx[k] != m.ColIdx[k] || math.Abs(t.Val[k]-m.Val[k]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Builder accumulates coordinate-format entries and compresses them
 // into a CSR matrix. Duplicate (i, j) entries are summed, matching the
 // usual finite-element assembly convention.

@@ -120,32 +120,6 @@ func poissonGrid(nx, ny, nz int, center float64) *CSR {
 	return m
 }
 
-// Tridiag returns the n×n tridiagonal matrix with sub-diagonal a,
-// diagonal b, and super-diagonal c. The classic 1D Poisson operator is
-// Tridiag(n, -1, 2, -1).
-func Tridiag(n int, a, b, c float64) *CSR {
-	if n <= 0 {
-		panic("sparse: Tridiag needs n > 0")
-	}
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		if i > 0 && a != 0 {
-			m.ColIdx = append(m.ColIdx, i-1)
-			m.Val = append(m.Val, a)
-		}
-		if b != 0 {
-			m.ColIdx = append(m.ColIdx, i)
-			m.Val = append(m.Val, b)
-		}
-		if i < n-1 && c != 0 {
-			m.ColIdx = append(m.ColIdx, i+1)
-			m.Val = append(m.Val, c)
-		}
-		m.RowPtr[i+1] = len(m.Val)
-	}
-	return m
-}
-
 // KKT returns a symmetric indefinite saddle-point matrix
 //
 //	[ H  Bᵀ ]
@@ -188,33 +162,6 @@ func KKT(gridN, nc int, seed int64) *CSR {
 		b.Add(m+i, j2, -1)
 		b.Add(j1, m+i, 1)
 		b.Add(j2, m+i, -1)
-	}
-	return b.Build()
-}
-
-// RandomSPD returns a random sparse symmetric positive definite matrix
-// with about extraPerRow off-diagonal entries per row, made strictly
-// diagonally dominant. Used by property tests as an "arbitrary SPD
-// system" source.
-func RandomSPD(n, extraPerRow int, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder(n, n)
-	rowAbs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for e := 0; e < extraPerRow; e++ {
-			j := rng.Intn(n)
-			if j == i {
-				continue
-			}
-			v := rng.NormFloat64()
-			b.Add(i, j, v)
-			b.Add(j, i, v)
-			rowAbs[i] += math.Abs(v)
-			rowAbs[j] += math.Abs(v)
-		}
-	}
-	for i := 0; i < n; i++ {
-		b.Add(i, i, rowAbs[i]+1+rng.Float64())
 	}
 	return b.Build()
 }
