@@ -270,10 +270,10 @@ func TestAsyncManagerRecordsBackpressure(t *testing.T) {
 	}
 }
 
-// TestAsyncAbortDropsCompletedInFlight: the virtual-time simulator's
-// abort path — the failure struck inside the checkpoint window — must
-// restore the previous rollback target even when the background write
-// had already finished in real time.
+// TestAsyncAbortDropsCompletedInFlight: the driver's abort path — the
+// failure struck inside the save's capture window — must restore the
+// previous rollback target even when the background write had already
+// finished.
 func TestAsyncAbortDropsCompletedInFlight(t *testing.T) {
 	a, b, _ := cgSystem(t)
 	s := newCG(t, a, b)
@@ -490,4 +490,91 @@ func TestAsyncConcurrentStepping(t *testing.T) {
 func (m *Manager) HasCheckpoint() bool {
 	m.fold()
 	return m.last.Seq != 0
+}
+
+// slowStorage sleeps before every write, longer than the solver takes
+// to reach the next save.
+type slowStorage struct {
+	fti.Storage
+	delay time.Duration
+}
+
+func (s *slowStorage) Write(name string, data []byte) error {
+	time.Sleep(s.delay)
+	return s.Storage.Write(name, data)
+}
+
+func (s *slowStorage) WriteBatched(name string, data []byte) error { return s.Write(name, data) }
+
+// firstWait strikes the first backpressure wait, at its end, and keeps
+// the record of the save the wait drained.
+type firstWait struct {
+	m       *Manager
+	drained fti.Info
+	struck  bool
+}
+
+func (f *firstWait) Strikes(w Window) (float64, bool) {
+	if w.Op != OpWait || f.struck {
+		return 0, false
+	}
+	f.struck = true
+	f.drained, _, _ = f.m.AsyncCheckpointer().Peek()
+	return w.End, true
+}
+
+// TestDriveBackpressureWindow: on the wall clock, a save that opens
+// while its predecessor is still writing waits for it, and the driver
+// charges that wait to the solver as backpressure. A failure inside the
+// wait loses no committed work: the drained save committed, and
+// recovery lands on it.
+func TestDriveBackpressureWindow(t *testing.T) {
+	run := func(failures func(*Manager) FailureSource) *Outcome {
+		a, b, _ := cgSystem(t)
+		s := newCG(t, a, b)
+		st := &slowStorage{Storage: fti.NewMemStorage(), delay: 10 * time.Millisecond}
+		m, err := NewManager(Config{Scheme: Traditional, Async: true, Interval: 2}, st, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DriveConfig{Stepper: s, Manager: m, X0: make([]float64, a.Rows), MaxIterations: 2000}
+		if failures != nil {
+			cfg.Failures = failures(m)
+		}
+		out, err := Drive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Converged {
+			t.Fatal("did not converge")
+		}
+		if st := m.AsyncCheckpointer().Stats(); out.Checkpoints != st.Saves-st.FailedSaves {
+			t.Errorf("%d checkpoints counted, the pipeline committed %d", out.Checkpoints, st.Saves-st.FailedSaves)
+		}
+		return out
+	}
+
+	out := run(nil)
+	if out.BackpressureTime <= 0 || out.BackpressureTime > out.CheckpointTime {
+		t.Errorf("backpressure %g s of %g s checkpointing: want a positive share of it", out.BackpressureTime, out.CheckpointTime)
+	}
+
+	var src *firstWait
+	out = run(func(m *Manager) FailureSource { src = &firstWait{m: m}; return src })
+	if !src.struck || src.drained.Seq == 0 {
+		t.Fatalf("the failure did not land in a wait for a committed save (struck=%v, drained %+v)", src.struck, src.drained)
+	}
+	if out.Failures != 1 || len(out.RecoveryReports) != 1 || out.CheckpointRestarts != 1 || out.AbortedCheckpoints != 0 {
+		t.Fatalf("failures=%d reports=%d checkpoint restarts=%d aborted=%d, want 1, 1, 1, 0",
+			out.Failures, len(out.RecoveryReports), out.CheckpointRestarts, out.AbortedCheckpoints)
+	}
+	rep := out.RecoveryReports[0]
+	last := rep.Attempts[len(rep.Attempts)-1]
+	if rep.Used != TierCheckpoint || rep.Iteration != src.drained.Iteration || !last.Accepted || last.Seq != src.drained.Seq {
+		t.Errorf("recovered by %v from iteration %d (seq %d), want the drained save: iteration %d, seq %d",
+			rep.Used, rep.Iteration, last.Seq, src.drained.Iteration, src.drained.Seq)
+	}
+	if out.BackpressureTime <= 0 {
+		t.Errorf("the struck wait charged no backpressure")
+	}
 }

@@ -31,16 +31,18 @@ import (
 //	          stage timings, TierAttempt.Seconds).
 //	failures  where failures land, asked once per window.
 //
-// The experiments run this loop with the cluster model's Costs and
-// FailureTimes; cmd/solve runs it on the wall clock with measured costs
-// and, under -inject, a step-keyed fault plan.
+// A modelled run is synchronous, as the paper's model prices it: Costs
+// over a Manager built with Config.Async is refused, and overlap is
+// measured only. The experiments run this loop with the cluster model's
+// Costs and FailureTimes; cmd/solve runs it on the wall clock with
+// measured costs and, under -inject, a step-keyed fault plan.
 func Drive(cfg DriveConfig) (*Outcome, error) {
 	s, m := cfg.Stepper, cfg.Manager
 	if s == nil || m == nil {
 		return nil, fmt.Errorf("core: Drive needs a Stepper and a Manager")
 	}
 	d := &driver{cfg: cfg, s: s, m: m, out: &Outcome{}, pos: map[int]int{0: 0},
-		costs: measured, overlapped: m.async != nil}
+		costs: measured}
 	switch {
 	case cfg.Costs == nil:
 		if cfg.Clock == nil {
@@ -53,6 +55,8 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 		return nil, fmt.Errorf("core: TitSeconds must be positive")
 	case m.cfg.Interval > 0:
 		return nil, fmt.Errorf("core: a modelled run keeps its cadence in seconds of the virtual clock (IntervalSeconds or Controller); the Manager's Config.Interval must be 0")
+	case m.async != nil:
+		return nil, fmt.Errorf("core: a modelled run is synchronous; the Manager's Config.Async must be false")
 	default:
 		d.costs, d.virtual = cfg.Costs.withDefaults(), true
 		// The Manager's quality spans are stamped with the virtual clock
@@ -117,33 +121,27 @@ type DriveConfig struct {
 
 	// Metrics receives the lifecycle counters (the sim_* catalog) and
 	// Tracer the compute spans and failure instants; with Costs the
-	// driver also draws the checkpoint, capture, background-write and
-	// per-tier recovery spans in virtual time — the schema the Manager
-	// and pipeline draw for themselves on a wall clock. The driver also
-	// feeds the Manager's quality auditor (InstrumentQuality), if any,
-	// the residual trajectory. All are pure observers: an instrumented
-	// run walks the bitwise-identical trajectory.
+	// driver also draws the checkpoint and per-tier recovery spans in
+	// virtual time — the schema the Manager draws for itself on a wall
+	// clock. The driver also feeds the Manager's quality auditor
+	// (InstrumentQuality), if any, the residual trajectory. All are pure
+	// observers: an instrumented run walks the bitwise-identical
+	// trajectory.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 }
 
-// Costs is the modelled cost source: the seconds each op takes, as
-// functions of what was actually written or attempted. A nil callback
-// costs nothing.
+// Costs is the modelled cost source, and a modelled run is synchronous:
+// the seconds each op takes, as functions of what was actually written
+// or attempted. A nil callback costs nothing.
 type Costs struct {
 	// TitSeconds is the duration of one iteration, and so prices an ABFT
 	// tier attempt's local iterations too.
 	TitSeconds float64
-	// CheckpointSeconds prices one written checkpoint (over an async
-	// Manager: the background encode+write, which occupies that much
-	// virtual time concurrently with iterations and is not a recovery
-	// target until it commits); StorageRetrySeconds the retry/backoff
-	// delay a lossy store adds to that write; CaptureSeconds the
-	// solver-visible capture stall of an overlapped checkpoint. Sharded
-	// checkpoints carry their layout in info.Shards.
-	CheckpointSeconds   func(info fti.Info) float64
-	StorageRetrySeconds func(info fti.Info) float64
-	CaptureSeconds      func(info fti.Info) float64
+	// CheckpointSeconds prices one written checkpoint, the solver's
+	// whole stall for it, retries included. Sharded checkpoints carry
+	// their layout in info.Shards.
+	CheckpointSeconds func(info fti.Info) float64
 	// RecoverySeconds prices one restore read of the checkpoint being
 	// recovered from, accepted or rejected, and — with the zero Info — a
 	// restart from the initial guess: a relaunch still pays job start-up
@@ -152,7 +150,7 @@ type Costs struct {
 }
 
 func (c Costs) withDefaults() Costs {
-	for _, f := range []*func(fti.Info) float64{&c.CheckpointSeconds, &c.StorageRetrySeconds, &c.CaptureSeconds, &c.RecoverySeconds} {
+	for _, f := range []*func(fti.Info) float64{&c.CheckpointSeconds, &c.RecoverySeconds} {
 		if *f == nil {
 			*f = func(fti.Info) float64 { return 0 }
 		}
@@ -166,7 +164,6 @@ func (c Costs) withDefaults() Costs {
 // attempts keep the seconds they measured, so nothing else is priced.
 var measured = Costs{
 	CheckpointSeconds: func(info fti.Info) float64 { return info.EncodeSeconds + info.WriteSeconds },
-	CaptureSeconds:    func(info fti.Info) float64 { return info.CaptureSeconds },
 }.withDefaults()
 
 // Op names the kind of window a failure source is asked about.
@@ -180,7 +177,8 @@ const (
 	// asks there. A hit opens one: this is how a step-keyed plan pins a
 	// failure inside a save ("midckpt").
 	OpCadence
-	// OpWait is the wait for the previous background save to finish.
+	// OpWait is the wait for the previous background save to finish
+	// (measured runs only: a modelled run is synchronous).
 	OpWait
 	// OpCheckpoint is the solver-visible part of a save: the whole
 	// write when synchronous, the capture when overlapped.
@@ -276,14 +274,8 @@ type Outcome struct {
 	CheckpointTime        float64 // solver-visible seconds spent checkpointing
 	// BackpressureTime is the part of CheckpointTime spent waiting for
 	// the previous background encode+write: the checkpoint interval was
-	// shorter than the background pipeline.
+	// shorter than the background pipeline. Zero on a modelled run.
 	BackpressureTime float64
-	// StorageRetryTime is the modelled seconds checkpoint writes spent
-	// in the storage layer's retry/backoff loops (part of
-	// CheckpointTime when synchronous, of the background write when
-	// overlapped; zero under measured costs, where the retries are
-	// inside the measured write).
-	StorageRetryTime float64
 	RecoveryTime     float64 // seconds spent recovering
 	FailureEvents    []Event
 	Residuals        []float64 // per executed iteration (optional)
@@ -323,14 +315,13 @@ func (o *Outcome) FaultToleranceOverhead(baselineSeconds float64) float64 {
 // whether the clock is the driver's own — which is also whether an op's
 // cost is known before it runs or only after.
 type driver struct {
-	cfg        DriveConfig
-	s          solver.Stepper
-	m          *Manager
-	costs      Costs
-	virtual    bool
-	overlapped bool // an async Manager: a save returns after its capture; the write runs behind the solver
-	out        *Outcome
-	ob         driveObs
+	cfg     DriveConfig
+	s       solver.Stepper
+	m       *Manager
+	costs   Costs
+	virtual bool
+	out     *Outcome
+	ob      driveObs
 
 	t float64 // the virtual clock
 	// The interval window opened at windowAt, windowSteps executed steps
@@ -348,12 +339,11 @@ type driver struct {
 	logical int
 	pos     map[int]int
 
-	// The overlapped save in flight, not a recovery target until it
-	// commits: captured at saveStart, committing under saveSeq, at
-	// saveCommitAt where that is known (the virtual clock).
-	saveLive                bool
-	saveStart, saveCommitAt float64
-	saveSeq                 int
+	// The overlapped save in flight (an async Manager's: a save returns
+	// after its capture and the write runs behind the solver), not a
+	// recovery target until it commits under saveSeq.
+	saveLive bool
+	saveSeq  int
 }
 
 func (d *driver) now() float64 {
@@ -416,7 +406,7 @@ func (d *driver) run() (*Outcome, error) {
 	if _, err := d.m.WaitCheckpoint(); err != nil {
 		return nil, err
 	}
-	d.settle(math.Inf(1))
+	d.settle()
 	d.closeCompute()
 	out.SimSeconds = d.now()
 	d.ob.elapsed.Set(out.SimSeconds)
@@ -481,39 +471,24 @@ func (d *driver) due() bool {
 	return pinned || iv > 0 && now-d.windowAt >= iv || d.m.Due()
 }
 
-// pending reports whether the overlapped save is still in flight at
-// clock time at: by its commit time on the virtual clock, by asking the
-// real pipeline (at being now) otherwise.
-func (d *driver) pending(at float64) bool {
-	if d.virtual {
-		return d.saveLive && d.saveCommitAt > at
-	}
-	return d.saveLive && d.m.InFlight()
-}
-
-// settle folds an overlapped save that has finished by clock time at
-// into the accounting — unless it committed nothing: a degraded save
-// swallowed on the spot, or one that failed in the background (the
-// Manager surfaces or, in degraded mode, counts that). A real save
-// knows what it cost only now; a modelled one told the controller at
-// capture.
-func (d *driver) settle(at float64) {
-	if !d.saveLive || d.pending(at) {
+// settle folds an overlapped save that has finished into the
+// accounting — unless it committed nothing: a degraded save swallowed
+// on the spot, or one that failed in the background (the Manager
+// surfaces or, in degraded mode, counts that). The save knows what it
+// cost only now.
+func (d *driver) settle() {
+	if !d.saveLive || d.m.InFlight() {
 		return
 	}
 	d.saveLive = false
-	d.ob.model.Complete(obs.TrackPipeline, obs.CatCheckpoint, obs.SpanBackground,
-		d.saveStart, d.saveCommitAt-d.saveStart, nil)
 	info := d.m.LastInfo()
 	if info.Seq == 0 || info.Seq != d.saveSeq {
 		return
 	}
 	d.out.Checkpoints++
 	d.ob.ckpts.Inc()
-	if !d.virtual {
-		d.observeCheckpoint(adapt.CheckpointObs{
-			CaptureSeconds: d.costs.CaptureSeconds(info), BackgroundSeconds: d.costs.CheckpointSeconds(info)})
-	}
+	d.observeCheckpoint(adapt.CheckpointObs{
+		CaptureSeconds: info.CaptureSeconds, BackgroundSeconds: d.costs.CheckpointSeconds(info)})
 }
 
 // abort drops the save a failure caught uncommitted, so that recovery
@@ -543,47 +518,28 @@ func (d *driver) checkpoint() (struck bool, err error) {
 	out := d.out
 	d.closeCompute()
 	begin := d.now()
-	if d.pending(begin) {
+	if d.saveLive && d.m.InFlight() {
 		// Backpressure: at most one save is in flight.
-		if a := d.m.async; a != nil {
-			a.WaitBackpressure()
-		}
-		wait, hit := d.close(OpWait, begin, d.saveCommitAt, d.saveCommitAt-begin)
+		d.m.async.WaitBackpressure()
+		wait, hit := d.close(OpWait, begin, begin, 0)
 		out.CheckpointTime += wait
 		out.BackpressureTime += wait
 		if hit {
-			return true, nil // the in-flight write never completes: recover aborts it
+			return true, nil // the awaited save has finished: recovery settles it
 		}
 		begin = d.now()
 	}
-	d.settle(begin)
+	d.settle()
 
 	info, err := d.m.Checkpoint()
-	if err == nil && d.virtual && d.overlapped {
-		// The model prices the background write off what it wrote, so it
-		// needs the save's committed record now; the pipeline's wall time
-		// is not the run's clock. A save that failed leaves the record
-		// before it in place, which is not this save's.
-		opened := info.Seq
-		if info, err = d.m.WaitCheckpoint(); info.Seq != opened {
-			info = fti.Info{}
-		}
-	}
 	if err != nil {
 		return false, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	d.pos[d.s.Iteration()] = d.logical
-	// The write, retry delay included, is the solver's stall when
-	// synchronous and rides behind the capture when overlapped.
-	retry := d.costs.StorageRetrySeconds(info)
-	write := d.costs.CheckpointSeconds(info) + retry
-	stall := write
-	if d.overlapped {
-		stall = d.costs.CaptureSeconds(info)
-	} else {
-		out.StorageRetryTime += retry
-	}
-	stall, hit := d.close(OpCheckpoint, begin, begin+stall, stall)
+	// The write is the solver's stall when synchronous and rides behind
+	// the capture when overlapped, which only a real clock runs.
+	write := d.costs.CheckpointSeconds(info)
+	stall, hit := d.close(OpCheckpoint, begin, begin+write, write)
 	out.CheckpointTime += stall
 	if hit {
 		// The failure struck mid-save (the sync write was partial, or the
@@ -596,17 +552,9 @@ func (d *driver) checkpoint() (struck bool, err error) {
 		}
 		return true, err
 	}
-	now := d.openWindow()
-	if d.overlapped {
-		d.ob.model.Complete(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCapture, begin, stall, nil)
-		d.saveLive, d.saveStart, d.saveSeq = true, now, info.Seq
-		if d.virtual {
-			// The background write's cost is known at once; a real one's
-			// only when it has committed (settle).
-			out.StorageRetryTime += retry
-			d.saveCommitAt = now + write
-			d.observeCheckpoint(adapt.CheckpointObs{CaptureSeconds: stall, BackgroundSeconds: write})
-		}
+	d.openWindow()
+	if d.m.async != nil {
+		d.saveLive, d.saveSeq = true, info.Seq
 		return false, nil
 	}
 	d.ob.model.Complete(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCheckpoint, begin, stall,
@@ -620,11 +568,10 @@ func (d *driver) checkpoint() (struck bool, err error) {
 }
 
 // recover is the one failure path. An overlapped save that finished
-// before the failure had committed; one still in flight on the virtual
-// clock is lost with the node (a real one runs in this process and
-// outlives the simulated loss: the recovery drains it and adopts it if
-// it committed, never if it failed, which keeps a measured run's
-// trajectory independent of how fast its I/O was). Then: count the
+// before the failure had committed; one still in flight runs in this
+// process and outlives the simulated loss: the recovery drains it and
+// adopts it if it committed, never if it failed, which keeps a measured
+// run's trajectory independent of how fast its I/O was. Then: count the
 // failure, lose a rank, run the whole chain — ABFT (when the Manager
 // carries a guard) → latest checkpoint → older checkpoints → restart
 // from X0 — and roll the logical index back to wherever it landed. A
@@ -632,15 +579,7 @@ func (d *driver) checkpoint() (struck bool, err error) {
 // the new loss.
 func (d *driver) recover() error {
 	out, ctrl := d.out, d.cfg.Controller
-	d.settle(d.now())
-	if d.saveLive && d.virtual {
-		d.saveLive = false
-		d.ob.model.Complete(obs.TrackPipeline, obs.CatCheckpoint, obs.SpanBackground,
-			d.saveStart, d.t-d.saveStart, map[string]float64{"aborted": 1})
-		if err := d.abort(); err != nil {
-			return err
-		}
-	}
+	d.settle()
 	for {
 		begin := d.now()
 		out.Failures++
@@ -668,7 +607,7 @@ func (d *driver) recover() error {
 			continue
 		}
 		d.ob.recovery(rep, begin, math.Inf(1))
-		d.settle(d.now()) // a drained real save committed, or failed, inside the recovery
+		d.settle() // a drained save committed, or failed, inside the recovery
 		out.RecoveryReadBytes += int64(rep.ReadBytes())
 		switch rep.Used {
 		case TierABFT:
@@ -714,13 +653,12 @@ func (d *driver) price(rep *RecoveryReport) float64 {
 }
 
 // openWindow restarts the interval window, and the compute stretch of
-// the trace, at the clock's current reading, which it returns.
-func (d *driver) openWindow() float64 {
+// the trace, at the clock's current reading.
+func (d *driver) openWindow() {
 	now := d.now()
 	d.ob.window.Set(now - d.windowAt)
 	d.windowAt, d.windowSteps = now, d.out.IterationsExecuted
 	d.computeAt = d.ob.now(now)
-	return now
 }
 
 // closeCompute closes the current uninterrupted stretch of solver

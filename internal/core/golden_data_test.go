@@ -3,118 +3,62 @@ package core_test
 // goldenOutcomes are the rows recorded at the parent commit (ae82901)
 // that the driver reproduces bit for bit.
 var goldenOutcomes = []goldenRow{
-	{"cg-lossy/sync/noguard/fixed/seed1", 0x405828e8e18b5402, 69, 52, 2, 5, 1, 0x4032b62627f5af6a, 0x0, 0x3ff8000000000000, 0x402048a71de69ad4, 0, 2, 0, 1419, 0x3e598ad6f4d12c47, 0, 0x0},
-	{"cg-lossy/sync/noguard/fixed/seed2", 0x405a33410c9f0b3e, 72, 47, 4, 4, 0, 0x402a9096bb98c7e2, 0x0, 0x3ff0000000000000, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 0, 0x0},
-	{"cg-lossy/sync/noguard/fixed/seed3", 0x4048fba29c779a6b, 40, 40, 0, 3, 0, 0x4023ee8a71de69ad, 0x0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-lossy/sync/noguard/fixed/sched", 0x405d421e4f765fd7, 82, 52, 4, 5, 2, 0x4034b6a7ef9db230, 0x0, 0x3ffc000000000000, 0x402c48a71de69ad4, 0, 2, 1, 1419, 0x3e598ad6f4d12c47, 0, 0x0},
-	{"cg-lossy/sync/noguard/ctrl/seed1", 0x405714278cc1ce12, 70, 57, 2, 4, 0, 0x402a8fec56d5cfab, 0x0, 0x3ff0000000000000, 0x402047525460aa65, 0, 2, 0, 1393, 0x3e51cf27eb3bd827, 4, 0x402e086ebfa05018},
-	{"cg-lossy/sync/noguard/ctrl/seed2", 0x405a333f6930dc8e, 72, 47, 4, 4, 0, 0x402a9089a0275254, 0x0, 0x3ff0000000000000, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 8, 0x40293d74842bdf6f},
-	{"cg-lossy/sync/noguard/ctrl/seed3", 0x4047525460aa64c3, 40, 40, 0, 2, 0, 0x401a92a305532618, 0x0, 0x3fe0000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x40376eef7ddf58fe},
-	{"cg-lossy/sync/noguard/ctrl/sched", 0x405cad78d4fdf3b6, 85, 54, 4, 4, 2, 0x402ec89a0275254b, 0x0, 0x3ff8000000000000, 0x402c483126e978d5, 0, 2, 1, 1410, 0x3e53e51ecc3c4258, 7, 0x402996a5904dbcbb},
-	{"cg-lossy/sync/abft/fixed/seed1", 0x40553b54323c467f, 40, 40, 2, 2, 1, 0x40217fa6d572f2b0, 0x0, 0x3fe8000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b43006, 0, 0x0},
-	{"cg-lossy/sync/abft/fixed/seed2", 0x40595a48033351b2, 40, 40, 4, 3, 0, 0x4023edd2f1a9fbe7, 0x0, 0x3fe8000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 0, 0x0},
-	{"cg-lossy/sync/abft/fixed/seed3", 0x4048fba29c779a6b, 40, 40, 0, 3, 0, 0x4023ee8a71de69ad, 0x0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-lossy/sync/abft/fixed/sched", 0x405a1489a0275254, 40, 40, 4, 2, 1, 0x401e90cb295e9e1b, 0x0, 0x3fe8000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 0, 0x0},
-	{"cg-lossy/sync/abft/ctrl/seed1", 0x4053e6ca9214f42b, 40, 40, 2, 1, 0, 0x400a941205bc01a3, 0x0, 0x3fd0000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b598c2, 3, 0x402d78673bb525db},
-	{"cg-lossy/sync/abft/ctrl/seed2", 0x405885b7d5534497, 40, 40, 4, 2, 0, 0x401a92a305532618, 0x0, 0x3fe0000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 3, 0x4027cd05e1917b74},
-	{"cg-lossy/sync/abft/ctrl/seed3", 0x4047525460aa64c3, 40, 40, 0, 2, 0, 0x401a92a305532618, 0x0, 0x3fe0000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x40376eef7ddf58fe},
-	{"cg-lossy/sync/abft/ctrl/sched", 0x4059400000000000, 40, 40, 4, 1, 1, 0x4011483126e978d5, 0x0, 0x3fe0000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 3, 0x4027e1e1b1db448e},
-	{"cg-lossy/sync/abft-corrupt/fixed/seed1", 0x405828e8e18b5402, 69, 52, 2, 5, 1, 0x4032b62627f5af6a, 0x0, 0x3ff8000000000000, 0x402048a71de69ad4, 0, 2, 0, 1419, 0x3e598ad6f4d12c47, 0, 0x0},
-	{"cg-lossy/sync/abft-corrupt/fixed/seed2", 0x405a33410c9f0b3e, 72, 47, 4, 4, 0, 0x402a9096bb98c7e2, 0x0, 0x3ff0000000000000, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 0, 0x0},
-	{"cg-lossy/sync/abft-corrupt/fixed/seed3", 0x4048fba29c779a6b, 40, 40, 0, 3, 0, 0x4023ee8a71de69ad, 0x0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-lossy/sync/abft-corrupt/ctrl/seed1", 0x405714278cc1ce12, 70, 57, 2, 4, 0, 0x402a8fec56d5cfab, 0x0, 0x3ff0000000000000, 0x402047525460aa65, 0, 2, 0, 1393, 0x3e51cf27eb3bd827, 4, 0x402e086ebfa05018},
-	{"cg-lossy/sync/abft-corrupt/ctrl/seed2", 0x405a333f6930dc8e, 72, 47, 4, 4, 0, 0x402a9089a0275254, 0x0, 0x3ff0000000000000, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 8, 0x40293d74842bdf6f},
-	{"cg-lossy/sync/abft-corrupt/ctrl/seed3", 0x4047525460aa64c3, 40, 40, 0, 2, 0, 0x401a92a305532618, 0x0, 0x3fe0000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x40376eef7ddf58fe},
-	{"cg-lossy/async/noguard/fixed/seed1", 0x4058f48c68e47939, 79, 47, 2, 4, 2, 0x4027efd3b29a1b9a, 0x4021ec49ba5e353a, 0x3ff8000000000000, 0x40204a0902de00d2, 0, 2, 0, 1446, 0x3e4bb23028ed4f89, 0, 0x0},
-	{"cg-lossy/async/noguard/fixed/seed2", 0x405a7a9792bd9dd3, 79, 40, 4, 3, 1, 0x40214be1eb4202dd, 0x401a930be0ded290, 0x3ff0000000000000, 0x4030000000000000, 0, 0, 4, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-lossy/async/noguard/fixed/seed3", 0x404793009b30728e, 40, 40, 0, 3, 0, 0x401c9804d9839475, 0x4016947ae147ae14, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-lossy/async/noguard/fixed/sched", 0x40639491d9b1b79c, 119, 60, 5, 5, 4, 0x4032caa7589efd84, 0x402c8fffbce42178, 0x4002000000000000, 0x403224538ef34d6a, 0, 2, 2, 1419, 0x3e59d05c42c9461f, 0, 0x0},
-	{"cg-lossy/async/noguard/ctrl/seed1", 0x4057f4d47fd47fc7, 81, 47, 2, 4, 2, 0x4017e428d434a015, 0x4007ba29c779a6a8, 0x3ff8000000000000, 0x40204a0902de00d2, 0, 2, 0, 1446, 0x3e4bb23028ed4f89, 7, 0x4027f990d4cdfe26},
-	{"cg-lossy/async/noguard/ctrl/seed2", 0x4059fac22bee5be0, 79, 40, 4, 3, 1, 0x401a9a6d698fe68b, 0x401295b573eab360, 0x3ff0000000000000, 0x4030000000000000, 0, 0, 4, 0, 0x3e4d865537b122b4, 8, 0x4026635aad155beb},
-	{"cg-lossy/async/noguard/ctrl/seed3", 0x404512f37fbefd00, 40, 40, 0, 3, 0, 0x40012f37fbefd008, 0x3fe4a0902de00d20, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 3, 0x4029ce2d0c337a6f},
-	{"cg-lossy/async/noguard/ctrl/sched", 0x405d0ddc0db2702b, 92, 48, 4, 4, 3, 0x4020f13c68661aee, 0x4013da36e2eb1c50, 0x3ffc000000000000, 0x402c25a1cac08312, 0, 1, 2, 735, 0x3e4c642e2d3f282a, 9, 0x4026d7a9c73184ea},
-	{"cg-lossy/async/abft/fixed/seed1", 0x405406dd71eb88f8, 40, 40, 2, 2, 1, 0x400e9b25f633ce6a, 0x4002941205bc01a8, 0x3fe8000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b598c2, 0, 0x0},
-	{"cg-lossy/async/abft/fixed/seed2", 0x4057114115028710, 40, 40, 4, 1, 1, 0x3ff0096feb4a6656, 0x0, 0x3fe0000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b8d434, 0, 0x0},
-	{"cg-lossy/async/abft/fixed/seed3", 0x404793009b30728e, 40, 40, 0, 3, 0, 0x401c9804d9839475, 0x4016947ae147ae14, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-lossy/async/abft/fixed/sched", 0x4058c00000000000, 40, 40, 4, 0, 2, 0x3ff0096feb4a6656, 0x0, 0x3fe0000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537ad4e9a, 0, 0x0},
-	{"cg-lossy/async/abft/ctrl/seed1", 0x405366ca9214f42b, 40, 40, 2, 1, 1, 0x3ff53193f6c269a6, 0x3fd4a0902de00d40, 0x3fe0000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537a93967, 4, 0x4027a1a81a3a7366},
-	{"cg-lossy/async/abft/ctrl/seed2", 0x4057114115028710, 40, 40, 4, 1, 1, 0x3ff0096feb4a6656, 0x0, 0x3fe0000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b8d434, 3, 0x4025f67439749fdc},
-	{"cg-lossy/async/abft/ctrl/seed3", 0x404512f37fbefd00, 40, 40, 0, 3, 0, 0x40012f37fbefd008, 0x3fe4a0902de00d20, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 3, 0x4029ce2d0c337a6f},
-	{"cg-lossy/async/abft/ctrl/sched", 0x4058c00000000000, 40, 40, 4, 0, 2, 0x3ff0096feb4a6656, 0x0, 0x3fe0000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537ad4e9a, 3, 0x40261e2295bfe426},
-	{"cg-lossy/async/abft-corrupt/fixed/seed1", 0x4058f48c68e47939, 79, 47, 2, 4, 2, 0x4027efd3b29a1b9a, 0x4021ec49ba5e353a, 0x3ff8000000000000, 0x40204a0902de00d2, 0, 2, 0, 1446, 0x3e4bb23028ed4f89, 0, 0x0},
-	{"cg-lossy/async/abft-corrupt/fixed/seed3", 0x404793009b30728e, 40, 40, 0, 3, 0, 0x401c9804d9839475, 0x4016947ae147ae14, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-lossy/async/abft-corrupt/ctrl/seed1", 0x4057f4d47fd47fc7, 81, 47, 2, 4, 2, 0x4017e428d434a015, 0x4007ba29c779a6a8, 0x3ff8000000000000, 0x40204a0902de00d2, 0, 2, 0, 1446, 0x3e4bb23028ed4f89, 7, 0x4027f990d4cdfe26},
-	{"cg-lossy/async/abft-corrupt/ctrl/seed3", 0x404512f37fbefd00, 40, 40, 0, 3, 0, 0x40012f37fbefd008, 0x3fe4a0902de00d20, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 3, 0x4029ce2d0c337a6f},
-	{"cg-trad-2shard/sync/noguard/fixed/seed3", 0x404939f8a0902de0, 40, 40, 0, 3, 0, 0x4024e7e28240b780, 0x0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-trad-2shard/sync/noguard/ctrl/seed3", 0x40477bfb15b573eb, 40, 40, 0, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x3fe0000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x4037fd7845199692},
-	{"cg-trad-2shard/sync/abft/fixed/seed1", 0x405585c957825126, 40, 40, 2, 2, 1, 0x4023d34fffa347e1, 0x0, 0x3fe8000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b189fc, 0, 0x0},
-	{"cg-trad-2shard/sync/abft/fixed/seed2", 0x40596f2bc006ac39, 40, 40, 4, 3, 0, 0x4024e7e28240b780, 0x0, 0x3fe8000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 0, 0x0},
-	{"cg-trad-2shard/sync/abft/fixed/seed3", 0x404939f8a0902de0, 40, 40, 0, 3, 0, 0x4024e7e28240b780, 0x0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-trad-2shard/sync/abft/fixed/sched", 0x405a1efec56d5cfb, 40, 40, 4, 2, 1, 0x401fdfd8adab9f56, 0x0, 0x3fe8000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 0, 0x0},
-	{"cg-trad-2shard/sync/abft/ctrl/seed1", 0x405426ca9214f42b, 40, 40, 2, 1, 0, 0x400bdfd8adab9f56, 0x0, 0x3fd0000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537adfff7, 3, 0x402e14085df2a8ba},
-	{"cg-trad-2shard/sync/abft/ctrl/seed2", 0x4058902cfa994f3e, 40, 40, 4, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x3fe0000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 3, 0x40284a6c25dfaabe},
-	{"cg-trad-2shard/sync/abft/ctrl/seed3", 0x40477bfb15b573eb, 40, 40, 0, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x3fe0000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x4037fd7845199692},
-	{"cg-trad-2shard/sync/abft/ctrl/sched", 0x4059400000000000, 40, 40, 4, 1, 1, 0x4011efec56d5cfab, 0x0, 0x3fe0000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 3, 0x40285cd3901b4efa},
-	{"cg-trad-2shard/async/noguard/fixed/seed2", 0x405a8f9d63b7f6ca, 79, 40, 4, 3, 1, 0x40231dd3e4fc4c84, 0x401e322f7b326258, 0x3ff0000000000000, 0x4030000000000000, 0, 0, 4, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-trad-2shard/async/noguard/fixed/seed3", 0x4047bcde5d18090c, 40, 40, 0, 3, 0, 0x401de6f2e8c04860, 0x4017dfd8adab9f5c, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-trad-2shard/async/noguard/ctrl/seed2", 0x4059cf9d63b7f6ca, 79, 40, 4, 3, 1, 0x4017e950fc71d610, 0x400fbfb15b573ec0, 0x3ff0000000000000, 0x4030000000000000, 0, 0, 4, 0, 0x3e4d865537b122b4, 8, 0x40269b9c67015f81},
-	{"cg-trad-2shard/async/noguard/ctrl/seed3", 0x40453cde5d18090c, 40, 40, 0, 3, 0, 0x4003cde5d18090c1, 0x3feefec56d5cfae0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 3, 0x402a187bdf889eb7},
-	{"cg-trad-2shard/async/abft/fixed/seed1", 0x405486f073500d06, 40, 40, 2, 2, 1, 0x4013f70691ea78b0, 0x400bdfd8adab9f58, 0x3fe8000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b43006, 0, 0x0},
-	{"cg-trad-2shard/async/abft/fixed/seed2", 0x4057115416670b1e, 40, 40, 4, 1, 1, 0x3ff95c4bd3a77940, 0x3fe292b66c3617c0, 0x3fe0000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b8d434, 0, 0x0},
-	{"cg-trad-2shard/async/abft/fixed/seed3", 0x4047bcde5d18090c, 40, 40, 0, 3, 0, 0x401de6f2e8c04860, 0x4017dfd8adab9f5c, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
-	{"cg-trad-2shard/async/abft/fixed/sched", 0x4058c00000000000, 40, 40, 4, 0, 2, 0x3ff012f09d8c6d61, 0x0, 0x3fe0000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537ad4e9a, 0, 0x0},
-	{"cg-trad-2shard/async/abft/ctrl/seed1", 0x4053a6ca9214f42b, 40, 40, 2, 1, 1, 0x3ff7d2a1f8e3ac11, 0x3fdefec56d5cfac0, 0x3fe0000000000000, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b1d4cf, 4, 0x4027de0ad611c76c},
-	{"cg-trad-2shard/async/abft/ctrl/seed2", 0x4057115416670b1e, 40, 40, 4, 1, 1, 0x3ff012f09d8c6d61, 0x0, 0x3fe0000000000000, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b8d434, 3, 0x40262a2546216c9b},
-	{"cg-trad-2shard/async/abft/ctrl/seed3", 0x40453cde5d18090c, 40, 40, 0, 3, 0, 0x4003cde5d18090c1, 0x3feefec56d5cfae0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 3, 0x402a187bdf889eb7},
-	{"cg-trad-2shard/async/abft/ctrl/sched", 0x4058c00000000000, 40, 40, 4, 0, 2, 0x3ff012f09d8c6d61, 0x0, 0x3fe0000000000000, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537ad4e9a, 3, 0x402652947ddb8640},
-	{"jacobi-lossless/sync/noguard/fixed/seed1", 0x407871226afe52e5, 261, 176, 15, 17, 4, 0x4050771bd2de0f13, 0x0, 0x4015000000000000, 0x404d689109d96f78, 0, 14, 0, 8136, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/sync/noguard/fixed/seed2", 0x4074256fa3b51955, 222, 176, 10, 17, 1, 0x404c73d19d3526d8, 0x0, 0x4012000000000000, 0x40435025cfcbef13, 0, 8, 0, 4651, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/sync/noguard/fixed/seed3", 0x40704322e46fe1b4, 193, 176, 2, 17, 1, 0x404d6770a1fb787c, 0x0, 0x4012000000000000, 0x40203b8bac710cb2, 0, 2, 0, 1163, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/sync/noguard/fixed/sched", 0x407200182a9930be, 209, 176, 5, 17, 2, 0x404e2fa0f9096bbb, 0x0, 0x4013000000000000, 0x40322c9eecbfb15b, 0, 3, 1, 1743, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/sync/noguard/ctrl/seed1", 0x407725df5502e5c1, 260, 176, 14, 14, 1, 0x404855aa78b3d856, 0x0, 0x400e000000000000, 0x404b611df0dd1f30, 0, 13, 0, 7554, 0x3ef485508f66a4a3, 25, 0x402739cffc5a3f54},
-	{"jacobi-lossless/sync/noguard/ctrl/seed2", 0x4073608140958f4c, 223, 176, 10, 13, 0, 0x404580bac710cb29, 0x0, 0x400a000000000000, 0x40435025cfcbef13, 0, 8, 0, 4651, 0x3ef485508f66a4a3, 21, 0x40294ebf10cd65f7},
-	{"jacobi-lossless/sync/noguard/ctrl/seed3", 0x40701e34815057aa, 223, 176, 2, 8, 0, 0x403a770a3d70a3d7, 0x0, 0x4000000000000000, 0x40203b8bac710cb2, 0, 2, 0, 1163, 0x3ef485508f66a4a3, 10, 0x40383c31fa92aea3},
-	{"jacobi-lossless/sync/noguard/ctrl/sched", 0x40716c5f06f69446, 218, 176, 5, 12, 2, 0x4044ea6809d49519, 0x0, 0x400c000000000000, 0x40322c9eecbfb15b, 0, 3, 1, 1743, 0x3ef485508f66a4a3, 16, 0x4030dec2fd9f7685},
-	{"jacobi-lossless/sync/abft/fixed/seed1", 0x406c13b492975cf3, 178, 178, 10, 12, 3, 0x4045dbdf273e4725, 0x0, 0x400e000000000000, 0x0, 10, 0, 0, 0, 0x3ef3ec586f588a08, 0, 0x0},
-	{"jacobi-lossless/sync/abft/fixed/seed2", 0x406baf845438a639, 170, 170, 5, 14, 1, 0x4048910255087d8b, 0x0, 0x400e000000000000, 0x0, 5, 0, 0, 0, 0x3ef3e8cc0114979c, 0, 0x0},
-	{"jacobi-lossless/sync/abft/fixed/seed3", 0x406c70af76228731, 174, 174, 2, 16, 0, 0x404a770a3d70a3d8, 0x0, 0x4010000000000000, 0x0, 2, 0, 0, 0, 0x3ef4691ea3954bce, 0, 0x0},
-	{"jacobi-lossless/sync/abft/fixed/sched", 0x406b4d06f6944673, 171, 171, 5, 13, 2, 0x4047194af4f0d845, 0x0, 0x400e000000000000, 0x0, 5, 0, 0, 0, 0x3ef3f6aaa62de9cc, 0, 0x0},
-	{"jacobi-lossless/sync/abft/ctrl/seed1", 0x40695ffb061934cf, 174, 174, 10, 7, 1, 0x403a2d448553cd9f, 0x0, 0x4000000000000000, 0x0, 10, 0, 0, 0, 0x3ef3fe71d137829a, 16, 0x4024bf1fb3de6d4a},
-	{"jacobi-lossless/sync/abft/ctrl/seed2", 0x406a5bcb9971956e, 174, 174, 5, 10, 1, 0x4041733fc5ac5495, 0x0, 0x4006000000000000, 0x0, 5, 0, 0, 0, 0x3ef431fbaf56399e, 15, 0x402e3b5271b62efc},
-	{"jacobi-lossless/sync/abft/ctrl/seed3", 0x40690b4a1657e26b, 177, 177, 1, 7, 0, 0x4037282a9930be0e, 0x0, 0x3ffc000000000000, 0x0, 1, 0, 0, 0, 0x3ef3828148f08fa9, 8, 0x403ac97adea0ac16},
-	{"jacobi-lossless/sync/abft/ctrl/sched", 0x4069d94e3bcd35a8, 167, 167, 5, 11, 2, 0x40434a6809d49518, 0x0, 0x400a000000000000, 0x0, 5, 0, 0, 0, 0x3ef3a668d51eb10c, 15, 0x402dd7b327787010},
-	{"jacobi-lossless/async/noguard/fixed/seed1", 0x4081bb0f5368984d, 395, 176, 22, 17, 12, 0x405296fc5f1c0b39, 0x404dec12342ae1d4, 0x401d000000000000, 0x4055ce532b38e73e, 0, 21, 0, 12205, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/async/noguard/fixed/seed2", 0x40784935c56cfa03, 279, 176, 10, 17, 5, 0x4051217273eca6f9, 0x404cc173ce917e4e, 0x4016000000000000, 0x40433266874c2381, 0, 4, 4, 2327, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/async/noguard/fixed/seed3", 0x4071c819ab0b3c17, 213, 176, 2, 17, 2, 0x404f681bae841cfc, 0x404aa6dcea232f7a, 0x4013000000000000, 0x40203b8bac710cb2, 0, 2, 0, 1163, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/async/noguard/fixed/sched", 0x4073e523e9ea1404, 234, 176, 5, 17, 4, 0x40505c31ceaf251a, 0x404b77034b0e1b46, 0x4015000000000000, 0x40321dbf487fcb92, 0, 2, 2, 1162, 0x3ef485508f66a4a3, 0, 0x0},
-	{"jacobi-lossless/async/noguard/ctrl/seed1", 0x40816c971569593d, 415, 176, 22, 15, 12, 0x40460a0bd0141252, 0x403e908da7ec3e41, 0x401b000000000000, 0x4055ce532b38e73e, 0, 21, 0, 12205, 0x3ef485508f66a4a3, 47, 0x402585548239a114},
-	{"jacobi-lossless/async/noguard/ctrl/seed2", 0x4076226451717fa3, 283, 176, 10, 14, 5, 0x403c84003254e6db, 0x40330182a9930bd8, 0x4013000000000000, 0x40433266874c2381, 0, 4, 4, 2327, 0x3ef485508f66a4a3, 26, 0x40270504688c7e8b},
-	{"jacobi-lossless/async/noguard/ctrl/seed3", 0x406a5721e9e8ee94, 196, 176, 1, 13, 1, 0x40238f6512a94fe6, 0x40062ee631f8a068, 0x400c000000000000, 0x40103b7e90ff9724, 0, 1, 0, 581, 0x3ef485508f66a4a3, 15, 0x402a38709166dc3e},
-	{"jacobi-lossless/async/noguard/ctrl/sched", 0x40717e52deca2551, 236, 176, 5, 14, 4, 0x403803d816aceab6, 0x402e02f837b4a240, 0x4012000000000000, 0x40321dbf487fcb92, 0, 2, 2, 1162, 0x3ef485508f66a4a3, 21, 0x40287511fa8ffcfd},
-	{"jacobi-lossless/async/abft/fixed/seed1", 0x4068e622719808ea, 171, 171, 10, 7, 6, 0x4039c0e883968472, 0x4033d93dd97f62b7, 0x4006000000000000, 0x0, 10, 0, 0, 0, 0x3ef4568f1e6a7c83, 0, 0x0},
-	{"jacobi-lossless/async/abft/fixed/seed2", 0x406a0bdfc07006f6, 169, 169, 5, 10, 4, 0x4042ae68ee6ed582, 0x403e5afc19c8171d, 0x400c000000000000, 0x0, 5, 0, 0, 0, 0x3ef4415f57fdca3b, 0, 0x0},
-	{"jacobi-lossless/async/abft/fixed/seed3", 0x406cf0af76228731, 177, 177, 2, 14, 2, 0x404aa93708aac96a, 0x4046a82a9930be0a, 0x4010000000000000, 0x0, 2, 0, 0, 0, 0x3ef37940539b8c7b, 0, 0x0},
-	{"jacobi-lossless/async/abft/fixed/sched", 0x4069d9676640a6b6, 169, 169, 5, 10, 4, 0x404263e3193f6c24, 0x403dc5f06f694460, 0x400c000000000000, 0x0, 5, 0, 0, 0, 0x3ef398e112b6958a, 0, 0x0},
-	{"jacobi-lossless/async/abft/ctrl/seed1", 0x4066c57e625c8f9f, 170, 170, 9, 6, 4, 0x4023175b8130163f, 0x40122978d4fdf3a4, 0x4004000000000000, 0x0, 9, 0, 0, 0, 0x3ef489c20d81f4b7, 18, 0x4024bfbf33b0746b},
-	{"jacobi-lossless/async/abft/ctrl/seed2", 0x4067981ea22d25d1, 169, 169, 5, 8, 4, 0x403129bd4067cf17, 0x4026505532617c10, 0x4008000000000000, 0x0, 5, 0, 0, 0, 0x3ef4293f8ecd0ce8, 17, 0x40275d9626919bfa},
-	{"jacobi-lossless/async/abft/ctrl/seed3", 0x4067454367113860, 176, 176, 1, 12, 1, 0x40228f3c2dadb82e, 0x40062f4f0d844ce8, 0x400a000000000000, 0x0, 1, 0, 0, 0, 0x3ef3ab3e8afab67f, 14, 0x402a1e5eeda3b4f9},
-	{"jacobi-lossless/async/abft/ctrl/sched", 0x40683f873ffac1d0, 173, 173, 5, 9, 4, 0x4033f8c5004fb113, 0x402aee219652bd30, 0x400a000000000000, 0x0, 5, 0, 0, 0, 0x3ef4959caca8dd4a, 17, 0x4027762a12c80f7a},
-	{"gmres-lossy-bound/sync/noguard/fixed/seed1", 0x40608e9a20e733a0, 97, 70, 3, 6, 2, 0x40367121b0616c28, 0x0, 0x4000000000000000, 0x40284c56d5cfaace, 0, 3, 0, 1491, 0x3e8dc18ec3c259a2, 0, 0x0},
-	{"gmres-lossy-bound/sync/noguard/fixed/seed2", 0x4060cdaa5ae49dca, 95, 70, 4, 6, 0, 0x4033e89a02752546, 0x0, 0x3ff8000000000000, 0x403016872b020c4a, 0, 4, 0, 880, 0x3e8f974022160962, 0, 0x0},
-	{"gmres-lossy-bound/sync/noguard/fixed/seed3", 0x4054bcff97247454, 63, 63, 0, 6, 0, 0x4033f3fe5c91d14f, 0x0, 0x3ff8000000000000, 0x0, 0, 0, 0, 0, 0x3e8eaea1fba8cfc0, 0, 0x0},
-	{"gmres-lossy-bound/sync/noguard/fixed/sched", 0x4061777c1bda511a, 96, 74, 5, 7, 1, 0x4038476c8b439581, 0x0, 0x4000000000000000, 0x403234395810624e, 0, 3, 1, 2040, 0x3e8f439180cb4d10, 0, 0x0},
-	{"gmres-lossy-bound/sync/noguard/ctrl/seed1", 0x4066d92773627161, 128, 79, 9, 5, 0, 0x40309cd9e83e425b, 0x0, 0x3ff4000000000000, 0x40415fbc0be5b935, 0, 8, 0, 7446, 0x3e84647e3e7a5778, 12, 0x4024b3b5bcbf5a67},
-	{"gmres-lossy-bound/sync/noguard/ctrl/seed2", 0x4060632c32c09252, 95, 70, 4, 5, 0, 0x403094a8c154c986, 0x0, 0x3ff4000000000000, 0x403016872b020c4a, 0, 4, 0, 880, 0x3e8f974022160962, 9, 0x402aaa5aed697035},
-	{"gmres-lossy-bound/sync/noguard/ctrl/seed3", 0x40523d42c3c9eecc, 63, 63, 0, 3, 0, 0x4023ea161e4f7660, 0x0, 0x3fe8000000000000, 0x0, 0, 0, 0, 0, 0x3e8eaea1fba8cfc0, 3, 0x403a987834a37d4a},
-	{"gmres-lossy-bound/sync/noguard/ctrl/sched", 0x4063c1cd35a8587a, 117, 75, 5, 6, 2, 0x403620e560418937, 0x0, 0x4000000000000000, 0x403225bc01a36e2f, 0, 3, 1, 1474, 0x3e8e12969fa1295f, 10, 0x402ab4cb9b7695de},
-	{"gmres-lossy-bound/async/noguard/fixed/seed1", 0x406e5e1047619f7e, 169, 72, 11, 7, 5, 0x403b2e9c0c046311, 0x40352b1213c87caf, 0x4008000000000000, 0x404559e91a3bbd4e, 0, 10, 0, 6991, 0x3e8f24df20d8a48e, 0, 0x0},
-	{"gmres-lossy-bound/async/noguard/fixed/seed2", 0x4063e7a65798ad0a, 116, 65, 5, 6, 2, 0x403495f17bd8be76, 0x40309395810624e0, 0x4000000000000000, 0x40341a2339c0ebee, 0, 1, 4, 1021, 0x3e8aded79eef9276, 0, 0x0},
-	{"gmres-lossy-bound/async/noguard/fixed/seed3", 0x405465a88ace24bc, 63, 63, 0, 6, 0, 0x403296a22b3892ef, 0x402f29ba5e353f7e, 0x3ff8000000000000, 0x0, 0, 0, 0, 0, 0x3e8eaea1fba8cfc0, 0, 0x0},
-	{"gmres-lossy-bound/async/noguard/fixed/sched", 0x40664b2d87f88764, 133, 74, 5, 7, 4, 0x403a6b2aae29739a, 0x4034e7ec3547e06c, 0x4006000000000000, 0x4032178d4fdf3b64, 0, 2, 2, 920, 0x3e8e15771c4cd8e7, 0, 0x0},
-	{"gmres-lossy-bound/async/noguard/ctrl/seed1", 0x406a48d0711a34a9, 159, 68, 10, 5, 4, 0x402178409e55c0fe, 0x4010e5e353f7cedc, 0x4002000000000000, 0x40434f3c40537f0d, 0, 9, 0, 6157, 0x3e8cc92a8fa7c814, 17, 0x4024f35e05857e80},
-	{"gmres-lossy-bound/async/noguard/ctrl/seed2", 0x4060504dde0c0518, 102, 63, 4, 5, 1, 0x40247c03361565c8, 0x401cf0f27bb2fed0, 0x3ff8000000000000, 0x4030000000000000, 0, 0, 4, 0, 0x3e8eaea1fba8cfc0, 10, 0x402715200be85485},
-	{"gmres-lossy-bound/async/noguard/ctrl/seed3", 0x40507a4df47f993e, 63, 63, 0, 4, 0, 0x400749be8ff327be, 0x3fed013a92a305a0, 0x3ff0000000000000, 0x0, 0, 0, 0, 0, 0x3e8eaea1fba8cfc0, 4, 0x402a00dd6e4a7d03},
-	{"gmres-lossy-bound/async/noguard/ctrl/sched", 0x4063d4f840181e03, 128, 68, 5, 5, 4, 0x4025754866a11ed0, 0x4018dff2e48e8a80, 0x4002000000000000, 0x403218240b780347, 0, 2, 2, 943, 0x3e89a62ed7b29380, 12, 0x4026d6bc5829b36c},
+	{"cg-lossy/sync/noguard/fixed/seed1", 0x405828e8e18b5402, 69, 52, 2, 5, 1, 0x4032b62627f5af6a, 0x0, 0x402048a71de69ad4, 0, 2, 0, 1419, 0x3e598ad6f4d12c47, 0, 0x0},
+	{"cg-lossy/sync/noguard/fixed/seed2", 0x405a33410c9f0b3e, 72, 47, 4, 4, 0, 0x402a9096bb98c7e2, 0x0, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 0, 0x0},
+	{"cg-lossy/sync/noguard/fixed/seed3", 0x4048fba29c779a6b, 40, 40, 0, 3, 0, 0x4023ee8a71de69ad, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
+	{"cg-lossy/sync/noguard/fixed/sched", 0x405d421e4f765fd7, 82, 52, 4, 5, 2, 0x4034b6a7ef9db230, 0x0, 0x402c48a71de69ad4, 0, 2, 1, 1419, 0x3e598ad6f4d12c47, 0, 0x0},
+	{"cg-lossy/sync/noguard/ctrl/seed1", 0x405714278cc1ce12, 70, 57, 2, 4, 0, 0x402a8fec56d5cfab, 0x0, 0x402047525460aa65, 0, 2, 0, 1393, 0x3e51cf27eb3bd827, 4, 0x402e086ebfa05018},
+	{"cg-lossy/sync/noguard/ctrl/seed2", 0x405a333f6930dc8e, 72, 47, 4, 4, 0, 0x402a9089a0275254, 0x0, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 8, 0x40293d74842bdf6f},
+	{"cg-lossy/sync/noguard/ctrl/seed3", 0x4047525460aa64c3, 40, 40, 0, 2, 0, 0x401a92a305532618, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x40376eef7ddf58fe},
+	{"cg-lossy/sync/noguard/ctrl/sched", 0x405cad78d4fdf3b6, 85, 54, 4, 4, 2, 0x402ec89a0275254b, 0x0, 0x402c483126e978d5, 0, 2, 1, 1410, 0x3e53e51ecc3c4258, 7, 0x402996a5904dbcbb},
+	{"cg-lossy/sync/abft/fixed/seed1", 0x40553b54323c467f, 40, 40, 2, 2, 1, 0x40217fa6d572f2b0, 0x0, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b43006, 0, 0x0},
+	{"cg-lossy/sync/abft/fixed/seed2", 0x40595a48033351b2, 40, 40, 4, 3, 0, 0x4023edd2f1a9fbe7, 0x0, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 0, 0x0},
+	{"cg-lossy/sync/abft/fixed/seed3", 0x4048fba29c779a6b, 40, 40, 0, 3, 0, 0x4023ee8a71de69ad, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
+	{"cg-lossy/sync/abft/fixed/sched", 0x405a1489a0275254, 40, 40, 4, 2, 1, 0x401e90cb295e9e1b, 0x0, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 0, 0x0},
+	{"cg-lossy/sync/abft/ctrl/seed1", 0x4053e6ca9214f42b, 40, 40, 2, 1, 0, 0x400a941205bc01a3, 0x0, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b598c2, 3, 0x402d78673bb525db},
+	{"cg-lossy/sync/abft/ctrl/seed2", 0x405885b7d5534497, 40, 40, 4, 2, 0, 0x401a92a305532618, 0x0, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 3, 0x4027cd05e1917b74},
+	{"cg-lossy/sync/abft/ctrl/seed3", 0x4047525460aa64c3, 40, 40, 0, 2, 0, 0x401a92a305532618, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x40376eef7ddf58fe},
+	{"cg-lossy/sync/abft/ctrl/sched", 0x4059400000000000, 40, 40, 4, 1, 1, 0x4011483126e978d5, 0x0, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 3, 0x4027e1e1b1db448e},
+	{"cg-lossy/sync/abft-corrupt/fixed/seed1", 0x405828e8e18b5402, 69, 52, 2, 5, 1, 0x4032b62627f5af6a, 0x0, 0x402048a71de69ad4, 0, 2, 0, 1419, 0x3e598ad6f4d12c47, 0, 0x0},
+	{"cg-lossy/sync/abft-corrupt/fixed/seed2", 0x405a33410c9f0b3e, 72, 47, 4, 4, 0, 0x402a9096bb98c7e2, 0x0, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 0, 0x0},
+	{"cg-lossy/sync/abft-corrupt/fixed/seed3", 0x4048fba29c779a6b, 40, 40, 0, 3, 0, 0x4023ee8a71de69ad, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
+	{"cg-lossy/sync/abft-corrupt/ctrl/seed1", 0x405714278cc1ce12, 70, 57, 2, 4, 0, 0x402a8fec56d5cfab, 0x0, 0x402047525460aa65, 0, 2, 0, 1393, 0x3e51cf27eb3bd827, 4, 0x402e086ebfa05018},
+	{"cg-lossy/sync/abft-corrupt/ctrl/seed2", 0x405a333f6930dc8e, 72, 47, 4, 4, 0, 0x402a9089a0275254, 0x0, 0x40304a0902de00d2, 0, 4, 0, 2892, 0x3e4bb23028ed4f89, 8, 0x40293d74842bdf6f},
+	{"cg-lossy/sync/abft-corrupt/ctrl/seed3", 0x4047525460aa64c3, 40, 40, 0, 2, 0, 0x401a92a305532618, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x40376eef7ddf58fe},
+	{"cg-trad-2shard/sync/noguard/fixed/seed3", 0x404939f8a0902de0, 40, 40, 0, 3, 0, 0x4024e7e28240b780, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
+	{"cg-trad-2shard/sync/noguard/ctrl/seed3", 0x40477bfb15b573eb, 40, 40, 0, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x4037fd7845199692},
+	{"cg-trad-2shard/sync/abft/fixed/seed1", 0x405585c957825126, 40, 40, 2, 2, 1, 0x4023d34fffa347e1, 0x0, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537b189fc, 0, 0x0},
+	{"cg-trad-2shard/sync/abft/fixed/seed2", 0x40596f2bc006ac39, 40, 40, 4, 3, 0, 0x4024e7e28240b780, 0x0, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 0, 0x0},
+	{"cg-trad-2shard/sync/abft/fixed/seed3", 0x404939f8a0902de0, 40, 40, 0, 3, 0, 0x4024e7e28240b780, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 0, 0x0},
+	{"cg-trad-2shard/sync/abft/fixed/sched", 0x405a1efec56d5cfb, 40, 40, 4, 2, 1, 0x401fdfd8adab9f56, 0x0, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 0, 0x0},
+	{"cg-trad-2shard/sync/abft/ctrl/seed1", 0x405426ca9214f42b, 40, 40, 2, 1, 0, 0x400bdfd8adab9f56, 0x0, 0x4042000000000000, 2, 0, 0, 0, 0x3e4d865537adfff7, 3, 0x402e14085df2a8ba},
+	{"cg-trad-2shard/sync/abft/ctrl/seed2", 0x4058902cfa994f3e, 40, 40, 4, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x404957c5ce30da72, 1, 0, 0, 0, 0x3e4d865537b12913, 3, 0x40284a6c25dfaabe},
+	{"cg-trad-2shard/sync/abft/ctrl/seed3", 0x40477bfb15b573eb, 40, 40, 0, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x0, 0, 0, 0, 0, 0x3e4d865537b122b4, 2, 0x4037fd7845199692},
+	{"cg-trad-2shard/sync/abft/ctrl/sched", 0x4059400000000000, 40, 40, 4, 1, 1, 0x4011efec56d5cfab, 0x0, 0x404c000000000000, 3, 0, 0, 0, 0x3e4d865537b21bda, 3, 0x40285cd3901b4efa},
+	{"jacobi-lossless/sync/noguard/fixed/seed1", 0x407871226afe52e5, 261, 176, 15, 17, 4, 0x4050771bd2de0f13, 0x0, 0x404d689109d96f78, 0, 14, 0, 8136, 0x3ef485508f66a4a3, 0, 0x0},
+	{"jacobi-lossless/sync/noguard/fixed/seed2", 0x4074256fa3b51955, 222, 176, 10, 17, 1, 0x404c73d19d3526d8, 0x0, 0x40435025cfcbef13, 0, 8, 0, 4651, 0x3ef485508f66a4a3, 0, 0x0},
+	{"jacobi-lossless/sync/noguard/fixed/seed3", 0x40704322e46fe1b4, 193, 176, 2, 17, 1, 0x404d6770a1fb787c, 0x0, 0x40203b8bac710cb2, 0, 2, 0, 1163, 0x3ef485508f66a4a3, 0, 0x0},
+	{"jacobi-lossless/sync/noguard/fixed/sched", 0x407200182a9930be, 209, 176, 5, 17, 2, 0x404e2fa0f9096bbb, 0x0, 0x40322c9eecbfb15b, 0, 3, 1, 1743, 0x3ef485508f66a4a3, 0, 0x0},
+	{"jacobi-lossless/sync/noguard/ctrl/seed1", 0x407725df5502e5c1, 260, 176, 14, 14, 1, 0x404855aa78b3d856, 0x0, 0x404b611df0dd1f30, 0, 13, 0, 7554, 0x3ef485508f66a4a3, 25, 0x402739cffc5a3f54},
+	{"jacobi-lossless/sync/noguard/ctrl/seed2", 0x4073608140958f4c, 223, 176, 10, 13, 0, 0x404580bac710cb29, 0x0, 0x40435025cfcbef13, 0, 8, 0, 4651, 0x3ef485508f66a4a3, 21, 0x40294ebf10cd65f7},
+	{"jacobi-lossless/sync/noguard/ctrl/seed3", 0x40701e34815057aa, 223, 176, 2, 8, 0, 0x403a770a3d70a3d7, 0x0, 0x40203b8bac710cb2, 0, 2, 0, 1163, 0x3ef485508f66a4a3, 10, 0x40383c31fa92aea3},
+	{"jacobi-lossless/sync/noguard/ctrl/sched", 0x40716c5f06f69446, 218, 176, 5, 12, 2, 0x4044ea6809d49519, 0x0, 0x40322c9eecbfb15b, 0, 3, 1, 1743, 0x3ef485508f66a4a3, 16, 0x4030dec2fd9f7685},
+	{"jacobi-lossless/sync/abft/fixed/seed1", 0x406c13b492975cf3, 178, 178, 10, 12, 3, 0x4045dbdf273e4725, 0x0, 0x0, 10, 0, 0, 0, 0x3ef3ec586f588a08, 0, 0x0},
+	{"jacobi-lossless/sync/abft/fixed/seed2", 0x406baf845438a639, 170, 170, 5, 14, 1, 0x4048910255087d8b, 0x0, 0x0, 5, 0, 0, 0, 0x3ef3e8cc0114979c, 0, 0x0},
+	{"jacobi-lossless/sync/abft/fixed/seed3", 0x406c70af76228731, 174, 174, 2, 16, 0, 0x404a770a3d70a3d8, 0x0, 0x0, 2, 0, 0, 0, 0x3ef4691ea3954bce, 0, 0x0},
+	{"jacobi-lossless/sync/abft/fixed/sched", 0x406b4d06f6944673, 171, 171, 5, 13, 2, 0x4047194af4f0d845, 0x0, 0x0, 5, 0, 0, 0, 0x3ef3f6aaa62de9cc, 0, 0x0},
+	{"jacobi-lossless/sync/abft/ctrl/seed1", 0x40695ffb061934cf, 174, 174, 10, 7, 1, 0x403a2d448553cd9f, 0x0, 0x0, 10, 0, 0, 0, 0x3ef3fe71d137829a, 16, 0x4024bf1fb3de6d4a},
+	{"jacobi-lossless/sync/abft/ctrl/seed2", 0x406a5bcb9971956e, 174, 174, 5, 10, 1, 0x4041733fc5ac5495, 0x0, 0x0, 5, 0, 0, 0, 0x3ef431fbaf56399e, 15, 0x402e3b5271b62efc},
+	{"jacobi-lossless/sync/abft/ctrl/seed3", 0x40690b4a1657e26b, 177, 177, 1, 7, 0, 0x4037282a9930be0e, 0x0, 0x0, 1, 0, 0, 0, 0x3ef3828148f08fa9, 8, 0x403ac97adea0ac16},
+	{"jacobi-lossless/sync/abft/ctrl/sched", 0x4069d94e3bcd35a8, 167, 167, 5, 11, 2, 0x40434a6809d49518, 0x0, 0x0, 5, 0, 0, 0, 0x3ef3a668d51eb10c, 15, 0x402dd7b327787010},
+	{"gmres-lossy-bound/sync/noguard/fixed/seed1", 0x40608e9a20e733a0, 97, 70, 3, 6, 2, 0x40367121b0616c28, 0x0, 0x40284c56d5cfaace, 0, 3, 0, 1491, 0x3e8dc18ec3c259a2, 0, 0x0},
+	{"gmres-lossy-bound/sync/noguard/fixed/seed2", 0x4060cdaa5ae49dca, 95, 70, 4, 6, 0, 0x4033e89a02752546, 0x0, 0x403016872b020c4a, 0, 4, 0, 880, 0x3e8f974022160962, 0, 0x0},
+	{"gmres-lossy-bound/sync/noguard/fixed/seed3", 0x4054bcff97247454, 63, 63, 0, 6, 0, 0x4033f3fe5c91d14f, 0x0, 0x0, 0, 0, 0, 0, 0x3e8eaea1fba8cfc0, 0, 0x0},
+	{"gmres-lossy-bound/sync/noguard/fixed/sched", 0x4061777c1bda511a, 96, 74, 5, 7, 1, 0x4038476c8b439581, 0x0, 0x403234395810624e, 0, 3, 1, 2040, 0x3e8f439180cb4d10, 0, 0x0},
+	{"gmres-lossy-bound/sync/noguard/ctrl/seed1", 0x4066d92773627161, 128, 79, 9, 5, 0, 0x40309cd9e83e425b, 0x0, 0x40415fbc0be5b935, 0, 8, 0, 7446, 0x3e84647e3e7a5778, 12, 0x4024b3b5bcbf5a67},
+	{"gmres-lossy-bound/sync/noguard/ctrl/seed2", 0x4060632c32c09252, 95, 70, 4, 5, 0, 0x403094a8c154c986, 0x0, 0x403016872b020c4a, 0, 4, 0, 880, 0x3e8f974022160962, 9, 0x402aaa5aed697035},
+	{"gmres-lossy-bound/sync/noguard/ctrl/seed3", 0x40523d42c3c9eecc, 63, 63, 0, 3, 0, 0x4023ea161e4f7660, 0x0, 0x0, 0, 0, 0, 0, 0x3e8eaea1fba8cfc0, 3, 0x403a987834a37d4a},
+	{"gmres-lossy-bound/sync/noguard/ctrl/sched", 0x4063c1cd35a8587a, 117, 75, 5, 6, 2, 0x403620e560418937, 0x0, 0x403225bc01a36e2f, 0, 3, 1, 1474, 0x3e8e12969fa1295f, 10, 0x402ab4cb9b7695de},
 }
 
 // goldenShardedReads are parent rows too, and the driver reproduces
@@ -124,16 +68,12 @@ var goldenOutcomes = []goldenRow{
 // manifest too); the one path left counts what was read, so each
 // checkpoint restart of these rows reads shardManifestBytes more.
 var goldenShardedReads = []goldenRow{
-	{"cg-trad-2shard/sync/noguard/fixed/seed1", 0x405354c81cefae21, 55, 40, 2, 3, 1, 0x402acb462b0e2fb6, 0x0, 0x3ff0000000000000, 0x4020efec56d5cfab, 0, 2, 0, 4686, 0x3e4d865537b11544, 0, 0x0},
-	{"cg-trad-2shard/sync/noguard/fixed/seed2", 0x4057be2a85740934, 65, 40, 4, 3, 0, 0x4024e7e28240b780, 0x0, 0x3fe8000000000000, 0x4030efec56d5cfab, 0, 4, 0, 9372, 0x3e4d865537b12233, 0, 0x0},
-	{"cg-trad-2shard/sync/noguard/fixed/sched", 0x40554efec56d5cfb, 59, 40, 4, 3, 1, 0x4026e7e28240b780, 0x0, 0x3ff0000000000000, 0x402cefec56d5cfac, 0, 2, 1, 4686, 0x3e4d865537a41c1d, 0, 0x0},
-	{"cg-trad-2shard/sync/noguard/ctrl/seed1", 0x405135c957825126, 52, 40, 2, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x3fe0000000000000, 0x4020efec56d5cfab, 0, 2, 0, 4686, 0x3e4d865537b32c10, 3, 0x402c2f59b1fcf186},
-	{"cg-trad-2shard/sync/noguard/ctrl/seed2", 0x4057be2a85740934, 65, 40, 4, 3, 0, 0x4024e7e28240b780, 0x0, 0x3fe8000000000000, 0x4030efec56d5cfab, 0, 4, 0, 9372, 0x3e4d865537b12233, 7, 0x40285c1f1c7ba6e4},
-	{"cg-trad-2shard/sync/noguard/ctrl/sched", 0x40582dfd8adab9f6, 70, 40, 4, 3, 1, 0x4026e7e28240b780, 0x0, 0x3ff0000000000000, 0x402cefec56d5cfac, 0, 2, 1, 4686, 0x3e4d865537b1159d, 6, 0x40289f669fb9bd24},
-	{"cg-trad-2shard/async/noguard/fixed/seed1", 0x40565513df65dfd7, 70, 40, 2, 3, 2, 0x4022f5d78811b1dc, 0x401bdfd8adab9f5c, 0x3ff4000000000000, 0x4020efec56d5cfab, 0, 2, 0, 4686, 0x3e4d865537b12233, 0, 0x0},
-	{"cg-trad-2shard/async/noguard/fixed/sched", 0x405b6e494d50ebac, 83, 40, 4, 3, 3, 0x4027f5d78811b1dc, 0x4021eebd4cfd08d8, 0x3ff8000000000000, 0x402c77f62b6ae7d6, 0, 1, 2, 2343, 0x3e4d865537b12233, 0, 0x0},
-	{"cg-trad-2shard/async/noguard/ctrl/seed1", 0x4055d513df65dfd7, 73, 40, 2, 3, 2, 0x4011ebaf102363b9, 0x3fff7f62b6ae7d70, 0x3ff4000000000000, 0x4020efec56d5cfab, 0, 2, 0, 4686, 0x3e4d865537b12233, 7, 0x402839ef07b229d3},
-	{"cg-trad-2shard/async/noguard/ctrl/sched", 0x405aae494d50ebac, 85, 40, 4, 3, 3, 0x4017ee0d23d4f168, 0x4007bfb15b573ec0, 0x3ff8000000000000, 0x402c77f62b6ae7d6, 0, 1, 2, 2343, 0x3e4d865537b12405, 8, 0x4026b53b3fac1791},
+	{"cg-trad-2shard/sync/noguard/fixed/seed1", 0x405354c81cefae21, 55, 40, 2, 3, 1, 0x402acb462b0e2fb6, 0x0, 0x4020efec56d5cfab, 0, 2, 0, 4686, 0x3e4d865537b11544, 0, 0x0},
+	{"cg-trad-2shard/sync/noguard/fixed/seed2", 0x4057be2a85740934, 65, 40, 4, 3, 0, 0x4024e7e28240b780, 0x0, 0x4030efec56d5cfab, 0, 4, 0, 9372, 0x3e4d865537b12233, 0, 0x0},
+	{"cg-trad-2shard/sync/noguard/fixed/sched", 0x40554efec56d5cfb, 59, 40, 4, 3, 1, 0x4026e7e28240b780, 0x0, 0x402cefec56d5cfac, 0, 2, 1, 4686, 0x3e4d865537a41c1d, 0, 0x0},
+	{"cg-trad-2shard/sync/noguard/ctrl/seed1", 0x405135c957825126, 52, 40, 2, 2, 0, 0x401bdfd8adab9f56, 0x0, 0x4020efec56d5cfab, 0, 2, 0, 4686, 0x3e4d865537b32c10, 3, 0x402c2f59b1fcf186},
+	{"cg-trad-2shard/sync/noguard/ctrl/seed2", 0x4057be2a85740934, 65, 40, 4, 3, 0, 0x4024e7e28240b780, 0x0, 0x4030efec56d5cfab, 0, 4, 0, 9372, 0x3e4d865537b12233, 7, 0x40285c1f1c7ba6e4},
+	{"cg-trad-2shard/sync/noguard/ctrl/sched", 0x40582dfd8adab9f6, 70, 40, 4, 3, 1, 0x4026e7e28240b780, 0x0, 0x402cefec56d5cfac, 0, 2, 1, 4686, 0x3e4d865537b1159d, 6, 0x40289f669fb9bd24},
 }
 
 // shardManifestBytes is the size of the 2-shard group's manifest.
@@ -145,13 +85,9 @@ const shardManifestBytes = 78
 // an unguarded run always paid), which shifts everything downstream of
 // the first such restart. Each now equals its unguarded twin, recorded
 // at the parent: a guard whose every attempt is rejected for free is no
-// guard at all. (The ten abft-corrupt rows that never reach rung 3
+// guard at all. (The six abft-corrupt rows that never reach rung 3
 // already did.) CHANGES.md lists their values at the parent.
 var goldenRestartZero = []string{
 	"cg-lossy/sync/abft-corrupt/fixed/sched",
 	"cg-lossy/sync/abft-corrupt/ctrl/sched",
-	"cg-lossy/async/abft-corrupt/fixed/seed2",
-	"cg-lossy/async/abft-corrupt/fixed/sched",
-	"cg-lossy/async/abft-corrupt/ctrl/seed2",
-	"cg-lossy/async/abft-corrupt/ctrl/sched",
 }

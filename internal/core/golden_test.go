@@ -21,8 +21,8 @@ import (
 )
 
 // The golden matrix pins core.Outcome across the lifecycle's whole
-// configuration space — solver × scheme × cost mode × guard × cadence ×
-// failure source — as recorded at the commit before the driver
+// configuration space — solver × scheme × guard × cadence × failure
+// source — as recorded at the commit before the driver
 // refactor. Floats are stored as math.Float64bits: any drift in the
 // virtual trajectory, the controller feed or the accounting fails a
 // row bit for bit. goldenRestartZero lists the rows the one declared
@@ -32,46 +32,40 @@ import (
 // goldenCase names one cell of the matrix.
 type goldenCase struct {
 	sys      string // cg-lossy | cg-trad-2shard | jacobi-lossless | gmres-lossy-bound
-	async    bool   // Config.Async, priced by the overlapped costs
 	guard    string // noguard | abft | abft-corrupt (retained state damaged from step 5 on: the chain passes rung 0)
 	adaptive bool   // Controller instead of IntervalSeconds
 	fail     string // seed1 | seed2 | seed3 | sched
 }
 
+// name keeps the recorded rows' "sync" segment: a modelled run is
+// synchronous, so it is the only mode.
 func (c goldenCase) name() string {
-	mode, cadence := "sync", "fixed"
-	if c.async {
-		mode = "async"
-	}
+	cadence := "fixed"
 	if c.adaptive {
 		cadence = "ctrl"
 	}
-	return strings.Join([]string{c.sys, mode, c.guard, cadence, c.fail}, "/")
+	return strings.Join([]string{c.sys, "sync", c.guard, cadence, c.fail}, "/")
 }
 
 // goldenSchedule is the explicit failure trace. On the fixed-interval
-// rows the first checkpoint opens at t=10: 11 lands inside its window
-// (sync write and async capture alike), 13 inside the recovery that
-// follows, and — on the async rows, whose background write outlasts
-// the interval — 39.5 inside a backpressure wait. The later entries
-// exercise the same paths again further into the run.
+// rows the first checkpoint opens at t=10: 11 lands inside its write,
+// 13 inside the recovery that follows. The later entries exercise the
+// same paths again further into the run.
 var goldenSchedule = []float64{11, 13, 39.5, 71, 118.25}
 
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, sys := range []string{"cg-lossy", "cg-trad-2shard", "jacobi-lossless", "gmres-lossy-bound"} {
-		for _, async := range []bool{false, true} {
-			for _, guard := range []string{"noguard", "abft", "abft-corrupt"} {
-				if guard != "noguard" && sys == "gmres-lossy-bound" {
-					continue // the guard protects CG and the stationary methods only
-				}
-				if guard == "abft-corrupt" && sys != "cg-lossy" {
-					continue
-				}
-				for _, adaptive := range []bool{false, true} {
-					for _, fail := range []string{"seed1", "seed2", "seed3", "sched"} {
-						cases = append(cases, goldenCase{sys, async, guard, adaptive, fail})
-					}
+		for _, guard := range []string{"noguard", "abft", "abft-corrupt"} {
+			if guard != "noguard" && sys == "gmres-lossy-bound" {
+				continue // the guard protects CG and the stationary methods only
+			}
+			if guard == "abft-corrupt" && sys != "cg-lossy" {
+				continue
+			}
+			for _, adaptive := range []bool{false, true} {
+				for _, fail := range []string{"seed1", "seed2", "seed3", "sched"} {
+					cases = append(cases, goldenCase{sys, guard, adaptive, fail})
 				}
 			}
 		}
@@ -122,7 +116,6 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 		}
 		mcfg.ABFT, guard = g, g
 	}
-	mcfg.Async = c.async
 	m, err := core.NewManager(mcfg, fti.NewMemStorage(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +128,10 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 		Costs: &core.Costs{
 			TitSeconds: 1,
 			// Every cost depends on what was written, so a byte of drift in
-			// the checkpoint moves the clock.
-			CheckpointSeconds:   func(i fti.Info) float64 { return 3 + 1e-4*float64(i.Bytes) },
-			RecoverySeconds:     func(i fti.Info) float64 { return 4 + 1e-4*float64(i.Bytes) },
-			StorageRetrySeconds: func(fti.Info) float64 { return 0.25 },
+			// the checkpoint moves the clock. The rows were recorded with a
+			// 0.25 s retry price added after the write's, in this order.
+			CheckpointSeconds: func(i fti.Info) float64 { return 3 + 1e-4*float64(i.Bytes) + 0.25 },
+			RecoverySeconds:   func(i fti.Info) float64 { return 4 + 1e-4*float64(i.Bytes) },
 		},
 	}
 	if c.guard == "abft-corrupt" {
@@ -148,12 +141,6 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 				guard.CorruptRetained()
 			}
 		}
-	}
-	if c.async {
-		cfg.Costs.CaptureSeconds = func(i fti.Info) float64 { return 0.5 + 1e-6*float64(i.RawBytes) }
-		// A background write longer than the interval: every steady-state
-		// checkpoint waits on its predecessor.
-		cfg.Costs.CheckpointSeconds = func(i fti.Info) float64 { return 13 + 1e-4*float64(i.Bytes) }
 	}
 	if c.adaptive {
 		ctrl, err := adapt.New(adapt.Config{PriorMTTI: 60, InitialInterval: 10})
@@ -175,15 +162,15 @@ func goldenConfig(t *testing.T, c goldenCase) core.DriveConfig {
 
 // goldenRow is one recorded Outcome.
 type goldenRow struct {
-	name                                                     string
-	simSeconds                                               uint64
-	executed, convergence, failures, checkpoints, aborted    int
-	checkpointTime, backpressureTime, retryTime, recoverTime uint64
-	abftRec, ckptRestarts, freshRestarts                     int
-	readBytes                                                int64
-	finalResidual                                            uint64
-	plans                                                    int
-	lastInterval                                             uint64
+	name                                                  string
+	simSeconds                                            uint64
+	executed, convergence, failures, checkpoints, aborted int
+	checkpointTime, backpressureTime, recoverTime         uint64
+	abftRec, ckptRestarts, freshRestarts                  int
+	readBytes                                             int64
+	finalResidual                                         uint64
+	plans                                                 int
+	lastInterval                                          uint64
 }
 
 func rowOf(name string, o *core.Outcome) goldenRow {
@@ -194,7 +181,6 @@ func rowOf(name string, o *core.Outcome) goldenRow {
 		failures: o.Failures, checkpoints: o.Checkpoints, aborted: o.AbortedCheckpoints,
 		checkpointTime:   math.Float64bits(o.CheckpointTime),
 		backpressureTime: math.Float64bits(o.BackpressureTime),
-		retryTime:        math.Float64bits(o.StorageRetryTime),
 		recoverTime:      math.Float64bits(o.RecoveryTime),
 		abftRec:          o.ABFTRecoveries, ckptRestarts: o.CheckpointRestarts, freshRestarts: o.FreshRestarts,
 		readBytes:     o.RecoveryReadBytes,
@@ -208,18 +194,18 @@ func rowOf(name string, o *core.Outcome) goldenRow {
 }
 
 func (r goldenRow) literal() string {
-	return fmt.Sprintf("{%q, %#x, %d, %d, %d, %d, %d, %#x, %#x, %#x, %#x, %d, %d, %d, %d, %#x, %d, %#x},",
+	return fmt.Sprintf("{%q, %#x, %d, %d, %d, %d, %d, %#x, %#x, %#x, %d, %d, %d, %d, %#x, %d, %#x},",
 		r.name, r.simSeconds, r.executed, r.convergence, r.failures, r.checkpoints, r.aborted,
-		r.checkpointTime, r.backpressureTime, r.retryTime, r.recoverTime,
+		r.checkpointTime, r.backpressureTime, r.recoverTime,
 		r.abftRec, r.ckptRestarts, r.freshRestarts, r.readBytes, r.finalResidual, r.plans, r.lastInterval)
 }
 
 // describe renders the row's floats readably for a failure message.
 func (r goldenRow) describe() string {
 	f := math.Float64frombits
-	return fmt.Sprintf("sim=%v exec=%d conv=%d fail=%d ckpt=%d abort=%d ckptT=%v bp=%v retry=%v rec=%v abft=%d restart=%d fresh=%d read=%d res=%v plans=%d last=%v",
+	return fmt.Sprintf("sim=%v exec=%d conv=%d fail=%d ckpt=%d abort=%d ckptT=%v bp=%v rec=%v abft=%d restart=%d fresh=%d read=%d res=%v plans=%d last=%v",
 		f(r.simSeconds), r.executed, r.convergence, r.failures, r.checkpoints, r.aborted,
-		f(r.checkpointTime), f(r.backpressureTime), f(r.retryTime), f(r.recoverTime),
+		f(r.checkpointTime), f(r.backpressureTime), f(r.recoverTime),
 		r.abftRec, r.ckptRestarts, r.freshRestarts, r.readBytes, f(r.finalResidual), r.plans, f(r.lastInterval))
 }
 
@@ -290,11 +276,8 @@ func TestGoldenOutcomeMatrix(t *testing.T) {
 		}
 	}
 	// The matrix only pins the lifecycle if it walks all of it: a
-	// failure inside a checkpoint window, inside an in-flight background
-	// write, and inside a recovery.
-	for _, span := range []string{
-		obs.SpanCheckpoint + "/aborted", obs.SpanBackground + "/aborted", "interrupted",
-	} {
+	// failure inside a checkpoint window, and inside a recovery.
+	for _, span := range []string{obs.SpanCheckpoint + "/aborted", "interrupted"} {
 		if !hit[span] {
 			t.Errorf("no run in the matrix emitted a %s span", span)
 		}

@@ -155,52 +155,6 @@ func TestAdaptiveDeterministicTrajectory(t *testing.T) {
 	}
 }
 
-// TestAdaptiveAsyncDeterministicTrajectory: the async-mode controller
-// (fixed point over the overlapped stall) is deterministic too, and
-// its plan reflects the overlapped cost, not the raw one.
-func TestAdaptiveAsyncDeterministicTrajectory(t *testing.T) {
-	run := func() *core.Outcome {
-		a, b := jacobiSystem()
-		s, m := newManagedJacobi(t, a, b, core.Config{Scheme: core.Lossy, Async: true})
-		ctrl, err := adapt.New(conservativeControllerConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := core.Drive(core.DriveConfig{
-			Stepper:       s,
-			Manager:       m,
-			X0:            make([]float64, a.Rows),
-			Controller:    ctrl,
-			Failures:      core.FailureTimes(failureTrace(7), nil),
-			MaxIterations: 500000,
-			Costs: &core.Costs{
-				TitSeconds:        1,
-				CaptureSeconds:    func(fti.Info) float64 { return 0.4 },
-				CheckpointSeconds: func(fti.Info) float64 { return 6 },
-				RecoverySeconds:   func(fti.Info) float64 { return 8 },
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	x, y := run(), run()
-	if !reflect.DeepEqual(x.IntervalPlans, y.IntervalPlans) || len(x.IntervalPlans) == 0 {
-		t.Fatalf("async trajectories diverged or empty:\n%+v\n%+v", x.IntervalPlans, y.IntervalPlans)
-	}
-	if x.SimSeconds != y.SimSeconds || x.FinalResidual != y.FinalResidual {
-		t.Fatalf("async adaptive outcome diverged: %+v vs %+v", x, y)
-	}
-	// The async plan must exploit the overlap: once the planned
-	// interval exceeds the 6 s background write, the solver-visible
-	// cost per checkpoint is the 0.4 s capture stall alone.
-	last := x.IntervalPlans[len(x.IntervalPlans)-1]
-	if last.Cost > 1.0 {
-		t.Fatalf("final plan cost %g, want the capture-dominated stall (≤ 1)", last.Cost)
-	}
-}
-
 // TestAdaptivePinnedControllerMatchesFixedRun: a controller clamped to
 // one interval reproduces the fixed-interval run bitwise — the
 // controller changes only the checkpoint schedule, never the numerics,

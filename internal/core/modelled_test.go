@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/fti"
@@ -242,14 +244,47 @@ func TestEventTrace(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: Drive refuses each configuration it would not
+// act on as asked, and the error names the setting it refuses.
 func TestConfigValidation(t *testing.T) {
-	if _, err := core.Drive(core.DriveConfig{}); err == nil {
-		t.Fatal("missing stepper/manager must error")
-	}
 	a, b, _ := testSystem()
-	s, m := newManagedCG(t, a, b, core.Traditional)
-	if _, err := core.Drive(core.DriveConfig{Stepper: s, Manager: m, Costs: &core.Costs{}}); err == nil {
-		t.Fatal("missing TitSeconds must error")
+	manager := func(cfg core.Config) (*solver.CG, *core.Manager) {
+		s := solver.NewCG(a, nil, b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-9})
+		m, err := core.NewManager(cfg, fti.NewMemStorage(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, m
+	}
+	modelled := &core.Costs{TitSeconds: 1}
+	ctrl, err := adapt.New(conservativeControllerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, want string
+		mcfg       core.Config
+		drive      func(*core.DriveConfig)
+	}{
+		{"no stepper or manager", "Stepper", core.Config{}, func(d *core.DriveConfig) { d.Stepper, d.Manager = nil, nil }},
+		{"clock with costs", "Clock", core.Config{}, func(d *core.DriveConfig) {
+			d.Costs, d.Clock = modelled, func() float64 { return 0 }
+		}},
+		{"costs without a step price", "TitSeconds", core.Config{}, func(d *core.DriveConfig) { d.Costs = &core.Costs{} }},
+		{"iteration cadence with costs", "Config.Interval", core.Config{Interval: 5}, func(d *core.DriveConfig) { d.Costs = modelled }},
+		{"async manager with costs", "Config.Async", core.Config{Async: true}, func(d *core.DriveConfig) { d.Costs = modelled }},
+		{"interval and controller", "IntervalSeconds", core.Config{}, func(d *core.DriveConfig) {
+			d.IntervalSeconds, d.Controller = 10, ctrl
+		}},
+	} {
+		c.mcfg.Scheme = core.Traditional
+		s, m := manager(c.mcfg)
+		cfg := core.DriveConfig{Stepper: s, Manager: m, X0: make([]float64, a.Rows)}
+		c.drive(&cfg)
+		_, err := core.Drive(cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Drive returned %v, want an error naming %s", c.name, err, c.want)
+		}
 	}
 }
 

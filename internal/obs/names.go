@@ -153,12 +153,11 @@ const (
 	SpanWrite       = "write"
 	SpanShardWrite  = "shard-write"
 	SpanShardCommit = "shard-commit"
-	SpanCheckpoint  = "checkpoint"   // fused encode+write when stages aren't split (modelled sync mode)
-	SpanBackground  = "encode+write" // async background stage as one span (modelled async mode)
-	SpanRestore     = "restore"      // one fti restore attempt (one checkpoint read+decode)
-	SpanCompute     = "compute"      // solver iterations between lifecycle events
-	SpanFailure     = "failure"      // instant marker
-	SpanTierPrefix  = "tier:"        // + RecoveryTier.String(), one span per TierAttempt
+	SpanCheckpoint  = "checkpoint" // fused encode+write when stages aren't split (modelled sync mode)
+	SpanRestore     = "restore"    // one fti restore attempt (one checkpoint read+decode)
+	SpanCompute     = "compute"    // solver iterations between lifecycle events
+	SpanFailure     = "failure"    // instant marker
+	SpanTierPrefix  = "tier:"      // + RecoveryTier.String(), one span per TierAttempt
 
 	SpanQualityAudit     = "quality-audit"   // one audited vector save (distortion stats)
 	SpanQualityViolation = "bound-violation" // instant: audited error exceeded the bound

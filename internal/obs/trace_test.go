@@ -32,7 +32,7 @@ func TestTracerVirtualClock(t *testing.T) {
 	sp := tr.Begin(TrackSolver, CatCheckpoint, SpanCapture)
 	now = 1.5
 	sp.EndArgs(map[string]float64{"bytes": 8e6})
-	tr.Complete(TrackPipeline, CatCheckpoint, SpanBackground, 1.5, 2.0, nil)
+	tr.Complete(TrackPipeline, CatCheckpoint, SpanWrite, 1.5, 2.0, nil)
 	tr.InstantAt(TrackSolver, CatSolver, SpanFailure, 4.0)
 	ev := tr.Events()
 	if len(ev) != 3 {
