@@ -517,9 +517,11 @@ func BenchmarkGMRESStep(b *testing.B) {
 	reportPerRow(b, n, csrBytes(a)+int((2+2+2+4*meanJ+3+2+2+3)*8*float64(n)))
 }
 
-// BenchmarkJacobiSweep is one Jacobi step: the update x += D⁻¹·r (x
-// read and written, r and D⁻¹ read), the residual kernel and ‖r‖ in
-// two passes.
+// BenchmarkJacobiSweep is one Jacobi step, sparse.JacobiSweep and ‖r‖:
+// the update x += D⁻¹·r, on the generated grid vec.Axpy by the one
+// scalar 1/a_ii (x read and written, r read), the residual kernel (x
+// and b read, r written) and ‖r‖ in two passes (max|r_i|, then the
+// scaled sum of squares).
 func BenchmarkJacobiSweep(b *testing.B) {
 	a := sparse.Poisson3D(32)
 	n := a.Rows
@@ -532,7 +534,7 @@ func BenchmarkJacobiSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Step()
 	}
-	reportPerRow(b, n, csrBytes(a)+(4+3+2)*8*n)
+	reportPerRow(b, n, csrBytes(a)+(3+3+2)*8*n)
 }
 
 // ---- BLAS-1 kernels, Go loops against the AVX2 bodies ------------------------
@@ -553,6 +555,7 @@ func BenchmarkVecKernels(b *testing.B) {
 		run    func(x, y, z, w []float64)
 	}{
 		{"dot", 2, func(x, y, _, _ []float64) { vecSink = vec.Dot(x, y) }},
+		{"norminf", 1, func(x, _, _, _ []float64) { vecSink = vec.NormInf(x) }},
 		{"norm2", 2, func(x, _, _, _ []float64) { vecSink = vec.Norm2(x) }}, // max|x_i|, then the scaled squares
 		{"axpy", 3, func(x, y, _, _ []float64) { vec.Axpy(a, x, y) }},
 		{"axpydot", 4, func(x, y, z, _ []float64) { vecSink = vec.AxpyDot(a, x, y, z) }},

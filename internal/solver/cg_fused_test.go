@@ -92,8 +92,9 @@ func TestCGFusedPathIsBitIdentical(t *testing.T) {
 }
 
 func TestCGStepDoesNotAllocate(t *testing.T) {
-	// 16³ stays under the SpMV's parallel threshold, whose worker
-	// hand-off is the only allocation in a larger step.
+	// The generated operator's stencil kernel runs on the caller's
+	// goroutine at any size; a matrix without a summary above the row
+	// kernel's parallel threshold would allocate the worker hand-off.
 	a, m, b := ic0System(t, 16)
 	for name, sp := range map[string]Space{"fused": SeqSpace{}, "generic": wrappedSpace{SeqSpace{}}} {
 		s := NewCG(a, m, b, nil, sp, Options{RTol: 1e-300})

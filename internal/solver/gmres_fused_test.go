@@ -115,8 +115,9 @@ func TestGMRESFusedHappyBreakdown(t *testing.T) {
 // TestGMRESStepDoesNotAllocate covers mid-cycle steps and, over 40
 // steps, the materialize/beginCycle pair at a cycle boundary.
 func TestGMRESStepDoesNotAllocate(t *testing.T) {
-	// 16³ stays under the SpMV's parallel threshold, whose worker
-	// hand-off is the only allocation in a larger step.
+	// The generated operator's stencil kernel runs on the caller's
+	// goroutine at any size; a matrix without a summary above the row
+	// kernel's parallel threshold would allocate the worker hand-off.
 	a := sparse.Poisson3D(16)
 	for name, sp := range map[string]Space{"fused": SeqSpace{}, "generic": wrappedSpace{SeqSpace{}}} {
 		s := NewGMRES(a, nil, sparse.OnesRHS(a.Rows), nil, 30, sp, Options{RTol: 1e-300})

@@ -1,10 +1,12 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/precond"
 	"repro/internal/sparse"
@@ -390,21 +392,53 @@ func TestStationaryValidation(t *testing.T) {
 	}
 }
 
+// vecUseAVX2 is internal/vec's dispatch flag, bound by name (vec
+// exports no switch), so one machine runs a solve on both of vec's
+// paths.
+//
+//go:linkname vecUseAVX2 repro/internal/vec.useAVX2
+var vecUseAVX2 bool
+
+// TestRichardsonEqualsJacobi: Richardson with M = diag(A), ω = 1 and
+// Stationary{KindJacobi} are the same iteration x ← x + D⁻¹·(b − A·x):
+// the iterates and the residual history agree to the bit, on a square,
+// a cube with Rows mod 4 = 1, 1-D lines of every Rows mod 4 and a
+// summary-free copy of a cube, on vec's assembly and on its Go loops,
+// from a smooth solution and from zero and subnormal right-hand sides
+// (Norm2's zero and subnormal scales).
 func TestRichardsonEqualsJacobi(t *testing.T) {
-	// Richardson with M = diag(A), ω = 1 and Stationary{KindJacobi} are
-	// the same iteration x ← x + D⁻¹·(b − A·x) through the same
-	// kernels: the iterates and the residual history agree to the bit.
-	a := sparse.Poisson2D(5)
-	xe := sparse.SmoothField(a.Rows, 1)
-	b := sparse.RHSForSolution(a, xe)
-	j, err := NewStationary(KindJacobi, a, b, nil, 0, Options{RTol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
+	cube := sparse.Poisson3D(9)
+	shapes := map[string]*sparse.CSR{
+		"Poisson2D(5)":             sparse.Poisson2D(5),
+		"Poisson3D(9)":             cube,
+		"Poisson3D(9), no summary": {Rows: cube.Rows, Cols: cube.Cols, RowPtr: cube.RowPtr, ColIdx: cube.ColIdx, Val: cube.Val},
 	}
-	r := NewRichardson(a, precond.NewJacobiFromMatrix(a), b, nil, 1, SeqSpace{}, Options{RTol: 1e-8})
-	for i := 0; i < 50; i++ {
-		requireSameBits(t, i, "residual (Jacobi, Richardson)", []float64{j.Step()}, []float64{r.Step()})
-		requireSameBits(t, i, "x (Jacobi, Richardson)", j.X(), r.X())
+	for _, n := range []int{6, 7, 8, 29} {
+		shapes[fmt.Sprintf("Poisson3DAniso(%d,1,1)", n)] = sparse.Poisson3DAniso(n, 1, 1)
+	}
+	have := vecUseAVX2
+	defer func() { vecUseAVX2 = have }()
+	for name, a := range shapes {
+		smooth := sparse.RHSForSolution(a, sparse.SmoothField(a.Rows, 1))
+		tiny := slices.Clone(smooth)
+		for i := range tiny {
+			tiny[i] *= 1e-310
+		}
+		for rhs, b := range map[string][]float64{"smooth": smooth, "zero": make([]float64, a.Rows), "subnormal": tiny} {
+			for _, asm := range []bool{false, have} {
+				vecUseAVX2 = asm
+				j, err := NewStationary(KindJacobi, a, b, nil, 0, Options{RTol: 1e-8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := NewRichardson(a, precond.NewJacobiFromMatrix(a), b, nil, 1, SeqSpace{}, Options{RTol: 1e-8})
+				what := fmt.Sprintf("%s, %s b, asm %v: ", name, rhs, asm)
+				for i := 0; i < 30; i++ {
+					requireSameBits(t, i, what+"residual (Jacobi, Richardson)", []float64{j.Step()}, []float64{r.Step()})
+					requireSameBits(t, i, what+"x (Jacobi, Richardson)", j.X(), r.X())
+				}
+			}
+		}
 	}
 }
 

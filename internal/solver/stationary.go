@@ -45,9 +45,9 @@ func (k StationaryKind) String() string {
 // and RestoreDynamic ends by recomputing it from x, and a checkpoint
 // never stores it. Jacobi uses it as its update, in the fixed-point
 // form x ← x + D⁻¹·r that Fox et al. analyse under lossy state, so a
-// Jacobi step is one pass over the matrix (the residual refresh), not
-// two. Gauss-Seidel, SOR and SSOR sweep the matrix in place and then
-// refresh r.
+// Jacobi step (sparse.JacobiSweep, then the norm) passes over the
+// matrix once. Gauss-Seidel, SOR and SSOR sweep the matrix in place and
+// then refresh r.
 type Stationary struct {
 	a     *sparse.CSR
 	b     []float64
@@ -126,9 +126,18 @@ func (s *Stationary) refreshResidual() {
 
 // Step performs one sweep and returns the true residual norm.
 func (s *Stationary) Step() float64 {
+	s.it++
 	switch s.kind {
 	case KindJacobi:
-		s.jacobi()
+		// x_i ← x_i + r_i/a_ii with r = b − A·x from the previous
+		// refresh, which in exact arithmetic is the textbook x_i ←
+		// (b_i − Σ_{j≠i} a_ij·x_j)/a_ii, then the refresh of r. Bit
+		// for bit this is Richardson with precond.Jacobi and ω = 1: the
+		// same reciprocal diagonal, the same rounding, the same
+		// residual kernel and norm.
+		s.a.JacobiSweep(s.x, s.r, s.b, s.dinv)
+		s.rnorm = SeqSpace{}.Norm2(s.r)
+		return s.rnorm
 	case KindGaussSeidel:
 		s.sorSweep(1, false)
 	case KindSOR:
@@ -137,27 +146,8 @@ func (s *Stationary) Step() float64 {
 		s.sorSweep(s.omega, false)
 		s.sorSweep(s.omega, true)
 	}
-	s.it++
 	s.refreshResidual()
 	return s.rnorm
-}
-
-// jacobi updates x_i ← x_i + r_i/a_ii with r = b − A·x from the
-// previous refresh, which in exact arithmetic is the textbook
-// x_i ← (b_i − Σ_{j≠i} a_ij·x_j)/a_ii. It reads no matrix entry and is
-// one short vector pass, so it stays on the caller's goroutine; the
-// matrix work of a Jacobi step is the MulVecSub in refreshResidual,
-// which is row-partitioned and bitwise identical at any worker count.
-//
-// Bit for bit this is Richardson with precond.Jacobi and ω = 1: the
-// same reciprocal diagonal, the same product rounded before the sum
-// (the conversion keeps a fused multiply-add from skipping that
-// rounding on platforms that have one), the same residual kernel.
-func (s *Stationary) jacobi() {
-	x, r, dinv := s.x, s.r[:len(s.x)], s.dinv[:len(s.x)]
-	for i := range x {
-		x[i] += float64(dinv[i] * r[i])
-	}
 }
 
 // sorSweep performs one in-place successive-overrelaxation sweep; a

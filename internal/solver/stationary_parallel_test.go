@@ -27,14 +27,17 @@ func jacobiTrace(t *testing.T, a *sparse.CSR, b []float64, workers, sweeps int) 
 
 // TestJacobiParallelBitwiseIdentical: a Jacobi step must be bitwise
 // identical at any worker count. Its only parallel part is the
-// row-partitioned residual kernel (sparse.MulVecSub), where each row's
-// dot product accumulates in the same order regardless of which worker
-// owns it; the 33³ grid is far above that kernel's serial cutoff, so
-// the parallel path actually engages.
+// row-partitioned residual kernel, where each row's dot product
+// accumulates in the same order regardless of which worker owns it.
+// Poisson3D(33) as generated carries a stencil summary, which the
+// serial stencil kernel takes, so the system is a summary-free copy of
+// its arrays: far above the row kernel's serial cutoff, so the parallel
+// path, and the sweep's update over dinv, actually engage.
 func TestJacobiParallelBitwiseIdentical(t *testing.T) {
-	a := sparse.Poisson3D(33)
-	if a.Rows <= 32768 {
-		t.Fatalf("test system too small to engage the parallel sweep: %d rows", a.Rows)
+	gen := sparse.Poisson3D(33)
+	a := &sparse.CSR{Rows: gen.Rows, Cols: gen.Cols, RowPtr: gen.RowPtr, ColIdx: gen.ColIdx, Val: gen.Val}
+	if a.Kernel() != "csr" || a.NNZ() < 1<<15 {
+		t.Fatalf("test system would not engage the parallel row kernel: %s, %d entries", a.Kernel(), a.NNZ())
 	}
 	b := sparse.OnesRHS(a.Rows)
 	const sweeps = 25
@@ -52,6 +55,10 @@ func TestJacobiParallelBitwiseIdentical(t *testing.T) {
 			}
 		}
 	}
+	// And the generated matrix's one-worker sweep is the same iteration.
+	xGen, resGen := jacobiTrace(t, gen, b, 1, sweeps)
+	requireSameBits(t, sweeps, "generated matrix: residual history", resGen, resSerial)
+	requireSameBits(t, sweeps, "generated matrix: x", xGen, xSerial)
 }
 
 // TestJacobiSmallSystemStaysCorrect: below the cutoff the residual

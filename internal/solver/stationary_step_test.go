@@ -30,8 +30,9 @@ func TestJacobiIterationCount(t *testing.T) {
 // lifetime (a caller may hold it across steps), and a step allocates
 // nothing.
 func TestStationaryStepsInPlace(t *testing.T) {
-	// 16³ stays under the SpMV's parallel threshold, whose worker
-	// hand-off is the only allocation in a larger step.
+	// The generated operator's stencil kernel runs on the caller's
+	// goroutine at any size; a matrix without a summary above the row
+	// kernel's parallel threshold would allocate the worker hand-off.
 	a := sparse.Poisson3D(16)
 	for _, kind := range []StationaryKind{KindJacobi, KindGaussSeidel, KindSSOR} {
 		s, err := NewStationary(kind, a, sparse.OnesRHS(a.Rows), nil, 1.2, Options{RTol: 1e-300})

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -163,6 +164,35 @@ func (m *CSR) MulVecSub(dst, b, x []float64) {
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
 	m.mulVec(dst, b, x)
+}
+
+// JacobiSweep is one Jacobi step in residual form on A·x = b: x ← x +
+// D⁻¹·r, each product rounded before its sum, then r ← b − A·x.
+// dinv[i] must be 1/A[i,i]. On a matrix with a stencil summary the
+// update is vec.Axpy with D⁻¹ the one scalar 1/coef of the offset-0
+// diagonal, which is every dinv[i] bit for bit, as every row stores
+// that diagonal's one value; any other matrix updates in a Go loop over
+// dinv. The bits are the same.
+func (m *CSR) JacobiSweep(x, r, b, dinv []float64) {
+	if len(x) != m.Cols || len(r) != m.Rows || len(b) != m.Rows || len(dinv) != m.Rows || m.Rows != m.Cols {
+		panic(fmt.Sprintf("sparse: JacobiSweep dims: A is %dx%d, x %d, r %d, b %d, dinv %d",
+			m.Rows, m.Cols, len(x), len(r), len(b), len(dinv)))
+	}
+	d := -1
+	if m.st != nil {
+		d = slices.Index(m.st.off, 0)
+	}
+	if d >= 0 {
+		vec.Axpy(1/m.st.coef[d], r, x)
+	} else {
+		// The conversion keeps a fused multiply-add from skipping the
+		// product's rounding on platforms that have one.
+		x, dinv := x[:len(r)], dinv[:len(r)]
+		for i, ri := range r {
+			x[i] += float64(dinv[i] * ri)
+		}
+	}
+	m.mulVec(r, b, x)
 }
 
 // Diag extracts the main diagonal into dst (length Rows). Missing

@@ -4,6 +4,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -40,13 +41,13 @@ func guardedFloats(t *testing.T, src []float64, atEnd bool) []float64 {
 	return v
 }
 
-// TestStencilStaysInsideItsVectors: MulVec and MulVecSub on every grid
-// shape of this file and on 32³, with x, b, dst and the summary's masks
-// each flush against an inaccessible page at its start and then at its
-// end. The kernel takes the boundary rows, whose absent neighbours lie
-// outside x; a load it issues for one of them, unmasked, or a store or
-// a mask read outside its range, faults. The results keep the
-// reference's bits.
+// TestStencilStaysInsideItsVectors: MulVec, MulVecSub and JacobiSweep
+// on every grid shape of this file and on 32³, with x, b, dst (the
+// sweep's r), dinv and the summary's masks each flush against an
+// inaccessible page at its start and then at its end. The kernel takes
+// the boundary rows, whose absent neighbours lie outside x; a load it
+// issues for one of them, unmasked, or a store or a mask read outside
+// its range, faults. The results keep the reference's bits.
 func TestStencilStaysInsideItsVectors(t *testing.T) {
 	needAVX2(t)
 	shapes := append(gridShapes(), gridShape{"Poisson3D(32)", func() *CSR { return Poisson3D(32) }, nil})
@@ -55,12 +56,14 @@ func TestStencilStaysInsideItsVectors(t *testing.T) {
 		if a.st == nil {
 			continue
 		}
-		x0, b0 := randomVector(a.Cols, 61), randomVector(a.Rows, 62)
+		x0, b0, r0, dinv0 := randomVector(a.Cols, 61), randomVector(a.Rows, 62), randomVector(a.Rows, 63), reciprocalDiag(a)
 		want, wantSub := make([]float64, a.Rows), make([]float64, a.Rows)
 		mulVecReference(a, want, x0)
 		for i := range wantSub {
 			wantSub[i] = b0[i] - want[i]
 		}
+		wantX, wantR := slices.Clone(x0), slices.Clone(r0)
+		jacobiOracle(a, wantX, wantR, b0, dinv0)
 		mask := a.st.mask
 		for _, atEnd := range []bool{false, true} {
 			name := fmt.Sprintf("%s, flush at the end: %v", s.name, atEnd)
@@ -76,6 +79,11 @@ func TestStencilStaysInsideItsVectors(t *testing.T) {
 			a.MulVecSub(dst, b, x)
 			if i := bitsDiffer(dst, wantSub); i >= 0 {
 				t.Errorf("%s: MulVecSub row %d = %v, reference %v", name, i, dst[i], wantSub[i])
+			}
+			copy(dst, r0)
+			a.JacobiSweep(x, dst, b, guardedFloats(t, dinv0, atEnd))
+			if i := max(bitsDiffer(x, wantX), bitsDiffer(dst, wantR)); i >= 0 {
+				t.Errorf("%s: JacobiSweep row %d: x %v, r %v; oracle %v, %v", name, i, x[i], dst[i], wantX[i], wantR[i])
 			}
 			a.st.mask = mask
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 	_ "unsafe" // go:linkname
 
@@ -428,7 +429,9 @@ func fuzzStencilInput(data []byte) (a *CSR, b, x []float64) {
 // FuzzStencil: assembly ≡ Go stencil loop ≡ row kernel ≡ reference on
 // arbitrary grid extents and arbitrary bit patterns in x and b, and no
 // write outside dst. The kernel takes every row but the last Rows mod
-// 4, the grid's boundary rows included.
+// 4, the grid's boundary rows included. Then a JacobiSweep from that x,
+// with x reversed as r and b (or x) as the right-hand side, on every
+// path against the three-pass oracle.
 func FuzzStencil(f *testing.F) {
 	for _, dims := range [][4]byte{{5, 5, 5, 0}, {11, 2, 0, 1}, {0, 6, 2, 1}, {3, 0, 0, 0}} {
 		seed := dims[:]
@@ -440,6 +443,13 @@ func FuzzStencil(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		needAVX2(t)
 		a, b, x := fuzzStencilInput(data)
-		stencilPaths(t, fmt.Sprintf("%d rows, %s", a.Rows, a.Kernel()), a, b, x)
+		name := fmt.Sprintf("%d rows, %s", a.Rows, a.Kernel())
+		stencilPaths(t, name, a, b, x)
+		r, rhs := slices.Clone(x), b
+		slices.Reverse(r)
+		if rhs == nil {
+			rhs = x
+		}
+		jacobiPaths(t, name+", sweep", a, x, r, rhs)
 	})
 }

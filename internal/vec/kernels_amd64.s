@@ -99,21 +99,48 @@ check:
 	RET
 
 // func normInfAVX2(x []float64) (m0, m1, m2, m3 float64)
+//
+// Four chains of `VMAXPD m, a, m`, one per block of a 16-element
+// group, so the loop is not bound by the maximum's latency; a block
+// left over joins the first. No chain holds a NaN, so combining them in
+// any order gives each lane the maximum of its elements.
 TEXT ·normInfAVX2(SB), NOSPLIT, $0-56
 	MOVQ   x_base+0(FP), SI
 	MOVQ   x_len+8(FP), CX
+	MOVQ   CX, DX
+	ANDQ   $~15, DX
 	ANDQ   $~3, CX
 	XORQ   AX, AX
 	VXORPD Y0, Y0, Y0
-	ABSMASK(Y3)
-	JMP    check
-loop:
-	VANDPD (SI)(AX*8), Y3, Y1
-	VMAXPD Y0, Y1, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	ABSMASK(Y4)
+	JMP    check16
+loop16:
+	VANDPD (SI)(AX*8), Y4, Y5
+	VMAXPD Y0, Y5, Y0
+	VANDPD 32(SI)(AX*8), Y4, Y6
+	VMAXPD Y1, Y6, Y1
+	VANDPD 64(SI)(AX*8), Y4, Y7
+	VMAXPD Y2, Y7, Y2
+	VANDPD 96(SI)(AX*8), Y4, Y8
+	VMAXPD Y3, Y8, Y3
+	ADDQ   $16, AX
+check16:
+	CMPQ AX, DX
+	JLT  loop16
+	JMP  check4
+loop4:
+	VANDPD (SI)(AX*8), Y4, Y5
+	VMAXPD Y0, Y5, Y0
 	ADDQ   $4, AX
-check:
-	CMPQ AX, CX
-	JLT  loop
+check4:
+	CMPQ    AX, CX
+	JLT     loop4
+	VMAXPD  Y1, Y0, Y0
+	VMAXPD  Y3, Y2, Y2
+	VMAXPD  Y2, Y0, Y0
 	VMOVUPD Y0, m0+24(FP)
 	VZEROUPPER
 	RET

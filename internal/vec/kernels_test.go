@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -42,7 +43,7 @@ var kernels = []kernel{
 	// The in-place forms the solvers use: r ← b − r, and x ← a·x.
 	{"Sub dst=x", 2, func(_ float64, v [][]float64) [2]float64 { Sub(v[0], v[0], v[1]); return [2]float64{} }},
 	{"Sub dst=y", 2, func(_ float64, v [][]float64) [2]float64 { Sub(v[1], v[0], v[1]); return [2]float64{} }},
-	{"Scale", 1, func(a float64, v [][]float64) [2]float64 { Scale(a, v[0]); return [2]float64{} }},
+	{"ScaleTo dst=x", 1, func(a float64, v [][]float64) [2]float64 { ScaleTo(v[0], a, v[0]); return [2]float64{} }},
 	{"Exp", 2, func(_ float64, v [][]float64) [2]float64 { Exp(v[0], v[1]); return [2]float64{} }},
 	{"Exp dst=x", 1, func(_ float64, v [][]float64) [2]float64 { Exp(v[0], v[0]); return [2]float64{} }},
 }
@@ -188,19 +189,50 @@ func TestKernelsSpecialValues(t *testing.T) {
 				for pos := 0; pos < n; pos++ {
 					in := make([][]float64, k.nvec)
 					for i := range in {
-						in[i] = Clone(base[i])
+						in[i] = slices.Clone(base[i])
 					}
 					in[vi][pos] = sp
 					differ(t, k, 0.5, in, offs)
 				}
 				in := make([][]float64, k.nvec)
 				for i := range in {
-					in[i] = Clone(base[i])
+					in[i] = slices.Clone(base[i])
 				}
-				Fill(in[vi], sp)
+				for i := range in[vi] {
+					in[vi][i] = sp
+				}
 				differ(t, k, 0.5, in, offs)
 			}
 			differ(t, k, sp, base, offs)
+		}
+	}
+}
+
+// TestNormInfChains: NormInf's body runs four max chains over each
+// 16-element group, and a block past the last group joins the first.
+// At each length of one or two groups plus every residue mod 16, a NaN,
+// an infinity and the largest magnitude each land in every chain and
+// lane and in the tail, and then a NaN lands in all four chains at
+// once: the bits are the Go loop's, and a NaN never wins.
+func TestNormInfChains(t *testing.T) {
+	needAVX2(t)
+	k := kernels[slices.IndexFunc(kernels, func(k kernel) bool { return k.name == "NormInf" })]
+	rng := rand.New(rand.NewSource(75))
+	for n := 16; n < 48; n++ {
+		base := randomVecs(rng, 1, n)[0]
+		for pos := 0; pos < n; pos++ {
+			for _, sp := range []float64{math.NaN(), math.Inf(-1), -1e300} {
+				in := slices.Clone(base)
+				in[pos] = sp
+				differ(t, k, 0, [][]float64{in}, []int{pos % 4})
+			}
+		}
+		for lane := 0; lane < 4; lane++ {
+			in := slices.Clone(base)
+			for c := 0; c < 4; c++ {
+				in[4*c+lane] = math.NaN()
+			}
+			differ(t, k, 0, [][]float64{in}, []int{lane})
 		}
 	}
 }
@@ -362,8 +394,7 @@ func TestStencilMatchesGoLoop(t *testing.T) {
 					pass := func(on bool) (dst, backing []float64) {
 						useAVX2 = on
 						defer func() { useAVX2 = true }() // needAVX2: it was
-						dst, backing = guarded(make([]float64, n), o)
-						Fill(dst, guard)
+						dst, backing = guarded(slices.Repeat([]float64{guard}, n), o)
 						StencilMulVec(dst, bb, x, off, coef, mask, lo, hi)
 						return dst, backing
 					}

@@ -248,7 +248,7 @@ func Axpy(a float64, x, y []float64) {
 		x, y = x[n:], y[n:]
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v) // rounded as the assembly rounds it: no fused multiply-add
 	}
 }
 
@@ -268,9 +268,6 @@ func Aypx(a float64, x, y []float64) {
 	}
 }
 
-// Scale computes x ← a·x.
-func Scale(a float64, x []float64) { ScaleTo(x, a, x) }
-
 // ScaleTo computes dst ← a·x (GMRES's normalisation of a new basis
 // vector). dst may be x.
 func ScaleTo(dst []float64, a float64, x []float64) {
@@ -287,22 +284,8 @@ func ScaleTo(dst []float64, a float64, x []float64) {
 	}
 }
 
-// Clone returns a freshly allocated copy of x.
-func Clone(x []float64) []float64 {
-	y := make([]float64, len(x))
-	copy(y, x)
-	return y
-}
-
 // Zero sets every component of x to zero.
 func Zero(x []float64) { clear(x) }
-
-// Fill sets every component of x to a.
-func Fill(x []float64, a float64) {
-	for i := range x {
-		x[i] = a
-	}
-}
 
 // Sub computes dst ← x − y (the residual b − A·x once A·x is formed).
 // dst may be x or y.
@@ -320,27 +303,6 @@ func Sub(dst, x, y []float64) {
 	}
 }
 
-// Add computes dst ← x + y. dst may alias x or y.
-func Add(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("vec: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// PointwiseMult computes dst ← x ∘ y (Hadamard product), used by
-// diagonal (Jacobi) preconditioning.
-func PointwiseMult(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("vec: PointwiseMult length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] * y[i]
-	}
-}
-
 // MaxAbsDiff returns max_i |x_i − y_i|, used by tests to assert
 // error-bound compliance of lossy compressors.
 func MaxAbsDiff(x, y []float64) float64 {
@@ -350,25 +312,6 @@ func MaxAbsDiff(x, y []float64) float64 {
 	var m float64
 	for i := range x {
 		if d := math.Abs(x[i] - y[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// MaxRelDiff returns max_i |x_i − y_i| / |x_i| over components with
-// x_i ≠ 0, the pointwise-relative error used by the paper's bound
-// definition (|x_i − x'_i| ≤ eb·|x_i|).
-func MaxRelDiff(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("vec: MaxRelDiff length mismatch")
-	}
-	var m float64
-	for i := range x {
-		if x[i] == 0 {
-			continue
-		}
-		if d := math.Abs(x[i]-y[i]) / math.Abs(x[i]); d > m {
 			m = d
 		}
 	}

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -83,27 +84,23 @@ func TestAypx(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	x := []float64{1, -2}
-	Scale(-3, x)
+	ScaleTo(x, -3, x)
 	if x[0] != -3 || x[1] != 6 {
-		t.Fatalf("Scale result %v", x)
+		t.Fatalf("ScaleTo in place: %v", x)
 	}
 }
 
 func TestSubAddPointwise(t *testing.T) {
-	x := []float64{5, 7}
-	y := []float64{2, 3}
-	d := make([]float64, 2)
+	x, y, d := []float64{5, 7}, []float64{2, 3}, make([]float64, 2)
 	Sub(d, x, y)
 	if d[0] != 3 || d[1] != 4 {
 		t.Fatalf("Sub = %v", d)
 	}
-	Add(d, x, y)
-	if d[0] != 7 || d[1] != 10 {
-		t.Fatalf("Add = %v", d)
-	}
-	PointwiseMult(d, x, y)
-	if d[0] != 10 || d[1] != 21 {
-		t.Fatalf("PointwiseMult = %v", d)
+	// Adding y back entry by entry recovers x exactly for these values.
+	for i := range d {
+		if d[i]+y[i] != x[i] {
+			t.Fatalf("Sub(x, y)[%d] + y[%d] = %v, want %v", i, i, d[i]+y[i], x[i])
+		}
 	}
 }
 
@@ -115,23 +112,8 @@ func TestSubAliasing(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	x := []float64{1, 2}
-	y := Clone(x)
-	y[0] = 99
-	if x[0] != 1 {
-		t.Fatal("Clone must not share backing storage")
-	}
-}
-
 func TestZeroFill(t *testing.T) {
 	x := []float64{1, 2, 3}
-	Fill(x, 4)
-	for _, v := range x {
-		if v != 4 {
-			t.Fatalf("Fill result %v", x)
-		}
-	}
 	Zero(x)
 	for _, v := range x {
 		if v != 0 {
@@ -143,13 +125,6 @@ func TestZeroFill(t *testing.T) {
 func TestMaxAbsDiff(t *testing.T) {
 	if got := MaxAbsDiff([]float64{1, 2}, []float64{1.5, 1}); got != 1 {
 		t.Fatalf("MaxAbsDiff = %v, want 1", got)
-	}
-}
-
-func TestMaxRelDiffSkipsZeros(t *testing.T) {
-	got := MaxRelDiff([]float64{0, 2}, []float64{5, 1})
-	if got != 0.5 {
-		t.Fatalf("MaxRelDiff = %v, want 0.5", got)
 	}
 }
 
@@ -223,7 +198,7 @@ func TestFusedKernelsBitEqual(t *testing.T) {
 		check("random", r, q)
 
 		const a = 0.37
-		xRef, rRef := Clone(x), Clone(r)
+		xRef, rRef := slices.Clone(x), slices.Clone(r)
 		for i := range xRef {
 			xRef[i] += a * p[i]
 			rRef[i] -= a * q[i]
@@ -256,7 +231,7 @@ func TestAxpyDotBitEqual(t *testing.T) {
 	bitEq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	check := func(name string, a float64, x, y, z []float64) {
 		t.Helper()
-		yRef := Clone(y)
+		yRef := slices.Clone(y)
 		Axpy(a, x, yRef)
 		want := Dot(yRef, z)
 		got := AxpyDot(a, x, y, z)
@@ -289,7 +264,7 @@ func TestAxpyDotBitEqual(t *testing.T) {
 	}
 	for name, v := range special {
 		check(name+" x", 1.5, v, random(7), random(7))
-		check(name+" y", 1.5, random(7), Clone(v), random(7))
+		check(name+" y", 1.5, random(7), slices.Clone(v), random(7))
 		check(name+" z", 1.5, random(7), random(7), v)
 	}
 	check("inf a", math.Inf(1), random(7), random(7), random(7))
@@ -339,8 +314,10 @@ func TestNorm2NaN(t *testing.T) {
 		}
 		// CG's residual update with a NaN step length, then its fused
 		// reductions: r ← r − NaN·q is NaN wherever q is not skipped.
-		r, q, p, z := Clone(x), make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x))
-		Fill(q, 1)
+		r, q, p, z := slices.Clone(x), make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x))
+		for i := range q {
+			q[i] = 1
+		}
 		rmax := AxpyPairNormInf(nan, z, p, r, q)
 		if _, got := DotNorm2(r, q, rmax); !math.IsNaN(got) {
 			t.Errorf("%s: norm after a NaN update = %v, want NaN", name, got)
@@ -397,7 +374,7 @@ func TestAxpyInverseProperty(t *testing.T) {
 			x[i] = rng.Float64()
 			y[i] = rng.Float64()
 		}
-		orig := Clone(y)
+		orig := slices.Clone(y)
 		a := rng.Float64()
 		Axpy(a, x, y)
 		Axpy(-a, x, y)
@@ -420,7 +397,9 @@ func TestNormTriangleProperty(t *testing.T) {
 			x[i] = rng.NormFloat64() * 100
 			y[i] = rng.NormFloat64() * 100
 		}
-		Add(s, x, y)
+		for i := range s {
+			s[i] = x[i] + y[i]
+		}
 		return Norm2(s) <= Norm2(x)+Norm2(y)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
