@@ -890,7 +890,8 @@ func mustDirStorage(b *testing.B) *fti.DirStorage {
 // cg-trad-sync-shard in isolation: IC(0)-preconditioned CG on the 48³
 // system, as the workload builds it, x and p (1.77 MB) stored raw in 8
 // shards by 2 workers on a real directory, through Manager.Checkpoint
-// and Manager.Recover (which ends in CG's r = b − A·x). ns/op, B/op and
+// and Manager.RecoverTiered (whose checkpoint rung ends in CG's
+// r = b − A·x), the calls cg-trad-sync-shard makes. ns/op, B/op and
 // allocs/op of each are the README's "Checkpoint path" rows; the fsyncs
 // are in ns/op and vary with the disk, the bytes and objects allocated
 // do not.
@@ -920,12 +921,13 @@ func BenchmarkExactSaveRestore(b *testing.B) {
 			}
 		}
 	})
+	x0 := make([]float64, a.Rows) // outside the sub-benchmark, whose allocations count
 	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(2 * 8 * a.Rows))
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Recover(); err != nil {
-				b.Fatal(err)
+			if rep, err := m.RecoverTiered(x0); err != nil || rep.Used != core.TierCheckpoint {
+				b.Fatalf("RecoverTiered: %v, %+v", err, rep)
 			}
 		}
 	})

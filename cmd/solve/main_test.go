@@ -671,7 +671,9 @@ func TestReportedIntervalIsTheRunsCadence(t *testing.T) {
 // corrupts the newest of two committed checkpoints before a process
 // fails: the restore walk must reject it by its CRC and fall back to
 // the one before, and that row pins the whole tier table. Each row runs
-// twice; both runs must give the recorded values.
+// twice, the second with every observer attached (-metrics-out,
+// -trace-out, and -report-out, which brings the quality auditor), and
+// both runs must give the recorded values: observers are pure.
 func TestInjectedRunGolden(t *testing.T) {
 	ledger := regexp.MustCompile(`(?m)^iterations: (.+) \(N'\)$`)
 	lastSave := regexp.MustCompile(`(?m)^last checkpoint: ([0-9]+) bytes`)
@@ -705,8 +707,13 @@ func TestInjectedRunGolden(t *testing.T) {
 		{"gmres", "lossy", "110 = 113 failure-free + 11 replayed + -14 extra", "1142", []string{"checkpoint", "checkpoint"}},
 		{"cg-corrupt-newest", "lossy", "29 = 18 failure-free + 7 replayed + 4 extra", "2091", []string{"previous-checkpoint"}},
 	} {
-		args := strings.Fields(plans[row.plan] + " -scheme " + row.scheme)
 		for run := 1; run <= 2; run++ {
+			args := strings.Fields(plans[row.plan] + " -scheme " + row.scheme)
+			if run == 2 {
+				dir := t.TempDir()
+				args = append(args, "-metrics-out", filepath.Join(dir, "metrics.json"),
+					"-trace-out", filepath.Join(dir, "trace.json"), "-report-out", filepath.Join(dir, "report.json"))
+			}
 			out, err := solve(t, args...)
 			if err != nil {
 				t.Fatalf("%v: %v", args, err)

@@ -41,22 +41,25 @@ func main() {
 
 	failAt := resRef.Iterations / 2
 	rollback := 0
+	x0 := make([]float64, a.Rows)
 	res, err := lossyckpt.RunToConvergence(s, lossyckpt.SolverOptions{MaxIter: 100000},
 		func(it int, rnorm float64) error {
-			if info, err := mgr.MaybeCheckpoint(); err != nil {
-				return err
-			} else if info != nil {
+			if mgr.Due() {
+				info, err := mgr.Checkpoint()
+				if err != nil {
+					return err
+				}
 				eb := lossyckpt.GMRESAdaptiveBound(rnorm, bnorm, 1)
 				fmt.Printf("  ckpt at it %3d: adaptive eb %.2e, %5d bytes (ratio %6.1fx)\n",
 					it, eb, info.Bytes, info.CompressionRatio)
 			}
 			if it == failAt {
 				failAt = -1
-				rolledTo, err := mgr.Recover()
+				rep, err := mgr.RecoverTiered(x0)
 				if err != nil {
 					return err
 				}
-				rollback = it - rolledTo
+				rollback = it - rep.Iteration
 				fmt.Printf("  failure at it %d -> lossy recovery (rollback %d iterations)\n", it, rollback)
 			}
 			return nil

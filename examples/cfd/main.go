@@ -59,17 +59,21 @@ func main() {
 			failAt = 20 // one failure in the middle of timestep 2
 		}
 		res, err := lossyckpt.RunToConvergence(cg, lossyckpt.SolverOptions{}, func(it int, rnorm float64) error {
-			if _, err := mgr.MaybeCheckpoint(); err != nil {
-				return err
+			if mgr.Due() {
+				if _, err := mgr.Checkpoint(); err != nil {
+					return err
+				}
 			}
 			if it == failAt {
 				failAt = -1
-				rolledTo, err := mgr.Recover()
+				// The warm start is this solve's initial guess, the
+				// chain's last rung.
+				rep, err := mgr.RecoverTiered(pressure)
 				if err != nil {
 					return err
 				}
 				fmt.Printf("  [step %d] failure mid-solve -> lossy recovery to iteration %d\n",
-					step, rolledTo)
+					step, rep.Iteration)
 			}
 			return nil
 		})

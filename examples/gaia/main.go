@@ -58,18 +58,21 @@ func main() {
 	}
 
 	failures := map[int]bool{40: true, 110: true}
+	x0 := make([]float64, a.Rows)
 	res, err := lossyckpt.RunToConvergence(cg, lossyckpt.SolverOptions{MaxIter: 100000},
 		func(it int, rnorm float64) error {
-			if _, err := mgr.MaybeCheckpoint(); err != nil {
-				return err
+			if mgr.Due() {
+				if _, err := mgr.Checkpoint(); err != nil {
+					return err
+				}
 			}
 			if failures[it] {
 				delete(failures, it)
-				rolledTo, err := mgr.Recover()
+				rep, err := mgr.RecoverTiered(x0)
 				if err != nil {
 					return err
 				}
-				fmt.Printf("failure at iteration %d -> recovered to %d\n", it, rolledTo)
+				fmt.Printf("failure at iteration %d -> recovered to %d\n", it, rep.Iteration)
 			}
 			return nil
 		})

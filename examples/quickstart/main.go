@@ -30,22 +30,26 @@ func main() {
 	}
 
 	// 4. Iterate; at iteration 17 a "failure" strikes and we recover
-	//    from the latest lossy checkpoint.
+	//    from the latest lossy checkpoint (or, were there none, from the
+	//    initial guess x0).
+	x0 := make([]float64, a.Rows)
 	failed := false
 	res, err := lossyckpt.RunToConvergence(cg, lossyckpt.SolverOptions{}, func(it int, rnorm float64) error {
-		if info, err := mgr.MaybeCheckpoint(); err != nil {
-			return err
-		} else if info != nil {
+		if mgr.Due() {
+			info, err := mgr.Checkpoint()
+			if err != nil {
+				return err
+			}
 			fmt.Printf("  checkpoint at iteration %d: %d bytes (ratio %.1fx)\n",
 				it, info.Bytes, info.CompressionRatio)
 		}
 		if it == 17 && !failed {
 			failed = true
-			rolledTo, err := mgr.Recover()
+			rep, err := mgr.RecoverTiered(x0)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  failure at iteration %d -> recovered from checkpointed iteration %d\n", it, rolledTo)
+			fmt.Printf("  failure at iteration %d -> recovered from checkpointed iteration %d\n", it, rep.Iteration)
 		}
 		return nil
 	})

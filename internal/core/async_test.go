@@ -51,14 +51,12 @@ func traceRun(t *testing.T, scheme Scheme, async bool, interval, failAt int) []f
 	failed := false
 	_, err = solver.RunToConvergence(s, solver.Options{MaxIter: 5000}, func(it int, rnorm float64) error {
 		trace = append(trace, rnorm)
-		if _, err := m.MaybeCheckpoint(); err != nil {
+		if err := checkpointIfDue(m); err != nil {
 			return err
 		}
 		if !failed && it == failAt {
 			failed = true
-			if _, err := m.Recover(); err != nil {
-				return err
-			}
+			recoverCheckpoint(t, m)
 		}
 		return nil
 	})
@@ -127,11 +125,7 @@ func TestAsyncCrashConsistency(t *testing.T) {
 		s.Step() // the solver keeps going, unaware
 	}
 
-	rolledTo, err := m.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rolledTo != 10 {
+	if rolledTo := recoverCheckpoint(t, m); rolledTo != 10 {
 		t.Fatalf("recovered to iteration %d, want 10 (previous committed checkpoint)", rolledTo)
 	}
 	if got := lastCkptIter(m); got != 10 {
@@ -309,11 +303,7 @@ func TestAsyncAbortDropsCompletedInFlight(t *testing.T) {
 	if got := m.LastInfo(); got.Seq != infoBefore.Seq || got.Bytes != infoBefore.Bytes {
 		t.Fatalf("LastInfo after abort describes the dropped checkpoint: %+v, want %+v", got, infoBefore)
 	}
-	rolledTo, err := m.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rolledTo != 5 {
+	if rolledTo := recoverCheckpoint(t, m); rolledTo != 5 {
 		t.Fatalf("recovered to %d, want 5", rolledTo)
 	}
 }
@@ -362,8 +352,8 @@ func TestAbortOfAFailedSaveKeepsItsPredecessor(t *testing.T) {
 			t.Fatalf("%s: aborting a failed save moved the recovery target to seq %d (iteration %d), want seq %d (iteration 3)",
 				c.name, got.Seq, lastCkptIter(m), before.Seq)
 		}
-		if it, err := m.Recover(); err != nil || it != 3 {
-			t.Fatalf("%s: Recover() = %d, %v; want the checkpoint at iteration 3", c.name, it, err)
+		if it := recoverCheckpoint(t, m); it != 3 {
+			t.Fatalf("%s: recovered to iteration %d, want the checkpoint at iteration 3", c.name, it)
 		}
 	}
 }
@@ -432,10 +422,10 @@ func TestAbortWithKeepOneLeavesNoPhantomCheckpoint(t *testing.T) {
 		if m.HasCheckpoint() {
 			t.Fatalf("async=%v: HasCheckpoint()==true with empty storage", async)
 		}
-		if _, err := m.Recover(); err == nil {
-			t.Fatalf("async=%v: Recover should fail with no checkpoints; callers must use RecoverFresh", async)
+		rep, err := m.RecoverTiered(make([]float64, a.Rows))
+		if err != nil || rep.Used != TierRestartZero || len(rep.Attempts) != 1 {
+			t.Fatalf("async=%v: RecoverTiered = %+v, %v; want restart-zero with no checkpoint attempted", async, rep, err)
 		}
-		m.RecoverFresh(make([]float64, a.Rows))
 	}
 }
 
@@ -457,14 +447,12 @@ func TestAsyncConcurrentStepping(t *testing.T) {
 	}
 	failed := false
 	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 5000}, func(it int, rnorm float64) error {
-		if _, err := m.MaybeCheckpoint(); err != nil {
+		if err := checkpointIfDue(m); err != nil {
 			return err
 		}
 		if !failed && it == 42 {
 			failed = true
-			if _, err := m.Recover(); err != nil {
-				return err
-			}
+			recoverCheckpoint(t, m)
 		}
 		return nil
 	})

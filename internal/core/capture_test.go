@@ -175,8 +175,8 @@ func TestAsyncCaptureOutlivesSolverSteps(t *testing.T) {
 			if _, err := m.WaitCheckpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if it, err := m.Recover(); err != nil || it != want.Iteration {
-				t.Fatalf("%v/%s: recovered to iteration %d (%v), want %d", scheme, name, it, err, want.Iteration)
+			if it := recoverCheckpoint(t, m); it != want.Iteration {
+				t.Fatalf("%v/%s: recovered to iteration %d, want %d", scheme, name, it, want.Iteration)
 			}
 			got := s.DynamicView()
 			if scheme != Lossy {

@@ -21,19 +21,18 @@
 //
 // The Manager is the scheme: what a checkpoint captures, how it is
 // encoded and committed, and how the recovery chain reinstates the
-// solver (RecoverTiered; Recover is its checkpoint rungs alone). Drive
-// is the lifecycle around it — when to save, where failures land, what
-// each op costs, what the adaptive controller is told — as one loop
-// whose clock, cost source and failure source are its only inputs, so
-// a modelled run (Costs, FailureTimes) and a real one differ in nothing
-// else.
+// solver (RecoverTiered). Drive is the lifecycle around it — when to
+// save, where failures land, what each op costs, what the adaptive
+// controller is told — as one loop whose clock, cost source and failure
+// source are its only inputs, so a modelled run (Costs, FailureTimes)
+// and a real one differ in nothing else; a modelled run just carries no
+// observers, and metrics, spans and quality audits are the wall clock's.
 // Hand-written loops (the examples, bench/) call Due, Checkpoint and
 // RecoverTiered themselves.
 package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/abft"
 	"repro/internal/codec"
@@ -96,10 +95,10 @@ type Config struct {
 	// the save opened — Bytes is unknown until the background encode
 	// finishes; WaitCheckpoint or LastInfo report the final record), and
 	// the encode+write run concurrently with solver iterations.
-	// HasCheckpoint and LastInfo report committed checkpoints only;
-	// Recover drains the in-flight write first, and a background write
-	// that failed falls back to the previous committed checkpoint — the
-	// paper's failure-during-checkpoint semantics.
+	// LastInfo reports committed checkpoints only; RecoverTiered drains
+	// the in-flight write first, and a background write that failed
+	// falls back to the previous committed checkpoint — the paper's
+	// failure-during-checkpoint semantics.
 	Async bool
 	// Shards splits every checkpoint into this many shard objects
 	// (written concurrently, cut along container block boundaries) plus a
@@ -119,9 +118,9 @@ type Config struct {
 	// checkpoint remains the recovery target and the next interval
 	// simply tries again. This is the graceful-degradation contract of
 	// the fault-tolerant storage layer: a shard write that exhausted
-	// its retries costs one checkpoint group, never the solve. Errors
-	// from Recover are never degraded — failing to *read* state back
-	// is not survivable by waiting.
+	// its retries costs one checkpoint group, never the solve. Reads are
+	// not its business: a checkpoint RecoverTiered cannot read back is a
+	// rejected rung, and the chain falls to the next.
 	DegradedWrites bool
 	// ABFT plugs the algorithm-based recovery guard in as the first
 	// tier of RecoverTiered: a failed solve first attempts the
@@ -248,23 +247,6 @@ func (m *Manager) Due() bool {
 	}
 	m.fold()
 	return it != m.last.Iteration
-}
-
-// MaybeCheckpoint takes a checkpoint if one is due. It returns the
-// checkpoint info when one was written (nil when none was due, or
-// when a degraded-mode save was swallowed).
-func (m *Manager) MaybeCheckpoint() (*fti.Info, error) {
-	if !m.Due() {
-		return nil, nil
-	}
-	info, err := m.Checkpoint()
-	if err != nil {
-		return nil, err
-	}
-	if info.Seq == 0 {
-		return nil, nil // degraded-mode save swallowed; nothing committed
-	}
-	return &info, nil
 }
 
 // Checkpoint writes a checkpoint now, regardless of the interval, and
@@ -432,37 +414,6 @@ func (m *Manager) LastInfo() fti.Info {
 // encoded or written in the background.
 func (m *Manager) InFlight() bool { return m.async != nil && m.async.InFlight() }
 
-// Recover reinstates the solver from the latest restorable checkpoint
-// according to the scheme — the checkpoint rungs of RecoverTiered on
-// their own, for loops that handle a missing checkpoint themselves. For
-// lossy checkpointing this is Algorithm 2 lines 7–13: decompress x,
-// adopt it as a fresh initial guess, rebuild the auxiliary state. It
-// returns the iteration the solver rolled back to.
-//
-// In async mode, Recover first drains the in-flight write. If that
-// write completed, it is the recovery target like any committed
-// checkpoint; if it failed (the failure struck between SaveAsync and
-// write completion), nothing was committed and recovery falls back to
-// the previous committed checkpoint — exactly the paper's failure-
-// during-checkpoint path.
-//
-// The checkpoint is decoded into the solver's own vectors. A newer one
-// rejected part-way leaves them half-written, and the one accepted
-// overwrites every element: when Recover returns nil the solver's
-// dynamic state is, bit for bit, that of the checkpoint it reports. It
-// is unspecified only when Recover returns an error; RecoverFresh
-// (where RecoverTiered ends) then makes it whole again.
-func (m *Manager) Recover() (int, error) {
-	rep := &RecoveryReport{}
-	start, traceAt := time.Now(), m.mobs.tr.Now()
-	m.drain()
-	if err := m.restore(rep); err != nil {
-		return 0, err
-	}
-	m.mobs.finish(rep, traceAt, time.Since(start).Seconds())
-	return rep.Iteration, nil
-}
-
 // adoptSnapshot reinstates the solver from a restored snapshot
 // according to the scheme: the scalars, the iteration number and the
 // recomputed variables, the vectors being in place already. It returns
@@ -485,13 +436,4 @@ func (m *Manager) adoptSnapshot(snap *fti.Snapshot) (int, error) {
 	}
 	m.slv.Restart(x)
 	return snap.Iteration, nil
-}
-
-// RecoverFresh is the no-checkpoint recovery path: the execution
-// restarts from the initial guess (iteration 0). Used when a failure
-// strikes before the first checkpoint or every checkpoint is rejected:
-// the restart rebuilds all of the solver's dynamic state from x0.
-func (m *Manager) RecoverFresh(x0 []float64) int {
-	m.slv.Restart(x0)
-	return 0
 }

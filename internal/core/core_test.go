@@ -28,6 +28,31 @@ func newCG(t *testing.T, a *sparse.CSR, b []float64) *solver.CG {
 // save does not count.
 func lastCkptIter(m *Manager) int { return m.LastInfo().Iteration }
 
+// checkpointIfDue is a hand-written loop's save, as bench/rep.go
+// writes it: one whenever the Manager's Interval says so.
+func checkpointIfDue(m *Manager) error {
+	if !m.Due() {
+		return nil
+	}
+	_, err := m.Checkpoint()
+	return err
+}
+
+// recoverCheckpoint runs the recovery chain from a zero initial guess
+// and fails the test unless a stored checkpoint recovered the solver.
+// It returns the iteration the solver rolled back to.
+func recoverCheckpoint(t *testing.T, m *Manager) int {
+	t.Helper()
+	rep, err := m.RecoverTiered(make([]float64, len(m.slv.X())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Used != TierCheckpoint && rep.Used != TierPreviousCheckpoint {
+		t.Fatalf("recovered via %v, want a checkpoint: %+v", rep.Used, rep.Attempts)
+	}
+	return rep.Iteration
+}
+
 func TestSchemeString(t *testing.T) {
 	if Traditional.String() != "traditional" || Lossless.String() != "lossless" || Lossy.String() != "lossy" {
 		t.Fatal("scheme names wrong")
@@ -47,17 +72,13 @@ func TestTraditionalCheckpointRecoverContinues(t *testing.T) {
 
 	var failed bool
 	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 2000}, func(it int, rnorm float64) error {
-		if _, err := m.MaybeCheckpoint(); err != nil {
+		if err := checkpointIfDue(m); err != nil {
 			return err
 		}
 		if it == 23 && !failed {
 			failed = true
 			// Simulate the fail-stop: recover from the last checkpoint.
-			rolledTo, err := m.Recover()
-			if err != nil {
-				return err
-			}
-			if rolledTo != 20 {
+			if rolledTo := recoverCheckpoint(t, m); rolledTo != 20 {
 				t.Errorf("rolled back to %d, want 20", rolledTo)
 			}
 		}
@@ -94,14 +115,12 @@ func TestLossyCheckpointRecoverConverges(t *testing.T) {
 	}
 	failures := 0
 	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 5000}, func(it int, rnorm float64) error {
-		if _, err := m.MaybeCheckpoint(); err != nil {
+		if err := checkpointIfDue(m); err != nil {
 			return err
 		}
 		if it == 35 && failures == 0 {
 			failures++
-			if _, err := m.Recover(); err != nil {
-				return err
-			}
+			recoverCheckpoint(t, m)
 		}
 		return nil
 	})
@@ -198,13 +217,13 @@ func TestDueRespectsInterval(t *testing.T) {
 	var ckptAt []int
 	for i := 0; i < 10; i++ {
 		s.Step()
-		info, err := m.MaybeCheckpoint()
-		if err != nil {
+		if !m.Due() {
+			continue
+		}
+		if _, err := m.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if info != nil {
-			ckptAt = append(ckptAt, s.Iteration())
-		}
+		ckptAt = append(ckptAt, s.Iteration())
 	}
 	want := []int{3, 6, 9}
 	if len(ckptAt) != len(want) {
@@ -217,7 +236,7 @@ func TestDueRespectsInterval(t *testing.T) {
 	}
 }
 
-func TestMaybeCheckpointDoesNotDuplicate(t *testing.T) {
+func TestDueDoesNotDuplicate(t *testing.T) {
 	a, b, _ := cgSystem(t)
 	s := newCG(t, a, b)
 	m, err := NewManager(Config{Scheme: Traditional, Interval: 2}, fti.NewMemStorage(), s)
@@ -226,11 +245,14 @@ func TestMaybeCheckpointDoesNotDuplicate(t *testing.T) {
 	}
 	s.Step()
 	s.Step()
-	if i1, _ := m.MaybeCheckpoint(); i1 == nil {
-		t.Fatal("first call at iteration 2 should checkpoint")
+	if !m.Due() {
+		t.Fatal("a checkpoint is due at iteration 2")
 	}
-	if i2, _ := m.MaybeCheckpoint(); i2 != nil {
-		t.Fatal("second call at the same iteration must not checkpoint again")
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Due() {
+		t.Fatal("a checkpoint taken at iteration 2 must not be due again there")
 	}
 }
 
@@ -299,16 +321,12 @@ func TestGMRESLossyRecoveryNoDelay(t *testing.T) {
 	failed := false
 	rollback := 0
 	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 5000}, func(it int, rnorm float64) error {
-		if _, err := m.MaybeCheckpoint(); err != nil {
+		if err := checkpointIfDue(m); err != nil {
 			return err
 		}
 		if !failed && it == failAt {
 			failed = true
-			rolledTo, err := m.Recover()
-			if err != nil {
-				return err
-			}
-			rollback = failAt - rolledTo
+			rollback = failAt - recoverCheckpoint(t, m)
 		}
 		return nil
 	})
@@ -326,38 +344,30 @@ func TestGMRESLossyRecoveryNoDelay(t *testing.T) {
 	}
 }
 
+// TestRecoverFreshRestartsFromGuess: with no checkpoint to stand on,
+// the chain ends at its last rung — a restart from the initial guess,
+// at logical iteration 0.
 func TestRecoverFreshRestartsFromGuess(t *testing.T) {
-	a, b, _ := cgSystem(t)
-	s := newCG(t, a, b)
-	m, err := NewManager(Config{Scheme: Lossy}, fti.NewMemStorage(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		s.Step()
-	}
-	x0 := make([]float64, a.Rows)
-	rolled := m.RecoverFresh(x0)
-	if rolled != 0 {
-		t.Fatalf("RecoverFresh rolled to %d", rolled)
-	}
-	if vec.Norm2(s.X()) != 0 {
-		t.Fatal("solver not reset to the initial guess")
-	}
-	if s.Iteration() != 7 {
-		t.Fatal("iteration work counter must keep counting executed steps")
-	}
-}
-
-func TestRecoverWithoutCheckpointFails(t *testing.T) {
-	a, b, _ := cgSystem(t)
-	s := newCG(t, a, b)
-	m, err := NewManager(Config{Scheme: Traditional}, fti.NewMemStorage(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Recover(); err == nil {
-		t.Fatal("expected error with no checkpoints")
+	for _, scheme := range []Scheme{Traditional, Lossy} {
+		a, b, _ := cgSystem(t)
+		s := newCG(t, a, b)
+		m, err := NewManager(Config{Scheme: scheme}, fti.NewMemStorage(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 7; i++ {
+			s.Step()
+		}
+		rep, err := m.RecoverTiered(make([]float64, a.Rows))
+		if err != nil || rep.Used != TierRestartZero || rep.Iteration != 0 || len(rep.Attempts) != 1 {
+			t.Fatalf("%v: RecoverTiered = %+v, %v; want one restart-zero attempt at iteration 0", scheme, rep, err)
+		}
+		if vec.Norm2(s.X()) != 0 {
+			t.Fatalf("%v: solver not reset to the initial guess", scheme)
+		}
+		if s.Iteration() != 7 {
+			t.Fatalf("%v: iteration work counter must keep counting executed steps", scheme)
+		}
 	}
 }
 
@@ -410,16 +420,12 @@ func TestLossyStationaryRecovery(t *testing.T) {
 	failed := false
 	rollback := 0
 	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 20000}, func(it int, rnorm float64) error {
-		if _, err := m.MaybeCheckpoint(); err != nil {
+		if err := checkpointIfDue(m); err != nil {
 			return err
 		}
 		if !failed && it == failAt {
 			failed = true
-			rolledTo, err := m.Recover()
-			if err != nil {
-				return err
-			}
-			rollback = failAt - rolledTo
+			rollback = failAt - recoverCheckpoint(t, m)
 		}
 		return nil
 	})
@@ -437,17 +443,17 @@ func TestLossyStationaryRecovery(t *testing.T) {
 	}
 }
 
-// TestRepeatedRecoverReusesBuffersAndStaysDeterministic: Recover
+// TestRepeatedRecoverReusesBuffersAndStaysDeterministic: RecoverTiered
 // decodes into the solver's own vectors, whatever they hold by then, so
 // back-to-back recoveries must keep returning the same restored state
-// — a fresh Manager over the same storage agrees — and the solver must
-// converge after each.
+// — a second run that took the same checkpoint agrees — and the solver
+// must converge after each.
 func TestRepeatedRecoverReusesBuffersAndStaysDeterministic(t *testing.T) {
 	for _, scheme := range []Scheme{Traditional, Lossy} {
 		a, b, xe := cgSystem(t)
 		s := newCG(t, a, b)
-		st := fti.NewMemStorage()
-		m, err := NewManager(Config{Scheme: scheme, Shards: 4, StorageWorkers: 2}, st, s)
+		cfg := Config{Scheme: scheme, Shards: 4, StorageWorkers: 2}
+		m, err := NewManager(cfg, fti.NewMemStorage(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,35 +466,36 @@ func TestRepeatedRecoverReusesBuffersAndStaysDeterministic(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			s.Step()
 		}
-		it1, err := m.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
+		it1 := recoverCheckpoint(t, m)
 		x1 := append([]float64(nil), s.X()...)
 		for i := 0; i < 5; i++ {
 			s.Step() // mutate state between recoveries
 		}
-		it2, err := m.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if it1 != it2 {
+		if it2 := recoverCheckpoint(t, m); it1 != it2 {
 			t.Fatalf("scheme %v: rollback iteration changed: %d then %d", scheme, it1, it2)
 		}
 		if d := vec.MaxAbsDiff(x1, s.X()); d != 0 {
 			t.Fatalf("scheme %v: repeated recovery changed restored x by %g", scheme, d)
 		}
-		// A fresh Manager over the same storage restores identically.
+		// A second run that took the same checkpoint, and recovers into
+		// vectors that hold another state, restores identically.
 		s2 := newCG(t, a, b)
-		m2, err := NewManager(Config{Scheme: scheme, Shards: 4, StorageWorkers: 2}, st, s2)
+		m2, err := NewManager(cfg, fti.NewMemStorage(), s2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m2.Recover(); err != nil {
+		for i := 0; i < 12; i++ {
+			s2.Step()
+		}
+		if _, err := m2.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 3; i++ {
+			s2.Step()
+		}
+		recoverCheckpoint(t, m2)
 		if d := vec.MaxAbsDiff(s.X(), s2.X()); d != 0 {
-			t.Fatalf("scheme %v: fresh-manager recovery differs by %g", scheme, d)
+			t.Fatalf("scheme %v: second run's recovery differs by %g", scheme, d)
 		}
 		res, err := solver.RunToConvergence(s, solver.Options{MaxIter: 100000}, nil)
 		if err != nil || !res.Converged {

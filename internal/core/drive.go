@@ -33,7 +33,9 @@ import (
 //
 // A modelled run is synchronous, as the paper's model prices it: Costs
 // over a Manager built with Config.Async is refused, and overlap is
-// measured only. The experiments run this loop with the cluster model's
+// measured only. It is also unobserved: Costs with Metrics, a Tracer or
+// an instrumented Manager is refused, so every span and metric is on the
+// wall clock. The experiments run this loop with the cluster model's
 // Costs and FailureTimes; cmd/solve runs it on the wall clock with
 // measured costs and, under -inject, a step-keyed fault plan.
 func Drive(cfg DriveConfig) (*Outcome, error) {
@@ -57,12 +59,10 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 		return nil, fmt.Errorf("core: a modelled run keeps its cadence in seconds of the virtual clock (IntervalSeconds or Controller); the Manager's Config.Interval must be 0")
 	case m.async != nil:
 		return nil, fmt.Errorf("core: a modelled run is synchronous; the Manager's Config.Async must be false")
+	case cfg.Metrics != nil, cfg.Tracer != nil, m.mobs != (managerObs{}), m.qa != nil:
+		return nil, fmt.Errorf("core: a modelled run is unobserved; Metrics, Tracer, Manager.Instrument and Manager.InstrumentQuality must be unset")
 	default:
 		d.costs, d.virtual = cfg.Costs.withDefaults(), true
-		// The Manager's quality spans are stamped with the virtual clock
-		// while the run lasts (the closure reads it as it advances).
-		m.qa.SetSpanClock(d.now)
-		defer m.qa.SetSpanClock(nil)
 	}
 	if cfg.Controller != nil && cfg.IntervalSeconds > 0 {
 		return nil, fmt.Errorf("core: IntervalSeconds and Controller are mutually exclusive")
@@ -70,7 +70,7 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 	if cfg.MaxIterations == 0 {
 		d.cfg.MaxIterations = 1_000_000
 	}
-	d.ob = newDriveObs(cfg.Metrics, cfg.Tracer, d.virtual)
+	d.ob = newDriveObs(cfg.Metrics, cfg.Tracer)
 	return d.run()
 }
 
@@ -120,13 +120,12 @@ type DriveConfig struct {
 	RecordResiduals bool
 
 	// Metrics receives the lifecycle counters (the sim_* catalog) and
-	// Tracer the compute spans and failure instants; with Costs the
-	// driver also draws the checkpoint and per-tier recovery spans in
-	// virtual time — the schema the Manager draws for itself on a wall
-	// clock. The driver also feeds the Manager's quality auditor
-	// (InstrumentQuality), if any, the residual trajectory. All are pure
-	// observers: an instrumented run walks the bitwise-identical
-	// trajectory.
+	// Tracer the compute spans and failure instants, on the wall clock
+	// beside the spans an instrumented Manager draws for its saves and
+	// recoveries; both must be nil with Costs. The driver also feeds the
+	// Manager's quality auditor (InstrumentQuality), if any, the residual
+	// trajectory. All are pure observers: an instrumented run walks the
+	// bitwise-identical trajectory.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 }
@@ -380,7 +379,7 @@ func (d *driver) close(op Op, begin, end, cost float64) (float64, bool) {
 
 func (d *driver) run() (*Outcome, error) {
 	s, out := d.s, d.out
-	d.computeAt = d.ob.now(d.now())
+	d.computeAt = d.ob.tr.Now()
 	rnorm := s.ResidualNorm()
 	for !s.Converged(rnorm) && out.IterationsExecuted < d.cfg.MaxIterations {
 		var struck bool
@@ -545,8 +544,6 @@ func (d *driver) checkpoint() (struck bool, err error) {
 		// The failure struck mid-save (the sync write was partial, or the
 		// overlapped capture was): the unusable checkpoint is discarded —
 		// unless it was a degraded save, which wrote nothing to discard.
-		d.ob.model.Complete(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCheckpoint, begin, stall,
-			map[string]float64{"aborted": 1})
 		if info.Seq != 0 {
 			err = d.abort()
 		}
@@ -557,8 +554,6 @@ func (d *driver) checkpoint() (struck bool, err error) {
 		d.saveLive, d.saveSeq = true, info.Seq
 		return false, nil
 	}
-	d.ob.model.Complete(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCheckpoint, begin, stall,
-		map[string]float64{"bytes": float64(info.Bytes)})
 	if info.Seq != 0 { // else a degraded save was swallowed: nothing committed
 		out.Checkpoints++
 		d.ob.ckpts.Inc()
@@ -587,7 +582,7 @@ func (d *driver) recover() error {
 		if ctrl != nil {
 			ctrl.ObserveFailure(begin)
 		}
-		d.ob.failure(begin)
+		d.ob.failure()
 		if guard := d.m.abft; guard != nil {
 			// Each failure (including one striking during recovery) loses
 			// one rank drawn from the guard's seeded stream.
@@ -603,10 +598,9 @@ func (d *driver) recover() error {
 		rep.Interrupted = interrupted
 		out.RecoveryReports = append(out.RecoveryReports, *rep)
 		if interrupted {
-			d.ob.recovery(rep, begin, d.now())
 			continue
 		}
-		d.ob.recovery(rep, begin, math.Inf(1))
+		d.ob.tiers[rep.Used].Inc()
 		d.settle() // a drained save committed, or failed, inside the recovery
 		out.RecoveryReadBytes += int64(rep.ReadBytes())
 		switch rep.Used {
@@ -658,13 +652,13 @@ func (d *driver) openWindow() {
 	now := d.now()
 	d.ob.window.Set(now - d.windowAt)
 	d.windowAt, d.windowSteps = now, d.out.IterationsExecuted
-	d.computeAt = d.ob.now(now)
+	d.computeAt = d.ob.tr.Now()
 }
 
 // closeCompute closes the current uninterrupted stretch of solver
 // iterations as one coalesced span on the solver track.
 func (d *driver) closeCompute() {
-	now := d.ob.now(d.now())
+	now := d.ob.tr.Now()
 	if now > d.computeAt {
 		d.ob.tr.Complete(obs.TrackSolver, obs.CatSolver, obs.SpanCompute, d.computeAt, now-d.computeAt, nil)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/abft"
@@ -52,30 +51,6 @@ func (r inPlaceRig) manager(t *testing.T, st fti.Storage, s solver.Checkpointabl
 	return m
 }
 
-// copyObjects copies the objects of src that keep names into a new
-// store.
-func copyObjects(t *testing.T, src *fti.MemStorage, keep func(name string) bool) *fti.MemStorage {
-	t.Helper()
-	dst := fti.NewMemStorage()
-	names, err := src.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if !keep(name) {
-			continue
-		}
-		data, err := src.Read(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Write(name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
 // TestFailedInPlaceRestoreIsNeverAdopted: the restore decodes into the
 // solver's own vectors, so a checkpoint rejected part-way leaves them
 // half-new. Whatever is broken in the newest group — each shard in turn
@@ -87,13 +62,13 @@ func TestFailedInPlaceRestoreIsNeverAdopted(t *testing.T) {
 	const newest, previous = "ckpt-000000000002", "ckpt-000000000001"
 	for _, scheme := range []Scheme{Traditional, Lossless, Lossy} {
 		r := newInPlaceRig(scheme)
-		// run checkpoints at iterations 6 and 12 and stops at 17.
-		run := func() (*solver.CG, *Manager, *fti.MemStorage) {
+		// run checkpoints every 6 iterations up to last and stops at 17.
+		run := func(last int) (*solver.CG, *Manager, *fti.MemStorage) {
 			s, st := r.solver(), fti.NewMemStorage()
 			m := r.manager(t, st, s)
 			for it := 1; it <= 17; it++ {
 				s.Step()
-				if it%6 != 0 {
+				if it%6 != 0 || it > last {
 					continue
 				}
 				if info, err := m.Checkpoint(); err != nil || info.Shards != 4 {
@@ -102,18 +77,15 @@ func TestFailedInPlaceRestoreIsNeverAdopted(t *testing.T) {
 			}
 			return s, m, st
 		}
-		_, _, clean := run()
 
-		// What a clean recovery of each checkpoint alone restores.
+		// What a clean recovery of each checkpoint restores: the newest
+		// of a run that saved no later.
 		restored := map[int]solver.DynamicState{}
-		for _, base := range []string{previous, newest} {
-			s2 := r.solver()
-			only := copyObjects(t, clean, func(name string) bool { return strings.HasPrefix(name, base) })
-			it, err := r.manager(t, only, s2).Recover()
-			if err != nil {
-				t.Fatal(err)
+		for _, last := range []int{6, 12} {
+			s2, m2, _ := run(last)
+			if it := recoverCheckpoint(t, m2); it == last {
+				restored[it] = s2.DynamicView().Clone()
 			}
-			restored[it] = s2.DynamicView().Clone()
 		}
 		if len(restored) != 2 {
 			t.Fatalf("%v: reference recoveries landed on %d iterations", scheme, len(restored))
@@ -158,7 +130,7 @@ func TestFailedInPlaceRestoreIsNeverAdopted(t *testing.T) {
 
 		for _, both := range []bool{false, true} {
 			for _, what := range breakages {
-				s2, m2, st := run()
+				s2, m2, st := run(12)
 				damage(st, newest, what)
 				if both {
 					damage(st, previous, what)
@@ -257,14 +229,16 @@ func TestRecoveryAllocatesOnlyTheReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	x0 := make([]float64, r.a.Rows)
 	for rec := 1; rec <= 2; rec++ {
 		s.Step()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := m.Recover(); err != nil {
-			t.Fatal(err)
-		}
+		rep, err := m.RecoverTiered(x0)
 		runtime.ReadMemStats(&after)
+		if err != nil || rep.Used != TierCheckpoint {
+			t.Fatalf("recovery %d: %+v, %v; want the checkpoint", rec, rep, err)
+		}
 		vector := 8 * r.a.Rows
 		if extra := int(after.TotalAlloc-before.TotalAlloc) - info.Bytes; extra > vector/2 {
 			t.Fatalf("recovery %d allocated %d bytes beyond the %d it read (one vector is %d)",

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // tierCounters counts completed recoveries under the rung that
 // restored the solver.
@@ -59,34 +55,19 @@ func (m *Manager) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 }
 
 // finish records a finished recovery: the per-tier counter, the
-// chain's duration, and one span per attempt from the chain's start.
+// chain's duration, and one span per attempt on the recovery track,
+// back to back from start — the attempts did run back to back, so their
+// durations tile the chain.
 func (o *managerObs) finish(rep *RecoveryReport, start, totalSec float64) {
 	o.tiers[rep.Used].Inc()
 	o.recoverySec.Observe(totalSec)
-	tierSpans(o.tr, rep, start, math.Inf(1))
-}
-
-// tierSpans lays one recovery chain out on the recovery track: one
-// span per attempt, back to back from start — the attempts did run
-// back to back, so their durations tile the chain. Spans of an
-// interrupted chain are truncated at limit, the time the new failure
-// struck, and attempts that would start past it are dropped from the
-// trace (they stay in the report).
-func tierSpans(tr *obs.Tracer, rep *RecoveryReport, start, limit float64) {
-	if tr == nil {
+	if o.tr == nil {
 		return // skip the per-attempt arg maps
 	}
-	cursor := start
 	for _, att := range rep.Attempts {
-		if cursor >= limit {
-			break
-		}
 		args := map[string]float64{"accepted": 0}
 		if att.Accepted {
 			args["accepted"] = 1
-		}
-		if rep.Interrupted {
-			args["interrupted"] = 1
 		}
 		if att.Iterations > 0 {
 			args["iterations"] = float64(att.Iterations)
@@ -97,18 +78,15 @@ func tierSpans(tr *obs.Tracer, rep *RecoveryReport, start, limit float64) {
 		if att.Seq > 0 {
 			args["seq"] = float64(att.Seq)
 		}
-		tr.Complete(obs.TrackRecovery, obs.CatRecovery,
-			obs.SpanTierPrefix+att.Tier.String(), cursor, math.Min(att.Seconds, limit-cursor), args)
-		cursor += att.Seconds
+		o.tr.Complete(obs.TrackRecovery, obs.CatRecovery, obs.SpanTierPrefix+att.Tier.String(), start, att.Seconds, args)
+		start += att.Seconds
 	}
 }
 
 // driveObs is the driver's observability bundle: the lifecycle
 // counters of the sim_* catalog, the realized interval-window gauge,
-// and two views of the trace sink. Compute spans and failure instants
-// are the driver's on either clock; the ops' own spans it draws only
-// when it models them — measured ops have drawn theirs on the same wall
-// clock — so model is nil under measured costs.
+// and the trace sink for compute spans and failure instants. The ops'
+// own spans are the Manager's, drawn on the same wall clock.
 type driveObs struct {
 	failures *obs.Counter
 	ckpts    *obs.Counter
@@ -117,11 +95,10 @@ type driveObs struct {
 	elapsed  *obs.Gauge
 	window   *obs.Gauge
 	tr       *obs.Tracer
-	model    *obs.Tracer
 }
 
-func newDriveObs(reg *obs.Registry, tr *obs.Tracer, modelled bool) driveObs {
-	o := driveObs{
+func newDriveObs(reg *obs.Registry, tr *obs.Tracer) driveObs {
+	return driveObs{
 		failures: reg.Counter(obs.MSimFailuresTotal),
 		ckpts:    reg.Counter(obs.MSimCheckpointsTotal),
 		aborts:   reg.Counter(obs.MSimCheckpointAbortsTotal),
@@ -130,31 +107,9 @@ func newDriveObs(reg *obs.Registry, tr *obs.Tracer, modelled bool) driveObs {
 		window:   reg.Gauge(obs.MCoreIntervalSeconds),
 		tr:       tr,
 	}
-	if modelled {
-		o.model = tr
-	}
-	return o
 }
 
-// now is the trace's reading of the present: the virtual clock when
-// the driver models the run, the tracer's own wall clock otherwise.
-func (o *driveObs) now(virtual float64) float64 {
-	if o.model != nil || o.tr == nil {
-		return virtual
-	}
-	return o.tr.Now()
-}
-
-func (o *driveObs) failure(at float64) {
+func (o *driveObs) failure() {
 	o.failures.Inc()
-	o.tr.InstantAt(obs.TrackSolver, obs.CatRecovery, obs.SpanFailure, o.now(at))
-}
-
-// recovery records one run of the chain: the per-tier counter unless a
-// new failure interrupted it at limit, and its spans.
-func (o *driveObs) recovery(rep *RecoveryReport, start, limit float64) {
-	if !rep.Interrupted {
-		o.tiers[rep.Used].Inc()
-	}
-	tierSpans(o.model, rep, start, limit)
+	o.tr.InstantAt(obs.TrackSolver, obs.CatRecovery, obs.SpanFailure, o.tr.Now())
 }

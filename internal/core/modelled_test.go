@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/fti"
+	"repro/internal/obs"
+	"repro/internal/quality"
 	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/sz"
@@ -273,6 +275,16 @@ func TestConfigValidation(t *testing.T) {
 		{"costs without a step price", "TitSeconds", core.Config{}, func(d *core.DriveConfig) { d.Costs = &core.Costs{} }},
 		{"iteration cadence with costs", "Config.Interval", core.Config{Interval: 5}, func(d *core.DriveConfig) { d.Costs = modelled }},
 		{"async manager with costs", "Config.Async", core.Config{Async: true}, func(d *core.DriveConfig) { d.Costs = modelled }},
+		{"metrics with costs", "Metrics", core.Config{}, func(d *core.DriveConfig) { d.Costs, d.Metrics = modelled, obs.New() }},
+		{"tracer with costs", "Tracer", core.Config{}, func(d *core.DriveConfig) { d.Costs, d.Tracer = modelled, obs.NewTracer() }},
+		{"instrumented manager with costs", "Manager.Instrument", core.Config{}, func(d *core.DriveConfig) {
+			d.Costs = modelled
+			d.Manager.Instrument(obs.New(), nil)
+		}},
+		{"quality auditor with costs", "Manager.InstrumentQuality", core.Config{}, func(d *core.DriveConfig) {
+			d.Costs = modelled
+			d.Manager.InstrumentQuality(quality.New(quality.Config{}))
+		}},
 		{"interval and controller", "IntervalSeconds", core.Config{}, func(d *core.DriveConfig) {
 			d.IntervalSeconds, d.Controller = 10, ctrl
 		}},

@@ -182,3 +182,91 @@ func TestManagerInstrumentCountsLifecycle(t *testing.T) {
 		t.Fatalf("%d encode spans, want 2 (one per checkpoint)", encodeSpans)
 	}
 }
+
+// planFailures is a step-keyed failure source in the manner of
+// cmd/solve's -inject: the process is lost once at the end of the step
+// that brings the solver's counter to an iteration in proc, and a save
+// is pinned open at an iteration in mid and struck before it commits.
+type planFailures struct{ proc, mid map[int]bool }
+
+func (f *planFailures) Strikes(w Window) (float64, bool) {
+	switch w.Op {
+	case OpStep:
+		hit := f.proc[w.Iteration]
+		delete(f.proc, w.Iteration)
+		return w.End, hit
+	case OpCadence:
+		return w.End, f.mid[w.Iteration]
+	case OpCheckpoint:
+		hit := f.mid[w.Iteration]
+		delete(f.mid, w.Iteration)
+		return w.End, hit
+	}
+	return 0, false
+}
+
+// TestDriveEmitsTraceAndMetrics: a measured run's lifecycle counters
+// agree with its Outcome, every failure is one instant on the trace,
+// and the driver's spans and the instrumented Manager's share one wall
+// clock, inside the run.
+func TestDriveEmitsTraceAndMetrics(t *testing.T) {
+	a := sparse.Poisson3D(8)
+	b := sparse.OnesRHS(a.Rows)
+	cg := solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-8})
+	g, err := abft.NewGuard(a, b, cg, abft.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Config{Scheme: Lossy, Interval: 5, ABFT: g}, fti.NewMemStorage(), cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, tr := obs.New(), obs.NewTracer()
+	m.Instrument(reg, tr)
+	begin := tr.Now()
+	out, err := Drive(DriveConfig{
+		Stepper: cg, Manager: m, X0: make([]float64, a.Rows), Metrics: reg, Tracer: tr,
+		Failures: &planFailures{proc: map[int]bool{7: true, 18: true}, mid: map[int]bool{12: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := tr.Now()
+	if !out.Converged || out.Failures != 3 || out.AbortedCheckpoints != 1 {
+		t.Fatalf("converged=%v failures=%d aborted=%d, want a converged run with 3 failures, one inside a save",
+			out.Converged, out.Failures, out.AbortedCheckpoints)
+	}
+
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		name   string
+		labels []obs.Label
+		want   float64
+	}{
+		{obs.MSimFailuresTotal, nil, float64(out.Failures)},
+		{obs.MSimCheckpointsTotal, nil, float64(out.Checkpoints)},
+		{obs.MSimCheckpointAbortsTotal, nil, float64(out.AbortedCheckpoints)},
+		{obs.MSimRecoveriesTotal, []obs.Label{obs.L("tier", "abft")}, float64(out.ABFTRecoveries)},
+		{obs.MSimElapsedSeconds, nil, out.SimSeconds},
+	} {
+		if md := snap.Get(c.name, c.labels...); md == nil || md.Value != c.want {
+			t.Errorf("%s%v = %+v, want %g", c.name, c.labels, md, c.want)
+		}
+	}
+
+	names := map[string]int{}
+	for _, e := range tr.Events() {
+		names[e.Name]++
+		if e.Start < begin || e.Start+e.Dur > end {
+			t.Errorf("%q spans [%g, %g], outside the run's [%g, %g]", e.Name, e.Start, e.Start+e.Dur, begin, end)
+		}
+	}
+	for _, want := range []string{obs.SpanCompute, obs.SpanEncode, obs.SpanTierPrefix + "abft"} {
+		if names[want] == 0 {
+			t.Errorf("trace has no %q events; got %v", want, names)
+		}
+	}
+	if names[obs.SpanFailure] != out.Failures {
+		t.Errorf("%d failure instants, want %d", names[obs.SpanFailure], out.Failures)
+	}
+}

@@ -13,8 +13,8 @@ import "repro/internal/quality"
 // converges bitwise-identically to an uninstrumented one. The loop
 // that steps the solver owns the residual feed
 // (quality.Auditor.ObserveResidual once per iteration) — the Manager
-// cannot see iterations. Drive feeds the auditor attached here, and on
-// a modelled run stamps its spans with the virtual clock.
+// cannot see iterations. Drive feeds the auditor attached here on a
+// measured run, and refuses a modelled run that carries one.
 func (m *Manager) InstrumentQuality(qa *quality.Auditor) {
 	m.qa = qa
 	m.ckpt.SetSaveAudit(qa)

@@ -63,9 +63,7 @@ func TestQualityNonPerturbationMatrix(t *testing.T) {
 					}
 					if it == 35 && !failed {
 						failed = true
-						if _, err := m.Recover(); err != nil {
-							return err
-						}
+						recoverCheckpoint(t, m)
 					}
 					return nil
 				})

@@ -30,14 +30,12 @@ func shardTraceRun(t *testing.T, async bool, shards, workers, interval, failAt i
 	failed := false
 	_, err = solver.RunToConvergence(s, solver.Options{MaxIter: 5000}, func(it int, rnorm float64) error {
 		trace = append(trace, rnorm)
-		if _, err := m.MaybeCheckpoint(); err != nil {
+		if err := checkpointIfDue(m); err != nil {
 			return err
 		}
 		if !failed && it == failAt {
 			failed = true
-			if _, err := m.Recover(); err != nil {
-				return err
-			}
+			recoverCheckpoint(t, m)
 		}
 		return nil
 	})

@@ -71,11 +71,10 @@ type RecoveryReport struct {
 	Used      RecoveryTier
 	Iteration int
 	// Interrupted marks a chain whose recovered state was lost to a
-	// new failure before the chain's cost had fully elapsed (the
-	// virtual-time harness sets it): the attempts and their durations
-	// were still paid and are reported, but the chain recovered
-	// nothing durable and its Used tier does not count as a completed
-	// recovery.
+	// new failure before the chain's cost had fully elapsed (Drive sets
+	// it): the attempts and their durations were still paid and are
+	// reported, but the chain recovered nothing durable and its Used
+	// tier does not count as a completed recovery.
 	Interrupted bool
 }
 
@@ -100,6 +99,18 @@ func (r *RecoveryReport) ReadBytes() int {
 // The per-tier timings, iteration counts and read bytes are recorded
 // in the returned report; the loop that owns the clock (Drive) prices
 // them and tells its controller.
+//
+// In async mode the in-flight write is drained first. If it completed,
+// it is the recovery target like any committed checkpoint; if it failed
+// (the failure struck between SaveAsync and write completion), nothing
+// was committed and recovery falls back to the previous committed
+// checkpoint — the paper's failure-during-checkpoint path.
+//
+// A checkpoint is decoded into the solver's own vectors. A newer one
+// rejected part-way leaves them half-written; the one accepted
+// overwrites every element, and so does the restart from x0, so after a
+// checkpoint or restart-zero recovery the solver's dynamic state is, bit
+// for bit, that of the rung the report names.
 func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	chainStart, traceAt := time.Now(), m.mobs.tr.Now()
@@ -134,18 +145,18 @@ func (m *Manager) RecoverTiered(x0 []float64) (*RecoveryReport, error) {
 		return rep, nil
 	}
 
-	// Tier 3: restart from the initial guess. Always succeeds. Its
+	// Tier 3: restart from the initial guess, iteration 0, rebuilding
+	// all of the solver's dynamic state from x0. Always succeeds. Its
 	// duration is measured like every other tier's, so a report's
 	// attempts carry consistent timings whichever rung recovered.
 	freshStart := time.Now()
-	it := m.RecoverFresh(x0)
+	m.slv.Restart(x0)
 	rep.Attempts = append(rep.Attempts, TierAttempt{
 		Tier:     TierRestartZero,
 		Accepted: true,
 		Seconds:  time.Since(freshStart).Seconds(),
 	})
 	rep.Used = TierRestartZero
-	rep.Iteration = it
 	return rep, nil
 }
 
@@ -161,10 +172,10 @@ func (m *Manager) drain() {
 	}
 }
 
-// restore is the one checkpoint-recovery body, under Recover and under
-// RecoverTiered's middle rungs, both of which drain the in-flight save
-// first: walk storage newest-first decoding into the solver's own
-// vectors, and adopt the first checkpoint that verifies. Every checkpoint tried is appended to
+// restore is RecoverTiered's middle rungs, run once the in-flight save
+// has drained and while a committed checkpoint stands: walk storage
+// newest-first decoding into the solver's own vectors, and adopt the
+// first checkpoint that verifies. Every checkpoint tried is appended to
 // rep as a tier attempt — an attempt on the latest committed sequence
 // is TierCheckpoint, anything older the walk fell back to is
 // TierPreviousCheckpoint — and on success rep names the rung that
@@ -183,13 +194,9 @@ func (m *Manager) restore(rep *RecoveryReport) error {
 			Seconds: time.Since(start).Seconds(),
 		})
 	}
-	latest := m.last.Seq
-	if latest == 0 && len(attempts) > 0 {
-		latest = attempts[0].Seq // a Manager new to this storage: the newest stored
-	}
 	for _, fa := range attempts {
 		tier := TierCheckpoint
-		if fa.Seq != latest {
+		if fa.Seq != m.last.Seq {
 			tier = TierPreviousCheckpoint
 		}
 		rep.Attempts = append(rep.Attempts, TierAttempt{

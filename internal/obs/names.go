@@ -75,8 +75,8 @@ const (
 	MAdaptMTTISeconds       = "adapt_mtti_seconds"
 	MAdaptCheckpointSeconds = "adapt_checkpoint_seconds"
 
-	// sim — core.Drive's lifecycle counters, on either clock (the prefix
-	// is the simulator's, which came first).
+	// sim — core.Drive's lifecycle counters, on the wall clock (the
+	// prefix is the simulator's, which came first).
 	MSimFailuresTotal         = "sim_failures_total"
 	MSimCheckpointsTotal      = "sim_checkpoints_total"
 	MSimCheckpointAbortsTotal = "sim_checkpoint_aborts_total"
@@ -139,8 +139,8 @@ const (
 	TrackRecovery = 3 // restore walks and tiered recovery attempts
 )
 
-// Span categories and names. Real (wall-clock) runs and the
-// virtual-time simulator emit the same schema.
+// Span categories and names, all on the wall clock: a modelled run is
+// unobserved.
 const (
 	CatCheckpoint = "checkpoint"
 	CatRecovery   = "recovery"
@@ -153,11 +153,10 @@ const (
 	SpanWrite       = "write"
 	SpanShardWrite  = "shard-write"
 	SpanShardCommit = "shard-commit"
-	SpanCheckpoint  = "checkpoint" // fused encode+write when stages aren't split (modelled sync mode)
-	SpanRestore     = "restore"    // one fti restore attempt (one checkpoint read+decode)
-	SpanCompute     = "compute"    // solver iterations between lifecycle events
-	SpanFailure     = "failure"    // instant marker
-	SpanTierPrefix  = "tier:"      // + RecoveryTier.String(), one span per TierAttempt
+	SpanRestore     = "restore" // one fti restore attempt (one checkpoint read+decode)
+	SpanCompute     = "compute" // solver iterations between lifecycle events
+	SpanFailure     = "failure" // instant marker
+	SpanTierPrefix  = "tier:"   // + RecoveryTier.String(), one span per TierAttempt
 
 	SpanQualityAudit     = "quality-audit"   // one audited vector save (distortion stats)
 	SpanQualityViolation = "bound-violation" // instant: audited error exceeded the bound

@@ -11,10 +11,8 @@ import (
 // Tracer records lifecycle spans and exports them as Chrome
 // trace_event JSON (load at chrome://tracing or ui.perfetto.dev).
 //
-// Times are float64 seconds on the tracer's clock. The default clock
-// is monotonic wall time since NewTracer; the virtual-time simulator
-// supplies its own clock (or calls Complete with explicit virtual
-// times), so simulated and real runs emit the same schema.
+// Times are float64 seconds on the tracer's clock: monotonic wall time
+// since NewTracer, or the clock NewTracerWithClock is given.
 //
 // A nil *Tracer is the disabled mode: every method (and Span.End on
 // the zero Span) is a no-op. Begin/Complete take one short mutex
@@ -50,7 +48,7 @@ func NewTracer() *Tracer {
 }
 
 // NewTracerWithClock returns a tracer reading the given clock
-// (seconds). Used by the virtual-time simulator.
+// (seconds).
 func NewTracerWithClock(clock func() float64) *Tracer {
 	return &Tracer{clock: clock, tracks: map[int]string{
 		TrackSolver:   "solver",
@@ -98,7 +96,7 @@ func (s Span) EndArgs(args map[string]float64) {
 }
 
 // Complete records a finished span with explicit start/duration in
-// clock seconds. This is the entry point for virtual-time callers.
+// clock seconds, for an op timed before its span is drawn.
 func (t *Tracer) Complete(track int, cat, name string, start, dur float64, args map[string]float64) {
 	if t == nil {
 		return

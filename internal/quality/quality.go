@@ -114,9 +114,8 @@ type Auditor struct {
 	mu  sync.Mutex
 	cfg Config
 
-	reg   *obs.Registry
-	tr    *obs.Tracer
-	clock func() float64 // span-timestamp override (a modelled run's virtual time)
+	reg *obs.Registry
+	tr  *obs.Tracer
 
 	records []Record
 	dropped int
@@ -132,8 +131,9 @@ type Auditor struct {
 // The Auditor plugs straight into the checkpointer's audit hook.
 var _ fti.SaveAudit = (*Auditor)(nil)
 
-// New builds an Auditor. Pass the result to Manager.InstrumentQuality,
-// which core.Drive also feeds residuals and its clock from.
+// New builds an Auditor. Pass the result to Manager.InstrumentQuality;
+// core.Drive feeds it residuals on a measured run (a modelled run is
+// unobserved). Its spans are on the tracer's wall clock.
 func New(cfg Config) *Auditor {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = DefaultSampleEvery
@@ -149,19 +149,6 @@ func (a *Auditor) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 	a.mu.Lock()
 	a.reg, a.tr = reg, tr
-	a.mu.Unlock()
-}
-
-// SetSpanClock overrides the timestamp source for emitted spans —
-// the simulator points this at its virtual clock so real and
-// simulated runs share one span schema. nil restores the tracer's
-// own clock. Nil-safe.
-func (a *Auditor) SetSpanClock(fn func() float64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.clock = fn
 	a.mu.Unlock()
 }
 
@@ -222,7 +209,6 @@ func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64,
 	rec.ResidualAtSave = a.residualAtLocked(iteration)
 	a.appendRecordLocked(rec)
 	reg, tr := a.reg, a.tr
-	ts, dur := a.spanTimeLocked(tr, wallDur)
 	a.mu.Unlock()
 
 	if reg != nil {
@@ -249,24 +235,12 @@ func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64,
 		if rec.Violated {
 			args["violated"] = 1
 		}
-		tr.Complete(obs.TrackPipeline, obs.CatQuality, obs.SpanQualityAudit, ts, dur, args)
+		ts := tr.Now() - wallDur
+		tr.Complete(obs.TrackPipeline, obs.CatQuality, obs.SpanQualityAudit, ts, wallDur, args)
 		if rec.Violated {
 			tr.InstantAt(obs.TrackPipeline, obs.CatQuality, obs.SpanQualityViolation, ts)
 		}
 	}
-}
-
-// spanTimeLocked returns the span timestamp and duration: virtual
-// clock with zero duration when a span clock is installed, wall time
-// otherwise.
-func (a *Auditor) spanTimeLocked(tr *obs.Tracer, wallDur float64) (ts, dur float64) {
-	if a.clock != nil {
-		return a.clock(), 0
-	}
-	if tr != nil {
-		return tr.Now() - wallDur, wallDur
-	}
-	return 0, wallDur
 }
 
 // distortion is one decoded vector's pointwise errors against the

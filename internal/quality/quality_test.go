@@ -340,7 +340,6 @@ func TestReportFillAndWriteJSON(t *testing.T) {
 func TestNilAuditorIsSafe(t *testing.T) {
 	var a *Auditor
 	a.Instrument(obs.New(), obs.NewTracer())
-	a.SetSpanClock(func() float64 { return 0 })
 	if a.SampleSave(1, 1) {
 		t.Fatal("nil auditor must not request audits")
 	}

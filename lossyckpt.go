@@ -19,13 +19,17 @@
 //	    SZParams: lossyckpt.SZParams{Mode: lossyckpt.PWRel, ErrorBound: 1e-4},
 //	}, lossyckpt.NewMemStorage(), cg)
 //	res, _ := lossyckpt.RunToConvergence(cg, lossyckpt.SolverOptions{}, func(it int, rnorm float64) error {
-//	    _, err := mgr.MaybeCheckpoint()
+//	    if !mgr.Due() {
+//	        return nil
+//	    }
+//	    _, err := mgr.Checkpoint()
 //	    return err
 //	})
 //
 // The Manager checkpoints the solver's dynamic state under one of the
-// paper's three schemes and rolls it back with Recover (or, with an
-// ABFT guard configured, RecoverTiered); ManagerConfig.Async and
+// paper's three schemes and rolls it back with RecoverTiered(x0): the
+// newest checkpoint that verifies, an older one, or the initial guess
+// x0 (an ABFT guard, when configured, goes first); ManagerConfig.Async and
 // ManagerConfig.Shards select the overlapped pipeline and the sharded
 // storage layout. Drive walks the whole lifecycle — step, failure?,
 // due?, capture/encode/write, commit or abort, recovery, rollback — for
@@ -125,7 +129,7 @@ var GMRESAdaptiveBound = model.GMRESAdaptiveBound
 // lifecycle — periodic or controller-planned saves, failures from
 // DriveConfig.Failures, tiered recovery — on the wall clock with
 // measured costs, or in virtual time when DriveConfig.Costs models
-// them.
+// them; a modelled run carries no metrics, tracer or quality auditor.
 var Drive = core.Drive
 
 // DriveConfig assembles one Drive call.

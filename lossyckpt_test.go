@@ -27,15 +27,22 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	x0 := make([]float64, a.Rows)
 	failed := false
 	res, err := lossyckpt.RunToConvergence(cg, lossyckpt.SolverOptions{}, func(it int, rnorm float64) error {
-		if _, err := mgr.MaybeCheckpoint(); err != nil {
-			return err
+		if mgr.Due() {
+			if _, err := mgr.Checkpoint(); err != nil {
+				return err
+			}
 		}
 		if it == 12 && !failed {
 			failed = true
-			if _, err := mgr.Recover(); err != nil {
+			rep, err := mgr.RecoverTiered(x0)
+			if err != nil {
 				return err
+			}
+			if rep.Iteration != 10 {
+				t.Errorf("recovered to iteration %d, want the checkpoint at 10", rep.Iteration)
 			}
 		}
 		return nil
