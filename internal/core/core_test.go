@@ -371,6 +371,26 @@ func TestRecoverFreshRestartsFromGuess(t *testing.T) {
 	}
 }
 
+// TestRecoverWithoutCheckpointFails: the checkpoint rungs on their own
+// fail when storage holds no checkpoint, and the failed walk is still
+// reported as a rejected checkpoint attempt rather than dropped.
+func TestRecoverWithoutCheckpointFails(t *testing.T) {
+	a, b, _ := cgSystem(t)
+	s := newCG(t, a, b)
+	m, err := NewManager(Config{Scheme: Traditional}, fti.NewMemStorage(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &RecoveryReport{}
+	if err := m.restore(rep); err == nil {
+		t.Fatal("expected error with no checkpoints")
+	}
+	if len(rep.Attempts) != 1 || rep.Attempts[0].Tier != TierCheckpoint ||
+		rep.Attempts[0].Accepted || rep.Attempts[0].Err == "" {
+		t.Fatalf("attempts = %+v; want one rejected checkpoint attempt", rep.Attempts)
+	}
+}
+
 func TestStaticsRoundTrip(t *testing.T) {
 	a, b, _ := cgSystem(t)
 	ck := fti.New(fti.NewMemStorage(), fti.Raw{})
