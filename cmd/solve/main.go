@@ -394,7 +394,8 @@ func run(o options) (err error) {
 			fmt.Printf("degraded saves: %d checkpoint(s) failed and were skipped (last: %v)\n", n, mgr.LastSaveError())
 		}
 	}()
-	// The Manager and pipeline draw their own spans on the wall clock.
+	// The Manager, its pipeline and the Drive loop that runs it draw
+	// their spans on the wall clock.
 	mgr.Instrument(rep.reg, rep.tr)
 	// Numerical telemetry: the auditor is a pure observer (sampled
 	// decode-on-the-fly distortion audits), so arming it never perturbs
@@ -434,7 +435,7 @@ func run(o options) (err error) {
 	}
 	run := core.DriveConfig{
 		Stepper: s, Manager: mgr, X0: make([]float64, a.Rows), Controller: ctrl,
-		MaxIterations: o.maxIter, Metrics: rep.reg, Tracer: rep.tr,
+		MaxIterations: o.maxIter,
 	}
 	var src *planSource
 	if injected {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fti"
+	"repro/internal/obs"
 )
 
 // solve runs one invocation in-process and returns what it printed.
@@ -718,6 +719,9 @@ func TestInjectedRunGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", args, err)
 			}
+			if run == 2 {
+				observedOnce(t, strings.Join(args, " "), out, filepath.Dir(args[len(args)-1]))
+			}
 			var ledgerGot, bytesGot string
 			if m := ledger.FindStringSubmatch(out); m != nil {
 				ledgerGot = m[1]
@@ -738,5 +742,108 @@ func TestInjectedRunGolden(t *testing.T) {
 					strings.Join(args, " "), run, strings.Join(tierTable(out), "\n"), strings.Join(want, "\n"))
 			}
 		}
+	}
+}
+
+// TestObserversCountEachEventOnce runs, with -metrics-out and
+// -trace-out, the injected shapes TestInjectedRunGolden's rows do not
+// take — an async pipeline with a failure inside a save, a sharded
+// store with a lost shard, and a storage crash mid-commit, sync and
+// async — and reads each run's printed tallies off the kept counters
+// and spans.
+func TestObserversCountEachEventOnce(t *testing.T) {
+	for _, args := range []string{
+		"-method gmres -scheme lossy -async -rtol 1e-12 -inject proc@40,midckpt@80",
+		"-method cg -grid 8 -scheme traditional -rtol 1e-12 -interval 6 -shards 2 -inject proc@9,shard+proc@14",
+		"-method jacobi -grid 8 -interval 10 -async=false -inject crash@25",
+		"-method jacobi -grid 8 -interval 10 -async -inject crash@30",
+	} {
+		dir := t.TempDir()
+		out, err := solve(t, append(strings.Fields(args), "-metrics-out", filepath.Join(dir, "metrics.json"),
+			"-trace-out", filepath.Join(dir, "trace.json"))...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", args, err, out)
+		}
+		observedOnce(t, args, out, dir)
+	}
+}
+
+// observedOnce checks that the metrics snapshot and Chrome trace a run
+// wrote to dir count each lifecycle event once, against what the run
+// printed: Σ core_recoveries_total = failures=, per tier the "recovery
+// tiers:" line (a step-keyed plan never interrupts a recovery),
+// fti_checkpoints_total − core_checkpoints_aborted_total =
+// checkpoints=, one failure instant per failure, one tier span on the
+// recovery track per attempt of the tier table, and no other recovery
+// span.
+func observedOnce(t *testing.T, args, out, dir string) {
+	t.Helper()
+	printed := func(re string) []int {
+		m := regexp.MustCompile(re).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s: output has no %q line:\n%s", args, re, out)
+		}
+		var v []int
+		for _, f := range m[1:] {
+			n, _ := strconv.Atoi(f)
+			v = append(v, n)
+		}
+		return v
+	}
+	tally := printed(` failures=([0-9]+) checkpoints=([0-9]+)\n`)
+	failures, checkpoints := tally[0], tally[1]
+	tiers := printed(`recovery tiers: abft=([0-9]+) checkpoint-restart=([0-9]+) restart-zero=([0-9]+) `)
+	attempts := 0
+	for _, line := range tierTable(out) {
+		if strings.HasPrefix(line, "    ") {
+			attempts++
+		}
+	}
+
+	var snap obs.Snapshot
+	var trace struct {
+		TraceEvents []struct {
+			Name, Cat, Ph string
+			Tid           int
+		}
+	}
+	for file, v := range map[string]any{"metrics.json": &snap, "trace.json": &trace} {
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err == nil {
+			err = json.Unmarshal(data, v)
+		}
+		if err != nil {
+			t.Fatalf("%s: %s: %v", args, file, err)
+		}
+	}
+	count := func(name string, labels ...obs.Label) int {
+		if md := snap.Get(name, labels...); md != nil {
+			return int(md.Value)
+		}
+		return 0
+	}
+	tier := func(name string) int { return count(obs.MCoreRecoveriesTotal, obs.L("tier", name)) }
+	got := []int{tier("abft"), tier("checkpoint") + tier("previous-checkpoint"), tier("restart-zero")}
+	if !reflect.DeepEqual(got, tiers) || got[0]+got[1]+got[2] != failures {
+		t.Errorf("%s: %s abft/checkpoint/restart-zero = %v, printed %v with failures=%d", args, obs.MCoreRecoveriesTotal, got, tiers, failures)
+	}
+	saves, aborted := count(obs.MFTICheckpointsTotal), count(obs.MCoreCheckpointsAbortedTotal)
+	if saves-aborted != checkpoints {
+		t.Errorf("%s: %s %d − %s %d, printed checkpoints=%d", args, obs.MFTICheckpointsTotal, saves, obs.MCoreCheckpointsAbortedTotal, aborted, checkpoints)
+	}
+	var instants, tierSpans int
+	for _, e := range trace.TraceEvents {
+		switch {
+		case e.Ph == "M":
+		case e.Name == obs.SpanFailure:
+			instants++
+		case strings.HasPrefix(e.Name, obs.SpanTierPrefix) && e.Tid == obs.TrackRecovery:
+			tierSpans++
+		case e.Cat == obs.CatRecovery || e.Tid == obs.TrackRecovery:
+			t.Errorf("%s: recovery span %q on track %d is not one of the chain's attempts", args, e.Name, e.Tid)
+		}
+	}
+	if instants != failures || tierSpans != attempts {
+		t.Errorf("%s: %d failure instants and %d tier spans, printed failures=%d and %d attempts", args, instants, tierSpans, failures, attempts)
 	}
 }

@@ -62,6 +62,78 @@ func TestRoundTripSpecialValues(t *testing.T) {
 	roundTrip(t, x)
 }
 
+// TestFlateExactOnOracleInputs holds the lossless baseline to its
+// exactness contract on the special-value families SZ's error-bound
+// oracle judges — denormals, ±0, NaN (payloads kept) and ±Inf, a
+// 600-decade range — through the container, as one block and as many:
+// every element comes back bit for bit, by Decompress and by
+// DecompressInto.
+func TestFlateExactOnOracleInputs(t *testing.T) {
+	family := func(f func(i int, v float64) float64) []float64 {
+		x := testField(1728, 23)
+		for i, v := range x {
+			x[i] = f(i, v)
+		}
+		return x
+	}
+	inputs := map[string][]float64{
+		"denormals": family(func(i int, v float64) float64 {
+			if i%5 == 0 {
+				return math.Copysign(5e-324*float64(1+i), float64(i%3)-1)
+			}
+			return v * 1e-300
+		}),
+		"signed-zeros": family(func(i int, v float64) float64 {
+			switch i % 7 {
+			case 0:
+				return 0
+			case 3:
+				return math.Copysign(0, -1)
+			}
+			return v
+		}),
+		"nan-inf": family(func(i int, v float64) float64 {
+			switch i % 6 {
+			case 0:
+				return math.Float64frombits(0x7ff8000000000000 | uint64(i)) // quiet NaN, payload i
+			case 1:
+				return math.Float64frombits(0xfff0000000000001 + uint64(i)) // signalling NaN, sign set
+			case 2:
+				return math.Inf(1)
+			case 3:
+				return math.Inf(-1)
+			}
+			return v
+		}),
+		"range-1e300": family(func(i int, v float64) float64 { return v * math.Pow(10, float64(i%601)-300) }),
+	}
+	for name, x := range inputs {
+		for _, bc := range []BlockedFlate{{}, {BlockElems: 300}} {
+			enc := compress(t, x, bc)
+			if want := (len(x) + bc.BlockSize() - 1) / bc.BlockSize(); len(layoutOf(t, enc).Blocks) != want {
+				t.Fatalf("%s/block%d: %d blocks, want %d", name, bc.BlockElems, len(layoutOf(t, enc).Blocks), want)
+			}
+			got, err := Decompress(enc, bc)
+			if err != nil {
+				t.Fatalf("%s/block%d: %v", name, bc.BlockElems, err)
+			}
+			into := make([]float64, len(x))
+			for i := range into {
+				into[i] = math.NaN()
+			}
+			if err := DecompressInto(into, enc, bc); err != nil {
+				t.Fatalf("%s/block%d: %v", name, bc.BlockElems, err)
+			}
+			for i := range x {
+				if w := math.Float64bits(x[i]); math.Float64bits(got[i]) != w || math.Float64bits(into[i]) != w {
+					t.Fatalf("%s/block%d: element %d is %x (Decompress) and %x (DecompressInto), want %x",
+						name, bc.BlockElems, i, math.Float64bits(got[i]), math.Float64bits(into[i]), w)
+				}
+			}
+		}
+	}
+}
+
 func TestRoundTripEmpty(t *testing.T) {
 	roundTrip(t, nil)
 }

@@ -276,7 +276,6 @@ func (m *Manager) Checkpoint() (fti.Info, error) {
 // predecessor's record for AbortLastCheckpoint to fall back to.
 func (m *Manager) commit(info fti.Info) {
 	m.prev, m.last = m.last, info
-	m.mobs.committed.Inc()
 }
 
 // checkpointAsync is the capture-stall-only checkpoint path.

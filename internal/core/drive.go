@@ -33,11 +33,13 @@ import (
 //
 // A modelled run is synchronous, as the paper's model prices it: Costs
 // over a Manager built with Config.Async is refused, and overlap is
-// measured only. It is also unobserved: Costs with Metrics, a Tracer or
-// an instrumented Manager is refused, so every span and metric is on the
-// wall clock. The experiments run this loop with the cluster model's
-// Costs and FailureTimes; cmd/solve runs it on the wall clock with
-// measured costs and, under -inject, a step-keyed fault plan.
+// measured only. It is also unobserved: Costs over an instrumented
+// Manager is refused, so every span and metric is on the wall clock. A
+// measured run draws its compute spans, failure instants and realized
+// interval windows into the sinks Manager.Instrument attached. The
+// experiments run this loop with the cluster model's Costs and
+// FailureTimes; cmd/solve runs it on the wall clock with measured costs
+// and, under -inject, a step-keyed fault plan.
 func Drive(cfg DriveConfig) (*Outcome, error) {
 	s, m := cfg.Stepper, cfg.Manager
 	if s == nil || m == nil {
@@ -59,8 +61,8 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 		return nil, fmt.Errorf("core: a modelled run keeps its cadence in seconds of the virtual clock (IntervalSeconds or Controller); the Manager's Config.Interval must be 0")
 	case m.async != nil:
 		return nil, fmt.Errorf("core: a modelled run is synchronous; the Manager's Config.Async must be false")
-	case cfg.Metrics != nil, cfg.Tracer != nil, m.mobs != (managerObs{}), m.qa != nil:
-		return nil, fmt.Errorf("core: a modelled run is unobserved; Metrics, Tracer, Manager.Instrument and Manager.InstrumentQuality must be unset")
+	case m.mobs != (managerObs{}), m.qa != nil:
+		return nil, fmt.Errorf("core: a modelled run is unobserved; the Manager must not carry Manager.Instrument or Manager.InstrumentQuality")
 	default:
 		d.costs, d.virtual = cfg.Costs.withDefaults(), true
 	}
@@ -70,7 +72,6 @@ func Drive(cfg DriveConfig) (*Outcome, error) {
 	if cfg.MaxIterations == 0 {
 		d.cfg.MaxIterations = 1_000_000
 	}
-	d.ob = newDriveObs(cfg.Metrics, cfg.Tracer)
 	return d.run()
 }
 
@@ -118,16 +119,6 @@ type DriveConfig struct {
 	// RecordResiduals retains the per-iteration residual trace.
 	MaxIterations   int
 	RecordResiduals bool
-
-	// Metrics receives the lifecycle counters (the sim_* catalog) and
-	// Tracer the compute spans and failure instants, on the wall clock
-	// beside the spans an instrumented Manager draws for its saves and
-	// recoveries; both must be nil with Costs. The driver also feeds the
-	// Manager's quality auditor (InstrumentQuality), if any, the residual
-	// trajectory. All are pure observers: an instrumented run walks the
-	// bitwise-identical trajectory.
-	Metrics *obs.Registry
-	Tracer  *obs.Tracer
 }
 
 // Costs is the modelled cost source, and a modelled run is synchronous:
@@ -320,7 +311,6 @@ type driver struct {
 	costs   Costs
 	virtual bool
 	out     *Outcome
-	ob      driveObs
 
 	t float64 // the virtual clock
 	// The interval window opened at windowAt, windowSteps executed steps
@@ -379,7 +369,7 @@ func (d *driver) close(op Op, begin, end, cost float64) (float64, bool) {
 
 func (d *driver) run() (*Outcome, error) {
 	s, out := d.s, d.out
-	d.computeAt = d.ob.tr.Now()
+	d.computeAt = d.m.mobs.tr.Now()
 	rnorm := s.ResidualNorm()
 	for !s.Converged(rnorm) && out.IterationsExecuted < d.cfg.MaxIterations {
 		var struck bool
@@ -408,7 +398,6 @@ func (d *driver) run() (*Outcome, error) {
 	d.settle()
 	d.closeCompute()
 	out.SimSeconds = d.now()
-	d.ob.elapsed.Set(out.SimSeconds)
 	out.Converged = s.Converged(rnorm)
 	out.ConvergenceIterations = d.logical
 	out.FinalResidual = rnorm
@@ -485,7 +474,6 @@ func (d *driver) settle() {
 		return
 	}
 	d.out.Checkpoints++
-	d.ob.ckpts.Inc()
 	d.observeCheckpoint(adapt.CheckpointObs{
 		CaptureSeconds: info.CaptureSeconds, BackgroundSeconds: d.costs.CheckpointSeconds(info)})
 }
@@ -494,7 +482,6 @@ func (d *driver) settle() {
 // falls back to the previous committed checkpoint.
 func (d *driver) abort() error {
 	d.out.AbortedCheckpoints++
-	d.ob.aborts.Inc()
 	if err := d.m.AbortLastCheckpoint(); err != nil {
 		return fmt.Errorf("core: abort checkpoint: %w", err)
 	}
@@ -556,7 +543,6 @@ func (d *driver) checkpoint() (struck bool, err error) {
 	}
 	if info.Seq != 0 { // else a degraded save was swallowed: nothing committed
 		out.Checkpoints++
-		d.ob.ckpts.Inc()
 		d.observeCheckpoint(adapt.CheckpointObs{SyncSeconds: write})
 	}
 	return false, nil
@@ -582,7 +568,7 @@ func (d *driver) recover() error {
 		if ctrl != nil {
 			ctrl.ObserveFailure(begin)
 		}
-		d.ob.failure()
+		d.m.mobs.tr.InstantAt(obs.TrackSolver, obs.CatRecovery, obs.SpanFailure, d.m.mobs.tr.Now())
 		if guard := d.m.abft; guard != nil {
 			// Each failure (including one striking during recovery) loses
 			// one rank drawn from the guard's seeded stream.
@@ -600,7 +586,6 @@ func (d *driver) recover() error {
 		if interrupted {
 			continue
 		}
-		d.ob.tiers[rep.Used].Inc()
 		d.settle() // a drained save committed, or failed, inside the recovery
 		out.RecoveryReadBytes += int64(rep.ReadBytes())
 		switch rep.Used {
@@ -650,17 +635,18 @@ func (d *driver) price(rep *RecoveryReport) float64 {
 // the trace, at the clock's current reading.
 func (d *driver) openWindow() {
 	now := d.now()
-	d.ob.window.Set(now - d.windowAt)
+	d.m.mobs.window.Set(now - d.windowAt)
 	d.windowAt, d.windowSteps = now, d.out.IterationsExecuted
-	d.computeAt = d.ob.tr.Now()
+	d.computeAt = d.m.mobs.tr.Now()
 }
 
 // closeCompute closes the current uninterrupted stretch of solver
 // iterations as one coalesced span on the solver track.
 func (d *driver) closeCompute() {
-	now := d.ob.tr.Now()
+	tr := d.m.mobs.tr
+	now := tr.Now()
 	if now > d.computeAt {
-		d.ob.tr.Complete(obs.TrackSolver, obs.CatSolver, obs.SpanCompute, d.computeAt, now-d.computeAt, nil)
+		tr.Complete(obs.TrackSolver, obs.CatSolver, obs.SpanCompute, d.computeAt, now-d.computeAt, nil)
 	}
 	d.computeAt = now
 }

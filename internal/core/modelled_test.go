@@ -275,11 +275,13 @@ func TestConfigValidation(t *testing.T) {
 		{"costs without a step price", "TitSeconds", core.Config{}, func(d *core.DriveConfig) { d.Costs = &core.Costs{} }},
 		{"iteration cadence with costs", "Config.Interval", core.Config{Interval: 5}, func(d *core.DriveConfig) { d.Costs = modelled }},
 		{"async manager with costs", "Config.Async", core.Config{Async: true}, func(d *core.DriveConfig) { d.Costs = modelled }},
-		{"metrics with costs", "Metrics", core.Config{}, func(d *core.DriveConfig) { d.Costs, d.Metrics = modelled, obs.New() }},
-		{"tracer with costs", "Tracer", core.Config{}, func(d *core.DriveConfig) { d.Costs, d.Tracer = modelled, obs.NewTracer() }},
 		{"instrumented manager with costs", "Manager.Instrument", core.Config{}, func(d *core.DriveConfig) {
 			d.Costs = modelled
 			d.Manager.Instrument(obs.New(), nil)
+		}},
+		{"traced manager with costs", "Manager.Instrument", core.Config{}, func(d *core.DriveConfig) {
+			d.Costs = modelled
+			d.Manager.Instrument(nil, obs.NewTracer())
 		}},
 		{"quality auditor with costs", "Manager.InstrumentQuality", core.Config{}, func(d *core.DriveConfig) {
 			d.Costs = modelled

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -143,9 +144,8 @@ func TestManagerInstrumentCountsLifecycle(t *testing.T) {
 
 	snap := reg.Snapshot()
 	want := map[string]float64{
-		obs.MCoreCheckpointsCommittedTotal: 2,
-		obs.MFTICheckpointsTotal:           2,
-		obs.MABFTReconstructionsTotal:      1,
+		obs.MFTICheckpointsTotal:      2,
+		obs.MABFTReconstructionsTotal: 1,
 	}
 	for name, v := range want {
 		md := snap.Get(name)
@@ -205,68 +205,130 @@ func (f *planFailures) Strikes(w Window) (float64, bool) {
 	return 0, false
 }
 
-// TestDriveEmitsTraceAndMetrics: a measured run's lifecycle counters
-// agree with its Outcome, every failure is one instant on the trace,
-// and the driver's spans and the instrumented Manager's share one wall
+// TestDriveEmitsTraceAndMetrics: the Manager's one bundle observes a
+// measured Drive run, sync and async, and records each lifecycle event
+// once — what the run's Outcome counts is read off the kept counters
+// and spans by the identities below — every failure is one instant on
+// the trace, and the driver's spans and the Manager's share one wall
 // clock, inside the run.
 func TestDriveEmitsTraceAndMetrics(t *testing.T) {
-	a := sparse.Poisson3D(8)
-	b := sparse.OnesRHS(a.Rows)
-	cg := solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-8})
-	g, err := abft.NewGuard(a, b, cg, abft.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewManager(Config{Scheme: Lossy, Interval: 5, ABFT: g}, fti.NewMemStorage(), cg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, tr := obs.New(), obs.NewTracer()
-	m.Instrument(reg, tr)
-	begin := tr.Now()
-	out, err := Drive(DriveConfig{
-		Stepper: cg, Manager: m, X0: make([]float64, a.Rows), Metrics: reg, Tracer: tr,
-		Failures: &planFailures{proc: map[int]bool{7: true, 18: true}, mid: map[int]bool{12: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := tr.Now()
-	if !out.Converged || out.Failures != 3 || out.AbortedCheckpoints != 1 {
-		t.Fatalf("converged=%v failures=%d aborted=%d, want a converged run with 3 failures, one inside a save",
-			out.Converged, out.Failures, out.AbortedCheckpoints)
-	}
+	for name, async := range map[string]bool{"sync": false, "async": true} {
+		t.Run(name, func(t *testing.T) {
+			a := sparse.Poisson3D(8)
+			b := sparse.OnesRHS(a.Rows)
+			cg := solver.NewCG(a, precond.NewJacobiFromMatrix(a), b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-8})
+			g, err := abft.NewGuard(a, b, cg, abft.Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewManager(Config{Scheme: Lossy, Interval: 5, Async: async, ABFT: g}, fti.NewMemStorage(), cg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg, tr := obs.New(), obs.NewTracer()
+			m.Instrument(reg, tr)
+			begin := tr.Now()
+			out, err := Drive(DriveConfig{
+				Stepper: cg, Manager: m, X0: make([]float64, a.Rows),
+				Failures: &planFailures{proc: map[int]bool{7: true, 18: true}, mid: map[int]bool{12: true}},
+				OnStep: func() {
+					if cg.Iteration() == 18 {
+						g.CorruptRetained() // the failure at 18 falls through ABFT to a checkpoint
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := tr.Now()
+			if !out.Converged || out.Failures != 3 || out.AbortedCheckpoints != 1 || out.ABFTRecoveries == 0 || out.CheckpointRestarts == 0 {
+				t.Fatalf("converged=%v failures=%d aborted=%d abft=%d checkpoint=%d, want a converged run with 3 failures, one inside a save, recovered by ABFT and from a checkpoint",
+					out.Converged, out.Failures, out.AbortedCheckpoints, out.ABFTRecoveries, out.CheckpointRestarts)
+			}
+			snap, events := reg.Snapshot(), tr.Events()
+			for _, err := range lifecycleIdentities(snap, events, out) {
+				t.Error(err)
+			}
 
-	snap := reg.Snapshot()
-	for _, c := range []struct {
-		name   string
-		labels []obs.Label
-		want   float64
-	}{
-		{obs.MSimFailuresTotal, nil, float64(out.Failures)},
-		{obs.MSimCheckpointsTotal, nil, float64(out.Checkpoints)},
-		{obs.MSimCheckpointAbortsTotal, nil, float64(out.AbortedCheckpoints)},
-		{obs.MSimRecoveriesTotal, []obs.Label{obs.L("tier", "abft")}, float64(out.ABFTRecoveries)},
-		{obs.MSimElapsedSeconds, nil, out.SimSeconds},
-	} {
-		if md := snap.Get(c.name, c.labels...); md == nil || md.Value != c.want {
-			t.Errorf("%s%v = %+v, want %g", c.name, c.labels, md, c.want)
-		}
+			names := map[string]int{}
+			for _, e := range events {
+				names[e.Name]++
+				if e.Start < begin || e.Start+e.Dur > end {
+					t.Errorf("%q spans [%g, %g], outside the run's [%g, %g]", e.Name, e.Start, e.Start+e.Dur, begin, end)
+				}
+			}
+			for _, want := range []string{obs.SpanCompute, obs.SpanEncode, obs.SpanTierPrefix + "abft"} {
+				if names[want] == 0 {
+					t.Errorf("trace has no %q events; got %v", want, names)
+				}
+			}
+			if md := snap.Get(obs.MCoreIntervalSeconds); md == nil || md.Value <= 0 {
+				t.Errorf("%s = %+v, want the last realized window", obs.MCoreIntervalSeconds, md)
+			}
+		})
 	}
+}
 
-	names := map[string]int{}
-	for _, e := range tr.Events() {
-		names[e.Name]++
-		if e.Start < begin || e.Start+e.Dur > end {
-			t.Errorf("%q spans [%g, %g], outside the run's [%g, %g]", e.Name, e.Start, e.Start+e.Dur, begin, end)
+// lifecycleIdentities checks that the counters and spans an
+// instrumented Manager records agree with the Outcome of the Drive run
+// it observed, each event counted once:
+//
+//   - Σ over tiers of core_recoveries_total = Failures (every failure
+//     runs the chain once);
+//   - core_recoveries_total{tier} = the Outcome's tier counters, when no
+//     report is Interrupted (the Outcome does not count an interrupted
+//     chain, the Manager does);
+//   - fti_checkpoints_total − core_checkpoints_aborted_total =
+//     Checkpoints (a save a failure struck wrote, and then was dropped);
+//   - one failure instant per failure, one tier span on the recovery
+//     track per TierAttempt, and no span of any other recovery kind.
+func lifecycleIdentities(snap obs.Snapshot, events []obs.SpanEvent, out *Outcome) (errs []error) {
+	count := func(name string, labels ...obs.Label) int {
+		if md := snap.Get(name, labels...); md != nil {
+			return int(md.Value)
+		}
+		return 0
+	}
+	var tiers [TierRestartZero + 1]int
+	recoveries := 0
+	for t := range tiers {
+		tiers[t] = count(obs.MCoreRecoveriesTotal, obs.L("tier", RecoveryTier(t).String()))
+		recoveries += tiers[t]
+	}
+	if recoveries != out.Failures {
+		errs = append(errs, fmt.Errorf("Σ %s = %d, want failures %d", obs.MCoreRecoveriesTotal, recoveries, out.Failures))
+	}
+	attempts, interrupted := 0, false
+	for _, rep := range out.RecoveryReports {
+		attempts += len(rep.Attempts)
+		interrupted = interrupted || rep.Interrupted
+	}
+	if got := [3]int{tiers[TierABFT], tiers[TierCheckpoint] + tiers[TierPreviousCheckpoint], tiers[TierRestartZero]}; !interrupted &&
+		got != [3]int{out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts} {
+		errs = append(errs, fmt.Errorf("%s abft/checkpoint/restart-zero = %v, want %d/%d/%d",
+			obs.MCoreRecoveriesTotal, got, out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts))
+	}
+	saves, aborted := count(obs.MFTICheckpointsTotal), count(obs.MCoreCheckpointsAbortedTotal)
+	if saves-aborted != out.Checkpoints {
+		errs = append(errs, fmt.Errorf("%s %d − %s %d = %d, want checkpoints %d",
+			obs.MFTICheckpointsTotal, saves, obs.MCoreCheckpointsAbortedTotal, aborted, saves-aborted, out.Checkpoints))
+	}
+	var failures, tierSpans int
+	for _, e := range events {
+		switch {
+		case e.Name == obs.SpanFailure:
+			failures++
+		case strings.HasPrefix(e.Name, obs.SpanTierPrefix) && e.Track == obs.TrackRecovery:
+			tierSpans++
+		case e.Cat == obs.CatRecovery || e.Track == obs.TrackRecovery:
+			errs = append(errs, fmt.Errorf("recovery span %q on track %d is not one of the chain's attempts", e.Name, e.Track))
 		}
 	}
-	for _, want := range []string{obs.SpanCompute, obs.SpanEncode, obs.SpanTierPrefix + "abft"} {
-		if names[want] == 0 {
-			t.Errorf("trace has no %q events; got %v", want, names)
-		}
+	if failures != out.Failures {
+		errs = append(errs, fmt.Errorf("%d failure instants, want %d", failures, out.Failures))
 	}
-	if names[obs.SpanFailure] != out.Failures {
-		t.Errorf("%d failure instants, want %d", names[obs.SpanFailure], out.Failures)
+	if tierSpans != attempts {
+		errs = append(errs, fmt.Errorf("%d tier spans on the recovery track, want one per attempt (%d)", tierSpans, attempts))
 	}
+	return errs
 }

@@ -191,7 +191,6 @@ func (a *AsyncCheckpointer) run(job *asyncJob) {
 	} else {
 		err = wrapSaveError(job.open.Seq, err)
 		a.stats.FailedSaves++
-		a.c.ins.asyncAbort.Inc()
 		a.failed = err
 	}
 	a.stats.EncodeWriteSeconds += time.Since(start).Seconds()

@@ -478,17 +478,6 @@ type RestoreAttempt struct {
 	Err     string
 }
 
-// restoreArgs flattens an attempt into trace span args.
-func restoreArgs(att RestoreAttempt, accepted bool) map[string]float64 {
-	acc := 0.0
-	if accepted {
-		acc = 1
-	}
-	return map[string]float64{
-		"seq": float64(att.Seq), "bytes": float64(att.Bytes), "accepted": acc,
-	}
-}
-
 // decodeObject decodes what is stored under a checkpoint's name: the
 // payload itself, or the manifest of the shard group that holds it (the
 // group's bytes are added to att).
@@ -541,14 +530,12 @@ func (c *Checkpointer) restoreTrace(decode func(data []byte, att *RestoreAttempt
 	var lastErr error
 	for _, seq := range seqs {
 		att := RestoreAttempt{Seq: seq}
-		sp := c.ins.tr.Begin(obs.TrackRecovery, obs.CatRecovery, obs.SpanRestore)
 		start := time.Now()
 		data, err := c.storage.Read(ckptName(seq))
 		if err != nil {
 			att.Seconds = time.Since(start).Seconds()
 			att.Err = err.Error()
 			c.ins.observeRestoreAttempt(att)
-			sp.EndArgs(restoreArgs(att, false))
 			attempts = append(attempts, att)
 			lastErr = err
 			continue
@@ -560,12 +547,10 @@ func (c *Checkpointer) restoreTrace(decode func(data []byte, att *RestoreAttempt
 			lastErr = fmt.Errorf("fti: checkpoint %d: %w", seq, err)
 			att.Err = err.Error()
 			c.ins.observeRestoreAttempt(att)
-			sp.EndArgs(restoreArgs(att, false))
 			attempts = append(attempts, att)
 			continue
 		}
 		c.ins.observeRestoreAttempt(att)
-		sp.EndArgs(restoreArgs(att, true))
 		attempts = append(attempts, att)
 		// Re-sync the sequence counter with storage: a restore may have
 		// fallen back past checkpoints this Checkpointer never wrote,

@@ -14,7 +14,7 @@ type instruments struct {
 	captureSec, encodeSec, writeSec, restoreSec *obs.Histogram
 	rawBytes, encBytes                          *obs.Histogram
 	ratio                                       *obs.Gauge
-	ckpts, ckptErrs, asyncAbort                 *obs.Counter
+	ckpts, ckptErrs                             *obs.Counter
 	restAtts, restRejs, restBytes               *obs.Counter
 
 	tr    *obs.Tracer
@@ -33,7 +33,6 @@ func newInstruments(reg *obs.Registry, tr *obs.Tracer, track int) instruments {
 		ratio:      reg.Gauge(obs.MFTICompressionRatio),
 		ckpts:      reg.Counter(obs.MFTICheckpointsTotal),
 		ckptErrs:   reg.Counter(obs.MFTICheckpointErrorsTotal),
-		asyncAbort: reg.Counter(obs.MFTIAsyncAbortedTotal),
 		restAtts:   reg.Counter(obs.MFTIRestoreAttemptsTotal),
 		restRejs:   reg.Counter(obs.MFTIRestoreRejectsTotal),
 		restBytes:  reg.Counter(obs.MFTIRestoreReadBytesTotal),

@@ -10,7 +10,7 @@ import "regexp"
 // Metric name convention: subsystem_name_unit
 //
 //   - lower_snake_case, first token is the owning subsystem
-//     (fti, shard, core, abft, adapt, sim, ...);
+//     (fti, shard, core, abft, adapt, ...);
 //   - the final token is the unit: seconds | bytes | ratio |
 //     iterations for gauges and histograms, total for counters
 //     (counters that accumulate a quantity keep the quantity's unit
@@ -51,16 +51,14 @@ const (
 	MStoragePermanentErrorsTotal = "storage_permanent_errors_total"
 	MStorageRetryDelaySeconds    = "storage_retry_delay_seconds"
 
-	// fti async — saves the background pipeline aborted.
-	MFTIAsyncAbortedTotal = "fti_async_aborted_saves_total"
-
-	// core — Manager lifecycle: commits, aborts, tiered recoveries.
-	MCoreCheckpointsCommittedTotal = "core_checkpoints_committed_total"
-	MCoreCheckpointsAbortedTotal   = "core_checkpoints_aborted_total"
-	MCoreDegradedSavesTotal        = "core_degraded_saves_total"
-	MCoreRecoveriesTotal           = "core_recoveries_total" // labeled tier=<tier>
-	MCoreRecoverySeconds           = "core_recovery_seconds"
-	MCoreIntervalSeconds           = "core_interval_seconds"
+	// core — Manager lifecycle: aborts, degraded saves, tiered
+	// recoveries, and the interval windows Drive realized. Commits are
+	// fti_checkpoints_total; what a run kept is that minus the aborts.
+	MCoreCheckpointsAbortedTotal = "core_checkpoints_aborted_total"
+	MCoreDegradedSavesTotal      = "core_degraded_saves_total"
+	MCoreRecoveriesTotal         = "core_recoveries_total" // labeled tier=<tier>
+	MCoreRecoverySeconds         = "core_recovery_seconds"
+	MCoreIntervalSeconds         = "core_interval_seconds"
 
 	// abft — guard observations and reconstructions.
 	MABFTObservesTotal         = "abft_observes_total"
@@ -74,14 +72,6 @@ const (
 	MAdaptIntervalSeconds   = "adapt_interval_seconds"
 	MAdaptMTTISeconds       = "adapt_mtti_seconds"
 	MAdaptCheckpointSeconds = "adapt_checkpoint_seconds"
-
-	// sim — core.Drive's lifecycle counters, on the wall clock (the
-	// prefix is the simulator's, which came first).
-	MSimFailuresTotal         = "sim_failures_total"
-	MSimCheckpointsTotal      = "sim_checkpoints_total"
-	MSimCheckpointAbortsTotal = "sim_checkpoint_aborts_total"
-	MSimRecoveriesTotal       = "sim_recoveries_total" // labeled tier=<tier>
-	MSimElapsedSeconds        = "sim_elapsed_seconds"
 
 	// quality — the numerical-telemetry layer: per-checkpoint lossy
 	// distortion audits. Audits are per committed save (sampled);
@@ -110,16 +100,12 @@ var AllMetricNames = []string{
 	MShardRereadsTotal, MShardRereadRepairsTotal,
 	MStorageRetriesTotal, MStorageRetryExhaustedTotal,
 	MStoragePermanentErrorsTotal, MStorageRetryDelaySeconds,
-	MFTIAsyncAbortedTotal,
-	MCoreCheckpointsCommittedTotal, MCoreCheckpointsAbortedTotal,
-	MCoreDegradedSavesTotal,
+	MCoreCheckpointsAbortedTotal, MCoreDegradedSavesTotal,
 	MCoreRecoveriesTotal, MCoreRecoverySeconds, MCoreIntervalSeconds,
 	MABFTObservesTotal, MABFTReconstructionsTotal, MABFTRejectsTotal,
 	MABFTChecksumFailuresTotal, MABFTLocalIterationsTotal,
 	MAdaptReplansTotal, MAdaptIntervalSeconds, MAdaptMTTISeconds,
 	MAdaptCheckpointSeconds,
-	MSimFailuresTotal, MSimCheckpointsTotal, MSimCheckpointAbortsTotal,
-	MSimRecoveriesTotal, MSimElapsedSeconds,
 	MQualityAuditsTotal, MQualityViolationsTotal, MQualityErrorRatio,
 	MQualityCompressionRatio, MQualityAuditSeconds,
 }
@@ -136,7 +122,7 @@ func ValidMetricName(name string) bool { return nameRE.MatchString(name) }
 const (
 	TrackSolver   = 1 // the solver goroutine: iterations, capture stalls, sync saves
 	TrackPipeline = 2 // background encode+write of the async double buffer
-	TrackRecovery = 3 // restore walks and tiered recovery attempts
+	TrackRecovery = 3 // tiered recovery attempts
 )
 
 // Span categories and names, all on the wall clock: a modelled run is
@@ -153,7 +139,6 @@ const (
 	SpanWrite       = "write"
 	SpanShardWrite  = "shard-write"
 	SpanShardCommit = "shard-commit"
-	SpanRestore     = "restore" // one fti restore attempt (one checkpoint read+decode)
 	SpanCompute     = "compute" // solver iterations between lifecycle events
 	SpanFailure     = "failure" // instant marker
 	SpanTierPrefix  = "tier:"   // + RecoveryTier.String(), one span per TierAttempt
