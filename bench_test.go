@@ -26,6 +26,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fti"
 	"repro/internal/huffman"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/precond"
@@ -131,14 +132,22 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf := make([]int, 0, len(symbols))
+			buf := make([]int32, len(symbols))
 			b.SetBytes(int64(8 * len(symbols)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if buf, err = huffman.DecodeInto(enc, buf[:0]); err != nil {
+				r, err := huffman.NewReader(enc)
+				if err != nil {
 					b.Fatal(err)
 				}
+				// In reads of 512, as package sz reads a block.
+				for k := 0; k < len(buf); k += 512 {
+					if err := r.Read(buf[k:min(k+512, len(buf))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				r.Close()
 			}
 			reportPerElem(b, len(symbols))
 		})
@@ -171,17 +180,44 @@ func BenchmarkSZCompressSolverState(b *testing.B) {
 	}
 }
 
+// gmresIterate is what gmres-lossy-async saves: the GMRES(30) iterate of
+// the 36³ Poisson system after 60 steps, with the Theorem-3 bound
+// (C = 1) it is saved at.
+func gmresIterate() ([]float64, float64) {
+	a := sparse.Poisson3D(36)
+	rhs := sparse.OnesRHS(a.Rows)
+	s := solver.NewGMRES(a, nil, rhs, nil, 30, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
+	for i := 0; i < 60; i++ {
+		s.Step()
+	}
+	return s.CurrentX(), model.GMRESAdaptiveBound(s.ResidualNorm(), vec.Norm2(rhs), 1)
+}
+
+// BenchmarkSZDecompressSolverState restores the 48³ PCG iterate at
+// each solverStateBounds bound, and ("gmres36") the GMRES iterate at
+// its Theorem-3 bound: the decode a lossy recovery of cg-lossy-sync
+// and of gmres-lossy-async pays.
 func BenchmarkSZDecompressSolverState(b *testing.B) {
 	x := pcgIterate(b)
+	gx, geb := gmresIterate()
+	type state struct {
+		name string
+		x    []float64
+		eb   float64
+	}
+	var states []state
 	for _, eb := range solverStateBounds {
-		b.Run(fmt.Sprint(eb), func(b *testing.B) {
-			comp, err := sz.Compress(x, sz.Params{Mode: sz.PWRel, ErrorBound: eb})
+		states = append(states, state{fmt.Sprint(eb), x, eb})
+	}
+	for _, st := range append(states, state{"gmres36", gx, geb}) {
+		b.Run(st.name, func(b *testing.B) {
+			comp, err := sz.Compress(st.x, sz.Params{Mode: sz.PWRel, ErrorBound: st.eb})
 			if err != nil {
 				b.Fatal(err)
 			}
-			dst := make([]float64, len(x))
+			dst := make([]float64, len(st.x))
 			runSZPaths(b, func(b *testing.B) {
-				b.SetBytes(int64(8 * len(x)))
+				b.SetBytes(int64(8 * len(st.x)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -189,7 +225,8 @@ func BenchmarkSZDecompressSolverState(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				reportPerElem(b, len(x))
+				reportPerElem(b, len(st.x))
+				b.ReportMetric(st.eb, "bound")
 			})
 		})
 	}

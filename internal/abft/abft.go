@@ -298,13 +298,11 @@ func (g *Guard) Reconstruct() (*Recon, error) {
 	}
 	if err != nil {
 		g.stats.Rejected++
-		g.met.rejects.Inc()
 		return nil, err
 	}
 	g.failed = -1
 	g.stats.Reconstructions++
 	g.stats.LocalIterations += rec.LocalIterations
-	g.met.reconstructions.Inc()
 	g.met.localIterations.Add(uint64(rec.LocalIterations))
 	return rec, nil
 }

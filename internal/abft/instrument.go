@@ -7,8 +7,6 @@ import "repro/internal/obs"
 // retention and reconstruction paths call them unconditionally.
 type guardMetrics struct {
 	observes         *obs.Counter
-	reconstructions  *obs.Counter
-	rejects          *obs.Counter
 	checksumFailures *obs.Counter
 	localIterations  *obs.Counter
 }
@@ -18,8 +16,6 @@ type guardMetrics struct {
 func (g *Guard) Instrument(reg *obs.Registry) {
 	g.met = guardMetrics{
 		observes:         reg.Counter(obs.MABFTObservesTotal),
-		reconstructions:  reg.Counter(obs.MABFTReconstructionsTotal),
-		rejects:          reg.Counter(obs.MABFTRejectsTotal),
 		checksumFailures: reg.Counter(obs.MABFTChecksumFailuresTotal),
 		localIterations:  reg.Counter(obs.MABFTLocalIterationsTotal),
 	}

@@ -144,8 +144,7 @@ func TestManagerInstrumentCountsLifecycle(t *testing.T) {
 
 	snap := reg.Snapshot()
 	want := map[string]float64{
-		obs.MFTICheckpointsTotal:      2,
-		obs.MABFTReconstructionsTotal: 1,
+		obs.MFTICheckpointsTotal: 2,
 	}
 	for name, v := range want {
 		md := snap.Get(name)

@@ -18,8 +18,8 @@
 // in-place Moffat–Katajainen pass over the sorted frequencies, codes
 // from per-length counters. The bitstream is emitted into an
 // exactly-sized buffer computed from the frequency histogram, so the
-// emission loop performs no capacity checks, and is decoded through a
-// 12-bit prefix table.
+// emission loop performs no capacity checks, and is decoded through an
+// 11-bit table whose rows hold up to four codes each.
 package huffman
 
 import (
@@ -31,7 +31,7 @@ import (
 )
 
 const (
-	// maxCodeLen is the longest code DecodeInto accepts.
+	// maxCodeLen is the longest code a Reader accepts.
 	maxCodeLen = 58
 	// encMaxCodeLen is the longest code AppendEncode emits: emitBits
 	// keeps at most 7 bits pending after a drain, and pending bits plus
@@ -44,9 +44,10 @@ const (
 	symBits = 24
 	// maxSymbols keeps frequency<<symBits inside a non-negative int.
 	maxSymbols = 1 << (63 - symBits)
-	// tableBits is the decode table's index width: every code of at
-	// most tableBits bits resolves in one lookup.
-	tableBits = 12
+	// tableBits is the decode table's index width: up to rowCodes codes
+	// that fit it together resolve in one lookup.
+	tableBits = 11
+	rowCodes  = 4
 )
 
 // codeLengths computes an optimal prefix code over the symbols in
@@ -181,15 +182,10 @@ type encoder struct {
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
-// Encode Huffman-codes the symbol stream. Symbols must lie in
-// [0, alphabet). The output is self-describing: DecodeInto needs no
-// side information.
-func Encode(symbols []int, alphabet int) ([]byte, error) {
-	return AppendEncode(nil, symbols, alphabet)
-}
-
-// AppendEncode is Encode appending to dst (which may be nil or a
-// recycled buffer), returning the extended slice. It is the entry
+// AppendEncode Huffman-codes the symbol stream, appending to dst
+// (which may be nil or a recycled buffer) and returning the extended
+// slice. Symbols must lie in [0, alphabet). The output is
+// self-describing: NewReader needs no side information. It is the entry
 // point of the blocked SZ compressor, which encodes many blocks
 // concurrently into pooled buffers: once the pools are warm and dst has
 // room for the stream plus 8 bytes it allocates nothing.
@@ -276,215 +272,213 @@ func emitBits(buf []byte, symbols []int, packed []uint64) int {
 	return idx + int((nbits+7)>>3)
 }
 
-// decoder is the per-stream decode state, pooled so steady-state
-// decoding allocates nothing. Table rows everywhere are sym<<6 | len.
-type decoder struct {
-	// table maps the next tableBits bits of the stream (fewer when the
-	// longest code is shorter) to the code they start with; a zero row
-	// is a prefix of a longer code, or of none.
-	table [1 << tableBits]uint32
-	// rows holds the stream's code table twice: in stream order, then
-	// in canonical (length, symbol) order.
-	rows []uint32
-	// Canonical layout per code length: first code value, index of its
-	// symbol in the canonical order, and number of codes.
+// Reader decodes one stream's symbols in order, as many per Read as the
+// caller asks for: package sz rebuilds a block a few rows of codes at a
+// time. Readers are pooled: steady-state decoding allocates nothing.
+type Reader struct {
+	data []byte
+	off  int
+	// acc holds the next nbits bits of the stream at its top, and below
+	// them zeros or the stream's following bits; nbits < 64 while 8
+	// bytes are left unread.
+	acc         uint64
+	nbits       uint
+	count, left int // symbols in the stream, and not yet read
+	maxLen      int
+	// Row i of meta and syms holds the codes the next tableBits bits start
+	// with if they are i, up to rowCodes: meta the bits they take (bits
+	// 0–3) and how many they are (4–6; 0 at a longer code or none), syms
+	// their symbols. At 2–3 bits a code, one lookup takes three or four.
+	meta [1 << tableBits]uint8
+	syms [1 << tableBits][rowCodes]int32
+	// rows is the code table (sym<<6 | len) in stream order and then in
+	// canonical order, indexed per length by firstCode, firstIdx, countAt.
+	rows      []uint32
 	firstCode [maxCodeLen + 1]uint64
 	firstIdx  [maxCodeLen + 1]int
 	countAt   [maxCodeLen + 1]int
 }
 
-var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
+var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 
-// DecodeInto reverses Encode, writing into buf's backing array when its
-// capacity suffices (buf may be nil or a recycled zero-length slice).
-// The returned slice aliases buf when no growth was needed, letting
-// callers pool the symbol buffer across blocks. The decoder builds its
-// tables from the stream's (symbol, length) pairs alone — no
-// alphabet-sized scratch, so sparse tables over huge alphabets decode
-// in O(present) setup time. A table that is not in ascending symbol
-// order or assigns more codes than its lengths have room for (Kraft
-// sum above 1) is rejected: no prefix code has it.
-func DecodeInto(data []byte, buf []int) ([]int, error) {
+// NewReader reads a stream's code table into a pooled Reader (Close
+// returns it). A table not in ascending symbol order, or with more codes
+// than its lengths have room for, is no prefix code and is rejected.
+func NewReader(data []byte) (r *Reader, err error) {
+	r = readerPool.Get().(*Reader)
+	defer func() {
+		if err != nil {
+			r.Close()
+			r = nil
+		}
+	}()
 	off := 0
-	getUvarint := func() (uint64, error) {
+	var hdr [3]uint64 // symbol count, alphabet, table entries
+	for i := range hdr {
 		v, n := binary.Uvarint(data[off:])
 		if n <= 0 {
-			return 0, fmt.Errorf("huffman: truncated header at offset %d", off)
+			return r, fmt.Errorf("huffman: truncated header at offset %d", off)
 		}
-		off += n
-		return v, nil
+		hdr[i], off = v, off+n
 	}
-	count, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
-	alphabet, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
-	present, err := getUvarint()
-	if err != nil {
-		return nil, err
-	}
+	count, alphabet, present := hdr[0], hdr[1], hdr[2]
 	if alphabet > 1<<symBits {
-		return nil, fmt.Errorf("huffman: alphabet %d exceeds 2^%d", alphabet, symBits)
+		return r, fmt.Errorf("huffman: alphabet %d exceeds 2^%d", alphabet, symBits)
 	}
 	// Allocation guards: every symbol costs at least one bit, every
 	// table entry at least two bytes.
 	if count > 8*uint64(len(data)) {
-		return nil, fmt.Errorf("huffman: %d symbols exceed %d stream bytes", count, len(data))
+		return r, fmt.Errorf("huffman: %d symbols exceed %d stream bytes", count, len(data))
 	}
 	if present > alphabet || present > uint64(len(data)-off)/2 {
-		return nil, fmt.Errorf("huffman: table of %d entries cannot fit", present)
+		return r, fmt.Errorf("huffman: table of %d entries cannot fit", present)
 	}
-	d := decoderPool.Get().(*decoder)
-	defer decoderPool.Put(d)
 	np := int(present)
-	d.rows = slices.Grow(d.rows[:0], 2*np)[:2*np]
-	rows, canon := d.rows[:np], d.rows[np:]
-	d.countAt = [maxCodeLen + 1]int{}
-	maxLen := 0
+	r.rows = slices.Grow(r.rows[:0], 2*np)[:2*np]
+	rows, canon := r.rows[:np], r.rows[np:]
+	r.countAt, r.maxLen = [maxCodeLen + 1]int{}, 0
 	for i, prev := 0, -1; i < np; i++ {
-		sym, err := getUvarint()
-		if err != nil {
-			return nil, err
+		sym, n := binary.Uvarint(data[off:])
+		if n <= 0 || off+n >= len(data) {
+			return r, fmt.Errorf("huffman: truncated table")
 		}
-		if off >= len(data) {
-			return nil, fmt.Errorf("huffman: truncated table")
-		}
-		if sym >= alphabet {
-			return nil, fmt.Errorf("huffman: table symbol %d outside alphabet", sym)
-		}
-		if int(sym) <= prev {
-			return nil, fmt.Errorf("huffman: table symbol %d out of order", sym)
+		off += n
+		if sym >= alphabet || int(sym) <= prev {
+			return r, fmt.Errorf("huffman: table symbol %d outside alphabet or out of order", sym)
 		}
 		prev = int(sym)
 		l := int(data[off])
 		off++
 		if l < 1 || l > maxCodeLen {
-			return nil, fmt.Errorf("huffman: invalid code length %d for symbol %d", l, sym)
+			return r, fmt.Errorf("huffman: invalid code length %d for symbol %d", l, sym)
 		}
 		rows[i] = uint32(sym)<<6 | uint32(l)
-		d.countAt[l]++
-		maxLen = max(maxLen, l)
+		r.countAt[l]++
+		r.maxLen = max(r.maxLen, l)
 	}
+	r.data, r.off, r.acc, r.nbits = data, off, 0, 0
+	r.count, r.left = int(count), int(count)
 	if count == 0 {
-		if buf != nil {
-			return buf[:0], nil
-		}
-		return []int{}, nil
+		return r, nil
 	}
 	if np == 0 {
-		return nil, fmt.Errorf("huffman: no code table for %d symbols", count)
+		return r, fmt.Errorf("huffman: no code table for %d symbols", count)
 	}
-
 	// Canonical layout: codes of one length are consecutive, in symbol
 	// order, and each length starts where the previous one's codes,
 	// extended by a zero bit, end.
 	var code uint64
 	idx := 0
-	for l := 1; l <= maxLen; l++ {
+	for l := 1; l <= r.maxLen; l++ {
 		code <<= 1
-		d.firstCode[l], d.firstIdx[l] = code, idx
-		code += uint64(d.countAt[l])
-		idx += d.countAt[l]
+		r.firstCode[l], r.firstIdx[l] = code, idx
+		code += uint64(r.countAt[l])
+		idx += r.countAt[l]
 		if code > 1<<uint(l) {
-			return nil, fmt.Errorf("huffman: code table oversubscribed at length %d", l)
+			return r, fmt.Errorf("huffman: code table oversubscribed at length %d", l)
 		}
 	}
 	// Stable counting sort by length; rows are ascending by symbol, so
 	// canon comes out in (length, symbol) order.
-	place := d.firstIdx
-	for _, r := range rows {
-		canon[place[r&63]] = r
-		place[r&63]++
+	place := r.firstIdx
+	for _, row := range rows {
+		canon[place[row&63]] = row
+		place[row&63]++
 	}
-	// In canonical order the codes, left-aligned to tb bits, tile the
-	// table from 0 upward with no gaps; what is left past the last short
-	// code belongs to longer codes or to no code.
-	tb := uint(min(maxLen, tableBits))
-	table := d.table[:1<<tb]
-	pos := 0
-	for _, r := range canon {
-		l := uint(r & 63)
-		if l > tb {
-			break
-		}
-		span := table[pos : pos+1<<(tb-l)]
-		for i := range span {
-			span[i] = r
-		}
-		pos += len(span)
-	}
-	clear(table[pos:])
-
-	out := buf[:0]
-	if uint64(cap(out)) < count {
-		out = make([]int, count)
-	}
-	out = out[:count]
-	// acc holds the next nbits bits of the stream at its top. Below
-	// them it holds zeros or the stream's own following bits (the
-	// 8-byte refill ORs in more than it counts), never anything else.
-	var acc uint64
-	var nbits uint
-	for i := range out {
-		if nbits < 32 {
-			if off+8 <= len(data) {
-				acc |= binary.BigEndian.Uint64(data[off:]) >> (nbits & 63)
-				k := (64 - nbits) >> 3
-				off += int(k)
-				nbits += 8 * k
-			} else {
-				for ; nbits <= 56 && off < len(data); off++ {
-					acc |= uint64(data[off]) << (56 - nbits)
-					nbits += 8
-				}
-			}
-		}
-		r := table[acc>>(64-tb)]
-		l := uint(r & 63)
-		if l == 0 {
-			if r, l, off, acc, nbits = d.longCode(data, off, acc, nbits, tb, maxLen); l == 0 {
-				return nil, fmt.Errorf("huffman: corrupt bitstream at symbol %d", i)
-			}
-		} else if l > nbits {
-			return nil, fmt.Errorf("huffman: corrupt bitstream at symbol %d", i)
-		} else {
-			acc <<= l
-			nbits -= l
-		}
-		out[i] = int(r >> 6)
-	}
-	return out, nil
+	r.tile(0, 0, [rowCodes]int32{}, 0)
+	return r, nil
 }
 
-// longCode decodes one code longer than tb bits from the front of the
-// stream by searching the canonical per-length ranges, and consumes it;
-// l == 0 reports that no code matches the bits that remain. It is the
-// decode loop's slow path, with its own refill: a 58-bit code can
-// straddle the 57 bits a byte-wise refill guarantees.
-func (d *decoder) longCode(data []byte, off int, acc uint64, nbits uint, tb uint, maxLen int) (r uint32, l uint, _ int, _ uint64, _ uint) {
-	for ; nbits <= 56 && off < len(data); off++ {
+// Close returns r to the pool; r must not be used afterwards.
+func (r *Reader) Close() { r.data = nil; readerPool.Put(r) }
+
+// Len is the number of symbols not yet read.
+func (r *Reader) Len() int { return r.left }
+
+// tile fills rows [pos, pos+2^(tableBits−bits)), which start with the n
+// codes in pre: the codes that fit behind them tile the rows in
+// canonical order, and the rows past the last one end with pre.
+func (r *Reader) tile(pos int, bits uint, pre [rowCodes]int32, n int) {
+	end := pos + 1<<(tableBits-bits)
+	for _, c := range r.rows[len(r.rows)/2:] {
+		l := uint(c & 63)
+		if n == rowCodes || bits+l > tableBits {
+			break
+		}
+		pre[n] = int32(c >> 6) // past n, a row's symbols are not read
+		r.tile(pos, bits+l, pre, n+1)
+		pos += 1 << (tableBits - bits - l)
+	}
+	for m := uint8(bits) | uint8(n)<<4; pos < end; pos++ {
+		r.meta[pos], r.syms[pos] = m, pre
+	}
+}
+
+// Read decodes the next len(dst) symbols into dst: an error past Len, or
+// where the stream ends inside a code or holds bits no code starts with
+// (r is then good only for Close). Away from the ends of the stream and
+// of dst, a branch-free refill leaves 56 bits or more for up to four
+// rows of tableBits; the rest, and longer codes, go one at a time.
+func (r *Reader) Read(dst []int32) error {
+	if len(dst) > r.left {
+		return fmt.Errorf("huffman: %d symbols asked for, %d left", len(dst), r.left)
+	}
+	for k := 0; k < len(dst); {
+		if data := r.data; k+rowCodes <= len(dst) && r.off+8 <= len(data) {
+			off, acc, nbits := r.off, r.acc, r.nbits
+			acc |= binary.BigEndian.Uint64(data[off:]) >> (nbits & 63)
+			off += int((63 - nbits) >> 3)
+			nbits |= 56
+			q := 0
+			for ; q < 4; q++ {
+				i := acc >> (64 - tableBits)
+				m := uint(r.meta[i])
+				if m&15 == 0 || k+rowCodes > len(dst) {
+					break
+				}
+				*(*[rowCodes]int32)(dst[k:]) = r.syms[i]
+				k, acc, nbits = k+int(m>>4), acc<<(m&15), nbits-m&15
+			}
+			if r.off, r.acc, r.nbits = off, acc, nbits; q == 4 || k == len(dst) {
+				continue
+			}
+		}
+		row, ok := r.code()
+		if !ok {
+			return fmt.Errorf("huffman: corrupt bitstream at symbol %d", r.count-r.left+k)
+		}
+		dst[k] = int32(row >> 6)
+		k++
+	}
+	r.left -= len(dst)
+	return nil
+}
+
+// code decodes one code from the front of the stream, and consumes it,
+// by searching the canonical per-length ranges; false when no code
+// matches the bits that remain. It refills a byte at a time: a 58-bit
+// code can straddle the 56 bits that gives.
+func (r *Reader) code() (row uint32, ok bool) {
+	data, off, acc, nbits := r.data, r.off, r.acc, r.nbits
+	for ; nbits <= 55 && off < len(data); off++ {
 		acc |= uint64(data[off]) << (56 - nbits)
 		nbits += 8
 	}
 	peek, avail := acc, nbits
-	if off < len(data) { // nbits ≥ 57: top up the window from the next byte
+	if off < len(data) { // nbits ≥ 56: top up the window from the next byte
 		peek |= uint64(data[off]) >> (nbits - 56)
 		avail = 64
 	}
-	for l = tb + 1; l <= uint(maxLen) && l <= avail; l++ {
-		rel := peek>>(64-l) - d.firstCode[l]
-		if rel >= uint64(d.countAt[l]) { // also when peek's prefix is below firstCode
+	for l := uint(1); l <= uint(r.maxLen) && l <= avail; l++ {
+		rel := peek>>(64-l) - r.firstCode[l]
+		if rel >= uint64(r.countAt[l]) { // also when peek's prefix is below firstCode
 			continue
 		}
-		r = d.rows[len(d.rows)/2+d.firstIdx[l]+int(rel)]
-		if l <= nbits {
-			return r, l, off, acc << l, nbits - l
+		if r.off, r.acc, r.nbits = off, acc<<l, nbits-l; l > nbits {
+			// The code's last l−nbits bits are the top of the next byte.
+			r.off, r.acc, r.nbits = off+1, uint64(data[off])<<(56+l-nbits), 8-(l-nbits)
 		}
-		// The code's last l−nbits bits are the top of the next byte.
-		return r, l, off + 1, uint64(data[off]) << (56 + l - nbits), 8 - (l - nbits)
+		return r.rows[len(r.rows)/2+r.firstIdx[l]+int(rel)], true
 	}
-	return 0, 0, off, acc, nbits
+	return 0, false
 }

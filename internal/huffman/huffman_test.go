@@ -176,7 +176,7 @@ func refEncode(symbols []int, alphabet int) []byte {
 
 // refDecode is the bit-at-a-time decoder: after each bit it asks
 // whether the bits so far are a code of that length. It applies the
-// header and allocation guards DecodeInto documents and nothing else.
+// header and allocation guards NewReader documents and nothing else.
 func refDecode(data []byte) ([]int, error) {
 	off := 0
 	getUvarint := func() (uint64, error) {
@@ -249,13 +249,14 @@ func refDecode(data []byte) ([]int, error) {
 	return out, nil
 }
 
-// checkDecode decodes data with DecodeInto and, when that succeeds,
-// requires the reference to succeed with the same symbols. (DecodeInto
+// checkDecode decodes data through a Reader and, when that succeeds,
+// requires the reference to succeed with the same symbols. (The Reader
 // may reject what the reference accepts: tables that are no prefix
 // code.)
 func checkDecode(t testing.TB, data []byte) ([]int, error) {
 	t.Helper()
-	got, err := DecodeInto(data, nil)
+	checkAgainstOneCode(t, data, 3)
+	got, err := decodeInto(data, nil)
 	if err == nil {
 		checkAgainstRef(t, data, got)
 	}
@@ -266,10 +267,10 @@ func checkAgainstRef(t testing.TB, data []byte, got []int) {
 	t.Helper()
 	want, err := refDecode(data)
 	if err != nil {
-		t.Fatalf("DecodeInto accepted a stream the reference rejects: %v", err)
+		t.Fatalf("the Reader accepted a stream the reference rejects: %v", err)
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("DecodeInto and the reference decoder disagree (%d vs %d symbols)", len(got), len(want))
+		t.Fatalf("the Reader and the reference decoder disagree (%d vs %d symbols)", len(got), len(want))
 	}
 }
 
@@ -647,10 +648,10 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeInto(enc[:2], nil); err == nil {
+	if _, err := decodeInto(enc[:2], nil); err == nil {
 		t.Fatal("expected error on truncated header")
 	}
-	if _, err := DecodeInto(enc[:len(enc)-1], nil); err == nil {
+	if _, err := decodeInto(enc[:len(enc)-1], nil); err == nil {
 		t.Fatal("expected error on truncated bitstream")
 	}
 }
@@ -704,8 +705,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("AppendEncode: %v allocs/op in steady state, want 0", n)
 	}
 	buf := make([]int, 0, len(symbols))
-	if n := testing.AllocsPerRun(20, func() { buf, _ = DecodeInto(enc, buf[:0]) }); n != 0 {
-		t.Errorf("DecodeInto: %v allocs/op in steady state, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { buf, _ = decodeInto(enc, buf[:0]) }); n != 0 {
+		t.Errorf("decodeInto: %v allocs/op in steady state, want 0", n)
 	}
 	if !bytes.Equal(dst, enc) || !slices.Equal(buf, symbols) {
 		t.Fatal("recycled buffers changed the result")
@@ -749,7 +750,7 @@ func TestConcurrentUseIsPure(t *testing.T) {
 						t.Errorf("%d workers: encode differs from the serial result (%v)", workers, err)
 						return
 					}
-					dec, err := DecodeInto(enc, nil)
+					dec, err := decodeInto(enc, nil)
 					if err != nil || !slices.Equal(dec, j.symbols) {
 						t.Errorf("%d workers: decode differs (%v)", workers, err)
 						return
@@ -766,7 +767,9 @@ func TestConcurrentUseIsPure(t *testing.T) {
 // FuzzDecodeInto: any input either errors or decodes to what the
 // bit-at-a-time reference decodes, without panicking and without
 // allocating more than a multiple of the input plus the symbol count
-// its header declares.
+// its header declares; and a Reader, read whole and in pieces,
+// reject exactly what the one-code decoder rejects and return what it
+// returns, no piece written past its end.
 func FuzzDecodeInto(f *testing.F) {
 	for _, data := range craftedStreams() {
 		f.Add(data)
@@ -782,7 +785,7 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got []int
 		var err error
-		allocated := allocatedBytes(func() { got, err = DecodeInto(data, nil) })
+		allocated := allocatedBytes(func() { got, err = decodeInto(data, nil) })
 		// Output: 8 bytes per declared symbol, declared ≤ 8 per input
 		// byte. Table rows: 8 bytes per 2-byte entry. 64 KiB covers a
 		// cold decoder pool and the error value.
@@ -793,6 +796,7 @@ func FuzzDecodeInto(f *testing.F) {
 		if err == nil {
 			checkAgainstRef(t, data, got)
 		}
+		checkAgainstOneCode(t, data, 5)
 	})
 }
 

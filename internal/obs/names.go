@@ -62,8 +62,6 @@ const (
 
 	// abft — guard observations and reconstructions.
 	MABFTObservesTotal         = "abft_observes_total"
-	MABFTReconstructionsTotal  = "abft_reconstructions_total"
-	MABFTRejectsTotal          = "abft_rejects_total"
 	MABFTChecksumFailuresTotal = "abft_checksum_failures_total"
 	MABFTLocalIterationsTotal  = "abft_local_iterations_total"
 
@@ -102,8 +100,7 @@ var AllMetricNames = []string{
 	MStoragePermanentErrorsTotal, MStorageRetryDelaySeconds,
 	MCoreCheckpointsAbortedTotal, MCoreDegradedSavesTotal,
 	MCoreRecoveriesTotal, MCoreRecoverySeconds, MCoreIntervalSeconds,
-	MABFTObservesTotal, MABFTReconstructionsTotal, MABFTRejectsTotal,
-	MABFTChecksumFailuresTotal, MABFTLocalIterationsTotal,
+	MABFTObservesTotal, MABFTChecksumFailuresTotal, MABFTLocalIterationsTotal,
 	MAdaptReplansTotal, MAdaptIntervalSeconds, MAdaptMTTISeconds,
 	MAdaptCheckpointSeconds,
 	MQualityAuditsTotal, MQualityViolationsTotal, MQualityErrorRatio,

@@ -228,7 +228,7 @@ func stencilCore(hstream []byte, pred byte, strides ...uint64) []byte {
 // strides of the grid predictor are held to what an encoder writes
 // before they index anything.
 func craftedStreams(t testing.TB) map[string][]byte {
-	hstream, err := huffman.Encode([]int{8, 8, 9, 8}, 16)
+	hstream, err := huffman.AppendEncode(nil, []int{8, 8, 9, 8}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestCraftedLengthFieldsError(t *testing.T) {
 		}
 	}
 	// The honest version of the same frames decodes.
-	hstream, _ := huffman.Encode([]int{8, 8, 9, 8}, 16)
+	hstream, _ := huffman.AppendEncode(nil, []int{8, 8, 9, 8}, 16)
 	good := logPayload(4, 0, nil, 0, corePayload(4, 0, uint64(len(hstream)), hstream))
 	if got, err := Decompress(good); err != nil || len(got) != 4 {
 		t.Fatalf("well-formed crafted stream: %v, %v", got, err)
@@ -353,7 +353,9 @@ func TestCraftedLengthFieldsError(t *testing.T) {
 
 // FuzzDecompressInto: any input either errors or fills dst with what
 // Decompress returns, without panicking and without allocating more
-// than a multiple of the input plus the destination it was handed.
+// than a multiple of the input plus the destination it was handed; and
+// the decoder rejects what the reference loops reject and returns,
+// bit for bit, what they return.
 func FuzzDecompressInto(f *testing.F) {
 	for _, data := range craftedStreams(f) {
 		f.Add(data, uint32(4))
@@ -383,6 +385,7 @@ func FuzzDecompressInto(f *testing.F) {
 		if limit := uint64(256*len(data) + 32*len(dst) + 256<<10); allocated > limit {
 			t.Fatalf("%d input bytes into %d elements allocated %d bytes", len(data), len(dst), allocated)
 		}
+		sameBits(t, "fuzz", data, len(dst))
 		if err != nil {
 			return
 		}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/vec"
 )
 
-// useKernels selects appendGridLogs, and with it the row-pair kernel,
-// for the blocks they can write. The kernel is AVX2, so it runs where
-// vec's do, and it rounds every product before it adds, as Go code does
-// below GOAMD64=v3 (from v3 on the compiler may fuse them, and the
-// two-pass path, which the decoder matches, runs instead). It is set
+// useKernels selects appendGridLogs, with its row-pair kernel, for the
+// blocks they can write, and gridRunAVX2 to rebuild grid rows. The
+// kernels are AVX2, so they run where vec's do, and round every product
+// before they add, as Go code does below GOAMD64=v3 (from v3 on the
+// compiler may fuse them, and the Go loops run instead). It is set
 // once, here; only the differential tests ever clear it.
 var useKernels = vec.Accelerated()
 
@@ -41,3 +41,8 @@ func (g *gridLogs) pair(b int) bool {
 //go:noescape
 func gridPairAVX2(x, r []float64, codes []int, up, back, ub []float64,
 	inv, twoEB, eb, limit float64, half int) (unpred int, signed, ok bool)
+
+// gridRunAVX2 is rebuild over a grid row (rebuild_amd64.s).
+//
+//go:noescape
+func gridRunAVX2(out, up, back, ub []float64, codes []int32, stored []byte, twoEB float64, half, j int) (done int, rest []byte)

@@ -528,8 +528,8 @@ type stencil struct {
 	s1, s2 int
 }
 
-// predict is the one prediction both directions run, so their float
-// operation order cannot diverge. It predicts element j of a row from
+// predict is the encoders' prediction, whose float operations the
+// decoder's loops run in its order. It predicts element j of a row from
 // prev and prev2, the reconstructions of elements j−1 and j−2 (0
 // before the row starts), and — PredictorLorenzoND only — from the
 // reconstructed rows one step back along each outer axis (stencil.rows):
@@ -686,22 +686,11 @@ func emitCore(dst []byte, codes []int, eb float64, sten stencil, intervals int, 
 // decodeCoreInto decodes a core payload into recon, whose length must
 // match the stored element count (the container decodes each block
 // straight into its slice of the output vector). Nothing is written to
-// recon before the header and the Huffman stream have been accepted.
+// recon before the header and the Huffman table have been accepted.
 func decodeCoreInto(p []byte, recon []float64) error {
 	off := 0
-	getUvarint := func() (uint64, error) {
-		v, k := binary.Uvarint(p[off:])
-		if k <= 0 {
-			return 0, fmt.Errorf("sz: truncated core header")
-		}
-		off += k
-		return v, nil
-	}
-	n64, err := getUvarint()
-	if err != nil {
-		return err
-	}
-	if off+9 > len(p) {
+	var n64, s1, s2, intervals64, nUnpred, hlen uint64
+	if !uvarints(p, &off, &n64) || off+9 > len(p) {
 		return fmt.Errorf("sz: truncated core header")
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
@@ -714,13 +703,8 @@ func decodeCoreInto(p []byte, recon []float64) error {
 	switch sten.pred {
 	case PredictorLorenzo, PredictorLinear:
 	case PredictorLorenzoND:
-		s1, err := getUvarint()
-		if err != nil {
-			return err
-		}
-		s2, err := getUvarint()
-		if err != nil {
-			return err
+		if !uvarints(p, &off, &s1, &s2) {
+			return fmt.Errorf("sz: truncated core header")
 		}
 		// In uint64, before any index or pool request is derived from
 		// them: a whole row, a whole slab and one element more fit the
@@ -732,17 +716,8 @@ func decodeCoreInto(p []byte, recon []float64) error {
 	default:
 		return fmt.Errorf("sz: unknown predictor %d", byte(sten.pred))
 	}
-	intervals64, err := getUvarint()
-	if err != nil {
-		return err
-	}
-	nUnpred, err := getUvarint()
-	if err != nil {
-		return err
-	}
-	hlen, err := getUvarint()
-	if err != nil {
-		return err
+	if !uvarints(p, &off, &intervals64, &nUnpred, &hlen) {
+		return fmt.Errorf("sz: truncated core header")
 	}
 	// Compare in uint64 against what is left: a crafted length converted
 	// to int first can wrap negative and slip past the check.
@@ -761,66 +736,70 @@ func decodeCoreInto(p []byte, recon []float64) error {
 	if n64 > 8*uint64(len(p)) {
 		return fmt.Errorf("sz: %d values exceed %d payload bytes", n64, len(p))
 	}
-	cbuf := parallel.GetInts(int(n64))
-	codes, err := huffman.DecodeInto(p[off:off+int(hlen)], cbuf)
+	hr, err := huffman.NewReader(p[off : off+int(hlen)])
 	if err != nil {
-		parallel.PutInts(cbuf)
 		return err
 	}
-	defer parallel.PutInts(codes)
+	defer hr.Close()
 	off += int(hlen)
 	n := int(n64)
-	if len(codes) != n {
-		return fmt.Errorf("sz: decoded %d codes for %d values", len(codes), n)
+	if hr.Len() != n {
+		return fmt.Errorf("sz: %d codes for %d values", hr.Len(), n)
 	}
 	if len(recon) != n {
 		return fmt.Errorf("sz: core block holds %d values, expected %d", n, len(recon))
 	}
 	stored := p[off : off+8*int(nUnpred)]
-	return sten.reconstruct(recon, codes, stored, 2*eb, int(intervals64)/2)
+	return sten.reconstruct(recon, hr, stored, 2*eb, int(intervals64)/2)
 }
 
-// reconstruct fills recon from a block's codes: the prediction plus
-// 2·eb·bin or, where the code is 0, the next of the stored values. It
-// mirrors the encoder's loop through the same predict, and the
-// arithmetic is what every earlier encoder's quantStep computed, so
-// their streams decode bitwise identically. Order-1 Lorenzo — what a
-// vector with no grid mostly decodes through — keeps a loop of its own:
-// three instructions an element, which predict's dispatch doubles.
-func (s stencil) reconstruct(recon []float64, codes []int, stored []byte, twoEB float64, half int) error {
-	overflow := func(i int) error { return fmt.Errorf("sz: unpredictable count overflow at %d", i) }
-	if s.pred == PredictorLorenzo {
-		prev := 0.0
-		for i, c := range codes {
-			if c != 0 {
-				prev += twoEB * float64(c-half)
-			} else if len(stored) >= 8 {
-				prev, stored = math.Float64frombits(binary.LittleEndian.Uint64(stored)), stored[8:]
-			} else {
-				return overflow(i)
-			}
-			recon[i] = prev
+// uvarints reads vs from p at *off, advancing it; false if p ends first.
+func uvarints(p []byte, off *int, vs ...*uint64) bool {
+	for _, v := range vs {
+		var k int
+		if *v, k = binary.Uvarint(p[*off:]); k <= 0 {
+			return false
 		}
-	} else {
-		n := len(recon)
-		rowLen, zero := s.rowLen(n)
-		if zero != nil {
-			defer parallel.PutFloat64s(zero)
-		}
-		for b := 0; b < n; b += rowLen {
-			cur := recon[b:min(b+rowLen, n)]
-			up, back, ub := s.rows(recon, zero, b, len(cur))
-			var prev, prev2 float64
-			for j, c := range codes[b:][:len(cur)] {
-				v := predict(s.pred, prev, prev2, up, back, ub, j) + twoEB*float64(c-half)
-				if c == 0 {
-					if len(stored) < 8 {
-						return overflow(b + j)
-					}
-					v, stored = math.Float64frombits(binary.LittleEndian.Uint64(stored)), stored[8:]
+		*off += k
+	}
+	return true
+}
+
+// readAhead is how many codes reconstruct decodes at a time.
+const readAhead = 512
+
+// reconstruct fills recon from the codes hr decodes a few rows at a time
+// into a buffer on the stack: predict plus 2·eb·bin or, at a code 0, the
+// next stored value, through rebuild's loop or the grid kernel.
+func (s stencil) reconstruct(recon []float64, hr *huffman.Reader, stored []byte, twoEB float64, half int) error {
+	n := len(recon)
+	rowLen, zero := s.rowLen(n)
+	if zero != nil {
+		defer parallel.PutFloat64s(zero)
+	}
+	var buf [readAhead]int32
+	lo, hi := 0, 0 // buf holds the codes of elements [lo, hi)
+	for b := 0; b < n; b += rowLen {
+		w := min(rowLen, n-b)
+		up, back, ub := s.rows(recon, zero, b, w)
+		for j := 0; j < w; j += readAhead {
+			p, m := b+j, min(readAhead, w-j)
+			if p+m > hi { // keep what is left of buf, and read on behind it
+				copy(buf[:], buf[p-lo:hi-lo])
+				more := min(readAhead-(hi-p), n-hi)
+				if err := hr.Read(buf[hi-p : hi-p+more]); err != nil {
+					return err
 				}
-				cur[j] = v
-				prev2, prev = prev, v
+				lo, hi = p, hi+more
+			}
+			codes, done := buf[p-lo:p-lo+m], 0
+			if s.pred == PredictorLorenzoND && useKernels {
+				done, stored = gridRunAVX2(recon[b:b+w], up, back, ub, codes, stored, twoEB, half, j)
+			} else {
+				done, stored = rebuild(recon[b:b+w], up, back, ub, codes, stored, twoEB, half, j, s.pred == PredictorLinear)
+			}
+			if done < m {
+				return fmt.Errorf("sz: unpredictable count overflow at %d", p+done)
 			}
 		}
 	}
@@ -828,6 +807,40 @@ func (s stencil) reconstruct(recon []float64, codes []int, stored []byte, twoEB 
 		return fmt.Errorf("sz: %d unpredictable values stored and not consumed", len(stored)/8)
 	}
 	return nil
+}
+
+// rebuild rebuilds elements j, j+1, … of a row, out, by predict's rule
+// in its arithmetic: a grid row starts from zeros where predict takes
+// up[0] + back[0] − ub[0], which differs only in the sign of a zero that
+// adding 2·eb·bin (never −0) erases. It returns how many it rebuilt,
+// short where a code 0 finds no stored value, and the values left.
+func rebuild(out, up, back, ub []float64, codes []int32, stored []byte, twoEB float64, half, j int, linear bool) (int, []byte) {
+	var prev, prev2, pu, pb, pub float64
+	if j > 0 { // prev2 matters from j = 2 on
+		prev, prev2 = out[j-1], out[max(j-2, 0)]
+		if up != nil {
+			pu, pb, pub = up[j-1], back[j-1], ub[j-1]
+		}
+	}
+	for i, c := range codes {
+		v := prev
+		if up != nil {
+			u, bk, x := up[j+i], back[j+i], ub[j+i]
+			v += (u - pu) + (bk - pb) - (x - pub)
+			pu, pb, pub = u, bk, x
+		} else if linear && j+i > 1 {
+			v = 2*prev - prev2
+		}
+		v += twoEB * float64(int(c)-half)
+		if c == 0 {
+			if len(stored) < 8 {
+				return i, stored
+			}
+			v, stored = math.Float64frombits(binary.LittleEndian.Uint64(stored)), stored[8:]
+		}
+		out[j+i], prev2, prev = v, prev, v
+	}
+	return len(codes), stored
 }
 
 // tinyThreshold separates values that survive the log transform from
@@ -986,11 +999,10 @@ func decodeLogTransformInto(p []byte, out []float64) error {
 		off += nb
 	}
 	zeros, signs, tiny := maps[0], maps[1], maps[2]
-	nExact64, k := binary.Uvarint(p[off:])
-	if k <= 0 {
+	var nExact64, nLogs64 uint64
+	if !uvarints(p, &off, &nExact64) {
 		return fmt.Errorf("sz: truncated exact-list header")
 	}
-	off += k
 	if nExact64 > uint64(len(p)-off)/8 {
 		return fmt.Errorf("sz: truncated exact list")
 	}
@@ -1000,8 +1012,7 @@ func decodeLogTransformInto(p []byte, out []float64) error {
 	// The core sub-stream leads with its element count; peeking it lets
 	// the log buffer come from the scratch pool instead of a fresh
 	// allocation per block.
-	nLogs64, k := binary.Uvarint(p[off:])
-	if k <= 0 {
+	if at := off; !uvarints(p, &at, &nLogs64) {
 		return fmt.Errorf("sz: truncated core header")
 	}
 	if nLogs64 > uint64(n) {
@@ -1018,40 +1029,35 @@ func decodeLogTransformInto(p []byte, out []float64) error {
 	}
 	if zeros == nil && tiny == nil && nExact == 0 && len(logs) == n {
 		// Normal values only, a converging iterate's block: nothing to
-		// interleave, every element is its logarithm exponentiated.
+		// interleave, every element is its logarithm exponentiated, and
+		// only the signs' set bits are visited.
 		vec.Exp(out, logs)
-		for i := 0; signs != nil && i < n; i++ {
-			if bitSet(signs, i) {
-				out[i] = -out[i]
+		for k, m := range signs {
+			for ; m != 0; m &= m - 1 {
+				if i := 8*k + bits.TrailingZeros8(m); i < n {
+					out[i] = -out[i]
+				}
 			}
 		}
 		return nil
 	}
 	vec.Exp(logs, logs)
 	li, ei := 0, 0
-	for i := 0; i < n; i++ {
-		if bitSet(zeros, i) {
+	for i := range out {
+		switch {
+		case bitSet(zeros, i):
 			out[i] = 0
 			continue
-		}
-		var v float64
-		if bitSet(tiny, i) {
-			if ei >= nExact {
-				return fmt.Errorf("sz: exact list underflow at %d", i)
-			}
-			v = math.Float64frombits(binary.LittleEndian.Uint64(exact[8*ei:]))
-			ei++
-		} else {
-			if li >= len(logs) {
-				return fmt.Errorf("sz: log stream underflow at %d", i)
-			}
-			v = logs[li]
-			li++
+		case bitSet(tiny, i) && ei < nExact:
+			out[i], ei = math.Float64frombits(binary.LittleEndian.Uint64(exact[8*ei:])), ei+1
+		case !bitSet(tiny, i) && li < len(logs):
+			out[i], li = logs[li], li+1
+		default:
+			return fmt.Errorf("sz: exact list or log stream underflow at %d", i)
 		}
 		if bitSet(signs, i) {
-			v = -v
+			out[i] = -out[i]
 		}
-		out[i] = v
 	}
 	if li != len(logs) || ei != nExact {
 		return fmt.Errorf("sz: stored %d logs/%d exact, consumed %d/%d", len(logs), nExact, li, ei)
