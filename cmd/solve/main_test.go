@@ -643,6 +643,28 @@ func TestSavesNApartBetweenFailures(t *testing.T) {
 	}
 }
 
+// TestRecoveryDistortionIsTheAdoptedSave: a failure aborts save 3 at
+// iteration 13, and the save at 15 reuses its sequence number. The
+// recovery that adopts seq 3 reports that save's distortion — its
+// iteration, its two vectors — not the aborted save's merged into it.
+func TestRecoveryDistortionIsTheAdoptedSave(t *testing.T) {
+	_, rep := reportedRun(t, "-method cg -grid 16 -scheme traditional -interval 5 -quality-sample 1 -inject midckpt@13,proc@17")
+	recs := rep["recoveries"].([]any)
+	if len(recs) != 2 {
+		t.Fatalf("want 2 recoveries, got %v", recs)
+	}
+	for _, r := range recs {
+		e := r.(map[string]any)
+		d, ok := e["distortion"].(map[string]any)
+		if !ok || d["seq"] != e["adopted_seq"] || d["iteration"] != e["checkpoint_iteration"] || d["vectors"] != 2.0 {
+			t.Errorf("recovery %v: distortion is not the adopted save's two vectors", e)
+		}
+	}
+	if last := recs[1].(map[string]any); last["adopted_seq"] != 3.0 || last["checkpoint_iteration"] != 15.0 {
+		t.Fatalf("second recovery adopted %v at %v, want seq 3 at 15", last["adopted_seq"], last["checkpoint_iteration"])
+	}
+}
+
 // TestReportedIntervalIsTheRunsCadence: left at 0, -interval is 25 —
 // the interval the report and the output name, and the one the run
 // saved at.

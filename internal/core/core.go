@@ -166,8 +166,8 @@ type Manager struct {
 	mobs managerObs
 
 	// qa is the numerical-telemetry auditor (nil when uninstrumented):
-	// it rides the checkpointer's save-audit hook, and Drive feeds it
-	// residuals and its clock. No recovery path calls it.
+	// it rides the checkpointer's save-audit hook, and capture hands it
+	// the residual of every save. No recovery path calls it.
 	qa *quality.Auditor
 }
 
@@ -390,8 +390,12 @@ func (m *Manager) AbortLastCheckpoint() error {
 // copies nothing: a synchronous save has encoded it before Checkpoint
 // returns (encoders, storage and the save auditor never retain their
 // input), and SaveAsync copies it into its double buffer first.
+//
+// The auditor, when attached, is handed the residual the save opens
+// at: the ResidualAtSave of its records.
 func (m *Manager) capture() *fti.Snapshot {
 	st := m.slv.DynamicView()
+	m.qa.ObserveResidual(st.Iteration, m.slv.ResidualNorm())
 	if m.gmres != nil {
 		m.xbuf = m.gmres.CurrentXInto(m.xbuf)
 		st.Vectors["x"] = m.xbuf

@@ -419,7 +419,6 @@ func (d *driver) step(rnorm float64) (float64, bool) {
 		return rnorm, true
 	}
 	rnorm = d.s.Step()
-	d.m.qa.ObserveResidual(d.s.Iteration(), rnorm)
 	if guard := d.m.abft; guard != nil {
 		// The guard retains its per-iteration redundancy after every
 		// accepted step, as the paper's protected CG does.

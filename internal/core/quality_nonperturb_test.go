@@ -15,11 +15,10 @@ import (
 // TestQualityNonPerturbationMatrix is the observer-purity contract in
 // executable form: across sync/async × sharded/monolithic ×
 // lossy/lossless pipelines, a run with the quality auditor attached
-// (every save audited, live registry and tracer, residual feed, one
-// mid-run recovery) must produce a bitwise-identical residual
-// trajectory and final solution to the uninstrumented run. CI re-runs
-// this under the race detector, covering the async pipeline's
-// background audit goroutine.
+// (every save audited, live registry and tracer, one mid-run recovery)
+// must produce a bitwise-identical residual trajectory and final
+// solution to the uninstrumented run. CI re-runs this under the race
+// detector, covering the async pipeline's background audit goroutine.
 func TestQualityNonPerturbationMatrix(t *testing.T) {
 	a, b, _ := cgSystem(t)
 	bnorm := vec.Norm2(b)
@@ -54,7 +53,6 @@ func TestQualityNonPerturbationMatrix(t *testing.T) {
 				var trace []uint64
 				failed := false
 				_, err = solver.RunToConvergence(s, solver.Options{MaxIter: 500}, func(it int, rnorm float64) error {
-					qa.ObserveResidual(it, rnorm)
 					trace = append(trace, math.Float64bits(rnorm))
 					if it%10 == 0 {
 						if _, err := m.Checkpoint(); err != nil {
@@ -106,5 +104,47 @@ func TestQualityNonPerturbationMatrix(t *testing.T) {
 				t.Fatal("instrumented run audited nothing")
 			}
 		})
+	}
+}
+
+// TestResidualAtSaveWithoutDrive: a hand-written loop that saves
+// through the Manager, with no Drive and no residual feed of its own,
+// still gets every audit record's ResidualAtSave — the residual the
+// solver reported at that record's iteration — sync and async.
+func TestResidualAtSaveWithoutDrive(t *testing.T) {
+	a, b, _ := cgSystem(t)
+	for _, async := range []bool{false, true} {
+		s := newCG(t, a, b)
+		m, err := NewManager(Config{Scheme: Lossless, Async: async}, fti.NewMemStorage(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qa := quality.New(quality.Config{SampleEvery: 1})
+		m.InstrumentQuality(qa)
+		resid := map[int]float64{}
+		_, err = solver.RunToConvergence(s, solver.Options{MaxIter: 500}, func(it int, rnorm float64) error {
+			resid[it] = rnorm
+			if it%5 == 0 {
+				_, err := m.Checkpoint()
+				return err
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		recs := qa.Records()
+		if len(recs) == 0 {
+			t.Fatalf("async=%v: nothing audited", async)
+		}
+		for _, rec := range recs {
+			if want := resid[rec.Iteration]; rec.ResidualAtSave != want || want == 0 {
+				t.Fatalf("async=%v: %s at iteration %d: residual at save %g, want %g",
+					async, rec.Vector, rec.Iteration, rec.ResidualAtSave, want)
+			}
+		}
 	}
 }

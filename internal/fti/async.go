@@ -1,57 +1,12 @@
 package fti
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// AsyncSaveError is how a failed background save surfaces: the next
-// SaveAsync or Flush returns it instead of the raw storage error,
-// carrying the sequence and object name the save was committing, the
-// storage attempt count, and the error class — so a caller (or a log
-// line) can tell retry exhaustion on a transient fault from a genuinely
-// permanent failure without string-matching.
-type AsyncSaveError struct {
-	Seq      int      // sequence the save would have committed as
-	Name     string   // checkpoint object name
-	Attempts int      // storage attempts issued (0 when the storage layer didn't say)
-	Class    ErrClass // classification of the underlying error
-	Err      error
-}
-
-// Error formats the failure with its pipeline context.
-func (e *AsyncSaveError) Error() string {
-	if e.Attempts > 1 && e.Class == ClassTransient {
-		return fmt.Sprintf("fti: async save %s (seq %d) exhausted %d storage attempts (%s): %v",
-			e.Name, e.Seq, e.Attempts, e.Class, e.Err)
-	}
-	return fmt.Sprintf("fti: async save %s (seq %d) failed (%s): %v", e.Name, e.Seq, e.Class, e.Err)
-}
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *AsyncSaveError) Unwrap() error { return e.Err }
-
-// FaultClass re-exports the class for upstream classifiers.
-func (e *AsyncSaveError) FaultClass() ErrClass { return e.Class }
-
-// wrapSaveError decorates a background save failure with its context;
-// a FaultError from the resilient storage layer contributes its
-// attempt count and class, anything else is classified here.
-func wrapSaveError(seq int, err error) error {
-	ase := &AsyncSaveError{Seq: seq, Name: ckptName(seq), Err: err}
-	var fe *FaultError
-	if errors.As(err, &fe) {
-		ase.Attempts = fe.Attempts
-		ase.Class = fe.Class
-	} else {
-		ase.Class = ClassifyError(err)
-	}
-	return ase
-}
 
 // AsyncCheckpointer is the asynchronous checkpoint pipeline: the
 // paper's overhead model (Eqs. 5 and 8) separates checkpoint cost from
@@ -85,9 +40,13 @@ func wrapSaveError(seq int, err error) error {
 //
 // A background save that fails does not panic and is not lost: the
 // error is held and surfaced once, by the next SaveAsync or Flush,
-// whichever comes first. The failed save rolled its sequence number
-// back, so recovery falls back to the previous committed checkpoint —
-// the same contract as the paper's failure-during-checkpoint path.
+// whichever comes first. It is the error a synchronous save would have
+// returned, named by the checkpoint it was committing: errors.As still
+// finds the storage layer's *FaultError (attempts and class) through
+// the wrap, and ClassifyError its class. The failed save rolled its
+// sequence number back, so recovery falls back to the previous
+// committed checkpoint — the same contract as the paper's
+// failure-during-checkpoint path.
 type AsyncCheckpointer struct {
 	c   *Checkpointer
 	job *asyncJob // the newest save, nil before the first
@@ -189,7 +148,7 @@ func (a *AsyncCheckpointer) run(job *asyncJob) {
 		a.stats.EncodeSeconds += info.EncodeSeconds
 		a.stats.WriteSeconds += info.WriteSeconds
 	} else {
-		err = wrapSaveError(job.open.Seq, err)
+		err = fmt.Errorf("fti: async save %s: %w", ckptName(job.open.Seq), err)
 		a.stats.FailedSaves++
 		a.failed = err
 	}

@@ -2,7 +2,7 @@ package fti
 
 import (
 	"errors"
-	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -130,13 +130,16 @@ func TestAsyncAtMostOneInFlightBackpressure(t *testing.T) {
 	}
 }
 
+// errPFS is the storage error failingPipeline's armed write returns.
+var errPFS = errors.New("pfs exploded")
+
 // failingPipeline is a pipeline over Raw whose next write fails once
 // failNext is set, and its storage.
 func failingPipeline() (*AsyncCheckpointer, *Checkpointer, *atomic.Bool) {
 	var failNext atomic.Bool
 	st := &hookStorage{Storage: NewMemStorage(), onWrite: func(string) error {
 		if failNext.CompareAndSwap(true, false) {
-			return fmt.Errorf("pfs exploded")
+			return errPFS
 		}
 		return nil
 	}}
@@ -160,11 +163,12 @@ func TestAsyncErrorSurfacedOnNextSave(t *testing.T) {
 		t.Fatalf("SaveAsync itself must not fail, the write does: %v", err)
 	}
 	a.WaitBackpressure()
-	// Peek reports the failure and leaves it with the pipeline, however
-	// often it is asked.
+	// Peek reports the failure, named by the checkpoint it was
+	// committing and unwrapping to the storage error, and leaves it with
+	// the pipeline, however often it is asked.
 	for range 2 {
-		var ase *AsyncSaveError
-		if _, done, err := a.Peek(); !done || !errors.As(err, &ase) || ase.Seq != 2 {
+		_, done, err := a.Peek()
+		if !done || !errors.Is(err, errPFS) || !strings.Contains(err.Error(), ckptName(2)) {
 			t.Fatalf("Peek after the failed write: done=%v err=%v", done, err)
 		}
 	}
@@ -189,6 +193,28 @@ func TestAsyncErrorSurfacedOnNextSave(t *testing.T) {
 	}
 	if info, _, _ := a.Peek(); info.Seq != 2 {
 		t.Fatalf("committed seq %d, want 2 (failed save rolled back)", info.Seq)
+	}
+}
+
+// TestAsyncSaveFailureKeepsItsFaultError: a background save that
+// exhausts the resilient storage layer's retries surfaces that layer's
+// *FaultError — attempts and class — through the pipeline's wrap, as a
+// synchronous save returns it.
+func TestAsyncSaveFailureKeepsItsFaultError(t *testing.T) {
+	fs := newFlakyStore(&classedErr{ClassTransient})
+	fs.fail("write", ckptName(1), 100)
+	r := NewResilient(fs, FaultPolicy{MaxRetries: 2, Sleep: func(time.Duration) {}})
+	a := NewAsync(New(r, Raw{}))
+	if _, err := a.SaveAsync(testSnapshot(1, sparse.SmoothField(100, 4))); err != nil {
+		t.Fatal(err)
+	}
+	err := a.Flush()
+	var fe *FaultError
+	if !errors.As(err, &fe) || fe.Attempts != 3 || fe.Class != ClassTransient {
+		t.Fatalf("want the 3-attempt transient *FaultError, got %v", err)
+	}
+	if ClassifyError(err) != ClassTransient || !strings.HasPrefix(err.Error(), "fti: async save "+ckptName(1)+": ") {
+		t.Fatalf("async failure lost its class or its name: %v", err)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/fti/shard"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 	"repro/internal/sz"
 )
@@ -285,23 +287,24 @@ func TestCraftedLengthsDoNotPanic(t *testing.T) {
 	for _, name := range []string{"name-len-2pow63", "blob-len-2pow63"} {
 		data := craftedRawPayloads()[name].data
 		for _, cuts := range [][]int{nil, {len(data) / 2}} {
-			if _, err := restoreCut(data, cuts, map[string][]float64{"x": sentinelTarget(4)}); err == nil {
+			if _, err := restoreCut(Raw{}, data, cuts, map[string][]float64{"x": sentinelTarget(4)}); err == nil {
 				t.Errorf("%s cuts=%v: restored", name, cuts)
 			}
 		}
 	}
 }
 
-// restoreCut restores data as what is stored under a checkpoint's name:
-// the object itself with no cuts, else the shard group cut at the given
-// payload offsets (ascending, inside the payload).
-func restoreCut(data []byte, cuts []int, targets map[string][]float64) (*Snapshot, error) {
+// restoreCut restores data with enc as what is stored under a
+// checkpoint's name: the object itself with no cuts, else the shard
+// group cut at the given payload offsets (ascending, inside the
+// payload).
+func restoreCut(enc Encoder, data []byte, cuts []int, targets map[string][]float64) (*Snapshot, error) {
 	st := NewMemStorage()
-	c := New(st, Raw{})
+	c := New(st, enc)
 	if len(cuts) == 0 {
 		return c.decodeObject(data, new(RestoreAttempt), targets)
 	}
-	man := &shard.Manifest{Encoder: "raw", Total: len(data)}
+	man := &shard.Manifest{Encoder: enc.Name(), Total: len(data)}
 	for i, start := 0, 0; i <= len(cuts); i++ {
 		end := len(data)
 		if i < len(cuts) {
@@ -349,42 +352,81 @@ func TestRawHeaderMismatchLeavesTargetUntouched(t *testing.T) {
 	}
 }
 
+// fuzzEncoders are the encoders FuzzDecodeSnapshotInto restores with,
+// by its selector: the raw image, and the two blocked containers (flate
+// and SZ), whose headers and blocks the walk schedules per chunk.
+var fuzzEncoders = []Encoder{Raw{}, Lossless{Codec: codec.BlockedFlate{}}, SZ{}}
+
+// containerValues is how many values the blocked containers in data
+// hold by their own headers, under the codec's allocation guards: what
+// a restore may decode (and, without a target, allocate) beyond its
+// framing. 0 for a raw payload and for anything that does not frame.
+func containerValues(data []byte, enc Encoder) (n uint64) {
+	if enc.Blocks() == nil {
+		return 0
+	}
+	referenceWalk(data, enc, func(_ string, _ uint64, blob []byte) ([]float64, error) {
+		if lay, err := codec.ParseBlockLayout(codec.Whole(blob), len(blob)); err == nil {
+			n += uint64(lay.N)
+		}
+		return nil, nil
+	})
+	return n
+}
+
 // FuzzDecodeSnapshotInto: any bytes, with and without a valid CRC
-// trailer put behind them, either fail to decode or decode to what the
-// target-free restore and the reassembling reference decoder return,
-// without panicking and without allocating more than a multiple of the
-// input; a target is written in full or not at all, and a vector of its
-// target's length is decoded nowhere else. The sealed bytes are then
-// restored as groups of two and three shards cut at the fuzzer's
-// offsets — header, lengths and elements stitched across chunks — and
-// must meet the same verdict with a bitwise-same snapshot: there is
-// one walk, and the layout is not its business.
+// trailer put behind them, restored with the encoder the selector picks
+// (raw, lossless flate or SZ), either fail to decode or decode to what
+// the target-free restore and the reassembling reference decoder
+// return, without panicking and without allocating more than a
+// multiple of the input — plus, for a blocked container, the values its
+// guarded header admits and the decoders' pools. A raw target is
+// written in full or not at all, and a vector of its target's length is
+// decoded nowhere else. The sealed bytes are then restored as groups of
+// two and three shards cut at the fuzzer's offsets — header, lengths,
+// elements and blocks stitched across chunks — and must meet the same
+// verdict with a bitwise-same snapshot: there is one walk, and the
+// layout is not its business.
 func FuzzDecodeSnapshotInto(f *testing.F) {
 	for _, c := range craftedRawPayloads() {
-		f.Add(c.data[:len(c.data)-4], uint16(4), uint16(21), uint16(50))
+		f.Add(c.data[:len(c.data)-4], uint16(4), uint16(21), uint16(50), uint8(0))
 	}
 	good, _, _, err := encodeSnapshot(streamSnap(12, rawBits(40, 1), rawBits(7, 2)), Raw{}, nil, false, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good[:len(good)-4], uint16(40), uint16(100), uint16(101))
-	f.Add(good[:len(good)-4], uint16(7), uint16(3), uint16(398))
-	f.Add(good[:len(good)/2], uint16(40), uint16(0), uint16(9))
-	// A compressed vector predicted over its grid, for what the header
-	// and length walk make of bytes that are not raw elements.
-	grid, _, _, err := encodeSnapshot(streamSnap(12, gridIterate(12), sparse.SmoothField(7, 2)), SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-5}}, nil, false, 0, nil)
-	if err != nil {
-		f.Fatal(err)
+	f.Add(good[:len(good)-4], uint16(40), uint16(100), uint16(101), uint8(0))
+	f.Add(good[:len(good)-4], uint16(7), uint16(3), uint16(398), uint8(0))
+	f.Add(good[:len(good)/2], uint16(40), uint16(0), uint16(9), uint8(0))
+	// Each compressing encoder's container of a grid iterate, in blocks
+	// of 512 values so that cuts fall between and inside blocks.
+	for sel, enc := range []Encoder{
+		Lossless{Codec: codec.BlockedFlate{BlockElems: 512}},
+		SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-5, BlockSize: 512}},
+	} {
+		blocked, _, _, err := encodeSnapshot(streamSnap(12, gridIterate(12), sparse.SmoothField(7, 2)), enc, nil, false, 0, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blocked[:len(blocked)-4], uint16(1728), uint16(300), uint16(2000), uint8(sel+1))
+		f.Add(blocked[:len(blocked)-4], uint16(7), uint16(len(blocked)/2), uint16(len(blocked)-9), uint8(sel+1))
 	}
-	f.Add(grid[:len(grid)-4], uint16(1728), uint16(300), uint16(2000))
-	f.Fuzz(func(t *testing.T, body []byte, n, cutA, cutB uint16) {
+	f.Fuzz(func(t *testing.T, body []byte, n, cutA, cutB uint16, sel uint8) {
 		n %= 1 << 12
+		enc := fuzzEncoders[int(sel)%len(fuzzEncoders)]
+		_, raw := enc.(Raw)
 		data := sealed(bytes.Clone(body))
 		newTargets := func() map[string][]float64 {
 			return map[string][]float64{"x": sentinelTarget(int(n)), "p": sentinelTarget(int(n))}
 		}
-		// A target is never left half-written, accepted or not.
+		// A raw target is never left half-written, accepted or not; a
+		// container's blocks decode into it one by one, so a rejected one
+		// may have written some (Restore's contract: the fallback
+		// overwrites them), an accepted one has written it all.
 		fullOrNot := func(label string, targets map[string][]float64, err error) {
+			if !raw && err != nil {
+				return
+			}
 			for name, target := range targets {
 				written := 0
 				for _, e := range target {
@@ -402,21 +444,27 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 		// nothing written.
 		targets := newTargets()
 		selfSealed := len(body) >= 4 && bytes.Equal(sealed(bytes.Clone(body[:len(body)-4])), body)
-		if _, err := restoreCut(body, nil, targets); err == nil && !selfSealed {
+		if _, err := restoreCut(enc, body, nil, targets); err == nil && !selfSealed {
 			t.Fatal("restored a checkpoint whose CRC does not match")
 		}
 		fullOrNot("unsealed", targets, nil)
 
 		targets = newTargets()
 		var got *Snapshot
-		allocated := allocatedBytes(func() { got, err = restoreCut(data, nil, targets) })
+		allocated := allocatedBytes(func() { got, err = restoreCut(enc, data, nil, targets) })
 		// Names, map entries and the vectors without a target: each
-		// costs input bytes.
-		if limit := uint64(64*len(data) + 16<<10); allocated > limit {
+		// costs input bytes. A container's values cost their output and
+		// decode scratch, as codec's FuzzContainer allows a decode, and
+		// its decoders' cold pools (float scratch, inflaters) a constant.
+		limit := uint64(64*len(data) + 16<<10)
+		if !raw {
+			limit += 72*containerValues(data, enc) + 1<<20 + 64<<10*uint64(parallel.Workers())
+		}
+		if allocated > limit {
 			t.Fatalf("%d input bytes allocated %d", len(data), allocated)
 		}
 		fullOrNot("monolithic", targets, err)
-		want, werr := restoreCut(data, nil, nil)
+		want, werr := restoreCut(enc, data, nil, nil)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("with targets: %v; without: %v", err, werr)
 		}
@@ -427,7 +475,7 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 					t.Fatalf("%q matches its target's length and was decoded elsewhere", name)
 				}
 			}
-			ref, rerr := referenceDecode(data, Raw{})
+			ref, rerr := referenceDecode(data, enc)
 			if rerr != nil {
 				t.Fatalf("restored, and the reference decoder says: %v", rerr)
 			}
@@ -443,7 +491,7 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 				continue // an empty shard: a writer never cuts one
 			}
 			targets := newTargets()
-			sharded, serr := restoreCut(data, cuts, targets)
+			sharded, serr := restoreCut(enc, data, cuts, targets)
 			fullOrNot(fmt.Sprint("cuts ", cuts), targets, serr)
 			if (serr == nil) != (err == nil) {
 				t.Fatalf("monolithic: %v; cut at %v: %v", err, cuts, serr)

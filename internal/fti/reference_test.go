@@ -43,7 +43,23 @@ func (c *Checkpointer) RestoreReassembled() (*Snapshot, error) {
 // referenceDecode decodes a contiguous checkpoint payload. It trusts
 // lengths only as far as slicing checks them: it is handed payloads the
 // tests wrote, or ones the walk under test has already accepted.
-func referenceDecode(data []byte, enc Encoder) (s *Snapshot, err error) {
+func referenceDecode(data []byte, enc Encoder) (*Snapshot, error) {
+	return referenceWalk(data, enc, func(name string, elems uint64, blob []byte) ([]float64, error) {
+		if elems > 1<<24 { // no test restores a vector near this long
+			return nil, fmt.Errorf("vector %q claims %d values", name, elems)
+		}
+		v := make([]float64, elems)
+		if err := enc.DecodeInto(v, blob); err != nil {
+			return nil, fmt.Errorf("decode vector %q: %w", name, err)
+		}
+		return v, nil
+	})
+}
+
+// referenceWalk checks a contiguous payload's CRC and framing with
+// plain offsets and hands each vector's name, declared count and blob
+// to vector, whose result the snapshot keeps.
+func referenceWalk(data []byte, enc Encoder, vector func(name string, elems uint64, blob []byte) ([]float64, error)) (s *Snapshot, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s, err = nil, fmt.Errorf("reference decoder: %v", r)
@@ -88,13 +104,9 @@ func referenceDecode(data []byte, enc Encoder) (s *Snapshot, err error) {
 	for n := uvarint(); n > 0; n-- {
 		name := string(take(uvarint()))
 		elems := uvarint()
-		blob := take(uvarint())
-		if elems > 1<<24 { // no test restores a vector near this long
-			return nil, fmt.Errorf("vector %q claims %d values", name, elems)
-		}
-		v := make([]float64, elems)
-		if err := enc.DecodeInto(v, blob); err != nil {
-			return nil, fmt.Errorf("decode vector %q: %w", name, err)
+		v, err := vector(name, elems, take(uvarint()))
+		if err != nil {
+			return nil, err
 		}
 		s.Vectors[name] = v
 	}

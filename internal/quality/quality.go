@@ -81,14 +81,15 @@ type Record struct {
 	// rule), or the blob did not decode at all.
 	Violated bool `json:"violated"`
 
-	// ResidualAtSave is the solver residual norm nearest (at or
-	// before) the checkpoint's iteration, when the driver feeds
-	// residuals; 0 otherwise.
+	// ResidualAtSave is the solver residual norm the saver read when
+	// it opened this save (ObserveResidual at the save's iteration);
+	// 0 when the save was not opened through a core.Manager.
 	ResidualAtSave float64 `json:"residual_at_save,omitempty"`
 }
 
-// Distortion aggregates a checkpoint's audited vectors — the shape a
-// RecoveryEntry tags an adopted checkpoint with.
+// Distortion aggregates one save's audited vectors — the shape a
+// RecoveryEntry tags an adopted checkpoint with. DistortionFor derives
+// it from the retained records.
 type Distortion struct {
 	Seq            int     `json:"seq"`
 	Iteration      int     `json:"iteration"`
@@ -99,14 +100,7 @@ type Distortion struct {
 	Relative       bool    `json:"relative"`
 	Lossy          bool    `json:"lossy"`
 	Violated       bool    `json:"violated"`
-
-	sumErr float64
-	elems  int
 }
-
-// residRing is a fixed window of recent (iteration, residual)
-// observations for residual-at-save lookup.
-const residRing = 1024
 
 // Auditor implements fti.SaveAudit. All methods are nil-safe and
 // mutex-guarded.
@@ -119,26 +113,25 @@ type Auditor struct {
 
 	records []Record
 	dropped int
-	bySeq   map[int]*Distortion
-	seqs    []int // insertion order, for pruning bySeq alongside records
 
-	// Residual trajectory window.
-	iters  [residRing]int
-	resids [residRing]float64
-	rn     int // total observations (ring head = rn % residRing)
+	// The residual the saver read when it opened the newest save, and
+	// that save's iteration. One pair is enough: a save is audited
+	// before the next one is opened (an async save is drained first).
+	saveIter  int
+	saveResid float64
 }
 
 // The Auditor plugs straight into the checkpointer's audit hook.
 var _ fti.SaveAudit = (*Auditor)(nil)
 
-// New builds an Auditor. Pass the result to Manager.InstrumentQuality;
-// core.Drive feeds it residuals on a measured run (a modelled run is
+// New builds an Auditor. Pass the result to Manager.InstrumentQuality,
+// which hands it the residual of every save it opens (a modelled run is
 // unobserved). Its spans are on the tracer's wall clock.
 func New(cfg Config) *Auditor {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = DefaultSampleEvery
 	}
-	return &Auditor{cfg: cfg, bySeq: make(map[int]*Distortion)}
+	return &Auditor{cfg: cfg}
 }
 
 // Instrument attaches a metrics registry and tracer; nil+nil
@@ -206,8 +199,14 @@ func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64,
 	wallDur := time.Since(wallStart).Seconds()
 
 	a.mu.Lock()
-	rec.ResidualAtSave = a.residualAtLocked(iteration)
-	a.appendRecordLocked(rec)
+	if iteration == a.saveIter {
+		rec.ResidualAtSave = a.saveResid
+	}
+	if len(a.records) >= DefaultMaxRecords {
+		a.records = append(a.records[:0], a.records[1:]...)
+		a.dropped++
+	}
+	a.records = append(a.records, rec)
 	reg, tr := a.reg, a.tr
 	a.mu.Unlock()
 
@@ -321,84 +320,25 @@ func decodeDistortion(live []float64, blob []byte, enc fti.Encoder, bi fti.Bound
 	return d
 }
 
-// appendRecordLocked stores rec (bounded) and folds it into the
-// per-checkpoint distortion aggregate.
-func (a *Auditor) appendRecordLocked(rec Record) {
-	if len(a.records) >= DefaultMaxRecords {
-		a.records = append(a.records[:0], a.records[1:]...)
-		a.dropped++
-	}
-	a.records = append(a.records, rec)
-
-	d := a.bySeq[rec.Seq]
-	if d == nil {
-		d = &Distortion{Seq: rec.Seq, Iteration: rec.Iteration}
-		a.bySeq[rec.Seq] = d
-		a.seqs = append(a.seqs, rec.Seq)
-		// Prune the oldest aggregates alongside the record cap.
-		for len(a.seqs) > DefaultMaxRecords {
-			delete(a.bySeq, a.seqs[0])
-			a.seqs = a.seqs[1:]
-		}
-	}
-	d.Vectors++
-	if rec.MaxError > d.MaxError {
-		d.MaxError = rec.MaxError
-	}
-	d.sumErr += rec.MeanError * float64(rec.Elements)
-	d.elems += rec.Elements
-	if d.elems > 0 {
-		d.MeanError = d.sumErr / float64(d.elems)
-	}
-	if rec.Lossy {
-		d.Lossy = true
-	}
-	if rec.RequestedBound > d.RequestedBound {
-		d.RequestedBound = rec.RequestedBound
-		d.Relative = rec.Relative
-	}
-	if rec.Violated {
-		d.Violated = true
-	}
-}
-
-// ObserveResidual feeds one solver residual observation (iteration,
-// residual norm) into the window ResidualAtSave is read from. Call once
-// per iteration, after the solver step; it is read-only with respect to
-// solver state. Nil-safe.
+// ObserveResidual records the residual norm rnorm the saver read at
+// iteration iter, as it opened a save: the ResidualAtSave of that
+// save's records. core.Manager calls it for every save it opens; it is
+// read-only with respect to solver state. Nil-safe.
 func (a *Auditor) ObserveResidual(iter int, rnorm float64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.iters[a.rn%residRing] = iter
-	a.resids[a.rn%residRing] = rnorm
-	a.rn++
+	a.saveIter, a.saveResid = iter, rnorm
 	a.mu.Unlock()
 }
 
-// residualAtLocked returns the observed residual at the latest
-// iteration ≤ iter, or 0 when none is known.
-func (a *Auditor) residualAtLocked(iter int) float64 {
-	n := a.rn
-	if n > residRing {
-		n = residRing
-	}
-	best, bestIter, found := 0.0, -1, false
-	for i := 0; i < n; i++ {
-		idx := (a.rn - 1 - i) % residRing
-		if a.iters[idx] <= iter && a.iters[idx] > bestIter {
-			best, bestIter, found = a.resids[idx], a.iters[idx], true
-		}
-	}
-	if !found {
-		return 0
-	}
-	return best
-}
-
-// DistortionFor returns a copy of the audited distortion aggregate
-// for checkpoint sequence seq, or nil if that save was not sampled.
+// DistortionFor aggregates the retained records of the newest save
+// under sequence seq, or returns nil if no such save was sampled (or
+// its records were evicted). A save's records are contiguous, one per
+// vector name, so the walk back from the newest record of seq stops at
+// another sequence or at a name it has already seen: a save aborted
+// under seq, whose number the next save reused, is not merged into it.
 // Nil-safe.
 func (a *Auditor) DistortionFor(seq int) *Distortion {
 	if a == nil {
@@ -406,12 +346,36 @@ func (a *Auditor) DistortionFor(seq int) *Distortion {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	d := a.bySeq[seq]
-	if d == nil {
+	end := len(a.records)
+	for end > 0 && a.records[end-1].Seq != seq {
+		end--
+	}
+	if end == 0 {
 		return nil
 	}
-	cp := *d
-	return &cp
+	start, seen := end-1, map[string]bool{a.records[end-1].Vector: true}
+	for start > 0 && a.records[start-1].Seq == seq && !seen[a.records[start-1].Vector] {
+		start--
+		seen[a.records[start].Vector] = true
+	}
+	d := &Distortion{Seq: seq, Iteration: a.records[start].Iteration}
+	var sumErr float64
+	var elems int
+	for _, rec := range a.records[start:end] {
+		d.Vectors++
+		d.MaxError = max(d.MaxError, rec.MaxError)
+		sumErr += rec.MeanError * float64(rec.Elements)
+		elems += rec.Elements
+		d.Lossy = d.Lossy || rec.Lossy
+		d.Violated = d.Violated || rec.Violated
+		if rec.RequestedBound > d.RequestedBound {
+			d.RequestedBound, d.Relative = rec.RequestedBound, rec.Relative
+		}
+	}
+	if elems > 0 {
+		d.MeanError = sumErr / float64(elems)
+	}
+	return d
 }
 
 // Records returns a copy of the retained per-vector audit records.

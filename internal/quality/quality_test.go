@@ -99,6 +99,53 @@ func TestEncodePathAuditRecordsBoundedDistortion(t *testing.T) {
 	}
 }
 
+// TestDistortionForReusedSeqIsTheNewestSave: a save aborted under seq
+// 11 leaves its records behind, and the next save reuses the number.
+// The aggregate a recovery of seq 11 reports is the newer save's alone.
+func TestDistortionForReusedSeqIsTheNewestSave(t *testing.T) {
+	x := rampState(1024)
+	enc := fti.SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}}
+	blob, err := enc.Encode(nil, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(Config{SampleEvery: 1})
+	a.ObserveVector(10, 250, "x", x, blob, enc)
+	a.ObserveVector(11, 260, "x", x, blob, enc) // aborted
+	a.ObserveVector(11, 275, "x", x, blob, enc) // adopted
+	d := a.DistortionFor(11)
+	if d == nil || d.Seq != 11 || d.Iteration != 275 || d.Vectors != 1 {
+		t.Fatalf("DistortionFor(11) = %+v, want the iteration-275 save's one vector", d)
+	}
+	if d := a.DistortionFor(10); d == nil || d.Iteration != 250 || d.Vectors != 1 {
+		t.Fatalf("DistortionFor(10) = %+v", d)
+	}
+}
+
+// TestResidualAtSaveIsTheSaversReading: a record carries the residual
+// observed at its own save's iteration, and none from another save.
+func TestResidualAtSaveIsTheSaversReading(t *testing.T) {
+	x := rampState(256)
+	enc := fti.Raw{}
+	blob, err := enc.Encode(nil, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(Config{SampleEvery: 1})
+	a.ObserveResidual(20, 0.5)
+	a.ObserveVector(1, 20, "p", x, blob, enc)
+	a.ObserveVector(1, 20, "x", x, blob, enc)
+	a.ObserveVector(2, 30, "x", x, blob, enc) // opened without a reading
+	recs := a.Records()
+	if recs[0].ResidualAtSave != 0.5 || recs[1].ResidualAtSave != 0.5 || recs[2].ResidualAtSave != 0 {
+		t.Fatalf("residuals at save %g, %g, %g; want 0.5, 0.5, 0",
+			recs[0].ResidualAtSave, recs[1].ResidualAtSave, recs[2].ResidualAtSave)
+	}
+	if d := a.DistortionFor(1); d == nil || d.Vectors != 2 || d.Iteration != 20 {
+		t.Fatalf("DistortionFor(1) = %+v, want both vectors of the save", d)
+	}
+}
+
 // corruptEncoder violates its declared contract: the stored bytes
 // decode to values shifted by 10× the advertised absolute bound.
 type corruptEncoder struct {
