@@ -208,7 +208,13 @@ func AppendEncode(dst []byte, symbols []int, alphabet int) ([]byte, error) {
 		enc.syms = distinct
 		encoderPool.Put(enc)
 	}()
-	for _, s := range symbols {
+	rest := symbols
+	if useKernels { // the kernel counts a prefix (encode_amd64.s says which), the Go loop the rest
+		distinct = slices.Grow(distinct, 2048) // the kernel's window, 512, and 1,536 more
+		nd, stop := countKernel(symbols, freq, distinct[:cap(distinct)])
+		distinct, rest = distinct[:nd], symbols[stop:]
+	}
+	for _, s := range rest {
 		if uint(s) >= uint(alphabet) {
 			return nil, fmt.Errorf("huffman: symbol %d outside alphabet [0,%d)", s, alphabet)
 		}
@@ -254,6 +260,9 @@ func AppendEncode(dst []byte, symbols []int, alphabet int) ([]byte, error) {
 // stores all 8 bytes of the accumulator and advances past the complete
 // ones, so buf must be 8 bytes longer than the stream.
 func emitBits(buf []byte, symbols []int, packed []uint64) int {
+	if useKernels {
+		return emitKernel(buf, symbols, packed)
+	}
 	var acc uint64 // bits above the low nbits are stale and shifted out on store
 	var nbits uint
 	idx := 0

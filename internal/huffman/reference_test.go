@@ -1,8 +1,10 @@
 package huffman
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -306,4 +308,198 @@ func TestReaderReadsPastNothing(t *testing.T) {
 			checkAgainstOneCode(t, enc[:cut], 3)
 		}
 	}
+}
+
+// The histogram loop and emitBits the encode kernels (encode_amd64.s)
+// replaced, kept as their reference: AppendEncode must count the same
+// freq and distinct set and write the same bits on either path.
+
+// refHistogram is the one-chain histogram: freq spans the alphabet and
+// is all-zero on entry; the distinct symbols come back unordered.
+func refHistogram(symbols []int, freq []uint64) (distinct []int) {
+	for _, s := range symbols {
+		if freq[s] == 0 {
+			distinct = append(distinct, s)
+		}
+		freq[s]++
+	}
+	return distinct
+}
+
+// refEmitBits is emitBits one code at a time through one accumulator.
+func refEmitBits(buf []byte, symbols []int, packed []uint64) int {
+	var acc uint64
+	var nbits uint
+	idx := 0
+	for _, s := range symbols {
+		e := packed[s]
+		l := uint(e & 63)
+		if nbits+l > 64 {
+			binary.BigEndian.PutUint64(buf[idx:], acc<<((64-nbits)&63))
+			idx += int(nbits >> 3)
+			nbits &= 7
+		}
+		acc = acc<<(l&63) | e>>6
+		nbits += l
+	}
+	binary.BigEndian.PutUint64(buf[idx:], acc<<((64-nbits)&63))
+	return idx + int((nbits+7)>>3)
+}
+
+// refAppendEncode is AppendEncode through the reference loops.
+func refAppendEncode(symbols []int, alphabet int) []byte {
+	freq, packed := make([]uint64, alphabet), make([]uint64, alphabet)
+	distinct := refHistogram(symbols, freq)
+	slices.Sort(distinct)
+	n := len(distinct)
+	counts := codeLengths(freq, distinct, make([]int, 2*n), packed)
+	out := binary.AppendUvarint(nil, uint64(len(symbols)))
+	out = binary.AppendUvarint(out, uint64(alphabet))
+	out = binary.AppendUvarint(out, uint64(n))
+	totalBits := uint64(0)
+	for _, sym := range distinct {
+		out = binary.AppendUvarint(out, uint64(sym))
+		out = append(out, byte(packed[sym]))
+		totalBits += freq[sym] * packed[sym]
+	}
+	canonicalCodes(distinct, &counts, packed)
+	start := len(out)
+	out = append(out, make([]byte, (totalBits+7)/8+8)...)
+	return out[:start+refEmitBits(out[start:], symbols, packed)]
+}
+
+// encodePaths runs f on the kernels, where this machine has them, and on
+// the Go loops.
+func encodePaths(t *testing.T, f func(t *testing.T)) {
+	have := useKernels
+	defer func() { useKernels = have }()
+	for _, on := range []bool{true, false} {
+		if on && !have {
+			continue
+		}
+		useKernels = on
+		t.Run(map[bool]string{true: "kernel", false: "portable"}[on], f)
+	}
+}
+
+// TestEncodeMatchesReference: AppendEncode's histogram (the kernel's
+// freq and sorted distinct set) and stream are the reference loops',
+// byte for byte, on the recorded SZ histograms, in and out of stream order; on
+// random alphabets from 1 to 2^20 symbols, uniform, crowded around the
+// middle (the count kernel's window) and crowded with a sixteenth and
+// with a half of outliers; on one-symbol streams; and on streams of
+// every length 0…9, which end the kernels' four- and two-symbol steps
+// at every offset.
+func TestEncodeMatchesReference(t *testing.T) {
+	type stream struct {
+		name     string
+		symbols  []int
+		alphabet int
+	}
+	var streams []stream
+	for _, name := range realBlocks {
+		s := realBlock(t, name)
+		streams = append(streams, stream{name, s, 65536})
+		sorted := slices.Clone(s)
+		slices.Sort(sorted)
+		streams = append(streams, stream{name + "/sorted", sorted, 65536})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, alphabet := range []int{1, 2, 3, 7, 100, 511, 512, 513, 1000, 65536, 1 << 20} {
+		for _, out := range []float64{0, 1.0 / 16, 0.5, 1} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 33333} {
+				s := make([]int, n)
+				for i := range s {
+					if rng.Float64() < out {
+						s[i] = rng.Intn(alphabet)
+					} else {
+						s[i] = min(max(alphabet/2+int(rng.NormFloat64()*20), 0), alphabet-1)
+					}
+				}
+				streams = append(streams, stream{fmt.Sprintf("alphabet %d, outliers %g, %d symbols", alphabet, out, n), s, alphabet})
+			}
+		}
+		for _, sym := range []int{0, alphabet / 2, alphabet - 1} {
+			streams = append(streams, stream{fmt.Sprintf("alphabet %d, one symbol %d", alphabet, sym), []int{sym}, alphabet},
+				stream{fmt.Sprintf("alphabet %d, symbol %d × 1000", alphabet, sym), slices.Repeat([]int{sym}, 1000), alphabet})
+		}
+	}
+	encodePaths(t, func(t *testing.T) {
+		for _, s := range streams {
+			// AppendEncode's call, with room for every symbol and with room
+			// for eight beside the window's 512: the kernel counts what the
+			// reference does up to where it stops, which with room is the
+			// end or where the symbols outside the window got dense.
+			for _, room := range []int{len(s.symbols) + 512, 520} {
+				if !useKernels {
+					break
+				}
+				freq, ref, got := make([]uint64, s.alphabet), make([]uint64, s.alphabet), make([]int, room)
+				nd, stop := countKernel(s.symbols, freq, got)
+				want := refHistogram(s.symbols[:stop], ref)
+				got = got[:nd]
+				slices.Sort(got)
+				slices.Sort(want)
+				if (room > 520 && stop != denseFrom(s.symbols, s.alphabet)) || !slices.Equal(got, want) || !slices.Equal(freq, ref) {
+					t.Fatalf("%s, room %d: the kernel counted %d distinct symbols to %d, the reference %d, or another histogram", s.name, room, nd, stop, len(want))
+				}
+			}
+			if out, err := AppendEncode(nil, s.symbols, s.alphabet); err != nil || !bytes.Equal(out, refAppendEncode(s.symbols, s.alphabet)) {
+				t.Fatalf("%s: AppendEncode wrote %d bytes (%v), not the reference stream", s.name, len(out), err)
+			}
+		}
+	})
+}
+
+// denseFrom is where countKernel, given room, hands a stream of symbols
+// in the alphabet to the Go loop: the first multiple of 1,024 with four
+// symbols behind it where more than 64 of the 1,024 before it fell
+// outside the window, or the end.
+func denseFrom(symbols []int, alphabet int) int {
+	lo := max(alphabet/2-256, 0)
+	w := min(512, alphabet-lo)
+	for at := 1024; at+4 <= len(symbols); at += 1024 {
+		outside := 0
+		for _, s := range symbols[at-1024 : at] {
+			if s < lo || s >= lo+w {
+				outside++
+			}
+		}
+		if outside > 64 {
+			return at
+		}
+	}
+	return len(symbols)
+}
+
+// TestEmitBitsMatchesReference: emitBits writes the reference's bytes
+// for codes of every length up to encMaxCodeLen, long ones side by side
+// (a pair longer than encMaxCodeLen enters the accumulator as its two
+// codes) and among short ones, at every bit alignment.
+func TestEmitBitsMatchesReference(t *testing.T) {
+	packed := make([]uint64, encMaxCodeLen+1)
+	for l := 1; l <= encMaxCodeLen; l++ {
+		// Any l-bit value will do for the bits; the top and bottom bits set
+		// show a misplaced shift.
+		packed[l] = (1<<(l-1)|1|uint64(l)*0x9E3779B97F4A7C15>>(64-l))<<6 | uint64(l)
+	}
+	rng := rand.New(rand.NewSource(11))
+	encodePaths(t, func(t *testing.T) {
+		for round := 0; round < 2000; round++ {
+			symbols := make([]int, rng.Intn(40))
+			for i := range symbols {
+				if rng.Intn(3) == 0 {
+					symbols[i] = encMaxCodeLen - rng.Intn(8)
+				} else {
+					symbols[i] = 1 + rng.Intn(encMaxCodeLen)
+				}
+			}
+			want := make([]byte, 8*len(symbols)+8)
+			got := make([]byte, 8*len(symbols)+8)
+			n, m := refEmitBits(want, symbols, packed), emitBits(got, symbols, packed)
+			if n != m || !bytes.Equal(got[:m], want[:n]) {
+				t.Fatalf("codes of lengths %v: emitBits wrote\n%x, want\n%x", symbols, got[:m], want[:n])
+			}
+		}
+	})
 }

@@ -111,8 +111,8 @@ type Auditor struct {
 	reg *obs.Registry
 	tr  *obs.Tracer
 
-	records []Record
-	dropped int
+	records       []Record // a ring once full: at(0), the oldest, is at head
+	head, dropped int
 
 	// The residual the saver read when it opened the newest save, and
 	// that save's iteration. One pair is enough: a save is audited
@@ -202,11 +202,12 @@ func (a *Auditor) ObserveVector(seq, iteration int, name string, live []float64,
 	if iteration == a.saveIter {
 		rec.ResidualAtSave = a.saveResid
 	}
-	if len(a.records) >= DefaultMaxRecords {
-		a.records = append(a.records[:0], a.records[1:]...)
+	if len(a.records) < DefaultMaxRecords {
+		a.records = append(a.records, rec)
+	} else { // evict the oldest
+		a.records[a.head], a.head = rec, (a.head+1)%len(a.records)
 		a.dropped++
 	}
-	a.records = append(a.records, rec)
 	reg, tr := a.reg, a.tr
 	a.mu.Unlock()
 
@@ -347,21 +348,22 @@ func (a *Auditor) DistortionFor(seq int) *Distortion {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	end := len(a.records)
-	for end > 0 && a.records[end-1].Seq != seq {
+	for end > 0 && a.at(end-1).Seq != seq {
 		end--
 	}
 	if end == 0 {
 		return nil
 	}
-	start, seen := end-1, map[string]bool{a.records[end-1].Vector: true}
-	for start > 0 && a.records[start-1].Seq == seq && !seen[a.records[start-1].Vector] {
+	start, seen := end-1, map[string]bool{a.at(end - 1).Vector: true}
+	for start > 0 && a.at(start-1).Seq == seq && !seen[a.at(start-1).Vector] {
 		start--
-		seen[a.records[start].Vector] = true
+		seen[a.at(start).Vector] = true
 	}
-	d := &Distortion{Seq: seq, Iteration: a.records[start].Iteration}
+	d := &Distortion{Seq: seq, Iteration: a.at(start).Iteration}
 	var sumErr float64
 	var elems int
-	for _, rec := range a.records[start:end] {
+	for k := start; k < end; k++ {
+		rec := a.at(k)
 		d.Vectors++
 		d.MaxError = max(d.MaxError, rec.MaxError)
 		sumErr += rec.MeanError * float64(rec.Elements)
@@ -386,8 +388,11 @@ func (a *Auditor) Records() []Record {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Record(nil), a.records...)
+	return append(append([]Record(nil), a.records[a.head:]...), a.records[:a.head]...)
 }
+
+// at is the k-th oldest retained record; a.mu must be held.
+func (a *Auditor) at(k int) *Record { return &a.records[(a.head+k)%len(a.records)] }
 
 // Dropped reports how many audit records were evicted by the
 // MaxRecords cap. Nil-safe.

@@ -318,6 +318,9 @@ func TestVerdictClassifiesStabilityRegion(t *testing.T) {
 	}
 }
 
+// TestRecordCapEvictsAndCounts: past DefaultMaxRecords the oldest
+// record goes first, one per audit — twice round the ring and one more
+// — and what is left reads oldest-first, each save's aggregate with it.
 func TestRecordCapEvictsAndCounts(t *testing.T) {
 	x := rampState(64)
 	enc := fti.Raw{}
@@ -326,18 +329,21 @@ func TestRecordCapEvictsAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := New(Config{SampleEvery: 1})
-	const audits = DefaultMaxRecords + 1
+	const audits = 2*DefaultMaxRecords + 1
 	for seq := 1; seq <= audits; seq++ {
 		a.ObserveVector(seq, seq*10, "x", x, blob, enc)
 	}
 	recs := a.Records()
-	if len(recs) != DefaultMaxRecords || a.Dropped() != 1 {
+	if len(recs) != DefaultMaxRecords || a.Dropped() != audits-DefaultMaxRecords {
 		t.Fatalf("cap=%d after %d audits: %d records, %d dropped", DefaultMaxRecords, audits, len(recs), a.Dropped())
 	}
-	if recs[0].Seq != 2 || recs[len(recs)-1].Seq != audits {
-		t.Fatalf("oldest record must be evicted first: seqs %d…%d", recs[0].Seq, recs[len(recs)-1].Seq)
+	for i, rec := range recs {
+		if want := audits - DefaultMaxRecords + 1 + i; rec.Seq != want || rec.Iteration != 10*want {
+			t.Fatalf("record %d is seq %d (iteration %d), want %d: the oldest must be evicted first", i, rec.Seq, rec.Iteration, want)
+		}
 	}
-	if a.DistortionFor(1) != nil || a.DistortionFor(2) == nil {
+	oldest := recs[0].Seq
+	if a.DistortionFor(oldest-1) != nil || a.DistortionFor(oldest) == nil || a.DistortionFor(audits).Iteration != 10*audits {
 		t.Fatal("the evicted checkpoint's aggregate must go with its record, and only it")
 	}
 	if !recs[0].Exact || recs[0].Lossy {

@@ -3,9 +3,11 @@ package sz
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -280,8 +282,8 @@ func TestBlockedInvalidParams(t *testing.T) {
 	}
 }
 
-// TestBlockedNonFiniteDetected: the parallel scan must report the
-// smallest offending index deterministically.
+// TestBlockedNonFiniteDetected: the blocks refuse a NaN or an Inf as
+// they meet it, and the error names the smallest offending index.
 func TestBlockedNonFiniteDetected(t *testing.T) {
 	x := blockedInput(100000, 29)
 	x[70000] = math.Inf(1)
@@ -293,6 +295,66 @@ func TestBlockedNonFiniteDetected(t *testing.T) {
 	want := "sz: non-finite value at index 70000"
 	if err.Error() != want {
 		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// TestNonFiniteRefusalMatrix: no block stores a NaN or an Inf as an
+// unpredictable value. Each of NaN, ±Inf and a NaN with payload bits,
+// put at the edges of blocks, in each row of a kernel call, beside a
+// zero (the two-pass path), on the 1-D path and under Abs and RelRange
+// — where a NaN can hide from the range ([5, NaN, 5]) — is refused
+// with the smallest index, at 1, 2 and 7 workers, on either path. The
+// grid is 20×30×16 in blocks of four slabs.
+func TestNonFiniteRefusalMatrix(t *testing.T) { kernelPaths(t, nonFiniteRefusals) }
+
+func nonFiniteRefusals(t *testing.T) {
+	const nx, slab, blk = 20, 600, 4 * 600
+	pwrel := Params{Mode: PWRel, ErrorBound: 1e-4, BlockSize: blk}
+	cases := []struct {
+		name  string
+		p     Params
+		at    []int // where the value goes; the smallest is reported
+		zero  int   // where a zero goes, if > 0
+		small []float64
+	}{
+		{name: "first of a block", p: pwrel, at: []int{0}},
+		{name: "last of a block", p: pwrel, at: []int{blk - 1}},
+		{name: "block boundary", p: pwrel, at: []int{2 * blk, 3*blk - 1}},
+		{name: "later blocks too", p: pwrel, at: []int{3*blk + 5, blk + 7, 2*blk + 1}},
+		{name: "kernel row 0", p: pwrel, at: []int{blk + slab + 9}},
+		{name: "kernel row 1", p: pwrel, at: []int{blk + slab + nx + 9}},
+		{name: "kernel row 2", p: pwrel, at: []int{blk + slab + 2*nx + 9}},
+		{name: "kernel row 3", p: pwrel, at: []int{blk + slab + 3*nx + 9, blk + slab + 4*nx + 9}},
+		{name: "beside a zero", p: pwrel, at: []int{2*blk + 100}, zero: 2*blk + 40},
+		{name: "1-D", p: Params{Mode: PWRel, ErrorBound: 1e-4, BlockSize: blk, Predictor: PredictorLorenzo}, at: []int{blk + 3}},
+		{name: "Abs", p: Params{Mode: Abs, ErrorBound: 1e-6, BlockSize: blk}, at: []int{3 * blk, blk + slab + nx}},
+		{name: "RelRange", p: Params{Mode: RelRange, ErrorBound: 1e-4, BlockSize: blk}, at: []int{blk - 1, 2 * blk}},
+		{name: "RelRange [5, v, 5]", p: Params{Mode: RelRange, ErrorBound: 1e-4}, at: []int{1}, small: []float64{5, 5, 5}},
+		{name: "RelRange [v, 5, 5]", p: Params{Mode: RelRange, ErrorBound: 1e-4}, at: []int{0}, small: []float64{5, 5, 5}},
+	}
+	bads := map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1),
+		"NaN payload": math.Float64frombits(0xfff0_0000_0000_0abc)}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	for _, c := range cases {
+		for name, bad := range bads {
+			x := append([]float64(nil), c.small...)
+			if x == nil {
+				x = gridField(nx, 30, 16, 0)
+			}
+			if c.zero > 0 {
+				x[c.zero] = 0
+			}
+			for _, i := range c.at {
+				x[i] = bad
+			}
+			want := fmt.Sprintf("sz: non-finite value at index %d", slices.Min(c.at))
+			for _, workers := range []int{1, 2, 7} {
+				parallel.SetWorkers(workers)
+				if _, err := Compress(x, c.p); err == nil || err.Error() != want {
+					t.Errorf("%s, %s, %d workers: Compress returned %v, want %q", c.name, name, workers, err, want)
+				}
+			}
+		}
 	}
 }
 

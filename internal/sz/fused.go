@@ -1,10 +1,6 @@
 package sz
 
-import (
-	"math"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // appendGridLogs is appendLogTransform in one pass, for the block a
 // checkpoint of a solver's iterate nearly always is: predicted over its
@@ -13,16 +9,16 @@ import (
 // taken, predicted from its reconstructed neighbours and quantized in
 // one loop, with no array of logarithms between the steps; the steps
 // are appendLogTransform's and appendCore's in their order, so the
-// bytes are theirs. Rows go two at a time through pair where they can.
-// signs is the block's signs bitmap inside bitmaps, all clear.
+// bytes are theirs. Rows go up to four at a time through rows where
+// they can. signs is the block's signs bitmap inside bitmaps, all clear.
 //
-// At a zero or a subnormal the pass stops: ok is false, nothing is
-// appended, and signs must be cleared again for the two-pass path,
-// which writes such a block.
+// At a zero, a subnormal, a NaN or an Inf the pass stops: ok is false,
+// nothing is appended, and signs must be cleared again for the two-pass
+// path, which writes such a block or refuses it.
 func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, sten stencil, intervals int) (out []byte, ok bool, err error) {
 	n, w := len(x), sten.s1
 	g := gridLogs{x: x, r: parallel.GetFloat64s(n)[:n], codes: parallel.GetInts(n)[:n], signs: signs,
-		zero: parallel.GetFloat64s(2 * w)[:2*w], sten: sten,
+		zero: parallel.GetFloat64s(4 * w)[:4*w], sten: sten,
 		inv: 1 / (2 * eb), twoEB: 2 * eb, eb: eb, limit: float64(intervals/2 - 1), half: intervals / 2}
 	unpred := parallel.GetFloat64s(0)
 	defer func() {
@@ -45,7 +41,7 @@ func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, 
 }
 
 // gridLogs is one block on its way through appendGridLogs: the values,
-// the reconstructed logarithms, the codes, the signs bitmap, two rows'
+// the reconstructed logarithms, the codes, the signs bitmap, four rows'
 // worth of zeros (what an absent neighbour row reads as), quantStep's
 // constants (half among them) and how many codes are 0.
 type gridLogs struct {
@@ -58,48 +54,25 @@ type gridLogs struct {
 	half, unpred          int
 }
 
-// encode runs the block's rows in order, two at a time where the
-// second reads the first as its row above (not across a slab
-// boundary) and rows are at least two long; false at a zero or a
-// subnormal.
+// encode runs the block's rows in order, two to four of a slab at a
+// time, each reading the one before as its row above; false at a zero,
+// a subnormal, a NaN or an Inf, and where the kernel takes no rows:
+// rows of one element, or slabs of one row.
 func (g *gridLogs) encode() bool {
 	n, s1, s2 := len(g.x), g.sten.s1, g.sten.s2
-	for b := 0; b < n; b += s1 {
-		if s1 > 1 && b+2*s1 <= n && (s2 == 0 || (b+s1)%s2 != 0) {
-			if !g.pair(b) {
-				return false
-			}
-			b += s1
-		} else if !g.row(b) {
+	for b := 0; b < n; {
+		left := (n - b) / s1 // whole rows left in the block
+		if s2 != 0 {
+			left = min(left, (s2-b%s2)/s1) // and in the slab
+		}
+		k := min(4, left)
+		if left == 5 { // 3 + 2, not 4 + 1
+			k = 3
+		}
+		if s1 < 2 || k < 2 || !g.rows(b, k) {
 			return false
 		}
-	}
-	return true
-}
-
-// row encodes the row that starts at element b; false at a zero or a
-// subnormal.
-func (g *gridLogs) row(b int) bool {
-	w := min(g.sten.s1, len(g.x)-b)
-	up, back, ub := g.sten.rows(g.r, g.zero, b, w)
-	r, codes := g.r[b:b+w], g.codes[b:b+w]
-	var prev float64
-	for j, xv := range g.x[b : b+w] {
-		bits := math.Float64bits(xv)
-		abs := bits &^ (1 << 63)
-		if abs < 1<<52 { // zero or subnormal
-			return false
-		}
-		if bits != abs {
-			g.signs[(b+j)>>3] |= 1 << (uint(b+j) & 7)
-		}
-		v := fastLog(abs)
-		code, rv := quantStep(v, predict(PredictorLorenzoND, prev, 0, up, back, ub, j), g.inv, g.twoEB, g.eb, g.limit, g.half)
-		if code == 0 {
-			g.unpred++
-		}
-		codes[j], r[j] = code, rv
-		prev = rv
+		b += k * s1
 	}
 	return true
 }

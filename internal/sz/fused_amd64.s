@@ -1,15 +1,16 @@
-// The row-pair kernel of appendGridLogs (fused.go).
+// The row kernel of appendGridLogs (fused.go).
 //
 // An element's quantization is a chain of seven dependent operations
 // through the reconstruction of the element before it (p = prev + c;
 // v − p; ×inv; +magic; −magic; ×2eb; +p), so one row runs at the
-// chain's latency whatever else the core could overlap. Two rows of a
-// slab are independent chains, except that the second reads the
-// first's reconstructions as its row above: the kernel runs row B one
-// element behind row A, so B's element t−1 needs only what A finished
-// in the step before. The logarithms are not on either chain: a first
-// loop takes fastLog of both rows four lanes at a time into the
-// reconstruction slots, which the chain then reads and overwrites.
+// chain's latency whatever else the core could overlap. The rows of a
+// slab are independent chains, except that each reads the one before
+// as its row above: the kernel runs up to four rows, each one element
+// behind the row before, so that row k's element t−k needs only what
+// row k−1 finished in the step before, and four chains overlap. The
+// logarithms are not on any chain: a first loop takes fastLog of all
+// the rows four lanes at a time into the reconstruction slots, which
+// the chains then read and overwrite.
 //
 // Every element is the Go loop's, operation for operation and in its
 // order: each lane of a packed operation and each scalar one rounds as
@@ -45,7 +46,8 @@ LANES(256, $0x3fe0000000000000) // 0.5
 LANES(288, $0x7fffffffffffffff) // |·|
 LANES(320, $0x0010000000000000) // the smallest normal
 LANES(352, $0x4338000000000000) // roundMagic = 1.5·2^52
-GLOBL logq<>(SB), RODATA|NOPTR, $384
+LANES(384, $0x7ff0000000000000) // +Inf
+GLOBL logq<>(SB), RODATA|NOPTR, $416
 
 // TAB(reg, off): reg ← 16·(top seven mantissa bits of the element at
 // byte offset R13+off), its row's offset in logTab.
@@ -80,25 +82,57 @@ GLOBL logq<>(SB), RODATA|NOPTR, $384
 	MOVQ      AX, (DI)(idx*1); \
 	VMOVSD    prev, (R8)(idx*1)
 
-// func gridPairAVX2(x, r []float64, codes []int, up, back, ub []float64, inv, twoEB, eb, limit float64, half int) (unpred int, signed, ok bool)
+// ROW(k8, lim, off, prev, prevrow, quant, pred, unpred, skip): row k
+// ≥ 1's element j = t − k, at byte offset off = 8t + k(8w − 8) of r,
+// codes and back (row k of the slab behind is back + kw), when the row
+// is there (lim, 8w or 0) and 0 ≤ j < w. Its row above is row k−1's
+// reconstruction and the row above its back row is row k−1's back row,
+// both one element ahead at prevrow, the offset of row k−1.
+#define ROW(k8, lim, off, prev, prevrow, quant, pred, unpred, skip) \
+	MOVQ     R13, CX;                      \
+	SUBQ     $k8, CX;                      \
+	CMPQ     CX, lim;                      \
+	JAE      skip;                         \
+	VMOVSD   (R8)(off*1), X0;              \
+	TESTQ    CX, CX;                       \
+	JNZ      pred;                         \
+	VMOVSD   -8(R8)(prevrow*1), X1;        \
+	VADDSD   (R10)(off*1), X1, X1;         \
+	VSUBSD   -8(R10)(prevrow*1), X1, X1;   \
+	JMP      quant;                        \
+pred:                                      \
+	VMOVSD   -8(R8)(prevrow*1), X1;        \
+	VSUBSD   -16(R8)(prevrow*1), X1, X1;   \
+	VMOVSD   (R10)(off*1), X2;             \
+	VSUBSD   -8(R10)(off*1), X2, X2;       \
+	VADDSD   X2, X1, X1;                   \
+	VMOVSD   -8(R10)(prevrow*1), X2;       \
+	VSUBSD   -16(R10)(prevrow*1), X2, X2;  \
+	VSUBSD   X2, X1, X1;                   \
+	VADDSD   prev, X1, X1;                 \
+quant:                                     \
+	QUANT(off, prev, unpred)
+
+// func gridRowsAVX2(x, r []float64, codes []int, up, back, ub []float64, inv, twoEB, eb, limit float64, half int) (unpred int, signed, ok bool)
 //
-// x, r and codes hold rows A and B, w ≥ 2 elements each; up, back and
-// ub are A's neighbour rows as stencil.rows gives them, back 2w
-// elements long (the zero rows are). B's are A's reconstructions (up),
-// the row after A's back (back) and A's back (ub). ok is false when a
-// value is zero or subnormal, signed true when one is negative.
-TEXT ·gridPairAVX2(SB), NOSPLIT, $0-194
+// x, r and codes hold two to four rows of w = len(up) ≥ 2 elements
+// each; up, back and ub are the first row's neighbour rows as
+// stencil.rows gives them, back as long as x (the zero rows are). Row
+// k's are row k−1's reconstructions (up), the row after row k−1's back
+// row (back) and row k−1's back row (ub). ok is false when a value is
+// zero, subnormal, NaN or infinite, signed true when one is negative.
+TEXT ·gridRowsAVX2(SB), NOSPLIT, $32-194
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), R12
-	SHLQ $3, R12 // the pair's bytes, 16w
+	SHLQ $3, R12 // the rows' bytes
 	MOVQ r_base+24(FP), R8
 	LEAQ ·logTab(SB), DI
 	XORQ R10, R10 // signs seen
-	XORQ R11, R11 // zeros and subnormals seen
+	XORQ R11, R11 // zeros, subnormals, NaNs and Infs seen
 	XORQ R13, R13
 
 	// r ← fastLog(|x|), four lanes at a time; the last four overlap the
-	// ones before when 2w is not a multiple of four.
+	// ones before when the rows' length is not a multiple of four.
 logs:
 	LEAQ 32(R13), AX
 	CMPQ AX, R12
@@ -110,6 +144,8 @@ group:
 	ORL        AX, R10
 	VANDPD     logq<>+288(SB), Y0, Y0
 	VCMPPD     $0x11, logq<>+320(SB), Y0, Y1 // |x| < smallest normal (LT_OQ)
+	VCMPPD     $0x15, logq<>+384(SB), Y0, Y5 // NaN or |x| = Inf: not below Inf (NLT_UQ)
+	VORPD      Y5, Y1, Y1
 	VMOVMSKPD  Y1, AX
 	ORL        AX, R11
 	VPSRLQ     $52, Y0, Y1
@@ -154,10 +190,31 @@ group:
 	TESTQ R10, R10
 	SETNE signed+192(FP)
 
-	// The two chains. Element t of A is at byte offset J = 8t (R13),
-	// element t−1 of B at K = 8(w+t−1) (R14); step t = 0 … w does A's
-	// element t (t < w) and then B's element t−1 (t ≥ 1).
-	SHRQ   $1, R12 // 8w
+	// The chains. Element t of row 0 is at byte offset 8t (R13), and
+	// step t does it (t < w) and then element t − k of each row k ≥ 1
+	// there is, at 8t + k(8w − 8) (R14, R15, DX). lim1…lim3 are 8w for
+	// the rows there are and 0 for the others; the last step, end, is
+	// row rows−1's last element.
+	MOVQ   up_len+80(FP), CX
+	MOVQ   x_len+8(FP), AX
+	XORQ   DX, DX
+	DIVQ   CX // rows
+	SHLQ   $3, CX
+	MOVQ   CX, R12 // 8w
+	XORQ   DX, DX
+	CMPQ   AX, $2
+	CMOVQGE CX, DX
+	MOVQ   DX, lim1-8(SP)
+	XORQ   DX, DX
+	CMPQ   AX, $3
+	CMOVQGE CX, DX
+	MOVQ   DX, lim2-16(SP)
+	XORQ   DX, DX
+	CMPQ   AX, $4
+	CMOVQGE CX, DX
+	MOVQ   DX, lim3-24(SP)
+	LEAQ   -16(R12)(AX*8), AX
+	MOVQ   AX, end-32(SP)
 	MOVQ   codes_base+48(FP), DI
 	MOVQ   up_base+72(FP), R9
 	MOVQ   back_base+96(FP), R10
@@ -176,18 +233,20 @@ group:
 	XORQ   BX, BX
 	XORQ   R13, R13
 	LEAQ   -8(R12), R14
+	LEAQ   (R14)(R14*1), R15
+	LEAQ   (R15)(R14*1), DX
 
 step:
 	CMPQ   R13, R12
-	JAE    rowB
+	JAE    row1
 	VMOVSD (R8)(R13*1), X0
 	TESTQ  R13, R13
-	JNZ    predA
+	JNZ    pred0
 	VMOVSD (R9), X1 // (up[0] + back[0]) − ub[0]
 	VADDSD (R10), X1, X1
 	VSUBSD (R11), X1, X1
-	JMP    quantA
-predA:
+	JMP    quant0
+pred0:
 	VMOVSD (R9)(R13*1), X1
 	VSUBSD -8(R9)(R13*1), X1, X1
 	VMOVSD (R10)(R13*1), X2
@@ -197,36 +256,22 @@ predA:
 	VSUBSD -8(R11)(R13*1), X2, X2
 	VSUBSD X2, X1, X1
 	VADDSD X5, X1, X1
-quantA:
-	QUANT(R13, X5, unpredA)
+quant0:
+	QUANT(R13, X5, unpred0)
 
-rowB:
-	TESTQ  R13, R13
-	JZ     next
-	VMOVSD (R8)(R14*1), X0
-	CMPQ   R13, $8
-	JNE    predB
-	VMOVSD (R8), X1 // (rA[0] + back[w]) − back[0]
-	VADDSD (R10)(R14*1), X1, X1
-	VSUBSD (R10), X1, X1
-	JMP    quantB
-predB:
-	VMOVSD -8(R8)(R13*1), X1
-	VSUBSD -16(R8)(R13*1), X1, X1
-	VMOVSD (R10)(R14*1), X2
-	VSUBSD -8(R10)(R14*1), X2, X2
-	VADDSD X2, X1, X1
-	VMOVSD -8(R10)(R13*1), X2
-	VSUBSD -16(R10)(R13*1), X2, X2
-	VSUBSD X2, X1, X1
-	VADDSD X6, X1, X1
-quantB:
-	QUANT(R14, X6, unpredB)
+row1:
+	ROW(8, lim1-8(SP), R14, X6, R13, quant1, pred1, unpred1, row2)
+row2:
+	ROW(16, lim2-16(SP), R15, X14, R14, quant2, pred2, unpred2, row3)
+row3:
+	ROW(24, lim3-24(SP), DX, X15, R15, quant3, pred3, unpred3, next)
 
 next:
 	ADDQ $8, R13
 	ADDQ $8, R14
-	CMPQ R13, R12
+	ADDQ $8, R15
+	ADDQ $8, DX
+	CMPQ R13, end-32(SP)
 	JLE  step
 	MOVQ BX, unpred+184(FP)
 	MOVB $1, ok+193(FP)
@@ -236,14 +281,26 @@ bail:
 	MOVB $0, ok+193(FP)
 	RET
 
-unpredA:
-	MOVQ   $0, (DI)(R13*1)
+unpred0:
+	MOVQ    $0, (DI)(R13*1)
 	VMOVAPD X0, X5
-	INCQ   BX
-	JMP    rowB
+	INCQ    BX
+	JMP     row1
 
-unpredB:
-	MOVQ   $0, (DI)(R14*1)
+unpred1:
+	MOVQ    $0, (DI)(R14*1)
 	VMOVAPD X0, X6
-	INCQ   BX
-	JMP    next
+	INCQ    BX
+	JMP     row2
+
+unpred2:
+	MOVQ    $0, (DI)(R15*1)
+	VMOVAPD X0, X14
+	INCQ    BX
+	JMP     row3
+
+unpred3:
+	MOVQ    $0, (DI)(DX*1)
+	VMOVAPD X0, X15
+	INCQ    BX
+	JMP     next

@@ -6,7 +6,7 @@ package sz
 // fused_amd64.go): the two-pass path writes every PWRel block.
 var useKernels = false
 
-func (g *gridLogs) pair(b int) bool { return g.row(b) && g.row(b+g.sten.s1) }
+func (g *gridLogs) rows(int, int) bool { panic("sz: no kernel") }
 
 func gridRunAVX2([]float64, []float64, []float64, []float64, []int32, []byte, float64, int, int) (int, []byte) {
 	panic("sz: no kernel")

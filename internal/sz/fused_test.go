@@ -3,6 +3,7 @@ package sz
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -18,7 +19,7 @@ import (
 var vecUseAVX2 bool
 
 // kernelPaths runs f as "kernel" — the one-pass grid encoder with its
-// row-pair kernel, and vec's four-lane exp on restore — where this
+// row kernel, and vec's four-lane exp on restore — where this
 // machine has them, and as "portable": the two-pass encoder and the
 // math.Exp loop, which are their oracles.
 func kernelPaths(t *testing.T, f func(t *testing.T)) {
@@ -56,19 +57,27 @@ func gridEncodeInput(nx, ny, nz, shift uint8, data []byte) (x []float64, sten st
 
 // checkGridEncode is the differential check on one block: the one-pass
 // encoder writes the bytes the two-pass path does, and predicts from
-// what the decoder reconstructs (checkGridState). A vector holding a
-// NaN or an Inf is refused by Compress either way.
+// what the decoder reconstructs (checkGridState). A block holding a NaN
+// or an Inf is refused either way, and Compress names the first one.
 func checkGridEncode(t *testing.T, x []float64, sten stencil, eb float64) {
 	t.Helper()
 	p := Params{Mode: PWRel, ErrorBound: eb, Intervals: defaultIntervals, BlockSize: len(x)}
 	blk := Blocks{p: p, eb: eb, sten: sten}
+	bad := firstNaNOrInf(x)
 	encode := func(on bool) []byte {
 		t.Helper()
 		prev := useKernels
 		useKernels = on
 		defer func() { useKernels = prev }()
 		out, err := blk.EncodeBlock(nil, x)
-		if err != nil {
+		if bad >= 0 {
+			if !errors.Is(err, errNonFinite) {
+				t.Fatalf("%v, eb %g, kernels %v: a NaN or Inf at %d encoded to %d bytes, %v", sten, eb, on, bad, len(out), err)
+			}
+			if _, err := Compress(x, p); err == nil || err.Error() != fmt.Sprintf("sz: non-finite value at index %d", bad) {
+				t.Fatalf("kernels %v: Compress returned %v, want the non-finite value at index %d", on, err, bad)
+			}
+		} else if err != nil {
 			t.Fatalf("%v, eb %g, kernels %v: %v", sten, eb, on, err)
 		}
 		return out
@@ -79,26 +88,28 @@ func checkGridEncode(t *testing.T, x []float64, sten stencil, eb float64) {
 	if lnb := math.Log1p(eb); lnb-fastLogErr > 0.5*lnb {
 		checkGridState(t, x, sten.fit(len(x)), lnb-fastLogErr)
 	}
-	if i := firstNonFinite(x); i >= 0 {
-		for _, on := range []bool{true, false} {
-			useKernels = on
-			_, err := Compress(x, p)
-			useKernels = true
-			if want := fmt.Sprintf("sz: non-finite value at index %d", i); err == nil || err.Error() != want {
-				t.Fatalf("kernels %v: Compress returned %v, want %q", on, err, want)
-			}
+}
+
+// firstNaNOrInf is the reference for the index Compress names: a plain
+// loop, -1 when every value is finite.
+func firstNaNOrInf(x []float64) int {
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
 		}
 	}
+	return -1
 }
 
 // checkGridState compares what the stream does not show: the
 // reconstructions the encoder predicts from — equal bytes can hide an
 // ulp a prediction rounded differently, which the decoder would not
-// reproduce. The row-pair kernel (gridLogs.encode) leaves the codes,
+// reproduce. The row kernel (gridLogs.encode) leaves the codes,
 // the reconstructions and the signs bitmap the Go loop (gridLogs.row
 // over every row) does, bit for bit; their reconstructions are the
-// decoder's; and both decline exactly the blocks holding a zero or a
-// subnormal.
+// decoder's; the Go loop declines exactly the blocks holding a zero, a
+// subnormal, a NaN or an Inf, and the kernel those and the grids it
+// leaves to the two-pass path: rows of one element, or slabs of one row.
 func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 	t.Helper()
 	if sten.pred != PredictorLorenzoND {
@@ -107,7 +118,7 @@ func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 	n, half := len(x), defaultIntervals/2
 	run := func(rows bool) (*gridLogs, bool) {
 		g := &gridLogs{x: x, r: make([]float64, n), codes: make([]int, n), signs: make([]byte, (n+7)/8),
-			zero: make([]float64, 2*sten.s1), sten: sten,
+			zero: make([]float64, 4*sten.s1), sten: sten,
 			inv: 1 / (2 * eb), twoEB: 2 * eb, eb: eb, limit: float64(half - 1), half: half}
 		if !rows {
 			return g, g.encode()
@@ -123,10 +134,12 @@ func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 	loop, loopOK := run(true)
 	clean := true
 	for _, v := range x {
-		clean = clean && math.Float64bits(v)<<1 >= 1<<53 // biased exponent non-zero; NaN and Inf included
+		e := math.Float64bits(v) << 1 >> 53 // the biased exponent
+		clean = clean && e != 0 && e != 0x7FF
 	}
-	if ok != clean || loopOK != clean {
-		t.Fatalf("%v: kernel took the block: %v, Go loop: %v, free of zeros and subnormals: %v", sten, ok, loopOK, clean)
+	takes := sten.s1 >= 2 && (sten.s2 == 0 || sten.s2/sten.s1 >= 2)
+	if ok != (clean && takes) || loopOK != clean {
+		t.Fatalf("%v: kernel took the block: %v, Go loop: %v, free of zeros, subnormals, NaNs and Infs: %v", sten, ok, loopOK, clean)
 	}
 	if !ok {
 		return
@@ -162,10 +175,38 @@ func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 	}
 }
 
+// row is the row kernel's oracle: the one-pass encoder's loop over one
+// row in Go. It encodes the row that starts at element b; false at a
+// zero, a subnormal, a NaN or an Inf.
+func (g *gridLogs) row(b int) bool {
+	w := min(g.sten.s1, len(g.x)-b)
+	up, back, ub := g.sten.rows(g.r, g.zero, b, w)
+	r, codes := g.r[b:b+w], g.codes[b:b+w]
+	var prev float64
+	for j, xv := range g.x[b : b+w] {
+		bits := math.Float64bits(xv)
+		abs := bits &^ (1 << 63)
+		if abs-1<<52 >= expMask-1<<52 { // zero, subnormal, NaN or Inf
+			return false
+		}
+		if bits != abs {
+			g.signs[(b+j)>>3] |= 1 << (uint(b+j) & 7)
+		}
+		v := fastLog(abs)
+		code, rv := quantStep(v, predict(PredictorLorenzoND, prev, 0, up, back, ub, j), g.inv, g.twoEB, g.eb, g.limit, g.half)
+		if code == 0 {
+			g.unpred++
+		}
+		codes[j], r[j] = code, rv
+		prev = rv
+	}
+	return true
+}
+
 // FuzzGridEncode: on any grid of 1…40 elements an axis (rows of one and
-// two elements; odd row counts, which leave the last row of each slab
-// unpaired; planes; slabs of one row), at every bound, and with any bit
-// pattern anywhere, the one-pass encoder and its row-pair kernel are
+// two elements; row counts the kernel splits into groups of two to four
+// unevenly; planes; slabs of one row), at every bound, and with any bit
+// pattern anywhere, the one-pass encoder and its row kernel are
 // the two-pass path byte for byte, or decline the block. The committed
 // crafted-* inputs name the cases.
 func FuzzGridEncode(f *testing.F) {
@@ -245,11 +286,11 @@ func TestGridEncodeMatchesTwoPass(t *testing.T) {
 // BenchmarkGridBlockEncode is one PWRel block as a cg-lossy-sync save
 // cuts it — the first 14 slabs of the 48³ IC(0)-PCG iterate at
 // iteration 25, at 1e-4 — written by the one-pass encoder ("kernel":
-// the row-pair kernel) and by the two-pass path ("portable"), Huffman
+// the row kernel) and by the two-pass path ("portable"), Huffman
 // stage and framing included, on the calling goroutine.
 func BenchmarkGridBlockEncode(b *testing.B) {
 	x := checkpointIterates(b, 48, 48, 48, "cg")[4][:14*48*48]
-	p, err := normalizeParams(x, Params{Mode: PWRel, ErrorBound: 1e-4})
+	p, err := normalizeParams(Params{Mode: PWRel, ErrorBound: 1e-4})
 	if err != nil {
 		b.Fatal(err)
 	}

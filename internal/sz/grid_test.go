@@ -272,7 +272,7 @@ func TestStrideInference(t *testing.T) {
 				rowHits := 0
 				var bitsND, bits1D float64
 				for k, x := range iterates {
-					p, err := normalizeParams(x, Params{Mode: PWRel, ErrorBound: eb})
+					p, err := normalizeParams(Params{Mode: PWRel, ErrorBound: eb})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -322,7 +322,7 @@ func TestStrideInference(t *testing.T) {
 		"below the floor": gridField(10, 10, 10, 0),
 	} {
 		for _, p := range []Params{{Mode: PWRel, ErrorBound: 1e-4}, {Mode: Abs, ErrorBound: 1e-4}} {
-			p, err := normalizeParams(x, p)
+			p, err := normalizeParams(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +332,7 @@ func TestStrideInference(t *testing.T) {
 		}
 	}
 	// The forced arm takes the best grid there is, and none on a prime.
-	p, _ := normalizeParams(nil, Params{Mode: Abs, ErrorBound: 1e-6, Predictor: PredictorLorenzoND})
+	p, _ := normalizeParams(Params{Mode: Abs, ErrorBound: 1e-6, Predictor: PredictorLorenzoND})
 	if s1, s2 := inferStrides(checkpointIterates(t, 10, 10, 10, "cg")[2], p, 1e-6); s1 != 10 || s2 != 100 {
 		t.Errorf("forced inference below the floor: strides (%d, %d), want (10, 100)", s1, s2)
 	}
@@ -413,7 +413,7 @@ func parentWrittenStreamsDecode(t *testing.T) {
 // %call its share of the whole AppendCompress on one worker.
 func BenchmarkInferStrides(b *testing.B) {
 	x := checkpointIterates(b, 48, 48, 48, "cg")[4]
-	p, err := normalizeParams(x, Params{Mode: PWRel, ErrorBound: 1e-4})
+	p, err := normalizeParams(Params{Mode: PWRel, ErrorBound: 1e-4})
 	if err != nil {
 		b.Fatal(err)
 	}

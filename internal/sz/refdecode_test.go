@@ -237,8 +237,11 @@ func refDecodeLogTransformInto(p []byte, out []float64) error {
 	vec.Exp(logs, logs)
 	li, ei := 0, 0
 	for i := 0; i < n; i++ {
-		if bitSet(zeros, i) {
+		if bitSet(zeros, i) { // the signs bitmap carries a zero's sign too
 			out[i] = 0
+			if bitSet(signs, i) {
+				out[i] = math.Copysign(0, -1)
+			}
 			continue
 		}
 		var v float64

@@ -40,12 +40,13 @@
 package sz
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/huffman"
@@ -132,7 +133,7 @@ func Compress(x []float64, p Params) ([]byte, error) {
 
 // AppendCompress is Compress appending to dst, as append does.
 func AppendCompress(dst []byte, x []float64, p Params) ([]byte, error) {
-	p, err := normalizeParams(x, p)
+	p, err := normalizeParams(p)
 	if err != nil {
 		return nil, err
 	}
@@ -141,22 +142,26 @@ func AppendCompress(dst []byte, x []float64, p Params) ([]byte, error) {
 		lo, hi := vec.Range(x)
 		if bc.eb = p.ErrorBound * (hi - lo); bc.eb == 0 {
 			// Constant (or empty) data has no range to be relative to: store
-			// the constant, exactly.
-			c := 0.0
-			if len(x) > 0 {
-				c = x[0]
+			// the constant, lo, exactly. The range skips a NaN ([5, NaN, 5]),
+			// and no block will meet it.
+			if err := nonFinite(x); err != nil {
+				return nil, err
 			}
-			return codec.AppendConstant(dst, bc, len(x), c), nil
+			return codec.AppendConstant(dst, bc, len(x), lo), nil
 		}
 	}
 	if s1, s2 := inferStrides(x, p, bc.eb); s1 > 0 {
 		bc.sten = stencil{PredictorLorenzoND, s1, s2}
 	}
-	return codec.Compress(dst, x, bc)
+	out, err := codec.Compress(dst, x, bc)
+	if errors.Is(err, errNonFinite) {
+		return nil, nonFinite(x)
+	}
+	return out, err
 }
 
-// normalizeParams validates p against x and fills defaults.
-func normalizeParams(x []float64, p Params) (Params, error) {
+// normalizeParams validates p and fills defaults.
+func normalizeParams(p Params) (Params, error) {
 	if p.ErrorBound <= 0 || math.IsNaN(p.ErrorBound) || math.IsInf(p.ErrorBound, 0) {
 		return p, fmt.Errorf("sz: error bound must be positive and finite, got %v", p.ErrorBound)
 	}
@@ -181,9 +186,6 @@ func normalizeParams(x []float64, p Params) (Params, error) {
 	if p.Mode == PWRel && p.ErrorBound >= 1 {
 		return p, fmt.Errorf("sz: pointwise-relative bound must be < 1, got %v", p.ErrorBound)
 	}
-	if i := firstNonFinite(x); i >= 0 {
-		return p, fmt.Errorf("sz: non-finite value at index %d", i)
-	}
 	return p, nil
 }
 
@@ -194,33 +196,18 @@ const (
 	maxIntervals = 1 << 24
 )
 
-// firstNonFinite scans x concurrently and returns the smallest index
-// holding a NaN or Inf, or -1 if all values are finite.
-func firstNonFinite(x []float64) int {
-	var first atomic.Int64
-	first.Store(int64(len(x)))
-	// NaN and ±Inf share an all-ones biased exponent, so one integer
-	// mask-and-compare per element replaces the IsNaN/IsInf pair.
-	const expMask = 0x7FF0000000000000
-	parallel.For(len(x), parallel.Grain(len(x), 1<<14, 4), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if math.Float64bits(x[i])&expMask == expMask {
-				// Keep the smallest offending index so the error
-				// message is deterministic under any schedule.
-				for {
-					cur := first.Load()
-					if int64(i) >= cur || first.CompareAndSwap(cur, int64(i)) {
-						break
-					}
-				}
-				return
-			}
-		}
-	})
-	if v := first.Load(); v < int64(len(x)) {
-		return int(v)
+// errNonFinite is a block's refusal of a NaN or an Inf (an all-ones
+// biased exponent, expMask), met in the pass that reads each value.
+var errNonFinite = errors.New("sz: non-finite value")
+
+const expMask = 0x7FF0000000000000
+
+// nonFinite names the first NaN or Inf in x, nil if there is none.
+func nonFinite(x []float64) error {
+	if i := slices.IndexFunc(x, func(v float64) bool { return math.Float64bits(v)&expMask == expMask }); i >= 0 {
+		return fmt.Errorf("sz: non-finite value at index %d", i)
 	}
-	return -1
+	return nil
 }
 
 // Decompress reverses Compress. The output slice is freshly allocated;
@@ -621,7 +608,10 @@ func appendCore(dst []byte, x, r []float64, eb float64, sten stencil, intervals 
 		var prev, prev2 float64
 		for j, v := range x[b : b+w] {
 			code, rv := quantStep(v, predict(sten.pred, prev, prev2, up, back, ub, j), inv, twoEB, eb, limit, half)
-			if code == 0 {
+			if code == 0 { // every NaN and Inf, stored verbatim were it not refused
+				if math.Float64bits(v)&expMask == expMask {
+					return nil, errNonFinite
+				}
 				unpred = append(unpred, v)
 			}
 			codes[b+j] = code
@@ -898,17 +888,20 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil) ([]byte
 		b := math.Float64bits(v)
 		abs := b &^ (1 << 63)
 		bit := byte(1) << (uint(i) & 7)
+		if b != abs {
+			signs[i>>3] |= bit
+		}
 		if abs == 0 {
 			zeros[i>>3] |= bit
 			continue
-		}
-		if b != abs {
-			signs[i>>3] |= bit
 		}
 		if abs < 1<<52 { // biased exponent 0: subnormal
 			tiny[i>>3] |= bit
 			exact = append(exact, math.Float64frombits(abs))
 			continue
+		}
+		if abs >= expMask {
+			return nil, errNonFinite
 		}
 		if useFast {
 			logs = append(logs, fastLog(abs))
@@ -941,12 +934,7 @@ func emitLogHeader(dst []byte, n int, bitmaps []byte, exact []float64) []byte {
 	out = append(out, 0)
 	nb := len(bitmaps) / 3
 	for j := 0; j < 3; j++ {
-		bm := bitmaps[j*nb : (j+1)*nb]
-		var set byte
-		for _, b := range bm {
-			set |= b
-		}
-		if set != 0 {
+		if bm := bitmaps[j*nb : (j+1)*nb]; bytes.Count(bm, []byte{0}) != nb { // a bit set
 			out[presenceAt] |= 1 << j
 			out = append(out, bm...)
 		}
@@ -1047,7 +1035,6 @@ func decodeLogTransformInto(p []byte, out []float64) error {
 		switch {
 		case bitSet(zeros, i):
 			out[i] = 0
-			continue
 		case bitSet(tiny, i) && ei < nExact:
 			out[i], ei = math.Float64frombits(binary.LittleEndian.Uint64(exact[8*ei:])), ei+1
 		case !bitSet(tiny, i) && li < len(logs):
