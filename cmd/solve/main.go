@@ -457,7 +457,7 @@ func run(o options) (err error) {
 	rep.runInfo.Iterations, rep.runInfo.Converged, rep.runInfo.FinalResidual = out.IterationsExecuted, out.Converged, out.FinalResidual
 	rep.recoveries = recoveries(out, rep.qa)
 	printOutcome(o, out)
-	if out.Converged && out.Failures > 0 {
+	if out.Converged && len(out.FailureEvents) > 0 {
 		// The paper's ledger: N is the same system solved with nothing
 		// failing, off Drive's clock; what the run executed beyond it is
 		// replayed work and N′, the extra iterations a restart cost.
@@ -502,13 +502,14 @@ func run(o options) (err error) {
 // the wall clock.
 func printOutcome(o options, out *core.Outcome) {
 	ms := func(sec float64) string { return fmt.Sprintf("%.3gms", 1e3*sec) }
+	failures, tiers, readBytes := out.Recoveries()
 	fmt.Printf("converged=%v iterations=%d wall-time=%s failures=%d checkpoints=%d\n",
-		out.Converged, out.IterationsExecuted, ms(out.SimSeconds), out.Failures, out.Checkpoints)
+		out.Converged, out.IterationsExecuted, ms(out.SimSeconds), failures, out.Checkpoints)
 	fmt.Printf("checkpoint-time=%s recovery-time=%s final-residual=%.3e\n",
 		ms(out.CheckpointTime), ms(out.RecoveryTime), out.FinalResidual)
 	if o.tiers || o.plan != nil {
 		fmt.Printf("recovery tiers: abft=%d checkpoint-restart=%d restart-zero=%d pfs-read-bytes=%d\n",
-			out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts, out.RecoveryReadBytes)
+			tiers[core.TierABFT], tiers[core.TierCheckpoint]+tiers[core.TierPreviousCheckpoint], tiers[core.TierRestartZero], readBytes)
 	}
 	if o.async {
 		fmt.Printf("async: aborted-in-flight=%d backpressure=%s (stall is capture-only when 0)\n",

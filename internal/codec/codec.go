@@ -186,20 +186,32 @@ func blockElemsOf(bc BlockCodec) int {
 	return DefaultBlockElems
 }
 
+// encodeBufs holds Compress calls' block encode buffers, a call's set
+// at a time: every block of a call is live until the container is
+// assembled. A sync.Pool would strand a buffer in one P's private slot
+// whenever the block that reuses it runs on another P.
+var encodeBufs freeList[[][]byte]
+
 // Compress appends the container of x to dst, as append does, the
 // blocks compressed concurrently across the worker pool by bc.
 func Compress(dst []byte, x []float64, bc BlockCodec) ([]byte, error) {
 	n := len(x)
 	blockElems := blockElemsOf(bc)
 	nBlocks := int(blockCount(uint64(n), uint64(blockElems)))
-	blocks := make([][]byte, nBlocks)
+	bufs := encodeBufs.get()
+	if bufs == nil {
+		bufs = new([][]byte)
+	}
+	defer encodeBufs.put(bufs)
+	*bufs = slices.Grow((*bufs)[:0], nBlocks)[:nBlocks]
+	blocks := *bufs
 	errs := make([]error, nBlocks)
 	parallel.For(nBlocks, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			chunk := x[min(b*blockElems, n):min((b+1)*blockElems, n)]
-			// A pooled buffer at one worst-case size for every codec, so
-			// the pool settles instead of ping-ponging between capacities.
-			blocks[b], errs[b] = bc.EncodeBlock(parallel.GetBytes(9*len(chunk)+80), chunk)
+			// One worst-case size for every codec, so a buffer settles
+			// instead of growing block by block.
+			blocks[b], errs[b] = bc.EncodeBlock(slices.Grow(blocks[b][:0], 9*len(chunk)+80), chunk)
 		}
 	})
 	for b, err := range errs {
@@ -215,7 +227,6 @@ func Compress(dst []byte, x []float64, bc BlockCodec) ([]byte, error) {
 	dst = appendHeader(dst, bc.ID(), n, blockElems, blocks)
 	for _, blk := range blocks {
 		dst = append(dst, blk...)
-		parallel.PutBytes(blk)
 	}
 	return dst, nil
 }

@@ -141,8 +141,8 @@ func TestAdaptiveManagerFeedsObservations(t *testing.T) {
 	if !out.Converged {
 		t.Fatal("did not converge under adaptive checkpointing")
 	}
-	if out.Failures != 1 || out.CheckpointRestarts != 1 {
-		t.Fatalf("failures=%d checkpoint restarts=%d, want one of each", out.Failures, out.CheckpointRestarts)
+	if failures, tiers, _ := out.Recoveries(); failures != 1 || tiers[TierCheckpoint] != 1 {
+		t.Fatalf("failures=%d recoveries by tier %v, want one failure and one checkpoint restart", failures, tiers)
 	}
 	est := ctrl.Estimates(clk.now)
 	if est.SyncCost <= 0 {

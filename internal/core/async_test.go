@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fti"
+	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/sz"
 )
@@ -462,11 +463,11 @@ func TestAsyncConcurrentStepping(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("async-checkpointed CG did not converge")
 	}
-	if _, err := m.WaitCheckpoint(); err != nil {
+	last, err := m.WaitCheckpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats := m.AsyncCheckpointer().Stats()
-	if stats.Saves == 0 {
+	if last.Seq == 0 {
 		t.Fatal("no async saves happened")
 	}
 	_ = xe
@@ -525,6 +526,8 @@ func TestDriveBackpressureWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := obs.New()
+		m.Instrument(reg, nil)
 		cfg := DriveConfig{Stepper: s, Manager: m, X0: make([]float64, a.Rows), MaxIterations: 2000}
 		if failures != nil {
 			cfg.Failures = failures(m)
@@ -536,8 +539,8 @@ func TestDriveBackpressureWindow(t *testing.T) {
 		if !out.Converged {
 			t.Fatal("did not converge")
 		}
-		if st := m.AsyncCheckpointer().Stats(); out.Checkpoints != st.Saves-st.FailedSaves {
-			t.Errorf("%d checkpoints counted, the pipeline committed %d", out.Checkpoints, st.Saves-st.FailedSaves)
+		if committed := reg.Snapshot().Get(obs.MFTICheckpointsTotal); committed == nil || int(committed.Value) != out.Checkpoints {
+			t.Errorf("%d checkpoints counted, the pipeline committed %v", out.Checkpoints, committed)
 		}
 		return out
 	}
@@ -552,9 +555,9 @@ func TestDriveBackpressureWindow(t *testing.T) {
 	if !src.struck || src.drained.Seq == 0 {
 		t.Fatalf("the failure did not land in a wait for a committed save (struck=%v, drained %+v)", src.struck, src.drained)
 	}
-	if out.Failures != 1 || len(out.RecoveryReports) != 1 || out.CheckpointRestarts != 1 || out.AbortedCheckpoints != 0 {
-		t.Fatalf("failures=%d reports=%d checkpoint restarts=%d aborted=%d, want 1, 1, 1, 0",
-			out.Failures, len(out.RecoveryReports), out.CheckpointRestarts, out.AbortedCheckpoints)
+	if failures, tiers, _ := out.Recoveries(); failures != 1 || len(out.RecoveryReports) != 1 || tiers[TierCheckpoint] != 1 || out.AbortedCheckpoints != 0 {
+		t.Fatalf("failures=%d reports=%d recoveries by tier %v aborted=%d, want 1 failure, 1 report, 1 checkpoint restart, 0 aborted",
+			failures, len(out.RecoveryReports), tiers, out.AbortedCheckpoints)
 	}
 	rep := out.RecoveryReports[0]
 	last := rep.Attempts[len(rep.Attempts)-1]

@@ -195,12 +195,11 @@ func TestLossyCompressionBeatsLossless(t *testing.T) {
 	lossy := run(Lossy)
 	losslessInfo := run(Lossless)
 	trad := run(Traditional)
-	// Vector payloads: lossy ≪ lossless < traditional. Compare
-	// per-vector byte rates because the schemes checkpoint different
-	// variable sets (lossy: x; others: x and p).
-	lossyRate := float64(lossy.VectorBytes) / float64(lossy.RawBytes)
-	losslessRate := float64(losslessInfo.VectorBytes) / float64(losslessInfo.RawBytes-8)
-	tradRate := float64(trad.VectorBytes) / float64(trad.RawBytes-8)
+	// Checkpoints: lossy ≪ lossless < traditional. Compare byte rates
+	// because the schemes checkpoint different variable sets (lossy: x;
+	// others: x, p and a scalar).
+	rate := func(info fti.Info) float64 { return float64(info.Bytes) / float64(info.RawBytes) }
+	lossyRate, losslessRate, tradRate := rate(lossy), rate(losslessInfo), rate(trad)
 	if !(lossyRate < losslessRate && losslessRate < tradRate*1.01) {
 		t.Fatalf("byte rates: lossy %.3f, lossless %.3f, traditional %.3f",
 			lossyRate, losslessRate, tradRate)
@@ -284,9 +283,9 @@ func TestAdaptiveBoundTightensWithConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if late.VectorBytes <= early.VectorBytes {
+	if late.Bytes <= early.Bytes {
 		t.Fatalf("adaptive bound should tighten: early %d bytes, late %d bytes",
-			early.VectorBytes, late.VectorBytes)
+			early.Bytes, late.Bytes)
 	}
 }
 

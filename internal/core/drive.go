@@ -246,7 +246,8 @@ type Event struct {
 
 // Outcome reports one driven run. The seconds are virtual under
 // modelled costs and stopwatch readings under measured ones; the field
-// names are the simulator's, which came first.
+// names are the simulator's, which came first. The run's failure and
+// recovery counts are derived from its records by Recoveries.
 type Outcome struct {
 	Converged          bool
 	SimSeconds         float64 // total time on the run's clock, Tt
@@ -258,7 +259,6 @@ type Outcome struct {
 	// acceleration shows up here as a count *below* the failure-free
 	// baseline (paper Fig. 8).
 	ConvergenceIterations int
-	Failures              int
 	Checkpoints           int     // committed
 	AbortedCheckpoints    int     // lost to a failure before they committed
 	CheckpointTime        float64 // solver-visible seconds spent checkpointing
@@ -267,31 +267,37 @@ type Outcome struct {
 	// shorter than the background pipeline. Zero on a modelled run.
 	BackpressureTime float64
 	RecoveryTime     float64 // seconds spent recovering
-	FailureEvents    []Event
-	Residuals        []float64 // per executed iteration (optional)
-	FinalResidual    float64
-	// Recovery-tier accounting. Every completed recovery increments
-	// exactly one of the three counters: ABFTRecoveries (checkpoint-free
-	// reconstruction — no PFS reads), CheckpointRestarts (latest or
-	// previous committed checkpoint), FreshRestarts (restart from the
-	// initial guess). RecoveryReadBytes totals the encoded bytes
-	// completed recoveries read from storage, including reads of
-	// checkpoints that were then rejected — the PFS read-traffic metric
-	// the ABFT tier exists to reduce.
-	ABFTRecoveries     int
-	CheckpointRestarts int
-	FreshRestarts      int
-	RecoveryReadBytes  int64
+	// FailureEvents holds one event per failure, a failure inside a
+	// recovery included.
+	FailureEvents []Event
+	Residuals     []float64 // per executed iteration (optional)
+	FinalResidual float64
 	// RecoveryReports holds the per-failure tier reports in failure
 	// order. Chains cut short by a new failure before their cost had
-	// elapsed are included too, marked Interrupted — their attempts (and
-	// the attempts' durations) were still paid — and do not count
-	// against the tier counters above.
+	// elapsed are included too, marked Interrupted: their attempts (and
+	// the attempts' durations) were still paid, but they recovered
+	// nothing (Recoveries leaves them out).
 	RecoveryReports []RecoveryReport
 	// IntervalPlans is the adaptive controller's re-planning trajectory
 	// (Controller runs only): every interval decision with the estimates
 	// it was made from, in clock order.
 	IntervalPlans []adapt.Plan
+}
+
+// Recoveries tallies the run from its own records: failures counts the
+// FailureEvents, and each completed recovery (a RecoveryReport not
+// marked Interrupted) counts once under the tier it landed on in
+// byTier and adds the encoded bytes its attempts read from storage to
+// readBytes, rejected checkpoints' reads included — the PFS read
+// traffic the ABFT tier exists to reduce.
+func (o *Outcome) Recoveries() (failures int, byTier [TierRestartZero + 1]int, readBytes int64) {
+	for _, rep := range o.RecoveryReports {
+		if !rep.Interrupted {
+			byTier[rep.Used]++
+			readBytes += int64(rep.ReadBytes())
+		}
+	}
+	return len(o.FailureEvents), byTier, readBytes
 }
 
 // FaultToleranceOverhead computes the paper's metric: total running
@@ -562,7 +568,6 @@ func (d *driver) recover() error {
 	d.settle()
 	for {
 		begin := d.now()
-		out.Failures++
 		out.FailureEvents = append(out.FailureEvents, Event{SimSeconds: begin, Iteration: out.IterationsExecuted, SolverIteration: d.s.Iteration()})
 		if ctrl != nil {
 			ctrl.ObserveFailure(begin)
@@ -586,17 +591,13 @@ func (d *driver) recover() error {
 			continue
 		}
 		d.settle() // a drained save committed, or failed, inside the recovery
-		out.RecoveryReadBytes += int64(rep.ReadBytes())
 		switch rep.Used {
 		case TierABFT:
 			// The pre-failure state itself is back: no logical rollback,
 			// no re-executed work, no restart I/O.
-			out.ABFTRecoveries++
 		case TierRestartZero:
-			out.FreshRestarts++
 			d.logical = 0
 		default:
-			out.CheckpointRestarts++
 			d.logical = d.pos[rep.Iteration]
 		}
 		d.openWindow()

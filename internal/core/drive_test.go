@@ -170,9 +170,9 @@ func (w benchShape) viaDrive(t *testing.T) shapeTrace {
 	for _, rr := range out.RecoveryReports {
 		tr.recovered = append(tr.recovered, fmt.Sprintf("%s@%d", rr.Used, rr.Iteration))
 	}
-	if out.Failures != len(tr.recovered) || out.AbortedCheckpoints != 0 {
+	if len(out.FailureEvents) != len(tr.recovered) || out.AbortedCheckpoints != 0 {
 		t.Errorf("failures=%d reports=%d aborted=%d: a step-keyed failure is one recovery and aborts nothing",
-			out.Failures, len(tr.recovered), out.AbortedCheckpoints)
+			len(out.FailureEvents), len(tr.recovered), out.AbortedCheckpoints)
 	}
 	return tr
 }

@@ -62,7 +62,7 @@ var goldenOutcomes = []goldenRow{
 }
 
 // goldenShardedReads are parent rows too, and the driver reproduces
-// them in every field but one: RecoveryReadBytes. The parent's
+// them in every field but one: the bytes recoveries read. The parent's
 // unguarded failure path counted fti.Info.Bytes per restart (the shard
 // payloads), its guarded one the bytes the restore walk read (the
 // manifest too); the one path left counts what was read, so each

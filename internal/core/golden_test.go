@@ -172,18 +172,21 @@ type goldenRow struct {
 }
 
 func rowOf(name string, o *core.Outcome) goldenRow {
+	failures, tiers, readBytes := o.Recoveries()
 	r := goldenRow{
 		name:       name,
 		simSeconds: math.Float64bits(o.SimSeconds),
 		executed:   o.IterationsExecuted, convergence: o.ConvergenceIterations,
-		failures: o.Failures, checkpoints: o.Checkpoints, aborted: o.AbortedCheckpoints,
+		failures: failures, checkpoints: o.Checkpoints, aborted: o.AbortedCheckpoints,
 		checkpointTime:   math.Float64bits(o.CheckpointTime),
 		backpressureTime: math.Float64bits(o.BackpressureTime),
 		recoverTime:      math.Float64bits(o.RecoveryTime),
-		abftRec:          o.ABFTRecoveries, ckptRestarts: o.CheckpointRestarts, freshRestarts: o.FreshRestarts,
-		readBytes:     o.RecoveryReadBytes,
-		finalResidual: math.Float64bits(o.FinalResidual),
-		plans:         len(o.IntervalPlans),
+		abftRec:          tiers[core.TierABFT],
+		ckptRestarts:     tiers[core.TierCheckpoint] + tiers[core.TierPreviousCheckpoint],
+		freshRestarts:    tiers[core.TierRestartZero],
+		readBytes:        readBytes,
+		finalResidual:    math.Float64bits(o.FinalResidual),
+		plans:            len(o.IntervalPlans),
 	}
 	if n := len(o.IntervalPlans); n > 0 {
 		r.lastInterval = math.Float64bits(o.IntervalPlans[n-1].Interval)
@@ -243,9 +246,9 @@ func TestGoldenOutcomeMatrix(t *testing.T) {
 		// added them up, hence the tolerance around zero.
 		tit := cfg.Costs.TitSeconds
 		rest := out.SimSeconds - (float64(out.IterationsExecuted)*tit + out.CheckpointTime + out.RecoveryTime)
-		if round := 1e-12 * out.SimSeconds; rest < -round || rest > round && rest >= float64(out.Failures)*tit {
+		if round := 1e-12 * out.SimSeconds; rest < -round || rest > round && rest >= float64(len(out.FailureEvents))*tit {
 			t.Errorf("%s: %g s of the clock are neither steps, checkpoints nor recoveries, want 0 or under %d failures × %g s",
-				c.name(), rest, out.Failures, tit)
+				c.name(), rest, len(out.FailureEvents), tit)
 		}
 		got := rowOf(c.name(), out)
 		if w, ok := want[c.name()]; !ok {

@@ -143,7 +143,7 @@ func TestAdaptiveDeterministicTrajectory(t *testing.T) {
 	}
 	x, y := run(), run()
 	if x.SimSeconds != y.SimSeconds || x.IterationsExecuted != y.IterationsExecuted ||
-		x.Failures != y.Failures || x.Checkpoints != y.Checkpoints ||
+		len(x.FailureEvents) != len(y.FailureEvents) || x.Checkpoints != y.Checkpoints ||
 		x.FinalResidual != y.FinalResidual {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", x, y)
 	}
@@ -172,7 +172,7 @@ func TestAdaptivePinnedControllerMatchesFixedRun(t *testing.T) {
 		fixed.IterationsExecuted != pinned.IterationsExecuted ||
 		fixed.ConvergenceIterations != pinned.ConvergenceIterations ||
 		fixed.Checkpoints != pinned.Checkpoints ||
-		fixed.Failures != pinned.Failures ||
+		len(fixed.FailureEvents) != len(pinned.FailureEvents) ||
 		fixed.FinalResidual != pinned.FinalResidual {
 		t.Fatalf("pinned controller diverged from the fixed run:\nfixed : %+v\npinned: %+v", fixed, pinned)
 	}

@@ -39,7 +39,7 @@ func TestSimDeterministicPerSeed(t *testing.T) {
 	b := runSeeded(t, 42)
 	if a.SimSeconds != b.SimSeconds ||
 		a.IterationsExecuted != b.IterationsExecuted ||
-		a.Failures != b.Failures ||
+		len(a.FailureEvents) != len(b.FailureEvents) ||
 		a.Checkpoints != b.Checkpoints ||
 		a.FinalResidual != b.FinalResidual {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
@@ -51,7 +51,7 @@ func TestSimDeterministicPerSeed(t *testing.T) {
 func TestSimSeedsDiffer(t *testing.T) {
 	a := runSeeded(t, 1)
 	c := runSeeded(t, 2)
-	if a.SimSeconds == c.SimSeconds && a.Failures == c.Failures &&
+	if a.SimSeconds == c.SimSeconds && len(a.FailureEvents) == len(c.FailureEvents) &&
 		a.IterationsExecuted == c.IterationsExecuted {
 		t.Fatal("different seeds produced identical outcomes (suspicious)")
 	}
@@ -81,11 +81,8 @@ func TestFailureScheduleExact(t *testing.T) {
 	if !out.Converged {
 		t.Fatal("did not converge")
 	}
-	if out.Failures != 2 {
-		t.Fatalf("got %d failures, want exactly 2", out.Failures)
-	}
 	if len(out.FailureEvents) != 2 {
-		t.Fatalf("events: %+v", out.FailureEvents)
+		t.Fatalf("failures %+v, want exactly 2", out.FailureEvents)
 	}
 	// First failure at t=30: by then 1 checkpoint (t=20..21) and ~14
 	// iterations have happened; event times must match the schedule.
@@ -103,7 +100,7 @@ func TestConvergenceIterationsNeverExceedExecuted(t *testing.T) {
 			t.Fatalf("seed %d: logical %d > executed %d",
 				seed, out.ConvergenceIterations, out.IterationsExecuted)
 		}
-		if out.Failures == 0 && out.ConvergenceIterations != out.IterationsExecuted {
+		if len(out.FailureEvents) == 0 && out.ConvergenceIterations != out.IterationsExecuted {
 			t.Fatalf("seed %d: failure-free logical %d != executed %d",
 				seed, out.ConvergenceIterations, out.IterationsExecuted)
 		}

@@ -100,8 +100,8 @@ func shardedRecoveryRun(t *testing.T, shards, workers int) *core.Outcome {
 	if !out.Converged {
 		t.Fatal("did not converge")
 	}
-	if out.Failures != 1 {
-		t.Fatalf("expected 1 failure, got %d", out.Failures)
+	if len(out.FailureEvents) != 1 {
+		t.Fatalf("expected 1 failure, got %d", len(out.FailureEvents))
 	}
 	return out
 }

@@ -63,8 +63,8 @@ func TestFailureFreeRunMatchesDirectSolve(t *testing.T) {
 	if out.SimSeconds != float64(resDirect.Iterations) {
 		t.Fatalf("sim time %v, want %v", out.SimSeconds, float64(resDirect.Iterations))
 	}
-	if out.Failures != 0 || out.Checkpoints != 0 {
-		t.Fatalf("failure-free run recorded %d failures, %d checkpoints", out.Failures, out.Checkpoints)
+	if len(out.FailureEvents) != 0 || out.Checkpoints != 0 {
+		t.Fatalf("failure-free run recorded %d failures, %d checkpoints", len(out.FailureEvents), out.Checkpoints)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestFailuresForceRecoveryAndStillConverge(t *testing.T) {
 		if !out.Converged {
 			t.Fatalf("%v: did not converge", scheme)
 		}
-		if out.Failures == 0 {
+		if len(out.FailureEvents) == 0 {
 			t.Fatalf("%v: expected injected failures (MTTI 60 s, run >> 60 s)", scheme)
 		}
 		if out.RecoveryTime <= 0 {
@@ -205,7 +205,7 @@ func TestFailureBeforeFirstCheckpointRestartsFresh(t *testing.T) {
 	if !out.Converged {
 		t.Fatal("did not converge")
 	}
-	if out.Failures == 0 {
+	if len(out.FailureEvents) == 0 {
 		t.Fatal("expected at least one failure")
 	}
 	if out.Checkpoints != 0 {
@@ -235,9 +235,6 @@ func TestEventTrace(t *testing.T) {
 	if len(out.Residuals) != out.IterationsExecuted {
 		t.Fatalf("residual trace has %d entries for %d iterations",
 			len(out.Residuals), out.IterationsExecuted)
-	}
-	if len(out.FailureEvents) != out.Failures {
-		t.Fatalf("%d failure events for %d failures", len(out.FailureEvents), out.Failures)
 	}
 	for _, e := range out.FailureEvents {
 		if e.SimSeconds < 0 || e.SimSeconds > out.SimSeconds {
@@ -304,8 +301,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestMaxIterationsCap(t *testing.T) {
 	a, b, _ := testSystem()
-	// Absurd tolerance so the solver never converges.
-	s := solver.NewCG(a, nil, b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-300, ATol: 1e-300})
+	// Absurd tolerance so the solver never converges: the threshold is
+	// then the solvers' 1e-50 absolute floor, which no residual of this
+	// system reaches in 50 steps.
+	s := solver.NewCG(a, nil, b, nil, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
 	m, err := core.NewManager(core.Config{Scheme: core.Traditional}, fti.NewMemStorage(), s)
 	if err != nil {
 		t.Fatal(err)

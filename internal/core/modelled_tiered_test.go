@@ -68,35 +68,24 @@ func TestTieredSimReducesPFSReadTraffic(t *testing.T) {
 	if !with.Converged || !without.Converged {
 		t.Fatalf("convergence: with=%v without=%v", with.Converged, without.Converged)
 	}
-	if with.Failures == 0 || without.Failures == 0 {
-		t.Fatalf("failures: with=%d without=%d, want both runs to see failures", with.Failures, without.Failures)
+	if len(with.FailureEvents) == 0 || len(without.FailureEvents) == 0 {
+		t.Fatalf("failures: with=%d without=%d, want both runs to see failures", len(with.FailureEvents), len(without.FailureEvents))
 	}
-	if without.RecoveryReadBytes == 0 {
+	_, withTiers, withRead := with.Recoveries()
+	_, withoutTiers, withoutRead := without.Recoveries()
+	if withoutRead == 0 {
 		t.Fatal("unguarded run read nothing back — the comparison needs checkpoint restarts to beat")
 	}
-	if with.ABFTRecoveries == 0 {
+	if withTiers[core.TierABFT] == 0 {
 		t.Fatal("guarded run never recovered via the ABFT tier")
 	}
-	if without.ABFTRecoveries != 0 {
-		t.Fatalf("unguarded run reports %d ABFT recoveries", without.ABFTRecoveries)
+	if withoutTiers[core.TierABFT] != 0 {
+		t.Fatalf("unguarded run reports %d ABFT recoveries", withoutTiers[core.TierABFT])
 	}
 	// The paper-level claim the tier exists for: ABFT recoveries read
 	// nothing back from the PFS, so read traffic must strictly drop.
-	if with.RecoveryReadBytes >= without.RecoveryReadBytes {
-		t.Fatalf("PFS read traffic did not drop: %d bytes with ABFT vs %d without",
-			with.RecoveryReadBytes, without.RecoveryReadBytes)
-	}
-	// Each completed recovery carries its report; interrupted chains
-	// are reported too but marked, and don't count against the tiers.
-	completed := 0
-	for _, r := range with.RecoveryReports {
-		if !r.Interrupted {
-			completed++
-		}
-	}
-	if completed != with.ABFTRecoveries+with.CheckpointRestarts+with.FreshRestarts {
-		t.Fatalf("completed reports (%d) do not cover the recoveries (%d+%d+%d)", completed,
-			with.ABFTRecoveries, with.CheckpointRestarts, with.FreshRestarts)
+	if withRead >= withoutRead {
+		t.Fatalf("PFS read traffic did not drop: %d bytes with ABFT vs %d without", withRead, withoutRead)
 	}
 	// Both runs converge to the solver's own tolerance; the ABFT path
 	// must not have degraded the solution.
@@ -126,11 +115,11 @@ func TestTieredSimExhaustionFallsBackToCheckpoint(t *testing.T) {
 	if !out.Converged {
 		t.Fatal("did not converge")
 	}
-	if out.CheckpointRestarts == 0 || out.ABFTRecoveries != 0 {
-		t.Fatalf("tiers: abft=%d ckpt=%d fresh=%d, want the checkpoint fallback",
-			out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts)
+	_, tiers, readBytes := out.Recoveries()
+	if tiers[core.TierCheckpoint]+tiers[core.TierPreviousCheckpoint] == 0 || tiers[core.TierABFT] != 0 {
+		t.Fatalf("recoveries by tier %v, want the checkpoint fallback", tiers)
 	}
-	if out.RecoveryReadBytes == 0 {
+	if readBytes == 0 {
 		t.Fatal("checkpoint fallback recorded no PFS reads")
 	}
 	rep := out.RecoveryReports[0]
@@ -150,9 +139,10 @@ func TestTieredSimDeterministic(t *testing.T) {
 		return out
 	}
 	a, b := run(), run()
+	aFailures, aTiers, aRead := a.Recoveries()
+	bFailures, bTiers, bRead := b.Recoveries()
 	if a.SimSeconds != b.SimSeconds || a.IterationsExecuted != b.IterationsExecuted ||
-		a.Failures != b.Failures || a.ABFTRecoveries != b.ABFTRecoveries ||
-		a.RecoveryReadBytes != b.RecoveryReadBytes {
+		aFailures != bFailures || aTiers != bTiers || aRead != bRead {
 		t.Fatalf("seeded tiered runs diverge:\n%+v\n%+v", a, b)
 	}
 	if math.Float64bits(a.FinalResidual) != math.Float64bits(b.FinalResidual) {

@@ -240,9 +240,9 @@ func TestDriveEmitsTraceAndMetrics(t *testing.T) {
 				t.Fatal(err)
 			}
 			end := tr.Now()
-			if !out.Converged || out.Failures != 3 || out.AbortedCheckpoints != 1 || out.ABFTRecoveries == 0 || out.CheckpointRestarts == 0 {
-				t.Fatalf("converged=%v failures=%d aborted=%d abft=%d checkpoint=%d, want a converged run with 3 failures, one inside a save, recovered by ABFT and from a checkpoint",
-					out.Converged, out.Failures, out.AbortedCheckpoints, out.ABFTRecoveries, out.CheckpointRestarts)
+			if failures, tiers, _ := out.Recoveries(); !out.Converged || failures != 3 || out.AbortedCheckpoints != 1 || tiers[TierABFT] == 0 || tiers[TierCheckpoint] == 0 {
+				t.Fatalf("converged=%v failures=%d aborted=%d recoveries by tier %v, want a converged run with 3 failures, one inside a save, recovered by ABFT and from a checkpoint",
+					out.Converged, failures, out.AbortedCheckpoints, tiers)
 			}
 			snap, events := reg.Snapshot(), tr.Events()
 			for _, err := range lifecycleIdentities(snap, events, out) {
@@ -288,43 +288,42 @@ func lifecycleIdentities(snap obs.Snapshot, events []obs.SpanEvent, out *Outcome
 		}
 		return 0
 	}
+	failures, want, _ := out.Recoveries()
 	var tiers [TierRestartZero + 1]int
 	recoveries := 0
 	for t := range tiers {
 		tiers[t] = count(obs.MCoreRecoveriesTotal, obs.L("tier", RecoveryTier(t).String()))
 		recoveries += tiers[t]
 	}
-	if recoveries != out.Failures {
-		errs = append(errs, fmt.Errorf("Σ %s = %d, want failures %d", obs.MCoreRecoveriesTotal, recoveries, out.Failures))
+	if recoveries != failures {
+		errs = append(errs, fmt.Errorf("Σ %s = %d, want failures %d", obs.MCoreRecoveriesTotal, recoveries, failures))
 	}
 	attempts, interrupted := 0, false
 	for _, rep := range out.RecoveryReports {
 		attempts += len(rep.Attempts)
 		interrupted = interrupted || rep.Interrupted
 	}
-	if got := [3]int{tiers[TierABFT], tiers[TierCheckpoint] + tiers[TierPreviousCheckpoint], tiers[TierRestartZero]}; !interrupted &&
-		got != [3]int{out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts} {
-		errs = append(errs, fmt.Errorf("%s abft/checkpoint/restart-zero = %v, want %d/%d/%d",
-			obs.MCoreRecoveriesTotal, got, out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts))
+	if !interrupted && tiers != want {
+		errs = append(errs, fmt.Errorf("%s by tier = %v, want %v", obs.MCoreRecoveriesTotal, tiers, want))
 	}
 	saves, aborted := count(obs.MFTICheckpointsTotal), count(obs.MCoreCheckpointsAbortedTotal)
 	if saves-aborted != out.Checkpoints {
 		errs = append(errs, fmt.Errorf("%s %d − %s %d = %d, want checkpoints %d",
 			obs.MFTICheckpointsTotal, saves, obs.MCoreCheckpointsAbortedTotal, aborted, saves-aborted, out.Checkpoints))
 	}
-	var failures, tierSpans int
+	var instants, tierSpans int
 	for _, e := range events {
 		switch {
 		case e.Name == obs.SpanFailure:
-			failures++
+			instants++
 		case strings.HasPrefix(e.Name, obs.SpanTierPrefix) && e.Track == obs.TrackRecovery:
 			tierSpans++
 		case e.Cat == obs.CatRecovery || e.Track == obs.TrackRecovery:
 			errs = append(errs, fmt.Errorf("recovery span %q on track %d is not one of the chain's attempts", e.Name, e.Track))
 		}
 	}
-	if failures != out.Failures {
-		errs = append(errs, fmt.Errorf("%d failure instants, want %d", failures, out.Failures))
+	if instants != failures {
+		errs = append(errs, fmt.Errorf("%d failure instants, want %d", instants, failures))
 	}
 	if tierSpans != attempts {
 		errs = append(errs, fmt.Errorf("%d tier spans on the recovery track, want one per attempt (%d)", tierSpans, attempts))

@@ -129,9 +129,9 @@ func runClaim(t *testing.T, c claimCase, scheme core.Scheme, mbps float64) claim
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Converged || out.Failures != 1 || out.CheckpointRestarts != 1 {
-		t.Fatalf("%s %v at %g MB/s: converged %v, %d failures, %d checkpoint restarts; want a converged run that restarted once from a checkpoint",
-			c.name, scheme, mbps, out.Converged, out.Failures, out.CheckpointRestarts)
+	if failures, tiers, _ := out.Recoveries(); !out.Converged || failures != 1 || tiers[core.TierCheckpoint] != 1 {
+		t.Fatalf("%s %v at %g MB/s: converged %v, %d failures, recoveries by tier %v; want a converged run that restarted once from its latest checkpoint",
+			c.name, scheme, mbps, out.Converged, failures, tiers)
 	}
 	return claimRun{seconds: out.SimSeconds, iters: out.IterationsExecuted, bytes: m.LastInfo().Bytes}
 }

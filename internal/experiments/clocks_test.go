@@ -39,9 +39,9 @@ func TestModelledAndMeasuredClocksWalkOneIterate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !out.Converged || out.Checkpoints == 0 || out.Failures != 0 {
+			if !out.Converged || out.Checkpoints == 0 || len(out.FailureEvents) != 0 {
 				t.Fatalf("%s run %d: converged %v after %d checkpoints and %d failures, want a converged failure-free run that saved",
-					method, i, out.Converged, out.Checkpoints, out.Failures)
+					method, i, out.Converged, out.Checkpoints, len(out.FailureEvents))
 			}
 			xs[i], its[i] = s.X(), out.ConvergenceIterations
 		}

@@ -81,7 +81,7 @@ func runFig10(cfg Config) (Result, error) {
 					return nil, fmt.Errorf("fig10: %s/%s trial %d did not converge", method, scheme, trial)
 				}
 				sumOverhead += res.FaultToleranceOverhead(base.BaselineSeconds)
-				sumFailures += res.Failures
+				sumFailures += len(res.FailureEvents)
 			}
 			meanOverheadPct := 100 * sumOverhead / float64(trials) / base.BaselineSeconds
 

@@ -69,7 +69,7 @@ func runFig8(cfg Config) (Result, error) {
 				Unknowns:    a.Rows,
 				FailureFree: iters,
 				Lossy:       res.ConvergenceIterations,
-				Failures:    res.Failures,
+				Failures:    len(res.FailureEvents),
 			})
 		}
 	}

@@ -54,10 +54,10 @@ type StorageProfile struct {
 	// number of distinct storage objects touched regardless of
 	// scheduling, and every fault is absorbed by one retry.
 	FailFirstAttempt bool
-	// SlowDelay is the latency injected by armed slowio faults. Zero
-	// means 2ms.
-	SlowDelay time.Duration
 }
+
+// slowDelay is the latency an armed slowio fault adds to one attempt.
+const slowDelay = 2 * time.Millisecond
 
 // InjectStats counts what the injector did.
 type InjectStats struct {
@@ -91,9 +91,6 @@ func (e *InjectedError) FaultClass() fti.ErrClass { return e.Class }
 // NewStorageInjector wraps inner with a seeded injector; prof may be
 // the zero profile (armed one-shot faults only).
 func NewStorageInjector(inner fti.Storage, seed int64, prof StorageProfile) *StorageInjector {
-	if prof.SlowDelay <= 0 {
-		prof.SlowDelay = 2 * time.Millisecond
-	}
 	if prof.TransientFrac <= 0 {
 		prof.TransientFrac = 1
 	}
@@ -124,7 +121,7 @@ func (si *StorageInjector) ArmRead(n int) {
 }
 
 // ArmSlow schedules the next n attempts (read or write) to be delayed
-// by the profile's SlowDelay.
+// by slowDelay.
 func (si *StorageInjector) ArmSlow(n int) {
 	si.mu.Lock()
 	si.armedSlow += n
@@ -182,7 +179,7 @@ func (si *StorageInjector) decide(op, name string) (inject error, delay time.Dur
 	if si.armedSlow > 0 {
 		si.armedSlow--
 		si.stats.SlowOps++
-		delay = si.prof.SlowDelay
+		delay = slowDelay
 	}
 	fault := false
 	if op == "write" && si.armedWrite > 0 {

@@ -40,14 +40,14 @@ func TestStorageInjectorArmedOneShots(t *testing.T) {
 
 func TestStorageInjectorSlowDelay(t *testing.T) {
 	mem := fti.NewMemStorage()
-	si := NewStorageInjector(mem, 1, StorageProfile{SlowDelay: 5 * time.Millisecond})
+	si := NewStorageInjector(mem, 1, StorageProfile{})
 	si.ArmSlow(1)
 	start := time.Now()
 	if err := si.Write("a", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(start); d < 5*time.Millisecond {
-		t.Fatalf("slow op returned in %v, want ≥ 5ms", d)
+	if d := time.Since(start); d < slowDelay {
+		t.Fatalf("slow op returned in %v, want ≥ %v", d, slowDelay)
 	}
 	if err := si.Write("b", []byte{1}); err != nil {
 		t.Fatal(err)

@@ -67,20 +67,16 @@ type AsyncCheckpointer struct {
 	encBufs [2][]byte
 }
 
-// AsyncStats accounts where the pipeline's time went, in seconds of
-// real time. CaptureSeconds + BackpressureSeconds is the total
-// solver-visible stall; EncodeWriteSeconds ran in the background and
-// splits into EncodeSeconds (the Encoder pass) and WriteSeconds (the
-// storage commit) plus scheduling slack. Per-save stage timings are on
-// each save's Info (Peek) — these are the cumulative sums.
+// AsyncStats accounts what no save's own Info holds, in seconds of
+// real time: BackpressureSeconds is the solver-visible wait for a
+// previous save (the capture stall, the rest of the stall, is each
+// save's CaptureSeconds), and EncodeWriteSeconds the background stage
+// as a whole, the saves' EncodeSeconds and WriteSeconds plus
+// scheduling slack, failed saves included.
 type AsyncStats struct {
-	Saves               int
 	FailedSaves         int // background saves that aborted (rolled back) instead of committing
-	CaptureSeconds      float64
 	BackpressureSeconds float64
 	EncodeWriteSeconds  float64
-	EncodeSeconds       float64
-	WriteSeconds        float64
 }
 
 type asyncJob struct {
@@ -126,8 +122,6 @@ func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Info, error) {
 	a.c.ins.captureSec.Observe(capSec)
 	a.job = &asyncJob{snap: a.caps[slot], slot: slot, open: a.c.record(s, a.c.seq+1), done: make(chan struct{})}
 	a.job.open.CaptureSeconds = capSec
-	a.stats.Saves++
-	a.stats.CaptureSeconds += capSec
 	go a.run(a.job)
 	return a.job.open, nil
 }
@@ -144,10 +138,7 @@ func (a *AsyncCheckpointer) run(job *asyncJob) {
 	info.CaptureSeconds = job.open.CaptureSeconds
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err == nil {
-		a.stats.EncodeSeconds += info.EncodeSeconds
-		a.stats.WriteSeconds += info.WriteSeconds
-	} else {
+	if err != nil {
 		err = fmt.Errorf("fti: async save %s: %w", ckptName(job.open.Seq), err)
 		a.stats.FailedSaves++
 		a.failed = err
@@ -200,8 +191,8 @@ func (a *AsyncCheckpointer) drain(backpressure bool) {
 // WaitBackpressure blocks until no save is in flight and accounts the
 // time spent blocked as solver-visible backpressure. Callers draining
 // on the checkpoint path (a new save about to be submitted) use it so
-// Stats keeps its invariant: CaptureSeconds + BackpressureSeconds is
-// the total stall the solver paid. A failure stays with the pipeline.
+// that the saves' CaptureSeconds plus Stats' BackpressureSeconds is the
+// total stall the solver paid. A failure stays with the pipeline.
 func (a *AsyncCheckpointer) WaitBackpressure() { a.drain(true) }
 
 // Flush drains the in-flight save and returns, once, any background

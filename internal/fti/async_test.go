@@ -125,8 +125,8 @@ func TestAsyncAtMostOneInFlightBackpressure(t *testing.T) {
 	if len(names) != 2 {
 		t.Fatalf("want 2 checkpoints, have %v", names)
 	}
-	if s := a.Stats(); s.Saves != 2 || s.BackpressureSeconds <= 0 {
-		t.Fatalf("stats %+v: want 2 saves and positive backpressure", s)
+	if s := a.Stats(); s.BackpressureSeconds <= 0 {
+		t.Fatalf("stats %+v: want positive backpressure", s)
 	}
 }
 
@@ -340,9 +340,12 @@ func TestAsyncStatsAccounting(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if info, _, _ := a.Peek(); info.Seq != 3 {
+		t.Fatalf("newest save %+v, want the third", info)
+	}
 	s := a.Stats()
-	if s.Saves != 3 {
-		t.Fatalf("Saves = %d", s.Saves)
+	if s.FailedSaves != 0 {
+		t.Fatalf("FailedSaves = %d", s.FailedSaves)
 	}
 	if s.EncodeWriteSeconds <= 0 {
 		t.Fatalf("EncodeWriteSeconds = %g, want > 0", s.EncodeWriteSeconds)

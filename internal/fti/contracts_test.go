@@ -129,7 +129,7 @@ func gridIterate(grid int) []float64 {
 // raw blob the cuts fell, modulo 8.
 func writeEvenShards(t *testing.T, c *Checkpointer, snap *Snapshot, n int) map[int]bool {
 	t.Helper()
-	payload, _, starts, err := encodeSnapshot(snap, Raw{}, nil, true, 0, nil)
+	payload, starts, err := encodeSnapshot(snap, Raw{}, nil, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 	for _, c := range craftedRawPayloads() {
 		f.Add(c.data[:len(c.data)-4], uint16(4), uint16(21), uint16(50), uint8(0))
 	}
-	good, _, _, err := encodeSnapshot(streamSnap(12, rawBits(40, 1), rawBits(7, 2)), Raw{}, nil, false, 0, nil)
+	good, _, err := encodeSnapshot(streamSnap(12, rawBits(40, 1), rawBits(7, 2)), Raw{}, nil, false, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func FuzzDecodeSnapshotInto(f *testing.F) {
 		Lossless{Codec: codec.BlockedFlate{BlockElems: 512}},
 		SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-5, BlockSize: 512}},
 	} {
-		blocked, _, _, err := encodeSnapshot(streamSnap(12, gridIterate(12), sparse.SmoothField(7, 2)), enc, nil, false, 0, nil)
+		blocked, _, err := encodeSnapshot(streamSnap(12, gridIterate(12), sparse.SmoothField(7, 2)), enc, nil, false, 0, nil)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -80,7 +79,6 @@ type Info struct {
 	Bytes            int // encoded bytes written
 	RawBytes         int // 8 × total vector elements (plus scalars)
 	EncoderName      string
-	VectorBytes      int // encoded bytes of the vector payload only
 	CompressionRatio float64
 	// Shards is the number of shard objects the checkpoint was written
 	// as (1 = a single monolithic object).
@@ -189,32 +187,31 @@ func New(storage Storage, enc Encoder) *Checkpointer {
 	return c
 }
 
-// ckptSeqs lists the sequence numbers of the checkpoints currently in
-// storage, nil on a listing error (best effort: the callers are
-// bookkeeping scans; a broken storage surfaces on the next read or
-// write). The single scan keeps the sequence counter, the retention
-// gc, and the abort-time emptiness check agreeing on what counts as a
-// checkpoint.
-func (c *Checkpointer) ckptSeqs() []int {
-	names, err := c.storage.List()
-	if err != nil {
-		return nil
+// ckptSeqs lists storage once and returns the sequence numbers of the
+// checkpoints in it, newest first, with every name listed (gc sweeps
+// the shard objects among them). The one scan keeps the restore walk,
+// the sequence counter, the retention gc and the abort-time emptiness
+// check agreeing on what counts as a checkpoint.
+func (c *Checkpointer) ckptSeqs() (seqs []int, names []string, err error) {
+	if names, err = c.storage.List(); err != nil {
+		return nil, nil, err
 	}
-	var seqs []int
 	for _, n := range names {
 		if seq, ok := parseCkptName(n); ok {
 			seqs = append(seqs, seq)
 		}
 	}
-	return seqs
+	slices.Sort(seqs)
+	slices.Reverse(seqs)
+	return seqs, names, nil
 }
 
-// syncSeq advances seq past every checkpoint present in storage.
+// syncSeq advances seq past every checkpoint present in storage. A
+// listing error leaves it (best effort: a broken storage surfaces on
+// the next read or write).
 func (c *Checkpointer) syncSeq() {
-	for _, seq := range c.ckptSeqs() {
-		if seq > c.seq {
-			c.seq = seq
-		}
+	if seqs, _, _ := c.ckptSeqs(); len(seqs) > 0 {
+		c.seq = max(c.seq, seqs[0])
 	}
 }
 
@@ -391,14 +388,13 @@ func (c *Checkpointer) save(s *Snapshot, buf []byte) ([]byte, Info, error) {
 	info := c.record(s, c.seq)
 	encSpan := c.ins.span(obs.CatCheckpoint, obs.SpanEncode)
 	encStart := time.Now()
-	payload, vecBytes, bounds, err := encodeSnapshot(s, c.enc, buf, c.shards > 1, c.seq, c.audit)
+	payload, bounds, err := encodeSnapshot(s, c.enc, buf, c.shards > 1, c.seq, c.audit)
 	if err != nil {
 		c.seq--
 		c.ins.ckptErrs.Inc()
 		return buf, Info{}, err
 	}
 	info.EncodeSeconds = time.Since(encStart).Seconds()
-	info.VectorBytes = vecBytes
 	info.Bytes = len(payload)
 	if info.Bytes > 0 {
 		info.CompressionRatio = float64(info.RawBytes) / float64(info.Bytes)
@@ -457,10 +453,47 @@ func (c *Checkpointer) save(s *Snapshot, buf []byte) ([]byte, Info, error) {
 // back to an older checkpoint overwrites them in full. On total
 // failure (every checkpoint invalid) the trace covers all rejected
 // attempts and the error is the usual "all checkpoints invalid".
+//
+// The walk goes newest-first; any missing, corrupt, or rejected
+// checkpoint falls back to the previous one — the paper's
+// failure-during-checkpoint recovery path.
 func (c *Checkpointer) Restore(targets map[string][]float64) (*Snapshot, []RestoreAttempt, error) {
-	return c.restoreTrace(func(data []byte, att *RestoreAttempt) (*Snapshot, error) {
-		return c.decodeObject(data, att, targets)
-	})
+	seqs, _, err := c.ckptSeqs()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(seqs) == 0 {
+		return nil, nil, fmt.Errorf("fti: no checkpoints available")
+	}
+	var attempts []RestoreAttempt
+	var lastErr error
+	for _, seq := range seqs {
+		att := RestoreAttempt{Seq: seq}
+		start := time.Now()
+		data, err := c.storage.Read(ckptName(seq))
+		lastErr = err
+		var s *Snapshot
+		if err == nil {
+			att.Bytes = len(data)
+			if s, err = c.decodeObject(data, &att, targets); err != nil {
+				lastErr = fmt.Errorf("fti: checkpoint %d: %w", seq, err)
+			}
+		}
+		att.Seconds = time.Since(start).Seconds()
+		if err != nil {
+			att.Err = err.Error()
+		}
+		c.ins.observeRestoreAttempt(att)
+		attempts = append(attempts, att)
+		if err == nil {
+			// A restore may have fallen back past checkpoints this
+			// Checkpointer never wrote, and the next save must not
+			// overwrite any surviving file.
+			c.seq = max(c.seq, seqs[0])
+			return s, attempts, nil
+		}
+	}
+	return nil, attempts, fmt.Errorf("fti: all checkpoints invalid: %w", lastErr)
 }
 
 // RestoreAttempt records one checkpoint the restore walk tried: its
@@ -505,67 +538,14 @@ func (c *Checkpointer) decodeObject(data []byte, att *RestoreAttempt, targets ma
 	return c.restore(r, targets)
 }
 
-// restoreTrace walks the checkpoint series newest-first, handing each
-// base object (monolithic payload or shard manifest) to decode; any
-// missing, corrupt, or rejected checkpoint falls back to the previous
-// one — the paper's failure-during-checkpoint recovery path. Every
-// attempted checkpoint is recorded in the returned trace, accepted or
-// not.
-func (c *Checkpointer) restoreTrace(decode func(data []byte, att *RestoreAttempt) (*Snapshot, error)) (*Snapshot, []RestoreAttempt, error) {
-	names, err := c.storage.List()
-	if err != nil {
-		return nil, nil, err
-	}
-	var seqs []int
-	for _, n := range names {
-		if seq, ok := parseCkptName(n); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	if len(seqs) == 0 {
-		return nil, nil, fmt.Errorf("fti: no checkpoints available")
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
-	var attempts []RestoreAttempt
-	var lastErr error
-	for _, seq := range seqs {
-		att := RestoreAttempt{Seq: seq}
-		start := time.Now()
-		data, err := c.storage.Read(ckptName(seq))
-		if err != nil {
-			att.Seconds = time.Since(start).Seconds()
-			att.Err = err.Error()
-			c.ins.observeRestoreAttempt(att)
-			attempts = append(attempts, att)
-			lastErr = err
-			continue
-		}
-		att.Bytes = len(data)
-		s, err := decode(data, &att)
-		att.Seconds = time.Since(start).Seconds()
-		if err != nil {
-			lastErr = fmt.Errorf("fti: checkpoint %d: %w", seq, err)
-			att.Err = err.Error()
-			c.ins.observeRestoreAttempt(att)
-			attempts = append(attempts, att)
-			continue
-		}
-		c.ins.observeRestoreAttempt(att)
-		attempts = append(attempts, att)
-		// Re-sync the sequence counter with storage: a restore may have
-		// fallen back past checkpoints this Checkpointer never wrote,
-		// and the next save must not overwrite any surviving file.
-		c.syncSeq()
-		return s, attempts, nil
-	}
-	return nil, attempts, fmt.Errorf("fti: all checkpoints invalid: %w", lastErr)
-}
-
 // CheckpointCount reports how many checkpoint files storage currently
 // holds (0 on a listing error). With keep=1 an aborted checkpoint can
 // empty storage even though the sequence counter is positive, so
 // recovery decisions must consult this, not the sequence number.
-func (c *Checkpointer) CheckpointCount() int { return len(c.ckptSeqs()) }
+func (c *Checkpointer) CheckpointCount() int {
+	seqs, _, _ := c.ckptSeqs()
+	return len(seqs)
+}
 
 // DropLatest discards the most recent checkpoint — the failure-during-
 // checkpoint path: a fail-stop error mid-write leaves a partial file
@@ -600,23 +580,17 @@ func (c *Checkpointer) DropLatest() error {
 // objects still reference — those are dead too, even though the base
 // is live.
 func (c *Checkpointer) gc(writtenShards int) {
-	names, err := c.storage.List()
+	seqs, names, err := c.ckptSeqs()
 	if err != nil {
 		return
 	}
 	live := make(map[string]bool)
-	var seqs []int
-	for _, n := range names {
-		if seq, ok := parseCkptName(n); ok {
-			seqs = append(seqs, seq)
-			live[n] = true
+	for i, seq := range seqs {
+		if i < c.keep {
+			live[ckptName(seq)] = true
+		} else {
+			_ = c.storage.Delete(ckptName(seq))
 		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
-	for i := c.keep; i < len(seqs); i++ {
-		base := ckptName(seqs[i])
-		delete(live, base)
-		_ = c.storage.Delete(base)
 	}
 	cur := ckptName(c.seq)
 	for _, n := range names {
@@ -671,7 +645,7 @@ const fileMagic = "FTIG"
 // When audit is non-nil and samples this save (seq identifies it),
 // every vector's blob is reported to it beside the live vector, so the
 // audited bytes are the exact bytes written.
-func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq int, audit SaveAudit) (payload []byte, vecBytes int, bounds []int, err error) {
+func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq int, audit SaveAudit) (payload []byte, bounds []int, err error) {
 	appendString := func(b []byte, str string) []byte {
 		return append(binary.AppendUvarint(b, uint64(len(str))), str...)
 	}
@@ -702,7 +676,7 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 		room := uvarintLen(uint64(8 * len(v)))
 		out = append(out, pad[:room]...)
 		if out, err = enc.Encode(out, v); err != nil {
-			return nil, 0, nil, fmt.Errorf("fti: encode vector %q: %w", name, err)
+			return nil, nil, fmt.Errorf("fti: encode vector %q: %w", name, err)
 		}
 		blobLen := len(out) - lenAt - room
 		blobStart := lenAt + uvarintLen(uint64(blobLen))
@@ -725,7 +699,6 @@ func encodeSnapshot(s *Snapshot, enc Encoder, buf []byte, wantBounds bool, seq i
 				}
 			}
 		}
-		vecBytes += blobLen
 	}
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), vecBytes, bounds, nil
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), bounds, nil
 }

@@ -14,30 +14,48 @@ import (
 // contiguous payload, its whole-payload IEEE CRC verified, the skeleton
 // parsed with plain offsets, and every vector blob decoded whole,
 // through the encoder's DecodeInto, into a fresh allocation. It shares
-// with the walk the newest-first fallback (restoreTrace) and the
-// encoders, and neither the chunk cursor nor the per-block scheduling.
+// with the walk the storage listing (ckptSeqs) and the encoders, and
+// neither the chunk cursor nor the per-block scheduling.
 
 // RestoreReassembled restores the newest valid checkpoint by
-// reassemble-then-decode. Restore must produce a bitwise-identical
-// snapshot.
+// reassemble-then-decode, falling back newest-first past any it cannot
+// read or decode. Restore must produce a bitwise-identical snapshot.
 func (c *Checkpointer) RestoreReassembled() (*Snapshot, error) {
-	s, _, err := c.restoreTrace(func(data []byte, att *RestoreAttempt) (*Snapshot, error) {
-		if shard.IsManifest(data) {
-			man, err := shard.ParseManifest(data)
-			if err != nil {
-				return nil, err
-			}
-			r := shard.NewReader(c.storage, man)
-			if err := r.Prefetch(0, r.Total(), shard.Options{Workers: c.storageWorkers}); err != nil {
-				return nil, err
-			}
-			if data, err = r.Bytes(0, r.Total()); err != nil {
-				return nil, err
-			}
+	seqs, _, err := c.ckptSeqs()
+	if err != nil {
+		return nil, err
+	}
+	err = fmt.Errorf("fti: no checkpoints available")
+	for _, seq := range seqs {
+		var s *Snapshot
+		if s, err = c.reassembledDecode(ckptName(seq)); err == nil {
+			return s, nil
 		}
-		return referenceDecode(data, c.enc)
-	})
-	return s, err
+	}
+	return nil, err
+}
+
+// reassembledDecode reads the checkpoint stored under name, reassembles
+// a shard group into one payload, and decodes it with referenceDecode.
+func (c *Checkpointer) reassembledDecode(name string) (*Snapshot, error) {
+	data, err := c.storage.Read(name)
+	if err != nil {
+		return nil, err
+	}
+	if shard.IsManifest(data) {
+		man, err := shard.ParseManifest(data)
+		if err != nil {
+			return nil, err
+		}
+		r := shard.NewReader(c.storage, man)
+		if err := r.Prefetch(0, r.Total(), shard.Options{Workers: c.storageWorkers}); err != nil {
+			return nil, err
+		}
+		if data, err = r.Bytes(0, r.Total()); err != nil {
+			return nil, err
+		}
+	}
+	return referenceDecode(data, c.enc)
 }
 
 // referenceDecode decodes a contiguous checkpoint payload. It trusts

@@ -88,15 +88,13 @@ func ClassifyError(err error) ErrClass {
 }
 
 // FaultPolicy tunes Resilient. The zero value is usable: Normalize
-// fills every unset knob with the defaults below.
+// fills every unset knob with the defaults below. The backoff before
+// each retry is not tuned: it starts at baseDelay and doubles up to
+// maxDelay, with seeded jitter.
 type FaultPolicy struct {
 	// MaxRetries is the number of retry attempts after the first try
 	// (so an op issues at most MaxRetries+1 attempts). Default 4.
 	MaxRetries int
-	// BaseDelay is the pre-jitter backoff before the first retry; each
-	// further retry doubles it up to MaxDelay. Defaults 2ms / 250ms.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// OpBudget caps the total backoff delay one operation may spend
 	// across its retries; a retry whose backoff would exceed the
 	// remaining budget is not attempted and the op fails as exhausted.
@@ -110,16 +108,17 @@ type FaultPolicy struct {
 	Sleep func(time.Duration)
 }
 
+// The pre-jitter backoff before the first retry, and the cap each
+// further retry's doubling stops at.
+const (
+	baseDelay = 2 * time.Millisecond
+	maxDelay  = 250 * time.Millisecond
+)
+
 // Normalize returns the policy with defaults filled in.
 func (p FaultPolicy) Normalize() FaultPolicy {
 	if p.MaxRetries <= 0 {
 		p.MaxRetries = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 2 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 250 * time.Millisecond
 	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
@@ -225,9 +224,9 @@ func (r *Resilient) Instrument(reg *obs.Registry) {
 // (0-based): the capped exponential step, jittered uniformly into
 // [step/2, step] so concurrent retriers decorrelate.
 func (r *Resilient) backoff(attempt int) time.Duration {
-	step := r.pol.BaseDelay << uint(attempt)
-	if step > r.pol.MaxDelay || step <= 0 { // <= 0: shift overflow
-		step = r.pol.MaxDelay
+	step := baseDelay << uint(attempt)
+	if step > maxDelay || step <= 0 { // <= 0: shift overflow
+		step = maxDelay
 	}
 	r.mu.Lock()
 	j := time.Duration(r.rng.Int63n(int64(step)/2 + 1))

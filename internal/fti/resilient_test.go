@@ -158,11 +158,10 @@ func TestResilientOpBudgetBoundsBackoff(t *testing.T) {
 	fs := newFlakyStore(&classedErr{ClassTransient})
 	fs.fail("write", "a", 100)
 	rec := &sleepRecorder{}
-	// The first backoff step is ≥ BaseDelay/2 = 5ms > the 4ms budget,
+	// The first backoff step is ≥ baseDelay/2 = 1ms > the 0.5ms budget,
 	// so the op must give up without sleeping at all.
 	r := NewResilient(fs, FaultPolicy{
-		MaxRetries: 10, BaseDelay: 10 * time.Millisecond,
-		OpBudget: 4 * time.Millisecond, Sleep: rec.sleep,
+		MaxRetries: 10, OpBudget: baseDelay / 4, Sleep: rec.sleep,
 	})
 	err := r.Write("a", []byte{1})
 	var fe *FaultError
@@ -179,10 +178,7 @@ func TestResilientBackoffDeterministicAndCapped(t *testing.T) {
 		fs := newFlakyStore(&classedErr{ClassTransient})
 		fs.fail("write", "a", 100)
 		rec := &sleepRecorder{}
-		r := NewResilient(fs, FaultPolicy{
-			MaxRetries: 8, BaseDelay: time.Millisecond,
-			MaxDelay: 8 * time.Millisecond, Seed: 42, Sleep: rec.sleep,
-		})
+		r := NewResilient(fs, FaultPolicy{MaxRetries: 8, Seed: 42, Sleep: rec.sleep})
 		_ = r.Write("a", []byte{1})
 		return rec.all()
 	}
@@ -194,10 +190,7 @@ func TestResilientBackoffDeterministicAndCapped(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("seeded backoff differs at step %d: %v vs %v", i, a[i], b[i])
 		}
-		step := time.Millisecond << uint(i)
-		if step > 8*time.Millisecond {
-			step = 8 * time.Millisecond
-		}
+		step := min(baseDelay<<uint(i), maxDelay) // the last of the 8 is capped
 		if a[i] < step/2 || a[i] > step {
 			t.Fatalf("backoff %d = %v outside [%v, %v]", i, a[i], step/2, step)
 		}

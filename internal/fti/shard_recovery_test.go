@@ -84,7 +84,7 @@ func TestShardedCutsAlignToSZBlocks(t *testing.T) {
 	// the shard cut points must land on its block boundaries.
 	x := shardTestState(300_000)
 	enc := SZ{Params: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-6}}
-	payload, _, bounds, err := encodeSnapshot(shardSnap(1, x), enc, nil, true, 0, nil)
+	payload, bounds, err := encodeSnapshot(shardSnap(1, x), enc, nil, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

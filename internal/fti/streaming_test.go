@@ -351,7 +351,7 @@ func TestStreamingUnalignedCuts(t *testing.T) {
 
 	// Encode the snapshot exactly as Save would, then shard it with
 	// nil alignment so cuts fall mid-block.
-	payload, _, _, err := encodeSnapshot(streamSnap(5, big, big[:500]), enc, nil, false, 0, nil)
+	payload, _, err := encodeSnapshot(streamSnap(5, big, big[:500]), enc, nil, false, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

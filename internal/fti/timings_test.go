@@ -49,7 +49,7 @@ func TestSyncSaveStageTimings(t *testing.T) {
 
 // TestAsyncPeekStageTimings: the committed Info Peek reports carries
 // capture, encode, and write durations — the pipeline's stall
-// accounting is observable per save, not only aggregated in AsyncStats.
+// accounting is observable per save.
 func TestAsyncPeekStageTimings(t *testing.T) {
 	a := NewAsync(New(NewMemStorage(), slowEncoder{Encoder: Raw{}, delay: 2 * time.Millisecond}))
 	x := sparse.SmoothField(1<<16, 7)
@@ -72,14 +72,9 @@ func TestAsyncPeekStageTimings(t *testing.T) {
 		t.Errorf("WriteSeconds %.9f, want > 0", info.WriteSeconds)
 	}
 
-	// The cumulative stats split must cover the per-save stage sums and
-	// stay inside the fused background total.
-	st := a.Stats()
-	if st.EncodeSeconds < info.EncodeSeconds || st.WriteSeconds < info.WriteSeconds {
-		t.Errorf("stats stage sums %+v below the save's own %+v", st, info)
-	}
-	if st.EncodeSeconds+st.WriteSeconds > st.EncodeWriteSeconds+1e-9 {
+	// The one save's stages stay inside the pipeline's background total.
+	if st := a.Stats(); info.EncodeSeconds+info.WriteSeconds > st.EncodeWriteSeconds+1e-9 {
 		t.Errorf("encode %.6f + write %.6f exceed the background total %.6f",
-			st.EncodeSeconds, st.WriteSeconds, st.EncodeWriteSeconds)
+			info.EncodeSeconds, info.WriteSeconds, st.EncodeWriteSeconds)
 	}
 }

@@ -28,7 +28,7 @@ type CG struct {
 
 // NewCG constructs a CG solver for A·x = b with preconditioner m and
 // initial guess x0 (nil means zero). The convergence threshold is
-// RTol·‖b‖ + ATol, fixed for the lifetime of the solver.
+// RTol·‖b‖ + aTol, fixed for the lifetime of the solver.
 func NewCG(a Operator, m precond.Interface, b []float64, x0 []float64, space Space, opts Options) *CG {
 	if m == nil {
 		m = precond.Identity{}
@@ -48,7 +48,7 @@ func NewCG(a Operator, m precond.Interface, b []float64, x0 []float64, space Spa
 	}
 	s.fused, _ = space.(fusedReducer)
 	normb := space.Norm2(b)
-	s.threshold = s.opts.RTol*normb + s.opts.ATol
+	s.threshold = s.opts.RTol*normb + aTol
 	if x0 == nil {
 		x0 = make([]float64, n)
 	}
@@ -105,7 +105,7 @@ func (s *CG) Step() float64 {
 // Iteration returns the number of Steps performed since construction.
 func (s *CG) Iteration() int { return s.it }
 
-// Converged reports rnorm ≤ RTol·‖b‖ + ATol.
+// Converged reports rnorm ≤ RTol·‖b‖ + aTol.
 func (s *CG) Converged(rnorm float64) bool { return rnorm <= s.threshold }
 
 // ResidualNorm returns the residual norm after the latest Step.

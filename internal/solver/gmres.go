@@ -44,7 +44,7 @@ type GMRES struct {
 
 // NewGMRES constructs GMRES(k) for A·x = b with left preconditioner m
 // and initial guess x0 (nil means zero). Convergence is tested on the
-// preconditioned residual norm against RTol·‖M⁻¹b‖ + ATol, PETSc's
+// preconditioned residual norm against RTol·‖M⁻¹b‖ + aTol, PETSc's
 // default left-preconditioned criterion.
 func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int, space Space, opts Options) *GMRES {
 	if k <= 0 {
@@ -80,7 +80,7 @@ func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int,
 	}
 	// Reference norm: ‖M⁻¹·b‖.
 	s.m.Apply(s.w, s.b)
-	s.threshold = s.opts.RTol*space.Norm2(s.w) + s.opts.ATol
+	s.threshold = s.opts.RTol*space.Norm2(s.w) + aTol
 	if x0 == nil {
 		x0 = make([]float64, n)
 	}
@@ -229,7 +229,7 @@ func (s *GMRES) CurrentXInto(dst []float64) []float64 {
 // Iteration returns the number of inner iterations since construction.
 func (s *GMRES) Iteration() int { return s.it }
 
-// Converged reports rnorm ≤ RTol·‖M⁻¹b‖ + ATol.
+// Converged reports rnorm ≤ RTol·‖M⁻¹b‖ + aTol.
 func (s *GMRES) Converged(rnorm float64) bool { return rnorm <= s.threshold }
 
 // ResidualNorm returns the current preconditioned residual estimate.

@@ -62,24 +62,23 @@ func (SeqSpace) axpyDot(a float64, x, y, z []float64) float64 {
 }
 
 // Options control convergence testing. The zero value picks the
-// paper's/PETSc's defaults.
+// paper's/PETSc's defaults. A solver stops when the (possibly
+// preconditioned) residual norm drops below RTol times its
+// right-hand-side norm plus aTol.
 type Options struct {
-	// RTol is the relative convergence tolerance: the solver stops
-	// when the (possibly preconditioned) residual norm drops below
-	// RTol times its right-hand-side norm. PETSc's default is 1e-5.
+	// RTol is the relative convergence tolerance. PETSc's default is
+	// 1e-5.
 	RTol float64
-	// ATol is the absolute floor on the residual norm.
-	ATol float64
 	// MaxIter caps the number of iterations (default 100000).
 	MaxIter int
 }
 
+// aTol is the absolute floor on the residual norm.
+const aTol = 1e-50
+
 func (o Options) withDefaults() Options {
 	if o.RTol == 0 {
 		o.RTol = 1e-5
-	}
-	if o.ATol == 0 {
-		o.ATol = 1e-50
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 100000

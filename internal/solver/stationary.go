@@ -102,7 +102,7 @@ func NewStationary(kind StationaryKind, a *sparse.CSR, b []float64, x0 []float64
 	} else {
 		s.diag = diag
 	}
-	s.threshold = s.opts.RTol*SeqSpace{}.Norm2(b) + s.opts.ATol
+	s.threshold = s.opts.RTol*SeqSpace{}.Norm2(b) + aTol
 	if x0 == nil {
 		x0 = make([]float64, n)
 	}
@@ -179,7 +179,7 @@ func (s *Stationary) sorSweep(omega float64, backward bool) {
 // Iteration returns the number of sweeps since construction.
 func (s *Stationary) Iteration() int { return s.it }
 
-// Converged reports rnorm ≤ RTol·‖b‖ + ATol.
+// Converged reports rnorm ≤ RTol·‖b‖ + aTol.
 func (s *Stationary) Converged(rnorm float64) bool { return rnorm <= s.threshold }
 
 // ResidualNorm returns ‖b − A·x‖ after the latest sweep.
@@ -249,7 +249,7 @@ func NewRichardson(a Operator, m precond.Interface, b []float64, x0 []float64, o
 		r:     make([]float64, n),
 		z:     make([]float64, n),
 	}
-	s.threshold = s.opts.RTol*space.Norm2(b) + s.opts.ATol
+	s.threshold = s.opts.RTol*space.Norm2(b) + aTol
 	if x0 == nil {
 		x0 = make([]float64, n)
 	}
@@ -283,7 +283,7 @@ func (s *Richardson) Step() float64 {
 // Iteration returns the number of sweeps since construction.
 func (s *Richardson) Iteration() int { return s.it }
 
-// Converged reports rnorm ≤ RTol·‖b‖ + ATol.
+// Converged reports rnorm ≤ RTol·‖b‖ + aTol.
 func (s *Richardson) Converged(rnorm float64) bool { return rnorm <= s.threshold }
 
 // ResidualNorm returns the residual norm after the latest Step.

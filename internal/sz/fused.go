@@ -15,11 +15,11 @@ import "repro/internal/parallel"
 // At a zero, a subnormal, a NaN or an Inf the pass stops: ok is false,
 // nothing is appended, and signs must be cleared again for the two-pass
 // path, which writes such a block or refuses it.
-func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, sten stencil, intervals int) (out []byte, ok bool, err error) {
+func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, sten stencil) (out []byte, ok bool, err error) {
 	n, w := len(x), sten.s1
 	g := gridLogs{x: x, r: parallel.GetFloat64s(n)[:n], codes: parallel.GetInts(n)[:n], signs: signs,
 		zero: parallel.GetFloat64s(4 * w)[:4*w], sten: sten,
-		inv: 1 / (2 * eb), twoEB: 2 * eb, eb: eb, limit: float64(intervals/2 - 1), half: intervals / 2}
+		inv: 1 / (2 * eb), twoEB: 2 * eb, eb: eb, limit: float64(quantBins/2 - 1), half: quantBins / 2}
 	unpred := parallel.GetFloat64s(0)
 	defer func() {
 		parallel.PutFloat64s(g.r)
@@ -36,7 +36,7 @@ func appendGridLogs(dst []byte, x []float64, signs, bitmaps []byte, eb float64, 
 			unpred = append(unpred, g.r[i])
 		}
 	}
-	out, err = emitCore(emitLogHeader(dst, n, bitmaps, nil), g.codes, eb, sten, intervals, unpred)
+	out, err = emitCore(emitLogHeader(dst, n, bitmaps, nil), g.codes, eb, sten, quantBins, unpred)
 	return out, true, err
 }
 

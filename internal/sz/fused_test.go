@@ -61,7 +61,7 @@ func gridEncodeInput(nx, ny, nz, shift uint8, data []byte) (x []float64, sten st
 // or an Inf is refused either way, and Compress names the first one.
 func checkGridEncode(t *testing.T, x []float64, sten stencil, eb float64) {
 	t.Helper()
-	p := Params{Mode: PWRel, ErrorBound: eb, Intervals: defaultIntervals, BlockSize: len(x)}
+	p := Params{Mode: PWRel, ErrorBound: eb, BlockSize: len(x)}
 	blk := Blocks{p: p, eb: eb, sten: sten}
 	bad := firstNaNOrInf(x)
 	encode := func(on bool) []byte {
@@ -115,7 +115,7 @@ func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 	if sten.pred != PredictorLorenzoND {
 		return
 	}
-	n, half := len(x), defaultIntervals/2
+	n, half := len(x), quantBins/2
 	run := func(rows bool) (*gridLogs, bool) {
 		g := &gridLogs{x: x, r: make([]float64, n), codes: make([]int, n), signs: make([]byte, (n+7)/8),
 			zero: make([]float64, 4*sten.s1), sten: sten,
@@ -159,7 +159,7 @@ func checkGridState(t *testing.T, x []float64, sten stencil, eb float64) {
 			unpred = append(unpred, loop.r[i])
 		}
 	}
-	core, err := emitCore(nil, loop.codes, eb, sten, defaultIntervals, unpred)
+	core, err := emitCore(nil, loop.codes, eb, sten, quantBins, unpred)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,12 +100,12 @@ const (
 )
 
 // Params configure compression. Zero values select the defaults used
-// in the paper's experiments (65,536 quantization intervals, automatic
-// predictor selection, codec.DefaultBlockElems-element blocks).
+// in the paper's experiments (automatic predictor selection,
+// codec.DefaultBlockElems-element blocks); every stream quantizes into
+// the paper's 65,536 intervals.
 type Params struct {
 	Mode       Mode
 	ErrorBound float64
-	Intervals  int // quantization bins; default 65536
 	Predictor  Predictor
 	// BlockSize is the number of elements per independently compressed
 	// block (default codec.DefaultBlockElems = 256 KiB). Smaller blocks
@@ -114,8 +114,8 @@ type Params struct {
 }
 
 const (
-	defaultIntervals = 65536
-	kindCore         = 0 // Abs/RelRange payload
+	quantBins = 65536 // the paper's quantization intervals, recorded in each core stream
+	kindCore  = 0     // Abs/RelRange payload
 	// 1 framed a constant vector; that is the container's constant
 	// stream now, and no block carries it.
 	// 2 is retired, not free: it framed PWRel payloads with three
@@ -171,12 +171,6 @@ func normalizeParams(p Params) (Params, error) {
 	if p.Predictor > PredictorLorenzoND {
 		return p, fmt.Errorf("sz: unknown predictor %d", p.Predictor)
 	}
-	if p.Intervals == 0 {
-		p.Intervals = defaultIntervals
-	}
-	if p.Intervals < minIntervals || p.Intervals > maxIntervals {
-		return p, fmt.Errorf("sz: intervals %d outside [%d, 2^24]", p.Intervals, minIntervals)
-	}
 	if p.BlockSize < 0 {
 		return p, fmt.Errorf("sz: negative block size %d", p.BlockSize)
 	}
@@ -189,8 +183,8 @@ func normalizeParams(p Params) (Params, error) {
 	return p, nil
 }
 
-// The quantization-bin counts the encoder writes, and so the only ones
-// a decoder accepts.
+// The quantization-bin counts a decoder accepts: appendCore takes any
+// of them, though a compress always passes quantBins.
 const (
 	minIntervals = 4
 	maxIntervals = 1 << 24
@@ -256,13 +250,13 @@ func (b Blocks) BlockSize() int {
 // EncodeBlock implements codec.BlockCodec: a kind byte, then the core
 // or log-transform payload of x.
 func (b Blocks) EncodeBlock(dst []byte, x []float64) ([]byte, error) {
-	if b.p.Intervals == 0 {
+	if b.p.BlockSize == 0 {
 		return nil, fmt.Errorf("sz: Blocks encodes through AppendCompress only")
 	}
 	if b.p.Mode == PWRel {
 		return appendLogTransform(append(dst, kindLogTransform), x, b.p, b.sten)
 	}
-	return appendCore(append(dst, kindCore), x, nil, b.eb, b.sten, b.p.Intervals)
+	return appendCore(append(dst, kindCore), x, nil, b.eb, b.sten, quantBins)
 }
 
 // DecodeBlockInto implements codec.BlockCodec.
@@ -437,7 +431,7 @@ func inferStrides(x []float64, p Params, eb float64) (s1, s2 int) {
 	if p.Mode == PWRel {
 		eb = math.Log1p(eb)
 	}
-	s := sampler{x: x, inv: inferSub / (2 * eb), limit: inferSub * float64(p.Intervals/2-1), logs: p.Mode == PWRel}
+	s := sampler{x: x, inv: inferSub / (2 * eb), limit: inferSub * float64(quantBins/2-1), logs: p.Mode == PWRel}
 	// Samples come from the back half, so that every stencil reaching
 	// at most reach elements back finds all its neighbours, at
 	// golden-ratio steps, which line up with no grid and leave every
@@ -872,7 +866,7 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil) ([]byte
 	signs := bitmaps[nb : 2*nb]
 	tiny := bitmaps[2*nb : 3*nb]
 	if g := sten.fit(n); useKernels && useFast && g.pred == PredictorLorenzoND {
-		if out, ok, err := appendGridLogs(dst, x, signs, bitmaps, lnbEnc, g, p.Intervals); ok {
+		if out, ok, err := appendGridLogs(dst, x, signs, bitmaps, lnbEnc, g); ok {
 			return out, err
 		}
 		clear(signs)
@@ -914,7 +908,7 @@ func appendLogTransform(dst []byte, x []float64, p Params, sten stencil) ([]byte
 		// them: what is left of the block is no longer the grid.
 		sten = stencil{}
 	}
-	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, logs, lnbEnc, sten, p.Intervals)
+	return appendCore(emitLogHeader(dst, n, bitmaps, exact), logs, logs, lnbEnc, sten, quantBins)
 }
 
 // emitLogHeader appends the log-transform framing that precedes the
