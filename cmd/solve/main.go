@@ -277,17 +277,7 @@ func run(o options) (err error) {
 	a := sparse.Poisson3D(o.grid)
 	b := sparse.OnesRHS(a.Rows)
 	rep.runInfo.Unknowns, rep.runInfo.Operator = a.Rows, a.Kernel()
-	op := solver.Operator(a)
-	var co *abft.ChecksumOperator
-	if o.tiers && o.method == "cg" {
-		// Huang–Abraham checksum augmentation: every operator
-		// application is verified against precomputed column sums, so
-		// silent corruption surfaces before it contaminates the
-		// retained ABFT redundancy.
-		co = abft.NewChecksumOperator(a)
-		op = co
-	}
-	s, err := solver.New(o.method, a, op, b, solver.Options{RTol: o.rtol})
+	s, err := solver.New(o.method, a, b, solver.Options{RTol: o.rtol})
 	if err != nil {
 		return err
 	}
@@ -461,7 +451,7 @@ func run(o options) (err error) {
 		// The paper's ledger: N is the same system solved with nothing
 		// failing, off Drive's clock; what the run executed beyond it is
 		// replayed work and N′, the extra iterations a restart cost.
-		ref, err := solver.New(o.method, a, solver.Operator(a), b, solver.Options{RTol: o.rtol})
+		ref, err := solver.New(o.method, a, b, solver.Options{RTol: o.rtol})
 		if err != nil {
 			return err
 		}
@@ -475,9 +465,6 @@ func run(o options) (err error) {
 		ri.ExtraIterations = out.ConvergenceIterations - res.Iterations
 		fmt.Printf("iterations: %d = %d failure-free + %d replayed + %d extra (N')\n",
 			out.IterationsExecuted, ri.FailureFreeIterations, ri.ReplayedIterations, ri.ExtraIterations)
-	}
-	if co != nil {
-		fmt.Printf("checksum operator: %d applications, %d mismatches\n", co.Applications(), co.Mismatches())
 	}
 	if guard != nil {
 		st := guard.Stats()

@@ -792,7 +792,7 @@ func TestObserversCountEachEventOnce(t *testing.T) {
 
 // observedOnce checks that the metrics snapshot and Chrome trace a run
 // wrote to dir count each lifecycle event once, against what the run
-// printed: Σ core_recoveries_total = failures=, per tier the "recovery
+// printed: Σ core_recoveries_<tier>_total = failures=, per tier the "recovery
 // tiers:" line (a step-keyed plan never interrupts a recovery),
 // fti_checkpoints_total − core_checkpoints_aborted_total =
 // checkpoints=, one failure instant per failure, one tier span on the
@@ -838,16 +838,16 @@ func observedOnce(t *testing.T, args, out, dir string) {
 			t.Fatalf("%s: %s: %v", args, file, err)
 		}
 	}
-	count := func(name string, labels ...obs.Label) int {
-		if md := snap.Get(name, labels...); md != nil {
+	count := func(name string) int {
+		if md := snap.Get(name); md != nil {
 			return int(md.Value)
 		}
 		return 0
 	}
-	tier := func(name string) int { return count(obs.MCoreRecoveriesTotal, obs.L("tier", name)) }
-	got := []int{tier("abft"), tier("checkpoint") + tier("previous-checkpoint"), tier("restart-zero")}
+	tier := func(t core.RecoveryTier) int { return count(obs.MCoreRecoveriesTotal[t]) }
+	got := []int{tier(core.TierABFT), tier(core.TierCheckpoint) + tier(core.TierPreviousCheckpoint), tier(core.TierRestartZero)}
 	if !reflect.DeepEqual(got, tiers) || got[0]+got[1]+got[2] != failures {
-		t.Errorf("%s: %s abft/checkpoint/restart-zero = %v, printed %v with failures=%d", args, obs.MCoreRecoveriesTotal, got, tiers, failures)
+		t.Errorf("%s: %v abft/checkpoint/restart-zero = %v, printed %v with failures=%d", args, obs.MCoreRecoveriesTotal, got, tiers, failures)
 	}
 	saves, aborted := count(obs.MFTICheckpointsTotal), count(obs.MCoreCheckpointsAbortedTotal)
 	if saves-aborted != checkpoints {

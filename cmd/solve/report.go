@@ -146,17 +146,13 @@ func (r *reporter) printMetricsSummary(snap obs.Snapshot) {
 	printed := false
 	for i := range snap.Metrics {
 		md := &snap.Metrics[i]
-		name := md.Name
-		for _, l := range md.Labels {
-			name += fmt.Sprintf("{%s=%q}", l.Key, l.Value)
-		}
 		var line string
 		switch {
 		case md.Type == "histogram" && md.Count > 0:
 			line = fmt.Sprintf("  %-52s count=%-6d mean=%-10.4g p99=%.4g",
-				name, md.Count, md.Sum/float64(md.Count), md.Quantile(0.99))
+				md.Name, md.Count, md.Sum/float64(md.Count), md.Quantile(0.99))
 		case md.Type != "histogram" && md.Value != 0:
-			line = fmt.Sprintf("  %-52s %g", name, md.Value)
+			line = fmt.Sprintf("  %-52s %g", md.Name, md.Value)
 		default:
 			continue // zero-valued: present in the snapshot, noise here
 		}

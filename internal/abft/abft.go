@@ -32,11 +32,6 @@
 // retained pre-failure residual norm. A reconstruction that fails
 // verification is rejected and the caller falls back to the next
 // recovery tier (the lossy checkpoint).
-//
-// The package also provides ChecksumOperator, a Huang–Abraham style
-// checksum-augmented operator: A's column sums are precomputed and
-// every MulVec verifies Σ(A·x) against c·x, detecting silent
-// corruption of the operator application.
 package abft
 
 import (
@@ -47,7 +42,6 @@ import (
 	"repro/internal/precond"
 	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/vec"
 )
 
 // Method names the reconstruction algorithm a guard runs.
@@ -435,59 +429,3 @@ func extractBlock(a *sparse.CSR, lo, hi int) *sparse.CSR {
 	}
 	return sub
 }
-
-// ChecksumOperator wraps a CSR operator with Huang–Abraham checksum
-// verification: the column sums c_j = Σ_i A_ij are precomputed, and
-// every MulVec checks Σ_i (A·x)_i against c·x to a rounding-aware
-// tolerance. The numerics are untouched — dst is exactly A·x — so a
-// checksum-augmented run is bitwise identical to an unguarded one;
-// only silent corruption of the apply is detected and counted.
-type ChecksumOperator struct {
-	a            *sparse.CSR
-	c            []float64 // column sums
-	cabs         []float64 // absolute column sums, for the error bound
-	applications int
-	mismatches   int
-}
-
-// NewChecksumOperator precomputes the checksum rows of a.
-func NewChecksumOperator(a *sparse.CSR) *ChecksumOperator {
-	o := &ChecksumOperator{a: a, c: make([]float64, a.Cols), cabs: make([]float64, a.Cols)}
-	for i := 0; i < a.Rows; i++ {
-		for idx := a.RowPtr[i]; idx < a.RowPtr[i+1]; idx++ {
-			j := a.ColIdx[idx]
-			o.c[j] += a.Val[idx]
-			o.cabs[j] += math.Abs(a.Val[idx])
-		}
-	}
-	return o
-}
-
-// MulVec applies dst ← A·x and verifies the result's checksum.
-func (o *ChecksumOperator) MulVec(dst, x []float64) {
-	o.a.MulVec(dst, x)
-	o.applications++
-	want := vec.Dot(o.c, x)
-	got := 0.0
-	for _, v := range dst {
-		got += v
-	}
-	scale := 0.0
-	for j, xv := range x {
-		scale += o.cabs[j] * math.Abs(xv)
-	}
-	// The two sums accumulate the same products in different orders;
-	// the tolerance covers that reordering at float64 precision.
-	tol := 1e-10*scale + 1e-300
-	if diff := math.Abs(want - got); !(diff <= tol) { // NaN-safe
-		o.mismatches++
-	}
-}
-
-// Applications reports how many operator applications were checked.
-func (o *ChecksumOperator) Applications() int { return o.applications }
-
-// Mismatches reports how many applications failed the checksum.
-func (o *ChecksumOperator) Mismatches() int { return o.mismatches }
-
-var _ solver.Operator = (*ChecksumOperator)(nil)

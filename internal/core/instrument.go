@@ -42,7 +42,7 @@ func (m *Manager) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		tr:          tr,
 	}
 	for t := range m.mobs.tiers {
-		m.mobs.tiers[t] = reg.With(obs.L("tier", RecoveryTier(t).String())).Counter(obs.MCoreRecoveriesTotal)
+		m.mobs.tiers[t] = reg.Counter(obs.MCoreRecoveriesTotal[t])
 	}
 }
 

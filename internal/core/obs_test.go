@@ -155,8 +155,8 @@ func TestManagerInstrumentCountsLifecycle(t *testing.T) {
 	if md := snap.Get(obs.MABFTObservesTotal); md == nil || md.Value != 10 {
 		t.Fatalf("abft_observes_total = %+v, want 10", md)
 	}
-	if md := snap.Get(obs.MCoreRecoveriesTotal, obs.L("tier", "abft")); md == nil || md.Value != 1 {
-		t.Fatalf("core_recoveries_total{tier=abft} = %+v, want 1", md)
+	if md := snap.Get(obs.MCoreRecoveriesTotal[TierABFT]); md == nil || md.Value != 1 {
+		t.Fatalf("%s = %+v, want 1", obs.MCoreRecoveriesTotal[TierABFT], md)
 	}
 	if md := snap.Get(obs.MFTICompressionRatio); md == nil || md.Value <= 0 {
 		t.Fatalf("fti_compression_ratio = %+v, want positive gauge", md)
@@ -272,9 +272,9 @@ func TestDriveEmitsTraceAndMetrics(t *testing.T) {
 // instrumented Manager records agree with the Outcome of the Drive run
 // it observed, each event counted once:
 //
-//   - Σ over tiers of core_recoveries_total = Failures (every failure
-//     runs the chain once);
-//   - core_recoveries_total{tier} = the Outcome's tier counters, when no
+//   - Σ over tiers of core_recoveries_<tier>_total = Failures (every
+//     failure runs the chain once);
+//   - core_recoveries_<tier>_total = the Outcome's tier counters, when no
 //     report is Interrupted (the Outcome does not count an interrupted
 //     chain, the Manager does);
 //   - fti_checkpoints_total − core_checkpoints_aborted_total =
@@ -282,8 +282,8 @@ func TestDriveEmitsTraceAndMetrics(t *testing.T) {
 //   - one failure instant per failure, one tier span on the recovery
 //     track per TierAttempt, and no span of any other recovery kind.
 func lifecycleIdentities(snap obs.Snapshot, events []obs.SpanEvent, out *Outcome) (errs []error) {
-	count := func(name string, labels ...obs.Label) int {
-		if md := snap.Get(name, labels...); md != nil {
+	count := func(name string) int {
+		if md := snap.Get(name); md != nil {
 			return int(md.Value)
 		}
 		return 0
@@ -292,11 +292,11 @@ func lifecycleIdentities(snap obs.Snapshot, events []obs.SpanEvent, out *Outcome
 	var tiers [TierRestartZero + 1]int
 	recoveries := 0
 	for t := range tiers {
-		tiers[t] = count(obs.MCoreRecoveriesTotal, obs.L("tier", RecoveryTier(t).String()))
+		tiers[t] = count(obs.MCoreRecoveriesTotal[t])
 		recoveries += tiers[t]
 	}
 	if recoveries != failures {
-		errs = append(errs, fmt.Errorf("Σ %s = %d, want failures %d", obs.MCoreRecoveriesTotal, recoveries, failures))
+		errs = append(errs, fmt.Errorf("Σ %v = %d, want failures %d", obs.MCoreRecoveriesTotal, recoveries, failures))
 	}
 	attempts, interrupted := 0, false
 	for _, rep := range out.RecoveryReports {
@@ -304,7 +304,7 @@ func lifecycleIdentities(snap obs.Snapshot, events []obs.SpanEvent, out *Outcome
 		interrupted = interrupted || rep.Interrupted
 	}
 	if !interrupted && tiers != want {
-		errs = append(errs, fmt.Errorf("%s by tier = %v, want %v", obs.MCoreRecoveriesTotal, tiers, want))
+		errs = append(errs, fmt.Errorf("%v = %v, want %v", obs.MCoreRecoveriesTotal, tiers, want))
 	}
 	saves, aborted := count(obs.MFTICheckpointsTotal), count(obs.MCoreCheckpointsAbortedTotal)
 	if saves-aborted != out.Checkpoints {

@@ -112,7 +112,7 @@ type claimRun struct {
 func runClaim(t *testing.T, c claimCase, scheme core.Scheme, mbps float64) claimRun {
 	t.Helper()
 	a, b := poissonSystem(c.grid)
-	s, err := solver.New(c.method, a, a, b, solver.Options{RTol: c.rtol})
+	s, err := solver.New(c.method, a, b, solver.Options{RTol: c.rtol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,9 @@ func raceBuild() bool {
 // near 0.56. At 5 MB/s CG shows the paper's whole ordering, lossy <
 // lossless < traditional; one run per cell is enough for gaps of 7×.
 // Unthrottled, CG keeps its declared reversal (cgUnthrottledFloor), on
-// medians of three runs. Under -race the runs and their checks still happen, once per cell,
-// and no time is asserted. Under -v the test also measures the
+// the median of five runs' lossy/traditional ratios. Under -race the
+// runs and their checks still happen, once per cell, and no time is
+// asserted. Under -v the test also measures the
 // unthrottled and the other bandwidths, one run per cell, and logs the
 // whole table.
 func TestLossyCheckpointsWinOnTheWallClock(t *testing.T) {
@@ -180,12 +181,17 @@ func TestLossyCheckpointsWinOnTheWallClock(t *testing.T) {
 		fmt.Fprintf(&table, "%s: wall seconds in core.Drive, median [min–max] of n runs\n", c.name)
 		fmt.Fprintf(&table, "%-10s %-26s %-26s %-26s\n", "bandwidth", "traditional", "lossless", "lossy")
 		var last [3]claimRun
+		var unthrottled float64 // the median run's lossy/traditional, no throttle
 		for _, mbps := range claimBandwidths {
 			if !slices.Contains(c.asserted, mbps) && !testing.Verbose() {
 				continue
 			}
 			runs := 1
-			if (mbps == 20 || mbps == 0) && !race {
+			switch {
+			case race:
+			case mbps == 0:
+				runs = 5
+			case mbps == 20:
 				runs = 3
 			}
 			median[mbps] = map[core.Scheme]float64{}
@@ -203,11 +209,25 @@ func TestLossyCheckpointsWinOnTheWallClock(t *testing.T) {
 					secs[i] = append(secs[i], last[i].seconds)
 				}
 			}
+			if mbps == 0 {
+				// A run's lossy and traditional solves ran back to back,
+				// so their ratio cancels a slow phase of the host that
+				// a ratio of two medians can catch on one side only.
+				ratios := make([]float64, runs)
+				for k := range ratios {
+					ratios[k] = secs[2][k] / secs[0][k]
+				}
+				slices.Sort(ratios)
+				unthrottled = ratios[runs/2]
+			}
 			for i, scheme := range schemes {
 				secs := secs[i]
 				slices.Sort(secs)
 				median[mbps][scheme] = secs[len(secs)/2]
 				fmt.Fprintf(&table, " %-26s", fmt.Sprintf("%.3f [%.3f–%.3f] n=%d", secs[len(secs)/2], secs[0], secs[len(secs)-1], runs))
+			}
+			if mbps == 0 {
+				fmt.Fprintf(&table, " lossy/traditional %.2f (median run)", unthrottled)
 			}
 			table.WriteString("\n")
 		}
@@ -233,9 +253,9 @@ func TestLossyCheckpointsWinOnTheWallClock(t *testing.T) {
 			t.Errorf("%s at 5 MB/s: lossy %.3f s, lossless %.3f s, traditional %.3f s; want lossy < lossless < traditional",
 				c.name, at5[core.Lossy], at5[core.Lossless], at5[core.Traditional])
 		}
-		if ratio := median[0][core.Lossy] / median[0][core.Traditional]; ratio < cgUnthrottledFloor {
-			t.Errorf("%s unthrottled: lossy/traditional = %.2f, below the declared %.2f: the reversal is gone; update cgUnthrottledFloor",
-				c.name, ratio, cgUnthrottledFloor)
+		if unthrottled < cgUnthrottledFloor {
+			t.Errorf("%s unthrottled: median run's lossy/traditional = %.2f, below the declared %.2f: the reversal is gone; update cgUnthrottledFloor",
+				c.name, unthrottled, cgUnthrottledFloor)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func runFig2(cfg Config) (Result, error) {
 			// approximate solution vector, decompress it to continue
 			// the computations, and count the extra iterations" §4.4.3.
 			t := n/10 + rng.Intn(n*8/10)
-			s, err := solver.New("cg", a, a, b, solver.Options{RTol: cluster.PaperBaselines()["cg"].RTol})
+			s, err := solver.New("cg", a, b, solver.Options{RTol: cluster.PaperBaselines()["cg"].RTol})
 			if err != nil {
 				return nil, err
 			}

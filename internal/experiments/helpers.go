@@ -100,7 +100,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	a := sparse.Poisson3DAniso(nx, 8, 8)
 	b := sparse.SmoothField(a.Rows, 77)
 	base := cluster.PaperBaselines()[method]
-	s, err := solver.New(method, a, a, b, solver.Options{RTol: base.RTol})
+	s, err := solver.New(method, a, b, solver.Options{RTol: base.RTol})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 	if half < 1 {
 		half = 1
 	}
-	s2, err := solver.New(method, a, a, b, solver.Options{RTol: base.RTol})
+	s2, err := solver.New(method, a, b, solver.Options{RTol: base.RTol})
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func measureRatios(method string, grid int, eb float64) (ratios, error) {
 // there.
 func baseline(method string, grid int, a *sparse.CSR, b []float64) (iters int, tit float64, err error) {
 	base := cluster.PaperBaselines()[method]
-	s, err := solver.New(method, a, a, b, solver.Options{RTol: base.RTol})
+	s, err := solver.New(method, a, b, solver.Options{RTol: base.RTol})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -174,7 +174,7 @@ func baseline(method string, grid int, a *sparse.CSR, b []float64) (iters int, t
 // rtol and a Manager over in-memory storage, lossy at pointwise-relative
 // eb (GMRES re-derives it by Theorem 3).
 func managedSolver(method string, a *sparse.CSR, b []float64, rtol float64, scheme core.Scheme, eb float64) (solver.Checkpointable, *core.Manager, error) {
-	s, err := solver.New(method, a, a, b, solver.Options{RTol: rtol})
+	s, err := solver.New(method, a, b, solver.Options{RTol: rtol})
 	if err != nil {
 		return nil, nil, err
 	}

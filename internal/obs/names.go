@@ -52,11 +52,11 @@ const (
 	MStorageRetryDelaySeconds    = "storage_retry_delay_seconds"
 
 	// core — Manager lifecycle: aborts, degraded saves, tiered
-	// recoveries, and the interval windows Drive realized. Commits are
-	// fti_checkpoints_total; what a run kept is that minus the aborts.
+	// recoveries (MCoreRecoveriesTotal below), and the interval windows
+	// Drive realized. Commits are fti_checkpoints_total; what a run kept
+	// is that minus the aborts.
 	MCoreCheckpointsAbortedTotal = "core_checkpoints_aborted_total"
 	MCoreDegradedSavesTotal      = "core_degraded_saves_total"
-	MCoreRecoveriesTotal         = "core_recoveries_total" // labeled tier=<tier>
 	MCoreRecoverySeconds         = "core_recovery_seconds"
 	MCoreIntervalSeconds         = "core_interval_seconds"
 
@@ -84,6 +84,15 @@ const (
 	MQualityAuditSeconds     = "quality_audit_seconds"
 )
 
+// MCoreRecoveriesTotal counts recoveries by the rung that recovered,
+// indexed by core.RecoveryTier; a run's failures are their sum.
+var MCoreRecoveriesTotal = [...]string{
+	"core_recoveries_abft_total",
+	"core_recoveries_checkpoint_total",
+	"core_recoveries_previous_checkpoint_total",
+	"core_recoveries_restart_zero_total",
+}
+
 // AllMetricNames is the catalog CI and the README table are generated
 // against; TestMetricNameConvention asserts every entry matches
 // ValidMetricName and the counter/_total rule.
@@ -99,7 +108,9 @@ var AllMetricNames = []string{
 	MStorageRetriesTotal, MStorageRetryExhaustedTotal,
 	MStoragePermanentErrorsTotal, MStorageRetryDelaySeconds,
 	MCoreCheckpointsAbortedTotal, MCoreDegradedSavesTotal,
-	MCoreRecoveriesTotal, MCoreRecoverySeconds, MCoreIntervalSeconds,
+	MCoreRecoveriesTotal[0], MCoreRecoveriesTotal[1],
+	MCoreRecoveriesTotal[2], MCoreRecoveriesTotal[3],
+	MCoreRecoverySeconds, MCoreIntervalSeconds,
 	MABFTObservesTotal, MABFTChecksumFailuresTotal, MABFTLocalIterationsTotal,
 	MAdaptReplansTotal, MAdaptIntervalSeconds, MAdaptMTTISeconds,
 	MAdaptCheckpointSeconds,

@@ -14,10 +14,8 @@
 //   - deterministic-trace-safe: nothing here feeds back into the
 //     numerics; instrumented and bare runs converge bitwise
 //     identically (asserted in internal/core tests).
-//   - labeled child scopes: Registry.With derives a view over the
-//     same store with extra labels, so a future multi-tenant ckptd
-//     can mount one scope per stream (tenant="...") and snapshot them
-//     together.
+//   - one name, one metric: the registry is a map from name to handle,
+//     with no label dimensions; a per-tier count is a name per tier.
 package obs
 
 import (
@@ -26,20 +24,10 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// Label is one key=value metric dimension.
-type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
-// L is shorthand for Label{k, v}.
-func L(k, v string) Label { return Label{Key: k, Value: v} }
 
 // Counter is a monotonically increasing uint64. Nil receivers no-op.
 type Counter struct{ v atomic.Uint64 }
@@ -166,73 +154,24 @@ func (k metricKind) String() string {
 	}
 }
 
-type mkey struct{ name, labels string }
-
 type entry struct {
-	name   string
-	labels []Label
-	kind   metricKind
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	kind metricKind
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
 }
 
-type registryCore struct {
-	mu      sync.Mutex
-	entries map[mkey]*entry
-}
-
-// Registry hands out metric handles. It is a cheap view (shared
-// store + label scope); With derives child scopes. The zero value is
+// Registry hands out metric handles, one per name. The zero value is
 // not usable — use New. A nil *Registry is the disabled mode: every
 // method returns a nil (no-op) handle.
 type Registry struct {
-	core   *registryCore
-	labels []Label // sorted by key
-	lkey   string  // canonical encoding of labels
+	mu      sync.Mutex
+	entries map[string]*entry
 }
 
-// New returns an empty registry with no labels.
+// New returns an empty registry.
 func New() *Registry {
-	return &Registry{core: &registryCore{entries: make(map[mkey]*entry)}}
-}
-
-// With derives a child scope carrying the scope's labels plus the
-// given ones (child wins on key collision). With on nil returns nil,
-// so disabled mode propagates through scoping.
-func (r *Registry) With(labels ...Label) *Registry {
-	if r == nil {
-		return nil
-	}
-	merged := make(map[string]string, len(r.labels)+len(labels))
-	for _, l := range r.labels {
-		merged[l.Key] = l.Value
-	}
-	for _, l := range labels {
-		merged[l.Key] = l.Value
-	}
-	out := make([]Label, 0, len(merged))
-	for k, v := range merged {
-		out = append(out, Label{Key: k, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return &Registry{core: r.core, labels: out, lkey: encodeLabels(out)}
-}
-
-func encodeLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Quote(l.Value))
-	}
-	return sb.String()
+	return &Registry{entries: make(map[string]*entry)}
 }
 
 func (r *Registry) get(name string, kind metricKind, bounds []float64) *entry {
@@ -246,17 +185,15 @@ func (r *Registry) get(name string, kind metricKind, bounds []float64) *entry {
 	if kind != kindCounter && isTotal {
 		panic(fmt.Sprintf("obs: %s %q must not end in _total", kind, name))
 	}
-	k := mkey{name: name, labels: r.lkey}
-	c := r.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.entries[name]; ok {
 		if e.kind != kind {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, kind, e.kind))
 		}
 		return e
 	}
-	e := &entry{name: name, labels: r.labels, kind: kind}
+	e := &entry{kind: kind}
 	switch kind {
 	case kindCounter:
 		e.c = &Counter{}
@@ -268,12 +205,12 @@ func (r *Registry) get(name string, kind metricKind, bounds []float64) *entry {
 			counts: make([]atomic.Uint64, len(bounds)+1),
 		}
 	}
-	c.entries[k] = e
+	r.entries[name] = e
 	return e
 }
 
-// Counter returns (creating if needed) the counter with this name in
-// this scope. Nil registry returns a nil (no-op) counter.
+// Counter returns (creating if needed) the counter with this name.
+// Nil registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
@@ -281,8 +218,7 @@ func (r *Registry) Counter(name string) *Counter {
 	return r.get(name, kindCounter, nil).c
 }
 
-// Gauge returns (creating if needed) the gauge with this name in
-// this scope. Nil registry returns a nil (no-op) gauge.
+// Gauge returns (creating if needed) the gauge with this name. Nil registry returns a nil (no-op) gauge.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
@@ -291,7 +227,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns (creating if needed) the histogram with this
-// name in this scope; bounds are used only on first creation. Nil
+// name; bounds are used only on first creation. Nil
 // registry returns a nil (no-op) histogram.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
@@ -303,7 +239,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // MetricData is one metric's state in a Snapshot.
 type MetricData struct {
 	Name   string    `json:"name"`
-	Labels []Label   `json:"labels,omitempty"`
 	Type   string    `json:"type"`
 	Value  float64   `json:"value,omitempty"`  // counter, gauge
 	Count  uint64    `json:"count,omitempty"`  // histogram
@@ -340,40 +275,23 @@ func (m *MetricData) Quantile(q float64) float64 {
 	return lo
 }
 
-// Snapshot is a point-in-time copy of a registry, sorted by name
-// then labels. Per-value reads are atomic; the snapshot as a whole
-// is not a consistent cut under concurrent updates.
+// Snapshot is a point-in-time copy of a registry, sorted by name.
+// Per-value reads are atomic; the snapshot as a whole is not a
+// consistent cut under concurrent updates.
 type Snapshot struct {
 	Metrics []MetricData `json:"metrics"`
 }
 
-// Snapshot copies the full store (all scopes, not just this view's
-// labels). Nil registries snapshot empty.
+// Snapshot copies every metric. Nil registries snapshot empty.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	c := r.core
-	type pair struct {
-		k mkey
-		e *entry
-	}
-	c.mu.Lock()
-	pairs := make([]pair, 0, len(c.entries))
-	for k, e := range c.entries {
-		pairs = append(pairs, pair{k, e})
-	}
-	c.mu.Unlock()
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].k.name != pairs[j].k.name {
-			return pairs[i].k.name < pairs[j].k.name
-		}
-		return pairs[i].k.labels < pairs[j].k.labels
-	})
-	s := Snapshot{Metrics: make([]MetricData, 0, len(pairs))}
-	for _, p := range pairs {
-		e := p.e
-		m := MetricData{Name: e.name, Labels: e.labels, Type: e.kind.String()}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := Snapshot{Metrics: make([]MetricData, 0, len(r.entries))}
+	for name, e := range r.entries {
+		m := MetricData{Name: name, Type: e.kind.String()}
 		switch e.kind {
 		case kindCounter:
 			m.Value = float64(e.c.Value())
@@ -390,25 +308,19 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Metrics = append(s.Metrics, m)
 	}
+	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
 	return s
 }
 
-// Get returns the metric with this name and exactly these labels, or
-// nil. Intended for tests and report printers.
-func (s Snapshot) Get(name string, labels ...Label) *MetricData {
-	want := encodeLabels(sortedLabels(labels))
+// Get returns the metric with this name, or nil. Intended for tests
+// and report printers.
+func (s Snapshot) Get(name string) *MetricData {
 	for i := range s.Metrics {
-		if s.Metrics[i].Name == name && encodeLabels(s.Metrics[i].Labels) == want {
+		if s.Metrics[i].Name == name {
 			return &s.Metrics[i]
 		}
 	}
 	return nil
-}
-
-func sortedLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.

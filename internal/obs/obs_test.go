@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -12,6 +13,11 @@ func TestMetricNameConvention(t *testing.T) {
 	for _, name := range AllMetricNames {
 		if !ValidMetricName(name) {
 			t.Errorf("catalog name %q violates the subsystem_name_unit convention", name)
+		}
+	}
+	for _, name := range MCoreRecoveriesTotal {
+		if !slices.Contains(AllMetricNames, name) {
+			t.Errorf("per-tier recovery counter %q is missing from AllMetricNames", name)
 		}
 	}
 	bad := []string{
@@ -127,7 +133,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	for _, v := range []float64{0, 30, 60, 120} {
 		h.Observe(v)
 	}
-	r.With(L("tier", "abft")).Counter("test_events_total").Add(6)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -137,10 +142,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := back.Get("test_events_total").Value; got != 3 {
-		t.Errorf("unlabeled counter = %g, want 3", got)
-	}
-	if got := back.Get("test_events_total", L("tier", "abft")).Value; got != 6 {
-		t.Errorf("labeled counter = %g, want 6", got)
+		t.Errorf("counter = %g, want 3", got)
 	}
 	if got := back.Get("test_level_ratio").Value; got != 3 {
 		t.Errorf("gauge = %g, want 3", got)
@@ -156,31 +158,10 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLabeledScopes(t *testing.T) {
-	r := New()
-	r.Counter("test_scoped_total").Inc()
-	child := r.With(L("tenant", "a"), L("tier", "checkpoint"))
-	child.Counter("test_scoped_total").Add(4)
-	// Child of child overrides on key collision.
-	grand := child.With(L("tier", "abft"))
-	grand.Counter("test_scoped_total").Add(9)
-
-	s := r.Snapshot()
-	if got := s.Get("test_scoped_total").Value; got != 1 {
-		t.Errorf("root scope = %g, want 1", got)
-	}
-	if got := s.Get("test_scoped_total", L("tenant", "a"), L("tier", "checkpoint")).Value; got != 4 {
-		t.Errorf("child scope = %g, want 4", got)
-	}
-	if got := s.Get("test_scoped_total", L("tier", "abft"), L("tenant", "a")).Value; got != 9 {
-		t.Errorf("grandchild scope = %g, want 9", got)
-	}
-}
-
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	c := r.Counter("test_nil_total")
-	g := r.With(L("a", "b")).Gauge("test_nil_seconds")
+	g := r.Gauge("test_nil_seconds")
 	h := r.Histogram("test_nil_bytes", ByteBuckets())
 	c.Inc()
 	c.Add(5)

@@ -16,11 +16,8 @@ import (
 
 func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	t.Helper()
-	snap := reg.Snapshot()
-	for i := range snap.Metrics {
-		if snap.Metrics[i].Name == name && len(snap.Metrics[i].Labels) == 0 {
-			return snap.Metrics[i].Value
-		}
+	if md := reg.Snapshot().Get(name); md != nil {
+		return md.Value
 	}
 	return 0
 }

@@ -9,7 +9,7 @@ import (
 
 // ReportSchema versions the run-report JSON layout. Consumers must
 // check it before interpreting the rest of the document.
-const ReportSchema = "lossyckpt.run-report/v3"
+const ReportSchema = "lossyckpt.run-report/v4"
 
 // StabilityRegion names the stability criterion the verdict is
 // judged against: Fox, Diffenderfer et al.'s analysis of inline ZFP

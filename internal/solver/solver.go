@@ -162,19 +162,16 @@ type Checkpointable interface {
 //     more than the paper's (README, "Experiments and benchmarks");
 //   - "jacobi", "gs", "sor" (ω = 1.5) and "ssor" (ω = 1.2) are the
 //     stationary sweeps.
-//
-// op is what CG and GMRES apply: a, or a wrapper of it such as abft's
-// checksum operator. The stationary sweeps read a itself.
-func New(method string, a *sparse.CSR, op Operator, b []float64, opts Options) (Checkpointable, error) {
+func New(method string, a *sparse.CSR, b []float64, opts Options) (Checkpointable, error) {
 	switch method {
 	case "cg":
 		m, err := precond.NewIC0(a)
 		if err != nil {
 			return nil, err
 		}
-		return NewCG(op, m, b, nil, SeqSpace{}, opts), nil
+		return NewCG(a, m, b, nil, SeqSpace{}, opts), nil
 	case "gmres":
-		return NewGMRES(op, nil, b, nil, 5, SeqSpace{}, opts), nil
+		return NewGMRES(a, nil, b, nil, 5, SeqSpace{}, opts), nil
 	}
 	kind, ok := map[string]StationaryKind{"jacobi": KindJacobi, "gs": KindGaussSeidel, "sor": KindSOR, "ssor": KindSSOR}[method]
 	if !ok {
