@@ -16,6 +16,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -537,7 +538,7 @@ func BenchmarkCSRMulVecSub(b *testing.B) {
 // SeqSpace path. A step's cost grows with its index j in the cycle
 // (j+1 projections), so b.N should be a multiple of 30 for ns/op to be
 // the cycle mean that the computed bytes describe: SpMV (matrix, v_j
-// read, t written), the identity preconditioner's copy, one Dot, j
+// read, w written: with no preconditioner there is no copy), one Dot, j
 // fused projections (w, v_i, v_i+1 read, w written), the last
 // projection, ‖w‖ in two passes, the normalisation, and a thirtieth of
 // the cycle's 30 correction axpys.
@@ -551,7 +552,7 @@ func BenchmarkGMRESStep(b *testing.B) {
 		s.Step()
 	}
 	const meanJ = 14.5
-	reportPerRow(b, n, csrBytes(a)+int((2+2+2+4*meanJ+3+2+2+3)*8*float64(n)))
+	reportPerRow(b, n, csrBytes(a)+int((2+2+4*meanJ+3+2+2+3)*8*float64(n)))
 }
 
 // BenchmarkJacobiSweep is one Jacobi step, sparse.JacobiSweep and ‖r‖:
@@ -682,6 +683,80 @@ func BenchmarkCheckpointStall(b *testing.B) {
 			b.StartTimer()
 		}
 	})
+}
+
+// BenchmarkGMRESAsyncCapture is the solver-visible stall of one
+// Manager.Checkpoint of gmres-lossy-async's configuration (GMRES(30) on
+// 36³, lossy, Theorem-3 bound, async) at inner index j = 0, 10 and 20
+// of the cycle: what the solver waits for while the pipeline takes the
+// iterate x₀ + V·y. Each save drains outside the timed region, as the
+// solver's steps would overlap it.
+func BenchmarkGMRESAsyncCapture(b *testing.B) {
+	a := sparse.Poisson3D(36)
+	rhs := sparse.OnesRHS(a.Rows)
+	for _, j := range []int{0, 10, 20} {
+		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
+			s := solver.NewGMRES(a, nil, rhs, nil, 30, solver.SeqSpace{}, solver.Options{RTol: 1e-300})
+			for i := 0; i < 30+j; i++ { // one whole cycle first, as a solve's saves see
+				s.Step()
+			}
+			m, err := core.NewManager(core.Config{Scheme: core.Lossy, Adaptive: true, AdaptiveC: 1,
+				BNorm: vec.Norm2(rhs), Async: true}, fti.NewMemStorage(), s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if _, err := m.WaitCheckpoint(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkSpinPair is the two-goroutine probe: one goroutine spins,
+// then two spin the same work each at once. pair/one is about 1 when
+// the process runs goroutines on both of two CPUs and about 2 when they
+// share one, as a fresh process on a host whose cpusets do not balance
+// load may. An A/B of overlapped work (the async pipeline's background
+// stage) reads it to tell which regime each side ran in.
+func BenchmarkSpinPair(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("needs GOMAXPROCS ≥ 2")
+	}
+	spin := func(seed uint64) uint64 {
+		for i := 0; i < 1<<21; i++ {
+			seed ^= seed << 13
+			seed ^= seed >> 7
+			seed ^= seed << 17
+		}
+		return seed
+	}
+	var one, pair time.Duration
+	var out [3]uint64
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		out[0] = spin(uint64(i) + 1)
+		one += time.Since(start)
+		start = time.Now()
+		var wg sync.WaitGroup
+		for g := 1; g <= 2; g++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); out[g] = spin(uint64(i+g) + 1) }()
+		}
+		wg.Wait()
+		pair += time.Since(start)
+	}
+	if out[0]|out[1]|out[2] == 0 {
+		b.Fatal("xorshift reached zero")
+	}
+	b.ReportMetric(float64(pair)/float64(one), "pair/one")
 }
 
 // BenchmarkShardedWrite compares the storage stage of a checkpoint on

@@ -235,6 +235,9 @@ func (g *Guard) FailRank(k int) {
 	if k < 0 || k >= g.ranks {
 		return
 	}
+	if gm, ok := g.s.(*solver.GMRES); ok {
+		gm.Settle() // an async save may still be reading x
+	}
 	lo, hi := g.cuts[k], g.cuts[k+1]
 	poison(g.s.X()[lo:hi])
 	if g.cg != nil {

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fti"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 	"repro/internal/sz"
 )
 
@@ -147,9 +150,9 @@ func (gateAudit) ObserveVector(int, int, string, []float64, []byte, fti.Encoder)
 // TestAsyncCaptureOutlivesSolverSteps: what an async checkpoint
 // restores is the state at the capture, under every scheme, whatever
 // happens to the vectors the capture aliased before the background
-// stage gets to encode them: the solver steps on, and the Manager's
-// GMRES buffer is overwritten. The background stage reads the
-// pipeline's double-buffer copy.
+// stage gets to encode them: the solver steps on, GMRES through a cycle
+// end that rewrites the x its capture read. The background stage reads
+// the pipeline's double-buffer copy.
 func TestAsyncCaptureOutlivesSolverSteps(t *testing.T) {
 	const eb = 1e-4
 	for _, scheme := range []Scheme{Traditional, Lossless, Lossy} {
@@ -167,9 +170,6 @@ func TestAsyncCaptureOutlivesSolverSteps(t *testing.T) {
 			}
 			for i := 0; i < 25; i++ { // GMRES: through the cycle boundary
 				s.Step()
-			}
-			for i := range m.xbuf {
-				m.xbuf[i] = math.NaN()
 			}
 			close(gate)
 			if _, err := m.WaitCheckpoint(); err != nil {
@@ -191,6 +191,93 @@ func TestAsyncCaptureOutlivesSolverSteps(t *testing.T) {
 					t.Fatalf("lossy/%s: restored x[%d] = %g, captured %g", name, i, v, w)
 				}
 			}
+		}
+	}
+}
+
+// TestAsyncGMRESSavesMatchSync: an async GMRES save hands the pipeline
+// the cycle — boundary x, basis, coefficients — and the background
+// goroutine materializes the iterate while the solver steps on. Twin
+// solvers in lockstep, one saved async and one sync, must leave stores
+// that are equal object for object, byte for byte: saves at j = 0, 10
+// and 20, one in flight across a cycle end, one in flight when the
+// solve converges mid-cycle, a RecoverTiered while one is in flight,
+// and at restart lengths 2 and 3 a save before every step, so that
+// cycle ends race the background goroutine and the race detector sees
+// the hold.
+func TestAsyncGMRESSavesMatchSync(t *testing.T) {
+	a := sparse.Poisson3D(12)
+	b := sparse.RHSForSolution(a, sparse.SmoothField(a.Rows, 21))
+	// GMRES(30) restarts at the recovery and converges 19 steps into the
+	// cycle after the one the recovery begins.
+	const recoverAt = 20
+	for _, scheme := range []Scheme{Traditional, Lossless, Lossy} {
+		for _, k := range []int{30, 3, 2} {
+			t.Run(fmt.Sprintf("%v/k%d", scheme, k), func(t *testing.T) {
+				saveAt := func(step int) bool {
+					return k < 30 || step%10 == 0 || (step-recoverAt)%k == k-1 || step >= recoverAt+k+10
+				}
+				cfg := Config{Scheme: scheme, SZParams: sz.Params{Mode: sz.PWRel, ErrorBound: 1e-4}}
+				var twins [2]*solver.GMRES
+				for i := range twins {
+					twins[i] = solver.NewGMRES(a, nil, b, nil, k, solver.SeqSpace{}, solver.Options{RTol: 1e-10})
+				}
+				stores := [2]*fti.MemStorage{fti.NewMemStorage(), fti.NewMemStorage()}
+				var ms [2]*Manager
+				for i := range ms {
+					cfg.Async = i == 0
+					m, err := NewManager(cfg, stores[i], twins[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Checkpointer().SetKeep(1 << 20); err != nil {
+						t.Fatal(err)
+					}
+					ms[i] = m
+				}
+				for step := 0; ; step++ {
+					var rnorm [2]float64
+					for i, m := range ms {
+						if saveAt(step) {
+							if _, err := m.Checkpoint(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if step == recoverAt {
+							if it := recoverCheckpoint(t, m); it != twins[i].Iteration() {
+								t.Fatalf("step %d: recovered to iteration %d, want the save just taken", step, it)
+							}
+						}
+						rnorm[i] = twins[i].Step()
+					}
+					if !sameBits(twins[0].CurrentX(), twins[1].CurrentX()) {
+						t.Fatalf("step %d: the twins' iterates differ", step)
+					}
+					if twins[0].Converged(rnorm[0]) {
+						if k == 30 && (step-recoverAt+1)%k == 0 {
+							t.Fatalf("GMRES(30) converged at a cycle end (step %d); the test wants it mid-cycle", step)
+						}
+						break
+					}
+				}
+				if _, err := ms[0].WaitCheckpoint(); err != nil {
+					t.Fatal(err)
+				}
+				names, err := stores[1].List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := stores[0].List(); !slices.Equal(got, names) {
+					t.Fatalf("async store holds %v, sync store %v", got, names)
+				}
+				for _, name := range names {
+					got, _ := stores[0].Read(name)
+					want, _ := stores[1].Read(name)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: the async save's bytes differ from the sync save's", name)
+					}
+				}
+			})
 		}
 	}
 }

@@ -91,10 +91,14 @@ type Config struct {
 	// Async routes checkpoints through the asynchronous pipeline, and is
 	// the one switch for overlapped checkpoints: Drive prices a modelled
 	// run's saves as overlapped exactly when it is set. Checkpoint
-	// returns after the capture copy (the returned Info is the record as
-	// the save opened — Bytes is unknown until the background encode
+	// returns after the capture (the returned Info is the record as the
+	// save opened — Bytes is unknown until the background encode
 	// finishes; WaitCheckpoint or LastInfo report the final record), and
-	// the encode+write run concurrently with solver iterations.
+	// the encode+write run concurrently with solver iterations. GMRES's
+	// capture copies only the cycle's coefficients y: the background
+	// copies the cycle-boundary x and adds the basis' correction V·y
+	// (counted in EncodeSeconds, not CaptureSeconds), and the solver's
+	// next cycle end, convergence or Restart waits until it has.
 	// LastInfo reports committed checkpoints only; RecoverTiered drains
 	// the in-flight write first, and a background write that failed
 	// falls back to the previous committed checkpoint — the paper's
@@ -141,7 +145,8 @@ type Manager struct {
 	async *fti.AsyncCheckpointer // non-nil in async mode
 	slv   solver.Checkpointable
 	gmres *solver.GMRES // non-nil when the solver is GMRES: X() lags mid-cycle
-	xbuf  []float64     // GMRES's materialized iterate, reused by every capture
+	xbuf  []float64     // GMRES's iterate a sync save materializes, reused by every capture
+	ybuf  []float64     // GMRES's coefficients y an async save copies, likewise
 
 	// The Manager's record of its saves, each one fti.Info. last is the
 	// committed checkpoint recovery stands on (Seq 0: none) and prev its
@@ -259,7 +264,7 @@ func (m *Manager) Checkpoint() (fti.Info, error) {
 	if m.async != nil {
 		return m.checkpointAsync()
 	}
-	snap := m.capture()
+	snap, _ := m.capture()
 	m.ckpt.SetEncoder(m.encoder())
 	info, err := m.ckpt.Save(snap)
 	if m.open = info; err != nil {
@@ -290,7 +295,7 @@ func (m *Manager) checkpointAsync() (fti.Info, error) {
 		return fti.Info{}, err
 	}
 	m.ckpt.SetEncoder(m.encoder())
-	info, err := m.async.SaveAsync(m.capture())
+	info, err := m.async.SaveDeferred(m.capture)
 	if err != nil {
 		return fti.Info{}, err
 	}
@@ -385,25 +390,37 @@ func (m *Manager) AbortLastCheckpoint() error {
 // for lossy (Algorithm 2 lines 4–5: i, compressed x).
 //
 // Under every scheme the snapshot aliases state that changes with the
-// next solver step — the solver's live vectors, or for GMRES the
-// mid-cycle iterate materialized into the Manager's one buffer — and
-// copies nothing: a synchronous save has encoded it before Checkpoint
-// returns (encoders, storage and the save auditor never retain their
-// input), and SaveAsync copies it into its double buffer first.
+// next solver step — the solver's live vectors, or for a sync GMRES
+// save the mid-cycle iterate materialized into the Manager's one
+// buffer — and copies nothing: a synchronous save has encoded it before
+// Checkpoint returns (encoders, storage and the save auditor never
+// retain their input), and the async pipeline copies it first. An
+// async GMRES save materializes nothing here: its snapshot holds the
+// cycle-boundary x, and the fill returned with it adds the cycle's
+// correction V·y to the pipeline's copy in the background, y copied
+// now and the solver held until the fill has read x and V.
 //
 // The auditor, when attached, is handed the residual the save opens
 // at: the ResidualAtSave of its records.
-func (m *Manager) capture() *fti.Snapshot {
+func (m *Manager) capture() (*fti.Snapshot, func(*fti.Snapshot)) {
 	st := m.slv.DynamicView()
 	m.qa.ObserveResidual(st.Iteration, m.slv.ResidualNorm())
-	if m.gmres != nil {
+	var fill func(*fti.Snapshot)
+	if m.gmres != nil && m.async == nil {
 		m.xbuf = m.gmres.CurrentXInto(m.xbuf)
 		st.Vectors["x"] = m.xbuf
+	} else if m.gmres != nil {
+		// y is the solver's scratch; m.ybuf is free, as the pipeline
+		// drained the previous save, fill and all, before this capture.
+		c, release := m.gmres.Correction(), m.gmres.Hold()
+		m.ybuf = append(m.ybuf[:0], c.Y...)
+		c.Y = m.ybuf
+		fill = func(cp *fti.Snapshot) { c.AddTo(cp.Vectors["x"]); release() }
 	}
 	if m.cfg.Scheme == Lossy {
 		st.Scalars, st.Vectors = nil, map[string][]float64{"x": st.Vectors["x"]}
 	}
-	return &fti.Snapshot{Iteration: st.Iteration, Scalars: st.Scalars, Vectors: st.Vectors}
+	return &fti.Snapshot{Iteration: st.Iteration, Scalars: st.Scalars, Vectors: st.Vectors}, fill
 }
 
 // LastInfo returns the record of the most recent committed checkpoint

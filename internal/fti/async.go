@@ -15,7 +15,13 @@ import (
 // capturing its state. The pipeline has three stages:
 //
 //  1. capture — SaveAsync deep-copies the snapshot into one half of a
-//     double buffer. This is the only stage the solver waits for.
+//     double buffer. This is the only stage the solver waits for, and
+//     each save's Info.CaptureSeconds. SaveDeferred leaves the copy to
+//     the background goroutine when the caller's capture returns a fill
+//     to run on it, and the caller keeps the snapshot still until the
+//     fill has run: an async GMRES save holds the cycle-boundary x, the
+//     cycle's basis and a copy of its coefficients y, and the fill adds
+//     V·y to the copy of x. That copy and fill count in EncodeSeconds.
 //  2. encode — a background goroutine runs the configured Encoder
 //     (blocked SZ, lossless, or raw) over the captured copy.
 //  3. write — the same goroutine commits the encoded bytes to Storage.
@@ -81,6 +87,7 @@ type AsyncStats struct {
 
 type asyncJob struct {
 	snap *Snapshot
+	fill func(*Snapshot) // a deferred capture's; nil when snap is the copy
 	slot int
 	open Info          // the save's record as it opened, capture stage included
 	done chan struct{} // closed when info and err are final
@@ -105,37 +112,65 @@ func NewAsync(c *Checkpointer) *AsyncCheckpointer {
 // background save failed unsurfaced, that error is returned now and
 // the new save is not started.
 func (a *AsyncCheckpointer) SaveAsync(s *Snapshot) (Info, error) {
+	return a.SaveDeferred(func() (*Snapshot, func(*Snapshot)) { return s, nil })
+}
+
+// SaveDeferred is SaveAsync with the snapshot taken by capture, once
+// the previous save has drained, and its copy left to the background
+// goroutine when capture also returns a fill: there the goroutine
+// copies the snapshot into the double buffer and calls fill on the
+// copy, before the encode. The snapshot's vectors must stay unchanged
+// until fill returns, which fill itself tells the caller. The returned
+// CaptureSeconds is capture's run, and the committed record's
+// EncodeSeconds counts the copy and fill. A nil fill is SaveAsync.
+func (a *AsyncCheckpointer) SaveDeferred(capture func() (*Snapshot, func(*Snapshot))) (Info, error) {
 	a.drain(true)
+	// Nothing else runs now: the drain ordered the finished save's writes
+	// before this, and capture, the caller's code, runs unlocked.
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.failed; err != nil {
-		a.failed = nil
+	err := a.failed
+	a.failed = nil
+	a.mu.Unlock()
+	if err != nil {
 		return Info{}, err
 	}
 	capSpan := a.c.ins.tr.Begin(obs.TrackSolver, obs.CatCheckpoint, obs.SpanCapture)
 	start := time.Now()
 	slot := a.slot
 	a.slot ^= 1
-	a.caps[slot] = copySnapshotInto(a.caps[slot], s)
+	s, fill := capture()
+	if fill == nil {
+		s = copySnapshotInto(a.caps[slot], s)
+		a.caps[slot] = s
+	}
 	capSec := time.Since(start).Seconds()
 	capSpan.End()
 	a.c.ins.captureSec.Observe(capSec)
-	a.job = &asyncJob{snap: a.caps[slot], slot: slot, open: a.c.record(s, a.c.seq+1), done: make(chan struct{})}
+	a.job = &asyncJob{snap: s, fill: fill, slot: slot, open: a.c.record(s, a.c.seq+1), done: make(chan struct{})}
 	a.job.open.CaptureSeconds = capSec
 	go a.run(a.job)
 	return a.job.open, nil
 }
 
-// run is the background encode+write stage.
+// run is the background stage: a deferred capture copy, then
+// encode+write.
 func (a *AsyncCheckpointer) run(job *asyncJob) {
 	start := time.Now()
-	payload, info, err := a.c.save(job.snap, a.encBufs[job.slot])
+	snap := job.snap
+	if job.fill != nil {
+		snap = copySnapshotInto(a.caps[job.slot], snap)
+		a.caps[job.slot] = snap
+		job.fill(snap)
+	}
+	copySec := time.Since(start).Seconds()
+	payload, info, err := a.c.save(snap, a.encBufs[job.slot])
 	if payload != nil {
 		a.encBufs[job.slot] = payload
 	}
 	// Surface the capture stall on the save's own Info, so Peek reports
 	// all three stage timings together.
 	info.CaptureSeconds = job.open.CaptureSeconds
+	info.EncodeSeconds += copySec
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err != nil {

@@ -85,17 +85,18 @@ type Info struct {
 	Shards int
 
 	// Per-stage wall-clock timings of the save that produced this Info,
-	// in seconds. CaptureSeconds is the asynchronous pipeline's copy of
-	// the snapshot into its double buffer, the only stage the solver
-	// waits for (zero for synchronous saves: they encode the caller's
-	// vectors where they are and copy nothing); EncodeSeconds covers the
-	// Encoder pass over every vector; WriteSeconds covers the storage
-	// commit (all shard objects plus the manifest). Together with
-	// RawBytes (bytes in) and Bytes (bytes out) they are the measured
-	// observations the adaptive interval controller (package adapt)
-	// estimates per-checkpoint costs from — previously this accounting
-	// was internal to the async pipeline and only a benchmark could see
-	// the stall.
+	// in seconds. CaptureSeconds is the asynchronous pipeline's capture,
+	// the only stage the solver waits for: the copy of the snapshot into
+	// its double buffer, or for an async GMRES save (a deferred capture)
+	// the solve and copy of the cycle's coefficients y (zero for synchronous
+	// saves: they encode the caller's vectors where they are and copy
+	// nothing); EncodeSeconds covers the Encoder pass over every vector,
+	// and a deferred capture's background copy of x and its fill with
+	// the basis' correction V·y; WriteSeconds covers the storage commit
+	// (all shard objects plus the manifest). Together with RawBytes
+	// (bytes in) and Bytes (bytes out) they are the measured observations
+	// the adaptive interval controller (package adapt) estimates
+	// per-checkpoint costs from.
 	CaptureSeconds float64
 	EncodeSeconds  float64
 	WriteSeconds   float64

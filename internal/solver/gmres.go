@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math"
+	"sync"
 
 	"repro/internal/precond"
 	"repro/internal/vec"
@@ -35,23 +36,21 @@ type GMRES struct {
 	j int         // inner index within the current cycle
 
 	w         []float64 // scratch
-	t         []float64 // scratch
+	t         []float64 // M⁻¹'s input; w itself when there is no M, so A·v lands in w
 	y         []float64 // least-squares solution scratch, length k
 	it        int
 	rnorm     float64
 	threshold float64
+	held      sync.RWMutex // read-locked while a Hold's reader needs x and the basis
 }
 
 // NewGMRES constructs GMRES(k) for A·x = b with left preconditioner m
-// and initial guess x0 (nil means zero). Convergence is tested on the
-// preconditioned residual norm against RTol·‖M⁻¹b‖ + aTol, PETSc's
-// default left-preconditioned criterion.
+// (nil: none) and initial guess x0 (nil means zero). Convergence is
+// tested on the preconditioned residual norm against RTol·‖M⁻¹b‖ +
+// aTol, PETSc's default left-preconditioned criterion.
 func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int, space Space, opts Options) *GMRES {
 	if k <= 0 {
 		k = 30
-	}
-	if m == nil {
-		m = precond.Identity{}
 	}
 	n := len(b)
 	s := &GMRES{
@@ -66,8 +65,11 @@ func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int,
 		c:     make([]float64, k),
 		s:     make([]float64, k),
 		w:     make([]float64, n),
-		t:     make([]float64, n),
 		y:     make([]float64, k),
+	}
+	s.t = s.w
+	if m != nil {
+		s.t = make([]float64, n)
 	}
 	s.fused, _ = space.(fusedReducer)
 	s.v = make([][]float64, k+1)
@@ -79,7 +81,8 @@ func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int,
 		s.h[i] = make([]float64, k)
 	}
 	// Reference norm: ‖M⁻¹·b‖.
-	s.m.Apply(s.w, s.b)
+	copy(s.t, s.b)
+	s.precondition()
 	s.threshold = s.opts.RTol*space.Norm2(s.w) + aTol
 	if x0 == nil {
 		x0 = make([]float64, n)
@@ -93,8 +96,17 @@ func NewGMRES(a Operator, m precond.Interface, b []float64, x0 []float64, k int,
 // cycle; the iteration counter and threshold are preserved.
 func (s *GMRES) Restart(x []float64) {
 	checkDims("restart x", len(s.b), len(x))
+	s.Settle()
 	adopt(s.x, x)
 	s.beginCycle()
+}
+
+// precondition sets w ← M⁻¹·t; with no M, t is w and there is nothing
+// to do.
+func (s *GMRES) precondition() {
+	if s.m != nil {
+		s.m.Apply(s.w, s.t)
+	}
 }
 
 // beginCycle computes the preconditioned residual and seeds the Arnoldi
@@ -102,7 +114,7 @@ func (s *GMRES) Restart(x []float64) {
 func (s *GMRES) beginCycle() {
 	s.a.MulVec(s.t, s.x)
 	vec.Sub(s.t, s.b, s.t)
-	s.m.Apply(s.w, s.t)
+	s.precondition()
 	beta := s.space.Norm2(s.w)
 	s.rnorm = beta
 	s.j = 0
@@ -125,7 +137,7 @@ func (s *GMRES) Step() float64 {
 	j := s.j
 	// w ← M⁻¹·A·v_j
 	s.a.MulVec(s.t, s.v[j])
-	s.m.Apply(s.w, s.t)
+	s.precondition()
 	// Modified Gram–Schmidt: h_ij = w·v_i, w ← w − h_ij·v_i for i = 0…j.
 	// A local Space runs each projection and the next inner product as
 	// one pass over w, with the bits the two separate kernels produce.
@@ -184,9 +196,28 @@ func (s *GMRES) Step() float64 {
 	return s.rnorm
 }
 
-// addCorrection solves the j×j triangular system of the cycle so far
-// and adds the Krylov correction Σ y_i·v_i into dst.
-func (s *GMRES) addCorrection(dst []float64) {
+// Correction is the part of the iterate that X() lacks mid-cycle,
+// Σ Y[i]·V[i] over the cycle's basis vectors V.
+type Correction struct {
+	Y []float64
+	V [][]float64
+}
+
+// AddTo adds the correction into dst, one Axpy per nonzero coefficient
+// in index order: every materialization of the iterate runs this
+// sequence, so all of them have the same bits.
+func (c Correction) AddTo(dst []float64) {
+	for i, yi := range c.Y {
+		if yi != 0 {
+			vec.Axpy(yi, c.V[i], dst)
+		}
+	}
+}
+
+// Correction solves the j×j triangular system of the cycle so far. Y is
+// the solver's scratch, which the next Step changes; V and X() change
+// only at a cycle end, convergence or Restart, which wait for a Hold.
+func (s *GMRES) Correction() Correction {
 	y := s.y[:s.j]
 	for i := len(y) - 1; i >= 0; i-- {
 		sum := s.g[i]
@@ -198,16 +229,23 @@ func (s *GMRES) addCorrection(dst []float64) {
 			y[i] = sum / s.h[i][i]
 		}
 	}
-	for i, yi := range y {
-		if yi != 0 {
-			vec.Axpy(yi, s.v[i], dst)
-		}
-	}
+	return Correction{Y: y, V: s.v[:s.j]}
 }
+
+// Hold lets another goroutine read X() and the basis while the solver
+// steps on: the solver's next write to them waits until release runs.
+func (s *GMRES) Hold() (release func()) {
+	s.held.RLock()
+	return s.held.RUnlock
+}
+
+// Settle waits until no Hold is outstanding.
+func (s *GMRES) Settle() { s.held.Lock(); s.held.Unlock() }
 
 // materialize folds the cycle's correction into x and ends the cycle.
 func (s *GMRES) materialize() {
-	s.addCorrection(s.x)
+	s.Settle()
+	s.Correction().AddTo(s.x)
 	s.j = 0
 	s.g[0] = 0 // mark the cycle consumed; beginCycle recomputes
 }
@@ -222,7 +260,7 @@ func (s *GMRES) CurrentX() []float64 { return s.CurrentXInto(nil) }
 // materializes into one buffer it owns and allocates nothing.
 func (s *GMRES) CurrentXInto(dst []float64) []float64 {
 	dst = append(dst[:0], s.x...)
-	s.addCorrection(dst)
+	s.Correction().AddTo(dst)
 	return dst
 }
 
