@@ -1045,6 +1045,40 @@ func BenchmarkExactSaveRestore(b *testing.B) {
 	})
 }
 
+// BenchmarkStorageCommit is the write term of a sync save on a real
+// directory: one steady-state DirStorage.Write of a checkpoint-sized
+// object plus retention's Delete of the object written two saves
+// before (keep 2), at cg-lossy-sync's save (35,614 B),
+// jacobi-lossless-failstorm's (68,800 B) and cg-trad-sync-shard's
+// whole state (1,769,515 B). ns/op moves with the disk.
+func BenchmarkStorageCommit(b *testing.B) {
+	for _, size := range []int{35614, 68800, 1769515} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			ds := mustDirStorage(b)
+			data := make([]byte, size)
+			for i := range data {
+				data[i] = byte(i * 7)
+			}
+			commit := func(i int) {
+				if err := ds.Write(fmt.Sprintf("ckpt-%012d", i), data); err != nil {
+					b.Fatal(err)
+				}
+				if err := ds.Delete(fmt.Sprintf("ckpt-%012d", i-2)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 2; i < 6; i++ { // reach the steady state
+				commit(i)
+			}
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 6; i < b.N+6; i++ {
+				commit(i)
+			}
+		})
+	}
+}
+
 // ---- Lossy CG recovery: restart against resume ------------------------------
 
 // BenchmarkAblationCGRestart compares the paper's restarted lossy

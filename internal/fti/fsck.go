@@ -25,21 +25,22 @@ import (
 //  5. manifest temp written/partial — case 1/2 under the base name;
 //     the group never became visible.
 //
-// Only after the manifest's rename is durable (its Write's directory
-// fsync) does the group exist. Every artifact of points 1–5 is
-// invisible to Restore (List hides temp files; orphan shards have no
-// base), but they consume space and — for stale temp files and shards
-// reusing a sequence number after a crash-restart — can shadow later
-// writes. Fsck is the startup sweep that removes them, and
-// additionally verifies that every visible checkpoint is *fully*
-// committed (manifest parseable, all shards present with matching
-// size and CRC32C; monolithic payloads passing their IEEE CRC),
-// garbage-collecting any that are not, so that after Fsck returns,
-// List exposes only checkpoints Restore would accept.
+// DirStorage adds one artifact outside the protocol: a spare, the
+// "*.tmp" file a Delete renamed an object to, possibly renamed on to
+// "<name>.tmp" and half overwritten. A spare is written only once its
+// rename is durable, so no committed name can point at its bytes.
 //
-// Fsck must run while no writer is active (startup, before the
-// Checkpointer issues saves): the orphan-shard and temp sweeps cannot
-// distinguish a crash's debris from a commit in flight.
+// Only after the manifest's rename is durable (its Write's directory
+// fsync) does the group exist. Every artifact is invisible to Restore
+// (List hides temp files; orphan shards have no base), but they take
+// space and can shadow later writes of a reused sequence number. Fsck
+// is the startup sweep that removes them, and verifies that every
+// visible checkpoint is fully committed (manifest parseable, all
+// shards present with matching size and CRC32C; monolithic payloads
+// passing their IEEE CRC), garbage-collecting any that are not, so
+// that after Fsck returns, List exposes only checkpoints Restore would
+// accept. It must run while no writer is active: the orphan-shard and
+// temp sweeps cannot tell a crash's debris from a commit in flight.
 
 // FsckReport says what the sweep found and removed.
 type FsckReport struct {

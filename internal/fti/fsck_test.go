@@ -1,11 +1,16 @@
 package fti
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/fti/shard"
 )
 
 // killStore simulates a crash at an exact point in the commit
@@ -183,6 +188,118 @@ func TestFsckCrashPointMatrix(t *testing.T) {
 				}
 				if (*x3)[0] != want || (*x3)[63] != want {
 					t.Fatalf("recovered state %v..., want all %v", (*x3)[:4], want)
+				}
+			})
+		}
+	}
+}
+
+// TestFsckRecycleCrashPoints builds, on a real DirStorage, the states
+// a crash can leave while a save recycles a retired file: the retired
+// spare itself, and a spare half overwritten by the next payload, still
+// under its spare name or already renamed to the object's "*.tmp" —
+// each over an older payload that was complete and CRC-valid. Restart
+// must then look like any other crash: Fsck sweeps the debris, List
+// shows only committed checkpoints, Recover lands on the newest one and
+// a second Fsck is clean.
+func TestFsckRecycleCrashPoints(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		for _, state := range []string{"retired", "half-overwritten", "half-overwritten-tmp"} {
+			t.Run(fmt.Sprintf("shards-%d/%s", shards, state), func(t *testing.T) {
+				dir := t.TempDir()
+				build := func() (*Checkpointer, *DirStorage, []float64) {
+					ds, err := NewDirStorage(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := New(ds, Raw{})
+					if shards > 0 {
+						if err := c.SetSharding(shards, 2); err != nil {
+							t.Fatal(err)
+						}
+					}
+					x := make([]float64, 512)
+					c.Protect("x", &x)
+					return c, ds, x
+				}
+				c, ds, x := build()
+				// Four saves (keep 2): the first checkpoint's files are
+				// durable spares, the second's are retired.
+				for v := 1; v <= 4; v++ {
+					for i := range x {
+						x[i] = float64(v)
+					}
+					if _, err := c.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				spares := spareFiles(t, dir)
+				if len(spares) == 0 {
+					t.Fatal("no spares to crash over")
+				}
+				if shards == 0 {
+					old, err := os.ReadFile(filepath.Join(dir, spares[0]))
+					if err != nil || verifyMonolithic(old) != nil {
+						t.Fatalf("spare does not hold a complete older payload: %v", err)
+					}
+				}
+				if state != "retired" {
+					// The fifth save dies halfway through overwriting a spare.
+					victim := filepath.Join(dir, spares[0])
+					if state == "half-overwritten-tmp" {
+						next := ckptName(5) + ".tmp"
+						if shards > 0 {
+							next = shard.ShardName(ckptName(5), 0) + ".tmp"
+						}
+						if err := os.Rename(victim, filepath.Join(dir, next)); err != nil {
+							t.Fatal(err)
+						}
+						victim = filepath.Join(dir, next)
+					}
+					f, err := os.OpenFile(victim, os.O_WRONLY, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fi, err := f.Stat()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.Write(bytes.Repeat([]byte{0x5a}, int(fi.Size()/2))); err != nil {
+						t.Fatal(err)
+					}
+					f.Close()
+				}
+
+				// Restart over the same directory.
+				_, ds, _ = build()
+				rep, err := Fsck(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := []string{ckptName(3), ckptName(4)}; !slices.Equal(rep.Committed, want) || len(rep.TempRemoved) != len(spares) {
+					t.Fatalf("fsck %s: committed %v, temps removed %v; want %v and the %d spares", rep, rep.Committed, rep.TempRemoved, want, len(spares))
+				}
+				names, err := ds.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range names {
+					if base, _, ok := shard.ShardBase(n); ok {
+						n = base
+					}
+					if n != ckptName(3) && n != ckptName(4) {
+						t.Fatalf("List shows %q after fsck: %v", n, names)
+					}
+				}
+				c2, _, x2 := build()
+				if err := c2.Recover(); err != nil {
+					t.Fatalf("recover after fsck: %v", err)
+				}
+				if x2[0] != 4 || x2[511] != 4 {
+					t.Fatalf("recovered %v..., want the fourth save", x2[:2])
+				}
+				if rep2, err := Fsck(ds); err != nil || !rep2.Clean() {
+					t.Fatalf("second fsck not clean: %s, %v", rep2, err)
 				}
 			})
 		}

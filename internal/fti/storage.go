@@ -7,50 +7,23 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// Storage is where checkpoint bytes live. DirStorage writes real files
-// (the PFS in the paper's setup); MemStorage backs the virtual-time
-// simulator, where thousands of checkpoints are taken per experiment
-// and the I/O cost is accounted by the cluster model instead.
+// Storage is where checkpoint bytes live: DirStorage writes real files
+// (the PFS in the paper's setup), MemStorage keeps them in memory.
 //
-// Ownership and concurrency contract: Write's data slice is owned by
-// the caller. Implementations must either finish using it or copy it
-// before returning — the Checkpointer reuses its encode buffers across
-// checkpoints (double-buffered in the asynchronous pipeline), so a
-// retained slice WILL be overwritten by a later snapshot. Conversely,
-// slices returned by Read are owned by the caller; the implementation
-// must not reuse their backing arrays. With the AsyncCheckpointer,
-// Write runs on a background goroutine while Read/List/Delete may be
-// issued from the solver goroutine (statics, recovery probes), so
-// implementations must be safe for concurrent use. The sharded layout
-// (Checkpointer.SetSharding) additionally issues concurrent Writes —
-// and, on recovery, concurrent Reads — from its worker pool, always
-// for distinct object names; implementations must support that too
-// (distinct files or map keys make it natural). All three provided
-// implementations satisfy the contract.
+// Ownership: Write's data slice is the caller's, and an implementation
+// must finish with it or copy it before returning (the Checkpointer
+// reuses its encode buffers across saves). A slice Read returns is the
+// caller's too: a sharded restore decodes it zero-copy on the worker
+// that read it, so an implementation must not recycle Read buffers.
 //
-// Read-side concurrency under streaming restore: a sharded recovery
-// (shard.Reader.Process via Checkpointer.Restore) issues up to
-// storage-workers concurrent Reads for the group's shard objects and
-// decodes each returned slice on the worker that read it, retaining it
-// only until that shard's blocks are decoded. Because the returned
-// slices are caller-owned, the decoder slices them zero-copy; an
-// implementation that recycled Read buffers would corrupt restores.
-// Reads of distinct names may also race a concurrent background Write
-// of *different* names (an async save committing while an earlier
-// checkpoint is restored); implementations must not serialize
-// correctness on global mutable state beyond the per-name entries.
-//
-// Object layout under sharding: checkpoint seq N is either one
-// monolithic object "ckpt-%012d" (the snapshot payload) or a group —
-// shard objects "ckpt-%012d.s00000", ".s00001", … holding contiguous
-// payload spans, plus a manifest under the plain "ckpt-%012d" name,
-// written last as the commit point (see package shard for the commit
-// protocol and the manifest format). Retention, recovery scans, and
-// DropLatest all operate on the manifest name and treat the group as
-// one checkpoint; shard objects without a manifest are orphans that
-// recovery ignores and gc sweeps.
+// Concurrency: the async pipeline writes on a background goroutine
+// while the solver's goroutine reads, lists and deletes, and the shard
+// layer writes, and a restore reads, distinct names from a worker pool.
+// Implementations must be safe for that, with any state shared across
+// names guarded (DirStorage's spare list is the one such state).
 //
 // Every implementation meets the whole contract; no caller probes for
 // a method. A store with no cheaper batch path makes WriteBatched its
@@ -68,6 +41,8 @@ type Storage interface {
 	// Read returns the content stored under name.
 	Read(name string) ([]byte, error)
 	// Delete removes name; deleting a missing name is not an error.
+	// A crash may undo a Delete, and the deleted object's blocks may
+	// back a later Write.
 	Delete(name string) error
 	// List returns all stored names in lexicographic order. It never
 	// shows a "*.tmp" name: those are writes a crash interrupted.
@@ -79,9 +54,17 @@ type Storage interface {
 	SweepTemp() ([]string, error)
 }
 
-// DirStorage stores each object as a file in a directory.
+// DirStorage stores each object as a file in a directory. A file it
+// deletes is kept as a spare that a later write overwrites in place,
+// since freeing and allocating blocks costs more than writing them
+// (BenchmarkStorageCommit). A directory has one DirStorage at a time:
+// spares are numbered per store, so the same saves leave the same names.
 type DirStorage struct {
-	dir string
+	dir     string
+	nspare  atomic.Uint64 // spares numbered so far
+	mu      sync.Mutex
+	retired []string // spares whose retirement is not yet durable
+	spares  []string // spares a write may reuse
 }
 
 // NewDirStorage creates (if needed) and wraps the directory.
@@ -100,13 +83,12 @@ func (s *DirStorage) path(name string) (string, error) {
 }
 
 // Write stores data as a file, atomically via rename, fully durable:
-// the temp file is fsynced before the rename (the rename orders the
-// *name* but not the *data*, so without the sync a crash shortly
-// after commit could leave a committed shard or manifest as an empty
-// or partial file), and the directory is fsynced after it (a rename
-// lives in the page cache only; without the directory sync a crash
-// could persist a later operation — gc's unlink of the previous
-// checkpoint — but not this commit).
+// the temp file is fsynced before the rename (which orders the name,
+// not the data) and the directory after it (without that, a crash
+// could persist gc's later retirement of the previous checkpoint but
+// not this commit). The temp file is the newest reusable spare, if
+// any; the directory fsync makes the spares retired before it
+// reusable, and unlinks the reusable ones this commit left unused.
 func (s *DirStorage) Write(name string, data []byte) error {
 	return s.write(name, data, true)
 }
@@ -125,41 +107,57 @@ func (s *DirStorage) write(name string, data []byte, syncDir bool) error {
 		return err
 	}
 	tmp := p + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	s.mu.Lock()
+	var sp string
+	if n := len(s.spares); n > 0 {
+		sp, s.spares = s.spares[n-1], s.spares[:n-1]
+	}
+	s.mu.Unlock()
+	if sp != "" {
+		_ = os.Rename(sp, tmp) // on failure, OpenFile starts a fresh file
+	}
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("fti: write %s: %w", name, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Truncate(int64(len(data))) // a spare may be longer
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, p)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("fti: write %s: %w", name, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fti: sync %s: %w", name, err)
+	if !syncDir {
+		return nil
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fti: close %s: %w", name, err)
+	s.mu.Lock()
+	unused, batch := s.spares, s.retired
+	s.spares, s.retired = nil, nil
+	s.mu.Unlock()
+	for _, sp := range unused {
+		os.Remove(sp)
 	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fti: commit %s: %w", name, err)
-	}
-	if syncDir {
-		d, err := os.Open(s.dir)
-		if err != nil {
-			// Failing to open the directory means the commit cannot be
-			// made durable; report it rather than claim success.
-			return fmt.Errorf("fti: sync dir for %s: %w", name, err)
-		}
-		syncErr := d.Sync()
+	d, err := os.Open(s.dir)
+	if err == nil {
+		err = d.Sync()
 		d.Close()
-		if syncErr != nil {
-			return fmt.Errorf("fti: sync dir for %s: %w", name, syncErr)
-		}
 	}
+	if err != nil { // the commit is not durable: report it, claim no success
+		return fmt.Errorf("fti: sync dir for %s: %w", name, err)
+	}
+	s.mu.Lock()
+	s.spares = append(s.spares, batch...)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -176,13 +174,22 @@ func (s *DirStorage) Read(name string) ([]byte, error) {
 	return data, nil
 }
 
-// Delete removes the file if present.
+// Delete retires the file if present: it is renamed to a spare, a
+// "*.tmp" name no object's temp file has (object names never contain
+// ".."). A write reuses the spare only after a directory fsync that
+// began after this rename, so the committed name is durably gone first.
 func (s *DirStorage) Delete(name string) error {
 	p, err := s.path(name)
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+	sp := filepath.Join(s.dir, fmt.Sprintf("spare..%d.tmp", s.nspare.Add(1)))
+	switch err := os.Rename(p, sp); {
+	case err == nil:
+		s.mu.Lock()
+		s.retired = append(s.retired, sp)
+		s.mu.Unlock()
+	case !os.IsNotExist(err):
 		return fmt.Errorf("fti: delete %s: %w", name, err)
 	}
 	return nil
@@ -207,8 +214,9 @@ func (s *DirStorage) List() ([]string, error) {
 
 // SweepTemp removes stale "*.tmp" files left by writes that were
 // interrupted between creating the temp file and renaming it over the
-// final name. Crash points (1)–(2) of the commit protocol (temp
-// written, temp fsynced — see Fsck) both strand exactly such a file.
+// final name, and Delete's spares (a write then starts a fresh file).
+// Crash points (1)–(2) of the commit protocol (temp written, temp
+// fsynced — see Fsck) both strand exactly such a file.
 func (s *DirStorage) SweepTemp() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
